@@ -448,7 +448,7 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// Read a visible element.
     ///
     /// Panics on a remote element: under owner-computes, remote values must
-    /// first be brought in by `exchange_ghosts`, `extract_slice`, or
+    /// first be brought in by a ghost refresh, `extract_slice`, or
     /// `redistribute` — exactly the communication a KF1 compiler would have
     /// scheduled.
     #[inline]

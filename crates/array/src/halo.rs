@@ -1,14 +1,18 @@
 //! Ghost-layer exchange — the compiled form of Listing 2's guarded edge
 //! sends/receives, generalized to any block-distributed dimension of an
 //! N-dimensional array, and routed *entirely* through the shared
-//! inspector–executor engine (`kali-sched`).
+//! inspector–executor engine (`kali-sched`): this module holds the
+//! halo's **key** ([`HaloKey`]), **builder** (the analytic skirt walk)
+//! and **world** (the array's storage), and [`DistArrayN::begin_ghosts`] /
+//! [`DistArrayN::finish_ghosts`] hand them to the one trip driver
+//! ([`kali_sched::Trip`]) that also runs the sparse gather and the
+//! interpreter's `doall`. The protocol itself — gate, vote, post,
+//! complete, scatter, rollback, store — is not written here.
 //!
 //! The ghost geometry is turned into a [`CommSchedule`] *analytically* —
 //! every member derives, with no communication, which of its ghost cells
 //! each peer owns and which of its owned cells sit in each peer's ghost
-//! skirt — and the fused per-peer value messages are posted and completed
-//! by the same [`ScheduleExecutor`] that replays the interpreter's
-//! `doall` schedules. Because each ghost cell is fetched directly from
+//! skirt. Because each ghost cell is fetched directly from
 //! its true *owner* (not pipelined through a face neighbour), the
 //! corner-completing variant (`corners = true`) refreshes edge and corner
 //! ghosts in the same posted exchange, so 9-point stencils can run
@@ -23,8 +27,8 @@
 //! `(extents, dists, ghosts, corner policy, distribution generation)`,
 //! and a warm exchange replays the cached schedule with the replay
 //! consensus vote riding as a one-word header on the fused value
-//! messages (`kali-sched`'s optimistic protocol). A disagreement — e.g.
-//! a redistribution that bumped the generation — discards the payloads,
+//! messages (the driver's optimistic mode). A disagreement — e.g. a
+//! redistribution that bumped the generation — discards the payloads,
 //! rolls the trip back to a fresh analytic build, and re-runs the
 //! exchange, so stale routes never reach storage.
 //!
@@ -42,7 +46,8 @@
 //! Non-active grid members keep the *collective* cache discipline —
 //! analytic builds and stores still happen on every grid member — so the
 //! per-site vote gate and the schedule ordinal stream stay SPMD-uniform;
-//! on warm trips they note the replay locally instead of voting.
+//! on warm trips they note the replay locally instead of voting. To the
+//! driver this is one bit of data, [`kali_sched::Trip::sits_out`].
 //!
 //! One divergence is accepted and documented rather than defended: the
 //! actives decide hit-or-rollback by vote, while a non-active member
@@ -53,13 +58,13 @@
 //! replay counters. No communication-free scheme can do better: a
 //! processor that exchanges no messages observes no votes.
 
-use std::rc::Rc;
+use std::convert::Infallible;
 
 use kali_grid::Dist1;
 use kali_machine::{tag, Proc, Team, NS_ARRAY};
 use kali_sched::{
-    ArraySchedule, CommSchedule, PendingValues, PendingVote, ScheduleCache, ScheduleExecutor,
-    ScheduleWorld, SiteKey, NO_VOTE,
+    ArraySchedule, CommSchedule, ExecPolicy, InFlight, ScheduleCache, ScheduleExecutor,
+    ScheduleWorld, SiteKey, Trip,
 };
 
 use crate::arrays::{DistArrayN, Elem};
@@ -223,54 +228,24 @@ impl Default for HaloCache {
     }
 }
 
-/// An in-flight split-phase ghost exchange created by
-/// [`DistArrayN::begin_exchange_ghosts`] or
-/// [`DistArrayN::begin_exchange_ghosts_cached`]. Complete it with the
-/// matching finish call on an array of the same shape — usually the
-/// array itself, or a same-layout snapshot taken for copy-in/copy-out
-/// updates.
-#[must_use = "a begun ghost exchange must be completed with finish_exchange_ghosts"]
+/// A begun ghost exchange, created by [`DistArrayN::begin_ghosts`].
+/// Complete it with [`DistArrayN::finish_ghosts`] on an array of the same
+/// shape — usually the array itself, or a same-layout snapshot taken for
+/// copy-in/copy-out updates.
+#[must_use = "a begun ghost exchange must be completed with finish_ghosts"]
 pub struct PendingHalo<T: Elem> {
-    inner: PendingInner<T>,
+    /// `None` off the owning grid: such a rank takes no part at all.
+    flight: Option<InFlight<T, HaloKey>>,
+    corners: bool,
 }
 
-enum PendingInner<T: Elem> {
-    /// Not a member of the owning grid (or owning nothing on an uncached
-    /// path): nothing was posted.
-    Idle,
-    /// Pessimistic posted exchange over a (fresh or wrapped) schedule.
-    Plain {
-        sched: Rc<CommSchedule>,
-        pending: PendingValues<T>,
-    },
-    /// Optimistic posted exchange: vote headers are in flight; `hit` is
-    /// the locally cached schedule (None voted [`NO_VOTE`]).
-    Vote {
-        pending: PendingVote<T>,
-        hit: Option<Rc<CommSchedule>>,
-        corners: bool,
-    },
-    /// Active-team gating: a grid member owning nothing sat the vote out.
-    /// The collective cache bookkeeping (replay note, or rollback and
-    /// rebuild-and-store) runs at finish time, where `&mut self` and the
-    /// cache are available.
-    Gated { hit: bool, corners: bool },
-}
-
-impl<T: Elem> PendingHalo<T> {
-    /// Number of ghost value messages still outstanding.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            PendingInner::Idle | PendingInner::Gated { .. } => 0,
-            PendingInner::Plain { pending, .. } => pending.len(),
-            PendingInner::Vote { pending, .. } => pending.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// The cached protocol without overlap: what the policy-free `_cached`
+/// entry points run under.
+pub(crate) const CACHED_BLOCKING: ExecPolicy = ExecPolicy {
+    split: false,
+    optimistic: true,
+    rows: true,
+};
 
 impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// The *active team* of this array: the grid ranks whose owned block
@@ -305,89 +280,23 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         })
     }
 
-    /// Blocking ghost exchange: derive the full-skirt (faces, edges and
-    /// corners) schedule analytically and run it through the shared
-    /// executor's blocking fused value round. Must be called by every
-    /// member of the owning grid (SPMD); non-members return immediately.
-    ///
-    /// Neighbours are determined by *ownership*, not grid adjacency, so
-    /// the exchange remains correct on coarse multigrid levels where some
-    /// processors own nothing, and for ghost skirts wider than a
-    /// neighbour's block.
-    pub fn exchange_ghosts(&mut self, proc: &mut Proc) {
-        if !self.in_grid() {
-            return;
-        }
-        let sched = self.build_halo_schedule(proc, true);
-        if !self.is_participant() {
-            return;
-        }
-        let team = self.active_team();
-        EXEC.exchange_blocking(proc, &team, &sched, self);
-    }
-
-    /// Split-phase ghost exchange, post half: derive the ghost schedule
-    /// analytically, issue the fused per-peer value messages nonblocking
-    /// and post the matching receives, then return immediately so the
-    /// caller can compute on interior points while the values are in
-    /// transit. Must be called by every member of the owning grid (SPMD);
-    /// non-members return an empty pending set.
-    ///
-    /// `corners` selects the corner policy: `false` fetches only the
-    /// ghost cells that differ from the owned box in exactly one
-    /// dimension (faces — all that 5-point/7-point stencils read);
-    /// `true` fetches every global-valid cell of the skirt — faces,
-    /// edges *and* corners — directly from its true owner, so 9-point
-    /// (2-D) and 27-point (3-D) stencils can overlap the transit too.
-    pub fn begin_exchange_ghosts(&self, proc: &mut Proc, corners: bool) -> PendingHalo<T> {
-        if !self.in_grid() {
-            return PendingHalo {
-                inner: PendingInner::Idle,
-            };
-        }
-        let sched = Rc::new(self.build_halo_schedule(proc, corners));
-        if !self.is_participant() {
-            return PendingHalo {
-                inner: PendingInner::Idle,
-            };
-        }
-        let team = self.active_team();
-        let pending = EXEC.post(proc, &team, &sched, self);
-        PendingHalo {
-            inner: PendingInner::Plain { sched, pending },
-        }
-    }
-
-    /// Split-phase ghost exchange, completion half: wait for every posted
-    /// value message and scatter it into this array's ghost skirt. `self`
-    /// must have the shape the exchange was begun with (the array itself
-    /// or a same-layout clone).
-    pub fn finish_exchange_ghosts(&mut self, proc: &mut Proc, pending: PendingHalo<T>) {
-        match pending.inner {
-            PendingInner::Idle => {}
-            PendingInner::Plain { sched, pending } => {
-                let team = self.active_team();
-                EXEC.complete(proc, &team, &sched, self, pending);
-            }
-            PendingInner::Vote { .. } | PendingInner::Gated { .. } => {
-                panic!(
-                    "a cached ghost exchange must be completed with finish_exchange_ghosts_cached"
-                )
-            }
-        }
-    }
-
-    /// Derive the ghost [`CommSchedule`] analytically and charge the
-    /// walk (every relevant rank's storage box) to the virtual clock as
-    /// inspection work, mirroring the interpreter's inspector pass.
-    fn build_halo_schedule(&self, proc: &mut Proc, corners: bool) -> CommSchedule {
+    /// The halo's schedule builder (infallible, in the shape the trip
+    /// driver calls): derive the ghost [`CommSchedule`] analytically and
+    /// charge the walk (every relevant rank's storage box) to the virtual
+    /// clock as inspection work, mirroring the interpreter's inspector
+    /// pass.
+    fn build_halo_schedule(
+        &self,
+        proc: &mut Proc,
+        corners: bool,
+    ) -> Result<CommSchedule, Infallible> {
         let t0 = proc.clock();
         proc.note_inspector_run();
         let (sched, cells_walked) = self.halo_schedule(corners);
         proc.memop(cells_walked as f64);
         let dt = proc.clock() - t0;
         proc.attribute_inspector_time(dt);
-        sched
+        Ok(sched)
     }
 
     /// The cache key of this array's ghost schedule under `corners`.
@@ -540,183 +449,115 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 }
 
 impl<T: Elem, const N: usize> DistArrayN<T, N> {
-    /// The cold/rollback protocol shared by every cached blocking path:
-    /// derive the schedule analytically (charged as inspection work),
-    /// run the fused blocking value round through the executor, and
-    /// store the schedule for later replays. The build and store run on
-    /// *every* grid member — the collective discipline that keeps the
-    /// vote gate and ordinal stream SPMD-uniform — while the value round
-    /// moves over the active team only.
-    fn rebuild_and_exchange(&mut self, proc: &mut Proc, cache: &mut HaloCache, corners: bool) {
-        let key = self.halo_key(corners);
-        let sched = self.build_halo_schedule(proc, corners);
-        if self.is_participant() {
-            let team = self.active_team();
-            EXEC.exchange_blocking(proc, &team, &sched, self);
-        }
-        cache.cache.store(key, sched);
-        proc.note_schedule_evictions(cache.cache.take_evictions());
+    /// Begin a ghost exchange — the halo's (key, builder, world) triple
+    /// handed to `kali-sched`'s trip driver. With a `cache`, warm trips
+    /// replay the cached analytic schedule under the vote `policy`
+    /// selects; without one every trip derives the schedule afresh.
+    /// Under a split `policy` the fused value messages are in flight
+    /// when this returns, so the caller can compute on interior points
+    /// meanwhile; under a blocking one they move at
+    /// [`DistArrayN::finish_ghosts`]. Must be called by every member of
+    /// the owning grid (SPMD); other ranks get an inert handle.
+    ///
+    /// `corners` selects the corner policy: `false` fetches only the
+    /// ghost cells that differ from the owned box in exactly one
+    /// dimension (faces — all that 5-point/7-point stencils read);
+    /// `true` fetches every global-valid cell of the skirt — faces,
+    /// edges *and* corners — directly from its true owner, so 9-point
+    /// (2-D) and 27-point (3-D) stencils can overlap the transit too.
+    /// Neighbours are determined by *ownership*, not grid adjacency, so
+    /// the exchange remains correct on coarse multigrid levels where some
+    /// processors own nothing, and for ghost skirts wider than a
+    /// neighbour's block.
+    pub fn begin_ghosts(
+        &self,
+        proc: &mut Proc,
+        cache: Option<&mut HaloCache>,
+        policy: ExecPolicy,
+        corners: bool,
+    ) -> PendingHalo<T> {
+        let flight = self.in_grid().then(|| {
+            let trip = Trip {
+                exec: EXEC,
+                policy,
+                // Values and vote headers alike travel over the active
+                // team; a grid member owning nothing sits out.
+                team: self.active_team(),
+                sits_out: !self.is_participant(),
+                key: cache.is_some().then(|| self.halo_key(corners)),
+                origins: None,
+            };
+            let cache = cache.map(|c| &mut c.cache);
+            let build = |proc: &mut Proc, a: &Self| a.build_halo_schedule(proc, corners);
+            let Ok(flight) = trip.begin(proc, cache, self, build);
+            flight
+        });
+        PendingHalo { flight, corners }
     }
 
-    /// Blocking ghost exchange through the [`HaloCache`]: a warm trip
-    /// replays the cached schedule with the replay vote carried on the
-    /// fused value round ([`ScheduleExecutor::exchange_optimistic_blocking`])
-    /// over the active team, a cold trip builds analytically, exchanges,
-    /// and stores. A grid member owning nothing exchanges no messages at
-    /// all (active-team gating) and keeps only the collective cache
-    /// bookkeeping.
+    /// Complete a begun exchange into `self`, which must have the shape
+    /// the exchange was begun with (the array itself or a same-layout
+    /// clone); `cache` must be the one it was begun with. On a lost vote
+    /// (e.g. a redistribution bumped the generation under a still-gated
+    /// site) the stale payloads are discarded and the exchange re-runs
+    /// from a fresh analytic build — reading `self`'s *current* owned
+    /// values, so copy-in/copy-out snapshots stay exact.
+    pub fn finish_ghosts(
+        &mut self,
+        proc: &mut Proc,
+        cache: Option<&mut HaloCache>,
+        pending: PendingHalo<T>,
+    ) {
+        let PendingHalo { flight, corners } = pending;
+        let Some(flight) = flight else { return };
+        let cache = cache.map(|c| &mut c.cache);
+        let build = |proc: &mut Proc, a: &Self| a.build_halo_schedule(proc, corners);
+        let Ok(_) = flight.complete(proc, cache, self, build);
+    }
+
+    /// Begin and finish back to back: the bare refresh, nothing
+    /// overlapped.
+    pub fn refresh_ghosts(
+        &mut self,
+        proc: &mut Proc,
+        mut cache: Option<&mut HaloCache>,
+        policy: ExecPolicy,
+        corners: bool,
+    ) {
+        let pending = self.begin_ghosts(proc, cache.as_deref_mut(), policy, corners);
+        self.finish_ghosts(proc, cache, pending);
+    }
+
+    /// [`DistArrayN::refresh_ghosts`] through `cache`, blocking, the
+    /// replay vote carried on the fused value round.
     pub fn exchange_ghosts_cached(
         &mut self,
         proc: &mut Proc,
         cache: &mut HaloCache,
         corners: bool,
     ) {
-        if !self.in_grid() {
-            return;
-        }
-        let key = self.halo_key(corners);
-        if cache.cache.has_site_team(key.site(), key.team_ranks()) {
-            if !self.is_participant() {
-                // Gated out of the vote: decide replay-or-rollback from
-                // the local cache alone (collective stores keep it in
-                // step with the actives' verdict).
-                match cache.cache.lookup(&key) {
-                    Some(_) => {
-                        proc.note_schedule_replay();
-                        proc.note_optimistic_hit();
-                        return;
-                    }
-                    None => proc.note_rollback(),
-                }
-            } else {
-                let team = self.active_team();
-                let local = cache.cache.lookup(&key);
-                let vote = local.as_ref().map_or(NO_VOTE, |(seq, _)| *seq as i64);
-                let hit = local.as_ref().map(|(_, s)| (s.as_ref(), &*self));
-                let outcome = EXEC.exchange_optimistic_blocking(proc, &team, vote, hit);
-                match (outcome.agreed, local) {
-                    (Some(seq), Some((cached_seq, sched))) => {
-                        debug_assert_eq!(cached_seq, seq);
-                        proc.note_schedule_replay();
-                        proc.note_optimistic_hit();
-                        EXEC.scatter_agreed(proc, &sched, self, &outcome);
-                        return;
-                    }
-                    _ => proc.note_rollback(),
-                }
-            }
-        }
-        self.rebuild_and_exchange(proc, cache, corners);
+        self.refresh_ghosts(proc, Some(cache), CACHED_BLOCKING, corners);
     }
 
-    /// Split-phase ghost exchange through the [`HaloCache`], post half.
-    /// A warm trip posts the cached schedule's fused value messages with
-    /// the replay vote as a one-word header over the active team — no
-    /// analytic rebuild, no dedicated vote round; a cold trip builds
-    /// analytically, stores, and posts pessimistically (the store is
-    /// collective per site and team, so the vote gate stays
-    /// SPMD-uniform). Complete with
-    /// [`DistArrayN::finish_exchange_ghosts_cached`].
+    /// [`DistArrayN::begin_ghosts`] through `cache` under the default
+    /// (split-phase, optimistic) policy.
     pub fn begin_exchange_ghosts_cached(
         &self,
         proc: &mut Proc,
         cache: &mut HaloCache,
         corners: bool,
     ) -> PendingHalo<T> {
-        if !self.in_grid() {
-            return PendingHalo {
-                inner: PendingInner::Idle,
-            };
-        }
-        let key = self.halo_key(corners);
-        if cache.cache.has_site_team(key.site(), key.team_ranks()) {
-            let local = cache.cache.lookup(&key);
-            if !self.is_participant() {
-                // Gated out of the vote; the (possibly collective-
-                // rollback) bookkeeping needs `&mut self`, so it runs at
-                // finish time.
-                return PendingHalo {
-                    inner: PendingInner::Gated {
-                        hit: local.is_some(),
-                        corners,
-                    },
-                };
-            }
-            let team = self.active_team();
-            let vote = local.as_ref().map_or(NO_VOTE, |(seq, _)| *seq as i64);
-            let hit = local.as_ref().map(|(_, s)| (s.as_ref(), &*self));
-            let pending = EXEC.post_optimistic(proc, &team, vote, hit);
-            return PendingHalo {
-                inner: PendingInner::Vote {
-                    pending,
-                    hit: local.map(|(_, s)| s),
-                    corners,
-                },
-            };
-        }
-        let sched = self.build_halo_schedule(proc, corners);
-        if !self.is_participant() {
-            cache.cache.store(key, sched);
-            proc.note_schedule_evictions(cache.cache.take_evictions());
-            return PendingHalo {
-                inner: PendingInner::Idle,
-            };
-        }
-        let team = self.active_team();
-        let pending = EXEC.post(proc, &team, &sched, self);
-        let (_, sched) = cache.cache.store(key, sched);
-        proc.note_schedule_evictions(cache.cache.take_evictions());
-        PendingHalo {
-            inner: PendingInner::Plain { sched, pending },
-        }
+        self.begin_ghosts(proc, Some(cache), ExecPolicy::default(), corners)
     }
 
-    /// Completion half of [`DistArrayN::begin_exchange_ghosts_cached`].
-    /// On vote agreement the payloads scatter into the skirt; on a
-    /// rollback (e.g. a redistribution bumped the generation under a
-    /// still-gated site) the stale payloads are discarded and the whole
-    /// exchange re-runs from a fresh analytic build — reading `self`'s
-    /// *current* owned values, so copy-in/copy-out snapshots stay exact.
+    /// [`DistArrayN::finish_ghosts`] through `cache`.
     pub fn finish_exchange_ghosts_cached(
         &mut self,
         proc: &mut Proc,
         cache: &mut HaloCache,
         pending: PendingHalo<T>,
     ) {
-        match pending.inner {
-            PendingInner::Idle => {}
-            PendingInner::Plain { sched, pending } => {
-                let team = self.active_team();
-                EXEC.complete(proc, &team, &sched, self, pending);
-            }
-            PendingInner::Gated { hit, corners } => {
-                if hit {
-                    proc.note_schedule_replay();
-                    proc.note_optimistic_hit();
-                } else {
-                    proc.note_rollback();
-                    self.rebuild_and_exchange(proc, cache, corners);
-                }
-            }
-            PendingInner::Vote {
-                pending,
-                hit,
-                corners,
-            } => {
-                let outcome = EXEC.complete_optimistic(proc, pending);
-                match (outcome.agreed, hit) {
-                    (Some(_), Some(sched)) => {
-                        proc.note_schedule_replay();
-                        proc.note_optimistic_hit();
-                        EXEC.scatter_agreed(proc, &sched, self, &outcome);
-                    }
-                    _ => {
-                        proc.note_rollback();
-                        self.rebuild_and_exchange(proc, cache, corners);
-                    }
-                }
-            }
-        }
+        self.finish_ghosts(proc, Some(cache), pending);
     }
 }
 
@@ -740,7 +581,7 @@ mod tests {
             let spec = DistSpec::block1();
             let mut a =
                 crate::DistArray1::from_fn(proc.rank(), &g, &spec, [16], [1], |[i]| i as f64);
-            a.exchange_ghosts(proc);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             // After the exchange each proc can read one element past its block.
             let lo = a.owned_range(0).start;
             let hi = a.owned_range(0).end;
@@ -766,7 +607,7 @@ mod tests {
                 crate::DistArray2::from_fn(proc.rank(), &g, &spec, [8, 8], [1, 1], |[i, j]| {
                     (10 * i + j) as f64
                 });
-            a.exchange_ghosts(proc);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             a
         });
         // Rank 0 owns [0..4)x[0..4). Its ghosts now hold row 4, column 4 and
@@ -788,7 +629,7 @@ mod tests {
             let spec = DistSpec::block1();
             let mut a =
                 crate::DistArray1::from_fn(proc.rank(), &g, &spec, [12], [2], |[i]| i as f64);
-            a.exchange_ghosts(proc);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             a
         });
         let a0 = &run.results[0];
@@ -808,7 +649,7 @@ mod tests {
             let spec = DistSpec::block1();
             let mut a =
                 crate::DistArray1::from_fn(proc.rank(), &g, &spec, [3], [1], |[i]| i as f64 + 1.0);
-            a.exchange_ghosts(proc);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             a
         });
         // Owners are whichever 3 procs hold one element each; each nonempty
@@ -841,7 +682,7 @@ mod tests {
                 [0, 1, 1],
                 |[i, j, k]| (100 * i + 10 * j + k) as f64,
             );
-            a.exchange_ghosts(proc);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             a
         });
         let a0 = &run.results[0]; // owns y in [0..2), z in [0..2), all of x
@@ -860,10 +701,10 @@ mod tests {
             let mut a =
                 crate::DistArray1::from_fn(proc.rank(), &g, &spec, [16], [1], |[i]| i as f64);
             let mut b = a.clone();
-            a.exchange_ghosts(proc);
-            let pending = b.begin_exchange_ghosts(proc, false);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
+            let pending = b.begin_ghosts(proc, None, ExecPolicy::pessimistic(), false);
             proc.compute(100.0); // interior work while strips travel
-            b.finish_exchange_ghosts(proc, pending);
+            b.finish_ghosts(proc, None, pending);
             (a, b)
         });
         for (a, b) in &run.results {
@@ -884,8 +725,8 @@ mod tests {
                 crate::DistArray2::from_fn(proc.rank(), &g, &spec, [8, 8], [1, 1], |[i, j]| {
                     (10 * i + j) as f64
                 });
-            let pending = a.begin_exchange_ghosts(proc, false);
-            a.finish_exchange_ghosts(proc, pending);
+            let pending = a.begin_ghosts(proc, None, ExecPolicy::pessimistic(), false);
+            a.finish_ghosts(proc, None, pending);
             a
         });
         let a0 = &run.results[0]; // owns [0..4)x[0..4)
@@ -909,10 +750,10 @@ mod tests {
                     (10 * i + j) as f64
                 });
             let mut b = a.clone();
-            a.exchange_ghosts(proc);
-            let pending = b.begin_exchange_ghosts(proc, true);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
+            let pending = b.begin_ghosts(proc, None, ExecPolicy::pessimistic(), true);
             proc.compute(50.0);
-            b.finish_exchange_ghosts(proc, pending);
+            b.finish_ghosts(proc, None, pending);
             (a, b)
         });
         // Every global-valid cell of each storage box agrees.
@@ -950,8 +791,8 @@ mod tests {
                 [0, 1, 1],
                 |[i, j, k]| (100 * i + 10 * j + k) as f64,
             );
-            let pending = a.begin_exchange_ghosts(proc, true);
-            a.finish_exchange_ghosts(proc, pending);
+            let pending = a.begin_ghosts(proc, None, ExecPolicy::pessimistic(), true);
+            a.finish_ghosts(proc, None, pending);
             a
         });
         let a0 = &run.results[0]; // owns y in [0..2), z in [0..2), all of x
@@ -974,9 +815,9 @@ mod tests {
                     (10 * i + j) as f64
                 });
             let mut b = a.clone();
-            a.exchange_ghosts(proc);
-            let pending = b.begin_exchange_ghosts(proc, false);
-            b.finish_exchange_ghosts(proc, pending);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
+            let pending = b.begin_ghosts(proc, None, ExecPolicy::pessimistic(), false);
+            b.finish_ghosts(proc, None, pending);
             (a, b)
         });
         for (rank, (a, b)) in run.results.iter().enumerate() {
@@ -1006,8 +847,8 @@ mod tests {
             let spec = DistSpec::block1();
             let mut a =
                 crate::DistArray1::from_fn(proc.rank(), &g, &spec, [8], [2], |[i]| i as f64);
-            let pending = a.begin_exchange_ghosts(proc, false);
-            a.finish_exchange_ghosts(proc, pending);
+            let pending = a.begin_ghosts(proc, None, ExecPolicy::pessimistic(), false);
+            a.finish_ghosts(proc, None, pending);
             a
         });
         let a1 = &run.results[1]; // owns [2..4)
@@ -1027,12 +868,12 @@ mod tests {
             let spec = DistSpec::block1();
             let mut a =
                 crate::DistArray1::from_fn(proc.rank(), &g, &spec, [8], [1], |[i]| i as f64);
-            let pending = a.begin_exchange_ghosts(proc, false);
+            let pending = a.begin_ghosts(proc, None, ExecPolicy::pessimistic(), false);
             let mut old = a.clone();
             // Mutate the live array before completing: the snapshot must
             // still receive the pre-mutation neighbour values.
             a.map_owned(|_, v| v + 100.0);
-            old.finish_exchange_ghosts(proc, pending);
+            old.finish_ghosts(proc, None, pending);
             old
         });
         assert_eq!(run.results[0].at(4), 4.0, "ghost from the right block");
@@ -1053,7 +894,7 @@ mod tests {
                     [1, 1],
                     |[i, j]| (i * j) as f64,
                 );
-                a.exchange_ghosts(proc);
+                a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             })
         };
         let a = go();
@@ -1078,7 +919,7 @@ mod tests {
                 });
             let mut b = a.clone();
             for _ in 0..trips {
-                a.exchange_ghosts(proc);
+                a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
                 let pending = b.begin_exchange_ghosts_cached(proc, &mut cache, true);
                 b.finish_exchange_ghosts_cached(proc, &mut cache, pending);
             }
@@ -1200,7 +1041,7 @@ mod tests {
                 a.exchange_ghosts_cached(proc, &mut cache, true);
             }
             let mut b = a.clone();
-            b.exchange_ghosts(proc);
+            b.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             assert_eq!(a.data, b.data);
             (
                 proc.stats().inspector_runs,

@@ -12,14 +12,14 @@
 //! compiler would generate:
 //!
 //! * the ghost exchange — the guarded edge exchange of Listing 2
-//!   (Jacobi), generalized to any block-distributed dimension and routed
-//!   entirely through the shared `kali-sched` executor on an
-//!   *analytically derived* [`kali_sched::CommSchedule`]: blocking
-//!   ([`DistArrayN::exchange_ghosts`]), split-phase
-//!   ([`DistArrayN::begin_exchange_ghosts`] with a corner-policy flag /
-//!   [`DistArrayN::finish_exchange_ghosts`]), and the [`HaloCache`]d
-//!   forms that replay warm trips from `kali-sched`'s schedule cache
-//!   with a piggybacked (optimistic) consensus vote — the layer
+//!   (Jacobi), generalized to any block-distributed dimension: one
+//!   begin/finish pair ([`DistArrayN::begin_ghosts`] with a corner-policy
+//!   flag / [`DistArrayN::finish_ghosts`]) that hands `kali-sched`'s trip
+//!   driver ([`kali_sched::Trip`]) the halo's key, its *analytic*
+//!   [`kali_sched::CommSchedule`] builder and the array as storage.
+//!   Blocking or split-phase, rebuilt per trip or replayed warm from the
+//!   [`HaloCache`] with a piggybacked (optimistic) consensus vote, is the
+//!   [`kali_sched::ExecPolicy`] and the cache passed in — the layer
 //!   `kali-runtime`'s `StencilPlan` drives;
 //! * [`DistArrayN::extract_slice`]/[`DistArrayN::store_slice`] — copy-in /
 //!   copy-out of array slices (`r(i, *)`) passed to distributed procedures;
@@ -28,12 +28,12 @@
 //! * [`DistArrayN::redistribute`] — changing the `dist` clause at run time
 //!   (the "tuning" the paper advertises as a one-line change);
 //! * the irregular x-vector gather of the sparse matrix type
-//!   ([`SparseCsr`]) — the halo's runtime-sparsity sibling: an
-//!   *inspector-derived* schedule (the column index set cannot be walked
-//!   analytically) cached in the same `kali-sched` cache, replayed warm
-//!   with the same piggybacked vote, landing remote values in a
-//!   trip-private [`GatherHaul`] instead of ghost storage — the layer
-//!   `kali-runtime`'s `SparsePlan` drives.
+//!   ([`SparseCsr::begin_gather`] / [`SparseCsr::finish_gather`]) — the
+//!   halo's runtime-sparsity sibling, through the same driver: an
+//!   *inspector-derived* schedule builder (the column index set cannot
+//!   be walked analytically), a [`GatherCache`] key, and a world that
+//!   lands remote values in a trip-private [`GatherHaul`] instead of
+//!   ghost storage — the layer `kali-runtime`'s `SparsePlan` drives.
 
 mod arrays;
 mod halo;

@@ -1,6 +1,11 @@
 //! Distributed sparse matrices — the irregular-gather workload the
 //! inspector–executor engine was built for, routed *entirely* through
-//! `kali-sched` like the ghost halo.
+//! `kali-sched` like the ghost halo: this module holds the gather's
+//! **key** ([`GatherKey`]), **builder** (the inspector below) and
+//! **world** (`x`'s storage in, a trip-private haul out), and
+//! [`SparseCsr::begin_gather`] / [`SparseCsr::finish_gather`] hand them
+//! to the one trip driver ([`kali_sched::Trip`]), which owns the
+//! protocol the next paragraphs describe.
 //!
 //! A [`SparseCsr`] stores the owned rows of a block-row-distributed CSR
 //! matrix. An SpMV `y = A·x` against a conformally block-distributed `x`
@@ -43,17 +48,18 @@
 //! `x`'s storage, so concurrent gathers against the same `x` cannot
 //! trample each other and `x` needs no ghost allocation.
 
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use kali_grid::{Dist1, ProcGrid};
 use kali_machine::{tag, Proc, Real, NS_ARRAY};
 use kali_sched::{
-    ArraySchedule, CommSchedule, PendingValues, PendingVote, ScheduleCache, ScheduleExecutor,
-    ScheduleWorld, SiteKey, NO_VOTE,
+    ArraySchedule, CommSchedule, ExecPolicy, InFlight, ScheduleCache, ScheduleExecutor,
+    ScheduleWorld, SiteKey, Trip,
 };
 
 use crate::arrays::DistArray1;
-use crate::halo::fnv1a;
+use crate::halo::{fnv1a, CACHED_BLOCKING};
 
 /// Tag of the fused gather value messages ("GAT").
 const GATHER_VALUE_TAG: u64 = tag(NS_ARRAY, 0x0047_4154);
@@ -90,6 +96,10 @@ pub struct SparseCsr<T: Real> {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     vals: Vec<T>,
+    /// FNV-1a over the `row_ptr`/`col_idx` stream, taken once where the
+    /// pattern is set ([`SparseCsr::from_rows`]) — nothing afterwards can
+    /// change it — so a gather key costs no pass over the indices.
+    fingerprint: u64,
     generation: u64,
 }
 
@@ -132,6 +142,12 @@ impl<T: Real> SparseCsr<T> {
             }
             row_ptr.push(col_idx.len());
         }
+        let fingerprint = fnv1a(
+            row_ptr
+                .iter()
+                .map(|&v| v as u64)
+                .chain(col_idx.iter().map(|&c| c as u64)),
+        );
         SparseCsr {
             nrows,
             ncols,
@@ -143,6 +159,7 @@ impl<T: Real> SparseCsr<T> {
             row_ptr,
             col_idx,
             vals,
+            fingerprint,
             generation: 0,
         }
     }
@@ -314,20 +331,6 @@ impl<T: Real> GatherHaul<T> {
         }
     }
 
-    /// Pre-size the haul from a schedule's request vectors. Block
-    /// x-distribution makes the per-peer request ranges disjoint and
-    /// ascending in team order, so their concatenation is sorted.
-    fn for_schedule(sched: &CommSchedule) -> Self {
-        let cols: Vec<u64> = sched.arrays[0]
-            .my_reqs
-            .iter()
-            .flat_map(|v| v.iter().copied())
-            .collect();
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
-        let vals = vec![T::zero(); cols.len()];
-        GatherHaul { cols, vals }
-    }
-
     /// The gathered value of global column `c`, if `c` was fetched.
     pub fn get(&self, c: usize) -> Option<T> {
         self.cols
@@ -349,9 +352,12 @@ impl<T: Real> GatherHaul<T> {
 
 /// The executor's view of one gather trip: serves owned x-values by
 /// global column index, scatters received values into the trip's haul.
+/// The scatter delivers each peer's request vector in team order, and
+/// block x-distribution makes those vectors disjoint and ascending in
+/// that order — so *appending* them leaves the haul sorted.
 struct GatherWorld<'a, T: Real> {
     x: &'a DistArray1<T>,
-    haul: &'a mut GatherHaul<T>,
+    haul: GatherHaul<T>,
 }
 
 impl<T: Real> ScheduleWorld<T> for GatherWorld<'_, T> {
@@ -364,12 +370,13 @@ impl<T: Real> ScheduleWorld<T> for GatherWorld<'_, T> {
     }
 
     fn store(&mut self, _array: usize, flat: u64, value: T) {
-        let p = self
-            .haul
-            .cols
-            .binary_search(&flat)
-            .expect("gather schedule scatters the requested columns only");
-        self.haul.vals[p] = value;
+        self.haul.cols.push(flat);
+        self.haul.vals.push(value);
+    }
+
+    fn store_from(&mut self, _array: usize, flats: &[u64], values: &[T]) {
+        self.haul.cols.extend_from_slice(flats);
+        self.haul.vals.extend_from_slice(values);
     }
 }
 
@@ -404,44 +411,22 @@ impl<T: Real> Gathered<T> {
     }
 }
 
-/// In-flight split-phase gather; complete with
-/// [`SparseCsr::finish_gather_x`] / [`SparseCsr::finish_gather_x_cached`].
-#[must_use = "a posted gather must be finished"]
+/// A begun gather, created by [`SparseCsr::begin_gather`]; complete it
+/// with [`SparseCsr::finish_gather`].
+#[must_use = "a begun gather must be finished"]
 pub struct PendingGather<T: Real> {
-    inner: PendingInner<T>,
-}
-
-enum PendingInner<T: Real> {
-    /// Not a grid member: nothing was posted.
-    Idle,
-    /// Pessimistic post against a fresh (or freshly stored) schedule.
-    Plain {
-        sched: Rc<CommSchedule>,
-        pending: PendingValues<T>,
-        haul: GatherHaul<T>,
-    },
-    /// Optimistic post; `hit` carries the locally cached schedule and its
-    /// pre-sized haul when the lookup hit.
-    Vote {
-        pending: PendingVote<T>,
-        hit: Option<(Rc<CommSchedule>, GatherHaul<T>)>,
-    },
+    /// `None` off the owning grid: such a rank takes no part at all.
+    flight: Option<InFlight<T, GatherKey>>,
 }
 
 impl<T: Real> PendingGather<T> {
-    /// The schedule this trip will replay, when one is locally known
-    /// *and* locally valid — a fresh build, or a cache hit (the full key
-    /// matched, so its boundary classification reflects the current
-    /// pattern and distributions even if the team later votes to roll
-    /// back). Interior rows read only owner-local x-values, so the
-    /// caller may compute them against this schedule's boundary split
-    /// while the exchange is in flight.
+    /// The schedule whose interior rows the caller may compute while the
+    /// gather is in flight (see [`InFlight::interior_schedule`]): present
+    /// on a split-phase trip whose schedule is locally known — a fresh
+    /// build, or a cache hit. Interior rows read only owner-local
+    /// x-values. `None` means: compute every row after the finish.
     pub fn local_schedule(&self) -> Option<Rc<CommSchedule>> {
-        match &self.inner {
-            PendingInner::Idle => None,
-            PendingInner::Plain { sched, .. } => Some(Rc::clone(sched)),
-            PendingInner::Vote { hit, .. } => hit.as_ref().map(|(s, _)| Rc::clone(s)),
-        }
+        self.flight.as_ref()?.interior_schedule()
     }
 }
 
@@ -470,19 +455,13 @@ impl<T: Real> SparseCsr<T> {
     /// The cache key of this matrix's gather against `x`.
     fn gather_key(&self, x: &DistArray1<T>) -> GatherKey {
         let site = fnv1a([GATHER_SITE_SALT, self.nrows as u64, self.ncols as u64]) as usize;
-        let fingerprint = fnv1a(
-            self.row_ptr
-                .iter()
-                .map(|&v| v as u64)
-                .chain(self.col_idx.iter().map(|&c| c as u64)),
-        );
         GatherKey {
             site,
             team_ranks: self.grid.team().ranks().to_vec(),
             shape: [self.nrows, self.ncols],
             row_dist: self.row_dist,
             x_dist: x.dist(0),
-            fingerprint,
+            fingerprint: self.fingerprint,
             mat_generation: self.generation,
             x_generation: x.generation(),
         }
@@ -494,7 +473,11 @@ impl<T: Real> SparseCsr<T> {
     /// which x-values to serve. The walk and the request round are
     /// charged to the virtual clock as inspection time, mirroring the
     /// interpreter's inspector pass.
-    fn build_gather_schedule(&self, proc: &mut Proc, x: &DistArray1<T>) -> CommSchedule {
+    fn build_gather_schedule(
+        &self,
+        proc: &mut Proc,
+        x: &DistArray1<T>,
+    ) -> Result<CommSchedule, Infallible> {
         let t0 = proc.clock();
         proc.note_inspector_run();
         let team = self.grid.team();
@@ -536,7 +519,7 @@ impl<T: Real> SparseCsr<T> {
         let [my_reqs] = reqs;
         let dt = proc.clock() - t0;
         proc.attribute_inspector_time(dt);
-        CommSchedule {
+        Ok(CommSchedule {
             arrays: vec![ArraySchedule {
                 name: "x".into(),
                 my_reqs,
@@ -545,206 +528,99 @@ impl<T: Real> SparseCsr<T> {
             }],
             write_hint: 0,
             boundary,
-        }
+        })
     }
 
-    /// The cold/rollback protocol shared by every cached blocking path:
-    /// inspect (charged), exchange blocking, store for later replays.
-    /// Build and store run on every grid member — the collective
-    /// discipline that keeps the vote gate and ordinal stream
-    /// SPMD-uniform.
-    fn rebuild_and_gather(
+    /// Begin an x-gather — the sparse (key, builder, world) triple
+    /// handed to `kali-sched`'s trip driver. With a `cache`, warm trips
+    /// replay the cached schedule under the vote `policy` selects — no
+    /// inspection, no request round; without one every trip inspects.
+    /// Under a split `policy` the fused value messages are in flight
+    /// when this returns, so interior rows can run meanwhile
+    /// ([`PendingGather::local_schedule`]). Every grid member votes and
+    /// serves (see the module docs); other ranks get an inert handle.
+    pub fn begin_gather(
         &self,
         proc: &mut Proc,
-        cache: &mut GatherCache,
+        cache: Option<&mut GatherCache>,
+        policy: ExecPolicy,
         x: &DistArray1<T>,
+    ) -> PendingGather<T> {
+        let flight = self.in_grid().then(|| {
+            self.check_conformal(x);
+            let trip = Trip {
+                exec: EXEC,
+                policy,
+                team: self.grid.team(),
+                sits_out: false,
+                key: cache.is_some().then(|| self.gather_key(x)),
+                origins: None,
+            };
+            let world = GatherWorld {
+                x,
+                haul: GatherHaul::empty(),
+            };
+            let cache = cache.map(|c| &mut c.cache);
+            let build = |proc: &mut Proc, _: &_| self.build_gather_schedule(proc, x);
+            let Ok(flight) = trip.begin(proc, cache, &world, build);
+            flight
+        });
+        PendingGather { flight }
+    }
+
+    /// Complete a begun gather; `cache` must be the one it was begun
+    /// with. On a lost vote (e.g. a `distribute` bumped a generation
+    /// under a still-gated site) the stale payloads are discarded and
+    /// the whole gather re-runs from a fresh inspection — so the returned
+    /// haul always reflects `x`'s current values under the current
+    /// distributions.
+    pub fn finish_gather(
+        &self,
+        proc: &mut Proc,
+        cache: Option<&mut GatherCache>,
+        x: &DistArray1<T>,
+        pending: PendingGather<T>,
     ) -> Gathered<T> {
-        let key = self.gather_key(x);
-        let sched = self.build_gather_schedule(proc, x);
-        let mut haul = GatherHaul::for_schedule(&sched);
-        let team = self.grid.team();
-        EXEC.exchange_blocking(proc, &team, &sched, &mut GatherWorld { x, haul: &mut haul });
+        let Some(flight) = pending.flight else {
+            return Gathered::idle();
+        };
+        let mut world = GatherWorld {
+            x,
+            haul: GatherHaul::empty(),
+        };
+        let cache = cache.map(|c| &mut c.cache);
+        let build = |proc: &mut Proc, _: &_| self.build_gather_schedule(proc, x);
+        let Ok(sched) = flight.complete(proc, cache, &mut world, build);
+        let haul = world.haul;
+        debug_assert!(haul.cols.windows(2).all(|w| w[0] < w[1]));
         proc.note_gather_words(gather_words_of::<T>(&sched));
-        let (_, sched) = cache.cache.store(key, sched);
-        proc.note_schedule_evictions(cache.cache.take_evictions());
         Gathered { sched, haul }
     }
 
-    /// Uncached blocking gather: inspect and exchange, every trip. The
-    /// pessimistic baseline the cached paths are differentially tested
-    /// against.
-    pub fn gather_x(&self, proc: &mut Proc, x: &DistArray1<T>) -> Gathered<T> {
-        if !self.in_grid() {
-            return Gathered::idle();
-        }
-        self.check_conformal(x);
-        let sched = self.build_gather_schedule(proc, x);
-        let mut haul = GatherHaul::for_schedule(&sched);
-        let team = self.grid.team();
-        EXEC.exchange_blocking(proc, &team, &sched, &mut GatherWorld { x, haul: &mut haul });
-        proc.note_gather_words(gather_words_of::<T>(&sched));
-        Gathered {
-            sched: Rc::new(sched),
-            haul,
-        }
-    }
-
-    /// Blocking gather through the [`GatherCache`]: a warm trip replays
-    /// the cached schedule with the replay vote carried on the fused
-    /// value round; a cold trip (or a vote rollback) inspects, exchanges,
-    /// and stores.
+    /// Begin and finish back to back through `cache`, blocking, the
+    /// replay vote carried on the fused value round.
     pub fn gather_x_cached(
         &self,
         proc: &mut Proc,
         cache: &mut GatherCache,
         x: &DistArray1<T>,
     ) -> Gathered<T> {
-        if !self.in_grid() {
-            return Gathered::idle();
-        }
-        self.check_conformal(x);
-        let key = self.gather_key(x);
-        if cache.cache.has_site_team(key.site(), key.team_ranks()) {
-            let team = self.grid.team();
-            let local = cache.cache.lookup(&key);
-            let vote = local.as_ref().map_or(NO_VOTE, |(seq, _)| *seq as i64);
-            let mut haul = match &local {
-                Some((_, s)) => GatherHaul::for_schedule(s),
-                None => GatherHaul::empty(),
-            };
-            let mut world = GatherWorld { x, haul: &mut haul };
-            let hit = local.as_ref().map(|(_, s)| (s.as_ref(), &world));
-            let outcome = EXEC.exchange_optimistic_blocking(proc, &team, vote, hit);
-            match (outcome.agreed, local) {
-                (Some(seq), Some((cached_seq, sched))) => {
-                    debug_assert_eq!(cached_seq, seq);
-                    proc.note_schedule_replay();
-                    proc.note_optimistic_hit();
-                    EXEC.scatter_agreed(proc, &sched, &mut world, &outcome);
-                    proc.note_gather_words(gather_words_of::<T>(&sched));
-                    return Gathered { sched, haul };
-                }
-                _ => proc.note_rollback(),
-            }
-        }
-        self.rebuild_and_gather(proc, cache, x)
+        let pending = self.begin_gather(proc, Some(cache), CACHED_BLOCKING, x);
+        self.finish_gather(proc, Some(cache), x, pending)
     }
 
-    /// Uncached split-phase gather, post half: inspect, then post the
-    /// fused value messages nonblocking so interior rows can run while
-    /// remote x-values are in transit. Complete with
-    /// [`SparseCsr::finish_gather_x`].
-    pub fn begin_gather_x(&self, proc: &mut Proc, x: &DistArray1<T>) -> PendingGather<T> {
-        if !self.in_grid() {
-            return PendingGather {
-                inner: PendingInner::Idle,
-            };
-        }
-        self.check_conformal(x);
-        let sched = self.build_gather_schedule(proc, x);
-        let mut haul = GatherHaul::for_schedule(&sched);
-        let team = self.grid.team();
-        let pending = EXEC.post(proc, &team, &sched, &GatherWorld { x, haul: &mut haul });
-        PendingGather {
-            inner: PendingInner::Plain {
-                sched: Rc::new(sched),
-                pending,
-                haul,
-            },
-        }
-    }
-
-    /// Completion half of [`SparseCsr::begin_gather_x`].
-    pub fn finish_gather_x(
-        &self,
-        proc: &mut Proc,
-        x: &DistArray1<T>,
-        pending: PendingGather<T>,
-    ) -> Gathered<T> {
-        match pending.inner {
-            PendingInner::Idle => Gathered::idle(),
-            PendingInner::Plain {
-                sched,
-                pending,
-                mut haul,
-            } => {
-                let team = self.grid.team();
-                EXEC.complete(
-                    proc,
-                    &team,
-                    &sched,
-                    &mut GatherWorld { x, haul: &mut haul },
-                    pending,
-                );
-                proc.note_gather_words(gather_words_of::<T>(&sched));
-                Gathered { sched, haul }
-            }
-            PendingInner::Vote { .. } => {
-                unreachable!("optimistic gathers complete through the cached path")
-            }
-        }
-    }
-
-    /// Split-phase gather through the [`GatherCache`], post half. A warm
-    /// trip posts the cached schedule's fused value messages with the
-    /// replay vote as a one-word header — no inspection, no request
-    /// round; a cold trip inspects, stores, and posts pessimistically
-    /// (the store is collective per site and team, so the vote gate stays
-    /// SPMD-uniform). Complete with
-    /// [`SparseCsr::finish_gather_x_cached`].
+    /// [`SparseCsr::begin_gather`] through `cache` under the default
+    /// (split-phase, optimistic) policy.
     pub fn begin_gather_x_cached(
         &self,
         proc: &mut Proc,
         cache: &mut GatherCache,
         x: &DistArray1<T>,
     ) -> PendingGather<T> {
-        if !self.in_grid() {
-            return PendingGather {
-                inner: PendingInner::Idle,
-            };
-        }
-        self.check_conformal(x);
-        let key = self.gather_key(x);
-        let team = self.grid.team();
-        if cache.cache.has_site_team(key.site(), key.team_ranks()) {
-            let local = cache.cache.lookup(&key);
-            let vote = local.as_ref().map_or(NO_VOTE, |(seq, _)| *seq as i64);
-            let mut haul = match &local {
-                Some((_, s)) => GatherHaul::for_schedule(s),
-                None => GatherHaul::empty(),
-            };
-            let pending = {
-                let world = GatherWorld { x, haul: &mut haul };
-                let hit = local.as_ref().map(|(_, s)| (s.as_ref(), &world));
-                EXEC.post_optimistic(proc, &team, vote, hit)
-            };
-            return PendingGather {
-                inner: PendingInner::Vote {
-                    pending,
-                    hit: local.map(|(_, s)| (s, haul)),
-                },
-            };
-        }
-        let sched = self.build_gather_schedule(proc, x);
-        let mut haul = GatherHaul::for_schedule(&sched);
-        let pending = EXEC.post(proc, &team, &sched, &GatherWorld { x, haul: &mut haul });
-        let (_, sched) = cache.cache.store(key, sched);
-        proc.note_schedule_evictions(cache.cache.take_evictions());
-        PendingGather {
-            inner: PendingInner::Plain {
-                sched,
-                pending,
-                haul,
-            },
-        }
+        self.begin_gather(proc, Some(cache), ExecPolicy::default(), x)
     }
 
-    /// Completion half of [`SparseCsr::begin_gather_x_cached`]. On vote
-    /// agreement the payloads scatter into the haul; on a rollback (e.g.
-    /// a `distribute` bumped a generation under a still-gated site) the
-    /// stale payloads are discarded and the whole gather re-runs from a
-    /// fresh inspection — so the returned haul always reflects `x`'s
-    /// current values under the current distributions.
+    /// [`SparseCsr::finish_gather`] through `cache`.
     pub fn finish_gather_x_cached(
         &self,
         proc: &mut Proc,
@@ -752,46 +628,7 @@ impl<T: Real> SparseCsr<T> {
         x: &DistArray1<T>,
         pending: PendingGather<T>,
     ) -> Gathered<T> {
-        match pending.inner {
-            PendingInner::Idle => Gathered::idle(),
-            PendingInner::Plain {
-                sched,
-                pending,
-                mut haul,
-            } => {
-                let team = self.grid.team();
-                EXEC.complete(
-                    proc,
-                    &team,
-                    &sched,
-                    &mut GatherWorld { x, haul: &mut haul },
-                    pending,
-                );
-                proc.note_gather_words(gather_words_of::<T>(&sched));
-                Gathered { sched, haul }
-            }
-            PendingInner::Vote { pending, hit } => {
-                let outcome = EXEC.complete_optimistic(proc, pending);
-                match (outcome.agreed, hit) {
-                    (Some(_), Some((sched, mut haul))) => {
-                        proc.note_schedule_replay();
-                        proc.note_optimistic_hit();
-                        EXEC.scatter_agreed(
-                            proc,
-                            &sched,
-                            &mut GatherWorld { x, haul: &mut haul },
-                            &outcome,
-                        );
-                        proc.note_gather_words(gather_words_of::<T>(&sched));
-                        Gathered { sched, haul }
-                    }
-                    _ => {
-                        proc.note_rollback();
-                        self.rebuild_and_gather(proc, cache, x)
-                    }
-                }
-            }
-        }
+        self.finish_gather(proc, Some(cache), x, pending)
     }
 
     /// One x-value during row compute: owner-local reads come straight
@@ -899,7 +736,8 @@ mod tests {
             let x = mk_x::<f64>(proc.rank(), &g, n);
             let mut y =
                 DistArray1::from_fn(proc.rank(), &g, &DistSpec::block1(), [n], [0], |_| 0.0);
-            let got = a.gather_x(proc, &x);
+            let pending = a.begin_gather(proc, None, ExecPolicy::blocking(), &x);
+            let got = a.finish_gather(proc, None, &x, pending);
             a.apply_all(&x, Some(got.haul()), &mut y);
             y.gather_to_root(proc)
         });
@@ -1002,7 +840,8 @@ mod tests {
                 let g = ProcGrid::new_1d(4);
                 let a = SparseCsr::from_rows(proc.rank(), &g, n, n, band_row::<T>(n));
                 let x = mk_x::<T>(proc.rank(), &g, n);
-                let _ = a.gather_x(proc, &x);
+                let pending = a.begin_gather(proc, None, ExecPolicy::blocking(), &x);
+                let _ = a.finish_gather(proc, None, &x, pending);
             });
             (
                 run.report.total_gather_words,

@@ -7,6 +7,7 @@ use std::time::Duration;
 use kali_array::DistArray2;
 use kali_grid::{DistSpec, ProcGrid};
 use kali_machine::{collective, tag, CostModel, Machine, MachineConfig, Team, NS_USER};
+use kali_runtime::ExecPolicy;
 
 fn cfg(p: usize) -> MachineConfig {
     MachineConfig::new(p)
@@ -60,7 +61,7 @@ fn bench_ghost_exchange(c: &mut Criterion) {
                 let spec = DistSpec::block2();
                 let mut a = DistArray2::<f64>::new(proc.rank(), &grid, &spec, [129, 129], [1, 1]);
                 for _ in 0..10 {
-                    a.exchange_ghosts(proc);
+                    a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
                 }
             })
             .report

@@ -52,16 +52,20 @@
 //!   discards the received payloads and *rolls back* to a full
 //!   inspection, counted as
 //!   [`kali_machine::RunReport::total_rollbacks`]. Stale routes never
-//!   reach storage: rollback re-runs everything, including any interior
-//!   iterations speculatively executed, from the copy-in state.
+//!   reach storage; interior iterations already executed stay valid —
+//!   they read only owner-local elements under a locally matching key —
+//!   and the boundary runs against the rebuilt exchange.
 //!
 //! The schedule subsystem itself — [`CommSchedule`], the keyed
-//! [`ScheduleCache`], the consensus protocols, and the split-phase
-//! [`ScheduleExecutor`] — lives in the shared `kali-sched` crate; this
-//! module contributes only the language-side halves: the inspector
-//! (abstract interpretation of the body), the cache key (free scalars,
-//! structural array descriptions, distribution generations), and frame
-//! resolution of schedule array names.
+//! [`ScheduleCache`], and the whole trip protocol just described (vote
+//! gate, lookup, vote, post, complete, scatter, rollback, store: the
+//! [`Trip`] driver, shared with the compiled halo and the sparse gather)
+//! — lives in the shared `kali-sched` crate; this module contributes
+//! only the language-side data the driver is handed: the inspector as
+//! schedule builder (abstract interpretation of the body), the cache key
+//! (free scalars, structural array descriptions, distribution
+//! generations), the exchange list as storage world and region origins,
+//! and the iteration executor that runs around the driver's two calls.
 //!
 //! The phase marks (`doall:inspect`, `doall:post`, `doall:interior`,
 //! `doall:complete`, `doall:boundary`) let
@@ -91,8 +95,8 @@ use kali_kernels::substructure::{reduce_block, reduce_flops};
 use kali_kernels::tridiag::{thomas, thomas_flops};
 use kali_machine::{collective, tag, Proc, Tag, Team, NS_LANG};
 use kali_sched::{
-    interior_positions, vote, ArraySchedule, CommSchedule, ExecPolicy, ScheduleCache,
-    ScheduleExecutor, ScheduleWorld, SiteKey, NO_VOTE,
+    interior_positions, ArraySchedule, CommSchedule, ExecPolicy, Finished, ScheduleCache,
+    ScheduleExecutor, ScheduleWorld, SiteKey, Trip, TripHost,
 };
 
 use crate::analysis::StaticCommPlan;
@@ -116,6 +120,11 @@ struct InspectState {
     /// element? Reset per iteration; drives the interior/boundary
     /// partition of the split-phase executor.
     iter_touched_remote: bool,
+    /// Writes the executor will buffer for my iterations (the schedule's
+    /// `write_hint`): a cacheable body's control flow cannot depend on
+    /// array values, so the inspector sees every write the executor will
+    /// make.
+    writes: usize,
 }
 
 impl InspectState {
@@ -166,8 +175,17 @@ const SPLIT_REQUEST_TAG: Tag = tag(NS_LANG, 0x0052_4551);
 /// value traffic travels under [`SPLIT_VALUE_TAG`].
 const EXEC: ScheduleExecutor = ScheduleExecutor::new(SPLIT_VALUE_TAG);
 
+/// One array of a doall's exchange list ([`Interp::exchange_arrays`]).
+struct ExchangeArray {
+    name: String,
+    base: ArrRef,
+    /// Flat base index of the bound view's origin *in the current frame*
+    /// ([`view_origin_flat`]).
+    origin: u64,
+}
+
 /// The executor's view of the interpreter's storage: schedule array `k`
-/// resolves to the `k`-th frame-resolved base array, and flat indices are
+/// is the `k`-th array of the exchange list, and flat indices are
 /// [`ArrObj`] row-major storage indices.
 struct LangWorld {
     bases: Vec<ArrRef>,
@@ -203,7 +221,7 @@ impl ScheduleWorld<f64> for LangWorld {
 /// (name, bounds, distribution, grid, generation, view, alias pattern) —
 /// ownership maps, and hence schedules, depend on structure, not object
 /// identity.
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 struct ScheduleKey {
     site: usize,
     team_ranks: Vec<usize>,
@@ -236,7 +254,7 @@ fn data_fingerprint(data: &[f64]) -> u64 {
     h
 }
 
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 struct ArrayKey {
     name: String,
     bounds: Vec<(i64, i64)>,
@@ -266,7 +284,7 @@ struct ArrayKey {
 /// replay by shifting the schedule's flat indices by the origin delta
 /// ([`ArraySchedule::origin`]). Aliased bases keep absolute coordinates:
 /// one shared base cannot carry two different deltas.
-#[derive(PartialEq)]
+#[derive(Clone, PartialEq)]
 enum KeyDim {
     /// Fixed coordinate of an unaliased base, as the owner's grid
     /// coordinate along this dimension (`None` for undistributed dims).
@@ -284,6 +302,12 @@ impl SiteKey for ScheduleKey {
 
     fn team_ranks(&self) -> &[usize] {
         &self.team_ranks
+    }
+}
+
+impl TripHost for Interp<'_, '_> {
+    fn proc(&mut self) -> &mut Proc {
+        self.proc
     }
 }
 
@@ -357,8 +381,6 @@ pub struct Interp<'a, 'p> {
     /// writes (Listing 4 reads `b(lo)` after `call reduce`); across
     /// invocations, copy-in/copy-out hides them.
     iter_start: usize,
-    /// Is executor reuse (the schedule cache) enabled?
-    cache_enabled: bool,
     /// Execution strategy for communicating doalls — the same
     /// [`ExecPolicy`] the compiled stencil-plan path runs under.
     /// `policy.split` replays cached schedules split-phase (post /
@@ -367,10 +389,11 @@ pub struct Interp<'a, 'p> {
     /// vote on the fused value messages (with rollback) instead of
     /// running a dedicated one-word vote round before each replay.
     policy: ExecPolicy,
-    /// Cached communication schedules. Shared across frames: the key
-    /// carries every frame-dependent input (bindings, views, generations),
-    /// so a hit is valid regardless of which call produced the entry.
-    schedules: ScheduleCache<ScheduleKey>,
+    /// Cached communication schedules; `None` disables executor reuse.
+    /// Shared across frames: the key carries every frame-dependent input
+    /// (bindings, views, generations), so a hit is valid regardless of
+    /// which call produced the entry.
+    schedules: Option<ScheduleCache<ScheduleKey>>,
     /// Compile-time communication plans per doall site (from
     /// `analysis::comm_plans`). Before an analyzable site's cold trip the
     /// interpreter concretizes its plan into a full `CommSchedule` and
@@ -388,9 +411,8 @@ impl<'a, 'p> Interp<'a, 'p> {
             mode: Mode::Normal,
             doall_depth: 0,
             iter_start: 0,
-            cache_enabled: true,
             policy: ExecPolicy::default(),
-            schedules: ScheduleCache::new(MAX_SCHEDULES_PER_SITE),
+            schedules: Some(ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
             static_plans: HashMap::new(),
         }
     }
@@ -405,7 +427,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// Enable or disable executor reuse. Disabled, every doall invocation
     /// re-runs the full inspector — the differential-testing baseline.
     pub fn set_schedule_cache(&mut self, on: bool) {
-        self.cache_enabled = on;
+        self.schedules = on.then(|| ScheduleCache::new(MAX_SCHEDULES_PER_SITE));
     }
 
     /// Set the execution strategy for communicating doalls. The answer
@@ -782,7 +804,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         // Owner set per iteration. When a static plan may seed this site,
         // keep the full per-iteration owner sets: seeding simulates every
         // team member's inspector pass, and the owner sets are its input.
-        let keep_owners = self.cache_enabled && self.static_plans.contains_key(&site);
+        let keep_owners = self.schedules.is_some() && self.static_plans.contains_key(&site);
         let mut all_ranks: Vec<Vec<usize>> = Vec::new();
         let mut my_iters: Vec<Vec<i64>> = Vec::new();
         for it in &iters {
@@ -813,73 +835,37 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
             r
         } else {
-            if keep_owners {
-                self.maybe_seed_static(site, vars, &iters, &all_ranks, &my_iters, body);
-            }
-            self.run_inspector_executor(site, vars, &my_iters, body)
+            let owners = keep_owners.then_some((&iters[..], &all_ranks[..]));
+            self.run_inspector_executor(site, vars, &my_iters, owners, body)
         };
         self.doall_depth -= 1;
         result
     }
 
-    /// Pre-seed the schedule cache from this site's [`StaticCommPlan`],
-    /// if the cache has never held an entry for this (site, team) pair.
-    /// Successful seeding is what makes the cold trip replay: every team
-    /// member stores the same compile-time schedule at ordinal 1, so the
-    /// replay vote agrees on the very first invocation and the inspector
-    /// never runs. Any anomaly (uncacheable key, unexpected binding, out
-    /// of bounds) silently declines — the runtime inspector path is the
-    /// always-correct fallback.
-    fn maybe_seed_static(
-        &mut self,
-        site: usize,
-        vars: &[String],
-        iters: &[Vec<i64>],
-        all_ranks: &[Vec<usize>],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
-    ) {
-        let Some(plan) = self.static_plans.get(&site).cloned() else {
-            return;
-        };
-        let team = self.frame().grid.team();
-        // `seed` refuses any (site, team) with history; checking first
-        // skips the whole simulation on warm trips.
-        if self.schedules.has_site_team(site, team.ranks()) {
-            return;
-        }
-        let Some(key) = self.schedule_cache_key(site, &team, my_iters, body) else {
-            return;
-        };
-        let Some(sched) = self.build_static_schedule(&plan, &team, vars, iters, all_ranks, body)
-        else {
-            return;
-        };
-        if self.schedules.seed(key, sched).is_some() {
-            self.proc
-                .note_schedule_evictions(self.schedules.take_evictions());
-        }
-    }
-
     /// Concretize a compile-time plan into the exact `CommSchedule` the
-    /// inspector would build for this invocation. Every step mirrors
-    /// `run_fresh`: the per-iteration read simulation reproduces the
-    /// inspector's per-rank needs lists (first-touch order, deduplicated)
-    /// and boundary classification; the array list comes from the same
-    /// `collect_read_names` scan; `my_reqs` routing and the peers'
+    /// inspector would build for this invocation — the trip driver seeds
+    /// the cache with it ahead of an analyzable site's first trip, so
+    /// every member stores the same schedule at ordinal 1, the first
+    /// replay vote agrees, and the inspector never runs. Every step
+    /// mirrors [`Interp::inspect`]: the per-iteration read simulation
+    /// reproduces the inspector's per-rank needs lists (first-touch
+    /// order, deduplicated) and boundary classification; the array list
+    /// is the same exchange list; `my_reqs` routing and the peers'
     /// `incoming` lists reproduce what the request rounds would deliver.
     /// The simulation is a pure function of the distributions, bounds and
     /// program text — all SPMD-uniform — so every team member computes
     /// identical schedules without communicating. Returns `None` when
-    /// anything falls outside the plan's provable class.
+    /// anything falls outside the plan's provable class (unexpected
+    /// binding, out of bounds): the runtime inspector is the
+    /// always-correct fallback.
     fn build_static_schedule(
         &mut self,
         plan: &StaticCommPlan,
         team: &Team,
+        arrays: &[ExchangeArray],
         vars: &[String],
         iters: &[Vec<i64>],
         all_ranks: &[Vec<usize>],
-        body: &[Stmt],
     ) -> Option<CommSchedule> {
         let q = team.len();
         let me = self.me();
@@ -907,72 +893,44 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
         }
 
-        // ---- Array list and request routing, in `run_fresh`'s order.
-        let mut arrays: Vec<ArraySchedule> = Vec::new();
-        let mut bases: Vec<ArrRef> = Vec::new();
-        for (name, _span) in collect_read_names(body) {
-            let view = match self.frame().lookup(&name) {
-                Some(Binding::Array(view)) => view.clone(),
-                Some(_) => continue, // scalars and processor arrays
-                None => {
-                    if INTRINSICS.contains(&name.as_str())
-                        || vars.contains(&name)
-                        || body_defines_scalar(body, &name)
-                    {
-                        continue;
-                    }
-                    return None; // unbound array: let the inspector error
-                }
-            };
-            let base = view.base.clone();
-            if base.borrow().replicated() {
-                continue;
-            }
-            if bases.iter().any(|a| Rc::ptr_eq(a, &base)) {
-                continue;
-            }
+        // ---- Request routing over the exchange list.
+        let mut scheds: Vec<ArraySchedule> = Vec::with_capacity(arrays.len());
+        for a in arrays {
             let needs_of = |ti: usize| -> &[usize] {
                 needs[ti]
                     .iter()
-                    .find(|(a, _)| Rc::ptr_eq(a, &base))
+                    .find(|(b, _)| Rc::ptr_eq(b, &a.base))
                     .map(|(_, v)| v.as_slice())
                     .unwrap_or(&[])
             };
-            let my_reqs = self
-                .compute_requests(team, &base, needs_of(my_ti))
-                .ok()?;
+            let my_reqs = self.compute_requests(team, &a.base, needs_of(my_ti)).ok()?;
             // What the request round would deliver: `incoming[ti]` is peer
             // `ti`'s request vector addressed to me — the subset of its
             // needs that I own, in the peer's discovery order.
             let mut incoming: Vec<Vec<u64>> = Vec::with_capacity(q);
             for ti in 0..q {
-                let peer_reqs = self
-                    .compute_requests(team, &base, needs_of(ti))
-                    .ok()?;
+                let peer_reqs = self.compute_requests(team, &a.base, needs_of(ti)).ok()?;
                 incoming.push(peer_reqs.into_iter().nth(my_ti)?);
             }
-            arrays.push(ArraySchedule {
-                name,
+            scheds.push(ArraySchedule {
+                name: a.name.clone(),
                 my_reqs,
                 incoming,
-                origin: view_origin_flat(&view).ok()?,
+                origin: a.origin,
             });
-            bases.push(base);
         }
 
         // The stale-read hazard guard, statically: every simulated remote
         // read must belong to an array in the exchange list.
         for (arr, flats) in &needs[my_ti] {
-            if !flats.is_empty() && !bases.iter().any(|a| Rc::ptr_eq(a, arr)) {
+            if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
                 return None;
             }
         }
 
         Some(CommSchedule {
-            arrays,
-            // A capacity hint only — never observable in results; the
-            // first replay's writes size later trips exactly as a cold
-            // inspector trip would have.
+            arrays: scheds,
+            // A capacity hint only — never observable in results.
             write_hint: 0,
             boundary,
         })
@@ -1033,245 +991,18 @@ impl<'a, 'p> Interp<'a, 'p> {
         self.frame_mut().scopes.pop();
     }
 
-    /// The four-phase doall engine: inspect-or-replay, then either the
-    /// replayed split-phase exchange or a fresh inspection.
-    fn run_inspector_executor(
-        &mut self,
-        site: usize,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
-    ) -> RtResult<()> {
-        let team = self.frame().grid.team();
-
-        // ---- Inspect-or-replay: the schedule cache may satisfy this
-        // invocation without an inspector pass. The replay decision is
-        // *collective* — request/reply rounds are team-wide, so all
-        // members must agree on the (single) invocation being replayed.
-        // Stores are collective per (site, team), so entry existence for
-        // *this* site-team pair is SPMD-uniform: until it has a cached
-        // entry, every member skips the vote and inspects fresh. (Site id
-        // alone would not be uniform: a site cached under a row slice and
-        // re-entered under a column slice would mix voters with
-        // non-voters and desynchronize the collectives.)
-        if !self.cache_enabled {
-            return self.run_fresh(&team, vars, my_iters, body, None);
-        }
-        let key = self.schedule_cache_key(site, &team, my_iters, body);
-        let can_vote = key.is_some() && self.schedules.has_site_team(site, team.ranks());
-        if can_vote {
-            // Keys identify regions up to translation (owner-normalized
-            // fixed view coordinates), so a hit may have been built for a
-            // different line of the same team: shift its flat indices to
-            // the current frame's regions before replaying.
-            let local = match key.as_ref().and_then(|k| self.schedules.lookup(k)) {
-                Some((seq, sched)) => Some((seq, self.translate_for_replay(&sched)?)),
-                None => None,
-            };
-            if self.policy.optimistic {
-                if self.replay_optimistic(&team, local, vars, my_iters, body)? {
-                    return Ok(());
-                }
-                // Disagreement rolled the trip back: inspect fresh below.
-            } else if let Some(seq) =
-                vote::consensus(self.proc, &team, local.as_ref().map(|(s, _)| *s))
-            {
-                let (cached_seq, sched) = local.expect("agreed ordinal implies a local hit");
-                debug_assert_eq!(cached_seq, seq);
-                self.proc.note_schedule_replay();
-                self.replay_pessimistic(&team, &sched, vars, my_iters, body)?;
-                return Ok(());
-            }
-        }
-        self.run_fresh(&team, vars, my_iters, body, key)
-    }
-
-    /// Replay a vote-confirmed schedule: split-phase (post / interior /
-    /// complete / boundary) or as one blocking fused value round.
-    fn replay_pessimistic(
-        &mut self,
-        team: &Team,
-        sched: &CommSchedule,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
-    ) -> RtResult<()> {
-        let mut world = LangWorld {
-            bases: self.resolve_schedule_bases(sched)?,
-        };
-        if self.policy.split {
-            self.proc.mark("doall:post");
-            let pending = EXEC.post(self.proc, team, sched, &world);
-            self.proc.mark("doall:interior");
-            let interior = interior_positions(&sched.boundary, my_iters.len());
-            let (int_writes, int_segs) =
-                self.exec_iterations(vars, my_iters, &interior, body, sched.write_hint)?;
-            self.proc.mark("doall:complete");
-            EXEC.complete(self.proc, team, sched, &mut world, pending);
-            self.finish_split_execution(
-                &sched.boundary,
-                vars,
-                my_iters,
-                body,
-                int_writes,
-                int_segs,
-            )?;
-        } else {
-            self.proc.mark("doall:exchange");
-            EXEC.exchange_blocking(self.proc, team, sched, &mut world);
-            self.proc.mark("doall:execute");
-            self.run_executor(vars, my_iters, body, sched.write_hint)?;
-        }
-        Ok(())
-    }
-
-    /// Optimistic replay attempt: post the fused value messages with the
-    /// local `(site, team)` ordinal as a one-word header (bare header for
-    /// a local miss), speculatively run the interior while they fly, and
-    /// check the peers' headers at completion. Returns `Ok(true)` when
-    /// the piggybacked votes agreed and the trip was served; `Ok(false)`
-    /// rolls back — speculative writes and received payloads are
-    /// discarded, and the caller re-runs the full inspection.
-    fn replay_optimistic(
-        &mut self,
-        team: &Team,
-        local: Option<(u64, Rc<CommSchedule>)>,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
-    ) -> RtResult<bool> {
-        let hit = match &local {
-            Some((seq, sched)) => {
-                let world = LangWorld {
-                    bases: self.resolve_schedule_bases(sched)?,
-                };
-                Some((*seq, Rc::clone(sched), world))
-            }
-            None => None,
-        };
-        let my_vote = hit.as_ref().map_or(NO_VOTE, |(seq, _, _)| *seq as i64);
-        if self.policy.split {
-            self.proc.mark("doall:post");
-            let pending = EXEC.post_optimistic(
-                self.proc,
-                team,
-                my_vote,
-                hit.as_ref().map(|(_, s, w)| (s.as_ref(), w)),
-            );
-            // Interior iterations read no remote element and my key
-            // matched my own arrays, so they are safe to run before the
-            // consensus is known; their writes stay buffered and are
-            // simply dropped on rollback.
-            let mut interior_run = None;
-            if let Some((_, sched, _)) = &hit {
-                self.proc.mark("doall:interior");
-                let interior = interior_positions(&sched.boundary, my_iters.len());
-                interior_run = Some(self.exec_iterations(
-                    vars,
-                    my_iters,
-                    &interior,
-                    body,
-                    sched.write_hint,
-                )?);
-            }
-            self.proc.mark("doall:complete");
-            let outcome = EXEC.complete_optimistic(self.proc, pending);
-            match (outcome.agreed, hit) {
-                (Some(seq), Some((cached_seq, sched, mut world))) => {
-                    debug_assert_eq!(cached_seq, seq);
-                    self.proc.note_schedule_replay();
-                    self.proc.note_optimistic_hit();
-                    EXEC.scatter_agreed(self.proc, &sched, &mut world, &outcome);
-                    let (int_writes, int_segs) = interior_run.expect("local hit ran the interior");
-                    self.finish_split_execution(
-                        &sched.boundary,
-                        vars,
-                        my_iters,
-                        body,
-                        int_writes,
-                        int_segs,
-                    )?;
-                    Ok(true)
-                }
-                _ => {
-                    self.proc.note_rollback();
-                    Ok(false)
-                }
-            }
-        } else {
-            self.proc.mark("doall:exchange");
-            let outcome = EXEC.exchange_optimistic_blocking(
-                self.proc,
-                team,
-                my_vote,
-                hit.as_ref().map(|(_, s, w)| (s.as_ref(), w)),
-            );
-            match (outcome.agreed, hit) {
-                (Some(seq), Some((cached_seq, sched, mut world))) => {
-                    debug_assert_eq!(cached_seq, seq);
-                    self.proc.note_schedule_replay();
-                    self.proc.note_optimistic_hit();
-                    EXEC.scatter_agreed(self.proc, &sched, &mut world, &outcome);
-                    self.proc.mark("doall:execute");
-                    self.run_executor(vars, my_iters, body, sched.write_hint)?;
-                    Ok(true)
-                }
-                _ => {
-                    self.proc.note_rollback();
-                    Ok(false)
-                }
-            }
-        }
-    }
-
-    /// Full inspector pass + schedule construction + exchange + executor;
-    /// stores the schedule under `key` for later replay when cacheable.
-    fn run_fresh(
-        &mut self,
-        team: &Team,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
-        key: Option<ScheduleKey>,
-    ) -> RtResult<()> {
-        // ---- Inspector: discover remote reads, and classify each
-        // iteration as interior (all reads local) or boundary (≥ 1 remote
-        // read) for later split-phase replays.
-        self.proc.note_inspector_run();
-        self.proc.mark("doall:inspect");
-        self.mode = Mode::Inspect(InspectState::default());
-        let mut boundary = Vec::new();
-        for (pos, it) in my_iters.iter().enumerate() {
-            if let Mode::Inspect(st) = &mut self.mode {
-                st.iter_touched_remote = false;
-            }
-            self.push_iter_scope(vars, it);
-            let r = self.exec_stmts(body);
-            self.pop_iter_scope();
-            r?;
-            if let Mode::Inspect(st) = &self.mode {
-                if st.iter_touched_remote {
-                    boundary.push(pos);
-                }
-            }
-        }
-        let needs = match std::mem::replace(&mut self.mode, Mode::Normal) {
-            Mode::Inspect(st) => st.needs,
-            _ => unreachable!(),
-        };
-
-        // ---- Schedule construction: gather the distributed arrays the
-        // body reads (static order) and route each array's remote needs
-        // to their owners.
-        self.proc.mark("doall:exchange");
-        let read_names = collect_read_names(body);
-        let mut names: Vec<String> = Vec::new();
-        let mut bases: Vec<ArrRef> = Vec::new();
-        let mut origins: Vec<u64> = Vec::new();
-        let mut reqs_all: Vec<Vec<Vec<u64>>> = Vec::new();
-        for (name, span) in read_names {
+    /// The distributed arrays the body reads, one entry per distinct
+    /// base, in static (first-appearance) order: the doall's *exchange
+    /// list*. It is a function of the body text and the frame's bindings
+    /// alone — never of what an inspection finds — so a schedule cached
+    /// under an equal key lists exactly these arrays, and one scan serves
+    /// as the executor's world, the current region origins, and the
+    /// inspector's routing table.
+    fn exchange_arrays(&self, vars: &[String], body: &[Stmt]) -> RtResult<Vec<ExchangeArray>> {
+        let mut arrays: Vec<ExchangeArray> = Vec::new();
+        for (name, span) in collect_read_names(body) {
             let view = match self.frame().lookup(&name) {
-                Some(Binding::Array(view)) => view.clone(),
+                Some(Binding::Array(view)) => view,
                 // Scalars and processor arrays move no data.
                 Some(_) => continue,
                 None => {
@@ -1295,28 +1026,180 @@ impl<'a, 'p> Interp<'a, 'p> {
                     return Err(d.render(&self.prog.src));
                 }
             };
-            let base = view.base.clone();
-            if base.borrow().replicated() {
+            if view.base.borrow().replicated()
+                || arrays.iter().any(|a| Rc::ptr_eq(&a.base, &view.base))
+            {
                 continue;
             }
-            if bases.iter().any(|a| Rc::ptr_eq(a, &base)) {
-                continue;
+            arrays.push(ExchangeArray {
+                origin: view_origin_flat(view)?,
+                base: view.base.clone(),
+                name,
+            });
+        }
+        Ok(arrays)
+    }
+
+    /// The four-phase doall engine — one trip of `kali-sched`'s driver.
+    /// The driver owns the protocol (vote gate, lookup, vote, post,
+    /// complete, scatter, rollback, store); this function hands it the
+    /// interpreter's data — the cache key, the inspector as schedule
+    /// builder, the exchange list as world, the current region origins,
+    /// an optional static plan to seed from — and executes the
+    /// iterations around it: interior while the messages fly, the rest
+    /// after completion.
+    fn run_inspector_executor(
+        &mut self,
+        site: usize,
+        vars: &[String],
+        my_iters: &[Vec<i64>],
+        owners: Option<(&[Vec<i64>], &[Vec<usize>])>,
+        body: &[Stmt],
+    ) -> RtResult<()> {
+        let team = self.frame().grid.team();
+        let arrays = self.exchange_arrays(vars, body)?;
+        let mut world = LangWorld {
+            bases: arrays.iter().map(|a| a.base.clone()).collect(),
+        };
+        let trip = Trip {
+            exec: EXEC,
+            policy: self.policy,
+            team: team.clone(),
+            sits_out: false,
+            key: match self.schedules {
+                Some(_) => self.schedule_cache_key(site, &team, my_iters, body),
+                None => None,
+            },
+            // Keys identify regions up to translation (owner-normalized
+            // fixed view coordinates), so a hit may have been built for a
+            // different line of the same team: the driver shifts it to
+            // these origins before replaying.
+            origins: Some(arrays.iter().map(|a| a.origin).collect()),
+        };
+        // The cache is lent to the driver for the trip, because the
+        // builder it calls back needs the whole interpreter.
+        let mut cache = self.schedules.take();
+        let mut cache_ref = cache.as_mut();
+
+        if let Some((iters, all_ranks)) = owners {
+            if let Some(plan) = self.static_plans.get(&site).cloned() {
+                trip.seed(self, cache_ref.as_deref_mut(), |me: &mut Self| {
+                    me.build_static_schedule(&plan, &team, &arrays, vars, iters, all_ranks)
+                });
             }
-            let my_needs: Vec<usize> = needs
+        }
+        let build = |me: &mut Self, _: &LangWorld| me.inspect(&team, &arrays, vars, my_iters, body);
+        let split = self.policy.split;
+        let result = (|| {
+            let mut flight = trip.begin(self, cache_ref.as_deref_mut(), &world, build)?;
+            let mut interior_run = None;
+            let sched = loop {
+                let phase = if split {
+                    "doall:post"
+                } else {
+                    "doall:exchange"
+                };
+                self.proc.mark(phase);
+                // Interior iterations read no remote element and my key
+                // matched my own arrays, so they are safe to run before
+                // the team's verdict is known — and stay valid if it is
+                // a rollback, whose cold re-run then has nothing left to
+                // overlap.
+                if let (None, Some(pre)) = (&interior_run, flight.interior_schedule()) {
+                    self.proc.mark("doall:interior");
+                    let interior = interior_positions(&pre.boundary, my_iters.len());
+                    let hint = pre.write_hint;
+                    let run = self.exec_iterations(vars, my_iters, &interior, body, hint)?;
+                    interior_run = Some((pre, run));
+                }
+                if split {
+                    self.proc.mark("doall:complete");
+                }
+                let cache = cache_ref.as_deref_mut();
+                match flight.finish(self, cache, &mut world, build)? {
+                    Finished::Done(sched) => break sched,
+                    Finished::RolledBack(cold) => flight = cold,
+                }
+            };
+            debug_assert!(
+                sched
+                    .arrays
+                    .iter()
+                    .map(|a| &a.name)
+                    .eq(arrays.iter().map(|a| &a.name)),
+                "a schedule under an equal key lists exactly the exchange list"
+            );
+            match interior_run {
+                // The rest is the complement of what actually ran; a
+                // rebuilt schedule classifies identically (equal key).
+                Some((pre, interior)) => {
+                    debug_assert_eq!(pre.boundary, sched.boundary);
+                    self.proc.mark("doall:boundary");
+                    self.finish_execution(&pre.boundary, 0, vars, my_iters, body, interior)
+                }
+                None => {
+                    self.proc.mark("doall:execute");
+                    let all: Vec<usize> = (0..my_iters.len()).collect();
+                    let none = Default::default();
+                    self.finish_execution(&all, sched.write_hint, vars, my_iters, body, none)
+                }
+            }
+        })();
+        self.schedules = cache;
+        result
+    }
+
+    /// The inspector — this consumer's schedule builder. Runs the body
+    /// in inspect mode to discover my iterations' remote reads and
+    /// classify each iteration as interior (all reads local) or boundary
+    /// (≥ 1 remote read), routes each exchange array's remote needs to
+    /// their owners, and runs the request rounds, after which every team
+    /// member also knows what its peers will ask of it.
+    fn inspect(
+        &mut self,
+        team: &Team,
+        arrays: &[ExchangeArray],
+        vars: &[String],
+        my_iters: &[Vec<i64>],
+        body: &[Stmt],
+    ) -> RtResult<CommSchedule> {
+        self.proc.note_inspector_run();
+        self.proc.mark("doall:inspect");
+        self.mode = Mode::Inspect(InspectState::default());
+        let mut boundary = Vec::new();
+        for (pos, it) in my_iters.iter().enumerate() {
+            if let Mode::Inspect(st) = &mut self.mode {
+                st.iter_touched_remote = false;
+            }
+            self.push_iter_scope(vars, it);
+            let r = self.exec_stmts(body);
+            self.pop_iter_scope();
+            r?;
+            if let Mode::Inspect(st) = &self.mode {
+                if st.iter_touched_remote {
+                    boundary.push(pos);
+                }
+            }
+        }
+        let st = match std::mem::replace(&mut self.mode, Mode::Normal) {
+            Mode::Inspect(st) => st,
+            _ => unreachable!(),
+        };
+
+        let mut reqs_all: Vec<Vec<Vec<u64>>> = Vec::with_capacity(arrays.len());
+        for a in arrays {
+            let my_needs = st
+                .needs
                 .iter()
-                .find(|(a, _)| Rc::ptr_eq(a, &base))
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default();
-            reqs_all.push(self.compute_requests(team, &base, &my_needs)?);
-            names.push(name);
-            origins.push(view_origin_flat(&view)?);
-            bases.push(base);
+                .find(|(b, _)| Rc::ptr_eq(b, &a.base))
+                .map_or(&[][..], |(_, v)| v.as_slice());
+            reqs_all.push(self.compute_requests(team, &a.base, my_needs)?);
         }
         // Every array the inspector recorded remote reads for must take
         // part in the exchange; anything missed would execute on stale
         // values.
-        for (arr, flats) in &needs {
-            if !flats.is_empty() && !bases.iter().any(|a| Rc::ptr_eq(a, arr)) {
+        for (arr, flats) in &st.needs {
+            if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
                 return Err(format!(
                     "inspector recorded {} remote read(s) of {} but the exchange phase \
                      did not fetch them (stale-read hazard)",
@@ -1326,11 +1209,10 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
         }
 
-        // ---- Request rounds: afterwards every team member also knows
-        // what its peers will ask of it. In split-phase mode the rounds
-        // of *all* arrays are posted nonblocking at once, so the request
-        // latency of later arrays hides behind the traffic of earlier
-        // ones instead of serializing one synchronous exchange per array.
+        // ---- Request rounds. In split-phase mode the rounds of *all*
+        // arrays are posted nonblocking at once, so the request latency
+        // of later arrays hides behind the traffic of earlier ones
+        // instead of serializing one synchronous exchange per array.
         let t0 = self.proc.clock();
         let incoming_all: Vec<Vec<Vec<u64>>> = if self.policy.split {
             ScheduleExecutor::request_rounds(SPLIT_REQUEST_TAG, self.proc, team, &reqs_all)
@@ -1343,77 +1225,22 @@ impl<'a, 'p> Interp<'a, 'p> {
         let dt = self.proc.clock() - t0;
         self.proc.attribute_inspector_time(dt);
 
-        let arrays: Vec<ArraySchedule> = names
-            .into_iter()
+        let arrays = arrays
+            .iter()
             .zip(reqs_all)
             .zip(incoming_all)
-            .zip(origins)
-            .map(|(((name, my_reqs), incoming), origin)| ArraySchedule {
-                name,
+            .map(|((a, my_reqs), incoming)| ArraySchedule {
+                name: a.name.clone(),
                 my_reqs,
                 incoming,
-                origin,
+                origin: a.origin,
             })
             .collect();
-        let mut sched = CommSchedule {
+        Ok(CommSchedule {
             arrays,
-            write_hint: 0,
+            write_hint: st.writes,
             boundary,
-        };
-        let mut world = LangWorld { bases };
-
-        // ---- Value exchange + executor. Even the cold trip runs the
-        // split-phase engine: the inspector already proved which
-        // iterations are interior, so they execute while the fused value
-        // messages are in flight.
-        let write_hint = if self.policy.split {
-            self.proc.mark("doall:post");
-            let pending = EXEC.post(self.proc, team, &sched, &world);
-            self.proc.mark("doall:interior");
-            let interior = interior_positions(&sched.boundary, my_iters.len());
-            let (int_writes, int_segs) =
-                self.exec_iterations(vars, my_iters, &interior, body, 0)?;
-            self.proc.mark("doall:complete");
-            EXEC.complete(self.proc, team, &sched, &mut world, pending);
-            self.finish_split_execution(
-                &sched.boundary,
-                vars,
-                my_iters,
-                body,
-                int_writes,
-                int_segs,
-            )?
-        } else {
-            EXEC.exchange_blocking(self.proc, team, &sched, &mut world);
-            self.proc.mark("doall:execute");
-            self.run_executor(vars, my_iters, body, 0)?
-        };
-        if let Some(key) = key {
-            sched.write_hint = write_hint;
-            self.schedules.store(key, sched);
-            self.proc
-                .note_schedule_evictions(self.schedules.take_evictions());
-        }
-        Ok(())
-    }
-
-    /// Executor phase: run all the iterations with buffered writes
-    /// (copy-in/copy-out); returns the buffered-write count.
-    fn run_executor(
-        &mut self,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
-        write_hint: usize,
-    ) -> RtResult<usize> {
-        let all: Vec<usize> = (0..my_iters.len()).collect();
-        let (writes, _) = self.exec_iterations(vars, my_iters, &all, body, write_hint)?;
-        let n = writes.len();
-        self.proc.memop(n as f64);
-        for (arr, flat, v) in writes {
-            arr.borrow_mut().data[flat] = v;
-        }
-        Ok(n)
+        })
     }
 
     /// Run the iterations at `positions` (indices into `my_iters`) under
@@ -1451,27 +1278,26 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok((writes, seg_ends))
     }
 
-    /// The tail of a split-phase execution, shared by replays and cold
-    /// trips: run the **boundary** iterations against freshened storage,
-    /// then commit all buffered writes (interior and boundary) in
-    /// *original* iteration order — if two iterations write the same
-    /// element, the last iteration must win exactly as in the synchronous
-    /// executor. Returns the total buffered-write count (the next
-    /// replay's `write_hint`).
-    fn finish_split_execution(
+    /// The tail of every trip: run the iterations still to do — the
+    /// **boundary** after an interior that ran in flight, or all of them
+    /// when none could — against freshened storage, then commit all
+    /// buffered writes (copy-in/copy-out) in *original* iteration order:
+    /// if two iterations write the same element, the last iteration must
+    /// win whatever order they executed in.
+    fn finish_execution(
         &mut self,
         boundary: &[usize],
+        capacity: usize,
         vars: &[String],
         my_iters: &[Vec<i64>],
         body: &[Stmt],
-        int_writes: Vec<(ArrRef, usize, f64)>,
-        int_segs: Vec<usize>,
-    ) -> RtResult<usize> {
-        self.proc.mark("doall:boundary");
-        let (bnd_writes, bnd_segs) = self.exec_iterations(vars, my_iters, boundary, body, 0)?;
+        (int_writes, int_segs): (Vec<(ArrRef, usize, f64)>, Vec<usize>),
+    ) -> RtResult<()> {
+        let (bnd_writes, bnd_segs) =
+            self.exec_iterations(vars, my_iters, boundary, body, capacity)?;
 
-        let total = int_writes.len() + bnd_writes.len();
-        self.proc.memop(total as f64);
+        self.proc
+            .memop((int_writes.len() + bnd_writes.len()) as f64);
         let mut int_iter = int_writes.into_iter();
         let mut bnd_iter = bnd_writes.into_iter();
         let (mut i_seg, mut i_off) = (0usize, 0usize);
@@ -1494,65 +1320,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 arr.borrow_mut().data[flat] = v;
             }
         }
-        Ok(total)
-    }
-
-    /// Resolve each schedule entry against the *current* frame: the cache
-    /// key match guarantees a structurally identical array under the name.
-    fn resolve_schedule_bases(&self, sched: &CommSchedule) -> RtResult<Vec<ArrRef>> {
-        sched
-            .arrays
-            .iter()
-            .map(|a| match self.frame().lookup(&a.name) {
-                Some(Binding::Array(v)) => Ok(v.base.clone()),
-                _ => Err(format!(
-                    "schedule replay: {} is no longer bound to an array",
-                    a.name
-                )),
-            })
-            .collect()
-    }
-
-    /// Shift a cached schedule to the current frame's array regions. The
-    /// cache key normalizes fixed view coordinates to owner grid
-    /// coordinates, so a hit may have been built for a different line of
-    /// the same team — the key match proves the communication pattern is
-    /// identical *up to translation*, and the exact shift per array is
-    /// the delta between the current view's origin flat and the one the
-    /// schedule was built for. Returns the schedule unchanged (shared)
-    /// when every delta is zero — the common warm-trip case.
-    fn translate_for_replay(&self, sched: &Rc<CommSchedule>) -> RtResult<Rc<CommSchedule>> {
-        let mut deltas = Vec::with_capacity(sched.arrays.len());
-        for a in &sched.arrays {
-            let Some(Binding::Array(view)) = self.frame().lookup(&a.name) else {
-                return Err(format!(
-                    "schedule replay: {} is no longer bound to an array",
-                    a.name
-                ));
-            };
-            deltas.push(view_origin_flat(view)? as i64 - a.origin as i64);
-        }
-        if deltas.iter().all(|&d| d == 0) {
-            return Ok(Rc::clone(sched));
-        }
-        let shift =
-            |v: &[u64], d: i64| -> Vec<u64> { v.iter().map(|&f| (f as i64 + d) as u64).collect() };
-        let arrays = sched
-            .arrays
-            .iter()
-            .zip(&deltas)
-            .map(|(a, &d)| ArraySchedule {
-                name: a.name.clone(),
-                my_reqs: a.my_reqs.iter().map(|v| shift(v, d)).collect(),
-                incoming: a.incoming.iter().map(|v| shift(v, d)).collect(),
-                origin: (a.origin as i64 + d) as u64,
-            })
-            .collect();
-        Ok(Rc::new(CommSchedule {
-            arrays,
-            write_hint: sched.write_hint,
-            boundary: sched.boundary.clone(),
-        }))
+        Ok(())
     }
 
     /// Route `my_needs` (flat indices of remote elements of `base`) to
@@ -2034,8 +1802,14 @@ impl<'a, 'p> Interp<'a, 'p> {
                 Arg::Expr(e) => scalars.push(self.eval(e)?),
             }
         }
-        if matches!(self.mode, Mode::Inspect(_)) {
-            return Ok(()); // locality validated; no mutation during inspection
+        if let Mode::Inspect(st) = &mut self.mode {
+            // Locality validated; no mutation during inspection — only
+            // the count of what the executor will write back.
+            st.writes += match name {
+                "reduce" => sections.iter().map(|sec| sec.1.len()).sum(),
+                _ => sections.first().map_or(0, |sec| sec.1.len()),
+            };
+            return Ok(());
         }
         let read = |sec: &(ArrRef, Vec<usize>)| -> Vec<f64> {
             let b = sec.0.borrow();
@@ -2136,6 +1910,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             for f in remote {
                 st.record(&xv.base, f);
             }
+            st.writes += 1;
             return Ok(()); // gather recorded; no mutation during inspection
         }
         if matches!(self.mode, Mode::Normal) && self.doall_depth == 0 && !remote.is_empty() {
@@ -2193,13 +1968,14 @@ impl<'a, 'p> Interp<'a, 'p> {
             )
         };
         match &mut self.mode {
-            Mode::Inspect(_) => {
+            Mode::Inspect(st) => {
                 if !ok {
                     return Err(format!(
                         "owner-computes violation: processor {me} writes {name}{base_idxs:?} \
                          owned elsewhere (check the doall's on-clause)"
                     ));
                 }
+                st.writes += 1;
                 Ok(())
             }
             Mode::Execute(buf) => {

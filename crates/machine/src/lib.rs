@@ -59,7 +59,7 @@ pub mod collective;
 pub use backend::{Backend, BackendKind};
 pub use cost::CostModel;
 pub use elem::{Elem, Real};
-pub use machine::{Machine, MachineBuilder, MachineConfig, MachineRun, SimRun};
+pub use machine::{Machine, MachineBuilder, MachineConfig, MachineRun};
 pub use proc::{PendingRecv, PendingSend, Proc, ProcStats, Team};
 pub use report::{ProcReport, RunReport};
 pub use topology::Topology;

@@ -77,9 +77,6 @@ pub struct MachineRun<R> {
     pub results: Vec<R>,
 }
 
-/// Former name of [`MachineRun`], kept while call sites migrate.
-pub type SimRun<R> = MachineRun<R>;
-
 /// Builder for a machine whose backend is chosen by data — the one
 /// construction entry point, so no call site ever names a concrete
 /// backend type.

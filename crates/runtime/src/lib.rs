@@ -22,15 +22,15 @@
 //!   derives and executes the communication: split-phase with the
 //!   interior overlapping the transit, warm trips replayed from the
 //!   schedule cache with a piggybacked consensus vote, all policy-driven
-//!   rather than API-driven;
+//!   rather than API-driven. The plan hands the policy (and, when it
+//!   replays at all, the cache) to the array layer's one begin/finish
+//!   pair, which runs `kali-sched`'s trip driver; the per-point loop
+//!   forms are adaptors over the row-run engine, not a second engine;
 //! * [`Ctx::sparse`] — the same contract for *irregular* reads: a
 //!   [`SparsePlan`] drives one inspector-executor SpMV against a
 //!   [`kali_array::SparseCsr`], overlapping the x-gather transit with
 //!   the matrix rows whose columns are all owner-local and replaying
 //!   warm iterations from the gather schedule cache;
-//! * [`Ctx::doall1`] / [`Ctx::doall2`] — communication-free strip-mined
-//!   parallel loops whose `on owner(...)` clause is a [`Dist1`] or a
-//!   distributed array;
 //! * global reductions over the current grid.
 //!
 //! There is deliberately **one** name per construct: how an exchange
@@ -46,8 +46,6 @@
 //! |---|---|
 //! | `jacobi_update(proc, u, r0, r1, fl, f)` | `ctx.plan().policy(ExecPolicy::blocking()).reads(&mut u, Ghosts::faces(1)).update2(r0, r1, fl, f)` |
 //! | `jacobi_update_split(proc, u, r0, r1, fl, f)` | `ctx.plan().reads(&mut u, Ghosts::faces(1)).update2(r0, r1, fl, f)` |
-//! | `doall2_split(a, r0, r1, m, complete, body)` | `ctx.plan().reads(&mut a, Ghosts::faces(m)).run2(r0, r1, fl, body)` |
-//! | `doall1_split(gd, dist, r, m, complete, body)` | `ctx.plan().reads(&mut a, Ghosts::full(m)).run_lines(d, r, body)` |
 //! | `a.exchange_ghosts(proc)` (in solver code) | `ctx.plan().reads(&mut a, Ghosts::full(1)).refresh()` |
 //! | `zebra2_with(.., split)` / `rest2_with(.., split)` / `mg2_vcycle_with(.., split)` | `ctx.set_policy(..)` once; call `zebra2` / `rest2` / `mg2_vcycle` |
 //!
@@ -66,8 +64,8 @@
 //! needs no migration — port an interior to the row form only when it
 //! is hot.
 
-use kali_array::{DistArray2, DistArrayN, Elem, GatherCache, HaloCache};
-use kali_grid::{Dist1, ProcGrid};
+use kali_array::{DistArrayN, Elem, GatherCache, HaloCache};
+use kali_grid::ProcGrid;
 use kali_machine::{collective, Proc, Team, Wire};
 
 mod plan;
@@ -189,16 +187,24 @@ impl<'a> Ctx<'a> {
         self.proc
     }
 
-    /// Split borrow used by the plan executor: the processor handle and
-    /// the halo schedule cache, simultaneously.
-    pub(crate) fn proc_and_halo(&mut self) -> (&mut Proc, &mut HaloCache) {
-        (self.proc, &mut self.halo)
+    /// Split borrow used by the plan executor: the processor handle and,
+    /// when `policy` replays at all, the halo schedule cache — a
+    /// non-optimistic policy is the rebuild-per-trip baseline and gets
+    /// no cache.
+    pub(crate) fn proc_and_halo(
+        &mut self,
+        policy: ExecPolicy,
+    ) -> (&mut Proc, Option<&mut HaloCache>) {
+        (self.proc, policy.optimistic.then_some(&mut self.halo))
     }
 
-    /// Split borrow used by the sparse plan executor: the processor
-    /// handle and the gather schedule cache, simultaneously.
-    pub(crate) fn proc_and_gather(&mut self) -> (&mut Proc, &mut GatherCache) {
-        (self.proc, &mut self.gather)
+    /// [`Ctx::proc_and_halo`] for the sparse plan executor and the
+    /// gather schedule cache.
+    pub(crate) fn proc_and_gather(
+        &mut self,
+        policy: ExecPolicy,
+    ) -> (&mut Proc, Option<&mut GatherCache>) {
+        (self.proc, policy.optimistic.then_some(&mut self.gather))
     }
 
     /// The processor array in scope.
@@ -229,91 +235,6 @@ impl<'a> Ctx<'a> {
     /// The current grid as a machine [`Team`].
     pub fn team(&self) -> Team {
         self.grid.team()
-    }
-
-    /// `doall i = range on owner(dist, i)` over grid dimension `gd`:
-    /// execute `body(i)` for exactly the iterations this processor owns.
-    ///
-    /// Block distributions are strip-mined to the intersection of the range
-    /// with the owned interval (no per-iteration owner tests), like the
-    /// compiled code the paper describes; other patterns fall back to an
-    /// owner test per iteration. Loops that *communicate* go through
-    /// [`Ctx::plan`] instead.
-    pub fn doall1(
-        &mut self,
-        gd: usize,
-        dist: &Dist1,
-        range: std::ops::Range<usize>,
-        mut body: impl FnMut(&mut Ctx, usize),
-    ) {
-        let Some(coords) = self.coords.clone() else {
-            return;
-        };
-        let q = coords[gd];
-        if dist.is_contiguous() {
-            let Some(lo) = dist.lower(q) else { return };
-            let hi = dist.upper(q).expect("nonempty block") + 1;
-            let start = range.start.max(lo);
-            let end = range.end.min(hi);
-            for i in start..end {
-                body(self, i);
-            }
-        } else {
-            for i in range {
-                if dist.owner(i) == q {
-                    body(self, i);
-                }
-            }
-        }
-    }
-
-    /// Strided variant of [`Ctx::doall1`] (`doall j = lo, hi, step` — used by
-    /// the zebra sweeps of Listings 9 and 11).
-    pub fn doall1_step(
-        &mut self,
-        gd: usize,
-        dist: &Dist1,
-        range: std::ops::Range<usize>,
-        step: usize,
-        mut body: impl FnMut(&mut Ctx, usize),
-    ) {
-        assert!(step >= 1);
-        let Some(coords) = self.coords.clone() else {
-            return;
-        };
-        let q = coords[gd];
-        let mut i = range.start;
-        while i < range.end {
-            if dist.owner(i) == q {
-                body(self, i);
-            }
-            i += step;
-        }
-    }
-
-    /// `doall (i, j) = [r0] * [r1] on owner(a(i, j))` — the product-range
-    /// header of Listing 3. Iterations are the owned sub-box of the product
-    /// range.
-    pub fn doall2<T: Elem>(
-        &mut self,
-        a: &DistArray2<T>,
-        r0: std::ops::Range<usize>,
-        r1: std::ops::Range<usize>,
-        mut body: impl FnMut(&mut Ctx, usize, usize),
-    ) {
-        if !a.is_participant() || !self.in_grid() {
-            return;
-        }
-        debug_assert!(a.dist(0).is_contiguous() && a.dist(1).is_contiguous());
-        let i0 = r0.start.max(a.owned_range(0).start);
-        let i1 = r0.end.min(a.owned_range(0).end);
-        let j0 = r1.start.max(a.owned_range(1).start);
-        let j1 = r1.end.min(a.owned_range(1).end);
-        for i in i0..i1 {
-            for j in j0..j1 {
-                body(self, i, j);
-            }
-        }
     }
 
     /// Call a distributed procedure on a slice of the processor array:
@@ -395,6 +316,7 @@ pub fn global_max_abs<T: Elem, const N: usize>(ctx: &mut Ctx, a: &DistArrayN<T, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kali_array::DistArray2;
     use kali_grid::DistSpec;
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
@@ -403,67 +325,6 @@ mod tests {
         MachineConfig::new(p)
             .with_cost(CostModel::unit())
             .with_watchdog(Duration::from_secs(10))
-    }
-
-    #[test]
-    fn doall1_strip_mines_blocks() {
-        let run = Machine::run(cfg(4), |proc| {
-            let grid = ProcGrid::new_1d(4);
-            let mut ctx = Ctx::new(proc, grid);
-            let dist = Dist1::block(16, 4);
-            let mut mine = Vec::new();
-            ctx.doall1(0, &dist, 1..15, |_, i| mine.push(i));
-            mine
-        });
-        assert_eq!(run.results[0], vec![1, 2, 3]);
-        assert_eq!(run.results[1], vec![4, 5, 6, 7]);
-        assert_eq!(run.results[3], vec![12, 13, 14]);
-        // Every iteration executed exactly once.
-        let all: Vec<usize> = run.results.into_iter().flatten().collect();
-        let mut sorted = all.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (1..15).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn doall1_cyclic_owner_tests() {
-        let run = Machine::run(cfg(3), |proc| {
-            let grid = ProcGrid::new_1d(3);
-            let mut ctx = Ctx::new(proc, grid);
-            let dist = Dist1::cyclic(9, 3);
-            let mut mine = Vec::new();
-            ctx.doall1(0, &dist, 0..9, |_, i| mine.push(i));
-            mine
-        });
-        assert_eq!(run.results[1], vec![1, 4, 7]);
-    }
-
-    #[test]
-    fn doall1_step_zebra_split() {
-        let run = Machine::run(cfg(2), |proc| {
-            let grid = ProcGrid::new_1d(2);
-            let mut ctx = Ctx::new(proc, grid);
-            let dist = Dist1::block(8, 2);
-            let mut even = Vec::new();
-            ctx.doall1_step(0, &dist, 0..8, 2, |_, j| even.push(j));
-            even
-        });
-        assert_eq!(run.results[0], vec![0, 2]);
-        assert_eq!(run.results[1], vec![4, 6]);
-    }
-
-    #[test]
-    fn doall2_owns_product_subbox() {
-        let run = Machine::run(cfg(4), |proc| {
-            let grid = ProcGrid::new_2d(2, 2);
-            let a = DistArray2::<f64>::new(proc.rank(), &grid, &DistSpec::block2(), [8, 8], [0, 0]);
-            let mut ctx = Ctx::new(proc, grid);
-            let mut count = 0;
-            ctx.doall2(&a, 1..7, 1..7, |_, _, _| count += 1);
-            count
-        });
-        // 6x6 interior split over a 2x2 grid of 4x4 blocks: 3x3 per corner proc.
-        assert_eq!(run.results, vec![9, 9, 9, 9]);
     }
 
     #[test]
@@ -673,19 +534,5 @@ mod tests {
             assert_eq!(n2, 7.0 + 9.0);
             assert_eq!(mx, 3.0);
         }
-    }
-
-    #[test]
-    fn nonmember_doall_is_noop() {
-        let run = Machine::run(cfg(4), |proc| {
-            // Grid covering only ranks 0 and 1.
-            let grid = ProcGrid::with_ranks(vec![2], vec![0, 1]);
-            let mut ctx = Ctx::new(proc, grid);
-            let dist = Dist1::block(8, 2);
-            let mut n = 0;
-            ctx.doall1(0, &dist, 0..8, |_, _| n += 1);
-            n
-        });
-        assert_eq!(run.results, vec![4, 4, 0, 0]);
     }
 }

@@ -130,13 +130,6 @@ impl<'c, 'p> StencilPlan<'c, 'p> {
     }
 }
 
-/// The result of an armed plan's ghost refresh: either already complete
-/// (blocking policies) or in flight (split policies).
-enum Refresh<T: Elem> {
-    Done,
-    Pending(PendingHalo<T>),
-}
-
 /// A stencil plan with its communicated array attached; consumed by one
 /// of the run entry points.
 pub struct PlanRead<'c, 'p, 'a, T: Elem, const N: usize> {
@@ -147,24 +140,22 @@ pub struct PlanRead<'c, 'p, 'a, T: Elem, const N: usize> {
 }
 
 impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
-    /// Start the declared ghost refresh under the plan's policy.
-    fn begin(&mut self) -> Refresh<T> {
-        let corners = self.ghosts.corners;
-        let (proc, halo) = self.ctx.proc_and_halo();
-        match (self.policy.split, self.policy.optimistic) {
-            (true, true) => {
-                Refresh::Pending(self.a.begin_exchange_ghosts_cached(proc, halo, corners))
-            }
-            (true, false) => Refresh::Pending(self.a.begin_exchange_ghosts(proc, corners)),
-            (false, true) => {
-                self.a.exchange_ghosts_cached(proc, halo, corners);
-                Refresh::Done
-            }
-            (false, false) => {
-                self.a.exchange_ghosts(proc);
-                Refresh::Done
-            }
+    /// Start the declared ghost refresh under the plan's policy: in
+    /// flight (`Some`) under a split policy; under a blocking one
+    /// already complete — landed in the array itself, ahead of any
+    /// copy-in snapshot.
+    fn begin(&mut self) -> Option<PendingHalo<T>> {
+        let policy = self.policy;
+        // The rebuild-per-trip blocking baseline refreshes the whole
+        // skirt whatever the plan declares, as the pre-plan blocking
+        // exchange it is pinned against did.
+        let corners = self.ghosts.corners || !(policy.split || policy.optimistic);
+        let (proc, halo) = self.ctx.proc_and_halo(policy);
+        if policy.split {
+            return Some(self.a.begin_ghosts(proc, halo, policy, corners));
         }
+        self.a.refresh_ghosts(proc, halo, policy, corners);
+        None
     }
 
     /// Complete an in-flight refresh into `target` (the declared array,
@@ -175,21 +166,16 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
         target: &mut DistArrayN<T, N>,
         pending: PendingHalo<T>,
     ) {
-        let (proc, halo) = ctx.proc_and_halo();
-        if policy.optimistic {
-            target.finish_exchange_ghosts_cached(proc, halo, pending);
-        } else {
-            target.finish_exchange_ghosts(proc, pending);
-        }
+        let (proc, halo) = ctx.proc_and_halo(policy);
+        target.finish_ghosts(proc, halo, pending);
     }
 
     /// Refresh the declared ghost skirt and stop: the plan form of a bare
     /// ghost exchange, for callers that read the skirt outside a `doall`
     /// (e.g. before a gather or a hand-written sweep).
     pub fn refresh(mut self) {
-        match self.begin() {
-            Refresh::Done => {}
-            Refresh::Pending(p) => Self::finish(self.policy, self.ctx, self.a, p),
+        if let Some(p) = self.begin() {
+            Self::finish(self.policy, self.ctx, self.a, p);
         }
     }
 
@@ -212,31 +198,25 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
             ghosts,
         } = self;
         if !a.is_participant() {
-            if let Refresh::Pending(p) = refresh {
+            if let Some(p) = refresh {
                 Self::finish(policy, ctx, a, p);
             }
             return;
         }
         // Debug builds deny the body reads outside the declared skirt.
         a.set_read_fence(ghosts.width, ghosts.corners);
-        let owned = a.owned_range(d);
-        match refresh {
-            Refresh::Done => {
-                for j in range {
-                    if owned.contains(&j) {
-                        body(ctx, a, j);
-                    }
-                }
-            }
-            Refresh::Pending(p) => {
-                let margin = ghosts.width.min(a.ghosts()[d]);
-                let split = SplitRange1::new(owned, range, margin);
-                split.for_interior(|j| body(ctx, a, j));
-                a.clear_read_fence();
-                Self::finish(policy, ctx, a, p);
-                a.set_read_fence(ghosts.width, ghosts.corners);
-                split.for_boundary(|j| body(ctx, a, j));
-            }
+        // A refresh already complete leaves nothing to wait for: with no
+        // margin every owned line is interior.
+        let margin = refresh
+            .as_ref()
+            .map_or(0, |_| ghosts.width.min(a.ghosts()[d]));
+        let split = SplitRange1::new(a.owned_range(d), range, margin);
+        split.for_interior(|j| body(ctx, a, j));
+        if let Some(p) = refresh {
+            a.clear_read_fence();
+            Self::finish(policy, ctx, a, p);
+            a.set_read_fence(ghosts.width, ghosts.corners);
+            split.for_boundary(|j| body(ctx, a, j));
         }
         a.clear_read_fence();
     }
@@ -258,8 +238,11 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         flops_per_point: f64,
         f: impl Fn(&DistArray2<T>, usize, usize) -> T,
     ) {
-        self.drive2(r0, r1, flops_per_point, true, |_, a, old, i, j| {
-            a.set([i, j], f(old.expect("update2 always snapshots"), i, j))
+        self.drive2_rows(r0, r1, flops_per_point, true, |_, a, old, i, js| {
+            let old = old.expect("update2 always snapshots");
+            for j in js {
+                a.set([i, j], f(old, i, j));
+            }
         });
     }
 
@@ -298,8 +281,10 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         flops_per_point: f64,
         mut body: impl FnMut(&mut Ctx, &DistArray2<T>, usize, usize),
     ) {
-        self.drive2(r0, r1, flops_per_point, false, |ctx, a, _, i, j| {
-            body(ctx, a, i, j)
+        self.drive2_rows(r0, r1, flops_per_point, false, |ctx, a, _, i, js| {
+            for j in js {
+                body(ctx, a, i, j);
+            }
         });
     }
 
@@ -320,81 +305,15 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         });
     }
 
-    /// The shared product-range engine behind [`PlanRead::update2`] and
-    /// [`PlanRead::run2`]: refresh under the policy, clamp `[r0] × [r1]`
-    /// to the owned box, and run `point` over it — natural order after a
-    /// blocking refresh, interior / complete / boundary around an
-    /// in-flight one. With `snapshot`, a copy-in clone is taken before
-    /// any write and the refresh completes *into the clone* (its ghosts
-    /// are the copy-in state, while the live array receives updates);
-    /// without it, the refresh completes into the array itself.
-    fn drive2(
-        mut self,
-        r0: std::ops::Range<usize>,
-        r1: std::ops::Range<usize>,
-        flops_per_point: f64,
-        snapshot: bool,
-        mut point: impl FnMut(&mut Ctx, &mut DistArray2<T>, Option<&DistArray2<T>>, usize, usize),
-    ) {
-        let width = self.ghosts.width;
-        let corners = self.ghosts.corners;
-        let refresh = self.begin();
-        let PlanRead { ctx, policy, a, .. } = self;
-        if !a.is_participant() {
-            if let Refresh::Pending(p) = refresh {
-                Self::finish(policy, ctx, a, p);
-            }
-            return;
-        }
-        debug_assert!(a.dist(0).is_contiguous() && a.dist(1).is_contiguous());
-        // Debug builds deny the body reads outside the declared skirt
-        // (the snapshot clone inherits the armed fence).
-        a.set_read_fence(width, corners);
-        let mut old = snapshot.then(|| {
-            let old = a.clone();
-            ctx.proc().memop((a.local_len(0) * a.local_len(1)) as f64);
-            old
-        });
-        match refresh {
-            Refresh::Done => {
-                let i0 = r0.start.max(a.owned_range(0).start);
-                let i1 = r0.end.min(a.owned_range(0).end);
-                let j0 = r1.start.max(a.owned_range(1).start);
-                let j1 = r1.end.min(a.owned_range(1).end);
-                let mut points = 0usize;
-                for i in i0..i1 {
-                    for j in j0..j1 {
-                        point(ctx, a, old.as_ref(), i, j);
-                        points += 1;
-                    }
-                }
-                ctx.proc().compute(flops_per_point * points as f64);
-            }
-            Refresh::Pending(p) => {
-                let margins = {
-                    let g = a.ghosts();
-                    [width.min(g[0]), width.min(g[1])]
-                };
-                let split = SplitBox2::new([a.owned_range(0), a.owned_range(1)], r0, r1, margins);
-                split.for_interior(|i, j| point(ctx, a, old.as_ref(), i, j));
-                ctx.proc()
-                    .compute(flops_per_point * split.interior_count() as f64);
-                match old.as_mut() {
-                    Some(old) => Self::finish(policy, ctx, old, p),
-                    None => Self::finish(policy, ctx, a, p),
-                }
-                split.for_boundary(|i, j| point(ctx, a, old.as_ref(), i, j));
-                ctx.proc()
-                    .compute(flops_per_point * split.boundary_count() as f64);
-            }
-        }
-        a.clear_read_fence();
-    }
-
-    /// Row-segment twin of [`PlanRead::drive2`]: identical refresh,
-    /// clamping, split structure, snapshot semantics, and flop
-    /// accounting, but `seg` runs once per contiguous row run
-    /// (`(i, j-range)`) instead of once per point.
+    /// The shared product-range engine behind every 2-D entry point:
+    /// refresh under the policy, clamp `[r0] × [r1]` to the owned box,
+    /// and run `seg` once per contiguous row run (`(i, j-range)`) of it —
+    /// natural order after a blocking refresh, interior / complete /
+    /// boundary around an in-flight one. The per-point entry points are
+    /// adaptors that loop each run. With `snapshot`, a copy-in clone is
+    /// taken before any write and the refresh completes *into the clone*
+    /// (its ghosts are the copy-in state, while the live array receives
+    /// updates); without it, the refresh completes into the array itself.
     fn drive2_rows(
         mut self,
         r0: std::ops::Range<usize>,
@@ -414,12 +333,14 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         let refresh = self.begin();
         let PlanRead { ctx, policy, a, .. } = self;
         if !a.is_participant() {
-            if let Refresh::Pending(p) = refresh {
+            if let Some(p) = refresh {
                 Self::finish(policy, ctx, a, p);
             }
             return;
         }
         debug_assert!(a.dist(0).is_contiguous() && a.dist(1).is_contiguous());
+        // Debug builds deny the body reads outside the declared skirt
+        // (the snapshot clone inherits the armed fence).
         a.set_read_fence(width, corners);
         let mut old = snapshot.then(|| {
             let old = a.clone();
@@ -428,27 +349,24 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         });
         let g = a.ghosts();
         let owned = [a.owned_range(0), a.owned_range(1)];
-        match refresh {
-            Refresh::Done => {
-                let split = SplitBox2::new(owned, r0, r1, [0, 0]);
-                split.for_interior_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
-                ctx.proc()
-                    .compute(flops_per_point * split.interior_count() as f64);
+        // A refresh already complete leaves nothing to wait for: with no
+        // margins every owned point is interior.
+        let margins = match refresh {
+            Some(_) => [width.min(g[0]), width.min(g[1])],
+            None => [0, 0],
+        };
+        let split = SplitBox2::new(owned, r0, r1, margins);
+        split.for_interior_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
+        ctx.proc()
+            .compute(flops_per_point * split.interior_count() as f64);
+        if let Some(p) = refresh {
+            match old.as_mut() {
+                Some(old) => Self::finish(policy, ctx, old, p),
+                None => Self::finish(policy, ctx, a, p),
             }
-            Refresh::Pending(p) => {
-                let margins = [width.min(g[0]), width.min(g[1])];
-                let split = SplitBox2::new(owned, r0, r1, margins);
-                split.for_interior_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
-                ctx.proc()
-                    .compute(flops_per_point * split.interior_count() as f64);
-                match old.as_mut() {
-                    Some(old) => Self::finish(policy, ctx, old, p),
-                    None => Self::finish(policy, ctx, a, p),
-                }
-                split.for_boundary_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
-                ctx.proc()
-                    .compute(flops_per_point * split.boundary_count() as f64);
-            }
+            split.for_boundary_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
+            ctx.proc()
+                .compute(flops_per_point * split.boundary_count() as f64);
         }
         a.clear_read_fence();
     }

@@ -51,50 +51,27 @@ impl SparsePlan<'_, '_> {
     /// never the row arithmetic order.
     pub fn spmv<T: Real>(self, a: &SparseCsr<T>, x: &DistArray1<T>, y: &mut DistArray1<T>) {
         let policy = self.policy;
-        let (proc, gather) = self.ctx.proc_and_gather();
+        let (proc, mut gather) = self.ctx.proc_and_gather(policy);
         if !a.in_grid() {
             return;
         }
-        match (policy.split, policy.optimistic) {
-            (true, true) => {
-                let pending = a.begin_gather_x_cached(proc, gather, x);
-                let pre = pending.local_schedule();
-                if let Some(sched) = &pre {
-                    let interior = interior_positions(&sched.boundary, a.local_rows());
-                    let nnz = a.apply_positions(x, None, y, &interior);
-                    proc.compute(2.0 * nnz as f64);
-                }
-                let got = a.finish_gather_x_cached(proc, gather, x, pending);
-                let nnz = if pre.is_some() {
-                    a.apply_positions(x, Some(got.haul()), y, got.boundary())
-                } else {
-                    a.apply_all(x, Some(got.haul()), y)
-                };
-                proc.compute(2.0 * nnz as f64);
-            }
-            (true, false) => {
-                let pending = a.begin_gather_x(proc, x);
-                let sched = pending
-                    .local_schedule()
-                    .expect("a pessimistic post always builds its schedule");
-                let interior = interior_positions(&sched.boundary, a.local_rows());
-                let nnz = a.apply_positions(x, None, y, &interior);
-                proc.compute(2.0 * nnz as f64);
-                let got = a.finish_gather_x(proc, x, pending);
-                let nnz = a.apply_positions(x, Some(got.haul()), y, got.boundary());
-                proc.compute(2.0 * nnz as f64);
-            }
-            (false, true) => {
-                let got = a.gather_x_cached(proc, gather, x);
-                let nnz = a.apply_all(x, Some(got.haul()), y);
-                proc.compute(2.0 * nnz as f64);
-            }
-            (false, false) => {
-                let got = a.gather_x(proc, x);
-                let nnz = a.apply_all(x, Some(got.haul()), y);
-                proc.compute(2.0 * nnz as f64);
-            }
+        let pending = a.begin_gather(proc, gather.as_deref_mut(), policy, x);
+        // Whenever values are in flight against a locally known
+        // schedule, its interior rows — all columns owner-local — run
+        // now; everything else waits for the haul.
+        let pre = pending.local_schedule();
+        if let Some(sched) = &pre {
+            let interior = interior_positions(&sched.boundary, a.local_rows());
+            let nnz = a.apply_positions(x, None, y, &interior);
+            proc.compute(2.0 * nnz as f64);
         }
+        let got = a.finish_gather(proc, gather, x, pending);
+        let nnz = if pre.is_some() {
+            a.apply_positions(x, Some(got.haul()), y, got.boundary())
+        } else {
+            a.apply_all(x, Some(got.haul()), y)
+        };
+        proc.compute(2.0 * nnz as f64);
     }
 }
 

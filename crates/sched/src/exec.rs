@@ -60,24 +60,6 @@ pub struct PendingValues<T: Wire> {
     recvs: Vec<(usize, PendingRecv<Vec<T>>)>,
 }
 
-impl<T: Wire> PendingValues<T> {
-    /// A pending set with no posted messages — for callers that sit out
-    /// an exchange entirely (e.g. processors outside the owning grid) but
-    /// still thread the completion call through shared code.
-    pub fn none() -> Self {
-        PendingValues { recvs: Vec::new() }
-    }
-
-    /// Number of value messages still outstanding.
-    pub fn len(&self) -> usize {
-        self.recvs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.recvs.is_empty()
-    }
-}
-
 /// The header word a member with no replayable schedule sends: a vote
 /// that can never win.
 pub const NO_VOTE: i64 = -1;
@@ -95,17 +77,6 @@ pub struct PendingVote<T: Elem> {
     nmembers: usize,
 }
 
-impl<T: Elem> PendingVote<T> {
-    /// Number of header-carrying messages still outstanding.
-    pub fn len(&self) -> usize {
-        self.recvs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.recvs.is_empty()
-    }
-}
-
 /// What an optimistic exchange decided.
 pub struct VoteOutcome<T> {
     /// `Some(seq)` when every member voted the same non-negative ordinal:
@@ -120,6 +91,7 @@ pub struct VoteOutcome<T> {
 /// The executor. Holds only the tags its nonblocking messages travel
 /// under; consumers pick tags in their own namespaces so unrelated
 /// protocols can never match each other's messages.
+#[derive(Clone, Copy)]
 pub struct ScheduleExecutor {
     value_tag: Tag,
 }
@@ -427,20 +399,20 @@ impl ScheduleExecutor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schedule::ArraySchedule;
     use kali_machine::{tag, CostModel, Machine, MachineConfig, NS_USER};
     use std::time::Duration;
 
-    fn cfg(p: usize) -> MachineConfig {
+    pub(crate) fn cfg(p: usize) -> MachineConfig {
         MachineConfig::new(p)
             .with_cost(CostModel::unit())
             .with_watchdog(Duration::from_secs(10))
     }
 
     /// Flat storage world: one array of `n` words per schedule slot.
-    struct VecWorld(Vec<Vec<f64>>);
+    pub(crate) struct VecWorld(pub Vec<Vec<f64>>);
 
     impl ScheduleWorld<f64> for VecWorld {
         fn load(&self, k: usize, flat: u64) -> f64 {
@@ -453,7 +425,7 @@ mod tests {
 
     /// Ring schedule over 3 procs: everyone requests element `me` from
     /// the next rank (who owns it).
-    fn ring_schedule(me: usize, q: usize) -> CommSchedule {
+    pub(crate) fn ring_schedule(me: usize, q: usize) -> CommSchedule {
         let nxt = (me + 1) % q;
         let prv = (me + q - 1) % q;
         let mut my_reqs = vec![Vec::new(); q];
@@ -472,7 +444,7 @@ mod tests {
         }
     }
 
-    const VT: Tag = tag(NS_USER, 0x77);
+    pub(crate) const VT: Tag = tag(NS_USER, 0x77);
 
     #[test]
     fn split_phase_replay_matches_blocking() {

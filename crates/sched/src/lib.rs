@@ -18,17 +18,26 @@
 //! * [`ScheduleCache`] — schedules cached under consumer-defined keys
 //!   ([`SiteKey`]), with the per-`(site, team)` fresh-construction
 //!   ordinals the replay consensus compares.
-//! * [`vote`] — the replay-consensus protocols: the pessimistic flat
-//!   one-word vote round, and the protocol contract behind **optimistic
-//!   replay**, where the vote travels as a one-word header on the fused
-//!   value messages themselves (see [`ScheduleExecutor::post_optimistic`])
-//!   and a disagreement rolls the trip back to a full inspection.
-//! * [`ScheduleExecutor`] — the split-phase executor: **post** the fused
-//!   per-peer value messages nonblocking, compute *interior* work while
-//!   they fly, **complete** the receives and scatter, then run the
-//!   *boundary*. Storage access is abstracted behind [`ScheduleWorld`],
-//!   which both the interpreter's `ArrObj` world and `kali-array`'s
-//!   `DistArrayN` world implement.
+//! * [`Trip`] / [`InFlight`] — **the replay trip, written once**: gate →
+//!   lookup → vote → post → *caller's interior work* → complete →
+//!   scatter, or rollback → rebuild → store, with every replay / hit /
+//!   rollback / eviction counter. A consumer hands the driver data — a
+//!   [`SiteKey`], the team, whether it sits the exchange out, a `build`
+//!   closure, a [`ScheduleWorld`] — and calls [`Trip::begin`] and
+//!   [`InFlight::finish`] (or [`InFlight::complete`], with nothing left
+//!   to overlap) around its interior work; the vote mode (none,
+//!   dedicated round, piggybacked header) and blocking vs split-phase
+//!   posting follow from the [`ExecPolicy`] and from whether a cache is
+//!   supplied. The halo, the sparse gather and the interpreter's `doall`
+//!   are three (key, builder, world) triples over this one driver.
+//! * [`vote`] and [`ScheduleExecutor`] — the primitives the driver is
+//!   built from: the dedicated flat one-word vote round; the fused
+//!   per-peer value messages, blocking or posted nonblocking, plain or
+//!   carrying the vote as a one-word header (**optimistic replay**);
+//!   the scatter; and the cold inspection's request round. Storage access
+//!   is abstracted behind [`ScheduleWorld`], which the interpreter's
+//!   `ArrObj` world, `kali-array`'s `DistArrayN` world and the sparse
+//!   gather's haul world implement. Consumers call the driver, not these.
 //! * [`SplitBox2`] / [`SplitRange1`] — the interior/boundary partitions
 //!   of owned iteration boxes shared by the compiled `doall` forms.
 //! * [`ExecPolicy`] — the execution-strategy datum (split-phase?
@@ -39,13 +48,14 @@
 //! Treating communication schedules as shared algebraic objects follows
 //! the reusable-communication view of sparse/tensor runtime systems; in
 //! this repository it means optimistic replay, split-phase cold
-//! inspection, and corner-completing halos are each built once.
+//! inspection, rollback, and corner-completing halos are each built once.
 
 mod cache;
 mod exec;
 mod policy;
 mod schedule;
 mod split;
+mod trip;
 pub mod vote;
 
 pub use cache::{ScheduleCache, SiteKey};
@@ -53,3 +63,4 @@ pub use exec::{PendingValues, PendingVote, ScheduleExecutor, ScheduleWorld, Vote
 pub use policy::ExecPolicy;
 pub use schedule::{interior_positions, ArraySchedule, CommSchedule};
 pub use split::{SplitBox2, SplitRange1};
+pub use trip::{Finished, InFlight, Trip, TripHost};

@@ -1,6 +1,8 @@
 //! Communication schedules: the inspector's distilled output, as shared,
 //! consumer-neutral data.
 
+use std::rc::Rc;
+
 /// The communication plan for one site invocation: for each participating
 /// array, the flat indices this processor must request from each team
 /// member and the flat indices each member will request of it. With both
@@ -59,6 +61,43 @@ impl CommSchedule {
     pub fn expects_from(&self, d: usize) -> bool {
         self.arrays.iter().any(|a| !a.my_reqs[d].is_empty())
     }
+
+    /// This schedule shifted onto array regions starting at `origins`
+    /// (one flat index per array, in schedule order). A cache key that
+    /// identifies regions only up to translation may hit a schedule built
+    /// for a different region of the same shape — another line of the
+    /// same row/column team, say: the key match proves the communication
+    /// pattern identical *up to translation*, and the exact shift per
+    /// array is the delta between the current origin and
+    /// [`ArraySchedule::origin`]. Returns the schedule itself (shared)
+    /// when every delta is zero — the common warm-trip case.
+    pub fn translated(self: &Rc<Self>, origins: &[u64]) -> Rc<CommSchedule> {
+        debug_assert_eq!(origins.len(), self.arrays.len());
+        if self.arrays.iter().zip(origins).all(|(a, &o)| a.origin == o) {
+            return Rc::clone(self);
+        }
+        let shift =
+            |v: &[u64], d: i64| -> Vec<u64> { v.iter().map(|&f| (f as i64 + d) as u64).collect() };
+        let arrays = self
+            .arrays
+            .iter()
+            .zip(origins)
+            .map(|(a, &origin)| {
+                let d = origin as i64 - a.origin as i64;
+                ArraySchedule {
+                    name: a.name.clone(),
+                    my_reqs: a.my_reqs.iter().map(|v| shift(v, d)).collect(),
+                    incoming: a.incoming.iter().map(|v| shift(v, d)).collect(),
+                    origin,
+                }
+            })
+            .collect();
+        Rc::new(CommSchedule {
+            arrays,
+            write_hint: self.write_hint,
+            boundary: self.boundary.clone(),
+        })
+    }
 }
 
 /// Complement of a sorted `boundary` position list within `0..n`: the
@@ -103,5 +142,26 @@ mod tests {
         assert!(!s.expects_from(0));
         assert!(s.expects_from(1));
         assert!(s.expects_from(2));
+    }
+
+    #[test]
+    fn translation_shifts_every_index_by_the_origin_delta() {
+        let s = Rc::new(CommSchedule {
+            arrays: vec![ArraySchedule {
+                name: "x".into(),
+                my_reqs: vec![vec![], vec![13, 14]],
+                incoming: vec![vec![11], vec![]],
+                origin: 10,
+            }],
+            write_hint: 2,
+            boundary: vec![1],
+        });
+        // Same origin: the very same schedule, shared.
+        assert!(Rc::ptr_eq(&s.translated(&[10]), &s));
+        let t = s.translated(&[4]);
+        assert_eq!(t.arrays[0].my_reqs, vec![vec![], vec![7, 8]]);
+        assert_eq!(t.arrays[0].incoming, vec![vec![5], vec![]]);
+        assert_eq!(t.arrays[0].origin, 4);
+        assert_eq!((t.write_hint, &t.boundary), (2, &vec![1]));
     }
 }

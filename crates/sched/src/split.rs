@@ -123,38 +123,9 @@ impl SplitBox2 {
         self.i1.saturating_sub(self.i0) * self.j1.saturating_sub(self.j0) - self.interior_count()
     }
 
-    /// Visit the interior points in row-major order.
-    pub fn for_interior(&self, mut f: impl FnMut(usize, usize)) {
-        for i in self.ii0..self.ii1 {
-            for j in self.jj0..self.jj1 {
-                f(i, j);
-            }
-        }
-    }
-
-    /// Visit the boundary frame (covered box minus interior) in row-major
-    /// order.
-    pub fn for_boundary(&self, mut f: impl FnMut(usize, usize)) {
-        for i in self.i0..self.i1 {
-            if i < self.ii0 || i >= self.ii1 {
-                for j in self.j0..self.j1 {
-                    f(i, j);
-                }
-            } else {
-                for j in self.j0..self.jj0.min(self.j1) {
-                    f(i, j);
-                }
-                for j in self.jj1.max(self.j0)..self.j1 {
-                    f(i, j);
-                }
-            }
-        }
-    }
-
     /// The interior as whole-row segments `(i, column range)`, row-major:
-    /// exactly the points of [`SplitBox2::for_interior`], emitted as
-    /// contiguous column runs so row-form stencil bodies can consume each
-    /// visit as slices instead of one call per point.
+    /// contiguous column runs, so row-form stencil bodies can consume
+    /// each visit as slices (and per-point bodies loop the run).
     pub fn for_interior_rows(&self, mut f: impl FnMut(usize, std::ops::Range<usize>)) {
         if self.jj0 >= self.jj1 {
             return;
@@ -164,10 +135,9 @@ impl SplitBox2 {
         }
     }
 
-    /// The boundary frame as row segments: exactly the points of
-    /// [`SplitBox2::for_boundary`], in the same row-major order (full
-    /// rows above and below the interior, then the left and right margin
-    /// runs of each interior row).
+    /// The boundary frame (covered box minus interior) as row segments,
+    /// row-major: full rows above and below the interior, and the left
+    /// and right margin runs of each interior row.
     pub fn for_boundary_rows(&self, mut f: impl FnMut(usize, std::ops::Range<usize>)) {
         for i in self.i0..self.i1 {
             if i < self.ii0 || i >= self.ii1 {
@@ -219,13 +189,21 @@ mod tests {
         }
     }
 
+    /// The points a row walker visits, in visit order.
+    fn points(
+        walk: impl FnOnce(&mut dyn FnMut(usize, std::ops::Range<usize>)),
+    ) -> Vec<(usize, usize)> {
+        let mut pts = Vec::new();
+        walk(&mut |i, js| pts.extend(js.map(|j| (i, j))));
+        pts
+    }
+
     #[test]
     fn box2_interior_plus_boundary_is_the_covered_box() {
         let s = SplitBox2::new([4..8, 0..4], 1..7, 1..7, [1, 1]);
-        let mut pts = Vec::new();
-        s.for_interior(|i, j| pts.push((i, j)));
+        let mut pts = points(|f| s.for_interior_rows(f));
         assert_eq!(pts.len(), s.interior_count());
-        s.for_boundary(|i, j| pts.push((i, j)));
+        pts.extend(points(|f| s.for_boundary_rows(f)));
         assert_eq!(pts.len(), s.interior_count() + s.boundary_count());
         pts.sort_unstable();
         pts.dedup();
@@ -235,6 +213,9 @@ mod tests {
 
     #[test]
     fn box2_row_segments_cover_the_same_points_in_order() {
+        // Against the definition, point by point: the covered box in
+        // row-major order, interior = at least `margin` inside the owned
+        // block on both axes, boundary = the rest.
         for (owned, r0, r1, margin) in [
             ([4..8, 0..4], 1..7, 1..7, [1, 1]),
             ([0..4, 0..4], 0..8, 0..8, [1, 1]),
@@ -242,25 +223,43 @@ mod tests {
             ([0..2, 0..2], 0..2, 0..2, [3, 3]), // margin swallows the block
             ([4..8, 4..8], 0..3, 0..3, [1, 1]), // box misses the range
         ] {
-            let s = SplitBox2::new(owned, r0, r1, margin);
-            let mut pts = Vec::new();
-            s.for_interior(|i, j| pts.push((i, j)));
-            let mut rows = Vec::new();
-            s.for_interior_rows(|i, js| rows.extend(js.map(|j| (i, j))));
-            assert_eq!(pts, rows, "interior segments");
-            pts.clear();
-            rows.clear();
-            s.for_boundary(|i, j| pts.push((i, j)));
-            s.for_boundary_rows(|i, js| rows.extend(js.map(|j| (i, j))));
-            assert_eq!(pts, rows, "boundary segments");
+            let inside = |d: usize, v: usize| {
+                v >= owned[d].start + margin[d] && v + margin[d] < owned[d].end
+            };
+            let covered: Vec<(usize, usize)> = r0
+                .clone()
+                .filter(|i| owned[0].contains(i))
+                .flat_map(|i| {
+                    let owned1 = owned[1].clone();
+                    r1.clone()
+                        .filter(move |j| owned1.contains(j))
+                        .map(move |j| (i, j))
+                })
+                .collect();
+            let (interior, boundary): (Vec<_>, Vec<_>) = covered
+                .into_iter()
+                .partition(|&(i, j)| inside(0, i) && inside(1, j));
+            let s = SplitBox2::new(owned.clone(), r0, r1, margin);
+            assert_eq!(
+                points(|f| s.for_interior_rows(f)),
+                interior,
+                "interior segments"
+            );
+            assert_eq!(
+                points(|f| s.for_boundary_rows(f)),
+                boundary,
+                "boundary segments"
+            );
+            assert_eq!(s.interior_count(), interior.len());
+            assert_eq!(s.boundary_count(), boundary.len());
         }
     }
 
     #[test]
     fn box2_interior_keeps_the_margin() {
         let s = SplitBox2::new([0..4, 0..4], 0..8, 0..8, [1, 1]);
-        s.for_interior(|i, j| {
+        for (i, j) in points(|f| s.for_interior_rows(f)) {
             assert!((1..3).contains(&i) && (1..3).contains(&j));
-        });
+        }
     }
 }

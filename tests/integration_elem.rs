@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use kali::machine::SimRun;
+use kali::machine::MachineRun;
 use kali::prelude::*;
 use kali::solvers::adi::{adi_run, suggested_rho};
 use kali::solvers::jacobi::jacobi_step;
@@ -223,7 +223,7 @@ fn vote_headers_flow_only_among_the_active_team() {
     // a 3-processor machine running the identical grid. Before
     // active-team gating the idle rank paid a bare vote header per
     // warm trip.
-    let go = |p: usize| -> SimRun<(u64, u64)> {
+    let go = |p: usize| -> MachineRun<(u64, u64)> {
         Machine::run(cfg(p), move |proc| {
             let grid = ProcGrid::new_1d(proc.nprocs());
             let spec = DistSpec::local_block();

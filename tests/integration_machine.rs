@@ -76,7 +76,7 @@ fn redistribute_then_stencil_is_consistent() {
             |[i, j]| (i * n + j) as f64,
         );
         let mut b = a.redistribute(proc, &DistSpec::local_block(), [0, 1]);
-        b.exchange_ghosts(proc);
+        b.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
         let mut c = b.like();
         if b.is_participant() {
             for i in 0..n {
@@ -107,7 +107,7 @@ fn deterministic_reports_across_runs() {
                 DistArray1::from_fn(proc.rank(), &grid, &DistSpec::block1(), [64], [1], |[i]| {
                     i as f64
                 });
-            a.exchange_ghosts(proc);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             let team = grid.team();
             collective::allreduce_sum(proc, &team, 1.0)
         })

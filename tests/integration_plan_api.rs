@@ -39,7 +39,7 @@ fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
 /// did before the plan API subsumed it.
 fn jacobi_sweep_pre_redesign(proc: &mut Proc, u: &mut DistArray2<f64>, f: &DistArray2<f64>) {
     let [nxp, nyp] = u.extents();
-    u.exchange_ghosts(proc);
+    u.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
     if !u.is_participant() {
         return;
     }
@@ -65,7 +65,7 @@ fn jacobi_sweep_pre_redesign(proc: &mut Proc, u: &mut DistArray2<f64>, f: &DistA
 fn jacobi_under(
     policy: Option<ExecPolicy>,
     sweeps: usize,
-) -> kali::machine::SimRun<Option<Vec<f64>>> {
+) -> kali::machine::MachineRun<Option<Vec<f64>>> {
     let n = 16usize;
     Machine::run(cfg(4), move |proc| {
         let grid = ProcGrid::new_2d(2, 2);

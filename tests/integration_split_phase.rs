@@ -478,6 +478,56 @@ end
 }
 
 #[test]
+fn a_partial_key_miss_rolls_everyone_back_and_keeps_the_interior() {
+    // The iteration range grows between trips, so only *some* members'
+    // keys change: on trip 2 procs 0 and 3 hit locally (same iteration
+    // sets as before) while procs 1 and 2 miss, on trip 3 procs 0 and 1
+    // hit while 2 and 3 miss. The hitters post values and run their
+    // interior before the lost verdict arrives; that work must survive
+    // the rollback, and the cold re-run must leave the answer bitwise
+    // equal to the pessimistic truth without ever lengthening the
+    // timeline (`optimistic_differential`).
+    let src = r#"
+parsub grow(a, b, n; procs)
+  processors procs(p)
+  real a(n), b(n) dist (block)
+  do 1000 it = 1, 3
+    m = 4 + 4*it
+    doall 100 i = 1, m - 1 on owner(a(i))
+      a(i) = a(i) + 0.5*b(i + 1) + 0.25*b(i)
+100 continue
+1000 continue
+end
+"#;
+    let n = 16usize;
+    let p = 4usize;
+    let (pess, opt) = optimistic_differential(
+        src,
+        "grow",
+        p,
+        &[p],
+        &[
+            HostValue::Array {
+                data: vec![0.0; n],
+                bounds: vec![(1, n as i64)],
+            },
+            HostValue::Array {
+                data: (0..n).map(|i| (i * i) as f64).collect(),
+                bounds: vec![(1, n as i64)],
+            },
+            HostValue::Int(n as i64),
+        ],
+    );
+    // Trips 2 and 3 both roll back, on every member; nothing replays.
+    assert_eq!(opt.report.total_rollbacks, 2 * p as u64);
+    assert_eq!(opt.report.total_schedule_replays, 0);
+    assert_eq!(
+        pess.report.total_inspector_runs,
+        opt.report.total_inspector_runs
+    );
+}
+
+#[test]
 fn split_phase_speedup_on_latency_bound_trips() {
     // End-to-end latency check on a warm loop: with iPSC/2 costs the
     // split-phase engine must be measurably faster, not merely no slower.

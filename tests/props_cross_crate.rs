@@ -89,7 +89,7 @@ proptest! {
                 [1],
                 |[i]| (i * i) as f64,
             );
-            a.exchange_ghosts(proc);
+            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
             // Verify every visible neighbour value.
             let mut ok = true;
             if a.is_participant() {
