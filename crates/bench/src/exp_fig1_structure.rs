@@ -8,7 +8,24 @@
 use kali_kernels::substructure::{boundary_pair, reduce_block, reduced_pattern};
 use kali_kernels::tridiag::{thomas, TriDiag};
 
-use crate::{ExpOpts, ExpOut};
+const N: usize = 16;
+const P: usize = 4;
+
+/// (row, nonzero columns) sparsity pattern.
+type Pattern = Vec<(usize, Vec<usize>)>;
+
+/// What the two figures show, as data.
+struct Structure {
+    /// Figure 1, after local substructuring.
+    after: Pattern,
+    /// The block-boundary rows of `after` (two per processor).
+    boundary_rows: Vec<usize>,
+    /// Max error of the block-boundary values recovered by solving the
+    /// 2p-equation boundary system of a random diagonally dominant matrix.
+    boundary_err: f64,
+    /// Figure 2, after the four-row reduction.
+    four_after: Pattern,
+}
 
 fn pattern_to_ascii(n: usize, rows: &[(usize, Vec<usize>)], highlight: &[usize]) -> String {
     let mut out = String::new();
@@ -24,42 +41,19 @@ fn pattern_to_ascii(n: usize, rows: &[(usize, Vec<usize>)], highlight: &[usize])
     out
 }
 
-/// Run the experiment and return the report.
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
-    let n = 16;
-    let p = 4;
-    let mut out = String::new();
-    out.push_str("=== Figure 1: first reduction step (n = 16, p = 4) ===\n\n");
-    out.push_str("Before (tridiagonal; block boundaries every 4 rows):\n");
-    let before: Vec<(usize, Vec<usize>)> = (0..n)
-        .map(|r| {
-            let mut cols = Vec::new();
-            if r > 0 {
-                cols.push(r - 1);
-            }
-            cols.push(r);
-            if r + 1 < n {
-                cols.push(r + 1);
-            }
-            (r, cols)
-        })
-        .collect();
-    out.push_str(&pattern_to_ascii(n, &before, &[]));
-
-    out.push_str("\nAfter local substructuring (boundary rows highlighted):\n");
+fn measure() -> Structure {
+    let (n, p) = (N, P);
     let mut after = Vec::new();
-    let mut highlight = Vec::new();
+    let mut boundary_rows = Vec::new();
     for q in 0..p {
         let lo = q * n / p;
         let hi = (q + 1) * n / p - 1;
-        highlight.push(lo);
-        highlight.push(hi);
+        boundary_rows.push(lo);
+        boundary_rows.push(hi);
         for (i, cols) in reduced_pattern(lo, hi, n).into_iter().enumerate() {
             after.push((lo + i, cols));
         }
     }
-    out.push_str(&pattern_to_ascii(n, &after, &highlight));
 
     // Numeric verification on a random diagonally dominant system.
     let sys = TriDiag::random_dd(n, 42);
@@ -88,22 +82,58 @@ pub fn run(opts: ExpOpts) -> ExpOut {
     let last = rc.len() - 1;
     rc[last] = 0.0;
     let y = thomas(&rb, &ra, &rc, &rf);
-    let mut max_err = 0.0f64;
+    let mut boundary_err = 0.0f64;
     for q in 0..p {
         let lo = q * n / p;
         let hi = (q + 1) * n / p - 1;
-        max_err = max_err.max((y[2 * q] - x_true[lo]).abs());
-        max_err = max_err.max((y[2 * q + 1] - x_true[hi]).abs());
+        boundary_err = boundary_err.max((y[2 * q] - x_true[lo]).abs());
+        boundary_err = boundary_err.max((y[2 * q + 1] - x_true[hi]).abs());
     }
+    Structure {
+        after,
+        boundary_rows,
+        boundary_err,
+        four_after: reduced_pattern(0, 3, 4).into_iter().enumerate().collect(),
+    }
+}
+
+fn render(m: &Structure) -> String {
+    let (n, p) = (N, P);
+    let mut out = String::new();
+    out.push_str(&format!(
+        "=== Figure 1: first reduction step (n = {n}, p = {p}) ===\n\n"
+    ));
+    out.push_str(&format!(
+        "Before (tridiagonal; block boundaries every {} rows):\n",
+        n / p
+    ));
+    let before: Pattern = (0..n)
+        .map(|r| {
+            let mut cols = Vec::new();
+            if r > 0 {
+                cols.push(r - 1);
+            }
+            cols.push(r);
+            if r + 1 < n {
+                cols.push(r + 1);
+            }
+            (r, cols)
+        })
+        .collect();
+    out.push_str(&pattern_to_ascii(n, &before, &[]));
+
+    out.push_str("\nAfter local substructuring (boundary rows highlighted):\n");
+    out.push_str(&pattern_to_ascii(n, &m.after, &m.boundary_rows));
     out.push_str(&format!(
         "\nBoundary pairs form a tridiagonal system of 2p = {} equations;\n\
-         solving it reproduces the true block-boundary values to {max_err:.2e}.\n",
-        2 * p
+         solving it reproduces the true block-boundary values to {:.2e}.\n",
+        2 * p,
+        m.boundary_err
     ));
 
     out.push_str("\n=== Figure 2: reduction of four rows ===\n\n");
     out.push_str("Before (4 contiguous reduced-system rows, outside couplings at ends):\n");
-    let four_before: Vec<(usize, Vec<usize>)> = vec![
+    let four_before: Pattern = vec![
         (0, vec![0, 1]),
         (1, vec![0, 1, 2]),
         (2, vec![1, 2, 3]),
@@ -111,25 +141,25 @@ pub fn run(opts: ExpOpts) -> ExpOut {
     ];
     out.push_str(&pattern_to_ascii(4, &four_before, &[]));
     out.push_str("\nAfter (rows 0 and 3 couple directly; interiors hang off them):\n");
-    let four_after: Vec<(usize, Vec<usize>)> =
-        reduced_pattern(0, 3, 4).into_iter().enumerate().collect();
-    out.push_str(&pattern_to_ascii(4, &four_after, &[0, 3]));
-    ExpOut::new("fig1_structure", out)
+    out.push_str(&pattern_to_ascii(4, &m.four_after, &[0, 3]));
+    out
+}
+
+/// Run the experiment and return the report.
+pub fn run() -> String {
+    render(&measure())
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn report_contains_both_figures() {
-        let r = super::run(crate::ExpOpts::default()).text;
+        let m = super::measure();
+        assert_eq!(m.boundary_rows.len(), 2 * super::P);
+        assert!(m.boundary_err < 1e-12, "{}", m.boundary_err);
+        let r = super::render(&m);
         assert!(r.contains("Figure 1"));
         assert!(r.contains("Figure 2"));
         assert!(r.contains("2p = 8 equations"));
-        // Error must be tiny.
-        let err_line = r.lines().find(|l| l.contains("reproduces")).unwrap();
-        assert!(
-            err_line.contains("e-1") || err_line.contains("e-0"),
-            "{err_line}"
-        );
     }
 }

@@ -8,13 +8,33 @@ use kali_kernels::TriDiag;
 use kali_machine::Machine;
 use kali_runtime::Ctx;
 
-use crate::{cfg, ExpOpts, ExpOut, Table};
+use crate::{cfg, Table};
 
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
-    let n = 1024;
-    let p = 16;
-    let k = 4;
+const N: usize = 1024;
+const P: usize = 16;
+
+/// One step of the data-flow graph: how many processors carried its mark.
+struct Activity {
+    phase: &'static str,
+    /// Reduction level; 0 is the local (all-processor) step.
+    step: usize,
+    active: usize,
+    expected: usize,
+}
+
+struct Dataflow {
+    /// Reduce steps 0..=k, then substitution steps k..=0.
+    steps: Vec<Activity>,
+    /// Solution max error vs the direct solve.
+    max_err: f64,
+    elapsed: f64,
+    msgs: u64,
+    words: u64,
+}
+
+fn measure() -> Dataflow {
+    let (n, p) = (N, P);
+    let k = p.trailing_zeros() as usize;
     let sys = TriDiag::random_dd(n, 7);
     let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
     let f = sys.apply(&x_true);
@@ -39,79 +59,83 @@ pub fn run(opts: ExpOpts) -> ExpOut {
     for piece in &run.results {
         x.extend_from_slice(piece);
     }
-    let err = x
+    let max_err = x
         .iter()
         .zip(&x_true)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
 
-    let count = |label: &str| {
-        run.report
-            .procs
-            .iter()
-            .filter(|pr| pr.marks.iter().any(|m| m.label == label))
-            .count()
+    let step = |phase: &'static str, s: usize| {
+        let label = format!("tri:{phase}:s={s}");
+        Activity {
+            phase,
+            step: s,
+            active: run
+                .report
+                .procs
+                .iter()
+                .filter(|pr| pr.marks.iter().any(|m| m.label == label))
+                .count(),
+            expected: p >> s,
+        }
     };
+    let mut steps: Vec<Activity> = (0..=k).map(|s| step("reduce", s)).collect();
+    steps.extend((0..=k).rev().map(|s| step("subst", s)));
+    Dataflow {
+        steps,
+        max_err,
+        elapsed: run.report.elapsed,
+        msgs: run.report.total_msgs,
+        words: run.report.total_words,
+    }
+}
+
+fn render(m: &Dataflow) -> String {
     let mut t = Table::new(&["phase", "step", "active procs", "expected"]);
-    t.row(vec![
-        "reduce".into(),
-        "0 (local)".into(),
-        count("tri:reduce:s=0").to_string(),
-        p.to_string(),
-    ]);
-    for s in 1..=k {
+    for a in &m.steps {
         t.row(vec![
-            "reduce".into(),
-            s.to_string(),
-            count(&format!("tri:reduce:s={s}")).to_string(),
-            (p >> s).to_string(),
+            a.phase.into(),
+            if a.step == 0 {
+                "0 (local)".into()
+            } else {
+                a.step.to_string()
+            },
+            a.active.to_string(),
+            a.expected.to_string(),
         ]);
     }
-    for s in (1..=k).rev() {
-        t.row(vec![
-            "subst".into(),
-            s.to_string(),
-            count(&format!("tri:subst:s={s}")).to_string(),
-            (p >> s).to_string(),
-        ]);
-    }
-    t.row(vec![
-        "subst".into(),
-        "0 (local)".into(),
-        count("tri:subst:s=0").to_string(),
-        p.to_string(),
-    ]);
-    let text = format!(
-        "=== Figure 3: data-flow activity (n = {n}, p = {p}) ===\n\n{}\n\
-         solution max error vs direct solve: {err:.2e}\n\
+    format!(
+        "=== Figure 3: data-flow activity (n = {N}, p = {P}) ===\n\n{}\n\
+         solution max error vs direct solve: {:.2e}\n\
          virtual time {:.3e} s, {} messages, {} words\n",
         t.render(),
-        run.report.elapsed,
-        run.report.total_msgs,
-        run.report.total_words
-    );
-    ExpOut::new("fig3_dataflow", text)
-        .with_table("activity", t)
-        .with_extra("report", crate::json::report_json(&run.report))
+        m.max_err,
+        m.elapsed,
+        m.msgs,
+        m.words
+    )
+}
+
+pub fn run() -> String {
+    render(&measure())
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn activity_matches_figure3() {
-        let r = super::run(crate::ExpOpts::default()).text;
+        let m = super::measure();
         // Reduce steps halve the active set: 8, 4, 2, 1 after the local step.
-        for (step, active) in [(1usize, 8usize), (2, 4), (3, 2), (4, 1)] {
-            let line = r
-                .lines()
-                .map(|l| l.split_whitespace().collect::<Vec<_>>())
-                .find(|c| {
-                    c.first() == Some(&"reduce") && c.get(1) == Some(&step.to_string().as_str())
-                })
-                .unwrap_or_else(|| panic!("no reduce row for step {step}\n{r}"));
-            assert_eq!(line[2], active.to_string(), "step {step}: {line:?}");
-            assert_eq!(line[2], line[3], "measured must match expected");
+        let reduce: Vec<usize> = m
+            .steps
+            .iter()
+            .filter(|a| a.phase == "reduce")
+            .map(|a| a.active)
+            .collect();
+        assert_eq!(reduce, [16, 8, 4, 2, 1]);
+        for a in &m.steps {
+            assert_eq!(a.active, a.expected, "{} step {}", a.phase, a.step);
         }
-        assert!(r.contains("max error"));
+        assert!(m.max_err < 1e-12, "{}", m.max_err);
     }
 }

@@ -11,20 +11,27 @@ use kali_kernels::TriDiag;
 use kali_machine::Machine;
 use kali_runtime::Ctx;
 
-use crate::{cfg, fmt_s, ExpOpts, ExpOut, Table};
+use crate::{cfg, fmt_s, Table};
 
-/// The Figure 5 mapping diagram for p processors.
-pub fn mapping_diagram(p: usize) -> String {
+const P: usize = 8;
+
+/// The Figure 5 mapping for p processors: the processors that reduce at
+/// each level 1..=log2(p).
+fn level_sets(p: usize) -> Vec<Vec<usize>> {
     let k = p.trailing_zeros() as usize;
+    (1..=k).map(|s| level_set(p, s).collect()).collect()
+}
+
+/// The Figure 5 mapping diagram.
+fn mapping_diagram(p: usize, levels: &[Vec<usize>]) -> String {
     let mut out = String::new();
     out.push_str("step \\ processor  ");
     for ip in 0..p {
         out.push_str(&format!("{:>3}", ip + 1));
     }
     out.push('\n');
-    for s in 1..=k {
-        out.push_str(&format!("reduce level {s:>2}   "));
-        let set: Vec<usize> = level_set(p, s).collect();
+    for (s, set) in levels.iter().enumerate() {
+        out.push_str(&format!("reduce level {:>2}   ", s + 1));
         for ip in 0..p {
             out.push_str(if set.contains(&ip) { "  R" } else { "  ." });
         }
@@ -33,25 +40,25 @@ pub fn mapping_diagram(p: usize) -> String {
     out
 }
 
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
-    let p = 8;
-    let n = 2048;
-    let mut out = format!(
-        "=== Figure 5: shuffle/unshuffle mapping (p = {p}) ===\n\n{}\n\
-         Level sets are disjoint, so with multiple systems in flight every\n\
-         level works on a different system in the same step (Listing 6).\n\n",
-        mapping_diagram(p)
-    );
+/// `m` systems solved back to back vs pipelined through `mtrix`.
+struct Batch {
+    m: usize,
+    serial: f64,
+    piped: f64,
+    util_serial: f64,
+    util_piped: f64,
+}
 
-    let mut t = Table::new(&[
-        "m systems",
-        "serial (m × tri)",
-        "pipelined (mtrix)",
-        "speedup",
-        "util serial",
-        "util piped",
-    ]);
+impl Batch {
+    fn speedup(&self) -> f64 {
+        self.serial / self.piped
+    }
+}
+
+fn measure() -> Vec<Batch> {
+    let p = P;
+    let n = 2048;
+    let mut rows = Vec::new();
     for m in [1usize, 4, 16, 64] {
         let sys: Vec<TriDiag> = (0..m)
             .map(|j| TriDiag::random_dd(n, j as u64 + 1))
@@ -96,52 +103,69 @@ pub fn run(opts: ExpOpts) -> ExpOut {
                 mtrix(&mut ctx, n, locals);
             })
         };
+        rows.push(Batch {
+            m,
+            serial: serial.report.elapsed,
+            piped: piped.report.elapsed,
+            util_serial: serial.report.utilization(),
+            util_piped: piped.report.utilization(),
+        });
+    }
+    rows
+}
+
+fn render(rows: &[Batch]) -> String {
+    let mut out = format!(
+        "=== Figure 5: shuffle/unshuffle mapping (p = {P}) ===\n\n{}\n\
+         Level sets are disjoint, so with multiple systems in flight every\n\
+         level works on a different system in the same step (Listing 6).\n\n",
+        mapping_diagram(P, &level_sets(P))
+    );
+    let mut t = Table::new(&[
+        "m systems",
+        "serial (m × tri)",
+        "pipelined (mtrix)",
+        "speedup",
+        "util serial",
+        "util piped",
+    ]);
+    for r in rows {
         t.row(vec![
-            m.to_string(),
-            fmt_s(serial.report.elapsed),
-            fmt_s(piped.report.elapsed),
-            format!("{:.2}x", serial.report.elapsed / piped.report.elapsed),
-            format!("{:.1}%", 100.0 * serial.report.utilization()),
-            format!("{:.1}%", 100.0 * piped.report.utilization()),
+            r.m.to_string(),
+            fmt_s(r.serial),
+            fmt_s(r.piped),
+            format!("{:.2}x", r.speedup()),
+            format!("{:.1}%", 100.0 * r.util_serial),
+            format!("{:.1}%", 100.0 * r.util_piped),
         ]);
     }
     out.push_str(&t.render());
-    ExpOut::new("fig5_pipeline", out).with_table("pipeline", t)
+    out
+}
+
+pub fn run() -> String {
+    render(&measure())
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn pipelining_wins_for_many_systems() {
-        if !kali_machine::BackendKind::from_env().virtual_time() {
-            return; // cost-model assertion; meaningful on the simulator only
-        }
-        let r = super::run(crate::ExpOpts::default()).text;
-        let m64 = r
-            .lines()
-            .find(|l| l.trim_start().starts_with("64"))
-            .unwrap();
-        // Speedup column must exceed 1x for the largest batch.
-        let speedup: f64 = m64
-            .split_whitespace()
-            .find(|t| t.ends_with('x'))
-            .and_then(|t| t.trim_end_matches('x').parse().ok())
-            .unwrap();
-        assert!(speedup > 1.0, "line: {m64}");
+        let rows = super::measure();
+        let m64 = rows.iter().find(|r| r.m == 64).unwrap();
+        assert!(m64.speedup() > 1.0, "{}", super::render(&rows));
     }
 
     #[test]
     fn diagram_shows_disjoint_levels() {
-        let d = super::mapping_diagram(8);
+        let levels = super::level_sets(8);
+        assert_eq!(levels.len(), 3);
         // Each processor column carries at most one R.
-        let lines: Vec<&str> = d.lines().skip(1).collect();
-        for col in 0..8 {
-            let marks = lines
-                .iter()
-                .filter(|l| l.split_whitespace().nth(2 + col).is_some())
-                .count();
-            let _ = marks; // structural check done in kernels tests
+        for ip in 0..8 {
+            let marks = levels.iter().filter(|set| set.contains(&ip)).count();
+            assert!(marks <= 1, "processor {ip} reduces at {marks} levels");
         }
+        let d = super::mapping_diagram(8, &levels);
         assert!(d.contains("reduce level  1"));
     }
 }

@@ -15,18 +15,25 @@ use kali_mp::{jacobi_mp, tri_mp};
 use kali_runtime::Ctx;
 use kali_solvers::jacobi::jacobi_step;
 
-use crate::{cfg, fmt_s, ExpOpts, ExpOut, Table};
+use crate::{cfg, fmt_s, Table};
 
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
-    let mut t = Table::new(&[
-        "program",
-        "KF1 runtime",
-        "hand MP",
-        "time ratio",
-        "msgs KF1",
-        "msgs MP",
-    ]);
+/// One program run both ways on the same virtual machine.
+struct Comparison {
+    program: String,
+    kf1: f64,
+    mp: f64,
+    msgs_kf1: u64,
+    msgs_mp: u64,
+}
+
+impl Comparison {
+    fn ratio(&self) -> f64 {
+        self.kf1 / self.mp
+    }
+}
+
+fn measure() -> Vec<Comparison> {
+    let mut rows = Vec::new();
 
     // --- Jacobi, 2x2 processors, n = 128, 20 sweeps.
     let n = 128usize;
@@ -58,15 +65,13 @@ pub fn run(opts: ExpOpts) -> ExpOut {
     let mp = Machine::run(cfg(4), move |proc| {
         jacobi_mp(proc, 2, 2, n, &fsrc, iters);
     });
-    t.row(vec![
-        format!("jacobi n={n} p=2x2"),
-        fmt_s(kf1.report.elapsed),
-        fmt_s(mp.report.elapsed),
-        format!("{:.3}", kf1.report.elapsed / mp.report.elapsed),
-        kf1.report.total_msgs.to_string(),
-        mp.report.total_msgs.to_string(),
-    ]);
-    let jacobi_ratio = kf1.report.elapsed / mp.report.elapsed;
+    rows.push(Comparison {
+        program: format!("jacobi n={n} p=2x2"),
+        kf1: kf1.report.elapsed,
+        mp: mp.report.elapsed,
+        msgs_kf1: kf1.report.total_msgs,
+        msgs_mp: mp.report.total_msgs,
+    });
 
     // --- Substructured tridiagonal, p = 8, n = 4096.
     let n = 4096usize;
@@ -107,41 +112,62 @@ pub fn run(opts: ExpOpts) -> ExpOut {
             );
         })
     };
-    t.row(vec![
-        format!("tridiag n={n} p={p}"),
-        fmt_s(kf1.report.elapsed),
-        fmt_s(mp.report.elapsed),
-        format!("{:.3}", kf1.report.elapsed / mp.report.elapsed),
-        kf1.report.total_msgs.to_string(),
-        mp.report.total_msgs.to_string(),
-    ]);
-    let tri_ratio = kf1.report.elapsed / mp.report.elapsed;
+    rows.push(Comparison {
+        program: format!("tridiag n={n} p={p}"),
+        kf1: kf1.report.elapsed,
+        mp: mp.report.elapsed,
+        msgs_kf1: kf1.report.total_msgs,
+        msgs_mp: mp.report.total_msgs,
+    });
+    rows
+}
 
-    let text = format!(
+fn render(rows: &[Comparison]) -> String {
+    let mut t = Table::new(&[
+        "program",
+        "KF1 runtime",
+        "hand MP",
+        "time ratio",
+        "msgs KF1",
+        "msgs MP",
+    ]);
+    for r in rows {
+        t.row(vec![
+            r.program.clone(),
+            fmt_s(r.kf1),
+            fmt_s(r.mp),
+            format!("{:.3}", r.ratio()),
+            r.msgs_kf1.to_string(),
+            r.msgs_mp.to_string(),
+        ]);
+    }
+    format!(
         "=== Claim C2: KF1 runtime vs hand-written message passing ===\n\n{}\n\
-         Time ratios: jacobi {jacobi_ratio:.3}, tridiagonal {tri_ratio:.3}\n\
+         Time ratios: jacobi {:.3}, tridiagonal {:.3}\n\
          (1.000 = identical; small deviations come from ghost strips carrying\n\
          corner words the hand-coded version omits).\n",
-        t.render()
-    );
-    ExpOut::new("kf1_vs_mp", text).with_table("comparison", t)
+        t.render(),
+        rows[0].ratio(),
+        rows[1].ratio()
+    )
+}
+
+pub fn run() -> String {
+    render(&measure())
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn ratios_are_close_to_one() {
-        let r = super::run(crate::ExpOpts::default()).text;
-        let line = r.lines().find(|l| l.contains("Time ratios")).unwrap();
-        let nums: Vec<f64> = line
-            .split(|c: char| !c.is_ascii_digit() && c != '.')
-            .filter(|s| s.contains('.'))
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        for ratio in nums {
+        let rows = super::measure();
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
             assert!(
-                (0.9..1.25).contains(&ratio),
-                "KF1/MP ratio {ratio} too far from 1 — claim C2 violated\n{r}"
+                (0.9..1.25).contains(&r.ratio()),
+                "{}: KF1/MP ratio {} too far from 1 — claim C2 violated",
+                r.program,
+                r.ratio()
             );
         }
     }

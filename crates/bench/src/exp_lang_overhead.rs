@@ -5,23 +5,20 @@
 //! Our interpreter performs those transformations at *run* time
 //! (inspector/executor), so we report the virtual-time inflation its
 //! request/reply communication causes versus compiled-quality code, with
-//! the schedule cache (executor reuse) off and on, plus the real
-//! (wall-clock) interpretation cost — the analogue of the compilation
-//! price. With the cache on, the inspector runs once per doall site and
-//! later trips of the enclosing `do` replay the cached schedule, so the
-//! inspector's share of virtual time is amortized exactly as the paper
-//! claims for the compiled runtime-resolution scheme.
-
-use std::time::Instant;
+//! the schedule cache (executor reuse) off and on. With the cache on, the
+//! inspector runs once per doall site and later trips of the enclosing
+//! `do` replay the cached schedule, so the inspector's share of virtual
+//! time is amortized exactly as the paper claims for the compiled
+//! runtime-resolution scheme.
 
 use kali_array::DistArray2;
 use kali_grid::{DistSpec, ProcGrid};
 use kali_lang::{listing, run_source_with, HostValue, LangRun, RunOptions};
-use kali_machine::Machine;
+use kali_machine::{Machine, RunReport};
 use kali_runtime::Ctx;
 use kali_solvers::jacobi::jacobi_step;
 
-use crate::{cfg, fmt_s, ExpOpts, ExpOut, Table};
+use crate::{cfg, fmt_s, Table};
 
 fn run_jacobi_listing(w: usize, np: i64, iters: usize, f: &[f64], cache: bool) -> LangRun {
     run_source_with(
@@ -49,11 +46,34 @@ fn run_jacobi_listing(w: usize, np: i64, iters: usize, f: &[f64], cache: bool) -
     .expect("listing runs")
 }
 
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
+const ITERS: usize = 5;
+
+/// The same Jacobi sweeps three ways.
+struct Overhead {
+    /// Interpreted Listing 3, inspector on every trip (cache off).
+    uncached: RunReport,
+    /// Interpreted Listing 3 with executor reuse (cache on).
+    cached: RunReport,
+    /// Native runtime-library version (what a compiler would emit).
+    compiled: RunReport,
+}
+
+impl Overhead {
+    /// Virtual-time inflation of run-time resolution over compiled code.
+    fn inflation(&self) -> f64 {
+        self.uncached.elapsed / self.compiled.elapsed
+    }
+
+    /// How much executor reuse shrinks the inspector's virtual time.
+    fn inspector_cut(&self) -> f64 {
+        self.uncached.inspector_seconds / self.cached.inspector_seconds.max(1e-300)
+    }
+}
+
+fn measure() -> Overhead {
     let np = 16i64;
     let w = (np + 1) as usize;
-    let iters = 5usize;
+    let iters = ITERS;
     let f: Vec<f64> = (0..w * w)
         .map(|k| {
             let (i, j) = (k / w, k % w);
@@ -65,20 +85,9 @@ pub fn run(opts: ExpOpts) -> ExpOut {
         })
         .collect();
 
-    // Interpreted Listing 3, inspector on every trip (cache off).
-    let wall0 = Instant::now();
-    let lang_off = run_jacobi_listing(w, np, iters, &f, false);
-    let off_wall = wall0.elapsed();
-
-    // Interpreted Listing 3 with executor reuse (cache on).
-    let wall0 = Instant::now();
-    let lang_on = run_jacobi_listing(w, np, iters, &f, true);
-    let on_wall = wall0.elapsed();
-
-    // Native runtime-library version (what a compiler would emit).
-    let f2 = f.clone();
-    let wall0 = Instant::now();
-    let native = Machine::run(cfg(4), move |proc| {
+    let uncached = run_jacobi_listing(w, np, iters, &f, false).report;
+    let cached = run_jacobi_listing(w, np, iters, &f, true).report;
+    let compiled = Machine::run(cfg(4), move |proc| {
         let grid = ProcGrid::new_2d(2, 2);
         let spec = DistSpec::block2();
         let n = w - 1;
@@ -89,92 +98,69 @@ pub fn run(opts: ExpOpts) -> ExpOut {
             &spec,
             [n + 1, n + 1],
             [0, 0],
-            |[i, j]| f2[i * w + j],
+            |[i, j]| f[i * w + j],
         );
         let mut ctx = Ctx::new(proc, grid);
         for _ in 0..iters {
             jacobi_step(&mut ctx, &mut u, &farr);
         }
-    });
-    let native_wall = wall0.elapsed();
+    })
+    .report;
+    Overhead {
+        uncached,
+        cached,
+        compiled,
+    }
+}
 
-    let mut t = Table::new(&[
-        "version",
-        "virtual time",
-        "inspector",
-        "msgs",
-        "words",
-        "real time",
-    ]);
-    t.row(vec![
-        "KF1 interpreted, inspector every trip".into(),
-        fmt_s(lang_off.report.elapsed),
-        fmt_s(lang_off.report.inspector_seconds),
-        lang_off.report.total_msgs.to_string(),
-        lang_off.report.total_words.to_string(),
-        format!("{off_wall:.2?}"),
-    ]);
-    t.row(vec![
-        "KF1 interpreted, executor reuse".into(),
-        fmt_s(lang_on.report.elapsed),
-        fmt_s(lang_on.report.inspector_seconds),
-        lang_on.report.total_msgs.to_string(),
-        lang_on.report.total_words.to_string(),
-        format!("{on_wall:.2?}"),
-    ]);
-    t.row(vec![
-        "compiled-quality runtime library".into(),
-        fmt_s(native.report.elapsed),
-        "-".into(),
-        native.report.total_msgs.to_string(),
-        native.report.total_words.to_string(),
-        format!("{native_wall:.2?}"),
-    ]);
-    let share = lang_off.report.inspector_seconds / lang_on.report.inspector_seconds.max(1e-300);
-    let text = format!(
-        "=== Claim C6: the price of the language layer (Jacobi 16², 2x2, {iters} sweeps) ===\n\n{}\n\
+fn render(m: &Overhead) -> String {
+    let mut t = Table::new(&["version", "virtual time", "inspector", "msgs", "words"]);
+    for (version, r, interpreted) in [
+        ("KF1 interpreted, inspector every trip", &m.uncached, true),
+        ("KF1 interpreted, executor reuse", &m.cached, true),
+        ("compiled-quality runtime library", &m.compiled, false),
+    ] {
+        t.row(vec![
+            version.into(),
+            fmt_s(r.elapsed),
+            if interpreted {
+                fmt_s(r.inspector_seconds)
+            } else {
+                "-".into()
+            },
+            r.total_msgs.to_string(),
+            r.total_words.to_string(),
+        ]);
+    }
+    format!(
+        "=== Claim C6: the price of the language layer (Jacobi 16², 2x2, {ITERS} sweeps) ===\n\n{}\n\
          virtual inflation {:.2}x — the request/reply rounds of run-time\n\
          resolution versus statically scheduled ghost exchanges ([17] vs a\n\
-         compiler); the real-time gap is the interpretation/compilation price.\n\
+         compiler).\n\
          executor reuse cuts inflation to {:.2}x: inspector share reduced {:.2}x\n\
          ({} inspector runs -> {} runs + {} schedule replays), exchange words\n\
          identical ({} vs {}).\n",
         t.render(),
-        lang_off.report.elapsed / native.report.elapsed,
-        lang_on.report.elapsed / native.report.elapsed,
-        share,
-        lang_off.report.total_inspector_runs,
-        lang_on.report.total_inspector_runs,
-        lang_on.report.total_schedule_replays,
-        lang_off.report.total_exchange_words,
-        lang_on.report.total_exchange_words,
-    );
-    ExpOut::new("lang_overhead", text)
-        .with_table("overhead", t)
-        .with_extra("uncached", crate::json::report_json(&lang_off.report))
-        .with_extra("cached", crate::json::report_json(&lang_on.report))
-        .with_extra("compiled", crate::json::report_json(&native.report))
+        m.inflation(),
+        m.cached.elapsed / m.compiled.elapsed,
+        m.inspector_cut(),
+        m.uncached.total_inspector_runs,
+        m.cached.total_inspector_runs,
+        m.cached.total_schedule_replays,
+        m.uncached.total_exchange_words,
+        m.cached.total_exchange_words,
+    )
+}
+
+pub fn run() -> String {
+    render(&measure())
 }
 
 #[cfg(test)]
 mod tests {
-    fn parse_ratio(report: &str, marker: &str) -> f64 {
-        let line = report.lines().find(|l| l.contains(marker)).unwrap();
-        line.split_whitespace()
-            .find(|t| t.ends_with('x') && t[..t.len() - 1].parse::<f64>().is_ok())
-            .unwrap()
-            .trim_end_matches('x')
-            .parse()
-            .unwrap()
-    }
-
     #[test]
     fn interpreter_overhead_is_bounded() {
-        if !kali_machine::BackendKind::from_env().virtual_time() {
-            return; // cost-model assertion; meaningful on the simulator only
-        }
-        let r = super::run(crate::ExpOpts::default()).text;
-        let infl = parse_ratio(&r, "virtual inflation");
+        let infl = super::measure().inflation();
         assert!(
             infl < 10.0,
             "runtime-resolution inflation should be bounded: {infl}"
@@ -183,15 +169,11 @@ mod tests {
 
     #[test]
     fn executor_reuse_cuts_inspector_share() {
-        if !kali_machine::BackendKind::from_env().virtual_time() {
-            return; // cost-model assertion; meaningful on the simulator only
-        }
-        let r = super::run(crate::ExpOpts::default()).text;
-        let share = parse_ratio(&r, "inspector share reduced");
+        let cut = super::measure().inspector_cut();
         assert!(
-            share >= 1.5,
+            cut >= 1.5,
             "executor reuse must cut the inspector's virtual-time share by \
-             at least 1.5x, got {share}x\n{r}"
+             at least 1.5x, got {cut}x"
         );
     }
 }

@@ -3,7 +3,7 @@
 //! close to sequential length. Counted on this repository's own
 //! implementations of the same algorithms.
 
-use crate::{ExpOpts, ExpOut, Table};
+use crate::Table;
 
 /// Count non-blank, non-comment lines between `// LOC:BEGIN name` and
 /// `// LOC:END name` markers.
@@ -70,22 +70,48 @@ fn fn_loc(src: &str, name: &str) -> usize {
     n
 }
 
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
+/// Line counts of one algorithm in its three forms.
+struct Loc {
+    algorithm: &'static str,
+    seq: usize,
+    mp: usize,
+    kf1: usize,
+}
+
+impl Loc {
+    fn mp_ratio(&self) -> f64 {
+        self.mp as f64 / self.seq as f64
+    }
+
+    fn kf1_ratio(&self) -> f64 {
+        self.kf1 as f64 / self.seq as f64
+    }
+}
+
+fn measure() -> Vec<Loc> {
     let mp_jacobi = include_str!("../../mp/src/jacobi_mp.rs");
     let mp_tri = include_str!("../../mp/src/tri_mp.rs");
     let seq_rs = include_str!("../../solvers/src/seq.rs");
     let tridiag_rs = include_str!("../../kernels/src/tridiag.rs");
     let kf1_jacobi = kali_lang::listing("jacobi").unwrap();
     let kf1_tri = kali_lang::listing("tri").unwrap();
+    vec![
+        Loc {
+            algorithm: "Jacobi",
+            seq: fn_loc(seq_rs, "jacobi_seq_step"),
+            mp: marked_loc(mp_jacobi, "jacobi_mp"),
+            kf1: kf1_loc(kf1_jacobi),
+        },
+        Loc {
+            algorithm: "tridiagonal",
+            seq: fn_loc(tridiag_rs, "thomas"),
+            mp: marked_loc(mp_tri, "tri_mp"),
+            kf1: kf1_loc(kf1_tri),
+        },
+    ]
+}
 
-    let j_seq = fn_loc(seq_rs, "jacobi_seq_step");
-    let j_mp = marked_loc(mp_jacobi, "jacobi_mp");
-    let j_kf1 = kf1_loc(kf1_jacobi);
-    let t_seq = fn_loc(tridiag_rs, "thomas");
-    let t_mp = marked_loc(mp_tri, "tri_mp");
-    let t_kf1 = kf1_loc(kf1_tri);
-
+fn render(rows: &[Loc]) -> String {
     let mut t = Table::new(&[
         "algorithm",
         "sequential",
@@ -94,59 +120,50 @@ pub fn run(opts: ExpOpts) -> ExpOut {
         "MP/seq",
         "KF1/seq",
     ]);
-    t.row(vec![
-        "Jacobi".into(),
-        j_seq.to_string(),
-        j_mp.to_string(),
-        j_kf1.to_string(),
-        format!("{:.1}x", j_mp as f64 / j_seq as f64),
-        format!("{:.1}x", j_kf1 as f64 / j_seq as f64),
-    ]);
-    t.row(vec![
-        "tridiagonal".into(),
-        t_seq.to_string(),
-        t_mp.to_string(),
-        t_kf1.to_string(),
-        format!("{:.1}x", t_mp as f64 / t_seq as f64),
-        format!("{:.1}x", t_kf1 as f64 / t_seq as f64),
-    ]);
-    let text = format!(
+    for r in rows {
+        t.row(vec![
+            r.algorithm.into(),
+            r.seq.to_string(),
+            r.mp.to_string(),
+            r.kf1.to_string(),
+            format!("{:.1}x", r.mp_ratio()),
+            format!("{:.1}x", r.kf1_ratio()),
+        ]);
+    }
+    format!(
         "=== Claim C1: lines of code (non-blank, non-comment) ===\n\n{}\n\
          Paper: \"the message passing version is often five to ten times\n\
          longer than the sequential version\"; KF1 stays close to sequential\n\
          (the KF1 tridiagonal routine is long because it contains the whole\n\
          divide-and-conquer algorithm, which Thomas does not).\n",
         t.render()
-    );
-    ExpOut::new("loc", text).with_table("loc", t)
+    )
+}
+
+pub fn run() -> String {
+    render(&measure())
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn mp_is_many_times_longer_than_sequential() {
-        if !kali_machine::BackendKind::from_env().virtual_time() {
-            return; // cost-model assertion; meaningful on the simulator only
+        let rows = super::measure();
+        assert_eq!(rows.len(), 2);
+        for r in &rows {
+            assert!(
+                r.mp_ratio() >= 3.0,
+                "MP {} should be several times longer than sequential: {}",
+                r.algorithm,
+                r.mp_ratio()
+            );
+            assert!(
+                r.kf1 < r.mp,
+                "KF1 {} should be shorter than MP: {} vs {}",
+                r.algorithm,
+                r.kf1,
+                r.mp
+            );
         }
-        let r = super::run(crate::ExpOpts::default()).text;
-        let jacobi = r.lines().find(|l| l.contains("Jacobi")).unwrap();
-        let ratio: f64 = jacobi
-            .split_whitespace()
-            .rev()
-            .nth(1)
-            .map(|t| t.trim_end_matches('x').parse().unwrap())
-            .unwrap();
-        let _ = ratio; // MP/seq is the second-to-last column... parse robustly below
-        let cols: Vec<&str> = jacobi.split_whitespace().collect();
-        let mp_ratio: f64 = cols[cols.len() - 2].trim_end_matches('x').parse().unwrap();
-        let kf1_ratio: f64 = cols[cols.len() - 1].trim_end_matches('x').parse().unwrap();
-        assert!(
-            mp_ratio >= 3.0,
-            "MP Jacobi should be several times longer: {mp_ratio}"
-        );
-        assert!(
-            kf1_ratio < mp_ratio,
-            "KF1 should be shorter than MP: {kf1_ratio} vs {mp_ratio}"
-        );
     }
 }

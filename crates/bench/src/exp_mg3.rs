@@ -16,9 +16,22 @@ use kali_solvers::seq::{apply3, Grid3};
 use kali_solvers::transfer::resid3;
 use kali_solvers::Pde;
 
-use crate::{cfg, fmt_s, ExpOpts, ExpOut, Table};
+use crate::{cfg, fmt_s, Table};
 
-fn one_case(n: usize, p0: usize, p1: usize, cycles: usize) -> (f64, u64, f64) {
+const N: usize = 16;
+const CYCLES: usize = 2;
+
+/// The same mg3 V-cycles on a `p0 × p1` processor array.
+struct Shape {
+    p0: usize,
+    p1: usize,
+    elapsed: f64,
+    words: u64,
+    /// Residual max-norm after the last cycle over the first cycle's.
+    resid_ratio: f64,
+}
+
+fn one_case(n: usize, p0: usize, p1: usize, cycles: usize) -> Shape {
     let pde = Pde::poisson();
     let us = Grid3::random_interior(n, n, n, 3);
     let f = apply3(&pde, &us);
@@ -51,19 +64,25 @@ fn one_case(n: usize, p0: usize, p1: usize, cycles: usize) -> (f64, u64, f64) {
         (r0, rn)
     });
     let (r0, rn) = run.results[0];
-    (
-        run.report.elapsed,
-        run.report.total_words,
-        rn / r0.max(1e-300),
-    )
+    Shape {
+        p0,
+        p1,
+        elapsed: run.report.elapsed,
+        words: run.report.total_words,
+        resid_ratio: rn / r0.max(1e-300),
+    }
 }
 
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
-    let n = 16;
-    let cycles = 2;
+fn measure() -> Vec<Shape> {
+    [(2usize, 2usize), (1, 4), (4, 1)]
+        .into_iter()
+        .map(|(p0, p1)| one_case(N, p0, p1, CYCLES))
+        .collect()
+}
+
+fn render(rows: &[Shape]) -> String {
     let mut out = format!(
-        "=== T4: mg3 processor-array shape ablation (n = {n}, {cycles} V-cycles, 4 procs) ===\n\n"
+        "=== T4: mg3 processor-array shape ablation (n = {N}, {CYCLES} V-cycles, 4 procs) ===\n\n"
     );
     let mut t = Table::new(&[
         "grid (y,z)",
@@ -71,13 +90,12 @@ pub fn run(opts: ExpOpts) -> ExpOut {
         "total words",
         "resid ratio c2/c1",
     ]);
-    for (p0, p1) in [(2usize, 2usize), (1, 4), (4, 1)] {
-        let (tt, words, ratio) = one_case(n, p0, p1, cycles);
+    for r in rows {
         t.row(vec![
-            format!("{p0}x{p1}"),
-            fmt_s(tt),
-            words.to_string(),
-            format!("{ratio:.2e}"),
+            format!("{}x{}", r.p0, r.p1),
+            fmt_s(r.elapsed),
+            r.words.to_string(),
+            format!("{:.2e}", r.resid_ratio),
         ]);
     }
     out.push_str(&t.render());
@@ -86,18 +104,32 @@ pub fn run(opts: ExpOpts) -> ExpOut {
          changes. With z-semicoarsening, shapes with more processors along z\n\
          idle them on coarse grids — the trade-off §5 discusses.\n",
     );
-    ExpOut::new("mg3", out).with_table("shapes", t)
+    out
+}
+
+pub fn run() -> String {
+    render(&measure())
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn all_shapes_converge_identically() {
-        let r = super::run(crate::ExpOpts::default()).text;
-        assert!(r.contains("2x2") && r.contains("1x4") && r.contains("4x1"));
-        // Each shape must show residual reduction (ratio < 1).
-        for line in r.lines().filter(|l| l.contains("e-") && l.contains("x")) {
-            let _ = line;
+        let rows = super::measure();
+        assert_eq!(rows.len(), 3);
+        for r in &rows {
+            // Each shape must show residual reduction, and the same one:
+            // the processor array changes who computes, not what.
+            assert!(r.resid_ratio < 1.0, "{}x{}: {}", r.p0, r.p1, r.resid_ratio);
+            assert_eq!(
+                r.resid_ratio.to_bits(),
+                rows[0].resid_ratio.to_bits(),
+                "{}x{} vs {}x{}",
+                r.p0,
+                r.p1,
+                rows[0].p0,
+                rows[0].p1
+            );
         }
     }
 }

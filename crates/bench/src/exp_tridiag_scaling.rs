@@ -9,24 +9,13 @@ use kali_kernels::tridiag::{thomas, thomas_flops};
 use kali_kernels::TriDiag;
 use kali_machine::{CostModel, Machine};
 use kali_runtime::Ctx;
-use std::time::Duration;
 
-use crate::{cfg, fmt_s, ExpOpts, ExpOut, Table};
+use crate::{cfg_cost, fmt_s, Table};
 
-fn solve_time(n: usize, p: usize, cost: Option<CostModel>) -> f64 {
+fn solve_time(n: usize, p: usize, cost: CostModel) -> f64 {
     let sys = TriDiag::random_dd(n, 5);
     let f = sys.apply(&vec![1.0; n]);
-    let mcfg = match cost {
-        Some(c) => Machine::build(
-            kali_machine::BackendKind::from_env(),
-            kali_machine::Topology::FullyConnected,
-            c,
-        )
-        .procs(p)
-        .watchdog(Duration::from_secs(120))
-        .config(),
-        None => cfg(p),
-    };
+    let mcfg = cfg_cost(p, cost);
     if p == 1 {
         let run = Machine::run(mcfg, move |proc| {
             proc.compute(thomas_flops(n));
@@ -52,22 +41,64 @@ fn solve_time(n: usize, p: usize, cost: Option<CostModel>) -> f64 {
     run.report.elapsed
 }
 
-pub fn run(opts: ExpOpts) -> ExpOut {
-    let _ = opts;
+/// Solve times for one system size at p = 1, 4, 16, 64.
+struct Scaling {
+    n: usize,
+    t: [f64; 4],
+}
+
+impl Scaling {
+    fn speedup_at_64(&self) -> f64 {
+        self.t[0] / self.t[3]
+    }
+}
+
+/// Sequential vs p = 16 at one communication-cost scale.
+struct Crossover {
+    scale: f64,
+    t1: f64,
+    t16: f64,
+}
+
+impl Crossover {
+    fn parallel_wins(&self) -> bool {
+        self.t16 < self.t1
+    }
+}
+
+fn measure() -> (Vec<Scaling>, Vec<Crossover>) {
+    let scaling = [1usize << 10, 1 << 14, 1 << 18]
+        .into_iter()
+        .map(|n| Scaling {
+            n,
+            t: [1, 4, 16, 64].map(|p| solve_time(n, p, CostModel::ipsc2())),
+        })
+        .collect();
+    let crossover = [0.1, 1.0, 10.0, 100.0]
+        .into_iter()
+        .map(|scale| {
+            let c = CostModel::ipsc2().scale_comm(scale);
+            Crossover {
+                scale,
+                t1: solve_time(4096, 1, c),
+                t16: solve_time(4096, 16, c),
+            }
+        })
+        .collect();
+    (scaling, crossover)
+}
+
+fn render(scaling: &[Scaling], crossover: &[Crossover]) -> String {
     let mut out = String::from("=== T1: substructured tridiagonal solver scaling ===\n\n");
     let mut t = Table::new(&["n", "p=1 (Thomas)", "p=4", "p=16", "p=64", "speedup@64"]);
-    for n in [1usize << 10, 1 << 14, 1 << 18] {
-        let t1 = solve_time(n, 1, None);
-        let t4 = solve_time(n, 4, None);
-        let t16 = solve_time(n, 16, None);
-        let t64 = solve_time(n, 64, None);
+    for r in scaling {
         t.row(vec![
-            n.to_string(),
-            fmt_s(t1),
-            fmt_s(t4),
-            fmt_s(t16),
-            fmt_s(t64),
-            format!("{:.2}x", t1 / t64),
+            r.n.to_string(),
+            fmt_s(r.t[0]),
+            fmt_s(r.t[1]),
+            fmt_s(r.t[2]),
+            fmt_s(r.t[3]),
+            format!("{:.2}x", r.speedup_at_64()),
         ]);
     }
     out.push_str(&t.render());
@@ -76,48 +107,38 @@ pub fn run(opts: ExpOpts) -> ExpOut {
         "\nCommunication-cost sweep (n = 4096, p = 16): the parallel solver\n\
          wins only while message start-up stays cheap relative to flops.\n\n",
     );
-    let t_scale = t;
     let mut t = Table::new(&["comm cost scale", "p=1", "p=16", "parallel wins"]);
-    for scale in [0.1, 1.0, 10.0, 100.0] {
-        let c = CostModel::ipsc2().scale_comm(scale);
-        let t1 = solve_time(4096, 1, Some(c));
-        let t16 = solve_time(4096, 16, Some(c));
+    for r in crossover {
         t.row(vec![
-            format!("{scale}x"),
-            fmt_s(t1),
-            fmt_s(t16),
-            if t16 < t1 { "yes" } else { "no" }.to_string(),
+            format!("{}x", r.scale),
+            fmt_s(r.t1),
+            fmt_s(r.t16),
+            if r.parallel_wins() { "yes" } else { "no" }.to_string(),
         ]);
     }
     out.push_str(&t.render());
-    ExpOut::new("tridiag_scaling", out)
-        .with_table("scaling", t_scale)
-        .with_table("crossover", t)
+    out
+}
+
+pub fn run() -> String {
+    let (scaling, crossover) = measure();
+    render(&scaling, &crossover)
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn large_systems_scale_and_crossover_exists() {
-        if !kali_machine::BackendKind::from_env().virtual_time() {
-            return; // cost-model assertion; meaningful on the simulator only
-        }
-        let r = super::run(crate::ExpOpts::default()).text;
+        let (scaling, crossover) = super::measure();
         // Largest n must show real speedup at p = 64.
-        let big = r.lines().find(|l| l.starts_with("262144")).unwrap();
-        let speedup: f64 = big
-            .split_whitespace()
-            .last()
-            .unwrap()
-            .trim_end_matches('x')
-            .parse()
-            .unwrap();
+        let big = scaling.iter().find(|r| r.n == 1 << 18).unwrap();
         assert!(
-            speedup > 4.0,
-            "expected scaling at n = 2^18: {speedup}\n{r}"
+            big.speedup_at_64() > 4.0,
+            "expected scaling at n = 2^18: {}",
+            big.speedup_at_64()
         );
         // The comm sweep must contain both a win and a loss.
-        assert!(r.contains("yes"));
-        assert!(r.contains(" no"));
+        assert!(crossover.iter().any(|r| r.parallel_wins()));
+        assert!(crossover.iter().any(|r| !r.parallel_wins()));
     }
 }

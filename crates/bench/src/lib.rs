@@ -1,12 +1,13 @@
-//! # kali-bench — experiment regenerators
+//! # kali-bench — the paper's evaluation, regenerated on the simulator
 //!
-//! One module per paper artifact (figure or claim); each takes the
-//! uniform [`ExpOpts`] (`--smoke` shrinks sweeps for CI, `--json` selects
-//! machine-readable output) and returns an [`ExpOut`] carrying both the
-//! plain-text report and its tables for serialization. Every module is
-//! wrapped by a binary of the same name via [`exp_main`], plus the
-//! aggregate `exp_all`. See DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+//! One module per paper artifact (figure, claim or ablation). Each
+//! measures typed rows on the virtual-time simulator — the cost model a
+//! paper artifact is read off — and renders them as the plain-text
+//! report its `run()` returns; the module's test asserts on the typed
+//! values. `cargo run --release -p kali-bench -- <name>|all` prints the
+//! reports. Exact counters and bits are pinned by the `#[test]`s next to
+//! the code they check and under `tests/`; wall clock is `benchmark/`'s
+//! job.
 
 use std::time::Duration;
 
@@ -14,124 +15,27 @@ use kali_machine::{BackendKind, CostModel, Machine, MachineConfig, Topology};
 
 pub mod exp_adi;
 pub mod exp_distributions;
-pub mod exp_elem;
 pub mod exp_fig1_structure;
 pub mod exp_fig3_dataflow;
 pub mod exp_fig5_pipeline;
-pub mod exp_halo_cache;
 pub mod exp_kf1_vs_mp;
 pub mod exp_lang_overhead;
 pub mod exp_loc;
 pub mod exp_mg3;
-pub mod exp_overlap;
-pub mod exp_schedule_reuse;
-pub mod exp_serve;
-pub mod exp_spmv;
-pub mod exp_static;
 pub mod exp_tridiag_scaling;
-pub mod json;
 
-use json::Json;
-
-/// Uniform experiment options, parsed once from the command line by
-/// [`exp_main`] and threaded to every module.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExpOpts {
-    /// Shrink sweeps to CI-smoke size.
-    pub smoke: bool,
-    /// Emit the machine-readable JSON document instead of the text report.
-    pub json: bool,
-}
-
-impl ExpOpts {
-    /// Parse `--smoke` / `--json` from `std::env::args` (unknown flags are
-    /// rejected so typos do not silently run the full sweep).
-    pub fn from_args() -> ExpOpts {
-        let mut opts = ExpOpts::default();
-        for a in std::env::args().skip(1) {
-            match a.as_str() {
-                "--smoke" => opts.smoke = true,
-                "--json" => opts.json = true,
-                other => {
-                    eprintln!("unknown flag {other}; expected --smoke and/or --json");
-                    std::process::exit(2);
-                }
-            }
-        }
-        opts
-    }
-}
-
-/// What one experiment produced: the human-readable report plus its
-/// tables and any extra machine-readable values, for `--json` output.
-pub struct ExpOut {
-    pub name: &'static str,
-    pub text: String,
-    pub tables: Vec<(String, Table)>,
-    pub extra: Vec<(String, Json)>,
-}
-
-impl ExpOut {
-    pub fn new(name: &'static str, text: String) -> ExpOut {
-        ExpOut {
-            name,
-            text,
-            tables: Vec::new(),
-            extra: Vec::new(),
-        }
-    }
-
-    /// Attach a rendered table under `key` for JSON output.
-    pub fn with_table(mut self, key: &str, table: Table) -> ExpOut {
-        self.tables.push((key.to_string(), table));
-        self
-    }
-
-    /// Attach an extra machine-readable value under `key`.
-    pub fn with_extra(mut self, key: &str, value: Json) -> ExpOut {
-        self.extra.push((key.to_string(), value));
-        self
-    }
-
-    /// The machine-readable document: experiment name, every table as an
-    /// array of header-keyed row objects, and the extra values.
-    pub fn json(&self) -> Json {
-        let mut fields = vec![("experiment".to_string(), Json::str(self.name))];
-        for (k, t) in &self.tables {
-            fields.push((k.clone(), t.json_rows()));
-        }
-        for (k, v) in &self.extra {
-            fields.push((k.clone(), v.clone()));
-        }
-        Json::Obj(fields)
-    }
-}
-
-/// Shared `main` for the experiment binaries: parse [`ExpOpts`], run the
-/// experiment, print text or JSON.
-pub fn exp_main(f: impl FnOnce(ExpOpts) -> ExpOut) {
-    let opts = ExpOpts::from_args();
-    let out = f(opts);
-    if opts.json {
-        println!("{}", out.json().render());
-    } else {
-        println!("{}", out.text);
-    }
-}
-
-/// Standard machine for experiments: iPSC/2-era costs, generous
-/// watchdog. The backend honours the `KALI_BACKEND` environment
-/// variable — `KALI_BACKEND=threads` reruns any experiment on real
-/// threads (wall-clock timing, zero virtual time).
+/// Standard machine for experiments: the simulator with iPSC/2-era
+/// costs and a generous watchdog.
 pub fn cfg(p: usize) -> MachineConfig {
-    Machine::build(
-        BackendKind::from_env(),
-        Topology::FullyConnected,
-        CostModel::ipsc2(),
-    )
-    .procs(p)
-    .watchdog(Duration::from_secs(120))
-    .config()
+    cfg_cost(p, CostModel::ipsc2())
+}
+
+/// [`cfg`] under another cost model (the communication-cost sweep).
+pub(crate) fn cfg_cost(p: usize, cost: CostModel) -> MachineConfig {
+    Machine::build(BackendKind::Sim, Topology::FullyConnected, cost)
+        .procs(p)
+        .watchdog(Duration::from_secs(120))
+        .config()
 }
 
 /// Format seconds in engineering notation.
@@ -190,26 +94,6 @@ impl Table {
             line(&mut out, r);
         }
         out
-    }
-
-    /// The table as a JSON array of header-keyed row objects (cells stay
-    /// preformatted strings; experiments attach raw numbers via
-    /// [`ExpOut::with_extra`] when precision matters).
-    pub fn json_rows(&self) -> Json {
-        Json::Arr(
-            self.rows
-                .iter()
-                .map(|r| {
-                    Json::Obj(
-                        self.header
-                            .iter()
-                            .zip(r)
-                            .map(|(h, c)| (h.clone(), Json::str(c.clone())))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
     }
 }
 

@@ -19,7 +19,7 @@
 //! | scheduling | [`sched`] | shared inspector–executor engine: schedules, cache, replay consensus, split-phase executor |
 //! | data | [`mod@array`] | SPMD distributed arrays, ghost exchange, redistribution |
 //! | execution | [`runtime`] | doall/owner-computes, teams, copy-in/copy-out |
-//! | kernels | [`kernels`] | Thomas, substructured & pipelined tridiagonal, FFT, splines |
+//! | kernels | [`kernels`] | Thomas, substructured & pipelined tridiagonal |
 //! | applications | [`solvers`] | Jacobi, ADI (plain/pipelined), mg2/mg3 |
 //! | baselines | [`mp`] | hand-written message-passing versions (Listing 2 style) |
 //! | language | [`lang`] | KF1 lexer/parser/SPMD interpreter + paper listings |

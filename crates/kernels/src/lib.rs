@@ -1,9 +1,8 @@
 //! # kali-kernels — one-dimensional kernel algorithms (paper §3)
 //!
 //! The paper treats tridiagonal solvers as the archetypal "one-dimensional
-//! kernel" from which tensor product algorithms are assembled, and names
-//! cubic-spline fitting and FFTs as the other members of the family. This
-//! crate implements all of them, sequentially and distributed:
+//! kernel" from which tensor product algorithms are assembled. This crate
+//! implements them, sequentially and distributed:
 //!
 //! * [`tridiag`] — tridiagonal systems, the sequential Thomas algorithm,
 //!   and diagonally dominant test-system generators;
@@ -16,15 +15,10 @@
 //! * [`mtrix()`](mtrix::mtrix) — Listing 6: the pipelined multi-system solver that keeps
 //!   all level sets of Figure 3's data-flow graph busy simultaneously;
 //! * [`cyclic_reduction`] — the classical alternative parallel tridiagonal
-//!   algorithm, as a sequential baseline (reference \[8\] of the paper);
-//! * [`fft`] — radix-2 FFT, sequential and distributed (binary exchange);
-//! * [`spline`] — natural cubic spline fitting built on the tridiagonal
-//!   kernels.
+//!   algorithm, as a sequential baseline (reference \[8\] of the paper).
 
 pub mod cyclic_reduction;
-pub mod fft;
 pub mod mtrix;
-pub mod spline;
 pub mod substructure;
 pub mod tri_dist;
 pub mod tridiag;

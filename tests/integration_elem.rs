@@ -172,6 +172,18 @@ fn f32_face_exchange_words_are_exactly_half_of_f64() {
         2 * r32.total_exchange_words,
         "f32 face exchanges must move exactly half the f64 words"
     );
+    // The optimistic default piggybacks a one-word vote header on each
+    // warm message whatever the element type: the f32 exchange may rise
+    // above one half of the f64 one, but never past 0.55.
+    let (_, o64) = jacobi_elem::<f64>(backend, ExecPolicy::default(), 16, 15, 4);
+    let (_, o32) = jacobi_elem::<f32>(backend, ExecPolicy::default(), 16, 15, 4);
+    assert!(o64.total_optimistic_hits > 0, "warm trips must piggyback");
+    assert!(
+        100 * o32.total_exchange_words <= 55 * o64.total_exchange_words,
+        "optimistic f32 wire {} vs f64 {}",
+        o32.total_exchange_words,
+        o64.total_exchange_words
+    );
 }
 
 #[test]

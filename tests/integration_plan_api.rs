@@ -16,14 +16,14 @@ use kali::solvers::seq;
 use kali::solvers::transfer::{intrp2, resid2, rest2};
 
 fn cfg(p: usize) -> MachineConfig {
-    Machine::build(
-        BackendKind::from_env(),
-        Topology::FullyConnected,
-        CostModel::unit(),
-    )
-    .procs(p)
-    .watchdog(Duration::from_secs(60))
-    .config()
+    cfg_cost(p, CostModel::unit())
+}
+
+fn cfg_cost(p: usize, cost: CostModel) -> MachineConfig {
+    Machine::build(BackendKind::from_env(), Topology::FullyConnected, cost)
+        .procs(p)
+        .watchdog(Duration::from_secs(60))
+        .config()
 }
 
 fn assert_bitwise(a: &[f64], b: &[f64], what: &str) {
@@ -66,8 +66,16 @@ fn jacobi_under(
     policy: Option<ExecPolicy>,
     sweeps: usize,
 ) -> kali::machine::MachineRun<Option<Vec<f64>>> {
-    let n = 16usize;
-    Machine::run(cfg(4), move |proc| {
+    jacobi_on(CostModel::unit(), 16, policy, sweeps)
+}
+
+fn jacobi_on(
+    cost: CostModel,
+    n: usize,
+    policy: Option<ExecPolicy>,
+    sweeps: usize,
+) -> kali::machine::MachineRun<Option<Vec<f64>>> {
+    Machine::run(cfg_cost(4, cost), move |proc| {
         let grid = ProcGrid::new_2d(2, 2);
         let spec = DistSpec::block2();
         let mut u = DistArray2::from_fn(
@@ -147,6 +155,24 @@ fn jacobi_is_policy_invariant_and_pins_the_pre_redesign_sweep() {
     // The pre-redesign sweep paid a blocking full-skirt exchange per
     // trip; the plan's default must not lengthen the virtual timeline.
     assert!(optimistic.report.elapsed <= pre.report.elapsed);
+    // Nor may caching lengthen a warm trip — (t(5) − t(2)) / 3 — where
+    // latency dominates: the analytic walk it saves must outweigh the
+    // piggybacked vote headers.
+    if optimistic.report.backend.virtual_time() {
+        let warm = |policy: ExecPolicy| {
+            let t = |sweeps| {
+                jacobi_on(CostModel::ipsc2(), 48, Some(policy), sweeps)
+                    .report
+                    .elapsed
+            };
+            (t(5) - t(2)) / 3.0
+        };
+        let (cached, rebuilt) = (warm(ExecPolicy::default()), warm(ExecPolicy::pessimistic()));
+        assert!(
+            cached <= rebuilt,
+            "cached warm trip {cached:.3e} s vs rebuild {rebuilt:.3e} s"
+        );
+    }
 }
 
 #[test]

@@ -112,7 +112,7 @@ fn mg2_execution_policy_is_bitwise_invariant_and_split_is_faster() {
     let pde = Pde::anisotropic(3.0, 1.0, 0.0);
     let us = seq::Grid2::random_interior(nx, ny, 23);
     let f = seq::apply2(&pde, &us);
-    let go = |policy: ExecPolicy| {
+    let go = |policy: ExecPolicy, cycles: usize| {
         let f2 = f.clone();
         Machine::run(
             Machine::build(
@@ -137,15 +137,15 @@ fn mg2_execution_policy_is_bitwise_invariant_and_split_is_faster() {
                     |[i, j]| f2.at(i, j),
                 );
                 let mut ctx = Ctx::with_policy(proc, grid, policy);
-                for _ in 0..3 {
+                for _ in 0..cycles {
                     mg2_vcycle(&mut ctx, &pde, &mut u, &farr);
                 }
                 u.gather_to_root(ctx.proc())
             },
         )
     };
-    let blocking = go(ExecPolicy::blocking());
-    let split = go(ExecPolicy::default());
+    let blocking = go(ExecPolicy::blocking(), 3);
+    let split = go(ExecPolicy::default(), 3);
     let a = blocking.results[0].as_ref().unwrap();
     let b = split.results[0].as_ref().unwrap();
     for (k, (x, y)) in a.iter().zip(b).enumerate() {
@@ -166,6 +166,14 @@ fn mg2_execution_policy_is_bitwise_invariant_and_split_is_faster() {
     assert_eq!(
         split.report.total_rollbacks, 0,
         "a stable mg2 loop must never roll a halo replay back"
+    );
+    // The coarse levels are reallocated every cycle, but halo schedules
+    // are keyed on geometry: the first V-cycle builds every one of them
+    // and the warm cycles build none.
+    assert_eq!(
+        split.report.total_inspector_runs,
+        go(ExecPolicy::default(), 1).report.total_inspector_runs,
+        "warm V-cycles must replay every halo schedule from the cache"
     );
 }
 

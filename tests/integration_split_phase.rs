@@ -420,6 +420,18 @@ fn no_unexpected_rollbacks_on_the_kf1_listings() {
             pess.report.total_inspector_runs, opt.report.total_inspector_runs,
             "{entry}: both protocols must inspect fresh on exactly the same trips"
         );
+        // jacobi is the listing with warm trips (tri and shift run each
+        // doall once): its cold trip is the same under both protocols,
+        // so on the virtual clock a strictly shorter run is a strictly
+        // cheaper warm trip — the dedicated vote round is really gone.
+        if entry == "jacobi" && opt.report.backend.virtual_time() {
+            assert!(
+                opt.report.elapsed < pess.report.elapsed,
+                "jacobi: the piggybacked vote must cut the warm trip ({} vs {})",
+                opt.report.elapsed,
+                pess.report.elapsed
+            );
+        }
     }
 }
 
@@ -551,5 +563,34 @@ fn split_phase_speedup_on_latency_bound_trips() {
     assert!(
         speedup > 1.05,
         "expected a real win on 8 warm trips, got {speedup:.3}x"
+    );
+
+    // The marginal warm trip — (t(6 trips) − t(2 trips)) / 4, the cold
+    // inspector trip amortized out — is where the overlap lives: on the
+    // latency-dominated model split-phase must cut it by at least 1.2x.
+    let np = 32i64;
+    let run = |trips: i64| {
+        differential(
+            listing("jacobi").unwrap(),
+            "jacobi",
+            4,
+            &[2, 2],
+            &[
+                grid2(np, 0.0),
+                grid2(np, 0.02),
+                HostValue::Int(np),
+                HostValue::Int(trips),
+            ],
+        )
+    };
+    let (blocking_lo, split_lo) = run(2);
+    let (blocking_hi, split_hi) = run(6);
+    let warm_blocking = (blocking_hi.report.elapsed - blocking_lo.report.elapsed) / 4.0;
+    let warm_split = (split_hi.report.elapsed - split_lo.report.elapsed) / 4.0;
+    let warm_speedup = warm_blocking / warm_split;
+    assert!(
+        warm_speedup >= 1.2,
+        "warm-trip speedup {warm_speedup:.3}x below the 1.2x bar \
+         (blocking {warm_blocking:.3e} s vs split {warm_split:.3e} s)"
     );
 }

@@ -120,49 +120,3 @@ fn five_ways_same_answer() {
         }
     }
 }
-
-#[test]
-fn spline_and_fft_kernels_cooperate_with_machine() {
-    // Spline fit distributed over the machine, FFT on another team size —
-    // exercises the kernels crate end to end.
-    use kali::kernels::fft::{bit_reverse_permute, fft_dist, naive_dft, Complex};
-    use kali::kernels::spline::{spline_fit, spline_rhs};
-
-    let nk = 32usize;
-    let h = 1.0 / nk as f64;
-    let y: Vec<f64> = (0..=nk).map(|i| (i as f64 * h * 3.0).sin()).collect();
-    let seq = spline_fit(&y, h);
-    let rhs = spline_rhs(&y, h);
-    let ni = nk - 1;
-    let run = Machine::run(cfg(4), move |proc| {
-        let grid = ProcGrid::new_1d(proc.nprocs());
-        let dist = Dist1::block(ni, proc.nprocs());
-        let me = proc.rank();
-        let (lo, hi) = (dist.lower(me).unwrap(), dist.upper(me).unwrap() + 1);
-        let mut ctx = Ctx::new(proc, grid);
-        kali::kernels::spline::spline_fit_dist(&mut ctx, ni, &rhs[lo..hi])
-    });
-    let m: Vec<f64> = run.results.concat();
-    for i in 0..ni {
-        assert!((m[i] - seq.m[i + 1]).abs() < 1e-9);
-    }
-
-    let n = 64usize;
-    let x: Vec<Complex> = (0..n)
-        .map(|i| Complex::new((i as f64 * 0.2).cos(), 0.0))
-        .collect();
-    let x2 = x.clone();
-    let run = Machine::run(cfg(8), move |proc| {
-        let grid = ProcGrid::new_1d(proc.nprocs());
-        let nb = n / proc.nprocs();
-        let base = proc.rank() * nb;
-        let mut ctx = Ctx::new(proc, grid);
-        fft_dist(&mut ctx, n, x2[base..base + nb].to_vec())
-    });
-    let mut got: Vec<Complex> = run.results.concat();
-    bit_reverse_permute(&mut got);
-    let want = naive_dft(&x);
-    for k in 0..n {
-        assert!((got[k] - want[k]).norm() < 1e-8 * n as f64);
-    }
-}
