@@ -327,12 +327,6 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         self.lo[d]
     }
 
-    /// One past the last owned global index along `d` (contiguous dims).
-    #[inline]
-    pub fn upper_excl(&self, d: usize) -> usize {
-        self.lo[d] + self.len[d]
-    }
-
     /// Number of owned indices along `d`.
     #[inline]
     pub fn local_len(&self, d: usize) -> usize {
@@ -448,9 +442,8 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// Read a visible element.
     ///
     /// Panics on a remote element: under owner-computes, remote values must
-    /// first be brought in by a ghost refresh, `extract_slice`, or
-    /// `redistribute` — exactly the communication a KF1 compiler would have
-    /// scheduled.
+    /// first be brought in by a ghost refresh or `redistribute` — exactly
+    /// the communication a KF1 compiler would have scheduled.
     #[inline]
     pub fn get(&self, idx: [usize; N]) -> T {
         self.try_get(idx).unwrap_or_else(|| {
@@ -478,6 +471,111 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         );
         let s = self.storage_index_owned(idx);
         self.data[s] = v;
+    }
+
+    /// Copy-in of an array slice: copy the *visible* (owned or ghost)
+    /// global box `lo..hi` (half-open per axis) into the head of the
+    /// contiguous scratch `out`, row-major over the box.
+    ///
+    /// A slice pinned on a trailing axis — a column of a 2-D array, a
+    /// plane of a 3-D one — is *strided* in row-major storage, so it
+    /// cannot be handed out as `&[T]`; gathering it once into contiguous
+    /// scratch hoists the per-point index decode out of the consumer's
+    /// arithmetic loop, which then vectorizes like any row-form interior
+    /// (zebra line solves, semicoarsening transfers and ADI's line
+    /// right-hand sides are the consumers). One corner decode per box;
+    /// an empty box is a no-op. Panics like [`DistArrayN::get`] if any
+    /// element of the box is not visible.
+    #[inline]
+    pub fn box_into(&self, lo: [usize; N], hi: [usize; N], out: &mut [T]) {
+        if (0..N).any(|d| hi[d] <= lo[d]) {
+            return;
+        }
+        let last = hi.map(|h| h - 1);
+        #[cfg(debug_assertions)]
+        for corner in 0..1usize << N {
+            self.check_fence(std::array::from_fn(|d| [lo[d], last[d]][corner >> d & 1]));
+        }
+        let (Some(s), Some(e)) = (self.storage_index(lo), self.storage_index(last)) else {
+            panic!(
+                "proc {}: non-local read of box {lo:?}..{hi:?} (dist {}); a ghost \
+                 exchange or slice transfer must make it visible first",
+                self.rank, self.spec
+            )
+        };
+        debug_assert_eq!(
+            e - s,
+            (0..N).map(|d| (last[d] - lo[d]) * self.stride[d]).sum(),
+            "box must be rectangular in storage"
+        );
+        let mut filled = 0;
+        Self::box_runs(self.stride, lo, hi, s, |start, len, step| {
+            for (k, o) in out[filled..filled + len].iter_mut().enumerate() {
+                *o = self.data[start + k * step];
+            }
+            filled += len;
+        });
+    }
+
+    /// Copy-out, the write side of [`DistArrayN::box_into`]: scatter the
+    /// head of `vals` (row-major over the box) into the *owned* global
+    /// box `lo..hi`. Writes outside the owned box are an owner-computes
+    /// violation, exactly like [`DistArrayN::set`].
+    #[inline]
+    pub fn box_set(&mut self, lo: [usize; N], hi: [usize; N], vals: &[T]) {
+        if (0..N).any(|d| hi[d] <= lo[d]) {
+            return;
+        }
+        assert!(
+            self.owns(lo) && self.owns(hi.map(|h| h - 1)),
+            "proc {}: owner-computes violation — box_set({lo:?}..{hi:?}) reaches \
+             outside the owned box",
+            self.rank
+        );
+        let s = self.storage_index_owned(lo);
+        let data = &mut self.data;
+        let mut taken = 0;
+        Self::box_runs(self.stride, lo, hi, s, |start, len, step| {
+            for (k, &v) in vals[taken..taken + len].iter().enumerate() {
+                data[start + k * step] = v;
+            }
+            taken += len;
+        });
+    }
+
+    /// The one box walker: visit the storage runs `f(start, len, step)`
+    /// of the global box `lo..hi`, whose first element is stored at `s`,
+    /// in row-major order of the box. The run axis is the last one the
+    /// box actually spans, so a box pinned on its trailing axes walks a
+    /// few long strided runs instead of many runs of one element.
+    #[inline]
+    fn box_runs(
+        stride: [usize; N],
+        lo: [usize; N],
+        hi: [usize; N],
+        s: usize,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
+        let run = (0..N).rev().find(|&d| hi[d] - lo[d] > 1).unwrap_or(N - 1);
+        let (mut at, mut start) = (lo, s);
+        loop {
+            f(start, hi[run] - lo[run], stride[run]);
+            // Odometer over the axes before the run axis.
+            let mut d = run;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                at[d] += 1;
+                start += stride[d];
+                if at[d] < hi[d] {
+                    break;
+                }
+                start -= (hi[d] - lo[d]) * stride[d];
+                at[d] = lo[d];
+            }
+        }
     }
 
     /// Apply `f` to every owned element (global index, current value) and
@@ -521,17 +619,6 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
                 counters[d] = 0;
             }
         }
-    }
-
-    /// Sum of all owned elements mapped through `f` (no communication;
-    /// combine with a reduction for a global result).
-    pub fn local_fold<A>(&self, init: A, mut f: impl FnMut(A, [usize; N], T) -> A) -> A {
-        let mut acc = Some(init);
-        self.for_each_owned(|idx, v| {
-            let a = acc.take().expect("fold accumulator");
-            acc = Some(f(a, idx, v));
-        });
-        acc.expect("fold accumulator")
     }
 }
 
@@ -624,71 +711,19 @@ impl<T: Elem> DistArray2<T> {
         )
     }
 
-    /// The column sibling of [`DistArray2::row`]: copy the visible run of
-    /// column `j`, rows `is`, into the head of the contiguous scratch
-    /// `out` (which must be at least `is.len()` long).
-    ///
-    /// A column is *strided* in row-major storage (`stride[0]` apart), so
-    /// it cannot be handed out as a slice; gathering it once into
-    /// contiguous scratch hoists the per-point index decode out of the
-    /// consumer's arithmetic loop — the loop over the scratch then
-    /// vectorizes like any row-form interior (the zebra x-line solver is
-    /// the motivating consumer). Panics like [`DistArrayN::get`] if any
-    /// element of the run is not visible.
+    /// The column sibling of [`DistArray2::row`], the N = 2 spelling of
+    /// [`DistArrayN::box_into`]: copy the visible run of column `j`, rows
+    /// `is`, into the head of the contiguous scratch `out`.
     #[inline]
     pub fn col_into(&self, j: usize, is: std::ops::Range<usize>, out: &mut [T]) {
-        if is.is_empty() {
-            return;
-        }
-        #[cfg(debug_assertions)]
-        {
-            self.check_fence([is.start, j]);
-            if is.end > is.start + 1 {
-                self.check_fence([is.end - 1, j]);
-            }
-        }
-        let s = self
-            .storage_index([is.start, j])
-            .unwrap_or_else(|| self.non_visible_col(j, is.clone()));
-        let e = self
-            .storage_index([is.end - 1, j])
-            .unwrap_or_else(|| self.non_visible_col(j, is.clone()));
-        let step = self.stride[0];
-        debug_assert_eq!(s + (is.len() - 1) * step, e, "column run must be strided");
-        for (k, o) in out.iter_mut().take(is.len()).enumerate() {
-            *o = self.data[s + k * step];
-        }
+        self.box_into([is.start, j], [is.end, j + 1], out);
     }
 
-    /// The write side of the column interface: scatter `vals` into the
-    /// *owned* run of column `j`, rows `is`. Writes outside the owned box
-    /// are an owner-computes violation, exactly like [`DistArrayN::set`].
+    /// The write side of the column interface ([`DistArrayN::box_set`]):
+    /// scatter `vals` into the *owned* run of column `j`, rows `is`.
     #[inline]
     pub fn col_set(&mut self, j: usize, is: std::ops::Range<usize>, vals: &[T]) {
-        if is.is_empty() {
-            return;
-        }
-        debug_assert!(vals.len() >= is.len());
-        assert!(
-            self.owns([is.start, j]) && self.owns([is.end - 1, j]),
-            "proc {}: owner-computes violation — col_set({j}, {is:?}) reaches \
-             outside the owned box",
-            self.rank
-        );
-        let s = self.storage_index_owned([is.start, j]);
-        let step = self.stride[0];
-        for (k, &v) in vals.iter().take(is.len()).enumerate() {
-            self.data[s + k * step] = v;
-        }
-    }
-
-    #[cold]
-    fn non_visible_col(&self, j: usize, is: std::ops::Range<usize>) -> usize {
-        panic!(
-            "proc {}: non-local column read ({is:?}, {j}) (dist {}); a ghost \
-             exchange or slice transfer must make it visible first",
-            self.rank, self.spec
-        )
+        self.box_set([is.start, j], [is.end, j + 1], vals);
     }
 }
 
@@ -834,25 +869,112 @@ mod tests {
     }
 
     #[test]
-    fn fold_and_foreach_agree() {
-        let g = grid2();
-        let spec = DistSpec::block2();
-        let a: DistArray2<f64> =
-            DistArrayN::from_fn(2, &g, &spec, [6, 6], [0, 0], |[i, j]| (i + j) as f64);
-        let mut sum1 = 0.0;
-        a.for_each_owned(|_, v| sum1 += v);
-        let sum2 = a.local_fold(0.0, |acc, _, v| acc + v);
-        assert_eq!(sum1, sum2);
-        assert!(sum1 > 0.0);
-    }
-
-    #[test]
     fn map_owned_transforms_in_place() {
         let g = ProcGrid::new_1d(2);
         let spec = DistSpec::block1();
         let mut a: DistArray1<f64> = DistArrayN::from_fn(0, &g, &spec, [8], [0], |[i]| i as f64);
         a.map_owned(|_, v| v * 2.0);
         assert_eq!(a.at(3), 6.0);
+    }
+
+    /// Give every storage cell — ghosts included — a distinct value, so a
+    /// box copy can be checked cell by cell.
+    fn numbered<const N: usize>(mut a: DistArrayN<f64, N>) -> DistArrayN<f64, N> {
+        for (s, v) in a.data.iter_mut().enumerate() {
+            *v = s as f64;
+        }
+        a
+    }
+
+    /// Rank 0 of 2x2 owns [0..4) x [0..4) of an 8x8 array with a full skirt.
+    fn skirted2() -> DistArray2<f64> {
+        numbered(DistArrayN::new(
+            0,
+            &grid2(),
+            &DistSpec::block2(),
+            [8, 8],
+            [1, 1],
+        ))
+    }
+
+    /// `box_into` must read, in row-major order of the box, exactly what
+    /// `get` reads; if the box is owned, `box_set` must write it back and
+    /// touch nothing else.
+    fn check_box<const N: usize>(a: &mut DistArrayN<f64, N>, lo: [usize; N], hi: [usize; N]) {
+        let dims: [usize; N] = std::array::from_fn(|d| hi[d] - lo[d]);
+        let vol: usize = dims.iter().product();
+        let cell = |flat: usize| {
+            let (mut rem, mut idx) = (flat, lo);
+            for d in (0..N).rev() {
+                idx[d] += rem % dims[d];
+                rem /= dims[d];
+            }
+            idx
+        };
+        let mut out = vec![-1.0; vol + 1];
+        a.box_into(lo, hi, &mut out);
+        for (flat, &got) in out[..vol].iter().enumerate() {
+            assert_eq!(got, a.get(cell(flat)), "{:?}", cell(flat));
+        }
+        assert_eq!(out[vol], -1.0, "box_into fills only the box");
+        if !(a.owns(lo) && a.owns(hi.map(|h| h - 1))) {
+            return;
+        }
+        let before = a.data.clone();
+        let vals: Vec<f64> = out.iter().map(|v| v + 1000.0).collect();
+        a.box_set(lo, hi, &vals);
+        for (flat, &v) in vals[..vol].iter().enumerate() {
+            assert_eq!(a.get(cell(flat)), v, "{:?}", cell(flat));
+        }
+        let changed = a.data.iter().zip(&before).filter(|(x, y)| x != y).count();
+        assert_eq!(changed, vol, "box_set writes only the box");
+    }
+
+    #[test]
+    fn box_pair_matches_get_and_set_in_one_two_and_three_dims() {
+        // Rank 0 of two owns 0..4 plus the ghost at 4.
+        let (g1, block1) = (ProcGrid::new_1d(2), DistSpec::block1());
+        let mut a = numbered(DistArrayN::new(0, &g1, &block1, [8], [1]));
+        check_box(&mut a, [2], [5]); // spans the ghost
+        check_box(&mut a, [1], [4]);
+        check_box(&mut a, [3], [4]);
+        let mut a = skirted2();
+        check_box(&mut a, [1, 2], [5, 5]); // spans face and corner ghosts
+        check_box(&mut a, [0, 2], [4, 3]); // a column: last axis pinned
+        check_box(&mut a, [2, 1], [3, 4]); // a row: first axis pinned
+        check_box(&mut a, [1, 1], [3, 4]);
+        // Rank 3 of the mg3 layout owns all of x and [4..8) in y and z.
+        let spec = DistSpec::local_block_block();
+        let mut a = numbered(DistArrayN::new(3, &grid2(), &spec, [4, 8, 8], [0, 1, 1]));
+        check_box(&mut a, [0, 3, 3], [4, 6, 6]); // spans ghosts in y and z
+        check_box(&mut a, [1, 4, 5], [3, 8, 6]); // a plane: last axis pinned
+        check_box(&mut a, [2, 4, 4], [3, 8, 8]); // a plane: first axis pinned
+        check_box(&mut a, [0, 5, 4], [4, 6, 5]); // a line along x
+    }
+
+    #[test]
+    fn empty_box_is_a_no_op() {
+        let mut a = skirted2();
+        let before = a.data.clone();
+        // Not even visible — but empty, so never decoded.
+        a.box_into([7, 7], [8, 7], &mut []);
+        a.box_set([7, 7], [7, 8], &[]);
+        a.col_into(2, 3..3, &mut []);
+        assert_eq!(a.data, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-local read of box")]
+    fn box_beyond_the_ghost_skirt_panics_on_read() {
+        let a = skirted2();
+        a.col_into(2, 0..6, &mut [0.0; 6]); // row 5 is past the ghost row 4
+    }
+
+    #[test]
+    #[should_panic(expected = "owner-computes violation")]
+    fn box_reaching_into_ghosts_panics_on_write() {
+        let mut a = skirted2();
+        a.col_set(2, 0..5, &[0.0; 5]); // row 4 is visible but not owned
     }
 
     #[test]

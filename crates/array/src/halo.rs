@@ -244,7 +244,6 @@ pub struct PendingHalo<T: Elem> {
 pub(crate) const CACHED_BLOCKING: ExecPolicy = ExecPolicy {
     split: false,
     optimistic: true,
-    rows: true,
 };
 
 impl<T: Elem, const N: usize> DistArrayN<T, N> {

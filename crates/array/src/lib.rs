@@ -21,8 +21,10 @@
 //!   [`HaloCache`] with a piggybacked (optimistic) consensus vote, is the
 //!   [`kali_sched::ExecPolicy`] and the cache passed in — the layer
 //!   `kali-runtime`'s `StencilPlan` drives;
-//! * [`DistArrayN::extract_slice`]/[`DistArrayN::store_slice`] — copy-in /
-//!   copy-out of array slices (`r(i, *)`) passed to distributed procedures;
+//! * [`DistArrayN::box_into`]/[`DistArrayN::box_set`] — copy-in /
+//!   copy-out of array slices (`r(i, *)`, `u(*, *, k)`) passed to line and
+//!   plane operators: one gather of a visible box into contiguous scratch,
+//!   one scatter back into an owned box;
 //! * [`DistArrayN::gather_to_root`] — assembling a global array for
 //!   verification or output;
 //! * [`DistArrayN::redistribute`] — changing the `dist` clause at run time

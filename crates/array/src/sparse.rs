@@ -184,11 +184,6 @@ impl<T: Real> SparseCsr<T> {
         self.col_idx.len()
     }
 
-    /// Global index of local row `li`.
-    pub fn global_row(&self, li: usize) -> usize {
-        self.row_lo + li
-    }
-
     /// The block distribution of the rows.
     pub fn row_dist(&self) -> Dist1 {
         self.row_dist
@@ -225,13 +220,6 @@ impl<T: Real> SparseCsr<T> {
         self.row_dist = Dist1::block(self.nrows, self.grid.size());
         self.generation += 1;
         proc.memop(self.local_rows() as f64);
-    }
-
-    /// Mutable view of the stored nonzero values (pattern is fixed).
-    /// Changing values never invalidates a gather schedule — only the
-    /// *pattern* and the distributions are keyed.
-    pub fn vals_mut(&mut self) -> &mut [T] {
-        &mut self.vals
     }
 }
 
@@ -279,33 +267,6 @@ impl GatherCache {
         GatherCache {
             cache: ScheduleCache::new(4),
         }
-    }
-
-    /// A cache additionally bounded to `max_entries` schedules in total.
-    pub fn with_budget(max_entries: usize) -> Self {
-        GatherCache {
-            cache: ScheduleCache::with_budget(4, max_entries),
-        }
-    }
-
-    /// Re-cap the global entry budget, evicting LRU entries down to it.
-    pub fn set_budget(&mut self, max_entries: usize) {
-        self.cache.set_budget(max_entries);
-    }
-
-    /// Cached schedules currently held.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// The global entry budget, if one is set.
-    pub fn budget(&self) -> Option<usize> {
-        self.cache.budget()
     }
 }
 

@@ -1,6 +1,6 @@
-//! Slice extraction (copy-in/copy-out), gather, and redistribution.
+//! Gather and redistribution.
 
-use kali_grid::{DistSpec, ProcGrid};
+use kali_grid::DistSpec;
 use kali_machine::{collective, Proc, Wire};
 
 use crate::arrays::{DistArrayN, Elem};
@@ -52,88 +52,6 @@ fn cartesian<const N: usize>(lists: &[Vec<usize>; N], mut f: impl FnMut([usize; 
 }
 
 impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
-    /// The processor sub-grid owning the slice obtained by pinning the
-    /// dimensions given as `Some(index)` — the paper's `owner(r(i, *))`
-    /// construct. Free dimensions (`None`) stay in the result grid.
-    pub fn owner_grid(&self, fixed: [Option<usize>; N]) -> ProcGrid {
-        let mut pins: Vec<(usize, usize)> = Vec::new();
-        for d in 0..N {
-            if let Some(i) = fixed[d] {
-                if let Some(gd) = self.spec.grid_dim_of(d) {
-                    pins.push((gd, self.dists[d].owner(i)));
-                }
-            }
-        }
-        // Slice highest grid dimension first so lower indices stay valid.
-        pins.sort_by_key(|p| std::cmp::Reverse(p.0));
-        let mut g = self.grid.clone();
-        for (gd, c) in pins {
-            g = g.slice(gd, c);
-        }
-        g
-    }
-
-    /// Copy-in: this processor's part of the slice obtained by pinning the
-    /// `Some(i)` dimensions, flattened over the free dimensions in local
-    /// order. Returns `None` if this processor holds no part of the slice.
-    ///
-    /// Together with [`Self::store_slice`] this implements the copy-in /
-    /// copy-out argument passing of KF1 distributed procedure calls
-    /// (`call tric(v(i,*), ...)`).
-    pub fn extract_slice(&self, proc: &mut Proc, fixed: [Option<usize>; N]) -> Option<Vec<T>> {
-        let lists = self.slice_lists(fixed)?;
-        let mut out = Vec::new();
-        cartesian(&lists, |idx| {
-            out.push(self.data[self.storage_index_checked(idx)]);
-        });
-        proc.memop(out.len() as f64);
-        Some(out)
-    }
-
-    /// Copy-out: write this processor's part of a pinned slice back.
-    /// `vals` must have the length `extract_slice` would return.
-    pub fn store_slice(&mut self, proc: &mut Proc, fixed: [Option<usize>; N], vals: &[T]) {
-        let Some(lists) = self.slice_lists(fixed) else {
-            assert!(
-                vals.is_empty(),
-                "store_slice on a processor that holds no part of the slice"
-            );
-            return;
-        };
-        let mut slots = Vec::new();
-        cartesian(&lists, |idx| {
-            slots.push(self.storage_index_checked(idx));
-        });
-        assert_eq!(slots.len(), vals.len(), "slice length mismatch");
-        for (s, &v) in slots.iter().zip(vals) {
-            self.data[*s] = v;
-        }
-        proc.memop(vals.len() as f64);
-    }
-
-    /// Per-dimension global index lists of my part of the pinned slice,
-    /// or `None` if I hold none of it.
-    fn slice_lists(&self, fixed: [Option<usize>; N]) -> Option<[Vec<usize>; N]> {
-        if !self.is_participant() {
-            return None;
-        }
-        let mut lists: [Vec<usize>; N] = std::array::from_fn(|_| Vec::new());
-        for d in 0..N {
-            match fixed[d] {
-                Some(i) => {
-                    if self.dists[d].owner(i) != self.qs[d] {
-                        return None;
-                    }
-                    lists[d] = vec![i];
-                }
-                None => {
-                    lists[d] = self.owned_indices(d);
-                }
-            }
-        }
-        Some(lists)
-    }
-
     fn storage_index_checked(&self, idx: [usize; N]) -> usize {
         let mut s = 0;
         for d in 0..N {
@@ -265,6 +183,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
 mod tests {
     use super::*;
     use crate::{DistArray1, DistArray2};
+    use kali_grid::ProcGrid;
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
 
@@ -279,63 +198,6 @@ mod tests {
         assert_eq!(intersect(&[1, 3, 5, 7], &[2, 3, 4, 7, 9]), vec![3, 7]);
         assert_eq!(intersect(&[], &[1]), Vec::<usize>::new());
         assert_eq!(intersect(&[1, 2], &[1, 2]), vec![1, 2]);
-    }
-
-    #[test]
-    fn owner_grid_selects_the_row_team() {
-        let run = Machine::run(cfg(4), |proc| {
-            let g = ProcGrid::new_2d(2, 2);
-            let spec = kali_grid::DistSpec::block2();
-            let a = DistArray2::<f64>::new(proc.rank(), &g, &spec, [8, 8], [0, 0]);
-            // owner(a(6, *)): row 6 lives on grid row 1 -> ranks {2, 3}
-            let t = a.owner_grid([Some(6), None]);
-            t.ranks().to_vec()
-        });
-        for r in run.results {
-            assert_eq!(r, vec![2, 3]);
-        }
-    }
-
-    #[test]
-    fn owner_grid_pins_multiple_dims() {
-        let g = ProcGrid::new_2d(2, 2);
-        let spec = kali_grid::DistSpec::local_block_block();
-        let a = crate::DistArray3::<f64>::new(0, &g, &spec, [4, 8, 8], [0, 0, 0]);
-        // Pin y and z: a single processor remains.
-        let t = a.owner_grid([None, Some(6), Some(1)]);
-        assert_eq!(t.size(), 1);
-        assert_eq!(t.ranks(), &[2]); // grid coords (1, 0)
-    }
-
-    #[test]
-    fn extract_and_store_roundtrip_row() {
-        let run = Machine::run(cfg(4), |proc| {
-            let g = ProcGrid::new_2d(2, 2);
-            let spec = kali_grid::DistSpec::block2();
-            let mut a = DistArray2::from_fn(proc.rank(), &g, &spec, [8, 8], [0, 0], |[i, j]| {
-                (10 * i + j) as f64
-            });
-            // Row 2 lives on grid row 0 (ranks 0 and 1), 4 elements each.
-            let piece = a.extract_slice(proc, [Some(2), None]);
-            if let Some(mut p) = piece.clone() {
-                for v in &mut p {
-                    *v += 100.0;
-                }
-                a.store_slice(proc, [Some(2), None], &p);
-            }
-            (piece, a)
-        });
-        assert_eq!(
-            run.results[0].0,
-            Some(vec![20.0, 21.0, 22.0, 23.0]),
-            "rank 0 owns the left half of row 2"
-        );
-        assert_eq!(run.results[1].0, Some(vec![24.0, 25.0, 26.0, 27.0]));
-        assert_eq!(run.results[2].0, None);
-        assert_eq!(run.results[0].1.at(2, 1), 121.0);
-        assert_eq!(run.results[1].1.at(2, 6), 126.0);
-        // Untouched row unchanged.
-        assert_eq!(run.results[0].1.at(1, 1), 11.0);
     }
 
     #[test]

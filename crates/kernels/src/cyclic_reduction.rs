@@ -48,11 +48,6 @@ pub fn cyclic_reduction(b: &[f64], a: &[f64], c: &[f64], f: &[f64]) -> Vec<f64> 
     x
 }
 
-/// Approximate flop count of [`cyclic_reduction`] for cost accounting.
-pub fn cr_flops(n: usize) -> f64 {
-    17.0 * n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

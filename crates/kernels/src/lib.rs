@@ -24,5 +24,5 @@ pub mod tri_dist;
 pub mod tridiag;
 
 pub use mtrix::{mtrix, TriLocal};
-pub use tri_dist::{tri_dist, tri_dist_const};
+pub use tri_dist::tri_dist;
 pub use tridiag::{thomas, TriDiag};

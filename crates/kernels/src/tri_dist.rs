@@ -174,38 +174,6 @@ pub fn tri_dist(ctx: &mut Ctx, n: usize, b: &[f64], a: &[f64], c: &[f64], f: &[f
     x_local
 }
 
-/// Constant-coefficient variant (`tric` of Listing 7): builds the diagonal
-/// blocks locally (with the global end conditions) and solves.
-pub fn tri_dist_const(
-    ctx: &mut Ctx,
-    n: usize,
-    b0: f64,
-    a0: f64,
-    c0: f64,
-    f_local: &[f64],
-) -> Vec<f64> {
-    let grid = ctx.grid().clone();
-    let Some(me) = grid.index_of(ctx.rank()) else {
-        return Vec::new();
-    };
-    let p = grid.size();
-    let dist = kali_grid::Dist1::block(n, p);
-    let m = dist.local_len(me);
-    assert_eq!(f_local.len(), m, "rhs block size mismatch");
-    let lo = dist.lower(me).unwrap_or(0);
-    let mut b = vec![b0; m];
-    let mut c = vec![c0; m];
-    if lo == 0 && m > 0 {
-        b[0] = 0.0;
-    }
-    if lo + m == n && m > 0 {
-        c[m - 1] = 0.0;
-    }
-    let a = vec![a0; m];
-    ctx.proc().memop(3.0 * m as f64);
-    tri_dist(ctx, n, &b, &a, &c, f_local)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,32 +314,6 @@ mod tests {
         let p = 8;
         let (_, report) = run_tri(256, p, 13);
         assert_eq!(report.total_msgs as usize, 2 * (2 * p - 2));
-    }
-
-    #[test]
-    fn const_coefficient_variant() {
-        let n = 64;
-        let p = 4;
-        // (b0,a0,c0) = (-1, 4, -1), f = A * x_true
-        let sys = TriDiag::constant(n, -1.0, 4.0, -1.0);
-        let x_true: Vec<f64> = (0..n).map(|i| ((i % 7) as f64) - 3.0).collect();
-        let f = sys.apply(&x_true);
-        let run = Machine::run(cfg(p), move |proc| {
-            let grid = ProcGrid::new_1d(proc.nprocs());
-            let me = proc.rank();
-            let dist = Dist1::block(n, proc.nprocs());
-            let lo = dist.lower(me).unwrap();
-            let hi = dist.upper(me).unwrap() + 1;
-            let mut ctx = Ctx::new(proc, grid);
-            tri_dist_const(&mut ctx, n, -1.0, 4.0, -1.0, &f[lo..hi])
-        });
-        let mut x = Vec::new();
-        for piece in &run.results {
-            x.extend_from_slice(piece);
-        }
-        for i in 0..n {
-            assert!((x[i] - x_true[i]).abs() < 1e-9, "i={i}");
-        }
     }
 
     #[test]

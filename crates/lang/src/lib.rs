@@ -1025,11 +1025,7 @@ end
         ];
         for split in [false, true] {
             for optimistic in [false, true] {
-                let policy = ExecPolicy {
-                    split,
-                    optimistic,
-                    ..ExecPolicy::default()
-                };
+                let policy = ExecPolicy { split, optimistic };
                 let (inspect, seeded) = seeded_vs_inspector(
                     listing("jacobi").unwrap(),
                     "jacobi",

@@ -120,11 +120,6 @@ pub trait Backend: Send + Sync {
     /// Virtual arrival stamp for a message of `words` words over `hops`
     /// hops, posted when the sender's clock reads `now`.
     fn arrival(&self, cost: &CostModel, now: f64, words: usize, hops: usize) -> f64;
-
-    /// Virtual seconds charged by an explicit busy interval
-    /// ([`crate::Proc::busy_for`], used by collectives for combining
-    /// costs).
-    fn busy_seconds(&self, seconds: f64) -> f64;
 }
 
 /// The deterministic virtual-time simulator: full [`CostModel`]
@@ -150,10 +145,6 @@ impl Backend for SimBackend {
 
     fn arrival(&self, cost: &CostModel, now: f64, words: usize, hops: usize) -> f64 {
         now + cost.wire_time(words, hops)
-    }
-
-    fn busy_seconds(&self, seconds: f64) -> f64 {
-        seconds
     }
 }
 
@@ -182,10 +173,6 @@ impl Backend for ThreadsBackend {
 
     fn arrival(&self, _cost: &CostModel, now: f64, _words: usize, _hops: usize) -> f64 {
         now
-    }
-
-    fn busy_seconds(&self, _seconds: f64) -> f64 {
-        0.0
     }
 }
 
@@ -222,7 +209,6 @@ mod tests {
         assert_eq!(b.kind(), BackendKind::Sim);
         assert_eq!(b.flop_seconds(&c, 1000.0), 1.0);
         assert_eq!(b.arrival(&c, 2.0, 10, 0), 2.0 + 1.0 + 1.0);
-        assert_eq!(b.busy_seconds(0.5), 0.5);
         assert!(BackendKind::Sim.virtual_time());
     }
 
@@ -235,7 +221,6 @@ mod tests {
         assert_eq!(b.memop_seconds(&c, 1e9), 0.0);
         assert_eq!(b.overhead_seconds(&c), 0.0);
         assert_eq!(b.arrival(&c, 3.5, 1 << 20, 9), 3.5);
-        assert_eq!(b.busy_seconds(123.0), 0.0);
         assert!(!BackendKind::Threads.virtual_time());
     }
 }

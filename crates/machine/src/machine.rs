@@ -250,16 +250,6 @@ impl Machine {
             results,
         }
     }
-
-    /// Run a sequential program on a 1-processor machine with the given cost
-    /// model; convenient for baselines.
-    pub fn run_seq<R, F>(cost: CostModel, body: F) -> MachineRun<R>
-    where
-        R: Send + 'static,
-        F: Fn(&mut Proc) -> R + Send + Sync,
-    {
-        Machine::run(MachineConfig::new(1).with_cost(cost), body)
-    }
 }
 
 #[cfg(test)]
@@ -455,33 +445,6 @@ mod tests {
         });
         // alpha(1) + beta(0.1) + 2 hops * 10
         assert!((run.results[2] - 21.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sendrecv_round_trips() {
-        let run = Machine::run(unit_cfg(2), |proc| {
-            let t = tag(NS_USER, 8);
-            if proc.rank() == 0 {
-                let echoed: f64 = proc.sendrecv(1, 1, t, 11.0f64);
-                echoed
-            } else {
-                let v: f64 = proc.recv(0, t);
-                proc.send(0, t, v * 2.0);
-                0.0
-            }
-        });
-        assert_eq!(run.results[0], 22.0);
-    }
-
-    #[test]
-    fn run_seq_is_a_one_processor_machine() {
-        let run = Machine::run_seq(CostModel::unit(), |proc| {
-            assert_eq!(proc.nprocs(), 1);
-            proc.compute(500.0);
-            proc.clock()
-        });
-        assert_eq!(run.results, vec![0.5]);
-        assert_eq!(run.report.nprocs(), 1);
     }
 
     #[test]

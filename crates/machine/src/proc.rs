@@ -390,16 +390,6 @@ impl Proc {
         self.stats.gather_words += words;
     }
 
-    /// Advance the clock by an arbitrary busy interval (used by collectives
-    /// for combining overheads; rarely needed by applications).
-    #[inline]
-    pub fn busy_for(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0);
-        let dt = self.backend.busy_seconds(seconds);
-        self.clock += dt;
-        self.stats.busy += dt;
-    }
-
     /// Asynchronous send: never blocks (channels are unbounded, matching the
     /// paper's assumption of asynchronous communication).
     ///
@@ -558,13 +548,6 @@ impl Proc {
                 }
             }
         }
-    }
-
-    /// Convenience: send `value` to `dst` and receive a reply of the same tag
-    /// from `peer` (possibly the same rank). Common in exchange patterns.
-    pub fn sendrecv<T: Wire, U: Wire>(&mut self, dst: usize, peer: usize, tag: Tag, value: T) -> U {
-        self.send(dst, tag, value);
-        self.recv(peer, tag)
     }
 
     // ---------- split-phase (nonblocking) primitives ----------

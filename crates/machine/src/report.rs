@@ -116,11 +116,6 @@ impl RunReport {
         self.procs[rank].stats.busy / self.elapsed
     }
 
-    /// Speedup of this run relative to a baseline (e.g. sequential) makespan.
-    pub fn speedup_over(&self, baseline_elapsed: f64) -> f64 {
-        baseline_elapsed / self.elapsed
-    }
-
     /// Marks from all processors merged and sorted by virtual time.
     pub fn merged_marks(&self) -> Vec<(usize, f64, &str)> {
         let mut out: Vec<(usize, f64, &str)> = self
@@ -256,12 +251,6 @@ mod tests {
         );
         assert!((r.utilization() - 0.75).abs() < 1e-12);
         assert!((r.proc_utilization(0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_is_baseline_ratio() {
-        let r = RunReport::new(BackendKind::Sim, 0.0, vec![mk_proc(0, 2.0, 2.0)]);
-        assert_eq!(r.speedup_over(8.0), 4.0);
     }
 
     #[test]

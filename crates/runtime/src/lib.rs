@@ -15,8 +15,8 @@
 //! * [`Ctx::plan`] — **the** entry point for communicating `doall`s: a
 //!   declarative [`StencilPlan`] where the caller states what a stencil
 //!   reads ([`Ghosts`]: width + corner policy) and which loop shape runs
-//!   ([`PlanRead::update2`] for copy-in/copy-out updates,
-//!   [`PlanRead::run2`] for product-range loops writing elsewhere,
+//!   ([`PlanRead::update2_rows`] for copy-in/copy-out updates,
+//!   [`PlanRead::run2_rows`] for product-range loops writing elsewhere,
 //!   [`PlanRead::run_lines`] for line `doall`s,
 //!   [`PlanRead::refresh`] for a bare skirt refresh) — and the runtime
 //!   derives and executes the communication: split-phase with the
@@ -24,8 +24,11 @@
 //!   schedule cache with a piggybacked consensus vote, all policy-driven
 //!   rather than API-driven. The plan hands the policy (and, when it
 //!   replays at all, the cache) to the array layer's one begin/finish
-//!   pair, which runs `kali-sched`'s trip driver; the per-point loop
-//!   forms are adaptors over the row-run engine, not a second engine;
+//!   pair, which runs `kali-sched`'s trip driver. The two product-range
+//!   shapes hand the body whole contiguous row runs (`&[T]` in,
+//!   `&mut [T]` out) — the form every solver is written in;
+//!   [`PlanRead::update2`]/[`PlanRead::run2`] are the per-point
+//!   convenience, adaptors over the row-run engine, not a second engine;
 //! * [`Ctx::sparse`] — the same contract for *irregular* reads: a
 //!   [`SparsePlan`] drives one inspector-executor SpMV against a
 //!   [`kali_array::SparseCsr`], overlapping the x-gather transit with
@@ -39,30 +42,6 @@
 //! virtual time through the usual [`Proc`] accounting, so programs
 //! written against this API are directly comparable with the
 //! hand-written message-passing baselines in `kali-mp` (paper claim C2).
-//!
-//! ## Migrating from the pre-plan API
-//!
-//! | old entry point | plan call |
-//! |---|---|
-//! | `jacobi_update(proc, u, r0, r1, fl, f)` | `ctx.plan().policy(ExecPolicy::blocking()).reads(&mut u, Ghosts::faces(1)).update2(r0, r1, fl, f)` |
-//! | `jacobi_update_split(proc, u, r0, r1, fl, f)` | `ctx.plan().reads(&mut u, Ghosts::faces(1)).update2(r0, r1, fl, f)` |
-//! | `a.exchange_ghosts(proc)` (in solver code) | `ctx.plan().reads(&mut a, Ghosts::full(1)).refresh()` |
-//! | `zebra2_with(.., split)` / `rest2_with(.., split)` / `mg2_vcycle_with(.., split)` | `ctx.set_policy(..)` once; call `zebra2` / `rest2` / `mg2_vcycle` |
-//!
-//! ### Migrating to generic elements and row-form interiors
-//!
-//! The plan API is generic over [`kali_array::Elem`] — existing `f64`
-//! call sites compile unchanged, and `DistArray2<f32>` fields flow
-//! through the same entry points with half the exchange words. The hot
-//! loop shapes additionally have row-form siblings,
-//! [`PlanRead::update2_rows`] and [`PlanRead::run2_rows`], which hand
-//! the body whole contiguous row segments (`&[T]` in, `&mut [T]` out)
-//! instead of one point per closure call so the interior vectorizes;
-//! [`ExecPolicy::rows`] (on by default) selects which form the solver
-//! entry points dispatch to, and [`ExecPolicy::point_form`] is the
-//! bitwise-identical per-point differential baseline. Per-point code
-//! needs no migration — port an interior to the row form only when it
-//! is hot.
 
 use kali_array::{DistArrayN, Elem, GatherCache, HaloCache};
 use kali_grid::ProcGrid;
@@ -149,8 +128,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// Build a [`StencilPlan`] under the context's policy: declare what
-    /// the loop reads, then run it. See the crate docs for the migration
-    /// table from the pre-plan entry points.
+    /// the loop reads, then run it.
     pub fn plan(&mut self) -> StencilPlan<'_, 'a> {
         let policy = self.policy;
         StencilPlan { ctx: self, policy }
@@ -163,23 +141,6 @@ impl<'a> Ctx<'a> {
     pub fn sparse(&mut self) -> SparsePlan<'_, 'a> {
         let policy = self.policy;
         SparsePlan { ctx: self, policy }
-    }
-
-    /// Number of gather schedule entries currently cached.
-    pub fn gather_len(&self) -> usize {
-        self.gather.len()
-    }
-
-    /// Cap the total number of cached gather schedules (the sparse
-    /// analogue of [`Ctx::set_halo_budget`], with the same SPMD
-    /// discipline: set it on every member).
-    pub fn set_gather_budget(&mut self, max_entries: usize) {
-        self.gather.set_budget(max_entries);
-    }
-
-    /// The gather cache's global entry budget (`None` if unbounded).
-    pub fn gather_budget(&self) -> Option<usize> {
-        self.gather.budget()
     }
 
     /// The machine-level processor handle.

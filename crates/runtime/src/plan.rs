@@ -30,6 +30,10 @@
 //! * [`PlanRead::run2`] — a product-range `doall` that reads the
 //!   declared array (fresh ghosts) and writes elsewhere (e.g. a
 //!   residual into a second array captured by the body).
+//! * [`PlanRead::update2_rows`] / [`PlanRead::run2_rows`] — the same two
+//!   shapes with the body handed whole contiguous row runs as slices:
+//!   the engine itself, and the form the solvers are written in (the
+//!   per-point pair above loops each run).
 //! * [`PlanRead::run_lines`] — a one-dimensional `doall` over lines
 //!   (zebra relaxation, semicoarsening restriction) with the declared
 //!   array handed back mutably for in-place line solves.
@@ -254,8 +258,9 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
     /// rows ([`DistArrayN::row`]). Because owned rows and their ghost
     /// columns are contiguous in storage (`stride[1] == 1`), a stencil
     /// body written against slices compiles to an autovectorizable tight
-    /// loop; per-point and row form are pinned bitwise-identical, so
-    /// solvers dispatch on [`ExecPolicy::rows`] freely.
+    /// loop — the form the solvers are written in; the per-point
+    /// [`PlanRead::update2`] is an adaptor over it, pinned
+    /// bitwise-identical.
     pub fn update2_rows(
         self,
         r0: std::ops::Range<usize>,

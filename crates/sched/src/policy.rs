@@ -24,34 +24,23 @@ pub struct ExecPolicy {
     /// pre-caching baseline: rebuild (or dedicated vote round) on every
     /// trip.
     pub optimistic: bool,
-    /// Hand stencil bodies whole contiguous owned rows (`&[T]` in,
-    /// `&mut [T]` out) so the interior compiles to autovectorizable tight
-    /// loops, instead of calling the body once per `(i, j)` point.
-    /// Solvers with a row kernel dispatch on this flag; the per-point
-    /// form (`false`) is the differential baseline and both are pinned
-    /// bitwise-identical.
-    pub rows: bool,
 }
 
 impl Default for ExecPolicy {
-    /// Split-phase with optimistic replay over row-form interiors: the
-    /// latency-hiding, schedule-replaying, vectorizing fast path.
+    /// Split-phase with optimistic replay: the latency-hiding,
+    /// schedule-replaying fast path.
     fn default() -> Self {
         ExecPolicy {
             split: true,
             optimistic: true,
-            rows: true,
         }
     }
 }
 
 impl ExecPolicy {
     /// Fully synchronous, rebuild-per-exchange: the differential baseline.
-    /// (Row-form interiors stay on — the interior iteration shape is
-    /// orthogonal to the exchange strategy.)
     pub fn blocking() -> Self {
         ExecPolicy {
-            rows: true,
             split: false,
             optimistic: false,
         }
@@ -60,18 +49,8 @@ impl ExecPolicy {
     /// Split-phase overlap without optimistic replay.
     pub fn pessimistic() -> Self {
         ExecPolicy {
-            rows: true,
             split: true,
             optimistic: false,
-        }
-    }
-
-    /// The same exchange strategy with per-point interior bodies — the
-    /// differential (and perf) baseline for the row form.
-    pub fn point_form(self) -> Self {
-        ExecPolicy {
-            rows: false,
-            ..self
         }
     }
 }
@@ -82,37 +61,9 @@ mod tests {
 
     #[test]
     fn presets_cover_the_strategy_lattice() {
-        assert_eq!(
-            ExecPolicy::default(),
-            ExecPolicy {
-                split: true,
-                optimistic: true,
-                rows: true,
-            }
-        );
-        assert_eq!(
-            ExecPolicy::blocking(),
-            ExecPolicy {
-                split: false,
-                optimistic: false,
-                rows: true,
-            }
-        );
-        assert_eq!(
-            ExecPolicy::pessimistic(),
-            ExecPolicy {
-                split: true,
-                optimistic: false,
-                rows: true,
-            }
-        );
-        assert_eq!(
-            ExecPolicy::default().point_form(),
-            ExecPolicy {
-                split: true,
-                optimistic: true,
-                rows: false,
-            }
-        );
+        let square = |split, optimistic| ExecPolicy { split, optimistic };
+        assert_eq!(ExecPolicy::default(), square(true, true));
+        assert_eq!(ExecPolicy::pessimistic(), square(true, false));
+        assert_eq!(ExecPolicy::blocking(), square(false, false));
     }
 }

@@ -489,7 +489,6 @@ mod tests {
                         policy: ExecPolicy {
                             split,
                             optimistic: mode == Piggybacked,
-                            rows: true,
                         },
                         site_team: (0..p).collect(),
                         ring: Team::new(ring.to_vec()),

@@ -93,13 +93,16 @@ fn half_sweep(
          direction (got {m_local})"
     );
 
+    // Line `i`'s owned interior run: a box one cell thick across `d_iter`.
+    let line_box = |i: usize| match dir {
+        Dir::Y => ([i, line_lo], [i + 1, line_hi]),
+        Dir::X => ([line_lo, i], [line_hi, i + 1]),
+    };
     let line_rhs = |r: &DistArray2<f64>, i: usize| -> Vec<f64> {
-        (line_lo..line_hi)
-            .map(|j| match dir {
-                Dir::Y => r.at(i, j),
-                Dir::X => r.at(j, i),
-            })
-            .collect()
+        let (lo, hi) = line_box(i);
+        let mut rhs = vec![0.0; m_local];
+        r.box_into(lo, hi, &mut rhs);
+        rhs
     };
 
     let mut solutions: Vec<(usize, Vec<f64>)> = Vec::new();
@@ -123,13 +126,14 @@ fn half_sweep(
             }
         }
     });
+    let mut cur = vec![0.0; m_local];
     for (i, w) in solutions {
-        for (jj, j) in (line_lo..line_hi).enumerate() {
-            match dir {
-                Dir::Y => u.put(i, j, u.at(i, j) - w[jj]),
-                Dir::X => u.put(j, i, u.at(j, i) - w[jj]),
-            }
+        let (lo, hi) = line_box(i);
+        u.box_into(lo, hi, &mut cur);
+        for (c, w) in cur.iter_mut().zip(&w) {
+            *c -= w;
         }
+        u.box_set(lo, hi, &cur);
         ctx.proc().compute(m_local as f64);
     }
 }

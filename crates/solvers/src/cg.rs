@@ -3,7 +3,7 @@
 //! *fixed* sparsity pattern, so the irregular x-gather is inspected
 //! exactly once and every later iteration replays the cached schedule
 //! warm (0 inspector runs, 0 rollbacks after the first SpMV — pinned by
-//! tests and the bench CI gate).
+//! this module's tests).
 //!
 //! Vector arithmetic runs in the element type `T`; the dot products and
 //! the convergence test accumulate in `f64` regardless of `T` (the

@@ -14,21 +14,19 @@ use kali_runtime::{Ctx, Ghosts};
 /// 5-point (face-only, width-1) read of `u` to the stencil plan; the
 /// context's [`ExecPolicy`] decides how the ghost refresh executes —
 /// under the default policy the interior points update while the edge
-/// strips are still in transit, warm sweeps replay the cached halo
-/// schedule, and the body runs in row form ([`ExecPolicy::rows`]): whole
-/// contiguous rows at a time over slices, which the compiler
-/// autovectorizes. `ExecPolicy::point_form()` selects the per-point
-/// baseline; the two are bitwise identical.
+/// strips are still in transit and warm sweeps replay the cached halo
+/// schedule. The body consumes whole contiguous rows of the copy-in
+/// snapshot as slices, which the compiler autovectorizes.
 ///
 /// [`ExecPolicy`]: kali_runtime::ExecPolicy
-/// [`ExecPolicy::rows`]: kali_runtime::ExecPolicy::rows
 pub fn jacobi_step<T: Real>(ctx: &mut Ctx, u: &mut DistArray2<T>, f: &DistArray2<T>) {
     let [nxp, nyp] = u.extents();
     let quarter = T::from_f64(0.25);
-    let rows = ctx.policy().rows;
-    let plan = ctx.plan().reads(u, Ghosts::faces(1));
-    if rows {
-        plan.update2_rows(1..nxp - 1, 1..nyp - 1, 5.0, |old, i, js, dst| {
+    ctx.plan().reads(u, Ghosts::faces(1)).update2_rows(
+        1..nxp - 1,
+        1..nyp - 1,
+        5.0,
+        |old, i, js, dst| {
             let up = old.row(i + 1, js.clone());
             let dn = old.row(i - 1, js.clone());
             let lf = old.row(i, js.start - 1..js.end - 1);
@@ -37,13 +35,8 @@ pub fn jacobi_step<T: Real>(ctx: &mut Ctx, u: &mut DistArray2<T>, f: &DistArray2
             for k in 0..dst.len() {
                 dst[k] = quarter * (up[k] + dn[k] + rt[k] + lf[k]) - fr[k];
             }
-        });
-    } else {
-        plan.update2(1..nxp - 1, 1..nyp - 1, 5.0, |old, i, j| {
-            quarter * (old.at(i + 1, j) + old.at(i - 1, j) + old.at(i, j + 1) + old.at(i, j - 1))
-                - f.at(i, j)
-        });
-    }
+        },
+    );
 }
 
 /// Run `iters` Jacobi sweeps, returning the global max-abs update per
@@ -71,7 +64,7 @@ pub fn jacobi_run<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq;
+    use crate::{assert_bitwise, seq};
     use kali_grid::{DistSpec, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
@@ -127,17 +120,7 @@ mod tests {
             }
             u.gather_to_root(ctx.proc())
         });
-        let got = run.results[0].as_ref().unwrap();
-        for i in 0..=n {
-            for j in 0..=n {
-                let have = got[i * (n + 1) + j];
-                assert!(
-                    (x_seq.at(i, j) - have).abs() < 1e-13,
-                    "({i},{j}): {have} vs {}",
-                    x_seq.at(i, j)
-                );
-            }
-        }
+        assert_bitwise(run.results[0].as_ref().unwrap(), &x_seq.v, "2x2 grid");
     }
 
     #[test]
@@ -198,11 +181,6 @@ mod tests {
             }
             u.gather_to_root(ctx.proc())
         });
-        let got = run.results[0].as_ref().unwrap();
-        for i in 0..=n {
-            for j in 0..=n {
-                assert!((x_seq.at(i, j) - got[i * (n + 1) + j]).abs() < 1e-13);
-            }
-        }
+        assert_bitwise(run.results[0].as_ref().unwrap(), &x_seq.v, "4x1 grid");
     }
 }

@@ -17,12 +17,13 @@
 //!   slice — the "tensor product algorithm whose slice operation is itself
 //!   a tensor product algorithm" of §5;
 //! * [`transfer`] — residuals, semicoarsening restriction and interpolation
-//!   (`resid2/3`, `rest2/3`, `intrp2/3`), with ownership-routed row/plane
-//!   transfers that stay correct for any block alignment;
+//!   (`resid2/3`, `rest2/3`, `intrp2/3`), the last two written once for
+//!   any rank (`rest`, `intrp`) as ownership-routed slice transfers that
+//!   stay correct for any block alignment;
 //! * [`spmv`] / [`cg`] — the irregular workload class: sparse
 //!   matrix-vector product and conjugate gradients on the
 //!   block-row-distributed CSR matrix, whose x-gather is inspected once
-//!   and replayed warm every iteration (ROADMAP item 1);
+//!   and replayed warm every iteration;
 //! * [`seq`] — plain sequential references used for verification and for
 //!   the paper's lines-of-code comparison (claim C1).
 
@@ -79,6 +80,17 @@ impl Pde {
         let ay = self.b * (ny * ny) as f64;
         let az = self.e * (nz * nz) as f64;
         (ax, ay, az, self.c - 2.0 * (ax + ay + az))
+    }
+}
+
+/// The solver-vs-[`seq`] comparison every distributed solver test ends
+/// in: a gathered (row-major) array against the sequential reference,
+/// bit for bit.
+#[cfg(test)]
+pub(crate) fn assert_bitwise(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: lengths differ");
+    for (at, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what} at flat {at}: {g} vs {w}");
     }
 }
 

@@ -26,19 +26,12 @@ use crate::Pde;
 /// interior-first solve order is invisible and results are bitwise
 /// identical across policies.
 ///
-/// Under [`ExecPolicy::rows`] (the default) each x-line's column-strided
-/// reads — `u(*, j∓1)` and `f(*, j)` run *across* the storage rows under
-/// `dist (*, block)` — are gathered once into contiguous scratch
-/// ([`DistArray2::col_into`]), the right-hand side is formed by a tight
-/// loop over the scratch (vectorizable, no per-point index decode), and
-/// the solved line scatters back in one strided pass
-/// ([`DistArray2::col_set`]). [`ExecPolicy::point_form`] keeps the
-/// per-point `at`/`put` body as the bitwise-identical differential
-/// baseline — the arithmetic per element is the same expression in the
-/// same order, so the two forms agree exactly (pinned by test).
-///
-/// [`ExecPolicy::rows`]: kali_runtime::ExecPolicy::rows
-/// [`ExecPolicy::point_form`]: kali_runtime::ExecPolicy::point_form
+/// Each x-line's column-strided reads — `u(*, j∓1)` and `f(*, j)` run
+/// *across* the storage rows under `dist (*, block)` — are gathered once
+/// into contiguous scratch ([`DistArray2::col_into`]), the right-hand
+/// side is formed by a tight loop over the scratch (vectorizable, no
+/// per-point index decode), and the solved line scatters back in one
+/// strided pass ([`DistArray2::col_set`]).
 pub fn zebra2(
     ctx: &mut Ctx,
     pde: &Pde,
@@ -55,7 +48,6 @@ pub fn zebra2(
     b[0] = 0.0;
     c[ni - 1] = 0.0;
     let a = vec![ad; ni];
-    let row_form = ctx.policy().rows;
     let mut below = vec![0.0; ni];
     let mut above = vec![0.0; ni];
     let mut fcol = vec![0.0; ni];
@@ -66,30 +58,16 @@ pub fn zebra2(
             if j % 2 != colour % 2 {
                 return;
             }
-            if row_form {
-                u.col_into(j - 1, 1..nx, &mut below);
-                u.col_into(j + 1, 1..nx, &mut above);
-                f.col_into(j, 1..nx, &mut fcol);
-                for ((r, &fv), (&lo, &hi)) in
-                    rhs.iter_mut().zip(&fcol).zip(below.iter().zip(&above))
-                {
-                    *r = fv - ay * (lo + hi);
-                }
-                ctx.proc().compute(3.0 * ni as f64);
-                let x = thomas(&b, &a, &c, &rhs);
-                ctx.proc().compute(thomas_flops(ni));
-                u.col_set(j, 1..nx, &x);
-            } else {
-                let rhs: Vec<f64> = (1..nx)
-                    .map(|i| f.at(i, j) - ay * (u.at(i, j - 1) + u.at(i, j + 1)))
-                    .collect();
-                ctx.proc().compute(3.0 * ni as f64);
-                let x = thomas(&b, &a, &c, &rhs);
-                ctx.proc().compute(thomas_flops(ni));
-                for i in 1..nx {
-                    u.put(i, j, x[i - 1]);
-                }
+            u.col_into(j - 1, 1..nx, &mut below);
+            u.col_into(j + 1, 1..nx, &mut above);
+            f.col_into(j, 1..nx, &mut fcol);
+            for ((r, &fv), (&lo, &hi)) in rhs.iter_mut().zip(&fcol).zip(below.iter().zip(&above)) {
+                *r = fv - ay * (lo + hi);
             }
+            ctx.proc().compute(3.0 * ni as f64);
+            let x = thomas(&b, &a, &c, &rhs);
+            ctx.proc().compute(thomas_flops(ni));
+            u.col_set(j, 1..nx, &x);
         });
 }
 
@@ -120,7 +98,7 @@ pub fn mg2_vcycle(ctx: &mut Ctx, pde: &Pde, u: &mut DistArray2<f64>, f: &DistArr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq;
+    use crate::{assert_bitwise, seq};
     use kali_grid::{DistSpec, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
@@ -172,18 +150,14 @@ mod tests {
     fn distributed_vcycles_match_sequential_exactly() {
         for p in [1usize, 2, 4] {
             let (got, want) = run_mg2(16, 16, p, 3, Pde::poisson(), 5);
-            for (a, b) in got.iter().zip(&want) {
-                assert!((a - b).abs() < 1e-11, "p={p}: {a} vs {b}");
-            }
+            assert_bitwise(&got, &want, &format!("p={p}"));
         }
     }
 
     #[test]
     fn odd_team_sizes_work() {
         let (got, want) = run_mg2(8, 16, 3, 2, Pde::poisson(), 7);
-        for (a, b) in got.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-11);
-        }
+        assert_bitwise(&got, &want, "p=3");
     }
 
     #[test]
@@ -223,51 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn zebra_row_form_is_bitwise_identical_to_point_form() {
-        let pde = Pde::poisson();
-        let (nx, ny) = (16, 16);
-        let us = seq::Grid2::random_interior(nx, ny, 9);
-        let f = seq::apply2(&pde, &us);
-        let solve = |rows: bool| {
-            let f2 = f.clone();
-            let run = Machine::run(cfg(4), move |proc| {
-                let grid = ProcGrid::new_1d(proc.nprocs());
-                let spec = DistSpec::local_block();
-                let mut u =
-                    DistArray2::<f64>::new(proc.rank(), &grid, &spec, [nx + 1, ny + 1], [0, 1]);
-                let farr = DistArray2::from_fn(
-                    proc.rank(),
-                    &grid,
-                    &spec,
-                    [nx + 1, ny + 1],
-                    [0, 1],
-                    |[i, j]| f2.at(i, j),
-                );
-                let policy = if rows {
-                    kali_runtime::ExecPolicy::default()
-                } else {
-                    kali_runtime::ExecPolicy::default().point_form()
-                };
-                let mut ctx = Ctx::with_policy(proc, grid, policy);
-                for _ in 0..3 {
-                    mg2_vcycle(&mut ctx, &pde, &mut u, &farr);
-                }
-                u.gather_to_root(ctx.proc())
-            });
-            run.results[0].clone().unwrap()
-        };
-        let vector = solve(true);
-        let point = solve(false);
-        for (a, b) in vector.iter().zip(&point) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn anisotropic_robustness_carries_over() {
         let (got, want) = run_mg2(16, 16, 4, 4, Pde::anisotropic(50.0, 1.0, 0.0), 13);
-        for (a, b) in got.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-9);
-        }
+        assert_bitwise(&got, &want, "anisotropic");
     }
 }

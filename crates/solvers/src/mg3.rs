@@ -126,7 +126,7 @@ pub fn mg3_vcycle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq;
+    use crate::{assert_bitwise, seq};
     use kali_grid::ProcGrid;
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
@@ -172,43 +172,16 @@ mod tests {
     fn distributed_matches_sequential_exactly() {
         for (p0, p1) in [(1usize, 1usize), (2, 2)] {
             let (got, want) = run_mg3(8, p0, p1, 2, 3);
-            let n = 8;
-            for i in 0..=n {
-                for j in 0..=n {
-                    for k in 0..=n {
-                        let have = got[(i * (n + 1) + j) * (n + 1) + k];
-                        assert!(
-                            (want.at(i, j, k) - have).abs() < 1e-10,
-                            "({p0},{p1}) at ({i},{j},{k}): {have} vs {}",
-                            want.at(i, j, k)
-                        );
-                    }
-                }
-            }
+            assert_bitwise(&got, &want.v, &format!("({p0},{p1})"));
         }
     }
 
     #[test]
     fn asymmetric_grids_match_too() {
         let (got, want) = run_mg3(8, 1, 2, 1, 5);
-        let n = 8;
-        for i in 0..=n {
-            for j in 0..=n {
-                for k in 0..=n {
-                    let have = got[(i * (n + 1) + j) * (n + 1) + k];
-                    assert!((want.at(i, j, k) - have).abs() < 1e-10);
-                }
-            }
-        }
+        assert_bitwise(&got, &want.v, "(1,2)");
         let (got, want) = run_mg3(8, 2, 1, 1, 6);
-        for i in 0..=n {
-            for j in 0..=n {
-                for k in 0..=n {
-                    let have = got[(i * (n + 1) + j) * (n + 1) + k];
-                    assert!((want.at(i, j, k) - have).abs() < 1e-10);
-                }
-            }
-        }
+        assert_bitwise(&got, &want.v, "(2,1)");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Distributed sparse matrix-vector product — the irregular workload of
-//! ROADMAP item 1, driven through [`Ctx::sparse`]'s inspector-executor
-//! plan exactly as the stencil solvers drive [`Ctx::plan`].
+//! Distributed sparse matrix-vector product — the irregular workload,
+//! driven through [`Ctx::sparse`]'s inspector-executor plan exactly as
+//! the stencil solvers drive [`Ctx::plan`].
 //!
 //! The solver-level entry point is deliberately thin: all protocol —
 //! cold inspection, warm optimistic replay, split-phase overlap of the

@@ -10,10 +10,17 @@
 //! destination distribution with one personalized all-to-all. This is the
 //! communication a KF1 compiler would synthesize for the assignments in
 //! Listing 10, generalized to any block alignment.
+//!
+//! The two transfers are one-dimensional operators applied across the
+//! slices of an N-D array, so each is written once ([`rest`], [`intrp`]):
+//! it acts along the **last** axis, on whole slices copied through
+//! [`DistArrayN::box_into`]/[`DistArrayN::box_set`]; the listings' names
+//! are its 2-D and 3-D instantiations.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use kali_array::{DistArray2, DistArray3, Real};
+use kali_array::{DistArray2, DistArray3, DistArrayN, Real};
 use kali_machine::{collective, Proc, Team};
 use kali_runtime::{Ctx, Ghosts};
 
@@ -40,12 +47,8 @@ pub fn route(
 /// type. The 5-point read of `u` is declared to the stencil plan
 /// ([`Ghosts::faces`]); under a split policy the operator is evaluated on
 /// the block interior while the edge strips travel, then on the boundary
-/// frame once they land. Under [`ExecPolicy::rows`] (the default) the
-/// body consumes whole contiguous rows as slices — the autovectorizable
-/// form ADI and mg2 inherit, bitwise identical to the per-point baseline
-/// (`ExecPolicy::point_form()`).
-///
-/// [`ExecPolicy::rows`]: kali_runtime::ExecPolicy::rows
+/// frame once they land. The body consumes whole contiguous rows as
+/// slices — the autovectorizable form ADI and mg2 inherit.
 pub fn resid2<T: Real>(
     ctx: &mut Ctx,
     pde: &Pde,
@@ -57,10 +60,9 @@ pub fn resid2<T: Real>(
     let (ax, ay, ad) = pde.stencil2(nx, ny);
     let (ax, ay, ad) = (T::from_f64(ax), T::from_f64(ay), T::from_f64(ad));
     let mut r = u.like();
-    let rows = ctx.policy().rows;
-    let plan = ctx.plan().reads(u, Ghosts::faces(1));
-    if rows {
-        plan.run2_rows(1..nx, 1..ny, 8.0, |_, u, i, js| {
+    ctx.plan()
+        .reads(u, Ghosts::faces(1))
+        .run2_rows(1..nx, 1..ny, 8.0, |_, u, i, js| {
             let dn = u.row(i - 1, js.clone());
             let up = u.row(i + 1, js.clone());
             let lf = u.row(i, js.start - 1..js.end - 1);
@@ -73,122 +75,184 @@ pub fn resid2<T: Real>(
                 dst[k] = fr[k] - lu;
             }
         });
-    } else {
-        plan.run2(1..nx, 1..ny, 8.0, |_, u, i, j| {
-            let lu = ax * (u.at(i - 1, j) + u.at(i + 1, j))
-                + ay * (u.at(i, j - 1) + u.at(i, j + 1))
-                + ad * u.at(i, j);
-            r.put(i, j, f.at(i, j) - lu);
-        });
-    }
     r
 }
 
-/// Full-weight fine line `j` of `r` into a freshly allocated line.
-fn weigh_line(ctx: &mut Ctx, r: &DistArray2<f64>, j: usize) -> Vec<f64> {
-    let [nxp, _] = r.extents();
-    let nx = nxp - 1;
-    let mut line = vec![0.0; nxp];
-    for (i, slot) in line.iter_mut().enumerate().take(nx).skip(1) {
-        *slot = 0.25 * r.at(i, j - 1) + 0.5 * r.at(i, j) + 0.25 * r.at(i, j + 1);
-    }
-    ctx.proc().compute(5.0 * (nx - 1) as f64);
-    line
+/// The team a transfer along `a`'s last axis routes within: the grid
+/// members sharing my coordinate on every grid dimension but the one that
+/// axis is distributed over — the whole team for `dist (*, block)`, my
+/// z-team for `dist (*, block, block)`. Derived from my grid coordinates,
+/// not from what I own, so ranks holding nothing of a coarse level still
+/// join the collective; `None` off the grid.
+fn axis_team<const N: usize>(ctx: &Ctx, a: &DistArrayN<f64, N>) -> Option<Team> {
+    let coords = ctx.coords()?;
+    let along = a.spec().grid_dim_of(N - 1);
+    // Slice the highest grid dimension first so lower indices stay valid.
+    let pinned = (0..coords.len()).rev().filter(|&gd| Some(gd) != along);
+    let slice = pinned.fold(Cow::Borrowed(ctx.grid()), |g, gd| {
+        Cow::Owned(g.slice(gd, coords[gd]))
+    });
+    Some(slice.team())
 }
 
-/// Distributed 2-D restriction with y-semicoarsening (full weighting) for
-/// `dist (*, block)` arrays on a 1-D team. Returns the coarse right-hand
-/// side with extents `(nx+1, ny/2+1)`. The full-weighting stencil's
-/// corner-reading, width-1 access to `r` is declared to the stencil plan
-/// ([`Ghosts::full`]); under a split policy the owned fine lines whose
-/// ±1 neighbours are also owned are full-weighted while the ghost lines
-/// travel, and only the block-edge lines wait for completion.
-pub fn rest2(ctx: &mut Ctx, r: &mut DistArray2<f64>) -> DistArray2<f64> {
-    let [nxp, nyp] = r.extents();
-    let ny = nyp - 1;
-    let nyc = ny / 2;
-    let mut g = r.with_extents([nxp, nyc + 1]);
-    let team = ctx.team();
-    let cdist = g.dist(1);
+/// My part of slice `k` (an index along the last axis) of `a`, as a
+/// global box: the owned range of the axes in between, and along axis 0 —
+/// the undistributed one, whose two boundary layers carry no equation —
+/// everything but `inset` layers at either end.
+fn slice_box<const N: usize>(
+    a: &DistArrayN<f64, N>,
+    k: usize,
+    inset: usize,
+) -> ([usize; N], [usize; N]) {
+    let (mut lo, mut hi) = ([0; N], a.extents());
+    (lo[0], hi[0]) = (inset, hi[0] - inset);
+    for d in 1..N - 1 {
+        let owned = a.owned_range(d);
+        (lo[d], hi[d]) = (owned.start, owned.end);
+    }
+    (lo[N - 1], hi[N - 1]) = (k, k + 1);
+    (lo, hi)
+}
 
-    // Full-weight the fine-even lines we own, keyed by coarse index.
-    // Only the fine-even lines j = 2·jc, jc in 1..nyc, restrict.
+/// Distributed restriction with semicoarsening (full weighting) along
+/// the last axis, for arrays whose axis 0 is undistributed. Returns the
+/// coarse right-hand side, the last extent halved. The width-1,
+/// face-only read of `r` is declared to the stencil plan
+/// ([`Ghosts::faces`] — the weighting reads no diagonal ghost); under a
+/// split policy the owned fine slices whose ±1 neighbours are also owned
+/// are full-weighted while the ghost slices travel, and only the
+/// block-edge slices wait for completion. Each weighted slice travels
+/// whole (axis 0's boundary layers as zeros) to the owner of its coarse
+/// index.
+pub fn rest<const N: usize>(ctx: &mut Ctx, r: &mut DistArrayN<f64, N>) -> DistArrayN<f64, N> {
+    let ax = N - 1;
+    let mut extents = r.extents();
+    let nc = (extents[ax] - 1) / 2;
+    extents[ax] = nc + 1;
+    let mut g = r.with_extents(extents);
+    let Some(team) = axis_team(ctx, r) else {
+        return g;
+    };
+    let cdist = g.dist(ax);
+    // One slice is `edge` cells per layer of axis 0, `cells` of them interior.
+    let edge: usize = (1..ax).map(|d| r.local_len(d)).product();
+    let cells = (extents[0] - 2) * edge;
+    let mut fine = [vec![0.0; cells], vec![0.0; cells], vec![0.0; cells]];
+
+    // Only the fine-even slices k = 2·kc, kc in 1..nc, restrict.
     let mut items = Vec::new();
-    ctx.plan().reads(r, Ghosts::full(1)).run_lines(
-        1,
-        2..(2 * nyc).saturating_sub(1),
-        |ctx, r, j| {
-            if j.is_multiple_of(2) {
-                items.push((cdist.owner(j / 2), (j / 2) as u64, weigh_line(ctx, r, j)));
+    ctx.plan().reads(r, Ghosts::faces(1)).run_lines(
+        ax,
+        2..(2 * nc).saturating_sub(1),
+        |ctx, r, k| {
+            if !k.is_multiple_of(2) {
+                return;
             }
+            for (kk, buf) in (k - 1..).zip(&mut fine) {
+                let (lo, hi) = slice_box(r, kk, 1);
+                r.box_into(lo, hi, buf);
+            }
+            let [below, mid, above] = &fine;
+            let mut weighted = vec![0.0; extents[0] * edge];
+            for (w, ((a, b), c)) in weighted[edge..edge + cells]
+                .iter_mut()
+                .zip(below.iter().zip(mid).zip(above))
+            {
+                *w = 0.25 * a + 0.5 * b + 0.25 * c;
+            }
+            ctx.proc().compute(5.0 * cells as f64);
+            items.push((cdist.owner(k / 2), (k / 2) as u64, weighted));
         },
     );
-    for (jc, line) in route(ctx.proc(), &team, items) {
-        let jc = jc as usize;
-        for (i, v) in line.iter().enumerate() {
-            if g.owns([i, jc]) {
-                g.put(i, jc, *v);
-            }
-        }
-        ctx.proc().memop(line.len() as f64);
+    for (kc, weighted) in route(ctx.proc(), &team, items) {
+        let (lo, hi) = slice_box(&g, kc as usize, 0);
+        g.box_set(lo, hi, &weighted);
+        ctx.proc().memop(weighted.len() as f64);
     }
     g
 }
 
-/// Distributed 2-D interpolation-and-correct for y-semicoarsening
-/// (Listing 10's 2-D analogue): even fine lines add the coarse value, odd
-/// lines the average of the two neighbouring coarse lines.
-pub fn intrp2(ctx: &mut Ctx, u: &mut DistArray2<f64>, v: &DistArray2<f64>) {
-    let [nxp, nyp] = u.extents();
-    let nx = nxp - 1;
-    let ny = nyp - 1;
-    let nyc = v.extents()[1] - 1;
-    assert_eq!(nyc * 2, ny, "dimensions do not match in intrp2");
-    let team = ctx.team();
-    let fine_dist = u.dist(1);
+/// Distributed interpolate-and-correct for semicoarsening along the last
+/// axis (Listing 10): every owned coarse slice of `v` travels to the
+/// owners of the fine slices that read it (2kc−1, 2kc, 2kc+1); even fine
+/// slices of `u` add the coarse slice, odd ones the average of the two
+/// neighbouring coarse slices.
+pub fn intrp<const N: usize>(ctx: &mut Ctx, u: &mut DistArrayN<f64, N>, v: &DistArrayN<f64, N>) {
+    let ax = N - 1;
+    let n = u.extents()[ax] - 1;
+    assert_eq!(
+        (v.extents()[ax] - 1) * 2,
+        n,
+        "dimensions do not match in intrp"
+    );
+    let Some(team) = axis_team(ctx, u) else {
+        return;
+    };
+    let fine_dist = u.dist(ax);
+    let n0 = u.extents()[0];
+    let edge: usize = (1..ax).map(|d| u.local_len(d)).product();
+    let cells = (n0 - 2) * edge;
 
-    // Send every owned coarse line to the owners of the fine lines that
-    // read it (2jc−1, 2jc, 2jc+1).
     let mut items = Vec::new();
     if v.is_participant() {
-        for jc in v.owned_range(1).clone() {
-            let mut line = vec![0.0; nxp];
-            for (i, slot) in line.iter_mut().enumerate() {
-                *slot = v.at(i, jc);
-            }
-            let lo = (2 * jc).saturating_sub(1);
-            let hi = (2 * jc + 1).min(ny);
-            let mut dests: Vec<usize> = (lo..=hi).map(|j| fine_dist.owner(j)).collect();
+        for kc in v.owned_range(ax) {
+            let (lo, hi) = slice_box(v, kc, 0);
+            let mut slice = vec![0.0; n0 * edge];
+            v.box_into(lo, hi, &mut slice);
+            let readers = (2 * kc).saturating_sub(1)..=(2 * kc + 1).min(n);
+            let mut dests: Vec<usize> = readers.map(|k| fine_dist.owner(k)).collect();
             dests.dedup();
             for dest in dests {
-                items.push((dest, jc as u64, line.clone()));
+                items.push((dest, kc as u64, slice.clone()));
             }
         }
     }
-    let mut coarse: HashMap<usize, Vec<f64>> = HashMap::new();
-    for (jc, line) in route(ctx.proc(), &team, items) {
-        coarse.insert(jc as usize, line);
-    }
+    let coarse: HashMap<usize, Vec<f64>> = route(ctx.proc(), &team, items)
+        .into_iter()
+        .map(|(kc, slice)| (kc as usize, slice))
+        .collect();
     if !u.is_participant() {
         return;
     }
-    let j0 = u.owned_range(1).start.max(1);
-    let j1 = u.owned_range(1).end.min(ny);
-    let zero = vec![0.0; nxp];
-    for j in j0..j1 {
-        let (la, lb, w) = if j.is_multiple_of(2) {
-            (j / 2, j / 2, 1.0)
-        } else {
-            ((j - 1) / 2, j.div_ceil(2), 0.5)
-        };
-        let va = coarse.get(&la).unwrap_or(&zero);
-        let vb = coarse.get(&lb).unwrap_or(&zero);
-        for i in 1..nx {
-            let corr = if la == lb { va[i] } else { w * (va[i] + vb[i]) };
-            u.put(i, j, u.at(i, j) + corr);
+    let mut cur = vec![0.0; cells];
+    for k in u.owned_range(ax).start.max(1)..u.owned_range(ax).end.min(n) {
+        let (la, lb) = (k / 2, k.div_ceil(2));
+        let (va, vb) = (&coarse[&la], &coarse[&lb]);
+        let (lo, hi) = slice_box(u, k, 1);
+        u.box_into(lo, hi, &mut cur);
+        for (c, (a, b)) in cur
+            .iter_mut()
+            .zip(va[edge..edge + cells].iter().zip(&vb[edge..edge + cells]))
+        {
+            *c += if la == lb { *a } else { 0.5 * (a + b) };
         }
-        ctx.proc().compute(2.0 * (nx - 1) as f64);
+        u.box_set(lo, hi, &cur);
+        ctx.proc().compute(2.0 * cells as f64);
     }
+}
+
+/// Listing 11's restriction: [`rest`] over the lines of a `dist (*, block)`
+/// array on a 1-D team (y-semicoarsening, extents `(nx+1, ny/2+1)`).
+pub fn rest2(ctx: &mut Ctx, r: &mut DistArray2<f64>) -> DistArray2<f64> {
+    rest(ctx, r)
+}
+
+/// Listing 11's interpolation: [`intrp`] over the lines of a
+/// `dist (*, block)` array.
+pub fn intrp2(ctx: &mut Ctx, u: &mut DistArray2<f64>, v: &DistArray2<f64>) {
+    intrp(ctx, u, v)
+}
+
+/// Listing 9's restriction: [`rest`] over the planes of a
+/// `dist (*, block, block)` array on a 2-D grid (z-semicoarsening).
+pub fn rest3(ctx: &mut Ctx, r: &mut DistArray3<f64>) -> DistArray3<f64> {
+    rest(ctx, r)
+}
+
+/// Listing 10, distributed: [`intrp`] over the planes of a
+/// `dist (*, block, block)` array.
+pub fn intrp3(ctx: &mut Ctx, u: &mut DistArray3<f64>, v: &DistArray3<f64>) {
+    intrp(ctx, u, v)
 }
 
 /// Distributed 3-D residual `r = f − L u` for `dist (*, block, block)`
@@ -229,138 +293,10 @@ pub fn resid3(
     r
 }
 
-/// One processor's (x × owned-y) patch of plane `k`, flattened x-major.
-/// Interior x only; boundary slots are zero.
-fn pack_patch(r: &DistArray3<f64>, k: usize, weighted: bool) -> Vec<f64> {
-    let [nxp, _, _] = r.extents();
-    let jr = r.owned_range(1);
-    let mut patch = vec![0.0; nxp * jr.len()];
-    for i in 1..nxp - 1 {
-        for (jj, j) in jr.clone().enumerate() {
-            let v = if weighted {
-                0.25 * r.at(i, j, k - 1) + 0.5 * r.at(i, j, k) + 0.25 * r.at(i, j, k + 1)
-            } else {
-                r.at(i, j, k)
-            };
-            patch[i * jr.len() + jj] = v;
-        }
-    }
-    patch
-}
-
-/// Distributed 3-D restriction with z-semicoarsening (full weighting) for
-/// `dist (*, block, block)` arrays on a 2-D grid. `r`'s ghosts are
-/// refreshed through the stencil plan (faces only — the z-weighting
-/// reads no diagonal ghost).
-pub fn rest3(ctx: &mut Ctx, r: &mut DistArray3<f64>) -> DistArray3<f64> {
-    let [nxp, nyp, nzp] = r.extents();
-    let nz = nzp - 1;
-    let nzc = nz / 2;
-    ctx.plan().reads(r, Ghosts::faces(1)).refresh();
-    let mut g = r.with_extents([nxp, nyp, nzc + 1]);
-    // Route within my z-team (fixed y coordinate, varying z coordinate).
-    let grid = ctx.grid().clone();
-    let my_y = ctx.coords().map(|c| c[0]);
-    let Some(qy) = my_y else {
-        return g;
-    };
-    let zteam_grid = grid.slice(0, qy);
-    let zteam = zteam_grid.team();
-    let mut items = Vec::new();
-    if r.is_participant() {
-        for kc in 1..nzc {
-            let k = 2 * kc;
-            if r.owned_range(2).contains(&k) {
-                let patch = pack_patch(r, k, true);
-                ctx.proc()
-                    .compute(5.0 * ((nxp - 2) * r.owned_range(1).len()) as f64);
-                let dest = g.dist(2).owner(kc);
-                items.push((dest, kc as u64, patch));
-            }
-        }
-    }
-    let jr = g.owned_range(1);
-    for (kc, patch) in route(ctx.proc(), &zteam, items) {
-        let kc = kc as usize;
-        for i in 1..nxp - 1 {
-            for (jj, j) in jr.clone().enumerate() {
-                if g.owns([i, j, kc]) {
-                    g.put(i, j, kc, patch[i * jr.len() + jj]);
-                }
-            }
-        }
-        ctx.proc().memop(patch.len() as f64);
-    }
-    g
-}
-
-/// Listing 10, distributed: interpolate the coarse correction `v` (half the
-/// z-planes) onto `u` and add. Even fine planes take the coarse plane;
-/// odd planes average the two neighbours.
-pub fn intrp3(ctx: &mut Ctx, u: &mut DistArray3<f64>, v: &DistArray3<f64>) {
-    let [nxp, _nyp, nzp] = u.extents();
-    let nx = nxp - 1;
-    let nz = nzp - 1;
-    let nzc = v.extents()[2] - 1;
-    assert_eq!(nzc * 2, nz, "Dimensions do not match in intrp3");
-    let grid = ctx.grid().clone();
-    let Some(coords) = ctx.coords().map(|c| c.to_vec()) else {
-        return;
-    };
-    let zteam_grid = grid.slice(0, coords[0]);
-    let zteam = zteam_grid.team();
-    let fine_zdist = u.dist(2);
-
-    let mut items = Vec::new();
-    if v.is_participant() {
-        for kc in v.owned_range(2).clone() {
-            let patch = pack_patch(v, kc, false);
-            let lo = (2 * kc).saturating_sub(1);
-            let hi = (2 * kc + 1).min(nz);
-            let mut dests: Vec<usize> = (lo..=hi).map(|k| fine_zdist.owner(k)).collect();
-            dests.dedup();
-            for dest in dests {
-                items.push((dest, kc as u64, patch.clone()));
-            }
-        }
-    }
-    let mut coarse: HashMap<usize, Vec<f64>> = HashMap::new();
-    for (kc, patch) in route(ctx.proc(), &zteam, items) {
-        coarse.insert(kc as usize, patch);
-    }
-    if !u.is_participant() {
-        return;
-    }
-    let jr = u.owned_range(1);
-    let k0 = u.owned_range(2).start.max(1);
-    let k1 = u.owned_range(2).end.min(nz);
-    let zero = vec![0.0; nxp * jr.len()];
-    for k in k0..k1 {
-        let (la, lb) = if k % 2 == 0 {
-            (k / 2, k / 2)
-        } else {
-            ((k - 1) / 2, k.div_ceil(2))
-        };
-        let pa = coarse.get(&la).unwrap_or(&zero);
-        let pb = coarse.get(&lb).unwrap_or(&zero);
-        for i in 1..nx {
-            for (jj, j) in jr.clone().enumerate() {
-                let corr = if la == lb {
-                    pa[i * jr.len() + jj]
-                } else {
-                    0.5 * (pa[i * jr.len() + jj] + pb[i * jr.len() + jj])
-                };
-                u.put(i, j, k, u.at(i, j, k) + corr);
-            }
-        }
-        ctx.proc().compute(2.0 * ((nx - 1) * jr.len()) as f64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq;
+    use crate::{assert_bitwise, seq};
     use kali_grid::{DistSpec, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
@@ -420,14 +356,7 @@ mod tests {
             let r = resid2(&mut ctx, &pde, &mut u, &f);
             r.gather_to_root(ctx.proc())
         });
-        let got = run.results[0].as_ref().unwrap();
-        for i in 0..=nx {
-            for j in 0..=ny {
-                let want = r_seq.at(i, j);
-                let have = got[i * (ny + 1) + j];
-                assert!((want - have).abs() < 1e-12, "({i},{j}): {have} vs {want}");
-            }
-        }
+        assert_bitwise(run.results[0].as_ref().unwrap(), &r_seq.v, "resid2");
     }
 
     #[test]
@@ -453,16 +382,7 @@ mod tests {
                 g.gather_to_root(ctx.proc())
             });
             let got = run.results[0].as_ref().unwrap();
-            for i in 0..=nx {
-                for jc in 0..=ny / 2 {
-                    let have = got[i * (ny / 2 + 1) + jc];
-                    assert!(
-                        (want.at(i, jc) - have).abs() < 1e-12,
-                        "p={p} ({i},{jc}): {have} vs {}",
-                        want.at(i, jc)
-                    );
-                }
-            }
+            assert_bitwise(got, &want.v, &format!("rest2 p={p}"));
         }
     }
 
@@ -499,16 +419,7 @@ mod tests {
                 u.gather_to_root(ctx.proc())
             });
             let got = run.results[0].as_ref().unwrap();
-            for i in 0..=nx {
-                for j in 0..=ny {
-                    let have = got[i * (ny + 1) + j];
-                    assert!(
-                        (want.at(i, j) - have).abs() < 1e-12,
-                        "p={p} ({i},{j}): {have} vs {}",
-                        want.at(i, j)
-                    );
-                }
-            }
+            assert_bitwise(got, &want.v, &format!("intrp2 p={p}"));
         }
     }
 
@@ -563,27 +474,9 @@ mod tests {
                 (gg, ug)
             });
             let (gg, ug) = &run.results[0];
-            let gg = gg.as_ref().unwrap();
-            let ug = ug.as_ref().unwrap();
-            let nzc = nz / 2;
-            for i in 0..=nx {
-                for j in 0..=ny {
-                    for kc in 0..=nzc {
-                        let have = gg[(i * (ny + 1) + j) * (nzc + 1) + kc];
-                        assert!(
-                            (g_seq.at(i, j, kc) - have).abs() < 1e-12,
-                            "rest3 p=({p0},{p1}) ({i},{j},{kc})"
-                        );
-                    }
-                    for k in 0..=nz {
-                        let have = ug[(i * (ny + 1) + j) * (nz + 1) + k];
-                        assert!(
-                            (u_want.at(i, j, k) - have).abs() < 1e-12,
-                            "intrp3 p=({p0},{p1}) ({i},{j},{k})"
-                        );
-                    }
-                }
-            }
+            let shape = format!("p=({p0},{p1})");
+            assert_bitwise(gg.as_ref().unwrap(), &g_seq.v, &format!("rest3 {shape}"));
+            assert_bitwise(ug.as_ref().unwrap(), &u_want.v, &format!("intrp3 {shape}"));
         }
     }
 }

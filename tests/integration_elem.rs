@@ -1,8 +1,9 @@
 //! Differential suite for the element-generic compiled path: `f32`
 //! grids answer within tolerance of `f64` while moving exactly half the
-//! face-exchange words; the row-form (slice) interiors are bitwise
-//! identical to the per-point baseline for Jacobi, ADI and mg2 on both
-//! backends; random `f32` stencil loops replay warm with zero
+//! face-exchange words; the plan's row-run entry points
+//! (`update2_rows`/`run2_rows`) are bitwise identical to the per-point
+//! ones (`update2`/`run2`) on both backends, with the per-point bodies
+//! written here; random `f32` stencil loops replay warm with zero
 //! rollbacks; optimistic vote headers flow only among the *active*
 //! team (ranks whose owned block is non-empty); and debug builds fence
 //! reads that stray outside the declared `Ghosts` skirt.
@@ -13,10 +14,7 @@ use proptest::prelude::*;
 
 use kali::machine::MachineRun;
 use kali::prelude::*;
-use kali::solvers::adi::{adi_run, suggested_rho};
 use kali::solvers::jacobi::jacobi_step;
-use kali::solvers::mg2::mg2_vcycle;
-use kali::solvers::seq;
 
 fn cfg_on(backend: BackendKind, p: usize) -> MachineConfig {
     Machine::build(backend, Topology::FullyConnected, CostModel::unit())
@@ -91,60 +89,86 @@ fn jacobi_elem<T: Real>(
     (run.results[0].clone().unwrap(), run.report)
 }
 
-/// Pipelined ADI on a 2×2 grid; returns (residual history, gathered
-/// field) and the report.
-fn adi_under(backend: BackendKind, policy: ExecPolicy) -> (Vec<f64>, Vec<f64>, RunReport) {
-    let (nx, ny) = (16usize, 16usize);
-    let pde = Pde::poisson();
-    let us = seq::Grid2::random_interior(nx, ny, 7);
-    let f = seq::apply2(&pde, &us);
-    let rho = suggested_rho(&pde, nx, ny);
+/// The plan's two 2-D loop shapes on a 2×2 grid — four copy-in/copy-out
+/// 5-point updates of `u`, then a residual-style product loop writing a
+/// second array — written per row run (`update2_rows`/`run2_rows`) or per
+/// point (`update2`/`run2`): the same expressions in the same order, so
+/// the two spellings must agree to the bit. Returns the gathered `u`,
+/// the gathered residual, and the report.
+fn plan_forms<T: Real>(backend: BackendKind, rows: bool) -> (Vec<T>, Vec<T>, RunReport) {
+    let (n, m) = (16usize, 15usize);
     let run = Machine::run(cfg_on(backend, 4), move |proc| {
         let grid = ProcGrid::new_2d(2, 2);
         let spec = DistSpec::block2();
-        let mut u = DistArray2::<f64>::new(proc.rank(), &grid, &spec, [nx + 1, ny + 1], [1, 1]);
-        let farr = DistArray2::from_fn(
+        let mut u = DistArray2::from_fn(
             proc.rank(),
             &grid,
             &spec,
-            [nx + 1, ny + 1],
+            [n + 1, m + 1],
+            [1, 1],
+            |[i, j]| T::from_f64(((i * 13 + j * 7) % 11) as f64 / 22.0),
+        );
+        let f = DistArray2::from_fn(
+            proc.rank(),
+            &grid,
+            &spec,
+            [n + 1, m + 1],
             [0, 0],
-            |[i, j]| f.at(i, j),
+            |[i, j]| T::from_f64(((i + 2 * j) % 5) as f64 / 50.0),
         );
-        let mut ctx = Ctx::with_policy(proc, grid, policy);
-        let hist = adi_run(&mut ctx, &pde, rho, &mut u, &farr, 3, true);
-        (hist, u.gather_to_root(ctx.proc()))
-    });
-    let (hist, field) = &run.results[0];
-    (hist.clone(), field.clone().unwrap(), run.report)
-}
-
-/// Two mg2 V-cycles on a 1-D processor array; returns the gathered
-/// field and the report.
-fn mg2_under(backend: BackendKind, policy: ExecPolicy) -> (Vec<f64>, RunReport) {
-    let (nx, ny) = (8usize, 16usize);
-    let pde = Pde::poisson();
-    let us = seq::Grid2::random_interior(nx, ny, 5);
-    let f = seq::apply2(&pde, &us);
-    let run = Machine::run(cfg_on(backend, 4), move |proc| {
-        let grid = ProcGrid::new_1d(4);
-        let spec = DistSpec::local_block();
-        let mut u = DistArray2::<f64>::new(proc.rank(), &grid, &spec, [nx + 1, ny + 1], [0, 1]);
-        let farr = DistArray2::from_fn(
-            proc.rank(),
-            &grid,
-            &spec,
-            [nx + 1, ny + 1],
-            [0, 1],
-            |[i, j]| f.at(i, j),
-        );
-        let mut ctx = Ctx::with_policy(proc, grid, policy);
-        for _ in 0..2 {
-            mg2_vcycle(&mut ctx, &pde, &mut u, &farr);
+        let mut r = u.like();
+        let (quarter, four) = (T::from_f64(0.25), T::from_f64(4.0));
+        let mut ctx = Ctx::new(proc, grid);
+        for _ in 0..4 {
+            let plan = ctx.plan().reads(&mut u, Ghosts::faces(1));
+            if rows {
+                plan.update2_rows(1..n, 1..m, 5.0, |old, i, js, dst| {
+                    let up = old.row(i + 1, js.clone());
+                    let dn = old.row(i - 1, js.clone());
+                    let rt = old.row(i, js.start + 1..js.end + 1);
+                    let lf = old.row(i, js.start - 1..js.end - 1);
+                    let fr = f.row(i, js);
+                    for k in 0..dst.len() {
+                        dst[k] = quarter * (up[k] + dn[k] + rt[k] + lf[k]) - fr[k];
+                    }
+                });
+            } else {
+                plan.update2(1..n, 1..m, 5.0, |old, i, j| {
+                    quarter
+                        * (old.at(i + 1, j)
+                            + old.at(i - 1, j)
+                            + old.at(i, j + 1)
+                            + old.at(i, j - 1))
+                        - f.at(i, j)
+                });
+            }
         }
-        u.gather_to_root(ctx.proc())
+        let plan = ctx.plan().reads(&mut u, Ghosts::faces(1));
+        if rows {
+            plan.run2_rows(1..n, 1..m, 6.0, |_, u, i, js| {
+                let up = u.row(i + 1, js.clone());
+                let dn = u.row(i - 1, js.clone());
+                let rt = u.row(i, js.start + 1..js.end + 1);
+                let lf = u.row(i, js.start - 1..js.end - 1);
+                let mid = u.row(i, js.clone());
+                let fr = f.row(i, js.clone());
+                let dst = r.row_mut(i, js);
+                for k in 0..dst.len() {
+                    dst[k] = fr[k] - (four * mid[k] - (up[k] + dn[k]) - (rt[k] + lf[k]));
+                }
+            });
+        } else {
+            plan.run2(1..n, 1..m, 6.0, |_, u, i, j| {
+                let lu = four * u.at(i, j)
+                    - (u.at(i + 1, j) + u.at(i - 1, j))
+                    - (u.at(i, j + 1) + u.at(i, j - 1));
+                r.put(i, j, f.at(i, j) - lu);
+            });
+        }
+        (u.gather_to_root(ctx.proc()), r.gather_to_root(ctx.proc()))
     });
-    (run.results[0].clone().unwrap(), run.report)
+    let (u, r) = run.results[0].clone();
+    (u.unwrap(), r.unwrap(), run.report)
 }
 
 #[test]
@@ -187,32 +211,22 @@ fn f32_face_exchange_words_are_exactly_half_of_f64() {
 }
 
 #[test]
-fn row_and_point_forms_are_bitwise_identical_for_jacobi_adi_mg2() {
+fn row_and_point_plan_forms_are_bitwise_identical() {
+    /// One element type on one backend; returns the flops charged.
+    fn check<T: Real>(backend: BackendKind) -> f64 {
+        let (u_rows, r_rows, rows) = plan_forms::<T>(backend, true);
+        let (u_point, r_point, point) = plan_forms::<T>(backend, false);
+        assert_bitwise(&u_rows, &u_point, "update2 row-vs-point");
+        assert_bitwise(&r_rows, &r_point, "run2 row-vs-point");
+        assert!(r_rows.iter().any(|v| v.to_f64() != 0.0), "residual written");
+        assert_eq!(rows.total_flops, point.total_flops, "flop parity");
+        assert!(rows.total_exchange_words > 0, "the loops must exchange");
+        assert_eq!(rows.total_exchange_words, point.total_exchange_words);
+        rows.total_flops
+    }
     for backend in [BackendKind::Sim, BackendKind::Threads] {
-        let rows = ExecPolicy::default();
-        let point = ExecPolicy::default().point_form();
-
-        let (ur, rr) = jacobi_elem::<f64>(backend, rows, 16, 15, 5);
-        let (up, rp) = jacobi_elem::<f64>(backend, point, 16, 15, 5);
-        assert_bitwise(&ur, &up, "jacobi row-vs-point");
-        assert_eq!(rr.total_flops, rp.total_flops, "jacobi flop parity");
-        assert_eq!(rr.total_exchange_words, rp.total_exchange_words);
-
-        let (fr, frr) = jacobi_elem::<f32>(backend, rows, 16, 15, 5);
-        let (fp, _) = jacobi_elem::<f32>(backend, point, 16, 15, 5);
-        assert_bitwise(&fr, &fp, "f32 jacobi row-vs-point");
-        assert_eq!(rr.total_flops, frr.total_flops, "flops are element-blind");
-
-        let (hist_r, u_r, ar) = adi_under(backend, rows);
-        let (hist_p, u_p, ap) = adi_under(backend, point);
-        assert_bitwise(&u_r, &u_p, "adi row-vs-point field");
-        assert_bitwise(&hist_r, &hist_p, "adi row-vs-point history");
-        assert_eq!(ar.total_flops, ap.total_flops, "adi flop parity");
-
-        let (mr, mrr) = mg2_under(backend, rows);
-        let (mp, mpr) = mg2_under(backend, point);
-        assert_bitwise(&mr, &mp, "mg2 row-vs-point");
-        assert_eq!(mrr.total_flops, mpr.total_flops, "mg2 flop parity");
+        let (flops64, flops32) = (check::<f64>(backend), check::<f32>(backend));
+        assert_eq!(flops64, flops32, "flops are element-blind");
     }
 }
 
