@@ -634,6 +634,34 @@ impl<T: Elem> DistArray1<T> {
     pub fn put(&mut self, i: usize, v: T) {
         self.set([i], v)
     }
+
+    /// The owned elements as one slice, in local order — the 1-D
+    /// analogue of [`DistArray2::row`]: element `k` is global index
+    /// `owned_indices(0)[k]` (`owned_range(0).start + k` on a block
+    /// distribution), ghosts excluded. Empty on a rank that is not a grid
+    /// member or owns nothing. A kernel that walks it pays the ownership
+    /// translation once per call instead of once per [`DistArray1::at`].
+    #[inline]
+    pub fn owned(&self) -> &[T] {
+        // Keep the early return (here and in `owned_mut`): sharing one
+        // range helper that selects `0..0` for a non-participant measured
+        // 1.23x instead of 0.95x the flat-CSR reference on `cg_sparse`.
+        if !self.is_participant() {
+            return &[];
+        }
+        &self.data[self.ghost[0]..self.ghost[0] + self.len[0]]
+    }
+
+    /// The write side of [`DistArray1::owned`]: exactly the cells
+    /// [`DistArray1::put`] accepts, so no write through it can reach a
+    /// ghost.
+    #[inline]
+    pub fn owned_mut(&mut self) -> &mut [T] {
+        if !self.is_participant() {
+            return &mut [];
+        }
+        &mut self.data[self.ghost[0]..self.ghost[0] + self.len[0]]
+    }
 }
 
 impl<T: Elem> DistArray2<T> {
@@ -875,6 +903,59 @@ mod tests {
         let mut a: DistArray1<f64> = DistArrayN::from_fn(0, &g, &spec, [8], [0], |[i]| i as f64);
         a.map_owned(|_, v| v * 2.0);
         assert_eq!(a.at(3), 6.0);
+    }
+
+    /// `owned`/`owned_mut` are `at`/`put` over `owned_indices(0)`, in that
+    /// order, and a write through `owned_mut` leaves every ghost alone.
+    #[test]
+    fn owned_slices_match_at_and_put_element_for_element() {
+        let n = 11;
+        let cyclic = DistSpec::parse("(cyclic)").unwrap();
+        for p in [1, 3, 4] {
+            let g = ProcGrid::new_1d(p);
+            for (spec, ghost) in [
+                (DistSpec::block1(), 0),
+                (cyclic.clone(), 0),
+                (DistSpec::block1(), 2),
+            ] {
+                for rank in 0..p {
+                    let a: DistArray1<f64> =
+                        DistArrayN::from_fn(rank, &g, &spec, [n], [ghost], |[i]| i as f64 + 0.5);
+                    let idx = a.owned_indices(0);
+                    assert_eq!(a.owned().len(), idx.len());
+                    for (&i, &v) in idx.iter().zip(a.owned()) {
+                        assert_eq!(
+                            v.to_bits(),
+                            a.at(i).to_bits(),
+                            "p {p} rank {rank} index {i}"
+                        );
+                    }
+                    // Ghost cells hold a sentinel the owned writes must not disturb.
+                    let mut want = numbered(a.clone());
+                    let mut got = want.clone();
+                    for &i in &idx {
+                        want.put(i, want.at(i) + 100.0);
+                    }
+                    for v in got.owned_mut() {
+                        *v += 100.0;
+                    }
+                    assert_eq!(got.data, want.data, "p {p} rank {rank}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owned_slices_are_empty_off_the_grid_and_on_an_owner_of_nothing() {
+        let spec = DistSpec::block1();
+        let g = ProcGrid::with_ranks(vec![2], vec![0, 1]);
+        let mut outsider: DistArray1<f64> = DistArrayN::new(3, &g, &spec, [8], [1]);
+        assert!(outsider.owned().is_empty() && outsider.owned_mut().is_empty());
+        // 4 elements over 8 procs: rank 0 owns nothing under balanced blocks.
+        let g = ProcGrid::new_1d(8);
+        let mut idle: DistArray1<f64> = DistArrayN::new(0, &g, &spec, [4], [1]);
+        assert!(idle.in_grid() && idle.owned_indices(0).is_empty());
+        assert!(idle.owned().is_empty() && idle.owned_mut().is_empty());
     }
 
     /// Give every storage cell — ghosts included — a distinct value, so a

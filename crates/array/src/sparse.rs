@@ -47,8 +47,15 @@
 //! searchable (column → value) bundle private to the trip — never in
 //! `x`'s storage, so concurrent gathers against the same `x` cannot
 //! trample each other and `x` needs no ghost allocation.
+//!
+//! The row arithmetic ([`SparseCsr::apply_rows`], the one row body)
+//! runs over the owned slices of `x` and `y`: an owner-local column is
+//! resolved by one subtraction and a bounds compare into `x`'s slice,
+//! and only the remote columns — which occur in boundary rows alone —
+//! search the haul.
 
 use std::convert::Infallible;
+use std::ops::Range;
 use std::rc::Rc;
 
 use kali_grid::{Dist1, ProcGrid};
@@ -100,6 +107,9 @@ pub struct SparseCsr<T: Real> {
     /// pattern is set ([`SparseCsr::from_rows`]) — nothing afterwards can
     /// change it — so a gather key costs no pass over the indices.
     fingerprint: u64,
+    /// The grid team's ranks, listed once here and shared into every
+    /// gather key, so a warm key is plain field copies.
+    team_ranks: Rc<[usize]>,
     generation: u64,
 }
 
@@ -160,6 +170,7 @@ impl<T: Real> SparseCsr<T> {
             col_idx,
             vals,
             fingerprint,
+            team_ranks: grid.ranks().into(),
             generation: 0,
         }
     }
@@ -243,7 +254,7 @@ impl SiteKey for GatherKey {
 #[derive(Clone, PartialEq)]
 pub struct GatherKey {
     site: usize,
-    team_ranks: Vec<usize>,
+    team_ranks: Rc<[usize]>,
     shape: [usize; 2],
     row_dist: Dist1,
     x_dist: Dist1,
@@ -277,7 +288,9 @@ impl Default for GatherCache {
 }
 
 /// The remote x-values one gather trip brought in: parallel sorted
-/// columns and values, resolved by binary search. Private to the trip —
+/// columns and values, resolved by binary search — which only the
+/// remote columns of boundary rows pay; owner-local columns index `x`'s
+/// owned slice directly ([`SparseCsr::apply_rows`]). Private to the trip:
 /// the executor scatters into this bundle, never into `x`'s storage.
 pub struct GatherHaul<T> {
     cols: Vec<u64>,
@@ -407,8 +420,8 @@ impl<T: Real> SparseCsr<T> {
     fn check_conformal(&self, x: &DistArray1<T>) {
         assert_eq!(x.extents()[0], self.ncols, "x length must equal ncols");
         assert_eq!(
-            x.grid().team().ranks(),
-            self.grid.team().ranks(),
+            x.grid().ranks(),
+            self.grid.ranks(),
             "x must distribute over the matrix's grid"
         );
     }
@@ -418,7 +431,7 @@ impl<T: Real> SparseCsr<T> {
         let site = fnv1a([GATHER_SITE_SALT, self.nrows as u64, self.ncols as u64]) as usize;
         GatherKey {
             site,
-            team_ranks: self.grid.team().ranks().to_vec(),
+            team_ranks: self.team_ranks.clone(),
             shape: [self.nrows, self.ncols],
             row_dist: self.row_dist,
             x_dist: x.dist(0),
@@ -592,25 +605,55 @@ impl<T: Real> SparseCsr<T> {
         self.finish_gather(proc, Some(cache), x, pending)
     }
 
-    /// One x-value during row compute: owner-local reads come straight
-    /// from `x`'s storage, remote columns from the trip's haul.
-    #[inline]
-    fn xval(&self, x: &DistArray1<T>, haul: Option<&GatherHaul<T>>, c: usize) -> T {
-        if x.owned_range(0).contains(&c) {
-            let s = x.storage_index([c]).expect("owned x-value");
-            x.data[s]
-        } else {
-            haul.and_then(|h| h.get(c))
-                .expect("remote column must have been gathered")
-        }
-    }
-
-    /// Compute `y(i) = Σ_j A(i,j)·x(j)` for the owned rows at the given
-    /// ascending local `positions`. Interior rows (not in a schedule's
-    /// boundary list) read no remote column, so they may run with
-    /// `haul = None` while a gather is still in flight. Returns the
+    /// The one SpMV row body: `y(i) = Σ_j A(i,j)·x(j)` for the owned rows
+    /// at local positions `rows`, ascending columns, zero-initialised
+    /// accumulator. Conformity is checked once per call — `y` shares the
+    /// row distribution, `x` owns one contiguous range — and the row loop
+    /// then runs over the owned slices of both: an owner-local column is
+    /// one subtraction and a bounds compare into `x`'s slice, and only a
+    /// remote column (boundary rows alone have any) searches the `haul`.
+    /// Interior rows therefore run with `haul = None` while a gather is
+    /// still in flight; a boundary row run that way panics. Returns the
     /// number of nonzeros visited (2 flops each; the caller charges the
     /// clock, mirroring the stencil plan's drive).
+    pub fn apply_rows(
+        &self,
+        x: &DistArray1<T>,
+        haul: Option<&GatherHaul<T>>,
+        y: &mut DistArray1<T>,
+        rows: Range<usize>,
+    ) -> usize {
+        assert!(
+            y.dist(0) == self.row_dist
+                && y.owned_range(0) == (self.row_lo..self.row_lo + self.local_rows()),
+            "y must share the row distribution"
+        );
+        assert!(x.dist(0).is_contiguous(), "x must be block-distributed");
+        let (xs, x_lo) = (x.owned(), x.lower(0));
+        let ys = &mut y.owned_mut()[rows.clone()];
+        let ptr = &self.row_ptr[rows.start..rows.end + 1];
+        for (yi, w) in ys.iter_mut().zip(ptr.windows(2)) {
+            let mut sum = T::zero();
+            for (&c, &v) in self.col_idx[w[0]..w[1]].iter().zip(&self.vals[w[0]..w[1]]) {
+                // Columns below `x_lo` wrap to huge offsets: one compare
+                // decides ownership on both sides.
+                let o = c.wrapping_sub(x_lo);
+                let xv = if o < xs.len() {
+                    xs[o]
+                } else {
+                    haul.and_then(|h| h.get(c))
+                        .expect("remote column must have been gathered")
+                };
+                sum = sum + v * xv;
+            }
+            *yi = sum;
+        }
+        ptr[ptr.len() - 1] - ptr[0]
+    }
+
+    /// [`SparseCsr::apply_rows`] over the given ascending local
+    /// `positions` — a trip's boundary list, say — one call per maximal
+    /// run of consecutive positions.
     pub fn apply_positions(
         &self,
         x: &DistArray1<T>,
@@ -618,31 +661,20 @@ impl<T: Real> SparseCsr<T> {
         y: &mut DistArray1<T>,
         positions: &[usize],
     ) -> usize {
-        debug_assert!(
-            y.dist(0) == self.row_dist,
-            "y must share the row distribution"
-        );
-        let mut nnz = 0usize;
-        for &li in positions {
-            let mut sum = T::zero();
-            for k in self.row_ptr[li]..self.row_ptr[li + 1] {
-                sum = sum + self.vals[k] * self.xval(x, haul, self.col_idx[k]);
-            }
-            nnz += self.row_ptr[li + 1] - self.row_ptr[li];
-            y.put(self.row_lo + li, sum);
-        }
-        nnz
+        positions
+            .chunk_by(|&a, &b| a + 1 == b)
+            .map(|run| self.apply_rows(x, haul, y, run[0]..run[run.len() - 1] + 1))
+            .sum()
     }
 
-    /// [`SparseCsr::apply_positions`] over every owned row.
+    /// [`SparseCsr::apply_rows`] over every owned row.
     pub fn apply_all(
         &self,
         x: &DistArray1<T>,
         haul: Option<&GatherHaul<T>>,
         y: &mut DistArray1<T>,
     ) -> usize {
-        let all: Vec<usize> = (0..self.local_rows()).collect();
-        self.apply_positions(x, haul, y, &all)
+        self.apply_rows(x, haul, y, 0..self.local_rows())
     }
 }
 
@@ -815,5 +847,34 @@ mod tests {
         assert_eq!(e64, g64);
         assert_eq!(e32, g32);
         assert_eq!(g64, 2 * g32);
+    }
+
+    /// Rank 1 of 4 under the ±2 band: its first and last two rows read
+    /// columns a neighbour owns.
+    fn rank1_of_4(n: usize) -> (SparseCsr<f64>, DistArray1<f64>) {
+        let g = ProcGrid::new_1d(4);
+        let a = SparseCsr::from_rows(1, &g, n, n, band_row::<f64>(n));
+        (a, mk_x::<f64>(1, &g, n))
+    }
+
+    /// Interior rows may run before the haul exists; a boundary row may
+    /// not — in release builds too.
+    #[test]
+    #[should_panic(expected = "remote column must have been gathered")]
+    fn boundary_row_without_its_haul_panics() {
+        let (a, x) = rank1_of_4(19);
+        let mut y = x.like();
+        assert_eq!(a.apply_rows(&x, None, &mut y, 2..a.local_rows() - 2), 3);
+        a.apply_rows(&x, None, &mut y, 0..1);
+    }
+
+    /// One conformity check per call stands where `put` checked every
+    /// row: a `y` over other rows must not be written.
+    #[test]
+    #[should_panic(expected = "y must share the row distribution")]
+    fn y_off_the_row_distribution_panics() {
+        let (a, x) = rank1_of_4(19);
+        let mut y = x.with_extents([23]);
+        a.apply_rows(&x, None, &mut y, 2..3);
     }
 }

@@ -25,7 +25,7 @@
 //! [`StencilPlan`]: crate::StencilPlan
 
 use kali_array::{DistArray1, Real, SparseCsr};
-use kali_sched::interior_positions;
+use kali_sched::interior_runs;
 
 use crate::{Ctx, ExecPolicy};
 
@@ -61,8 +61,9 @@ impl SparsePlan<'_, '_> {
         // now; everything else waits for the haul.
         let pre = pending.local_schedule();
         if let Some(sched) = &pre {
-            let interior = interior_positions(&sched.boundary, a.local_rows());
-            let nnz = a.apply_positions(x, None, y, &interior);
+            let nnz: usize = interior_runs(&sched.boundary, a.local_rows())
+                .map(|rows| a.apply_rows(x, None, y, rows))
+                .sum();
             proc.compute(2.0 * nnz as f64);
         }
         let got = a.finish_gather(proc, gather, x, pending);

@@ -1,6 +1,7 @@
 //! Communication schedules: the inspector's distilled output, as shared,
 //! consumer-neutral data.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 /// The communication plan for one site invocation: for each participating
@@ -115,9 +116,47 @@ pub fn interior_positions(boundary: &[usize], n: usize) -> Vec<usize> {
     interior
 }
 
+/// [`interior_positions`] as maximal runs, ascending, without the list:
+/// the complement of a sorted `boundary` within `0..n`, one range per
+/// gap. A row kernel that takes ranges walks the interior through this
+/// and never materialises `n` positions.
+pub fn interior_runs(boundary: &[usize], n: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let starts = std::iter::once(0).chain(boundary.iter().map(|&b| b + 1));
+    let ends = boundary.iter().copied().chain(std::iter::once(n));
+    starts
+        .zip(ends)
+        .map(|(s, e)| s..e)
+        .filter(|r| !r.is_empty())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Empty, full, leading, trailing and adjacent boundary entries.
+    #[test]
+    fn interior_runs_flatten_to_interior_positions() {
+        let cases: [(&[usize], usize); 8] = [
+            (&[], 0),
+            (&[], 4),
+            (&[0, 1, 2], 3),
+            (&[0], 5),
+            (&[4], 5),
+            (&[1, 2, 3], 6),
+            (&[0, 1, 4, 6, 7], 8),
+            (&[1, 3], 5),
+        ];
+        for (boundary, n) in cases {
+            let runs: Vec<Range<usize>> = interior_runs(boundary, n).collect();
+            assert!(runs.iter().all(|r| !r.is_empty()), "{boundary:?} in 0..{n}");
+            let flat: Vec<usize> = runs.into_iter().flatten().collect();
+            assert_eq!(
+                flat,
+                interior_positions(boundary, n),
+                "{boundary:?} in 0..{n}"
+            );
+        }
+    }
 
     #[test]
     fn interior_is_the_complement_of_boundary() {

@@ -27,34 +27,45 @@ pub struct CgResult {
     pub converged: bool,
 }
 
-/// Grid-replicated dot product `⟨u, v⟩` over the owned ranges,
-/// accumulated in `f64`.
+/// The one check the slice kernels below rest on, made once per call
+/// where `at`/`put` used to make it once per element: `u` and `v` own
+/// the same global indices in the same local order.
+fn assert_conformal<T: Real>(u: &DistArray1<T>, v: &DistArray1<T>) {
+    assert!(
+        u.dist(0) == v.dist(0) && u.lower(0) == v.lower(0) && u.owned().len() == v.owned().len(),
+        "cg operands must own the same index range"
+    );
+}
+
+/// Grid-replicated dot product `⟨u, v⟩` over the (conformal) owned
+/// slices, accumulated sequentially in `f64`.
 fn dot<T: Real>(ctx: &mut Ctx, u: &DistArray1<T>, v: &DistArray1<T>) -> f64 {
-    let r = u.owned_range(0);
+    assert_conformal(u, v);
     let mut local = 0.0;
-    for i in r.clone() {
-        local += u.at(i).to_f64() * v.at(i).to_f64();
+    for (&ui, &vi) in u.owned().iter().zip(v.owned()) {
+        local += ui.to_f64() * vi.to_f64();
     }
-    ctx.proc().compute(2.0 * r.len() as f64);
+    ctx.proc().compute(2.0 * u.owned().len() as f64);
     ctx.allreduce_sum(local)
 }
 
-/// Owned-range `u ← u + s·v` in the element type.
+/// `u ← u + s·v` over the (conformal) owned slices, in the element type.
 fn axpy<T: Real>(ctx: &mut Ctx, s: T, v: &DistArray1<T>, u: &mut DistArray1<T>) {
-    let r = u.owned_range(0);
-    for i in r.clone() {
-        u.put(i, u.at(i) + s * v.at(i));
+    assert_conformal(u, v);
+    for (ui, &vi) in u.owned_mut().iter_mut().zip(v.owned()) {
+        *ui = *ui + s * vi;
     }
-    ctx.proc().compute(2.0 * r.len() as f64);
+    ctx.proc().compute(2.0 * u.owned().len() as f64);
 }
 
-/// Owned-range `p ← r + β·p` (the search-direction update).
+/// `p ← r + β·p` (the search-direction update) over the (conformal)
+/// owned slices.
 fn xpby<T: Real>(ctx: &mut Ctx, r: &DistArray1<T>, beta: T, p: &mut DistArray1<T>) {
-    let range = p.owned_range(0);
-    for i in range.clone() {
-        p.put(i, r.at(i) + beta * p.at(i));
+    assert_conformal(p, r);
+    for (pi, &ri) in p.owned_mut().iter_mut().zip(r.owned()) {
+        *pi = ri + beta * *pi;
     }
-    ctx.proc().compute(2.0 * range.len() as f64);
+    ctx.proc().compute(2.0 * p.owned().len() as f64);
 }
 
 /// Solve `A·x = b` by unpreconditioned CG, starting from the incoming
@@ -85,13 +96,11 @@ pub fn cg<T: Real>(
     // r = b − A·x
     let mut r = x.like();
     spmv(ctx, a, x, &mut r);
-    {
-        let range = r.owned_range(0);
-        for i in range.clone() {
-            r.put(i, b.at(i) - r.at(i));
-        }
-        ctx.proc().compute(range.len() as f64);
+    assert_conformal(b, &r);
+    for (ri, &bi) in r.owned_mut().iter_mut().zip(b.owned()) {
+        *ri = bi - *ri;
     }
+    ctx.proc().compute(r.owned().len() as f64);
     let mut rho = dot(ctx, &r, &r);
     if rho.sqrt() <= tol {
         return CgResult {
@@ -101,12 +110,7 @@ pub fn cg<T: Real>(
         };
     }
     let mut p = x.like();
-    {
-        let range = p.owned_range(0);
-        for i in range {
-            p.put(i, r.at(i));
-        }
-    }
+    p.owned_mut().copy_from_slice(r.owned());
     let mut q = x.like();
     for it in 1..=max_iters {
         spmv(ctx, a, &p, &mut q);
@@ -248,5 +252,51 @@ mod tests {
         assert_eq!(run.report.total_rollbacks, 0);
         let trips = (res.iterations + 1) as u64; // initial residual + one per iteration
         assert_eq!(run.report.total_optimistic_hits, 4 * (trips - 1));
+    }
+
+    /// One worker means one partial sum in the same order as the
+    /// reference's: the slice kernels must reproduce `cg_seq` to the bit.
+    #[test]
+    fn one_worker_cg_is_bitwise_the_sequential_reference() {
+        let n = 24;
+        let run = Machine::run(cfg(1), |proc| {
+            let g = ProcGrid::new_1d(1);
+            let a = SparseCsr::from_rows(proc.rank(), &g, n, n, spd_row::<f64>(n));
+            let spec = DistSpec::block1();
+            let b =
+                DistArray1::from_fn(proc.rank(), &g, &spec, [n], [0], |[i]| (i % 5) as f64 - 1.5);
+            let mut x = DistArray1::from_fn(proc.rank(), &g, &spec, [n], [0], |_| 0.0);
+            let mut ctx = Ctx::new(proc, g);
+            let res = cg(&mut ctx, &a, &b, &mut x, 60, 1e-10);
+            (res, x.gather_to_root(ctx.proc()))
+        });
+        let (res, xs) = &run.results[0];
+        let bs: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 1.5).collect();
+        let mut xref = vec![0.0; n];
+        let rref = cg_seq(n, spd_row::<f64>(n), &bs, &mut xref, 60, 1e-10);
+        assert!(rref.converged);
+        assert_eq!(res.iterations, rref.iterations);
+        assert_eq!(res.residual.to_bits(), rref.residual.to_bits());
+        for (u, v) in xs.as_ref().unwrap().iter().zip(&xref) {
+            assert_eq!(u.to_bits(), v.to_bits(), "{u} vs {v}");
+        }
+    }
+
+    /// The per-element `at`/`put` panics are now one check per kernel; a
+    /// right-hand side that does not conform must still stop the solve,
+    /// in release builds too.
+    #[test]
+    #[should_panic(expected = "cg operands must own the same index range")]
+    fn nonconformal_right_hand_side_panics() {
+        let n = 24;
+        let _ = Machine::run(cfg(2), |proc| {
+            let g = ProcGrid::new_1d(2);
+            let a = SparseCsr::from_rows(proc.rank(), &g, n, n, spd_row::<f64>(n));
+            let spec = DistSpec::block1();
+            let b = DistArray1::from_fn(proc.rank(), &g, &spec, [n + 2], [0], |_| 1.0);
+            let mut x = DistArray1::from_fn(proc.rank(), &g, &spec, [n], [0], |_| 0.0);
+            let mut ctx = Ctx::new(proc, g);
+            cg(&mut ctx, &a, &b, &mut x, 60, 1e-10);
+        });
     }
 }

@@ -11,6 +11,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use kali::prelude::*;
+use kali::sched::interior_runs;
 use kali::solvers::cg::{cg, cg_seq, CgResult};
 use kali::solvers::spmv::{spmv, spmv_seq};
 
@@ -223,6 +224,97 @@ fn cg_matches_the_sequential_reference() {
     assert_eq!(rep.total_inspector_runs, 4);
     assert_eq!(rep.total_rollbacks, 0);
     assert!(rep.total_gather_words > 0);
+}
+
+/// [`random_row`] in the element type `T` (the `f32` leg casts the values).
+fn random_row_in<T: Real>(n: usize, seed: u64) -> impl FnMut(usize) -> Vec<(usize, T)> {
+    let mut row = random_row(n, seed);
+    move |i| {
+        row(i)
+            .into_iter()
+            .map(|(c, v)| (c, T::from_f64(v)))
+            .collect()
+    }
+}
+
+/// One worker's product as exact bit patterns, plus the nonzeros visited.
+type RowForm = (Vec<u64>, usize);
+
+/// The row body three ways on every worker: `apply_rows` over the
+/// interior runs (no haul) then `apply_positions` over the boundary;
+/// `apply_all`; and the per-element formulation the slice kernel replaced
+/// (`x.at` / `haul.get` per nonzero, `y.put` per row, rows regenerated
+/// from [`random_row`]), kept here as the oracle.
+fn row_forms<T: Real>(backend: BackendKind, p: usize, n: usize) -> Vec<[RowForm; 3]> {
+    let seed = 11;
+    let run = Machine::run(cfg_on(backend, p), move |proc| {
+        let grid = ProcGrid::new_1d(p);
+        let a = SparseCsr::from_rows(proc.rank(), &grid, n, n, random_row_in::<T>(n, seed));
+        let spec = DistSpec::block1();
+        let x = DistArray1::from_fn(proc.rank(), &grid, &spec, [n], [0], |[i]| {
+            T::from_f64(x_entry(n, seed, i))
+        });
+        let pending = a.begin_gather(proc, None, ExecPolicy::blocking(), &x);
+        let got = a.finish_gather(proc, None, &x, pending);
+        let haul = got.haul();
+
+        let mut y_split = x.like();
+        let interior: usize = interior_runs(got.boundary(), a.local_rows())
+            .map(|rows| a.apply_rows(&x, None, &mut y_split, rows))
+            .sum();
+        let nnz_split = interior + a.apply_positions(&x, Some(haul), &mut y_split, got.boundary());
+
+        let mut y_all = x.like();
+        let nnz_all = a.apply_all(&x, Some(haul), &mut y_all);
+
+        let mut y_old = x.like();
+        let mut nnz_old = 0;
+        let mut row = random_row_in::<T>(n, seed);
+        for i in y_old.owned_range(0) {
+            let mut entries = row(i);
+            entries.sort_by_key(|&(c, _)| c);
+            let mut sum = T::zero();
+            for &(c, v) in &entries {
+                let xv = if x.owns([c]) {
+                    x.at(c)
+                } else {
+                    haul.get(c).expect("remote column was gathered")
+                };
+                sum = sum + v * xv;
+            }
+            nnz_old += entries.len();
+            y_old.put(i, sum);
+        }
+
+        let bits = |y: &DistArray1<T>| y.owned().iter().map(|v| v.checksum_bits()).collect();
+        [
+            (bits(&y_split), nnz_split),
+            (bits(&y_all), nnz_all),
+            (bits(&y_old), nnz_old),
+        ]
+    });
+    run.results
+}
+
+/// Same bits, same nonzero counts, whichever way the rows are walked —
+/// in both element types, at 1, 2 and 4 workers, on both backends.
+#[test]
+fn slice_row_kernel_matches_the_per_element_formulation_bitwise() {
+    fn check<T: Real>(backend: BackendKind, p: usize) {
+        let n = 37;
+        let workers = row_forms::<T>(backend, p, n);
+        assert_eq!(workers.iter().map(|w| w[2].0.len()).sum::<usize>(), n);
+        for (rank, [split, all, old]) in workers.iter().enumerate() {
+            assert_eq!(split, old, "{backend:?} p {p} rank {rank}: runs + boundary");
+            assert_eq!(all, old, "{backend:?} p {p} rank {rank}: apply_all");
+        }
+    }
+    for backend in [BackendKind::Sim, BackendKind::Threads] {
+        for p in [1, 2, 4] {
+            check::<f64>(backend, p);
+            check::<f32>(backend, p);
+        }
+    }
 }
 
 proptest! {
