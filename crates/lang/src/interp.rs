@@ -86,8 +86,35 @@
 //! between `post` and the first executed iteration;
 //! * distributed procedure calls (`call sub(args; procslice)`) narrow the
 //!   current processor array to the slice and run the callee SPMD on it.
+//!
+//! # What an element costs
+//!
+//! The interpreter runs the *resolved* program ([`crate::resolve()`]), not
+//! the AST: every name is a slot, so a subroutine activation is a flat
+//! frame (`Vec<Option<Binding>>`) indexed by the nodes themselves, and no
+//! name is hashed, compared or cloned while a program runs. A `doall`
+//! writes its loop variables in place, iteration after iteration (what
+//! they shadow is set aside once per loop); a scalar a body defines
+//! implicitly is *iteration-private* — a short per-frame list of the
+//! slots the current iteration defined resets them when it ends, so such
+//! a scalar is undefined at the start of every iteration and after the
+//! loop. An array reference `a(i, j)` evaluates its subscripts into a
+//! `[i64; MAX_RANK]` on the stack, translates them through the view where
+//! it is bound (borrowed, never cloned), and tests ownership by O(rank)
+//! arithmetic ([`ArrObj::owned_by`]) — and only in the modes that use the
+//! answer: the inspector (to record a remote read), replicated code (to
+//! reject one) and every write. Executed writes go to a per-trip log that
+//! names arrays by position; a read finds what its own iteration wrote in
+//! O(1) — an index sized by one iteration's writes, cleared when the
+//! iteration ends — which is what keeps a block-per-iteration body like
+//! `tri`'s linear. Iteration sets are one
+//! flat `Vec<i64>` presized from the loop bounds, and the on-clause asks
+//! "is this iteration mine" without listing the owners. What is left per
+//! element is the tree walk itself and, per *global* iteration on every
+//! rank, one on-clause evaluation; everything that allocates does so per
+//! trip (`tests/alloc_lang.rs` pins that).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use kali_grid::ProcGrid;
@@ -100,8 +127,9 @@ use kali_sched::{
 };
 
 use crate::analysis::StaticCommPlan;
-use crate::ast::*;
-use crate::diag::{Diagnostic, Span};
+use crate::ast::{BinOp, DistDim, UnOp};
+use crate::diag::Diagnostic;
+use crate::resolve::*;
 use crate::value::*;
 
 pub type RtResult<T> = Result<T, String>;
@@ -114,8 +142,13 @@ enum Flow {
 
 #[derive(Default)]
 struct InspectState {
-    /// Per distinct base array: remote flat indices needed by my iterations.
+    /// Per distinct base array: remote flat indices needed by my
+    /// iterations, in first-touch order (it fixes the order of the
+    /// request vectors on the wire).
     needs: Vec<(ArrRef, Vec<usize>)>,
+    /// Membership in `needs`, as (position in `needs`, flat): the dedupe
+    /// is a set probe, not a scan of the list.
+    seen: HashSet<(usize, usize)>,
     /// Did the iteration currently being inspected read any remote
     /// element? Reset per iteration; drives the interior/boundary
     /// partition of the split-phase executor.
@@ -130,31 +163,109 @@ struct InspectState {
 impl InspectState {
     fn record(&mut self, arr: &ArrRef, flat: usize) {
         self.iter_touched_remote = true;
-        for (a, v) in &mut self.needs {
-            if Rc::ptr_eq(a, arr) {
-                if !v.contains(&flat) {
-                    v.push(flat);
-                }
-                return;
+        let k = match self.needs.iter().position(|(a, _)| Rc::ptr_eq(a, arr)) {
+            Some(k) => k,
+            None => {
+                self.needs.push((arr.clone(), Vec::new()));
+                self.needs.len() - 1
             }
+        };
+        if self.seen.insert((k, flat)) {
+            self.needs[k].1.push(flat);
         }
-        self.needs.push((arr.clone(), vec![flat]));
+    }
+
+    fn needs_of(&self, base: &ArrRef) -> &[usize] {
+        let hit = self.needs.iter().find(|(b, _)| Rc::ptr_eq(b, base));
+        hit.map_or(&[], |(_, v)| v.as_slice())
+    }
+}
+
+/// The executor's copy-in/copy-out buffer for one trip: every write of
+/// every executed iteration, committed to storage after the loop.
+struct WriteLog {
+    /// The distinct arrays written; an entry names its array by position
+    /// here instead of carrying a reference count.
+    targets: Vec<ArrRef>,
+    entries: Vec<(u32, usize, f64)>,
+    /// End offset into `entries` of each executed iteration, in execution
+    /// order.
+    seg_ends: Vec<usize>,
+    /// (target, flat) → the last value the iteration *now executing*
+    /// wrote: within one iteration reads see that iteration's own writes
+    /// (Listing 4 reads `b(lo)` after `call reduce`), in O(1) however
+    /// long the iteration. Cleared — not freed — when the iteration ends,
+    /// so it is sized by one iteration's writes, never by an array.
+    current: HashMap<(u32, usize), f64>,
+}
+
+impl WriteLog {
+    /// A log for a trip expected to make `writes` writes over
+    /// `iterations` iterations.
+    fn with_capacity(writes: usize, iterations: usize) -> Self {
+        WriteLog {
+            targets: Vec::new(),
+            entries: Vec::with_capacity(writes),
+            seg_ends: Vec::with_capacity(iterations),
+            current: HashMap::with_capacity(writes.div_ceil(iterations.max(1))),
+        }
+    }
+
+    fn target(&mut self, arr: &ArrRef) -> u32 {
+        let known = self.targets.iter().position(|a| Rc::ptr_eq(a, arr));
+        known.unwrap_or_else(|| {
+            self.targets.push(arr.clone());
+            self.targets.len() - 1
+        }) as u32
+    }
+
+    fn push(&mut self, target: u32, flat: usize, v: f64) {
+        self.entries.push((target, flat, v));
+        self.current.insert((target, flat), v);
+    }
+
+    /// What the current iteration last wrote to `arr[flat]`, if anything;
+    /// earlier iterations' writes stay invisible (copy-in).
+    fn written(&self, arr: &ArrRef, flat: usize) -> Option<f64> {
+        if self.current.is_empty() {
+            return None;
+        }
+        let t = self.targets.iter().position(|a| Rc::ptr_eq(a, arr))?;
+        self.current.get(&(t as u32, flat)).copied()
+    }
+
+    fn end_iteration(&mut self) {
+        self.seg_ends.push(self.entries.len());
+        self.current.clear();
+    }
+
+    /// Copy-out, in *original* iteration order: if two iterations write
+    /// the same element, the last iteration must win whatever order they
+    /// executed in. The first `interior_segs` segments belong to the
+    /// positions outside `boundary` (ascending), the rest to `boundary`.
+    fn commit(self, boundary: &[usize], interior_segs: usize, iterations: usize) {
+        let (mut i_seg, mut b_seg, mut bi) = (0usize, interior_segs, 0usize);
+        for pos in 0..iterations {
+            let seg = if boundary.get(bi) == Some(&pos) {
+                bi += 1;
+                &mut b_seg
+            } else {
+                &mut i_seg
+            };
+            let start = seg.checked_sub(1).map_or(0, |k| self.seg_ends[k]);
+            for &(t, flat, v) in &self.entries[start..self.seg_ends[*seg]] {
+                self.targets[t as usize].borrow_mut().data[flat] = v;
+            }
+            *seg += 1;
+        }
     }
 }
 
 enum Mode {
     Normal,
     Inspect(InspectState),
-    Execute(Vec<(ArrRef, usize, f64)>),
+    Execute(WriteLog),
 }
-
-/// Intrinsic function names: legal in a doall body without a binding.
-const INTRINSICS: &[&str] = &[
-    "log2", "mod", "abs", "sqrt", "min", "max", "lower", "upper", "reduce", "seqtri", "spmv",
-];
-
-/// Built-in sequential kernels callable inside a doall body.
-const BUILTINS: &[&str] = &["reduce", "seqtri", "spmv"];
 
 /// Cached schedules per doall site; the oldest epoch is evicted beyond
 /// this (a backstop — sites normally cycle through a handful of keys).
@@ -176,8 +287,8 @@ const SPLIT_REQUEST_TAG: Tag = tag(NS_LANG, 0x0052_4551);
 const EXEC: ScheduleExecutor = ScheduleExecutor::new(SPLIT_VALUE_TAG);
 
 /// One array of a doall's exchange list ([`Interp::exchange_arrays`]).
-struct ExchangeArray {
-    name: String,
+struct ExchangeArray<'p> {
+    name: &'p str,
     base: ArrRef,
     /// Flat base index of the bound view's origin *in the current frame*
     /// ([`view_origin_flat`]).
@@ -215,28 +326,52 @@ impl ScheduleWorld<f64> for LangWorld {
     }
 }
 
+/// A doall iteration set, flat: `arity` loop-variable values per
+/// iteration, in iteration order. One allocation however many iterations,
+/// and comparing two sets is comparing two slices.
+#[derive(Clone, PartialEq)]
+struct IterSet {
+    arity: usize,
+    flat: Vec<i64>,
+}
+
+impl IterSet {
+    fn len(&self) -> usize {
+        self.flat.len() / self.arity
+    }
+
+    fn get(&self, pos: usize) -> &[i64] {
+        &self.flat[pos * self.arity..(pos + 1) * self.arity]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[i64]> {
+        self.flat.chunks_exact(self.arity)
+    }
+}
+
 /// Everything the inspector's output is a deterministic function of. Two
 /// invocations with equal keys provably need the same communication, so
 /// the cached schedule can be replayed. Arrays are keyed *structurally*
 /// (name, bounds, distribution, grid, generation, view, alias pattern) —
 /// ownership maps, and hence schedules, depend on structure, not object
-/// identity.
+/// identity. Names appear as slots: a site belongs to one subroutine, so
+/// its keys all speak that subroutine's symbol table.
 #[derive(Clone, PartialEq)]
 struct ScheduleKey {
     site: usize,
     team_ranks: Vec<usize>,
     /// This processor's iteration set (owner-computes assignment).
-    my_iters: Vec<Vec<i64>>,
+    my_iters: IterSet,
     /// Free scalars of the body at entry, sorted by name.
-    scalars: Vec<(String, Value)>,
+    scalars: Vec<(Slot, Value)>,
     /// Content fingerprints of *replicated* arrays in schedule-relevant
-    /// positions (subscripts, section bounds, builtin arguments), sorted
-    /// by name. A CSR structure array (`spmv`'s column indices) makes the
+    /// positions (subscripts, section bounds, builtin arguments), sorted.
+    /// A CSR structure array (`spmv`'s column indices) makes the
     /// schedule a function of array *values*; replicated values are
     /// locally visible, so hashing them keys the schedule exactly —
     /// change the sparsity and the key misses, vote disagrees, and the
     /// trip re-inspects.
-    fingerprints: Vec<(String, u64)>,
+    fingerprints: Vec<(Slot, u64)>,
     /// Every array read or written, sorted by name.
     arrays: Vec<ArrayKey>,
 }
@@ -256,7 +391,7 @@ fn data_fingerprint(data: &[f64]) -> u64 {
 
 #[derive(Clone, PartialEq)]
 struct ArrayKey {
-    name: String,
+    name: Slot,
     bounds: Vec<(i64, i64)>,
     dist: Vec<DistDim>,
     grid_ranks: Vec<usize>,
@@ -311,76 +446,31 @@ impl TripHost for Interp<'_, '_> {
     }
 }
 
-/// What a body scan found: every name the body references, the subset in
-/// schedule-relevant positions (subscripts, branch conditions, `do`
-/// bounds, builtin arguments — closed transitively through the body's own
-/// scalar assignments), and whether the site is cacheable at all.
-struct BodyScan<'b> {
-    names: Vec<String>,
-    sched_names: Vec<String>,
-    /// Scalar assignments of the body, for the transitive closure: if the
-    /// target is schedule-relevant, the names its right-hand side reads
-    /// are too.
-    assigns: Vec<(&'b str, &'b Expr)>,
-    cacheable: bool,
-}
-
-struct Frame {
+/// One subroutine activation: a flat frame, one slot per name of the
+/// subroutine's symbol table.
+struct Frame<'p> {
     grid: ProcGrid,
-    scopes: Vec<HashMap<String, Binding>>,
+    sub: &'p RSub,
+    slots: Vec<Option<Binding>>,
+    /// Scalars implicitly defined by the doall iteration(s) now running
+    /// in this frame, innermost last. They are private to their
+    /// iteration: its end makes each undefined again.
+    iter_defined: Vec<Slot>,
+    /// Doall iterations of this frame now running (nested via team calls).
+    iter_depth: usize,
 }
 
-impl Frame {
-    fn lookup(&self, name: &str) -> Option<&Binding> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    fn set_scalar(&mut self, name: &str, v: Value) {
-        for s in self.scopes.iter_mut().rev() {
-            if let Some(b) = s.get_mut(name) {
-                match b {
-                    Binding::Scalar(old) => {
-                        *old = match old {
-                            Value::Int(_) => Value::Int(v.as_int()),
-                            Value::Real(_) => Value::Real(v.as_f64()),
-                        };
-                        return;
-                    }
-                    _ => panic!("assignment to non-scalar {name}"),
-                }
-            }
-        }
-        // Implicit declaration with Fortran typing.
-        let init = match Value::implicit_zero(name) {
-            Value::Int(_) => Value::Int(v.as_int()),
-            Value::Real(_) => Value::Real(v.as_f64()),
-        };
-        self.scopes
-            .last_mut()
-            .expect("frame has a scope")
-            .insert(name.to_string(), Binding::Scalar(init));
-    }
-
-    fn bind(&mut self, name: &str, b: Binding) {
-        self.scopes
-            .last_mut()
-            .expect("frame has a scope")
-            .insert(name.to_string(), b);
-    }
-}
+/// A compile-time plan's reads, resolved: (array, subscripts) in body
+/// evaluation order.
+type PlanReads = Rc<Vec<(Slot, Vec<RExpr>)>>;
 
 /// The interpreter for one simulated processor.
 pub struct Interp<'a, 'p> {
     pub proc: &'a mut Proc,
-    prog: &'p Program,
-    frames: Vec<Frame>,
+    code: &'p Resolved,
+    frames: Vec<Frame<'p>>,
     mode: Mode,
     doall_depth: usize,
-    /// Start of the current iteration's segment of the executor write
-    /// buffer: within one doall invocation, reads see that invocation's own
-    /// writes (Listing 4 reads `b(lo)` after `call reduce`); across
-    /// invocations, copy-in/copy-out hides them.
-    iter_start: usize,
     /// Execution strategy for communicating doalls — the same
     /// [`ExecPolicy`] the compiled stencil-plan path runs under.
     /// `policy.split` replays cached schedules split-phase (post /
@@ -399,29 +489,33 @@ pub struct Interp<'a, 'p> {
     /// interpreter concretizes its plan into a full `CommSchedule` and
     /// seeds the cache, so even the first invocation replays instead of
     /// inspecting. Empty unless `RunOptions::static_seed` is on.
-    static_plans: HashMap<usize, StaticCommPlan>,
+    static_plans: HashMap<usize, PlanReads>,
 }
 
 impl<'a, 'p> Interp<'a, 'p> {
-    pub fn new(proc: &'a mut Proc, prog: &'p Program) -> Self {
+    pub fn new(proc: &'a mut Proc, code: &'p Resolved) -> Self {
         Interp {
             proc,
-            prog,
+            code,
             frames: Vec::new(),
             mode: Mode::Normal,
             doall_depth: 0,
-            iter_start: 0,
             policy: ExecPolicy::default(),
             schedules: Some(ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
             static_plans: HashMap::new(),
         }
     }
 
-    /// Install compile-time communication plans (keyed by doall site).
-    /// Sites with a plan seed the schedule cache before their cold trip;
-    /// sites without one are untouched.
+    /// Install compile-time communication plans (keyed by doall site),
+    /// resolved onto the program's slots so the seeding simulation runs
+    /// on the same evaluator as everything else. Sites with a plan seed
+    /// the schedule cache before their cold trip; sites without one are
+    /// untouched.
     pub fn set_static_plans(&mut self, plans: HashMap<usize, StaticCommPlan>) {
-        self.static_plans = plans;
+        self.static_plans = plans
+            .iter()
+            .filter_map(|(site, plan)| Some((*site, Rc::new(self.code.plan_reads(plan)?))))
+            .collect();
     }
 
     /// Enable or disable executor reuse. Disabled, every doall invocation
@@ -443,70 +537,122 @@ impl<'a, 'p> Interp<'a, 'p> {
         self.proc.rank()
     }
 
-    fn frame(&self) -> &Frame {
+    fn frame(&self) -> &Frame<'p> {
         self.frames.last().expect("active frame")
     }
 
-    fn frame_mut(&mut self) -> &mut Frame {
+    fn frame_mut(&mut self) -> &mut Frame<'p> {
         self.frames.last_mut().expect("active frame")
     }
 
-    /// Run subroutine `sub` with pre-bound arguments on `grid`.
+    /// What `slot` is bound to in the active frame.
+    fn slot(&self, slot: Slot) -> Option<&Binding> {
+        self.frame().slots[slot].as_ref()
+    }
+
+    /// The name behind `slot` (error messages only).
+    fn name(&self, slot: Slot) -> &'p str {
+        &self.frame().sub.names[slot]
+    }
+
+    fn bind(&mut self, slot: Slot, b: Binding) {
+        self.frame_mut().slots[slot] = Some(b);
+    }
+
+    /// The array view bound to `slot`, or `what()` as the error.
+    fn array(&self, slot: Slot, what: impl FnOnce(&str) -> String) -> RtResult<&View> {
+        match self.slot(slot) {
+            Some(Binding::Array(view)) => Ok(view),
+            _ => Err(what(self.name(slot))),
+        }
+    }
+
+    /// Assign a scalar with Fortran typing: an existing scalar keeps its
+    /// type, a new one is implicitly typed by its name — and, inside a
+    /// doall iteration, lives only until that iteration ends.
+    fn set_scalar(&mut self, slot: Slot, v: Value) -> RtResult<()> {
+        let name = self.name(slot);
+        let f = self.frame_mut();
+        let like = match &f.slots[slot] {
+            Some(Binding::Scalar(old)) => *old,
+            Some(Binding::Array(_)) => return Err(format!("cannot assign scalar to array {name}")),
+            Some(Binding::Grid(_)) => {
+                return Err(format!("cannot assign scalar to processor array {name}"))
+            }
+            None => {
+                if f.iter_depth > 0 {
+                    f.iter_defined.push(slot);
+                }
+                Value::implicit_zero(name)
+            }
+        };
+        f.slots[slot] = Some(Binding::Scalar(match like {
+            Value::Int(_) => Value::Int(v.as_int()),
+            Value::Real(_) => Value::Real(v.as_f64()),
+        }));
+        Ok(())
+    }
+
+    /// Run subroutine `sub` (an index into the resolved program) with
+    /// pre-bound arguments on `grid`.
     pub fn call_sub(
         &mut self,
-        sub: &Subroutine,
-        bindings: Vec<(String, Binding)>,
+        sub: usize,
+        bindings: Vec<(usize, Binding)>,
         grid: ProcGrid,
     ) -> RtResult<()> {
-        let mut scope = HashMap::new();
-        for (k, v) in bindings {
-            scope.insert(k, v);
+        let sub = &self.code.subs[sub];
+        let mut slots = vec![None; sub.names.len()];
+        for (slot, b) in bindings {
+            slots[slot] = Some(b);
         }
         self.frames.push(Frame {
             grid,
-            scopes: vec![scope],
+            sub,
+            slots,
+            iter_defined: Vec::new(),
+            iter_depth: 0,
         });
         self.elaborate_decls(sub)?;
-        let flow = self.exec_stmts(&sub.body)?;
-        let _ = flow;
+        self.exec_stmts(&sub.body)?;
         self.frames.pop();
         Ok(())
     }
 
     // ---------- declarations ----------
 
-    fn elaborate_decls(&mut self, sub: &Subroutine) -> RtResult<()> {
+    fn elaborate_decls(&mut self, sub: &'p RSub) -> RtResult<()> {
         for d in &sub.decls {
             match d {
-                Decl::Processors { name, extents, .. } => {
+                RDecl::Processors(slot, extents) => {
                     let grid = self.frame().grid.clone();
                     if grid.ndims() != extents.len() {
                         return Err(format!(
-                            "{}: processors {name} declared with rank {} but the actual \
+                            "{}: processors {} declared with rank {} but the actual \
                              processor array has rank {}",
                             sub.name,
+                            self.name(*slot),
                             extents.len(),
                             grid.ndims()
                         ));
                     }
                     for (gd, e) in extents.iter().enumerate() {
                         let actual = grid.extent(gd) as i64;
-                        match &e.kind {
-                            ExprKind::Var(id) => match self.frame().lookup(id) {
+                        match e {
+                            RExpr::Var(id) => match self.slot(*id) {
                                 Some(Binding::Scalar(v)) => {
                                     if v.as_int() != actual {
                                         return Err(format!(
-                                            "processor extent {id} = {} does not match \
+                                            "processor extent {} = {} does not match \
                                              actual extent {actual}",
+                                            self.name(*id),
                                             v.as_int()
                                         ));
                                     }
                                 }
-                                _ => self
-                                    .frame_mut()
-                                    .bind(id, Binding::Scalar(Value::Int(actual))),
+                                _ => self.bind(*id, Binding::Scalar(Value::Int(actual))),
                             },
-                            ExprKind::Int(v) => {
+                            RExpr::Const(Value::Int(v)) => {
                                 if *v != actual {
                                     return Err(format!(
                                         "processor extent {v} does not match actual {actual}"
@@ -517,136 +663,13 @@ impl<'a, 'p> Interp<'a, 'p> {
                         }
                     }
                     // Bind the processor-array name itself.
-                    if sub.proc_param.as_deref() != Some(name) {
-                        self.frame_mut().bind(name, Binding::Grid(grid));
+                    if sub.proc_param != Some(*slot) {
+                        self.bind(*slot, Binding::Grid(grid));
                     }
                 }
-                Decl::Arrays {
-                    is_real,
-                    dynamic: _,
-                    items,
-                    dist,
-                } => {
-                    for item in items {
-                        let mut bounds = Vec::with_capacity(item.dims.len());
-                        for (lo, hi) in &item.dims {
-                            let l = self.eval(lo)?.as_int();
-                            let h = self.eval(hi)?.as_int();
-                            if h < l {
-                                return Err(format!("array {}: bad bounds {l}:{h}", item.name));
-                            }
-                            bounds.push((l, h));
-                        }
-                        let existing = self.frame().lookup(&item.name).cloned();
-                        match existing {
-                            Some(Binding::Array(mut view)) => {
-                                // Parameter redeclaration: adopt bounds and,
-                                // for fresh (host) arrays, the distribution.
-                                if bounds.len() != view.ndims() {
-                                    return Err(format!(
-                                        "parameter {} has rank {}, declared with rank {}",
-                                        item.name,
-                                        view.ndims(),
-                                        bounds.len()
-                                    ));
-                                }
-                                for (d, (l, h)) in bounds.iter().enumerate() {
-                                    let want = (h - l + 1) as usize;
-                                    let have = view.extent(d);
-                                    if want != have {
-                                        return Err(format!(
-                                            "parameter {} extent mismatch in dim {}: \
-                                             declared {want}, actual {have}",
-                                            item.name,
-                                            d + 1
-                                        ));
-                                    }
-                                    view.callee_lo[d] = *l;
-                                }
-                                if let Some(dd) = dist {
-                                    let mut base = view.base.borrow_mut();
-                                    if base.replicated() && base.grid.size() == 1 {
-                                        // Host-supplied array: adopt.
-                                        if dd.len() != base.ndims() {
-                                            return Err(format!(
-                                                "dist clause rank mismatch on {}",
-                                                item.name
-                                            ));
-                                        }
-                                        base.dist = dd.clone();
-                                        base.grid = self.frame().grid.clone();
-                                        base.bump_dist_gen();
-                                    }
-                                }
-                                self.frame_mut().bind(&item.name, Binding::Array(view));
-                            }
-                            Some(Binding::Scalar(v)) => {
-                                // Type declaration of a scalar parameter.
-                                if !item.dims.is_empty() {
-                                    return Err(format!(
-                                        "parameter {} is scalar but declared with dimensions",
-                                        item.name
-                                    ));
-                                }
-                                let coerced = if *is_real {
-                                    Value::Real(v.as_f64())
-                                } else {
-                                    Value::Int(v.as_int())
-                                };
-                                self.frame_mut().bind(&item.name, Binding::Scalar(coerced));
-                            }
-                            Some(Binding::Grid(_)) => {
-                                return Err(format!("{} is a processor array, not data", item.name))
-                            }
-                            None => {
-                                if item.dims.is_empty() {
-                                    let z = if *is_real {
-                                        Value::Real(0.0)
-                                    } else {
-                                        Value::Int(0)
-                                    };
-                                    self.frame_mut().bind(&item.name, Binding::Scalar(z));
-                                } else {
-                                    let grid = self.frame().grid.clone();
-                                    let distv = match dist {
-                                        Some(dd) => {
-                                            if dd.len() != bounds.len() {
-                                                return Err(format!(
-                                                    "dist clause rank mismatch on {}",
-                                                    item.name
-                                                ));
-                                            }
-                                            let nd =
-                                                dd.iter().filter(|x| **x != DistDim::Star).count();
-                                            if nd != grid.ndims() {
-                                                return Err(format!(
-                                                    "{}: {} distributed dims vs processor \
-                                                     rank {}",
-                                                    item.name,
-                                                    nd,
-                                                    grid.ndims()
-                                                ));
-                                            }
-                                            dd.clone()
-                                        }
-                                        None => vec![DistDim::Star; bounds.len()],
-                                    };
-                                    let total: usize =
-                                        bounds.iter().map(|&(l, h)| (h - l + 1) as usize).product();
-                                    let arr = Rc::new(std::cell::RefCell::new(ArrObj {
-                                        name: item.name.clone(),
-                                        bounds,
-                                        dist: distv,
-                                        grid,
-                                        data: vec![0.0; total],
-                                        is_real: *is_real,
-                                        dist_gen: 0,
-                                    }));
-                                    self.frame_mut()
-                                        .bind(&item.name, Binding::Array(View::whole(arr)));
-                                }
-                            }
-                        }
+                RDecl::Arrays(is_real, items, dist) => {
+                    for (slot, dims) in items {
+                        self.declare(*slot, dims, *is_real, dist.as_deref())?;
                     }
                 }
             }
@@ -654,9 +677,128 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(())
     }
 
+    /// One item of a type declaration: a new array or scalar, or the
+    /// redeclaration of a parameter.
+    fn declare(
+        &mut self,
+        slot: Slot,
+        dims: &[(RExpr, RExpr)],
+        is_real: bool,
+        dist: Option<&[DistDim]>,
+    ) -> RtResult<()> {
+        let name = self.name(slot);
+        let mut bounds = Vec::with_capacity(dims.len());
+        for (lo, hi) in dims {
+            let l = self.eval(lo)?.as_int();
+            let h = self.eval(hi)?.as_int();
+            if h < l {
+                return Err(format!("array {name}: bad bounds {l}:{h}"));
+            }
+            bounds.push((l, h));
+        }
+        match self.slot(slot).cloned() {
+            Some(Binding::Array(mut view)) => {
+                // Parameter redeclaration: adopt bounds and, for fresh
+                // (host) arrays, the distribution.
+                if bounds.len() != view.ndims() {
+                    return Err(format!(
+                        "parameter {name} has rank {}, declared with rank {}",
+                        view.ndims(),
+                        bounds.len()
+                    ));
+                }
+                for (d, (l, h)) in bounds.iter().enumerate() {
+                    let want = (h - l + 1) as usize;
+                    let have = view.extent(d);
+                    if want != have {
+                        return Err(format!(
+                            "parameter {name} extent mismatch in dim {}: \
+                             declared {want}, actual {have}",
+                            d + 1
+                        ));
+                    }
+                    view.callee_lo[d] = *l;
+                }
+                if let Some(dd) = dist {
+                    let mut base = view.base.borrow_mut();
+                    if base.replicated() && base.grid.size() == 1 {
+                        // Host-supplied array: adopt.
+                        if dd.len() != base.ndims() {
+                            return Err(format!("dist clause rank mismatch on {name}"));
+                        }
+                        base.dist = dd.to_vec();
+                        base.grid = self.frame().grid.clone();
+                        base.bump_dist_gen();
+                    }
+                }
+                self.bind(slot, Binding::Array(view));
+            }
+            Some(Binding::Scalar(v)) => {
+                // Type declaration of a scalar parameter.
+                if !dims.is_empty() {
+                    return Err(format!(
+                        "parameter {name} is scalar but declared with dimensions"
+                    ));
+                }
+                let coerced = if is_real {
+                    Value::Real(v.as_f64())
+                } else {
+                    Value::Int(v.as_int())
+                };
+                self.bind(slot, Binding::Scalar(coerced));
+            }
+            Some(Binding::Grid(_)) => return Err(format!("{name} is a processor array, not data")),
+            None if dims.is_empty() => {
+                let z = if is_real {
+                    Value::Real(0.0)
+                } else {
+                    Value::Int(0)
+                };
+                self.bind(slot, Binding::Scalar(z));
+            }
+            None => {
+                if bounds.len() > MAX_RANK {
+                    return Err(format!(
+                        "array {name}: rank {} exceeds the supported maximum of {MAX_RANK}",
+                        bounds.len()
+                    ));
+                }
+                let grid = self.frame().grid.clone();
+                let distv = match dist {
+                    Some(dd) => {
+                        if dd.len() != bounds.len() {
+                            return Err(format!("dist clause rank mismatch on {name}"));
+                        }
+                        let nd = dd.iter().filter(|x| **x != DistDim::Star).count();
+                        if nd != grid.ndims() {
+                            return Err(format!(
+                                "{name}: {nd} distributed dims vs processor rank {}",
+                                grid.ndims()
+                            ));
+                        }
+                        dd.to_vec()
+                    }
+                    None => vec![DistDim::Star; bounds.len()],
+                };
+                let total: usize = bounds.iter().map(|&(l, h)| (h - l + 1) as usize).product();
+                let arr = Rc::new(std::cell::RefCell::new(ArrObj {
+                    name: name.to_string(),
+                    bounds,
+                    dist: distv,
+                    grid,
+                    data: vec![0.0; total],
+                    is_real,
+                    dist_gen: 0,
+                }));
+                self.bind(slot, Binding::Array(View::whole(arr)));
+            }
+        }
+        Ok(())
+    }
+
     // ---------- statements ----------
 
-    fn exec_stmts(&mut self, stmts: &[Stmt]) -> RtResult<Flow> {
+    fn exec_stmts(&mut self, stmts: &'p [RStmt]) -> RtResult<Flow> {
         for s in stmts {
             if self.exec_stmt(s)? == Flow::Return {
                 return Ok(Flow::Return);
@@ -665,42 +807,31 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, s: &Stmt) -> RtResult<Flow> {
-        match &s.kind {
-            StmtKind::Assign { lhs, rhs } => {
+    fn exec_stmt(&mut self, s: &'p RStmt) -> RtResult<Flow> {
+        match s {
+            RStmt::AssignScalar { slot, rhs, flops } => {
                 let v = self.eval(rhs)?;
-                match &lhs.kind {
-                    LValueKind::Scalar(name) => {
-                        if matches!(self.frame().lookup(name), Some(Binding::Array(_))) {
-                            return Err(format!("cannot assign scalar to array {name}"));
-                        }
-                        self.frame_mut().set_scalar(name, v);
-                    }
-                    LValueKind::Element { name, subs } => {
-                        let idxs: Vec<i64> = subs
-                            .iter()
-                            .map(|e| self.eval(e).map(|v| v.as_int()))
-                            .collect::<RtResult<_>>()?;
-                        self.write_element(name, &idxs, v.as_f64())?;
-                    }
-                }
-                if !matches!(self.mode, Mode::Inspect(_)) {
-                    self.proc.compute(rhs.flop_count());
-                }
-                Ok(Flow::Normal)
+                self.set_scalar(*slot, v)?;
+                self.charge_assignment(*flops);
             }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
+            RStmt::AssignElement {
+                slot,
+                subs,
+                rhs,
+                flops,
             } => {
-                if self.eval(cond)?.truthy() {
+                let v = self.eval(rhs)?;
+                self.write_element(*slot, subs, v.as_f64())?;
+                self.charge_assignment(*flops);
+            }
+            RStmt::If(cond, then_body, else_body) => {
+                return if self.eval(cond)?.truthy() {
                     self.exec_stmts(then_body)
                 } else {
                     self.exec_stmts(else_body)
-                }
+                };
             }
-            StmtKind::Do {
+            RStmt::Do {
                 var,
                 lo,
                 hi,
@@ -718,52 +849,37 @@ impl<'a, 'p> Interp<'a, 'p> {
                 }
                 let mut i = lo;
                 while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
-                    self.frame_mut().set_scalar(var, Value::Int(i));
+                    self.set_scalar(*var, Value::Int(i))?;
                     if self.exec_stmts(body)? == Flow::Return {
                         return Ok(Flow::Return);
                     }
                     i += st;
                 }
-                Ok(Flow::Normal)
             }
-            StmtKind::Return => Ok(Flow::Return),
-            StmtKind::Call { name, args, on, .. } => {
-                self.exec_call(name, args, on.as_ref())?;
-                Ok(Flow::Normal)
-            }
-            StmtKind::Doall {
-                site,
-                vars,
-                ranges,
-                on,
-                body,
-            } => {
-                self.exec_doall(*site, vars, ranges, on, body)?;
-                Ok(Flow::Normal)
-            }
-            StmtKind::Distribute { name, dist, .. } => {
-                self.exec_distribute(name, dist)?;
-                Ok(Flow::Normal)
-            }
+            RStmt::Return => return Ok(Flow::Return),
+            RStmt::Call(callee, args, on) => self.exec_call(callee, args, on.as_ref())?,
+            RStmt::Doall(d) => self.exec_doall(d)?,
+            RStmt::Distribute(slot, dist) => self.exec_distribute(*slot, dist)?,
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// The virtual flops of one executed assignment (the inspector's
+    /// abstract pass computes nothing).
+    fn charge_assignment(&mut self, flops: f64) {
+        if !matches!(self.mode, Mode::Inspect(_)) {
+            self.proc.compute(flops);
         }
     }
 
     // ---------- doall ----------
 
-    fn exec_doall(
-        &mut self,
-        site: usize,
-        vars: &[String],
-        ranges: &[(Expr, Expr, Option<Expr>)],
-        on: &OnClause,
-        body: &[Stmt],
-    ) -> RtResult<()> {
+    fn exec_doall(&mut self, d: &'p RDoall) -> RtResult<()> {
         if !matches!(self.mode, Mode::Normal) {
             return Err("nested doall loops are not supported".into());
         }
-        // Enumerate iterations (outer variable first).
-        let mut bounds = Vec::new();
-        for (lo, hi, step) in ranges {
+        let mut bounds = [(0i64, 0i64, 1i64); 2];
+        for (k, (lo, hi, step)) in d.ranges.iter().enumerate() {
             let l = self.eval(lo)?.as_int();
             let h = self.eval(hi)?.as_int();
             let s = match step {
@@ -773,73 +889,105 @@ impl<'a, 'p> Interp<'a, 'p> {
             if s <= 0 {
                 return Err("doall requires a positive step".into());
             }
-            bounds.push((l, h, s));
-        }
-        let mut iters: Vec<Vec<i64>> = vec![];
-        match bounds.len() {
-            1 => {
-                let (l, h, s) = bounds[0];
-                let mut i = l;
-                while i <= h {
-                    iters.push(vec![i]);
-                    i += s;
-                }
+            if k < 2 {
+                bounds[k] = (l, h, s);
             }
-            2 => {
-                let (l1, h1, s1) = bounds[0];
-                let (l2, h2, s2) = bounds[1];
-                let mut i = l1;
-                while i <= h1 {
-                    let mut j = l2;
-                    while j <= h2 {
-                        iters.push(vec![i, j]);
-                        j += s2;
-                    }
-                    i += s1;
-                }
-            }
-            _ => return Err("doall supports one or two loop variables".into()),
         }
+        let arity = d.ranges.len();
+        if arity != 1 && arity != 2 {
+            return Err("doall supports one or two loop variables".into());
+        }
+        // The loop variables are written in place, iteration after
+        // iteration; whatever they shadow is set aside once and comes
+        // back after the loop.
+        let f = self.frame_mut();
+        let shadowed: Vec<_> = d.vars.iter().map(|&v| f.slots[v].take()).collect();
+        let result = self.run_doall(d, &bounds[..arity]);
+        let f = self.frame_mut();
+        for (&v, b) in d.vars.iter().zip(shadowed).rev() {
+            f.slots[v] = b;
+        }
+        result
+    }
 
-        // Owner set per iteration. When a static plan may seed this site,
-        // keep the full per-iteration owner sets: seeding simulates every
-        // team member's inspector pass, and the owner sets are its input.
-        let keep_owners = self.schedules.is_some() && self.static_plans.contains_key(&site);
-        let mut all_ranks: Vec<Vec<usize>> = Vec::new();
-        let mut my_iters: Vec<Vec<i64>> = Vec::new();
-        for it in &iters {
-            self.push_iter_scope(vars, it);
-            let ranks = self.on_clause_ranks(on)?;
-            self.pop_iter_scope();
-            if ranks.contains(&self.me()) {
-                my_iters.push(it.clone());
+    /// Enumerate the iterations (outer variable first), keep those whose
+    /// on-clause names this processor, and execute them.
+    fn run_doall(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> RtResult<()> {
+        let arity = bounds.len();
+        let total = bounds
+            .iter()
+            .map(|&(l, h, s)| ((h as i128 - l as i128) / s as i128 + 1).max(0))
+            .map(|count| usize::try_from(count).unwrap_or(usize::MAX))
+            .fold(arity, usize::saturating_mul);
+        let mut my_iters = IterSet {
+            arity,
+            flat: Vec::new(),
+        };
+        // Presized from the loop bounds: the set is built without a
+        // reallocation however it is distributed.
+        my_iters
+            .flat
+            .try_reserve_exact(total)
+            .map_err(|_| "doall iteration set does not fit in memory".to_string())?;
+        // Owner set per iteration — only when a static plan may seed this
+        // site: seeding simulates every team member's inspector pass, and
+        // the owner sets are its input.
+        let keep_owners = self.schedules.is_some() && self.static_plans.contains_key(&d.site);
+        let mut owners = keep_owners.then(|| (my_iters.clone(), Vec::new()));
+        let (first, second) = (bounds[0], bounds.get(1).copied().unwrap_or((0, 0, 1)));
+        let mut i = first.0;
+        while i <= first.1 {
+            let mut j = second.0;
+            while j <= second.1 {
+                let it = [i, j];
+                let it = &it[..arity];
+                self.set_loop_vars(d, it);
+                if let Some((iters, _)) = &mut owners {
+                    iters.flat.extend_from_slice(it);
+                }
+                if self.on_clause_names_me(&d.on, owners.as_mut().map(|o| &mut o.1))? {
+                    my_iters.flat.extend_from_slice(it);
+                }
+                j += second.2;
             }
-            if keep_owners {
-                all_ranks.push(ranks);
-            }
+            i += first.2;
         }
 
         self.doall_depth += 1;
-        let result = if body_has_parallel_call(self.prog, body) {
+        let result = if d.team_call {
             // Team-call mode (Listing 7): members of each iteration's
             // owner set execute the body cooperatively.
-            let mut r = Ok(());
-            for it in &my_iters {
-                self.push_iter_scope(vars, it);
-                let res = self.exec_stmts(body);
-                self.pop_iter_scope();
-                if let Err(e) = res {
-                    r = Err(e);
-                    break;
-                }
-            }
-            r
+            my_iters.iter().try_for_each(|it| self.run_iteration(d, it))
         } else {
-            let owners = keep_owners.then_some((&iters[..], &all_ranks[..]));
-            self.run_inspector_executor(site, vars, &my_iters, owners, body)
+            let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
+            self.run_inspector_executor(d, &my_iters, owners)
         };
         self.doall_depth -= 1;
         result
+    }
+
+    fn set_loop_vars(&mut self, d: &RDoall, it: &[i64]) {
+        let f = self.frame_mut();
+        for (&v, &val) in d.vars.iter().zip(it) {
+            f.slots[v] = Some(Binding::Scalar(Value::Int(val)));
+        }
+    }
+
+    /// Execute the body for one iteration. Scalars the iteration
+    /// implicitly defines are undefined again when it ends — at the start
+    /// of the next iteration and after the loop.
+    fn run_iteration(&mut self, d: &'p RDoall, it: &[i64]) -> RtResult<()> {
+        self.set_loop_vars(d, it);
+        let f = self.frame_mut();
+        let mark = f.iter_defined.len();
+        f.iter_depth += 1;
+        let result = self.exec_stmts(&d.body);
+        let f = self.frame_mut();
+        f.iter_depth -= 1;
+        for slot in f.iter_defined.drain(mark..) {
+            f.slots[slot] = None;
+        }
+        result.map(|_| ())
     }
 
     /// Concretize a compile-time plan into the exact `CommSchedule` the
@@ -860,21 +1008,19 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// always-correct fallback.
     fn build_static_schedule(
         &mut self,
-        plan: &StaticCommPlan,
+        d: &RDoall,
+        plan: &[(Slot, Vec<RExpr>)],
         team: &Team,
         arrays: &[ExchangeArray],
-        vars: &[String],
-        iters: &[Vec<i64>],
-        all_ranks: &[Vec<usize>],
+        (iters, all_ranks): (&IterSet, &[Vec<usize>]),
     ) -> Option<CommSchedule> {
         let q = team.len();
-        let me = self.me();
-        let my_ti = team.index_of(me)?;
+        let my_ti = team.index_of(self.me())?;
 
         // ---- Simulated inspector, once per team member: which remote
         // flats does each rank's iteration set read (per base, first-touch
         // order), and which of *my* iterations touch a remote element.
-        let mut needs: Vec<Vec<(ArrRef, Vec<usize>)>> = vec![Vec::new(); q];
+        let mut needs: Vec<InspectState> = (0..q).map(|_| InspectState::default()).collect();
         let mut boundary: Vec<usize> = Vec::new();
         for (ti, &rank) in team.ranks().iter().enumerate() {
             let mut pos = 0usize;
@@ -882,11 +1028,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                 if !owners.contains(&rank) {
                     continue;
                 }
-                self.push_iter_scope(vars, it);
-                let touched = self.simulate_iter_reads(plan, rank, &mut needs[ti]);
-                self.pop_iter_scope();
-                let touched = touched?;
-                if touched && ti == my_ti {
+                self.set_loop_vars(d, it);
+                needs[ti].iter_touched_remote = false;
+                self.simulate_iter_reads(plan, rank, &mut needs[ti])?;
+                if needs[ti].iter_touched_remote && ti == my_ti {
                     boundary.push(pos);
                 }
                 pos += 1;
@@ -896,25 +1041,18 @@ impl<'a, 'p> Interp<'a, 'p> {
         // ---- Request routing over the exchange list.
         let mut scheds: Vec<ArraySchedule> = Vec::with_capacity(arrays.len());
         for a in arrays {
-            let needs_of = |ti: usize| -> &[usize] {
-                needs[ti]
-                    .iter()
-                    .find(|(b, _)| Rc::ptr_eq(b, &a.base))
-                    .map(|(_, v)| v.as_slice())
-                    .unwrap_or(&[])
-            };
-            let my_reqs = self.compute_requests(team, &a.base, needs_of(my_ti)).ok()?;
+            let my_reqs = self.compute_requests(team, &a.base, needs[my_ti].needs_of(&a.base));
             // What the request round would deliver: `incoming[ti]` is peer
             // `ti`'s request vector addressed to me — the subset of its
             // needs that I own, in the peer's discovery order.
             let mut incoming: Vec<Vec<u64>> = Vec::with_capacity(q);
-            for ti in 0..q {
-                let peer_reqs = self.compute_requests(team, &a.base, needs_of(ti)).ok()?;
-                incoming.push(peer_reqs.into_iter().nth(my_ti)?);
+            for peer in &needs {
+                let peer_reqs = self.compute_requests(team, &a.base, peer.needs_of(&a.base));
+                incoming.push(peer_reqs.ok()?.into_iter().nth(my_ti)?);
             }
             scheds.push(ArraySchedule {
-                name: a.name.clone(),
-                my_reqs,
+                name: a.name.to_string(),
+                my_reqs: my_reqs.ok()?,
                 incoming,
                 origin: a.origin,
             });
@@ -922,7 +1060,7 @@ impl<'a, 'p> Interp<'a, 'p> {
 
         // The stale-read hazard guard, statically: every simulated remote
         // read must belong to an array in the exchange list.
-        for (arr, flats) in &needs[my_ti] {
+        for (arr, flats) in &needs[my_ti].needs {
             if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
                 return None;
             }
@@ -938,57 +1076,57 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     /// One iteration of the simulated inspector for `rank`: walk the
     /// plan's reads in body evaluation order, recording remote flats into
-    /// `needs` exactly as `InspectState::record` would (dedup per base,
-    /// first-touch order). Returns whether any read was remote, or `None`
-    /// when a read falls outside the provable class (not an array binding,
-    /// subscript out of bounds).
+    /// `needs` exactly as the inspector would. `None` when a read falls
+    /// outside the provable class (not an array binding, subscript out of
+    /// bounds).
     fn simulate_iter_reads(
         &mut self,
-        plan: &StaticCommPlan,
+        plan: &[(Slot, Vec<RExpr>)],
         rank: usize,
-        needs: &mut Vec<(ArrRef, Vec<usize>)>,
-    ) -> Option<bool> {
-        let mut touched = false;
-        for read in &plan.reads {
-            let Some(Binding::Array(view)) = self.frame().lookup(&read.name).cloned() else {
-                return None;
-            };
-            let mut idxs = Vec::with_capacity(read.subs.len());
-            for sub in &read.subs {
-                // Plan subscripts are scalar-pure, so evaluation touches
-                // no array storage and cannot communicate.
-                idxs.push(self.eval(sub).ok()?.as_int());
-            }
-            let base_idxs = view.to_base(&idxs).ok()?;
+        needs: &mut InspectState,
+    ) -> Option<()> {
+        for (slot, subs) in plan {
+            // Plan subscripts are scalar-pure, so evaluation touches no
+            // array storage and cannot communicate.
+            let (idxs, n) = self.eval_subscripts(*slot, subs.iter().map(Some)).ok()?;
+            let view = self.array(*slot, |_| String::new()).ok()?;
+            let mut base_idxs = [0i64; MAX_RANK];
+            let base_idxs = view.to_base_into(&idxs, n, &mut base_idxs).ok()?;
             let b = view.base.borrow();
-            let flat = b.flat(&base_idxs).ok()?;
-            if b.replicated() || b.owned_by(rank, &base_idxs) {
-                continue;
+            let flat = b.flat(base_idxs).ok()?;
+            if !b.owned_by(rank, base_idxs) {
+                needs.record(&view.base, flat);
             }
-            drop(b);
-            touched = true;
-            match needs.iter_mut().find(|(a, _)| Rc::ptr_eq(a, &view.base)) {
-                Some((_, v)) => {
-                    if !v.contains(&flat) {
-                        v.push(flat);
-                    }
+        }
+        Some(())
+    }
+
+    /// Does the on-clause assign the current iteration to this processor?
+    /// With `keep` the iteration's whole owner set is appended to it;
+    /// without, nothing is materialised.
+    fn on_clause_names_me(
+        &mut self,
+        on: &ROn,
+        keep: Option<&mut Vec<Vec<usize>>>,
+    ) -> RtResult<bool> {
+        let me = self.me();
+        let ranks = match (on, &keep) {
+            (ROn::Owner(slot, subs), _) => {
+                let (view, base_subs) = self.owner_base_subs(*slot, subs)?;
+                let (base, base_subs) = (view.base.borrow(), &base_subs[..view.map.len()]);
+                match keep {
+                    None => return base.owner_set_contains(me, base_subs),
+                    Some(_) => base.owner_ranks(base_subs)?,
                 }
-                None => needs.push((view.base.clone(), vec![flat])),
             }
+            (ROn::Procs(pe), None) => return Ok(self.eval_proc_expr(pe)?.contains(me)),
+            (ROn::Procs(pe), Some(_)) => self.eval_proc_expr(pe)?.ranks().to_vec(),
+        };
+        let mine = ranks.contains(&me);
+        if let Some(kept) = keep {
+            kept.push(ranks);
         }
-        Some(touched)
-    }
-
-    fn push_iter_scope(&mut self, vars: &[String], it: &[i64]) {
-        let mut scope = HashMap::new();
-        for (v, &val) in vars.iter().zip(it) {
-            scope.insert(v.clone(), Binding::Scalar(Value::Int(val)));
-        }
-        self.frame_mut().scopes.push(scope);
-    }
-
-    fn pop_iter_scope(&mut self) {
-        self.frame_mut().scopes.pop();
+        Ok(mine)
     }
 
     /// The distributed arrays the body reads, one entry per distinct
@@ -998,32 +1136,28 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// under an equal key lists exactly these arrays, and one scan serves
     /// as the executor's world, the current region origins, and the
     /// inspector's routing table.
-    fn exchange_arrays(&self, vars: &[String], body: &[Stmt]) -> RtResult<Vec<ExchangeArray>> {
+    fn exchange_arrays(&self, d: &RDoall) -> RtResult<Vec<ExchangeArray<'p>>> {
         let mut arrays: Vec<ExchangeArray> = Vec::new();
-        for (name, span) in collect_read_names(body) {
-            let view = match self.frame().lookup(&name) {
+        for r in &d.reads {
+            let name = self.name(r.slot);
+            let view = match self.slot(r.slot) {
                 Some(Binding::Array(view)) => view,
                 // Scalars and processor arrays move no data.
                 Some(_) => continue,
+                None if r.may_be_unbound => continue,
                 None => {
-                    if INTRINSICS.contains(&name.as_str())
-                        || vars.contains(&name)
-                        || body_defines_scalar(body, &name)
-                    {
-                        continue;
-                    }
                     let d = Diagnostic::new(
                         "A001",
-                        span,
+                        r.span,
                         format!(
                             "doall exchange: `{name}` is referenced in the loop body but \
                              has no binding; refusing to skip it (a remote read of \
                              `{name}` would silently see stale values)"
                         ),
-                        &self.prog.src,
+                        &self.code.src,
                     )
                     .with_note("declare the array or bind it as a parameter");
-                    return Err(d.render(&self.prog.src));
+                    return Err(d.render(&self.code.src));
                 }
             };
             if view.base.borrow().replicated()
@@ -1050,14 +1184,12 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// after completion.
     fn run_inspector_executor(
         &mut self,
-        site: usize,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        owners: Option<(&[Vec<i64>], &[Vec<usize>])>,
-        body: &[Stmt],
+        d: &'p RDoall,
+        my_iters: &IterSet,
+        owners: Option<(&IterSet, &[Vec<usize>])>,
     ) -> RtResult<()> {
         let team = self.frame().grid.team();
-        let arrays = self.exchange_arrays(vars, body)?;
+        let arrays = self.exchange_arrays(d)?;
         let mut world = LangWorld {
             bases: arrays.iter().map(|a| a.base.clone()).collect(),
         };
@@ -1067,7 +1199,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             team: team.clone(),
             sits_out: false,
             key: match self.schedules {
-                Some(_) => self.schedule_cache_key(site, &team, my_iters, body),
+                Some(_) => self.schedule_cache_key(d, &team, my_iters),
                 None => None,
             },
             // Keys identify regions up to translation (owner-normalized
@@ -1081,15 +1213,14 @@ impl<'a, 'p> Interp<'a, 'p> {
         let mut cache = self.schedules.take();
         let mut cache_ref = cache.as_mut();
 
-        if let Some((iters, all_ranks)) = owners {
-            if let Some(plan) = self.static_plans.get(&site).cloned() {
-                trip.seed(self, cache_ref.as_deref_mut(), |me: &mut Self| {
-                    me.build_static_schedule(&plan, &team, &arrays, vars, iters, all_ranks)
-                });
-            }
+        if let (Some(owners), Some(plan)) = (owners, self.static_plans.get(&d.site).cloned()) {
+            trip.seed(self, cache_ref.as_deref_mut(), |me: &mut Self| {
+                me.build_static_schedule(d, &plan, &team, &arrays, owners)
+            });
         }
-        let build = |me: &mut Self, _: &LangWorld| me.inspect(&team, &arrays, vars, my_iters, body);
+        let build = |me: &mut Self, _: &LangWorld| me.inspect(d, &team, &arrays, my_iters);
         let split = self.policy.split;
+        let n = my_iters.len();
         let result = (|| {
             let mut flight = trip.begin(self, cache_ref.as_deref_mut(), &world, build)?;
             let mut interior_run = None;
@@ -1107,10 +1238,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                 // overlap.
                 if let (None, Some(pre)) = (&interior_run, flight.interior_schedule()) {
                     self.proc.mark("doall:interior");
-                    let interior = interior_positions(&pre.boundary, my_iters.len());
-                    let hint = pre.write_hint;
-                    let run = self.exec_iterations(vars, my_iters, &interior, body, hint)?;
-                    interior_run = Some((pre, run));
+                    let interior = interior_positions(&pre.boundary, n);
+                    let log = WriteLog::with_capacity(pre.write_hint, n);
+                    let log = self.exec_iterations(d, my_iters, &interior, log)?;
+                    interior_run = Some((pre, log));
                 }
                 if split {
                     self.proc.mark("doall:complete");
@@ -1125,23 +1256,23 @@ impl<'a, 'p> Interp<'a, 'p> {
                 sched
                     .arrays
                     .iter()
-                    .map(|a| &a.name)
-                    .eq(arrays.iter().map(|a| &a.name)),
+                    .map(|a| a.name.as_str())
+                    .eq(arrays.iter().map(|a| a.name)),
                 "a schedule under an equal key lists exactly the exchange list"
             );
             match interior_run {
                 // The rest is the complement of what actually ran; a
                 // rebuilt schedule classifies identically (equal key).
-                Some((pre, interior)) => {
+                Some((pre, log)) => {
                     debug_assert_eq!(pre.boundary, sched.boundary);
                     self.proc.mark("doall:boundary");
-                    self.finish_execution(&pre.boundary, 0, vars, my_iters, body, interior)
+                    self.finish_execution(d, my_iters, &pre.boundary, log)
                 }
                 None => {
                     self.proc.mark("doall:execute");
-                    let all: Vec<usize> = (0..my_iters.len()).collect();
-                    let none = Default::default();
-                    self.finish_execution(&all, sched.write_hint, vars, my_iters, body, none)
+                    let all: Vec<usize> = (0..n).collect();
+                    let log = WriteLog::with_capacity(sched.write_hint, n);
+                    self.finish_execution(d, my_iters, &all, log)
                 }
             }
         })();
@@ -1157,11 +1288,10 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// member also knows what its peers will ask of it.
     fn inspect(
         &mut self,
+        d: &'p RDoall,
         team: &Team,
         arrays: &[ExchangeArray],
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
+        my_iters: &IterSet,
     ) -> RtResult<CommSchedule> {
         self.proc.note_inspector_run();
         self.proc.mark("doall:inspect");
@@ -1171,14 +1301,9 @@ impl<'a, 'p> Interp<'a, 'p> {
             if let Mode::Inspect(st) = &mut self.mode {
                 st.iter_touched_remote = false;
             }
-            self.push_iter_scope(vars, it);
-            let r = self.exec_stmts(body);
-            self.pop_iter_scope();
-            r?;
-            if let Mode::Inspect(st) = &self.mode {
-                if st.iter_touched_remote {
-                    boundary.push(pos);
-                }
+            self.run_iteration(d, it)?;
+            if matches!(&self.mode, Mode::Inspect(st) if st.iter_touched_remote) {
+                boundary.push(pos);
             }
         }
         let st = match std::mem::replace(&mut self.mode, Mode::Normal) {
@@ -1188,12 +1313,7 @@ impl<'a, 'p> Interp<'a, 'p> {
 
         let mut reqs_all: Vec<Vec<Vec<u64>>> = Vec::with_capacity(arrays.len());
         for a in arrays {
-            let my_needs = st
-                .needs
-                .iter()
-                .find(|(b, _)| Rc::ptr_eq(b, &a.base))
-                .map_or(&[][..], |(_, v)| v.as_slice());
-            reqs_all.push(self.compute_requests(team, &a.base, my_needs)?);
+            reqs_all.push(self.compute_requests(team, &a.base, st.needs_of(&a.base))?);
         }
         // Every array the inspector recorded remote reads for must take
         // part in the exchange; anything missed would execute on stale
@@ -1230,7 +1350,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             .zip(reqs_all)
             .zip(incoming_all)
             .map(|((a, my_reqs), incoming)| ArraySchedule {
-                name: a.name.clone(),
+                name: a.name.to_string(),
                 my_reqs,
                 incoming,
                 origin: a.origin,
@@ -1244,82 +1364,45 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     /// Run the iterations at `positions` (indices into `my_iters`) under
-    /// Execute mode with a fresh write buffer. Returns the buffered writes
-    /// and per-iteration end offsets into them (aligned with `positions`),
-    /// so a caller that executes iterations out of order can still commit
-    /// writes in original iteration order.
-    #[allow(clippy::type_complexity)]
+    /// Execute mode, appending their writes to `log` — one segment per
+    /// iteration, so a caller that executes iterations out of order can
+    /// still commit writes in original iteration order.
     fn exec_iterations(
         &mut self,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
+        d: &'p RDoall,
+        my_iters: &IterSet,
         positions: &[usize],
-        body: &[Stmt],
-        capacity: usize,
-    ) -> RtResult<(Vec<(ArrRef, usize, f64)>, Vec<usize>)> {
-        self.mode = Mode::Execute(Vec::with_capacity(capacity));
-        let mut seg_ends = Vec::with_capacity(positions.len());
+        log: WriteLog,
+    ) -> RtResult<WriteLog> {
+        self.mode = Mode::Execute(log);
         for &pos in positions {
-            if let Mode::Execute(buf) = &self.mode {
-                self.iter_start = buf.len();
-            }
-            self.push_iter_scope(vars, &my_iters[pos]);
-            let r = self.exec_stmts(body);
-            self.pop_iter_scope();
-            r?;
-            if let Mode::Execute(buf) = &self.mode {
-                seg_ends.push(buf.len());
+            self.run_iteration(d, my_iters.get(pos))?;
+            if let Mode::Execute(log) = &mut self.mode {
+                log.end_iteration();
             }
         }
-        let writes = match std::mem::replace(&mut self.mode, Mode::Normal) {
-            Mode::Execute(w) => w,
+        match std::mem::replace(&mut self.mode, Mode::Normal) {
+            Mode::Execute(log) => Ok(log),
             _ => unreachable!(),
-        };
-        Ok((writes, seg_ends))
+        }
     }
 
     /// The tail of every trip: run the iterations still to do — the
-    /// **boundary** after an interior that ran in flight, or all of them
-    /// when none could — against freshened storage, then commit all
-    /// buffered writes (copy-in/copy-out) in *original* iteration order:
-    /// if two iterations write the same element, the last iteration must
-    /// win whatever order they executed in.
+    /// **boundary** after an interior that ran in flight (its writes
+    /// already in `log`), or all of them when none could — against
+    /// freshened storage, then commit all buffered writes
+    /// (copy-in/copy-out).
     fn finish_execution(
         &mut self,
+        d: &'p RDoall,
+        my_iters: &IterSet,
         boundary: &[usize],
-        capacity: usize,
-        vars: &[String],
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
-        (int_writes, int_segs): (Vec<(ArrRef, usize, f64)>, Vec<usize>),
+        log: WriteLog,
     ) -> RtResult<()> {
-        let (bnd_writes, bnd_segs) =
-            self.exec_iterations(vars, my_iters, boundary, body, capacity)?;
-
-        self.proc
-            .memop((int_writes.len() + bnd_writes.len()) as f64);
-        let mut int_iter = int_writes.into_iter();
-        let mut bnd_iter = bnd_writes.into_iter();
-        let (mut i_seg, mut i_off) = (0usize, 0usize);
-        let (mut b_seg, mut b_off) = (0usize, 0usize);
-        let mut bi = 0usize;
-        for pos in 0..my_iters.len() {
-            let take = if bi < boundary.len() && boundary[bi] == pos {
-                bi += 1;
-                let n = bnd_segs[b_seg] - b_off;
-                b_off = bnd_segs[b_seg];
-                b_seg += 1;
-                bnd_iter.by_ref().take(n)
-            } else {
-                let n = int_segs[i_seg] - i_off;
-                i_off = int_segs[i_seg];
-                i_seg += 1;
-                int_iter.by_ref().take(n)
-            };
-            for (arr, flat, v) in take {
-                arr.borrow_mut().data[flat] = v;
-            }
-        }
+        let interior_segs = log.seg_ends.len();
+        let log = self.exec_iterations(d, my_iters, boundary, log)?;
+        self.proc.memop(log.entries.len() as f64);
+        log.commit(boundary, interior_segs, my_iters.len());
         Ok(())
     }
 
@@ -1328,7 +1411,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// the request *round* itself runs through the shared executor (or a
     /// blocking all-to-all in blocking mode).
     fn compute_requests(
-        &mut self,
+        &self,
         team: &Team,
         base: &ArrRef,
         my_needs: &[usize],
@@ -1336,10 +1419,10 @@ impl<'a, 'p> Interp<'a, 'p> {
         let q = team.len();
         let mut reqs: Vec<Vec<u64>> = vec![Vec::new(); q];
         let b = base.borrow();
+        let mut idxs = [0i64; MAX_RANK];
         for &flat in my_needs {
-            let idxs = b.unflat(flat);
             let owner = b
-                .owner_of(&idxs)
+                .owner_of(b.unflat_into(flat, &mut idxs))
                 .ok_or_else(|| format!("element of {} has no owner", b.name))?;
             let Some(ti) = team.index_of(owner) else {
                 return Err(format!(
@@ -1386,24 +1469,23 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// cannot prove invariant.
     fn schedule_cache_key(
         &self,
-        site: usize,
+        d: &RDoall,
         team: &Team,
-        my_iters: &[Vec<i64>],
-        body: &[Stmt],
+        my_iters: &IterSet,
     ) -> Option<ScheduleKey> {
-        let scan = scan_body(self.frame(), body);
-        if !scan.cacheable {
+        if !d.cacheable {
             return None;
         }
+        let sched = sched_names(d, |s| matches!(self.slot(s), Some(Binding::Array(_))));
         let mut fingerprints = Vec::new();
-        for n in &scan.sched_names {
-            if let Some(Binding::Array(view)) = self.frame().lookup(n) {
+        for &n in &sched {
+            if let Some(Binding::Array(view)) = self.slot(n) {
                 let b = view.base.borrow();
                 if b.replicated() {
                     // Replicated values are locally visible: key on their
                     // content so the cached schedule is exactly as fresh
                     // as the data it was derived from.
-                    fingerprints.push((n.clone(), data_fingerprint(&b.data)));
+                    fingerprints.push((n, data_fingerprint(&b.data)));
                 } else {
                     // A distributed array's remote values cannot key a
                     // local decision; the schedule is data-dependent in a
@@ -1412,22 +1494,17 @@ impl<'a, 'p> Interp<'a, 'p> {
                 }
             }
         }
-        fingerprints.sort();
-        let mut names = scan.names;
-        names.sort();
-        names.dedup();
+        fingerprints.sort_unstable();
         let mut scalars = Vec::new();
-        let mut views: Vec<(String, View)> = Vec::new();
-        for n in names {
-            match self.frame().lookup(&n) {
+        let mut views: Vec<(Slot, &View)> = Vec::new();
+        for &n in &d.names {
+            match self.slot(n) {
                 // Only schedule-relevant scalars belong in the key: a
                 // scalar that feeds values but never subscripts or
                 // control flow (e.g. the enclosing do's counter) cannot
                 // change what the inspector would discover.
-                Some(Binding::Scalar(v)) if scan.sched_names.contains(&n) => {
-                    scalars.push((n, *v));
-                }
-                Some(Binding::Array(view)) => views.push((n, view.clone())),
+                Some(Binding::Scalar(v)) if sched.contains(&n) => scalars.push((n, *v)),
+                Some(Binding::Array(view)) => views.push((n, view)),
                 _ => {}
             }
         }
@@ -1464,11 +1541,11 @@ impl<'a, 'p> Interp<'a, 'p> {
                     })
                     .collect();
                 ArrayKey {
-                    name: n.clone(),
+                    name: *n,
                     bounds: b.bounds.clone(),
                     dist: b.dist.clone(),
                     grid_ranks: b.grid.ranks().to_vec(),
-                    grid_extents: (0..b.grid.ndims()).map(|d| b.grid.extent(d)).collect(),
+                    grid_extents: b.grid.extents().to_vec(),
                     dist_gen: b.dist_gen,
                     map,
                     callee_lo: view.callee_lo.clone(),
@@ -1477,9 +1554,9 @@ impl<'a, 'p> Interp<'a, 'p> {
             })
             .collect();
         Some(ScheduleKey {
-            site,
+            site: d.site,
             team_ranks: team.ranks().to_vec(),
-            my_iters: my_iters.to_vec(),
+            my_iters: my_iters.clone(),
             scalars,
             fingerprints,
             arrays,
@@ -1489,16 +1566,17 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// `distribute a (block, cyclic, *)`: move the array's data to the
     /// owners under the new `dist` clause and bump its distribution
     /// generation so no stale schedule can ever be replayed against it.
-    fn exec_distribute(&mut self, name: &str, dist: &[DistDim]) -> RtResult<()> {
+    fn exec_distribute(&mut self, slot: Slot, dist: &[DistDim]) -> RtResult<()> {
+        let name = self.name(slot);
         if !matches!(self.mode, Mode::Normal) || self.doall_depth > 0 {
             return Err(format!(
                 "distribute {name} is only legal in replicated code outside any doall"
             ));
         }
-        let Some(Binding::Array(view)) = self.frame().lookup(name).cloned() else {
-            return Err(format!("distribute: {name} is not an array"));
-        };
-        let base = view.base.clone();
+        let base = self
+            .array(slot, |n| format!("distribute: {n} is not an array"))?
+            .base
+            .clone();
         let me = self.me();
         let (needs, team) = {
             let b = base.borrow();
@@ -1533,9 +1611,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                 dist_gen: b.dist_gen,
             };
             let mut needs = Vec::new();
+            let mut idxs = [0i64; MAX_RANK];
             for flat in 0..b.total_len() {
-                let idxs = b.unflat(flat);
-                if probe.owner_of(&idxs) == Some(me) && !b.owned_by(me, &idxs) {
+                let idxs = b.unflat_into(flat, &mut idxs);
+                if probe.owner_of(idxs) == Some(me) && !b.owned_by(me, idxs) {
                     needs.push(flat);
                 }
             }
@@ -1556,98 +1635,83 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(())
     }
 
-    fn on_clause_ranks(&mut self, on: &OnClause) -> RtResult<Vec<usize>> {
-        match on {
-            OnClause::Owner { array, subs } => {
-                let Some(Binding::Array(view)) = self.frame().lookup(array).cloned() else {
-                    return Err(format!("owner(): {array} is not an array"));
-                };
-                let base_subs = self.view_subs_to_base(&view, subs)?;
-                let ranks = view.base.borrow().owner_ranks(&base_subs);
-                ranks
-            }
-            OnClause::Procs(pe) => {
-                let g = self.eval_proc_expr(pe)?;
-                Ok(g.ranks().to_vec())
-            }
-        }
-    }
-
-    /// Translate callee-side starred subscripts into base-array starred
-    /// subscripts through a view.
-    fn view_subs_to_base(
+    /// The starred subscripts of `owner(a(...))`, evaluated and
+    /// translated through `a`'s view into base-array starred subscripts
+    /// (`None` = `*`, one per dimension of the view's map).
+    fn owner_base_subs(
         &mut self,
-        view: &View,
-        subs: &[Option<Expr>],
-    ) -> RtResult<Vec<Option<i64>>> {
-        if subs.len() != view.ndims() {
+        slot: Slot,
+        subs: &[Option<RExpr>],
+    ) -> RtResult<(&View, [Option<i64>; MAX_RANK])> {
+        let not_array = |n: &str| format!("owner(): {n} is not an array");
+        let rank = self.array(slot, not_array)?.ndims();
+        if subs.len() != rank {
             return Err(format!(
-                "owner(): rank mismatch ({} subscripts on rank-{} section)",
-                subs.len(),
-                view.ndims()
+                "owner(): rank mismatch ({} subscripts on rank-{rank} section)",
+                subs.len()
             ));
         }
-        let mut out = Vec::with_capacity(view.map.len());
-        let mut d = 0usize;
-        for m in &view.map {
-            match m {
-                ViewDim::Fixed(v) => out.push(Some(*v)),
-                ViewDim::Range(lo, _) => {
-                    match &subs[d] {
-                        Some(e) => {
-                            let i = self.eval(e)?.as_int();
-                            out.push(Some(lo + (i - view.callee_lo[d])));
-                        }
-                        None => out.push(None),
-                    }
-                    d += 1;
-                }
+        let mut callee = [None; MAX_RANK];
+        for (c, s) in callee.iter_mut().zip(subs) {
+            if let Some(e) = s {
+                *c = Some(self.eval(e)?.as_int());
             }
         }
-        Ok(out)
+        let view = self.array(slot, not_array)?;
+        let mut out = [None; MAX_RANK];
+        let mut d = 0usize;
+        for (o, m) in out.iter_mut().zip(&view.map) {
+            *o = match *m {
+                ViewDim::Fixed(v) => Some(v),
+                ViewDim::Range(lo, _) => {
+                    d += 1;
+                    callee[d - 1].map(|i| lo + (i - view.callee_lo[d - 1]))
+                }
+            };
+        }
+        Ok((view, out))
     }
 
-    fn eval_proc_expr(&mut self, pe: &ProcExpr) -> RtResult<ProcGrid> {
-        match pe {
-            ProcExpr::Whole(name) => match self.frame().lookup(name) {
-                Some(Binding::Grid(g)) => Ok(g.clone()),
-                _ => Err(format!("{name} is not a processor array")),
-            },
-            ProcExpr::Select { name, subs } => {
-                let g = match self.frame().lookup(name) {
-                    Some(Binding::Grid(g)) => g.clone(),
-                    _ => return Err(format!("{name} is not a processor array")),
-                };
-                if subs.len() != g.ndims() {
-                    return Err(format!("processor selection rank mismatch on {name}"));
+    fn grid_of(&self, slot: Slot) -> RtResult<&ProcGrid> {
+        match self.slot(slot) {
+            Some(Binding::Grid(g)) => Ok(g),
+            _ => Err(format!("{} is not a processor array", self.name(slot))),
+        }
+    }
+
+    /// `procs(e, *, e)`: the slice of processor array `slot` the pinned
+    /// coordinates select.
+    fn select_procs(&mut self, slot: Slot, subs: &[Option<RExpr>]) -> RtResult<ProcGrid> {
+        let name = self.name(slot);
+        let g = self.grid_of(slot)?.clone();
+        if subs.len() != g.ndims() {
+            return Err(format!("processor selection rank mismatch on {name}"));
+        }
+        let mut pins: Vec<(usize, usize)> = Vec::new();
+        for (d, s) in subs.iter().enumerate() {
+            if let Some(e) = s {
+                let v = self.eval(e)?.as_int();
+                // KF1 processor arrays are 1-based.
+                if v < 1 || v as usize > g.extent(d) {
+                    return Err(format!(
+                        "processor index {v} out of range 1..{} on {name}",
+                        g.extent(d)
+                    ));
                 }
-                let mut pins: Vec<(usize, usize)> = Vec::new();
-                for (d, s) in subs.iter().enumerate() {
-                    if let Some(e) = s {
-                        let v = self.eval(e)?.as_int();
-                        // KF1 processor arrays are 1-based.
-                        if v < 1 || v as usize > g.extent(d) {
-                            return Err(format!(
-                                "processor index {v} out of range 1..{} on {name}",
-                                g.extent(d)
-                            ));
-                        }
-                        pins.push((d, v as usize - 1));
-                    }
-                }
-                pins.sort_by_key(|p| std::cmp::Reverse(p.0));
-                let mut out = g;
-                for (d, c) in pins {
-                    out = out.slice(d, c);
-                }
-                Ok(out)
+                pins.push((d, v as usize - 1));
             }
-            ProcExpr::Owner { array, subs } => {
-                let Some(Binding::Array(view)) = self.frame().lookup(array).cloned() else {
-                    return Err(format!("owner(): {array} is not an array"));
-                };
-                let base_subs = self.view_subs_to_base(&view, subs)?;
-                let grid = view.base.borrow().owner_grid(&base_subs);
+        }
+        pins.sort_by_key(|p| std::cmp::Reverse(p.0));
+        Ok(pins.into_iter().fold(g, |g, (d, c)| g.slice(d, c)))
+    }
+
+    fn eval_proc_expr(&mut self, pe: &RProcExpr) -> RtResult<ProcGrid> {
+        match pe {
+            RProcExpr::Whole(slot) => self.grid_of(*slot).cloned(),
+            RProcExpr::Select(slot, subs) => self.select_procs(*slot, subs),
+            RProcExpr::Owner(slot, subs) => {
+                let (view, base_subs) = self.owner_base_subs(*slot, subs)?;
+                let grid = view.base.borrow().owner_grid(&base_subs[..view.map.len()]);
                 grid
             }
         }
@@ -1655,13 +1719,18 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     // ---------- calls ----------
 
-    fn exec_call(&mut self, name: &str, args: &[Arg], on: Option<&ProcExpr>) -> RtResult<()> {
-        if BUILTINS.contains(&name) {
-            return self.exec_builtin(name, args);
-        }
-        let Some(sub) = self.prog.find(name) else {
-            return Err(format!("no subroutine named {name}"));
+    fn exec_call(
+        &mut self,
+        callee: &'p Callee,
+        args: &'p [RArg],
+        on: Option<&RProcExpr>,
+    ) -> RtResult<()> {
+        let (k, sub) = match callee {
+            Callee::Builtin(b) => return self.exec_builtin(*b, args),
+            Callee::Unknown(name) => return Err(format!("no subroutine named {name}")),
+            Callee::Sub(k) => (*k, &self.code.subs[*k]),
         };
+        let name = &sub.name;
         if matches!(self.mode, Mode::Inspect(_) | Mode::Execute(_)) && sub.parallel {
             return Err(format!(
                 "parallel call to {name} inside a data-parallel doall body"
@@ -1681,27 +1750,20 @@ impl<'a, 'p> Interp<'a, 'p> {
                 args.len()
             ));
         }
-        let mut bindings = Vec::new();
-        for (p, a) in sub.params.iter().zip(args) {
+        let mut bindings = Vec::with_capacity(args.len() + 1);
+        for (&p, a) in sub.params.iter().zip(args) {
             let b = match a {
-                Arg::Expr(Expr {
-                    kind: ExprKind::Var(v),
-                    ..
-                }) => match self.frame().lookup(v) {
-                    Some(Binding::Array(view)) => Binding::Array(view.clone()),
-                    Some(Binding::Grid(g)) => Binding::Grid(g.clone()),
-                    Some(Binding::Scalar(s)) => Binding::Scalar(*s),
-                    None => return Err(format!("undefined argument {v}")),
+                RArg::Expr(RExpr::Var(v)) => match self.slot(*v) {
+                    Some(b) => b.clone(),
+                    None => return Err(format!("undefined argument {}", self.name(*v))),
                 },
-                Arg::Expr(e) => Binding::Scalar(self.eval(e)?),
-                Arg::Section { name: an, subs, .. } => {
-                    Binding::Array(self.make_section_view(an, subs)?)
-                }
+                RArg::Expr(e) => Binding::Scalar(self.eval(e)?),
+                RArg::Section(slot, subs) => Binding::Array(self.make_section_view(*slot, subs)?),
             };
-            bindings.push((p.clone(), b));
+            bindings.push((p, b));
         }
-        if let Some(pp) = &sub.proc_param {
-            bindings.push((pp.clone(), Binding::Grid(team.clone())));
+        if let Some(pp) = sub.proc_param {
+            bindings.push((pp, Binding::Grid(team.clone())));
         }
         // Distributed procedures run on the narrowed processor array;
         // sequential ones run replicated on the current one.
@@ -1710,50 +1772,58 @@ impl<'a, 'p> Interp<'a, 'p> {
         } else {
             self.frame().grid.clone()
         };
-        self.call_sub(sub, bindings, callee_grid)
+        self.call_sub(k, bindings, callee_grid)
     }
 
-    fn make_section_view(&mut self, name: &str, subs: &[Section]) -> RtResult<View> {
-        let Some(Binding::Array(view)) = self.frame().lookup(name).cloned() else {
-            return Err(format!("{name} is not an array"));
-        };
+    fn make_section_view(&mut self, slot: Slot, subs: &[RSection]) -> RtResult<View> {
+        let name = self.name(slot);
+        let not_array = |n: &str| format!("{n} is not an array");
+        let view = self.array(slot, not_array)?;
         if subs.len() != view.ndims() {
             return Err(format!("section rank mismatch on {name}"));
         }
-        let mut map = Vec::with_capacity(view.map.len());
+        let base = view.base.clone();
+        let base_rank = view.map.len();
+        let mut map = Vec::with_capacity(base_rank);
         let mut callee_lo = Vec::new();
         let mut d = 0usize;
-        for m in &view.map {
-            match m {
-                ViewDim::Fixed(v) => map.push(ViewDim::Fixed(*v)),
-                ViewDim::Range(lo, hi) => {
-                    match &subs[d] {
-                        Section::Index(e) => {
-                            let i = self.eval(e)?.as_int();
-                            map.push(ViewDim::Fixed(lo + (i - view.callee_lo[d])));
-                        }
-                        Section::Range(e1, e2) => {
-                            let a = self.eval(e1)?.as_int();
-                            let b = self.eval(e2)?.as_int();
-                            let base_a = lo + (a - view.callee_lo[d]);
-                            let base_b = lo + (b - view.callee_lo[d]);
-                            if base_a < *lo || base_b > *hi || base_b < base_a {
-                                return Err(format!("section {a}:{b} of {name} out of range"));
-                            }
-                            map.push(ViewDim::Range(base_a, base_b));
-                            callee_lo.push(1);
-                        }
-                        Section::All => {
-                            map.push(ViewDim::Range(*lo, *hi));
-                            callee_lo.push(view.callee_lo[d]);
-                        }
+        for bd in 0..base_rank {
+            // One dimension at a time, the view re-borrowed around the
+            // evaluation of that dimension's bounds.
+            let view = self.array(slot, not_array)?;
+            let (lo, hi) = match view.map[bd] {
+                ViewDim::Fixed(v) => {
+                    map.push(ViewDim::Fixed(v));
+                    continue;
+                }
+                ViewDim::Range(lo, hi) => (lo, hi),
+            };
+            let outer_lo = view.callee_lo[d];
+            match &subs[d] {
+                RSection::Index(e) => {
+                    let i = self.eval(e)?.as_int();
+                    map.push(ViewDim::Fixed(lo + (i - outer_lo)));
+                }
+                RSection::Range(e1, e2) => {
+                    let a = self.eval(e1)?.as_int();
+                    let b = self.eval(e2)?.as_int();
+                    let base_a = lo + (a - outer_lo);
+                    let base_b = lo + (b - outer_lo);
+                    if base_a < lo || base_b > hi || base_b < base_a {
+                        return Err(format!("section {a}:{b} of {name} out of range"));
                     }
-                    d += 1;
+                    map.push(ViewDim::Range(base_a, base_b));
+                    callee_lo.push(1);
+                }
+                RSection::All => {
+                    map.push(ViewDim::Range(lo, hi));
+                    callee_lo.push(outer_lo);
                 }
             }
+            d += 1;
         }
         Ok(View {
-            base: view.base,
+            base,
             map,
             callee_lo,
         })
@@ -1763,19 +1833,22 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// requiring every element to live on this processor.
     fn local_section_flats(&self, name: &str, v: &View) -> RtResult<(ArrRef, Vec<usize>)> {
         let n = v.extent(0);
+        let mut idx = [0i64; MAX_RANK];
         let lo = v.callee_lo[0];
         let mut flats = Vec::with_capacity(n);
         let b = v.base.borrow();
         for i in 0..n {
-            let idxs = v.to_base(&[lo + i as i64])?;
-            if !b.owned_by(self.me(), &idxs) {
+            idx[0] = lo + i as i64;
+            let mut base_idxs = [0i64; MAX_RANK];
+            let base_idxs = v.to_base_into(&idx, 1, &mut base_idxs)?;
+            if !b.owned_by(self.me(), base_idxs) {
                 return Err(format!(
                     "builtin {name}: section of {} is not local to processor {}",
                     b.name,
                     self.me()
                 ));
             }
-            flats.push(b.flat(&idxs)?);
+            flats.push(b.flat(base_idxs)?);
         }
         drop(b);
         Ok((v.base.clone(), flats))
@@ -1783,30 +1856,34 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     /// Built-in sequential kernels (`reduce`, `seqtri`, `spmv`) operating
     /// on 1-D sections — fully local, except `spmv`'s gathered operand.
-    fn exec_builtin(&mut self, name: &str, args: &[Arg]) -> RtResult<()> {
-        if name == "spmv" {
+    fn exec_builtin(&mut self, builtin: Builtin, args: &[RArg]) -> RtResult<()> {
+        if builtin == Builtin::Spmv {
             return self.exec_spmv(args);
         }
+        let name = builtin.name();
         // Materialize section arguments.
         let mut sections: Vec<(ArrRef, Vec<usize>)> = Vec::new();
-        let mut scalars: Vec<Value> = Vec::new();
         for a in args {
             match a {
-                Arg::Section { name: an, subs, .. } => {
-                    let v = self.make_section_view(an, subs)?;
+                RArg::Section(slot, subs) => {
+                    let v = self.make_section_view(*slot, subs)?;
                     if v.ndims() != 1 {
                         return Err(format!("builtin {name}: sections must be 1-D"));
                     }
                     sections.push(self.local_section_flats(name, &v)?);
                 }
-                Arg::Expr(e) => scalars.push(self.eval(e)?),
+                // Scalar arguments (the length) are evaluated for their
+                // errors only: the sections carry their own extents.
+                RArg::Expr(e) => {
+                    self.eval(e)?;
+                }
             }
         }
         if let Mode::Inspect(st) = &mut self.mode {
             // Locality validated; no mutation during inspection — only
             // the count of what the executor will write back.
-            st.writes += match name {
-                "reduce" => sections.iter().map(|sec| sec.1.len()).sum(),
+            st.writes += match builtin {
+                Builtin::Reduce => sections.iter().map(|sec| sec.1.len()).sum(),
                 _ => sections.first().map_or(0, |sec| sec.1.len()),
             };
             return Ok(());
@@ -1815,36 +1892,32 @@ impl<'a, 'p> Interp<'a, 'p> {
             let b = sec.0.borrow();
             sec.1.iter().map(|&f| b.data[f]).collect()
         };
-        match name {
-            "reduce" => {
-                // reduce(b, a, c, f, n)
-                if sections.len() != 4 {
-                    return Err("reduce(b, a, c, f, n) needs four sections".into());
-                }
-                let mut vb = read(&sections[0]);
-                let mut va = read(&sections[1]);
-                let mut vc = read(&sections[2]);
-                let mut vf = read(&sections[3]);
-                reduce_block(&mut vb, &mut va, &mut vc, &mut vf);
-                self.proc.compute(reduce_flops(vb.len()));
-                for (sec, vals) in sections.iter().zip([&vb, &va, &vc, &vf]) {
-                    self.write_section(sec, vals)?;
-                }
+        if builtin == Builtin::Reduce {
+            // reduce(b, a, c, f, n)
+            if sections.len() != 4 {
+                return Err("reduce(b, a, c, f, n) needs four sections".into());
             }
-            "seqtri" => {
-                // seqtri(x, b, a, c, f, n): solve and store into x.
-                if sections.len() != 5 {
-                    return Err("seqtri(x, b, a, c, f, n) needs five sections".into());
-                }
-                let vb = read(&sections[1]);
-                let va = read(&sections[2]);
-                let vc = read(&sections[3]);
-                let vf = read(&sections[4]);
-                let x = thomas(&vb, &va, &vc, &vf);
-                self.proc.compute(thomas_flops(x.len()));
-                self.write_section(&sections[0], &x)?;
+            let mut vb = read(&sections[0]);
+            let mut va = read(&sections[1]);
+            let mut vc = read(&sections[2]);
+            let mut vf = read(&sections[3]);
+            reduce_block(&mut vb, &mut va, &mut vc, &mut vf);
+            self.proc.compute(reduce_flops(vb.len()));
+            for (sec, vals) in sections.iter().zip([&vb, &va, &vc, &vf]) {
+                self.write_section(sec, vals);
             }
-            _ => unreachable!(),
+        } else {
+            // seqtri(x, b, a, c, f, n): solve and store into x.
+            if sections.len() != 5 {
+                return Err("seqtri(x, b, a, c, f, n) needs five sections".into());
+            }
+            let vb = read(&sections[1]);
+            let va = read(&sections[2]);
+            let vc = read(&sections[3]);
+            let vf = read(&sections[4]);
+            let x = thomas(&vb, &va, &vc, &vf);
+            self.proc.compute(thomas_flops(x.len()));
+            self.write_section(&sections[0], &x);
         }
         Ok(())
     }
@@ -1860,13 +1933,13 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// key the schedule by content fingerprint). Column indices count
     /// from 1 in the x *section*'s index space; `x` reads are copy-in
     /// (writes from earlier iterations of the same doall stay invisible).
-    fn exec_spmv(&mut self, args: &[Arg]) -> RtResult<()> {
+    fn exec_spmv(&mut self, args: &[RArg]) -> RtResult<()> {
         let mut views = Vec::with_capacity(4);
         for a in args {
-            let Arg::Section { name: an, subs, .. } = a else {
+            let RArg::Section(slot, subs) = a else {
                 return Err("spmv(y, ci, av, x) takes four sections".into());
             };
-            let v = self.make_section_view(an, subs)?;
+            let v = self.make_section_view(*slot, subs)?;
             if v.ndims() != 1 {
                 return Err("builtin spmv: sections must be 1-D".into());
             }
@@ -1887,20 +1960,19 @@ impl<'a, 'p> Interp<'a, 'p> {
         // The row's column set, from the local index array — fresh even
         // during inspection, which is what lets the inspector derive the
         // x-gather from data rather than from subscript structure.
-        let cols: Vec<i64> = {
-            let b = ci.0.borrow();
-            ci.1.iter().map(|&f| b.data[f] as i64).collect()
-        };
         let me = self.me();
-        let mut xflats = Vec::with_capacity(cols.len());
+        let mut xflats = Vec::with_capacity(ci.1.len());
         let mut remote = Vec::new();
         {
+            let cb = ci.0.borrow();
             let b = xv.base.borrow();
-            let repl = b.replicated();
-            for &c in &cols {
-                let idxs = xv.to_base(&[c])?;
-                let flat = b.flat(&idxs)?;
-                if !repl && !b.owned_by(me, &idxs) {
+            let mut idx = [0i64; MAX_RANK];
+            for &f in &ci.1 {
+                idx[0] = cb.data[f] as i64;
+                let mut base_idxs = [0i64; MAX_RANK];
+                let base_idxs = xv.to_base_into(&idx, 1, &mut base_idxs)?;
+                let flat = b.flat(base_idxs)?;
+                if !b.owned_by(me, base_idxs) {
                     remote.push(flat);
                 }
                 xflats.push(flat);
@@ -1928,16 +2000,17 @@ impl<'a, 'p> Interp<'a, 'p> {
                 .map(|(&fa, &fx)| ab.data[fa] * xb.data[fx])
                 .sum()
         };
-        self.proc.compute(2.0 * cols.len() as f64);
-        self.write_section(&y, &[sum])?;
+        self.proc.compute(2.0 * xflats.len() as f64);
+        self.write_section(&y, &[sum]);
         Ok(())
     }
 
-    fn write_section(&mut self, sec: &(ArrRef, Vec<usize>), vals: &[f64]) -> RtResult<()> {
+    fn write_section(&mut self, sec: &(ArrRef, Vec<usize>), vals: &[f64]) {
         match &mut self.mode {
-            Mode::Execute(buf) => {
+            Mode::Execute(log) => {
+                let target = log.target(&sec.0);
                 for (&f, &v) in sec.1.iter().zip(vals) {
-                    buf.push((sec.0.clone(), f, v));
+                    log.push(target, f, v);
                 }
             }
             _ => {
@@ -1948,116 +2021,140 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
         }
         self.proc.memop(vals.len() as f64);
-        Ok(())
     }
 
     // ---------- element access ----------
 
-    fn write_element(&mut self, name: &str, idxs: &[i64], v: f64) -> RtResult<()> {
-        let Some(Binding::Array(view)) = self.frame().lookup(name).cloned() else {
-            return Err(format!("{name} is not an array"));
-        };
-        let base_idxs = view.to_base(idxs)?;
-        let me = self.me();
-        let (flat, ok, repl) = {
-            let b = view.base.borrow();
-            (
-                b.flat(&base_idxs)?,
-                b.owned_by(me, &base_idxs),
-                b.replicated(),
-            )
-        };
-        match &mut self.mode {
-            Mode::Inspect(st) => {
-                if !ok {
-                    return Err(format!(
-                        "owner-computes violation: processor {me} writes {name}{base_idxs:?} \
-                         owned elsewhere (check the doall's on-clause)"
-                    ));
-                }
-                st.writes += 1;
-                Ok(())
-            }
-            Mode::Execute(buf) => {
-                if !ok {
-                    return Err(format!(
-                        "owner-computes violation: processor {me} writes {name}{base_idxs:?}"
-                    ));
-                }
-                buf.push((view.base.clone(), flat, v));
-                Ok(())
-            }
-            Mode::Normal => {
-                if repl || (self.doall_depth > 0 && ok) {
-                    view.base.borrow_mut().data[flat] = v;
-                    Ok(())
-                } else if self.doall_depth > 0 {
-                    Err(format!(
-                        "owner-computes violation: processor {me} writes {name}{base_idxs:?}"
-                    ))
-                } else {
-                    Err(format!(
-                        "write to distributed array {name} outside a doall \
-                         (replicated code cannot own it)"
-                    ))
-                }
+    /// Evaluate the subscripts of an element of `slot` onto the stack: the
+    /// values (the first [`MAX_RANK`] of them — more is a rank mismatch
+    /// the view reports) and their count. `None` is a `*`.
+    fn eval_subscripts<'e>(
+        &mut self,
+        slot: Slot,
+        subs: impl ExactSizeIterator<Item = Option<&'e RExpr>>,
+    ) -> RtResult<([i64; MAX_RANK], usize)> {
+        let (mut idxs, n) = ([0i64; MAX_RANK], subs.len());
+        for (k, e) in subs.enumerate() {
+            let Some(e) = e else {
+                return Err(format!(
+                    "'*' subscript on {} is only valid in owner()/sections",
+                    self.name(slot)
+                ));
+            };
+            let v = self.eval(e)?.as_int();
+            if let Some(i) = idxs.get_mut(k) {
+                *i = v;
             }
         }
+        Ok((idxs, n))
     }
 
-    fn read_element(&mut self, view: &View, idxs: &[i64]) -> RtResult<f64> {
-        let base_idxs = view.to_base(idxs)?;
-        let me = self.me();
+    fn write_element(&mut self, slot: Slot, subs: &[RExpr], v: f64) -> RtResult<()> {
+        let (idxs, n) = self.eval_subscripts(slot, subs.iter().map(Some))?;
+        let me = self.proc.rank();
+        let depth = self.doall_depth;
+        // The frame is borrowed next to the mode, not instead of it: the
+        // view stays where it is bound.
+        let frame = self.frames.last().expect("active frame");
+        let name = &frame.sub.names[slot];
+        let Some(Binding::Array(view)) = &frame.slots[slot] else {
+            return Err(format!("{name} is not an array"));
+        };
+        let mut base_idxs = [0i64; MAX_RANK];
+        let base_idxs = view.to_base_into(&idxs, n, &mut base_idxs)?;
         let b = view.base.borrow();
-        let flat = b.flat(&base_idxs)?;
-        let local = b.owned_by(me, &base_idxs);
-        let val = b.data[flat];
-        let name = b.name.clone();
-        drop(b);
+        let flat = b.flat(base_idxs)?;
+        let ok = b.owned_by(me, base_idxs);
+        let violation =
+            || format!("owner-computes violation: processor {me} writes {name}{base_idxs:?}");
         match &mut self.mode {
             Mode::Inspect(st) => {
-                if !local {
-                    st.record(&view.base, flat);
+                if !ok {
+                    return Err(violation() + " owned elsewhere (check the doall's on-clause)");
                 }
-                Ok(val) // may be stale; only used for subscript-free reads
+                st.writes += 1;
             }
-            Mode::Execute(buf) => {
-                // Within-iteration read-your-writes (Listing 4 pattern);
-                // earlier iterations' writes stay invisible (copy-in).
-                let it_start = self.iter_start;
-                for (a, f, v) in buf[it_start..].iter().rev() {
-                    if *f == flat && Rc::ptr_eq(a, &view.base) {
-                        return Ok(*v);
-                    }
+            Mode::Execute(log) => {
+                if !ok {
+                    return Err(violation());
                 }
-                Ok(val) // freshened by the exchange phase
+                let target = log.target(&view.base);
+                log.push(target, flat, v);
             }
             Mode::Normal => {
-                if local || self.doall_depth > 0 {
-                    Ok(val)
+                if b.replicated() || (depth > 0 && ok) {
+                    drop(b);
+                    view.base.borrow_mut().data[flat] = v;
+                } else if depth > 0 {
+                    return Err(violation());
                 } else {
-                    Err(format!(
-                        "non-local read of {name}{base_idxs:?} in replicated code; \
-                         remote values only flow through doall communication"
-                    ))
+                    return Err(format!(
+                        "write to distributed array {name} outside a doall \
+                         (replicated code cannot own it)"
+                    ));
                 }
             }
         }
+        Ok(())
+    }
+
+    /// `a(subs)` where `slot` is bound to an array.
+    fn read_element(&mut self, slot: Slot, args: &[Option<RExpr>]) -> RtResult<Value> {
+        let (idxs, n) = self.eval_subscripts(slot, args.iter().map(Option::as_ref))?;
+        let me = self.proc.rank();
+        let frame = self.frames.last().expect("active frame");
+        let Some(Binding::Array(view)) = &frame.slots[slot] else {
+            unreachable!("the caller saw an array binding");
+        };
+        let mut base_idxs = [0i64; MAX_RANK];
+        let base_idxs = view.to_base_into(&idxs, n, &mut base_idxs)?;
+        let b = view.base.borrow();
+        let flat = b.flat(base_idxs)?;
+        let mut val = b.data[flat];
+        match &mut self.mode {
+            // May be stale; only used for subscript-free reads.
+            Mode::Inspect(st) => {
+                if !b.owned_by(me, base_idxs) {
+                    st.record(&view.base, flat);
+                }
+            }
+            // Freshened by the exchange phase, unless this iteration
+            // wrote it first.
+            Mode::Execute(log) => val = log.written(&view.base, flat).unwrap_or(val),
+            Mode::Normal => {
+                if self.doall_depth == 0 && !b.owned_by(me, base_idxs) {
+                    return Err(format!(
+                        "non-local read of {}{base_idxs:?} in replicated code; \
+                         remote values only flow through doall communication",
+                        b.name
+                    ));
+                }
+            }
+        }
+        Ok(if b.is_real {
+            Value::Real(val)
+        } else {
+            Value::Int(val as i64)
+        })
     }
 
     // ---------- expressions ----------
 
-    fn eval(&mut self, e: &Expr) -> RtResult<Value> {
-        match &e.kind {
-            ExprKind::Int(v) => Ok(Value::Int(*v)),
-            ExprKind::Real(v) => Ok(Value::Real(*v)),
-            ExprKind::Var(name) => match self.frame().lookup(name) {
+    fn eval(&mut self, e: &RExpr) -> RtResult<Value> {
+        match e {
+            RExpr::Const(v) => Ok(*v),
+            RExpr::Var(slot) => match self.slot(*slot) {
                 Some(Binding::Scalar(v)) => Ok(*v),
-                Some(Binding::Array(_)) => Err(format!("array {name} used as a scalar")),
-                Some(Binding::Grid(_)) => Err(format!("processor array {name} used as a scalar")),
-                None => Err(format!("undefined variable {name}")),
+                Some(Binding::Array(_)) => {
+                    Err(format!("array {} used as a scalar", self.name(*slot)))
+                }
+                Some(Binding::Grid(_)) => Err(format!(
+                    "processor array {} used as a scalar",
+                    self.name(*slot)
+                )),
+                None => Err(format!("undefined variable {}", self.name(*slot))),
             },
-            ExprKind::Un { op, e } => {
+            RExpr::Un(op, e) => {
                 let v = self.eval(e)?;
                 Ok(match op {
                     UnOp::Neg => match v {
@@ -2067,158 +2164,128 @@ impl<'a, 'p> Interp<'a, 'p> {
                     UnOp::Not => Value::Int(if v.truthy() { 0 } else { 1 }),
                 })
             }
-            ExprKind::Bin { op, l, r } => {
+            RExpr::Bin(op, l, r) => {
                 let a = self.eval(l)?;
                 let b = self.eval(r)?;
-                Ok(eval_bin(*op, a, b))
+                eval_bin(*op, a, b)
             }
-            ExprKind::Ref { name, args } => {
+            RExpr::Ref(slot, intrinsic, args) => {
                 // Array element or intrinsic, depending on the binding.
-                if let Some(Binding::Array(view)) = self.frame().lookup(name).cloned() {
-                    let idxs: Vec<i64> = args
-                        .iter()
-                        .map(|a| match a {
-                            RefArg::Expr(e) => self.eval(e).map(|v| v.as_int()),
-                            RefArg::Star => Err(format!(
-                                "'*' subscript on {name} is only valid in owner()/sections"
-                            )),
-                        })
-                        .collect::<RtResult<_>>()?;
-                    let v = self.read_element(&view, &idxs)?;
-                    let is_real = view.base.borrow().is_real;
-                    return Ok(if is_real {
-                        Value::Real(v)
-                    } else {
-                        Value::Int(v as i64)
-                    });
+                if matches!(self.slot(*slot), Some(Binding::Array(_))) {
+                    self.read_element(*slot, args)
+                } else {
+                    self.eval_intrinsic(*slot, *intrinsic, args)
                 }
-                self.eval_intrinsic(name, args)
             }
         }
     }
 
-    fn eval_intrinsic(&mut self, name: &str, args: &[RefArg]) -> RtResult<Value> {
-        let expr_arg = |a: &RefArg| -> RtResult<Expr> {
-            match a {
-                RefArg::Expr(e) => Ok(e.clone()),
-                RefArg::Star => Err(format!("'*' not valid in {name}()")),
-            }
+    /// Argument `k` of intrinsic `name`, evaluated.
+    fn intrinsic_arg(&mut self, name: &str, args: &[Option<RExpr>], k: usize) -> RtResult<Value> {
+        match args.get(k) {
+            Some(Some(e)) => self.eval(e),
+            Some(None) => Err(format!("'*' not valid in {name}()")),
+            None => Err(format!("{name}() needs at least {} argument(s)", k + 1)),
+        }
+    }
+
+    fn eval_intrinsic(
+        &mut self,
+        slot: Slot,
+        intrinsic: Option<Intrinsic>,
+        args: &[Option<RExpr>],
+    ) -> RtResult<Value> {
+        let name = self.name(slot);
+        let Some(f) = intrinsic else {
+            return Err(format!("unknown function or array {name}"));
         };
-        match name {
-            "log2" => {
-                let v = self.eval(&expr_arg(&args[0])?)?.as_int();
+        if matches!(f, Intrinsic::Lower | Intrinsic::Upper) {
+            return self.eval_bound_intrinsic(name, f == Intrinsic::Lower, args);
+        }
+        let a = self.intrinsic_arg(name, args, 0)?;
+        Ok(match f {
+            Intrinsic::Log2 => {
+                let v = a.as_int();
                 if v <= 0 {
                     return Err("log2 of a non-positive value".into());
                 }
-                Ok(Value::Int(63 - (v as u64).leading_zeros() as i64))
+                Value::Int(63 - (v as u64).leading_zeros() as i64)
             }
-            "mod" => {
-                let a = self.eval(&expr_arg(&args[0])?)?.as_int();
-                let b = self.eval(&expr_arg(&args[1])?)?.as_int();
-                Ok(Value::Int(a % b))
+            Intrinsic::Abs => match a {
+                Value::Int(x) => Value::Int(x.abs()),
+                Value::Real(x) => Value::Real(x.abs()),
+            },
+            Intrinsic::Sqrt => Value::Real(a.as_f64().sqrt()),
+            _ => {
+                let b = self.intrinsic_arg(name, args, 1)?;
+                match f {
+                    Intrinsic::Mod => {
+                        return eval_bin(BinOp::Rem, Value::Int(a.as_int()), Value::Int(b.as_int()))
+                    }
+                    Intrinsic::Min if a.as_f64() <= b.as_f64() => a,
+                    Intrinsic::Max if a.as_f64() >= b.as_f64() => a,
+                    _ => b,
+                }
             }
-            "abs" => {
-                let v = self.eval(&expr_arg(&args[0])?)?;
-                Ok(match v {
-                    Value::Int(x) => Value::Int(x.abs()),
-                    Value::Real(x) => Value::Real(x.abs()),
-                })
-            }
-            "sqrt" => {
-                let v = self.eval(&expr_arg(&args[0])?)?.as_f64();
-                Ok(Value::Real(v.sqrt()))
-            }
-            "min" | "max" => {
-                let a = self.eval(&expr_arg(&args[0])?)?;
-                let b = self.eval(&expr_arg(&args[1])?)?;
-                let take_a = if name == "min" {
-                    a.as_f64() <= b.as_f64()
-                } else {
-                    a.as_f64() >= b.as_f64()
-                };
-                Ok(if take_a { a } else { b })
-            }
-            "lower" | "upper" => self.eval_bound_intrinsic(name, args),
-            _ => Err(format!("unknown function or array {name}")),
-        }
+        })
     }
 
     /// `lower(x, procs(ip)[, dim])` / `upper(...)`: the first/last index of
     /// the block of `x` owned by the selected processor, in declared
     /// (1-based or as-declared) index space.
-    fn eval_bound_intrinsic(&mut self, name: &str, args: &[RefArg]) -> RtResult<Value> {
+    fn eval_bound_intrinsic(
+        &mut self,
+        name: &str,
+        lower: bool,
+        args: &[Option<RExpr>],
+    ) -> RtResult<Value> {
         if args.len() < 2 {
             return Err(format!("{name}(array, procsel[, dim]) needs two arguments"));
         }
-        let RefArg::Expr(Expr {
-            kind: ExprKind::Var(aname),
-            ..
-        }) = &args[0]
-        else {
+        let Some(RExpr::Var(array)) = &args[0] else {
             return Err(format!("{name}: first argument must be an array name"));
         };
-        let Some(Binding::Array(view)) = self.frame().lookup(aname).cloned() else {
-            return Err(format!("{name}: {aname} is not an array"));
-        };
+        let array = *array;
+        let aname = self.name(array);
+        let not_array = |a: &str| format!("{name}: {a} is not an array");
+        self.array(array, not_array)?;
         // Second argument: a processor selection expression.
-        let pe = match &args[1] {
-            RefArg::Expr(Expr {
-                kind: ExprKind::Var(n),
-                ..
-            }) => ProcExpr::Whole(n.clone()),
-            RefArg::Expr(Expr {
-                kind: ExprKind::Ref { name: n, args },
-                ..
-            }) => {
-                let subs = args
-                    .iter()
-                    .map(|a| match a {
-                        RefArg::Expr(e) => Some(e.clone()),
-                        RefArg::Star => None,
-                    })
-                    .collect();
-                ProcExpr::Select {
-                    name: n.clone(),
-                    subs,
-                }
-            }
+        let sel = match &args[1] {
+            Some(RExpr::Var(n)) => self.grid_of(*n)?.clone(),
+            Some(RExpr::Ref(slot, _, args)) => self.select_procs(*slot, args)?,
             _ => return Err(format!("{name}: second argument must select processors")),
         };
-        let sel = self.eval_proc_expr(&pe)?;
         if sel.size() != 1 {
             return Err(format!(
                 "{name}: processor selection must be a single processor"
             ));
         }
         let rank = sel.ranks()[0];
+        let dim_arg = match args.get(2) {
+            Some(Some(e)) => Some(self.eval(e)?.as_int() as usize),
+            Some(None) => return Err("'*' not valid here".into()),
+            None => None,
+        };
         // Which callee dimension? Default: the only distributed dimension
         // *visible through the view* (fixed dims of a section don't count).
+        let view = self.array(array, not_array)?;
         let base = view.base.borrow();
-        let dims: Vec<usize> = (0..base.ndims())
-            .filter(|&d| base.dist[d] != DistDim::Star && matches!(view.map[d], ViewDim::Range(..)))
-            .collect();
-        let dim_base = if args.len() >= 3 {
-            let d = self.eval(&expr_arg_expr(&args[2])?)?.as_int() as usize;
+        let ranged = |bd: usize| matches!(view.map[bd], ViewDim::Range(..));
+        let dim_base = if let Some(d) = dim_arg {
             // The dim argument is in callee dimension numbering (1-based).
-            let mut seen = 0usize;
-            let mut found = None;
-            for (bd, m) in view.map.iter().enumerate() {
-                if matches!(m, ViewDim::Range(..)) {
-                    seen += 1;
-                    if seen == d {
-                        found = Some(bd);
-                        break;
-                    }
-                }
-            }
-            found.ok_or_else(|| format!("{name}: bad dim argument"))?
-        } else if dims.len() == 1 {
-            dims[0]
+            let mut visible = (0..base.ndims()).filter(|&bd| ranged(bd));
+            d.checked_sub(1)
+                .and_then(|k| visible.nth(k))
+                .ok_or_else(|| format!("{name}: bad dim argument"))?
         } else {
-            return Err(format!(
-                "{name}: array has {} distributed dims; pass the dim argument",
-                dims.len()
-            ));
+            let distributed = |d: &usize| base.dist[*d] != DistDim::Star && ranged(*d);
+            let count = (0..base.ndims()).filter(distributed).count();
+            if count != 1 {
+                return Err(format!(
+                    "{name}: array has {count} distributed dims; pass the dim argument"
+                ));
+            }
+            (0..base.ndims()).find(distributed).expect("counted")
         };
         let dist = base
             .dist1(dim_base)
@@ -2229,245 +2296,70 @@ impl<'a, 'p> Interp<'a, 'p> {
             .coords_of(rank)
             .ok_or_else(|| format!("{name}: processor not in the array's grid"))?;
         let qc = coords[gd];
-        let (olo, ohi) = match (dist.lower(qc), dist.upper(qc)) {
-            (Some(l), Some(h)) => (l, h),
-            _ => {
-                return Err(format!(
-                    "{name}: processor owns no part of {aname} along that dimension"
-                ))
-            }
+        let (Some(olo), Some(ohi)) = (dist.lower(qc), dist.upper(qc)) else {
+            return Err(format!(
+                "{name}: processor owns no part of {aname} along that dimension"
+            ));
         };
         let base_lo = base.bounds[dim_base].0;
-        drop(base);
         // Map the owned base range back through the view, clamped to the
         // section's range (so `lower(x, ...)` on a section reports the part
         // of the *section* the processor owns).
-        let mut seen = 0usize;
-        for (bd, m) in view.map.iter().enumerate() {
-            if let ViewDim::Range(lo, hi) = m {
-                if bd == dim_base {
-                    let blo = (base_lo + olo as i64).max(*lo);
-                    let bhi = (base_lo + ohi as i64).min(*hi);
-                    if blo > bhi {
-                        return Err(format!(
-                            "{name}: processor owns no part of this section of {aname}"
-                        ));
-                    }
-                    let base_idx = if name == "lower" { blo } else { bhi };
-                    return Ok(Value::Int(view.callee_lo[seen] + (base_idx - lo)));
-                }
-                seen += 1;
-            }
+        let ViewDim::Range(lo, hi) = view.map[dim_base] else {
+            return Err(format!("{name}: dimension is fixed in this section"));
+        };
+        let blo = (base_lo + olo as i64).max(lo);
+        let bhi = (base_lo + ohi as i64).min(hi);
+        if blo > bhi {
+            return Err(format!(
+                "{name}: processor owns no part of this section of {aname}"
+            ));
         }
-        Err(format!("{name}: dimension is fixed in this section"))
+        let callee_dim = (0..dim_base).filter(|&bd| ranged(bd)).count();
+        let base_idx = if lower { blo } else { bhi };
+        Ok(Value::Int(view.callee_lo[callee_dim] + (base_idx - lo)))
     }
 }
 
-fn expr_arg_expr(a: &RefArg) -> RtResult<Expr> {
-    match a {
-        RefArg::Expr(e) => Ok(e.clone()),
-        RefArg::Star => Err("'*' not valid here".into()),
-    }
-}
-
-fn eval_bin(op: BinOp, a: Value, b: Value) -> Value {
+/// Binary operators with Fortran typing: two integers stay integral
+/// (division truncates), anything else is real.
+fn eval_bin(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
     use BinOp::*;
-    let both_int = matches!((a, b), (Value::Int(_), Value::Int(_)));
-    match op {
-        Add | Sub | Mul | Div | Rem => {
-            if both_int {
-                let (x, y) = (a.as_int(), b.as_int());
-                Value::Int(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y, // Fortran integer division truncates
-                    Rem => x % y,
-                    _ => unreachable!(),
-                })
-            } else {
+    Ok(match op {
+        Add | Sub | Mul | Div | Rem => match (a, b) {
+            (Value::Int(x), Value::Int(y)) => Value::Int(match op {
+                Add => x + y,
+                Sub => x - y,
+                Mul => x * y,
+                Div => x.checked_div(y).ok_or("integer division by zero")?,
+                _ if y == 0 => return Err("mod by zero".into()),
+                _ => x.wrapping_rem(y),
+            }),
+            _ => {
                 let (x, y) = (a.as_f64(), b.as_f64());
                 Value::Real(match op {
                     Add => x + y,
                     Sub => x - y,
                     Mul => x * y,
                     Div => x / y,
-                    Rem => x % y,
-                    _ => unreachable!(),
+                    _ => x % y,
                 })
             }
-        }
+        },
         Eq | Ne | Lt | Le | Gt | Ge => {
             let (x, y) = (a.as_f64(), b.as_f64());
-            let t = match op {
+            Value::Int(match op {
                 Eq => x == y,
                 Ne => x != y,
                 Lt => x < y,
                 Le => x <= y,
                 Gt => x > y,
-                Ge => x >= y,
-                _ => unreachable!(),
-            };
-            Value::Int(t as i64)
+                _ => x >= y,
+            } as i64)
         }
         And => Value::Int((a.truthy() && b.truthy()) as i64),
         Or => Value::Int((a.truthy() || b.truthy()) as i64),
-    }
-}
-
-/// Scan a doall body for cacheability (see
-/// [`Interp::schedule_cache_key`]): collect every referenced name, the
-/// subset appearing in schedule-relevant positions, and whether any
-/// construct forces a fresh inspection.
-fn scan_body<'b>(frame: &Frame, body: &'b [Stmt]) -> BodyScan<'b> {
-    let mut s = BodyScan {
-        names: Vec::new(),
-        sched_names: Vec::new(),
-        assigns: Vec::new(),
-        cacheable: true,
-    };
-    scan_stmts(frame, body, &mut s);
-    // Transitive closure: a scalar assigned in the body whose value can
-    // reach a schedule-relevant position drags its own inputs in.
-    loop {
-        let before = s.sched_names.len();
-        let assigns = std::mem::take(&mut s.assigns);
-        for (n, rhs) in &assigns {
-            if s.sched_names.iter().any(|x| x == n) {
-                scan_expr(frame, rhs, true, &mut s);
-            }
-        }
-        s.assigns = assigns;
-        if s.sched_names.len() == before {
-            break;
-        }
-    }
-    s
-}
-
-fn scan_push(list: &mut Vec<String>, n: &str) {
-    if !list.iter().any(|x| x == n) {
-        list.push(n.to_string());
-    }
-}
-
-fn scan_stmts<'b>(frame: &Frame, body: &'b [Stmt], s: &mut BodyScan<'b>) {
-    for st in body {
-        match &st.kind {
-            StmtKind::Assign { lhs, rhs } => {
-                scan_expr(frame, rhs, false, s);
-                match &lhs.kind {
-                    LValueKind::Scalar(n) => {
-                        scan_push(&mut s.names, n);
-                        s.assigns.push((n, rhs));
-                    }
-                    LValueKind::Element { name, subs } => {
-                        scan_push(&mut s.names, name);
-                        for e in subs {
-                            scan_expr(frame, e, true, s);
-                        }
-                    }
-                }
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                scan_expr(frame, cond, true, s);
-                scan_stmts(frame, then_body, s);
-                scan_stmts(frame, else_body, s);
-            }
-            StmtKind::Do {
-                lo, hi, step, body, ..
-            } => {
-                scan_expr(frame, lo, true, s);
-                scan_expr(frame, hi, true, s);
-                if let Some(e) = step {
-                    scan_expr(frame, e, true, s);
-                }
-                scan_stmts(frame, body, s);
-            }
-            StmtKind::Call { name, args, .. } => {
-                if BUILTINS.contains(&name.as_str()) {
-                    for (k, a) in args.iter().enumerate() {
-                        match a {
-                            Arg::Expr(e) => scan_expr(frame, e, true, s),
-                            Arg::Section { name: an, subs, .. } => {
-                                scan_push(&mut s.names, an);
-                                // spmv derives its x-gather from the
-                                // *values* of the column-index section
-                                // (argument 2): those values are
-                                // schedule-relevant the same way a
-                                // subscript array would be.
-                                if name == "spmv" && k == 1 {
-                                    scan_push(&mut s.sched_names, an);
-                                }
-                                for sec in subs {
-                                    match sec {
-                                        Section::Index(e) => scan_expr(frame, e, true, s),
-                                        Section::Range(e1, e2) => {
-                                            scan_expr(frame, e1, true, s);
-                                            scan_expr(frame, e2, true, s);
-                                        }
-                                        Section::All => {}
-                                    }
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // A user-subroutine call reads names this scan cannot
-                    // see (the callee's body under its own bindings).
-                    s.cacheable = false;
-                }
-            }
-            // Nested doalls error in the inspector path, and `distribute`
-            // rewrites ownership — never cache around either.
-            StmtKind::Doall { .. } | StmtKind::Distribute { .. } => s.cacheable = false,
-            StmtKind::Return => {}
-        }
-    }
-}
-
-fn scan_expr(frame: &Frame, e: &Expr, in_sched: bool, s: &mut BodyScan<'_>) {
-    match &e.kind {
-        ExprKind::Int(_) | ExprKind::Real(_) => {}
-        ExprKind::Var(n) => {
-            scan_push(&mut s.names, n);
-            if in_sched {
-                scan_push(&mut s.sched_names, n);
-            }
-        }
-        ExprKind::Ref { name, args } => {
-            scan_push(&mut s.names, name);
-            if in_sched {
-                scan_push(&mut s.sched_names, name);
-            }
-            // Subscripts of an *array* reference steer the inspector;
-            // arguments of an intrinsic stay in the caller's context.
-            let is_array = matches!(frame.lookup(name), Some(Binding::Array(_)));
-            // `lower`/`upper` read only the *structure* of their array
-            // argument (bounds, distribution, view) — all of which the
-            // cache key captures — so that argument's name is exempt from
-            // schedule-relevance; its values never steer the inspector.
-            let exempt_first = !is_array && (name == "lower" || name == "upper");
-            for (k, a) in args.iter().enumerate() {
-                if let RefArg::Expr(e) = a {
-                    if exempt_first && k == 0 {
-                        scan_expr(frame, e, false, s);
-                    } else {
-                        scan_expr(frame, e, in_sched || is_array, s);
-                    }
-                }
-            }
-        }
-        ExprKind::Un { e, .. } => scan_expr(frame, e, in_sched, s),
-        ExprKind::Bin { l, r, .. } => {
-            scan_expr(frame, l, in_sched, s);
-            scan_expr(frame, r, in_sched, s);
-        }
-    }
+    })
 }
 
 /// Flat base index of a view's origin: fixed dimensions at their
@@ -2475,151 +2367,83 @@ fn scan_expr(frame: &Frame, e: &Expr, in_sched: bool, s: &mut BodyScan<'_>) {
 /// it at build time ([`ArraySchedule::origin`]); replays under an
 /// owner-normalized key shift their flat indices by the origin delta.
 fn view_origin_flat(view: &View) -> RtResult<u64> {
-    let idxs: Vec<i64> = view
-        .map
-        .iter()
-        .map(|d| match *d {
+    let mut idxs = [0i64; MAX_RANK];
+    for (i, d) in idxs.iter_mut().zip(&view.map) {
+        *i = match *d {
             ViewDim::Fixed(v) => v,
             ViewDim::Range(lo, _) => lo,
-        })
-        .collect();
-    Ok(view.base.borrow().flat(&idxs)? as u64)
+        };
+    }
+    Ok(view.base.borrow().flat(&idxs[..view.map.len()])? as u64)
 }
 
-/// Is `name` a scalar the body itself defines (a `do` loop variable or
-/// the target of a scalar assignment)? Such names legitimately lack a
-/// frame binding on a processor whose iteration set is empty.
-fn body_defines_scalar(body: &[Stmt], name: &str) -> bool {
-    body.iter().any(|s| match &s.kind {
-        StmtKind::Assign {
-            lhs:
-                LValue {
-                    kind: LValueKind::Scalar(n),
-                    ..
-                },
-            ..
-        } => n == name,
-        StmtKind::Do { var, body, .. } => var == name || body_defines_scalar(body, name),
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => body_defines_scalar(then_body, name) || body_defines_scalar(else_body, name),
-        StmtKind::Doall { vars, body, .. } => {
-            vars.iter().any(|v| v == name) || body_defines_scalar(body, name)
-        }
-        _ => false,
-    })
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
 
-/// Does the body contain a call to a *parallel* subroutine?
-fn body_has_parallel_call(prog: &Program, body: &[Stmt]) -> bool {
-    body.iter().any(|s| match &s.kind {
-        StmtKind::Call { name, .. } => prog.find(name).is_some_and(|s| s.parallel),
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => body_has_parallel_call(prog, then_body) || body_has_parallel_call(prog, else_body),
-        StmtKind::Do { body, .. } => body_has_parallel_call(prog, body),
-        _ => false,
-    })
-}
+    fn array(name: &str, n: usize) -> ArrRef {
+        Rc::new(RefCell::new(ArrObj {
+            name: name.into(),
+            bounds: vec![(0, n as i64 - 1)],
+            dist: vec![DistDim::Star],
+            grid: ProcGrid::new_1d(1),
+            data: vec![0.0; n],
+            is_real: true,
+            dist_gen: 0,
+        }))
+    }
 
-/// Names referenced in read position anywhere in a doall body, in
-/// first-appearance order (the static array list for the exchange phase).
-/// Each name carries the span of its first appearance so exchange-phase
-/// errors can point at the offending expression.
-fn collect_read_names(body: &[Stmt]) -> Vec<(String, Span)> {
-    let mut out = Vec::new();
-    fn expr(e: &Expr, out: &mut Vec<(String, Span)>) {
-        match &e.kind {
-            ExprKind::Int(_) | ExprKind::Real(_) => {}
-            ExprKind::Var(n) => push(n, e.span, out),
-            ExprKind::Ref { name, args } => {
-                push(name, e.span, out);
-                for a in args {
-                    if let RefArg::Expr(e) = a {
-                        expr(e, out);
-                    }
-                }
-            }
-            ExprKind::Un { e, .. } => expr(e, out),
-            ExprKind::Bin { l, r, .. } => {
-                expr(l, out);
-                expr(r, out);
-            }
+    /// Read-your-writes is an index probe however many entries the
+    /// iteration has written — the index holds one entry per distinct
+    /// element of *this* iteration, no more — sees the last write, and
+    /// never an earlier iteration's.
+    #[test]
+    fn write_log_lookups_are_constant_work_and_iteration_private() {
+        let (a, b) = (array("a", 4096), array("b", 4096));
+        let mut log = WriteLog::with_capacity(0, 0);
+        let (ta, tb) = (log.target(&a), log.target(&b));
+        assert_eq!((ta, tb, log.target(&a)), (0, 1, 0));
+        for k in 0..4096usize {
+            log.push(ta, k, k as f64);
+            log.push(tb, k, -(k as f64));
+            log.push(ta, k, k as f64 + 0.5);
+            assert_eq!(log.current.len(), 2 * (k + 1));
+            assert_eq!(log.written(&a, k), Some(k as f64 + 0.5));
+            assert_eq!(log.written(&b, k / 2), Some(-((k / 2) as f64)));
+            assert_eq!(log.written(&a, k + 1), None);
         }
+        log.end_iteration();
+        assert!(log.current.is_empty() && log.current.capacity() >= 2 * 4096);
+        assert_eq!(
+            log.written(&a, 7),
+            None,
+            "copy-in: earlier iterations stay invisible"
+        );
+        log.push(tb, 7, 1.0);
+        assert_eq!((log.written(&b, 7), log.written(&a, 7)), (Some(1.0), None));
+        log.end_iteration();
+        // Copy-out in original order: iteration 0 ran as the boundary
+        // (second segment), iteration 1 as the interior (first).
+        let mut log = WriteLog::with_capacity(2, 2);
+        let ta = log.target(&a);
+        log.push(ta, 0, 1.0);
+        log.end_iteration();
+        log.push(ta, 0, 2.0);
+        log.end_iteration();
+        log.commit(&[0], 1, 2);
+        assert_eq!(a.borrow().data[0], 1.0, "the later iteration wins");
     }
-    fn push(n: &str, span: Span, out: &mut Vec<(String, Span)>) {
-        if !out.iter().any(|(x, _)| x == n) {
-            out.push((n.to_string(), span));
+
+    #[test]
+    fn inspector_needs_keep_first_touch_order_without_duplicates() {
+        let (a, b) = (array("a", 8), array("b", 8));
+        let mut st = InspectState::default();
+        for (arr, flat) in [(&a, 5), (&b, 1), (&a, 2), (&a, 5), (&b, 1), (&a, 7)] {
+            st.record(arr, flat);
         }
+        assert_eq!(st.needs_of(&a), [5, 2, 7]);
+        assert_eq!(st.needs_of(&b), [1]);
+        assert!(st.needs_of(&array("c", 1)).is_empty() && st.iter_touched_remote);
     }
-    fn stmts(body: &[Stmt], out: &mut Vec<(String, Span)>) {
-        for s in body {
-            match &s.kind {
-                StmtKind::Assign { lhs, rhs } => {
-                    expr(rhs, out);
-                    if let LValueKind::Element { subs, .. } = &lhs.kind {
-                        for e in subs {
-                            expr(e, out);
-                        }
-                    }
-                }
-                StmtKind::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    expr(cond, out);
-                    stmts(then_body, out);
-                    stmts(else_body, out);
-                }
-                StmtKind::Do {
-                    lo, hi, step, body, ..
-                } => {
-                    expr(lo, out);
-                    expr(hi, out);
-                    if let Some(e) = step {
-                        expr(e, out);
-                    }
-                    stmts(body, out);
-                }
-                StmtKind::Call { name, args, .. } => {
-                    for a in args {
-                        match a {
-                            Arg::Expr(e) => expr(e, out),
-                            // Builtin section arguments are reads of the
-                            // named array; the gathered operand of `spmv`
-                            // in particular must enter the exchange, or
-                            // its inspector-recorded remote columns would
-                            // trip the stale-read hazard check.
-                            Arg::Section {
-                                name: an,
-                                name_span,
-                                subs,
-                            } if BUILTINS.contains(&name.as_str()) => {
-                                push(an, *name_span, out);
-                                for sec in subs {
-                                    match sec {
-                                        Section::Index(e) => expr(e, out),
-                                        Section::Range(e1, e2) => {
-                                            expr(e1, out);
-                                            expr(e2, out);
-                                        }
-                                        Section::All => {}
-                                    }
-                                }
-                            }
-                            Arg::Section { .. } => {}
-                        }
-                    }
-                }
-                StmtKind::Doall { .. } | StmtKind::Distribute { .. } | StmtKind::Return => {}
-            }
-        }
-    }
-    stmts(body, &mut out);
-    out
 }

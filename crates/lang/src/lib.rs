@@ -24,6 +24,7 @@ pub mod ast;
 pub mod diag;
 pub mod interp;
 pub mod parser;
+mod resolve;
 pub mod token;
 pub mod value;
 
@@ -34,14 +35,15 @@ use std::sync::Arc;
 use kali_grid::ProcGrid;
 use kali_machine::{Machine, MachineConfig, RunReport};
 
-use ast::{DistDim, Program};
+use ast::DistDim;
 use interp::Interp;
-use value::{ArrObj, Binding, Value, View};
+use value::{ArrObj, Binding, Value, View, MAX_RANK};
 
 pub use analysis::{analyze, comm_plans, StaticCommPlan};
 pub use diag::{Diagnostic, Span};
 pub use kali_sched::ExecPolicy;
 pub use parser::{parse, ParseError};
+pub use resolve::{resolve, Resolved};
 
 /// The paper's listings, adapted to the implemented subset.
 pub fn listing(name: &str) -> Option<&'static str> {
@@ -136,10 +138,12 @@ pub fn run_source_with(
     args: &[HostValue],
     opts: RunOptions,
 ) -> Result<LangRun, String> {
-    let prog: Arc<Program> = Arc::new(parse(src).map_err(|e| e.to_string())?);
-    let sub = prog
+    let prog = parse(src).map_err(|e| e.to_string())?;
+    let code = Arc::new(resolve(&prog));
+    let entry_sub = code
         .find(entry)
         .ok_or_else(|| format!("no subroutine named {entry}"))?;
+    let sub = &code.subs[entry_sub];
     if sub.params.len() != args.len() {
         return Err(format!(
             "{entry} takes {} arguments, {} supplied",
@@ -157,32 +161,37 @@ pub fn run_source_with(
             cfg.nprocs
         ));
     }
-    let entry_name = entry.to_string();
     let grid_dims = grid_dims.to_vec();
     let args = args.to_vec();
-    let array_params: Vec<String> = sub
-        .params
-        .iter()
-        .zip(&args)
-        .filter(|(_, a)| matches!(a, HostValue::Array { .. }))
-        .map(|(p, _)| p.clone())
-        .collect();
+    let mut array_params = Vec::new();
+    for (&p, a) in sub.params.iter().zip(&args) {
+        if let HostValue::Array { bounds, .. } = a {
+            let name = &sub.names[p];
+            if bounds.len() > MAX_RANK {
+                return Err(format!(
+                    "array {name}: rank {} exceeds the supported maximum of {MAX_RANK}",
+                    bounds.len()
+                ));
+            }
+            array_params.push(name.clone());
+        }
+    }
 
     let run = Machine::run(cfg, move |proc| {
-        let prog = Arc::clone(&prog);
-        let sub = prog.find(&entry_name).expect("entry checked");
+        let code = Arc::clone(&code);
+        let sub = &code.subs[entry_sub];
         let grid = ProcGrid::with_ranks(grid_dims.clone(), (0..grid_size).collect());
         // Host arrays start replicated on a sentinel grid; the entry
         // subroutine's declarations adopt them into the real distribution.
         let mut bindings = Vec::new();
         let mut handles = Vec::new();
-        for (p, a) in sub.params.iter().zip(&args) {
-            match a {
-                HostValue::Int(v) => bindings.push((p.clone(), Binding::Scalar(Value::Int(*v)))),
-                HostValue::Real(v) => bindings.push((p.clone(), Binding::Scalar(Value::Real(*v)))),
+        for (&p, a) in sub.params.iter().zip(&args) {
+            let b = match a {
+                HostValue::Int(v) => Binding::Scalar(Value::Int(*v)),
+                HostValue::Real(v) => Binding::Scalar(Value::Real(*v)),
                 HostValue::Array { data, bounds } => {
                     let arr = Rc::new(RefCell::new(ArrObj {
-                        name: p.clone(),
+                        name: sub.names[p].clone(),
                         bounds: bounds.clone(),
                         dist: vec![DistDim::Star; bounds.len()],
                         grid: ProcGrid::new_1d(1),
@@ -190,33 +199,35 @@ pub fn run_source_with(
                         is_real: true,
                         dist_gen: 0,
                     }));
-                    handles.push((p.clone(), arr.clone()));
-                    bindings.push((p.clone(), Binding::Array(View::whole(arr))));
+                    handles.push(arr.clone());
+                    Binding::Array(View::whole(arr))
                 }
-            }
+            };
+            bindings.push((p, b));
         }
-        if let Some(pp) = &sub.proc_param {
-            bindings.push((pp.clone(), Binding::Grid(grid.clone())));
+        if let Some(pp) = sub.proc_param {
+            bindings.push((pp, Binding::Grid(grid.clone())));
         }
         let rank = proc.rank();
-        let mut interp = Interp::new(proc, &prog);
+        let mut interp = Interp::new(proc, &code);
         interp.set_schedule_cache(opts.schedule_cache);
         interp.set_policy(opts.policy);
         if opts.static_seed {
             interp.set_static_plans(analysis::comm_plans(&prog));
         }
         interp
-            .call_sub(sub, bindings, grid)
+            .call_sub(entry_sub, bindings, grid)
             .unwrap_or_else(|e| panic!("KF1 runtime error on processor {rank}: {e}"));
         // Export final per-processor state plus the ownership map.
         handles
             .into_iter()
-            .map(|(name, arr)| {
+            .map(|arr| {
                 let a = arr.borrow();
+                let mut idxs = [0i64; MAX_RANK];
                 let owners: Vec<usize> = (0..a.total_len())
-                    .map(|flat| a.owner_of(&a.unflat(flat)).unwrap_or(0))
+                    .map(|flat| a.owner_of(a.unflat_into(flat, &mut idxs)).unwrap_or(0))
                     .collect();
-                (name, a.data.clone(), owners)
+                (a.data.clone(), owners)
             })
             .collect::<Vec<_>>()
     });
@@ -224,10 +235,10 @@ pub fn run_source_with(
     // Combine: element value comes from its owner's copy.
     let mut arrays = Vec::new();
     for (ai, name) in array_params.iter().enumerate() {
-        let owners = &run.results[0][ai].2;
+        let owners = &run.results[0][ai].1;
         let mut combined = vec![0.0; owners.len()];
         for (flat, &owner) in owners.iter().enumerate() {
-            combined[flat] = run.results[owner][ai].1[flat];
+            combined[flat] = run.results[owner][ai].0[flat];
         }
         arrays.push((name.clone(), combined));
     }
@@ -554,6 +565,134 @@ end
         )
         .unwrap();
         assert!(run.arrays[0].1.iter().all(|&v| v == 6.5));
+    }
+
+    /// A one-array program on `p` processors: `body` follows the
+    /// declarations of `parsub t(a, n; procs)` with `real a(n) dist (block)`.
+    fn run_body(p: usize, n: usize, body: &str) -> Vec<f64> {
+        let src = format!(
+            "parsub t(a, n; procs)\n  processors procs(p)\n  real a(n) dist (block)\n{body}\nend\n"
+        );
+        let args = [
+            HostValue::Array {
+                data: vec![0.0; n],
+                bounds: vec![(1, n as i64)],
+            },
+            HostValue::Int(n as i64),
+        ];
+        let run = run_source(cfg(p), &src, "t", &[p], &args).unwrap();
+        run.arrays.into_iter().next().unwrap().1
+    }
+
+    // Runtime errors surface as the rank-carrying panic of `run_source`
+    // (they become `Err` assertions when runtime errors are returned).
+
+    #[test]
+    #[should_panic(expected = "integer division by zero")]
+    fn integer_division_by_zero_is_a_kf1_runtime_error() {
+        run_body(1, 4, "  k = n / 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "mod by zero")]
+    fn mod_by_zero_is_a_kf1_runtime_error() {
+        run_body(1, 4, "  k = mod(n, 0)");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot assign scalar to processor array procs")]
+    fn assigning_to_a_processor_array_is_a_kf1_runtime_error() {
+        run_body(1, 4, "  procs = 1");
+    }
+
+    /// A scalar a doall body defines implicitly is private to the
+    /// iteration that defined it: iteration 2 must not see iteration 1's.
+    #[test]
+    #[should_panic(expected = "undefined variable t")]
+    fn body_local_scalars_are_undefined_at_the_start_of_every_iteration() {
+        let body = "  doall 100 i = 1, n on owner(a(i))
+    if (i .eq. 1) t = 5.0
+    a(i) = t
+100 continue";
+        run_body(1, 4, body);
+    }
+
+    /// ... and after the loop, while a doall variable that shadows an
+    /// outer scalar leaves the outer value intact.
+    #[test]
+    fn doall_variables_shadow_and_body_scalars_do_not_leak() {
+        let body = "  i = 42
+  doall 100 i = 1, n on owner(a(i))
+    t = 1.0*i
+    a(i) = t
+100 continue
+  doall 200 j = 1, n on owner(a(j))
+    a(j) = a(j) + i
+200 continue";
+        let a = run_body(2, 6, body);
+        assert_eq!(a, [43.0, 44.0, 45.0, 46.0, 47.0, 48.0]);
+        let leak = format!("{body}\n  s = t");
+        let res = std::panic::catch_unwind(|| run_body(2, 6, &leak));
+        let msg = res.expect_err("t is undefined after the loop");
+        let msg = msg.downcast_ref::<String>().expect("string panic");
+        assert!(msg.contains("undefined variable t"), "{msg}");
+    }
+
+    /// A section view passed through two call levels — `u(i, *)` to a
+    /// distributed procedure, a clipped `x(lo:hi)` of that to a
+    /// sequential one — reads and writes the base elements it names.
+    #[test]
+    fn section_views_compose_through_two_call_levels() {
+        let src = r#"
+parsub top(u, n; procs)
+  processors procs(p, q)
+  real u(0:n, 0:n) dist (block, block)
+  doall 100 i = 1, n - 1 on owner(u(i, *))
+    call mid(u(i, *), n; owner(u(i, *)))
+100 continue
+end
+
+parsub mid(x, n; procs)
+  processors procs(q)
+  real x(0:n) dist (block)
+  integer lo, hi
+  doall 100 ip = 1, q on procs(ip)
+    lo = max(lower(x, procs(ip)), 1)
+    hi = min(upper(x, procs(ip)), n - 1)
+    call leaf(x(lo:hi), hi - lo + 1)
+100 continue
+end
+
+subroutine leaf(y, m)
+  real y(m)
+  do 10 k = 1, m
+    y(k) = y(k) + 10.0*k
+10 continue
+end
+"#;
+        let n = 8usize;
+        let w = n + 1;
+        let u0: Vec<f64> = (0..w * w).map(|k| (100 * (k / w) + k % w) as f64).collect();
+        let args = [
+            HostValue::Array {
+                data: u0.clone(),
+                bounds: vec![(0, n as i64); 2],
+            },
+            HostValue::Int(n as i64),
+        ];
+        let run = run_source(cfg(4), src, "top", &[2, 2], &args).unwrap();
+        // Nine columns over two processors: 0..=3 and 4..=8, clipped to
+        // the interior as 1..=3 and 4..=7; `leaf` counts from 1 in each.
+        for (k, (got, old)) in run.arrays[0].1.iter().zip(&u0).enumerate() {
+            let (i, j) = (k / w, k % w);
+            let interior = (1..n).contains(&i) && (1..n).contains(&j);
+            let add = if interior {
+                10.0 * if j <= 3 { j } else { j - 3 } as f64
+            } else {
+                0.0
+            };
+            assert_eq!(*got, old + add, "u({i}, {j})");
+        }
     }
 
     #[test]

@@ -1,0 +1,756 @@
+//! Name resolution: the pass between [`crate::parse`] and the
+//! interpreter.
+//!
+//! [`resolve`] gives every subroutine a symbol table — one frame *slot*
+//! per distinct name — and rebuilds its declarations and body as nodes
+//! that carry slots instead of strings, so the interpreter indexes a flat
+//! frame and never hashes or compares a name while a program runs.
+//! Everything else that is a pure function of the program text is
+//! computed here once, rather than per trip or per element: the flop
+//! charge of each assignment, which intrinsic or builtin a name denotes,
+//! the callee of each `call`, and per `doall` site the facts the engine
+//! asks of a body ([`RDoall`]: its exchange-list names, the names its
+//! schedule key is built from, whether it calls a parallel subroutine,
+//! whether its schedule can be cached at all). The one question left to
+//! run time is which names are *bound to arrays* in the frame at hand;
+//! [`sched_names`] answers the schedule-relevance scan under such a
+//! classification.
+//!
+//! The AST, the parser and the analyzer know nothing of this module: the
+//! resolved tree is a separate structure owned by the run.
+
+use crate::analysis::StaticCommPlan;
+use crate::ast::*;
+use crate::diag::Span;
+use crate::value::Value;
+
+/// Index of a name in its subroutine's symbol table, and of its binding
+/// in every frame of that subroutine.
+pub(crate) type Slot = usize;
+
+/// Functions legal in expression position.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Intrinsic {
+    Log2,
+    Mod,
+    Abs,
+    Sqrt,
+    Min,
+    Max,
+    Lower,
+    Upper,
+}
+
+/// Built-in sequential kernels callable as statements.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Builtin {
+    Reduce,
+    Seqtri,
+    Spmv,
+}
+
+impl Builtin {
+    fn of(name: &str) -> Option<Builtin> {
+        match name {
+            "reduce" => Some(Builtin::Reduce),
+            "seqtri" => Some(Builtin::Seqtri),
+            "spmv" => Some(Builtin::Spmv),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Builtin::Reduce => "reduce",
+            Builtin::Seqtri => "seqtri",
+            Builtin::Spmv => "spmv",
+        }
+    }
+}
+
+fn intrinsic_of(name: &str) -> Option<Intrinsic> {
+    Some(match name {
+        "log2" => Intrinsic::Log2,
+        "mod" => Intrinsic::Mod,
+        "abs" => Intrinsic::Abs,
+        "sqrt" => Intrinsic::Sqrt,
+        "min" => Intrinsic::Min,
+        "max" => Intrinsic::Max,
+        "lower" => Intrinsic::Lower,
+        "upper" => Intrinsic::Upper,
+        _ => return None,
+    })
+}
+
+pub(crate) enum RExpr {
+    Const(Value),
+    Var(Slot),
+    Un(UnOp, Box<RExpr>),
+    Bin(BinOp, Box<RExpr>, Box<RExpr>),
+    /// `name(args)`: an array element when the slot is bound to an array,
+    /// otherwise the intrinsic the name denotes (if any). `None` args are
+    /// `*`.
+    Ref(Slot, Option<Intrinsic>, Vec<Option<RExpr>>),
+}
+
+pub(crate) enum RSection {
+    Index(RExpr),
+    Range(RExpr, RExpr),
+    All,
+}
+
+pub(crate) enum RArg {
+    Expr(RExpr),
+    Section(Slot, Vec<RSection>),
+}
+
+/// Processor expressions; `None` subscripts are `*`.
+pub(crate) enum RProcExpr {
+    Whole(Slot),
+    Select(Slot, Vec<Option<RExpr>>),
+    Owner(Slot, Vec<Option<RExpr>>),
+}
+
+pub(crate) enum ROn {
+    Owner(Slot, Vec<Option<RExpr>>),
+    Procs(RProcExpr),
+}
+
+pub(crate) enum Callee {
+    Builtin(Builtin),
+    /// Index into [`Resolved::subs`].
+    Sub(usize),
+    /// No such subroutine (an error when the call executes).
+    Unknown(String),
+}
+
+pub(crate) enum RStmt {
+    /// `flops` is the right-hand side's static operation count, charged
+    /// per execution.
+    AssignScalar {
+        slot: Slot,
+        rhs: RExpr,
+        flops: f64,
+    },
+    AssignElement {
+        slot: Slot,
+        subs: Vec<RExpr>,
+        rhs: RExpr,
+        flops: f64,
+    },
+    Do {
+        var: Slot,
+        lo: RExpr,
+        hi: RExpr,
+        step: Option<RExpr>,
+        body: Vec<RStmt>,
+    },
+    Doall(RDoall),
+    Distribute(Slot, Vec<DistDim>),
+    If(RExpr, Vec<RStmt>, Vec<RStmt>),
+    Call(Callee, Vec<RArg>, Option<RProcExpr>),
+    Return,
+}
+
+/// One occurrence of a name in a doall body, placed: whether it sits in
+/// a schedule-relevant position is a fold over the references enclosing
+/// it, innermost last. Subscripts of an *array* steer the inspector
+/// whatever surrounds them; arguments of an intrinsic stay in their
+/// caller's context; and `lower`/`upper` read only the *structure* of
+/// their first argument (bounds, distribution, view — all of which the
+/// cache key captures), so that argument is exempt unless the name turns
+/// out to be bound to an array.
+pub(crate) struct Occurrence {
+    slot: Slot,
+    base: Base,
+    /// Enclosing `head(args)` references: (head, this is the exempt
+    /// first argument of `lower`/`upper`).
+    path: Vec<(Slot, bool)>,
+}
+
+/// Where an [`Occurrence`]'s statement places it before any enclosing
+/// reference is looked at.
+#[derive(Clone, Copy)]
+enum Base {
+    /// A subscript, branch condition, `do` bound or builtin argument.
+    Always,
+    /// The value assigned to an array element.
+    Never,
+    /// The value assigned to this scalar: relevant once the scalar is.
+    IfSched(Slot),
+}
+
+/// A name the doall body reads (see [`RDoall::reads`]).
+pub(crate) struct ReadName {
+    pub slot: Slot,
+    /// First appearance, for the unbound-name diagnostic.
+    pub span: Span,
+    /// The name may legitimately lack a binding: an intrinsic, a loop
+    /// variable, or a scalar the body itself defines (undefined on a
+    /// processor whose iteration set is empty).
+    pub may_be_unbound: bool,
+}
+
+/// One `doall` site with what its text alone determines.
+pub(crate) struct RDoall {
+    pub site: usize,
+    pub vars: Vec<Slot>,
+    pub ranges: Vec<(RExpr, RExpr, Option<RExpr>)>,
+    pub on: ROn,
+    pub body: Vec<RStmt>,
+    /// The body calls a parallel subroutine: team-call mode (Listing 7).
+    pub team_call: bool,
+    /// Names in read position anywhere in the body, in first-appearance
+    /// order: the static list the exchange phase draws its arrays from.
+    pub reads: Vec<ReadName>,
+    /// Every name the schedule key may describe, sorted by name.
+    pub names: Vec<Slot>,
+    /// The body's name occurrences in keyed positions, as
+    /// [`sched_names`] reads them.
+    pub keyed: Vec<Occurrence>,
+    /// No user-subroutine call, nested `doall` or `distribute` in the
+    /// body: a local key can prove the schedule reusable.
+    pub cacheable: bool,
+}
+
+pub(crate) enum RDecl {
+    Processors(Slot, Vec<RExpr>),
+    /// `(is_real, items as (name, bounds), dist clause)`.
+    Arrays(bool, Vec<(Slot, Vec<(RExpr, RExpr)>)>, Option<Vec<DistDim>>),
+}
+
+pub(crate) struct RSub {
+    pub name: String,
+    pub parallel: bool,
+    pub params: Vec<Slot>,
+    pub proc_param: Option<Slot>,
+    /// The symbol table: slot → name.
+    pub names: Vec<String>,
+    pub decls: Vec<RDecl>,
+    pub body: Vec<RStmt>,
+}
+
+/// A program ready to run: [`resolve`]'s output.
+pub struct Resolved {
+    /// The source text, for rendering span diagnostics at run time.
+    pub(crate) src: String,
+    pub(crate) subs: Vec<RSub>,
+}
+
+impl Resolved {
+    pub(crate) fn find(&self, name: &str) -> Option<usize> {
+        self.subs.iter().position(|s| s.name == name)
+    }
+
+    /// A compile-time plan's reads on this program's slots, or `None`
+    /// when the plan names something its subroutine never mentions (the
+    /// site then stays with the inspector).
+    pub(crate) fn plan_reads(&self, plan: &StaticCommPlan) -> Option<Vec<(Slot, Vec<RExpr>)>> {
+        let sub = &self.subs[self.find(&plan.subroutine)?];
+        let mut r = Resolver::new(sub.names.clone());
+        let subs = |r: &mut Resolver, subs: &[Expr]| subs.iter().map(|e| r.expr(e, Off)).collect();
+        let reads = plan.reads.iter();
+        let reads = reads.map(|read| (r.slot(&read.name), subs(&mut r, &read.subs)));
+        let reads = reads.collect();
+        (r.names.len() == sub.names.len()).then_some(reads)
+    }
+}
+
+/// Resolve every subroutine of `prog`.
+pub fn resolve(prog: &Program) -> Resolved {
+    let subs = prog.subs.iter().map(|sub| {
+        let mut r = Resolver::new(Vec::new());
+        let params = sub.params.iter().map(|p| r.slot(p)).collect();
+        let proc_param = sub.proc_param.as_ref().map(|p| r.slot(p));
+        let decls = sub.decls.iter().map(|d| r.decl(d)).collect();
+        let body = r.stmts(prog, &sub.body);
+        RSub {
+            name: sub.name.clone(),
+            parallel: sub.parallel,
+            params,
+            proc_param,
+            names: r.names,
+            decls,
+            body,
+        }
+    });
+    Resolved {
+        src: prog.src.clone(),
+        subs: subs.collect(),
+    }
+}
+
+/// What a doall body's text says about it (the fields of [`RDoall`]),
+/// gathered while the body is resolved.
+#[derive(Default)]
+struct Facts {
+    reads: Vec<(Slot, Span)>,
+    names: Vec<Slot>,
+    keyed: Vec<Occurrence>,
+    /// Scalars the body defines: assignment targets and loop variables.
+    defines: Vec<Slot>,
+    team_call: bool,
+    uncacheable: bool,
+}
+
+/// What an expression's names mean to the innermost enclosing doall:
+/// nothing; a read (an argument of a user-subroutine call — the callee's
+/// own reads are invisible, so nothing of the call is keyed); or a read
+/// that also enters the schedule key.
+#[derive(Clone, Copy, PartialEq)]
+enum Note {
+    Off,
+    Read,
+    Keyed,
+}
+use Note::*;
+
+fn push_new(list: &mut Vec<Slot>, s: Slot) {
+    if !list.contains(&s) {
+        list.push(s);
+    }
+}
+
+/// One subroutine's resolution: its symbol table under construction and
+/// the facts of the doall bodies now open, innermost last.
+struct Resolver {
+    names: Vec<String>,
+    open: Vec<Facts>,
+    /// Placement of the expression being resolved ([`Occurrence`]).
+    base: Base,
+    path: Vec<(Slot, bool)>,
+}
+
+impl Resolver {
+    fn new(names: Vec<String>) -> Self {
+        Resolver {
+            names,
+            open: Vec::new(),
+            base: Base::Always,
+            path: Vec::new(),
+        }
+    }
+
+    fn slot(&mut self, name: &str) -> Slot {
+        let known = self.names.iter().position(|n| n == name);
+        known.unwrap_or_else(|| {
+            self.names.push(name.to_string());
+            self.names.len() - 1
+        })
+    }
+
+    /// The slot of a name occurring at `span`, noted as `note` says.
+    fn noted(&mut self, name: &str, span: Span, note: Note) -> Slot {
+        let slot = self.slot(name);
+        if let (Some(f), true) = (self.open.last_mut(), note != Off) {
+            if !f.reads.iter().any(|(s, _)| *s == slot) {
+                f.reads.push((slot, span));
+            }
+            if note == Keyed {
+                push_new(&mut f.names, slot);
+            }
+        }
+        slot
+    }
+
+    /// A keyed name occurring in an expression (or as the section whose
+    /// *values* `spmv` derives its gather from): placed for
+    /// [`sched_names`].
+    fn placed(&mut self, slot: Slot, note: Note) -> Slot {
+        if let (Some(f), Keyed) = (self.open.last_mut(), note) {
+            f.keyed.push(Occurrence {
+                slot,
+                base: self.base,
+                path: self.path.clone(),
+            });
+        }
+        slot
+    }
+
+    /// The slot of an assignment target or loop variable: keyed, never a
+    /// read; a scalar one is defined by the body.
+    fn target(&mut self, name: &str, scalar: bool) -> Slot {
+        let slot = self.slot(name);
+        if let Some(f) = self.open.last_mut() {
+            push_new(&mut f.names, slot);
+            if scalar {
+                f.defines.push(slot);
+            }
+        }
+        slot
+    }
+
+    fn expr(&mut self, e: &Expr, note: Note) -> RExpr {
+        match &e.kind {
+            ExprKind::Int(v) => RExpr::Const(Value::Int(*v)),
+            ExprKind::Real(v) => RExpr::Const(Value::Real(*v)),
+            ExprKind::Var(n) => {
+                let slot = self.noted(n, e.span, note);
+                RExpr::Var(self.placed(slot, note))
+            }
+            ExprKind::Un { op, e } => RExpr::Un(*op, Box::new(self.expr(e, note))),
+            ExprKind::Bin { op, l, r } => RExpr::Bin(
+                *op,
+                Box::new(self.expr(l, note)),
+                Box::new(self.expr(r, note)),
+            ),
+            ExprKind::Ref { name, args } => {
+                let slot = self.noted(name, e.span, note);
+                self.placed(slot, note);
+                let intrinsic = intrinsic_of(name);
+                let bound = matches!(intrinsic, Some(Intrinsic::Lower | Intrinsic::Upper));
+                let args = args.iter().enumerate().map(|(k, a)| match a {
+                    RefArg::Expr(e) => {
+                        self.path.push((slot, bound && k == 0));
+                        let arg = self.expr(e, note);
+                        self.path.pop();
+                        Some(arg)
+                    }
+                    RefArg::Star => None,
+                });
+                RExpr::Ref(slot, intrinsic, args.collect())
+            }
+        }
+    }
+
+    fn starred(&mut self, subs: &[Option<Expr>]) -> Vec<Option<RExpr>> {
+        let subs = subs.iter().map(|s| s.as_ref().map(|e| self.expr(e, Off)));
+        subs.collect()
+    }
+
+    fn proc_expr(&mut self, pe: &ProcExpr) -> RProcExpr {
+        match pe {
+            ProcExpr::Whole(n) => RProcExpr::Whole(self.slot(n)),
+            ProcExpr::Select { name, subs } => {
+                RProcExpr::Select(self.slot(name), self.starred(subs))
+            }
+            ProcExpr::Owner { array, subs } => {
+                RProcExpr::Owner(self.slot(array), self.starred(subs))
+            }
+        }
+    }
+
+    fn decl(&mut self, d: &Decl) -> RDecl {
+        match d {
+            Decl::Processors { name, extents, .. } => {
+                let extents = extents.iter().map(|e| self.expr(e, Off)).collect();
+                RDecl::Processors(self.slot(name), extents)
+            }
+            Decl::Arrays {
+                is_real,
+                items,
+                dist,
+                ..
+            } => {
+                let items = items.iter().map(|it| {
+                    let slot = self.slot(&it.name);
+                    let dims = it.dims.iter();
+                    let dims = dims.map(|(lo, hi)| (self.expr(lo, Off), self.expr(hi, Off)));
+                    (slot, dims.collect())
+                });
+                RDecl::Arrays(*is_real, items.collect(), dist.clone())
+            }
+        }
+    }
+
+    fn stmts(&mut self, prog: &Program, body: &[Stmt]) -> Vec<RStmt> {
+        body.iter().map(|s| self.stmt(prog, s)).collect()
+    }
+
+    fn stmt(&mut self, prog: &Program, s: &Stmt) -> RStmt {
+        match &s.kind {
+            StmtKind::Assign { lhs, rhs } => {
+                let flops = rhs.flop_count();
+                let scalar = matches!(lhs.kind, LValueKind::Scalar(_));
+                let slot = self.target(lhs.name(), scalar);
+                self.base = if scalar {
+                    Base::IfSched(slot)
+                } else {
+                    Base::Never
+                };
+                let rhs = self.expr(rhs, Keyed);
+                self.base = Base::Always;
+                match &lhs.kind {
+                    LValueKind::Scalar(_) => RStmt::AssignScalar { slot, rhs, flops },
+                    LValueKind::Element { subs, .. } => RStmt::AssignElement {
+                        slot,
+                        subs: subs.iter().map(|e| self.expr(e, Keyed)).collect(),
+                        rhs,
+                        flops,
+                    },
+                }
+            }
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => RStmt::If(
+                self.expr(cond, Keyed),
+                self.stmts(prog, then_body),
+                self.stmts(prog, else_body),
+            ),
+            StmtKind::Do {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => {
+                // The loop variable is defined by the body, but keyed only
+                // where something mentions it.
+                let var = self.slot(var);
+                if let Some(f) = self.open.last_mut() {
+                    f.defines.push(var);
+                }
+                RStmt::Do {
+                    var,
+                    lo: self.expr(lo, Keyed),
+                    hi: self.expr(hi, Keyed),
+                    step: step.as_ref().map(|e| self.expr(e, Keyed)),
+                    body: self.stmts(prog, body),
+                }
+            }
+            StmtKind::Return => RStmt::Return,
+            // `distribute` rewrites ownership — never cache around it.
+            StmtKind::Distribute { name, dist, .. } => {
+                if let Some(f) = self.open.last_mut() {
+                    f.uncacheable = true;
+                }
+                RStmt::Distribute(self.slot(name), dist.clone())
+            }
+            StmtKind::Call { name, args, on, .. } => {
+                let builtin = Builtin::of(name);
+                if let Some(f) = self.open.last_mut() {
+                    f.uncacheable |= builtin.is_none();
+                    f.team_call |= prog.find(name).is_some_and(|s| s.parallel);
+                }
+                // Builtin section arguments are reads of the named array;
+                // the gathered operand of `spmv` in particular must enter
+                // the exchange, or its inspector-recorded remote columns
+                // would trip the stale-read hazard check.
+                let (expr_note, section_note) = match builtin {
+                    Some(_) => (Keyed, Keyed),
+                    None => (Read, Off),
+                };
+                let args = args.iter().enumerate().map(|(k, a)| match a {
+                    Arg::Expr(e) => RArg::Expr(self.expr(e, expr_note)),
+                    Arg::Section {
+                        name,
+                        name_span,
+                        subs,
+                    } => {
+                        let slot = self.noted(name, *name_span, section_note);
+                        // spmv derives its x-gather from the *values* of
+                        // the column-index section (argument 2): those
+                        // values are schedule-relevant the same way a
+                        // subscript array would be.
+                        if builtin == Some(Builtin::Spmv) && k == 1 {
+                            self.placed(slot, Keyed);
+                        }
+                        let subs = subs.iter().map(|sec| match sec {
+                            Section::Index(e) => RSection::Index(self.expr(e, section_note)),
+                            Section::Range(a, b) => RSection::Range(
+                                self.expr(a, section_note),
+                                self.expr(b, section_note),
+                            ),
+                            Section::All => RSection::All,
+                        });
+                        RArg::Section(slot, subs.collect())
+                    }
+                });
+                let args = args.collect();
+                let callee = match (builtin, prog.subs.iter().position(|s| s.name == *name)) {
+                    (Some(b), _) => Callee::Builtin(b),
+                    (None, Some(k)) => Callee::Sub(k),
+                    (None, None) => Callee::Unknown(name.clone()),
+                };
+                RStmt::Call(callee, args, on.as_ref().map(|pe| self.proc_expr(pe)))
+            }
+            StmtKind::Doall {
+                site,
+                vars,
+                ranges,
+                on,
+                body,
+            } => {
+                let vars: Vec<Slot> = vars.iter().map(|v| self.slot(v)).collect();
+                let ranges = ranges.iter().map(|(lo, hi, step)| {
+                    let step = step.as_ref().map(|e| self.expr(e, Off));
+                    (self.expr(lo, Off), self.expr(hi, Off), step)
+                });
+                let ranges = ranges.collect();
+                let on = match on {
+                    OnClause::Owner { array, subs } => {
+                        ROn::Owner(self.slot(array), self.starred(subs))
+                    }
+                    OnClause::Procs(pe) => ROn::Procs(self.proc_expr(pe)),
+                };
+                self.open.push(Facts::default());
+                let body = self.stmts(prog, body);
+                let mut f = self.open.pop().expect("pushed above");
+                // Nested doalls error in the inspector path — never cache
+                // around one. Its variables and scalar assignments still
+                // count as defined by the enclosing body.
+                if let Some(outer) = self.open.last_mut() {
+                    outer.uncacheable = true;
+                    outer.defines.extend(vars.iter().chain(&f.defines));
+                }
+                f.names.sort_by(|a, b| self.names[*a].cmp(&self.names[*b]));
+                let reads = f.reads.iter().map(|&(slot, span)| ReadName {
+                    slot,
+                    span,
+                    may_be_unbound: intrinsic_of(&self.names[slot]).is_some()
+                        || Builtin::of(&self.names[slot]).is_some()
+                        || vars.contains(&slot)
+                        || f.defines.contains(&slot),
+                });
+                RStmt::Doall(RDoall {
+                    site: *site,
+                    reads: reads.collect(),
+                    vars,
+                    ranges,
+                    on,
+                    body,
+                    team_call: f.team_call,
+                    names: f.names,
+                    keyed: f.keyed,
+                    cacheable: !f.uncacheable,
+                })
+            }
+        }
+    }
+}
+
+/// The names of a doall body in schedule-relevant positions —
+/// subscripts, branch conditions, `do` bounds, builtin arguments — closed
+/// transitively through the body's own scalar assignments: a scalar
+/// whose value can reach such a position drags its own inputs in.
+/// `is_array` classifies reference heads in the frame at hand.
+pub(crate) fn sched_names(d: &RDoall, is_array: impl Fn(Slot) -> bool) -> Vec<Slot> {
+    let mut out = Vec::new();
+    loop {
+        let before = out.len();
+        for o in &d.keyed {
+            let base = match o.base {
+                Base::Always => true,
+                Base::Never => false,
+                Base::IfSched(target) => out.contains(&target),
+            };
+            let relevant = o.path.iter().fold(base, |inherited, &(head, exempt)| {
+                is_array(head) || inherited && !exempt
+            });
+            if relevant {
+                push_new(&mut out, o.slot);
+            }
+        }
+        if out.len() == before {
+            return out;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The first doall of `src`'s first subroutine, with its symbol table.
+    fn first_doall(code: &Resolved) -> (&RDoall, &[String]) {
+        let sub = &code.subs[0];
+        let doall = sub.body.iter().find_map(|s| match s {
+            RStmt::Doall(d) => Some(d),
+            _ => None,
+        });
+        (doall.expect("a doall"), &sub.names)
+    }
+
+    fn sorted_names(slots: &[Slot], names: &[String]) -> Vec<String> {
+        let mut out: Vec<String> = slots.iter().map(|&s| names[s].clone()).collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn doall_facts_and_schedule_relevance_follow_the_body_text() {
+        let src = r#"
+parsub t(x, wy, f, n; procs)
+  processors procs(p)
+  real x(n), f(n) dist (block)
+  real wy(2*p, p) dist (*, block)
+  doall 400 ip = 1, p on procs(ip)
+    lo = lower(x, procs(ip))
+    s = 2.0*c
+    x(lo) = wy(2*ip - 1, ip)*s
+    do 350 i = lo + 1, n
+      x(i) = f(i) / q
+350 continue
+400 continue
+end
+"#;
+        let code = resolve(&crate::parse(src).unwrap());
+        let (d, names) = first_doall(&code);
+        assert!(d.cacheable && !d.team_call);
+        let reads: Vec<_> = d.reads.iter().map(|r| names[r.slot].as_str()).collect();
+        assert_eq!(
+            reads,
+            ["lower", "x", "procs", "ip", "c", "wy", "s", "lo", "n", "f", "i", "q"],
+            "first-appearance order fixes the exchange list"
+        );
+        let unbound_ok: Vec<_> = d.reads.iter().filter(|r| r.may_be_unbound).collect();
+        let unbound_ok: Vec<_> = unbound_ok.iter().map(|r| names[r.slot].as_str()).collect();
+        assert_eq!(unbound_ok, ["lower", "ip", "s", "lo", "i"]);
+        let all = sorted_names(&d.names, names);
+        assert!(
+            all.windows(2).all(|w| w[0] < w[1]),
+            "sorted by name: {all:?}"
+        );
+
+        // With x, wy and f arrays: subscripts and the `do` bounds are
+        // relevant, and through `lo` so is what `lower` selects by — but
+        // not x itself (structure only), nor the pure values c, s, q.
+        let arrays = |set: &'static [&str]| move |s: Slot| set.contains(&names[s].as_str());
+        let rel = sched_names(d, arrays(&["x", "wy", "f"]));
+        // (`lower` is listed as the head of a relevant reference; it has
+        // no binding, so the key never sees it.)
+        assert_eq!(
+            sorted_names(&rel, names),
+            ["i", "ip", "lo", "lower", "n", "procs"]
+        );
+        // Were `lower` itself bound to an array, its first subscript would
+        // steer the inspector like any other.
+        let rel = sched_names(d, arrays(&["x", "wy", "f", "lower"]));
+        assert_eq!(
+            sorted_names(&rel, names),
+            ["i", "ip", "lo", "lower", "n", "procs", "x"]
+        );
+    }
+
+    #[test]
+    fn calls_nested_loops_and_distribute_make_a_body_uncacheable() {
+        for (stmt, team_call) in [
+            ("call other(a, n; procs)", true),
+            ("call helper(n)", false),
+            ("distribute a (cyclic)", false),
+            (
+                "doall 50 j = 1, n on owner(a(j))\n  k = j\n50 continue",
+                false,
+            ),
+        ] {
+            let src = format!(
+                "parsub t(a, n; procs)\n  processors procs(p)\n  real a(n) dist (block)\n  \
+                 doall 100 i = 1, n on owner(a(i))\n    {stmt}\n    a(i) = k\n100 continue\nend\n\
+                 parsub other(a, n; procs)\nend\nsubroutine helper(n)\nend\n"
+            );
+            let code = resolve(&crate::parse(&src).unwrap());
+            let (d, names) = first_doall(&code);
+            assert!(!d.cacheable, "{stmt}");
+            assert_eq!(d.team_call, team_call, "{stmt}");
+            // A scalar only a nested loop defines still counts as defined.
+            let k = d
+                .reads
+                .iter()
+                .find(|r| names[r.slot] == "k")
+                .expect("k is read");
+            assert_eq!(k.may_be_unbound, stmt.starts_with("doall"), "{stmt}");
+        }
+    }
+}

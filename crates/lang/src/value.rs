@@ -8,6 +8,11 @@ use kali_grid::{DimDist, Dist1, ProcGrid};
 
 use crate::ast::DistDim;
 
+/// Most dimensions an array may have (Fortran 77's limit). Subscripts and
+/// base indices of one element access live in `[i64; MAX_RANK]` stack
+/// arrays, so touching an element allocates nothing.
+pub const MAX_RANK: usize = 7;
+
 /// A KF1 scalar. Fortran implicit typing applies: names starting with
 /// `i`–`n` are integers, everything else is real.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,14 +134,19 @@ impl ArrObj {
     }
 
     /// Inverse of [`ArrObj::flat`].
-    pub fn unflat(&self, mut f: usize) -> Vec<i64> {
-        let mut idxs = vec![0i64; self.ndims()];
+    pub fn unflat(&self, f: usize) -> Vec<i64> {
+        let mut idxs = [0i64; MAX_RANK];
+        self.unflat_into(f, &mut idxs).to_vec()
+    }
+
+    /// [`ArrObj::unflat`] into a stack array; returns the filled prefix.
+    pub fn unflat_into<'o>(&self, mut f: usize, out: &'o mut [i64; MAX_RANK]) -> &'o [i64] {
         for d in (0..self.ndims()).rev() {
             let e = self.extent(d);
-            idxs[d] = self.bounds[d].0 + (f % e) as i64;
+            out[d] = self.bounds[d].0 + (f % e) as i64;
             f /= e;
         }
-        idxs
+        &out[..self.ndims()]
     }
 
     /// Grid dimension assigned to array dimension `d`, if distributed.
@@ -154,63 +164,85 @@ impl ArrObj {
 
     /// Index map of distributed dimension `d`.
     pub fn dist1(&self, d: usize) -> Option<Dist1> {
-        let gd = self.grid_dim_of(d)?;
+        self.dist1_on(d, self.grid_dim_of(d)?)
+    }
+
+    /// [`ArrObj::dist1`] for a caller that already knows the grid
+    /// dimension `gd` array dimension `d` maps onto.
+    fn dist1_on(&self, d: usize, gd: usize) -> Option<Dist1> {
         let kind = match self.dist[d] {
             DistDim::Block => DimDist::Block,
             DistDim::Cyclic => DimDist::Cyclic,
             DistDim::BlockCyclic(b) => DimDist::BlockCyclic(b),
-            DistDim::Star => unreachable!(),
+            DistDim::Star => return None,
         };
         Some(Dist1::new(self.extent(d), self.grid.extent(gd), kind))
     }
 
-    /// Machine ranks owning the element(s) selected by `subs` (`None`
-    /// entries are `*`). Pinned distributed dims fix a grid coordinate;
-    /// everything else ranges.
-    pub fn owner_ranks(&self, subs: &[Option<i64>]) -> Result<Vec<usize>, String> {
-        if self.replicated() {
-            return Ok(self.grid.ranks().to_vec());
-        }
-        let mut pinned: Vec<Option<usize>> = vec![None; self.grid.ndims()];
+    /// Owner grid coordinate per grid dimension that `subs` pins (`None`
+    /// entries are `*`; star dimensions pin nothing). Out-of-bounds
+    /// subscripts of distributed dimensions are an error.
+    fn pinned_coords(&self, subs: &[Option<i64>]) -> Result<[Option<usize>; MAX_RANK], String> {
+        let mut pinned = [None; MAX_RANK];
+        let mut gd = 0usize;
         for (d, s) in subs.iter().enumerate() {
-            if let (Some(i), Some(gd)) = (s, self.grid_dim_of(d)) {
-                let dist = self.dist1(d).expect("distributed dim");
+            let Some(dist) = self.dist1_on(d, gd) else {
+                continue;
+            };
+            if let Some(i) = *s {
                 let (lo, hi) = self.bounds[d];
-                if *i < lo || *i > hi {
+                if i < lo || i > hi {
                     return Err(format!(
                         "owner subscript {} of {} out of bounds {}:{}",
                         i, self.name, lo, hi
                     ));
                 }
-                pinned[gd] = Some(dist.owner((*i - lo) as usize));
+                pinned[gd] = Some(dist.owner((i - lo) as usize));
             }
+            gd += 1;
         }
-        // Enumerate grid coordinates matching the pinned pattern.
-        let mut ranks = Vec::new();
-        let ndims = self.grid.ndims();
-        let mut coords = vec![0usize; ndims];
-        loop {
-            if pinned
-                .iter()
-                .enumerate()
-                .all(|(g, p)| p.is_none_or(|v| v == coords[g]))
-            {
-                ranks.push(self.grid.rank_at(&coords));
-            }
-            // Odometer.
-            let mut d = ndims;
-            loop {
-                if d == 0 {
-                    return Ok(ranks);
-                }
-                d -= 1;
-                coords[d] += 1;
-                if coords[d] < self.grid.extent(d) {
-                    break;
-                }
-                coords[d] = 0;
-            }
+        Ok(pinned)
+    }
+
+    /// Machine ranks owning the element(s) selected by `subs` (`None`
+    /// entries are `*`). Pinned distributed dims fix a grid coordinate;
+    /// everything else ranges. Enumerates the processor grid — for the
+    /// partially starred `owner(r(i, *))` forms that need the *set*; a
+    /// membership question is [`ArrObj::owner_set_contains`], a fully
+    /// pinned element [`ArrObj::owner_of`].
+    pub fn owner_ranks(&self, subs: &[Option<i64>]) -> Result<Vec<usize>, String> {
+        if self.replicated() {
+            return Ok(self.grid.ranks().to_vec());
         }
+        let pinned = self.pinned_coords(subs)?;
+        Ok((0..self.grid.size())
+            .filter(|&at| self.grid_index_matches(at, &pinned))
+            .map(|at| self.grid.ranks()[at])
+            .collect())
+    }
+
+    /// Does the processor at row-major grid position `at` lie on every
+    /// pinned coordinate?
+    fn grid_index_matches(&self, mut at: usize, pinned: &[Option<usize>; MAX_RANK]) -> bool {
+        let mut ok = true;
+        for g in (0..self.grid.ndims()).rev() {
+            let e = self.grid.extent(g);
+            ok &= pinned[g].is_none_or(|c| c == at % e);
+            at /= e;
+        }
+        ok
+    }
+
+    /// Is machine rank `rank` one of [`ArrObj::owner_ranks`]`(subs)`? Same
+    /// errors, no list: O(rank) arithmetic after locating `rank` in the
+    /// grid.
+    pub fn owner_set_contains(&self, rank: usize, subs: &[Option<i64>]) -> Result<bool, String> {
+        let at = self.grid.index_of(rank);
+        if self.replicated() {
+            return Ok(at.is_some());
+        }
+        let pinned = self.pinned_coords(subs)?;
+        Ok(at.is_some_and(|at| self.grid_index_matches(at, &pinned)))
     }
 
     /// The processor sub-grid owning a pinned selection (`owner(r(i,*))`
@@ -236,23 +268,36 @@ impl ArrObj {
     }
 
     /// Machine rank owning one fully specified element (replicated arrays
-    /// report `None`).
+    /// and subscripts outside a distributed dimension's bounds report
+    /// `None`). O(rank) arithmetic, no allocation: per distributed
+    /// dimension the owner coordinate `dist.owner(i − lo)`, combined
+    /// row-major into the grid's rank list.
     pub fn owner_of(&self, idxs: &[i64]) -> Option<usize> {
-        if self.replicated() {
-            return None;
+        debug_assert_eq!(idxs.len(), self.ndims());
+        let mut at = 0usize;
+        let mut gd = 0usize;
+        for (d, &i) in idxs.iter().enumerate() {
+            let Some(dist) = self.dist1_on(d, gd) else {
+                continue;
+            };
+            let (lo, hi) = self.bounds[d];
+            if i < lo || i > hi {
+                return None;
+            }
+            at = at * dist.nprocs() + dist.owner((i - lo) as usize);
+            gd += 1;
         }
-        let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
-        let ranks = self.owner_ranks(&subs).ok()?;
-        debug_assert_eq!(ranks.len(), 1, "fully pinned element has one owner");
-        ranks.first().copied()
+        debug_assert!(
+            gd == 0 || gd == self.grid.ndims(),
+            "fully pinned element has one owner"
+        );
+        (gd > 0).then(|| self.grid.ranks()[at])
     }
 
-    /// Does machine rank `rank` own (or replicate) element `idxs`?
+    /// Does machine rank `rank` own (or replicate) element `idxs`? O(rank),
+    /// allocation-free — the test every element access makes.
     pub fn owned_by(&self, rank: usize, idxs: &[i64]) -> bool {
-        match self.owner_of(idxs) {
-            None => true,
-            Some(r) => r == rank,
-        }
+        self.owner_of(idxs).is_none_or(|r| r == rank)
     }
 }
 
@@ -320,33 +365,49 @@ impl View {
 
     /// Translate callee indices to base indices.
     pub fn to_base(&self, idxs: &[i64]) -> Result<Vec<i64>, String> {
-        if idxs.len() != self.ndims() {
+        let mut callee = [0i64; MAX_RANK];
+        let n = idxs.len().min(MAX_RANK);
+        callee[..n].copy_from_slice(&idxs[..n]);
+        let mut out = [0i64; MAX_RANK];
+        Ok(self.to_base_into(&callee, idxs.len(), &mut out)?.to_vec())
+    }
+
+    /// [`View::to_base`] on stack arrays: the first `n` entries of `idxs`
+    /// are the callee subscripts (`n` itself may exceed [`MAX_RANK`] — a
+    /// rank mismatch, reported as such); returns the filled prefix of
+    /// `out`, one entry per base dimension.
+    pub fn to_base_into<'o>(
+        &self,
+        idxs: &[i64; MAX_RANK],
+        n: usize,
+        out: &'o mut [i64; MAX_RANK],
+    ) -> Result<&'o [i64], String> {
+        if n != self.ndims() {
             return Err(format!(
                 "section of {} has rank {}, subscripted with {} indices",
                 self.base.borrow().name,
                 self.ndims(),
-                idxs.len()
+                n
             ));
         }
-        let mut out = Vec::with_capacity(self.map.len());
         let mut d = 0usize;
-        for m in &self.map {
-            match m {
-                ViewDim::Fixed(v) => out.push(*v),
+        for (bd, m) in self.map.iter().enumerate() {
+            out[bd] = match *m {
+                ViewDim::Fixed(v) => v,
                 ViewDim::Range(lo, hi) => {
                     let i = lo + (idxs[d] - self.callee_lo[d]);
-                    if i < *lo || i > *hi {
+                    if i < lo || i > hi {
                         return Err(format!(
                             "section subscript {} out of range {}..{} (callee lower {})",
                             idxs[d], lo, hi, self.callee_lo[d]
                         ));
                     }
-                    out.push(i);
                     d += 1;
+                    i
                 }
-            }
+            };
         }
-        Ok(out)
+        Ok(&out[..self.map.len()])
     }
 }
 
@@ -412,6 +473,110 @@ mod tests {
         assert_eq!(a.owner_of(&[6, 1]), Some(2));
         assert!(a.owned_by(2, &[6, 1]));
         assert!(!a.owned_by(0, &[6, 1]));
+    }
+
+    /// Every way of distributing `rank` dimensions of extent 5..7 over
+    /// `grid`: which dimensions are distributed, and how (the pattern
+    /// rotates with the position so all three kinds meet every slot).
+    fn layouts(rank: usize, grid: &ProcGrid) -> Vec<ArrObj> {
+        let kinds = [DistDim::Block, DistDim::Cyclic, DistDim::BlockCyclic(2)];
+        let mut out = Vec::new();
+        for mask in 0u32..1 << rank {
+            if mask.count_ones() as usize != grid.ndims() {
+                continue;
+            }
+            for rot in 0..kinds.len() {
+                let dist = (0..rank).map(|d| match mask >> d & 1 {
+                    1 => kinds[(d + rot) % kinds.len()].clone(),
+                    _ => DistDim::Star,
+                });
+                let bounds = (0..rank).map(|d| (d as i64 - 1, d as i64 + 4 + d as i64 % 2));
+                out.push(arr2(bounds.collect(), dist.collect(), grid.clone()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn arithmetic_owner_is_the_enumerated_owner() {
+        let grids = [
+            ProcGrid::with_ranks(vec![3], vec![2, 0, 1]),
+            ProcGrid::new_2d(2, 2),
+            ProcGrid::with_ranks(vec![2, 2], vec![3, 1, 0, 2]),
+            ProcGrid::with_ranks(vec![2, 3], vec![5, 4, 3, 2, 1, 0]),
+        ];
+        for grid in &grids {
+            for a in (1..=3).flat_map(|rank| layouts(rank, grid)) {
+                for flat in 0..a.total_len() {
+                    let idxs = a.unflat(flat);
+                    let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
+                    let owner = a.owner_of(&idxs).expect("distributed and in bounds");
+                    assert_eq!(a.owner_ranks(&subs).unwrap(), [owner], "{:?}", a.dist);
+                    // Independently: per-dimension owner coordinates,
+                    // looked up in the grid.
+                    let coords: Vec<usize> = (0..a.ndims())
+                        .filter_map(|d| Some(a.dist1(d)?.owner((idxs[d] - a.bounds[d].0) as usize)))
+                        .collect();
+                    assert_eq!(owner, grid.rank_at(&coords));
+                    // Starring a dimension widens the set; membership
+                    // agrees with the list for every rank of the grid.
+                    for star in 0..a.ndims() {
+                        let mut subs = subs.clone();
+                        subs[star] = None;
+                        let set = a.owner_ranks(&subs).unwrap();
+                        for &r in grid.ranks() {
+                            assert!(a.owned_by(r, &idxs) == (r == owner));
+                            assert_eq!(a.owner_set_contains(r, &subs).unwrap(), set.contains(&r));
+                        }
+                        assert!(!a.owner_set_contains(99, &subs).unwrap());
+                    }
+                }
+                // Outside a distributed dimension's bounds nobody owns.
+                for d in (0..a.ndims()).filter(|&d| a.dist[d] != DistDim::Star) {
+                    for out in [a.bounds[d].0 - 1, a.bounds[d].1 + 1] {
+                        let mut idxs = a.unflat(0);
+                        idxs[d] = out;
+                        assert_eq!(a.owner_of(&idxs), None);
+                        let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
+                        assert!(a.owner_ranks(&subs).is_err());
+                        assert!(a.owner_set_contains(0, &subs).is_err());
+                    }
+                }
+            }
+        }
+        // Replicated arrays have no owner and belong to everyone.
+        let r = arr2(vec![(0, 3)], vec![DistDim::Star], ProcGrid::new_1d(2));
+        assert_eq!(r.owner_of(&[1]), None);
+        assert!(r.owned_by(1, &[1]) && r.owner_set_contains(1, &[Some(1)]).unwrap());
+    }
+
+    #[test]
+    fn stack_forms_agree_with_the_vec_forms() {
+        let base = Rc::new(RefCell::new(arr2(
+            vec![(0, 4), (2, 9)],
+            vec![DistDim::Star, DistDim::Block],
+            ProcGrid::new_1d(2),
+        )));
+        let v = View {
+            base: base.clone(),
+            map: vec![ViewDim::Fixed(3), ViewDim::Range(4, 8)],
+            callee_lo: vec![1],
+        };
+        let mut out = [0i64; MAX_RANK];
+        let idxs = [2, 0, 0, 0, 0, 0, 0];
+        assert_eq!(v.to_base_into(&idxs, 1, &mut out).unwrap(), [3, 5]);
+        assert_eq!(v.to_base(&[2]).unwrap(), [3, 5]);
+        // A rank mismatch is reported with the caller's count, even
+        // beyond MAX_RANK, and identically by both forms.
+        let long = [1i64; MAX_RANK + 2];
+        let err = v.to_base(&long).unwrap_err();
+        assert_eq!(
+            err,
+            v.to_base_into(&idxs, long.len(), &mut out).unwrap_err()
+        );
+        assert!(err.contains("subscripted with 9 indices"), "{err}");
+        let b = base.borrow();
+        assert_eq!(b.unflat_into(13, &mut out), b.unflat(13));
     }
 
     #[test]
