@@ -342,6 +342,47 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         self.lo[d]..self.lo[d] + self.len[d]
     }
 
+    /// My part of the global box `lo..hi` (half-open per axis): the box
+    /// intersected with what this processor owns — the `a(i, *)` of a
+    /// section argument as each member of its owner slice sees it, ready
+    /// for [`DistArrayN::box_into`]/[`DistArrayN::box_set`]. Empty, as
+    /// `([0; N], [0; N])`, when the two do not meet: on an owner of
+    /// nothing and off the grid always. Ownership is a box only along
+    /// contiguous dimensions, so a cyclic one is rejected (panics), in
+    /// release builds too.
+    pub fn owned_box(&self, mut lo: [usize; N], mut hi: [usize; N]) -> ([usize; N], [usize; N]) {
+        for d in 0..N {
+            assert!(
+                self.dists[d].is_contiguous(),
+                "owned_box on non-contiguous dimension {d}: what it owns is not a box"
+            );
+            lo[d] = lo[d].max(self.lo[d]);
+            hi[d] = hi[d].min(self.lo[d] + self.len[d]);
+        }
+        if (0..N).any(|d| hi[d] <= lo[d]) {
+            return ([0; N], [0; N]);
+        }
+        (lo, hi)
+    }
+
+    /// The processor-array slice that owns my part of a section pinning
+    /// `axes` — `owner(a(i, *))` for `axes = [0]`, `owner(a(*, *, k))` for
+    /// `[2]`, seen from a processor owning such an `i` or `k`: the grid
+    /// members sharing my coordinate on the grid dimension each pinned
+    /// axis is distributed over. An undistributed axis pins nothing (all
+    /// of the grid owns every one of its indices). Derived from my grid
+    /// coordinates, not from what I own, so a member holding nothing of a
+    /// coarse level still finds its slice; `None` off the grid.
+    pub fn owner_slice(&self, axes: impl IntoIterator<Item = usize>) -> Option<ProcGrid> {
+        let coords = self.coords.as_ref()?;
+        let pins: Vec<(usize, usize)> = axes
+            .into_iter()
+            .filter_map(|d| self.spec.grid_dim_of(d))
+            .map(|gd| (gd, coords[gd]))
+            .collect();
+        Some(self.grid.pin(&pins))
+    }
+
     /// Owned global indices along `d`, in local order (any pattern).
     pub fn owned_indices(&self, d: usize) -> Vec<usize> {
         if self.coords.is_none() {
@@ -1031,6 +1072,112 @@ mod tests {
         check_box(&mut a, [1, 4, 5], [3, 8, 6]); // a plane: last axis pinned
         check_box(&mut a, [2, 4, 4], [3, 8, 8]); // a plane: first axis pinned
         check_box(&mut a, [0, 5, 4], [4, 6, 5]); // a line along x
+    }
+
+    /// `owned_box` must keep exactly the cells of the box that `owns`
+    /// accepts, and say "none" one way only.
+    fn check_owned_box<const N: usize>(a: &DistArrayN<f64, N>, lo: [usize; N], hi: [usize; N]) {
+        let (olo, ohi) = a.owned_box(lo, hi);
+        let inside = |idx: [usize; N], lo: [usize; N], hi: [usize; N]| {
+            (0..N).all(|d| lo[d] <= idx[d] && idx[d] < hi[d])
+        };
+        let mut kept = 0;
+        for flat in 0..a.extents().iter().product() {
+            let idx = a.global_unflat(flat);
+            let want = inside(idx, lo, hi) && a.owns(idx);
+            assert_eq!(
+                inside(idx, olo, ohi),
+                want,
+                "rank {} box {lo:?}..{hi:?} at {idx:?}",
+                a.rank()
+            );
+            kept += want as usize;
+        }
+        if kept == 0 {
+            assert_eq!((olo, ohi), ([0; N], [0; N]), "one spelling of empty");
+        }
+    }
+
+    #[test]
+    fn owned_box_matches_an_owns_scan_in_one_two_and_three_dims() {
+        let g1 = ProcGrid::new_1d(3);
+        for rank in 0..3 {
+            let a: DistArray1<f64> = DistArrayN::new(rank, &g1, &DistSpec::block1(), [10], [1]);
+            for (lo, hi) in [(0, 10), (1, 9), (3, 4), (4, 8), (7, 7), (9, 2)] {
+                check_owned_box(&a, [lo], [hi]);
+            }
+        }
+        // Not square, and on ranks that are not 0..p.
+        let g2 = ProcGrid::with_ranks(vec![2, 3], vec![8, 1, 6, 3, 0, 5]);
+        for &rank in g2.ranks() {
+            let a: DistArray2<f64> =
+                DistArrayN::new(rank, &g2, &DistSpec::block2(), [5, 11], [1, 1]);
+            for (lo, hi) in [
+                ([0, 0], [5, 11]),
+                ([1, 1], [4, 10]),
+                ([2, 0], [3, 11]), // a row
+                ([0, 7], [5, 8]),  // a column
+                ([3, 4], [3, 9]),  // empty going in
+            ] {
+                check_owned_box(&a, lo, hi);
+            }
+        }
+        let spec = DistSpec::local_block_block();
+        for rank in 0..4 {
+            let a: DistArray3<f64> = DistArrayN::new(rank, &grid2(), &spec, [3, 6, 9], [0, 1, 1]);
+            for (lo, hi) in [
+                ([0, 0, 0], [3, 6, 9]),
+                ([1, 1, 1], [2, 5, 8]),
+                ([0, 0, 4], [3, 6, 5]), // a z-plane
+                ([0, 2, 0], [3, 3, 9]), // a y-plane
+                ([1, 0, 0], [2, 6, 9]), // an x-plane: every rank owns part
+            ] {
+                check_owned_box(&a, lo, hi);
+            }
+        }
+    }
+
+    #[test]
+    fn owned_box_is_empty_off_the_grid_and_on_an_owner_of_nothing() {
+        let spec = DistSpec::block1();
+        let g = ProcGrid::with_ranks(vec![2], vec![0, 1]);
+        let outsider: DistArray1<f64> = DistArrayN::new(3, &g, &spec, [8], [1]);
+        assert_eq!(outsider.owned_box([0], [8]), ([0], [0]));
+        assert_eq!(outsider.owner_slice([0]), None);
+        // 4 elements over 8 procs: rank 0 owns nothing under balanced blocks.
+        let g = ProcGrid::new_1d(8);
+        let idle: DistArray1<f64> = DistArrayN::new(0, &g, &spec, [4], [1]);
+        assert!(idle.in_grid() && !idle.is_participant());
+        assert_eq!(idle.owned_box([0], [4]), ([0], [0]));
+        // ... but it is a grid member and still finds its slice.
+        assert_eq!(idle.owner_slice([0]).unwrap().ranks(), &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "what it owns is not a box")]
+    fn owned_box_rejects_a_cyclic_dimension() {
+        let g = ProcGrid::new_1d(3);
+        let spec = DistSpec::parse("(cyclic)").unwrap();
+        let a: DistArray1<f64> = DistArrayN::new(1, &g, &spec, [10], [0]);
+        let _ = a.owned_box([0], [10]);
+    }
+
+    #[test]
+    fn owner_slice_pins_the_grid_dim_each_axis_is_distributed_over() {
+        // Rank 3 sits at (1, 1) of an embedded 2 x 3 grid.
+        let g = ProcGrid::with_ranks(vec![2, 3], vec![8, 1, 6, 3, 0, 5]);
+        let a: DistArray2<f64> = DistArrayN::new(0, &g, &DistSpec::block2(), [5, 11], [0, 0]);
+        assert_eq!(a.owner_slice([0]).unwrap().ranks(), &[3, 0, 5]); // owner(a(i, *))
+        assert_eq!(a.owner_slice([1]).unwrap().ranks(), &[1, 0]); // owner(a(*, j))
+        assert_eq!(a.owner_slice([1, 0]).unwrap().ranks(), &[0]);
+        assert_eq!(a.owner_slice([]).unwrap(), g);
+        // dist (*, block, block): axis 0 pins nothing, axis 2 pins grid dim 1.
+        let spec = DistSpec::local_block_block();
+        let a: DistArray3<f64> = DistArrayN::new(1, &grid2(), &spec, [3, 6, 9], [0, 0, 0]);
+        assert_eq!(a.owner_slice([0]).unwrap(), grid2());
+        assert_eq!(a.owner_slice([1]).unwrap().ranks(), &[0, 1]);
+        assert_eq!(a.owner_slice([2]).unwrap().ranks(), &[1, 3]);
+        assert_eq!(a.owner_slice(0..2), a.owner_slice([1]));
     }
 
     #[test]

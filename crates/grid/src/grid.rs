@@ -121,47 +121,62 @@ impl ProcGrid {
         self.ranks.iter().position(|&r| r == rank)
     }
 
-    /// Slice the grid by pinning dimension `dim` to coordinate `at`,
-    /// producing an (N−1)-dimensional grid — `procs(ip, *)` pins dim 0,
-    /// `procs(*, jp)` pins dim 1.
+    /// Pin any subset of the grid's dimensions, each `(dim, at)` fixing
+    /// dimension `dim` to coordinate `at` — the general processor-array
+    /// section: `procs(ip, *)` is `pin(&[(0, ip)])`, `procs(ip, *, kp)` is
+    /// `pin(&[(0, ip), (2, kp)])`. The pins may come in any order and
+    /// always name dimensions of *this* grid (the caller never renumbers
+    /// after a pin); the kept dimensions stay in order, so pinning nothing
+    /// returns the grid itself.
     ///
-    /// Slicing a 1-D grid produces a singleton 1-D grid (a lone processor),
-    /// mirroring how KF1 lets a single processor receive a "grid" argument.
-    pub fn slice(&self, dim: usize, at: usize) -> ProcGrid {
-        assert!(
-            dim < self.ndims(),
-            "no dimension {dim} in a {}-d grid",
-            self.ndims()
-        );
-        assert!(
-            at < self.dims[dim],
-            "slice index {at} out of extent {}",
-            self.dims[dim]
-        );
-        let new_dims: Vec<usize> = if self.ndims() == 1 {
-            vec![1]
-        } else {
-            self.dims
-                .iter()
-                .enumerate()
-                .filter(|&(d, _)| d != dim)
-                .map(|(_, &e)| e)
-                .collect()
-        };
+    /// Pinning every dimension produces a singleton 1-D grid (a lone
+    /// processor), mirroring how KF1 lets a single processor receive a
+    /// "grid" argument.
+    pub fn pin(&self, pins: &[(usize, usize)]) -> ProcGrid {
+        let mut pinned = vec![None; self.ndims()];
+        for &(dim, at) in pins {
+            assert!(
+                dim < self.ndims(),
+                "no dimension {dim} in a {}-d grid",
+                self.ndims()
+            );
+            assert!(
+                at < self.dims[dim],
+                "slice index {at} out of extent {}",
+                self.dims[dim]
+            );
+            assert!(
+                pinned[dim].replace(at).is_none(),
+                "dimension {dim} pinned twice"
+            );
+        }
+        let mut new_dims: Vec<usize> = (0..self.ndims())
+            .filter(|&d| pinned[d].is_none())
+            .map(|d| self.dims[d])
+            .collect();
+        if new_dims.is_empty() {
+            new_dims.push(1);
+        }
         let mut new_ranks = Vec::with_capacity(new_dims.iter().product());
-        let size: usize = self.dims.iter().product();
-        let mut coords = vec![0; self.ndims()];
-        for idx in 0..size {
+        for (idx, &rank) in self.ranks.iter().enumerate() {
             let mut rem = idx;
+            let mut keep = true;
             for d in (0..self.ndims()).rev() {
-                coords[d] = rem % self.dims[d];
+                keep &= pinned[d].is_none_or(|at| at == rem % self.dims[d]);
                 rem /= self.dims[d];
             }
-            if coords[dim] == at {
-                new_ranks.push(self.ranks[idx]);
+            if keep {
+                new_ranks.push(rank);
             }
         }
         ProcGrid::with_ranks(new_dims, new_ranks)
+    }
+
+    /// Slice the grid by pinning dimension `dim` to coordinate `at`,
+    /// producing an (N−1)-dimensional grid — `procs(ip, *)` pins dim 0,
+    /// `procs(*, jp)` pins dim 1. [`ProcGrid::pin`] of one dimension.
+    pub fn slice(&self, dim: usize, at: usize) -> ProcGrid {
+        self.pin(&[(dim, at)])
     }
 
     /// The grid as a machine [`Team`] (row-major order).
@@ -218,6 +233,79 @@ mod tests {
         assert_eq!(single.ranks(), &[7]);
         // Slicing a 1-D grid stays 1-D (singleton), as KF1 permits.
         assert_eq!(single.ndims(), 1);
+    }
+
+    /// Every ordering of `items`.
+    fn permutations(items: &[(usize, usize)]) -> Vec<Vec<(usize, usize)>> {
+        if items.is_empty() {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for i in 0..items.len() {
+            let mut rest = items.to_vec();
+            let first = rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    /// `pin` is the fold of `slice` over the pins, highest dimension
+    /// first so the lower indices stay valid — for every subset of the
+    /// dimensions, every coordinate and every order the pins are given in.
+    #[test]
+    fn pin_equals_the_highest_first_fold_of_slices() {
+        let grids = [
+            ProcGrid::new_1d(3),
+            ProcGrid::new_2d(2, 3),
+            ProcGrid::new_3d(2, 3, 2),
+            // Ranks that are neither 0..p nor in order.
+            ProcGrid::with_ranks(vec![3], vec![7, 2, 5]),
+            ProcGrid::with_ranks(vec![2, 2], vec![9, 4, 6, 1]),
+            ProcGrid::with_ranks(vec![2, 1, 3], vec![11, 3, 8, 0, 14, 5]),
+        ];
+        for g in &grids {
+            let nd = g.ndims();
+            for subset in 0..1usize << nd {
+                let dims: Vec<usize> = (0..nd).filter(|d| subset >> d & 1 == 1).collect();
+                let combos: usize = dims.iter().map(|&d| g.extent(d)).product();
+                for mut combo in 0..combos {
+                    // Ascending by dimension; the fold walks it backwards.
+                    let mut pins = Vec::new();
+                    for &d in &dims {
+                        pins.push((d, combo % g.extent(d)));
+                        combo /= g.extent(d);
+                    }
+                    let want = pins
+                        .iter()
+                        .rev()
+                        .fold(g.clone(), |g, &(d, at)| g.slice(d, at));
+                    // The same set, straight from the coordinates.
+                    let members: Vec<usize> = (g.ranks().iter().copied())
+                        .filter(|&r| {
+                            let c = g.coords_of(r).unwrap();
+                            pins.iter().all(|&(d, at)| c[d] == at)
+                        })
+                        .collect();
+                    assert_eq!(want.ranks(), members, "{g:?} pins {pins:?}");
+                    for order in permutations(&pins) {
+                        assert_eq!(g.pin(&order), want, "{g:?} pins {order:?}");
+                    }
+                }
+            }
+            assert_eq!(&g.pin(&[]), g);
+        }
+        // Pinning everything leaves a lone processor as a 1-D grid.
+        let lone = grids[5].pin(&[(2, 1), (0, 1), (1, 0)]);
+        assert_eq!((lone.extents(), lone.ranks()), (&[1][..], &[14][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "pinned twice")]
+    fn pinning_one_dimension_twice_is_rejected() {
+        let _ = ProcGrid::new_2d(2, 2).pin(&[(1, 0), (1, 1)]);
     }
 
     #[test]

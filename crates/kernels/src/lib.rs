@@ -13,11 +13,8 @@
 //!   divide-and-conquer solver on a 1-D processor array, using the
 //!   shuffle/unshuffle level mapping of Listing 5 / Figure 5;
 //! * [`mtrix()`](mtrix::mtrix) — Listing 6: the pipelined multi-system solver that keeps
-//!   all level sets of Figure 3's data-flow graph busy simultaneously;
-//! * [`cyclic_reduction`] — the classical alternative parallel tridiagonal
-//!   algorithm, as a sequential baseline (reference \[8\] of the paper).
+//!   all level sets of Figure 3's data-flow graph busy simultaneously.
 
-pub mod cyclic_reduction;
 pub mod mtrix;
 pub mod substructure;
 pub mod tri_dist;

@@ -926,9 +926,7 @@ fn contains_collective(env: &Env, body: &[Stmt]) -> Option<Span> {
     for s in body {
         match &s.kind {
             StmtKind::Doall { .. } | StmtKind::Distribute { .. } => return Some(s.span),
-            StmtKind::Call { name, .. }
-                if env.prog.find(name).is_some_and(|sub| sub.parallel) =>
-            {
+            StmtKind::Call { name, .. } if env.prog.find(name).is_some_and(|sub| sub.parallel) => {
                 return Some(s.span);
             }
             StmtKind::Do { body, .. } => {

@@ -1701,8 +1701,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 pins.push((d, v as usize - 1));
             }
         }
-        pins.sort_by_key(|p| std::cmp::Reverse(p.0));
-        Ok(pins.into_iter().fold(g, |g, (d, c)| g.slice(d, c)))
+        Ok(g.pin(&pins))
     }
 
     fn eval_proc_expr(&mut self, pe: &RProcExpr) -> RtResult<ProcGrid> {

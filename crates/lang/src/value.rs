@@ -259,12 +259,7 @@ impl ArrObj {
                 pins.push((gd, dist.owner((*i - lo) as usize)));
             }
         }
-        pins.sort_by_key(|p| std::cmp::Reverse(p.0));
-        let mut g = self.grid.clone();
-        for (gd, c) in pins {
-            g = g.slice(gd, c);
-        }
-        Ok(g)
+        Ok(self.grid.pin(&pins))
     }
 
     /// Machine rank owning one fully specified element (replicated arrays

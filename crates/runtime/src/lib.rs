@@ -34,6 +34,11 @@
 //!   [`kali_array::SparseCsr`], overlapping the x-gather transit with
 //!   the matrix rows whose columns are all owner-local and replaying
 //!   warm iterations from the gather schedule cache;
+//! * [`Ctx::lift`] — the paper's tensor-product move, `call sub(a(i, *), …;
+//!   owner(a(i, *)))` for every `i`: a lower-dimensional distributed
+//!   procedure applied to each slice of an array on the processor-array
+//!   slice that owns it ([`kali_grid::ProcGrid::pin`] +
+//!   [`DistArrayN::owner_slice`] + [`Ctx::call_on`]);
 //! * global reductions over the current grid.
 //!
 //! There is deliberately **one** name per construct: how an exchange
@@ -220,6 +225,37 @@ impl<'a> Ctx<'a> {
         Some(r)
     }
 
+    /// The tensor-product lift: apply a lower-dimensional distributed
+    /// procedure to every slice of `a` along `axis`, each on the
+    /// processor-array slice that owns it — Listing 7's
+    /// `doall i … call tric(u(i, *), r(i, *); owner(r(i, *)))`, Listing 9's
+    /// `call mg2(u(*, *, k), …; owner(u(*, *, k)))`. `body(sub, ks)` runs
+    /// once per grid member, on the [`Ctx::call_on`] context of *its*
+    /// owner slice ([`DistArrayN::owner_slice`]), with `ks` the indices of
+    /// `range` it owns along `axis`. Every member of one slice is handed
+    /// the same `ks`, so the body may solve them one collective call at a
+    /// time, batch them into one pipelined call, or skip some by colour.
+    /// `a` fixes the layout only; the body captures whatever aligned
+    /// arrays it reads and writes, and cuts its part of slice `k` with
+    /// [`DistArrayN::owned_box`]. `axis` must be contiguous (block or
+    /// undistributed). `None` off `a`'s grid.
+    pub fn lift<T: Elem, const N: usize, R>(
+        &mut self,
+        a: &DistArrayN<T, N>,
+        axis: usize,
+        range: std::ops::Range<usize>,
+        body: impl FnOnce(&mut Ctx, std::ops::Range<usize>) -> R,
+    ) -> Option<R> {
+        assert!(
+            a.dist(axis).is_contiguous(),
+            "lift along non-contiguous axis {axis}: no one slice owns what I own of it"
+        );
+        let slice = a.owner_slice([axis])?;
+        let owned = a.owned_range(axis);
+        let ks = range.start.max(owned.start)..range.end.min(owned.end);
+        self.call_on(slice, |sub| body(sub, ks))
+    }
+
     /// Global sum over the current grid (replicated result).
     pub fn allreduce_sum(&mut self, v: f64) -> f64 {
         let team = self.team();
@@ -304,6 +340,81 @@ mod tests {
         assert_eq!(run.results[0], None);
         assert_eq!(run.results[2], Some(2.0));
         assert_eq!(run.results[3], Some(2.0));
+    }
+
+    /// Over a whole machine, `lift` must run its body on every grid member
+    /// (`FnOnce`: at most once) and never off the grid, on a context
+    /// narrowed to that member's owner slice, and hand out every index of
+    /// the range to exactly the processors that own part of that slice of
+    /// the array.
+    fn check_lift<const N: usize>(spec: DistSpec, extents: [usize; N], axis: usize) {
+        // A 2 x 2 grid embedded out of order in a machine of five.
+        let ranks = vec![4, 2, 0, 3];
+        let range = 1..extents[axis] - 1;
+        let (grid_ranks, want_range) = (ranks.clone(), range.clone());
+        let run = Machine::run(cfg(5), move |proc| {
+            let grid = ProcGrid::with_ranks(vec![2, 2], grid_ranks.clone());
+            let a = DistArrayN::<f64, N>::new(proc.rank(), &grid, &spec, extents, [0; N]);
+            let mut ctx = Ctx::new(proc, grid);
+            let seen = ctx.lift(&a, axis, want_range.clone(), |sub, ks| {
+                // A collective scoped to the slice counts its members.
+                let members = sub.allreduce_sum(1.0) as usize;
+                assert_eq!(members, sub.grid().size());
+                (sub.grid().ranks().to_vec(), ks)
+            });
+            // Who owns part of slice k, by brute force over the array.
+            let mut owners = vec![Vec::new(); extents[axis]];
+            for flat in 0..extents.iter().product::<usize>() {
+                let mut idx = [0; N];
+                let mut rem = flat;
+                for d in (0..N).rev() {
+                    idx[d] = rem % extents[d];
+                    rem /= extents[d];
+                }
+                let (k, owner) = (idx[axis], a.owner_rank(idx));
+                if !owners[k].contains(&owner) {
+                    owners[k].push(owner);
+                }
+            }
+            (seen, owners)
+        });
+        let owners = &run.results[0].1;
+        for (rank, (seen, _)) in run.results.iter().enumerate() {
+            assert_eq!(seen.is_some(), ranks.contains(&rank), "rank {rank}");
+        }
+        for k in 0..extents[axis] {
+            let mut visitors = Vec::new();
+            for (rank, (seen, _)) in run.results.iter().enumerate() {
+                let Some((slice, ks)) = seen else { continue };
+                if ks.contains(&k) {
+                    visitors.push(rank);
+                    let mut want = owners[k].clone();
+                    let mut got = slice.clone();
+                    want.sort_unstable();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "rank {rank} solves slice {k} on its owners");
+                }
+            }
+            let mut want = if range.contains(&k) {
+                owners[k].clone()
+            } else {
+                vec![]
+            };
+            want.sort_unstable();
+            assert_eq!(visitors, want, "axis {axis} index {k}");
+        }
+    }
+
+    #[test]
+    fn lift_hands_each_slice_to_exactly_its_owner_slice() {
+        for axis in 0..2 {
+            check_lift(DistSpec::block2(), [6, 9], axis);
+        }
+        // dist (*, block, block): axis 0 is undistributed, so every member
+        // visits all of the range on the whole grid.
+        for axis in 0..3 {
+            check_lift(DistSpec::local_block_block(), [4, 7, 6], axis);
+        }
     }
 
     #[test]

@@ -36,14 +36,9 @@ pub fn suggested_rho(pde: &Pde, nx: usize, ny: usize) -> f64 {
     (lmin * lmax).sqrt()
 }
 
-/// Direction of a half-sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    Y,
-    X,
-}
-
-/// One half-sweep: solve `(ρI − L_dir) w = r` line-by-line and subtract.
+/// One half-sweep: solve `(ρI − L) w = r` along every line that pins
+/// `axis` — `r(i, *)` for `axis = 0` (so `L = L_y`), `r(*, j)` for
+/// `axis = 1` — each on the processor-array slice owning it, and subtract.
 ///
 /// `pipelined = false` issues one distributed tridiagonal solve per line
 /// (Listing 7); `pipelined = true` batches this processor row's lines into
@@ -54,88 +49,58 @@ fn half_sweep(
     rho: f64,
     u: &mut DistArray2<f64>,
     r: &DistArray2<f64>,
-    dir: Dir,
+    axis: usize,
     pipelined: bool,
 ) {
-    let [nxp, nyp] = u.extents();
-    let (nx, ny) = (nxp - 1, nyp - 1);
-    if !u.is_participant() {
-        return;
-    }
-    // Line direction d_line is the dimension being solved along; lines are
-    // indexed by the other dimension d_iter.
-    // `n_pts` spans the solve direction; `n_iter_pts` the line index.
-    let (d_iter, d_line, coef, n_pts, n_iter_pts) = match dir {
-        Dir::Y => (0usize, 1usize, pde.b * (ny * ny) as f64, ny, nx),
-        Dir::X => (1usize, 0usize, pde.a * (nx * nx) as f64, nx, ny),
-    };
+    // The lines run along the other axis.
+    let along = 1 - axis;
+    let n = u.extents().map(|e| e - 1);
+    let coef = [pde.a, pde.b][along] * (n[along] * n[along]) as f64;
     let off = -coef;
     let diag = rho + 2.0 * coef - pde.c / 2.0;
-    let n_int = n_pts - 1;
-
-    // The processor-array slice owning my lines: fix my coordinate on the
-    // grid dimension of d_iter (paper: `owner(r(i, *))`).
-    let gd_iter = u
-        .spec()
-        .grid_dim_of(d_iter)
-        .expect("ADI arrays are distributed in both dimensions");
-    let my_coord = ctx.coord(gd_iter);
-    let slice = ctx.grid().slice(gd_iter, my_coord);
-
-    let iter_lo = u.owned_range(d_iter).start.max(1);
-    let iter_hi = u.owned_range(d_iter).end.min(n_iter_pts);
-    let line_lo = u.owned_range(d_line).start.max(1);
-    let line_hi = u.owned_range(d_line).end.min(n_pts);
-    let m_local = line_hi - line_lo;
-    assert!(
-        m_local >= 2,
-        "ADI needs ≥ 2 interior points per processor along each solve \
-         direction (got {m_local})"
-    );
-
-    // Line `i`'s owned interior run: a box one cell thick across `d_iter`.
-    let line_box = |i: usize| match dir {
-        Dir::Y => ([i, line_lo], [i + 1, line_hi]),
-        Dir::X => ([line_lo, i], [line_hi, i + 1]),
+    let n_int = n[along] - 1;
+    // My interior points; line `k`'s run of them is this box one cell
+    // thick across `axis`.
+    let (lo, hi) = r.owned_box([1, 1], n);
+    let m_local = hi[along] - lo[along];
+    let line = |k: usize| {
+        let (mut lo, mut hi) = (lo, hi);
+        (lo[axis], hi[axis]) = (k, k + 1);
+        (lo, hi)
     };
-    let line_rhs = |r: &DistArray2<f64>, i: usize| -> Vec<f64> {
-        let (lo, hi) = line_box(i);
-        let mut rhs = vec![0.0; m_local];
-        r.box_into(lo, hi, &mut rhs);
-        rhs
-    };
-
-    let mut solutions: Vec<(usize, Vec<f64>)> = Vec::new();
-    ctx.call_on(slice, |sub| {
-        if pipelined {
-            let systems: Vec<TriLocal> = (iter_lo..iter_hi)
-                .map(|i| {
-                    TriLocal::constant(n_int, line_lo - 1, m_local, off, diag, off, line_rhs(r, i))
-                })
-                .collect();
-            let xs = mtrix(sub, n_int, systems);
-            for (idx, i) in (iter_lo..iter_hi).enumerate() {
-                solutions.push((i, xs[idx].clone()));
-            }
+    // paper: `doall i … call tric(u(i, *), r(i, *), …; owner(r(i, *)))`
+    ctx.lift(r, axis, 1..n[axis], |sub, ks| {
+        assert!(
+            m_local >= 2,
+            "ADI needs ≥ 2 interior points per processor along each solve \
+             direction (got {m_local})"
+        );
+        let system = |k: usize| {
+            let (lo, hi) = line(k);
+            let mut rhs = vec![0.0; m_local];
+            r.box_into(lo, hi, &mut rhs);
+            TriLocal::constant(n_int, lo[along] - 1, m_local, off, diag, off, rhs)
+        };
+        let ws: Vec<Vec<f64>> = if pipelined {
+            mtrix(sub, n_int, ks.clone().map(system).collect())
         } else {
-            for i in iter_lo..iter_hi {
-                let t =
-                    TriLocal::constant(n_int, line_lo - 1, m_local, off, diag, off, line_rhs(r, i));
-                let x = tri_dist(sub, n_int, &t.b, &t.a, &t.c, &t.f);
-                solutions.push((i, x));
+            let solve = |k| {
+                let t = system(k);
+                tri_dist(sub, n_int, &t.b, &t.a, &t.c, &t.f)
+            };
+            ks.clone().map(solve).collect()
+        };
+        let mut cur = vec![0.0; m_local];
+        for (k, w) in ks.zip(ws) {
+            let (lo, hi) = line(k);
+            u.box_into(lo, hi, &mut cur);
+            for (c, w) in cur.iter_mut().zip(&w) {
+                *c -= w;
             }
+            u.box_set(lo, hi, &cur);
+            sub.proc().compute(m_local as f64);
         }
     });
-    let mut cur = vec![0.0; m_local];
-    for (i, w) in solutions {
-        let (lo, hi) = line_box(i);
-        u.box_into(lo, hi, &mut cur);
-        for (c, w) in cur.iter_mut().zip(&w) {
-            *c -= w;
-        }
-        u.box_set(lo, hi, &cur);
-        ctx.proc().compute(m_local as f64);
-    }
 }
 
 /// Run `iters` full ADI iterations; returns the 2-norm of the residual
@@ -152,9 +117,9 @@ pub fn adi_run(
     let mut history = Vec::with_capacity(iters);
     for _ in 0..iters {
         let r = resid2(ctx, pde, u, f);
-        half_sweep(ctx, pde, rho, u, &r, Dir::Y, pipelined);
+        half_sweep(ctx, pde, rho, u, &r, 0, pipelined);
         let r = resid2(ctx, pde, u, f);
-        half_sweep(ctx, pde, rho, u, &r, Dir::X, pipelined);
+        half_sweep(ctx, pde, rho, u, &r, 1, pipelined);
         let r = resid2(ctx, pde, u, f);
         history.push(global_norm2(ctx, &r).sqrt());
     }
@@ -273,25 +238,29 @@ mod tests {
 
     #[test]
     fn distributed_matches_sequential() {
-        let (nx, ny) = (16, 16);
-        let pde = Pde::poisson();
-        let us = seq::Grid2::random_interior(nx, ny, 7);
-        let f = apply2(&pde, &us);
-        let rho = suggested_rho(&pde, nx, ny);
-        let mut u_seq = seq::Grid2::zeros(nx, ny);
-        for _ in 0..5 {
-            adi_seq_iteration(&pde, rho, &mut u_seq, &f);
-        }
-        for (px, py, pipelined) in [(2, 2, false), (2, 2, true), (1, 4, false), (4, 1, true)] {
-            let (_, got, _) = run_dist(nx, ny, px, py, 5, pipelined, 7);
-            for i in 0..=nx {
-                for j in 0..=ny {
-                    let have = got[i * (ny + 1) + j];
-                    assert!(
-                        (u_seq.at(i, j) - have).abs() < 1e-10,
-                        "({px},{py},{pipelined}) at ({i},{j}): {have} vs {}",
-                        u_seq.at(i, j)
-                    );
+        // Square, and both ways round not: a swapped axis shows only there.
+        for (nx, ny) in [(16, 16), (16, 32), (32, 16)] {
+            let pde = Pde::poisson();
+            let us = seq::Grid2::random_interior(nx, ny, 7);
+            let f = apply2(&pde, &us);
+            let rho = suggested_rho(&pde, nx, ny);
+            let mut u_seq = seq::Grid2::zeros(nx, ny);
+            for _ in 0..5 {
+                adi_seq_iteration(&pde, rho, &mut u_seq, &f);
+            }
+            for (px, py) in [(2, 2), (1, 4), (4, 1)] {
+                for pipelined in [false, true] {
+                    let (_, got, _) = run_dist(nx, ny, px, py, 5, pipelined, 7);
+                    for i in 0..=nx {
+                        for j in 0..=ny {
+                            let have = got[i * (ny + 1) + j];
+                            assert!(
+                                (u_seq.at(i, j) - have).abs() < 1e-10,
+                                "{nx}x{ny} ({px},{py},{pipelined}) at ({i},{j}): {have} vs {}",
+                                u_seq.at(i, j)
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -32,8 +32,10 @@ fn plane_pde(pde: &Pde, nz: usize) -> Pde {
 }
 
 /// Relax every owned z-plane of one colour (0 = even) by `cycles` mg2
-/// V-cycles on the plane's processor-array slice. `u`'s ghosts must be
-/// fresh before the call (planes of one colour are independent).
+/// V-cycles on the plane's processor-array slice. Planes of one colour
+/// are independent. Each plane moves as boxes through contiguous
+/// scratch: out of `u` into the plane problem and back, and the two
+/// planes around it with the source term into the right-hand side.
 pub fn zebra_planes(
     ctx: &mut Ctx,
     pde: &Pde,
@@ -47,52 +49,46 @@ pub fn zebra_planes(
     let az = pde.e * (nz * nz) as f64;
     let ppde = plane_pde(pde, nz);
     ctx.plan().reads(u, Ghosts::full(1)).refresh();
-    let grid = ctx.grid().clone();
-    let Some(coords) = ctx.coords().map(|c| c.to_vec()) else {
-        return;
-    };
-    if !u.is_participant() {
-        return;
-    }
-    // The slice owning my planes: fix my z coordinate (grid dim 1).
-    let plane_grid = grid.slice(1, coords[1]);
     let spec2 = DistSpec::local_block();
-    let k0 = u.owned_range(2).start.max(1);
-    let k1 = u.owned_range(2).end.min(nz);
-    let j_owned = u.owned_range(1);
-    for k in k0..k1 {
-        if k % 2 != colour % 2 {
-            continue;
-        }
-        // Build the plane problem on the slice.
-        let mut up = DistArray2::<f64>::new(ctx.rank(), &plane_grid, &spec2, [nxp, nyp], [0, 1]);
-        let mut rp = DistArray2::<f64>::new(ctx.rank(), &plane_grid, &spec2, [nxp, nyp], [0, 1]);
-        for i in 0..=nx {
-            for j in j_owned.clone() {
-                up.put(i, j, u.at(i, j, k));
-                let rhs = if i == 0 || i == nx || j == 0 || j == ny {
-                    0.0
-                } else {
-                    f.at(i, j, k) - az * (u.at(i, j, k - 1) + u.at(i, j, k + 1))
-                };
-                rp.put(i, j, rhs);
+    // One plane of my block; the interior boxes fill a head of it.
+    let cells = nxp * u.local_len(1);
+    let [mut cur, mut below, mut above, mut fk, mut rhs] = [(); 5].map(|_| vec![0.0; cells]);
+    // paper: `call mg2(u(*, *, k), …; owner(u(*, *, k)))`. `f` is aligned
+    // with `u`, which the body writes.
+    ctx.lift(f, 2, 1..nz, |sub, ks| {
+        for k in ks.filter(|k| k % 2 == colour % 2) {
+            // My part of plane k, whole and interior; the plane problem
+            // lives on the same boxes less the z index.
+            let (wlo, whi) = u.owned_box([0, 0, k], [nxp, nyp, k + 1]);
+            let (ilo, ihi) = u.owned_box([1, 1, k], [nx, ny, k + 1]);
+            let (ilo2, ihi2) = ([ilo[0], ilo[1]], [ihi[0], ihi[1]]);
+            let mut up = DistArray2::<f64>::new(sub.rank(), sub.grid(), &spec2, [nxp, nyp], [0, 1]);
+            let mut rp = up.like();
+            u.box_into(wlo, whi, &mut cur);
+            up.box_set([wlo[0], wlo[1]], [whi[0], whi[1]], &cur);
+            // The z-coupling folds into the right-hand side; the plane's
+            // boundary carries no equation and stays zero.
+            f.box_into(ilo, ihi, &mut fk);
+            u.box_into([ilo[0], ilo[1], k - 1], [ihi[0], ihi[1], k], &mut below);
+            u.box_into([ilo[0], ilo[1], k + 1], [ihi[0], ihi[1], k + 2], &mut above);
+            let interior = (ihi[0] - ilo[0]) * (ihi[1] - ilo[1]);
+            for ((r, &fv), (&lo, &hi)) in rhs[..interior]
+                .iter_mut()
+                .zip(&fk)
+                .zip(below.iter().zip(&above))
+            {
+                *r = fv - az * (lo + hi);
             }
-        }
-        ctx.proc().memop(2.0 * ((nx + 1) * j_owned.len()) as f64);
-        ctx.call_on(plane_grid.clone(), |sub| {
+            rp.box_set(ilo2, ihi2, &rhs);
+            sub.proc().memop(2.0 * cells as f64);
             for _ in 0..cycles {
                 mg2_vcycle(sub, &ppde, &mut up, &rp);
             }
-        });
-        for i in 1..nx {
-            for j in j_owned.clone() {
-                if j >= 1 && j < ny {
-                    u.put(i, j, k, up.at(i, j));
-                }
-            }
+            up.box_into(ilo2, ihi2, &mut cur);
+            u.box_set(ilo, ihi, &cur);
+            sub.proc().memop(cells as f64);
         }
-        ctx.proc().memop(((nx + 1) * j_owned.len()) as f64);
-    }
+    });
 }
 
 /// One V-cycle of Listing 9. `nz` must be a power of two ≥ 2;
@@ -137,11 +133,17 @@ mod tests {
             .with_watchdog(Duration::from_secs(60))
     }
 
-    fn run_mg3(n: usize, p0: usize, p1: usize, cycles: usize, seed: u64) -> (Vec<f64>, seq::Grid3) {
+    fn run_mg3(
+        [nx, ny, nz]: [usize; 3],
+        p0: usize,
+        p1: usize,
+        cycles: usize,
+        seed: u64,
+    ) -> (Vec<f64>, seq::Grid3) {
         let pde = Pde::poisson();
-        let us = seq::Grid3::random_interior(n, n, n, seed);
+        let us = seq::Grid3::random_interior(nx, ny, nz, seed);
         let f = seq::apply3(&pde, &us);
-        let mut u_seq = seq::Grid3::zeros(n, n, n);
+        let mut u_seq = seq::Grid3::zeros(nx, ny, nz);
         for _ in 0..cycles {
             seq::mg3_seq(&pde, &mut u_seq, &f, 1);
         }
@@ -149,16 +151,12 @@ mod tests {
         let run = Machine::run(cfg(p0 * p1), move |proc| {
             let grid = ProcGrid::new_2d(p0, p1);
             let spec = DistSpec::local_block_block();
-            let mut u =
-                DistArray3::<f64>::new(proc.rank(), &grid, &spec, [n + 1, n + 1, n + 1], [0, 1, 1]);
-            let farr = DistArray3::from_fn(
-                proc.rank(),
-                &grid,
-                &spec,
-                [n + 1, n + 1, n + 1],
-                [0, 1, 1],
-                |[i, j, k]| f2.at(i, j, k),
-            );
+            let extents = [nx + 1, ny + 1, nz + 1];
+            let mut u = DistArray3::<f64>::new(proc.rank(), &grid, &spec, extents, [0, 1, 1]);
+            let farr =
+                DistArray3::from_fn(proc.rank(), &grid, &spec, extents, [0, 1, 1], |[i, j, k]| {
+                    f2.at(i, j, k)
+                });
             let mut ctx = Ctx::new(proc, grid);
             for _ in 0..cycles {
                 mg3_vcycle(&mut ctx, &pde, &mut u, &farr, 1);
@@ -170,17 +168,24 @@ mod tests {
 
     #[test]
     fn distributed_matches_sequential_exactly() {
-        for (p0, p1) in [(1usize, 1usize), (2, 2)] {
-            let (got, want) = run_mg3(8, p0, p1, 2, 3);
-            assert_bitwise(&got, &want.v, &format!("({p0},{p1})"));
+        // A cube, and a box no two of whose sides agree: a swapped axis
+        // shows only there.
+        for (dims, grids) in [
+            ([8, 8, 8], &[(1usize, 1usize), (2, 2)][..]),
+            ([4, 8, 16], &[(2, 2), (1, 2), (2, 1)]),
+        ] {
+            for &(p0, p1) in grids {
+                let (got, want) = run_mg3(dims, p0, p1, 2, 3);
+                assert_bitwise(&got, &want.v, &format!("{dims:?} on ({p0},{p1})"));
+            }
         }
     }
 
     #[test]
     fn asymmetric_grids_match_too() {
-        let (got, want) = run_mg3(8, 1, 2, 1, 5);
+        let (got, want) = run_mg3([8; 3], 1, 2, 1, 5);
         assert_bitwise(&got, &want.v, "(1,2)");
-        let (got, want) = run_mg3(8, 2, 1, 1, 6);
+        let (got, want) = run_mg3([8; 3], 2, 1, 1, 6);
         assert_bitwise(&got, &want.v, "(2,1)");
     }
 

@@ -17,7 +17,6 @@
 //! [`DistArrayN::box_into`]/[`DistArrayN::box_set`]; the listings' names
 //! are its 2-D and 3-D instantiations.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use kali_array::{DistArray2, DistArray3, DistArrayN, Real};
@@ -78,42 +77,6 @@ pub fn resid2<T: Real>(
     r
 }
 
-/// The team a transfer along `a`'s last axis routes within: the grid
-/// members sharing my coordinate on every grid dimension but the one that
-/// axis is distributed over — the whole team for `dist (*, block)`, my
-/// z-team for `dist (*, block, block)`. Derived from my grid coordinates,
-/// not from what I own, so ranks holding nothing of a coarse level still
-/// join the collective; `None` off the grid.
-fn axis_team<const N: usize>(ctx: &Ctx, a: &DistArrayN<f64, N>) -> Option<Team> {
-    let coords = ctx.coords()?;
-    let along = a.spec().grid_dim_of(N - 1);
-    // Slice the highest grid dimension first so lower indices stay valid.
-    let pinned = (0..coords.len()).rev().filter(|&gd| Some(gd) != along);
-    let slice = pinned.fold(Cow::Borrowed(ctx.grid()), |g, gd| {
-        Cow::Owned(g.slice(gd, coords[gd]))
-    });
-    Some(slice.team())
-}
-
-/// My part of slice `k` (an index along the last axis) of `a`, as a
-/// global box: the owned range of the axes in between, and along axis 0 —
-/// the undistributed one, whose two boundary layers carry no equation —
-/// everything but `inset` layers at either end.
-fn slice_box<const N: usize>(
-    a: &DistArrayN<f64, N>,
-    k: usize,
-    inset: usize,
-) -> ([usize; N], [usize; N]) {
-    let (mut lo, mut hi) = ([0; N], a.extents());
-    (lo[0], hi[0]) = (inset, hi[0] - inset);
-    for d in 1..N - 1 {
-        let owned = a.owned_range(d);
-        (lo[d], hi[d]) = (owned.start, owned.end);
-    }
-    (lo[N - 1], hi[N - 1]) = (k, k + 1);
-    (lo, hi)
-}
-
 /// Distributed restriction with semicoarsening (full weighting) along
 /// the last axis, for arrays whose axis 0 is undistributed. Returns the
 /// coarse right-hand side, the last extent halved. The width-1,
@@ -130,7 +93,8 @@ pub fn rest<const N: usize>(ctx: &mut Ctx, r: &mut DistArrayN<f64, N>) -> DistAr
     let nc = (extents[ax] - 1) / 2;
     extents[ax] = nc + 1;
     let mut g = r.with_extents(extents);
-    let Some(team) = axis_team(ctx, r) else {
+    // Slices travel among the members that differ from me only along `ax`.
+    let Some(team) = r.owner_slice(0..ax).map(|s| s.team()) else {
         return g;
     };
     let cdist = g.dist(ax);
@@ -138,6 +102,12 @@ pub fn rest<const N: usize>(ctx: &mut Ctx, r: &mut DistArrayN<f64, N>) -> DistAr
     let edge: usize = (1..ax).map(|d| r.local_len(d)).product();
     let cells = (extents[0] - 2) * edge;
     let mut fine = [vec![0.0; cells], vec![0.0; cells], vec![0.0; cells]];
+    // My part of a fine slice — less axis 0's two boundary layers, which
+    // carry no equation — and of a whole coarse one; `[ax]` is set per slice.
+    let (mut lo, mut hi) = ([0; N], r.extents());
+    (lo[0], hi[0]) = (1, hi[0] - 1);
+    let (mut lo, mut hi) = r.owned_box(lo, hi);
+    let (mut clo, mut chi) = g.owned_box([0; N], extents);
 
     // Only the fine-even slices k = 2·kc, kc in 1..nc, restrict.
     let mut items = Vec::new();
@@ -149,7 +119,7 @@ pub fn rest<const N: usize>(ctx: &mut Ctx, r: &mut DistArrayN<f64, N>) -> DistAr
                 return;
             }
             for (kk, buf) in (k - 1..).zip(&mut fine) {
-                let (lo, hi) = slice_box(r, kk, 1);
+                (lo[ax], hi[ax]) = (kk, kk + 1);
                 r.box_into(lo, hi, buf);
             }
             let [below, mid, above] = &fine;
@@ -165,8 +135,8 @@ pub fn rest<const N: usize>(ctx: &mut Ctx, r: &mut DistArrayN<f64, N>) -> DistAr
         },
     );
     for (kc, weighted) in route(ctx.proc(), &team, items) {
-        let (lo, hi) = slice_box(&g, kc as usize, 0);
-        g.box_set(lo, hi, &weighted);
+        (clo[ax], chi[ax]) = (kc as usize, kc as usize + 1);
+        g.box_set(clo, chi, &weighted);
         ctx.proc().memop(weighted.len() as f64);
     }
     g
@@ -185,20 +155,26 @@ pub fn intrp<const N: usize>(ctx: &mut Ctx, u: &mut DistArrayN<f64, N>, v: &Dist
         n,
         "dimensions do not match in intrp"
     );
-    let Some(team) = axis_team(ctx, u) else {
+    let Some(team) = u.owner_slice(0..ax).map(|s| s.team()) else {
         return;
     };
     let fine_dist = u.dist(ax);
     let n0 = u.extents()[0];
     let edge: usize = (1..ax).map(|d| u.local_len(d)).product();
     let cells = (n0 - 2) * edge;
+    // My part of a whole coarse slice and of a fine one less axis 0's two
+    // boundary layers; `[ax]` is set per slice.
+    let (mut clo, mut chi) = v.owned_box([0; N], v.extents());
+    let (mut lo, mut hi) = ([0; N], u.extents());
+    (lo[0], hi[0]) = (1, n0 - 1);
+    let (mut lo, mut hi) = u.owned_box(lo, hi);
 
     let mut items = Vec::new();
     if v.is_participant() {
         for kc in v.owned_range(ax) {
-            let (lo, hi) = slice_box(v, kc, 0);
+            (clo[ax], chi[ax]) = (kc, kc + 1);
             let mut slice = vec![0.0; n0 * edge];
-            v.box_into(lo, hi, &mut slice);
+            v.box_into(clo, chi, &mut slice);
             let readers = (2 * kc).saturating_sub(1)..=(2 * kc + 1).min(n);
             let mut dests: Vec<usize> = readers.map(|k| fine_dist.owner(k)).collect();
             dests.dedup();
@@ -218,7 +194,7 @@ pub fn intrp<const N: usize>(ctx: &mut Ctx, u: &mut DistArrayN<f64, N>, v: &Dist
     for k in u.owned_range(ax).start.max(1)..u.owned_range(ax).end.min(n) {
         let (la, lb) = (k / 2, k.div_ceil(2));
         let (va, vb) = (&coarse[&la], &coarse[&lb]);
-        let (lo, hi) = slice_box(u, k, 1);
+        (lo[ax], hi[ax]) = (k, k + 1);
         u.box_into(lo, hi, &mut cur);
         for (c, (a, b)) in cur
             .iter_mut()

@@ -1,10 +1,9 @@
 //! Cross-crate integration for the §3 kernels: all four tridiagonal
-//! solution paths (Thomas, cyclic reduction, substructured distributed,
-//! hand message-passing, KF1-interpreted) agree on the same systems.
+//! solution paths (Thomas, substructured distributed, hand
+//! message-passing, KF1-interpreted) agree on the same systems.
 
 use std::time::Duration;
 
-use kali::kernels::cyclic_reduction::cyclic_reduction;
 use kali::kernels::tri_dist::tri_dist;
 use kali::kernels::tridiag::thomas;
 use kali::kernels::TriDiag;
@@ -33,10 +32,8 @@ fn five_ways_same_answer() {
 
     // 1. Thomas.
     let x1 = thomas(&sys.b, &sys.a, &sys.c, &f);
-    // 2. Cyclic reduction.
-    let x2 = cyclic_reduction(&sys.b, &sys.a, &sys.c, &f);
-    // 3. Substructured distributed (runtime API).
-    let x3 = {
+    // 2. Substructured distributed (runtime API).
+    let x2 = {
         let (sys, f) = (sys.clone(), f.clone());
         let run = Machine::run(cfg(p), move |proc| {
             let grid = ProcGrid::new_1d(proc.nprocs());
@@ -55,8 +52,8 @@ fn five_ways_same_answer() {
         });
         run.results.concat()
     };
-    // 4. Hand message passing.
-    let x4 = {
+    // 3. Hand message passing.
+    let x3 = {
         let (sys, f) = (sys.clone(), f.clone());
         let run = Machine::run(cfg(p), move |proc| {
             let me = proc.rank();
@@ -73,8 +70,8 @@ fn five_ways_same_answer() {
         });
         run.results.concat()
     };
-    // 5. The KF1 listing, interpreted.
-    let x5 = {
+    // 4. The KF1 listing, interpreted.
+    let x4 = {
         let run = run_source(
             cfg(p),
             listing("tri").unwrap(),
@@ -109,7 +106,7 @@ fn five_ways_same_answer() {
     };
 
     for i in 0..n {
-        for (k, x) in [&x1, &x2, &x3, &x4, &x5].iter().enumerate() {
+        for (k, x) in [&x1, &x2, &x3, &x4].iter().enumerate() {
             assert!(
                 (x[i] - x_true[i]).abs() < 1e-8,
                 "method {} row {i}: {} vs {}",
