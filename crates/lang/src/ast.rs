@@ -1,18 +1,24 @@
 //! Abstract syntax for the KF1 subset.
 //!
 //! Every expression, statement and l-value is a `{ kind, span }` pair:
-//! the parser threads byte [`Span`]s from the lexer into every node, so
-//! the interpreter and the static analyzer can render caret-underlined
-//! diagnostics pointing at the offending source text.
+//! the parser threads byte [`Span`]s from the lexer into every node, and
+//! the resolver carries them onto the resolved nodes, so the interpreter
+//! and the static analyzer can render caret-underlined diagnostics
+//! pointing at the offending source text.
 
 use crate::diag::Span;
+use crate::resolve::RSub;
 
-/// A whole source file: a set of (parallel) subroutines, plus the source
-/// text they were parsed from (kept so spans can be rendered later).
+/// A whole source file: a set of (parallel) subroutines, the source text
+/// they were parsed from (kept so spans can be rendered later), and their
+/// resolved form — what the analyzer, the static plans and the
+/// interpreter read.
 #[derive(Debug, Clone)]
 pub struct Program {
     pub subs: Vec<Subroutine>,
     pub src: String,
+    /// `subs`, resolved, index for index.
+    pub(crate) code: Vec<RSub>,
 }
 
 impl Program {
@@ -329,6 +335,7 @@ mod tests {
                 body: vec![],
             }],
             src: String::new(),
+            code: Vec::new(),
         };
         assert!(p.find("jacobi").is_some());
         assert!(p.find("nope").is_none());

@@ -1,11 +1,12 @@
 //! `kf1_check` — the standalone KF1 lint driver.
 //!
-//! Parses each `.kf1` file named on the command line and runs the full
-//! static analysis over it ([`kali_lang::analyze`]). Lexer, parser and
-//! semantic diagnostics render as caret-underlined source excerpts on
-//! stderr; the exit status is the number of files with at least one
-//! diagnostic (clamped to 125), so `kf1_check prog.kf1` in CI fails
-//! exactly when a program stops being clean.
+//! Parses (and so resolves) each `.kf1` file named on the command line
+//! and runs the full static analysis over the resolved tree
+//! ([`kali_lang::analyze`]). Lexer, parser and semantic diagnostics render
+//! as caret-underlined source excerpts on stderr; the exit status is the
+//! number of files with at least one diagnostic (clamped to 125), so
+//! `kf1_check prog.kf1` in CI fails exactly when a program stops being
+//! clean.
 //!
 //! With `--plans`, additionally prints which doall sites carry a
 //! [`kali_lang::StaticCommPlan`] — the sites whose cold trips the

@@ -89,7 +89,7 @@
 //!
 //! # What an element costs
 //!
-//! The interpreter runs the *resolved* program ([`crate::resolve()`]), not
+//! The interpreter runs the *resolved* tree [`crate::parse`] ends in, not
 //! the AST: every name is a slot, so a subroutine activation is a flat
 //! frame (`Vec<Option<Binding>>`) indexed by the nodes themselves, and no
 //! name is hashed, compared or cloned while a program runs. A `doall`
@@ -126,11 +126,11 @@ use kali_sched::{
     ScheduleExecutor, ScheduleWorld, SiteKey, Trip, TripHost,
 };
 
-use crate::analysis::StaticCommPlan;
-use crate::ast::{BinOp, DistDim, UnOp};
+use crate::ast::{BinOp, DistDim, Program, UnOp};
 use crate::diag::Diagnostic;
 use crate::resolve::*;
 use crate::value::*;
+use crate::RunOptions;
 
 pub type RtResult<T> = Result<T, String>;
 
@@ -460,14 +460,10 @@ struct Frame<'p> {
     iter_depth: usize,
 }
 
-/// A compile-time plan's reads, resolved: (array, subscripts) in body
-/// evaluation order.
-type PlanReads = Rc<Vec<(Slot, Vec<RExpr>)>>;
-
 /// The interpreter for one simulated processor.
 pub struct Interp<'a, 'p> {
     pub proc: &'a mut Proc,
-    code: &'p Resolved,
+    prog: &'p Program,
     frames: Vec<Frame<'p>>,
     mode: Mode,
     doall_depth: usize,
@@ -484,53 +480,29 @@ pub struct Interp<'a, 'p> {
     /// (bindings, views, generations), so a hit is valid regardless of
     /// which call produced the entry.
     schedules: Option<ScheduleCache<ScheduleKey>>,
-    /// Compile-time communication plans per doall site (from
-    /// `analysis::comm_plans`). Before an analyzable site's cold trip the
-    /// interpreter concretizes its plan into a full `CommSchedule` and
-    /// seeds the cache, so even the first invocation replays instead of
-    /// inspecting. Empty unless `RunOptions::static_seed` is on.
-    static_plans: HashMap<usize, PlanReads>,
+    /// Seed from compile-time communication plans ([`RDoall::plan`]):
+    /// before an analyzable site's cold trip the interpreter concretizes
+    /// its plan into a full `CommSchedule` and seeds the cache, so even
+    /// the first invocation replays instead of inspecting; sites without
+    /// a plan are untouched.
+    static_seed: bool,
 }
 
 impl<'a, 'p> Interp<'a, 'p> {
-    pub fn new(proc: &'a mut Proc, code: &'p Resolved) -> Self {
+    /// An interpreter for `prog` under the knobs of `opts`.
+    pub fn new(proc: &'a mut Proc, prog: &'p Program, opts: RunOptions) -> Self {
         Interp {
             proc,
-            code,
+            prog,
             frames: Vec::new(),
             mode: Mode::Normal,
             doall_depth: 0,
-            policy: ExecPolicy::default(),
-            schedules: Some(ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
-            static_plans: HashMap::new(),
+            policy: opts.policy,
+            schedules: opts
+                .schedule_cache
+                .then(|| ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
+            static_seed: opts.static_seed,
         }
-    }
-
-    /// Install compile-time communication plans (keyed by doall site),
-    /// resolved onto the program's slots so the seeding simulation runs
-    /// on the same evaluator as everything else. Sites with a plan seed
-    /// the schedule cache before their cold trip; sites without one are
-    /// untouched.
-    pub fn set_static_plans(&mut self, plans: HashMap<usize, StaticCommPlan>) {
-        self.static_plans = plans
-            .iter()
-            .filter_map(|(site, plan)| Some((*site, Rc::new(self.code.plan_reads(plan)?))))
-            .collect();
-    }
-
-    /// Enable or disable executor reuse. Disabled, every doall invocation
-    /// re-runs the full inspector — the differential-testing baseline.
-    pub fn set_schedule_cache(&mut self, on: bool) {
-        self.schedules = on.then(|| ScheduleCache::new(MAX_SCHEDULES_PER_SITE));
-    }
-
-    /// Set the execution strategy for communicating doalls. The answer
-    /// never depends on it — only the timeline and the
-    /// schedule-construction work do; the defaults are the
-    /// latency-hiding fast path, [`ExecPolicy::blocking`] the fully
-    /// synchronous differential baseline.
-    pub fn set_policy(&mut self, policy: ExecPolicy) {
-        self.policy = policy;
     }
 
     fn me(&self) -> usize {
@@ -601,7 +573,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         bindings: Vec<(usize, Binding)>,
         grid: ProcGrid,
     ) -> RtResult<()> {
-        let sub = &self.code.subs[sub];
+        let sub = &self.prog.code[sub];
         let mut slots = vec![None; sub.names.len()];
         for (slot, b) in bindings {
             slots[slot] = Some(b);
@@ -639,7 +611,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                     for (gd, e) in extents.iter().enumerate() {
                         let actual = grid.extent(gd) as i64;
                         match e {
-                            RExpr::Var(id) => match self.slot(*id) {
+                            RExpr::Var(id, _) => match self.slot(*id) {
                                 Some(Binding::Scalar(v)) => {
                                     if v.as_int() != actual {
                                         return Err(format!(
@@ -652,7 +624,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                                 }
                                 _ => self.bind(*id, Binding::Scalar(Value::Int(actual))),
                             },
-                            RExpr::Const(Value::Int(v)) => {
+                            RExpr::Const(Value::Int(v), _) => {
                                 if *v != actual {
                                     return Err(format!(
                                         "processor extent {v} does not match actual {actual}"
@@ -667,11 +639,12 @@ impl<'a, 'p> Interp<'a, 'p> {
                         self.bind(*slot, Binding::Grid(grid));
                     }
                 }
-                RDecl::Arrays(is_real, items, dist) => {
-                    for (slot, dims) in items {
-                        self.declare(*slot, dims, *is_real, dist.as_deref())?;
-                    }
-                }
+                RDecl::Item {
+                    slot,
+                    is_real,
+                    bounds,
+                    dist,
+                } => self.declare(*slot, bounds, *is_real, dist.as_deref())?,
             }
         }
         Ok(())
@@ -809,7 +782,9 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     fn exec_stmt(&mut self, s: &'p RStmt) -> RtResult<Flow> {
         match s {
-            RStmt::AssignScalar { slot, rhs, flops } => {
+            RStmt::AssignScalar {
+                slot, rhs, flops, ..
+            } => {
                 let v = self.eval(rhs)?;
                 self.set_scalar(*slot, v)?;
                 self.charge_assignment(*flops);
@@ -819,6 +794,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 subs,
                 rhs,
                 flops,
+                ..
             } => {
                 let v = self.eval(rhs)?;
                 self.write_element(*slot, subs, v.as_f64())?;
@@ -857,9 +833,11 @@ impl<'a, 'p> Interp<'a, 'p> {
                 }
             }
             RStmt::Return => return Ok(Flow::Return),
-            RStmt::Call(callee, args, on) => self.exec_call(callee, args, on.as_ref())?,
+            RStmt::Call {
+                callee, args, on, ..
+            } => self.exec_call(callee, args, on.as_ref())?,
             RStmt::Doall(d) => self.exec_doall(d)?,
-            RStmt::Distribute(slot, dist) => self.exec_distribute(*slot, dist)?,
+            RStmt::Distribute { slot, dist, .. } => self.exec_distribute(*slot, dist)?,
         }
         Ok(Flow::Normal)
     }
@@ -932,7 +910,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         // Owner set per iteration — only when a static plan may seed this
         // site: seeding simulates every team member's inspector pass, and
         // the owner sets are its input.
-        let keep_owners = self.schedules.is_some() && self.static_plans.contains_key(&d.site);
+        let keep_owners = self.static_seed && self.schedules.is_some() && d.plan.is_some();
         let mut owners = keep_owners.then(|| (my_iters.clone(), Vec::new()));
         let (first, second) = (bounds[0], bounds.get(1).copied().unwrap_or((0, 0, 1)));
         let mut i = first.0;
@@ -1106,12 +1084,12 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// without, nothing is materialised.
     fn on_clause_names_me(
         &mut self,
-        on: &ROn,
+        on: &RProcExpr,
         keep: Option<&mut Vec<Vec<usize>>>,
     ) -> RtResult<bool> {
         let me = self.me();
         let ranks = match (on, &keep) {
-            (ROn::Owner(slot, subs), _) => {
+            (RProcExpr::Owner(slot, subs), _) => {
                 let (view, base_subs) = self.owner_base_subs(*slot, subs)?;
                 let (base, base_subs) = (view.base.borrow(), &base_subs[..view.map.len()]);
                 match keep {
@@ -1119,8 +1097,8 @@ impl<'a, 'p> Interp<'a, 'p> {
                     Some(_) => base.owner_ranks(base_subs)?,
                 }
             }
-            (ROn::Procs(pe), None) => return Ok(self.eval_proc_expr(pe)?.contains(me)),
-            (ROn::Procs(pe), Some(_)) => self.eval_proc_expr(pe)?.ranks().to_vec(),
+            (pe, None) => return Ok(self.eval_proc_expr(pe)?.contains(me)),
+            (pe, Some(_)) => self.eval_proc_expr(pe)?.ranks().to_vec(),
         };
         let mine = ranks.contains(&me);
         if let Some(kept) = keep {
@@ -1154,10 +1132,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                              has no binding; refusing to skip it (a remote read of \
                              `{name}` would silently see stale values)"
                         ),
-                        &self.code.src,
+                        &self.prog.src,
                     )
                     .with_note("declare the array or bind it as a parameter");
-                    return Err(d.render(&self.code.src));
+                    return Err(d.render(&self.prog.src));
                 }
             };
             if view.base.borrow().replicated()
@@ -1213,9 +1191,9 @@ impl<'a, 'p> Interp<'a, 'p> {
         let mut cache = self.schedules.take();
         let mut cache_ref = cache.as_mut();
 
-        if let (Some(owners), Some(plan)) = (owners, self.static_plans.get(&d.site).cloned()) {
+        if let (Some(owners), Some(plan)) = (owners, &d.plan) {
             trip.seed(self, cache_ref.as_deref_mut(), |me: &mut Self| {
-                me.build_static_schedule(d, &plan, &team, &arrays, owners)
+                me.build_static_schedule(d, plan, &team, &arrays, owners)
             });
         }
         let build = |me: &mut Self, _: &LangWorld| me.inspect(d, &team, &arrays, my_iters);
@@ -1727,7 +1705,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         let (k, sub) = match callee {
             Callee::Builtin(b) => return self.exec_builtin(*b, args),
             Callee::Unknown(name) => return Err(format!("no subroutine named {name}")),
-            Callee::Sub(k) => (*k, &self.code.subs[*k]),
+            Callee::Sub(k) => (*k, &self.prog.code[*k]),
         };
         let name = &sub.name;
         if matches!(self.mode, Mode::Inspect(_) | Mode::Execute(_)) && sub.parallel {
@@ -1752,12 +1730,14 @@ impl<'a, 'p> Interp<'a, 'p> {
         let mut bindings = Vec::with_capacity(args.len() + 1);
         for (&p, a) in sub.params.iter().zip(args) {
             let b = match a {
-                RArg::Expr(RExpr::Var(v)) => match self.slot(*v) {
+                RArg::Expr(RExpr::Var(v, _)) => match self.slot(*v) {
                     Some(b) => b.clone(),
                     None => return Err(format!("undefined argument {}", self.name(*v))),
                 },
                 RArg::Expr(e) => Binding::Scalar(self.eval(e)?),
-                RArg::Section(slot, subs) => Binding::Array(self.make_section_view(*slot, subs)?),
+                RArg::Section(slot, subs, _) => {
+                    Binding::Array(self.make_section_view(*slot, subs)?)
+                }
             };
             bindings.push((p, b));
         }
@@ -1864,7 +1844,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         let mut sections: Vec<(ArrRef, Vec<usize>)> = Vec::new();
         for a in args {
             match a {
-                RArg::Section(slot, subs) => {
+                RArg::Section(slot, subs, _) => {
                     let v = self.make_section_view(*slot, subs)?;
                     if v.ndims() != 1 {
                         return Err(format!("builtin {name}: sections must be 1-D"));
@@ -1935,7 +1915,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     fn exec_spmv(&mut self, args: &[RArg]) -> RtResult<()> {
         let mut views = Vec::with_capacity(4);
         for a in args {
-            let RArg::Section(slot, subs) = a else {
+            let RArg::Section(slot, subs, _) = a else {
                 return Err("spmv(y, ci, av, x) takes four sections".into());
             };
             let v = self.make_section_view(*slot, subs)?;
@@ -2141,8 +2121,8 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     fn eval(&mut self, e: &RExpr) -> RtResult<Value> {
         match e {
-            RExpr::Const(v) => Ok(*v),
-            RExpr::Var(slot) => match self.slot(*slot) {
+            RExpr::Const(v, _) => Ok(*v),
+            RExpr::Var(slot, _) => match self.slot(*slot) {
                 Some(Binding::Scalar(v)) => Ok(*v),
                 Some(Binding::Array(_)) => {
                     Err(format!("array {} used as a scalar", self.name(*slot)))
@@ -2153,7 +2133,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 )),
                 None => Err(format!("undefined variable {}", self.name(*slot))),
             },
-            RExpr::Un(op, e) => {
+            RExpr::Un(op, e, _) => {
                 let v = self.eval(e)?;
                 Ok(match op {
                     UnOp::Neg => match v {
@@ -2163,12 +2143,12 @@ impl<'a, 'p> Interp<'a, 'p> {
                     UnOp::Not => Value::Int(if v.truthy() { 0 } else { 1 }),
                 })
             }
-            RExpr::Bin(op, l, r) => {
+            RExpr::Bin(op, l, r, _) => {
                 let a = self.eval(l)?;
                 let b = self.eval(r)?;
                 eval_bin(*op, a, b)
             }
-            RExpr::Ref(slot, intrinsic, args) => {
+            RExpr::Ref(slot, intrinsic, args, _) => {
                 // Array element or intrinsic, depending on the binding.
                 if matches!(self.slot(*slot), Some(Binding::Array(_))) {
                     self.read_element(*slot, args)
@@ -2241,7 +2221,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         if args.len() < 2 {
             return Err(format!("{name}(array, procsel[, dim]) needs two arguments"));
         }
-        let Some(RExpr::Var(array)) = &args[0] else {
+        let Some(RExpr::Var(array, _)) = &args[0] else {
             return Err(format!("{name}: first argument must be an array name"));
         };
         let array = *array;
@@ -2250,8 +2230,8 @@ impl<'a, 'p> Interp<'a, 'p> {
         self.array(array, not_array)?;
         // Second argument: a processor selection expression.
         let sel = match &args[1] {
-            Some(RExpr::Var(n)) => self.grid_of(*n)?.clone(),
-            Some(RExpr::Ref(slot, _, args)) => self.select_procs(*slot, args)?,
+            Some(RExpr::Var(n, _)) => self.grid_of(*n)?.clone(),
+            Some(RExpr::Ref(slot, _, args, _)) => self.select_procs(*slot, args)?,
             _ => return Err(format!("{name}: second argument must select processors")),
         };
         if sel.size() != 1 {

@@ -1,11 +1,15 @@
 //! # kali-lang — a front end for the KF1 (Kali Fortran 1) subset
 //!
-//! This crate implements the *language* side of the paper: a lexer, parser
-//! and SPMD interpreter for the constructs of §2 — `parsub`, `processors`
-//! declarations, `dist (block, cyclic, *)` clauses, `dynamic` arrays,
-//! `doall ... on owner(...)` loops with copy-in/copy-out semantics, the
-//! intrinsics `lower`/`upper`/`log2`, array sections, and distributed
-//! procedure calls carrying processor-array slices.
+//! This crate implements the *language* side of the paper: a lexer, parser,
+//! static analyzer and SPMD interpreter for the constructs of §2 —
+//! `parsub`, `processors` declarations, `dist (block, cyclic, *)` clauses,
+//! `dynamic` arrays, `doall ... on owner(...)` loops with copy-in/copy-out
+//! semantics, the intrinsics `lower`/`upper`/`log2`, array sections, and
+//! distributed procedure calls carrying processor-array slices.
+//!
+//! The front end is one chain, `parse → resolve → analyze → interpret`:
+//! [`parse`] ends by resolving names to frame slots, and [`analyze`],
+//! [`comm_plans`] and the interpreter all read that resolved tree.
 //!
 //! Programs run on the `kali-machine` simulator: communication is never
 //! written by the programmer; the interpreter's inspector/executor pass
@@ -30,7 +34,6 @@ pub mod value;
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use kali_grid::ProcGrid;
 use kali_machine::{Machine, MachineConfig, RunReport};
@@ -43,7 +46,6 @@ pub use analysis::{analyze, comm_plans, StaticCommPlan};
 pub use diag::{Diagnostic, Span};
 pub use kali_sched::ExecPolicy;
 pub use parser::{parse, ParseError};
-pub use resolve::{resolve, Resolved};
 
 /// The paper's listings, adapted to the implemented subset.
 pub fn listing(name: &str) -> Option<&'static str> {
@@ -139,11 +141,12 @@ pub fn run_source_with(
     opts: RunOptions,
 ) -> Result<LangRun, String> {
     let prog = parse(src).map_err(|e| e.to_string())?;
-    let code = Arc::new(resolve(&prog));
-    let entry_sub = code
-        .find(entry)
+    let entry_sub = prog
+        .subs
+        .iter()
+        .position(|s| s.name == entry)
         .ok_or_else(|| format!("no subroutine named {entry}"))?;
-    let sub = &code.subs[entry_sub];
+    let sub = &prog.code[entry_sub];
     if sub.params.len() != args.len() {
         return Err(format!(
             "{entry} takes {} arguments, {} supplied",
@@ -177,9 +180,8 @@ pub fn run_source_with(
         }
     }
 
+    let prog = &prog;
     let run = Machine::run(cfg, move |proc| {
-        let code = Arc::clone(&code);
-        let sub = &code.subs[entry_sub];
         let grid = ProcGrid::with_ranks(grid_dims.clone(), (0..grid_size).collect());
         // Host arrays start replicated on a sentinel grid; the entry
         // subroutine's declarations adopt them into the real distribution.
@@ -209,13 +211,7 @@ pub fn run_source_with(
             bindings.push((pp, Binding::Grid(grid.clone())));
         }
         let rank = proc.rank();
-        let mut interp = Interp::new(proc, &code);
-        interp.set_schedule_cache(opts.schedule_cache);
-        interp.set_policy(opts.policy);
-        if opts.static_seed {
-            interp.set_static_plans(analysis::comm_plans(&prog));
-        }
-        interp
+        Interp::new(proc, prog, opts)
             .call_sub(entry_sub, bindings, grid)
             .unwrap_or_else(|e| panic!("KF1 runtime error on processor {rank}: {e}"));
         // Export final per-processor state plus the ownership map.

@@ -6,6 +6,7 @@
 
 use crate::ast::*;
 use crate::diag::{Diagnostic, Span};
+use crate::resolve::resolve;
 use crate::token::{lex, SpannedTok, Tok};
 
 /// Parse errors are ordinary diagnostics (code `P0xx`).
@@ -13,7 +14,9 @@ pub type ParseError = Diagnostic;
 
 type PResult<T> = Result<T, Diagnostic>;
 
-/// Parse a KF1 source file.
+/// Parse a KF1 source file: lex, parse, and resolve its names. The
+/// program carries the resolved tree that every later stage —
+/// [`crate::analyze`], [`crate::comm_plans`], the interpreter — reads.
 pub fn parse(src: &str) -> PResult<Program> {
     let toks = lex(src)?;
     let mut p = Parser {
@@ -63,12 +66,15 @@ impl Parser<'_> {
         self.toks[self.pos.saturating_sub(1)].span
     }
 
+    /// Consume the token at the cursor. The cursor never moves back, so
+    /// the token moves out instead of being copied; the closing `Eof`
+    /// stays for every later look.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+        if self.pos + 1 == self.toks.len() {
+            return Tok::Eof;
         }
-        t
+        self.pos += 1;
+        std::mem::replace(&mut self.toks[self.pos - 1].tok, Tok::Eol)
     }
 
     /// A syntax error at the current token.
@@ -138,6 +144,44 @@ impl Parser<'_> {
         }
     }
 
+    /// `item, item, ...` — at least one.
+    fn comma_list<T>(&mut self, mut item: impl FnMut(&mut Self) -> PResult<T>) -> PResult<Vec<T>> {
+        let mut items = vec![item(self)?];
+        while self.eat_punct(",") {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// The rest of a `(item, ...; tail)` list after its `(`: a parameter
+    /// list with its processor parameter, or call arguments with their
+    /// processor expression. Either part may be absent.
+    fn list_and_tail<T, U>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> PResult<T>,
+        mut tail: impl FnMut(&mut Self) -> PResult<U>,
+    ) -> PResult<(Vec<T>, Option<U>)> {
+        let mut items = Vec::new();
+        if self.eat_punct(")") {
+            return Ok((items, None));
+        }
+        loop {
+            if !self.eat_punct(";") {
+                items.push(item(self)?);
+                if self.eat_punct(",") {
+                    continue;
+                }
+                if !self.eat_punct(";") {
+                    self.expect_punct(")")?;
+                    return Ok((items, None));
+                }
+            }
+            let tail = tail(self)?;
+            self.expect_punct(")")?;
+            return Ok((items, Some(tail)));
+        }
+    }
+
     // ---------- top level ----------
 
     fn program(&mut self) -> PResult<Program> {
@@ -148,6 +192,7 @@ impl Parser<'_> {
             self.skip_eols();
         }
         Ok(Program {
+            code: resolve(&subs),
             subs,
             src: self.src.to_string(),
         })
@@ -164,28 +209,7 @@ impl Parser<'_> {
         let name_span = self.span();
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
-        let mut params = Vec::new();
-        let mut proc_param = None;
-        if !self.eat_punct(")") {
-            loop {
-                if self.eat_punct(";") {
-                    proc_param = Some(self.expect_ident()?);
-                    self.expect_punct(")")?;
-                    break;
-                }
-                params.push(self.expect_ident()?);
-                if self.eat_punct(",") {
-                    continue;
-                }
-                if self.eat_punct(";") {
-                    proc_param = Some(self.expect_ident()?);
-                    self.expect_punct(")")?;
-                    break;
-                }
-                self.expect_punct(")")?;
-                break;
-            }
-        }
+        let (params, proc_param) = self.list_and_tail(Self::expect_ident, Self::expect_ident)?;
         self.expect_eol()?;
         self.skip_eols();
 
@@ -199,13 +223,7 @@ impl Parser<'_> {
                     let pname_span = self.span();
                     let pname = self.expect_ident()?;
                     self.expect_punct("(")?;
-                    let mut extents = Vec::new();
-                    loop {
-                        extents.push(self.expr()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
+                    let extents = self.comma_list(Self::expr)?;
                     self.expect_punct(")")?;
                     self.expect_eol()?;
                     decls.push(Decl::Processors {
@@ -215,8 +233,7 @@ impl Parser<'_> {
                     });
                 }
                 Tok::Ident(s) if s == "real" || s == "integer" || s == "dynamic" => {
-                    let s = s.clone();
-                    let dynamic = s == "dynamic";
+                    let (dynamic, real) = (s == "dynamic", s == "real");
                     self.bump();
                     let is_real = if dynamic {
                         if self.eat_ident("real") {
@@ -227,47 +244,32 @@ impl Parser<'_> {
                             return self.err("expected `real` or `integer` after `dynamic`");
                         }
                     } else {
-                        s == "real"
+                        real
                     };
-                    let mut items = Vec::new();
-                    loop {
-                        let iname_span = self.span();
-                        let iname = self.expect_ident()?;
+                    let items = self.comma_list(|p| {
+                        let name_span = p.span();
+                        let name = p.expect_ident()?;
                         let mut dims = Vec::new();
-                        if self.eat_punct("(") {
-                            loop {
-                                let e1 = self.expr()?;
-                                if self.eat_punct(":") {
-                                    let e2 = self.expr()?;
-                                    dims.push((e1, e2));
+                        if p.eat_punct("(") {
+                            dims = p.comma_list(|p| {
+                                let e1 = p.expr()?;
+                                Ok(if p.eat_punct(":") {
+                                    (e1, p.expr()?)
                                 } else {
-                                    let one = Expr::int(1, e1.span);
-                                    dims.push((one, e1));
-                                }
-                                if !self.eat_punct(",") {
-                                    break;
-                                }
-                            }
-                            self.expect_punct(")")?;
+                                    (Expr::int(1, e1.span), e1)
+                                })
+                            })?;
+                            p.expect_punct(")")?;
                         }
-                        items.push(DeclItem {
-                            name: iname,
-                            name_span: iname_span,
+                        Ok(DeclItem {
+                            name,
+                            name_span,
                             dims,
-                        });
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
+                        })
+                    })?;
                     let dist = if self.eat_ident("dist") {
                         self.expect_punct("(")?;
-                        let mut dd = Vec::new();
-                        loop {
-                            dd.push(self.dist_dim("dist clause")?);
-                            if !self.eat_punct(",") {
-                                break;
-                            }
-                        }
+                        let dd = self.comma_list(|p| p.dist_dim("dist clause"))?;
                         self.expect_punct(")")?;
                         Some(dd)
                     } else {
@@ -313,28 +315,20 @@ impl Parser<'_> {
         let mut stmts = Vec::new();
         loop {
             self.skip_eols();
-            match self.peek().clone() {
+            let end = match self.peek() {
+                Tok::Ident(s) if s == "end" => Some(BlockEnd::End),
+                Tok::Ident(s) if s == "else" => Some(BlockEnd::Else),
+                Tok::Ident(s) if s == "endif" => Some(BlockEnd::Endif),
+                Tok::Ident(s) if s == "enddo" => Some(BlockEnd::EndDo),
+                _ => None,
+            };
+            if let Some(end) = end {
+                self.bump();
+                self.expect_eol()?;
+                return Ok((stmts, end));
+            }
+            match *self.peek() {
                 Tok::Eof => return self.err("unexpected end of file inside a block"),
-                Tok::Ident(s) if s == "end" => {
-                    self.bump();
-                    self.expect_eol()?;
-                    return Ok((stmts, BlockEnd::End));
-                }
-                Tok::Ident(s) if s == "else" => {
-                    self.bump();
-                    self.expect_eol()?;
-                    return Ok((stmts, BlockEnd::Else));
-                }
-                Tok::Ident(s) if s == "endif" => {
-                    self.bump();
-                    self.expect_eol()?;
-                    return Ok((stmts, BlockEnd::Endif));
-                }
-                Tok::Ident(s) if s == "enddo" => {
-                    self.bump();
-                    self.expect_eol()?;
-                    return Ok((stmts, BlockEnd::EndDo));
-                }
                 Tok::Label(n) => {
                     // `label continue` may terminate one of our loops.
                     if labels.contains(&n)
@@ -353,43 +347,33 @@ impl Parser<'_> {
                     }
                     return self.err("only `continue` may carry a label here");
                 }
-                _ => {
-                    let st = self.statement(labels)?;
-                    stmts.push(st);
-                }
+                _ => stmts.push(self.statement(labels)?),
             }
         }
     }
 
     fn statement(&mut self, labels: &[u32]) -> PResult<Stmt> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) if s == "do" => self.do_stmt(labels),
             Tok::Ident(s) if s == "doall" => self.doall_stmt(labels),
             Tok::Ident(s) if s == "if" => self.if_stmt(labels),
             Tok::Ident(s) if s == "call" => self.call_stmt(),
             Tok::Ident(s) if s == "distribute" => self.distribute_stmt(),
-            Tok::Ident(s) if s == "return" => {
-                let sp = self.span();
+            Tok::Ident(s) if s == "return" || s == "continue" => {
+                let ret = s == "return";
+                let span = self.span();
                 self.bump();
                 self.expect_eol()?;
-                Ok(Stmt {
-                    kind: StmtKind::Return,
-                    span: sp,
-                })
-            }
-            Tok::Ident(s) if s == "continue" => {
-                let sp = self.span();
-                self.bump();
-                self.expect_eol()?;
-                // bare continue: no-op statement
-                Ok(Stmt {
-                    kind: StmtKind::If {
-                        cond: Expr::int(0, sp),
+                let kind = match ret {
+                    true => StmtKind::Return,
+                    // bare continue: no-op statement
+                    false => StmtKind::If {
+                        cond: Expr::int(0, span),
                         then_body: vec![],
                         else_body: vec![],
                     },
-                    span: sp,
-                })
+                };
+                Ok(Stmt { kind, span })
             }
             Tok::Ident(_) => self.assign_stmt(),
             other => self.err(format!("unexpected token {other:?} at statement start")),
@@ -400,13 +384,7 @@ impl Parser<'_> {
         let name_span = self.span();
         let name = self.expect_ident()?;
         let lhs = if self.eat_punct("(") {
-            let mut subs = Vec::new();
-            loop {
-                subs.push(self.expr()?);
-                if !self.eat_punct(",") {
-                    break;
-                }
-            }
+            let subs = self.comma_list(Self::expr)?;
             self.expect_punct(")")?;
             LValue {
                 kind: LValueKind::Element { name, subs },
@@ -431,41 +409,13 @@ impl Parser<'_> {
     fn do_stmt(&mut self, outer: &[u32]) -> PResult<Stmt> {
         let kw_span = self.span();
         self.bump(); // do
-        let label = if let Tok::Int(n) = self.peek() {
-            let n = *n as u32;
-            self.bump();
-            Some(n)
-        } else {
-            None
-        };
+        let label = self.loop_label();
         let var = self.expect_ident()?;
         self.expect_punct("=")?;
-        let lo = self.expr()?;
-        self.expect_punct(",")?;
-        let hi = self.expr()?;
-        let step = if self.eat_punct(",") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
+        let (lo, hi, step) = self.range()?;
         let header_span = kw_span.join(self.prev_span());
         self.expect_eol()?;
-        let mut labels: Vec<u32> = outer.to_vec();
-        if let Some(l) = label {
-            labels.push(l);
-        }
-        let (body, end) = self.block(&labels)?;
-        match (label, end) {
-            (Some(l), BlockEnd::LabelContinue(m)) if l == m => {}
-            (None, BlockEnd::EndDo) => {}
-            (_, e) => {
-                return Err(self.diag_at(
-                    "P003",
-                    header_span,
-                    format!("do loop terminated by {e:?}"),
-                ))
-            }
-        }
+        let body = self.loop_body(outer, label, header_span, "do loop")?;
         Ok(Stmt {
             kind: StmtKind::Do {
                 var,
@@ -522,13 +472,7 @@ impl Parser<'_> {
         let name_span = self.span();
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
-        let mut dist = Vec::new();
-        loop {
-            dist.push(self.dist_dim("distribute")?);
-            if !self.eat_punct(",") {
-                break;
-            }
-        }
+        let dist = self.comma_list(|p| p.dist_dim("distribute"))?;
         self.expect_punct(")")?;
         let span = kw_span.join(self.prev_span());
         self.expect_eol()?;
@@ -547,13 +491,7 @@ impl Parser<'_> {
         self.bump(); // doall
         let site = self.next_site;
         self.next_site += 1;
-        let label = if let Tok::Int(n) = self.peek() {
-            let n = *n as u32;
-            self.bump();
-            Some(n)
-        } else {
-            None
-        };
+        let label = self.loop_label();
         let mut vars = Vec::new();
         let mut ranges = Vec::new();
         if self.eat_punct("(") {
@@ -565,16 +503,8 @@ impl Parser<'_> {
             self.expect_punct("=")?;
             for d in 0..2 {
                 self.expect_punct("[")?;
-                let lo = self.expr()?;
-                self.expect_punct(",")?;
-                let hi = self.expr()?;
-                let step = if self.eat_punct(",") {
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
+                ranges.push(self.range()?);
                 self.expect_punct("]")?;
-                ranges.push((lo, hi, step));
                 if d == 0 {
                     self.expect_punct("*")?;
                 }
@@ -582,15 +512,7 @@ impl Parser<'_> {
         } else {
             vars.push(self.expect_ident()?);
             self.expect_punct("=")?;
-            let lo = self.expr()?;
-            self.expect_punct(",")?;
-            let hi = self.expr()?;
-            let step = if self.eat_punct(",") {
-                Some(self.expr()?)
-            } else {
-                None
-            };
-            ranges.push((lo, hi, step));
+            ranges.push(self.range()?);
         }
         if !self.eat_ident("on") {
             return Err(self.diag_at(
@@ -599,21 +521,14 @@ impl Parser<'_> {
                 "doall requires an `on` clause",
             ));
         }
-        let on = self.on_clause()?;
+        // `on owner(a(...))`, `on procs(...)`: a processor expression.
+        let on = match self.proc_expr()? {
+            ProcExpr::Owner { array, subs } => OnClause::Owner { array, subs },
+            pe => OnClause::Procs(pe),
+        };
         let header_span = kw_span.join(self.prev_span());
         self.expect_eol()?;
-        let mut labels: Vec<u32> = outer.to_vec();
-        if let Some(l) = label {
-            labels.push(l);
-        }
-        let (body, end) = self.block(&labels)?;
-        match (label, end) {
-            (Some(l), BlockEnd::LabelContinue(m)) if l == m => {}
-            (None, BlockEnd::EndDo) => {}
-            (_, e) => {
-                return Err(self.diag_at("P003", header_span, format!("doall terminated by {e:?}")))
-            }
-        }
+        let body = self.loop_body(outer, label, header_span, "doall")?;
         Ok(Stmt {
             kind: StmtKind::Doall {
                 site,
@@ -626,39 +541,56 @@ impl Parser<'_> {
         })
     }
 
-    fn on_clause(&mut self) -> PResult<OnClause> {
-        let name = self.expect_ident()?;
-        if name == "owner" {
-            self.expect_punct("(")?;
-            let arr = self.expect_ident()?;
-            self.expect_punct("(")?;
-            let subs = self.star_subs()?;
-            self.expect_punct(")")?;
-            self.expect_punct(")")?;
-            Ok(OnClause::Owner { array: arr, subs })
-        } else if self.eat_punct("(") {
-            let subs = self.star_subs()?;
-            self.expect_punct(")")?;
-            Ok(OnClause::Procs(ProcExpr::Select { name, subs }))
+    /// The label of a `do`/`doall`, if it has one.
+    fn loop_label(&mut self) -> Option<u32> {
+        let &Tok::Int(n) = self.peek() else {
+            return None;
+        };
+        self.bump();
+        Some(n as u32)
+    }
+
+    /// `lo, hi[, step]`.
+    fn range(&mut self) -> PResult<(Expr, Expr, Option<Expr>)> {
+        let lo = self.expr()?;
+        self.expect_punct(",")?;
+        let hi = self.expr()?;
+        let step = if self.eat_punct(",") {
+            Some(self.expr()?)
         } else {
-            Ok(OnClause::Procs(ProcExpr::Whole(name)))
+            None
+        };
+        Ok((lo, hi, step))
+    }
+
+    /// A loop body, closed by `label continue` or, unlabelled, by
+    /// `enddo`. `what` names the loop in the error.
+    fn loop_body(
+        &mut self,
+        outer: &[u32],
+        label: Option<u32>,
+        header_span: Span,
+        what: &str,
+    ) -> PResult<Vec<Stmt>> {
+        let labels: Vec<u32> = outer.iter().copied().chain(label).collect();
+        match (label, self.block(&labels)?) {
+            (Some(l), (body, BlockEnd::LabelContinue(m))) if l == m => Ok(body),
+            (None, (body, BlockEnd::EndDo)) => Ok(body),
+            (_, (_, e)) => {
+                Err(self.diag_at("P003", header_span, format!("{what} terminated by {e:?}")))
+            }
         }
     }
 
     /// Subscript list allowing `*`: returns None for starred positions.
     fn star_subs(&mut self) -> PResult<Vec<Option<Expr>>> {
-        let mut subs = Vec::new();
-        loop {
-            if self.eat_punct("*") {
-                subs.push(None);
+        self.comma_list(|p| {
+            Ok(if p.eat_punct("*") {
+                None
             } else {
-                subs.push(Some(self.expr()?));
-            }
-            if !self.eat_punct(",") {
-                break;
-            }
-        }
-        Ok(subs)
+                Some(p.expr()?)
+            })
+        })
     }
 
     fn if_stmt(&mut self, labels: &[u32]) -> PResult<Stmt> {
@@ -668,49 +600,38 @@ impl Parser<'_> {
         let cond = self.expr()?;
         self.expect_punct(")")?;
         let header_span = kw_span.join(self.prev_span());
-        if self.eat_ident("then") {
+        let (then_body, else_body, span) = if self.eat_ident("then") {
             self.expect_eol()?;
             let (then_body, end) = self.block(labels)?;
-            match end {
-                BlockEnd::Endif => Ok(Stmt {
-                    kind: StmtKind::If {
-                        cond,
-                        then_body,
-                        else_body: vec![],
-                    },
-                    span: header_span,
-                }),
+            let else_body = match end {
+                BlockEnd::Endif => vec![],
                 BlockEnd::Else => {
                     let (else_body, end2) = self.block(labels)?;
                     if end2 != BlockEnd::Endif {
                         return self.err("else block must end with endif");
                     }
-                    Ok(Stmt {
-                        kind: StmtKind::If {
-                            cond,
-                            then_body,
-                            else_body,
-                        },
-                        span: header_span,
-                    })
+                    else_body
                 }
                 e => {
-                    Err(self.diag_at("P003", header_span, format!("if block terminated by {e:?}")))
+                    let msg = format!("if block terminated by {e:?}");
+                    return Err(self.diag_at("P003", header_span, msg));
                 }
-            }
+            };
+            (then_body, else_body, header_span)
         } else {
             // One-armed logical if: `if (c) stmt`.
             let st = self.statement(labels)?;
             let span = header_span.join(st.span);
-            Ok(Stmt {
-                kind: StmtKind::If {
-                    cond,
-                    then_body: vec![st],
-                    else_body: vec![],
-                },
-                span,
-            })
-        }
+            (vec![st], vec![], span)
+        };
+        Ok(Stmt {
+            kind: StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            },
+            span,
+        })
     }
 
     fn call_stmt(&mut self) -> PResult<Stmt> {
@@ -719,28 +640,7 @@ impl Parser<'_> {
         let name_span = self.span();
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
-        let mut args = Vec::new();
-        let mut on = None;
-        if !self.eat_punct(")") {
-            loop {
-                if self.eat_punct(";") {
-                    on = Some(self.proc_expr()?);
-                    self.expect_punct(")")?;
-                    break;
-                }
-                args.push(self.call_arg()?);
-                if self.eat_punct(",") {
-                    continue;
-                }
-                if self.eat_punct(";") {
-                    on = Some(self.proc_expr()?);
-                    self.expect_punct(")")?;
-                    break;
-                }
-                self.expect_punct(")")?;
-                break;
-            }
-        }
+        let (args, on) = self.list_and_tail(Self::call_arg, Self::proc_expr)?;
         let span = kw_span.join(self.prev_span());
         self.expect_eol()?;
         Ok(Stmt {
@@ -776,37 +676,31 @@ impl Parser<'_> {
     /// One call argument: a section if any subscript is `*` or a range.
     fn call_arg(&mut self) -> PResult<Arg> {
         // Lookahead: IDENT "(" ... with a top-level ":" or "*" inside.
-        if let Tok::Ident(name) = self.peek().clone() {
-            if matches!(self.peek2(), Tok::Punct("(")) && self.probe_section() {
-                let name_span = self.span();
-                self.bump(); // name
-                self.bump(); // (
-                let mut subs = Vec::new();
-                loop {
-                    if self.eat_punct("*") {
-                        subs.push(Section::All);
-                    } else {
-                        let e1 = self.expr()?;
-                        if self.eat_punct(":") {
-                            let e2 = self.expr()?;
-                            subs.push(Section::Range(e1, e2));
-                        } else {
-                            subs.push(Section::Index(e1));
-                        }
-                    }
-                    if !self.eat_punct(",") {
-                        break;
-                    }
-                }
-                self.expect_punct(")")?;
-                return Ok(Arg::Section {
-                    name,
-                    name_span,
-                    subs,
-                });
-            }
+        let ident_paren =
+            matches!(self.peek(), Tok::Ident(_)) && matches!(self.peek2(), Tok::Punct("("));
+        if !(ident_paren && self.probe_section()) {
+            return Ok(Arg::Expr(self.expr()?));
         }
-        Ok(Arg::Expr(self.expr()?))
+        let name_span = self.span();
+        let name = self.expect_ident()?;
+        self.bump(); // (
+        let subs = self.comma_list(|p| {
+            if p.eat_punct("*") {
+                return Ok(Section::All);
+            }
+            let e1 = p.expr()?;
+            Ok(if p.eat_punct(":") {
+                Section::Range(e1, p.expr()?)
+            } else {
+                Section::Index(e1)
+            })
+        })?;
+        self.expect_punct(")")?;
+        Ok(Arg::Section {
+            name,
+            name_span,
+            subs,
+        })
     }
 
     /// Does the parenthesized group starting at peek2 contain a top-level
@@ -981,16 +875,8 @@ impl Parser<'_> {
                 if self.eat_punct("(") {
                     let mut args = Vec::new();
                     if !self.eat_punct(")") {
-                        loop {
-                            if self.eat_punct("*") {
-                                args.push(RefArg::Star);
-                            } else {
-                                args.push(RefArg::Expr(self.expr()?));
-                            }
-                            if !self.eat_punct(",") {
-                                break;
-                            }
-                        }
+                        let subs = self.star_subs()?.into_iter();
+                        args = subs.map(|s| s.map_or(RefArg::Star, RefArg::Expr)).collect();
                         self.expect_punct(")")?;
                     }
                     Ok(Expr::new(

@@ -1,9 +1,12 @@
-//! Name resolution: the pass between [`crate::parse`] and the
-//! interpreter.
+//! Name resolution: the last step of [`crate::parse`].
 //!
-//! [`resolve`] gives every subroutine a symbol table — one frame *slot*
-//! per distinct name — and rebuilds its declarations and body as nodes
-//! that carry slots instead of strings, so the interpreter indexes a flat
+//! Every subroutine gets a symbol table — one frame *slot* per distinct
+//! name — and its declarations and body are rebuilt as nodes that carry
+//! slots instead of strings. This resolved tree is what every later stage
+//! reads: the analyzer ([`crate::analyze`]) indexes what the declarations
+//! make of each slot ([`Declared`]) instead of looking names up, the
+//! static communication plans ([`crate::comm_plans`]) are fields of the
+//! `doall` nodes ([`RDoall::plan`]), and the interpreter indexes a flat
 //! frame and never hashes or compares a name while a program runs.
 //! Everything else that is a pure function of the program text is
 //! computed here once, rather than per trip or per element: the flop
@@ -14,12 +17,13 @@
 //! whether its schedule can be cached at all). The one question left to
 //! run time is which names are *bound to arrays* in the frame at hand;
 //! [`sched_names`] answers the schedule-relevance scan under such a
-//! classification.
+//! classification. The nodes diagnostics point at carry their source
+//! spans.
 //!
-//! The AST, the parser and the analyzer know nothing of this module: the
-//! resolved tree is a separate structure owned by the run.
+//! Resolution is total: every program that parses resolves. A name that
+//! denotes nothing still gets a slot; the analyzer reports it, and the
+//! interpreter rejects it if it executes.
 
-use crate::analysis::StaticCommPlan;
 use crate::ast::*;
 use crate::diag::Span;
 use crate::value::Value;
@@ -27,6 +31,18 @@ use crate::value::Value;
 /// Index of a name in its subroutine's symbol table, and of its binding
 /// in every frame of that subroutine.
 pub(crate) type Slot = usize;
+
+/// The source span of a resolved node. Spans never make two nodes differ:
+/// resolved trees compare by structure, so two declarations with the same
+/// bounds are equal wherever they are written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct At(pub Span);
+
+impl PartialEq for At {
+    fn eq(&self, _: &At) -> bool {
+        true
+    }
+}
 
 /// Functions legal in expression position.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +57,31 @@ pub(crate) enum Intrinsic {
     Upper,
 }
 
+impl Intrinsic {
+    fn of(name: &str) -> Option<Intrinsic> {
+        Some(match name {
+            "log2" => Intrinsic::Log2,
+            "mod" => Intrinsic::Mod,
+            "abs" => Intrinsic::Abs,
+            "sqrt" => Intrinsic::Sqrt,
+            "min" => Intrinsic::Min,
+            "max" => Intrinsic::Max,
+            "lower" => Intrinsic::Lower,
+            "upper" => Intrinsic::Upper,
+            _ => return None,
+        })
+    }
+
+    /// The fewest and the most arguments a reference takes.
+    pub(crate) fn arity(self) -> (usize, usize) {
+        match self {
+            Intrinsic::Log2 | Intrinsic::Abs | Intrinsic::Sqrt => (1, 1),
+            Intrinsic::Mod | Intrinsic::Min | Intrinsic::Max => (2, 2),
+            Intrinsic::Lower | Intrinsic::Upper => (2, 3),
+        }
+    }
+}
+
 /// Built-in sequential kernels callable as statements.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Builtin {
@@ -51,12 +92,8 @@ pub(crate) enum Builtin {
 
 impl Builtin {
     fn of(name: &str) -> Option<Builtin> {
-        match name {
-            "reduce" => Some(Builtin::Reduce),
-            "seqtri" => Some(Builtin::Seqtri),
-            "spmv" => Some(Builtin::Spmv),
-            _ => None,
-        }
+        let all = [Builtin::Reduce, Builtin::Seqtri, Builtin::Spmv];
+        all.into_iter().find(|b| b.name() == name)
     }
 
     pub(crate) fn name(self) -> &'static str {
@@ -66,77 +103,89 @@ impl Builtin {
             Builtin::Spmv => "spmv",
         }
     }
+
+    /// The number of arguments a call takes.
+    pub(crate) fn arity(self) -> usize {
+        match self {
+            Builtin::Reduce => 5,
+            Builtin::Seqtri => 6,
+            Builtin::Spmv => 4,
+        }
+    }
 }
 
-fn intrinsic_of(name: &str) -> Option<Intrinsic> {
-    Some(match name {
-        "log2" => Intrinsic::Log2,
-        "mod" => Intrinsic::Mod,
-        "abs" => Intrinsic::Abs,
-        "sqrt" => Intrinsic::Sqrt,
-        "min" => Intrinsic::Min,
-        "max" => Intrinsic::Max,
-        "lower" => Intrinsic::Lower,
-        "upper" => Intrinsic::Upper,
-        _ => return None,
-    })
-}
-
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum RExpr {
-    Const(Value),
-    Var(Slot),
-    Un(UnOp, Box<RExpr>),
-    Bin(BinOp, Box<RExpr>, Box<RExpr>),
+    Const(Value, At),
+    Var(Slot, At),
+    Un(UnOp, Box<RExpr>, At),
+    Bin(BinOp, Box<RExpr>, Box<RExpr>, At),
     /// `name(args)`: an array element when the slot is bound to an array,
     /// otherwise the intrinsic the name denotes (if any). `None` args are
     /// `*`.
-    Ref(Slot, Option<Intrinsic>, Vec<Option<RExpr>>),
+    Ref(Slot, Option<Intrinsic>, Vec<Option<RExpr>>, At),
 }
 
+impl RExpr {
+    pub(crate) fn span(&self) -> Span {
+        match self {
+            RExpr::Const(_, at)
+            | RExpr::Var(_, at)
+            | RExpr::Un(.., at)
+            | RExpr::Bin(.., at)
+            | RExpr::Ref(.., at) => at.0,
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
 pub(crate) enum RSection {
     Index(RExpr),
     Range(RExpr, RExpr),
     All,
 }
 
+#[derive(Debug, Clone)]
 pub(crate) enum RArg {
     Expr(RExpr),
-    Section(Slot, Vec<RSection>),
+    /// A section of the array in the slot, spanning the array's name.
+    Section(Slot, Vec<RSection>, At),
 }
 
-/// Processor expressions; `None` subscripts are `*`.
+/// Processor expressions — and the `on` clause of a `doall`, where
+/// `Owner` is `on owner(a(...))`. `None` subscripts are `*`.
+#[derive(Debug, Clone)]
 pub(crate) enum RProcExpr {
     Whole(Slot),
     Select(Slot, Vec<Option<RExpr>>),
     Owner(Slot, Vec<Option<RExpr>>),
 }
 
-pub(crate) enum ROn {
-    Owner(Slot, Vec<Option<RExpr>>),
-    Procs(RProcExpr),
-}
-
+#[derive(Debug, Clone)]
 pub(crate) enum Callee {
     Builtin(Builtin),
-    /// Index into [`Resolved::subs`].
+    /// Index into the program's resolved subroutines.
     Sub(usize),
     /// No such subroutine (an error when the call executes).
     Unknown(String),
 }
 
+#[derive(Debug, Clone)]
 pub(crate) enum RStmt {
     /// `flops` is the right-hand side's static operation count, charged
-    /// per execution.
+    /// per execution; `at` spans the assignment target.
     AssignScalar {
         slot: Slot,
         rhs: RExpr,
         flops: f64,
+        at: At,
     },
     AssignElement {
         slot: Slot,
         subs: Vec<RExpr>,
         rhs: RExpr,
         flops: f64,
+        at: At,
     },
     Do {
         var: Slot,
@@ -146,9 +195,23 @@ pub(crate) enum RStmt {
         body: Vec<RStmt>,
     },
     Doall(RDoall),
-    Distribute(Slot, Vec<DistDim>),
+    /// `at` spans the statement, `name_at` the array's name.
+    Distribute {
+        slot: Slot,
+        dist: Vec<DistDim>,
+        at: At,
+        name_at: At,
+    },
     If(RExpr, Vec<RStmt>, Vec<RStmt>),
-    Call(Callee, Vec<RArg>, Option<RProcExpr>),
+    /// `at` spans the callee's name; `parallel` says the name is a
+    /// parallel subroutine's, which makes the call a collective.
+    Call {
+        callee: Callee,
+        args: Vec<RArg>,
+        on: Option<RProcExpr>,
+        at: At,
+        parallel: bool,
+    },
     Return,
 }
 
@@ -160,6 +223,7 @@ pub(crate) enum RStmt {
 /// their first argument (bounds, distribution, view — all of which the
 /// cache key captures), so that argument is exempt unless the name turns
 /// out to be bound to an array.
+#[derive(Debug, Clone)]
 pub(crate) struct Occurrence {
     slot: Slot,
     base: Base,
@@ -170,9 +234,10 @@ pub(crate) struct Occurrence {
 
 /// Where an [`Occurrence`]'s statement places it before any enclosing
 /// reference is looked at.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum Base {
     /// A subscript, branch condition, `do` bound or builtin argument.
+    #[default]
     Always,
     /// The value assigned to an array element.
     Never,
@@ -181,6 +246,7 @@ enum Base {
 }
 
 /// A name the doall body reads (see [`RDoall::reads`]).
+#[derive(Debug, Clone)]
 pub(crate) struct ReadName {
     pub slot: Slot,
     /// First appearance, for the unbound-name diagnostic.
@@ -192,11 +258,14 @@ pub(crate) struct ReadName {
 }
 
 /// One `doall` site with what its text alone determines.
+#[derive(Debug, Clone)]
 pub(crate) struct RDoall {
     pub site: usize,
+    /// The header line.
+    pub at: At,
     pub vars: Vec<Slot>,
     pub ranges: Vec<(RExpr, RExpr, Option<RExpr>)>,
-    pub on: ROn,
+    pub on: RProcExpr,
     pub body: Vec<RStmt>,
     /// The body calls a parallel subroutine: team-call mode (Listing 7).
     pub team_call: bool,
@@ -211,14 +280,40 @@ pub(crate) struct RDoall {
     /// No user-subroutine call, nested `doall` or `distribute` in the
     /// body: a local key can prove the schedule reusable.
     pub cacheable: bool,
+    /// The static communication plan: every element read of one
+    /// iteration, in evaluation order, as (array, subscripts). Present
+    /// for a `doall` outside any other whose body is only element
+    /// assignments to declared arrays with no array read inside a
+    /// subscript — the affine-stencil class, whose communication the text
+    /// alone fixes.
+    pub plan: Option<Vec<(Slot, Vec<RExpr>)>>,
 }
 
+#[derive(Debug, Clone)]
 pub(crate) enum RDecl {
     Processors(Slot, Vec<RExpr>),
-    /// `(is_real, items as (name, bounds), dist clause)`.
-    Arrays(bool, Vec<(Slot, Vec<(RExpr, RExpr)>)>, Option<Vec<DistDim>>),
+    /// One item of a type declaration: an array when it has bounds (under
+    /// its declaration's `dist` clause), a scalar when it has none.
+    Item {
+        slot: Slot,
+        is_real: bool,
+        bounds: Vec<(RExpr, RExpr)>,
+        dist: Option<Vec<DistDim>>,
+    },
 }
 
+/// What a subroutine's declarations make of one slot.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Declared {
+    /// An array: the index in [`RSub::decls`] of the last item that gave
+    /// it bounds.
+    pub array: Option<usize>,
+    /// A processor array, with its declared rank (`0` for the processor
+    /// parameter while no `processors` declaration names it).
+    pub procs: Option<usize>,
+}
+
+#[derive(Debug, Clone)]
 pub(crate) struct RSub {
     pub name: String,
     pub parallel: bool,
@@ -227,57 +322,47 @@ pub(crate) struct RSub {
     /// The symbol table: slot → name.
     pub names: Vec<String>,
     pub decls: Vec<RDecl>,
+    /// Slot → what the declarations make of it.
+    pub declared: Vec<Declared>,
     pub body: Vec<RStmt>,
 }
 
-/// A program ready to run: [`resolve`]'s output.
-pub struct Resolved {
-    /// The source text, for rendering span diagnostics at run time.
-    pub(crate) src: String,
-    pub(crate) subs: Vec<RSub>,
-}
-
-impl Resolved {
-    pub(crate) fn find(&self, name: &str) -> Option<usize> {
-        self.subs.iter().position(|s| s.name == name)
-    }
-
-    /// A compile-time plan's reads on this program's slots, or `None`
-    /// when the plan names something its subroutine never mentions (the
-    /// site then stays with the inspector).
-    pub(crate) fn plan_reads(&self, plan: &StaticCommPlan) -> Option<Vec<(Slot, Vec<RExpr>)>> {
-        let sub = &self.subs[self.find(&plan.subroutine)?];
-        let mut r = Resolver::new(sub.names.clone());
-        let subs = |r: &mut Resolver, subs: &[Expr]| subs.iter().map(|e| r.expr(e, Off)).collect();
-        let reads = plan.reads.iter();
-        let reads = reads.map(|read| (r.slot(&read.name), subs(&mut r, &read.subs)));
-        let reads = reads.collect();
-        (r.names.len() == sub.names.len()).then_some(reads)
+impl RSub {
+    /// The bounds and `dist` clause of the declaration that makes `slot`
+    /// an array.
+    pub(crate) fn array(&self, slot: Slot) -> Option<(&[(RExpr, RExpr)], Option<&[DistDim]>)> {
+        match &self.decls[self.declared[slot].array?] {
+            RDecl::Item { bounds, dist, .. } => Some((bounds, dist.as_deref())),
+            RDecl::Processors(..) => None,
+        }
     }
 }
 
-/// Resolve every subroutine of `prog`.
-pub fn resolve(prog: &Program) -> Resolved {
-    let subs = prog.subs.iter().map(|sub| {
-        let mut r = Resolver::new(Vec::new());
+/// Resolve the subroutines of a parse, index for index.
+pub(crate) fn resolve(subs: &[Subroutine]) -> Vec<RSub> {
+    let resolved = subs.iter().map(|sub| {
+        let mut r = Resolver::default();
         let params = sub.params.iter().map(|p| r.slot(p)).collect();
         let proc_param = sub.proc_param.as_ref().map(|p| r.slot(p));
-        let decls = sub.decls.iter().map(|d| r.decl(d)).collect();
-        let body = r.stmts(prog, &sub.body);
+        if let Some(pp) = proc_param {
+            r.declared[pp].procs = Some(0);
+        }
+        for d in &sub.decls {
+            r.decl(d);
+        }
+        let body = r.stmts(subs, &sub.body);
         RSub {
             name: sub.name.clone(),
             parallel: sub.parallel,
             params,
             proc_param,
             names: r.names,
-            decls,
+            decls: r.decls,
+            declared: r.declared,
             body,
         }
     });
-    Resolved {
-        src: prog.src.clone(),
-        subs: subs.collect(),
-    }
+    resolved.collect()
 }
 
 /// What a doall body's text says about it (the fields of [`RDoall`]),
@@ -311,10 +396,15 @@ fn push_new(list: &mut Vec<Slot>, s: Slot) {
     }
 }
 
-/// One subroutine's resolution: its symbol table under construction and
-/// the facts of the doall bodies now open, innermost last.
+/// One subroutine's resolution: its symbol table and declarations under
+/// construction and the facts of the doall bodies now open, innermost
+/// last.
+#[derive(Default)]
 struct Resolver {
     names: Vec<String>,
+    decls: Vec<RDecl>,
+    /// Slot → what the declarations so far make of it.
+    declared: Vec<Declared>,
     open: Vec<Facts>,
     /// Placement of the expression being resolved ([`Occurrence`]).
     base: Base,
@@ -322,21 +412,17 @@ struct Resolver {
 }
 
 impl Resolver {
-    fn new(names: Vec<String>) -> Self {
-        Resolver {
-            names,
-            open: Vec::new(),
-            base: Base::Always,
-            path: Vec::new(),
-        }
-    }
-
     fn slot(&mut self, name: &str) -> Slot {
         let known = self.names.iter().position(|n| n == name);
         known.unwrap_or_else(|| {
             self.names.push(name.to_string());
+            self.declared.push(Declared::default());
             self.names.len() - 1
         })
+    }
+
+    fn is_array(&self, slot: Slot) -> bool {
+        self.declared[slot].array.is_some()
     }
 
     /// The slot of a name occurring at `span`, noted as `note` says.
@@ -381,23 +467,25 @@ impl Resolver {
     }
 
     fn expr(&mut self, e: &Expr, note: Note) -> RExpr {
+        let at = At(e.span);
         match &e.kind {
-            ExprKind::Int(v) => RExpr::Const(Value::Int(*v)),
-            ExprKind::Real(v) => RExpr::Const(Value::Real(*v)),
+            ExprKind::Int(v) => RExpr::Const(Value::Int(*v), at),
+            ExprKind::Real(v) => RExpr::Const(Value::Real(*v), at),
             ExprKind::Var(n) => {
                 let slot = self.noted(n, e.span, note);
-                RExpr::Var(self.placed(slot, note))
+                RExpr::Var(self.placed(slot, note), at)
             }
-            ExprKind::Un { op, e } => RExpr::Un(*op, Box::new(self.expr(e, note))),
+            ExprKind::Un { op, e } => RExpr::Un(*op, Box::new(self.expr(e, note)), at),
             ExprKind::Bin { op, l, r } => RExpr::Bin(
                 *op,
                 Box::new(self.expr(l, note)),
                 Box::new(self.expr(r, note)),
+                at,
             ),
             ExprKind::Ref { name, args } => {
                 let slot = self.noted(name, e.span, note);
                 self.placed(slot, note);
-                let intrinsic = intrinsic_of(name);
+                let intrinsic = Intrinsic::of(name);
                 let bound = matches!(intrinsic, Some(Intrinsic::Lower | Intrinsic::Upper));
                 let args = args.iter().enumerate().map(|(k, a)| match a {
                     RefArg::Expr(e) => {
@@ -408,7 +496,7 @@ impl Resolver {
                     }
                     RefArg::Star => None,
                 });
-                RExpr::Ref(slot, intrinsic, args.collect())
+                RExpr::Ref(slot, intrinsic, args.collect(), at)
             }
         }
     }
@@ -430,11 +518,15 @@ impl Resolver {
         }
     }
 
-    fn decl(&mut self, d: &Decl) -> RDecl {
+    /// Resolve a declaration into [`Resolver::decls`], noting what it
+    /// makes of its names.
+    fn decl(&mut self, d: &Decl) {
         match d {
             Decl::Processors { name, extents, .. } => {
-                let extents = extents.iter().map(|e| self.expr(e, Off)).collect();
-                RDecl::Processors(self.slot(name), extents)
+                let extents: Vec<_> = extents.iter().map(|e| self.expr(e, Off)).collect();
+                let slot = self.slot(name);
+                self.declared[slot].procs = Some(extents.len());
+                self.decls.push(RDecl::Processors(slot, extents));
             }
             Decl::Arrays {
                 is_real,
@@ -442,22 +534,31 @@ impl Resolver {
                 dist,
                 ..
             } => {
-                let items = items.iter().map(|it| {
+                for it in items {
                     let slot = self.slot(&it.name);
                     let dims = it.dims.iter();
-                    let dims = dims.map(|(lo, hi)| (self.expr(lo, Off), self.expr(hi, Off)));
-                    (slot, dims.collect())
-                });
-                RDecl::Arrays(*is_real, items.collect(), dist.clone())
+                    let bounds: Vec<_> = dims
+                        .map(|(lo, hi)| (self.expr(lo, Off), self.expr(hi, Off)))
+                        .collect();
+                    if !bounds.is_empty() {
+                        self.declared[slot].array = Some(self.decls.len());
+                    }
+                    self.decls.push(RDecl::Item {
+                        slot,
+                        is_real: *is_real,
+                        bounds,
+                        dist: dist.clone(),
+                    });
+                }
             }
         }
     }
 
-    fn stmts(&mut self, prog: &Program, body: &[Stmt]) -> Vec<RStmt> {
+    fn stmts(&mut self, prog: &[Subroutine], body: &[Stmt]) -> Vec<RStmt> {
         body.iter().map(|s| self.stmt(prog, s)).collect()
     }
 
-    fn stmt(&mut self, prog: &Program, s: &Stmt) -> RStmt {
+    fn stmt(&mut self, prog: &[Subroutine], s: &Stmt) -> RStmt {
         match &s.kind {
             StmtKind::Assign { lhs, rhs } => {
                 let flops = rhs.flop_count();
@@ -470,13 +571,20 @@ impl Resolver {
                 };
                 let rhs = self.expr(rhs, Keyed);
                 self.base = Base::Always;
+                let at = At(lhs.span);
                 match &lhs.kind {
-                    LValueKind::Scalar(_) => RStmt::AssignScalar { slot, rhs, flops },
+                    LValueKind::Scalar(_) => RStmt::AssignScalar {
+                        slot,
+                        rhs,
+                        flops,
+                        at,
+                    },
                     LValueKind::Element { subs, .. } => RStmt::AssignElement {
                         slot,
                         subs: subs.iter().map(|e| self.expr(e, Keyed)).collect(),
                         rhs,
                         flops,
+                        at,
                     },
                 }
             }
@@ -512,17 +620,33 @@ impl Resolver {
             }
             StmtKind::Return => RStmt::Return,
             // `distribute` rewrites ownership — never cache around it.
-            StmtKind::Distribute { name, dist, .. } => {
+            StmtKind::Distribute {
+                name,
+                name_span,
+                dist,
+            } => {
                 if let Some(f) = self.open.last_mut() {
                     f.uncacheable = true;
                 }
-                RStmt::Distribute(self.slot(name), dist.clone())
+                RStmt::Distribute {
+                    slot: self.slot(name),
+                    dist: dist.clone(),
+                    at: At(s.span),
+                    name_at: At(*name_span),
+                }
             }
-            StmtKind::Call { name, args, on, .. } => {
+            StmtKind::Call {
+                name,
+                name_span,
+                args,
+                on,
+            } => {
                 let builtin = Builtin::of(name);
+                let sub = prog.iter().position(|s| s.name == *name);
+                let parallel = sub.is_some_and(|k| prog[k].parallel);
                 if let Some(f) = self.open.last_mut() {
                     f.uncacheable |= builtin.is_none();
-                    f.team_call |= prog.find(name).is_some_and(|s| s.parallel);
+                    f.team_call |= parallel;
                 }
                 // Builtin section arguments are reads of the named array;
                 // the gathered operand of `spmv` in particular must enter
@@ -555,16 +679,22 @@ impl Resolver {
                             ),
                             Section::All => RSection::All,
                         });
-                        RArg::Section(slot, subs.collect())
+                        RArg::Section(slot, subs.collect(), At(*name_span))
                     }
                 });
                 let args = args.collect();
-                let callee = match (builtin, prog.subs.iter().position(|s| s.name == *name)) {
+                let callee = match (builtin, sub) {
                     (Some(b), _) => Callee::Builtin(b),
                     (None, Some(k)) => Callee::Sub(k),
                     (None, None) => Callee::Unknown(name.clone()),
                 };
-                RStmt::Call(callee, args, on.as_ref().map(|pe| self.proc_expr(pe)))
+                RStmt::Call {
+                    callee,
+                    args,
+                    on: on.as_ref().map(|pe| self.proc_expr(pe)),
+                    at: At(*name_span),
+                    parallel,
+                }
             }
             StmtKind::Doall {
                 site,
@@ -581,10 +711,11 @@ impl Resolver {
                 let ranges = ranges.collect();
                 let on = match on {
                     OnClause::Owner { array, subs } => {
-                        ROn::Owner(self.slot(array), self.starred(subs))
+                        RProcExpr::Owner(self.slot(array), self.starred(subs))
                     }
-                    OnClause::Procs(pe) => ROn::Procs(self.proc_expr(pe)),
+                    OnClause::Procs(pe) => self.proc_expr(pe),
                 };
+                let nested = !self.open.is_empty();
                 self.open.push(Facts::default());
                 let body = self.stmts(prog, body);
                 let mut f = self.open.pop().expect("pushed above");
@@ -599,14 +730,16 @@ impl Resolver {
                 let reads = f.reads.iter().map(|&(slot, span)| ReadName {
                     slot,
                     span,
-                    may_be_unbound: intrinsic_of(&self.names[slot]).is_some()
+                    may_be_unbound: Intrinsic::of(&self.names[slot]).is_some()
                         || Builtin::of(&self.names[slot]).is_some()
                         || vars.contains(&slot)
                         || f.defines.contains(&slot),
                 });
                 RStmt::Doall(RDoall {
                     site: *site,
+                    at: At(s.span),
                     reads: reads.collect(),
+                    plan: if nested { None } else { self.plan(&body) },
                     vars,
                     ranges,
                     on,
@@ -619,6 +752,122 @@ impl Resolver {
             }
         }
     }
+
+    /// A doall body's [`RDoall::plan`], if it has one. The interpreter
+    /// evaluates a right-hand side before the target's subscripts, and
+    /// those are required free of array reads: the right-hand sides'
+    /// element references, in order, are every read.
+    fn plan(&self, body: &[RStmt]) -> Option<Vec<(Slot, Vec<RExpr>)>> {
+        let scalar_pure =
+            |e: &RExpr| !any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))));
+        let mut reads = Vec::new();
+        for s in body {
+            let RStmt::AssignElement {
+                slot, subs, rhs, ..
+            } = s
+            else {
+                return None;
+            };
+            if !self.is_array(*slot) || !subs.iter().all(scalar_pure) {
+                return None;
+            }
+            let outside = any_expr(rhs, &mut |n| {
+                let Node::Expr(RExpr::Ref(slot, _, args, _)) = n else {
+                    return false;
+                };
+                // An intrinsic or unknown name may hide reads in its value.
+                let pure = args.iter().all(|a| a.as_ref().is_some_and(scalar_pure));
+                if !self.is_array(*slot) || !pure {
+                    return true;
+                }
+                reads.push((*slot, args.iter().flatten().cloned().collect()));
+                false
+            });
+            if outside {
+                return None;
+            }
+        }
+        Some(reads)
+    }
+}
+
+/// A node of a resolved body, as [`any_stmt`] and [`any_expr`] visit it.
+pub(crate) enum Node<'a> {
+    Stmt(&'a RStmt),
+    Expr(&'a RExpr),
+    /// A use of a name: a variable, the head of a reference, an
+    /// assignment target, a `distribute`d or sectioned array, the head of
+    /// a processor expression or `on` clause. Loop variables and callees
+    /// are not uses.
+    Name(Slot),
+}
+
+/// Does `f` hold for some node of `body`? Statements are visited before
+/// their parts, expressions before their operands, left to right — for
+/// a right-hand side that is evaluation order.
+pub(crate) fn any_stmt<F: FnMut(Node) -> bool>(body: &[RStmt], f: &mut F) -> bool {
+    let opt = |e: &Option<RExpr>, f: &mut F| e.as_ref().is_some_and(|e| any_expr(e, f));
+    body.iter().any(|s| {
+        f(Node::Stmt(s))
+            || match s {
+                RStmt::AssignScalar { slot, rhs, .. } => f(Node::Name(*slot)) || any_expr(rhs, f),
+                RStmt::AssignElement {
+                    slot, subs, rhs, ..
+                } => {
+                    f(Node::Name(*slot)) || any_expr(rhs, f) || subs.iter().any(|e| any_expr(e, f))
+                }
+                RStmt::Do {
+                    lo, hi, step, body, ..
+                } => any_expr(lo, f) || any_expr(hi, f) || opt(step, f) || any_stmt(body, f),
+                RStmt::Doall(d) => {
+                    let mut ranges = d.ranges.iter();
+                    ranges.any(|(lo, hi, st)| any_expr(lo, f) || any_expr(hi, f) || opt(st, f))
+                        || any_proc(&d.on, f)
+                        || any_stmt(&d.body, f)
+                }
+                RStmt::Distribute { slot, .. } => f(Node::Name(*slot)),
+                RStmt::If(cond, then_body, else_body) => {
+                    any_expr(cond, f) || any_stmt(then_body, f) || any_stmt(else_body, f)
+                }
+                RStmt::Call { args, on, .. } => {
+                    args.iter().any(|a| match a {
+                        RArg::Expr(e) => any_expr(e, f),
+                        RArg::Section(slot, secs, _) => {
+                            f(Node::Name(*slot))
+                                || secs.iter().any(|sec| match sec {
+                                    RSection::Index(e) => any_expr(e, f),
+                                    RSection::Range(a, b) => any_expr(a, f) || any_expr(b, f),
+                                    RSection::All => false,
+                                })
+                        }
+                    }) || on.as_ref().is_some_and(|pe| any_proc(pe, f))
+                }
+                RStmt::Return => false,
+            }
+    })
+}
+
+fn any_proc<F: FnMut(Node) -> bool>(pe: &RProcExpr, f: &mut F) -> bool {
+    match pe {
+        RProcExpr::Whole(slot) => f(Node::Name(*slot)),
+        RProcExpr::Select(slot, subs) | RProcExpr::Owner(slot, subs) => {
+            f(Node::Name(*slot)) || subs.iter().flatten().any(|e| any_expr(e, f))
+        }
+    }
+}
+
+/// [`any_stmt`] over one expression.
+pub(crate) fn any_expr<F: FnMut(Node) -> bool>(e: &RExpr, f: &mut F) -> bool {
+    f(Node::Expr(e))
+        || match e {
+            RExpr::Const(..) => false,
+            RExpr::Var(slot, _) => f(Node::Name(*slot)),
+            RExpr::Un(_, e, _) => any_expr(e, f),
+            RExpr::Bin(_, l, r, _) => any_expr(l, f) || any_expr(r, f),
+            RExpr::Ref(slot, _, args, _) => {
+                f(Node::Name(*slot)) || args.iter().flatten().any(|a| any_expr(a, f))
+            }
+        }
 }
 
 /// The names of a doall body in schedule-relevant positions —
@@ -653,16 +902,16 @@ pub(crate) fn sched_names(d: &RDoall, is_array: impl Fn(Slot) -> bool) -> Vec<Sl
 mod tests {
     use super::*;
 
-    /// The first doall of `src`'s first subroutine, with its symbol table.
-    fn first_doall(code: &Resolved) -> (&RDoall, &[String]) {
-        let sub = &code.subs[0];
+    /// The first doall of a program's first subroutine, with its symbol
+    /// table.
+    fn first_doall(prog: &Program) -> (&RDoall, &[String]) {
+        let sub = &prog.code[0];
         let doall = sub.body.iter().find_map(|s| match s {
             RStmt::Doall(d) => Some(d),
             _ => None,
         });
         (doall.expect("a doall"), &sub.names)
     }
-
     fn sorted_names(slots: &[Slot], names: &[String]) -> Vec<String> {
         let mut out: Vec<String> = slots.iter().map(|&s| names[s].clone()).collect();
         out.sort();
@@ -686,8 +935,8 @@ parsub t(x, wy, f, n; procs)
 400 continue
 end
 "#;
-        let code = resolve(&crate::parse(src).unwrap());
-        let (d, names) = first_doall(&code);
+        let prog = crate::parse(src).unwrap();
+        let (d, names) = first_doall(&prog);
         assert!(d.cacheable && !d.team_call);
         let reads: Vec<_> = d.reads.iter().map(|r| names[r.slot].as_str()).collect();
         assert_eq!(
@@ -740,8 +989,8 @@ end
                  doall 100 i = 1, n on owner(a(i))\n    {stmt}\n    a(i) = k\n100 continue\nend\n\
                  parsub other(a, n; procs)\nend\nsubroutine helper(n)\nend\n"
             );
-            let code = resolve(&crate::parse(&src).unwrap());
-            let (d, names) = first_doall(&code);
+            let prog = crate::parse(&src).unwrap();
+            let (d, names) = first_doall(&prog);
             assert!(!d.cacheable, "{stmt}");
             assert_eq!(d.team_call, team_call, "{stmt}");
             // A scalar only a nested loop defines still counts as defined.

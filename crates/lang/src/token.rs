@@ -96,7 +96,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
             text.pop();
             offs.pop();
         }
-        match pending.take() {
+        let joined = match pending.take() {
             Some(mut acc) => {
                 let trimmed_len = text.trim_start().len();
                 let skip = text.len() - trimmed_len;
@@ -106,20 +106,14 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
                     acc.text.push_str(&text[skip..]);
                     acc.offs.extend_from_slice(&offs[skip..]);
                 }
-                if continued {
-                    pending = Some(acc);
-                } else {
-                    logical.push(acc);
-                }
+                acc
             }
-            None => {
-                let l = Logical { line, text, offs };
-                if continued {
-                    pending = Some(l);
-                } else {
-                    logical.push(l);
-                }
-            }
+            None => Logical { line, text, offs },
+        };
+        if continued {
+            pending = Some(joined);
+        } else {
+            logical.push(joined);
         }
     }
     if let Some(acc) = pending {
@@ -130,7 +124,8 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
     // byte-for-byte, so `offs` still lines up with `lower`.
     let mut out = Vec::new();
     for Logical { line, text, offs } in logical {
-        let lower = text.to_ascii_lowercase();
+        let mut lower = text;
+        lower.make_ascii_lowercase();
         let b = lower.as_bytes();
         let span_of =
             |start: usize, end: usize| -> Span { Span::new(offs[start], offs[end - 1] + 1) };
@@ -242,7 +237,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
                 ));
             }
             // Multi-char operators first.
-            let two = &lower[i..(i + 2).min(lower.len())];
+            let two = lower.get(i..(i + 2).min(lower.len())).unwrap_or("");
             let punct2: Option<&'static str> = match two {
                 "==" => Some("=="),
                 "/=" => Some("/="),
@@ -289,12 +284,14 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
                     first_tok = false;
                 }
                 None => {
+                    // The whole character, however many bytes it takes.
+                    let ch = lower[i..].chars().next().unwrap_or(ch);
                     return Err(Diagnostic::new(
                         "L004",
-                        span_of(i, i + 1),
+                        span_of(i, i + ch.len_utf8()),
                         format!("unexpected character {ch:?}"),
                         src,
-                    ))
+                    ));
                 }
             }
         }
@@ -454,5 +451,20 @@ mod tests {
         assert_eq!(err.code, "L004");
         assert_eq!((err.line, err.col), (2, 7));
         assert_eq!(err.span.slice("  x = 1\n  y = @"), "@");
+    }
+
+    /// A character outside ASCII is one lex error spanning all its bytes,
+    /// whatever their number — never a slice through its middle.
+    #[test]
+    fn multibyte_characters_are_lex_errors() {
+        for (src, ch) in [("x = 1 € 2", "€"), ("x = ä", "ä"), ("y = 𝑥", "𝑥")] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.code, "L004", "{src}");
+            assert_eq!(err.span.slice(src), ch);
+            assert_eq!(
+                err.message,
+                format!("unexpected character {:?}", ch.chars().next().unwrap())
+            );
+        }
     }
 }

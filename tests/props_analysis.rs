@@ -7,6 +7,7 @@
 //! are pinned here too: each must produce the diagnostic code its file
 //! name promises, with a usable span.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -198,9 +199,96 @@ end
     }
 }
 
+/// Every diagnostic of every `tests/corpus/bad` file, exactly:
+/// `(file stem, code, line, col, message)`, in report order. The table
+/// pins where each diagnostic points, not only which code it carries.
+const BAD_CORPUS: &[(&str, &str, usize, usize, &str)] = &[
+    (
+        "a001_undeclared_array",
+        "A001",
+        5,
+        12,
+        "`ghost` is not a declared array or intrinsic",
+    ),
+    (
+        "a002_bad_arity",
+        "A002",
+        4,
+        7,
+        "intrinsic `mod` takes 2 arguments, got 1",
+    ),
+    (
+        "a003_rank_mismatch",
+        "A003",
+        4,
+        7,
+        "`a` has rank 1 but is referenced with 2 subscripts",
+    ),
+    (
+        "a004_out_of_bounds",
+        "A004",
+        4,
+        9,
+        "subscript 9 of `a` is outside dimension 1's bounds 1:8",
+    ),
+    (
+        "a005_nonowned_write",
+        "A005",
+        5,
+        5,
+        "write to `a` is offset by 1 from the owner() subscript in distributed dimension 1",
+    ),
+    (
+        "a006_divergent_guard",
+        "A006",
+        4,
+        7,
+        "collective guarded by a distributed-array element read: processors \
+         disagreeing on this value diverge on the collective",
+    ),
+    (
+        "a007_dead_distribute",
+        "A007",
+        4,
+        3,
+        "dead distribute: `a` is redistributed again before any use",
+    ),
+    (
+        "l001_bad_literal",
+        "L001",
+        4,
+        7,
+        "bad real literal \"1.2e+\"",
+    ),
+    ("l002_bad_label", "L002", 4, 1, "bad label \"99999999999\""),
+    ("l004_bad_char", "L004", 4, 12, "unexpected character '@'"),
+    (
+        "p002_bad_dist",
+        "P002",
+        3,
+        19,
+        "expected block, cyclic, cyclic(k) or * in dist clause",
+    ),
+    (
+        "p003_bad_termination",
+        "P003",
+        4,
+        3,
+        "do loop terminated by End",
+    ),
+    (
+        "p004_doall_missing_on",
+        "P004",
+        4,
+        3,
+        "doall requires an `on` clause",
+    ),
+];
+
 /// Every checked-in bad-corpus program produces at least one diagnostic
 /// whose code matches the file-name prefix (`a005_...` must flag A005),
-/// carrying a non-degenerate span that renders with a caret.
+/// carrying a non-degenerate span that renders with a caret — and its
+/// whole report is exactly the one [`BAD_CORPUS`] lists.
 #[test]
 fn bad_corpus_files_flag_their_advertised_code() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/bad");
@@ -214,14 +302,22 @@ fn bad_corpus_files_flag_their_advertised_code() {
         let stem = path.file_stem().unwrap().to_str().unwrap();
         let want = stem.split('_').next().unwrap().to_uppercase();
         let src = std::fs::read_to_string(&path).unwrap();
-        let diag = match parse(&src) {
-            Err(d) => d,
+        let all = match parse(&src) {
+            Err(d) => vec![d],
             Ok(prog) => {
-                let mut ds = analyze(&prog);
+                let ds = analyze(&prog);
                 assert!(!ds.is_empty(), "{stem}: analyzer found nothing");
-                ds.remove(0)
+                ds
             }
         };
+        let got: Vec<_> = all
+            .iter()
+            .map(|d| (d.code, d.line, d.col, d.message.as_str()))
+            .collect();
+        let pinned = BAD_CORPUS.iter().filter(|row| row.0 == stem);
+        let pinned: Vec<_> = pinned.map(|&(_, c, l, col, m)| (c, l, col, m)).collect();
+        assert_eq!(got, pinned, "{stem}: report differs from the pinned table");
+        let diag = &all[0];
         assert_eq!(diag.code, want, "{stem}: flagged {} instead", diag.code);
         assert!(
             !diag.span.is_empty() || diag.span.lo > 0,
@@ -235,6 +331,69 @@ fn bad_corpus_files_flag_their_advertised_code() {
         assert!(rendered.contains('^'), "{stem}: no caret\n{rendered}");
     }
     assert!(seen >= 12, "corpus unexpectedly small: {seen} files");
+    let pinned_files: BTreeSet<_> = BAD_CORPUS.iter().map(|row| row.0).collect();
+    assert_eq!(seen, pinned_files.len(), "every corpus file is pinned");
+}
+
+/// The front-end inputs the totality property mutates: the five shipped
+/// listings and every bad-corpus file.
+fn front_end_sources() -> Vec<String> {
+    let names = ["jacobi", "shift", "tri", "adi", "spmv"];
+    let mut out: Vec<String> = names
+        .iter()
+        .map(|n| kali::lang::listing(n).unwrap().to_string())
+        .collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/bad");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("corpus directory exists")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("kf1"))
+        .collect();
+    paths.sort();
+    out.extend(paths.iter().map(|p| std::fs::read_to_string(p).unwrap()));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The front end is total: a listing or corpus file with a byte range
+    /// deleted, duplicated or swapped with its neighbour goes through
+    /// `parse` (which resolves), `analyze` and `comm_plans` to an `Ok`, an
+    /// `Err` or a report — never a panic.
+    #[test]
+    fn mutated_sources_never_panic_the_front_end(
+        which in 0usize..18,
+        op in 0usize..3,
+        at in 0.0f64..1.0,
+        len in 1usize..48,
+        len2 in 1usize..48,
+    ) {
+        let sources = front_end_sources();
+        let mut bytes = sources[which % sources.len()].clone().into_bytes();
+        let n = bytes.len();
+        let a = ((at * n as f64) as usize).min(n);
+        let b = (a + len).min(n);
+        let c = (b + len2).min(n);
+        match op {
+            0 => {
+                bytes.drain(a..b);
+            }
+            1 => {
+                let dup = bytes[a..b].to_vec();
+                bytes.splice(b..b, dup);
+            }
+            _ => bytes[a..c].rotate_left(b - a),
+        }
+        let src = String::from_utf8_lossy(&bytes).into_owned();
+        let run = std::panic::catch_unwind(|| {
+            if let Ok(prog) = parse(&src) {
+                analyze(&prog);
+                comm_plans(&prog);
+            }
+        });
+        prop_assert!(run.is_ok(), "the front end panicked on:\n{}", src);
+    }
 }
 
 /// Satellite guard for the span-threading refactor: all five shipped
