@@ -1,6 +1,6 @@
 //! The distributed array type and its local index arithmetic.
 
-use kali_grid::{DimDist, DimMap, Dist1, DistSpec, ProcGrid};
+use kali_grid::{DimDist, DimMap, Dist1, DistSpec, Layout, ProcGrid};
 
 /// Element types a distributed array can hold — re-exported from
 /// `kali-machine`, where the wire width of an element is defined next to
@@ -32,11 +32,11 @@ pub struct ReadFence {
 pub struct DistArrayN<T, const N: usize> {
     pub(crate) extents: [usize; N],
     pub(crate) dists: [Dist1; N],
-    pub(crate) spec: DistSpec,
-    pub(crate) grid: ProcGrid,
+    /// Who owns what: the distribution clause laid onto the grid.
+    pub(crate) layout: Layout,
     pub(crate) rank: usize,
-    /// Grid coordinates of this processor, if it belongs to the grid.
-    pub(crate) coords: Option<Vec<usize>>,
+    /// Does this processor belong to the grid?
+    pub(crate) member: bool,
     /// Per-dimension processor coordinate (0 for undistributed dims).
     pub(crate) qs: [usize; N],
     /// First owned global index per dimension (contiguous patterns).
@@ -83,9 +83,9 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         extents: [usize; N],
         ghost: [usize; N],
     ) -> Self {
-        assert_eq!(spec.ndims(), N, "distribution rank must match array rank");
-        let dists_v = spec.dist1s(&extents, grid);
-        let dists: [Dist1; N] = dists_v.try_into().expect("rank checked above");
+        let layout = Layout::new(spec, &extents, grid)
+            .unwrap_or_else(|e| panic!("invalid distribution: {e}"));
+        let dists: [Dist1; N] = std::array::from_fn(|d| layout.dists()[d]);
         for d in 0..N {
             if ghost[d] > 0 {
                 let ok = matches!(spec.map(d), DimMap::Local)
@@ -96,22 +96,15 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
                 );
             }
         }
-        let coords = grid.coords_of(rank);
-        let mut qs = [0usize; N];
-        let mut lo = [0usize; N];
-        let mut len = [0usize; N];
-        if let Some(c) = &coords {
+        let coords = layout.coords(rank);
+        let (member, qs) = (coords.is_some(), coords.unwrap_or([0; N]));
+        let (mut lo, mut len) = ([0; N], [0; N]);
+        if member {
             for d in 0..N {
-                let q = match spec.grid_dim_of(d) {
-                    Some(gd) => c[gd],
-                    None => 0,
-                };
-                qs[d] = q;
-                len[d] = dists[d].local_len(q);
-                lo[d] = dists[d].lower(q).unwrap_or(0);
+                lo[d] = dists[d].lower(qs[d]).unwrap_or(0);
+                len[d] = dists[d].local_len(qs[d]);
             }
         }
-        let member = coords.is_some();
         let mut stride = [0usize; N];
         let mut total = if member && len.iter().all(|&l| l > 0) {
             1
@@ -129,10 +122,9 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         DistArrayN {
             extents,
             dists,
-            spec: spec.clone(),
-            grid: grid.clone(),
+            layout,
             rank,
-            coords,
+            member,
             qs,
             lo,
             len,
@@ -266,12 +258,12 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 
     /// Does this processor belong to the grid *and* own a non-empty block?
     pub fn is_participant(&self) -> bool {
-        self.coords.is_some() && self.len.iter().all(|&l| l > 0)
+        self.member && self.len.iter().all(|&l| l > 0)
     }
 
     /// Is this processor a member of the owning grid?
     pub fn in_grid(&self) -> bool {
-        self.coords.is_some()
+        self.member
     }
 
     /// Global extents.
@@ -283,13 +275,13 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// The distribution clause.
     #[inline]
     pub fn spec(&self) -> &DistSpec {
-        &self.spec
+        self.layout.spec()
     }
 
     /// The owning processor grid.
     #[inline]
     pub fn grid(&self) -> &ProcGrid {
-        &self.grid
+        self.layout.grid()
     }
 
     /// Per-dimension index map.
@@ -306,13 +298,13 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 
     /// A zeroed array with the same grid, distribution and ghosts.
     pub fn like(&self) -> Self {
-        Self::new(self.rank, &self.grid, &self.spec, self.extents, self.ghost)
+        self.with_extents(self.extents)
     }
 
     /// A zeroed array with the same grid, distribution and ghosts but new
     /// global extents (used for multigrid coarse levels).
     pub fn with_extents(&self, extents: [usize; N]) -> Self {
-        Self::new(self.rank, &self.grid, &self.spec, extents, self.ghost)
+        Self::new(self.rank, self.grid(), self.spec(), extents, self.ghost)
     }
 
     /// Machine rank this view belongs to.
@@ -374,18 +366,12 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// coordinates, not from what I own, so a member holding nothing of a
     /// coarse level still finds its slice; `None` off the grid.
     pub fn owner_slice(&self, axes: impl IntoIterator<Item = usize>) -> Option<ProcGrid> {
-        let coords = self.coords.as_ref()?;
-        let pins: Vec<(usize, usize)> = axes
-            .into_iter()
-            .filter_map(|d| self.spec.grid_dim_of(d))
-            .map(|gd| (gd, coords[gd]))
-            .collect();
-        Some(self.grid.pin(&pins))
+        self.layout.slice_through(self.rank, axes)
     }
 
     /// Owned global indices along `d`, in local order (any pattern).
     pub fn owned_indices(&self, d: usize) -> Vec<usize> {
-        if self.coords.is_none() {
+        if !self.member {
             return vec![];
         }
         self.dists[d].owned(self.qs[d]).collect()
@@ -393,21 +379,20 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 
     /// Does this processor own global element `idx`?
     pub fn owns(&self, idx: [usize; N]) -> bool {
-        if !self.is_participant() {
-            return false;
-        }
-        (0..N).all(|d| self.dists[d].owner(idx[d]) == self.qs[d])
+        self.layout.owner(&idx) == Some(self.rank)
     }
 
     /// Machine rank of the owner of global element `idx`.
     pub fn owner_rank(&self, idx: [usize; N]) -> usize {
-        let mut gcoords = vec![0usize; self.grid.ndims()];
-        for d in 0..N {
-            if let Some(gd) = self.spec.grid_dim_of(d) {
-                gcoords[gd] = self.dists[d].owner(idx[d]);
-            }
-        }
-        self.grid.rank_at(&gcoords)
+        (self.layout.owner(&idx))
+            .unwrap_or_else(|| panic!("element {idx:?} outside {:?}", self.extents))
+    }
+
+    /// The global indices machine rank `rank`, a member of the grid, owns
+    /// along each dimension, in local order.
+    pub(crate) fn owned_lists(&self, rank: usize) -> [Vec<usize>; N] {
+        let qs = self.layout.coords::<N>(rank).expect("a grid member");
+        std::array::from_fn(|d| self.dists[d].owned(qs[d]).collect())
     }
 
     /// Storage index of an owned global element (no ghost reasoning).
@@ -493,7 +478,7 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
                  a ghost exchange or slice transfer must make it visible first",
                 self.rank,
                 idx,
-                self.spec,
+                self.spec(),
                 self.owner_rank(idx)
             )
         })
@@ -541,7 +526,8 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
             panic!(
                 "proc {}: non-local read of box {lo:?}..{hi:?} (dist {}); a ghost \
                  exchange or slice transfer must make it visible first",
-                self.rank, self.spec
+                self.rank,
+                self.spec()
             )
         };
         debug_assert_eq!(
@@ -776,7 +762,8 @@ impl<T: Elem> DistArray2<T> {
         panic!(
             "proc {}: non-local row read ({i}, {js:?}) (dist {}); a ghost \
              exchange or slice transfer must make it visible first",
-            self.rank, self.spec
+            self.rank,
+            self.spec()
         )
     }
 

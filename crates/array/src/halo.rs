@@ -255,28 +255,8 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// owning nothing can neither serve nor request a single ghost cell,
     /// and its vote is implied by the collective cache discipline.
     pub fn active_team(&self) -> Team {
-        let team = self.grid.team();
-        Team::new(
-            team.ranks()
-                .iter()
-                .copied()
-                .filter(|&r| self.rank_participates(r))
-                .collect(),
-        )
-    }
-
-    /// Does rank `r` (a grid member) own a non-empty block of this array?
-    fn rank_participates(&self, r: usize) -> bool {
-        let Some(rc) = self.grid.coords_of(r) else {
-            return false;
-        };
-        (0..N).all(|d| {
-            let qd = match self.spec.grid_dim_of(d) {
-                Some(gd) => rc[gd],
-                None => 0,
-            };
-            self.dists[d].local_len(qd) > 0
-        })
+        let ranks = self.grid().ranks().iter().copied();
+        Team::new(ranks.filter(|&r| self.layout.owns_block(r)).collect())
     }
 
     /// The halo's schedule builder (infallible, in the shape the trip
@@ -308,7 +288,7 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         ) as usize;
         HaloKey {
             site,
-            team_ranks: self.grid.team().ranks().to_vec(),
+            team_ranks: self.grid().team().ranks().to_vec(),
             extents: self.extents.to_vec(),
             dists: self.dists.to_vec(),
             ghost: self.ghost.to_vec(),
@@ -351,30 +331,21 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
                 if r == self.rank {
                     continue;
                 }
-                let Some(rc) = self.grid.coords_of(r) else {
-                    continue;
-                };
-                let mut qs = [0usize; N];
-                let mut relevant = true;
-                for d in 0..N {
-                    let qd = match self.spec.grid_dim_of(d) {
-                        Some(gd) => rc[gd],
-                        None => 0,
-                    };
-                    qs[d] = qd;
+                let qs = self
+                    .layout
+                    .coords(r)
+                    .expect("active members are grid members");
+                // Interval prefilter; non-contiguous dims (ghost width 0
+                // there) are conservatively kept.
+                let overlaps = |d: usize| {
                     let dist = self.dists[d];
-                    let len = dist.local_len(qd);
-                    relevant &= len > 0;
-                    if dist.is_contiguous() {
-                        // Interval prefilter; non-contiguous dims (ghost
-                        // width 0 there) are conservatively kept.
-                        let lo = dist.lower(qd).unwrap_or(0);
-                        let skirt_lo = lo.saturating_sub(self.ghost[d]);
-                        let skirt_hi = lo + len + self.ghost[d];
-                        relevant &= skirt_lo < self.lo[d] + self.len[d] && self.lo[d] < skirt_hi;
-                    }
-                }
-                if !relevant {
+                    let lo = dist.lower(qs[d]).unwrap_or(0);
+                    let skirt_lo = lo.saturating_sub(self.ghost[d]);
+                    let skirt_hi = lo + dist.local_len(qs[d]) + self.ghost[d];
+                    !dist.is_contiguous()
+                        || skirt_lo < self.lo[d] + self.len[d] && self.lo[d] < skirt_hi
+                };
+                if !(0..N).all(overlaps) {
                     continue;
                 }
                 cells_walked += self.walk_skirt(&qs, corners, &mut |g| {

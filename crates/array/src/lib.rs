@@ -4,7 +4,10 @@
 //! paper). Each simulated processor holds a [`DistArrayN`] value describing
 //! the *same* global array; the value stores only the locally owned block
 //! (plus ghost layers) and the index maps needed to reason about everyone
-//! else's part.
+//! else's part. Who owns what is one [`kali_grid::Layout`] per array:
+//! element owners, participants, owner slices and every member's owned
+//! index lists (halo build, gather, redistribution) are its answers, the
+//! same ones the KF1 interpreter gets.
 //!
 //! The crate enforces the paper's *owner computes* discipline: reading an
 //! element that is neither owned nor present in a ghost layer panics — all

@@ -68,7 +68,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
         if !self.in_grid() {
             return None;
         }
-        let team = self.grid.team();
+        let team = self.grid().team();
         let mut mine = Vec::new();
         self.for_each_owned(|_, v| mine.push(v));
         proc.memop(mine.len() as f64);
@@ -77,18 +77,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
         let total: usize = self.extents.iter().product();
         let mut global = vec![T::default(); total];
         for (m, piece) in pieces.into_iter().enumerate() {
-            let rank = team.rank(m);
-            let coords = self
-                .grid
-                .coords_of(rank)
-                .expect("team member has grid coords");
-            let lists: [Vec<usize>; N] = std::array::from_fn(|d| {
-                let q = match self.spec.grid_dim_of(d) {
-                    Some(gd) => coords[gd],
-                    None => 0,
-                };
-                self.dists[d].owned(q).collect()
-            });
+            let lists = self.owned_lists(team.rank(m));
             let mut pos = 0;
             cartesian(&lists, |idx| {
                 let mut flat = 0;
@@ -115,7 +104,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
         new_ghost: [usize; N],
     ) -> DistArrayN<T, N> {
         let mut out =
-            DistArrayN::<T, N>::new(self.rank, &self.grid, new_spec, self.extents, new_ghost);
+            DistArrayN::<T, N>::new(self.rank, self.grid(), new_spec, self.extents, new_ghost);
         // The result is a new layout of the same array lineage: its
         // distribution generation strictly supersedes the source's, so any
         // schedule cached against the old generation is invalidated.
@@ -123,24 +112,8 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
         if !self.in_grid() {
             return out;
         }
-        let team = self.grid.team();
+        let team = self.grid().team();
         let q = team.len();
-
-        // Old and new ownership lists per member per dimension.
-        let member_lists = |spec: &DistSpec, arr_dists: &[kali_grid::Dist1; N], m: usize| {
-            let coords = self
-                .grid
-                .coords_of(team.rank(m))
-                .expect("member has coords");
-            let lists: [Vec<usize>; N] = std::array::from_fn(|d| {
-                let qd = match spec.grid_dim_of(d) {
-                    Some(gd) => coords[gd],
-                    None => 0,
-                };
-                arr_dists[d].owned(qd).collect()
-            });
-            lists
-        };
 
         let my_old: [Vec<usize>; N] = std::array::from_fn(|d| self.owned_indices(d));
         let my_new: [Vec<usize>; N] = std::array::from_fn(|d| out.owned_indices(d));
@@ -148,7 +121,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
         // Pack one payload per destination member.
         let mut sends: Vec<Vec<T>> = Vec::with_capacity(q);
         for m in 0..q {
-            let dest_new = member_lists(new_spec, &out.dists, m);
+            let dest_new = out.owned_lists(team.rank(m));
             let inter: [Vec<usize>; N] =
                 std::array::from_fn(|d| intersect(&my_old[d], &dest_new[d]));
             let mut payload = Vec::new();
@@ -163,7 +136,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
 
         // Unpack from every source member, in the same deterministic order.
         for (m, payload) in recvd.into_iter().enumerate() {
-            let src_old = member_lists(&self.spec, &self.dists, m);
+            let src_old = self.owned_lists(team.rank(m));
             let inter: [Vec<usize>; N] =
                 std::array::from_fn(|d| intersect(&src_old[d], &my_new[d]));
             let mut pos = 0;

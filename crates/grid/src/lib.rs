@@ -9,7 +9,11 @@
 //! * **Distribution patterns** ([`DimDist`], [`Dist1`], [`DistSpec`]): the
 //!   `dist (block, block)` clause — how each dimension of a data array maps
 //!   onto a dimension of the processor array, with `*` marking undistributed
-//!   dimensions.
+//!   dimensions;
+//! * **Layouts** ([`Layout`]): a clause laid onto a grid for given extents
+//!   — the one ownership map. Which rank owns an element, which ranks own
+//!   a pinned section, what a rank owns along each dimension: the compiled
+//!   arrays and the KF1 interpreter both ask it.
 //!
 //! Together with the paper's intrinsic functions `owner`, `lower` and
 //! `upper`, these form the entire vocabulary a KF1 program uses to talk
@@ -22,4 +26,4 @@ mod spec;
 
 pub use dist::{DimDist, Dist1};
 pub use grid::ProcGrid;
-pub use spec::{DimMap, DistSpec};
+pub use spec::{DimMap, DistSpec, Layout};

@@ -47,7 +47,9 @@
 use std::collections::HashMap;
 use std::slice;
 
-use crate::ast::{BinOp, DistDim, Program, UnOp};
+use kali_grid::DimMap;
+
+use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::{Diagnostic, Span};
 use crate::resolve::*;
 use crate::value::Value;
@@ -219,8 +221,8 @@ impl<'p> Checker<'p> {
                             format!("distribute: `{name}` is not a declared array"),
                         );
                     }
-                    Some(rank) if dist.len() != rank => {
-                        let got = dist.len();
+                    Some(rank) if dist.ndims() != rank => {
+                        let got = dist.ndims();
                         self.diag(
                             "A003",
                             name_at.0,
@@ -624,7 +626,7 @@ impl<'p> Checker<'p> {
             return; // replicated: every processor owns every element
         };
         let name = self.name(slot);
-        let distributed = |k: usize| dist.get(k) != Some(&DistDim::Star);
+        let distributed = |k: usize| dist.maps().get(k) != Some(&DimMap::Local);
         match &d.on {
             RProcExpr::Select(_, psubs) => {
                 // Provable only when every selector is a literal constant.
@@ -711,7 +713,7 @@ impl<'p> Checker<'p> {
                 return false;
             };
             let dist = self.sub.array(*slot).and_then(|(_, dist)| dist);
-            dist.is_some_and(|d| d.iter().any(|x| *x != DistDim::Star))
+            dist.is_some_and(|d| d.ndistributed() > 0)
         })
     }
 

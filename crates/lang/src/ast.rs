@@ -4,7 +4,11 @@
 //! the parser threads byte [`Span`]s from the lexer into every node, and
 //! the resolver carries them onto the resolved nodes, so the interpreter
 //! and the static analyzer can render caret-underlined diagnostics
-//! pointing at the offending source text.
+//! pointing at the offending source text. A `dist` clause is `kali-grid`'s
+//! [`DistSpec`] — one [`kali_grid::DimMap`] per dimension — the clause the
+//! interpreter lays onto its processor array.
+
+use kali_grid::DistSpec;
 
 use crate::diag::Span;
 use crate::resolve::RSub;
@@ -56,7 +60,7 @@ pub enum Decl {
         is_real: bool,
         dynamic: bool,
         items: Vec<DeclItem>,
-        dist: Option<Vec<DistDim>>,
+        dist: Option<DistSpec>,
     },
 }
 
@@ -67,17 +71,6 @@ pub struct DeclItem {
     pub name_span: Span,
     /// Per dimension `(lo, hi)` bound expressions; `lo` defaults to 1.
     pub dims: Vec<(Expr, Expr)>,
-}
-
-/// One entry of a `dist (...)` clause.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DistDim {
-    Block,
-    Cyclic,
-    /// `cyclic(k)` — round robin of fixed-size blocks of `k` indices (the
-    /// paper's block-cyclic pattern).
-    BlockCyclic(usize),
-    Star,
 }
 
 /// A statement with its source span. For compound statements (`do`,
@@ -123,7 +116,7 @@ pub enum StmtKind {
     Distribute {
         name: String,
         name_span: Span,
-        dist: Vec<DistDim>,
+        dist: DistSpec,
     },
     /// `if (cond) then ... [else ...] endif` or one-armed logical if.
     If {

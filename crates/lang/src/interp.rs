@@ -117,7 +117,7 @@
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use kali_grid::ProcGrid;
+use kali_grid::{DimMap, DistSpec, Layout, ProcGrid};
 use kali_kernels::substructure::{reduce_block, reduce_flops};
 use kali_kernels::tridiag::{thomas, thomas_flops};
 use kali_machine::{collective, tag, Proc, Tag, Team, NS_LANG};
@@ -126,7 +126,7 @@ use kali_sched::{
     ScheduleExecutor, ScheduleWorld, SiteKey, Trip, TripHost,
 };
 
-use crate::ast::{BinOp, DistDim, Program, UnOp};
+use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::Diagnostic;
 use crate::resolve::*;
 use crate::value::*;
@@ -393,7 +393,7 @@ fn data_fingerprint(data: &[f64]) -> u64 {
 struct ArrayKey {
     name: Slot,
     bounds: Vec<(i64, i64)>,
-    dist: Vec<DistDim>,
+    dist: DistSpec,
     grid_ranks: Vec<usize>,
     grid_extents: Vec<usize>,
     /// Belt and braces next to the structural fields: a `distribute`
@@ -421,9 +421,9 @@ struct ArrayKey {
 /// one shared base cannot carry two different deltas.
 #[derive(Clone, PartialEq)]
 enum KeyDim {
-    /// Fixed coordinate of an unaliased base, as the owner's grid
-    /// coordinate along this dimension (`None` for undistributed dims).
-    FixedOwner(Option<usize>),
+    /// Fixed coordinate of an unaliased base, as the owner's processor
+    /// coordinate along this dimension (0 for undistributed dims).
+    FixedOwner(usize),
     /// Fixed coordinate kept absolute.
     FixedAbs(i64),
     /// Ranged dimension: inclusive base-index range.
@@ -644,7 +644,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                     is_real,
                     bounds,
                     dist,
-                } => self.declare(*slot, bounds, *is_real, dist.as_deref())?,
+                } => self.declare(*slot, bounds, *is_real, dist.as_ref())?,
             }
         }
         Ok(())
@@ -657,7 +657,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         slot: Slot,
         dims: &[(RExpr, RExpr)],
         is_real: bool,
-        dist: Option<&[DistDim]>,
+        dist: Option<&DistSpec>,
     ) -> RtResult<()> {
         let name = self.name(slot);
         let mut bounds = Vec::with_capacity(dims.len());
@@ -692,15 +692,14 @@ impl<'a, 'p> Interp<'a, 'p> {
                     }
                     view.callee_lo[d] = *l;
                 }
-                if let Some(dd) = dist {
+                if let Some(spec) = dist {
                     let mut base = view.base.borrow_mut();
-                    if base.replicated() && base.grid.size() == 1 {
+                    if base.replicated() && base.layout.grid().size() == 1 {
                         // Host-supplied array: adopt.
-                        if dd.len() != base.ndims() {
-                            return Err(format!("dist clause rank mismatch on {name}"));
-                        }
-                        base.dist = dd.to_vec();
-                        base.grid = self.frame().grid.clone();
+                        let extents: Vec<usize> =
+                            (0..base.ndims()).map(|d| base.extent(d)).collect();
+                        base.layout = Layout::new(spec, &extents, &self.frame().grid)
+                            .map_err(|e| format!("{name}: {e}"))?;
                         base.bump_dist_gen();
                     }
                 }
@@ -736,30 +735,20 @@ impl<'a, 'p> Interp<'a, 'p> {
                         bounds.len()
                     ));
                 }
-                let grid = self.frame().grid.clone();
-                let distv = match dist {
-                    Some(dd) => {
-                        if dd.len() != bounds.len() {
-                            return Err(format!("dist clause rank mismatch on {name}"));
-                        }
-                        let nd = dd.iter().filter(|x| **x != DistDim::Star).count();
-                        if nd != grid.ndims() {
-                            return Err(format!(
-                                "{name}: {nd} distributed dims vs processor rank {}",
-                                grid.ndims()
-                            ));
-                        }
-                        dd.to_vec()
+                let grid = &self.frame().grid;
+                let extents: Vec<usize> =
+                    bounds.iter().map(|&(l, h)| (h - l + 1) as usize).collect();
+                let layout = match dist {
+                    Some(spec) => {
+                        Layout::new(spec, &extents, grid).map_err(|e| format!("{name}: {e}"))?
                     }
-                    None => vec![DistDim::Star; bounds.len()],
+                    None => Layout::replicated(&extents, grid),
                 };
-                let total: usize = bounds.iter().map(|&(l, h)| (h - l + 1) as usize).product();
                 let arr = Rc::new(std::cell::RefCell::new(ArrObj {
                     name: name.to_string(),
                     bounds,
-                    dist: distv,
-                    grid,
-                    data: vec![0.0; total],
+                    layout,
+                    data: vec![0.0; extents.iter().product()],
                     is_real,
                     dist_gen: 0,
                 }));
@@ -1510,10 +1499,8 @@ impl<'a, 'p> Interp<'a, 'p> {
                             if aliased || v < b.bounds[d].0 || v > b.bounds[d].1 {
                                 KeyDim::FixedAbs(v)
                             } else {
-                                KeyDim::FixedOwner(
-                                    b.dist1(d)
-                                        .map(|dist| dist.owner((v - b.bounds[d].0) as usize)),
-                                )
+                                let dist = b.layout.dists()[d];
+                                KeyDim::FixedOwner(dist.owner((v - b.bounds[d].0) as usize))
                             }
                         }
                     })
@@ -1521,9 +1508,9 @@ impl<'a, 'p> Interp<'a, 'p> {
                 ArrayKey {
                     name: *n,
                     bounds: b.bounds.clone(),
-                    dist: b.dist.clone(),
-                    grid_ranks: b.grid.ranks().to_vec(),
-                    grid_extents: b.grid.extents().to_vec(),
+                    dist: b.layout.spec().clone(),
+                    grid_ranks: b.layout.grid().ranks().to_vec(),
+                    grid_extents: b.layout.grid().extents().to_vec(),
                     dist_gen: b.dist_gen,
                     map,
                     callee_lo: view.callee_lo.clone(),
@@ -1544,7 +1531,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// `distribute a (block, cyclic, *)`: move the array's data to the
     /// owners under the new `dist` clause and bump its distribution
     /// generation so no stale schedule can ever be replayed against it.
-    fn exec_distribute(&mut self, slot: Slot, dist: &[DistDim]) -> RtResult<()> {
+    fn exec_distribute(&mut self, slot: Slot, dist: &DistSpec) -> RtResult<()> {
         let name = self.name(slot);
         if !matches!(self.mode, Mode::Normal) || self.doall_depth > 0 {
             return Err(format!(
@@ -1556,47 +1543,26 @@ impl<'a, 'p> Interp<'a, 'p> {
             .base
             .clone();
         let me = self.me();
-        let (needs, team) = {
+        let (needs, team, layout) = {
             let b = base.borrow();
-            if dist.len() != b.ndims() {
-                return Err(format!(
-                    "distribute {name}: {} dist entries for a rank-{} array",
-                    dist.len(),
-                    b.ndims()
-                ));
-            }
             if b.replicated() {
                 return Err(format!(
                     "distribute {name}: the array is replicated; only distributed \
                      arrays can change owners"
                 ));
             }
-            let nd = dist.iter().filter(|d| **d != DistDim::Star).count();
-            if nd != b.grid.ndims() {
-                return Err(format!(
-                    "distribute {name}: {nd} distributed dims vs processor rank {}",
-                    b.grid.ndims()
-                ));
-            }
-            // Ownership probe under the new distribution (no storage).
-            let probe = ArrObj {
-                name: b.name.clone(),
-                bounds: b.bounds.clone(),
-                dist: dist.to_vec(),
-                grid: b.grid.clone(),
-                data: Vec::new(),
-                is_real: b.is_real,
-                dist_gen: b.dist_gen,
-            };
+            let extents: Vec<usize> = (0..b.ndims()).map(|d| b.extent(d)).collect();
+            let layout = Layout::new(dist, &extents, b.layout.grid())
+                .map_err(|e| format!("distribute {name}: {e}"))?;
             let mut needs = Vec::new();
             let mut idxs = [0i64; MAX_RANK];
             for flat in 0..b.total_len() {
                 let idxs = b.unflat_into(flat, &mut idxs);
-                if probe.owner_of(idxs) == Some(me) && !b.owned_by(me, idxs) {
+                if b.owner_in(&layout, idxs) == Some(me) && !b.owned_by(me, idxs) {
                     needs.push(flat);
                 }
             }
-            (needs, b.grid.team())
+            (needs, b.layout.grid().team(), layout)
         };
         if team != self.frame().grid.team() {
             return Err(format!(
@@ -1608,7 +1574,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         // still routes the requests, then flip the map.
         self.fetch_remote(&team, &base, &needs)?;
         let mut b = base.borrow_mut();
-        b.dist = dist.to_vec();
+        b.layout = layout;
         b.bump_dist_gen();
         Ok(())
     }
@@ -2250,6 +2216,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         let view = self.array(array, not_array)?;
         let base = view.base.borrow();
         let ranged = |bd: usize| matches!(view.map[bd], ViewDim::Range(..));
+        let distributed = |d: usize| matches!(base.layout.spec().map(d), DimMap::Dist(_));
         let dim_base = if let Some(d) = dim_arg {
             // The dim argument is in callee dimension numbering (1-based).
             let mut visible = (0..base.ndims()).filter(|&bd| ranged(bd));
@@ -2257,7 +2224,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 .and_then(|k| visible.nth(k))
                 .ok_or_else(|| format!("{name}: bad dim argument"))?
         } else {
-            let distributed = |d: &usize| base.dist[*d] != DistDim::Star && ranged(*d);
+            let distributed = |d: &usize| distributed(*d) && ranged(*d);
             let count = (0..base.ndims()).filter(distributed).count();
             if count != 1 {
                 return Err(format!(
@@ -2266,15 +2233,12 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
             (0..base.ndims()).find(distributed).expect("counted")
         };
-        let dist = base
-            .dist1(dim_base)
-            .ok_or_else(|| format!("{name}: dimension is not distributed"))?;
-        let gd = base.grid_dim_of(dim_base).expect("distributed");
-        let coords = base
-            .grid
-            .coords_of(rank)
+        if !distributed(dim_base) {
+            return Err(format!("{name}: dimension is not distributed"));
+        }
+        let dist = base.layout.dists()[dim_base];
+        let qc = (base.layout.coord(rank, dim_base))
             .ok_or_else(|| format!("{name}: processor not in the array's grid"))?;
-        let qc = coords[gd];
         let (Some(olo), Some(ohi)) = (dist.lower(qc), dist.upper(qc)) else {
             return Err(format!(
                 "{name}: processor owns no part of {aname} along that dimension"
@@ -2365,8 +2329,7 @@ mod tests {
         Rc::new(RefCell::new(ArrObj {
             name: name.into(),
             bounds: vec![(0, n as i64 - 1)],
-            dist: vec![DistDim::Star],
-            grid: ProcGrid::new_1d(1),
+            layout: Layout::replicated(&[n], &ProcGrid::new_1d(1)),
             data: vec![0.0; n],
             is_real: true,
             dist_gen: 0,

@@ -35,10 +35,9 @@ pub mod value;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kali_grid::ProcGrid;
+use kali_grid::{Layout, ProcGrid};
 use kali_machine::{Machine, MachineConfig, RunReport};
 
-use ast::DistDim;
 use interp::Interp;
 use value::{ArrObj, Binding, Value, View, MAX_RANK};
 
@@ -192,11 +191,12 @@ pub fn run_source_with(
                 HostValue::Int(v) => Binding::Scalar(Value::Int(*v)),
                 HostValue::Real(v) => Binding::Scalar(Value::Real(*v)),
                 HostValue::Array { data, bounds } => {
+                    let extents: Vec<usize> =
+                        bounds.iter().map(|&(l, h)| (h - l + 1) as usize).collect();
                     let arr = Rc::new(RefCell::new(ArrObj {
                         name: sub.names[p].clone(),
                         bounds: bounds.clone(),
-                        dist: vec![DistDim::Star; bounds.len()],
-                        grid: ProcGrid::new_1d(1),
+                        layout: Layout::replicated(&extents, &ProcGrid::new_1d(1)),
                         data: data.clone(),
                         is_real: true,
                         dist_gen: 0,
@@ -599,6 +599,29 @@ end
     #[should_panic(expected = "cannot assign scalar to processor array procs")]
     fn assigning_to_a_processor_array_is_a_kf1_runtime_error() {
         run_body(1, 4, "  procs = 1");
+    }
+
+    /// `call s(n; owner(on))` on two processors, `on` naming an element of
+    /// `u(0:8, 0:8) dist {dist}`.
+    fn call_on_owner(dist: &str, on: &str) {
+        let src = format!(
+            "parsub t(n; procs)\n  processors procs(p)\n  real u(0:n, 0:n) dist {dist}\n  \
+             call s(n; owner({on}))\nend\n\
+             parsub s(k; procs)\n  processors procs(q)\n  k = k\nend\n"
+        );
+        run_source(cfg(2), &src, "t", &[2], &[HostValue::Int(8)]).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "owner subscript 13 of u out of bounds 0:8")]
+    fn owner_subscript_above_a_block_dimension_is_a_kf1_runtime_error() {
+        call_on_owner("(block, *)", "u(n+5, *)");
+    }
+
+    #[test]
+    #[should_panic(expected = "owner subscript -1 of u out of bounds 0:8")]
+    fn negative_owner_subscript_on_a_cyclic_dimension_is_a_kf1_runtime_error() {
+        call_on_owner("(*, cyclic)", "u(*, -1)");
     }
 
     /// A scalar a doall body defines implicitly is private to the

@@ -4,6 +4,8 @@
 //! reports errors as [`Diagnostic`]s with line *and* column, a stable
 //! `P0xx` code, and a span that renders a caret-underlined excerpt.
 
+use kali_grid::{DimDist, DimMap, DistSpec};
+
 use crate::ast::*;
 use crate::diag::{Diagnostic, Span};
 use crate::resolve::resolve;
@@ -271,7 +273,7 @@ impl Parser<'_> {
                         self.expect_punct("(")?;
                         let dd = self.comma_list(|p| p.dist_dim("dist clause"))?;
                         self.expect_punct(")")?;
-                        Some(dd)
+                        Some(DistSpec::new(dd))
                     } else {
                         None
                     };
@@ -430,11 +432,11 @@ impl Parser<'_> {
 
     /// One entry of a `dist (...)` / `distribute a (...)` clause:
     /// `block`, `cyclic`, `cyclic(k)` or `*`.
-    fn dist_dim(&mut self, context: &str) -> PResult<DistDim> {
+    fn dist_dim(&mut self, context: &str) -> PResult<DimMap> {
         if self.eat_punct("*") {
-            Ok(DistDim::Star)
+            Ok(DimMap::Local)
         } else if self.eat_ident("block") {
-            Ok(DistDim::Block)
+            Ok(DimMap::Dist(DimDist::Block))
         } else if self.eat_ident("cyclic") {
             if self.eat_punct("(") {
                 let ksp = self.span();
@@ -453,9 +455,9 @@ impl Parser<'_> {
                     ));
                 }
                 self.expect_punct(")")?;
-                Ok(DistDim::BlockCyclic(k as usize))
+                Ok(DimMap::Dist(DimDist::BlockCyclic(k as usize)))
             } else {
-                Ok(DistDim::Cyclic)
+                Ok(DimMap::Dist(DimDist::Cyclic))
             }
         } else {
             Err(self.diag_at(
@@ -472,7 +474,7 @@ impl Parser<'_> {
         let name_span = self.span();
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
-        let dist = self.comma_list(|p| p.dist_dim("distribute"))?;
+        let dist = DistSpec::new(self.comma_list(|p| p.dist_dim("distribute"))?);
         self.expect_punct(")")?;
         let span = kw_span.join(self.prev_span());
         self.expect_eol()?;
@@ -1043,7 +1045,7 @@ end
         match &prog.subs[0].body[0].kind {
             StmtKind::Distribute { name, dist, .. } => {
                 assert_eq!(name, "a");
-                assert_eq!(dist, &vec![DistDim::Star, DistDim::Cyclic]);
+                assert_eq!(dist, &DistSpec::parse("(*, cyclic)").unwrap());
             }
             other => panic!("expected distribute, got {other:?}"),
         }
@@ -1062,12 +1064,12 @@ end
                 _ => None,
             })
             .collect();
-        assert_eq!(dists[0], vec![DistDim::BlockCyclic(3)]);
-        assert_eq!(dists[1], vec![DistDim::BlockCyclic(2), DistDim::Star]);
+        assert_eq!(dists[0], DistSpec::parse("(cyclic(3))").unwrap());
+        assert_eq!(dists[1], DistSpec::parse("(cyclic(2), *)").unwrap());
         match &prog.subs[0].body[0].kind {
             StmtKind::Distribute { name, dist, .. } => {
                 assert_eq!(name, "a");
-                assert_eq!(dist, &vec![DistDim::BlockCyclic(4)]);
+                assert_eq!(dist, &DistSpec::parse("(cyclic(4))").unwrap());
             }
             other => panic!("expected distribute, got {other:?}"),
         }

@@ -24,6 +24,8 @@
 //! denotes nothing still gets a slot; the analyzer reports it, and the
 //! interpreter rejects it if it executes.
 
+use kali_grid::DistSpec;
+
 use crate::ast::*;
 use crate::diag::Span;
 use crate::value::Value;
@@ -198,7 +200,7 @@ pub(crate) enum RStmt {
     /// `at` spans the statement, `name_at` the array's name.
     Distribute {
         slot: Slot,
-        dist: Vec<DistDim>,
+        dist: DistSpec,
         at: At,
         name_at: At,
     },
@@ -298,7 +300,7 @@ pub(crate) enum RDecl {
         slot: Slot,
         is_real: bool,
         bounds: Vec<(RExpr, RExpr)>,
-        dist: Option<Vec<DistDim>>,
+        dist: Option<DistSpec>,
     },
 }
 
@@ -330,9 +332,9 @@ pub(crate) struct RSub {
 impl RSub {
     /// The bounds and `dist` clause of the declaration that makes `slot`
     /// an array.
-    pub(crate) fn array(&self, slot: Slot) -> Option<(&[(RExpr, RExpr)], Option<&[DistDim]>)> {
+    pub(crate) fn array(&self, slot: Slot) -> Option<(&[(RExpr, RExpr)], Option<&DistSpec>)> {
         match &self.decls[self.declared[slot].array?] {
-            RDecl::Item { bounds, dist, .. } => Some((bounds, dist.as_deref())),
+            RDecl::Item { bounds, dist, .. } => Some((bounds, dist.as_ref())),
             RDecl::Processors(..) => None,
         }
     }

@@ -1,12 +1,11 @@
 //! Runtime values of the KF1 interpreter: scalars, distributed array
-//! objects, views (array sections), and bindings.
+//! objects, views (array sections), and bindings. Who owns an element is
+//! `kali-grid`'s [`Layout`]; an array object only offsets its subscripts.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kali_grid::{DimDist, Dist1, ProcGrid};
-
-use crate::ast::DistDim;
+use kali_grid::{Layout, ProcGrid};
 
 /// Most dimensions an array may have (Fortran 77's limit). Subscripts and
 /// base indices of one element access live in `[i64; MAX_RANK]` stack
@@ -62,11 +61,9 @@ pub struct ArrObj {
     pub name: String,
     /// Inclusive per-dimension bounds, e.g. `0:np`.
     pub bounds: Vec<(i64, i64)>,
-    /// Distribution pattern per dimension (`Star` = undistributed).
-    pub dist: Vec<DistDim>,
-    /// Processor array the distributed dims map onto (in declaration
-    /// order of the non-star dims). Meaningless when fully replicated.
-    pub grid: ProcGrid,
+    /// Who owns which element: the `dist` clause on the processor array
+    /// (replicated over it without one), indexed by offsets `i − lo`.
+    pub layout: Layout,
     /// Row-major storage over the full index space.
     pub data: Vec<f64>,
     pub is_real: bool,
@@ -96,7 +93,7 @@ impl ArrObj {
 
     /// Is the array replicated (no distributed dimension)?
     pub fn replicated(&self) -> bool {
-        self.dist.iter().all(|d| *d == DistDim::Star)
+        self.layout.is_replicated()
     }
 
     /// Mark the ownership map as changed: every schedule derived under the
@@ -149,144 +146,59 @@ impl ArrObj {
         &out[..self.ndims()]
     }
 
-    /// Grid dimension assigned to array dimension `d`, if distributed.
-    pub fn grid_dim_of(&self, d: usize) -> Option<usize> {
-        if self.dist[d] == DistDim::Star {
-            return None;
-        }
-        Some(
-            self.dist[..d]
-                .iter()
-                .filter(|x| **x != DistDim::Star)
-                .count(),
-        )
-    }
-
-    /// Index map of distributed dimension `d`.
-    pub fn dist1(&self, d: usize) -> Option<Dist1> {
-        self.dist1_on(d, self.grid_dim_of(d)?)
-    }
-
-    /// [`ArrObj::dist1`] for a caller that already knows the grid
-    /// dimension `gd` array dimension `d` maps onto.
-    fn dist1_on(&self, d: usize, gd: usize) -> Option<Dist1> {
-        let kind = match self.dist[d] {
-            DistDim::Block => DimDist::Block,
-            DistDim::Cyclic => DimDist::Cyclic,
-            DistDim::BlockCyclic(b) => DimDist::BlockCyclic(b),
-            DistDim::Star => return None,
-        };
-        Some(Dist1::new(self.extent(d), self.grid.extent(gd), kind))
-    }
-
-    /// Owner grid coordinate per grid dimension that `subs` pins (`None`
-    /// entries are `*`; star dimensions pin nothing). Out-of-bounds
-    /// subscripts of distributed dimensions are an error.
-    fn pinned_coords(&self, subs: &[Option<i64>]) -> Result<[Option<usize>; MAX_RANK], String> {
-        let mut pinned = [None; MAX_RANK];
-        let mut gd = 0usize;
-        for (d, s) in subs.iter().enumerate() {
-            let Some(dist) = self.dist1_on(d, gd) else {
-                continue;
-            };
-            if let Some(i) = *s {
-                let (lo, hi) = self.bounds[d];
-                if i < lo || i > hi {
-                    return Err(format!(
-                        "owner subscript {} of {} out of bounds {}:{}",
-                        i, self.name, lo, hi
-                    ));
-                }
-                pinned[gd] = Some(dist.owner((i - lo) as usize));
-            }
-            gd += 1;
-        }
-        Ok(pinned)
+    /// The layout's offset `i − lo` of subscript `i` in dimension `d`: one
+    /// below the bounds lands past every extent, like those above them.
+    fn offset(&self, d: usize, i: i64) -> usize {
+        usize::try_from(i.wrapping_sub(self.bounds[d].0)).unwrap_or(usize::MAX)
     }
 
     /// Machine ranks owning the element(s) selected by `subs` (`None`
-    /// entries are `*`). Pinned distributed dims fix a grid coordinate;
-    /// everything else ranges. Enumerates the processor grid — for the
-    /// partially starred `owner(r(i, *))` forms that need the *set*; a
-    /// membership question is [`ArrObj::owner_set_contains`], a fully
-    /// pinned element [`ArrObj::owner_of`].
+    /// entries are `*`), in grid order — for the partially starred
+    /// `owner(r(i, *))` forms that need the *set*; a membership question
+    /// is [`ArrObj::owner_set_contains`], a fully pinned element
+    /// [`ArrObj::owner_of`].
     pub fn owner_ranks(&self, subs: &[Option<i64>]) -> Result<Vec<usize>, String> {
-        if self.replicated() {
-            return Ok(self.grid.ranks().to_vec());
-        }
-        let pinned = self.pinned_coords(subs)?;
-        Ok((0..self.grid.size())
-            .filter(|&at| self.grid_index_matches(at, &pinned))
-            .map(|at| self.grid.ranks()[at])
-            .collect())
-    }
-
-    /// Does the processor at row-major grid position `at` lie on every
-    /// pinned coordinate?
-    fn grid_index_matches(&self, mut at: usize, pinned: &[Option<usize>; MAX_RANK]) -> bool {
-        let mut ok = true;
-        for g in (0..self.grid.ndims()).rev() {
-            let e = self.grid.extent(g);
-            ok &= pinned[g].is_none_or(|c| c == at % e);
-            at /= e;
-        }
-        ok
+        Ok(self.owner_grid(subs)?.ranks().to_vec())
     }
 
     /// Is machine rank `rank` one of [`ArrObj::owner_ranks`]`(subs)`? Same
-    /// errors, no list: O(rank) arithmetic after locating `rank` in the
-    /// grid.
+    /// errors, no list.
     pub fn owner_set_contains(&self, rank: usize, subs: &[Option<i64>]) -> Result<bool, String> {
-        let at = self.grid.index_of(rank);
-        if self.replicated() {
-            return Ok(at.is_some());
-        }
-        let pinned = self.pinned_coords(subs)?;
-        Ok(at.is_some_and(|at| self.grid_index_matches(at, &pinned)))
+        self.section(subs, |pins| self.layout.section_contains(rank, pins))
     }
 
     /// The processor sub-grid owning a pinned selection (`owner(r(i,*))`
     /// used as a processor expression).
     pub fn owner_grid(&self, subs: &[Option<i64>]) -> Result<ProcGrid, String> {
-        if self.replicated() {
-            return Ok(self.grid.clone());
-        }
-        let mut pins: Vec<(usize, usize)> = Vec::new();
-        for (d, s) in subs.iter().enumerate() {
-            if let (Some(i), Some(gd)) = (s, self.grid_dim_of(d)) {
-                let dist = self.dist1(d).expect("distributed dim");
-                let (lo, _) = self.bounds[d];
-                pins.push((gd, dist.owner((*i - lo) as usize)));
-            }
-        }
-        Ok(self.grid.pin(&pins))
+        self.section(subs, |pins| self.layout.section(pins))
     }
 
-    /// Machine rank owning one fully specified element (replicated arrays
-    /// and subscripts outside a distributed dimension's bounds report
-    /// `None`). O(rank) arithmetic, no allocation: per distributed
-    /// dimension the owner coordinate `dist.owner(i − lo)`, combined
-    /// row-major into the grid's rank list.
+    /// Ask the layout about the selection `subs` (`None` entries are `*`)
+    /// through its checked pins: a pin it rejects is an owner subscript
+    /// out of bounds.
+    fn section<T>(
+        &self,
+        subs: &[Option<i64>],
+        ask: impl FnOnce(&[Option<usize>]) -> Result<T, usize>,
+    ) -> Result<T, String> {
+        let pins: [_; MAX_RANK] = std::array::from_fn(|d| Some(self.offset(d, (*subs.get(d)?)?)));
+        ask(&pins[..subs.len()]).map_err(|d| {
+            let (name, (lo, hi), i) = (&self.name, self.bounds[d], subs[d].unwrap_or_default());
+            format!("owner subscript {i} of {name} out of bounds {lo}:{hi}")
+        })
+    }
+
+    /// Machine rank owning one fully specified element under `layout`
+    /// (replicated arrays and subscripts outside the bounds report `None`).
+    pub fn owner_in(&self, layout: &Layout, idxs: &[i64]) -> Option<usize> {
+        let offsets: [_; MAX_RANK] =
+            std::array::from_fn(|d| idxs.get(d).map_or(0, |&i| self.offset(d, i)));
+        layout.owner(&offsets[..idxs.len()])
+    }
+
+    /// [`ArrObj::owner_in`] this array's own layout.
     pub fn owner_of(&self, idxs: &[i64]) -> Option<usize> {
-        debug_assert_eq!(idxs.len(), self.ndims());
-        let mut at = 0usize;
-        let mut gd = 0usize;
-        for (d, &i) in idxs.iter().enumerate() {
-            let Some(dist) = self.dist1_on(d, gd) else {
-                continue;
-            };
-            let (lo, hi) = self.bounds[d];
-            if i < lo || i > hi {
-                return None;
-            }
-            at = at * dist.nprocs() + dist.owner((i - lo) as usize);
-            gd += 1;
-        }
-        debug_assert!(
-            gd == 0 || gd == self.grid.ndims(),
-            "fully pinned element has one owner"
-        );
-        (gd > 0).then(|| self.grid.ranks()[at])
+        self.owner_in(&self.layout, idxs)
     }
 
     /// Does machine rank `rank` own (or replicate) element `idxs`? O(rank),
@@ -417,15 +329,19 @@ pub enum Binding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kali_grid::{DimDist, DimMap, DistSpec};
 
-    fn arr2(bounds: Vec<(i64, i64)>, dist: Vec<DistDim>, grid: ProcGrid) -> ArrObj {
-        let total: usize = bounds.iter().map(|&(l, h)| (h - l + 1) as usize).product();
+    fn arr2(bounds: Vec<(i64, i64)>, dist: Vec<DimMap>, grid: ProcGrid) -> ArrObj {
+        let extents: Vec<usize> = bounds.iter().map(|&(l, h)| (h - l + 1) as usize).collect();
+        let layout = match dist.iter().all(|m| *m == DimMap::Local) {
+            true => Layout::replicated(&extents, &grid),
+            false => Layout::new(&DistSpec::new(dist), &extents, &grid).unwrap(),
+        };
         ArrObj {
             name: "x".into(),
             bounds,
-            dist,
-            grid,
-            data: vec![0.0; total],
+            layout,
+            data: vec![0.0; extents.iter().product()],
             is_real: true,
             dist_gen: 0,
         }
@@ -433,7 +349,11 @@ mod tests {
 
     #[test]
     fn dist_gen_is_monotone() {
-        let mut a = arr2(vec![(0, 3)], vec![DistDim::Block], ProcGrid::new_1d(2));
+        let mut a = arr2(
+            vec![(0, 3)],
+            vec![DimMap::Dist(DimDist::Block)],
+            ProcGrid::new_1d(2),
+        );
         assert_eq!(a.dist_gen, 0);
         a.bump_dist_gen();
         a.bump_dist_gen();
@@ -444,7 +364,7 @@ mod tests {
     fn flat_respects_declared_bounds() {
         let a = arr2(
             vec![(0, 4), (0, 4)],
-            vec![DistDim::Star, DistDim::Star],
+            vec![DimMap::Local, DimMap::Local],
             ProcGrid::new_1d(1),
         );
         assert_eq!(a.flat(&[0, 0]).unwrap(), 0);
@@ -458,7 +378,7 @@ mod tests {
         let g = ProcGrid::new_2d(2, 2);
         let a = arr2(
             vec![(0, 7), (0, 7)],
-            vec![DistDim::Block, DistDim::Block],
+            vec![DimMap::Dist(DimDist::Block), DimMap::Dist(DimDist::Block)],
             g,
         );
         // Fully pinned element.
@@ -474,7 +394,7 @@ mod tests {
     /// `grid`: which dimensions are distributed, and how (the pattern
     /// rotates with the position so all three kinds meet every slot).
     fn layouts(rank: usize, grid: &ProcGrid) -> Vec<ArrObj> {
-        let kinds = [DistDim::Block, DistDim::Cyclic, DistDim::BlockCyclic(2)];
+        let kinds = [DimDist::Block, DimDist::Cyclic, DimDist::BlockCyclic(2)];
         let mut out = Vec::new();
         for mask in 0u32..1 << rank {
             if mask.count_ones() as usize != grid.ndims() {
@@ -482,8 +402,8 @@ mod tests {
             }
             for rot in 0..kinds.len() {
                 let dist = (0..rank).map(|d| match mask >> d & 1 {
-                    1 => kinds[(d + rot) % kinds.len()].clone(),
-                    _ => DistDim::Star,
+                    1 => DimMap::Dist(kinds[(d + rot) % kinds.len()]),
+                    _ => DimMap::Local,
                 });
                 let bounds = (0..rank).map(|d| (d as i64 - 1, d as i64 + 4 + d as i64 % 2));
                 out.push(arr2(bounds.collect(), dist.collect(), grid.clone()));
@@ -506,11 +426,17 @@ mod tests {
                     let idxs = a.unflat(flat);
                     let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
                     let owner = a.owner_of(&idxs).expect("distributed and in bounds");
-                    assert_eq!(a.owner_ranks(&subs).unwrap(), [owner], "{:?}", a.dist);
+                    assert_eq!(
+                        a.owner_ranks(&subs).unwrap(),
+                        [owner],
+                        "{}",
+                        a.layout.spec()
+                    );
                     // Independently: per-dimension owner coordinates,
                     // looked up in the grid.
                     let coords: Vec<usize> = (0..a.ndims())
-                        .filter_map(|d| Some(a.dist1(d)?.owner((idxs[d] - a.bounds[d].0) as usize)))
+                        .filter(|&d| a.layout.spec().map(d) != DimMap::Local)
+                        .map(|d| a.layout.dists()[d].owner((idxs[d] - a.bounds[d].0) as usize))
                         .collect();
                     assert_eq!(owner, grid.rank_at(&coords));
                     // Starring a dimension widens the set; membership
@@ -527,7 +453,7 @@ mod tests {
                     }
                 }
                 // Outside a distributed dimension's bounds nobody owns.
-                for d in (0..a.ndims()).filter(|&d| a.dist[d] != DistDim::Star) {
+                for d in (0..a.ndims()).filter(|&d| a.layout.spec().map(d) != DimMap::Local) {
                     for out in [a.bounds[d].0 - 1, a.bounds[d].1 + 1] {
                         let mut idxs = a.unflat(0);
                         idxs[d] = out;
@@ -540,7 +466,7 @@ mod tests {
             }
         }
         // Replicated arrays have no owner and belong to everyone.
-        let r = arr2(vec![(0, 3)], vec![DistDim::Star], ProcGrid::new_1d(2));
+        let r = arr2(vec![(0, 3)], vec![DimMap::Local], ProcGrid::new_1d(2));
         assert_eq!(r.owner_of(&[1]), None);
         assert!(r.owned_by(1, &[1]) && r.owner_set_contains(1, &[Some(1)]).unwrap());
     }
@@ -549,7 +475,7 @@ mod tests {
     fn stack_forms_agree_with_the_vec_forms() {
         let base = Rc::new(RefCell::new(arr2(
             vec![(0, 4), (2, 9)],
-            vec![DistDim::Star, DistDim::Block],
+            vec![DimMap::Local, DimMap::Dist(DimDist::Block)],
             ProcGrid::new_1d(2),
         )));
         let v = View {
@@ -579,7 +505,7 @@ mod tests {
         let g = ProcGrid::new_1d(4);
         let a = arr2(
             vec![(1, 8), (0, 15)],
-            vec![DistDim::Star, DistDim::Block],
+            vec![DimMap::Local, DimMap::Dist(DimDist::Block)],
             g,
         );
         // Pinning the star dim selects everyone; pinning dim 1 selects one.
@@ -593,7 +519,7 @@ mod tests {
         let g = ProcGrid::new_2d(2, 3);
         let a = arr2(
             vec![(0, 7), (0, 8)],
-            vec![DistDim::Block, DistDim::Block],
+            vec![DimMap::Dist(DimDist::Block), DimMap::Dist(DimDist::Block)],
             g,
         );
         let og = a.owner_grid(&[Some(7), None]).unwrap();
@@ -605,7 +531,7 @@ mod tests {
         let g = ProcGrid::new_1d(2);
         let base = Rc::new(RefCell::new(arr2(
             vec![(0, 4), (0, 9)],
-            vec![DistDim::Star, DistDim::Block],
+            vec![DimMap::Local, DimMap::Dist(DimDist::Block)],
             g,
         )));
         // v(i, *) with i = 2: a 1-D view of row 2.
