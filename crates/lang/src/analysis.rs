@@ -777,7 +777,7 @@ fn contains_collective(body: &[RStmt]) -> bool {
 }
 
 /// Constant value of an integer literal, possibly negated.
-fn const_of(e: &RExpr) -> Option<i64> {
+pub(crate) fn const_of(e: &RExpr) -> Option<i64> {
     match e {
         RExpr::Const(Value::Int(v), _) => Some(*v),
         RExpr::Un(UnOp::Neg, e, _) => const_of(e)?.checked_neg(),

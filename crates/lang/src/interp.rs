@@ -56,6 +56,16 @@
 //!   they read only owner-local elements under a locally matching key —
 //!   and the boundary runs against the rebuilt exchange.
 //!
+//! The same four phases run a *lowered* doall without walking it: one
+//! element assignment of an affine stencil — `jacobi.kf1`'s doall, the
+//! residual of `adi.kf1`, `shift.kf1`, and `spmv.kf1`'s `x(i) = y(i) /
+//! 10.0` — whose reads are whole real arrays on block distributions. Its
+//! builder derives the inspector's schedule, word for word, from the
+//! owned boxes instead of inspecting, and its interior and boundary are
+//! rows of a compiled kernel (see "What an element costs"). Every other
+//! site — `tri`, `tric`, the `spmv` builtin, anything a trip's bindings
+//! take outside that class — is walked as below.
+//!
 //! The schedule subsystem itself — [`CommSchedule`], the keyed
 //! [`ScheduleCache`], and the whole trip protocol just described (vote
 //! gate, lookup, vote, post, complete, scatter, rollback, store: the
@@ -113,6 +123,17 @@
 //! element is the tree walk itself and, per *global* iteration on every
 //! rank, one on-clause evaluation; everything that allocates does so per
 //! trip (`tests/alloc_lang.rs` pins that).
+//!
+//! A lowered site pays neither. Its right-hand side is compiled once, at
+//! parse time, into a register program over rows; per trip the kernel is
+//! placed on the bindings — my iterations are the on-array's owned block
+//! met with the loop bounds, read off its `Layout` — and the
+//! loop-invariant subtrees are evaluated once by the walker's own `eval`.
+//! An element then costs one pass of each instruction over a contiguous
+//! row of every operand, into a box-sized buffer committed once; no
+//! on-clause, iteration list or write log is built. The tree-walker stays
+//! as the fallback, and as the oracle the lowered path is tested against
+//! bit for bit (results, messages, counters, virtual clocks).
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -128,6 +149,7 @@ use kali_sched::{
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::Diagnostic;
+use crate::lower::{Bx, Kernel, Part, Rows, Scratch};
 use crate::resolve::*;
 use crate::value::*;
 use crate::RunOptions;
@@ -349,6 +371,24 @@ impl IterSet {
     }
 }
 
+/// This processor's iterations as a key names them: listed by the
+/// on-clause scan, or — at a lowered site — the owned box, which names the
+/// same set (every empty box alike), so a lowered site's keys hit and miss
+/// exactly where the listed ones would.
+#[derive(Clone, PartialEq)]
+enum Iters {
+    Listed(IterSet),
+    Box(Bx),
+}
+
+/// What one doall trip executes: the walker over the iterations the
+/// on-clause listed, or a lowered site's kernel over its owned box.
+#[derive(Clone, Copy)]
+enum Work<'w> {
+    Walk(&'w IterSet),
+    Rows(&'w Kernel, &'w Rows),
+}
+
 /// Everything the inspector's output is a deterministic function of. Two
 /// invocations with equal keys provably need the same communication, so
 /// the cached schedule can be replayed. Arrays are keyed *structurally*
@@ -361,7 +401,7 @@ struct ScheduleKey {
     site: usize,
     team_ranks: Vec<usize>,
     /// This processor's iteration set (owner-computes assignment).
-    my_iters: IterSet,
+    my_iters: Iters,
     /// Free scalars of the body at entry, sorted by name.
     scalars: Vec<(Slot, Value)>,
     /// Content fingerprints of *replicated* arrays in schedule-relevant
@@ -480,6 +520,9 @@ pub struct Interp<'a, 'p> {
     /// (bindings, views, generations), so a hit is valid regardless of
     /// which call produced the entry.
     schedules: Option<ScheduleCache<ScheduleKey>>,
+    /// Per lowered site (by site number): its result buffer and registers,
+    /// reused trip after trip.
+    scratch: Vec<Scratch>,
     /// Seed from compile-time communication plans ([`RDoall::plan`]):
     /// before an analyzable site's cold trip the interpreter concretizes
     /// its plan into a full `CommSchedule` and seeds the cache, so even
@@ -501,6 +544,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             schedules: opts
                 .schedule_cache
                 .then(|| ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
+            scratch: Vec::new(),
             static_seed: opts.static_seed,
         }
     }
@@ -877,9 +921,58 @@ impl<'a, 'p> Interp<'a, 'p> {
         result
     }
 
-    /// Enumerate the iterations (outer variable first), keep those whose
-    /// on-clause names this processor, and execute them.
+    /// Execute the iterations this processor owns: a lowered site's
+    /// kernel over its owned box when the trip's bindings fit it
+    /// ([`Interp::lower`]), otherwise the walker over the iterations whose
+    /// on-clause names this processor.
     fn run_doall(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> RtResult<()> {
+        let lowered = (d.kernel.as_ref()).and_then(|k| Some((k, self.lower(d, k, bounds)?)));
+        // Owner set per iteration — only when a static plan may seed this
+        // site: seeding simulates every team member's inspector pass, and
+        // the owner sets are its input.
+        let seeding = self.static_seed && self.schedules.is_some() && d.plan.is_some();
+        let (my_iters, owners) = match lowered {
+            Some(_) if !seeding => {
+                // The key reads the loop variables as the scan leaves
+                // them: at the last iteration (unit steps).
+                if bounds.iter().all(|&(l, h, _)| l <= h) {
+                    let last = [bounds[0].1, bounds.get(1).map_or(0, |b| b.1)];
+                    self.set_loop_vars(d, &last[..bounds.len()]);
+                }
+                let arity = bounds.len();
+                (
+                    IterSet {
+                        arity,
+                        flat: Vec::new(),
+                    },
+                    None,
+                )
+            }
+            _ => self.scan(d, bounds, seeding)?,
+        };
+        let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
+        self.doall_depth += 1;
+        let result = match &lowered {
+            Some((k, rows)) => self.run_inspector_executor(d, Work::Rows(k, rows), owners),
+            // Team-call mode (Listing 7): members of each iteration's
+            // owner set execute the body cooperatively.
+            None if d.team_call => my_iters.iter().try_for_each(|it| self.run_iteration(d, it)),
+            None => self.run_inspector_executor(d, Work::Walk(&my_iters), owners),
+        };
+        self.doall_depth -= 1;
+        result
+    }
+
+    /// The on-clause scan: enumerate the iterations (outer variable
+    /// first) and keep those whose on-clause names this processor — and,
+    /// with `keep`, list every iteration with its owner set.
+    #[allow(clippy::type_complexity)]
+    fn scan(
+        &mut self,
+        d: &'p RDoall,
+        bounds: &[(i64, i64, i64)],
+        keep: bool,
+    ) -> RtResult<(IterSet, Option<(IterSet, Vec<Vec<usize>>)>)> {
         let arity = bounds.len();
         let total = bounds
             .iter()
@@ -896,11 +989,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             .flat
             .try_reserve_exact(total)
             .map_err(|_| "doall iteration set does not fit in memory".to_string())?;
-        // Owner set per iteration — only when a static plan may seed this
-        // site: seeding simulates every team member's inspector pass, and
-        // the owner sets are its input.
-        let keep_owners = self.static_seed && self.schedules.is_some() && d.plan.is_some();
-        let mut owners = keep_owners.then(|| (my_iters.clone(), Vec::new()));
+        let mut owners = keep.then(|| (my_iters.clone(), Vec::new()));
         let (first, second) = (bounds[0], bounds.get(1).copied().unwrap_or((0, 0, 1)));
         let mut i = first.0;
         while i <= first.1 {
@@ -919,18 +1008,35 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
             i += first.2;
         }
+        Ok((my_iters, owners))
+    }
 
-        self.doall_depth += 1;
-        let result = if d.team_call {
-            // Team-call mode (Listing 7): members of each iteration's
-            // owner set execute the body cooperatively.
-            my_iters.iter().try_for_each(|it| self.run_iteration(d, it))
-        } else {
-            let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
-            self.run_inspector_executor(d, &my_iters, owners)
-        };
-        self.doall_depth -= 1;
-        result
+    /// Place `d`'s kernel on this trip's bindings — the target, the
+    /// on-array and every read bound to a whole array, unit steps — and
+    /// evaluate its loop invariants. `None` runs the walker instead, which
+    /// then reports any error the way it always has.
+    fn lower(&mut self, d: &RDoall, k: &Kernel, bounds: &[(i64, i64, i64)]) -> Option<Rows> {
+        let mut ranges = [(0, 0); 2];
+        for (r, &(lo, hi, step)) in ranges.iter_mut().zip(bounds) {
+            *r = (step == 1).then_some((lo, hi))?;
+        }
+        let rows = Rows::new(self.me(), &ranges[..bounds.len()], k, |slot| {
+            match self.slot(slot) {
+                Some(Binding::Array(view)) if view.is_whole() => Some(view.base.clone()),
+                _ => None,
+            }
+        })?;
+        let mut values = Vec::with_capacity(k.invariants.len());
+        if rows.len() > 0 {
+            for (_, e) in &k.invariants {
+                values.push(self.eval(e).ok()?.as_f64());
+            }
+        }
+        if self.scratch.len() <= d.site {
+            self.scratch.resize_with(d.site + 1, Scratch::default);
+        }
+        rows.prepare(k, &values, &mut self.scratch[d.site]);
+        Some(rows)
     }
 
     fn set_loop_vars(&mut self, d: &RDoall, it: &[i64]) {
@@ -1152,7 +1258,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     fn run_inspector_executor(
         &mut self,
         d: &'p RDoall,
-        my_iters: &IterSet,
+        work: Work,
         owners: Option<(&IterSet, &[Vec<usize>])>,
     ) -> RtResult<()> {
         let team = self.frame().grid.team();
@@ -1166,7 +1272,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             team: team.clone(),
             sits_out: false,
             key: match self.schedules {
-                Some(_) => self.schedule_cache_key(d, &team, my_iters),
+                Some(_) => self.schedule_cache_key(d, &team, work),
                 None => None,
             },
             // Keys identify regions up to translation (owner-normalized
@@ -1185,9 +1291,11 @@ impl<'a, 'p> Interp<'a, 'p> {
                 me.build_static_schedule(d, plan, &team, &arrays, owners)
             });
         }
-        let build = |me: &mut Self, _: &LangWorld| me.inspect(d, &team, &arrays, my_iters);
+        let build = |me: &mut Self, _: &LangWorld| match work {
+            Work::Walk(iters) => me.inspect(d, &team, &arrays, iters),
+            Work::Rows(_, rows) => me.inspect_rows(rows, &team, &arrays),
+        };
         let split = self.policy.split;
-        let n = my_iters.len();
         let result = (|| {
             let mut flight = trip.begin(self, cache_ref.as_deref_mut(), &world, build)?;
             let mut interior_run = None;
@@ -1205,9 +1313,21 @@ impl<'a, 'p> Interp<'a, 'p> {
                 // overlap.
                 if let (None, Some(pre)) = (&interior_run, flight.interior_schedule()) {
                     self.proc.mark("doall:interior");
-                    let interior = interior_positions(&pre.boundary, n);
-                    let log = WriteLog::with_capacity(pre.write_hint, n);
-                    let log = self.exec_iterations(d, my_iters, &interior, log)?;
+                    // The walker's writes come back as a log; the kernel's
+                    // stay in its site's scratch.
+                    let log = match work {
+                        Work::Walk(my_iters) => {
+                            let n = my_iters.len();
+                            let interior = interior_positions(&pre.boundary, n);
+                            let log = WriteLog::with_capacity(pre.write_hint, n);
+                            Some(self.exec_iterations(d, my_iters, &interior, log)?)
+                        }
+                        Work::Rows(k, rows) => {
+                            debug_assert_eq!(pre.boundary, rows.inspect(|_, _| {}));
+                            rows.exec(k, Part::Interior, &mut self.scratch[d.site], self.proc);
+                            None
+                        }
+                    };
                     interior_run = Some((pre, log));
                 }
                 if split {
@@ -1233,13 +1353,11 @@ impl<'a, 'p> Interp<'a, 'p> {
                 Some((pre, log)) => {
                     debug_assert_eq!(pre.boundary, sched.boundary);
                     self.proc.mark("doall:boundary");
-                    self.finish_execution(d, my_iters, &pre.boundary, log)
+                    self.finish_execution(d, work, Some((&pre.boundary, log)), 0)
                 }
                 None => {
                     self.proc.mark("doall:execute");
-                    let all: Vec<usize> = (0..n).collect();
-                    let log = WriteLog::with_capacity(sched.write_hint, n);
-                    self.finish_execution(d, my_iters, &all, log)
+                    self.finish_execution(d, work, None, sched.write_hint)
                 }
             }
         })();
@@ -1277,7 +1395,39 @@ impl<'a, 'p> Interp<'a, 'p> {
             Mode::Inspect(st) => st,
             _ => unreachable!(),
         };
+        self.route(team, arrays, st, boundary)
+    }
 
+    /// The inspector without the walk: a lowered site's boundary and
+    /// remote reads follow from its boxes — the lists the walk would
+    /// record, in its order ([`Rows::inspect`]) — and are routed as
+    /// the walker's are, so the schedule is the inspector's, word for word.
+    fn inspect_rows(
+        &mut self,
+        rows: &Rows,
+        team: &Team,
+        arrays: &[ExchangeArray],
+    ) -> RtResult<CommSchedule> {
+        self.proc.note_inspector_run();
+        self.proc.mark("doall:inspect");
+        let mut st = InspectState {
+            writes: rows.len(),
+            ..InspectState::default()
+        };
+        let boundary = rows.inspect(|base, flat| st.record(base, flat));
+        self.route(team, arrays, st, boundary)
+    }
+
+    /// Both inspectors' second half: route each exchange array's remote
+    /// needs to their owners and run the request rounds, after which every
+    /// team member also knows what its peers will ask of it.
+    fn route(
+        &mut self,
+        team: &Team,
+        arrays: &[ExchangeArray],
+        st: InspectState,
+        boundary: Vec<usize>,
+    ) -> RtResult<CommSchedule> {
         let mut reqs_all: Vec<Vec<Vec<u64>>> = Vec::with_capacity(arrays.len());
         for a in arrays {
             reqs_all.push(self.compute_requests(team, &a.base, st.needs_of(&a.base))?);
@@ -1355,21 +1505,44 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     /// The tail of every trip: run the iterations still to do — the
-    /// **boundary** after an interior that ran in flight (its writes
-    /// already in `log`), or all of them when none could — against
-    /// freshened storage, then commit all buffered writes
+    /// **boundary** after an interior that ran in flight (`ran`: its
+    /// boundary and the walker's log of it), or all of them when none
+    /// could — against freshened storage, then commit all buffered writes
     /// (copy-in/copy-out).
     fn finish_execution(
         &mut self,
         d: &'p RDoall,
-        my_iters: &IterSet,
-        boundary: &[usize],
-        log: WriteLog,
+        work: Work,
+        ran: Option<(&[usize], Option<WriteLog>)>,
+        write_hint: usize,
     ) -> RtResult<()> {
-        let interior_segs = log.seg_ends.len();
-        let log = self.exec_iterations(d, my_iters, boundary, log)?;
-        self.proc.memop(log.entries.len() as f64);
-        log.commit(boundary, interior_segs, my_iters.len());
+        match work {
+            Work::Walk(my_iters) => {
+                let n = my_iters.len();
+                let all: Vec<usize>;
+                let (boundary, log) = match ran {
+                    Some((boundary, Some(log))) => (boundary, log),
+                    _ => {
+                        all = (0..n).collect();
+                        (&all[..], WriteLog::with_capacity(write_hint, n))
+                    }
+                };
+                let interior_segs = log.seg_ends.len();
+                let log = self.exec_iterations(d, my_iters, boundary, log)?;
+                self.proc.memop(log.entries.len() as f64);
+                log.commit(boundary, interior_segs, n);
+            }
+            Work::Rows(k, rows) => {
+                let part = if ran.is_some() {
+                    Part::Boundary
+                } else {
+                    Part::All
+                };
+                let scratch = &mut self.scratch[d.site];
+                rows.exec(k, part, scratch, self.proc);
+                rows.commit(scratch, self.proc);
+            }
+        }
         Ok(())
     }
 
@@ -1434,12 +1607,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// array — its *values* could steer the inspector — or the body calls
     /// a user subroutine / nests constructs whose communication this scan
     /// cannot prove invariant.
-    fn schedule_cache_key(
-        &self,
-        d: &RDoall,
-        team: &Team,
-        my_iters: &IterSet,
-    ) -> Option<ScheduleKey> {
+    fn schedule_cache_key(&self, d: &RDoall, team: &Team, work: Work) -> Option<ScheduleKey> {
         if !d.cacheable {
             return None;
         }
@@ -1521,7 +1689,10 @@ impl<'a, 'p> Interp<'a, 'p> {
         Some(ScheduleKey {
             site: d.site,
             team_ranks: team.ranks().to_vec(),
-            my_iters: my_iters.clone(),
+            my_iters: match work {
+                Work::Walk(iters) => Iters::Listed(iters.clone()),
+                Work::Rows(_, rows) => Iters::Box(rows.bx),
+            },
             scalars,
             fingerprints,
             arrays,
@@ -2103,7 +2274,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 let v = self.eval(e)?;
                 Ok(match op {
                     UnOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
+                        Value::Int(x) => Value::Int(x.checked_neg().ok_or(OVERFLOW)?),
                         Value::Real(x) => Value::Real(-x),
                     },
                     UnOp::Not => Value::Int(if v.truthy() { 0 } else { 1 }),
@@ -2157,7 +2328,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 Value::Int(63 - (v as u64).leading_zeros() as i64)
             }
             Intrinsic::Abs => match a {
-                Value::Int(x) => Value::Int(x.abs()),
+                Value::Int(x) => Value::Int(x.checked_abs().ok_or(OVERFLOW)?),
                 Value::Real(x) => Value::Real(x.abs()),
             },
             Intrinsic::Sqrt => Value::Real(a.as_f64().sqrt()),
@@ -2264,19 +2435,23 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 }
 
+/// The runtime error of an integer operation whose result does not fit.
+const OVERFLOW: &str = "integer overflow";
+
 /// Binary operators with Fortran typing: two integers stay integral
-/// (division truncates), anything else is real.
+/// (division truncates, overflow is an error), anything else is real.
 fn eval_bin(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
     use BinOp::*;
     Ok(match op {
         Add | Sub | Mul | Div | Rem => match (a, b) {
             (Value::Int(x), Value::Int(y)) => Value::Int(match op {
-                Add => x + y,
-                Sub => x - y,
-                Mul => x * y,
-                Div => x.checked_div(y).ok_or("integer division by zero")?,
-                _ if y == 0 => return Err("mod by zero".into()),
-                _ => x.wrapping_rem(y),
+                Div if y == 0 => return Err("integer division by zero".into()),
+                Rem if y == 0 => return Err("mod by zero".into()),
+                Rem => x.wrapping_rem(y),
+                Add => x.checked_add(y).ok_or(OVERFLOW)?,
+                Sub => x.checked_sub(y).ok_or(OVERFLOW)?,
+                Mul => x.checked_mul(y).ok_or(OVERFLOW)?,
+                _ => x.checked_div(y).ok_or(OVERFLOW)?,
             }),
             _ => {
                 let (x, y) = (a.as_f64(), b.as_f64());
@@ -2323,7 +2498,268 @@ fn view_origin_flat(view: &View) -> RtResult<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HostValue;
+    use kali_machine::{Machine, MachineConfig};
     use std::cell::RefCell;
+
+    /// Run `f` on every rank of a `grid`-shaped simulated machine, inside
+    /// a fresh frame of `entry` (declarations elaborated, host arguments
+    /// bound), and collect its results.
+    fn on_entry<R: Send + 'static>(
+        src: &str,
+        entry: &str,
+        grid: &[usize],
+        args: &[HostValue],
+        f: impl for<'a, 'p> Fn(&mut Interp<'a, 'p>, &'p RSub) -> R + Sync,
+    ) -> Vec<R> {
+        let prog = crate::parse(src).unwrap();
+        let k = prog.subs.iter().position(|s| s.name == entry).unwrap();
+        let p = grid.iter().product();
+        let run = Machine::run(MachineConfig::new(p), |proc| {
+            let sub = &prog.code[k];
+            let mut slots = vec![None; sub.names.len()];
+            for (&slot, a) in sub.params.iter().zip(args) {
+                slots[slot] = Some(match a {
+                    HostValue::Int(v) => Binding::Scalar(Value::Int(*v)),
+                    HostValue::Real(v) => Binding::Scalar(Value::Real(*v)),
+                    HostValue::Array { data, bounds } => {
+                        let extents: Vec<usize> =
+                            bounds.iter().map(|&(l, h)| (h - l + 1) as usize).collect();
+                        Binding::Array(View::whole(Rc::new(RefCell::new(ArrObj {
+                            name: sub.names[slot].clone(),
+                            bounds: bounds.clone(),
+                            layout: Layout::replicated(&extents, &ProcGrid::new_1d(1)),
+                            data: data.clone(),
+                            is_real: true,
+                            dist_gen: 0,
+                        }))))
+                    }
+                });
+            }
+            let grid = ProcGrid::with_ranks(grid.to_vec(), (0..p).collect());
+            slots[sub.proc_param.unwrap()] = Some(Binding::Grid(grid.clone()));
+            let mut me = Interp::new(proc, &prog, RunOptions::default());
+            me.frames.push(Frame {
+                grid,
+                sub,
+                slots,
+                iter_defined: Vec::new(),
+                iter_depth: 0,
+            });
+            me.elaborate_decls(sub).unwrap();
+            f(&mut me, sub)
+        });
+        run.results
+    }
+
+    impl<'p> Interp<'_, 'p> {
+        /// Execute `body` up to its first doall (entering `do` loops at
+        /// their first trip) and return it.
+        fn run_to_doall(&mut self, body: &'p [RStmt]) -> &'p RDoall {
+            for s in body {
+                match s {
+                    RStmt::Doall(d) => return d,
+                    RStmt::Do { var, lo, body, .. } => {
+                        let lo = self.eval(lo).unwrap();
+                        self.set_scalar(*var, lo).unwrap();
+                        return self.run_to_doall(body);
+                    }
+                    s => assert_eq!(self.exec_stmt(s).unwrap(), Flow::Normal),
+                }
+            }
+            panic!("no doall")
+        }
+    }
+
+    fn grid2(np: i64, scale: f64) -> HostValue {
+        let w = (np + 1) as usize;
+        HostValue::Array {
+            data: (0..w * w).map(|k| scale * (k % 11) as f64).collect(),
+            bounds: vec![(0, np); 2],
+        }
+    }
+
+    /// The analytic builder and the inspector derive the same schedule,
+    /// field for field, on every rank: Jacobi on 2×2 and ADI's residual
+    /// with uneven blocks, and the one-sided `shift` at p = 3 with a
+    /// length 3 does not divide.
+    #[test]
+    fn the_analytic_builder_derives_the_inspectors_schedule() {
+        let shift = HostValue::Array {
+            data: (1..=11).map(f64::from).collect(),
+            bounds: vec![(1, 11)],
+        };
+        let cases = [
+            (
+                "jacobi",
+                "jacobi",
+                vec![2, 2],
+                vec![
+                    grid2(10, 1.0),
+                    grid2(10, 0.1),
+                    HostValue::Int(10),
+                    HostValue::Int(1),
+                ],
+            ),
+            (
+                "adi",
+                "resid",
+                vec![2, 2],
+                vec![
+                    grid2(10, 1.0),
+                    grid2(10, 0.5),
+                    grid2(10, 0.0),
+                    HostValue::Int(10),
+                    HostValue::Real(1.5),
+                    HostValue::Real(0.5),
+                ],
+            ),
+            ("shift", "shift", vec![3], vec![shift, HostValue::Int(11)]),
+        ];
+        for (listing, entry, grid, args) in cases {
+            let src = crate::listing(listing).unwrap();
+            let words = on_entry(src, entry, &grid, &args, |me, sub| {
+                let d = me.run_to_doall(&sub.body);
+                let bounds: Vec<_> = (d.ranges.iter())
+                    .map(|(lo, hi, _)| {
+                        (
+                            me.eval(lo).unwrap().as_int(),
+                            me.eval(hi).unwrap().as_int(),
+                            1,
+                        )
+                    })
+                    .collect();
+                let (iters, _) = me.scan(d, &bounds, false).unwrap();
+                let kernel = d.kernel.as_ref().expect("a lowerable site");
+                let rows = me.lower(d, kernel, &bounds).expect("bindings in the class");
+                let team = me.frame().grid.team();
+                let arrays = me.exchange_arrays(d).unwrap();
+                let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
+                let derived = me.inspect_rows(&rows, &team, &arrays).unwrap();
+                assert_eq!(walked, derived, "{entry}, rank {}", me.me());
+                assert_eq!(me.proc.stats().inspector_runs, 2);
+                walked.words_expected()
+            });
+            assert!(words.iter().sum::<usize>() > 0, "{entry}: {words:?}");
+        }
+    }
+
+    /// Which sites take the lowered path: a single assignment of an
+    /// affine stencil does (Jacobi's doall, `shift`'s, ADI's residual,
+    /// `spmv`'s feedback `x(i) = y(i) / 10.0`); scalar temporaries,
+    /// builtin and team calls and non-affine subscripts keep every site of
+    /// `tri` and the rest of `adi` and `spmv` on the walker.
+    #[test]
+    fn the_lowered_sites_of_the_listings() {
+        let vec1 = |n: usize| HostValue::Array {
+            data: (0..n).map(|k| 1.0 + k as f64).collect(),
+            bounds: vec![(1, n as i64)],
+        };
+        let (n, nz) = (6, 6);
+        let csr = HostValue::Array {
+            data: (1..=n + 1).map(|k| k as f64).collect(),
+            bounds: vec![(1, n as i64 + 1)],
+        };
+        let cases: [(&str, &str, &[usize], Vec<HostValue>, &[usize]); 5] = [
+            (
+                "jacobi",
+                "jacobi",
+                &[1, 1],
+                vec![
+                    grid2(6, 0.0),
+                    grid2(6, 0.1),
+                    HostValue::Int(6),
+                    HostValue::Int(2),
+                ],
+                &[0],
+            ),
+            (
+                "shift",
+                "shift",
+                &[1],
+                vec![vec1(n), HostValue::Int(n as i64)],
+                &[0],
+            ),
+            (
+                "tri",
+                "tri",
+                &[1],
+                vec![
+                    vec1(n),
+                    vec1(n),
+                    vec1(n),
+                    vec1(n),
+                    vec1(n),
+                    HostValue::Int(n as i64),
+                ],
+                &[],
+            ),
+            (
+                "adi",
+                "adi",
+                &[1, 1],
+                vec![
+                    grid2(6, 0.0),
+                    grid2(6, 0.5),
+                    grid2(6, 0.0),
+                    HostValue::Int(6),
+                    HostValue::Real(40.0),
+                    HostValue::Int(1),
+                    HostValue::Real(1.0),
+                    HostValue::Real(1.0),
+                ],
+                &[2],
+            ),
+            (
+                "spmv",
+                "spmvit",
+                &[1],
+                vec![
+                    vec1(n),
+                    vec1(n),
+                    csr,
+                    vec1(nz),
+                    vec1(nz),
+                    HostValue::Int(n as i64),
+                    HostValue::Int(nz as i64),
+                    HostValue::Int(2),
+                ],
+                &[1],
+            ),
+        ];
+        for (listing, entry, grid, args, want) in cases {
+            let src = crate::listing(listing).unwrap();
+            let ran = on_entry(src, entry, grid, &args, |me, sub| {
+                me.exec_stmts(&sub.body).unwrap();
+                let used = me
+                    .scratch
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| !s.is_unused());
+                used.map(|(site, _)| site).collect::<Vec<_>>()
+            });
+            assert_eq!(ran, [want.to_vec()], "{listing}");
+            // The text alone already decides it at one processor.
+            let prog = crate::parse(src).unwrap();
+            let mut compiled = Vec::new();
+            any_stmt(
+                &prog
+                    .code
+                    .iter()
+                    .flat_map(|s| s.body.clone())
+                    .collect::<Vec<_>>(),
+                &mut |n| {
+                    if let Node::Stmt(RStmt::Doall(d)) = n {
+                        if d.kernel.is_some() {
+                            compiled.push(d.site);
+                        }
+                    }
+                    false
+                },
+            );
+            assert_eq!(compiled, want, "{listing}");
+        }
+    }
 
     fn array(name: &str, n: usize) -> ArrRef {
         Rc::new(RefCell::new(ArrObj {

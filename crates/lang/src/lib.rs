@@ -27,6 +27,7 @@ pub mod analysis;
 pub mod ast;
 pub mod diag;
 pub mod interp;
+mod lower;
 pub mod parser;
 mod resolve;
 pub mod token;
@@ -596,6 +597,12 @@ end
     }
 
     #[test]
+    #[should_panic(expected = "integer overflow")]
+    fn integer_overflow_is_a_kf1_runtime_error() {
+        run_body(1, 4, "  k = n * 4611686018427387904");
+    }
+
+    #[test]
     #[should_panic(expected = "cannot assign scalar to processor array procs")]
     fn assigning_to_a_processor_array_is_a_kf1_runtime_error() {
         run_body(1, 4, "  procs = 1");
@@ -971,7 +978,7 @@ end
         let p0: Vec<&str> = run.report.procs[0]
             .marks
             .iter()
-            .map(|m| m.label.as_str())
+            .map(|m| &*m.label)
             .collect();
         let first_post = p0.iter().position(|l| *l == "doall:post").unwrap();
         assert_eq!(p0[first_post + 1], "doall:interior");

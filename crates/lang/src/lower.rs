@@ -1,0 +1,426 @@
+//! Lowered doalls: the affine stencil class run as row kernels.
+//!
+//! A `doall` whose body is one element assignment `x(i, j) = rhs` on
+//! `owner(x(i, j))`, every element read in `rhs` a whole array subscripted
+//! `a(i ± c, j ± c)`, needs no tree walk. [`compile`] turns `rhs`, once
+//! per site, into a flat register program whose every instruction
+//! processes a whole row run: an operand is the row of an element read or
+//! a register — an earlier instruction's result, or a loop-invariant
+//! subtree (no element read, no loop variable) that the interpreter's own
+//! `eval` computes once per trip, broadcast along the row, so Int/Real
+//! typing is exactly the walker's.
+//!
+//! Per trip, [`Rows`] places the program on the bindings at hand. My
+//! iterations are a box — the on-array's owned block, read off its
+//! `Layout`, met with the loop bounds — and the *interior*, the
+//! iterations whose every read is owned, is the meet of each read
+//! array's owned block shifted back by the read's offset: the inspector's
+//! own classification, read by read. What the inspector would record by
+//! walking the body follows from the same boxes ([`Rows::inspect`]).
+
+use std::cell::Ref;
+
+use kali_machine::Proc;
+
+use crate::analysis::const_of;
+use crate::ast::{BinOp, UnOp};
+use crate::resolve::{any_expr, Node, RDoall, RExpr, RProcExpr, RStmt, Slot};
+use crate::value::{ArrObj, ArrRef};
+
+/// Inclusive bounds per loop variable, the last one along a row; a
+/// one-variable loop is a single row, `[(0, 0), range]`.
+pub(crate) type Bx = [(i64, i64); 2];
+
+/// The empty box, canonical: every empty iteration set keys alike.
+const EMPTY: Bx = [(0, -1); 2];
+
+fn is_empty(b: &Bx) -> bool {
+    b.iter().any(|&(lo, hi)| lo > hi)
+}
+
+fn meet(a: &Bx, b: &Bx) -> Bx {
+    let m = [0, 1].map(|d| (a[d].0.max(b[d].0), a[d].1.min(b[d].1)));
+    if is_empty(&m) {
+        EMPTY
+    } else {
+        m
+    }
+}
+
+/// An operand: a register, or the row of element read `k`.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Reg(usize),
+    Read(usize),
+}
+
+/// A lowered site's right-hand side, compiled once.
+#[derive(Debug, Clone)]
+pub(crate) struct Kernel {
+    /// The assignment's target and the on-clause's array.
+    pub target: Slot,
+    pub on: Slot,
+    /// The assignment's flops, charged per iteration as the walker does.
+    pub flops: f64,
+    /// Every element read, in evaluation order: the array and its offset
+    /// from the loop variables, placed as in [`Bx`].
+    pub reads: Vec<(Slot, [i64; 2])>,
+    /// The loop-invariant subtrees, each with the register it fills.
+    pub invariants: Vec<(usize, RExpr)>,
+    /// `(op, destination register, operands)` in evaluation order; no op
+    /// negates the first operand.
+    code: Vec<(Option<BinOp>, usize, Src, Src)>,
+    out: Src,
+    regs: usize,
+}
+
+/// The kernel of a site in the lowerable class as far as its text alone
+/// decides: one element assignment subscripted by the loop variables in
+/// order, on `owner` of an array subscripted the same way, reads
+/// `a(v ± c, …)` combined by `+ − * /` and unary `−`, and a static plan.
+/// The bindings are checked per trip ([`Rows::new`]).
+pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
+    let [RStmt::AssignElement {
+        slot,
+        subs,
+        rhs,
+        flops,
+        ..
+    }] = d.body.as_slice()
+    else {
+        return None;
+    };
+    let RProcExpr::Owner(on, on_subs) = &d.on else {
+        return None;
+    };
+    let (vars, n) = (&d.vars, d.vars.len());
+    let var = |k: usize, e: Option<&RExpr>| matches!(e, Some(RExpr::Var(v, _)) if *v == vars[k]);
+    let by_vars = subs.len() == n
+        && on_subs.len() == n
+        && (0..n).all(|k| var(k, Some(&subs[k])) && var(k, on_subs[k].as_ref()));
+    if d.plan.is_none() || !by_vars || !(n == 1 || n == 2 && vars[0] != vars[1]) {
+        return None;
+    }
+    let mut k = Kernel {
+        target: *slot,
+        on: *on,
+        flops: *flops,
+        reads: Vec::new(),
+        invariants: Vec::new(),
+        code: Vec::new(),
+        out: Src::Reg(0),
+        regs: 0,
+    };
+    k.out = k.operand(rhs, vars)?;
+    Some(k)
+}
+
+impl Kernel {
+    fn operand(&mut self, e: &RExpr, vars: &[Slot]) -> Option<Src> {
+        let varies = any_expr(e, &mut |n| match n {
+            Node::Expr(e) => matches!(e, RExpr::Ref(..)),
+            Node::Name(s) => vars.contains(&s),
+            Node::Stmt(_) => false,
+        });
+        let (op, a, b) = match e {
+            _ if !varies => {
+                self.invariants.push((self.regs, e.clone()));
+                self.regs += 1;
+                return Some(Src::Reg(self.regs - 1));
+            }
+            RExpr::Ref(slot, _, args, _) if args.len() == vars.len() => {
+                let mut off = [0; 2];
+                for ((o, a), &v) in off[2 - vars.len()..].iter_mut().zip(args).zip(vars) {
+                    *o = offset(a.as_ref()?, v)?;
+                }
+                self.reads.push((*slot, off));
+                return Some(Src::Read(self.reads.len() - 1));
+            }
+            RExpr::Un(UnOp::Neg, x, _) => {
+                let a = self.operand(x, vars)?;
+                (None, a, a)
+            }
+            RExpr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), l, r, _) => {
+                (Some(*op), self.operand(l, vars)?, self.operand(r, vars)?)
+            }
+            _ => return None,
+        };
+        self.code.push((op, self.regs, a, b));
+        self.regs += 1;
+        Some(Src::Reg(self.regs - 1))
+    }
+}
+
+/// `c` of a subscript `var ± c`.
+fn offset(e: &RExpr, var: Slot) -> Option<i64> {
+    let is_var = |e: &RExpr| matches!(e, RExpr::Var(v, _) if *v == var);
+    match e {
+        _ if is_var(e) => Some(0),
+        RExpr::Bin(BinOp::Add, v, c, _) if is_var(v) => const_of(c),
+        RExpr::Bin(BinOp::Sub, v, c, _) if is_var(v) => const_of(c)?.checked_neg(),
+        _ => None,
+    }
+}
+
+/// A whole array as a kernel addresses it: its bounds, placed as in
+/// [`Bx`].
+struct Addr {
+    base: ArrRef,
+    bounds: Bx,
+}
+
+impl Addr {
+    /// `None` unless the array is real and has one dimension per loop
+    /// variable.
+    fn of(base: &ArrRef, arity: usize) -> Option<Addr> {
+        let a = base.borrow();
+        let mut bounds = [(0, 0); 2];
+        (a.is_real && a.ndims() == arity).then_some(())?;
+        bounds[2 - arity..].copy_from_slice(&a.bounds);
+        let base = base.clone();
+        Some(Addr { base, bounds })
+    }
+
+    fn flat(&self, i: i64, j: i64) -> usize {
+        let [(lo0, _), (lo1, hi1)] = self.bounds;
+        ((i - lo0) * (hi1 - lo1 + 1) + j - lo1) as usize
+    }
+
+    /// What rank `me` owns of the array (`None`: a dimension's blocks are
+    /// not contiguous). A replicated array's reader owns all of it, but an
+    /// on-clause on it names the grid's members only: `replicas` says which.
+    fn owned(&self, me: usize, replicas: bool) -> Option<Bx> {
+        let a = self.base.borrow();
+        if replicas && a.replicated() {
+            return Some([(i64::MIN, i64::MAX); 2]);
+        }
+        let (mut owned, mut mine) = (self.bounds, true);
+        for (d, dist) in a.layout.dists().iter().enumerate() {
+            let c = a.layout.coord(me, d);
+            let (lo, d) = (owned[d + 2 - a.ndims()].0, d + 2 - a.ndims());
+            match c.and_then(|c| Some((dist.lower(c)?, dist.upper(c)?))) {
+                _ if !dist.is_contiguous() => return None,
+                Some((l, h)) => owned[d] = (lo + l as i64, lo + h as i64),
+                None => mine = false,
+            }
+        }
+        Some(if mine { owned } else { EMPTY })
+    }
+}
+
+/// Which iterations of the box a call covers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Part {
+    Interior,
+    Boundary,
+    All,
+}
+
+/// A site's buffers, reused trip after trip: the box-sized result, the
+/// registers, and each read's row start.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    out: Vec<f64>,
+    regs: Vec<Vec<f64>>,
+    starts: Vec<usize>,
+}
+
+/// A kernel placed on one trip's bindings.
+pub(crate) struct Rows {
+    /// My iterations.
+    pub bx: Bx,
+    /// Those whose every read is owned.
+    interior: Bx,
+    target: Addr,
+    /// Per kernel read: the array, the offset, and what I own of it.
+    reads: Vec<(Addr, [i64; 2], Bx)>,
+}
+
+impl Rows {
+    /// Place `k` for rank `me` over the loop `ranges` (unit steps), with
+    /// `whole` the whole array a slot is bound to, if it is. `None` — the
+    /// walker runs, and reports what it reports — when an array is not
+    /// whole, real, of the loop's rank and contiguously distributed, when
+    /// the on-array's layout or bounds are not the target's, or when the
+    /// loop leaves those bounds or a read of the box leaves its array's.
+    pub(crate) fn new(
+        me: usize,
+        ranges: &[(i64, i64)],
+        k: &Kernel,
+        whole: impl Fn(Slot) -> Option<ArrRef>,
+    ) -> Option<Rows> {
+        let arity = ranges.len();
+        let (target, on) = (Addr::of(&whole(k.target)?, arity)?, whole(k.on)?);
+        let (t, o) = (target.base.borrow(), on.borrow());
+        (t.layout == o.layout && t.bounds == o.bounds).then_some(())?;
+        drop((t, o));
+        let inside = |f: &Addr, b: &Bx, off: [i64; 2]| {
+            is_empty(b)
+                || (0..2).all(|d| {
+                    let (lo, hi) = (b[d].0.checked_add(off[d]), b[d].1.checked_add(off[d]));
+                    lo.zip(hi)
+                        .is_some_and(|(lo, hi)| lo >= f.bounds[d].0 && hi <= f.bounds[d].1)
+                })
+        };
+        let mut loops = [(0, 0); 2];
+        loops[2 - arity..].copy_from_slice(ranges);
+        inside(&target, &loops, [0; 2]).then_some(())?;
+        let bx = meet(&loops, &target.owned(me, false)?);
+        let (mut interior, mut reads) = (bx, Vec::with_capacity(k.reads.len()));
+        for &(slot, off) in &k.reads {
+            let f = Addr::of(&whole(slot)?, arity)?;
+            let owned = f.owned(me, true)?;
+            inside(&f, &bx, off).then_some(())?;
+            let back = [0, 1].map(|d| {
+                (
+                    owned[d].0.saturating_sub(off[d]),
+                    owned[d].1.saturating_sub(off[d]),
+                )
+            });
+            interior = meet(&interior, &back);
+            reads.push((f, off, owned));
+        }
+        Some(Rows {
+            bx,
+            interior,
+            target,
+            reads,
+        })
+    }
+
+    /// How many iterations are mine.
+    pub(crate) fn len(&self) -> usize {
+        let [(a0, b0), (a1, b1)] = self.bx;
+        ((b0 - a0 + 1) * (b1 - a1 + 1)).max(0) as usize
+    }
+
+    /// Position of iteration `(i, j)` in iteration order.
+    fn pos(&self, i: i64, j: i64) -> usize {
+        let [(a0, _), (a1, b1)] = self.bx;
+        ((i - a0) * (b1 - a1 + 1) + j - a1) as usize
+    }
+
+    /// The runs `(row, first, last)` of `part`, in iteration order.
+    fn runs(&self, part: Part, mut f: impl FnMut(i64, i64, i64)) {
+        let [(a0, b0), (a1, b1)] = self.bx;
+        let [(c0, e0), (c1, e1)] = self.interior;
+        for i in a0..=b0 {
+            match part {
+                Part::All => f(i, a1, b1),
+                _ if !(c0..=e0).contains(&i) => {
+                    if part == Part::Boundary {
+                        f(i, a1, b1);
+                    }
+                }
+                Part::Interior => f(i, c1, e1),
+                Part::Boundary => {
+                    if a1 < c1 {
+                        f(i, a1, c1 - 1);
+                    }
+                    if e1 < b1 {
+                        f(i, e1 + 1, b1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// What the inspector finds walking my iterations: the positions of
+    /// those with a remote read, ascending, while `record` is handed each
+    /// remote read as `(array, flat)` in iteration and evaluation order.
+    pub(crate) fn inspect(&self, mut record: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
+        let mut boundary = Vec::new();
+        self.runs(Part::Boundary, |i, a, b| {
+            for j in a..=b {
+                boundary.push(self.pos(i, j));
+                for (f, [di, dj], [(l0, h0), (l1, h1)]) in &self.reads {
+                    let (i, j) = (i + di, j + dj);
+                    if !(*l0..=*h0).contains(&i) || !(*l1..=*h1).contains(&j) {
+                        record(&f.base, f.flat(i, j));
+                    }
+                }
+            }
+        });
+        boundary
+    }
+
+    /// Size `s` for this trip and broadcast the invariants' `values`, one
+    /// per [`Kernel::invariants`] entry, along the registers they fill.
+    pub(crate) fn prepare(&self, k: &Kernel, values: &[f64], s: &mut Scratch) {
+        let width = (self.bx[1].1 - self.bx[1].0 + 1).max(0) as usize;
+        s.out.resize(self.len(), 0.0);
+        s.regs.resize_with(k.regs, Vec::new);
+        s.regs.iter_mut().for_each(|r| r.resize(width, 0.0));
+        for ((r, _), &v) in k.invariants.iter().zip(values) {
+            s.regs[*r].fill(v);
+        }
+        s.starts.resize(self.reads.len(), 0);
+    }
+
+    /// Run `k` over the runs of `part` into the result, charging `proc`
+    /// the assignment's flops per iteration, as the walker does.
+    pub(crate) fn exec(&self, k: &Kernel, part: Part, s: &mut Scratch, proc: &mut Proc) {
+        let data: Vec<Ref<ArrObj>> = self.reads.iter().map(|r| r.0.base.borrow()).collect();
+        let Scratch { out, regs, starts } = s;
+        let mut count = 0;
+        self.runs(part, |i, a, b| {
+            let len = (b - a + 1) as usize;
+            count += len;
+            for (start, (f, off, _)) in starts.iter_mut().zip(&self.reads) {
+                *start = f.flat(i + off[0], a + off[1]);
+            }
+            for &(op, dst, x, y) in &k.code {
+                let mut d = std::mem::take(&mut regs[dst]);
+                let (x, y) = (
+                    operand(x, regs, &data, starts, len),
+                    operand(y, regs, &data, starts, len),
+                );
+                let d_x_y = d[..len].iter_mut().zip(x).zip(y);
+                match op {
+                    Some(BinOp::Add) => d_x_y.for_each(|((d, x), y)| *d = x + y),
+                    Some(BinOp::Sub) => d_x_y.for_each(|((d, x), y)| *d = x - y),
+                    Some(BinOp::Mul) => d_x_y.for_each(|((d, x), y)| *d = x * y),
+                    Some(_) => d_x_y.for_each(|((d, x), y)| *d = x / y),
+                    None => d_x_y.for_each(|((d, x), _)| *d = -x),
+                }
+                regs[dst] = d;
+            }
+            let at = self.pos(i, a);
+            out[at..at + len].copy_from_slice(operand(k.out, regs, &data, starts, len));
+        });
+        proc.compute_each(k.flops, count);
+    }
+
+    /// Copy-out: the result into the target's storage, charged as the
+    /// walker's commit of one write per iteration.
+    pub(crate) fn commit(&self, s: &Scratch, proc: &mut Proc) {
+        proc.memop(self.len() as f64);
+        let mut t = self.target.base.borrow_mut();
+        self.runs(Part::All, |i, a, b| {
+            let (from, to, len) = (self.pos(i, a), self.target.flat(i, a), (b - a + 1) as usize);
+            t.data[to..to + len].copy_from_slice(&s.out[from..from + len]);
+        });
+    }
+}
+
+/// The `len` values of `src` along the current row.
+fn operand<'a>(
+    src: Src,
+    regs: &'a [Vec<f64>],
+    data: &'a [Ref<ArrObj>],
+    starts: &[usize],
+    len: usize,
+) -> &'a [f64] {
+    match src {
+        Src::Reg(r) => &regs[r][..len],
+        Src::Read(k) => &data[k].data[starts[k]..][..len],
+    }
+}
+
+#[cfg(test)]
+impl Scratch {
+    /// Has no trip placed a kernel here (with a non-empty box)?
+    pub(crate) fn is_unused(&self) -> bool {
+        self.out.is_empty()
+    }
+}

@@ -28,6 +28,7 @@ use kali_grid::DistSpec;
 
 use crate::ast::*;
 use crate::diag::Span;
+use crate::lower::{compile, Kernel};
 use crate::value::Value;
 
 /// Index of a name in its subroutine's symbol table, and of its binding
@@ -289,6 +290,10 @@ pub(crate) struct RDoall {
     /// subscript — the affine-stencil class, whose communication the text
     /// alone fixes.
     pub plan: Option<Vec<(Slot, Vec<RExpr>)>>,
+    /// The compiled row kernel of a planned site in the lowerable class
+    /// ([`crate::lower`]); the interpreter runs it instead of walking the
+    /// body whenever a trip's bindings fit.
+    pub kernel: Option<Kernel>,
 }
 
 #[derive(Debug, Clone)]
@@ -737,7 +742,7 @@ impl Resolver {
                         || vars.contains(&slot)
                         || f.defines.contains(&slot),
                 });
-                RStmt::Doall(RDoall {
+                let mut d = RDoall {
                     site: *site,
                     at: At(s.span),
                     reads: reads.collect(),
@@ -750,7 +755,10 @@ impl Resolver {
                     names: f.names,
                     keyed: f.keyed,
                     cacheable: !f.uncacheable,
-                })
+                    kernel: None,
+                };
+                d.kernel = compile(&d);
+                RStmt::Doall(d)
             }
         }
     }

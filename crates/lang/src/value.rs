@@ -248,6 +248,17 @@ impl View {
         }
     }
 
+    /// Is this the whole base array, subscripted as declared?
+    pub(crate) fn is_whole(&self) -> bool {
+        let b = self.base.borrow();
+        let lows = self.callee_lo.iter().zip(&b.bounds);
+        self.map
+            .iter()
+            .zip(&b.bounds)
+            .all(|(m, &(lo, hi))| *m == ViewDim::Range(lo, hi))
+            && lows.into_iter().all(|(&c, &(lo, _))| c == lo)
+    }
+
     /// Number of callee-visible dimensions.
     pub fn ndims(&self) -> usize {
         self.map

@@ -1,6 +1,7 @@
 //! Per-processor handle: virtual clock, send/recv, metrics.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,7 +81,9 @@ pub struct ProcStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkEvent {
     pub at: f64,
-    pub label: String,
+    /// A static label is borrowed, not copied: stamping one allocates
+    /// nothing beyond the log's own growth.
+    pub label: Cow<'static, str>,
 }
 
 /// An ordered set of processors cooperating in a collective or a distributed
@@ -303,7 +306,7 @@ impl Proc {
     }
 
     /// Record a labelled instant for post-run activity analysis.
-    pub fn mark(&mut self, label: impl Into<String>) {
+    pub fn mark(&mut self, label: impl Into<Cow<'static, str>>) {
         self.marks.push(MarkEvent {
             at: self.clock,
             label: label.into(),
@@ -318,6 +321,19 @@ impl Proc {
         self.clock += dt;
         self.stats.busy += dt;
         self.stats.flops += flops;
+    }
+
+    /// [`Proc::compute`]`(flops)`, `times` times over: the same clock and
+    /// counters, bit for bit, as that many calls, for a caller that runs
+    /// a batch of equal iterations at once.
+    pub fn compute_each(&mut self, flops: f64, times: usize) {
+        debug_assert!(flops >= 0.0);
+        let dt = self.backend.flop_seconds(&self.cfg.cost, flops);
+        for _ in 0..times {
+            self.clock += dt;
+            self.stats.busy += dt;
+            self.stats.flops += flops;
+        }
     }
 
     /// Charge a local memory movement of `words` 8-byte words.
@@ -680,5 +696,20 @@ mod tests {
     #[should_panic(expected = "at least one member")]
     fn empty_team_rejected() {
         let _ = Team::new(vec![]);
+    }
+
+    #[test]
+    fn compute_each_charges_exactly_like_repeated_computes() {
+        let run = crate::Machine::run(crate::MachineConfig::new(2), |proc| {
+            if proc.rank() == 0 {
+                (0..1000).for_each(|_| proc.compute(0.7));
+            } else {
+                proc.compute_each(0.7, 1000);
+            }
+            let s = proc.stats();
+            [proc.clock(), s.busy, s.flops].map(f64::to_bits)
+        });
+        assert_ne!(run.results[0][0], 0);
+        assert_eq!(run.results[0], run.results[1]);
     }
 }

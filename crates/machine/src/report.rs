@@ -121,11 +121,7 @@ impl RunReport {
         let mut out: Vec<(usize, f64, &str)> = self
             .procs
             .iter()
-            .flat_map(|p| {
-                p.marks
-                    .iter()
-                    .map(move |m| (p.rank, m.at, m.label.as_str()))
-            })
+            .flat_map(|p| p.marks.iter().map(move |m| (p.rank, m.at, &*m.label)))
             .collect();
         out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
         out

@@ -10,6 +10,7 @@ use std::rc::Rc;
 /// directions recorded, a later invocation can run the value exchange
 /// directly — no inspector pass, no request round — and both sides agree
 /// on which peer pairs exchange no message at all.
+#[derive(Debug, PartialEq)]
 pub struct CommSchedule {
     pub arrays: Vec<ArraySchedule>,
     /// Buffered-write count observed when the schedule was built;
@@ -25,6 +26,7 @@ pub struct CommSchedule {
 }
 
 /// One array's slice of a [`CommSchedule`].
+#[derive(Debug, PartialEq)]
 pub struct ArraySchedule {
     /// Consumer-meaning name of the array. The interpreter resolves it
     /// against the current frame on replay (so a schedule built in one

@@ -1,11 +1,13 @@
 //! Property tests for the compile-time analyzer: random well-formed
 //! stencil programs must come back clean, carry a static communication
 //! plan, and — seeded — replay their cold trip bitwise-identically to
-//! the inspector path with exact counters; random seeded-fault programs
-//! must be flagged by the analyzer *and* rejected by the runtime, with
-//! the two verdicts agreeing. The checked-in `tests/corpus/bad` files
-//! are pinned here too: each must produce the diagnostic code its file
-//! name promises, with a usable span.
+//! the inspector path with exact counters; lowered to row kernels, they
+//! must compute, communicate and charge exactly what the tree-walker
+//! does; random seeded-fault programs must be flagged by the analyzer
+//! *and* rejected by the runtime, with the two verdicts agreeing. The
+//! checked-in `tests/corpus/bad` files are pinned here too: each must
+//! produce the diagnostic code its file name promises, with a usable
+//! span.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -196,6 +198,185 @@ end
             msg.contains(runtime_hint),
             "runtime verdict disagrees with the analyzer: {msg}\n{src}"
         );
+    }
+}
+
+/// A small deterministic generator (SplitMix64) for the random stencils
+/// below.
+struct Gen(u64);
+
+impl Gen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// An element read of `x` or `b`, every subscript `var ± c` with
+    /// `c` in −2..=2; its offsets are appended to `offs`.
+    fn read(&mut self, vars: &[&str], offs: &mut Vec<Vec<i64>>) -> String {
+        let array = ["x", "b"][self.below(2) as usize];
+        let off: Vec<i64> = vars.iter().map(|_| self.below(5) as i64 - 2).collect();
+        let subs: Vec<String> = vars
+            .iter()
+            .zip(&off)
+            .map(|(v, &c)| match c {
+                0 => v.to_string(),
+                c if c > 0 => format!("{v} + {c}"),
+                c => format!("{v} - {}", -c),
+            })
+            .collect();
+        offs.push(off);
+        format!("{array}({})", subs.join(", "))
+    }
+
+    /// A right-hand side of depth at most `depth`: element reads, real
+    /// constants, the integer scalars `k` and `it` and the real `s`,
+    /// under `+ − *`, unary `−`, and `/` by a real constant or a read of
+    /// `b` (whose values are ≥ 1, so nothing divides by zero).
+    fn rhs(&mut self, depth: usize, vars: &[&str], offs: &mut Vec<Vec<i64>>) -> String {
+        match self.below(if depth == 0 { 4 } else { 9 }) {
+            0 | 1 => self.read(vars, offs),
+            2 => ["0.5", "1.25", "k", "it", "s", "3"][self.below(6) as usize].to_string(),
+            3 => format!("k*it - {}", self.below(4)),
+            4 => format!("-({})", self.rhs(depth - 1, vars, offs)),
+            5 => {
+                let num = self.rhs(depth - 1, vars, offs);
+                let den = match self.below(2) {
+                    0 => "0.25".to_string(),
+                    _ => {
+                        let r = self.read(vars, offs);
+                        format!("b{}", &r[1..])
+                    }
+                };
+                format!("({num}) / {den}")
+            }
+            op => {
+                let (l, r) = (
+                    self.rhs(depth - 1, vars, offs),
+                    self.rhs(depth - 1, vars, offs),
+                );
+                format!("({l} {} {r})", ["+", "-", "*"][op as usize - 6])
+            }
+        }
+    }
+}
+
+fn cfg_on(backend: BackendKind, p: usize) -> MachineConfig {
+    Machine::build(backend, Topology::FullyConnected, CostModel::ipsc2())
+        .procs(p)
+        .watchdog(Duration::from_secs(60))
+        .config()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random 1-D and 2-D affine stencils on block grids of one to four
+    /// processors, with extents the grid does not divide: the lowered
+    /// row kernel and the tree-walker — reached through program text, a
+    /// twin whose body goes through a scalar temporary and so has no
+    /// plan — agree bit for bit on the result, on every message, word
+    /// and protocol counter, and on the simulator's clock.
+    #[test]
+    fn lowered_stencils_match_the_walker_bitwise(
+        seed in 0u64..1_000_000,
+        dims in 1usize..3,
+        p in 1usize..5,
+        policy in 0usize..4,
+        niter in 1i64..4,
+    ) {
+        let mut g = Gen(seed);
+        let grid: Vec<usize> = match dims {
+            1 => vec![p],
+            _ if p == 4 && g.below(2) == 0 => vec![2, 2],
+            _ => if g.below(2) == 0 { vec![p, 1] } else { vec![1, p] },
+        };
+        // Extents the grid does not divide (where it divides at all).
+        let extents: Vec<usize> = grid
+            .iter()
+            .map(|&q| match q {
+                1 => 4 + g.below(6) as usize,
+                q => q * (3 + g.below(3) as usize) + 1 + g.below(q as u64 - 1) as usize,
+            })
+            .collect();
+        let vars = ["i", "j"];
+        let vars = &vars[..dims];
+        let mut offs = Vec::new();
+        let rhs = g.rhs(3, vars, &mut offs);
+        // Loop bounds keep every read inside the arrays, now and then
+        // with a little slack.
+        let lb = g.below(2) as i64;
+        let ranges: Vec<(i64, i64)> = (0..dims)
+            .map(|d| {
+                let lo = offs.iter().map(|o| -o[d]).fold(0, i64::max);
+                let hi = offs.iter().map(|o| o[d]).fold(0, i64::max);
+                let slack = g.below(2) as i64;
+                (lb + lo + slack, lb + extents[d] as i64 - 1 - hi)
+            })
+            .collect();
+        let decl: Vec<String> = extents.iter().map(|e| format!("{lb}:{}", lb + *e as i64 - 1)).collect();
+        let header = match dims {
+            1 => format!("doall 100 i = {}, {} on owner(x(i))", ranges[0].0, ranges[0].1),
+            _ => format!(
+                "doall 100 (i, j) = [{}, {}] * [{}, {}] on owner(x(i, j))",
+                ranges[0].0, ranges[0].1, ranges[1].0, ranges[1].1
+            ),
+        };
+        let target = format!("x({})", vars.join(", "));
+        let program = |body: &str| {
+            format!(
+                "parsub gen(x, b, niter; procs)\n  processors procs({procs})\n  \
+                 real x({decl}), b({decl}) dist ({dist})\n  k = 3\n  s = 0.375\n  \
+                 do 1000 it = 1, niter\n    {header}\n{body}\n100 continue\n1000 continue\nend\n",
+                procs = ["p", "q"][..dims].join(", "),
+                decl = decl.join(", "),
+                dist = vec!["block"; dims].join(", "),
+            )
+        };
+        let lowered = program(&format!("      {target} = {rhs}"));
+        let walked = program(&format!("      t = {rhs}\n      {target} = t"));
+        let len: usize = extents.iter().product();
+        let array = |f: fn(usize) -> f64| HostValue::Array {
+            data: (0..len).map(f).collect(),
+            bounds: extents.iter().map(|&e| (lb, lb + e as i64 - 1)).collect(),
+        };
+        let args = [
+            array(|k| (k % 13) as f64 * 0.125 - 0.5),
+            array(|k| 1.0 + (k % 7) as f64 * 0.25),
+            HostValue::Int(niter),
+        ];
+        let opts = RunOptions {
+            policy: ExecPolicy { split: policy & 1 == 1, optimistic: policy & 2 == 2 },
+            ..RunOptions::default()
+        };
+        for backend in [BackendKind::Sim, BackendKind::Threads] {
+            let run = |src: &str| {
+                run_source_with(cfg_on(backend, p), src, "gen", &grid, &args, opts)
+                    .unwrap_or_else(|e| panic!("{e}\n{src}"))
+            };
+            let (a, b) = (run(&lowered), run(&walked));
+            for (x, y) in a.arrays[0].1.iter().zip(&b.arrays[0].1) {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "{:?}: {} vs {}\n{}", backend, x, y, lowered);
+            }
+            let counters = |r: &RunReport| [
+                r.total_msgs,
+                r.total_words,
+                r.total_exchange_words,
+                r.total_inspector_runs,
+                r.total_schedule_replays,
+                r.total_optimistic_hits,
+                r.total_rollbacks,
+            ];
+            prop_assert_eq!(counters(&a.report), counters(&b.report), "{:?}\n{}", backend, lowered);
+            let clocks = |r: &RunReport| {
+                let procs = r.procs.iter().map(|p| p.clock.to_bits());
+                [r.elapsed, r.total_flops, r.overlap_hidden_seconds].map(f64::to_bits).into_iter().chain(procs).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(clocks(&a.report), clocks(&b.report), "{:?}\n{}", backend, lowered);
+        }
     }
 }
 
