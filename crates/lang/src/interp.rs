@@ -6,7 +6,14 @@
 //! * code outside `doall` is replicated (every processor executes it);
 //! * a `doall` is executed owner-computes: each processor runs exactly the
 //!   iterations its `on` clause assigns to it, with **copy-in/copy-out**
-//!   semantics (writes are buffered and committed after the loop);
+//!   semantics (writes are buffered and committed after the loop). The
+//!   buffer exists so that no iteration sees another's writes and peers
+//!   are served pre-trip values; a trip in which this processor runs at
+//!   most one iteration skips it once nothing will be served from storage
+//!   again — the verdict is final (a fresh build, a won dedicated vote, a
+//!   singleton team's hit) or the iteration runs after completion — and
+//!   *writes through* to storage: same values, same owner-computes checks,
+//!   same charges;
 //! * communication is *implicit*: a `doall` runs as a four-phase engine —
 //!   **inspect-or-replay**, **post**, **interior**, **complete-boundary**.
 //!   A cold invocation runs the inspector pass, which discovers which
@@ -134,22 +141,29 @@
 //! on-clause, iteration list or write log is built. The tree-walker stays
 //! as the fallback, and as the oracle the lowered path is tested against
 //! bit for bit (results, messages, counters, virtual clocks).
+//!
+//! A trip whose one iteration writes through logs nothing: a write is the
+//! ownership test and a store, counted for the commit's `memop`. Inside
+//! such an iteration a `do` loop of element assignments over rank-1
+//! references `a(v ± c)` — `tric`'s and `tri`'s row builders and
+//! back-substitutions — runs compiled as well, as strided kernels over
+//! chunks of 64 iterations ([`crate::lower`]); every other loop is walked.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use kali_grid::{DimMap, DistSpec, Layout, ProcGrid};
+use kali_grid::{DimDist, DimMap, DistSpec, Layout, ProcGrid};
 use kali_kernels::substructure::{reduce_block, reduce_flops};
 use kali_kernels::tridiag::{thomas, thomas_flops};
 use kali_machine::{collective, tag, Proc, Tag, Team, NS_LANG};
 use kali_sched::{
-    interior_positions, ArraySchedule, CommSchedule, ExecPolicy, Finished, ScheduleCache,
+    interior_runs, ArraySchedule, CommSchedule, ExecPolicy, Finished, ScheduleCache,
     ScheduleExecutor, ScheduleWorld, SiteKey, Trip, TripHost,
 };
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::Diagnostic;
-use crate::lower::{Bx, Kernel, Part, Rows, Scratch};
+use crate::lower::{Kernel, LoopScratch, Part, Rows, Scratch};
 use crate::resolve::*;
 use crate::value::*;
 use crate::RunOptions;
@@ -204,8 +218,15 @@ impl InspectState {
 }
 
 /// The executor's copy-in/copy-out buffer for one trip: every write of
-/// every executed iteration, committed to storage after the loop.
+/// every executed iteration, committed to storage after the loop — or,
+/// written through, none of them.
 struct WriteLog {
+    /// Write-through: every write is a store, only counted here (`Some`
+    /// of the writes so far); nothing is buffered, indexed or committed.
+    /// Exact where no other iteration of the trip could see the writes
+    /// and no peer is served from storage any more
+    /// ([`Interp::run_inspector_executor`]).
+    through: Option<usize>,
     /// The distinct arrays written; an entry names its array by position
     /// here instead of carrying a reference count.
     targets: Vec<ArrRef>,
@@ -223,9 +244,17 @@ struct WriteLog {
 
 impl WriteLog {
     /// A log for a trip expected to make `writes` writes over
-    /// `iterations` iterations.
-    fn with_capacity(writes: usize, iterations: usize) -> Self {
+    /// `iterations` iterations; a write-through one (`through`) allocates
+    /// nothing.
+    fn new(writes: usize, iterations: usize, through: bool) -> Self {
+        if through {
+            return WriteLog {
+                through: Some(0),
+                ..WriteLog::new(0, 0, false)
+            };
+        }
         WriteLog {
+            through: None,
             targets: Vec::new(),
             entries: Vec::with_capacity(writes),
             seg_ends: Vec::with_capacity(iterations),
@@ -233,17 +262,31 @@ impl WriteLog {
         }
     }
 
-    fn target(&mut self, arr: &ArrRef) -> u32 {
+    /// Write `(flat, value)` pairs of `arr`: store and count them, or log
+    /// them.
+    fn write(&mut self, arr: &ArrRef, writes: impl IntoIterator<Item = (usize, f64)>) {
+        if let Some(count) = &mut self.through {
+            let mut a = arr.borrow_mut();
+            for (flat, v) in writes {
+                a.data[flat] = v;
+                *count += 1;
+            }
+            return;
+        }
         let known = self.targets.iter().position(|a| Rc::ptr_eq(a, arr));
-        known.unwrap_or_else(|| {
+        let t = known.unwrap_or_else(|| {
             self.targets.push(arr.clone());
             self.targets.len() - 1
-        }) as u32
+        }) as u32;
+        for (flat, v) in writes {
+            self.entries.push((t, flat, v));
+            self.current.insert((t, flat), v);
+        }
     }
 
-    fn push(&mut self, target: u32, flat: usize, v: f64) {
-        self.entries.push((target, flat, v));
-        self.current.insert((target, flat), v);
+    /// The writes a copy-out of this trip moves, logged or not.
+    fn writes(&self) -> usize {
+        self.through.unwrap_or(self.entries.len())
     }
 
     /// What the current iteration last wrote to `arr[flat]`, if anything;
@@ -257,8 +300,10 @@ impl WriteLog {
     }
 
     fn end_iteration(&mut self) {
-        self.seg_ends.push(self.entries.len());
-        self.current.clear();
+        if self.through.is_none() {
+            self.seg_ends.push(self.entries.len());
+            self.current.clear();
+        }
     }
 
     /// Copy-out, in *original* iteration order: if two iterations write
@@ -266,6 +311,9 @@ impl WriteLog {
     /// executed in. The first `interior_segs` segments belong to the
     /// positions outside `boundary` (ascending), the rest to `boundary`.
     fn commit(self, boundary: &[usize], interior_segs: usize, iterations: usize) {
+        if self.through.is_some() {
+            return;
+        }
         let (mut i_seg, mut b_seg, mut bi) = (0usize, interior_segs, 0usize);
         for pos in 0..iterations {
             let seg = if boundary.get(bi) == Some(&pos) {
@@ -287,6 +335,18 @@ enum Mode {
     Normal,
     Inspect(InspectState),
     Execute(WriteLog),
+}
+
+impl Mode {
+    /// What the iteration now executing last wrote to `arr[flat]`, if it
+    /// is buffered: element reads and builtin sections alike read their
+    /// own iteration's writes.
+    fn written(&self, arr: &ArrRef, flat: usize) -> Option<f64> {
+        match self {
+            Mode::Execute(log) => log.written(arr, flat),
+            _ => None,
+        }
+    }
 }
 
 /// Cached schedules per doall site; the oldest epoch is evicted beyond
@@ -351,7 +411,7 @@ impl ScheduleWorld<f64> for LangWorld {
 /// A doall iteration set, flat: `arity` loop-variable values per
 /// iteration, in iteration order. One allocation however many iterations,
 /// and comparing two sets is comparing two slices.
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 struct IterSet {
     arity: usize,
     flat: Vec<i64>,
@@ -371,16 +431,6 @@ impl IterSet {
     }
 }
 
-/// This processor's iterations as a key names them: listed by the
-/// on-clause scan, or — at a lowered site — the owned box, which names the
-/// same set (every empty box alike), so a lowered site's keys hit and miss
-/// exactly where the listed ones would.
-#[derive(Clone, PartialEq)]
-enum Iters {
-    Listed(IterSet),
-    Box(Bx),
-}
-
 /// What one doall trip executes: the walker over the iterations the
 /// on-clause listed, or a lowered site's kernel over its owned box.
 #[derive(Clone, Copy)]
@@ -391,33 +441,39 @@ enum Work<'w> {
 
 /// Everything the inspector's output is a deterministic function of. Two
 /// invocations with equal keys provably need the same communication, so
-/// the cached schedule can be replayed. Arrays are keyed *structurally*
-/// (name, bounds, distribution, grid, generation, view, alias pattern) —
-/// ownership maps, and hence schedules, depend on structure, not object
-/// identity. Names appear as slots: a site belongs to one subroutine, so
-/// its keys all speak that subroutine's symbol table.
+/// the cached schedule can be replayed. The key is one word vector, built
+/// with one allocation and compared as a slice ([`Interp::key_words`]
+/// writes it); in order:
+///
+/// * the team's ranks (which [`SiteKey::team_ranks`] borrows back);
+/// * this processor's iteration set (owner-computes assignment) — listed
+///   by the on-clause scan, or at a lowered site the owned box, which
+///   names the same set (every empty box alike), so a lowered site's keys
+///   hit and miss exactly where the listed ones would;
+/// * the schedule-relevant free scalars of the body at entry, by name;
+/// * content fingerprints of *replicated* arrays in schedule-relevant
+///   positions (subscripts, section bounds, builtin arguments), by slot:
+///   a CSR structure array (`spmv`'s column indices) makes the schedule a
+///   function of array *values* — change the sparsity and the key misses;
+/// * every array read or written, by name, keyed *structurally* (bounds,
+///   distribution, grid, generation, view, alias pattern) — ownership
+///   maps, and hence schedules, depend on structure, not object identity.
+///
+/// A list is preceded by its length unless earlier words fix it, and a
+/// variant by a tag, so equal vectors are equal fields. Names
+/// appear as slots: a site belongs to one subroutine, so its keys all
+/// speak that subroutine's symbol table.
 #[derive(Clone, PartialEq)]
 struct ScheduleKey {
     site: usize,
-    team_ranks: Vec<usize>,
-    /// This processor's iteration set (owner-computes assignment).
-    my_iters: Iters,
-    /// Free scalars of the body at entry, sorted by name.
-    scalars: Vec<(Slot, Value)>,
-    /// Content fingerprints of *replicated* arrays in schedule-relevant
-    /// positions (subscripts, section bounds, builtin arguments), sorted.
-    /// A CSR structure array (`spmv`'s column indices) makes the
-    /// schedule a function of array *values*; replicated values are
-    /// locally visible, so hashing them keys the schedule exactly —
-    /// change the sparsity and the key misses, vote disagrees, and the
-    /// trip re-inspects.
-    fingerprints: Vec<(Slot, u64)>,
-    /// Every array read or written, sorted by name.
-    arrays: Vec<ArrayKey>,
+    words: Vec<usize>,
 }
 
-/// FNV-1a over the bit patterns of an array's storage, for
-/// [`ScheduleKey::fingerprints`].
+// A word holds an `i64` or a `u64` bit for bit.
+const _: () = assert!(usize::BITS == u64::BITS);
+
+/// FNV-1a over the bit patterns of an array's storage, for the key's
+/// fingerprints.
 fn data_fingerprint(data: &[f64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in data {
@@ -429,54 +485,13 @@ fn data_fingerprint(data: &[f64]) -> u64 {
     h
 }
 
-#[derive(Clone, PartialEq)]
-struct ArrayKey {
-    name: Slot,
-    bounds: Vec<(i64, i64)>,
-    dist: DistSpec,
-    grid_ranks: Vec<usize>,
-    grid_extents: Vec<usize>,
-    /// Belt and braces next to the structural fields: a `distribute`
-    /// bumps this even when it restores a structurally identical layout.
-    dist_gen: u64,
-    map: Vec<KeyDim>,
-    callee_lo: Vec<i64>,
-    /// Position (in this sorted list) of the first entry sharing the same
-    /// underlying array object; equal to the entry's own position when
-    /// unique. Distinguishes aliased from merely look-alike bindings.
-    alias_of: usize,
-}
-
-/// A view dimension as it appears in an [`ArrayKey`]. Fixed coordinates
-/// of *unaliased* bases are normalized to the owner's grid coordinate
-/// along that dimension: ownership is a tensor product of per-dimension
-/// maps, so two invocations whose fixed coordinates land on the same
-/// owners (with everything else in the key equal) provably need
-/// translation-equivalent communication. That collapses ADI's per-line
-/// views `x = u(i, *)` to one key per row/column team instead of one per
-/// trip value of `i` — which used to cost a guaranteed lost vote on
-/// every line after the first — and the line difference is recovered at
-/// replay by shifting the schedule's flat indices by the origin delta
-/// ([`ArraySchedule::origin`]). Aliased bases keep absolute coordinates:
-/// one shared base cannot carry two different deltas.
-#[derive(Clone, PartialEq)]
-enum KeyDim {
-    /// Fixed coordinate of an unaliased base, as the owner's processor
-    /// coordinate along this dimension (0 for undistributed dims).
-    FixedOwner(usize),
-    /// Fixed coordinate kept absolute.
-    FixedAbs(i64),
-    /// Ranged dimension: inclusive base-index range.
-    Range(i64, i64),
-}
-
 impl SiteKey for ScheduleKey {
     fn site(&self) -> usize {
         self.site
     }
 
     fn team_ranks(&self) -> &[usize] {
-        &self.team_ranks
+        &self.words[1..1 + self.words[0]]
     }
 }
 
@@ -523,6 +538,15 @@ pub struct Interp<'a, 'p> {
     /// Per lowered site (by site number): its result buffer and registers,
     /// reused trip after trip.
     scratch: Vec<Scratch>,
+    /// The compiled `do` loops' buffers (such a loop nests nothing, so
+    /// one set serves them all).
+    loops: LoopScratch,
+    /// The buffer schedule keys are written into, copied out exactly
+    /// sized.
+    key_buf: Vec<usize>,
+    /// Keys made unequal to every other key so far: a NaN scalar, which
+    /// equals nothing.
+    nan_keys: usize,
     /// Seed from compile-time communication plans ([`RDoall::plan`]):
     /// before an analyzable site's cold trip the interpreter concretizes
     /// its plan into a full `CommSchedule` and seeds the cache, so even
@@ -545,6 +569,9 @@ impl<'a, 'p> Interp<'a, 'p> {
                 .schedule_cache
                 .then(|| ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
             scratch: Vec::new(),
+            loops: LoopScratch::default(),
+            key_buf: Vec::new(),
+            nan_keys: 0,
             static_seed: opts.static_seed,
         }
     }
@@ -846,6 +873,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 hi,
                 step,
                 body,
+                kernel,
             } => {
                 let lo = self.eval(lo)?.as_int();
                 let hi = self.eval(hi)?.as_int();
@@ -855,6 +883,12 @@ impl<'a, 'p> Interp<'a, 'p> {
                 };
                 if st == 0 {
                     return Err("do loop with zero step".into());
+                }
+                let through = matches!(&self.mode, Mode::Execute(log) if log.through.is_some());
+                if let Some(k) = kernel.as_ref().filter(|_| through && lo <= hi) {
+                    if self.run_loop(*var, k, lo, hi)? {
+                        return Ok(Flow::Normal);
+                    }
                 }
                 let mut i = lo;
                 while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
@@ -873,6 +907,46 @@ impl<'a, 'p> Interp<'a, 'p> {
             RStmt::Distribute { slot, dist, .. } => self.exec_distribute(*slot, dist)?,
         }
         Ok(Flow::Normal)
+    }
+
+    /// Run `do var = lo, hi` (`lo ≤ hi`) as its compiled kernel `k`, in
+    /// write-through mode, where a write is a store: what the walker would
+    /// store, charged as it charges — `compute` per iteration per
+    /// assignment in its order, and one write each for the commit's
+    /// `memop` — leaving `var` at `hi` as it would. `false` (nothing done
+    /// but the walker's own first step, setting `var`) when this
+    /// execution's bindings are outside the class ([`LoopScratch::place`]),
+    /// an invariant fails to evaluate, or `var` is not an integer: the
+    /// walker runs, and reports what it reports.
+    fn run_loop(&mut self, var: Slot, k: &Kernel, lo: i64, hi: i64) -> RtResult<bool> {
+        self.set_scalar(var, Value::Int(lo))?;
+        if !matches!(self.slot(var), Some(Binding::Scalar(Value::Int(_)))) {
+            return Ok(false);
+        }
+        let (me, mut s) = (self.me(), std::mem::take(&mut self.loops));
+        let frame = self.frame();
+        let view = |slot| match &frame.slots[slot] {
+            Some(Binding::Array(v)) => Some(v),
+            _ => None,
+        };
+        let placed = s.place(k, (lo, hi), me, view).is_some()
+            && (k.invariants.iter())
+                .all(|(r, e)| self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok());
+        // Placed, both ends index an array: the count fits.
+        let n = placed.then(|| (hi - lo + 1) as usize);
+        n.inspect(|&n| s.run(k, n));
+        self.loops = s;
+        let Some(n) = n else {
+            return Ok(false);
+        };
+        for a in (0..n).flat_map(|_| &k.stmts) {
+            self.proc.compute(a.flops);
+        }
+        if let Mode::Execute(log) = &mut self.mode {
+            log.through = log.through.map(|writes| writes + n * k.stmts.len());
+        }
+        self.set_scalar(var, Value::Int(hi))?;
+        Ok(true)
     }
 
     /// The virtual flops of one executed assignment (the inspector's
@@ -1020,12 +1094,19 @@ impl<'a, 'p> Interp<'a, 'p> {
         for (r, &(lo, hi, step)) in ranges.iter_mut().zip(bounds) {
             *r = (step == 1).then_some((lo, hi))?;
         }
-        let rows = Rows::new(self.me(), &ranges[..bounds.len()], k, |slot| {
-            match self.slot(slot) {
+        let RProcExpr::Owner(on, _) = d.on else {
+            return None;
+        };
+        let rows = Rows::new(
+            self.me(),
+            &ranges[..bounds.len()],
+            k,
+            on,
+            |slot| match self.slot(slot) {
                 Some(Binding::Array(view)) if view.is_whole() => Some(view.base.clone()),
                 _ => None,
-            }
-        })?;
+            },
+        )?;
         let mut values = Vec::with_capacity(k.invariants.len());
         if rows.len() > 0 {
             for (_, e) in &k.invariants {
@@ -1318,9 +1399,14 @@ impl<'a, 'p> Interp<'a, 'p> {
                     let log = match work {
                         Work::Walk(my_iters) => {
                             let n = my_iters.len();
-                            let interior = interior_positions(&pre.boundary, n);
-                            let log = WriteLog::with_capacity(pre.write_hint, n);
-                            Some(self.exec_iterations(d, my_iters, &interior, log)?)
+                            let interior = interior_runs(&pre.boundary, n).flatten();
+                            // A lone iteration has no other to hide its
+                            // writes from, so once nothing will be served
+                            // from storage again — a final verdict, or
+                            // nothing to run before it — it writes through.
+                            let through = n <= 1 && (flight.decided() || pre.boundary.len() == n);
+                            let log = WriteLog::new(pre.write_hint, n, through);
+                            Some(self.exec_iterations(d, my_iters, interior, log)?)
                         }
                         Work::Rows(k, rows) => {
                             debug_assert_eq!(pre.boundary, rows.inspect(|_, _| {}));
@@ -1488,11 +1574,11 @@ impl<'a, 'p> Interp<'a, 'p> {
         &mut self,
         d: &'p RDoall,
         my_iters: &IterSet,
-        positions: &[usize],
+        positions: impl IntoIterator<Item = usize>,
         log: WriteLog,
     ) -> RtResult<WriteLog> {
         self.mode = Mode::Execute(log);
-        for &pos in positions {
+        for pos in positions {
             self.run_iteration(d, my_iters.get(pos))?;
             if let Mode::Execute(log) = &mut self.mode {
                 log.end_iteration();
@@ -1508,7 +1594,8 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// **boundary** after an interior that ran in flight (`ran`: its
     /// boundary and the walker's log of it), or all of them when none
     /// could — against freshened storage, then commit all buffered writes
-    /// (copy-in/copy-out).
+    /// (copy-in/copy-out). Run after the verdict, a lone iteration writes
+    /// through.
     fn finish_execution(
         &mut self,
         d: &'p RDoall,
@@ -1519,17 +1606,25 @@ impl<'a, 'p> Interp<'a, 'p> {
         match work {
             Work::Walk(my_iters) => {
                 let n = my_iters.len();
-                let all: Vec<usize>;
-                let (boundary, log) = match ran {
-                    Some((boundary, Some(log))) => (boundary, log),
+                // With nothing run before, every iteration runs here, in
+                // order: committed as segments of an empty boundary's
+                // complement.
+                let (log, boundary, interior_segs) = match ran {
+                    Some((boundary, Some(log))) => {
+                        let segs = log.seg_ends.len();
+                        let positions = boundary.iter().copied();
+                        (
+                            self.exec_iterations(d, my_iters, positions, log)?,
+                            boundary,
+                            segs,
+                        )
+                    }
                     _ => {
-                        all = (0..n).collect();
-                        (&all[..], WriteLog::with_capacity(write_hint, n))
+                        let log = WriteLog::new(write_hint, n, n <= 1);
+                        (self.exec_iterations(d, my_iters, 0..n, log)?, &[][..], 0)
                     }
                 };
-                let interior_segs = log.seg_ends.len();
-                let log = self.exec_iterations(d, my_iters, boundary, log)?;
-                self.proc.memop(log.entries.len() as f64);
+                self.proc.memop(log.writes() as f64);
                 log.commit(boundary, interior_segs, n);
             }
             Work::Rows(k, rows) => {
@@ -1607,96 +1702,140 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// array — its *values* could steer the inspector — or the body calls
     /// a user subroutine / nests constructs whose communication this scan
     /// cannot prove invariant.
-    fn schedule_cache_key(&self, d: &RDoall, team: &Team, work: Work) -> Option<ScheduleKey> {
+    fn schedule_cache_key(&mut self, d: &RDoall, team: &Team, work: Work) -> Option<ScheduleKey> {
         if !d.cacheable {
             return None;
         }
-        let sched = sched_names(d, |s| matches!(self.slot(s), Some(Binding::Array(_))));
-        let mut fingerprints = Vec::new();
+        let mut words = std::mem::take(&mut self.key_buf);
+        words.clear();
+        let key = self
+            .key_words(d, team, work, &mut words)
+            .map(|()| ScheduleKey {
+                site: d.site,
+                words: words.to_vec(),
+            });
+        self.key_buf = words;
+        key
+    }
+
+    /// Write the words of [`ScheduleKey`] after its site, in its order,
+    /// into `w`; `None` as for [`Interp::schedule_cache_key`].
+    fn key_words(&mut self, d: &RDoall, team: &Team, work: Work, w: &mut Vec<usize>) -> Option<()> {
+        let mut sched = sched_names(d, |s| matches!(self.slot(s), Some(Binding::Array(_))));
+        sched.sort_unstable();
+        let int = |i: i64| i as usize;
+        w.push(team.len());
+        w.extend_from_slice(team.ranks());
+        match work {
+            Work::Walk(iters) => {
+                w.extend([0, iters.arity, iters.flat.len()]);
+                w.extend(iters.flat.iter().map(|&i| int(i)));
+            }
+            Work::Rows(_, rows) => {
+                w.push(1);
+                w.extend(rows.bx.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
+            }
+        }
+        // Only schedule-relevant scalars belong in the key: a scalar that
+        // feeds values but never subscripts or control flow (e.g. the
+        // enclosing do's counter) cannot change what the inspector would
+        // discover. Values compare as `Value`s do: -0.0 as 0.0, and a NaN
+        // as nothing at all.
+        let count = w.len();
+        w.push(0);
+        for &n in &d.names {
+            if let Some(&Binding::Scalar(v)) = self.slot(n) {
+                if sched.binary_search(&n).is_ok() {
+                    let (tag, bits) = match v {
+                        Value::Int(i) => (0, int(i)),
+                        Value::Real(x) if x.is_nan() => {
+                            self.nan_keys += 1;
+                            (2, self.nan_keys)
+                        }
+                        Value::Real(x) => (1, (x + 0.0).to_bits() as usize),
+                    };
+                    w[count] += 1;
+                    w.extend([n, tag, bits]);
+                }
+            }
+        }
+        let count = w.len();
+        w.push(0);
         for &n in &sched {
             if let Some(Binding::Array(view)) = self.slot(n) {
                 let b = view.base.borrow();
-                if b.replicated() {
-                    // Replicated values are locally visible: key on their
-                    // content so the cached schedule is exactly as fresh
-                    // as the data it was derived from.
-                    fingerprints.push((n, data_fingerprint(&b.data)));
-                } else {
-                    // A distributed array's remote values cannot key a
-                    // local decision; the schedule is data-dependent in a
-                    // way no local key captures.
+                // A distributed array's remote values cannot key a local
+                // decision; replicated ones are locally visible, and keying
+                // on their content keeps the cached schedule exactly as
+                // fresh as the data it was derived from.
+                if !b.replicated() {
                     return None;
                 }
+                w[count] += 1;
+                w.extend([n, data_fingerprint(&b.data) as usize]);
             }
         }
-        fingerprints.sort_unstable();
-        let mut scalars = Vec::new();
-        let mut views: Vec<(Slot, &View)> = Vec::new();
-        for &n in &d.names {
-            match self.slot(n) {
-                // Only schedule-relevant scalars belong in the key: a
-                // scalar that feeds values but never subscripts or
-                // control flow (e.g. the enclosing do's counter) cannot
-                // change what the inspector would discover.
-                Some(Binding::Scalar(v)) if sched.contains(&n) => scalars.push((n, *v)),
-                Some(Binding::Array(view)) => views.push((n, view)),
-                _ => {}
-            }
-        }
-        let arrays = views
-            .iter()
-            .enumerate()
-            .map(|(i, (n, view))| {
-                let alias_of = views
-                    .iter()
-                    .position(|(_, w)| Rc::ptr_eq(&w.base, &view.base))
-                    .unwrap_or(i);
-                let aliased = views
-                    .iter()
-                    .filter(|(_, w)| Rc::ptr_eq(&w.base, &view.base))
-                    .count()
-                    > 1;
-                let b = view.base.borrow();
-                let map = view
-                    .map
-                    .iter()
-                    .enumerate()
-                    .map(|(d, vd)| match *vd {
-                        ViewDim::Range(lo, hi) => KeyDim::Range(lo, hi),
-                        ViewDim::Fixed(v) => {
-                            if aliased || v < b.bounds[d].0 || v > b.bounds[d].1 {
-                                KeyDim::FixedAbs(v)
-                            } else {
-                                let dist = b.layout.dists()[d];
-                                KeyDim::FixedOwner(dist.owner((v - b.bounds[d].0) as usize))
-                            }
-                        }
-                    })
-                    .collect();
-                ArrayKey {
-                    name: *n,
-                    bounds: b.bounds.clone(),
-                    dist: b.layout.spec().clone(),
-                    grid_ranks: b.layout.grid().ranks().to_vec(),
-                    grid_extents: b.layout.grid().extents().to_vec(),
-                    dist_gen: b.dist_gen,
-                    map,
-                    callee_lo: view.callee_lo.clone(),
-                    alias_of,
-                }
+        let views = || {
+            let bound = d.names.iter().map(|&n| (n, self.slot(n)));
+            bound.filter_map(|(n, b)| match b {
+                Some(Binding::Array(view)) => Some((n, view)),
+                _ => None,
             })
-            .collect();
-        Some(ScheduleKey {
-            site: d.site,
-            team_ranks: team.ranks().to_vec(),
-            my_iters: match work {
-                Work::Walk(iters) => Iters::Listed(iters.clone()),
-                Work::Rows(_, rows) => Iters::Box(rows.bx),
-            },
-            scalars,
-            fingerprints,
-            arrays,
-        })
+        };
+        w.push(views().count());
+        for (i, (n, view)) in views().enumerate() {
+            let same = |(_, v): &(Slot, &View)| Rc::ptr_eq(&v.base, &view.base);
+            // The first entry sharing this array object, this entry's own
+            // position when unique: aliased bindings differ from merely
+            // look-alike ones.
+            let alias_of = views().position(|e| same(&e)).unwrap_or(i);
+            let aliased = views().filter(same).count() > 1;
+            let b = view.base.borrow();
+            let grid = b.layout.grid();
+            // The rank fixes how many bounds, maps and view dimensions
+            // follow, the grid's rank how many extents, their product how
+            // many ranks, and the view's ranged dimensions how many lower
+            // bounds. A `distribute` bumps `dist_gen` even when it
+            // restores a structurally identical layout.
+            w.extend([n, b.ndims()]);
+            w.extend(b.bounds.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
+            for m in b.layout.spec().maps() {
+                match *m {
+                    DimMap::Local => w.push(0),
+                    DimMap::Dist(DimDist::Block) => w.push(1),
+                    DimMap::Dist(DimDist::Cyclic) => w.push(2),
+                    DimMap::Dist(DimDist::BlockCyclic(k)) => w.extend([3, k]),
+                }
+            }
+            w.push(grid.ndims());
+            w.extend(grid.extents().iter().chain(grid.ranks()));
+            w.push(b.dist_gen as usize);
+            // Fixed coordinates of *unaliased* bases are normalized to the
+            // owner's grid coordinate along that dimension (0 for an
+            // undistributed one): ownership is a tensor product of
+            // per-dimension maps, so two invocations whose fixed
+            // coordinates land on the same owners (with everything else
+            // equal) provably need translation-equivalent communication.
+            // That collapses ADI's per-line views `x = u(i, *)` to one key
+            // per row/column team instead of one per value of `i`, and the
+            // line difference is recovered at replay by shifting the
+            // schedule's flat indices by the origin delta
+            // ([`ArraySchedule::origin`]). Aliased bases keep absolute
+            // coordinates: one shared base cannot carry two deltas.
+            for (dim, m) in view.map.iter().enumerate() {
+                let (lo, hi) = b.bounds[dim];
+                match *m {
+                    ViewDim::Range(lo, hi) => w.extend([2, int(lo), int(hi)]),
+                    ViewDim::Fixed(v) if aliased || v < lo || v > hi => w.extend([1, int(v)]),
+                    ViewDim::Fixed(v) => {
+                        w.extend([0, b.layout.dists()[dim].owner((v - lo) as usize)]);
+                    }
+                }
+            }
+            w.extend(view.callee_lo.iter().map(|&lo| int(lo)));
+            w.push(alias_of);
+        }
+        Some(())
     }
 
     /// `distribute a (block, cyclic, *)`: move the array's data to the
@@ -1795,28 +1934,33 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     /// `procs(e, *, e)`: the slice of processor array `slot` the pinned
-    /// coordinates select.
+    /// coordinates select. The pins live on the stack, the grid stays
+    /// where it is bound.
     fn select_procs(&mut self, slot: Slot, subs: &[Option<RExpr>]) -> RtResult<ProcGrid> {
         let name = self.name(slot);
-        let g = self.grid_of(slot)?.clone();
-        if subs.len() != g.ndims() {
+        if subs.len() != self.grid_of(slot)?.ndims() {
             return Err(format!("processor selection rank mismatch on {name}"));
         }
-        let mut pins: Vec<(usize, usize)> = Vec::new();
+        let (mut pins, mut n) = ([(0, 0); MAX_RANK], 0);
         for (d, s) in subs.iter().enumerate() {
             if let Some(e) = s {
                 let v = self.eval(e)?.as_int();
+                let extent = self.grid_of(slot)?.extent(d);
                 // KF1 processor arrays are 1-based.
-                if v < 1 || v as usize > g.extent(d) {
+                if v < 1 || v as usize > extent {
                     return Err(format!(
-                        "processor index {v} out of range 1..{} on {name}",
-                        g.extent(d)
+                        "processor index {v} out of range 1..{extent} on {name}"
                     ));
                 }
-                pins.push((d, v as usize - 1));
+                let Some(pin) = pins.get_mut(n) else {
+                    return Err(format!(
+                        "processor selection on {name} pins more than {MAX_RANK} dimensions"
+                    ));
+                };
+                (*pin, n) = ((d, v as usize - 1), n + 1);
             }
         }
-        Ok(g.pin(&pins))
+        Ok(self.grid_of(slot)?.pin(&pins[..n]))
     }
 
     fn eval_proc_expr(&mut self, pe: &RProcExpr) -> RtResult<ProcGrid> {
@@ -2004,9 +2148,12 @@ impl<'a, 'p> Interp<'a, 'p> {
             };
             return Ok(());
         }
-        let read = |sec: &(ArrRef, Vec<usize>)| -> Vec<f64> {
-            let b = sec.0.borrow();
-            sec.1.iter().map(|&f| b.data[f]).collect()
+        // Like an element read, a section sees its own iteration's writes.
+        let mode = &self.mode;
+        let read = |(arr, flats): &(ArrRef, Vec<usize>)| -> Vec<f64> {
+            let b = arr.borrow();
+            let at = |f: usize| mode.written(arr, f).unwrap_or(b.data[f]);
+            flats.iter().map(|&f| at(f)).collect()
         };
         if builtin == Builtin::Reduce {
             // reduce(b, a, c, f, n)
@@ -2084,7 +2231,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             let b = xv.base.borrow();
             let mut idx = [0i64; MAX_RANK];
             for &f in &ci.1 {
-                idx[0] = cb.data[f] as i64;
+                idx[0] = self.mode.written(&ci.0, f).unwrap_or(cb.data[f]) as i64;
                 let mut base_idxs = [0i64; MAX_RANK];
                 let base_idxs = xv.to_base_into(&idx, 1, &mut base_idxs)?;
                 let flat = b.flat(base_idxs)?;
@@ -2109,11 +2256,12 @@ impl<'a, 'p> Interp<'a, 'p> {
             ));
         }
         let sum = {
-            let ab = av.0.borrow();
-            let xb = xv.base.borrow();
+            let (ab, xb) = (av.0.borrow(), xv.base.borrow());
+            let a = |f: usize| self.mode.written(&av.0, f).unwrap_or(ab.data[f]);
+            let x = |f: usize| self.mode.written(&xv.base, f).unwrap_or(xb.data[f]);
             av.1.iter()
                 .zip(&xflats)
-                .map(|(&fa, &fx)| ab.data[fa] * xb.data[fx])
+                .map(|(&fa, &fx)| a(fa) * x(fx))
                 .sum()
         };
         self.proc.compute(2.0 * xflats.len() as f64);
@@ -2124,10 +2272,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     fn write_section(&mut self, sec: &(ArrRef, Vec<usize>), vals: &[f64]) {
         match &mut self.mode {
             Mode::Execute(log) => {
-                let target = log.target(&sec.0);
-                for (&f, &v) in sec.1.iter().zip(vals) {
-                    log.push(target, f, v);
-                }
+                log.write(&sec.0, sec.1.iter().copied().zip(vals.iter().copied()))
             }
             _ => {
                 let mut b = sec.0.borrow_mut();
@@ -2180,7 +2325,8 @@ impl<'a, 'p> Interp<'a, 'p> {
         let base_idxs = view.to_base_into(&idxs, n, &mut base_idxs)?;
         let b = view.base.borrow();
         let flat = b.flat(base_idxs)?;
-        let ok = b.owned_by(me, base_idxs);
+        let (ok, replicated) = (b.owned_by(me, base_idxs), b.replicated());
+        drop(b);
         let violation =
             || format!("owner-computes violation: processor {me} writes {name}{base_idxs:?}");
         match &mut self.mode {
@@ -2194,12 +2340,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                 if !ok {
                     return Err(violation());
                 }
-                let target = log.target(&view.base);
-                log.push(target, flat, v);
+                log.write(&view.base, [(flat, v)]);
             }
             Mode::Normal => {
-                if b.replicated() || (depth > 0 && ok) {
-                    drop(b);
+                if replicated || (depth > 0 && ok) {
                     view.base.borrow_mut().data[flat] = v;
                 } else if depth > 0 {
                     return Err(violation());
@@ -2644,13 +2788,8 @@ mod tests {
         }
     }
 
-    /// Which sites take the lowered path: a single assignment of an
-    /// affine stencil does (Jacobi's doall, `shift`'s, ADI's residual,
-    /// `spmv`'s feedback `x(i) = y(i) / 10.0`); scalar temporaries,
-    /// builtin and team calls and non-affine subscripts keep every site of
-    /// `tri` and the rest of `adi` and `spmv` on the walker.
-    #[test]
-    fn the_lowered_sites_of_the_listings() {
+    /// Each listing's entry and a small input for it, on one processor.
+    fn listing_runs() -> [(&'static str, &'static str, &'static [usize], Vec<HostValue>); 5] {
         let vec1 = |n: usize| HostValue::Array {
             data: (0..n).map(|k| 1.0 + k as f64).collect(),
             bounds: vec![(1, n as i64)],
@@ -2660,7 +2799,7 @@ mod tests {
             data: (1..=n + 1).map(|k| k as f64).collect(),
             bounds: vec![(1, n as i64 + 1)],
         };
-        let cases: [(&str, &str, &[usize], Vec<HostValue>, &[usize]); 5] = [
+        [
             (
                 "jacobi",
                 "jacobi",
@@ -2671,14 +2810,12 @@ mod tests {
                     HostValue::Int(6),
                     HostValue::Int(2),
                 ],
-                &[0],
             ),
             (
                 "shift",
                 "shift",
                 &[1],
                 vec![vec1(n), HostValue::Int(n as i64)],
-                &[0],
             ),
             (
                 "tri",
@@ -2692,7 +2829,6 @@ mod tests {
                     vec1(n),
                     HostValue::Int(n as i64),
                 ],
-                &[],
             ),
             (
                 "adi",
@@ -2708,7 +2844,6 @@ mod tests {
                     HostValue::Real(1.0),
                     HostValue::Real(1.0),
                 ],
-                &[2],
             ),
             (
                 "spmv",
@@ -2724,10 +2859,35 @@ mod tests {
                     HostValue::Int(nz as i64),
                     HostValue::Int(2),
                 ],
-                &[1],
             ),
-        ];
-        for (listing, entry, grid, args, want) in cases {
+        ]
+    }
+
+    /// Every statement of every subroutine of `listing`, in text order,
+    /// for which `f` has something to say.
+    fn in_text<T>(listing: &str, mut f: impl FnMut(&RSub, &RStmt) -> Option<T>) -> Vec<T> {
+        let prog = crate::parse(crate::listing(listing).unwrap()).unwrap();
+        let mut out = Vec::new();
+        for sub in &prog.code {
+            any_stmt(&sub.body, &mut |n| {
+                if let Node::Stmt(s) = n {
+                    out.extend(f(sub, s));
+                }
+                false
+            });
+        }
+        out
+    }
+
+    /// Which sites take the lowered path: a single assignment of an
+    /// affine stencil does (Jacobi's doall, `shift`'s, ADI's residual,
+    /// `spmv`'s feedback `x(i) = y(i) / 10.0`); scalar temporaries,
+    /// builtin and team calls and non-affine subscripts keep every site of
+    /// `tri` and the rest of `adi` and `spmv` on the walker.
+    #[test]
+    fn the_lowered_sites_of_the_listings() {
+        let wants: [&[usize]; 5] = [&[0], &[0], &[], &[2], &[1]];
+        for ((listing, entry, grid, args), want) in listing_runs().into_iter().zip(wants) {
             let src = crate::listing(listing).unwrap();
             let ran = on_entry(src, entry, grid, &args, |me, sub| {
                 me.exec_stmts(&sub.body).unwrap();
@@ -2740,24 +2900,51 @@ mod tests {
             });
             assert_eq!(ran, [want.to_vec()], "{listing}");
             // The text alone already decides it at one processor.
-            let prog = crate::parse(src).unwrap();
-            let mut compiled = Vec::new();
-            any_stmt(
-                &prog
-                    .code
-                    .iter()
-                    .flat_map(|s| s.body.clone())
-                    .collect::<Vec<_>>(),
-                &mut |n| {
-                    if let Node::Stmt(RStmt::Doall(d)) = n {
-                        if d.kernel.is_some() {
-                            compiled.push(d.site);
-                        }
-                    }
-                    false
-                },
-            );
+            let compiled = in_text(listing, |_, s| match s {
+                RStmt::Doall(d) if d.kernel.is_some() => Some(d.site),
+                _ => None,
+            });
             assert_eq!(compiled, want, "{listing}");
+        }
+    }
+
+    /// Which `do` loops compile as strided kernels: `tric`'s row builder
+    /// (`do 50`) and back-substitution (`do 450`), and `tri`'s
+    /// back-substitution (`do 350`). The rank-2 gathers `wb(k, ip) = rb(k)`
+    /// (`do 150`, `do 250`) and every loop around a doall are walked. At
+    /// one processor every doall trip runs one iteration, which writes
+    /// through, so the compiled loops of `tri` and `adi` run.
+    #[test]
+    fn the_compiled_loops_of_the_listings() {
+        let wants: [&[(&str, &str, bool)]; 5] = [
+            &[("jacobi", "it", false)],
+            &[],
+            &[("tri", "k", false), ("tri", "i", true)],
+            &[
+                ("adi", "it", false),
+                ("tric", "i", true),
+                ("tric", "k", false),
+                ("tric", "i", true),
+            ],
+            &[("spmvit", "t", false)],
+        ];
+        for ((listing, entry, grid, args), want) in listing_runs().into_iter().zip(wants) {
+            let loops = in_text(listing, |sub, s| match s {
+                RStmt::Do { var, kernel, .. } => {
+                    Some((sub.name.clone(), sub.names[*var].clone(), kernel.is_some()))
+                }
+                _ => None,
+            });
+            let want: Vec<_> = (want.iter())
+                .map(|&(sub, var, k)| (sub.to_string(), var.to_string(), k))
+                .collect();
+            assert_eq!(loops, want, "{listing}");
+            let src = crate::listing(listing).unwrap();
+            let ran = on_entry(src, entry, grid, &args, |me, sub| {
+                me.exec_stmts(&sub.body).unwrap();
+                !me.loops.is_unused()
+            });
+            assert_eq!(ran, [want.iter().any(|w| w.2)], "{listing}");
         }
     }
 
@@ -2779,18 +2966,17 @@ mod tests {
     #[test]
     fn write_log_lookups_are_constant_work_and_iteration_private() {
         let (a, b) = (array("a", 4096), array("b", 4096));
-        let mut log = WriteLog::with_capacity(0, 0);
-        let (ta, tb) = (log.target(&a), log.target(&b));
-        assert_eq!((ta, tb, log.target(&a)), (0, 1, 0));
+        let mut log = WriteLog::new(0, 0, false);
         for k in 0..4096usize {
-            log.push(ta, k, k as f64);
-            log.push(tb, k, -(k as f64));
-            log.push(ta, k, k as f64 + 0.5);
+            log.write(&a, [(k, k as f64)]);
+            log.write(&b, [(k, -(k as f64))]);
+            log.write(&a, [(k, k as f64 + 0.5)]);
             assert_eq!(log.current.len(), 2 * (k + 1));
             assert_eq!(log.written(&a, k), Some(k as f64 + 0.5));
             assert_eq!(log.written(&b, k / 2), Some(-((k / 2) as f64)));
             assert_eq!(log.written(&a, k + 1), None);
         }
+        assert_eq!(log.targets.len(), 2, "arrays are named by position");
         log.end_iteration();
         assert!(log.current.is_empty() && log.current.capacity() >= 2 * 4096);
         assert_eq!(
@@ -2798,19 +2984,26 @@ mod tests {
             None,
             "copy-in: earlier iterations stay invisible"
         );
-        log.push(tb, 7, 1.0);
+        log.write(&b, [(7, 1.0)]);
         assert_eq!((log.written(&b, 7), log.written(&a, 7)), (Some(1.0), None));
         log.end_iteration();
         // Copy-out in original order: iteration 0 ran as the boundary
         // (second segment), iteration 1 as the interior (first).
-        let mut log = WriteLog::with_capacity(2, 2);
-        let ta = log.target(&a);
-        log.push(ta, 0, 1.0);
+        let mut log = WriteLog::new(2, 2, false);
+        log.write(&a, [(0, 1.0)]);
         log.end_iteration();
-        log.push(ta, 0, 2.0);
+        log.write(&a, [(0, 2.0)]);
         log.end_iteration();
         log.commit(&[0], 1, 2);
         assert_eq!(a.borrow().data[0], 1.0, "the later iteration wins");
+        // Written through, a write is a store, counted and never logged.
+        let mut log = WriteLog::new(2, 1, true);
+        log.write(&a, [(0, 3.0), (1, 4.0)]);
+        log.end_iteration();
+        assert_eq!((log.writes(), log.written(&a, 0)), (2, None));
+        assert!(log.entries.capacity() == 0 && log.seg_ends.is_empty());
+        log.commit(&[], 0, 1);
+        assert_eq!(a.borrow().data[..2], [3.0, 4.0]);
     }
 
     #[test]

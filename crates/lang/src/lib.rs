@@ -215,21 +215,30 @@ pub fn run_source_with(
         Interp::new(proc, prog, opts)
             .call_sub(entry_sub, bindings, grid)
             .unwrap_or_else(|e| panic!("KF1 runtime error on processor {rank}: {e}"));
-        // Export final per-processor state plus the ownership map.
+        // Export final per-processor state, moved out: the call is over
+        // and nothing reads the array again. The ownership map is the
+        // same on every processor, so processor 0 alone builds it. Export
+        // copies on every processor would make the call's heap
+        // high-water mark depend on how the processors' exports overlap.
         handles
             .into_iter()
             .map(|arr| {
-                let a = arr.borrow();
-                let mut idxs = [0i64; MAX_RANK];
-                let owners: Vec<usize> = (0..a.total_len())
-                    .map(|flat| a.owner_of(a.unflat_into(flat, &mut idxs)).unwrap_or(0))
-                    .collect();
-                (a.data.clone(), owners)
+                let mut a = arr.borrow_mut();
+                let owners: Vec<usize> = if rank == 0 {
+                    let mut idxs = [0i64; MAX_RANK];
+                    (0..a.total_len())
+                        .map(|flat| a.owner_of(a.unflat_into(flat, &mut idxs)).unwrap_or(0))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                (std::mem::take(&mut a.data), owners)
             })
             .collect::<Vec<_>>()
     });
 
-    // Combine: element value comes from its owner's copy.
+    // Combine: element value comes from its owner's copy; the map is
+    // processor 0's.
     let mut arrays = Vec::new();
     for (ai, name) in array_params.iter().enumerate() {
         let owners = &run.results[0][ai].1;

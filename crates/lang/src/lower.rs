@@ -1,4 +1,5 @@
-//! Lowered doalls: the affine stencil class run as row kernels.
+//! Compiled element assignments: the affine stencil class run as row
+//! kernels, and `do` loops run as strided kernels.
 //!
 //! A `doall` whose body is one element assignment `x(i, j) = rhs` on
 //! `owner(x(i, j))`, every element read in `rhs` a whole array subscripted
@@ -17,15 +18,33 @@
 //! array's owned block shifted back by the read's offset: the inspector's
 //! own classification, read by read. What the inspector would record by
 //! walking the body follows from the same boxes ([`Rows::inspect`]).
+//!
+//! The same compiler takes a sequential `do v = lo, hi` loop
+//! ([`compile_loop`]) whose step is 1 and whose body is element
+//! assignments only, every target and every read that mentions `v` a
+//! rank-1 reference `a(v ± c)`: each assignment's right-hand side becomes
+//! instructions of one program, and here a maximal subtree without `v` is
+//! an invariant even when it reads an element (`wy(2*ip - 1, ip)`), since
+//! nothing the loop writes may be read at another offset. A written slot
+//! is referenced at one offset only, so no iteration reads what another
+//! writes, and the loop may run statement by statement over chunks of
+//! iterations instead of iteration by iteration. Per execution,
+//! [`LoopScratch::place`] binds every reference to its rank-1 view — a
+//! whole 1-D array, or a section like `u(i, *)` — as a strided address
+//! sequence, and [`LoopScratch::run`] executes the chunks. The interpreter
+//! runs it only where a write is a plain store (a write-through doall
+//! iteration), and walks the loop whenever a condition fails.
 
 use std::cell::Ref;
+use std::ops::Range;
+use std::rc::Rc;
 
 use kali_machine::Proc;
 
 use crate::analysis::const_of;
 use crate::ast::{BinOp, UnOp};
 use crate::resolve::{any_expr, Node, RDoall, RExpr, RProcExpr, RStmt, Slot};
-use crate::value::{ArrObj, ArrRef};
+use crate::value::{ArrObj, ArrRef, View, MAX_RANK};
 
 /// Inclusive bounds per loop variable, the last one along a row; a
 /// one-variable loop is a single row, `[(0, 0), range]`.
@@ -54,14 +73,25 @@ enum Src {
     Read(usize),
 }
 
-/// A lowered site's right-hand side, compiled once.
+/// One compiled element assignment.
 #[derive(Debug, Clone)]
-pub(crate) struct Kernel {
-    /// The assignment's target and the on-clause's array.
+pub(crate) struct Assign {
     pub target: Slot,
-    pub on: Slot,
+    /// The target's offset from the loop variables, placed as in [`Bx`].
+    pub off: [i64; 2],
     /// The assignment's flops, charged per iteration as the walker does.
     pub flops: f64,
+    /// Where this assignment's reads and instructions end in the
+    /// kernel's lists (they start where the previous one's end).
+    reads_end: usize,
+    code_end: usize,
+    out: Src,
+}
+
+/// Element assignments compiled once into one register program.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Kernel {
+    pub stmts: Vec<Assign>,
     /// Every element read, in evaluation order: the array and its offset
     /// from the loop variables, placed as in [`Bx`].
     pub reads: Vec<(Slot, [i64; 2])>,
@@ -70,7 +100,6 @@ pub(crate) struct Kernel {
     /// `(op, destination register, operands)` in evaluation order; no op
     /// negates the first operand.
     code: Vec<(Option<BinOp>, usize, Src, Src)>,
-    out: Src,
     regs: usize,
 }
 
@@ -80,17 +109,10 @@ pub(crate) struct Kernel {
 /// `a(v ± c, …)` combined by `+ − * /` and unary `−`, and a static plan.
 /// The bindings are checked per trip ([`Rows::new`]).
 pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
-    let [RStmt::AssignElement {
-        slot,
-        subs,
-        rhs,
-        flops,
-        ..
-    }] = d.body.as_slice()
-    else {
+    let [stmt @ RStmt::AssignElement { subs, .. }] = d.body.as_slice() else {
         return None;
     };
-    let RProcExpr::Owner(on, on_subs) = &d.on else {
+    let RProcExpr::Owner(_, on_subs) = &d.on else {
         return None;
     };
     let (vars, n) = (&d.vars, d.vars.len());
@@ -101,24 +123,64 @@ pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
     if d.plan.is_none() || !by_vars || !(n == 1 || n == 2 && vars[0] != vars[1]) {
         return None;
     }
-    let mut k = Kernel {
-        target: *slot,
-        on: *on,
-        flops: *flops,
-        reads: Vec::new(),
-        invariants: Vec::new(),
-        code: Vec::new(),
-        out: Src::Reg(0),
-        regs: 0,
-    };
-    k.out = k.operand(rhs, vars)?;
+    let mut k = Kernel::default();
+    k.assign(stmt, vars, false)?;
+    Some(k)
+}
+
+/// The kernel of a `do var = …` loop in the compiled class as far as its
+/// text decides (see the module docs; `var` appears in subscripts only,
+/// and no invariant names a slot the loop writes). The bindings are
+/// checked per execution ([`LoopScratch::place`]).
+pub(crate) fn compile_loop(var: Slot, step: Option<&RExpr>, body: &[RStmt]) -> Option<Kernel> {
+    let unit = step.is_none_or(|s| const_of(s) == Some(1));
+    (unit && !body.is_empty()).then_some(())?;
+    let mut k = Kernel::default();
+    for s in body {
+        k.assign(s, &[var], true)?;
+    }
+    for a in &k.stmts {
+        let at_a = |&(slot, off): &(Slot, [i64; 2])| slot != a.target || off == a.off;
+        let names_a = |e: &RExpr| any_expr(e, &mut |n| matches!(n, Node::Name(s) if s == a.target));
+        let one_offset = k.reads.iter().all(at_a)
+            && k.stmts.iter().all(|b| at_a(&(b.target, b.off)))
+            && !k.invariants.iter().any(|(_, e)| names_a(e));
+        one_offset.then_some(())?;
+    }
     Some(k)
 }
 
 impl Kernel {
-    fn operand(&mut self, e: &RExpr, vars: &[Slot]) -> Option<Src> {
+    /// Compile `target(v ± c, …) = rhs` onto the program. With `hoist`, a
+    /// subtree without a loop variable is an invariant even if it reads
+    /// an element; without, every element read is a kernel read.
+    fn assign(&mut self, s: &RStmt, vars: &[Slot], hoist: bool) -> Option<()> {
+        let RStmt::AssignElement {
+            slot,
+            subs,
+            rhs,
+            flops,
+            ..
+        } = s
+        else {
+            return None;
+        };
+        let off = offsets(subs.iter().map(Some), vars)?;
+        let out = self.operand(rhs, vars, hoist)?;
+        self.stmts.push(Assign {
+            target: *slot,
+            off,
+            flops: *flops,
+            reads_end: self.reads.len(),
+            code_end: self.code.len(),
+            out,
+        });
+        Some(())
+    }
+
+    fn operand(&mut self, e: &RExpr, vars: &[Slot], hoist: bool) -> Option<Src> {
         let varies = any_expr(e, &mut |n| match n {
-            Node::Expr(e) => matches!(e, RExpr::Ref(..)),
+            Node::Expr(e) => !hoist && matches!(e, RExpr::Ref(..)),
             Node::Name(s) => vars.contains(&s),
             Node::Stmt(_) => false,
         });
@@ -128,27 +190,64 @@ impl Kernel {
                 self.regs += 1;
                 return Some(Src::Reg(self.regs - 1));
             }
-            RExpr::Ref(slot, _, args, _) if args.len() == vars.len() => {
-                let mut off = [0; 2];
-                for ((o, a), &v) in off[2 - vars.len()..].iter_mut().zip(args).zip(vars) {
-                    *o = offset(a.as_ref()?, v)?;
-                }
+            RExpr::Ref(slot, _, args, _) => {
+                let off = offsets(args.iter().map(Option::as_ref), vars)?;
                 self.reads.push((*slot, off));
                 return Some(Src::Read(self.reads.len() - 1));
             }
             RExpr::Un(UnOp::Neg, x, _) => {
-                let a = self.operand(x, vars)?;
+                let a = self.operand(x, vars, hoist)?;
                 (None, a, a)
             }
-            RExpr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), l, r, _) => {
-                (Some(*op), self.operand(l, vars)?, self.operand(r, vars)?)
-            }
+            RExpr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), l, r, _) => (
+                Some(*op),
+                self.operand(l, vars, hoist)?,
+                self.operand(r, vars, hoist)?,
+            ),
             _ => return None,
         };
         self.code.push((op, self.regs, a, b));
         self.regs += 1;
         Some(Src::Reg(self.regs - 1))
     }
+
+    /// Run instructions `code` over a run of `len` iterations, `read(k)`
+    /// the run of element read `k`.
+    fn run<'d>(
+        &self,
+        code: Range<usize>,
+        regs: &mut [Vec<f64>],
+        len: usize,
+        read: &impl Fn(usize) -> &'d [f64],
+    ) {
+        for &(op, dst, x, y) in &self.code[code] {
+            let mut d = std::mem::take(&mut regs[dst]);
+            let (x, y) = (operand(x, regs, read, len), operand(y, regs, read, len));
+            let d_x_y = d[..len].iter_mut().zip(x).zip(y);
+            match op {
+                Some(BinOp::Add) => d_x_y.for_each(|((d, x), y)| *d = x + y),
+                Some(BinOp::Sub) => d_x_y.for_each(|((d, x), y)| *d = x - y),
+                Some(BinOp::Mul) => d_x_y.for_each(|((d, x), y)| *d = x * y),
+                Some(_) => d_x_y.for_each(|((d, x), y)| *d = x / y),
+                None => d_x_y.for_each(|((d, x), _)| *d = -x),
+            }
+            regs[dst] = d;
+        }
+    }
+}
+
+/// The offsets `c` of subscripts `var ± c`, one per loop variable, placed
+/// as in [`Bx`].
+fn offsets<'e>(
+    subs: impl ExactSizeIterator<Item = Option<&'e RExpr>>,
+    vars: &[Slot],
+) -> Option<[i64; 2]> {
+    (subs.len() == vars.len()).then_some(())?;
+    let mut off = [0; 2];
+    for ((o, e), &v) in off[2 - vars.len()..].iter_mut().zip(subs).zip(vars) {
+        *o = offset(e?, v)?;
+    }
+    Some(off)
 }
 
 /// `c` of a subscript `var ± c`.
@@ -159,6 +258,19 @@ fn offset(e: &RExpr, var: Slot) -> Option<i64> {
         RExpr::Bin(BinOp::Add, v, c, _) if is_var(v) => const_of(c),
         RExpr::Bin(BinOp::Sub, v, c, _) if is_var(v) => const_of(c)?.checked_neg(),
         _ => None,
+    }
+}
+
+/// The `len` values of `src` along the current run.
+fn operand<'a, 'd: 'a>(
+    src: Src,
+    regs: &'a [Vec<f64>],
+    read: &impl Fn(usize) -> &'d [f64],
+    len: usize,
+) -> &'a [f64] {
+    match src {
+        Src::Reg(r) => &regs[r][..len],
+        Src::Read(k) => &read(k)[..len],
     }
 }
 
@@ -238,19 +350,21 @@ pub(crate) struct Rows {
 
 impl Rows {
     /// Place `k` for rank `me` over the loop `ranges` (unit steps), with
-    /// `whole` the whole array a slot is bound to, if it is. `None` — the
-    /// walker runs, and reports what it reports — when an array is not
-    /// whole, real, of the loop's rank and contiguously distributed, when
-    /// the on-array's layout or bounds are not the target's, or when the
-    /// loop leaves those bounds or a read of the box leaves its array's.
+    /// `on` the on-clause's array and `whole` the whole array a slot is
+    /// bound to, if it is. `None` — the walker runs, and reports what it
+    /// reports — when an array is not whole, real, of the loop's rank and
+    /// contiguously distributed, when the on-array's layout or bounds are
+    /// not the target's, or when the loop leaves those bounds or a read of
+    /// the box leaves its array's.
     pub(crate) fn new(
         me: usize,
         ranges: &[(i64, i64)],
         k: &Kernel,
+        on: Slot,
         whole: impl Fn(Slot) -> Option<ArrRef>,
     ) -> Option<Rows> {
         let arity = ranges.len();
-        let (target, on) = (Addr::of(&whole(k.target)?, arity)?, whole(k.on)?);
+        let (target, on) = (Addr::of(&whole(k.stmts[0].target)?, arity)?, whole(on)?);
         let (t, o) = (target.base.borrow(), on.borrow());
         (t.layout == o.layout && t.bounds == o.bounds).then_some(())?;
         drop((t, o));
@@ -369,26 +483,12 @@ impl Rows {
             for (start, (f, off, _)) in starts.iter_mut().zip(&self.reads) {
                 *start = f.flat(i + off[0], a + off[1]);
             }
-            for &(op, dst, x, y) in &k.code {
-                let mut d = std::mem::take(&mut regs[dst]);
-                let (x, y) = (
-                    operand(x, regs, &data, starts, len),
-                    operand(y, regs, &data, starts, len),
-                );
-                let d_x_y = d[..len].iter_mut().zip(x).zip(y);
-                match op {
-                    Some(BinOp::Add) => d_x_y.for_each(|((d, x), y)| *d = x + y),
-                    Some(BinOp::Sub) => d_x_y.for_each(|((d, x), y)| *d = x - y),
-                    Some(BinOp::Mul) => d_x_y.for_each(|((d, x), y)| *d = x * y),
-                    Some(_) => d_x_y.for_each(|((d, x), y)| *d = x / y),
-                    None => d_x_y.for_each(|((d, x), _)| *d = -x),
-                }
-                regs[dst] = d;
-            }
+            let read = |r: usize| &data[r].data[starts[r]..];
+            k.run(0..k.code.len(), regs, len, &read);
             let at = self.pos(i, a);
-            out[at..at + len].copy_from_slice(operand(k.out, regs, &data, starts, len));
+            out[at..at + len].copy_from_slice(operand(k.stmts[0].out, regs, &read, len));
         });
-        proc.compute_each(k.flops, count);
+        proc.compute_each(k.stmts[0].flops, count);
     }
 
     /// Copy-out: the result into the target's storage, charged as the
@@ -403,17 +503,130 @@ impl Rows {
     }
 }
 
-/// The `len` values of `src` along the current row.
-fn operand<'a>(
-    src: Src,
-    regs: &'a [Vec<f64>],
-    data: &'a [Ref<ArrObj>],
-    starts: &[usize],
-    len: usize,
-) -> &'a [f64] {
-    match src {
-        Src::Reg(r) => &regs[r][..len],
-        Src::Read(k) => &data[k].data[starts[k]..][..len],
+/// The most iterations a compiled loop runs at once: its buffers never
+/// grow with the loop.
+const CHUNK: usize = 64;
+
+/// One reference of a compiled loop, placed: iteration `t` (counting from
+/// the loop's first) addresses `base.data[at + t * step]`.
+struct Strided {
+    base: ArrRef,
+    at: usize,
+    step: usize,
+}
+
+impl Strided {
+    /// Reference `view(lo..=hi)` of a rank-1 view of a real array: both
+    /// ends translate through the view into the array's bounds, as the
+    /// walker's accesses do (then so does everything between). With
+    /// `writer`, every element must also be that rank's.
+    fn of(view: &View, (lo, hi): (i64, i64), writer: Option<usize>) -> Option<Strided> {
+        let b = view.base.borrow();
+        (view.ndims() == 1 && b.is_real).then_some(())?;
+        let mut base_idxs = [0; MAX_RANK];
+        let mut flat = |i: i64| {
+            let idxs = view.to_base_into(&[i; MAX_RANK], 1, &mut base_idxs).ok()?;
+            let mine = writer.is_none_or(|me| b.owned_by(me, idxs));
+            mine.then(|| b.flat(idxs).ok())?
+        };
+        let (at, last) = (flat(lo)?, flat(hi)?);
+        (writer.is_none() || (lo..=hi).all(|i| flat(i).is_some())).then_some(())?;
+        let step = ((last - at) / (hi - lo).max(1) as usize).max(1);
+        let base = view.base.clone();
+        Some(Strided { base, at, step })
+    }
+
+    /// Load iterations `start..` into `out`.
+    fn load(&self, start: usize, out: &mut [f64]) {
+        let b = self.base.borrow();
+        let lane = b.data[self.at + start * self.step..]
+            .iter()
+            .step_by(self.step);
+        out.iter_mut().zip(lane).for_each(|(o, v)| *o = *v);
+    }
+
+    /// Store `vals` into iterations `start..`.
+    fn store(&self, start: usize, vals: &[f64]) {
+        let mut b = self.base.borrow_mut();
+        let lane = b.data[self.at + start * self.step..].iter_mut();
+        lane.step_by(self.step).zip(vals).for_each(|(t, v)| *t = *v);
+    }
+}
+
+/// A compiled loop's buffers, reused execution after execution: chunk-long
+/// registers and per-read rows, and the placed references — the reads,
+/// then one target per assignment.
+#[derive(Default)]
+pub(crate) struct LoopScratch {
+    regs: Vec<Vec<f64>>,
+    rows: Vec<Vec<f64>>,
+    refs: Vec<Strided>,
+}
+
+impl LoopScratch {
+    /// Place `k` on one execution over `lo..=hi` (not empty) for rank
+    /// `me`, `view` the view a slot is bound to, if it is an array.
+    /// `None` — the walker runs, and reports what it reports — unless
+    /// every reference is placed ([`Strided::of`]), `me` owns every
+    /// element written, and nothing written is also read at another
+    /// address: by a reference with another sequence, or by an invariant.
+    pub(crate) fn place<'v>(
+        &mut self,
+        k: &Kernel,
+        (lo, hi): (i64, i64),
+        me: usize,
+        view: impl Fn(Slot) -> Option<&'v View>,
+    ) -> Option<()> {
+        self.refs.clear();
+        let reads = k.reads.iter().map(|&(slot, off)| (slot, off, None));
+        let targets = k.stmts.iter().map(|a| (a.target, a.off, Some(me)));
+        for (slot, [_, c], writer) in reads.chain(targets) {
+            let range = (lo.checked_add(c)?, hi.checked_add(c)?);
+            self.refs.push(Strided::of(view(slot)?, range, writer)?);
+        }
+        let (reads, targets) = self.refs.split_at(k.reads.len());
+        let clash = targets.iter().any(|w| {
+            let elsewhere =
+                |r: &Strided| Rc::ptr_eq(&r.base, &w.base) && (r.at, r.step) != (w.at, w.step);
+            let mut names_w = |n: Node| match n {
+                Node::Name(s) => view(s).is_some_and(|v| Rc::ptr_eq(&v.base, &w.base)),
+                _ => false,
+            };
+            reads.iter().chain(targets).any(elsewhere)
+                || k.invariants.iter().any(|(_, e)| any_expr(e, &mut names_w))
+        });
+        (!clash).then_some(())?;
+        self.regs.resize_with(k.regs, Vec::new);
+        self.rows.resize_with(k.reads.len(), Vec::new);
+        for r in self.regs.iter_mut().chain(&mut self.rows) {
+            r.resize(CHUNK, 0.0);
+        }
+        Some(())
+    }
+
+    /// Broadcast an invariant's value along the register it fills.
+    pub(crate) fn fill(&mut self, reg: usize, v: f64) {
+        self.regs[reg].fill(v);
+    }
+
+    /// Execute the placed loop's `n` iterations, chunk by chunk, and each
+    /// chunk statement by statement: each assignment's reads are loaded
+    /// after the previous one's writes are stored.
+    pub(crate) fn run(&mut self, k: &Kernel, n: usize) {
+        let LoopScratch { regs, rows, refs } = self;
+        let (reads, targets) = refs.split_at(k.reads.len());
+        for start in (0..n).step_by(CHUNK) {
+            let len = CHUNK.min(n - start);
+            let (mut r0, mut c0) = (0, 0);
+            for (a, w) in k.stmts.iter().zip(targets) {
+                let loads = rows[r0..a.reads_end].iter_mut().zip(&reads[r0..]);
+                loads.for_each(|(row, s)| s.load(start, &mut row[..len]));
+                let read = |r: usize| &rows[r][..];
+                k.run(c0..a.code_end, regs, len, &read);
+                w.store(start, operand(a.out, regs, &read, len));
+                (r0, c0) = (a.reads_end, a.code_end);
+            }
+        }
     }
 }
 
@@ -422,5 +635,13 @@ impl Scratch {
     /// Has no trip placed a kernel here (with a non-empty box)?
     pub(crate) fn is_unused(&self) -> bool {
         self.out.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl LoopScratch {
+    /// Has no execution placed a compiled loop?
+    pub(crate) fn is_unused(&self) -> bool {
+        self.rows.is_empty() && self.regs.is_empty()
     }
 }

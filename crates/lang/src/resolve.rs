@@ -28,7 +28,7 @@ use kali_grid::DistSpec;
 
 use crate::ast::*;
 use crate::diag::Span;
-use crate::lower::{compile, Kernel};
+use crate::lower::{compile, compile_loop, Kernel};
 use crate::value::Value;
 
 /// Index of a name in its subroutine's symbol table, and of its binding
@@ -190,12 +190,16 @@ pub(crate) enum RStmt {
         flops: f64,
         at: At,
     },
+    /// `kernel` is the loop compiled as a strided kernel when its text is
+    /// in the class ([`crate::lower::compile_loop`]); the interpreter runs
+    /// it instead of walking the body where the bindings fit.
     Do {
         var: Slot,
         lo: RExpr,
         hi: RExpr,
         step: Option<RExpr>,
         body: Vec<RStmt>,
+        kernel: Option<Kernel>,
     },
     Doall(RDoall),
     /// `at` spans the statement, `name_at` the array's name.
@@ -617,12 +621,16 @@ impl Resolver {
                 if let Some(f) = self.open.last_mut() {
                     f.defines.push(var);
                 }
+                let (lo, hi) = (self.expr(lo, Keyed), self.expr(hi, Keyed));
+                let step = step.as_ref().map(|e| self.expr(e, Keyed));
+                let body = self.stmts(prog, body);
                 RStmt::Do {
+                    kernel: compile_loop(var, step.as_ref(), &body),
                     var,
-                    lo: self.expr(lo, Keyed),
-                    hi: self.expr(hi, Keyed),
-                    step: step.as_ref().map(|e| self.expr(e, Keyed)),
-                    body: self.stmts(prog, body),
+                    lo,
+                    hi,
+                    step,
+                    body,
                 }
             }
             StmtKind::Return => RStmt::Return,

@@ -73,10 +73,16 @@ impl CommSchedule {
     /// pattern identical *up to translation*, and the exact shift per
     /// array is the delta between the current origin and
     /// [`ArraySchedule::origin`]. Returns the schedule itself (shared)
-    /// when every delta is zero — the common warm-trip case.
+    /// when no index would move: every delta is zero, or every array
+    /// whose origin moved has no traffic — the warm trips of a singleton
+    /// team and of lines that exchange nothing. (An array without traffic
+    /// keeps its old `origin` then: there is nothing for it to place.)
     pub fn translated(self: &Rc<Self>, origins: &[u64]) -> Rc<CommSchedule> {
         debug_assert_eq!(origins.len(), self.arrays.len());
-        if self.arrays.iter().zip(origins).all(|(a, &o)| a.origin == o) {
+        let moves = |(a, &o): (&ArraySchedule, &u64)| {
+            a.origin != o && a.my_reqs.iter().chain(&a.incoming).any(|v| !v.is_empty())
+        };
+        if !self.arrays.iter().zip(origins).any(moves) {
             return Rc::clone(self);
         }
         let shift =
@@ -204,5 +210,37 @@ mod tests {
         assert_eq!(t.arrays[0].incoming, vec![vec![5], vec![]]);
         assert_eq!(t.arrays[0].origin, 4);
         assert_eq!((t.write_hint, &t.boundary), (2, &vec![1]));
+    }
+
+    /// An origin that moves without traffic shifts nothing, so nothing is
+    /// copied; one array with traffic still shifts (every array alike).
+    #[test]
+    fn translation_without_traffic_shares_the_schedule() {
+        let array = |origin, my_reqs: Vec<Vec<u64>>| ArraySchedule {
+            name: "x".into(),
+            incoming: vec![vec![]; my_reqs.len()],
+            my_reqs,
+            origin,
+        };
+        let quiet = Rc::new(CommSchedule {
+            arrays: vec![array(10, vec![vec![]]), array(20, vec![vec![]])],
+            write_hint: 0,
+            boundary: vec![],
+        });
+        assert!(Rc::ptr_eq(&quiet.translated(&[4, 30]), &quiet));
+        let busy = Rc::new(CommSchedule {
+            arrays: vec![
+                array(10, vec![vec![], vec![11]]),
+                array(20, vec![vec![]; 2]),
+            ],
+            write_hint: 0,
+            boundary: vec![],
+        });
+        let t = busy.translated(&[4, 30]);
+        assert!(!Rc::ptr_eq(&t, &busy));
+        assert_eq!(t.arrays[0].my_reqs, vec![vec![], vec![5]]);
+        assert_eq!((t.arrays[0].origin, t.arrays[1].origin), (4, 30));
+        // Traffic on an array whose origin did not move shifts nothing.
+        assert!(Rc::ptr_eq(&busy.translated(&[10, 30]), &busy));
     }
 }

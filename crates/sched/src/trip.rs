@@ -280,6 +280,22 @@ impl<T: Elem, K: SiteKey> InFlight<T, K> {
         }
     }
 
+    /// Is the verdict final — will [`InFlight::finish`] deliver this
+    /// flight's schedule without a rollback? True for a fresh build and a
+    /// won dedicated vote, and for a local hit whose own ballot is the
+    /// verdict (a singleton team, or a member sitting out); false while a
+    /// piggybacked vote among several members is undecided, or on a local
+    /// miss. Only a decided flight lets the caller write storage before
+    /// finishing: a rollback re-serves its peers from storage.
+    pub fn decided(&self) -> bool {
+        match &self.state {
+            State::Posted(..) | State::Ready(_) => true,
+            State::Voting(hit, _) | State::Undecided(hit) => {
+                hit.is_some() && (self.trip.sits_out || self.trip.team.len() == 1)
+            }
+        }
+    }
+
     /// Finish the trip: complete what `begin` posted (or run the blocking
     /// round it deferred) and scatter into `world` on agreement. On a
     /// lost piggybacked vote the payloads are discarded and a fresh
@@ -413,6 +429,8 @@ mod tests {
         cache: Option<ScheduleCache<Key>>,
         generation: u64,
         trips: usize,
+        /// [`InFlight::decided`] at each trip's begin.
+        decided: Vec<bool>,
     }
 
     impl Member {
@@ -456,6 +474,7 @@ mod tests {
             };
             let Ok(flight) = trip.begin(proc, self.cache.as_mut(), &world, build);
             let offered = flight.interior_schedule().is_some();
+            self.decided.push(flight.decided());
             proc.compute(10.0);
             let Ok(done) = flight.finish(proc, self.cache.as_mut(), &mut world, build);
             if let Finished::RolledBack(cold) = done {
@@ -495,6 +514,7 @@ mod tests {
                         cache: (mode != NoCache).then(|| ScheduleCache::new(8)),
                         generation: 0,
                         trips: 0,
+                        decided: Vec::new(),
                     };
                     script(&mut m, proc, split, mode);
                     let s = proc.stats();
@@ -615,6 +635,23 @@ mod tests {
                 })
             },
         );
+    }
+
+    /// The verdict is final at `begin` for a fresh build, a won dedicated
+    /// vote and a singleton team's hit; a piggybacked hit among three
+    /// members waits for its peers' ballots.
+    #[test]
+    fn the_verdict_is_final_at_begin_unless_peers_still_vote() {
+        let rings: [(usize, &'static [usize]); 2] = [(3, &[0, 1, 2]), (1, &[0])];
+        for (p, ring) in rings {
+            let script = |m: &mut Member, proc: &mut Proc, _: bool, mode: Mode| {
+                m.trip(proc);
+                m.trip(proc);
+                let shared_hit = mode == Piggybacked && m.ring.len() > 1;
+                assert_eq!(m.decided, [true, !shared_hit], "{mode:?}");
+            };
+            across_the_lattice(p, ring, script, |_, _| None);
+        }
     }
 
     #[test]

@@ -122,5 +122,14 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
             (c - b).abs_diff(b - a) <= 8 + 4 * slack,
             "adi, p = {p}: {a} {b} {c}"
         );
+        // A warm line on one rank is one `tric` call: its declarations and
+        // its five doall trips, each with a key and an exchange list. Each
+        // trip runs one iteration, which writes through, so no write log
+        // is built and the element loops run compiled. A sweep of np = 40
+        // has 2 · 16 more lines than one of np = 24.
+        if p == 1 {
+            let per_line = (c - a) / 32;
+            assert!(per_line <= 380, "adi: {per_line} allocations per line");
+        }
     }
 }

@@ -175,6 +175,38 @@ end
     assert_eq!(e[6], 13.0 + 12.0);
 }
 
+/// A builtin sees what its own iteration wrote before the call, as an
+/// element read does: `a(i) = 2.0` and then `seqtri` on the one-row system
+/// `a(i) x(i) = f(i)` gives f / 2 = 3, not f / 1 from the copy-in value —
+/// with one iteration per processor (its writes go straight to storage)
+/// and with four (they wait in the write log).
+#[test]
+fn builtins_read_their_own_iterations_writes() {
+    let src = r#"
+parsub own(x, b, a, c, f, n; procs)
+  processors procs(p)
+  real x(n), b(n), a(n), c(n), f(n) dist (block)
+  doall 100 i = 1, n on owner(x(i))
+    a(i) = 2.0
+    call seqtri(x(i:i), b(i:i), a(i:i), c(i:i), f(i:i), 1)
+100 continue
+end
+"#;
+    for p in [1, 2] {
+        for n in [p, 4 * p] {
+            let arr = |v: f64| HostValue::Array {
+                data: vec![v; n],
+                bounds: vec![(1, n as i64)],
+            };
+            let n_arg = HostValue::Int(n as i64);
+            let args = [arr(0.0), arr(0.0), arr(1.0), arr(0.0), arr(6.0), n_arg];
+            let run = run_source(cfg(p), src, "own", &[p], &args).unwrap();
+            assert_eq!(run.arrays[0].1, vec![3.0; n], "x, p = {p}, n = {n}");
+            assert_eq!(run.arrays[2].1, vec![2.0; n], "a, p = {p}, n = {n}");
+        }
+    }
+}
+
 #[test]
 fn adi_listing_matches_native_adi() {
     use kali::solvers::adi::{adi_seq_iteration, suggested_rho};

@@ -380,6 +380,185 @@ proptest! {
     }
 }
 
+/// One random statement list for a compiled `do k` loop: targets first —
+/// `x`, `y` or the distributed section `r`, each written at one offset —
+/// then right-hand sides over reads `a(k ± c)` of every line array (a
+/// written one at its target's offset, the others at any offset in
+/// −2..=2), Int and Real invariants (`kk`, `sc`, `kk*ip - 1`, `g(2*ip -
+/// 1)`, constants) and `+ − *`, unary `−`, and `/` by a constant or by a
+/// read of `d` (never written, every value ≥ 1). Returns the targets with
+/// their offsets and the right-hand sides.
+fn loop_body(g: &mut Gen) -> (Vec<(&'static str, i64)>, Vec<String>) {
+    let count = 1 + g.below(4) as usize;
+    let mut targets: Vec<(&str, i64)> = Vec::new();
+    for _ in 0..count {
+        let slot = ["x", "y", "r"][g.below(3) as usize];
+        let off = match targets.iter().find(|(s, _)| *s == slot) {
+            Some(&(_, off)) => off,
+            None => g.below(5) as i64 - 2,
+        };
+        targets.push((slot, off));
+    }
+    let sub = |off: i64| match off {
+        0 => "k".to_string(),
+        c if c > 0 => format!("k + {c}"),
+        c => format!("k - {}", -c),
+    };
+    fn rhs(
+        g: &mut Gen,
+        depth: usize,
+        read: &mut dyn FnMut(&mut Gen, &'static str) -> String,
+    ) -> String {
+        match g.below(if depth == 0 { 4 } else { 9 }) {
+            0 | 1 => {
+                let slot = ["x", "y", "r", "s", "d"][g.below(5) as usize];
+                read(g, slot)
+            }
+            2 => ["0.5", "1.25", "kk", "sc", "3", "g(2*ip - 1)"][g.below(6) as usize].to_string(),
+            3 => format!("kk*ip - {}", g.below(4)),
+            4 => format!("-({})", rhs(g, depth - 1, read)),
+            5 => {
+                let num = rhs(g, depth - 1, read);
+                let den = match g.below(2) {
+                    0 => "0.25".to_string(),
+                    _ => read(g, "d"),
+                };
+                format!("({num}) / {den}")
+            }
+            op => {
+                let (l, r) = (rhs(g, depth - 1, read), rhs(g, depth - 1, read));
+                format!("({l} {} {r})", ["+", "-", "*"][op as usize - 6])
+            }
+        }
+    }
+    let mut read = |g: &mut Gen, slot: &'static str| {
+        let off = match targets.iter().find(|(s, _)| *s == slot) {
+            Some(&(_, off)) => off,
+            None => g.below(5) as i64 - 2,
+        };
+        format!("{slot}({})", sub(off))
+    };
+    let rhss = (0..count).map(|_| rhs(g, 3, &mut read)).collect();
+    (targets, rhss)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random `do` loops of element assignments inside one-iteration
+    /// doalls on `procs(ip)`, over whole arrays and `u(i, *)` / `u(*, j)`
+    /// sections (one distributed like the arrays, one on a single owner),
+    /// on one to four processors: the loop compiled as a strided kernel
+    /// and the tree-walker — reached through program text, a twin whose
+    /// statements route each right-hand side through a scalar temporary,
+    /// which keeps the loop out of the compiled class — agree bit for bit
+    /// on the results, on every message, word and protocol counter, and
+    /// on the simulator's clocks.
+    #[test]
+    fn compiled_loops_match_the_walker_bitwise(
+        seed in 0u64..1_000_000,
+        p in 1usize..5,
+        policy in 0usize..4,
+        niter in 1i64..4,
+        rows in 0usize..2,
+    ) {
+        let mut g = Gen(seed);
+        let n = p * (3 + g.below(4) as usize) + g.below(p as u64) as usize;
+        let (targets, rhss) = loop_body(&mut g);
+        let tmin = targets.iter().map(|t| t.1).min().unwrap();
+        let tmax = targets.iter().map(|t| t.1).max().unwrap();
+        let shifted = |v: &str, c: i64| match c {
+            0 => v.to_string(),
+            c if c > 0 => format!("{v} + {c}"),
+            c => format!("{v} - {}", -c),
+        };
+        let sub = |off: i64| shifted("k", off);
+        // `r` is the section distributed like `x`, `s` the one a single
+        // processor owns; both move with the outer iteration. Now and then
+        // `s` aliases `x` or `y` instead, which a loop writing them at
+        // another offset must not compile.
+        let (layout, r, s) = match rows {
+            0 => ("(*, block)", "u(it, *)", "u(*, mod(it, n) + 1)"),
+            _ => ("(block, *)", "u(*, it)", "u(mod(it, n) + 1, *)"),
+        };
+        let s = ["x", "y", s, s][g.below(4) as usize];
+        let program = |body: &str| {
+            format!(
+                "parsub gen(x, y, d, u, g, n, niter; procs)\n  processors procs(p)\n  \
+                 real x(n), y(n), d(n) dist (block)\n  real u(n, n) dist {layout}\n  \
+                 real g(2*p) dist (block)\n  kk = 3\n  sc = 0.375\n  \
+                 do 1000 it = 1, niter\n    call line(x, y, d, {r}, {s}, g, n, kk, sc; procs)\n\
+                 1000 continue\nend\n\n\
+                 parsub line(x, y, d, r, s, g, n, kk, sc; procs)\n  processors procs(q)\n  \
+                 real x(n), y(n), d(n), r(n), s(n) dist (block)\n  real g(2*q) dist (block)\n  \
+                 integer lo, hi\n  doall 100 ip = 1, q on procs(ip)\n    \
+                 lo = lower(x, procs(ip))\n    hi = upper(x, procs(ip))\n    \
+                 do 50 k = max({}, 3), min({}, n - 2)\n{body}\n50  continue\n100 continue\nend\n",
+                shifted("lo", -tmin),
+                shifted("hi", -tmax),
+            )
+        };
+        let assign = |(t, off): &(&str, i64), rhs: &String| format!("{t}({}) = {rhs}", sub(*off));
+        let compiled: Vec<String> = targets.iter().zip(&rhss).map(|(t, e)| format!("      {}", assign(t, e))).collect();
+        let walked: Vec<String> = targets
+            .iter()
+            .zip(&rhss)
+            .map(|(t, e)| format!("      tmp = {e}\n      {}", assign(t, &"tmp".to_string())))
+            .collect();
+        let (compiled, walked) = (program(&compiled.join("\n")), program(&walked.join("\n")));
+        let vector = |f: fn(usize) -> f64| HostValue::Array {
+            data: (0..n).map(f).collect(),
+            bounds: vec![(1, n as i64)],
+        };
+        let args = [
+            vector(|k| (k % 13) as f64 * 0.125 - 0.5),
+            vector(|k| (k % 5) as f64 * 0.75 + 0.25),
+            vector(|k| 1.0 + (k % 7) as f64 * 0.25),
+            HostValue::Array {
+                data: (0..n * n).map(|k| (k % 11) as f64 * 0.375 - 1.0).collect(),
+                bounds: vec![(1, n as i64); 2],
+            },
+            HostValue::Array {
+                data: (0..2 * p).map(|k| 0.5 + k as f64).collect(),
+                bounds: vec![(1, 2 * p as i64)],
+            },
+            HostValue::Int(n as i64),
+            HostValue::Int(niter),
+        ];
+        let opts = RunOptions {
+            policy: ExecPolicy { split: policy & 1 == 1, optimistic: policy & 2 == 2 },
+            ..RunOptions::default()
+        };
+        for backend in [BackendKind::Sim, BackendKind::Threads] {
+            let run = |src: &str| {
+                run_source_with(cfg_on(backend, p), src, "gen", &[p], &args, opts)
+                    .unwrap_or_else(|e| panic!("{e}\n{src}"))
+            };
+            let (a, b) = (run(&compiled), run(&walked));
+            for ((name, x), (_, y)) in a.arrays.iter().zip(&b.arrays) {
+                for (v, w) in x.iter().zip(y) {
+                    prop_assert_eq!(v.to_bits(), w.to_bits(), "{:?} {}: {} vs {}\n{}", backend, name, v, w, compiled);
+                }
+            }
+            let counters = |r: &RunReport| [
+                r.total_msgs,
+                r.total_words,
+                r.total_exchange_words,
+                r.total_inspector_runs,
+                r.total_schedule_replays,
+                r.total_optimistic_hits,
+                r.total_rollbacks,
+            ];
+            prop_assert_eq!(counters(&a.report), counters(&b.report), "{:?}\n{}", backend, compiled);
+            let clocks = |r: &RunReport| {
+                let procs = r.procs.iter().map(|p| p.clock.to_bits());
+                [r.elapsed, r.total_flops, r.overlap_hidden_seconds].map(f64::to_bits).into_iter().chain(procs).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(clocks(&a.report), clocks(&b.report), "{:?}\n{}", backend, compiled);
+        }
+    }
+}
+
 /// Every diagnostic of every `tests/corpus/bad` file, exactly:
 /// `(file stem, code, line, col, message)`, in report order. The table
 /// pins where each diagnostic points, not only which code it carries.
