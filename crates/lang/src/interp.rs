@@ -101,8 +101,21 @@
 //!
 //! whereas the blocking replay would sit idle for the full transit
 //! between `post` and the first executed iteration;
-//! * distributed procedure calls (`call sub(args; procslice)`) narrow the
-//!   current processor array to the slice and run the callee SPMD on it.
+//! * **lines in lockstep**: a distributed procedure call (`call sub(args;
+//!   procslice)`) narrows the current processor array to the slice and
+//!   runs the callee SPMD on it. A team-call doall in the lockstep class
+//!   ([`RDoall::batch`] — Listing 7's `call tric(u(i, *), …; owner(r(i,
+//!   *)))`) runs it once per batch of up to [`LINES_PER_BATCH`] lines of a
+//!   team: a frame per line, a replicated statement in each, and each
+//!   doall of the callee as *one trip* over the batch — its iteration set
+//!   the lines' in turn, its exchange list theirs (one array on the wire,
+//!   relative to each line's origins), its key one word vector — so one
+//!   vote and one fused message per peer per batch, not per line.
+//!   Bodies still run line by line, and the lines bind disjoint storage,
+//!   so a trip in which no line runs more than one iteration writes
+//!   through. A batched trip is always walked: it neither lowers nor seeds
+//!   from a static plan. Line by line stays the fallback, and the oracle
+//!   the batches are tested against bit for bit.
 //!
 //! # What an element costs
 //!
@@ -148,8 +161,17 @@
 //! references `a(v ± c)` — `tric`'s and `tri`'s row builders and
 //! back-substitutions — runs compiled as well, as strided kernels over
 //! chunks of 64 iterations ([`crate::lower`]); every other loop is walked.
+//!
+//! A batch of lines pays a trip's own costs — key lookup, exchange, vote,
+//! marks, `begin`/`finish` — once. What stays per line is its frame and
+//! the dynamic arrays it declares, its iterations, its exchange entries,
+//! and its share of the key, one word where it repeats the last line's.
+//! A batch whose lines run one iteration each holds an undecided trip's
+//! iterations until the verdict, so they write through and run their
+//! loops compiled.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::rc::Rc;
 
 use kali_grid::{DimDist, DimMap, DistSpec, Layout, ProcGrid};
@@ -178,10 +200,12 @@ enum Flow {
 
 #[derive(Default)]
 struct InspectState {
-    /// Per distinct base array: remote flat indices needed by my
-    /// iterations, in first-touch order (it fixes the order of the
-    /// request vectors on the wire).
-    needs: Vec<(ArrRef, Vec<usize>)>,
+    /// Per line of the trip and distinct base array: remote flat indices
+    /// needed by my iterations, in first-touch order (it fixes the order
+    /// of the request vectors on the wire).
+    needs: Vec<(usize, ArrRef, Vec<usize>)>,
+    /// The line whose iteration is being inspected (0 unless batched).
+    line: usize,
     /// Membership in `needs`, as (position in `needs`, flat): the dedupe
     /// is a set probe, not a scan of the list.
     seen: HashSet<(usize, usize)>,
@@ -199,21 +223,26 @@ struct InspectState {
 impl InspectState {
     fn record(&mut self, arr: &ArrRef, flat: usize) {
         self.iter_touched_remote = true;
-        let k = match self.needs.iter().position(|(a, _)| Rc::ptr_eq(a, arr)) {
-            Some(k) => k,
-            None => {
-                self.needs.push((arr.clone(), Vec::new()));
-                self.needs.len() - 1
-            }
-        };
+        let line = self.line;
+        let known = self
+            .needs
+            .iter()
+            .position(|(l, a, _)| *l == line && Rc::ptr_eq(a, arr));
+        let k = known.unwrap_or_else(|| {
+            self.needs.push((line, arr.clone(), Vec::new()));
+            self.needs.len() - 1
+        });
         if self.seen.insert((k, flat)) {
-            self.needs[k].1.push(flat);
+            self.needs[k].2.push(flat);
         }
     }
 
-    fn needs_of(&self, base: &ArrRef) -> &[usize] {
-        let hit = self.needs.iter().find(|(b, _)| Rc::ptr_eq(b, base));
-        hit.map_or(&[], |(_, v)| v.as_slice())
+    fn needs_of(&self, line: usize, base: &ArrRef) -> &[usize] {
+        let hit = self
+            .needs
+            .iter()
+            .find(|(l, b, _)| *l == line && Rc::ptr_eq(b, base));
+        hit.map_or(&[], |(.., v)| v.as_slice())
     }
 }
 
@@ -349,6 +378,11 @@ impl Mode {
     }
 }
 
+/// The most lines a batch of a team call runs in lockstep
+/// ([`Interp::run_lines`]). Every line of a batch holds its frame — `tric`'s
+/// thirteen dynamic arrays — for the batch's whole run, on every rank.
+const LINES_PER_BATCH: usize = 16;
+
 /// Cached schedules per doall site; the oldest epoch is evicted beyond
 /// this (a backstop — sites normally cycle through a handful of keys).
 const MAX_SCHEDULES_PER_SITE: usize = 128;
@@ -375,32 +409,87 @@ struct ExchangeArray<'p> {
     /// Flat base index of the bound view's origin *in the current frame*
     /// ([`view_origin_flat`]).
     origin: u64,
+    /// The line of the trip whose frame binds it (0 unless batched): a
+    /// batched trip lists each line's arrays in turn.
+    line: usize,
+}
+
+/// A batched trip's schedule is one array ([`Interp::route`]): element
+/// `f` of entry `e` of the exchange list travels as `e·span + span/2 + f −
+/// origin`, relative to its entry's origin, so the schedule replays
+/// untranslated on every batch whose key is equal. `None` for a trip of
+/// one frame, whose schedule has an array per entry.
+fn span(arrays: &[ExchangeArray]) -> Option<u64> {
+    let len = |a: &ExchangeArray| a.base.borrow().total_len() as u64;
+    let batched = arrays.iter().any(|a| a.line > 0);
+    batched.then(|| 2 * arrays.iter().map(len).max().unwrap_or(1))
+}
+
+/// The schedule's arrays, names and origins: the exchange list's, or a
+/// batched trip's one ([`span`]).
+fn wire<'a>(arrays: &'a [ExchangeArray]) -> impl Iterator<Item = (&'a str, u64)> {
+    let one = span(arrays).map(|_| ("lines", 0));
+    let each = arrays.iter().filter(move |_| one.is_none());
+    one.into_iter().chain(each.map(|a| (a.name, a.origin)))
 }
 
 /// The executor's view of the interpreter's storage: schedule array `k`
 /// is the `k`-th array of the exchange list, and flat indices are
-/// [`ArrObj`] row-major storage indices.
+/// [`ArrObj`] row-major storage indices — or a batched trip's one array.
 struct LangWorld {
     bases: Vec<ArrRef>,
+    /// A batched trip's span and its entries' origins.
+    lines: Option<(u64, Vec<u64>)>,
+}
+
+impl LangWorld {
+    fn new(arrays: &[ExchangeArray]) -> Self {
+        let origins = || arrays.iter().map(|a| a.origin).collect();
+        LangWorld {
+            bases: arrays.iter().map(|a| a.base.clone()).collect(),
+            lines: span(arrays).map(|span| (span, origins())),
+        }
+    }
+
+    /// Where element `flat` of schedule array `array` is stored.
+    fn at(&self, array: usize, flat: u64) -> (&ArrRef, usize) {
+        let Some((span, origins)) = &self.lines else {
+            return (&self.bases[array], flat as usize);
+        };
+        let e = (flat / span) as usize;
+        (
+            &self.bases[e],
+            (flat % span + origins[e] - span / 2) as usize,
+        )
+    }
 }
 
 impl ScheduleWorld<f64> for LangWorld {
     fn load(&self, array: usize, flat: u64) -> f64 {
-        self.bases[array].borrow().data[flat as usize]
+        let (arr, flat) = self.at(array, flat);
+        arr.borrow().data[flat]
     }
 
     fn store(&mut self, array: usize, flat: u64, value: f64) {
-        self.bases[array].borrow_mut().data[flat as usize] = value;
+        let (arr, flat) = self.at(array, flat);
+        arr.borrow_mut().data[flat] = value;
     }
 
     // Batched forms: one `RefCell` borrow per request vector instead of
     // one per element — the executor's serve/scatter hot loops call these.
     fn load_into(&self, array: usize, flats: &[u64], out: &mut Vec<f64>) {
+        if self.lines.is_some() {
+            return out.extend(flats.iter().map(|&f| self.load(array, f)));
+        }
         let arr = self.bases[array].borrow();
         out.extend(flats.iter().map(|&f| arr.data[f as usize]));
     }
 
     fn store_from(&mut self, array: usize, flats: &[u64], values: &[f64]) {
+        if self.lines.is_some() {
+            let stores = flats.iter().zip(values);
+            return stores.for_each(|(&f, &v)| self.store(array, f, v));
+        }
         let mut arr = self.bases[array].borrow_mut();
         for (&f, &v) in flats.iter().zip(values) {
             arr.data[f as usize] = v;
@@ -411,13 +500,27 @@ impl ScheduleWorld<f64> for LangWorld {
 /// A doall iteration set, flat: `arity` loop-variable values per
 /// iteration, in iteration order. One allocation however many iterations,
 /// and comparing two sets is comparing two slices.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct IterSet {
     arity: usize,
     flat: Vec<i64>,
+    /// A batched trip's lines, in order: each its frame and the end of its
+    /// positions. Empty for a trip of one frame, the active one.
+    lines: Vec<(usize, usize)>,
 }
 
 impl IterSet {
+    /// The frame position `pos` runs in, if the trip is batched.
+    fn frame_of(&self, pos: usize) -> Option<usize> {
+        let line = self.lines.partition_point(|&(_, end)| end <= pos);
+        self.lines.get(line).map(|l| l.0)
+    }
+
+    /// Does every line run at most one iteration?
+    fn lone(&self) -> bool {
+        Work::Walk(self).lines(0).all(|(_, r)| r.len() <= 1)
+    }
+
     fn len(&self) -> usize {
         self.flat.len() / self.arity
     }
@@ -439,6 +542,24 @@ enum Work<'w> {
     Rows(&'w Kernel, &'w Rows),
 }
 
+impl<'w> Work<'w> {
+    /// The trip's lines, each its frame and its positions: one line, the
+    /// `top` frame's, unless the trip is batched.
+    fn lines(self, top: usize) -> impl Iterator<Item = (usize, Range<usize>)> + 'w {
+        let (batch, len) = match self {
+            Work::Walk(s) => (&s.lines[..], s.len()),
+            Work::Rows(..) => (&[][..], 0),
+        };
+        let one = batch.is_empty().then_some((top, 0..len));
+        let starts = std::iter::once(0).chain(batch.iter().map(|l| l.1));
+        let batch = batch
+            .iter()
+            .zip(starts)
+            .map(|(&(f, end), start)| (f, start..end));
+        one.into_iter().chain(batch)
+    }
+}
+
 /// Everything the inspector's output is a deterministic function of. Two
 /// invocations with equal keys provably need the same communication, so
 /// the cached schedule can be replayed. The key is one word vector, built
@@ -446,6 +567,9 @@ enum Work<'w> {
 /// writes it); in order:
 ///
 /// * the team's ranks (which [`SiteKey::team_ranks`] borrows back);
+/// * a batched trip's number of lines (0 for a trip of one frame; the
+///   site number carries it too), then per line the words below — one
+///   word where they repeat the last line's;
 /// * this processor's iteration set (owner-computes assignment) — listed
 ///   by the on-clause scan, or at a lowered site the owned box, which
 ///   names the same set (every empty box alike), so a lowered site's keys
@@ -520,6 +644,8 @@ pub struct Interp<'a, 'p> {
     pub proc: &'a mut Proc,
     prog: &'p Program,
     frames: Vec<Frame<'p>>,
+    /// The active frame: the last, or one line's of a batch.
+    top: usize,
     mode: Mode,
     doall_depth: usize,
     /// Execution strategy for communicating doalls — the same
@@ -562,6 +688,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             proc,
             prog,
             frames: Vec::new(),
+            top: 0,
             mode: Mode::Normal,
             doall_depth: 0,
             policy: opts.policy,
@@ -581,11 +708,11 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     fn frame(&self) -> &Frame<'p> {
-        self.frames.last().expect("active frame")
+        &self.frames[self.top]
     }
 
     fn frame_mut(&mut self) -> &mut Frame<'p> {
-        self.frames.last_mut().expect("active frame")
+        &mut self.frames[self.top]
     }
 
     /// What `slot` is bound to in the active frame.
@@ -644,11 +771,28 @@ impl<'a, 'p> Interp<'a, 'p> {
         bindings: Vec<(usize, Binding)>,
         grid: ProcGrid,
     ) -> RtResult<()> {
+        let caller = self.top;
+        let sub = self.enter(sub, bindings, grid)?;
+        self.exec_stmts(&sub.body)?;
+        self.frames.pop();
+        self.top = caller;
+        Ok(())
+    }
+
+    /// Push an activation of subroutine `sub` as the active frame and
+    /// elaborate its declarations.
+    fn enter(
+        &mut self,
+        sub: usize,
+        bindings: Vec<(usize, Binding)>,
+        grid: ProcGrid,
+    ) -> RtResult<&'p RSub> {
         let sub = &self.prog.code[sub];
         let mut slots = vec![None; sub.names.len()];
         for (slot, b) in bindings {
             slots[slot] = Some(b);
         }
+        self.top = self.frames.len();
         self.frames.push(Frame {
             grid,
             sub,
@@ -657,9 +801,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             iter_depth: 0,
         });
         self.elaborate_decls(sub)?;
-        self.exec_stmts(&sub.body)?;
-        self.frames.pop();
-        Ok(())
+        Ok(sub)
     }
 
     // ---------- declarations ----------
@@ -903,7 +1045,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             RStmt::Call {
                 callee, args, on, ..
             } => self.exec_call(callee, args, on.as_ref())?,
-            RStmt::Doall(d) => self.exec_doall(d)?,
+            RStmt::Doall(d) => self.exec_doall(d, self.top..self.top + 1)?,
             RStmt::Distribute { slot, dist, .. } => self.exec_distribute(*slot, dist)?,
         }
         Ok(Flow::Normal)
@@ -959,38 +1101,56 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     // ---------- doall ----------
 
-    fn exec_doall(&mut self, d: &'p RDoall) -> RtResult<()> {
+    /// Run doall `d` in `frames` ([`Interp::run_doall`]): the active
+    /// frame's, or a batch of lines' ([`Interp::run_batch`]), whose
+    /// iterations are scanned here, each line in its own frame.
+    fn exec_doall(&mut self, d: &'p RDoall, frames: Range<usize>) -> RtResult<()> {
         if !matches!(self.mode, Mode::Normal) {
             return Err("nested doall loops are not supported".into());
         }
+        let (arity, batched) = (d.ranges.len(), frames.len() > 1);
         let mut bounds = [(0i64, 0i64, 1i64); 2];
-        for (k, (lo, hi, step)) in d.ranges.iter().enumerate() {
-            let l = self.eval(lo)?.as_int();
-            let h = self.eval(hi)?.as_int();
-            let s = match step {
-                Some(e) => self.eval(e)?.as_int(),
-                None => 1,
-            };
-            if s <= 0 {
-                return Err("doall requires a positive step".into());
+        let mut lines = IterSet {
+            arity,
+            ..IterSet::default()
+        };
+        let mut shadowed = Vec::with_capacity(frames.len() * d.vars.len());
+        for f in frames.clone() {
+            self.top = f;
+            for (k, (lo, hi, step)) in d.ranges.iter().enumerate() {
+                let l = self.eval(lo)?.as_int();
+                let h = self.eval(hi)?.as_int();
+                let s = match step {
+                    Some(e) => self.eval(e)?.as_int(),
+                    None => 1,
+                };
+                if s <= 0 {
+                    return Err("doall requires a positive step".into());
+                }
+                if k < 2 {
+                    bounds[k] = (l, h, s);
+                }
             }
-            if k < 2 {
-                bounds[k] = (l, h, s);
+            if arity != 1 && arity != 2 {
+                return Err("doall supports one or two loop variables".into());
+            }
+            // The loop variables are written in place, iteration after
+            // iteration; whatever they shadow is set aside once and comes
+            // back after the loop.
+            let frame = self.frame_mut();
+            shadowed.extend(d.vars.iter().map(|&v| frame.slots[v].take()));
+            if batched {
+                self.scan(d, &bounds[..arity], false, &mut lines)?;
+                lines.lines.push((f, lines.len()));
             }
         }
-        let arity = d.ranges.len();
-        if arity != 1 && arity != 2 {
-            return Err("doall supports one or two loop variables".into());
-        }
-        // The loop variables are written in place, iteration after
-        // iteration; whatever they shadow is set aside once and comes
-        // back after the loop.
-        let f = self.frame_mut();
-        let shadowed: Vec<_> = d.vars.iter().map(|&v| f.slots[v].take()).collect();
-        let result = self.run_doall(d, &bounds[..arity]);
-        let f = self.frame_mut();
-        for (&v, b) in d.vars.iter().zip(shadowed).rev() {
-            f.slots[v] = b;
+        let result = self.run_doall(d, &bounds[..arity], lines);
+        let mut shadowed = shadowed.into_iter();
+        for f in frames {
+            let vars = d.vars.iter().zip(shadowed.by_ref().take(d.vars.len()));
+            for (&v, b) in vars.rev() {
+                self.frames[f].slots[v] = b;
+            }
         }
         result
     }
@@ -998,14 +1158,23 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// Execute the iterations this processor owns: a lowered site's
     /// kernel over its owned box when the trip's bindings fit it
     /// ([`Interp::lower`]), otherwise the walker over the iterations whose
-    /// on-clause names this processor.
-    fn run_doall(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> RtResult<()> {
-        let lowered = (d.kernel.as_ref()).and_then(|k| Some((k, self.lower(d, k, bounds)?)));
+    /// on-clause names this processor — or, for a batch of lines, over
+    /// `my_iters`, already scanned (a batched trip neither lowers nor seeds
+    /// from a static plan).
+    fn run_doall(
+        &mut self,
+        d: &'p RDoall,
+        bounds: &[(i64, i64, i64)],
+        mut my_iters: IterSet,
+    ) -> RtResult<()> {
+        let batched = !my_iters.lines.is_empty();
+        let kernel = d.kernel.as_ref().filter(|_| !batched);
+        let lowered = kernel.and_then(|k| Some((k, self.lower(d, k, bounds)?)));
         // Owner set per iteration — only when a static plan may seed this
         // site: seeding simulates every team member's inspector pass, and
         // the owner sets are its input.
         let seeding = self.static_seed && self.schedules.is_some() && d.plan.is_some();
-        let (my_iters, owners) = match lowered {
+        let owners = match lowered {
             Some(_) if !seeding => {
                 // The key reads the loop variables as the scan leaves
                 // them: at the last iteration (unit steps).
@@ -1013,23 +1182,19 @@ impl<'a, 'p> Interp<'a, 'p> {
                     let last = [bounds[0].1, bounds.get(1).map_or(0, |b| b.1)];
                     self.set_loop_vars(d, &last[..bounds.len()]);
                 }
-                let arity = bounds.len();
-                (
-                    IterSet {
-                        arity,
-                        flat: Vec::new(),
-                    },
-                    None,
-                )
+                None
             }
-            _ => self.scan(d, bounds, seeding)?,
+            _ if batched => None,
+            _ => self.scan(d, bounds, seeding, &mut my_iters)?,
         };
         let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
         self.doall_depth += 1;
         let result = match &lowered {
             Some((k, rows)) => self.run_inspector_executor(d, Work::Rows(k, rows), owners),
             // Team-call mode (Listing 7): members of each iteration's
-            // owner set execute the body cooperatively.
+            // owner set execute the body cooperatively — a batch of lines
+            // at a time where the class allows.
+            None if d.batch => self.run_lines(d, &my_iters),
             None if d.team_call => my_iters.iter().try_for_each(|it| self.run_iteration(d, it)),
             None => self.run_inspector_executor(d, Work::Walk(&my_iters), owners),
         };
@@ -1038,32 +1203,37 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     /// The on-clause scan: enumerate the iterations (outer variable
-    /// first) and keep those whose on-clause names this processor — and,
-    /// with `keep`, list every iteration with its owner set.
+    /// first) and append those whose on-clause names this processor to
+    /// `my_iters` — and, with `keep`, list every iteration with its owner
+    /// set.
     #[allow(clippy::type_complexity)]
     fn scan(
         &mut self,
         d: &'p RDoall,
         bounds: &[(i64, i64, i64)],
         keep: bool,
-    ) -> RtResult<(IterSet, Option<(IterSet, Vec<Vec<usize>>)>)> {
+        my_iters: &mut IterSet,
+    ) -> RtResult<Option<(IterSet, Vec<Vec<usize>>)>> {
         let arity = bounds.len();
         let total = bounds
             .iter()
             .map(|&(l, h, s)| ((h as i128 - l as i128) / s as i128 + 1).max(0))
             .map(|count| usize::try_from(count).unwrap_or(usize::MAX))
             .fold(arity, usize::saturating_mul);
-        let mut my_iters = IterSet {
-            arity,
-            flat: Vec::new(),
-        };
         // Presized from the loop bounds: the set is built without a
         // reallocation however it is distributed.
         my_iters
             .flat
-            .try_reserve_exact(total)
+            .try_reserve(total)
             .map_err(|_| "doall iteration set does not fit in memory".to_string())?;
-        let mut owners = keep.then(|| (my_iters.clone(), Vec::new()));
+        let mut owners = keep.then(|| {
+            let iters = IterSet {
+                arity,
+                flat: Vec::with_capacity(total),
+                ..IterSet::default()
+            };
+            (iters, Vec::new())
+        });
         let (first, second) = (bounds[0], bounds.get(1).copied().unwrap_or((0, 0, 1)));
         let mut i = first.0;
         while i <= first.1 {
@@ -1082,7 +1252,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
             i += first.2;
         }
-        Ok((my_iters, owners))
+        Ok(owners)
     }
 
     /// Place `d`'s kernel on this trip's bindings — the target, the
@@ -1195,13 +1365,13 @@ impl<'a, 'p> Interp<'a, 'p> {
         // ---- Request routing over the exchange list.
         let mut scheds: Vec<ArraySchedule> = Vec::with_capacity(arrays.len());
         for a in arrays {
-            let my_reqs = self.compute_requests(team, &a.base, needs[my_ti].needs_of(&a.base));
+            let my_reqs = self.compute_requests(team, &a.base, needs[my_ti].needs_of(0, &a.base));
             // What the request round would deliver: `incoming[ti]` is peer
             // `ti`'s request vector addressed to me — the subset of its
             // needs that I own, in the peer's discovery order.
             let mut incoming: Vec<Vec<u64>> = Vec::with_capacity(q);
             for peer in &needs {
-                let peer_reqs = self.compute_requests(team, &a.base, peer.needs_of(&a.base));
+                let peer_reqs = self.compute_requests(team, &a.base, peer.needs_of(0, &a.base));
                 incoming.push(peer_reqs.ok()?.into_iter().nth(my_ti)?);
             }
             scheds.push(ArraySchedule {
@@ -1214,7 +1384,7 @@ impl<'a, 'p> Interp<'a, 'p> {
 
         // The stale-read hazard guard, statically: every simulated remote
         // read must belong to an array in the exchange list.
-        for (arr, flats) in &needs[my_ti].needs {
+        for (_, arr, flats) in &needs[my_ti].needs {
             if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
                 return None;
             }
@@ -1289,9 +1459,25 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// alone — never of what an inspection finds — so a schedule cached
     /// under an equal key lists exactly these arrays, and one scan serves
     /// as the executor's world, the current region origins, and the
-    /// inspector's routing table.
-    fn exchange_arrays(&self, d: &RDoall) -> RtResult<Vec<ExchangeArray<'p>>> {
+    /// inspector's routing table. A batched trip lists each line's arrays
+    /// in turn.
+    fn exchange_arrays(&mut self, d: &RDoall, work: Work) -> RtResult<Vec<ExchangeArray<'p>>> {
         let mut arrays: Vec<ExchangeArray> = Vec::new();
+        for (line, (frame, _)) in work.lines(self.top).enumerate() {
+            self.top = frame;
+            self.line_exchange(d, line, &mut arrays)?;
+        }
+        Ok(arrays)
+    }
+
+    /// The active frame's arrays of the exchange list, appended to
+    /// `arrays` as line `line`'s.
+    fn line_exchange(
+        &self,
+        d: &RDoall,
+        line: usize,
+        arrays: &mut Vec<ExchangeArray<'p>>,
+    ) -> RtResult<()> {
         for r in &d.reads {
             let name = self.name(r.slot);
             let view = match self.slot(r.slot) {
@@ -1314,8 +1500,9 @@ impl<'a, 'p> Interp<'a, 'p> {
                     return Err(d.render(&self.prog.src));
                 }
             };
+            let mine = &arrays[arrays.partition_point(|a| a.line < line)..];
             if view.base.borrow().replicated()
-                || arrays.iter().any(|a| Rc::ptr_eq(&a.base, &view.base))
+                || mine.iter().any(|a| Rc::ptr_eq(&a.base, &view.base))
             {
                 continue;
             }
@@ -1323,9 +1510,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                 origin: view_origin_flat(view)?,
                 base: view.base.clone(),
                 name,
+                line,
             });
         }
-        Ok(arrays)
+        Ok(())
     }
 
     /// The four-phase doall engine — one trip of `kali-sched`'s driver.
@@ -1343,10 +1531,8 @@ impl<'a, 'p> Interp<'a, 'p> {
         owners: Option<(&IterSet, &[Vec<usize>])>,
     ) -> RtResult<()> {
         let team = self.frame().grid.team();
-        let arrays = self.exchange_arrays(d)?;
-        let mut world = LangWorld {
-            bases: arrays.iter().map(|a| a.base.clone()).collect(),
-        };
+        let arrays = self.exchange_arrays(d, work)?;
+        let mut world = LangWorld::new(&arrays);
         let trip = Trip {
             exec: EXEC,
             policy: self.policy,
@@ -1360,7 +1546,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             // fixed view coordinates), so a hit may have been built for a
             // different line of the same team: the driver shifts it to
             // these origins before replaying.
-            origins: Some(arrays.iter().map(|a| a.origin).collect()),
+            origins: Some(wire(&arrays).map(|a| a.1).collect()),
         };
         // The cache is lent to the driver for the trip, because the
         // builder it calls back needs the whole interpreter.
@@ -1391,8 +1577,13 @@ impl<'a, 'p> Interp<'a, 'p> {
                 // matched my own arrays, so they are safe to run before
                 // the team's verdict is known — and stay valid if it is
                 // a rollback, whose cold re-run then has nothing left to
-                // overlap.
-                if let (None, Some(pre)) = (&interior_run, flight.interior_schedule()) {
+                // overlap. A batch of lone lines waits for an open verdict
+                // instead: after it, they write through and run compiled.
+                let wait = matches!(work, Work::Walk(s) if !s.lines.is_empty() && s.lone());
+                let early = flight
+                    .interior_schedule()
+                    .filter(|_| !wait || flight.decided());
+                if let (None, Some(pre)) = (&interior_run, early) {
                     self.proc.mark("doall:interior");
                     // The walker's writes come back as a log; the kernel's
                     // stay in its site's scratch.
@@ -1401,10 +1592,12 @@ impl<'a, 'p> Interp<'a, 'p> {
                             let n = my_iters.len();
                             let interior = interior_runs(&pre.boundary, n).flatten();
                             // A lone iteration has no other to hide its
-                            // writes from, so once nothing will be served
-                            // from storage again — a final verdict, or
-                            // nothing to run before it — it writes through.
-                            let through = n <= 1 && (flight.decided() || pre.boundary.len() == n);
+                            // writes from (lines bind disjoint storage), so
+                            // once nothing will be served from storage
+                            // again — a final verdict, or nothing to run
+                            // before it — it writes through.
+                            let decided = flight.decided() || pre.boundary.len() == n;
+                            let through = my_iters.lone() && decided;
                             let log = WriteLog::new(pre.write_hint, n, through);
                             Some(self.exec_iterations(d, my_iters, interior, log)?)
                         }
@@ -1430,7 +1623,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                     .arrays
                     .iter()
                     .map(|a| a.name.as_str())
-                    .eq(arrays.iter().map(|a| a.name)),
+                    .eq(wire(&arrays).map(|a| a.0)),
                 "a schedule under an equal key lists exactly the exchange list"
             );
             match interior_run {
@@ -1468,13 +1661,16 @@ impl<'a, 'p> Interp<'a, 'p> {
         self.proc.mark("doall:inspect");
         self.mode = Mode::Inspect(InspectState::default());
         let mut boundary = Vec::new();
-        for (pos, it) in my_iters.iter().enumerate() {
-            if let Mode::Inspect(st) = &mut self.mode {
-                st.iter_touched_remote = false;
-            }
-            self.run_iteration(d, it)?;
-            if matches!(&self.mode, Mode::Inspect(st) if st.iter_touched_remote) {
-                boundary.push(pos);
+        for (line, (frame, positions)) in Work::Walk(my_iters).lines(self.top).enumerate() {
+            self.top = frame;
+            for pos in positions {
+                if let Mode::Inspect(st) = &mut self.mode {
+                    (st.iter_touched_remote, st.line) = (false, line);
+                }
+                self.run_iteration(d, my_iters.get(pos))?;
+                if matches!(&self.mode, Mode::Inspect(st) if st.iter_touched_remote) {
+                    boundary.push(pos);
+                }
             }
         }
         let st = match std::mem::replace(&mut self.mode, Mode::Normal) {
@@ -1516,13 +1712,26 @@ impl<'a, 'p> Interp<'a, 'p> {
     ) -> RtResult<CommSchedule> {
         let mut reqs_all: Vec<Vec<Vec<u64>>> = Vec::with_capacity(arrays.len());
         for a in arrays {
-            reqs_all.push(self.compute_requests(team, &a.base, st.needs_of(&a.base))?);
+            reqs_all.push(self.compute_requests(team, &a.base, st.needs_of(a.line, &a.base))?);
+        }
+        if let Some(span) = span(arrays) {
+            // One array on the wire ([`span`]): each entry's requests in
+            // entry order.
+            let mut reqs = vec![Vec::new(); team.len()];
+            for (e, (a, per_peer)) in arrays.iter().zip(reqs_all).enumerate() {
+                let wire = |f: u64| e as u64 * span + span / 2 + f - a.origin;
+                for (to, flats) in reqs.iter_mut().zip(per_peer) {
+                    to.extend(flats.into_iter().map(wire));
+                }
+            }
+            reqs_all = vec![reqs];
         }
         // Every array the inspector recorded remote reads for must take
         // part in the exchange; anything missed would execute on stale
         // values.
-        for (arr, flats) in &st.needs {
-            if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
+        for (line, arr, flats) in &st.needs {
+            let listed = |a: &ExchangeArray| a.line == *line && Rc::ptr_eq(&a.base, arr);
+            if !flats.is_empty() && !arrays.iter().any(listed) {
                 return Err(format!(
                     "inspector recorded {} remote read(s) of {} but the exchange phase \
                      did not fetch them (stale-read hazard)",
@@ -1548,15 +1757,14 @@ impl<'a, 'p> Interp<'a, 'p> {
         let dt = self.proc.clock() - t0;
         self.proc.attribute_inspector_time(dt);
 
-        let arrays = arrays
-            .iter()
+        let arrays = wire(arrays)
             .zip(reqs_all)
             .zip(incoming_all)
-            .map(|((a, my_reqs), incoming)| ArraySchedule {
-                name: a.name.to_string(),
+            .map(|(((name, origin), my_reqs), incoming)| ArraySchedule {
+                name: name.to_string(),
                 my_reqs,
                 incoming,
-                origin: a.origin,
+                origin,
             })
             .collect();
         Ok(CommSchedule {
@@ -1579,6 +1787,9 @@ impl<'a, 'p> Interp<'a, 'p> {
     ) -> RtResult<WriteLog> {
         self.mode = Mode::Execute(log);
         for pos in positions {
+            if let Some(frame) = my_iters.frame_of(pos) {
+                self.top = frame;
+            }
             self.run_iteration(d, my_iters.get(pos))?;
             if let Mode::Execute(log) = &mut self.mode {
                 log.end_iteration();
@@ -1620,7 +1831,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                         )
                     }
                     _ => {
-                        let log = WriteLog::new(write_hint, n, n <= 1);
+                        let log = WriteLog::new(write_hint, n, my_iters.lone());
                         (self.exec_iterations(d, my_iters, 0..n, log)?, &[][..], 0)
                     }
                 };
@@ -1689,6 +1900,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         };
         let mut world = LangWorld {
             bases: vec![base.clone()],
+            lines: None,
         };
         EXEC.exchange_blocking(self.proc, team, &sched, &mut world);
         Ok(())
@@ -1708,10 +1920,16 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         let mut words = std::mem::take(&mut self.key_buf);
         words.clear();
+        // Batches of different sizes are different collectives: the first
+        // of a size builds without a vote, as a site's first trip does.
+        let lines = match work {
+            Work::Walk(s) => s.lines.len(),
+            Work::Rows(..) => 0,
+        };
         let key = self
             .key_words(d, team, work, &mut words)
             .map(|()| ScheduleKey {
-                site: d.site,
+                site: d.site * (LINES_PER_BATCH + 1) + lines,
                 words: words.to_vec(),
             });
         self.key_buf = words;
@@ -1721,6 +1939,8 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// Write the words of [`ScheduleKey`] after its site, in its order,
     /// into `w`; `None` as for [`Interp::schedule_cache_key`].
     fn key_words(&mut self, d: &RDoall, team: &Team, work: Work, w: &mut Vec<usize>) -> Option<()> {
+        // The names relevant in one line's frame are relevant in every
+        // line's: the lines bind the same kinds of things.
         let mut sched = sched_names(d, |s| matches!(self.slot(s), Some(Binding::Array(_))));
         sched.sort_unstable();
         let int = |i: i64| i as usize;
@@ -1728,14 +1948,38 @@ impl<'a, 'p> Interp<'a, 'p> {
         w.extend_from_slice(team.ranks());
         match work {
             Work::Walk(iters) => {
-                w.extend([0, iters.arity, iters.flat.len()]);
-                w.extend(iters.flat.iter().map(|&i| int(i)));
+                w.push(iters.lines.len());
+                let mut last = 0..0;
+                for (frame, r) in work.lines(self.top) {
+                    self.top = frame;
+                    let start = w.len();
+                    let flat = &iters.flat[r.start * iters.arity..r.end * iters.arity];
+                    w.extend([0, iters.arity, flat.len()]);
+                    w.extend(flat.iter().map(|&i| int(i)));
+                    self.line_words(d, &sched, w)?;
+                    // A line whose words repeat the last line's is one word.
+                    if w[last.clone()] == w[start..] {
+                        w.truncate(start);
+                        w.push(2);
+                    } else {
+                        last = start..w.len();
+                    }
+                }
+                Some(())
             }
             Work::Rows(_, rows) => {
                 w.push(1);
                 w.extend(rows.bx.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
+                self.line_words(d, &sched, w)
             }
         }
+    }
+
+    /// The words of [`ScheduleKey`] the active frame's bindings decide,
+    /// after the iteration set's; `sched` lists the schedule-relevant
+    /// names ([`sched_names`]), sorted.
+    fn line_words(&mut self, d: &RDoall, sched: &[Slot], w: &mut Vec<usize>) -> Option<()> {
+        let int = |i: i64| i as usize;
         // Only schedule-relevant scalars belong in the key: a scalar that
         // feeds values but never subscripts or control flow (e.g. the
         // enclosing do's counter) cannot change what the inspector would
@@ -1761,7 +2005,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         let count = w.len();
         w.push(0);
-        for &n in &sched {
+        for &n in sched {
             if let Some(Binding::Array(view)) = self.slot(n) {
                 let b = view.base.borrow();
                 // A distributed array's remote values cannot key a local
@@ -1988,10 +2232,34 @@ impl<'a, 'p> Interp<'a, 'p> {
             Callee::Unknown(name) => return Err(format!("no subroutine named {name}")),
             Callee::Sub(k) => (*k, &self.prog.code[*k]),
         };
-        let name = &sub.name;
         if matches!(self.mode, Mode::Inspect(_) | Mode::Execute(_)) && sub.parallel {
             return Err(format!(
-                "parallel call to {name} inside a data-parallel doall body"
+                "parallel call to {} inside a data-parallel doall body",
+                sub.name
+            ));
+        }
+        match self.call_frame(sub, args, on)? {
+            Some((bindings, grid)) => self.call_sub(k, bindings, grid),
+            None => Ok(()), // not a member: skip the distributed call
+        }
+    }
+
+    /// The bindings and processor array of a call to `sub`, `None` on a
+    /// processor the distributed call skips. The arity is checked first,
+    /// so that every processor reports a mismatch, members or not.
+    #[allow(clippy::type_complexity)]
+    fn call_frame(
+        &mut self,
+        sub: &'p RSub,
+        args: &'p [RArg],
+        on: Option<&RProcExpr>,
+    ) -> RtResult<Option<(Vec<(usize, Binding)>, ProcGrid)>> {
+        if sub.params.len() != args.len() {
+            return Err(format!(
+                "{} takes {} arguments, got {}",
+                sub.name,
+                sub.params.len(),
+                args.len()
             ));
         }
         let team = match on {
@@ -1999,14 +2267,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             None => self.frame().grid.clone(),
         };
         if sub.parallel && !team.contains(self.me()) {
-            return Ok(()); // not a member: skip the distributed call
-        }
-        if sub.params.len() != args.len() {
-            return Err(format!(
-                "{name} takes {} arguments, got {}",
-                sub.params.len(),
-                args.len()
-            ));
+            return Ok(None);
         }
         let mut bindings = Vec::with_capacity(args.len() + 1);
         for (&p, a) in sub.params.iter().zip(args) {
@@ -2032,7 +2293,93 @@ impl<'a, 'p> Interp<'a, 'p> {
         } else {
             self.frame().grid.clone()
         };
-        self.call_sub(k, bindings, callee_grid)
+        Ok(Some((bindings, callee_grid)))
+    }
+
+    /// A team-call doall in the lockstep class ([`RDoall::batch`]), of a
+    /// callee in it ([`RSub::lockstep`]; line by line otherwise): my lines
+    /// grouped by the team that solves them, in iteration order, and
+    /// cut into batches of at most [`LINES_PER_BATCH`] — every member of a
+    /// team enumerates the same lines, so every member cuts the same
+    /// batches. Lines whose storage may overlap ([`disjoint`]: the caller
+    /// passed one array twice) run one by one.
+    fn run_lines(&mut self, d: &'p RDoall, my_iters: &IterSet) -> RtResult<()> {
+        let [RStmt::Call {
+            callee: Callee::Sub(k),
+            args,
+            on,
+            ..
+        }] = &d.body[..]
+        else {
+            unreachable!("the class is one call");
+        };
+        let sub = &self.prog.code[*k];
+        if !sub.lockstep {
+            return my_iters.iter().try_for_each(|it| self.run_iteration(d, it));
+        }
+        let mut teams: Vec<(ProcGrid, Vec<Vec<(Slot, Binding)>>)> = Vec::new();
+        for it in my_iters.iter() {
+            self.set_loop_vars(d, it);
+            let Some((bindings, grid)) = self.call_frame(sub, args, on.as_ref())? else {
+                continue;
+            };
+            match teams.iter_mut().find(|(g, _)| *g == grid) {
+                Some((_, lines)) => lines.push(bindings),
+                None => teams.push((grid, vec![bindings])),
+            }
+        }
+        // Every line binds the same kinds of things as the first.
+        let apart = teams
+            .first()
+            .is_none_or(|(_, lines)| disjoint(args, &lines[0]));
+        for (grid, lines) in teams {
+            let mut lines = lines.into_iter().peekable();
+            while lines.peek().is_some() {
+                let batch: Vec<_> = lines.by_ref().take(LINES_PER_BATCH).collect();
+                if apart {
+                    self.run_batch(*k, batch, &grid)?;
+                } else {
+                    for bindings in batch {
+                        self.call_sub(*k, bindings, grid.clone())?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Run subroutine `k` over a batch of lines in lockstep: a frame per
+    /// line, then the body's top-level statements in order — a doall as
+    /// one trip over every line ([`Interp::exec_doall`]), anything else in
+    /// each frame in line order. The class leaves no `return` below the
+    /// top level, so every line reaches the same statements.
+    fn run_batch(
+        &mut self,
+        k: usize,
+        lines: Vec<Vec<(Slot, Binding)>>,
+        grid: &ProcGrid,
+    ) -> RtResult<()> {
+        let (caller, first) = (self.top, self.frames.len());
+        for bindings in lines {
+            self.enter(k, bindings, grid.clone())?;
+        }
+        let frames = first..self.frames.len();
+        let sub = &self.prog.code[k];
+        for s in &sub.body {
+            match s {
+                RStmt::Doall(d) => self.exec_doall(d, frames.clone())?,
+                RStmt::Return => break,
+                s => {
+                    for f in frames.clone() {
+                        self.top = f;
+                        self.exec_stmt(s)?;
+                    }
+                }
+            }
+        }
+        self.frames.truncate(first);
+        self.top = caller;
+        Ok(())
     }
 
     fn make_section_view(&mut self, slot: Slot, subs: &[RSection]) -> RtResult<View> {
@@ -2316,7 +2663,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         let depth = self.doall_depth;
         // The frame is borrowed next to the mode, not instead of it: the
         // view stays where it is bound.
-        let frame = self.frames.last().expect("active frame");
+        let frame = &self.frames[self.top];
         let name = &frame.sub.names[slot];
         let Some(Binding::Array(view)) = &frame.slots[slot] else {
             return Err(format!("{name} is not an array"));
@@ -2362,7 +2709,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     fn read_element(&mut self, slot: Slot, args: &[Option<RExpr>]) -> RtResult<Value> {
         let (idxs, n) = self.eval_subscripts(slot, args.iter().map(Option::as_ref))?;
         let me = self.proc.rank();
-        let frame = self.frames.last().expect("active frame");
+        let frame = &self.frames[self.top];
         let Some(Binding::Array(view)) = &frame.slots[slot] else {
             unreachable!("the caller saw an array binding");
         };
@@ -2624,6 +2971,22 @@ fn eval_bin(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
     })
 }
 
+/// Do the lines of a call with `args` bind disjoint storage? Each array
+/// `line` binds is a section a loop variable pins (the class), unless it
+/// comes through a scalar argument; the lines are apart when no two of
+/// them share a base.
+fn disjoint(args: &[RArg], line: &[(Slot, Binding)]) -> bool {
+    let arrays = args.iter().zip(line).filter_map(|(a, (_, b))| match b {
+        Binding::Array(v) => Some((matches!(a, RArg::Section(..)), &v.base)),
+        _ => None,
+    });
+    let arrays: Vec<_> = arrays.collect();
+    let apart = |(i, (section, base)): (usize, &(bool, &ArrRef))| {
+        *section && arrays[..i].iter().all(|(_, b)| !Rc::ptr_eq(base, b))
+    };
+    arrays.iter().enumerate().all(apart)
+}
+
 /// Flat base index of a view's origin: fixed dimensions at their
 /// coordinates, ranged dimensions at their lower bounds. Schedules record
 /// it at build time ([`ArraySchedule::origin`]); replays under an
@@ -2773,11 +3136,15 @@ mod tests {
                         )
                     })
                     .collect();
-                let (iters, _) = me.scan(d, &bounds, false).unwrap();
+                let mut iters = IterSet {
+                    arity: bounds.len(),
+                    ..IterSet::default()
+                };
+                me.scan(d, &bounds, false, &mut iters).unwrap();
                 let kernel = d.kernel.as_ref().expect("a lowerable site");
                 let rows = me.lower(d, kernel, &bounds).expect("bindings in the class");
                 let team = me.frame().grid.team();
-                let arrays = me.exchange_arrays(d).unwrap();
+                let arrays = me.exchange_arrays(d, Work::Walk(&iters)).unwrap();
                 let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
                 let derived = me.inspect_rows(&rows, &team, &arrays).unwrap();
                 assert_eq!(walked, derived, "{entry}, rank {}", me.me());
@@ -2948,6 +3315,58 @@ mod tests {
         }
     }
 
+    /// A distributed call with the wrong number of arguments fails on
+    /// every processor, not only on the members of the slice it names:
+    /// processor 1 owns no part of `u(0)`'s slice, and reports it too.
+    #[test]
+    fn a_call_of_the_wrong_arity_fails_on_every_processor() {
+        let src = "parsub t(n; procs)\n  processors procs(p)\n  real u(0:n) dist (block)\n  \
+                   call s(n, n; owner(u(0)))\nend\nparsub s(k; procs)\n  processors procs(q)\nend\n";
+        let errs = on_entry(src, "t", &[2], &[HostValue::Int(8)], |me, sub| {
+            me.exec_stmts(&sub.body).err()
+        });
+        let err = || Some("s takes 1 arguments, got 2".to_string());
+        assert_eq!(errs, [err(), err()]);
+    }
+
+    /// Which team calls run their lines in lockstep: ADI's two, whose
+    /// `tric` gets line sections and line-free scalars; not `tri`'s call
+    /// of a builtin, nor a twin that passes the line index as a scalar or
+    /// one that reads an array element for one.
+    #[test]
+    fn the_lockstep_team_calls_of_the_listings() {
+        let batch = |src: &str| {
+            let prog = crate::parse(src).unwrap();
+            let mut out = Vec::new();
+            for sub in &prog.code {
+                any_stmt(&sub.body, &mut |n| {
+                    if let Node::Stmt(RStmt::Doall(d)) = n {
+                        let callee = match &d.body[..] {
+                            [RStmt::Call {
+                                callee: Callee::Sub(k),
+                                ..
+                            }] => prog.code[*k].lockstep,
+                            _ => false,
+                        };
+                        out.extend(d.team_call.then_some(d.batch && callee));
+                    }
+                    false
+                });
+            }
+            out
+        };
+        assert_eq!(batch(crate::listing("adi").unwrap()), [true, true]);
+        for listing in ["jacobi", "tri", "shift", "spmv"] {
+            assert!(!batch(crate::listing(listing).unwrap()).contains(&true));
+        }
+        for scalar in ["i", "u(1, 1)"] {
+            let twin = crate::listing("adi")
+                .unwrap()
+                .replace("rho, cy, np;", &format!("rho, {scalar}, np;"));
+            assert_eq!(batch(&twin), [false, true], "{scalar}");
+        }
+    }
+
     fn array(name: &str, n: usize) -> ArrRef {
         Rc::new(RefCell::new(ArrObj {
             name: name.into(),
@@ -3006,6 +3425,8 @@ mod tests {
         assert_eq!(a.borrow().data[..2], [3.0, 4.0]);
     }
 
+    /// ... per line of a batched trip: each line's needs of an array are
+    /// its own list, even where the lines share the array.
     #[test]
     fn inspector_needs_keep_first_touch_order_without_duplicates() {
         let (a, b) = (array("a", 8), array("b", 8));
@@ -3013,8 +3434,16 @@ mod tests {
         for (arr, flat) in [(&a, 5), (&b, 1), (&a, 2), (&a, 5), (&b, 1), (&a, 7)] {
             st.record(arr, flat);
         }
-        assert_eq!(st.needs_of(&a), [5, 2, 7]);
-        assert_eq!(st.needs_of(&b), [1]);
-        assert!(st.needs_of(&array("c", 1)).is_empty() && st.iter_touched_remote);
+        st.line = 1;
+        for flat in [7, 3, 7] {
+            st.record(&a, flat);
+        }
+        assert_eq!(st.needs_of(0, &a), [5, 2, 7]);
+        assert_eq!(st.needs_of(0, &b), [1]);
+        assert_eq!(
+            (st.needs_of(1, &a), st.needs_of(1, &b)),
+            (&[7, 3][..], &[][..])
+        );
+        assert!(st.needs_of(0, &array("c", 1)).is_empty() && st.iter_touched_remote);
     }
 }

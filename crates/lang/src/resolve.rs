@@ -298,6 +298,10 @@ pub(crate) struct RDoall {
     /// ([`crate::lower`]); the interpreter runs it instead of walking the
     /// body whenever a trip's bindings fit.
     pub kernel: Option<Kernel>,
+    /// A team call whose lines may run in lockstep ([`batchable`]) when
+    /// its callee can ([`RSub::lockstep`]): the interpreter runs the callee
+    /// once per batch of lines, each of its doalls as one trip.
+    pub batch: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -336,6 +340,9 @@ pub(crate) struct RSub {
     /// Slot → what the declarations make of it.
     pub declared: Vec<Declared>,
     pub body: Vec<RStmt>,
+    /// The lines of a team call can run this subroutine in lockstep
+    /// ([`lockstep`]).
+    pub lockstep: bool,
 }
 
 impl RSub {
@@ -362,7 +369,7 @@ pub(crate) fn resolve(subs: &[Subroutine]) -> Vec<RSub> {
             r.decl(d);
         }
         let body = r.stmts(subs, &sub.body);
-        RSub {
+        let mut sub = RSub {
             name: sub.name.clone(),
             parallel: sub.parallel,
             params,
@@ -371,9 +378,83 @@ pub(crate) fn resolve(subs: &[Subroutine]) -> Vec<RSub> {
             decls: r.decls,
             declared: r.declared,
             body,
-        }
+            lockstep: false,
+        };
+        sub.lockstep = lockstep(&sub);
+        sub
     });
     resolved.collect()
+}
+
+/// Can the lines of a team call run `sub` in lockstep? It is a parallel
+/// subroutine without parallel calls or `distribute`, every doall is a
+/// top-level statement, and no other statement reads an element of an
+/// array parameter or returns below the top level: the replicated control
+/// flow is then the same for every line.
+fn lockstep(sub: &RSub) -> bool {
+    let mut global = |n: Node| {
+        matches!(
+            n,
+            Node::Stmt(RStmt::Call { parallel: true, .. } | RStmt::Distribute { .. })
+        )
+    };
+    let param = |s: &Slot| sub.params.contains(s);
+    let mut replicated = |n: Node| match n {
+        Node::Stmt(RStmt::Doall(_) | RStmt::Return) => true,
+        Node::Expr(RExpr::Ref(s, ..)) => param(s),
+        Node::Name(s) => param(&s) && sub.declared[s].array.is_some(),
+        _ => false,
+    };
+    let top = |s: &RStmt| {
+        matches!(s, RStmt::Doall(_) | RStmt::Return)
+            || !any_stmt(std::slice::from_ref(s), &mut replicated)
+    };
+    sub.parallel && !any_stmt(&sub.body, &mut global) && sub.body.iter().all(top)
+}
+
+/// Is `d` a team call in the lockstep class ([`RDoall::batch`])? Its body
+/// is one `call sub(…; owner(a(…)))` to a parallel `sub`, every array
+/// argument is a section in which each loop variable, bare, fixes a
+/// dimension, and the loop variables appear nowhere else among the
+/// arguments: distinct lines bind disjoint storage and equal scalars. Nor
+/// does the call read an array element, so binding every line before the
+/// first runs binds what binding each in turn would.
+fn batchable(d: &RDoall) -> bool {
+    let [RStmt::Call {
+        callee: Callee::Sub(_),
+        args,
+        on: Some(RProcExpr::Owner(..)),
+        parallel: true,
+        ..
+    }] = &d.body[..]
+    else {
+        return false;
+    };
+    let var = |e: &RExpr| matches!(e, RExpr::Var(s, _) if d.vars.contains(s));
+    let free = |e: &RExpr| {
+        !any_expr(
+            e,
+            &mut |n| matches!(n, Node::Name(s) if d.vars.contains(&s)),
+        )
+    };
+    let pins = |secs: &[RSection], v: &Slot| {
+        secs.iter()
+            .any(|s| matches!(s, RSection::Index(RExpr::Var(x, _)) if x == v))
+    };
+    let section = |secs: &[RSection]| {
+        d.vars.iter().all(|v| pins(secs, v))
+            && secs.iter().all(|s| match s {
+                RSection::Index(e) => var(e) || free(e),
+                RSection::Range(a, b) => free(a) && free(b),
+                RSection::All => true,
+            })
+    };
+    let mut element = |n: Node| matches!(n, Node::Expr(RExpr::Ref(..)));
+    !any_stmt(&d.body, &mut element)
+        && args.iter().all(|a| match a {
+            RArg::Expr(e) => free(e),
+            RArg::Section(_, secs, _) => section(secs),
+        })
 }
 
 /// What a doall body's text says about it (the fields of [`RDoall`]),
@@ -764,8 +845,10 @@ impl Resolver {
                     keyed: f.keyed,
                     cacheable: !f.uncacheable,
                     kernel: None,
+                    batch: false,
                 };
                 d.kernel = compile(&d);
+                d.batch = batchable(&d);
                 RStmt::Doall(d)
             }
         }
@@ -1018,6 +1101,31 @@ end
                 .find(|r| names[r.slot] == "k")
                 .expect("k is read");
             assert_eq!(k.may_be_unbound, stmt.starts_with("doall"), "{stmt}");
+        }
+    }
+
+    /// The lines of a team call bind disjoint storage only when every loop
+    /// variable fixes a dimension of every section: under `(i, j)`,
+    /// `w(i, *, *)` binds the same storage for every `j`.
+    #[test]
+    fn a_team_call_batches_only_when_every_loop_variable_pins_its_sections() {
+        for (section, batch) in [
+            ("w(i, j, *)", true),
+            ("w(j, *, i)", true),
+            ("w(i, *, *)", false),
+            ("w(*, j, *)", false),
+            ("w(i, j + 1, *)", false),
+        ] {
+            let src = format!(
+                "parsub t(w, n; procs)\n  processors procs(p)\n  real w(n, n, n) dist (block, *, *)\n  \
+                 doall 100 (i, j) = [1, n] * [1, n] on owner(w(i, j, 1))\n    \
+                 call s({section}, n; owner(w(i, j, *)))\n100 continue\nend\n\
+                 parsub s(x, n; procs)\n  processors procs(q)\nend\n"
+            );
+            let prog = crate::parse(&src).unwrap();
+            let (d, _) = first_doall(&prog);
+            assert!(d.team_call, "{section}");
+            assert_eq!(d.batch, batch, "{section}");
         }
     }
 }

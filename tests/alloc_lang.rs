@@ -1,35 +1,45 @@
 //! Interpreted doalls allocate per trip, never per element: an exact,
 //! deterministic stand-in for a wall-clock gate on the KF1 evaluator.
+//! And a batch of lines in lockstep holds at most a batch's frames.
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`. `run_source_with` owns its `Machine::run`, so
-//! the counter is process-wide and counts *allocations*, not bytes:
+//! the counters are process-wide. The gates count *allocations*:
 //! buffers whose bytes scale with the problem (iteration sets, write
 //! logs, array storage) are presized from the loop bounds, so their
-//! count does not. Everything is counted from one `#[test]`, so nothing
-//! else in the process allocates meanwhile.
+//! count does not. The peak of live *bytes* is read on one rank.
+//! Everything is counted from one `#[test]`, so nothing else in the
+//! process allocates meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
 use kali::lang::{listing, run_source_with, HostValue, RunOptions};
 use kali::prelude::*;
 
 static COUNT: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
 struct Counting;
 
 // SAFETY: every request is forwarded unchanged to `System`; the only
-// addition is a relaxed bump of a statistic that publishes nothing.
+// addition is relaxed bumps of statistics that publish nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         COUNT.fetch_add(1, Ordering::Relaxed);
+        let size = layout.size() as i64;
+        PEAK.fetch_max(
+            LIVE.fetch_add(size, Ordering::Relaxed) + size,
+            Ordering::Relaxed,
+        );
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -46,13 +56,14 @@ fn field(np: usize, scale: f64) -> HostValue {
     }
 }
 
-/// Allocations of one whole run of `name` on `p` simulated processors.
+/// Allocations of one whole run of `name` on `p` simulated processors,
+/// and the run's peak of live bytes above what was live before it.
 /// With two ranks the count is not quite a function of the program: the
 /// rank threads race on their channels, and an early message parks in a
 /// queue that a late one never touches. Such extras only ever add, so the
 /// least of a few runs is taken — and the comparisons below still leave
 /// the transport a few allocations of slack.
-fn allocations(name: &str, p: usize, np: usize, niter: i64) -> u64 {
+fn run(name: &str, p: usize, np: usize, niter: i64) -> (u64, i64) {
     let args = match name {
         "jacobi" => vec![
             field(np, 0.0),
@@ -81,9 +92,12 @@ fn allocations(name: &str, p: usize, np: usize, niter: i64) -> u64 {
         .watchdog(Duration::from_secs(60))
         .config();
         let before = COUNT.load(Ordering::Relaxed);
+        let live = LIVE.load(Ordering::Relaxed);
+        PEAK.store(live, Ordering::Relaxed);
         let src = listing(name).expect("shipped listing");
         run_source_with(cfg, src, name, &[p, 1], &args, RunOptions::default()).expect("runs");
-        COUNT.load(Ordering::Relaxed) - before
+        let peak = PEAK.load(Ordering::Relaxed) - live;
+        (COUNT.load(Ordering::Relaxed) - before, peak)
     };
     let runs = if p == 1 { 1 } else { 5 };
     (0..runs).map(|_| once()).min().expect("at least one run")
@@ -91,13 +105,13 @@ fn allocations(name: &str, p: usize, np: usize, niter: i64) -> u64 {
 
 /// What one extra warm sweep costs: every trip of sweep 3 replays.
 fn extra_sweep(name: &str, p: usize, np: usize) -> u64 {
-    allocations(name, p, np, 3) - allocations(name, p, np, 2)
+    run(name, p, np, 3).0 - run(name, p, np, 2).0
 }
 
 #[test]
 fn a_warm_sweep_allocates_per_trip_not_per_element() {
     // Once for the process's own lazy set-up (thread-locals, stdio).
-    allocations("jacobi", 1, 4, 1);
+    run("jacobi", 1, 4, 1);
     for (p, slack) in [(1, 0), (2, 8)] {
         // Jacobi: one doall trip per sweep, whatever the grid. A single
         // allocation per element update would put 31² − 15² = 736
@@ -109,27 +123,42 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
             small.abs_diff(large) <= slack,
             "jacobi, p = {p}: {small} {large}"
         );
-        // ADI: two residual trips per iteration plus a fixed number of
-        // trips per grid line, so the cost is linear in the line count:
-        // equal line increments cost equal allocations. Not to the unit
-        // even on one rank — logs that live as long as the run (phase
-        // marks) grow by doubling, and where a doubling falls depends on
-        // how many trips came before — but a single allocation per
-        // element update would put 4 · 2 · 8² = 512 between the two
-        // increments.
-        let [a, b, c] = [24, 32, 40].map(|np| extra_sweep("adi", p, np));
+        // ADI: two residual trips per iteration plus five trips per batch
+        // of lines and a frame per line, so the cost is linear in the line
+        // count where every batch is full — 32, 64 and 96 lines a team
+        // here, on one rank and on two: equal line increments cost equal
+        // allocations. Not to the unit even on one rank — logs that live
+        // as long as the run (phase marks) grow by doubling, and where a
+        // doubling falls depends on how many trips came before — but a
+        // single allocation per element update would put 4 · 2 · 32² =
+        // 8 192 between the two increments.
+        let [a, b, c] = [33, 65, 97].map(|np| extra_sweep("adi", p, np));
         assert!(
             (c - b).abs_diff(b - a) <= 8 + 4 * slack,
             "adi, p = {p}: {a} {b} {c}"
         );
-        // A warm line on one rank is one `tric` call: its declarations and
-        // its five doall trips, each with a key and an exchange list. Each
-        // trip runs one iteration, which writes through, so no write log
-        // is built and the element loops run compiled. A sweep of np = 40
-        // has 2 · 16 more lines than one of np = 24.
+        // A warm line on one rank is a frame for `tric`, with its thirteen
+        // dynamic arrays, and its share of five trips, each with a key and
+        // an exchange list per batch (261 allocations a line, where a
+        // `tric` call per line took 329). Every line runs one iteration,
+        // which writes through, so no write log is built and the element
+        // loops run compiled. A sweep of np = 97 has 2 · 64 more lines than
+        // one of np = 33.
         if p == 1 {
-            let per_line = (c - a) / 32;
-            assert!(per_line <= 380, "adi: {per_line} allocations per line");
+            let per_line = (c - a) / 128;
+            assert!(per_line <= 270, "adi: {per_line} allocations per line");
         }
     }
+    // A batched ADI call on one rank holds a batch of frames at a time,
+    // however many lines there are: doubling them grows its peak by what
+    // the arrays themselves grow (as a call that never iterates shows),
+    // plus the growth of the batch's own line arrays — 16 frames of four
+    // (0:np) arrays.
+    let peak = |np, niter| run("adi", 1, np, niter).1;
+    let arrays = peak(96, 0) - peak(48, 0);
+    let (small, large) = (peak(48, 2), peak(96, 2));
+    assert!(
+        large - small <= arrays + 16 * 4 * 48 * 8,
+        "{small} {large} {arrays}"
+    );
 }

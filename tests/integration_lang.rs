@@ -266,3 +266,84 @@ fn adi_listing_matches_native_adi() {
         "interpreted Listing 7 diverges from native ADI: {max_err}"
     );
 }
+
+/// `adi.kf1` with `tric` taking its line's index as a scalar argument:
+/// the twin outside the lockstep class, which solves line by line.
+fn adi_line_by_line() -> String {
+    (listing("adi").unwrap())
+        .replace("rho, cy, np; owner", "rho, cy, np, i; owner")
+        .replace("rho, cx, np; owner", "rho, cx, np, j; owner")
+        .replace(
+            "tric(x, g, rho, cc, np; procs)",
+            "tric(x, g, rho, cc, np, line; procs)",
+        )
+}
+
+/// `adi.kf1` as the benchmark runs it (np = 48, 4 iterations): a team
+/// solves its lines a batch at a time, so every `tric` doall is one trip —
+/// one vote, one fused message per peer — per batch instead of per line.
+/// The line-by-line twin keeps the per-line count, and the two agree bit
+/// for bit. (At `procs(2, 1)` the 47 column lines of a two-member team are
+/// three batches of five trips per sweep, where there were 47 lines of
+/// five; the budget was 300 and 600 messages.)
+#[test]
+fn adi_lines_run_in_lockstep_with_pinned_message_counts() {
+    let np = 48i64;
+    let field = |scale: f64| HostValue::Array {
+        data: (0..49 * 49).map(|k| scale * (k % 7) as f64).collect(),
+        bounds: vec![(0, np); 2],
+    };
+    let args = [
+        field(0.0),
+        field(0.5),
+        field(0.0),
+        HostValue::Int(np),
+        HostValue::Real(40.0),
+        HostValue::Int(4),
+        HostValue::Real(1.0),
+        HostValue::Real(1.0),
+    ];
+    for (grid, batched, per_line) in [([2, 1], 144, 1936), ([2, 2], 452, 4020)] {
+        let p = grid[0] * grid[1];
+        let run = |src: &str| run_source(cfg(p), src, "adi", &grid, &args).unwrap();
+        let (lockstep, twin) = (run(listing("adi").unwrap()), run(&adi_line_by_line()));
+        let msgs = [lockstep.report.total_msgs, twin.report.total_msgs];
+        assert_eq!(msgs, [batched, per_line], "procs{grid:?}");
+        for ((name, a), (_, b)) in lockstep.arrays.iter().zip(&twin.arrays) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "procs{grid:?}: {name}");
+        }
+    }
+}
+
+/// A caller that passes one array under two crossing sections, `u(i, *)`
+/// and `u(*, i)`, binds every line's storage to every other's. Such a
+/// batch runs line by line, so line 2 reads what line 1 wrote: the same
+/// bits as a twin that leaves the lockstep class.
+#[test]
+fn crossing_sections_run_line_by_line() {
+    let src = |scalar: &str| {
+        format!(
+            "parsub gen(u, n; procs)\n  processors procs(p1, p2)\n  \
+             real u(n, n) dist (block, block)\n  doall 200 i = 1, n on owner(u(i, *))\n    \
+             call line(u(i, *), u(*, i), n{scalar}; owner(u(i, *)))\n200 continue\nend\n\
+             parsub line(x, s, n{scalar}; procs)\n  processors procs(q)\n  \
+             real x(n), s(n) dist (block)\n  dynamic real t(n) dist (block)\n  \
+             doall 100 k = 1, n on owner(t(k))\n    t(k) = s(k)\n100 continue\n  \
+             doall 300 k = 1, n on owner(x(k))\n    x(k) = x(k) + t(k)\n300 continue\nend\n"
+        )
+    };
+    let n = 9;
+    let args = [
+        HostValue::Array {
+            data: (0..n * n).map(|k| (k % 5) as f64 + 0.5).collect(),
+            bounds: vec![(1, n as i64); 2],
+        },
+        HostValue::Int(n as i64),
+    ];
+    for grid in [[1, 1], [1, 2]] {
+        let run = |src: &str| run_source(cfg(grid[1]), src, "gen", &grid, &args).unwrap();
+        let (crossing, twin) = (run(&src("")), run(&src(", i")));
+        assert_eq!(crossing.arrays, twin.arrays, "procs{grid:?}");
+    }
+}

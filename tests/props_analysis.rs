@@ -232,36 +232,125 @@ impl Gen {
         format!("{array}({})", subs.join(", "))
     }
 
-    /// A right-hand side of depth at most `depth`: element reads, real
-    /// constants, the integer scalars `k` and `it` and the real `s`,
-    /// under `+ − *`, unary `−`, and `/` by a real constant or a read of
-    /// `b` (whose values are ≥ 1, so nothing divides by zero).
-    fn rhs(&mut self, depth: usize, vars: &[&str], offs: &mut Vec<Vec<i64>>) -> String {
+    /// A right-hand side of depth at most `depth` — the one generator of
+    /// every random body below: element reads (`read(g, false)`), the six
+    /// `leaves` (constants and invariants) and the integer product
+    /// `product - c`, under `+ − *`, unary `−`, and `/` by a real constant
+    /// or a divisor read (`read(g, true)`, whose values are ≥ 1, so nothing
+    /// divides by zero).
+    fn expr(
+        &mut self,
+        depth: usize,
+        leaves: &[&str; 6],
+        product: &str,
+        read: &mut dyn FnMut(&mut Gen, bool) -> String,
+    ) -> String {
         match self.below(if depth == 0 { 4 } else { 9 }) {
-            0 | 1 => self.read(vars, offs),
-            2 => ["0.5", "1.25", "k", "it", "s", "3"][self.below(6) as usize].to_string(),
-            3 => format!("k*it - {}", self.below(4)),
-            4 => format!("-({})", self.rhs(depth - 1, vars, offs)),
+            0 | 1 => read(self, false),
+            2 => leaves[self.below(6) as usize].to_string(),
+            3 => format!("{product} - {}", self.below(4)),
+            4 => format!("-({})", self.expr(depth - 1, leaves, product, read)),
             5 => {
-                let num = self.rhs(depth - 1, vars, offs);
+                let num = self.expr(depth - 1, leaves, product, read);
                 let den = match self.below(2) {
                     0 => "0.25".to_string(),
-                    _ => {
-                        let r = self.read(vars, offs);
-                        format!("b{}", &r[1..])
-                    }
+                    _ => read(self, true),
                 };
                 format!("({num}) / {den}")
             }
             op => {
-                let (l, r) = (
-                    self.rhs(depth - 1, vars, offs),
-                    self.rhs(depth - 1, vars, offs),
-                );
+                let l = self.expr(depth - 1, leaves, product, read);
+                let r = self.expr(depth - 1, leaves, product, read);
                 format!("({l} {} {r})", ["+", "-", "*"][op as usize - 6])
             }
         }
     }
+
+    /// A stencil right-hand side: reads of `x` and `b` at offsets (divisors
+    /// read `b`, whose values are ≥ 1), the integer scalars `k` and `it` and
+    /// the real `s`.
+    fn rhs(&mut self, depth: usize, vars: &[&str], offs: &mut Vec<Vec<i64>>) -> String {
+        let mut read = |g: &mut Gen, divisor: bool| {
+            let r = g.read(vars, offs);
+            if divisor {
+                format!("b{}", &r[1..])
+            } else {
+                r
+            }
+        };
+        self.expr(
+            depth,
+            &["0.5", "1.25", "k", "it", "s", "3"],
+            "k*it",
+            &mut read,
+        )
+    }
+}
+
+/// Run `a` and its twin `b` — entry `gen` on `grid` with `args` — on
+/// both backends under policy square `policy` (bit 0 split, bit 1
+/// optimistic): they agree bit for bit on every array and, `exact`, on
+/// every message, word and protocol counter and on the simulator's
+/// clocks. Returns the simulator's reports of `a` and `b`.
+fn twins_agree(
+    a: &str,
+    b: &str,
+    grid: &[usize],
+    args: &[HostValue],
+    policy: usize,
+    exact: bool,
+) -> [RunReport; 2] {
+    let opts = RunOptions {
+        policy: ExecPolicy {
+            split: policy & 1 == 1,
+            optimistic: policy & 2 == 2,
+        },
+        ..RunOptions::default()
+    };
+    let mut sim = None;
+    for backend in [BackendKind::Sim, BackendKind::Threads] {
+        let run = |src: &str| {
+            let cfg = cfg_on(backend, grid.iter().product());
+            run_source_with(cfg, src, "gen", grid, args, opts)
+                .unwrap_or_else(|e| panic!("{e}\n{src}"))
+        };
+        let (x, y) = (run(a), run(b));
+        for ((name, u), (_, v)) in x.arrays.iter().zip(&y.arrays) {
+            for (s, t) in u.iter().zip(v) {
+                assert_eq!(
+                    s.to_bits(),
+                    t.to_bits(),
+                    "{backend:?} {name}: {s} vs {t}\n{a}"
+                );
+            }
+        }
+        if exact {
+            let counters = |r: &RunReport| {
+                [
+                    r.total_msgs,
+                    r.total_words,
+                    r.total_exchange_words,
+                    r.total_inspector_runs,
+                    r.total_schedule_replays,
+                    r.total_optimistic_hits,
+                    r.total_rollbacks,
+                ]
+            };
+            assert_eq!(counters(&x.report), counters(&y.report), "{backend:?}\n{a}");
+            let clocks = |r: &RunReport| {
+                let procs = r.procs.iter().map(|p| p.clock.to_bits());
+                let totals = [r.elapsed, r.total_flops, r.overlap_hidden_seconds];
+                totals
+                    .map(f64::to_bits)
+                    .into_iter()
+                    .chain(procs)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(clocks(&x.report), clocks(&y.report), "{backend:?}\n{a}");
+        }
+        sim.get_or_insert([x.report, y.report]);
+    }
+    sim.expect("the simulator ran")
 }
 
 fn cfg_on(backend: BackendKind, p: usize) -> MachineConfig {
@@ -348,35 +437,7 @@ proptest! {
             array(|k| 1.0 + (k % 7) as f64 * 0.25),
             HostValue::Int(niter),
         ];
-        let opts = RunOptions {
-            policy: ExecPolicy { split: policy & 1 == 1, optimistic: policy & 2 == 2 },
-            ..RunOptions::default()
-        };
-        for backend in [BackendKind::Sim, BackendKind::Threads] {
-            let run = |src: &str| {
-                run_source_with(cfg_on(backend, p), src, "gen", &grid, &args, opts)
-                    .unwrap_or_else(|e| panic!("{e}\n{src}"))
-            };
-            let (a, b) = (run(&lowered), run(&walked));
-            for (x, y) in a.arrays[0].1.iter().zip(&b.arrays[0].1) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "{:?}: {} vs {}\n{}", backend, x, y, lowered);
-            }
-            let counters = |r: &RunReport| [
-                r.total_msgs,
-                r.total_words,
-                r.total_exchange_words,
-                r.total_inspector_runs,
-                r.total_schedule_replays,
-                r.total_optimistic_hits,
-                r.total_rollbacks,
-            ];
-            prop_assert_eq!(counters(&a.report), counters(&b.report), "{:?}\n{}", backend, lowered);
-            let clocks = |r: &RunReport| {
-                let procs = r.procs.iter().map(|p| p.clock.to_bits());
-                [r.elapsed, r.total_flops, r.overlap_hidden_seconds].map(f64::to_bits).into_iter().chain(procs).collect::<Vec<_>>()
-            };
-            prop_assert_eq!(clocks(&a.report), clocks(&b.report), "{:?}\n{}", backend, lowered);
-        }
+        twins_agree(&lowered, &walked, &grid, &args, policy, true);
     }
 }
 
@@ -404,41 +465,21 @@ fn loop_body(g: &mut Gen) -> (Vec<(&'static str, i64)>, Vec<String>) {
         c if c > 0 => format!("k + {c}"),
         c => format!("k - {}", -c),
     };
-    fn rhs(
-        g: &mut Gen,
-        depth: usize,
-        read: &mut dyn FnMut(&mut Gen, &'static str) -> String,
-    ) -> String {
-        match g.below(if depth == 0 { 4 } else { 9 }) {
-            0 | 1 => {
-                let slot = ["x", "y", "r", "s", "d"][g.below(5) as usize];
-                read(g, slot)
-            }
-            2 => ["0.5", "1.25", "kk", "sc", "3", "g(2*ip - 1)"][g.below(6) as usize].to_string(),
-            3 => format!("kk*ip - {}", g.below(4)),
-            4 => format!("-({})", rhs(g, depth - 1, read)),
-            5 => {
-                let num = rhs(g, depth - 1, read);
-                let den = match g.below(2) {
-                    0 => "0.25".to_string(),
-                    _ => read(g, "d"),
-                };
-                format!("({num}) / {den}")
-            }
-            op => {
-                let (l, r) = (rhs(g, depth - 1, read), rhs(g, depth - 1, read));
-                format!("({l} {} {r})", ["+", "-", "*"][op as usize - 6])
-            }
-        }
-    }
-    let mut read = |g: &mut Gen, slot: &'static str| {
+    let mut read = |g: &mut Gen, divisor: bool| {
+        let slot = match divisor {
+            true => "d",
+            false => ["x", "y", "r", "s", "d"][g.below(5) as usize],
+        };
         let off = match targets.iter().find(|(s, _)| *s == slot) {
             Some(&(_, off)) => off,
             None => g.below(5) as i64 - 2,
         };
         format!("{slot}({})", sub(off))
     };
-    let rhss = (0..count).map(|_| rhs(g, 3, &mut read)).collect();
+    let leaves = ["0.5", "1.25", "kk", "sc", "3", "g(2*ip - 1)"];
+    let rhss = (0..count)
+        .map(|_| g.expr(3, &leaves, "kk*ip", &mut read))
+        .collect();
     (targets, rhss)
 }
 
@@ -525,37 +566,100 @@ proptest! {
             HostValue::Int(n as i64),
             HostValue::Int(niter),
         ];
-        let opts = RunOptions {
-            policy: ExecPolicy { split: policy & 1 == 1, optimistic: policy & 2 == 2 },
-            ..RunOptions::default()
+        twins_agree(&compiled, &walked, &[p], &args, policy, true);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random line solvers — a `do` loop from [`loop_body`] over line
+    /// sections, a gathered reduced system, a correction and a stencil
+    /// with many iterations a line, six trips in all — called from a team-call doall over the rows or the columns of
+    /// 2-D block arrays on every grid of one to four processors, with line
+    /// counts the grid does not divide and teams that own more lines than
+    /// a batch holds. In lockstep, and line by line through a twin that
+    /// passes the line index as a scalar (which leaves the class): the
+    /// same bits on both backends under every policy square, on fewer or
+    /// as many messages.
+    #[test]
+    fn batched_lines_match_line_by_line_bitwise(
+        seed in 0u64..1_000_000,
+        p in 1usize..5,
+        policy in 0usize..4,
+        niter in 1i64..3,
+        rows in 0usize..2,
+    ) {
+        let mut g = Gen(seed);
+        let grid = match p {
+            4 if g.below(2) == 0 => vec![2, 2],
+            _ if g.below(2) == 0 => vec![p, 1],
+            _ => vec![1, p],
         };
-        for backend in [BackendKind::Sim, BackendKind::Threads] {
-            let run = |src: &str| {
-                run_source_with(cfg_on(backend, p), src, "gen", &[p], &args, opts)
-                    .unwrap_or_else(|e| panic!("{e}\n{src}"))
-            };
-            let (a, b) = (run(&compiled), run(&walked));
-            for ((name, x), (_, y)) in a.arrays.iter().zip(&b.arrays) {
-                for (v, w) in x.iter().zip(y) {
-                    prop_assert_eq!(v.to_bits(), w.to_bits(), "{:?} {}: {} vs {}\n{}", backend, name, v, w, compiled);
-                }
-            }
-            let counters = |r: &RunReport| [
-                r.total_msgs,
-                r.total_words,
-                r.total_exchange_words,
-                r.total_inspector_runs,
-                r.total_schedule_replays,
-                r.total_optimistic_hits,
-                r.total_rollbacks,
-            ];
-            prop_assert_eq!(counters(&a.report), counters(&b.report), "{:?}\n{}", backend, compiled);
-            let clocks = |r: &RunReport| {
-                let procs = r.procs.iter().map(|p| p.clock.to_bits());
-                [r.elapsed, r.total_flops, r.overlap_hidden_seconds].map(f64::to_bits).into_iter().chain(procs).collect::<Vec<_>>()
-            };
-            prop_assert_eq!(clocks(&a.report), clocks(&b.report), "{:?}\n{}", backend, compiled);
-        }
+        let n = 8 + g.below(33) as usize;
+        let (targets, rhss) = loop_body(&mut g);
+        let tmin = targets.iter().map(|t| t.1).min().unwrap();
+        let tmax = targets.iter().map(|t| t.1).max().unwrap();
+        let shifted = |v: &str, c: i64| match c {
+            0 => v.to_string(),
+            c if c > 0 => format!("{v} + {c}"),
+            c => format!("{v} - {}", -c),
+        };
+        let (line, cross) = [("i, *", "*, i"), ("*, i", "i, *")][rows];
+        // `s` is a third line, or aliases `x`, or crosses the other lines
+        // of `y`: sharing a base with another argument, the last two take
+        // the call back to line by line.
+        let s = [("w", line), ("w", line), ("u", line), ("v", cross)][g.below(4) as usize];
+        let body: Vec<String> = targets
+            .iter()
+            .zip(&rhss)
+            .map(|((t, off), e)| format!("      {t}({}) = {e}", shifted("k", *off)))
+            .collect();
+        let program = |scalar: &str| {
+            format!(
+                "parsub gen(u, v, w, dd, n, niter; procs)\n  processors procs(p1, p2)\n  \
+                 real u(n, n), v(n, n), w(n, n), dd(n, n) dist (block, block)\n  \
+                 kk = 3\n  sc = 0.375\n  do 1000 it = 1, niter\n    \
+                 doall 200 i = 1, n on owner(u({line}))\n      \
+                 call line(u({line}), v({line}), {}({}), dd({line}), n, kk, sc{scalar}; \
+                 owner(u({line})))\n200 continue\n1000 continue\nend\n\n\
+                 parsub line(x, y, s, d, n, kk, sc{scalar}; procs)\n  processors procs(q)\n  \
+                 real x(n), y(n), s(n), d(n) dist (block)\n  \
+                 dynamic real r(n), g(2*q), rb(2*q) dist (block)\n  \
+                 dynamic real wb(2*q, q) dist (*, block)\n  integer lo, hi\n  \
+                 doall 90 ip = 1, q on procs(ip)\n    g(2*ip - 1) = 0.5 + ip\n    \
+                 g(2*ip) = 1.5 + ip\n    lo = lower(x, procs(ip))\n    hi = upper(x, procs(ip))\n    \
+                 do 40 k = lo, hi\n      r(k) = 0.25*k\n40  continue\n90 continue\n  \
+                 doall 100 ip = 1, q on procs(ip)\n    lo = lower(x, procs(ip))\n    \
+                 hi = upper(x, procs(ip))\n    do 50 k = max({}, 3), min({}, n - 2)\n{}\n50  continue\n    \
+                 rb(2*ip - 1) = x(lo) + r(lo)\n    rb(2*ip) = y(hi)\n100 continue\n  \
+                 doall 300 ip = 1, q on procs(ip)\n    do 250 k = 1, 2*q\n      wb(k, ip) = rb(k)\n\
+                 250 continue\n300 continue\n  doall 400 ip = 1, q on procs(ip)\n    \
+                 lo = lower(x, procs(ip))\n    x(lo) = x(lo) + wb(1, ip) - 0.5*wb(2*q, ip)\n\
+                 400 continue\n  doall 500 k = 2, n - 1 on owner(y(k))\n    \
+                 y(k) = 0.5*y(k) + 0.25*(y(k - 1) + y(k + 1))\n500 continue\n  return\nend\n",
+                s.0,
+                s.1,
+                shifted("lo", -tmin),
+                shifted("hi", -tmax),
+                body.join("\n"),
+            )
+        };
+        let (batched, per_line) = (program(""), program(", i"));
+        let array = |f: fn(usize) -> f64| HostValue::Array {
+            data: (0..n * n).map(f).collect(),
+            bounds: vec![(1, n as i64); 2],
+        };
+        let args = [
+            array(|k| (k % 13) as f64 * 0.125 - 0.5),
+            array(|k| (k % 5) as f64 * 0.75 + 0.25),
+            array(|k| (k % 11) as f64 * 0.375 - 1.0),
+            array(|k| 1.0 + (k % 7) as f64 * 0.25),
+            HostValue::Int(n as i64),
+            HostValue::Int(niter),
+        ];
+        let [a, b] = twins_agree(&batched, &per_line, &grid, &args, policy, false);
+        prop_assert!(a.total_msgs <= b.total_msgs, "{} > {}\n{}", a.total_msgs, b.total_msgs, batched);
     }
 }
 
