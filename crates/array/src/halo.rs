@@ -455,7 +455,6 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
                 team: self.active_team(),
                 sits_out: !self.is_participant(),
                 key: cache.is_some().then(|| self.halo_key(corners)),
-                origins: None,
             };
             let cache = cache.map(|c| &mut c.cache);
             let build = |proc: &mut Proc, a: &Self| a.build_halo_schedule(proc, corners);

@@ -528,7 +528,6 @@ impl<T: Real> SparseCsr<T> {
                 team: self.grid.team(),
                 sits_out: false,
                 key: cache.is_some().then(|| self.gather_key(x)),
-                origins: None,
             };
             let world = GatherWorld {
                 x,

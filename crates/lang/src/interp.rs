@@ -18,8 +18,8 @@
 //!   **inspect-or-replay**, **post**, **interior**, **complete-boundary**.
 //!   A cold invocation runs the inspector pass, which discovers which
 //!   remote elements the local iterations read, turns them into a
-//!   `CommSchedule` (per-array request vectors in both directions, plus
-//!   the interior/boundary partition of the iteration set), and then
+//!   `CommSchedule` (request vectors in both directions, plus the
+//!   interior/boundary partition of the iteration set), and then
 //!   exchanges and executes synchronously — the runtime-resolution scheme
 //!   of the Kali project that the paper cites as \[11\]/\[17\];
 //! * **executor reuse**: schedules are cached across invocations. When a
@@ -28,6 +28,9 @@
 //!   iteration set, free scalars, and the identity + distribution
 //!   generation of every array the body touches — the inspector pass *and*
 //!   the request round are skipped and the cached schedule is replayed.
+//!   Every trip's schedule is one array on the wire, each element
+//!   relative to its exchange array's origin, so a schedule built for
+//!   one line of a team replays untranslated on every other line.
 //!   The replay decision is collective (a one-word agreement reduction),
 //!   so the request/reply protocol stays SPMD-consistent, and a
 //!   `distribute` statement bumps the arrays' distribution generation,
@@ -44,10 +47,11 @@
 //!   of the message start-up cost behind owned-interior computation; the
 //!   hidden seconds are reported as
 //!   [`kali_machine::RunReport::overlap_hidden_seconds`]. The cold
-//!   inspector invocation is split-phase too: the request rounds of all
-//!   participating arrays are posted nonblocking at once, and the cold
-//!   value exchange runs through the same post/interior/complete/boundary
-//!   engine, so even the first trip hides part of its start-up latency;
+//!   inspector invocation is split-phase too: the request round — one
+//!   message per peer, whatever the arrays — is posted nonblocking, and
+//!   the cold value exchange runs through the same
+//!   post/interior/complete/boundary engine, so even the first trip hides
+//!   part of its start-up latency;
 //! * **optimistic replay**: by default the replay-consensus vote is not a
 //!   dedicated round at all. Each member assumes agreement, posts its
 //!   fused value messages immediately, and carries its `(site, team)`
@@ -81,7 +85,7 @@
 //! only the language-side data the driver is handed: the inspector as
 //! schedule builder (abstract interpretation of the body), the cache key
 //! (free scalars, structural array descriptions, distribution
-//! generations), the exchange list as storage world and region origins,
+//! generations), the exchange list as storage world and wire encoding,
 //! and the iteration executor that runs around the driver's two calls.
 //!
 //! The phase marks (`doall:inspect`, `doall:post`, `doall:interior`,
@@ -104,13 +108,13 @@
 //! * **lines in lockstep**: a distributed procedure call (`call sub(args;
 //!   procslice)`) narrows the current processor array to the slice and
 //!   runs the callee SPMD on it. A team-call doall in the lockstep class
-//!   ([`RDoall::batch`] — Listing 7's `call tric(u(i, *), …; owner(r(i,
-//!   *)))`) runs it once per batch of up to [`LINES_PER_BATCH`] lines of a
+//!   (`RDoall::batch` — Listing 7's `call tric(u(i, *), …; owner(r(i,
+//!   *)))`) runs it once per batch of up to `LINES_PER_BATCH` lines of a
 //!   team: a frame per line, a replicated statement in each, and each
 //!   doall of the callee as *one trip* over the batch — its iteration set
-//!   the lines' in turn, its exchange list theirs (one array on the wire,
-//!   relative to each line's origins), its key one word vector — so one
-//!   vote and one fused message per peer per batch, not per line.
+//!   the lines' in turn, its exchange list theirs, its key one word
+//!   vector — so one vote and one fused message per peer per batch, not
+//!   per line.
 //!   Bodies still run line by line, and the lines bind disjoint storage,
 //!   so a trip in which no line runs more than one iteration writes
 //!   through. A batched trip is always walked: it neither lowers nor seeds
@@ -160,7 +164,7 @@
 //! such an iteration a `do` loop of element assignments over rank-1
 //! references `a(v ± c)` — `tric`'s and `tri`'s row builders and
 //! back-substitutions — runs compiled as well, as strided kernels over
-//! chunks of 64 iterations ([`crate::lower`]); every other loop is walked.
+//! chunks of 64 iterations (`crate::lower`); every other loop is walked.
 //!
 //! A batch of lines pays a trip's own costs — key lookup, exchange, vote,
 //! marks, `begin`/`finish` — once. What stays per line is its frame and
@@ -185,7 +189,7 @@ use kali_sched::{
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::Diagnostic;
-use crate::lower::{Kernel, LoopScratch, Part, Rows, Scratch};
+use crate::lower::{Kernel, LoopScratch, Part, Rows, Scratch, Strided};
 use crate::resolve::*;
 use crate::value::*;
 use crate::RunOptions;
@@ -394,8 +398,7 @@ const MAX_SCHEDULES_PER_SITE: usize = 128;
 const SPLIT_VALUE_TAG: Tag = tag(NS_LANG, 0x0051_1137);
 
 /// Tag of the split-phase cold-inspection request round (one message per
-/// ordered peer pair per participating array; posting-order matching
-/// pairs the per-array messages).
+/// ordered peer pair).
 const SPLIT_REQUEST_TAG: Tag = tag(NS_LANG, 0x0052_4551);
 
 /// The interpreter's instance of the shared schedule executor: all fused
@@ -403,8 +406,7 @@ const SPLIT_REQUEST_TAG: Tag = tag(NS_LANG, 0x0052_4551);
 const EXEC: ScheduleExecutor = ScheduleExecutor::new(SPLIT_VALUE_TAG);
 
 /// One array of a doall's exchange list ([`Interp::exchange_arrays`]).
-struct ExchangeArray<'p> {
-    name: &'p str,
+struct ExchangeArray {
     base: ArrRef,
     /// Flat base index of the bound view's origin *in the current frame*
     /// ([`view_origin_flat`]).
@@ -414,86 +416,68 @@ struct ExchangeArray<'p> {
     line: usize,
 }
 
-/// A batched trip's schedule is one array ([`Interp::route`]): element
+/// A trip's schedule is one array ([`Interp::compute_requests`]): element
 /// `f` of entry `e` of the exchange list travels as `e·span + span/2 + f −
 /// origin`, relative to its entry's origin, so the schedule replays
-/// untranslated on every batch whose key is equal. `None` for a trip of
-/// one frame, whose schedule has an array per entry.
-fn span(arrays: &[ExchangeArray]) -> Option<u64> {
+/// untranslated on every trip whose key is equal — another line of the
+/// same team, or another batch of lines.
+fn span(arrays: &[ExchangeArray]) -> u64 {
     let len = |a: &ExchangeArray| a.base.borrow().total_len() as u64;
-    let batched = arrays.iter().any(|a| a.line > 0);
-    batched.then(|| 2 * arrays.iter().map(len).max().unwrap_or(1))
+    2 * arrays.iter().map(len).max().unwrap_or(1)
 }
 
-/// The schedule's arrays, names and origins: the exchange list's, or a
-/// batched trip's one ([`span`]).
-fn wire<'a>(arrays: &'a [ExchangeArray]) -> impl Iterator<Item = (&'a str, u64)> {
-    let one = span(arrays).map(|_| ("lines", 0));
-    let each = arrays.iter().filter(move |_| one.is_none());
-    one.into_iter().chain(each.map(|a| (a.name, a.origin)))
+/// A trip's schedule: its one array ([`span`]), both directions' requests.
+fn schedule(
+    my_reqs: Vec<Vec<u64>>,
+    incoming: Vec<Vec<u64>>,
+    write_hint: usize,
+    boundary: Vec<usize>,
+) -> CommSchedule {
+    let arrays = vec![ArraySchedule {
+        name: "exchange".into(),
+        my_reqs,
+        incoming,
+        origin: 0,
+    }];
+    CommSchedule {
+        arrays,
+        write_hint,
+        boundary,
+    }
 }
 
-/// The executor's view of the interpreter's storage: schedule array `k`
-/// is the `k`-th array of the exchange list, and flat indices are
-/// [`ArrObj`] row-major storage indices — or a batched trip's one array.
+/// The executor's view of the interpreter's storage: the trip's one
+/// schedule array, decoded entry by entry ([`span`]) into [`ArrObj`]
+/// row-major storage indices.
 struct LangWorld {
-    bases: Vec<ArrRef>,
-    /// A batched trip's span and its entries' origins.
-    lines: Option<(u64, Vec<u64>)>,
+    span: u64,
+    entries: Vec<(ArrRef, u64)>,
 }
 
 impl LangWorld {
     fn new(arrays: &[ExchangeArray]) -> Self {
-        let origins = || arrays.iter().map(|a| a.origin).collect();
         LangWorld {
-            bases: arrays.iter().map(|a| a.base.clone()).collect(),
-            lines: span(arrays).map(|span| (span, origins())),
+            span: span(arrays),
+            entries: arrays.iter().map(|a| (a.base.clone(), a.origin)).collect(),
         }
     }
 
-    /// Where element `flat` of schedule array `array` is stored.
-    fn at(&self, array: usize, flat: u64) -> (&ArrRef, usize) {
-        let Some((span, origins)) = &self.lines else {
-            return (&self.bases[array], flat as usize);
-        };
-        let e = (flat / span) as usize;
-        (
-            &self.bases[e],
-            (flat % span + origins[e] - span / 2) as usize,
-        )
+    /// Where element `flat` of the schedule array is stored.
+    fn at(&self, flat: u64) -> (&ArrRef, usize) {
+        let (base, origin) = &self.entries[(flat / self.span) as usize];
+        (base, (flat % self.span + origin - self.span / 2) as usize)
     }
 }
 
 impl ScheduleWorld<f64> for LangWorld {
-    fn load(&self, array: usize, flat: u64) -> f64 {
-        let (arr, flat) = self.at(array, flat);
+    fn load(&self, _array: usize, flat: u64) -> f64 {
+        let (arr, flat) = self.at(flat);
         arr.borrow().data[flat]
     }
 
-    fn store(&mut self, array: usize, flat: u64, value: f64) {
-        let (arr, flat) = self.at(array, flat);
+    fn store(&mut self, _array: usize, flat: u64, value: f64) {
+        let (arr, flat) = self.at(flat);
         arr.borrow_mut().data[flat] = value;
-    }
-
-    // Batched forms: one `RefCell` borrow per request vector instead of
-    // one per element — the executor's serve/scatter hot loops call these.
-    fn load_into(&self, array: usize, flats: &[u64], out: &mut Vec<f64>) {
-        if self.lines.is_some() {
-            return out.extend(flats.iter().map(|&f| self.load(array, f)));
-        }
-        let arr = self.bases[array].borrow();
-        out.extend(flats.iter().map(|&f| arr.data[f as usize]));
-    }
-
-    fn store_from(&mut self, array: usize, flats: &[u64], values: &[f64]) {
-        if self.lines.is_some() {
-            let stores = flats.iter().zip(values);
-            return stores.for_each(|(&f, &v)| self.store(array, f, v));
-        }
-        let mut arr = self.bases[array].borrow_mut();
-        for (&f, &v) in flats.iter().zip(values) {
-            arr.data[f as usize] = v;
-        }
     }
 }
 
@@ -1068,7 +1052,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         let (me, mut s) = (self.me(), std::mem::take(&mut self.loops));
         let frame = self.frame();
         let view = |slot| match &frame.slots[slot] {
-            Some(Binding::Array(v)) => Some(v),
+            Some(Binding::Array(v)) if v.base.borrow().is_real => Some(v),
             _ => None,
         };
         let placed = s.place(k, (lo, hi), me, view).is_some()
@@ -1323,7 +1307,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// reproduces the inspector's per-rank needs lists (first-touch
     /// order, deduplicated) and boundary classification; the array list
     /// is the same exchange list; `my_reqs` routing and the peers'
-    /// `incoming` lists reproduce what the request rounds would deliver.
+    /// `incoming` lists reproduce what the request round would deliver.
     /// The simulation is a pure function of the distributions, bounds and
     /// program text — all SPMD-uniform — so every team member computes
     /// identical schedules without communicating. Returns `None` when
@@ -1362,24 +1346,15 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
         }
 
-        // ---- Request routing over the exchange list.
-        let mut scheds: Vec<ArraySchedule> = Vec::with_capacity(arrays.len());
-        for a in arrays {
-            let my_reqs = self.compute_requests(team, &a.base, needs[my_ti].needs_of(0, &a.base));
-            // What the request round would deliver: `incoming[ti]` is peer
-            // `ti`'s request vector addressed to me — the subset of its
-            // needs that I own, in the peer's discovery order.
-            let mut incoming: Vec<Vec<u64>> = Vec::with_capacity(q);
-            for peer in &needs {
-                let peer_reqs = self.compute_requests(team, &a.base, peer.needs_of(0, &a.base));
-                incoming.push(peer_reqs.ok()?.into_iter().nth(my_ti)?);
-            }
-            scheds.push(ArraySchedule {
-                name: a.name.to_string(),
-                my_reqs: my_reqs.ok()?,
-                incoming,
-                origin: a.origin,
-            });
+        // ---- Request routing over the exchange list. What the request
+        // round would deliver: `incoming[ti]` is peer `ti`'s request vector
+        // addressed to me — the subset of its needs that I own, in the
+        // peer's discovery order.
+        let my_reqs = self.compute_requests(team, arrays, &needs[my_ti]).ok()?;
+        let mut incoming: Vec<Vec<u64>> = Vec::with_capacity(q);
+        for peer in &needs {
+            let peer_reqs = self.compute_requests(team, arrays, peer).ok()?;
+            incoming.push(peer_reqs.into_iter().nth(my_ti)?);
         }
 
         // The stale-read hazard guard, statically: every simulated remote
@@ -1390,12 +1365,8 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
         }
 
-        Some(CommSchedule {
-            arrays: scheds,
-            // A capacity hint only — never observable in results.
-            write_hint: 0,
-            boundary,
-        })
+        // The write hint is a capacity hint only — never observable.
+        Some(schedule(my_reqs, incoming, 0, boundary))
     }
 
     /// One iteration of the simulated inspector for `rank`: walk the
@@ -1458,10 +1429,10 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// list*. It is a function of the body text and the frame's bindings
     /// alone — never of what an inspection finds — so a schedule cached
     /// under an equal key lists exactly these arrays, and one scan serves
-    /// as the executor's world, the current region origins, and the
+    /// as the executor's world, the schedule's encoding, and the
     /// inspector's routing table. A batched trip lists each line's arrays
     /// in turn.
-    fn exchange_arrays(&mut self, d: &RDoall, work: Work) -> RtResult<Vec<ExchangeArray<'p>>> {
+    fn exchange_arrays(&mut self, d: &RDoall, work: Work) -> RtResult<Vec<ExchangeArray>> {
         let mut arrays: Vec<ExchangeArray> = Vec::new();
         for (line, (frame, _)) in work.lines(self.top).enumerate() {
             self.top = frame;
@@ -1476,16 +1447,16 @@ impl<'a, 'p> Interp<'a, 'p> {
         &self,
         d: &RDoall,
         line: usize,
-        arrays: &mut Vec<ExchangeArray<'p>>,
+        arrays: &mut Vec<ExchangeArray>,
     ) -> RtResult<()> {
         for r in &d.reads {
-            let name = self.name(r.slot);
             let view = match self.slot(r.slot) {
                 Some(Binding::Array(view)) => view,
                 // Scalars and processor arrays move no data.
                 Some(_) => continue,
                 None if r.may_be_unbound => continue,
                 None => {
+                    let name = self.name(r.slot);
                     let d = Diagnostic::new(
                         "A001",
                         r.span,
@@ -1509,7 +1480,6 @@ impl<'a, 'p> Interp<'a, 'p> {
             arrays.push(ExchangeArray {
                 origin: view_origin_flat(view)?,
                 base: view.base.clone(),
-                name,
                 line,
             });
         }
@@ -1520,7 +1490,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// The driver owns the protocol (vote gate, lookup, vote, post,
     /// complete, scatter, rollback, store); this function hands it the
     /// interpreter's data — the cache key, the inspector as schedule
-    /// builder, the exchange list as world, the current region origins,
+    /// builder, the exchange list as world and wire encoding,
     /// an optional static plan to seed from — and executes the
     /// iterations around it: interior while the messages fly, the rest
     /// after completion.
@@ -1542,11 +1512,6 @@ impl<'a, 'p> Interp<'a, 'p> {
                 Some(_) => self.schedule_cache_key(d, &team, work),
                 None => None,
             },
-            // Keys identify regions up to translation (owner-normalized
-            // fixed view coordinates), so a hit may have been built for a
-            // different line of the same team: the driver shifts it to
-            // these origins before replaying.
-            origins: Some(wire(&arrays).map(|a| a.1).collect()),
         };
         // The cache is lent to the driver for the trip, because the
         // builder it calls back needs the whole interpreter.
@@ -1618,14 +1583,6 @@ impl<'a, 'p> Interp<'a, 'p> {
                     Finished::RolledBack(cold) => flight = cold,
                 }
             };
-            debug_assert!(
-                sched
-                    .arrays
-                    .iter()
-                    .map(|a| a.name.as_str())
-                    .eq(wire(&arrays).map(|a| a.0)),
-                "a schedule under an equal key lists exactly the exchange list"
-            );
             match interior_run {
                 // The rest is the complement of what actually ran; a
                 // rebuilt schedule classifies identically (equal key).
@@ -1648,7 +1605,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// in inspect mode to discover my iterations' remote reads and
     /// classify each iteration as interior (all reads local) or boundary
     /// (≥ 1 remote read), routes each exchange array's remote needs to
-    /// their owners, and runs the request rounds, after which every team
+    /// their owners, and runs the request round, after which every team
     /// member also knows what its peers will ask of it.
     fn inspect(
         &mut self,
@@ -1701,7 +1658,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     /// Both inspectors' second half: route each exchange array's remote
-    /// needs to their owners and run the request rounds, after which every
+    /// needs to their owners and run the request round, after which every
     /// team member also knows what its peers will ask of it.
     fn route(
         &mut self,
@@ -1710,22 +1667,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         st: InspectState,
         boundary: Vec<usize>,
     ) -> RtResult<CommSchedule> {
-        let mut reqs_all: Vec<Vec<Vec<u64>>> = Vec::with_capacity(arrays.len());
-        for a in arrays {
-            reqs_all.push(self.compute_requests(team, &a.base, st.needs_of(a.line, &a.base))?);
-        }
-        if let Some(span) = span(arrays) {
-            // One array on the wire ([`span`]): each entry's requests in
-            // entry order.
-            let mut reqs = vec![Vec::new(); team.len()];
-            for (e, (a, per_peer)) in arrays.iter().zip(reqs_all).enumerate() {
-                let wire = |f: u64| e as u64 * span + span / 2 + f - a.origin;
-                for (to, flats) in reqs.iter_mut().zip(per_peer) {
-                    to.extend(flats.into_iter().map(wire));
-                }
-            }
-            reqs_all = vec![reqs];
-        }
+        let my_reqs = self.compute_requests(team, arrays, &st)?;
         // Every array the inspector recorded remote reads for must take
         // part in the exchange; anything missed would execute on stale
         // values.
@@ -1741,37 +1683,18 @@ impl<'a, 'p> Interp<'a, 'p> {
             }
         }
 
-        // ---- Request rounds. In split-phase mode the rounds of *all*
-        // arrays are posted nonblocking at once, so the request latency
-        // of later arrays hides behind the traffic of earlier ones
-        // instead of serializing one synchronous exchange per array.
+        // ---- The request round: one message per peer, posted
+        // nonblocking in split-phase mode, a blocking all-to-all otherwise.
         let t0 = self.proc.clock();
-        let incoming_all: Vec<Vec<Vec<u64>>> = if self.policy.split {
-            ScheduleExecutor::request_rounds(SPLIT_REQUEST_TAG, self.proc, team, &reqs_all)
+        let incoming = if self.policy.split {
+            let round = std::slice::from_ref(&my_reqs);
+            ScheduleExecutor::request_rounds(SPLIT_REQUEST_TAG, self.proc, team, round).remove(0)
         } else {
-            reqs_all
-                .iter()
-                .map(|reqs| collective::alltoallv(self.proc, team, reqs.clone()))
-                .collect()
+            collective::alltoallv(self.proc, team, my_reqs.clone())
         };
         let dt = self.proc.clock() - t0;
         self.proc.attribute_inspector_time(dt);
-
-        let arrays = wire(arrays)
-            .zip(reqs_all)
-            .zip(incoming_all)
-            .map(|(((name, origin), my_reqs), incoming)| ArraySchedule {
-                name: name.to_string(),
-                my_reqs,
-                incoming,
-                origin,
-            })
-            .collect();
-        Ok(CommSchedule {
-            arrays,
-            write_hint: st.writes,
-            boundary,
-        })
+        Ok(schedule(my_reqs, incoming, st.writes, boundary))
     }
 
     /// Run the iterations at `positions` (indices into `my_iters`) under
@@ -1852,31 +1775,33 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(())
     }
 
-    /// Route `my_needs` (flat indices of remote elements of `base`) to
-    /// their owners: one request vector per team member. Purely local —
-    /// the request *round* itself runs through the shared executor (or a
-    /// blocking all-to-all in blocking mode).
+    /// Route each exchange entry's remote needs in `st` to their owners:
+    /// one request vector per team member, the entries' requests in entry
+    /// order, each flat as the trip's one schedule array carries it
+    /// ([`span`]). Purely local — the request *round* itself runs through
+    /// the shared executor (or a blocking all-to-all in blocking mode).
     fn compute_requests(
         &self,
         team: &Team,
-        base: &ArrRef,
-        my_needs: &[usize],
+        arrays: &[ExchangeArray],
+        st: &InspectState,
     ) -> RtResult<Vec<Vec<u64>>> {
-        let q = team.len();
-        let mut reqs: Vec<Vec<u64>> = vec![Vec::new(); q];
-        let b = base.borrow();
+        let (span, mut reqs) = (span(arrays), vec![Vec::new(); team.len()]);
         let mut idxs = [0i64; MAX_RANK];
-        for &flat in my_needs {
-            let owner = b
-                .owner_of(b.unflat_into(flat, &mut idxs))
-                .ok_or_else(|| format!("element of {} has no owner", b.name))?;
-            let Some(ti) = team.index_of(owner) else {
-                return Err(format!(
-                    "owner rank {owner} of {} is outside the current processor array",
-                    b.name
-                ));
-            };
-            reqs[ti].push(flat as u64);
+        for (e, a) in arrays.iter().enumerate() {
+            let b = a.base.borrow();
+            for &flat in st.needs_of(a.line, &a.base) {
+                let owner = b
+                    .owner_of(b.unflat_into(flat, &mut idxs))
+                    .ok_or_else(|| format!("element of {} has no owner", b.name))?;
+                let Some(ti) = team.index_of(owner) else {
+                    return Err(format!(
+                        "owner rank {owner} of {} is outside the current processor array",
+                        b.name
+                    ));
+                };
+                reqs[ti].push(e as u64 * span + span / 2 + flat as u64 - a.origin);
+            }
         }
         Ok(reqs)
     }
@@ -1885,24 +1810,20 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// elements of `base`) into local storage — an uncached one-shot
     /// schedule executed blocking through the shared engine, used by
     /// `distribute`.
-    fn fetch_remote(&mut self, team: &Team, base: &ArrRef, my_needs: &[usize]) -> RtResult<()> {
-        let my_reqs = self.compute_requests(team, base, my_needs)?;
+    fn fetch_remote(&mut self, team: &Team, base: &ArrRef, my_needs: Vec<usize>) -> RtResult<()> {
+        let arrays = [ExchangeArray {
+            base: base.clone(),
+            origin: 0,
+            line: 0,
+        }];
+        let st = InspectState {
+            needs: vec![(0, base.clone(), my_needs)],
+            ..InspectState::default()
+        };
+        let my_reqs = self.compute_requests(team, &arrays, &st)?;
         let incoming = collective::alltoallv(self.proc, team, my_reqs.clone());
-        let sched = CommSchedule {
-            arrays: vec![ArraySchedule {
-                name: base.borrow().name.clone(),
-                my_reqs,
-                incoming,
-                origin: 0,
-            }],
-            write_hint: 0,
-            boundary: Vec::new(),
-        };
-        let mut world = LangWorld {
-            bases: vec![base.clone()],
-            lines: None,
-        };
-        EXEC.exchange_blocking(self.proc, team, &sched, &mut world);
+        let sched = schedule(my_reqs, incoming, 0, Vec::new());
+        EXEC.exchange_blocking(self.proc, team, &sched, &mut LangWorld::new(&arrays));
         Ok(())
     }
 
@@ -2061,11 +1982,11 @@ impl<'a, 'p> Interp<'a, 'p> {
             // coordinates land on the same owners (with everything else
             // equal) provably need translation-equivalent communication.
             // That collapses ADI's per-line views `x = u(i, *)` to one key
-            // per row/column team instead of one per value of `i`, and the
-            // line difference is recovered at replay by shifting the
-            // schedule's flat indices by the origin delta
-            // ([`ArraySchedule::origin`]). Aliased bases keep absolute
-            // coordinates: one shared base cannot carry two deltas.
+            // per row/column team instead of one per value of `i`; the line
+            // difference needs no recovery, since the schedule carries
+            // every flat relative to its exchange array's origin
+            // ([`span`]). Aliased bases keep absolute coordinates: one
+            // exchange entry, one origin, cannot serve two views.
             for (dim, m) in view.map.iter().enumerate() {
                 let (lo, hi) = b.bounds[dim];
                 match *m {
@@ -2126,7 +2047,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         // Fetch the newly owned elements while the *old* ownership map
         // still routes the requests, then flip the map.
-        self.fetch_remote(&team, &base, &needs)?;
+        self.fetch_remote(&team, &base, needs)?;
         let mut b = base.borrow_mut();
         b.layout = layout;
         b.bump_dist_gen();
@@ -2406,19 +2327,22 @@ impl<'a, 'p> Interp<'a, 'p> {
                 ViewDim::Range(lo, hi) => (lo, hi),
             };
             let outer_lo = view.callee_lo[d];
+            let at = |i: i64| i.checked_sub(outer_lo).and_then(|o| lo.checked_add(o));
             match &subs[d] {
                 RSection::Index(e) => {
                     let i = self.eval(e)?.as_int();
-                    map.push(ViewDim::Fixed(lo + (i - outer_lo)));
+                    let i = at(i).ok_or_else(|| format!("section {i} of {name} out of range"))?;
+                    map.push(ViewDim::Fixed(i));
                 }
                 RSection::Range(e1, e2) => {
                     let a = self.eval(e1)?.as_int();
                     let b = self.eval(e2)?.as_int();
-                    let base_a = lo + (a - outer_lo);
-                    let base_b = lo + (b - outer_lo);
-                    if base_a < lo || base_b > hi || base_b < base_a {
+                    let Some((base_a, base_b)) = at(a)
+                        .zip(at(b))
+                        .filter(|&(x, y)| x >= lo && y <= hi && y >= x)
+                    else {
                         return Err(format!("section {a}:{b} of {name} out of range"));
-                    }
+                    };
                     map.push(ViewDim::Range(base_a, base_b));
                     callee_lo.push(1);
                 }
@@ -2436,29 +2360,33 @@ impl<'a, 'p> Interp<'a, 'p> {
         })
     }
 
-    /// Resolve a 1-D section to its base array and storage indices,
-    /// requiring every element to live on this processor.
-    fn local_section_flats(&self, name: &str, v: &View) -> RtResult<(ArrRef, Vec<usize>)> {
-        let n = v.extent(0);
-        let mut idx = [0i64; MAX_RANK];
-        let lo = v.callee_lo[0];
-        let mut flats = Vec::with_capacity(n);
-        let b = v.base.borrow();
-        for i in 0..n {
-            idx[0] = lo + i as i64;
-            let mut base_idxs = [0i64; MAX_RANK];
-            let base_idxs = v.to_base_into(&idx, 1, &mut base_idxs)?;
-            if !b.owned_by(self.me(), base_idxs) {
-                return Err(format!(
-                    "builtin {name}: section of {} is not local to processor {}",
-                    b.name,
-                    self.me()
-                ));
-            }
-            flats.push(b.flat(base_idxs)?);
+    /// A 1-D section argument of builtin `name` and its length, every
+    /// element of it this processor's.
+    fn local_section(&self, name: &str, v: &View) -> RtResult<(Strided, usize)> {
+        let (lo, n, me) = (v.callee_lo[0], v.extent(0), self.me());
+        if let Some(s) = Strided::of(v, (lo, lo + n as i64 - 1), Some(me)) {
+            return Ok((s, n));
         }
-        drop(b);
-        Ok((v.base.clone(), flats))
+        // An element outside the array, or one another processor owns.
+        let (b, mut idxs) = (v.base.borrow(), [0; MAX_RANK]);
+        b.flat(v.to_base_into(&[lo; MAX_RANK], 1, &mut idxs)?)?;
+        let arr = &b.name;
+        Err(format!(
+            "builtin {name}: section of {arr} is not local to processor {me}"
+        ))
+    }
+
+    /// The values of section `s`, `n` long, as the iteration now
+    /// executing sees them: its own writes included, like element reads.
+    fn read_section(&self, (s, n): &(Strided, usize)) -> Vec<f64> {
+        let mut vals = vec![0.0; *n];
+        s.load(0, &mut vals);
+        for (t, v) in vals.iter_mut().enumerate() {
+            if let Some(w) = self.mode.written(&s.base, s.flat(t)) {
+                *v = w;
+            }
+        }
+        vals
     }
 
     /// Built-in sequential kernels (`reduce`, `seqtri`, `spmv`) operating
@@ -2468,8 +2396,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             return self.exec_spmv(args);
         }
         let name = builtin.name();
-        // Materialize section arguments.
-        let mut sections: Vec<(ArrRef, Vec<usize>)> = Vec::new();
+        let mut sections = Vec::with_capacity(args.len());
         for a in args {
             match a {
                 RArg::Section(slot, subs, _) => {
@@ -2477,7 +2404,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                     if v.ndims() != 1 {
                         return Err(format!("builtin {name}: sections must be 1-D"));
                     }
-                    sections.push(self.local_section_flats(name, &v)?);
+                    sections.push(self.local_section(name, &v)?);
                 }
                 // Scalar arguments (the length) are evaluated for their
                 // errors only: the sections carry their own extents.
@@ -2490,44 +2417,31 @@ impl<'a, 'p> Interp<'a, 'p> {
             // Locality validated; no mutation during inspection — only
             // the count of what the executor will write back.
             st.writes += match builtin {
-                Builtin::Reduce => sections.iter().map(|sec| sec.1.len()).sum(),
-                _ => sections.first().map_or(0, |sec| sec.1.len()),
+                Builtin::Reduce => sections.iter().map(|sec| sec.1).sum(),
+                _ => sections.first().map_or(0, |sec| sec.1),
             };
             return Ok(());
         }
-        // Like an element read, a section sees its own iteration's writes.
-        let mode = &self.mode;
-        let read = |(arr, flats): &(ArrRef, Vec<usize>)| -> Vec<f64> {
-            let b = arr.borrow();
-            let at = |f: usize| mode.written(arr, f).unwrap_or(b.data[f]);
-            flats.iter().map(|&f| at(f)).collect()
-        };
         if builtin == Builtin::Reduce {
             // reduce(b, a, c, f, n)
-            if sections.len() != 4 {
+            let [b, a, c, f] = &sections[..] else {
                 return Err("reduce(b, a, c, f, n) needs four sections".into());
-            }
-            let mut vb = read(&sections[0]);
-            let mut va = read(&sections[1]);
-            let mut vc = read(&sections[2]);
-            let mut vf = read(&sections[3]);
+            };
+            let [mut vb, mut va, mut vc, mut vf] = [b, a, c, f].map(|s| self.read_section(s));
             reduce_block(&mut vb, &mut va, &mut vc, &mut vf);
             self.proc.compute(reduce_flops(vb.len()));
             for (sec, vals) in sections.iter().zip([&vb, &va, &vc, &vf]) {
-                self.write_section(sec, vals);
+                self.write_section(&sec.0, vals);
             }
         } else {
             // seqtri(x, b, a, c, f, n): solve and store into x.
-            if sections.len() != 5 {
+            let [x, b, a, c, f] = &sections[..] else {
                 return Err("seqtri(x, b, a, c, f, n) needs five sections".into());
-            }
-            let vb = read(&sections[1]);
-            let va = read(&sections[2]);
-            let vc = read(&sections[3]);
-            let vf = read(&sections[4]);
-            let x = thomas(&vb, &va, &vc, &vf);
-            self.proc.compute(thomas_flops(x.len()));
-            self.write_section(&sections[0], &x);
+            };
+            let [vb, va, vc, vf] = [b, a, c, f].map(|s| self.read_section(s));
+            let vx = thomas(&vb, &va, &vc, &vf);
+            self.proc.compute(thomas_flops(vx.len()));
+            self.write_section(&x.0, &vx);
         }
         Ok(())
     }
@@ -2558,27 +2472,28 @@ impl<'a, 'p> Interp<'a, 'p> {
         let [yv, civ, avv, xv] = views.as_slice() else {
             return Err("spmv(y, ci, av, x) takes four sections".into());
         };
-        let y = self.local_section_flats("spmv", yv)?;
-        let ci = self.local_section_flats("spmv", civ)?;
-        let av = self.local_section_flats("spmv", avv)?;
-        if y.1.len() != 1 {
+        let (y, ny) = self.local_section("spmv", yv)?;
+        let (ci, nnz) = self.local_section("spmv", civ)?;
+        let (av, na) = self.local_section("spmv", avv)?;
+        if ny != 1 {
             return Err("builtin spmv: the y section is one element (one row)".into());
         }
-        if ci.1.len() != av.1.len() {
+        if nnz != na {
             return Err("builtin spmv: ci and av sections must conform".into());
         }
         // The row's column set, from the local index array — fresh even
         // during inspection, which is what lets the inspector derive the
         // x-gather from data rather than from subscript structure.
         let me = self.me();
-        let mut xflats = Vec::with_capacity(ci.1.len());
+        let mut xflats = Vec::with_capacity(nnz);
         let mut remote = Vec::new();
         {
-            let cb = ci.0.borrow();
+            let cb = ci.base.borrow();
             let b = xv.base.borrow();
             let mut idx = [0i64; MAX_RANK];
-            for &f in &ci.1 {
-                idx[0] = self.mode.written(&ci.0, f).unwrap_or(cb.data[f]) as i64;
+            for t in 0..nnz {
+                let f = ci.flat(t);
+                idx[0] = self.mode.written(&ci.base, f).unwrap_or(cb.data[f]) as i64;
                 let mut base_idxs = [0i64; MAX_RANK];
                 let base_idxs = xv.to_base_into(&idx, 1, &mut base_idxs)?;
                 let flat = b.flat(base_idxs)?;
@@ -2603,30 +2518,24 @@ impl<'a, 'p> Interp<'a, 'p> {
             ));
         }
         let sum = {
-            let (ab, xb) = (av.0.borrow(), xv.base.borrow());
-            let a = |f: usize| self.mode.written(&av.0, f).unwrap_or(ab.data[f]);
+            let (ab, xb) = (av.base.borrow(), xv.base.borrow());
+            let a = |f: usize| self.mode.written(&av.base, f).unwrap_or(ab.data[f]);
             let x = |f: usize| self.mode.written(&xv.base, f).unwrap_or(xb.data[f]);
-            av.1.iter()
-                .zip(&xflats)
-                .map(|(&fa, &fx)| a(fa) * x(fx))
-                .sum()
+            let terms = xflats.iter().enumerate();
+            terms.map(|(t, &fx)| a(av.flat(t)) * x(fx)).sum()
         };
         self.proc.compute(2.0 * xflats.len() as f64);
         self.write_section(&y, &[sum]);
         Ok(())
     }
 
-    fn write_section(&mut self, sec: &(ArrRef, Vec<usize>), vals: &[f64]) {
+    /// Store `vals` into section `s` — or log them, as element writes are.
+    fn write_section(&mut self, s: &Strided, vals: &[f64]) {
         match &mut self.mode {
             Mode::Execute(log) => {
-                log.write(&sec.0, sec.1.iter().copied().zip(vals.iter().copied()))
+                log.write(&s.base, (0..).map(|t| s.flat(t)).zip(vals.iter().copied()))
             }
-            _ => {
-                let mut b = sec.0.borrow_mut();
-                for (&f, &v) in sec.1.iter().zip(vals) {
-                    b.data[f] = v;
-                }
-            }
+            _ => s.store(0, vals),
         }
         self.proc.memop(vals.len() as f64);
     }
@@ -2988,9 +2897,9 @@ fn disjoint(args: &[RArg], line: &[(Slot, Binding)]) -> bool {
 }
 
 /// Flat base index of a view's origin: fixed dimensions at their
-/// coordinates, ranged dimensions at their lower bounds. Schedules record
-/// it at build time ([`ArraySchedule::origin`]); replays under an
-/// owner-normalized key shift their flat indices by the origin delta.
+/// coordinates, ranged dimensions at their lower bounds. Schedules carry
+/// flats relative to it ([`span`]), so they replay under an
+/// owner-normalized key on any line.
 fn view_origin_flat(view: &View) -> RtResult<u64> {
     let mut idxs = [0i64; MAX_RANK];
     for (i, d) in idxs.iter_mut().zip(&view.map) {

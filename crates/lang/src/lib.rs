@@ -612,6 +612,28 @@ end
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_element_subscript_near_the_end_of_i64_is_a_kf1_runtime_error() {
+        run_body(1, 4, "  k = -9223372036854775807 - 1\n  y = a(k)");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_section_bound_near_the_end_of_i64_is_a_kf1_runtime_error() {
+        run_body(
+            1,
+            4,
+            "  k = -9223372036854775807 - 1\n  call reduce(a(k:3), a(1:3), a(1:3), a(1:3), 3)",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "builtin reduce: section of a is not local to processor")]
+    fn a_builtin_section_another_processor_owns_is_a_kf1_runtime_error() {
+        run_body(2, 8, "  call reduce(a(1:8), a(1:8), a(1:8), a(1:8), 8)");
+    }
+
+    #[test]
     #[should_panic(expected = "cannot assign scalar to processor array procs")]
     fn assigning_to_a_processor_array_is_a_kf1_runtime_error() {
         run_body(1, 4, "  procs = 1");

@@ -507,22 +507,22 @@ impl Rows {
 /// grow with the loop.
 const CHUNK: usize = 64;
 
-/// One reference of a compiled loop, placed: iteration `t` (counting from
-/// the loop's first) addresses `base.data[at + t * step]`.
-struct Strided {
-    base: ArrRef,
+/// A rank-1 section, placed — a compiled loop's reference, a builtin's
+/// argument: element `t` (from the first) is `base.data[at + t * step]`.
+pub(crate) struct Strided {
+    pub(crate) base: ArrRef,
     at: usize,
     step: usize,
 }
 
 impl Strided {
-    /// Reference `view(lo..=hi)` of a rank-1 view of a real array: both
-    /// ends translate through the view into the array's bounds, as the
-    /// walker's accesses do (then so does everything between). With
-    /// `writer`, every element must also be that rank's.
-    fn of(view: &View, (lo, hi): (i64, i64), writer: Option<usize>) -> Option<Strided> {
+    /// Reference `view(lo..=hi)` of a rank-1 view: both ends translate
+    /// through the view into the array's bounds, as the walker's accesses
+    /// do (then so does everything between). With `writer`, every element
+    /// must also be that rank's.
+    pub(crate) fn of(view: &View, (lo, hi): (i64, i64), writer: Option<usize>) -> Option<Strided> {
         let b = view.base.borrow();
-        (view.ndims() == 1 && b.is_real).then_some(())?;
+        (view.ndims() == 1).then_some(())?;
         let mut base_idxs = [0; MAX_RANK];
         let mut flat = |i: i64| {
             let idxs = view.to_base_into(&[i; MAX_RANK], 1, &mut base_idxs).ok()?;
@@ -530,25 +530,28 @@ impl Strided {
             mine.then(|| b.flat(idxs).ok())?
         };
         let (at, last) = (flat(lo)?, flat(hi)?);
-        (writer.is_none() || (lo..=hi).all(|i| flat(i).is_some())).then_some(())?;
+        (writer.is_none() || (lo..hi).skip(1).all(|i| flat(i).is_some())).then_some(())?;
         let step = ((last - at) / (hi - lo).max(1) as usize).max(1);
         let base = view.base.clone();
         Some(Strided { base, at, step })
     }
 
+    /// The storage index of element `t`.
+    pub(crate) fn flat(&self, t: usize) -> usize {
+        self.at + t * self.step
+    }
+
     /// Load iterations `start..` into `out`.
-    fn load(&self, start: usize, out: &mut [f64]) {
+    pub(crate) fn load(&self, start: usize, out: &mut [f64]) {
         let b = self.base.borrow();
-        let lane = b.data[self.at + start * self.step..]
-            .iter()
-            .step_by(self.step);
+        let lane = b.data[self.flat(start)..].iter().step_by(self.step);
         out.iter_mut().zip(lane).for_each(|(o, v)| *o = *v);
     }
 
     /// Store `vals` into iterations `start..`.
-    fn store(&self, start: usize, vals: &[f64]) {
+    pub(crate) fn store(&self, start: usize, vals: &[f64]) {
         let mut b = self.base.borrow_mut();
-        let lane = b.data[self.at + start * self.step..].iter_mut();
+        let lane = b.data[self.flat(start)..].iter_mut();
         lane.step_by(self.step).zip(vals).for_each(|(t, v)| *t = *v);
     }
 }
@@ -565,7 +568,7 @@ pub(crate) struct LoopScratch {
 
 impl LoopScratch {
     /// Place `k` on one execution over `lo..=hi` (not empty) for rank
-    /// `me`, `view` the view a slot is bound to, if it is an array.
+    /// `me`, `view` the view a slot is bound to, if it is a real array.
     /// `None` — the walker runs, and reports what it reports — unless
     /// every reference is placed ([`Strided::of`]), `me` owns every
     /// element written, and nothing written is also read at another

@@ -281,19 +281,10 @@ impl View {
         panic!("view dimension out of range");
     }
 
-    /// Translate callee indices to base indices.
-    pub fn to_base(&self, idxs: &[i64]) -> Result<Vec<i64>, String> {
-        let mut callee = [0i64; MAX_RANK];
-        let n = idxs.len().min(MAX_RANK);
-        callee[..n].copy_from_slice(&idxs[..n]);
-        let mut out = [0i64; MAX_RANK];
-        Ok(self.to_base_into(&callee, idxs.len(), &mut out)?.to_vec())
-    }
-
-    /// [`View::to_base`] on stack arrays: the first `n` entries of `idxs`
-    /// are the callee subscripts (`n` itself may exceed [`MAX_RANK`] — a
-    /// rank mismatch, reported as such); returns the filled prefix of
-    /// `out`, one entry per base dimension.
+    /// Translate callee indices to base indices, on stack arrays: the
+    /// first `n` entries of `idxs` are the callee subscripts (`n` itself
+    /// may exceed [`MAX_RANK`] — a rank mismatch, reported as such);
+    /// returns the filled prefix of `out`, one entry per base dimension.
     pub fn to_base_into<'o>(
         &self,
         idxs: &[i64; MAX_RANK],
@@ -313,13 +304,16 @@ impl View {
             out[bd] = match *m {
                 ViewDim::Fixed(v) => v,
                 ViewDim::Range(lo, hi) => {
-                    let i = lo + (idxs[d] - self.callee_lo[d]);
-                    if i < lo || i > hi {
+                    let i = idxs[d].checked_sub(self.callee_lo[d]);
+                    let Some(i) = i
+                        .and_then(|o| lo.checked_add(o))
+                        .filter(|i| (lo..=hi).contains(i))
+                    else {
                         return Err(format!(
                             "section subscript {} out of range {}..{} (callee lower {})",
                             idxs[d], lo, hi, self.callee_lo[d]
                         ));
-                    }
+                    };
                     d += 1;
                     i
                 }
@@ -497,15 +491,9 @@ mod tests {
         let mut out = [0i64; MAX_RANK];
         let idxs = [2, 0, 0, 0, 0, 0, 0];
         assert_eq!(v.to_base_into(&idxs, 1, &mut out).unwrap(), [3, 5]);
-        assert_eq!(v.to_base(&[2]).unwrap(), [3, 5]);
         // A rank mismatch is reported with the caller's count, even
-        // beyond MAX_RANK, and identically by both forms.
-        let long = [1i64; MAX_RANK + 2];
-        let err = v.to_base(&long).unwrap_err();
-        assert_eq!(
-            err,
-            v.to_base_into(&idxs, long.len(), &mut out).unwrap_err()
-        );
+        // beyond MAX_RANK.
+        let err = v.to_base_into(&idxs, MAX_RANK + 2, &mut out).unwrap_err();
         assert!(err.contains("subscripted with 9 indices"), "{err}");
         let b = base.borrow();
         assert_eq!(b.unflat_into(13, &mut out), b.unflat(13));
@@ -553,9 +541,16 @@ mod tests {
         };
         assert_eq!(v.ndims(), 1);
         assert_eq!(v.extent(0), 10);
-        assert_eq!(v.to_base(&[1]).unwrap(), vec![2, 0]);
-        assert_eq!(v.to_base(&[10]).unwrap(), vec![2, 9]);
-        assert!(v.to_base(&[11]).is_err());
+        let mut out = [0i64; MAX_RANK];
+        let mut at = |i| {
+            v.to_base_into(&[i; MAX_RANK], 1, &mut out)
+                .map(<[i64]>::to_vec)
+        };
+        assert_eq!(at(1).unwrap(), vec![2, 0]);
+        assert_eq!(at(10).unwrap(), vec![2, 9]);
+        assert!(at(11).is_err());
+        // Near the ends of `i64`, out of range rather than overflowed.
+        assert!(at(i64::MIN).unwrap_err().contains("out of range"));
     }
 
     #[test]

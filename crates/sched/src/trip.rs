@@ -73,13 +73,10 @@ pub struct Trip<K> {
     /// exchanges no message observes no vote.
     pub sits_out: bool,
     /// The cache key; `None` for a site whose schedule no local key can
-    /// prove reusable (it builds on every trip).
+    /// prove reusable (it builds on every trip). A hit is replayed as
+    /// stored: a consumer whose key identifies regions only up to
+    /// translation encodes its schedules relative to the regions.
     pub key: Option<K>,
-    /// Where each schedule array's region starts *now*. A consumer whose
-    /// key identifies regions only up to translation sets this, and a hit
-    /// is shifted onto the current regions before it is voted on
-    /// ([`CommSchedule::translated`]).
-    pub origins: Option<Vec<u64>>,
 }
 
 /// A begun trip. The caller may run interior work against
@@ -131,16 +128,13 @@ impl<K: SiteKey> Trip<K> {
     /// The vote gate and the lookup. Outer `None`: no vote can be held —
     /// no cache, no key, or a `(site, team)` that has never stored (an
     /// SPMD-uniform fact, so every member skips the vote together).
-    /// Inner: this member's hit, shifted onto the current regions.
+    /// Inner: this member's hit.
     fn lookup(&self, cache: Option<&ScheduleCache<K>>) -> Option<Option<Hit>> {
         let (cache, key) = cache.zip(self.key.as_ref())?;
         if !cache.has_site_team(key.site(), key.team_ranks()) {
             return None;
         }
-        Some(cache.lookup(key).map(|(seq, sched)| match &self.origins {
-            Some(origins) => (seq, sched.translated(origins)),
-            None => (seq, sched),
-        }))
+        Some(cache.lookup(key))
     }
 
     /// Seed the cache, ahead of a site's first trip, with a schedule
@@ -470,7 +464,6 @@ mod tests {
                     team: self.site_team.clone(),
                     generation: self.generation,
                 }),
-                origins: None,
             };
             let Ok(flight) = trip.begin(proc, self.cache.as_mut(), &world, build);
             let offered = flight.interior_schedule().is_some();

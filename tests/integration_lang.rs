@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use kali::lang::{listing, parse, run_source, HostValue};
+use kali::lang::{listing, parse, run_source, run_source_with, HostValue, RunOptions};
 use kali::prelude::*;
 use kali::solvers::jacobi::jacobi_step;
 
@@ -285,7 +285,10 @@ fn adi_line_by_line() -> String {
 /// The line-by-line twin keeps the per-line count, and the two agree bit
 /// for bit. (At `procs(2, 1)` the 47 column lines of a two-member team are
 /// three batches of five trips per sweep, where there were 47 lines of
-/// five; the budget was 300 and 600 messages.)
+/// five; the budget was 300 and 600 messages.) A cold trip's request
+/// round is one message per peer, however many arrays it exchanges:
+/// `resid`'s cold trip requests `u` and `f` in one message per peer, and
+/// so do the twin's cold `tric` trips over several arrays.
 #[test]
 fn adi_lines_run_in_lockstep_with_pinned_message_counts() {
     let np = 48i64;
@@ -303,7 +306,7 @@ fn adi_lines_run_in_lockstep_with_pinned_message_counts() {
         HostValue::Real(1.0),
         HostValue::Real(1.0),
     ];
-    for (grid, batched, per_line) in [([2, 1], 144, 1936), ([2, 2], 452, 4020)] {
+    for (grid, batched, per_line) in [([2, 1], 142, 1900), ([2, 2], 440, 3872)] {
         let p = grid[0] * grid[1];
         let run = |src: &str| run_source(cfg(p), src, "adi", &grid, &args).unwrap();
         let (lockstep, twin) = (run(listing("adi").unwrap()), run(&adi_line_by_line()));
@@ -312,6 +315,56 @@ fn adi_lines_run_in_lockstep_with_pinned_message_counts() {
         for ((name, a), (_, b)) in lockstep.arrays.iter().zip(&twin.arrays) {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b), "procs{grid:?}: {name}");
+        }
+    }
+}
+
+/// A cold trip's request round is one message per peer, however many
+/// arrays the doall reads: `x(i) = a(i) + b(i) + c(i)` with `x` on blocks
+/// and `a`, `b`, `c` cyclic, so every member requests from and serves
+/// every other. Its one trip sends q − 1 request and q − 1 value messages
+/// per member, under both the split-phase round and the blocking
+/// all-to-all; a request message per array would make that 4(q − 1).
+#[test]
+fn a_cold_trip_requests_every_array_in_one_message_per_peer() {
+    let src = "parsub sum3(x, a, b, c, n; procs)\n  processors procs(p)\n  \
+               real x(n) dist (block)\n  real a(n), b(n), c(n) dist (cyclic)\n  \
+               doall 100 i = 1, n on owner(x(i))\n    x(i) = a(i) + b(i) + c(i)\n\
+               100 continue\nend\n";
+    let n = 16;
+    let host = |k: usize| (0..n).map(move |i| ((7 * i + 3 * k) % 11) as f64 / 3.0);
+    let array = |data: Vec<f64>| HostValue::Array {
+        data,
+        bounds: vec![(1, n as i64)],
+    };
+    let args = [
+        array(vec![0.0; n]),
+        array(host(1).collect()),
+        array(host(2).collect()),
+        array(host(3).collect()),
+        HostValue::Int(n as i64),
+    ];
+    let want: Vec<u64> = (host(1).zip(host(2)).zip(host(3)))
+        .map(|((a, b), c)| (a + b + c).to_bits())
+        .collect();
+    for q in [2, 4] {
+        for split in [true, false] {
+            let options = RunOptions {
+                policy: ExecPolicy {
+                    split,
+                    ..ExecPolicy::default()
+                },
+                ..RunOptions::default()
+            };
+            let run = run_source_with(cfg(q), src, "sum3", &[q], &args, options).unwrap();
+            let sent: Vec<u64> = run.report.procs.iter().map(|p| p.stats.msgs_sent).collect();
+            assert_eq!(
+                sent,
+                vec![2 * (q as u64 - 1); q],
+                "q = {q}, split = {split}"
+            );
+            let got: Vec<u64> = run.arrays[0].1.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "q = {q}, split = {split}");
         }
     }
 }
