@@ -17,7 +17,7 @@
 //! * **Cold trip**: walk the local column index set, bucket the non-owned
 //!   columns per owning peer into sorted, deduplicated request vectors,
 //!   and run the executor's split-phase *request round*
-//!   ([`ScheduleExecutor::request_rounds`]) so every peer learns which of
+//!   ([`ScheduleExecutor::request_round`]) so every peer learns which of
 //!   its x-values to serve. The resulting [`CommSchedule`] also records
 //!   the *boundary rows* — those reading at least one remote column — so
 //!   a split-phase executor can compute every other row while the values
@@ -487,10 +487,7 @@ impl<T: Real> SparseCsr<T> {
             reqs.dedup();
         }
         proc.memop(self.local_nnz() as f64);
-        let reqs = [my_reqs];
-        let mut rounds = ScheduleExecutor::request_rounds(GATHER_REQUEST_TAG, proc, &team, &reqs);
-        let incoming = rounds.remove(0);
-        let [my_reqs] = reqs;
+        let incoming = ScheduleExecutor::request_round(GATHER_REQUEST_TAG, proc, &team, &my_reqs);
         let dt = proc.clock() - t0;
         proc.attribute_inspector_time(dt);
         Ok(CommSchedule {

@@ -5,10 +5,10 @@
 //! clauses, explicitly parallel `doall` bodies — for a compiler to
 //! reason about a program's parallel behaviour before it runs. This
 //! module is that compiler pass, in two halves, both reading the
-//! resolved tree [`crate::parse`] ends in: names are slots, what the
+//! resolved tree [`crate::parse`] builds: names are slots, what the
 //! declarations make of a name is indexed by its slot, and which
 //! intrinsic, builtin or subroutine a reference denotes was decided once,
-//! by the resolver.
+//! by the parser.
 //!
 //! **Diagnostics** ([`analyze`]): semantic checks over the resolved
 //! statements, each returning a span-carrying [`Diagnostic`] with a
@@ -33,7 +33,7 @@
 //! **Static communication plans** ([`comm_plans`]): for `doall`s whose
 //! bodies are pure element assignments with subscript expressions free
 //! of array references (the affine-stencil class: Jacobi sweeps,
-//! shifts, residuals), the resolver records a plan on the `doall` node —
+//! shifts, residuals), the parser records a plan on the `doall` node —
 //! the compile-time equivalent of the inspector's `CommSchedule` — and
 //! [`comm_plans`] reports it as a [`StaticCommPlan`]. The plan lists
 //! every array element *read* the body performs, in evaluation order;

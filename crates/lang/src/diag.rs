@@ -1,6 +1,6 @@
 //! Byte spans and rendered diagnostics for the KF1 front end.
 //!
-//! Every token and AST node carries a [`Span`] — a half-open byte range
+//! Every token and tree node carries a [`Span`] — a half-open byte range
 //! into the original source text. Front-end errors surface as
 //! [`Diagnostic`]s: a stable error code, a primary message, an optional
 //! note, and the span, from which a caret-underlined source excerpt can

@@ -1,6 +1,6 @@
 //! SPMD interpreter for the KF1 subset.
 //!
-//! Every simulated processor runs the same program over the same AST. The
+//! Every simulated processor runs the same program over the same tree. The
 //! interpreter realizes the paper's execution model:
 //!
 //! * code outside `doall` is replicated (every processor executes it);
@@ -123,8 +123,8 @@
 //!
 //! # What an element costs
 //!
-//! The interpreter runs the *resolved* tree [`crate::parse`] ends in, not
-//! the AST: every name is a slot, so a subroutine activation is a flat
+//! The interpreter runs the *resolved* tree [`crate::parse`] builds, in
+//! which every name is a slot, so a subroutine activation is a flat
 //! frame (`Vec<Option<Binding>>`) indexed by the nodes themselves, and no
 //! name is hashed, compared or cloned while a program runs. A `doall`
 //! writes its loop variables in place, iteration after iteration (what
@@ -1016,13 +1016,11 @@ impl<'a, 'p> Interp<'a, 'p> {
                         return Ok(Flow::Normal);
                     }
                 }
-                let mut i = lo;
-                while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
+                for i in counted(lo, hi, st) {
                     self.set_scalar(*var, Value::Int(i))?;
                     if self.exec_stmts(body)? == Flow::Return {
                         return Ok(Flow::Return);
                     }
-                    i += st;
                 }
             }
             RStmt::Return => return Ok(Flow::Return),
@@ -1219,10 +1217,8 @@ impl<'a, 'p> Interp<'a, 'p> {
             (iters, Vec::new())
         });
         let (first, second) = (bounds[0], bounds.get(1).copied().unwrap_or((0, 0, 1)));
-        let mut i = first.0;
-        while i <= first.1 {
-            let mut j = second.0;
-            while j <= second.1 {
+        for i in counted(first.0, first.1, first.2) {
+            for j in counted(second.0, second.1, second.2) {
                 let it = [i, j];
                 let it = &it[..arity];
                 self.set_loop_vars(d, it);
@@ -1232,9 +1228,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 if self.on_clause_names_me(&d.on, owners.as_mut().map(|o| &mut o.1))? {
                     my_iters.flat.extend_from_slice(it);
                 }
-                j += second.2;
             }
-            i += first.2;
         }
         Ok(owners)
     }
@@ -1687,8 +1681,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         // nonblocking in split-phase mode, a blocking all-to-all otherwise.
         let t0 = self.proc.clock();
         let incoming = if self.policy.split {
-            let round = std::slice::from_ref(&my_reqs);
-            ScheduleExecutor::request_rounds(SPLIT_REQUEST_TAG, self.proc, team, round).remove(0)
+            ScheduleExecutor::request_round(SPLIT_REQUEST_TAG, self.proc, team, &my_reqs)
         } else {
             collective::alltoallv(self.proc, team, my_reqs.clone())
         };
@@ -2079,12 +2072,19 @@ impl<'a, 'p> Interp<'a, 'p> {
         let view = self.array(slot, not_array)?;
         let mut out = [None; MAX_RANK];
         let mut d = 0usize;
-        for (o, m) in out.iter_mut().zip(&view.map) {
+        for (bd, (o, m)) in out.iter_mut().zip(&view.map).enumerate() {
             *o = match *m {
                 ViewDim::Fixed(v) => Some(v),
                 ViewDim::Range(lo, _) => {
                     d += 1;
-                    callee[d - 1].map(|i| lo + (i - view.callee_lo[d - 1]))
+                    let at = |i: i64| i.checked_sub(view.callee_lo[d - 1])?.checked_add(lo);
+                    let out_of_bounds = |i| {
+                        let base = view.base.borrow();
+                        let (l, h) = base.bounds[bd];
+                        format!("owner subscript {i} of {} out of bounds {l}:{h}", base.name)
+                    };
+                    let i = callee[d - 1].map(|i| at(i).ok_or_else(|| out_of_bounds(i)));
+                    i.transpose()?
                 }
             };
         }
@@ -2838,6 +2838,15 @@ impl<'a, 'p> Interp<'a, 'p> {
 /// The runtime error of an integer operation whose result does not fit.
 const OVERFLOW: &str = "integer overflow";
 
+/// The values `lo, lo + step, …` up to `hi` (down to it for a negative
+/// step), their number counted up front in `i128`: no counter steps past
+/// the end of `i64`.
+fn counted(lo: i64, hi: i64, step: i64) -> impl Iterator<Item = i64> {
+    let (lo, step) = (lo as i128, step as i128);
+    let trips = ((hi as i128 - lo + step) / step).max(0);
+    (0..trips).map(move |k| (lo + k * step) as i64)
+}
+
 /// Binary operators with Fortran typing: two integers stay integral
 /// (division truncates, overflow is an error), anything else is real.
 fn eval_bin(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
@@ -2929,7 +2938,7 @@ mod tests {
         f: impl for<'a, 'p> Fn(&mut Interp<'a, 'p>, &'p RSub) -> R + Sync,
     ) -> Vec<R> {
         let prog = crate::parse(src).unwrap();
-        let k = prog.subs.iter().position(|s| s.name == entry).unwrap();
+        let k = prog.code.iter().position(|s| s.name == entry).unwrap();
         let p = grid.iter().product();
         let run = Machine::run(MachineConfig::new(p), |proc| {
             let sub = &prog.code[k];

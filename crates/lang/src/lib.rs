@@ -7,9 +7,10 @@
 //! semantics, the intrinsics `lower`/`upper`/`log2`, array sections, and
 //! distributed procedure calls carrying processor-array slices.
 //!
-//! The front end is one chain, `parse → resolve → analyze → interpret`:
-//! [`parse`] ends by resolving names to frame slots, and [`analyze`],
-//! [`comm_plans`] and the interpreter all read that resolved tree.
+//! The front end is one chain over one tree, `parse → analyze →
+//! interpret`: [`parse`] reads the text straight into the resolved tree,
+//! names as frame slots, and [`analyze`], [`comm_plans`] and the
+//! interpreter all read it.
 //!
 //! Programs run on the `kali-machine` simulator: communication is never
 //! written by the programmer; the interpreter's inspector/executor pass
@@ -142,7 +143,7 @@ pub fn run_source_with(
 ) -> Result<LangRun, String> {
     let prog = parse(src).map_err(|e| e.to_string())?;
     let entry_sub = prog
-        .subs
+        .code
         .iter()
         .position(|s| s.name == entry)
         .ok_or_else(|| format!("no subroutine named {entry}"))?;
@@ -275,7 +276,7 @@ mod tests {
             let src = listing(name).unwrap_or_else(|| panic!("{name} not shipped"));
             let prog = parse(src).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
             assert!(
-                prog.find(name).is_some(),
+                prog.code.iter().any(|s| s.name == name),
                 "{name}.kf1 must define a `{name}` entry subroutine"
             );
             let run = match name {
@@ -611,6 +612,36 @@ end
         run_body(1, 4, "  k = n * 4611686018427387904");
     }
 
+    /// Loops whose counter would step past the end of `i64` run exactly
+    /// their iterations.
+    #[test]
+    fn a_do_loop_up_to_the_end_of_i64_runs_its_iterations() {
+        let body = "  doall 20 j = 1, 1 on procs(1)
+    do 10 i = 9223372036854775806, 9223372036854775807
+      a(i - 9223372036854775805) = 1.0
+10  continue
+20 continue";
+        assert_eq!(run_body(1, 4, body), [1.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_do_loop_down_to_the_end_of_i64_runs_its_iterations() {
+        let body = "  doall 20 j = 1, 1 on procs(1)
+    do 10 i = -9223372036854775807, -9223372036854775807 - 1, -1
+      a(-9223372036854775806 - i) = 1.0
+10  continue
+20 continue";
+        assert_eq!(run_body(1, 4, body), [1.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_doall_up_to_the_end_of_i64_runs_its_iterations() {
+        let body = "  doall 10 i = 9223372036854775806, 9223372036854775807 on procs(1)
+    a(i - 9223372036854775805) = 1.0
+10 continue";
+        assert_eq!(run_body(2, 4, body), [1.0, 1.0, 0.0, 0.0]);
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn an_element_subscript_near_the_end_of_i64_is_a_kf1_runtime_error() {
@@ -654,6 +685,16 @@ end
     #[should_panic(expected = "owner subscript 13 of u out of bounds 0:8")]
     fn owner_subscript_above_a_block_dimension_is_a_kf1_runtime_error() {
         call_on_owner("(block, *)", "u(n+5, *)");
+    }
+
+    #[test]
+    #[should_panic(expected = "owner subscript -9223372036854775808 of a out of bounds 1:4")]
+    fn owner_subscript_at_the_end_of_i64_is_a_kf1_runtime_error() {
+        let body = "  k = -9223372036854775807 - 1
+  doall 10 i = 1, 1 on owner(a(k))
+    a(1) = 1.0
+10 continue";
+        run_body(1, 4, body);
     }
 
     #[test]
@@ -1025,7 +1066,7 @@ end
     fn spmv_listing_derives_the_gather_from_values_and_replays_warm() {
         let src = listing("spmv").unwrap();
         let prog = parse(src).unwrap();
-        assert!(prog.find("spmvit").is_some());
+        assert!(prog.code.iter().any(|s| s.name == "spmvit"));
         let n = 12usize;
         // CSR band {i-2, i, i+2}, all indices 1-based as the program sees them.
         let mut rp = vec![1.0];
@@ -1103,8 +1144,79 @@ end
     fn adi_listing_is_shipped_and_parses() {
         let src = listing("adi").unwrap();
         let prog = parse(src).unwrap();
-        assert_eq!(prog.subs.len(), 3); // adi, resid, tric
-        assert!(prog.find("tric").is_some());
+        let names: Vec<_> = prog.code.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["adi", "resid", "tric"]);
+    }
+
+    #[test]
+    fn all_shipped_listings_parse() {
+        for name in ["jacobi", "shift", "tri", "adi"] {
+            let src = listing(name).unwrap();
+            let prog = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!prog.code.is_empty());
+            assert!(prog.code.iter().all(|s| s.parallel));
+        }
+    }
+
+    /// The entry subroutine is looked up by name.
+    #[test]
+    fn entry_lookup_by_name() {
+        let src = listing("jacobi").unwrap();
+        let err = run_source(cfg(1), src, "nope", &[1], &[]).err();
+        assert_eq!(err.as_deref(), Some("no subroutine named nope"));
+        let err = run_source(cfg(1), src, "jacobi", &[1], &[]).err();
+        assert_eq!(err.as_deref(), Some("jacobi takes 4 arguments, 0 supplied"));
+    }
+
+    /// All five shipped listings round-trip through the parser with spans
+    /// that slice back to the exact source text they claim to cover, and
+    /// the analyzer accepts every one of them without diagnostics.
+    #[test]
+    fn shipped_listings_round_trip_with_faithful_spans() {
+        use resolve::{any_stmt, Callee, Node, RStmt};
+        for name in ["jacobi", "shift", "tri", "adi", "spmv"] {
+            let src = listing(name).unwrap();
+            let prog = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(prog.src, src, "{name}: program must retain its source");
+            for sub in &prog.code {
+                let mut spans = Vec::new();
+                any_stmt(&sub.body, &mut |n| {
+                    let Node::Stmt(s) = n else { return false };
+                    let (at, starts) = match s {
+                        RStmt::AssignScalar { slot, at, .. }
+                        | RStmt::AssignElement { slot, at, .. } => (at, sub.names[*slot].as_str()),
+                        RStmt::Doall(d) => (&d.at, "doall"),
+                        RStmt::Distribute { at, .. } => (at, "distribute"),
+                        RStmt::Call { callee, at, .. } => match callee {
+                            Callee::Builtin(b) => (at, b.name()),
+                            Callee::Sub(k) => (at, prog.code[*k].name.as_str()),
+                            Callee::Unknown(n) => panic!("{name}: unknown callee {n}"),
+                        },
+                        _ => return false,
+                    };
+                    spans.push((at.0, starts));
+                    false
+                });
+                assert!(!spans.is_empty(), "{name}/{}: no spans", sub.name);
+                for (span, starts) in spans {
+                    assert!(
+                        !span.is_empty(),
+                        "{name}/{}: statement with empty span",
+                        sub.name
+                    );
+                    let text = span.slice(src);
+                    assert!(
+                        !text.trim().is_empty() && text.starts_with(starts),
+                        "{name}/{}: span covers {text:?}, not {starts}",
+                        sub.name
+                    );
+                }
+            }
+            assert!(
+                analyze(&prog).is_empty(),
+                "{name}: shipped listing must be diagnostic-free"
+            );
+        }
     }
 
     #[test]

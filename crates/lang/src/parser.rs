@@ -1,33 +1,63 @@
 //! Recursive-descent parser for the KF1 subset.
 //!
-//! The parser threads the lexer's byte spans into every AST node and
-//! reports errors as [`Diagnostic`]s with line *and* column, a stable
-//! `P0xx` code, and a span that renders a caret-underlined excerpt.
+//! The parser reads each subroutine straight into the resolved tree
+//! (the nodes of `resolve.rs`): every name is interned into its
+//! subroutine's symbol table as it is read, declarations record what they
+//! make of each slot, a `call` resolves against the subroutine headers
+//! (read ahead, so a callee may be defined further down), and each closed
+//! `doall` and `do` gets the facts its text fixes. The lexer's byte spans
+//! go onto every node a diagnostic points at. Errors are [`Diagnostic`]s
+//! with line *and* column, a stable `P0xx` code, and a span that renders
+//! a caret-underlined excerpt.
 
 use kali_grid::{DimDist, DimMap, DistSpec};
 
-use crate::ast::*;
+use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::{Diagnostic, Span};
-use crate::resolve::resolve;
+use crate::lower::compile_loop;
+use crate::resolve::*;
 use crate::token::{lex, SpannedTok, Tok};
+use crate::value::Value;
 
 /// Parse errors are ordinary diagnostics (code `P0xx`).
 pub type ParseError = Diagnostic;
 
 type PResult<T> = Result<T, Diagnostic>;
 
-/// Parse a KF1 source file: lex, parse, and resolve its names. The
-/// program carries the resolved tree that every later stage —
-/// [`crate::analyze`], [`crate::comm_plans`], the interpreter — reads.
+/// Parse a KF1 source file into the resolved tree that every later stage
+/// — [`crate::analyze`], [`crate::comm_plans`], the interpreter — reads.
+/// Resolution is total: a name that denotes nothing still gets a slot.
 pub fn parse(src: &str) -> PResult<Program> {
     let toks = lex(src)?;
     let mut p = Parser {
         src,
+        heads: headers(&toks),
         toks,
         pos: 0,
         next_site: 0,
+        names: Vec::new(),
+        decls: Vec::new(),
+        declared: Vec::new(),
+        depth: 0,
     };
     p.program()
+}
+
+/// Every subroutine's name and whether it is a `parsub`, in text order:
+/// a header is the only line that starts with one of the keywords and a
+/// name (a statement that did would not parse).
+fn headers(toks: &[SpannedTok]) -> Vec<(String, bool)> {
+    let mut line_start = true;
+    let mut heads = Vec::new();
+    for w in toks.windows(2) {
+        if let (true, Tok::Ident(kw), Tok::Ident(name)) = (line_start, &w[0].tok, &w[1].tok) {
+            if ["parsub", "subroutine", "sub"].contains(&kw.as_str()) {
+                heads.push((name.clone(), kw == "parsub"));
+            }
+        }
+        line_start = w[0].tok == Tok::Eol;
+    }
+    heads
 }
 
 struct Parser<'a> {
@@ -37,6 +67,15 @@ struct Parser<'a> {
     /// Site-id counter: every `doall` in a parse gets a distinct, stable
     /// id (source order) so the interpreter can cache per-site schedules.
     next_site: usize,
+    /// [`headers`]: what a `call` resolves against.
+    heads: Vec<(String, bool)>,
+    /// The subroutine being read: its symbol table (slot → name), its
+    /// declarations, and what they make of each slot.
+    names: Vec<String>,
+    decls: Vec<RDecl>,
+    declared: Vec<Declared>,
+    /// How many `doall` bodies enclose the cursor.
+    depth: usize,
 }
 
 /// What ended a statement block.
@@ -184,23 +223,59 @@ impl Parser<'_> {
         }
     }
 
-    // ---------- top level ----------
+    // ---------- names ----------
 
-    fn program(&mut self) -> PResult<Program> {
-        let mut subs = Vec::new();
-        self.skip_eols();
-        while !matches!(self.peek(), Tok::Eof) {
-            subs.push(self.subroutine()?);
-            self.skip_eols();
-        }
-        Ok(Program {
-            code: resolve(&subs),
-            subs,
-            src: self.src.to_string(),
+    /// The slot of `name` in the subroutine being read, interned on first
+    /// sight.
+    fn slot(&mut self, name: String) -> Slot {
+        let known = self.names.iter().position(|n| *n == name);
+        known.unwrap_or_else(|| {
+            self.names.push(name);
+            self.declared.push(Declared::default());
+            self.names.len() - 1
         })
     }
 
-    fn subroutine(&mut self) -> PResult<Subroutine> {
+    /// An identifier, interned.
+    fn name_slot(&mut self) -> PResult<Slot> {
+        let name = self.expect_ident()?;
+        Ok(self.slot(name))
+    }
+
+    /// Number the names first seen since `b` ahead of those first seen in
+    /// `a..b`, in `exprs`, which hold them all. The numbering follows
+    /// evaluation order where it differs from the text's: a right-hand side
+    /// before its target's subscripts, a `doall` step before its bounds.
+    fn first_seen<'e>(&mut self, a: Slot, b: Slot, exprs: impl Iterator<Item = &'e mut RExpr>) {
+        let c = self.names.len();
+        if a == b || b == c {
+            return;
+        }
+        self.names[a..].rotate_left(b - a);
+        let to = |s: Slot| match s {
+            s if s < a => s,
+            s if s < b => s + (c - b),
+            s => s - (b - a),
+        };
+        exprs.for_each(|e| e.renumber(&to));
+    }
+
+    // ---------- top level ----------
+
+    fn program(&mut self) -> PResult<Program> {
+        let mut code = Vec::new();
+        self.skip_eols();
+        while !matches!(self.peek(), Tok::Eof) {
+            code.push(self.subroutine()?);
+            self.skip_eols();
+        }
+        Ok(Program {
+            src: self.src.to_string(),
+            code,
+        })
+    }
+
+    fn subroutine(&mut self) -> PResult<RSub> {
         let parallel = if self.eat_ident("parsub") {
             true
         } else if self.eat_ident("subroutine") || self.eat_ident("sub") {
@@ -208,31 +283,30 @@ impl Parser<'_> {
         } else {
             return self.err("expected `parsub` or `subroutine`");
         };
-        let name_span = self.span();
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
-        let (params, proc_param) = self.list_and_tail(Self::expect_ident, Self::expect_ident)?;
+        let (params, proc_param) = self.list_and_tail(Self::name_slot, Self::name_slot)?;
+        if let Some(pp) = proc_param {
+            self.declared[pp].procs = Some(0);
+        }
         self.expect_eol()?;
         self.skip_eols();
 
         // Declarations.
-        let mut decls = Vec::new();
         loop {
             self.skip_eols();
             match self.peek() {
                 Tok::Ident(s) if s == "processors" => {
                     self.bump();
-                    let pname_span = self.span();
                     let pname = self.expect_ident()?;
                     self.expect_punct("(")?;
                     let extents = self.comma_list(Self::expr)?;
                     self.expect_punct(")")?;
                     self.expect_eol()?;
-                    decls.push(Decl::Processors {
-                        name: pname,
-                        name_span: pname_span,
-                        extents,
-                    });
+                    // Numbered after its extents' names ([`Self::first_seen`]).
+                    let slot = self.slot(pname);
+                    self.declared[slot].procs = Some(extents.len());
+                    self.decls.push(RDecl::Processors(slot, extents));
                 }
                 Tok::Ident(s) if s == "real" || s == "integer" || s == "dynamic" => {
                     let (dynamic, real) = (s == "dynamic", s == "real");
@@ -249,25 +323,20 @@ impl Parser<'_> {
                         real
                     };
                     let items = self.comma_list(|p| {
-                        let name_span = p.span();
-                        let name = p.expect_ident()?;
-                        let mut dims = Vec::new();
+                        let slot = p.name_slot()?;
+                        let mut bounds = Vec::new();
                         if p.eat_punct("(") {
-                            dims = p.comma_list(|p| {
+                            bounds = p.comma_list(|p| {
                                 let e1 = p.expr()?;
                                 Ok(if p.eat_punct(":") {
                                     (e1, p.expr()?)
                                 } else {
-                                    (Expr::int(1, e1.span), e1)
+                                    (RExpr::Const(Value::Int(1), At(e1.span())), e1)
                                 })
                             })?;
                             p.expect_punct(")")?;
                         }
-                        Ok(DeclItem {
-                            name,
-                            name_span,
-                            dims,
-                        })
+                        Ok((slot, bounds))
                     })?;
                     let dist = if self.eat_ident("dist") {
                         self.expect_punct("(")?;
@@ -278,12 +347,18 @@ impl Parser<'_> {
                         None
                     };
                     self.expect_eol()?;
-                    decls.push(Decl::Arrays {
-                        is_real,
-                        dynamic,
-                        items,
-                        dist,
-                    });
+                    for (slot, bounds) in items {
+                        if !bounds.is_empty() {
+                            self.declared[slot].array = Some(self.decls.len());
+                        }
+                        let dist = dist.clone();
+                        self.decls.push(RDecl::Item {
+                            slot,
+                            is_real,
+                            bounds,
+                            dist,
+                        });
+                    }
                 }
                 _ => break,
             }
@@ -298,22 +373,26 @@ impl Parser<'_> {
                 format!("subroutine {name} not terminated by `end`"),
             ));
         }
-        Ok(Subroutine {
+        let mut sub = RSub {
             name,
-            name_span,
             parallel,
             params,
             proc_param,
-            decls,
+            names: std::mem::take(&mut self.names),
+            decls: std::mem::take(&mut self.decls),
+            declared: std::mem::take(&mut self.declared),
             body,
-        })
+            lockstep: false,
+        };
+        sub.lockstep = lockstep(&sub);
+        Ok(sub)
     }
 
     // ---------- statements ----------
 
     /// Parse statements until a terminator. `labels` are loop labels whose
     /// `label continue` ends the block.
-    fn block(&mut self, labels: &[u32]) -> PResult<(Vec<Stmt>, BlockEnd)> {
+    fn block(&mut self, labels: &[u32]) -> PResult<(Vec<RStmt>, BlockEnd)> {
         let mut stmts = Vec::new();
         loop {
             self.skip_eols();
@@ -354,7 +433,7 @@ impl Parser<'_> {
         }
     }
 
-    fn statement(&mut self, labels: &[u32]) -> PResult<Stmt> {
+    fn statement(&mut self, labels: &[u32]) -> PResult<RStmt> {
         match self.peek() {
             Tok::Ident(s) if s == "do" => self.do_stmt(labels),
             Tok::Ident(s) if s == "doall" => self.doall_stmt(labels),
@@ -366,67 +445,68 @@ impl Parser<'_> {
                 let span = self.span();
                 self.bump();
                 self.expect_eol()?;
-                let kind = match ret {
-                    true => StmtKind::Return,
+                Ok(match ret {
+                    true => RStmt::Return,
                     // bare continue: no-op statement
-                    false => StmtKind::If {
-                        cond: Expr::int(0, span),
-                        then_body: vec![],
-                        else_body: vec![],
-                    },
-                };
-                Ok(Stmt { kind, span })
+                    false => RStmt::If(RExpr::Const(Value::Int(0), At(span)), vec![], vec![]),
+                })
             }
             Tok::Ident(_) => self.assign_stmt(),
             other => self.err(format!("unexpected token {other:?} at statement start")),
         }
     }
 
-    fn assign_stmt(&mut self) -> PResult<Stmt> {
+    fn assign_stmt(&mut self) -> PResult<RStmt> {
         let name_span = self.span();
-        let name = self.expect_ident()?;
-        let lhs = if self.eat_punct("(") {
-            let subs = self.comma_list(Self::expr)?;
+        let slot = self.name_slot()?;
+        let seen = self.names.len();
+        let mut subs = None;
+        if self.eat_punct("(") {
+            subs = Some(self.comma_list(Self::expr)?);
             self.expect_punct(")")?;
-            LValue {
-                kind: LValueKind::Element { name, subs },
-                span: name_span.join(self.prev_span()),
-            }
-        } else {
-            LValue {
-                kind: LValueKind::Scalar(name),
-                span: name_span,
-            }
-        };
+        }
+        let at = At(name_span.join(self.prev_span()));
         self.expect_punct("=")?;
-        let rhs = self.expr()?;
+        let in_subs = self.names.len();
+        let mut rhs = self.expr()?;
         self.expect_eol()?;
-        let span = lhs.span.join(rhs.span);
-        Ok(Stmt {
-            kind: StmtKind::Assign { lhs, rhs },
-            span,
+        let exprs = subs.iter_mut().flatten().chain([&mut rhs]);
+        self.first_seen(seen, in_subs, exprs);
+        let flops = rhs.flop_count();
+        Ok(match subs {
+            None => RStmt::AssignScalar {
+                slot,
+                rhs,
+                flops,
+                at,
+            },
+            Some(subs) => RStmt::AssignElement {
+                slot,
+                subs,
+                rhs,
+                flops,
+                at,
+            },
         })
     }
 
-    fn do_stmt(&mut self, outer: &[u32]) -> PResult<Stmt> {
+    fn do_stmt(&mut self, outer: &[u32]) -> PResult<RStmt> {
         let kw_span = self.span();
         self.bump(); // do
         let label = self.loop_label();
-        let var = self.expect_ident()?;
+        let var = self.name_slot()?;
         self.expect_punct("=")?;
-        let (lo, hi, step) = self.range()?;
+        let (lo, hi, step) = self.range(false)?;
         let header_span = kw_span.join(self.prev_span());
         self.expect_eol()?;
         let body = self.loop_body(outer, label, header_span, "do loop")?;
-        Ok(Stmt {
-            kind: StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            },
-            span: header_span,
+        Ok(RStmt::Do {
+            kernel: compile_loop(var, step.as_ref(), &body),
+            var,
+            lo,
+            hi,
+            step,
+            body,
         })
     }
 
@@ -468,27 +548,25 @@ impl Parser<'_> {
         }
     }
 
-    fn distribute_stmt(&mut self) -> PResult<Stmt> {
+    fn distribute_stmt(&mut self) -> PResult<RStmt> {
         let kw_span = self.span();
         self.bump(); // distribute
         let name_span = self.span();
-        let name = self.expect_ident()?;
+        let slot = self.name_slot()?;
         self.expect_punct("(")?;
         let dist = DistSpec::new(self.comma_list(|p| p.dist_dim("distribute"))?);
         self.expect_punct(")")?;
         let span = kw_span.join(self.prev_span());
         self.expect_eol()?;
-        Ok(Stmt {
-            kind: StmtKind::Distribute {
-                name,
-                name_span,
-                dist,
-            },
-            span,
+        Ok(RStmt::Distribute {
+            slot,
+            dist,
+            at: At(span),
+            name_at: At(name_span),
         })
     }
 
-    fn doall_stmt(&mut self, outer: &[u32]) -> PResult<Stmt> {
+    fn doall_stmt(&mut self, outer: &[u32]) -> PResult<RStmt> {
         let kw_span = self.span();
         self.bump(); // doall
         let site = self.next_site;
@@ -498,23 +576,23 @@ impl Parser<'_> {
         let mut ranges = Vec::new();
         if self.eat_punct("(") {
             // (i, j) = [l1, h1] * [l2, h2]
-            vars.push(self.expect_ident()?);
+            vars.push(self.name_slot()?);
             self.expect_punct(",")?;
-            vars.push(self.expect_ident()?);
+            vars.push(self.name_slot()?);
             self.expect_punct(")")?;
             self.expect_punct("=")?;
             for d in 0..2 {
                 self.expect_punct("[")?;
-                ranges.push(self.range()?);
+                ranges.push(self.range(true)?);
                 self.expect_punct("]")?;
                 if d == 0 {
                     self.expect_punct("*")?;
                 }
             }
         } else {
-            vars.push(self.expect_ident()?);
+            vars.push(self.name_slot()?);
             self.expect_punct("=")?;
-            ranges.push(self.range()?);
+            ranges.push(self.range(true)?);
         }
         if !self.eat_ident("on") {
             return Err(self.diag_at(
@@ -524,23 +602,16 @@ impl Parser<'_> {
             ));
         }
         // `on owner(a(...))`, `on procs(...)`: a processor expression.
-        let on = match self.proc_expr()? {
-            ProcExpr::Owner { array, subs } => OnClause::Owner { array, subs },
-            pe => OnClause::Procs(pe),
-        };
+        let on = self.proc_expr()?;
         let header_span = kw_span.join(self.prev_span());
         self.expect_eol()?;
+        self.depth += 1;
         let body = self.loop_body(outer, label, header_span, "doall")?;
-        Ok(Stmt {
-            kind: StmtKind::Doall {
-                site,
-                vars,
-                ranges,
-                on,
-                body,
-            },
-            span: header_span,
-        })
+        self.depth -= 1;
+        let symbols = (&self.names[..], &self.declared[..]);
+        let (at, nested) = (At(header_span), self.depth > 0);
+        let d = RDoall::new(site, at, vars, ranges, on, body, nested, symbols);
+        Ok(RStmt::Doall(d))
     }
 
     /// The label of a `do`/`doall`, if it has one.
@@ -552,16 +623,22 @@ impl Parser<'_> {
         Some(n as u32)
     }
 
-    /// `lo, hi[, step]`.
-    fn range(&mut self) -> PResult<(Expr, Expr, Option<Expr>)> {
-        let lo = self.expr()?;
+    /// `lo, hi[, step]`; a `doall`'s step numbers its new names first.
+    fn range(&mut self, doall: bool) -> PResult<(RExpr, RExpr, Option<RExpr>)> {
+        let seen = self.names.len();
+        let mut lo = self.expr()?;
         self.expect_punct(",")?;
-        let hi = self.expr()?;
-        let step = if self.eat_punct(",") {
+        let mut hi = self.expr()?;
+        let in_bounds = self.names.len();
+        let mut step = if self.eat_punct(",") {
             Some(self.expr()?)
         } else {
             None
         };
+        if doall {
+            let exprs = [&mut lo, &mut hi].into_iter().chain(&mut step);
+            self.first_seen(seen, in_bounds, exprs);
+        }
         Ok((lo, hi, step))
     }
 
@@ -573,7 +650,7 @@ impl Parser<'_> {
         label: Option<u32>,
         header_span: Span,
         what: &str,
-    ) -> PResult<Vec<Stmt>> {
+    ) -> PResult<Vec<RStmt>> {
         let labels: Vec<u32> = outer.iter().copied().chain(label).collect();
         match (label, self.block(&labels)?) {
             (Some(l), (body, BlockEnd::LabelContinue(m))) if l == m => Ok(body),
@@ -585,7 +662,7 @@ impl Parser<'_> {
     }
 
     /// Subscript list allowing `*`: returns None for starred positions.
-    fn star_subs(&mut self) -> PResult<Vec<Option<Expr>>> {
+    fn star_subs(&mut self) -> PResult<Vec<Option<RExpr>>> {
         self.comma_list(|p| {
             Ok(if p.eat_punct("*") {
                 None
@@ -595,14 +672,14 @@ impl Parser<'_> {
         })
     }
 
-    fn if_stmt(&mut self, labels: &[u32]) -> PResult<Stmt> {
+    fn if_stmt(&mut self, labels: &[u32]) -> PResult<RStmt> {
         let kw_span = self.span();
         self.bump(); // if
         self.expect_punct("(")?;
         let cond = self.expr()?;
         self.expect_punct(")")?;
         let header_span = kw_span.join(self.prev_span());
-        let (then_body, else_body, span) = if self.eat_ident("then") {
+        let (then_body, else_body) = if self.eat_ident("then") {
             self.expect_eol()?;
             let (then_body, end) = self.block(labels)?;
             let else_body = match end {
@@ -619,90 +696,81 @@ impl Parser<'_> {
                     return Err(self.diag_at("P003", header_span, msg));
                 }
             };
-            (then_body, else_body, header_span)
+            (then_body, else_body)
         } else {
             // One-armed logical if: `if (c) stmt`.
-            let st = self.statement(labels)?;
-            let span = header_span.join(st.span);
-            (vec![st], vec![], span)
+            (vec![self.statement(labels)?], vec![])
         };
-        Ok(Stmt {
-            kind: StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            },
-            span,
-        })
+        Ok(RStmt::If(cond, then_body, else_body))
     }
 
-    fn call_stmt(&mut self) -> PResult<Stmt> {
-        let kw_span = self.span();
+    fn call_stmt(&mut self) -> PResult<RStmt> {
         self.bump(); // call
         let name_span = self.span();
         let name = self.expect_ident()?;
         self.expect_punct("(")?;
         let (args, on) = self.list_and_tail(Self::call_arg, Self::proc_expr)?;
-        let span = kw_span.join(self.prev_span());
         self.expect_eol()?;
-        Ok(Stmt {
-            kind: StmtKind::Call {
-                name,
-                name_span,
-                args,
-                on,
-            },
-            span,
+        let sub = self.heads.iter().position(|(s, _)| *s == name);
+        let callee = match (Builtin::of(&name), sub) {
+            (Some(b), _) => Callee::Builtin(b),
+            (None, Some(k)) => Callee::Sub(k),
+            (None, None) => Callee::Unknown(name),
+        };
+        Ok(RStmt::Call {
+            callee,
+            args,
+            on,
+            at: At(name_span),
+            parallel: sub.is_some_and(|k| self.heads[k].1),
         })
     }
 
-    fn proc_expr(&mut self) -> PResult<ProcExpr> {
+    fn proc_expr(&mut self) -> PResult<RProcExpr> {
         let name = self.expect_ident()?;
         if name == "owner" {
             self.expect_punct("(")?;
-            let arr = self.expect_ident()?;
+            let arr = self.name_slot()?;
             self.expect_punct("(")?;
             let subs = self.star_subs()?;
             self.expect_punct(")")?;
             self.expect_punct(")")?;
-            Ok(ProcExpr::Owner { array: arr, subs })
-        } else if self.eat_punct("(") {
+            return Ok(RProcExpr::Owner(arr, subs));
+        }
+        let slot = self.slot(name);
+        if self.eat_punct("(") {
             let subs = self.star_subs()?;
             self.expect_punct(")")?;
-            Ok(ProcExpr::Select { name, subs })
+            Ok(RProcExpr::Select(slot, subs))
         } else {
-            Ok(ProcExpr::Whole(name))
+            Ok(RProcExpr::Whole(slot))
         }
     }
 
     /// One call argument: a section if any subscript is `*` or a range.
-    fn call_arg(&mut self) -> PResult<Arg> {
+    fn call_arg(&mut self) -> PResult<RArg> {
         // Lookahead: IDENT "(" ... with a top-level ":" or "*" inside.
         let ident_paren =
             matches!(self.peek(), Tok::Ident(_)) && matches!(self.peek2(), Tok::Punct("("));
         if !(ident_paren && self.probe_section()) {
-            return Ok(Arg::Expr(self.expr()?));
+            return Ok(RArg::Expr(self.expr()?));
         }
         let name_span = self.span();
-        let name = self.expect_ident()?;
+        let slot = self.name_slot()?;
         self.bump(); // (
         let subs = self.comma_list(|p| {
             if p.eat_punct("*") {
-                return Ok(Section::All);
+                return Ok(RSection::All);
             }
             let e1 = p.expr()?;
             Ok(if p.eat_punct(":") {
-                Section::Range(e1, p.expr()?)
+                RSection::Range(e1, p.expr()?)
             } else {
-                Section::Index(e1)
+                RSection::Index(e1)
             })
         })?;
         self.expect_punct(")")?;
-        Ok(Arg::Section {
-            name,
-            name_span,
-            subs,
-        })
+        Ok(RArg::Section(slot, subs, At(name_span)))
     }
 
     /// Does the parenthesized group starting at peek2 contain a top-level
@@ -739,23 +807,16 @@ impl Parser<'_> {
 
     // ---------- expressions ----------
 
-    fn expr(&mut self) -> PResult<Expr> {
+    fn expr(&mut self) -> PResult<RExpr> {
         self.or_expr()
     }
 
-    fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
-        let span = l.span.join(r.span);
-        Expr::new(
-            ExprKind::Bin {
-                op,
-                l: Box::new(l),
-                r: Box::new(r),
-            },
-            span,
-        )
+    fn bin(op: BinOp, l: RExpr, r: RExpr) -> RExpr {
+        let at = At(l.span().join(r.span()));
+        RExpr::Bin(op, Box::new(l), Box::new(r), at)
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
+    fn or_expr(&mut self) -> PResult<RExpr> {
         let mut l = self.and_expr()?;
         while self.eat_punct("||") {
             let r = self.and_expr()?;
@@ -764,7 +825,7 @@ impl Parser<'_> {
         Ok(l)
     }
 
-    fn and_expr(&mut self) -> PResult<Expr> {
+    fn and_expr(&mut self) -> PResult<RExpr> {
         let mut l = self.not_expr()?;
         while self.eat_punct("&&") {
             let r = self.not_expr()?;
@@ -773,24 +834,18 @@ impl Parser<'_> {
         Ok(l)
     }
 
-    fn not_expr(&mut self) -> PResult<Expr> {
+    fn not_expr(&mut self) -> PResult<RExpr> {
         if matches!(self.peek(), Tok::Punct("!")) {
             let op_span = self.span();
             self.bump();
             let e = self.not_expr()?;
-            let span = op_span.join(e.span);
-            return Ok(Expr::new(
-                ExprKind::Un {
-                    op: UnOp::Not,
-                    e: Box::new(e),
-                },
-                span,
-            ));
+            let at = At(op_span.join(e.span()));
+            return Ok(RExpr::Un(UnOp::Not, Box::new(e), at));
         }
         self.cmp_expr()
     }
 
-    fn cmp_expr(&mut self) -> PResult<Expr> {
+    fn cmp_expr(&mut self) -> PResult<RExpr> {
         let l = self.add_expr()?;
         let op = match self.peek() {
             Tok::Punct("==") => Some(BinOp::Eq),
@@ -809,7 +864,7 @@ impl Parser<'_> {
         Ok(l)
     }
 
-    fn add_expr(&mut self) -> PResult<Expr> {
+    fn add_expr(&mut self) -> PResult<RExpr> {
         let mut l = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -825,7 +880,7 @@ impl Parser<'_> {
         Ok(l)
     }
 
-    fn mul_expr(&mut self) -> PResult<Expr> {
+    fn mul_expr(&mut self) -> PResult<RExpr> {
         let mut l = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -842,19 +897,13 @@ impl Parser<'_> {
         Ok(l)
     }
 
-    fn unary_expr(&mut self) -> PResult<Expr> {
+    fn unary_expr(&mut self) -> PResult<RExpr> {
         if matches!(self.peek(), Tok::Punct("-")) {
             let op_span = self.span();
             self.bump();
             let e = self.unary_expr()?;
-            let span = op_span.join(e.span);
-            return Ok(Expr::new(
-                ExprKind::Un {
-                    op: UnOp::Neg,
-                    e: Box::new(e),
-                },
-                span,
-            ));
+            let at = At(op_span.join(e.span()));
+            return Ok(RExpr::Un(UnOp::Neg, Box::new(e), at));
         }
         if self.eat_punct("+") {
             return self.unary_expr();
@@ -862,32 +911,37 @@ impl Parser<'_> {
         self.primary()
     }
 
-    fn primary(&mut self) -> PResult<Expr> {
+    fn primary(&mut self) -> PResult<RExpr> {
         let start_span = self.span();
         match self.bump() {
-            Tok::Int(v) => Ok(Expr::new(ExprKind::Int(v), start_span)),
-            Tok::Real(v) => Ok(Expr::new(ExprKind::Real(v), start_span)),
+            Tok::Int(v) => Ok(RExpr::Const(Value::Int(v), At(start_span))),
+            Tok::Real(v) => Ok(RExpr::Const(Value::Real(v), At(start_span))),
             Tok::Punct("(") => {
                 let mut e = self.expr()?;
                 self.expect_punct(")")?;
-                e.span = start_span.join(self.prev_span());
+                let (RExpr::Const(_, at)
+                | RExpr::Var(_, at)
+                | RExpr::Un(.., at)
+                | RExpr::Bin(.., at)
+                | RExpr::Ref(.., at)) = &mut e;
+                *at = At(start_span.join(self.prev_span()));
                 Ok(e)
             }
             Tok::Ident(name) => {
-                if self.eat_punct("(") {
-                    let mut args = Vec::new();
-                    if !self.eat_punct(")") {
-                        let subs = self.star_subs()?.into_iter();
-                        args = subs.map(|s| s.map_or(RefArg::Star, RefArg::Expr)).collect();
-                        self.expect_punct(")")?;
-                    }
-                    Ok(Expr::new(
-                        ExprKind::Ref { name, args },
-                        start_span.join(self.prev_span()),
-                    ))
-                } else {
-                    Ok(Expr::new(ExprKind::Var(name), start_span))
+                let slot = self.slot(name);
+                if !self.eat_punct("(") {
+                    return Ok(RExpr::Var(slot, At(start_span)));
                 }
+                // An array element or an intrinsic's value: which one is
+                // up to the name's binding when it is evaluated.
+                let mut args = Vec::new();
+                if !self.eat_punct(")") {
+                    args = self.star_subs()?;
+                    self.expect_punct(")")?;
+                }
+                let at = At(start_span.join(self.prev_span()));
+                let intrinsic = Intrinsic::of(&self.names[slot]);
+                Ok(RExpr::Ref(slot, intrinsic, args, at))
             }
             other => Err(self.diag_at(
                 "P001",
@@ -901,6 +955,14 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first statement of the first subroutine of `src`, with that
+    /// subroutine's symbol table.
+    fn first_stmt(src: &str) -> (RStmt, Vec<String>) {
+        let mut prog = parse(src).unwrap();
+        let sub = prog.code.swap_remove(0);
+        (sub.body.into_iter().next().expect("a statement"), sub.names)
+    }
 
     #[test]
     fn parses_listing3_skeleton() {
@@ -918,21 +980,28 @@ parsub jacobi(x, f, np; procs)
 end
 "#;
         let p = parse(src).unwrap();
-        assert_eq!(p.subs.len(), 1);
-        let s = &p.subs[0];
+        assert_eq!(p.code.len(), 1);
+        let s = &p.code[0];
+        let names = |slots: &[Slot]| {
+            slots
+                .iter()
+                .map(|&k| s.names[k].clone())
+                .collect::<Vec<_>>()
+        };
         assert!(s.parallel);
-        assert_eq!(s.params, vec!["x", "f", "np"]);
-        assert_eq!(s.proc_param.as_deref(), Some("procs"));
-        assert_eq!(s.decls.len(), 2);
+        assert_eq!(names(&s.params), ["x", "f", "np"]);
+        assert_eq!(names(s.proc_param.as_slice()), ["procs"]);
+        // The processors declaration and one item per declared array.
+        assert_eq!(s.decls.len(), 3);
         // body: n = ..., do loop, return
         assert_eq!(s.body.len(), 3);
-        match &s.body[1].kind {
-            StmtKind::Do { var, body, .. } => {
-                assert_eq!(var, "it");
-                match &body[0].kind {
-                    StmtKind::Doall { vars, on, .. } => {
-                        assert_eq!(vars, &["i", "j"]);
-                        assert!(matches!(on, OnClause::Owner { .. }));
+        match &s.body[1] {
+            RStmt::Do { var, body, .. } => {
+                assert_eq!(s.names[*var], "it");
+                match &body[0] {
+                    RStmt::Doall(d) => {
+                        assert_eq!(names(&d.vars), ["i", "j"]);
+                        assert!(matches!(d.on, RProcExpr::Owner(..)));
                     }
                     other => panic!("expected doall, got {other:?}"),
                 }
@@ -952,16 +1021,17 @@ parsub adi(u, r; procs)
 100 continue
 end
 "#;
-        let p = parse(src).unwrap();
-        match &p.subs[0].body[0].kind {
-            StmtKind::Doall { body, .. } => match &body[0].kind {
-                StmtKind::Call { name, args, on, .. } => {
-                    assert_eq!(name, "tric");
+        match first_stmt(src).0 {
+            RStmt::Doall(d) => match &d.body[0] {
+                RStmt::Call {
+                    callee, args, on, ..
+                } => {
+                    assert!(matches!(callee, Callee::Unknown(n) if n == "tric"));
                     assert_eq!(args.len(), 4);
-                    assert!(matches!(&args[0], Arg::Section { .. }));
-                    assert!(matches!(&args[1], Arg::Section { .. }));
-                    assert!(matches!(&args[2], Arg::Expr(_)));
-                    assert!(matches!(on, Some(ProcExpr::Owner { .. })));
+                    assert!(matches!(&args[0], RArg::Section(..)));
+                    assert!(matches!(&args[1], RArg::Section(..)));
+                    assert!(matches!(&args[2], RArg::Expr(_)));
+                    assert!(matches!(on, Some(RProcExpr::Owner(..))));
                 }
                 other => panic!("expected call, got {other:?}"),
             },
@@ -990,19 +1060,24 @@ parsub tri(b; procs)
 end
 "#;
         let p = parse(src).unwrap();
-        assert_eq!(p.subs[0].name, "tri");
+        assert_eq!(p.code[0].name, "tri");
     }
 
     #[test]
     fn function_ref_vs_array_ref_is_deferred() {
         let src = "parsub f(a; p)\n  processors p(q)\n  x = mod(3, 2) + a(1)\nend\n";
-        let prog = parse(src).unwrap();
-        match &prog.subs[0].body[0].kind {
-            StmtKind::Assign { rhs, .. } => {
-                assert_eq!(rhs.flop_count(), 1.0); // only the +
-            }
-            _ => panic!(),
-        }
+        let RStmt::AssignScalar { rhs, flops, .. } = first_stmt(src).0 else {
+            panic!("expected a scalar assignment");
+        };
+        assert_eq!(flops, 1.0); // only the +
+
+        // Both are references; only the binding at run time tells an
+        // element from an intrinsic's value.
+        let RExpr::Bin(_, l, r, _) = rhs else {
+            panic!("expected +");
+        };
+        assert!(matches!(*l, RExpr::Ref(_, Some(Intrinsic::Mod), ..)));
+        assert!(matches!(*r, RExpr::Ref(_, None, ..)));
     }
 
     #[test]
@@ -1019,33 +1094,31 @@ parsub two(a; p)
 200 continue
 end
 "#;
-        let mut sites = Vec::new();
-        fn collect(body: &[Stmt], out: &mut Vec<usize>) {
-            for s in body {
-                if let StmtKind::Doall { site, body, .. } = &s.kind {
-                    out.push(*site);
-                    collect(body, out);
+        let sites = || {
+            let mut out = Vec::new();
+            any_stmt(&parse(src).unwrap().code[0].body, &mut |n| {
+                if let Node::Stmt(RStmt::Doall(d)) = n {
+                    out.push(d.site);
                 }
-            }
-        }
-        collect(&parse(src).unwrap().subs[0].body, &mut sites);
-        assert_eq!(sites.len(), 2);
-        assert_ne!(sites[0], sites[1]);
+                false
+            });
+            out
+        };
+        let first = sites();
+        assert_eq!(first.len(), 2);
+        assert_ne!(first[0], first[1]);
         // Stable: re-parsing yields the same ids.
-        let mut again = Vec::new();
-        collect(&parse(src).unwrap().subs[0].body, &mut again);
-        assert_eq!(sites, again);
+        assert_eq!(first, sites());
     }
 
     #[test]
     fn parses_distribute_statement() {
         let src = "parsub f(a; p)\n  processors p(q)\n  real a(8, 8) dist (block, *)\n  \
                    distribute a (*, cyclic)\nend\n";
-        let prog = parse(src).unwrap();
-        match &prog.subs[0].body[0].kind {
-            StmtKind::Distribute { name, dist, .. } => {
-                assert_eq!(name, "a");
-                assert_eq!(dist, &DistSpec::parse("(*, cyclic)").unwrap());
+        match first_stmt(src) {
+            (RStmt::Distribute { slot, dist, .. }, names) => {
+                assert_eq!(names[slot], "a");
+                assert_eq!(dist, DistSpec::parse("(*, cyclic)").unwrap());
             }
             other => panic!("expected distribute, got {other:?}"),
         }
@@ -1056,19 +1129,19 @@ end
         let src = "parsub f(a, b; p)\n  processors p(q)\n  real a(12) dist (cyclic(3))\n  \
                    real b(8, 8) dist (cyclic(2), *)\n  distribute a (cyclic(4))\nend\n";
         let prog = parse(src).unwrap();
-        let dists: Vec<_> = prog.subs[0]
+        let dists: Vec<_> = prog.code[0]
             .decls
             .iter()
             .filter_map(|d| match d {
-                Decl::Arrays { dist, .. } => dist.clone(),
+                RDecl::Item { dist, .. } => dist.clone(),
                 _ => None,
             })
             .collect();
         assert_eq!(dists[0], DistSpec::parse("(cyclic(3))").unwrap());
         assert_eq!(dists[1], DistSpec::parse("(cyclic(2), *)").unwrap());
-        match &prog.subs[0].body[0].kind {
-            StmtKind::Distribute { name, dist, .. } => {
-                assert_eq!(name, "a");
+        match &prog.code[0].body[0] {
+            RStmt::Distribute { slot, dist, .. } => {
+                assert_eq!(prog.code[0].names[*slot], "a");
                 assert_eq!(dist, &DistSpec::parse("(cyclic(4))").unwrap());
             }
             other => panic!("expected distribute, got {other:?}"),
@@ -1106,17 +1179,12 @@ end
     #[test]
     fn one_armed_if() {
         let src = "parsub f(a; p)\n  processors p(q)\n  if (a > 1) x = 2\nend\n";
-        let prog = parse(src).unwrap();
-        match &prog.subs[0].body[0].kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
+        match first_stmt(src).0 {
+            RStmt::If(_, then_body, else_body) => {
                 assert_eq!(then_body.len(), 1);
                 assert!(else_body.is_empty());
             }
-            _ => panic!(),
+            other => panic!("expected if, got {other:?}"),
         }
     }
 
@@ -1126,26 +1194,60 @@ end
                    doall 100 i = 1, 8 on owner(a(i))\n    a(i) = a(i) + 1.0\n100 continue\nend\n";
         let prog = parse(src).unwrap();
         assert_eq!(prog.src, src);
-        let sub = &prog.subs[0];
-        assert_eq!(sub.name_span.slice(src), "f");
-        let StmtKind::Doall { body, ranges, .. } = &sub.body[0].kind else {
+        let RStmt::Doall(d) = &prog.code[0].body[0] else {
             panic!("expected doall");
         };
         // Doall statement span covers the header line.
-        assert_eq!(
-            sub.body[0].span.slice(src),
-            "doall 100 i = 1, 8 on owner(a(i))"
-        );
-        assert_eq!(ranges[0].0.span.slice(src), "1");
-        let StmtKind::Assign { lhs, rhs } = &body[0].kind else {
+        assert_eq!(d.at.0.slice(src), "doall 100 i = 1, 8 on owner(a(i))");
+        assert_eq!(d.ranges[0].0.span().slice(src), "1");
+        let RStmt::AssignElement { at, rhs, .. } = &d.body[0] else {
             panic!("expected assign");
         };
-        assert_eq!(lhs.span.slice(src), "a(i)");
-        assert_eq!(rhs.span.slice(src), "a(i) + 1.0");
-        let ExprKind::Bin { l, r, .. } = &rhs.kind else {
+        assert_eq!(at.0.slice(src), "a(i)");
+        assert_eq!(rhs.span().slice(src), "a(i) + 1.0");
+        let RExpr::Bin(_, l, r, _) = rhs else {
             panic!("expected bin");
         };
-        assert_eq!(l.span.slice(src), "a(i)");
-        assert_eq!(r.span.slice(src), "1.0");
+        assert_eq!(l.span().slice(src), "a(i)");
+        assert_eq!(r.span().slice(src), "1.0");
+    }
+
+    /// Slots are numbered in evaluation order where it differs from the
+    /// text's: a `processors` name after its extents, a right-hand side
+    /// before its target's subscripts, a `doall` step before its bounds.
+    #[test]
+    fn names_are_numbered_in_evaluation_order() {
+        let src = "parsub f(a; p)\n  processors g(n)\n  real a(8) dist (block)\n  \
+                   a(i) = b + c(j)\n  doall 10 k = lo, hi, st on owner(a(k))\n    a(k) = 0.0\n\
+                   10 continue\nend\n";
+        let names = &parse(src).unwrap().code[0].names;
+        let want = [
+            "a", "p", "n", "g", "b", "c", "j", "i", "k", "st", "lo", "hi",
+        ];
+        assert_eq!(names, &want);
+    }
+
+    /// A `call` resolves against every subroutine of the file, including
+    /// those defined further down, and a header keyword inside a body is
+    /// no header.
+    #[test]
+    fn calls_resolve_forward() {
+        let src =
+            "parsub t(a; p)\n  processors p(q)\n  call s(a; p)\n  call h(a)\n  call u(a)\nend\n\
+                   sub h(a)\nend\nparsub s(a; p)\n  processors p(q)\nend\n";
+        let prog = parse(src).unwrap();
+        let calls = prog.code[0].body.iter().map(|s| match s {
+            RStmt::Call {
+                callee, parallel, ..
+            } => match callee {
+                Callee::Sub(k) => (prog.code[*k].name.as_str(), *parallel),
+                _ => ("?", *parallel),
+            },
+            other => panic!("expected call, got {other:?}"),
+        });
+        assert_eq!(
+            calls.collect::<Vec<_>>(),
+            [("s", true), ("h", false), ("?", false)]
+        );
     }
 }

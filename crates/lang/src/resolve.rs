@@ -1,15 +1,15 @@
-//! Name resolution: the last step of [`crate::parse`].
+//! The resolved tree: the one tree [`crate::parse`] builds from KF1 text.
 //!
-//! Every subroutine gets a symbol table — one frame *slot* per distinct
-//! name — and its declarations and body are rebuilt as nodes that carry
-//! slots instead of strings. This resolved tree is what every later stage
-//! reads: the analyzer ([`crate::analyze`]) indexes what the declarations
+//! Every subroutine has a symbol table — one frame *slot* per distinct
+//! name — and its declarations and body are nodes that carry slots
+//! instead of strings. This tree is what every later stage reads: the
+//! analyzer ([`crate::analyze`]) indexes what the declarations
 //! make of each slot ([`Declared`]) instead of looking names up, the
 //! static communication plans ([`crate::comm_plans`]) are fields of the
 //! `doall` nodes ([`RDoall::plan`]), and the interpreter indexes a flat
 //! frame and never hashes or compares a name while a program runs.
 //! Everything else that is a pure function of the program text is
-//! computed here once, rather than per trip or per element: the flop
+//! computed once per parse, rather than per trip or per element: the flop
 //! charge of each assignment, which intrinsic or builtin a name denotes,
 //! the callee of each `call`, and per `doall` site the facts the engine
 //! asks of a body ([`RDoall`]: its exchange-list names, the names its
@@ -20,15 +20,19 @@
 //! classification. The nodes diagnostics point at carry their source
 //! spans.
 //!
+//! The `doall` facts are gathered here, in one walk over each closed
+//! body ([`RDoall::new`]), and so is whether a subroutine can run in
+//! lockstep ([`lockstep`]).
+//!
 //! Resolution is total: every program that parses resolves. A name that
 //! denotes nothing still gets a slot; the analyzer reports it, and the
 //! interpreter rejects it if it executes.
 
 use kali_grid::DistSpec;
 
-use crate::ast::*;
+use crate::ast::{BinOp, UnOp};
 use crate::diag::Span;
-use crate::lower::{compile, compile_loop, Kernel};
+use crate::lower::{compile, Kernel};
 use crate::value::Value;
 
 /// Index of a name in its subroutine's symbol table, and of its binding
@@ -61,7 +65,7 @@ pub(crate) enum Intrinsic {
 }
 
 impl Intrinsic {
-    fn of(name: &str) -> Option<Intrinsic> {
+    pub(crate) fn of(name: &str) -> Option<Intrinsic> {
         Some(match name {
             "log2" => Intrinsic::Log2,
             "mod" => Intrinsic::Mod,
@@ -94,7 +98,7 @@ pub(crate) enum Builtin {
 }
 
 impl Builtin {
-    fn of(name: &str) -> Option<Builtin> {
+    pub(crate) fn of(name: &str) -> Option<Builtin> {
         let all = [Builtin::Reduce, Builtin::Seqtri, Builtin::Spmv];
         all.into_iter().find(|b| b.name() == name)
     }
@@ -137,6 +141,39 @@ impl RExpr {
             | RExpr::Un(.., at)
             | RExpr::Bin(.., at)
             | RExpr::Ref(.., at) => at.0,
+        }
+    }
+
+    /// Static count of arithmetic operations, charged as virtual flops per
+    /// execution of an assignment.
+    pub(crate) fn flop_count(&self) -> f64 {
+        match self {
+            RExpr::Const(..) | RExpr::Var(..) => 0.0,
+            RExpr::Ref(_, _, args, _) => {
+                let args = args
+                    .iter()
+                    .map(|a| a.as_ref().map_or(0.0, RExpr::flop_count));
+                args.sum()
+            }
+            RExpr::Un(_, e, _) => 1.0 + e.flop_count(),
+            RExpr::Bin(_, l, r, _) => 1.0 + l.flop_count() + r.flop_count(),
+        }
+    }
+
+    /// Give every slot `s` in the expression the number `to(s)`.
+    pub(crate) fn renumber(&mut self, to: &impl Fn(Slot) -> Slot) {
+        match self {
+            RExpr::Const(..) => {}
+            RExpr::Var(slot, _) => *slot = to(*slot),
+            RExpr::Un(_, e, _) => e.renumber(to),
+            RExpr::Bin(_, l, r, _) => {
+                l.renumber(to);
+                r.renumber(to);
+            }
+            RExpr::Ref(slot, _, args, _) => {
+                *slot = to(*slot);
+                args.iter_mut().flatten().for_each(|a| a.renumber(to));
+            }
         }
     }
 }
@@ -356,42 +393,12 @@ impl RSub {
     }
 }
 
-/// Resolve the subroutines of a parse, index for index.
-pub(crate) fn resolve(subs: &[Subroutine]) -> Vec<RSub> {
-    let resolved = subs.iter().map(|sub| {
-        let mut r = Resolver::default();
-        let params = sub.params.iter().map(|p| r.slot(p)).collect();
-        let proc_param = sub.proc_param.as_ref().map(|p| r.slot(p));
-        if let Some(pp) = proc_param {
-            r.declared[pp].procs = Some(0);
-        }
-        for d in &sub.decls {
-            r.decl(d);
-        }
-        let body = r.stmts(subs, &sub.body);
-        let mut sub = RSub {
-            name: sub.name.clone(),
-            parallel: sub.parallel,
-            params,
-            proc_param,
-            names: r.names,
-            decls: r.decls,
-            declared: r.declared,
-            body,
-            lockstep: false,
-        };
-        sub.lockstep = lockstep(&sub);
-        sub
-    });
-    resolved.collect()
-}
-
 /// Can the lines of a team call run `sub` in lockstep? It is a parallel
 /// subroutine without parallel calls or `distribute`, every doall is a
 /// top-level statement, and no other statement reads an element of an
 /// array parameter or returns below the top level: the replicated control
 /// flow is then the same for every line.
-fn lockstep(sub: &RSub) -> bool {
+pub(crate) fn lockstep(sub: &RSub) -> bool {
     let mut global = |n: Node| {
         matches!(
             n,
@@ -458,7 +465,8 @@ fn batchable(d: &RDoall) -> bool {
 }
 
 /// What a doall body's text says about it (the fields of [`RDoall`]),
-/// gathered while the body is resolved.
+/// gathered in one walk over the body in the order the interpreter
+/// evaluates it: a right-hand side before its target's subscripts.
 #[derive(Default)]
 struct Facts {
     reads: Vec<(Slot, Span)>,
@@ -468,12 +476,15 @@ struct Facts {
     defines: Vec<Slot>,
     team_call: bool,
     uncacheable: bool,
+    /// Placement of the expression being walked ([`Occurrence`]).
+    base: Base,
+    path: Vec<(Slot, bool)>,
 }
 
-/// What an expression's names mean to the innermost enclosing doall:
-/// nothing; a read (an argument of a user-subroutine call — the callee's
-/// own reads are invisible, so nothing of the call is keyed); or a read
-/// that also enters the schedule key.
+/// What an expression's names mean to the doall: nothing; a read (an
+/// argument of a user-subroutine call — the callee's own reads are
+/// invisible, so nothing of the call is keyed); or a read that also
+/// enters the schedule key.
 #[derive(Clone, Copy, PartialEq)]
 enum Note {
     Off,
@@ -488,262 +499,116 @@ fn push_new(list: &mut Vec<Slot>, s: Slot) {
     }
 }
 
-/// One subroutine's resolution: its symbol table and declarations under
-/// construction and the facts of the doall bodies now open, innermost
-/// last.
-#[derive(Default)]
-struct Resolver {
-    names: Vec<String>,
-    decls: Vec<RDecl>,
-    /// Slot → what the declarations so far make of it.
-    declared: Vec<Declared>,
-    open: Vec<Facts>,
-    /// Placement of the expression being resolved ([`Occurrence`]).
-    base: Base,
-    path: Vec<(Slot, bool)>,
-}
-
-impl Resolver {
-    fn slot(&mut self, name: &str) -> Slot {
-        let known = self.names.iter().position(|n| n == name);
-        known.unwrap_or_else(|| {
-            self.names.push(name.to_string());
-            self.declared.push(Declared::default());
-            self.names.len() - 1
-        })
+impl Facts {
+    fn of(body: &[RStmt]) -> Facts {
+        let mut f = Facts::default();
+        body.iter().for_each(|s| f.stmt(s));
+        f
     }
 
-    fn is_array(&self, slot: Slot) -> bool {
-        self.declared[slot].array.is_some()
-    }
-
-    /// The slot of a name occurring at `span`, noted as `note` says.
-    fn noted(&mut self, name: &str, span: Span, note: Note) -> Slot {
-        let slot = self.slot(name);
-        if let (Some(f), true) = (self.open.last_mut(), note != Off) {
-            if !f.reads.iter().any(|(s, _)| *s == slot) {
-                f.reads.push((slot, span));
-            }
-            if note == Keyed {
-                push_new(&mut f.names, slot);
-            }
+    /// A name occurring at `span`, noted as `note` says.
+    fn note(&mut self, slot: Slot, span: Span, note: Note) {
+        if note != Off && !self.reads.iter().any(|(s, _)| *s == slot) {
+            self.reads.push((slot, span));
         }
-        slot
+        if note == Keyed {
+            push_new(&mut self.names, slot);
+        }
     }
 
     /// A keyed name occurring in an expression (or as the section whose
     /// *values* `spmv` derives its gather from): placed for
     /// [`sched_names`].
-    fn placed(&mut self, slot: Slot, note: Note) -> Slot {
-        if let (Some(f), Keyed) = (self.open.last_mut(), note) {
-            f.keyed.push(Occurrence {
-                slot,
-                base: self.base,
-                path: self.path.clone(),
-            });
+    fn place(&mut self, slot: Slot, note: Note) {
+        if note == Keyed {
+            let (base, path) = (self.base, self.path.clone());
+            self.keyed.push(Occurrence { slot, base, path });
         }
-        slot
     }
 
-    /// The slot of an assignment target or loop variable: keyed, never a
-    /// read; a scalar one is defined by the body.
-    fn target(&mut self, name: &str, scalar: bool) -> Slot {
-        let slot = self.slot(name);
-        if let Some(f) = self.open.last_mut() {
-            push_new(&mut f.names, slot);
-            if scalar {
-                f.defines.push(slot);
+    fn expr(&mut self, e: &RExpr, note: Note) {
+        match e {
+            RExpr::Const(..) => {}
+            RExpr::Var(slot, at) => {
+                self.note(*slot, at.0, note);
+                self.place(*slot, note);
             }
-        }
-        slot
-    }
-
-    fn expr(&mut self, e: &Expr, note: Note) -> RExpr {
-        let at = At(e.span);
-        match &e.kind {
-            ExprKind::Int(v) => RExpr::Const(Value::Int(*v), at),
-            ExprKind::Real(v) => RExpr::Const(Value::Real(*v), at),
-            ExprKind::Var(n) => {
-                let slot = self.noted(n, e.span, note);
-                RExpr::Var(self.placed(slot, note), at)
+            RExpr::Un(_, e, _) => self.expr(e, note),
+            RExpr::Bin(_, l, r, _) => {
+                self.expr(l, note);
+                self.expr(r, note);
             }
-            ExprKind::Un { op, e } => RExpr::Un(*op, Box::new(self.expr(e, note)), at),
-            ExprKind::Bin { op, l, r } => RExpr::Bin(
-                *op,
-                Box::new(self.expr(l, note)),
-                Box::new(self.expr(r, note)),
-                at,
-            ),
-            ExprKind::Ref { name, args } => {
-                let slot = self.noted(name, e.span, note);
-                self.placed(slot, note);
-                let intrinsic = Intrinsic::of(name);
+            RExpr::Ref(slot, intrinsic, args, at) => {
+                self.note(*slot, at.0, note);
+                self.place(*slot, note);
                 let bound = matches!(intrinsic, Some(Intrinsic::Lower | Intrinsic::Upper));
-                let args = args.iter().enumerate().map(|(k, a)| match a {
-                    RefArg::Expr(e) => {
-                        self.path.push((slot, bound && k == 0));
-                        let arg = self.expr(e, note);
+                for (k, arg) in args.iter().enumerate() {
+                    if let Some(arg) = arg {
+                        self.path.push((*slot, bound && k == 0));
+                        self.expr(arg, note);
                         self.path.pop();
-                        Some(arg)
                     }
-                    RefArg::Star => None,
-                });
-                RExpr::Ref(slot, intrinsic, args.collect(), at)
-            }
-        }
-    }
-
-    fn starred(&mut self, subs: &[Option<Expr>]) -> Vec<Option<RExpr>> {
-        let subs = subs.iter().map(|s| s.as_ref().map(|e| self.expr(e, Off)));
-        subs.collect()
-    }
-
-    fn proc_expr(&mut self, pe: &ProcExpr) -> RProcExpr {
-        match pe {
-            ProcExpr::Whole(n) => RProcExpr::Whole(self.slot(n)),
-            ProcExpr::Select { name, subs } => {
-                RProcExpr::Select(self.slot(name), self.starred(subs))
-            }
-            ProcExpr::Owner { array, subs } => {
-                RProcExpr::Owner(self.slot(array), self.starred(subs))
-            }
-        }
-    }
-
-    /// Resolve a declaration into [`Resolver::decls`], noting what it
-    /// makes of its names.
-    fn decl(&mut self, d: &Decl) {
-        match d {
-            Decl::Processors { name, extents, .. } => {
-                let extents: Vec<_> = extents.iter().map(|e| self.expr(e, Off)).collect();
-                let slot = self.slot(name);
-                self.declared[slot].procs = Some(extents.len());
-                self.decls.push(RDecl::Processors(slot, extents));
-            }
-            Decl::Arrays {
-                is_real,
-                items,
-                dist,
-                ..
-            } => {
-                for it in items {
-                    let slot = self.slot(&it.name);
-                    let dims = it.dims.iter();
-                    let bounds: Vec<_> = dims
-                        .map(|(lo, hi)| (self.expr(lo, Off), self.expr(hi, Off)))
-                        .collect();
-                    if !bounds.is_empty() {
-                        self.declared[slot].array = Some(self.decls.len());
-                    }
-                    self.decls.push(RDecl::Item {
-                        slot,
-                        is_real: *is_real,
-                        bounds,
-                        dist: dist.clone(),
-                    });
                 }
             }
         }
     }
 
-    fn stmts(&mut self, prog: &[Subroutine], body: &[Stmt]) -> Vec<RStmt> {
-        body.iter().map(|s| self.stmt(prog, s)).collect()
-    }
-
-    fn stmt(&mut self, prog: &[Subroutine], s: &Stmt) -> RStmt {
-        match &s.kind {
-            StmtKind::Assign { lhs, rhs } => {
-                let flops = rhs.flop_count();
-                let scalar = matches!(lhs.kind, LValueKind::Scalar(_));
-                let slot = self.target(lhs.name(), scalar);
-                self.base = if scalar {
-                    Base::IfSched(slot)
-                } else {
-                    Base::Never
-                };
-                let rhs = self.expr(rhs, Keyed);
+    fn stmt(&mut self, s: &RStmt) {
+        match s {
+            // An assignment target is keyed, never a read; a scalar one is
+            // defined by the body.
+            RStmt::AssignScalar { slot, rhs, .. } => {
+                push_new(&mut self.names, *slot);
+                self.defines.push(*slot);
+                self.base = Base::IfSched(*slot);
+                self.expr(rhs, Keyed);
                 self.base = Base::Always;
-                let at = At(lhs.span);
-                match &lhs.kind {
-                    LValueKind::Scalar(_) => RStmt::AssignScalar {
-                        slot,
-                        rhs,
-                        flops,
-                        at,
-                    },
-                    LValueKind::Element { subs, .. } => RStmt::AssignElement {
-                        slot,
-                        subs: subs.iter().map(|e| self.expr(e, Keyed)).collect(),
-                        rhs,
-                        flops,
-                        at,
-                    },
-                }
             }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => RStmt::If(
-                self.expr(cond, Keyed),
-                self.stmts(prog, then_body),
-                self.stmts(prog, else_body),
-            ),
-            StmtKind::Do {
+            RStmt::AssignElement {
+                slot, subs, rhs, ..
+            } => {
+                push_new(&mut self.names, *slot);
+                self.base = Base::Never;
+                self.expr(rhs, Keyed);
+                self.base = Base::Always;
+                subs.iter().for_each(|e| self.expr(e, Keyed));
+            }
+            RStmt::If(cond, then_body, else_body) => {
+                self.expr(cond, Keyed);
+                then_body.iter().chain(else_body).for_each(|s| self.stmt(s));
+            }
+            // The loop variable is defined by the body, but keyed only
+            // where something mentions it.
+            RStmt::Do {
                 var,
                 lo,
                 hi,
                 step,
                 body,
+                ..
             } => {
-                // The loop variable is defined by the body, but keyed only
-                // where something mentions it.
-                let var = self.slot(var);
-                if let Some(f) = self.open.last_mut() {
-                    f.defines.push(var);
-                }
-                let (lo, hi) = (self.expr(lo, Keyed), self.expr(hi, Keyed));
-                let step = step.as_ref().map(|e| self.expr(e, Keyed));
-                let body = self.stmts(prog, body);
-                RStmt::Do {
-                    kernel: compile_loop(var, step.as_ref(), &body),
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                }
+                self.defines.push(*var);
+                [lo, hi]
+                    .into_iter()
+                    .chain(step)
+                    .for_each(|e| self.expr(e, Keyed));
+                body.iter().for_each(|s| self.stmt(s));
             }
-            StmtKind::Return => RStmt::Return,
+            RStmt::Return => {}
             // `distribute` rewrites ownership — never cache around it.
-            StmtKind::Distribute {
-                name,
-                name_span,
-                dist,
-            } => {
-                if let Some(f) = self.open.last_mut() {
-                    f.uncacheable = true;
-                }
-                RStmt::Distribute {
-                    slot: self.slot(name),
-                    dist: dist.clone(),
-                    at: At(s.span),
-                    name_at: At(*name_span),
-                }
-            }
-            StmtKind::Call {
-                name,
-                name_span,
+            RStmt::Distribute { .. } => self.uncacheable = true,
+            RStmt::Call {
+                callee,
                 args,
-                on,
+                parallel,
+                ..
             } => {
-                let builtin = Builtin::of(name);
-                let sub = prog.iter().position(|s| s.name == *name);
-                let parallel = sub.is_some_and(|k| prog[k].parallel);
-                if let Some(f) = self.open.last_mut() {
-                    f.uncacheable |= builtin.is_none();
-                    f.team_call |= parallel;
-                }
+                let builtin = match callee {
+                    Callee::Builtin(b) => Some(*b),
+                    _ => None,
+                };
+                self.uncacheable |= builtin.is_none();
+                self.team_call |= parallel;
                 // Builtin section arguments are reads of the named array;
                 // the gathered operand of `spmv` in particular must enter
                 // the exchange, or its inspector-recorded remote columns
@@ -752,144 +617,128 @@ impl Resolver {
                     Some(_) => (Keyed, Keyed),
                     None => (Read, Off),
                 };
-                let args = args.iter().enumerate().map(|(k, a)| match a {
-                    Arg::Expr(e) => RArg::Expr(self.expr(e, expr_note)),
-                    Arg::Section {
-                        name,
-                        name_span,
-                        subs,
-                    } => {
-                        let slot = self.noted(name, *name_span, section_note);
-                        // spmv derives its x-gather from the *values* of
-                        // the column-index section (argument 2): those
-                        // values are schedule-relevant the same way a
-                        // subscript array would be.
-                        if builtin == Some(Builtin::Spmv) && k == 1 {
-                            self.placed(slot, Keyed);
+                for (k, arg) in args.iter().enumerate() {
+                    let (slot, secs, at) = match arg {
+                        RArg::Expr(e) => {
+                            self.expr(e, expr_note);
+                            continue;
                         }
-                        let subs = subs.iter().map(|sec| match sec {
-                            Section::Index(e) => RSection::Index(self.expr(e, section_note)),
-                            Section::Range(a, b) => RSection::Range(
-                                self.expr(a, section_note),
-                                self.expr(b, section_note),
-                            ),
-                            Section::All => RSection::All,
-                        });
-                        RArg::Section(slot, subs.collect(), At(*name_span))
+                        RArg::Section(slot, secs, at) => (*slot, secs, at),
+                    };
+                    self.note(slot, at.0, section_note);
+                    // spmv derives its x-gather from the *values* of the
+                    // column-index section (argument 2): those values are
+                    // schedule-relevant the same way a subscript array
+                    // would be.
+                    if builtin == Some(Builtin::Spmv) && k == 1 {
+                        self.place(slot, Keyed);
                     }
-                });
-                let args = args.collect();
-                let callee = match (builtin, sub) {
-                    (Some(b), _) => Callee::Builtin(b),
-                    (None, Some(k)) => Callee::Sub(k),
-                    (None, None) => Callee::Unknown(name.clone()),
-                };
-                RStmt::Call {
-                    callee,
-                    args,
-                    on: on.as_ref().map(|pe| self.proc_expr(pe)),
-                    at: At(*name_span),
-                    parallel,
+                    for sec in secs {
+                        match sec {
+                            RSection::Index(e) => self.expr(e, section_note),
+                            RSection::Range(a, b) => {
+                                self.expr(a, section_note);
+                                self.expr(b, section_note);
+                            }
+                            RSection::All => {}
+                        }
+                    }
                 }
             }
-            StmtKind::Doall {
-                site,
-                vars,
-                ranges,
-                on,
-                body,
-            } => {
-                let vars: Vec<Slot> = vars.iter().map(|v| self.slot(v)).collect();
-                let ranges = ranges.iter().map(|(lo, hi, step)| {
-                    let step = step.as_ref().map(|e| self.expr(e, Off));
-                    (self.expr(lo, Off), self.expr(hi, Off), step)
-                });
-                let ranges = ranges.collect();
-                let on = match on {
-                    OnClause::Owner { array, subs } => {
-                        RProcExpr::Owner(self.slot(array), self.starred(subs))
-                    }
-                    OnClause::Procs(pe) => self.proc_expr(pe),
-                };
-                let nested = !self.open.is_empty();
-                self.open.push(Facts::default());
-                let body = self.stmts(prog, body);
-                let mut f = self.open.pop().expect("pushed above");
-                // Nested doalls error in the inspector path — never cache
-                // around one. Its variables and scalar assignments still
-                // count as defined by the enclosing body.
-                if let Some(outer) = self.open.last_mut() {
-                    outer.uncacheable = true;
-                    outer.defines.extend(vars.iter().chain(&f.defines));
-                }
-                f.names.sort_by(|a, b| self.names[*a].cmp(&self.names[*b]));
-                let reads = f.reads.iter().map(|&(slot, span)| ReadName {
-                    slot,
-                    span,
-                    may_be_unbound: Intrinsic::of(&self.names[slot]).is_some()
-                        || Builtin::of(&self.names[slot]).is_some()
-                        || vars.contains(&slot)
-                        || f.defines.contains(&slot),
-                });
-                let mut d = RDoall {
-                    site: *site,
-                    at: At(s.span),
-                    reads: reads.collect(),
-                    plan: if nested { None } else { self.plan(&body) },
-                    vars,
-                    ranges,
-                    on,
-                    body,
-                    team_call: f.team_call,
-                    names: f.names,
-                    keyed: f.keyed,
-                    cacheable: !f.uncacheable,
-                    kernel: None,
-                    batch: false,
-                };
-                d.kernel = compile(&d);
-                d.batch = batchable(&d);
-                RStmt::Doall(d)
+            // Nested doalls error in the inspector path — never cache
+            // around one. Its variables and scalar assignments still count
+            // as defined by the enclosing body.
+            RStmt::Doall(d) => {
+                self.uncacheable = true;
+                self.defines.extend(&d.vars);
+                self.defines.extend(Facts::of(&d.body).defines);
             }
         }
     }
+}
 
-    /// A doall body's [`RDoall::plan`], if it has one. The interpreter
-    /// evaluates a right-hand side before the target's subscripts, and
-    /// those are required free of array reads: the right-hand sides'
-    /// element references, in order, are every read.
-    fn plan(&self, body: &[RStmt]) -> Option<Vec<(Slot, Vec<RExpr>)>> {
-        let scalar_pure =
-            |e: &RExpr| !any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))));
-        let mut reads = Vec::new();
-        for s in body {
-            let RStmt::AssignElement {
-                slot, subs, rhs, ..
-            } = s
-            else {
-                return None;
-            };
-            if !self.is_array(*slot) || !subs.iter().all(scalar_pure) {
-                return None;
-            }
-            let outside = any_expr(rhs, &mut |n| {
-                let Node::Expr(RExpr::Ref(slot, _, args, _)) = n else {
-                    return false;
-                };
-                // An intrinsic or unknown name may hide reads in its value.
-                let pure = args.iter().all(|a| a.as_ref().is_some_and(scalar_pure));
-                if !self.is_array(*slot) || !pure {
-                    return true;
-                }
-                reads.push((*slot, args.iter().flatten().cloned().collect()));
-                false
-            });
-            if outside {
-                return None;
-            }
-        }
-        Some(reads)
+impl RDoall {
+    /// A `doall` node with what its text determines, in a subroutine
+    /// whose symbol table is `names` and whose declarations make `declared`
+    /// of it; `nested` inside another `doall`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        site: usize,
+        at: At,
+        vars: Vec<Slot>,
+        ranges: Vec<(RExpr, RExpr, Option<RExpr>)>,
+        on: RProcExpr,
+        body: Vec<RStmt>,
+        nested: bool,
+        (names, declared): (&[String], &[Declared]),
+    ) -> RDoall {
+        let mut f = Facts::of(&body);
+        f.names.sort_by(|a, b| names[*a].cmp(&names[*b]));
+        let reads = f.reads.iter().map(|&(slot, span)| ReadName {
+            slot,
+            span,
+            may_be_unbound: Intrinsic::of(&names[slot]).is_some()
+                || Builtin::of(&names[slot]).is_some()
+                || vars.contains(&slot)
+                || f.defines.contains(&slot),
+        });
+        let is_array = |slot: Slot| declared[slot].array.is_some();
+        let mut d = RDoall {
+            site,
+            at,
+            reads: reads.collect(),
+            plan: if nested { None } else { plan(&body, is_array) },
+            vars,
+            ranges,
+            on,
+            body,
+            team_call: f.team_call,
+            names: f.names,
+            keyed: f.keyed,
+            cacheable: !f.uncacheable,
+            kernel: None,
+            batch: false,
+        };
+        d.kernel = compile(&d);
+        d.batch = batchable(&d);
+        d
     }
+}
+
+/// A doall body's [`RDoall::plan`], if it has one. The interpreter
+/// evaluates a right-hand side before the target's subscripts, and those
+/// are required free of array reads: the right-hand sides' element
+/// references, in order, are every read.
+fn plan(body: &[RStmt], is_array: impl Fn(Slot) -> bool) -> Option<Vec<(Slot, Vec<RExpr>)>> {
+    let scalar_pure = |e: &RExpr| !any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))));
+    let mut reads = Vec::new();
+    for s in body {
+        let RStmt::AssignElement {
+            slot, subs, rhs, ..
+        } = s
+        else {
+            return None;
+        };
+        if !is_array(*slot) || !subs.iter().all(scalar_pure) {
+            return None;
+        }
+        let outside = any_expr(rhs, &mut |n| {
+            let Node::Expr(RExpr::Ref(slot, _, args, _)) = n else {
+                return false;
+            };
+            // An intrinsic or unknown name may hide reads in its value.
+            let pure = args.iter().all(|a| a.as_ref().is_some_and(scalar_pure));
+            if !is_array(*slot) || !pure {
+                return true;
+            }
+            reads.push((*slot, args.iter().flatten().cloned().collect()));
+            false
+        });
+        if outside {
+            return None;
+        }
+    }
+    Some(reads)
 }
 
 /// A node of a resolved body, as [`any_stmt`] and [`any_expr`] visit it.
@@ -1002,6 +851,32 @@ pub(crate) fn sched_names(d: &RDoall, is_array: impl Fn(Slot) -> bool) -> Vec<Sl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Program;
+
+    #[test]
+    fn flop_count_counts_operators() {
+        let at = At(Span::default());
+        let leaf = |e: RExpr| Box::new(e);
+        let product = RExpr::Bin(
+            BinOp::Mul,
+            leaf(RExpr::Const(Value::Real(0.25), at)),
+            leaf(RExpr::Var(0, at)),
+            at,
+        );
+        let sum = RExpr::Bin(
+            BinOp::Add,
+            leaf(product),
+            leaf(RExpr::Const(Value::Int(1), at)),
+            at,
+        );
+        assert_eq!(sum.flop_count(), 2.0);
+        // Subscripts count, the reference itself does not.
+        let neg = RExpr::Un(UnOp::Neg, leaf(RExpr::Var(1, at)), at);
+        assert_eq!(
+            RExpr::Ref(2, None, vec![Some(sum), None, Some(neg)], at).flop_count(),
+            3.0
+        );
+    }
 
     /// The first doall of a program's first subroutine, with its symbol
     /// table.
@@ -1102,6 +977,208 @@ end
                 .expect("k is read");
             assert_eq!(k.may_be_unbound, stmt.starts_with("doall"), "{stmt}");
         }
+    }
+
+    /// What the front end derives from each shipped listing's text, one
+    /// line per fact: per `doall` its site, reads in order (`?` marks
+    /// `may_be_unbound`), key names, the keyed names when every declared
+    /// array is bound to an array, `cacheable`, `team_call`, the plan's
+    /// arrays, `kernel` and `batch`; per `call` its callee and `parallel`;
+    /// per `do` whether it compiled; per subroutine `lockstep`.
+    fn facts(listing: &str) -> Vec<String> {
+        let prog = crate::parse(crate::listing(listing).unwrap()).unwrap();
+        let mut out = Vec::new();
+        for sub in &prog.code {
+            let name = |s: &Slot| sub.names[*s].clone();
+            let list =
+                |slots: &mut dyn Iterator<Item = String>| slots.collect::<Vec<_>>().join(" ");
+            out.push(format!("{} lockstep {}", sub.name, sub.lockstep));
+            any_stmt(&sub.body, &mut |n| {
+                let line = match n {
+                    Node::Stmt(RStmt::Doall(d)) => {
+                        let reads = d.reads.iter().map(|r| {
+                            format!(
+                                "{}{}",
+                                name(&r.slot),
+                                if r.may_be_unbound { "?" } else { "" }
+                            )
+                        });
+                        let keyed = sched_names(d, |s| sub.declared[s].array.is_some());
+                        let plan = match &d.plan {
+                            Some(reads) => list(&mut reads.iter().map(|(s, _)| name(s))),
+                            None => "none".into(),
+                        };
+                        format!(
+                            "  doall {}\n    reads {}\n    names {}\n    keyed {}\n    \
+                             plan {plan}\n    cacheable {} team_call {} kernel {} batch {}",
+                            d.site,
+                            list(&mut reads.into_iter()),
+                            list(&mut d.names.iter().map(name)),
+                            list(&mut keyed.iter().map(name)),
+                            d.cacheable,
+                            d.team_call,
+                            d.kernel.is_some(),
+                            d.batch,
+                        )
+                    }
+                    Node::Stmt(RStmt::Call {
+                        callee, parallel, ..
+                    }) => {
+                        let callee = match callee {
+                            Callee::Builtin(b) => b.name().to_string(),
+                            Callee::Sub(k) => prog.code[*k].name.clone(),
+                            Callee::Unknown(n) => format!("unknown {n}"),
+                        };
+                        format!("  call {callee} parallel {parallel}")
+                    }
+                    Node::Stmt(RStmt::Do { var, kernel, .. }) => {
+                        format!("  do {} kernel {}", name(var), kernel.is_some())
+                    }
+                    _ => return false,
+                };
+                out.push(line);
+                false
+            });
+        }
+        out
+    }
+
+    /// [`facts`] of the five listings, pinned.
+    const FACTS: &str = "\
+jacobi
+jacobi lockstep false
+  do it kernel false
+  doall 0
+    reads x i? j? f
+    names f i j x
+    keyed i j
+    plan x x x x f
+    cacheable true team_call false kernel true batch false
+shift
+shift lockstep true
+  doall 0
+    reads a i?
+    names a i
+    keyed i
+    plan a
+    cacheable true team_call false kernel true batch false
+tri
+tri lockstep true
+  doall 0
+    reads lower? x procs ip? upper? b lo? hi? a c f
+    names a b c f hi ip lo lower procs ra rb rc rf upper x
+    keyed lo hi ip lower procs upper
+    plan none
+    cacheable true team_call false kernel false batch false
+  call reduce parallel false
+  doall 1
+    reads m rb k? ip? ra rc rf
+    names ip k m ra rb rc rf wa wb wc wf
+    keyed m k ip
+    plan none
+    cacheable true team_call false kernel false batch false
+  do k kernel false
+  doall 2
+    reads wy ip? wb wa wc wf m
+    names ip m wa wb wc wf wy
+    keyed ip m
+    plan none
+    cacheable true team_call false kernel false batch false
+  call seqtri parallel false
+  doall 3
+    reads lower? x procs ip? upper? wy lo? hi? f i? b c a
+    names a b c f hi i ip lo lower procs upper wy x
+    keyed ip lo hi i lower procs upper
+    plan none
+    cacheable true team_call false kernel false batch false
+  do i kernel true
+adi
+adi lockstep false
+  do it kernel false
+  call resid parallel true
+  doall 0
+    reads rho cy np
+    names 
+    keyed 
+    plan none
+    cacheable false team_call true kernel false batch true
+  call tric parallel true
+  call resid parallel true
+  doall 1
+    reads rho cx np
+    names 
+    keyed 
+    plan none
+    cacheable false team_call true kernel false batch true
+  call tric parallel true
+resid lockstep true
+  doall 2
+    reads f i? j? cx u cy cd
+    names cd cx cy f i j r u
+    keyed i j
+    plan f u u u u u
+    cacheable true team_call false kernel true batch false
+tric lockstep true
+  doall 3
+    reads max? lower? x procs ip? min? upper? n lo? hi? cc i? rho g
+    names a b c cc f g hi i ip lo lower max min n procs rho upper x
+    keyed lo hi i n max lower procs ip min upper
+    plan none
+    cacheable true team_call false kernel false batch false
+  do i kernel true
+  doall 4
+    reads max? lower? x procs ip? min? upper? n b lo? hi? a c f
+    names a b c f hi ip lo lower max min n procs ra rb rc rf upper x
+    keyed lo hi ip max lower procs min upper n
+    plan none
+    cacheable true team_call false kernel false batch false
+  call reduce parallel false
+  doall 5
+    reads m rb k? ip? ra rc rf
+    names ip k m ra rb rc rf wa wb wc wf
+    keyed m k ip
+    plan none
+    cacheable true team_call false kernel false batch false
+  do k kernel false
+  doall 6
+    reads wy ip? wb wa wc wf m
+    names ip m wa wb wc wf wy
+    keyed ip m
+    plan none
+    cacheable true team_call false kernel false batch false
+  call seqtri parallel false
+  doall 7
+    reads max? lower? x procs ip? min? upper? n lo? wy hi? i? f b c a
+    names a b c f hi i ip lo lower max min n procs upper wy x
+    keyed lo ip hi i max lower procs min upper n
+    plan none
+    cacheable true team_call false kernel false batch false
+  do i kernel true
+spmv
+spmvit lockstep false
+  do t kernel false
+  doall 0
+    reads y i? ci rp av x n
+    names av ci i n rp x y
+    keyed i ci rp n
+    plan none
+    cacheable true team_call false kernel false batch false
+  call spmv parallel false
+  doall 1
+    reads y i?
+    names i x y
+    keyed i
+    plan y
+    cacheable true team_call false kernel true batch false
+";
+
+    #[test]
+    fn the_front_end_facts_of_the_listings() {
+        let mut got = String::new();
+        for listing in ["jacobi", "shift", "tri", "adi", "spmv"] {
+            got += &format!("{listing}\n{}\n", facts(listing).join("\n"));
+        }
+        assert_eq!(got, FACTS);
     }
 
     /// The lines of a team call bind disjoint storage only when every loop

@@ -130,13 +130,8 @@ impl ArrObj {
         Ok(f)
     }
 
-    /// Inverse of [`ArrObj::flat`].
-    pub fn unflat(&self, f: usize) -> Vec<i64> {
-        let mut idxs = [0i64; MAX_RANK];
-        self.unflat_into(f, &mut idxs).to_vec()
-    }
-
-    /// [`ArrObj::unflat`] into a stack array; returns the filled prefix.
+    /// Inverse of [`ArrObj::flat`], into a stack array; returns the filled
+    /// prefix.
     pub fn unflat_into<'o>(&self, mut f: usize, out: &'o mut [i64; MAX_RANK]) -> &'o [i64] {
         for d in (0..self.ndims()).rev() {
             let e = self.extent(d);
@@ -375,7 +370,7 @@ mod tests {
         assert_eq!(a.flat(&[0, 0]).unwrap(), 0);
         assert_eq!(a.flat(&[1, 2]).unwrap(), 7);
         assert!(a.flat(&[5, 0]).is_err());
-        assert_eq!(a.unflat(7), vec![1, 2]);
+        assert_eq!(a.unflat_into(7, &mut [0; MAX_RANK]), [1, 2]);
     }
 
     #[test]
@@ -428,7 +423,7 @@ mod tests {
         for grid in &grids {
             for a in (1..=3).flat_map(|rank| layouts(rank, grid)) {
                 for flat in 0..a.total_len() {
-                    let idxs = a.unflat(flat);
+                    let idxs = a.unflat_into(flat, &mut [0; MAX_RANK]).to_vec();
                     let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
                     let owner = a.owner_of(&idxs).expect("distributed and in bounds");
                     assert_eq!(
@@ -460,7 +455,7 @@ mod tests {
                 // Outside a distributed dimension's bounds nobody owns.
                 for d in (0..a.ndims()).filter(|&d| a.layout.spec().map(d) != DimMap::Local) {
                     for out in [a.bounds[d].0 - 1, a.bounds[d].1 + 1] {
-                        let mut idxs = a.unflat(0);
+                        let mut idxs = a.unflat_into(0, &mut [0; MAX_RANK]).to_vec();
                         idxs[d] = out;
                         assert_eq!(a.owner_of(&idxs), None);
                         let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
@@ -496,7 +491,7 @@ mod tests {
         let err = v.to_base_into(&idxs, MAX_RANK + 2, &mut out).unwrap_err();
         assert!(err.contains("subscripted with 9 indices"), "{err}");
         let b = base.borrow();
-        assert_eq!(b.unflat_into(13, &mut out), b.unflat(13));
+        assert_eq!(b.unflat_into(13, &mut out), [1, 7]);
     }
 
     #[test]

@@ -344,55 +344,35 @@ impl ScheduleExecutor {
         Self::scatter(proc, sched, world, &outcome.payloads);
     }
 
-    /// Split-phase request round of a *cold* inspection, for any number
-    /// of arrays at once: `reqs[k][d]` is the request vector of array `k`
-    /// for team member `d`. Every send (all arrays) is posted before any
-    /// receive is waited, so the request latency of later arrays hides
-    /// behind the traffic of earlier ones instead of serializing one
-    /// synchronous exchange per array. Returns `incoming[k][d]` (own
-    /// slots pass through, mirroring an all-to-all).
-    ///
-    /// Posting-order receive matching pairs the per-array messages: both
-    /// sides walk the arrays in the same (static) order.
-    pub fn request_rounds(
+    /// Split-phase request round of a *cold* inspection: `reqs[d]` is the
+    /// request vector for team member `d`. Every send is posted before any
+    /// receive is waited, and every peer gets one, empty or not. Returns
+    /// `incoming[d]`, what member `d` asks of this processor (the own slot
+    /// passes through, mirroring an all-to-all).
+    pub fn request_round(
         request_tag: Tag,
         proc: &mut Proc,
         team: &Team,
-        reqs: &[Vec<Vec<u64>>],
-    ) -> Vec<Vec<Vec<u64>>> {
+        reqs: &[Vec<u64>],
+    ) -> Vec<Vec<u64>> {
         let q = team.len();
         let me = team
             .index_of(proc.rank())
             .expect("requesting processor is a team member");
-        for per_peer in reqs {
-            debug_assert_eq!(per_peer.len(), q);
-            for (d, r) in per_peer.iter().enumerate() {
-                if d != me {
-                    let _ = proc.isend(team.rank(d), request_tag, r.clone());
-                }
+        debug_assert_eq!(reqs.len(), q);
+        for (d, r) in reqs.iter().enumerate() {
+            if d != me {
+                let _ = proc.isend(team.rank(d), request_tag, r.clone());
             }
         }
-        let handles: Vec<Vec<(usize, PendingRecv<Vec<u64>>)>> = reqs
-            .iter()
-            .map(|_| {
-                (0..q)
-                    .filter(|&d| d != me)
-                    .map(|d| (d, proc.irecv(team.rank(d), request_tag)))
-                    .collect()
-            })
+        let peers = (0..q).filter(|&d| d != me);
+        let handles: Vec<_> = peers
+            .map(|d| (d, proc.irecv(team.rank(d), request_tag)))
             .collect();
-        let mut incoming: Vec<Vec<Vec<u64>>> = reqs
-            .iter()
-            .map(|per_peer| {
-                let mut inc = vec![Vec::new(); q];
-                inc[me] = per_peer[me].clone();
-                inc
-            })
-            .collect();
-        for (k, hs) in handles.into_iter().enumerate() {
-            for (d, h) in hs {
-                incoming[k][d] = proc.wait(h);
-            }
+        let mut incoming = vec![Vec::new(); q];
+        incoming[me] = reqs[me].clone();
+        for (d, h) in handles {
+            incoming[d] = proc.wait(h);
         }
         incoming
     }
@@ -546,15 +526,13 @@ pub(crate) mod tests {
         let run = Machine::run(cfg(3), |proc| {
             let team = Team::all(3);
             let me = proc.rank() as u64;
-            // Array 0: everyone asks peer d for element 100*me + d;
-            // array 1: empty requests except to peer 0.
-            let reqs = vec![
-                (0..3).map(|d| vec![100 * me + d]).collect::<Vec<_>>(),
-                (0..3)
-                    .map(|d| if d == 0 { vec![me] } else { vec![] })
-                    .collect(),
-            ];
-            ScheduleExecutor::request_rounds(VT, proc, &team, &reqs)
+            // Round 0: everyone asks peer d for element 100*me + d;
+            // round 1: empty requests except to peer 0.
+            let first: Vec<_> = (0..3).map(|d| vec![100 * me + d]).collect();
+            let second: Vec<_> = (0..3)
+                .map(|d| if d == 0 { vec![me] } else { vec![] })
+                .collect();
+            [first, second].map(|reqs| ScheduleExecutor::request_round(VT, proc, &team, &reqs))
         });
         for d in 0..3usize {
             for s in 0..3usize {
@@ -565,6 +543,8 @@ pub(crate) mod tests {
                 .collect();
             assert_eq!(run.results[d][1], want);
         }
+        // One message per ordered pair of peers per round, empty ones too.
+        assert_eq!(run.report.total_msgs, 2 * 3 * 2);
     }
 
     #[test]

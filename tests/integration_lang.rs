@@ -19,16 +19,6 @@ fn cfg(p: usize) -> MachineConfig {
 }
 
 #[test]
-fn all_shipped_listings_parse() {
-    for name in ["jacobi", "shift", "tri", "adi"] {
-        let src = listing(name).unwrap();
-        let prog = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(!prog.subs.is_empty());
-        assert!(prog.subs.iter().all(|s| s.parallel));
-    }
-}
-
-#[test]
 fn interpreted_jacobi_equals_native_jacobi_values() {
     let np = 12i64;
     let w = (np + 1) as usize;

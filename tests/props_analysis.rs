@@ -489,7 +489,8 @@ proptest! {
     /// Random `do` loops of element assignments inside one-iteration
     /// doalls on `procs(ip)`, over whole arrays and `u(i, *)` / `u(*, j)`
     /// sections (one distributed like the arrays, one on a single owner),
-    /// on one to four processors: the loop compiled as a strided kernel
+    /// on one to four processors, some blocks longer than a compiled chunk:
+    /// the loop compiled as a strided kernel
     /// and the tree-walker — reached through program text, a twin whose
     /// statements route each right-hand side through a scalar temporary,
     /// which keeps the loop out of the compiled class — agree bit for bit
@@ -504,7 +505,13 @@ proptest! {
         rows in 0usize..2,
     ) {
         let mut g = Gen(seed);
-        let n = p * (3 + g.below(4) as usize) + g.below(p as u64) as usize;
+        // One case in four gives every processor 65..=140 elements: two or
+        // three of the compiled loop's 64-iteration chunks.
+        let per = match g.below(4) {
+            0 => 65 + g.below(76),
+            _ => 3 + g.below(4),
+        };
+        let n = p * per as usize + g.below(p as u64) as usize;
         let (targets, rhss) = loop_body(&mut g);
         let tmin = targets.iter().map(|t| t.1).min().unwrap();
         let tmax = targets.iter().map(|t| t.1).max().unwrap();
@@ -857,42 +864,5 @@ proptest! {
             }
         });
         prop_assert!(run.is_ok(), "the front end panicked on:\n{}", src);
-    }
-}
-
-/// Satellite guard for the span-threading refactor: all five shipped
-/// listings round-trip through the parser with spans that slice back to
-/// the exact source text they claim to cover, and the analyzer accepts
-/// every one of them without diagnostics.
-#[test]
-fn shipped_listings_round_trip_with_faithful_spans() {
-    for name in ["jacobi", "shift", "tri", "adi", "spmv"] {
-        let src = kali::lang::listing(name).unwrap();
-        let prog = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(prog.src, src, "{name}: program must retain its source");
-        for sub in &prog.subs {
-            assert_eq!(
-                sub.name_span.slice(src),
-                sub.name,
-                "{name}: subroutine name span drifted"
-            );
-            for stmt in &sub.body {
-                assert!(
-                    !stmt.span.is_empty(),
-                    "{name}/{}: statement with empty span",
-                    sub.name
-                );
-                let text = stmt.span.slice(src);
-                assert!(
-                    !text.trim().is_empty(),
-                    "{name}/{}: span covers only whitespace",
-                    sub.name
-                );
-            }
-        }
-        assert!(
-            analyze(&prog).is_empty(),
-            "{name}: shipped listing must be diagnostic-free"
-        );
     }
 }
