@@ -420,9 +420,9 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 
 impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// Begin a ghost exchange — the halo's (key, builder, world) triple
-    /// handed to `kali-sched`'s trip driver. With a `cache`, warm trips
-    /// replay the cached analytic schedule under the vote `policy`
-    /// selects; without one every trip derives the schedule afresh.
+    /// handed to `kali-sched`'s trip driver. With a `cache` and an
+    /// optimistic `policy`, warm trips replay the cached analytic
+    /// schedule; otherwise every trip derives the schedule afresh.
     /// Under a split `policy` the fused value messages are in flight
     /// when this returns, so the caller can compute on interior points
     /// meanwhile; under a blocking one they move at

@@ -503,9 +503,9 @@ impl<T: Real> SparseCsr<T> {
     }
 
     /// Begin an x-gather — the sparse (key, builder, world) triple
-    /// handed to `kali-sched`'s trip driver. With a `cache`, warm trips
-    /// replay the cached schedule under the vote `policy` selects — no
-    /// inspection, no request round; without one every trip inspects.
+    /// handed to `kali-sched`'s trip driver. With a `cache` and an
+    /// optimistic `policy`, warm trips replay the cached schedule — no
+    /// inspection, no request round; otherwise every trip inspects.
     /// Under a split `policy` the fused value messages are in flight
     /// when this returns, so interior rows can run meanwhile
     /// ([`PendingGather::local_schedule`]). Every grid member votes and

@@ -15,12 +15,12 @@ use kali_array::DistArray2;
 use kali_grid::{DistSpec, ProcGrid};
 use kali_lang::{listing, run_source_with, HostValue, LangRun, RunOptions};
 use kali_machine::{Machine, RunReport};
-use kali_runtime::Ctx;
+use kali_runtime::{Ctx, ExecPolicy};
 use kali_solvers::jacobi::jacobi_step;
 
 use crate::{cfg, fmt_s, Table};
 
-fn run_jacobi_listing(w: usize, np: i64, iters: usize, f: &[f64], cache: bool) -> LangRun {
+fn run_jacobi_listing(w: usize, np: i64, iters: usize, f: &[f64], policy: ExecPolicy) -> LangRun {
     run_source_with(
         cfg(4),
         listing("jacobi").unwrap(),
@@ -39,7 +39,7 @@ fn run_jacobi_listing(w: usize, np: i64, iters: usize, f: &[f64], cache: bool) -
             HostValue::Int(iters as i64),
         ],
         RunOptions {
-            schedule_cache: cache,
+            policy,
             ..RunOptions::default()
         },
     )
@@ -85,8 +85,8 @@ fn measure() -> Overhead {
         })
         .collect();
 
-    let uncached = run_jacobi_listing(w, np, iters, &f, false).report;
-    let cached = run_jacobi_listing(w, np, iters, &f, true).report;
+    let uncached = run_jacobi_listing(w, np, iters, &f, ExecPolicy::pessimistic()).report;
+    let cached = run_jacobi_listing(w, np, iters, &f, ExecPolicy::default()).report;
     let compiled = Machine::run(cfg(4), move |proc| {
         let grid = ProcGrid::new_2d(2, 2);
         let spec = DistSpec::block2();

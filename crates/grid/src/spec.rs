@@ -54,10 +54,9 @@ impl DistSpec {
             } else if p == "cyclic" {
                 DimMap::Dist(DimDist::Cyclic)
             } else if let Some(args) = p.strip_prefix("cyclic(").and_then(|s| s.strip_suffix(')')) {
-                let b: usize = args
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad cyclic block size: {args:?}"))?;
+                let b: usize = (args.trim().parse().ok())
+                    .filter(|&b| b > 0)
+                    .ok_or_else(|| format!("bad cyclic block size: {args:?}"))?;
                 DimMap::Dist(DimDist::BlockCyclic(b))
             } else {
                 return Err(format!("unknown distribution pattern: {p:?}"));
@@ -164,10 +163,14 @@ pub struct Layout {
 
 impl Layout {
     /// Lay `spec` onto `grid` for an array of global `extents`. Fails when
-    /// the clause and the array differ in rank, or the clause breaks the
-    /// §2 conformance rule ([`DistSpec::validate`]). An undistributed
-    /// dimension gets a `Dist1` over one processor (everything local).
+    /// the clause and the array differ in rank, the clause breaks the §2
+    /// conformance rule ([`DistSpec::validate`]), or it names a block size
+    /// of 0. An undistributed dimension gets a `Dist1` over one processor
+    /// (everything local).
     pub fn new(spec: &DistSpec, extents: &[usize], grid: &ProcGrid) -> Result<Layout, String> {
+        if spec.maps.contains(&DimMap::Dist(DimDist::BlockCyclic(0))) {
+            return Err("block-cyclic block size must be positive".into());
+        }
         if extents.len() != spec.ndims() {
             return Err(format!(
                 "distribution rank {} must match array rank {}",
@@ -385,6 +388,13 @@ mod tests {
     fn parse_rejects_junk() {
         assert!(DistSpec::parse("(blok)").is_err());
         assert!(DistSpec::parse("(cyclic(x))").is_err());
+        assert!(DistSpec::parse("(cyclic(0))").is_err());
+    }
+
+    #[test]
+    fn a_block_size_of_zero_is_no_layout() {
+        let spec = DistSpec::new(vec![DimMap::Dist(DimDist::BlockCyclic(0))]);
+        assert!(Layout::new(&spec, &[8], &ProcGrid::new_1d(2)).is_err());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   buffer exists so that no iteration sees another's writes and peers
 //!   are served pre-trip values; a trip in which this processor runs at
 //!   most one iteration skips it once nothing will be served from storage
-//!   again — the verdict is final (a fresh build, a won dedicated vote, a
-//!   singleton team's hit) or the iteration runs after completion — and
+//!   again — the verdict is final (a fresh build or a singleton team's
+//!   hit) or the iteration runs after completion — and
 //!   *writes through* to storage: same values, same owner-computes checks,
 //!   same charges;
 //! * communication is *implicit*: a `doall` runs as a four-phase engine —
@@ -22,7 +22,8 @@
 //!   interior/boundary partition of the iteration set), and then
 //!   exchanges and executes synchronously — the runtime-resolution scheme
 //!   of the Kali project that the paper cites as \[11\]/\[17\];
-//! * **executor reuse**: schedules are cached across invocations. When a
+//! * **executor reuse**: under an optimistic [`ExecPolicy`] (the
+//!   default) schedules are cached across invocations. When a
 //!   `doall` sits inside a sequential `do` loop and nothing that could
 //!   steer the inspector has changed — same site, processor array,
 //!   iteration set, free scalars, and the identity + distribution
@@ -31,8 +32,8 @@
 //!   Every trip's schedule is one array on the wire, each element
 //!   relative to its exchange array's origin, so a schedule built for
 //!   one line of a team replays untranslated on every other line.
-//!   The replay decision is collective (a one-word agreement reduction),
-//!   so the request/reply protocol stays SPMD-consistent, and a
+//!   The replay decision is collective (a one-word vote), so the
+//!   request/reply protocol stays SPMD-consistent, and a
 //!   `distribute` statement bumps the arrays' distribution generation,
 //!   which makes any stale schedule miss rather than replay;
 //! * **split-phase replay**: a replayed exchange is issued nonblocking.
@@ -52,8 +53,8 @@
 //!   the cold value exchange runs through the same
 //!   post/interior/complete/boundary engine, so even the first trip hides
 //!   part of its start-up latency;
-//! * **optimistic replay**: by default the replay-consensus vote is not a
-//!   dedicated round at all. Each member assumes agreement, posts its
+//! * **optimistic replay**: the replay-consensus vote is not a dedicated
+//!   round at all. Each member assumes agreement, posts its
 //!   fused value messages immediately, and carries its `(site, team)`
 //!   ordinal as a one-word header on those messages (peers with no
 //!   scheduled traffic get the bare header word). Agreement is checked at
@@ -633,17 +634,15 @@ pub struct Interp<'a, 'p> {
     mode: Mode,
     doall_depth: usize,
     /// Execution strategy for communicating doalls — the same
-    /// [`ExecPolicy`] the compiled stencil-plan path runs under.
-    /// `policy.split` replays cached schedules split-phase (post /
-    /// interior / complete-boundary) instead of with a blocking fused
-    /// exchange; `policy.optimistic` piggybacks the replay-consensus
-    /// vote on the fused value messages (with rollback) instead of
-    /// running a dedicated one-word vote round before each replay.
+    /// [`ExecPolicy`] the compiled stencil-plan path runs under, handed
+    /// to the trip driver, which alone decides whether a trip replays.
+    /// `policy.split` runs the trips split-phase (post / interior /
+    /// complete-boundary) instead of with a blocking fused exchange.
     policy: ExecPolicy,
-    /// Cached communication schedules; `None` disables executor reuse.
-    /// Shared across frames: the key carries every frame-dependent input
-    /// (bindings, views, generations), so a hit is valid regardless of
-    /// which call produced the entry.
+    /// Cached communication schedules, lent to every trip; `None` only
+    /// while a trip has it. Shared across frames: the key carries every
+    /// frame-dependent input (bindings, views, generations), so a hit is
+    /// valid regardless of which call produced the entry.
     schedules: Option<ScheduleCache<ScheduleKey>>,
     /// Per lowered site (by site number): its result buffer and registers,
     /// reused trip after trip.
@@ -676,9 +675,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             mode: Mode::Normal,
             doall_depth: 0,
             policy: opts.policy,
-            schedules: opts
-                .schedule_cache
-                .then(|| ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
+            schedules: Some(ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
             scratch: Vec::new(),
             loops: LoopScratch::default(),
             key_buf: Vec::new(),
@@ -1155,7 +1152,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         // Owner set per iteration — only when a static plan may seed this
         // site: seeding simulates every team member's inspector pass, and
         // the owner sets are its input.
-        let seeding = self.static_seed && self.schedules.is_some() && d.plan.is_some();
+        let seeding = self.static_seed && d.plan.is_some();
         let owners = match lowered {
             Some(_) if !seeding => {
                 // The key reads the loop variables as the scan leaves
@@ -1502,6 +1499,8 @@ impl<'a, 'p> Interp<'a, 'p> {
             policy: self.policy,
             team: team.clone(),
             sits_out: false,
+            // A trip nested in another's iterations runs uncached: the
+            // outer trip has the cache.
             key: match self.schedules {
                 Some(_) => self.schedule_cache_key(d, &team, work),
                 None => None,

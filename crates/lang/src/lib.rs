@@ -81,38 +81,27 @@ pub struct LangRun {
 }
 
 /// Interpreter knobs for [`run_source_with`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunOptions {
-    /// Cache inspector schedules across doall invocations (executor
-    /// reuse). On by default; disable to force a fresh inspector pass on
-    /// every invocation — the differential-testing baseline.
-    pub schedule_cache: bool,
     /// Execution strategy for communicating doalls — the same
     /// [`ExecPolicy`] the compiled stencil-plan path runs under.
     /// `policy.split` runs the exchange engine split-phase (post the
     /// fused value exchange nonblocking, execute the interior iterations
     /// while messages are in flight, then complete the boundary — on
     /// replays *and* on cold inspector invocations); `policy.optimistic`
-    /// piggybacks the replay-consensus vote on the fused value messages
-    /// (only effective with `schedule_cache`). Both on by default.
+    /// caches inspector schedules across doall invocations (executor
+    /// reuse) and replays them with the replay-consensus vote
+    /// piggybacked on the fused value messages. With it off every
+    /// invocation runs a fresh inspector pass — the differential-testing
+    /// baseline. Both on by default.
     pub policy: ExecPolicy,
     /// Pre-seed the schedule cache from compile-time communication plans
     /// ([`analysis::comm_plans`]). Analyzable doall sites then replay a
     /// statically derived schedule on their *cold* trip — zero inspector
     /// runs — with bitwise-identical results. Off by default so counter
     /// expectations of inspector-path tests stay exact; requires
-    /// `schedule_cache`.
+    /// `policy.optimistic`.
     pub static_seed: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            schedule_cache: true,
-            policy: ExecPolicy::default(),
-            static_seed: false,
-        }
-    }
 }
 
 /// Parse and run `src` on a simulated machine: the entry `parsub` receives
@@ -169,12 +158,22 @@ pub fn run_source_with(
     let args = args.to_vec();
     let mut array_params = Vec::new();
     for (&p, a) in sub.params.iter().zip(&args) {
-        if let HostValue::Array { bounds, .. } = a {
+        if let HostValue::Array { data, bounds } = a {
             let name = &sub.names[p];
             if bounds.len() > MAX_RANK {
                 return Err(format!(
                     "array {name}: rank {} exceeds the supported maximum of {MAX_RANK}",
                     bounds.len()
+                ));
+            }
+            let len = bounds.iter().try_fold(1usize, |n, &(lo, hi)| {
+                let extent = usize::try_from(hi.checked_sub(lo)?).ok()?;
+                n.checked_mul(extent.checked_add(1)?)
+            });
+            if len != Some(data.len()) {
+                return Err(format!(
+                    "array {name}: {} values do not fill bounds {bounds:?}",
+                    data.len()
                 ));
             }
             array_params.push(name.clone());
@@ -829,7 +828,7 @@ end
     }
 
     #[test]
-    fn schedule_cache_can_be_disabled() {
+    fn a_non_optimistic_policy_rebuilds_every_trip() {
         let np = 8i64;
         let w = (np + 1) as usize;
         let args = [
@@ -851,13 +850,31 @@ end
             &[2, 2],
             &args,
             RunOptions {
-                schedule_cache: false,
+                policy: ExecPolicy::pessimistic(),
                 ..RunOptions::default()
             },
         )
         .unwrap();
         assert_eq!(off.report.total_schedule_replays, 0);
         assert_eq!(off.report.total_inspector_runs, 4 * 5);
+    }
+
+    #[test]
+    fn host_arrays_must_fill_their_bounds() {
+        let src = r#"
+parsub fill(a, n; procs)
+  processors procs(p)
+  real a(n) dist (block)
+end
+"#;
+        let run = |data: Vec<f64>, bounds| {
+            let args = [HostValue::Array { data, bounds }, HostValue::Int(8)];
+            run_source_with(cfg(2), src, "fill", &[2], &args, RunOptions::default())
+        };
+        let err = run(vec![0.0; 3], vec![(1, 8)]).err().unwrap();
+        assert_eq!(err, "array a: 3 values do not fill bounds [(1, 8)]");
+        assert!(run(vec![], vec![(8, 1)]).is_err());
+        assert!(run(vec![0.0; 8], vec![(1, 8)]).is_ok());
     }
 
     #[test]
@@ -910,7 +927,7 @@ end
 
     // The pinned-message test for the exchange phase's unbound-name hard
     // error lives in tests/integration_schedule_cache.rs, which covers
-    // both cache modes.
+    // both policies.
 
     #[test]
     fn block_cyclic_ownership_round_trips_through_exchange() {
@@ -1305,8 +1322,9 @@ end
 
     /// The tentpole pin: for the analyzable listings, the compile-time
     /// schedule replaces the inspector entirely — the *cold* trip replays
-    /// a seeded schedule (`inspector_runs == 0`), bitwise equal to the
-    /// inspector-derived path under all four execution-policy squares.
+    /// a seeded schedule (`inspector_runs == 0`) under both optimistic
+    /// policy squares. Bitwise equal to the inspector-derived path under
+    /// all four; the two that do not replay do not seed either.
     #[test]
     fn static_seeding_replays_cold_trips_with_zero_inspector_runs() {
         let np = 12i64;
@@ -1344,15 +1362,22 @@ end
                 );
                 // Inspector path: one cold inspection per processor, then
                 // niter-1 replays each. Seeded: zero inspections, niter
-                // replays each — the cold trip replays too.
-                assert_eq!(inspect.report.total_inspector_runs, 4);
-                assert_eq!(inspect.report.total_schedule_replays, 4 * (niter - 1));
-                assert_eq!(seeded.report.total_inspector_runs, 0);
-                assert_eq!(seeded.report.total_schedule_replays, 4 * niter);
-                if optimistic {
-                    assert_eq!(seeded.report.total_optimistic_hits, 4 * niter);
-                    assert_eq!(seeded.report.total_rollbacks, 0);
-                }
+                // replays each — the cold trip replays too. Without
+                // replay, both inspect on every trip.
+                let (runs, replays) = match optimistic {
+                    true => (4, 4 * (niter - 1)),
+                    false => (4 * niter, 0),
+                };
+                assert_eq!(inspect.report.total_inspector_runs, runs);
+                assert_eq!(inspect.report.total_schedule_replays, replays);
+                let (runs, replays) = match optimistic {
+                    true => (0, 4 * niter),
+                    false => (4 * niter, 0),
+                };
+                assert_eq!(seeded.report.total_inspector_runs, runs);
+                assert_eq!(seeded.report.total_schedule_replays, replays);
+                assert_eq!(seeded.report.total_optimistic_hits, replays);
+                assert_eq!(seeded.report.total_rollbacks, 0);
 
                 // shift invokes its doall once: without seeding nothing
                 // can replay; with it, even the single trip replays.
@@ -1366,8 +1391,9 @@ end
                 );
                 assert_eq!(inspect.report.total_inspector_runs, 4);
                 assert_eq!(inspect.report.total_schedule_replays, 0);
-                assert_eq!(seeded.report.total_inspector_runs, 0);
-                assert_eq!(seeded.report.total_schedule_replays, 4);
+                let seeds = if optimistic { 4 } else { 0 };
+                assert_eq!(seeded.report.total_inspector_runs, 4 - seeds);
+                assert_eq!(seeded.report.total_schedule_replays, seeds);
             }
         }
     }

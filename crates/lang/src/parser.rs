@@ -242,24 +242,6 @@ impl Parser<'_> {
         Ok(self.slot(name))
     }
 
-    /// Number the names first seen since `b` ahead of those first seen in
-    /// `a..b`, in `exprs`, which hold them all. The numbering follows
-    /// evaluation order where it differs from the text's: a right-hand side
-    /// before its target's subscripts, a `doall` step before its bounds.
-    fn first_seen<'e>(&mut self, a: Slot, b: Slot, exprs: impl Iterator<Item = &'e mut RExpr>) {
-        let c = self.names.len();
-        if a == b || b == c {
-            return;
-        }
-        self.names[a..].rotate_left(b - a);
-        let to = |s: Slot| match s {
-            s if s < a => s,
-            s if s < b => s + (c - b),
-            s => s - (b - a),
-        };
-        exprs.for_each(|e| e.renumber(&to));
-    }
-
     // ---------- top level ----------
 
     fn program(&mut self) -> PResult<Program> {
@@ -303,7 +285,6 @@ impl Parser<'_> {
                     let extents = self.comma_list(Self::expr)?;
                     self.expect_punct(")")?;
                     self.expect_eol()?;
-                    // Numbered after its extents' names ([`Self::first_seen`]).
                     let slot = self.slot(pname);
                     self.declared[slot].procs = Some(extents.len());
                     self.decls.push(RDecl::Processors(slot, extents));
@@ -459,7 +440,6 @@ impl Parser<'_> {
     fn assign_stmt(&mut self) -> PResult<RStmt> {
         let name_span = self.span();
         let slot = self.name_slot()?;
-        let seen = self.names.len();
         let mut subs = None;
         if self.eat_punct("(") {
             subs = Some(self.comma_list(Self::expr)?);
@@ -467,11 +447,8 @@ impl Parser<'_> {
         }
         let at = At(name_span.join(self.prev_span()));
         self.expect_punct("=")?;
-        let in_subs = self.names.len();
-        let mut rhs = self.expr()?;
+        let rhs = self.expr()?;
         self.expect_eol()?;
-        let exprs = subs.iter_mut().flatten().chain([&mut rhs]);
-        self.first_seen(seen, in_subs, exprs);
         let flops = rhs.flop_count();
         Ok(match subs {
             None => RStmt::AssignScalar {
@@ -496,7 +473,7 @@ impl Parser<'_> {
         let label = self.loop_label();
         let var = self.name_slot()?;
         self.expect_punct("=")?;
-        let (lo, hi, step) = self.range(false)?;
+        let (lo, hi, step) = self.range()?;
         let header_span = kw_span.join(self.prev_span());
         self.expect_eol()?;
         let body = self.loop_body(outer, label, header_span, "do loop")?;
@@ -583,7 +560,7 @@ impl Parser<'_> {
             self.expect_punct("=")?;
             for d in 0..2 {
                 self.expect_punct("[")?;
-                ranges.push(self.range(true)?);
+                ranges.push(self.range()?);
                 self.expect_punct("]")?;
                 if d == 0 {
                     self.expect_punct("*")?;
@@ -592,7 +569,7 @@ impl Parser<'_> {
         } else {
             vars.push(self.name_slot()?);
             self.expect_punct("=")?;
-            ranges.push(self.range(true)?);
+            ranges.push(self.range()?);
         }
         if !self.eat_ident("on") {
             return Err(self.diag_at(
@@ -623,22 +600,16 @@ impl Parser<'_> {
         Some(n as u32)
     }
 
-    /// `lo, hi[, step]`; a `doall`'s step numbers its new names first.
-    fn range(&mut self, doall: bool) -> PResult<(RExpr, RExpr, Option<RExpr>)> {
-        let seen = self.names.len();
-        let mut lo = self.expr()?;
+    /// `lo, hi[, step]`.
+    fn range(&mut self) -> PResult<(RExpr, RExpr, Option<RExpr>)> {
+        let lo = self.expr()?;
         self.expect_punct(",")?;
-        let mut hi = self.expr()?;
-        let in_bounds = self.names.len();
-        let mut step = if self.eat_punct(",") {
+        let hi = self.expr()?;
+        let step = if self.eat_punct(",") {
             Some(self.expr()?)
         } else {
             None
         };
-        if doall {
-            let exprs = [&mut lo, &mut hi].into_iter().chain(&mut step);
-            self.first_seen(seen, in_bounds, exprs);
-        }
         Ok((lo, hi, step))
     }
 
@@ -1210,21 +1181,6 @@ end
         };
         assert_eq!(l.span().slice(src), "a(i)");
         assert_eq!(r.span().slice(src), "1.0");
-    }
-
-    /// Slots are numbered in evaluation order where it differs from the
-    /// text's: a `processors` name after its extents, a right-hand side
-    /// before its target's subscripts, a `doall` step before its bounds.
-    #[test]
-    fn names_are_numbered_in_evaluation_order() {
-        let src = "parsub f(a; p)\n  processors g(n)\n  real a(8) dist (block)\n  \
-                   a(i) = b + c(j)\n  doall 10 k = lo, hi, st on owner(a(k))\n    a(k) = 0.0\n\
-                   10 continue\nend\n";
-        let names = &parse(src).unwrap().code[0].names;
-        let want = [
-            "a", "p", "n", "g", "b", "c", "j", "i", "k", "st", "lo", "hi",
-        ];
-        assert_eq!(names, &want);
     }
 
     /// A `call` resolves against every subroutine of the file, including

@@ -159,23 +159,6 @@ impl RExpr {
             RExpr::Bin(_, l, r, _) => 1.0 + l.flop_count() + r.flop_count(),
         }
     }
-
-    /// Give every slot `s` in the expression the number `to(s)`.
-    pub(crate) fn renumber(&mut self, to: &impl Fn(Slot) -> Slot) {
-        match self {
-            RExpr::Const(..) => {}
-            RExpr::Var(slot, _) => *slot = to(*slot),
-            RExpr::Un(_, e, _) => e.renumber(to),
-            RExpr::Bin(_, l, r, _) => {
-                l.renumber(to);
-                r.renumber(to);
-            }
-            RExpr::Ref(slot, _, args, _) => {
-                *slot = to(*slot);
-                args.iter_mut().flatten().for_each(|a| a.renumber(to));
-            }
-        }
-    }
 }
 
 #[derive(Debug, Clone)]

@@ -4,7 +4,7 @@
 //! they execute over a [`Team`] (the machine-level image of a processor-array
 //! slice) and cost virtual time exactly like the equivalent hand-written
 //! message-passing code — binomial trees for broadcast/reduce, a
-//! dissemination barrier, and direct exchanges for gather/scatter/all-to-all.
+//! dissemination barrier, and direct exchanges for gather and all-to-all.
 //!
 //! All members of the team must call the same collective in the same order
 //! (SPMD discipline); roots are identified by *team index*, not machine rank.
@@ -17,7 +17,6 @@ const KIND_BARRIER: u64 = 1 << 40;
 const KIND_BCAST: u64 = 2 << 40;
 const KIND_REDUCE: u64 = 3 << 40;
 const KIND_GATHER: u64 = 4 << 40;
-const KIND_SCATTER: u64 = 5 << 40;
 const KIND_ALLTOALL: u64 = 6 << 40;
 
 #[inline]
@@ -184,27 +183,6 @@ pub fn gather<T: Wire>(proc: &mut Proc, team: &Team, root: usize, value: T) -> O
     }
 }
 
-/// Scatter one value per member from team index `root` (team order).
-pub fn scatter<T: Wire>(proc: &mut Proc, team: &Team, root: usize, values: Option<Vec<T>>) -> T {
-    let q = team.len();
-    let me = my_index(proc, team);
-    if me == root {
-        let values = values.expect("scatter root must supply values");
-        assert_eq!(values.len(), q, "scatter needs one value per team member");
-        let mut mine = None;
-        for (idx, v) in values.into_iter().enumerate() {
-            if idx == me {
-                mine = Some(v);
-            } else {
-                proc.send(team.rank(idx), ctag(KIND_SCATTER, idx as u64), v);
-            }
-        }
-        mine.expect("scatter root keeps its own slot")
-    } else {
-        proc.recv(team.rank(root), ctag(KIND_SCATTER, me as u64))
-    }
-}
-
 /// Personalized all-to-all: member `i` sends `sends[j]` to member `j` and
 /// receives a vector indexed by source. Sends happen before any receive, so
 /// the exchange cannot deadlock on unbounded channels.
@@ -322,16 +300,6 @@ mod tests {
         });
         assert_eq!(run.results[2], Some(vec![0.0, 10.0, 20.0, 30.0]));
         assert_eq!(run.results[0], None);
-    }
-
-    #[test]
-    fn scatter_delivers_slots() {
-        let run = Machine::run(cfg(4), |proc| {
-            let team = Team::all(proc.nprocs());
-            let vals = (proc.rank() == 1).then(|| vec![0.5, 1.5, 2.5, 3.5]);
-            scatter(proc, &team, 1, vals)
-        });
-        assert_eq!(run.results, vec![0.5, 1.5, 2.5, 3.5]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * [`Proc::recv`] raises the receiver's clock to `max(clock, arrival)`,
 //!   accounting the difference as *idle* (wait) time;
 //! * the split-phase pair [`Proc::irecv`] / [`Proc::wait`] (with
-//!   [`Proc::isend`] and [`Proc::wait_all`]) charges only the receive
+//!   [`Proc::isend`]) charges only the receive
 //!   overhead up front, letting message transit overlap subsequent
 //!   [`Proc::compute`] charges: idle is incurred only if the wait
 //!   actually blocks in virtual time, and the covered transit is

@@ -519,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_all_completes_out_of_order_arrivals() {
+    fn waits_complete_out_of_order_arrivals() {
         let run = Machine::run(unit_cfg(3), |proc| {
             let t = tag(NS_USER, 23);
             match proc.rank() {
@@ -528,7 +528,7 @@ mod tests {
                     let h1 = proc.irecv::<f64>(1, t);
                     let h2 = proc.irecv::<f64>(2, t);
                     proc.compute(10_000.0);
-                    proc.wait_all(vec![h2, h1]) // reversed completion order
+                    vec![proc.wait(h2), proc.wait(h1)] // reversed completion order
                 }
                 r => {
                     proc.compute(500.0 * r as f64);

@@ -163,13 +163,13 @@ pub struct PendingSend {
 }
 
 /// A posted split-phase receive: created by [`Proc::irecv`], completed by
-/// [`Proc::wait`] / [`Proc::wait_all`]. The type parameter pins the
+/// [`Proc::wait`]. The type parameter pins the
 /// expected payload type at post time.
 ///
 /// Dropping a pending receive without waiting strands its message (its
 /// posting-order slot is never consumed), so the handle is
 /// `#[must_use]`.
-#[must_use = "a posted irecv must be completed with Proc::wait / Proc::wait_all"]
+#[must_use = "a posted irecv must be completed with Proc::wait"]
 #[derive(Debug)]
 pub struct PendingRecv<T: Wire> {
     src: usize,
@@ -653,11 +653,6 @@ impl Proc {
                 std::any::type_name::<T>()
             ),
         }
-    }
-
-    /// Complete a batch of posted receives in order.
-    pub fn wait_all<T: Wire>(&mut self, pending: Vec<PendingRecv<T>>) -> Vec<T> {
-        pending.into_iter().map(|p| self.wait(p)).collect()
     }
 }
 

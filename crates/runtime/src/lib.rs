@@ -22,9 +22,9 @@
 //!   derives and executes the communication: split-phase with the
 //!   interior overlapping the transit, warm trips replayed from the
 //!   schedule cache with a piggybacked consensus vote, all policy-driven
-//!   rather than API-driven. The plan hands the policy (and, when it
-//!   replays at all, the cache) to the array layer's one begin/finish
-//!   pair, which runs `kali-sched`'s trip driver. The two product-range
+//!   rather than API-driven. The plan hands the policy and the cache to
+//!   the array layer's one begin/finish pair, which runs `kali-sched`'s
+//!   trip driver — the one place that decides replay. The two product-range
 //!   shapes hand the body whole contiguous row runs (`&[T]` in,
 //!   `&mut [T]` out) — the form every solver is written in;
 //!   [`PlanRead::update2`]/[`PlanRead::run2`] are the per-point
@@ -135,8 +135,7 @@ impl<'a> Ctx<'a> {
     /// Build a [`StencilPlan`] under the context's policy: declare what
     /// the loop reads, then run it.
     pub fn plan(&mut self) -> StencilPlan<'_, 'a> {
-        let policy = self.policy;
-        StencilPlan { ctx: self, policy }
+        StencilPlan { ctx: self }
     }
 
     /// Build a [`SparsePlan`] under the context's policy — the sparse
@@ -144,8 +143,7 @@ impl<'a> Ctx<'a> {
     /// runs one inspector-executor SpMV trip (split-phase overlap, warm
     /// replay, rollback-on-repartition all policy-driven).
     pub fn sparse(&mut self) -> SparsePlan<'_, 'a> {
-        let policy = self.policy;
-        SparsePlan { ctx: self, policy }
+        SparsePlan { ctx: self }
     }
 
     /// The machine-level processor handle.
@@ -153,24 +151,17 @@ impl<'a> Ctx<'a> {
         self.proc
     }
 
-    /// Split borrow used by the plan executor: the processor handle and,
-    /// when `policy` replays at all, the halo schedule cache — a
-    /// non-optimistic policy is the rebuild-per-trip baseline and gets
-    /// no cache.
-    pub(crate) fn proc_and_halo(
-        &mut self,
-        policy: ExecPolicy,
-    ) -> (&mut Proc, Option<&mut HaloCache>) {
-        (self.proc, policy.optimistic.then_some(&mut self.halo))
+    /// Split borrow used by the plan executor: the processor handle and
+    /// the halo schedule cache, lent whatever the policy (the trip
+    /// driver decides whether to replay from it).
+    pub(crate) fn proc_and_halo(&mut self) -> (&mut Proc, &mut HaloCache) {
+        (self.proc, &mut self.halo)
     }
 
     /// [`Ctx::proc_and_halo`] for the sparse plan executor and the
     /// gather schedule cache.
-    pub(crate) fn proc_and_gather(
-        &mut self,
-        policy: ExecPolicy,
-    ) -> (&mut Proc, Option<&mut GatherCache>) {
-        (self.proc, policy.optimistic.then_some(&mut self.gather))
+    pub(crate) fn proc_and_gather(&mut self) -> (&mut Proc, &mut GatherCache) {
+        (self.proc, &mut self.gather)
     }
 
     /// The processor array in scope.

@@ -47,8 +47,7 @@ use crate::Ctx;
 
 /// How a plan's communication executes: [`kali_sched::ExecPolicy`],
 /// the one strategy type shared with the interpreter's run options.
-/// Carried by [`Ctx`] (set once per program with [`Ctx::set_policy`]);
-/// overridable per plan with [`StencilPlan::policy`].
+/// Carried by [`Ctx`] (set once per program with [`Ctx::set_policy`]).
 pub use kali_sched::ExecPolicy;
 
 /// What a stencil reads beyond the owned block: the read footprint
@@ -94,21 +93,14 @@ impl Ghosts {
     }
 }
 
-/// A stencil plan being built: created by [`Ctx::plan`], carrying the
-/// context's [`ExecPolicy`] until [`StencilPlan::reads`] attaches the
+/// A stencil plan being built: created by [`Ctx::plan`], run under the
+/// context's [`ExecPolicy`] once [`StencilPlan::reads`] attaches the
 /// communicated array.
 pub struct StencilPlan<'c, 'p> {
     pub(crate) ctx: &'c mut Ctx<'p>,
-    pub(crate) policy: ExecPolicy,
 }
 
 impl<'c, 'p> StencilPlan<'c, 'p> {
-    /// Override the context's policy for this plan only.
-    pub fn policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Declare the distributed array this stencil reads beyond its owned
     /// block. The runtime derives the ghost communication from the
     /// declaration; the array is handed back to the loop body (shared
@@ -127,7 +119,6 @@ impl<'c, 'p> StencilPlan<'c, 'p> {
     ) -> PlanRead<'c, 'p, 'a, T, N> {
         PlanRead {
             ctx: self.ctx,
-            policy: self.policy,
             a,
             ghosts,
         }
@@ -138,40 +129,34 @@ impl<'c, 'p> StencilPlan<'c, 'p> {
 /// of the run entry points.
 pub struct PlanRead<'c, 'p, 'a, T: Elem, const N: usize> {
     ctx: &'c mut Ctx<'p>,
-    policy: ExecPolicy,
     a: &'a mut DistArrayN<T, N>,
     ghosts: Ghosts,
 }
 
 impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
-    /// Start the declared ghost refresh under the plan's policy: in
+    /// Start the declared ghost refresh under the context's policy: in
     /// flight (`Some`) under a split policy; under a blocking one
     /// already complete — landed in the array itself, ahead of any
     /// copy-in snapshot.
     fn begin(&mut self) -> Option<PendingHalo<T>> {
-        let policy = self.policy;
+        let policy = self.ctx.policy();
         // The rebuild-per-trip blocking baseline refreshes the whole
         // skirt whatever the plan declares, as the pre-plan blocking
         // exchange it is pinned against did.
         let corners = self.ghosts.corners || !(policy.split || policy.optimistic);
-        let (proc, halo) = self.ctx.proc_and_halo(policy);
+        let (proc, halo) = self.ctx.proc_and_halo();
         if policy.split {
-            return Some(self.a.begin_ghosts(proc, halo, policy, corners));
+            return Some(self.a.begin_ghosts(proc, Some(halo), policy, corners));
         }
-        self.a.refresh_ghosts(proc, halo, policy, corners);
+        self.a.refresh_ghosts(proc, Some(halo), policy, corners);
         None
     }
 
     /// Complete an in-flight refresh into `target` (the declared array,
     /// or a same-layout copy-in snapshot).
-    fn finish(
-        policy: ExecPolicy,
-        ctx: &mut Ctx,
-        target: &mut DistArrayN<T, N>,
-        pending: PendingHalo<T>,
-    ) {
-        let (proc, halo) = ctx.proc_and_halo(policy);
-        target.finish_ghosts(proc, halo, pending);
+    fn finish(ctx: &mut Ctx, target: &mut DistArrayN<T, N>, pending: PendingHalo<T>) {
+        let (proc, halo) = ctx.proc_and_halo();
+        target.finish_ghosts(proc, Some(halo), pending);
     }
 
     /// Refresh the declared ghost skirt and stop: the plan form of a bare
@@ -179,7 +164,7 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
     /// (e.g. before a gather or a hand-written sweep).
     pub fn refresh(mut self) {
         if let Some(p) = self.begin() {
-            Self::finish(self.policy, self.ctx, self.a, p);
+            Self::finish(self.ctx, self.a, p);
         }
     }
 
@@ -195,15 +180,10 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
         mut body: impl FnMut(&mut Ctx, &mut DistArrayN<T, N>, usize),
     ) {
         let refresh = self.begin();
-        let PlanRead {
-            ctx,
-            policy,
-            a,
-            ghosts,
-        } = self;
+        let PlanRead { ctx, a, ghosts } = self;
         if !a.is_participant() {
             if let Some(p) = refresh {
-                Self::finish(policy, ctx, a, p);
+                Self::finish(ctx, a, p);
             }
             return;
         }
@@ -218,7 +198,7 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
         split.for_interior(|j| body(ctx, a, j));
         if let Some(p) = refresh {
             a.clear_read_fence();
-            Self::finish(policy, ctx, a, p);
+            Self::finish(ctx, a, p);
             a.set_read_fence(ghosts.width, ghosts.corners);
             split.for_boundary(|j| body(ctx, a, j));
         }
@@ -336,10 +316,10 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         let width = self.ghosts.width;
         let corners = self.ghosts.corners;
         let refresh = self.begin();
-        let PlanRead { ctx, policy, a, .. } = self;
+        let PlanRead { ctx, a, .. } = self;
         if !a.is_participant() {
             if let Some(p) = refresh {
-                Self::finish(policy, ctx, a, p);
+                Self::finish(ctx, a, p);
             }
             return;
         }
@@ -366,8 +346,8 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
             .compute(flops_per_point * split.interior_count() as f64);
         if let Some(p) = refresh {
             match old.as_mut() {
-                Some(old) => Self::finish(policy, ctx, old, p),
-                None => Self::finish(policy, ctx, a, p),
+                Some(old) => Self::finish(ctx, old, p),
+                None => Self::finish(ctx, a, p),
             }
             split.for_boundary_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
             ctx.proc()

@@ -22,40 +22,34 @@
 //! pattern replays warm: a CG solve pays the inspector exactly once
 //! ([`kali_array::SparseCsr`] for the protocol detail).
 //!
+//! [`ExecPolicy`]: crate::ExecPolicy
 //! [`StencilPlan`]: crate::StencilPlan
 
 use kali_array::{DistArray1, Real, SparseCsr};
 use kali_sched::interior_runs;
 
-use crate::{Ctx, ExecPolicy};
+use crate::Ctx;
 
-/// A sparse plan being built: created by [`Ctx::sparse`], carrying the
-/// context's [`ExecPolicy`] until [`SparsePlan::spmv`] runs the trip.
+/// A sparse plan being built: created by [`Ctx::sparse`], run under
+/// the context's [`ExecPolicy`](crate::ExecPolicy) by [`SparsePlan::spmv`].
 pub struct SparsePlan<'c, 'p> {
     pub(crate) ctx: &'c mut Ctx<'p>,
-    pub(crate) policy: ExecPolicy,
 }
 
 impl SparsePlan<'_, '_> {
-    /// Override the context's policy for this plan only.
-    pub fn policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// `y = A·x` — one sparse matrix-vector trip under the plan's
+    /// `y = A·x` — one sparse matrix-vector trip under the context's
     /// policy. `x` and `y` must be block-distributed over the matrix's
     /// grid (`y` sharing the row distribution); every owned row of `y`
     /// is rewritten. Bitwise-identical results across every policy
     /// combination: the policy chooses *when* remote x-values arrive,
     /// never the row arithmetic order.
     pub fn spmv<T: Real>(self, a: &SparseCsr<T>, x: &DistArray1<T>, y: &mut DistArray1<T>) {
-        let policy = self.policy;
-        let (proc, mut gather) = self.ctx.proc_and_gather(policy);
+        let policy = self.ctx.policy();
+        let (proc, gather) = self.ctx.proc_and_gather();
         if !a.in_grid() {
             return;
         }
-        let pending = a.begin_gather(proc, gather.as_deref_mut(), policy, x);
+        let pending = a.begin_gather(proc, Some(&mut *gather), policy, x);
         // Whenever values are in flight against a locally known
         // schedule, its interior rows — all columns owner-local — run
         // now; everything else waits for the haul.
@@ -66,7 +60,7 @@ impl SparsePlan<'_, '_> {
                 .sum();
             proc.compute(2.0 * nnz as f64);
         }
-        let got = a.finish_gather(proc, gather, x, pending);
+        let got = a.finish_gather(proc, Some(gather), x, pending);
         let nnz = if pre.is_some() {
             a.apply_positions(x, Some(got.haul()), y, got.boundary())
         } else {
@@ -79,6 +73,7 @@ impl SparsePlan<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecPolicy;
     use kali_grid::{DistSpec, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;

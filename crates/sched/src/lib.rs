@@ -25,15 +25,15 @@
 //!   [`SiteKey`], the team, whether it sits the exchange out, a `build`
 //!   closure, a [`ScheduleWorld`] — and calls [`Trip::begin`] and
 //!   [`InFlight::finish`] (or [`InFlight::complete`], with nothing left
-//!   to overlap) around its interior work; the vote mode (none,
-//!   dedicated round, piggybacked header) and blocking vs split-phase
-//!   posting follow from the [`ExecPolicy`] and from whether a cache is
-//!   supplied. The halo, the sparse gather and the interpreter's `doall`
-//!   are three (key, builder, world) triples over this one driver.
-//! * [`vote`] and [`ScheduleExecutor`] — the primitives the driver is
-//!   built from: the dedicated flat one-word vote round; the fused
-//!   per-peer value messages, blocking or posted nonblocking, plain or
-//!   carrying the vote as a one-word header (**optimistic replay**);
+//!   to overlap) around its interior work. The driver alone decides
+//!   replay: only with a cache, a key and [`ExecPolicy::optimistic`],
+//!   its vote a header on the value messages; [`ExecPolicy::split`]
+//!   selects blocking vs split-phase posting. The halo, the sparse
+//!   gather and the interpreter's `doall` are three (key, builder,
+//!   world) triples over this one driver.
+//! * [`ScheduleExecutor`] — the primitives the driver is built from: the
+//!   fused per-peer value messages, blocking or posted nonblocking, plain
+//!   or carrying the vote as a one-word header (**optimistic replay**);
 //!   the scatter; and the cold inspection's request round. Storage access
 //!   is abstracted behind [`ScheduleWorld`], which the interpreter's
 //!   `ArrObj` world, `kali-array`'s `DistArrayN` world and the sparse

@@ -21,8 +21,8 @@ pub struct ExecPolicy {
     /// Replay warm exchanges from the cached schedule, with the
     /// replay-consensus vote piggybacked as a one-word header on the
     /// fused value messages (rollback on disagreement). `false` runs the
-    /// pre-caching baseline: rebuild (or dedicated vote round) on every
-    /// trip.
+    /// pre-caching baseline: every trip rebuilds, and the trip driver
+    /// ([`crate::Trip`]), which alone reads this, leaves the cache be.
     pub optimistic: bool,
 }
 
@@ -46,7 +46,7 @@ impl ExecPolicy {
         }
     }
 
-    /// Split-phase overlap without optimistic replay.
+    /// Split-phase overlap, rebuilding every trip.
     pub fn pessimistic() -> Self {
         ExecPolicy {
             split: true,

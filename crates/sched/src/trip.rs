@@ -17,14 +17,13 @@
 //! by inspection, from a static plan — the driver does not care), and the
 //! [`ScheduleWorld`] the values are served from and scattered into.
 //!
-//! The vote mode is never a function name. No cache (or no key): nothing
-//! can be replayed, every trip builds. Cache and
-//! [`ExecPolicy::optimistic`]: the vote rides as a one-word header on the
-//! fused value messages and is checked at completion. Cache without it:
-//! a dedicated [`vote::consensus`] round decides before anything is
-//! posted. [`ExecPolicy::split`] independently selects whether the value
-//! messages are posted nonblocking at `begin` or moved by one blocking
-//! round at `finish`.
+//! Whether a trip replays is decided here and nowhere else: it replays
+//! only with a cache, a key and [`ExecPolicy::optimistic`], and then its
+//! vote always rides as a one-word header on the fused value messages,
+//! checked at completion. Any other trip builds, and neither looks up
+//! nor stores. [`ExecPolicy::split`] independently selects whether the
+//! value messages are posted nonblocking at `begin` or moved by one
+//! blocking round at `finish`.
 //!
 //! A rollback is a cold trip under the same policy: `finish` drops the
 //! stale payloads unscattered, rebuilds, stores, launches the fresh
@@ -41,7 +40,6 @@ use crate::cache::{ScheduleCache, SiteKey};
 use crate::exec::{PendingValues, PendingVote, ScheduleExecutor, ScheduleWorld, NO_VOTE};
 use crate::policy::ExecPolicy;
 use crate::schedule::CommSchedule;
-use crate::vote;
 
 /// Who runs a trip: anything that can lend the processor handle. The
 /// compiled path passes the [`Proc`] itself; the interpreter passes
@@ -100,10 +98,10 @@ pub enum Finished<T: Elem, K> {
 type Hit = (u64, Rc<CommSchedule>);
 
 enum State<T: Elem> {
-    /// Verdict known (fresh build, or a dedicated vote won); the value
-    /// messages are posted and complete at finish.
+    /// A fresh build; the value messages are posted and complete at
+    /// finish.
     Posted(Rc<CommSchedule>, PendingValues<T>),
-    /// Verdict known, nothing in flight: one blocking round at finish
+    /// A fresh build, nothing in flight: one blocking round at finish
     /// (none at all for a member that sits out).
     Ready(Rc<CommSchedule>),
     /// The piggybacked vote is posted — headers to every peer, values
@@ -143,7 +141,8 @@ impl<K: SiteKey> Trip<K> {
     /// function of SPMD-uniform inputs: every member then stores the same
     /// schedule at ordinal 1 and the first vote agrees. It is not even
     /// called once the `(site, team)` has history —
-    /// [`ScheduleCache::seed`] would refuse the result.
+    /// [`ScheduleCache::seed`] would refuse the result — nor under a
+    /// policy that does not replay.
     pub fn seed<H: TripHost>(
         &self,
         host: &mut H,
@@ -152,6 +151,7 @@ impl<K: SiteKey> Trip<K> {
     ) where
         K: Clone,
     {
+        let cache = cache.filter(|_| self.policy.optimistic);
         let Some((cache, key)) = cache.zip(self.key.as_ref()) else {
             return;
         };
@@ -186,8 +186,8 @@ impl<K: SiteKey> Trip<K> {
         })
     }
 
-    /// Begin the trip: hold the vote the policy calls for (or build, when
-    /// none can be held) and post what can be posted, serving from
+    /// Begin the trip: post the piggybacked vote when the trip can
+    /// replay, otherwise build, and post what can be posted, serving from
     /// `world`. Collective over every member that runs the site, those
     /// sitting out included; `cache` is handed to `finish` again.
     pub fn begin<T, W, H, E>(
@@ -202,42 +202,24 @@ impl<K: SiteKey> Trip<K> {
         W: ScheduleWorld<T>,
         H: TripHost,
     {
-        let won = match self.lookup(cache.as_deref()) {
-            Some(hit) if self.policy.optimistic => {
-                let state = if self.posts() {
-                    let serve = hit.as_ref().map(|(_, sched)| (&**sched, world));
-                    let vote = ballot(&hit);
-                    let pending = self
-                        .exec
-                        .post_optimistic(host.proc(), &self.team, vote, serve);
-                    State::Voting(hit, pending)
-                } else {
-                    State::Undecided(hit)
-                };
-                return Ok(InFlight { trip: self, state });
-            }
-            // A dedicated round: the verdict precedes any value traffic,
-            // so a lost vote wasted nothing and is no rollback — the trip
-            // simply goes cold.
-            Some(hit) => {
-                let seq = hit.as_ref().map(|(seq, _)| *seq);
-                let won = if self.sits_out {
-                    seq.is_some()
-                } else {
-                    vote::consensus(host.proc(), &self.team, seq).is_some()
-                };
-                hit.filter(|_| won).map(|(_, sched)| sched)
-            }
-            None => None,
+        // Only an optimistic trip replays; any other neither looks up
+        // nor stores.
+        let cache = cache.filter(|_| self.policy.optimistic);
+        let Some(hit) = self.lookup(cache.as_deref()) else {
+            let sched = self.rebuild(host, cache, world, build)?;
+            return Ok(self.launch(host.proc(), sched, world));
         };
-        let sched = match won {
-            Some(sched) => {
-                host.proc().note_schedule_replay();
-                sched
-            }
-            None => self.rebuild(host, cache, world, build)?,
+        let state = if self.posts() {
+            let serve = hit.as_ref().map(|(_, sched)| (&**sched, world));
+            let vote = ballot(&hit);
+            let pending = self
+                .exec
+                .post_optimistic(host.proc(), &self.team, vote, serve);
+            State::Voting(hit, pending)
+        } else {
+            State::Undecided(hit)
         };
-        Ok(self.launch(host.proc(), sched, world))
+        Ok(InFlight { trip: self, state })
     }
 
     /// Start moving a decided schedule's values: posted now under a split
@@ -261,8 +243,8 @@ impl<K: SiteKey> Trip<K> {
 impl<T: Elem, K: SiteKey> InFlight<T, K> {
     /// The schedule whose *interior* the caller may execute right now,
     /// while the trip's messages are in transit: present when messages
-    /// were posted and the schedule is locally known — a fresh build, a
-    /// won vote, or a local hit still awaiting the piggybacked verdict.
+    /// were posted and the schedule is locally known — a fresh build or
+    /// a local hit still awaiting the piggybacked verdict.
     /// (A hit is locally *valid* whatever the team decides: the full key
     /// matched, so its interior/boundary split is this member's current
     /// one.) `None` under a blocking policy, on a local miss, and for a
@@ -275,9 +257,8 @@ impl<T: Elem, K: SiteKey> InFlight<T, K> {
     }
 
     /// Is the verdict final — will [`InFlight::finish`] deliver this
-    /// flight's schedule without a rollback? True for a fresh build and a
-    /// won dedicated vote, and for a local hit whose own ballot is the
-    /// verdict (a singleton team, or a member sitting out); false while a
+    /// flight's schedule without a rollback? True for a fresh build, and
+    /// for a local hit whose own ballot is the verdict (a singleton team, or a member sitting out); false while a
     /// piggybacked vote among several members is undecided, or on a local
     /// miss. Only a decided flight lets the caller write storage before
     /// finishing: a rollback re-serves its peers from storage.
@@ -396,13 +377,13 @@ mod tests {
         }
     }
 
-    /// The vote mode, as a consumer selects it: by supplying a cache or
-    /// not, and by `ExecPolicy::optimistic`.
+    /// Whether the trips replay. A consumer lends its cache whatever the
+    /// policy, so the no-cache column is a non-optimistic policy with a
+    /// cache lent: the driver neither reads nor writes it.
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum Mode {
         NoCache,
-        Dedicated,
-        Piggybacked,
+        Replay,
     }
     use Mode::*;
 
@@ -486,8 +467,8 @@ mod tests {
     }
 
     /// Run `script` on every rank of a `p`-machine at every point of the
-    /// lattice {blocking, split} × {no cache, dedicated, piggybacked} and
-    /// compare each rank's exact counters with `want(mode, rank)`.
+    /// lattice {blocking, split} × {no cache, replay} and compare each
+    /// rank's exact counters with `want(mode, rank)`.
     fn across_the_lattice(
         p: usize,
         ring: &'static [usize],
@@ -495,21 +476,24 @@ mod tests {
         want: fn(Mode, usize) -> Option<Counts>,
     ) {
         for split in [false, true] {
-            for mode in [NoCache, Dedicated, Piggybacked] {
+            for mode in [NoCache, Replay] {
                 let run = Machine::run(cfg(p), move |proc| {
                     let mut m = Member {
                         policy: ExecPolicy {
                             split,
-                            optimistic: mode == Piggybacked,
+                            optimistic: mode == Replay,
                         },
                         site_team: (0..p).collect(),
                         ring: Team::new(ring.to_vec()),
-                        cache: (mode != NoCache).then(|| ScheduleCache::new(8)),
+                        cache: Some(ScheduleCache::new(8)),
                         generation: 0,
                         trips: 0,
                         decided: Vec::new(),
                     };
                     script(&mut m, proc, split, mode);
+                    if mode == NoCache {
+                        assert!(m.cache.as_ref().is_some_and(ScheduleCache::is_empty));
+                    }
                     let s = proc.stats();
                     [
                         s.inspector_runs,
@@ -542,14 +526,12 @@ mod tests {
                     assert_eq!(m.trip(proc), split);
                 }
             },
-            // A ring trip moves one value message per member. A dedicated
-            // vote adds a two-message round per warm trip; a piggybacked
-            // one instead sends a header to *both* peers, values fused in.
+            // A ring trip moves one value message per member. A replay
+            // sends its vote header to *both* peers, values fused in.
             |mode, _| {
                 Some(match mode {
                     NoCache => [3, 0, 0, 0, 0, 3, 3],
-                    Dedicated => [1, 2, 0, 0, 0, 7, 7],
-                    Piggybacked => [1, 2, 2, 0, 0, 5, 5],
+                    Replay => [1, 2, 2, 0, 0, 5, 5],
                 })
             },
         );
@@ -562,11 +544,11 @@ mod tests {
             &[0, 1, 2],
             |m, proc, split, mode| {
                 let me = proc.rank();
-                if me == 1 && mode != NoCache {
+                if me == 1 && mode == Replay {
                     m.cache = Some(ScheduleCache::with_budget(8, 1));
                 }
                 m.trip(proc);
-                if let (1, Some(cache)) = (me, &mut m.cache) {
+                if let (1, Replay, Some(cache)) = (me, mode, &mut m.cache) {
                     // A *non-collective* store — LRU order diverging
                     // under memory pressure — evicts rank 1's entry; its
                     // tombstone keeps the gate up, so rank 1 still votes.
@@ -577,10 +559,9 @@ mod tests {
                     cache.store(intruder, ring_schedule(0, 1));
                 }
                 // Rank 1 misses; ranks 0 and 2 hit locally but lose the
-                // vote. Piggybacked, the hitters are offered their
-                // interior while the doomed messages fly; a dedicated
-                // vote is lost up front and everyone posts a fresh build.
-                assert_eq!(m.trip(proc), split && (mode != Piggybacked || me != 1));
+                // vote, and are offered their interior while the doomed
+                // messages fly.
+                assert_eq!(m.trip(proc), split && (mode == NoCache || me != 1));
                 // Rebuilt and stored collectively: warm again.
                 assert_eq!(m.trip(proc), split);
             },
@@ -589,13 +570,10 @@ mod tests {
                 // the rebuild under a budget of one — the intruder.
                 let ev = if rank == 1 { 2 } else { 0 };
                 match mode {
-                    NoCache => None,
-                    // Lost dedicated vote: nothing was in flight, so no
-                    // rollback — the trip just goes cold.
-                    Dedicated => Some([2, 1, 0, 0, ev, 7, 7]),
-                    // Lost piggybacked vote: header round wasted, one
-                    // rollback each, one blocking round for the rebuild.
-                    Piggybacked => Some([2, 1, 1, 1, ev, 6, 6]),
+                    NoCache => Some([3, 0, 0, 0, 0, 3, 3]),
+                    // Lost vote: header round wasted, one rollback each,
+                    // one blocking round for the rebuild.
+                    Replay => Some([2, 1, 1, 1, ev, 6, 6]),
                 }
             },
         );
@@ -623,16 +601,15 @@ mod tests {
                 let msgs = |n| if rank == 2 { 0 } else { n };
                 Some(match mode {
                     NoCache => [5, 0, 0, 0, 0, msgs(5), msgs(5)],
-                    Dedicated => [2, 3, 0, 0, 0, msgs(9), msgs(9)],
-                    Piggybacked => [2, 3, 3, 1, 0, msgs(6), msgs(6)],
+                    Replay => [2, 3, 3, 1, 0, msgs(6), msgs(6)],
                 })
             },
         );
     }
 
-    /// The verdict is final at `begin` for a fresh build, a won dedicated
-    /// vote and a singleton team's hit; a piggybacked hit among three
-    /// members waits for its peers' ballots.
+    /// The verdict is final at `begin` for a fresh build and a singleton
+    /// team's hit; a hit among three members waits for its peers'
+    /// ballots.
     #[test]
     fn the_verdict_is_final_at_begin_unless_peers_still_vote() {
         let rings: [(usize, &'static [usize]); 2] = [(3, &[0, 1, 2]), (1, &[0])];
@@ -640,7 +617,7 @@ mod tests {
             let script = |m: &mut Member, proc: &mut Proc, _: bool, mode: Mode| {
                 m.trip(proc);
                 m.trip(proc);
-                let shared_hit = mode == Piggybacked && m.ring.len() > 1;
+                let shared_hit = mode == Replay && m.ring.len() > 1;
                 assert_eq!(m.decided, [true, !shared_hit], "{mode:?}");
             };
             across_the_lattice(p, ring, script, |_, _| None);
@@ -661,8 +638,7 @@ mod tests {
             |mode, _| {
                 Some(match mode {
                     NoCache => [3, 0, 0, 0, 0, 0, 0],
-                    Dedicated => [2, 1, 0, 0, 0, 0, 0],
-                    Piggybacked => [2, 1, 1, 1, 0, 0, 0],
+                    Replay => [2, 1, 1, 1, 0, 0, 0],
                 })
             },
         );

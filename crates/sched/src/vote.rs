@@ -1,28 +1,21 @@
-//! Replay-consensus protocols.
+//! The dedicated replay vote, kept as a price.
 //!
 //! A replay decision must be *collective*: the request/reply protocol of a
 //! schedule is team-wide, so every member must agree on the (single)
-//! logical invocation being replayed. Two protocols implement the
-//! agreement:
+//! logical invocation being replayed. The trip driver ([`crate::Trip`])
+//! reaches that agreement with **zero** extra rounds: each member posts
+//! its fused value messages at once and carries its vote as a one-word
+//! header on them ([`crate::ScheduleExecutor::post_optimistic`]); on
+//! disagreement the payloads are discarded and the trip rolls back.
 //!
-//! * **pessimistic** ([`consensus`]): a dedicated flat one-word vote
-//!   exchange *before* any value traffic. Safe and simple, but it costs a
-//!   full message round of start-up latency on every warm trip — the
-//!   largest un-hidden latency once the value exchange itself is fused
-//!   and overlapped.
-//! * **optimistic** ([`crate::ScheduleExecutor::post_optimistic`]): each
-//!   member assumes agreement, posts its fused value messages
-//!   immediately, and carries its vote as a one-word header on those
-//!   messages (peers with no scheduled traffic get the bare header word).
-//!   Every member sends to and receives from every other member, so all
-//!   members observe the same vote multiset and reach the same verdict
-//!   with **zero** extra rounds. On disagreement the received payloads
-//!   are discarded and the trip *rolls back* to a full inspection — the
-//!   value traffic was wasted, but correctness never depends on it.
+//! [`consensus`] is the same agreement as a dedicated flat one-word
+//! round *before* any value traffic. No trip runs it: it is the baseline
+//! that prices what the piggybacked vote saves, one full message round of
+//! start-up latency per warm trip.
 
 use kali_machine::{collective, Proc, Team};
 
-/// Pessimistic team-wide agreement on the cached `(site, team)` ordinal to
+/// Dedicated team-wide agreement on the cached `(site, team)` ordinal to
 /// replay: returns `Some(seq)` only when *every* member holds a matching
 /// schedule from the same fresh construction. A flat one-word vote
 /// exchange — no tree depth, so it costs one latency, not log q of them;

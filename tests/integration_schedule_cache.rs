@@ -1,5 +1,6 @@
 //! Differential suite for executor reuse: every shipped KF1 program runs
-//! with the schedule cache force-disabled and force-enabled; the final
+//! rebuilding every trip (`ExecPolicy::pessimistic`) and replaying cached
+//! schedules (the default, optimistic policy); the final
 //! arrays must be *bitwise* identical and the exchange phases must move
 //! exactly the same value words. A cached schedule is an optimization of
 //! the communication protocol, never of the answer.
@@ -20,7 +21,7 @@ fn cfg(p: usize) -> MachineConfig {
     .config()
 }
 
-/// Run `src` twice (cache off, cache on) and assert the differential
+/// Run `src` twice (rebuilding, replaying) and assert the differential
 /// invariants; returns (off, on) for workload-specific checks.
 fn differential(
     src: &str,
@@ -36,23 +37,13 @@ fn differential(
         grid,
         args,
         RunOptions {
-            schedule_cache: false,
+            policy: ExecPolicy::pessimistic(),
             ..RunOptions::default()
         },
     )
     .unwrap_or_else(|e| panic!("{entry} (cache off): {e}"));
-    let on = run_source_with(
-        cfg(p),
-        src,
-        entry,
-        grid,
-        args,
-        RunOptions {
-            schedule_cache: true,
-            ..RunOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{entry} (cache on): {e}"));
+    let on = run_source_with(cfg(p), src, entry, grid, args, RunOptions::default())
+        .unwrap_or_else(|e| panic!("{entry} (cache on): {e}"));
 
     for ((name_off, a_off), (name_on, a_on)) in off.arrays.iter().zip(&on.arrays) {
         assert_eq!(name_off, name_on);
@@ -355,7 +346,7 @@ parsub bad(a, n; procs)
 100 continue
 end
 "#;
-    for cache in [false, true] {
+    for optimistic in [false, true] {
         let res = std::panic::catch_unwind(|| {
             run_source_with(
                 cfg(2),
@@ -370,13 +361,16 @@ end
                     HostValue::Int(8),
                 ],
                 RunOptions {
-                    schedule_cache: cache,
+                    policy: ExecPolicy {
+                        optimistic,
+                        ..ExecPolicy::default()
+                    },
                     ..RunOptions::default()
                 },
             )
         });
         let err = match res {
-            Ok(_) => panic!("cache={cache}: unbound body name must fail the run"),
+            Ok(_) => panic!("optimistic={optimistic}: unbound body name must fail the run"),
             Err(e) => e,
         };
         let msg = err
@@ -385,17 +379,17 @@ end
             .unwrap_or_else(|| "non-string panic".into());
         assert!(
             msg.contains("`ghost` is referenced in the loop body but has no binding"),
-            "cache={cache}: unexpected message: {msg}"
+            "optimistic={optimistic}: unexpected message: {msg}"
         );
         // The error is a rendered diagnostic: stable code, source position,
         // and a caret underlining the offending expression.
         assert!(
             msg.contains("error[A001]"),
-            "cache={cache}: missing code: {msg}"
+            "optimistic={optimistic}: missing code: {msg}"
         );
         assert!(
             msg.contains("--> line") && msg.contains("^"),
-            "cache={cache}: missing span rendering: {msg}"
+            "optimistic={optimistic}: missing span rendering: {msg}"
         );
     }
 }

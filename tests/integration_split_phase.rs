@@ -272,9 +272,8 @@ end
     );
 }
 
-/// Run `src` twice (optimistic voting off, on; cache and split-phase on
-/// in both) and assert the piggybacked-vote invariants; returns
-/// (pessimistic, optimistic).
+/// Run `src` twice (optimistic replay off, on; split-phase on in both)
+/// and assert the replay invariants; returns (pessimistic, optimistic).
 fn optimistic_differential(
     src: &str,
     entry: &str,
@@ -311,21 +310,24 @@ fn optimistic_differential(
         "{entry}: the piggybacked vote must not change the value traffic"
     );
     assert_eq!(
-        pess.report.total_schedule_replays, opt.report.total_schedule_replays,
-        "{entry}: the consensus verdicts must not depend on the protocol"
+        pess.report.total_schedule_replays + pess.report.total_optimistic_hits,
+        0,
+        "{entry}: the pessimistic baseline must rebuild every trip"
     );
     assert_eq!(
-        pess.report.total_optimistic_hits, 0,
-        "{entry}: the pessimistic baseline must not count optimistic hits"
+        pess.report.total_inspector_runs,
+        opt.report.total_inspector_runs + opt.report.total_schedule_replays,
+        "{entry}: every optimistic trip must replay or inspect, as often as the baseline's"
     );
     assert_eq!(
         opt.report.total_optimistic_hits, opt.report.total_schedule_replays,
         "{entry}: every optimistic replay must be served by the piggybacked vote"
     );
+    // A replay only shortens a trip; a rollback pays its wasted header
+    // round on top of the rebuild.
     assert!(
-        opt.report.elapsed <= pess.report.elapsed,
-        "{entry}: dropping the vote round must never lengthen the timeline \
-         ({} vs {})",
+        opt.report.total_rollbacks > 0 || opt.report.elapsed <= pess.report.elapsed,
+        "{entry}: replaying must never lengthen the timeline ({} vs {})",
         opt.report.elapsed,
         pess.report.elapsed
     );
@@ -416,14 +418,10 @@ fn no_unexpected_rollbacks_on_the_kf1_listings() {
             opt.report.total_rollbacks, expected_rollbacks,
             "{entry}: unexpected rollback count"
         );
-        assert_eq!(
-            pess.report.total_inspector_runs, opt.report.total_inspector_runs,
-            "{entry}: both protocols must inspect fresh on exactly the same trips"
-        );
         // jacobi is the listing with warm trips (tri and shift run each
-        // doall once): its cold trip is the same under both protocols,
-        // so on the virtual clock a strictly shorter run is a strictly
-        // cheaper warm trip — the dedicated vote round is really gone.
+        // doall once): its cold trip is the same under both policies, so
+        // on the virtual clock a strictly shorter run is a strictly
+        // cheaper warm trip — a replay really beats a rebuild.
         if entry == "jacobi" && opt.report.backend.virtual_time() {
             assert!(
                 opt.report.elapsed < pess.report.elapsed,
@@ -441,7 +439,7 @@ fn redistribute_mid_loop_rolls_back_exactly_once() {
     // trip's piggybacked votes all read "no hit", the posted headers are
     // discarded, and the trip re-inspects — exactly one rollback per
     // processor, never a stale read (pinned bitwise against the
-    // pessimistic-vote truth by `optimistic_differential`).
+    // rebuild-every-trip truth by `optimistic_differential`).
     let src = r#"
 parsub swap(a, b, n, niter; procs)
   processors procs(p)
@@ -497,8 +495,7 @@ fn a_partial_key_miss_rolls_everyone_back_and_keeps_the_interior() {
     // hit while 2 and 3 miss. The hitters post values and run their
     // interior before the lost verdict arrives; that work must survive
     // the rollback, and the cold re-run must leave the answer bitwise
-    // equal to the pessimistic truth without ever lengthening the
-    // timeline (`optimistic_differential`).
+    // equal to the pessimistic truth (`optimistic_differential`).
     let src = r#"
 parsub grow(a, b, n; procs)
   processors procs(p)
@@ -513,7 +510,7 @@ end
 "#;
     let n = 16usize;
     let p = 4usize;
-    let (pess, opt) = optimistic_differential(
+    let (_, opt) = optimistic_differential(
         src,
         "grow",
         p,
@@ -533,10 +530,6 @@ end
     // Trips 2 and 3 both roll back, on every member; nothing replays.
     assert_eq!(opt.report.total_rollbacks, 2 * p as u64);
     assert_eq!(opt.report.total_schedule_replays, 0);
-    assert_eq!(
-        pess.report.total_inspector_runs,
-        opt.report.total_inspector_runs
-    );
 }
 
 #[test]

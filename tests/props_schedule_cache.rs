@@ -36,23 +36,13 @@ fn run_pair(
         grid,
         args,
         RunOptions {
-            schedule_cache: false,
+            policy: ExecPolicy::pessimistic(),
             ..RunOptions::default()
         },
     )
     .unwrap_or_else(|e| panic!("cache off: {e}\n{src}"));
-    let on = run_source_with(
-        cfg(p),
-        src,
-        entry,
-        grid,
-        args,
-        RunOptions {
-            schedule_cache: true,
-            ..RunOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("cache on: {e}\n{src}"));
+    let on = run_source_with(cfg(p), src, entry, grid, args, RunOptions::default())
+        .unwrap_or_else(|e| panic!("cache on: {e}\n{src}"));
     (off, on)
 }
 

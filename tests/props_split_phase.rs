@@ -214,7 +214,7 @@ end
         // voting: the invalidated trip must *roll back* (one per
         // processor when the flip lands before the last trip), later
         // trips must replay through the piggybacked vote again, and the
-        // answers must stay bitwise-identical to the pessimistic-vote
+        // answers must stay bitwise-identical to the rebuild-every-trip
         // run — a stale-route payload reaching storage would diverge.
         let p = 1usize << logp;
         let n = (4 * p + extra).max(6);
@@ -271,13 +271,12 @@ end
             pess.report.total_exchange_words,
             opt.report.total_exchange_words
         );
-        prop_assert_eq!(
-            pess.report.total_schedule_replays,
-            opt.report.total_schedule_replays
-        );
-        // Exact counter accounting: trip 1 is cold; a flip before the
-        // last trip makes trip flip_at+1 the single rollback; every
-        // other warm trip is a piggybacked-vote hit.
+        // Exact counter accounting: the baseline inspects on every trip;
+        // optimistically trip 1 is cold, a flip before the last trip
+        // makes trip flip_at+1 the single rollback, and every other warm
+        // trip is a piggybacked-vote hit.
+        prop_assert_eq!(pess.report.total_schedule_replays, 0);
+        prop_assert_eq!(pess.report.total_inspector_runs, p as u64 * niter as u64);
         let flips = u64::from(flip_at < niter);
         prop_assert_eq!(opt.report.total_rollbacks, p as u64 * flips);
         prop_assert_eq!(
