@@ -74,9 +74,11 @@
 //! 10.0` — whose reads are whole real arrays on block distributions. Its
 //! builder derives the inspector's schedule, word for word, from the
 //! owned boxes instead of inspecting, and its interior and boundary are
-//! rows of a compiled kernel (see "What an element costs"). Every other
-//! site — `tri`, `tric`, the `spmv` builtin, anything a trip's bindings
-//! take outside that class — is walked as below.
+//! rows of a compiled kernel (see "What an element costs"). So is
+//! `spmv.kf1`'s row doall, one `spmv` call per CSR row, whose builder
+//! reads the rows' column indices once. Every other site — `tri`, `tric`,
+//! anything a trip's bindings take outside those classes — is walked as
+//! below.
 //!
 //! The schedule subsystem itself — [`CommSchedule`], the keyed
 //! [`ScheduleCache`], and the whole trip protocol just described (vote
@@ -160,6 +162,12 @@
 //! as the fallback, and as the oracle the lowered path is tested against
 //! bit for bit (results, messages, counters, virtual clocks).
 //!
+//! Nor does a CSR site (`RDoall::csr`). Its rows are the owned block of
+//! `y` met with the loop bounds; a nonzero costs one multiply-add over its
+//! row's `ci`/`av` slices, read in place, and a row one value in a buffer
+//! committed once. The cold builder records the remote columns in the
+//! inspector's order.
+//!
 //! A trip whose one iteration writes through logs nothing: a write is the
 //! ownership test and a store, counted for the commit's `memop`. Inside
 //! such an iteration a `do` loop of element assignments over rank-1
@@ -190,7 +198,7 @@ use kali_sched::{
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::Diagnostic;
-use crate::lower::{Kernel, LoopScratch, Part, Rows, Scratch, Strided};
+use crate::lower::{CsrRows, Kernel, LoopScratch, Part, Rows, Scratch, Strided};
 use crate::resolve::*;
 use crate::value::*;
 use crate::RunOptions;
@@ -520,11 +528,13 @@ impl IterSet {
 }
 
 /// What one doall trip executes: the walker over the iterations the
-/// on-clause listed, or a lowered site's kernel over its owned box.
+/// on-clause listed, a lowered site's kernel over its owned box, or a CSR
+/// site's rows.
 #[derive(Clone, Copy)]
 enum Work<'w> {
     Walk(&'w IterSet),
     Rows(&'w Kernel, &'w Rows),
+    Csr(&'w CsrRows),
 }
 
 impl<'w> Work<'w> {
@@ -533,7 +543,7 @@ impl<'w> Work<'w> {
     fn lines(self, top: usize) -> impl Iterator<Item = (usize, Range<usize>)> + 'w {
         let (batch, len) = match self {
             Work::Walk(s) => (&s.lines[..], s.len()),
-            Work::Rows(..) => (&[][..], 0),
+            _ => (&[][..], 0),
         };
         let one = batch.is_empty().then_some((top, 0..len));
         let starts = std::iter::once(0).chain(batch.iter().map(|l| l.1));
@@ -1149,12 +1159,14 @@ impl<'a, 'p> Interp<'a, 'p> {
         let batched = !my_iters.lines.is_empty();
         let kernel = d.kernel.as_ref().filter(|_| !batched);
         let lowered = kernel.and_then(|k| Some((k, self.lower(d, k, bounds)?)));
+        let csr = d.csr.as_ref().filter(|_| !batched);
+        let csr = csr.and_then(|c| self.place_csr(d, c, bounds));
         // Owner set per iteration — only when a static plan may seed this
         // site: seeding simulates every team member's inspector pass, and
         // the owner sets are its input.
         let seeding = self.static_seed && d.plan.is_some();
-        let owners = match lowered {
-            Some(_) if !seeding => {
+        let owners = match lowered.is_some() || csr.is_some() {
+            true if !seeding => {
                 // The key reads the loop variables as the scan leaves
                 // them: at the last iteration (unit steps).
                 if bounds.iter().all(|&(l, h, _)| l <= h) {
@@ -1168,14 +1180,15 @@ impl<'a, 'p> Interp<'a, 'p> {
         };
         let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
         self.doall_depth += 1;
-        let result = match &lowered {
-            Some((k, rows)) => self.run_inspector_executor(d, Work::Rows(k, rows), owners),
+        let result = match (&lowered, &csr) {
+            (Some((k, rows)), _) => self.run_inspector_executor(d, Work::Rows(k, rows), owners),
+            (_, Some(rows)) => self.run_inspector_executor(d, Work::Csr(rows), owners),
             // Team-call mode (Listing 7): members of each iteration's
             // owner set execute the body cooperatively — a batch of lines
             // at a time where the class allows.
-            None if d.batch => self.run_lines(d, &my_iters),
-            None if d.team_call => my_iters.iter().try_for_each(|it| self.run_iteration(d, it)),
-            None => self.run_inspector_executor(d, Work::Walk(&my_iters), owners),
+            _ if d.batch => self.run_lines(d, &my_iters),
+            _ if d.team_call => my_iters.iter().try_for_each(|it| self.run_iteration(d, it)),
+            _ => self.run_inspector_executor(d, Work::Walk(&my_iters), owners),
         };
         self.doall_depth -= 1;
         result
@@ -1258,11 +1271,33 @@ impl<'a, 'p> Interp<'a, 'p> {
                 values.push(self.eval(e).ok()?.as_f64());
             }
         }
+        rows.prepare(k, &values, self.site_scratch(d));
+        Some(rows)
+    }
+
+    /// Place `d`'s CSR row product on this trip's bindings ([`CsrRows::new`]):
+    /// unit step, `y`, `rp`, `ci` and `av` bound to whole arrays, `x`'s
+    /// section evaluated once. `None` runs the walker instead.
+    fn place_csr(&mut self, d: &RDoall, c: &Csr, bounds: &[(i64, i64, i64)]) -> Option<CsrRows> {
+        let &[(lo, hi, 1)] = bounds else {
+            return None;
+        };
+        let [y, rp, ci, av, x] = c.slots;
+        let x = self.make_section_view(x, &c.x_secs).ok()?;
+        let whole = |slot| match self.slot(slot) {
+            Some(Binding::Array(view)) if view.is_whole() => Some(view.base.clone()),
+            _ => None,
+        };
+        let arrays = [whole(y)?, whole(rp)?, whole(ci)?, whole(av)?];
+        CsrRows::new(self.me(), (lo, hi), arrays, &x, self.site_scratch(d))
+    }
+
+    /// The buffers of a placed site, reused trip after trip.
+    fn site_scratch(&mut self, d: &RDoall) -> &mut Scratch {
         if self.scratch.len() <= d.site {
             self.scratch.resize_with(d.site + 1, Scratch::default);
         }
-        rows.prepare(k, &values, &mut self.scratch[d.site]);
-        Some(rows)
+        &mut self.scratch[d.site]
     }
 
     fn set_loop_vars(&mut self, d: &RDoall, it: &[i64]) {
@@ -1518,7 +1553,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         let build = |me: &mut Self, _: &LangWorld| match work {
             Work::Walk(iters) => me.inspect(d, &team, &arrays, iters),
-            Work::Rows(_, rows) => me.inspect_rows(rows, &team, &arrays),
+            placed => me.inspect_placed(placed, &team, &arrays),
         };
         let split = self.policy.split;
         let result = (|| {
@@ -1562,6 +1597,11 @@ impl<'a, 'p> Interp<'a, 'p> {
                         Work::Rows(k, rows) => {
                             debug_assert_eq!(pre.boundary, rows.inspect(|_, _| {}));
                             rows.exec(k, Part::Interior, &mut self.scratch[d.site], self.proc);
+                            None
+                        }
+                        Work::Csr(rows) => {
+                            let interior = interior_runs(&pre.boundary, rows.len()).flatten();
+                            rows.exec(interior, &mut self.scratch[d.site], self.proc);
                             None
                         }
                     };
@@ -1631,22 +1671,26 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     /// The inspector without the walk: a lowered site's boundary and
-    /// remote reads follow from its boxes — the lists the walk would
-    /// record, in its order ([`Rows::inspect`]) — and are routed as
+    /// remote reads follow from its boxes ([`Rows::inspect`]), a CSR
+    /// site's from one read of its rows' columns ([`CsrRows::inspect`]) —
+    /// the lists the walk would record, in its order — and are routed as
     /// the walker's are, so the schedule is the inspector's, word for word.
-    fn inspect_rows(
+    fn inspect_placed(
         &mut self,
-        rows: &Rows,
+        work: Work,
         team: &Team,
         arrays: &[ExchangeArray],
     ) -> RtResult<CommSchedule> {
         self.proc.note_inspector_run();
         self.proc.mark("doall:inspect");
-        let mut st = InspectState {
-            writes: rows.len(),
-            ..InspectState::default()
+        let mut st = InspectState::default();
+        let record = |base: &ArrRef, flat| st.record(base, flat);
+        let (boundary, writes) = match work {
+            Work::Rows(_, rows) => (rows.inspect(record), rows.len()),
+            Work::Csr(rows) => (rows.inspect(record), rows.len()),
+            Work::Walk(_) => unreachable!("the walk is inspected by walking"),
         };
-        let boundary = rows.inspect(|base, flat| st.record(base, flat));
+        st.writes = writes;
         self.route(team, arrays, st, boundary)
     }
 
@@ -1763,6 +1807,14 @@ impl<'a, 'p> Interp<'a, 'p> {
                 rows.exec(k, part, scratch, self.proc);
                 rows.commit(scratch, self.proc);
             }
+            Work::Csr(rows) => {
+                let scratch = &mut self.scratch[d.site];
+                match ran {
+                    Some((boundary, _)) => rows.exec(boundary.iter().copied(), scratch, self.proc),
+                    None => rows.exec(0..rows.len(), scratch, self.proc),
+                }
+                rows.commit(scratch, self.proc);
+            }
         }
         Ok(())
     }
@@ -1837,7 +1889,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         // of a size builds without a vote, as a site's first trip does.
         let lines = match work {
             Work::Walk(s) => s.lines.len(),
-            Work::Rows(..) => 0,
+            _ => 0,
         };
         let key = self
             .key_words(d, team, work, &mut words)
@@ -1880,9 +1932,9 @@ impl<'a, 'p> Interp<'a, 'p> {
                 }
                 Some(())
             }
-            Work::Rows(_, rows) => {
+            Work::Rows(_, Rows { bx, .. }) | Work::Csr(CsrRows { bx, .. }) => {
                 w.push(1);
-                w.extend(rows.bx.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
+                w.extend(bx.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
                 self.line_words(d, &sched, w)
             }
         }
@@ -2333,12 +2385,13 @@ impl<'a, 'p> Interp<'a, 'p> {
                     let i = at(i).ok_or_else(|| format!("section {i} of {name} out of range"))?;
                     map.push(ViewDim::Fixed(i));
                 }
+                // `a(k:k - 1)`, for `k` up to one past the end, is empty.
                 RSection::Range(e1, e2) => {
                     let a = self.eval(e1)?.as_int();
                     let b = self.eval(e2)?.as_int();
                     let Some((base_a, base_b)) = at(a)
                         .zip(at(b))
-                        .filter(|&(x, y)| x >= lo && y <= hi && y >= x)
+                        .filter(|&(x, y)| x >= lo && y <= hi && y >= x.saturating_sub(1))
                     else {
                         return Err(format!("section {a}:{b} of {name} out of range"));
                     };
@@ -2402,6 +2455,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                     let v = self.make_section_view(*slot, subs)?;
                     if v.ndims() != 1 {
                         return Err(format!("builtin {name}: sections must be 1-D"));
+                    }
+                    if v.extent(0) == 0 {
+                        let arr = &v.base.borrow().name;
+                        return Err(format!("builtin {name}: the section of {arr} is empty"));
                     }
                     sections.push(self.local_section(name, &v)?);
                 }
@@ -2516,12 +2573,16 @@ impl<'a, 'p> Interp<'a, 'p> {
                 xv.base.borrow().name
             ));
         }
-        let sum = {
-            let (ab, xb) = (av.base.borrow(), xv.base.borrow());
-            let a = |f: usize| self.mode.written(&av.base, f).unwrap_or(ab.data[f]);
-            let x = |f: usize| self.mode.written(&xv.base, f).unwrap_or(xb.data[f]);
-            let terms = xflats.iter().enumerate();
-            terms.map(|(t, &fx)| a(av.flat(t)) * x(fx)).sum()
+        // An empty row stores +0.0, whatever an empty `sum` gives.
+        let sum = match nnz {
+            0 => 0.0,
+            _ => {
+                let (ab, xb) = (av.base.borrow(), xv.base.borrow());
+                let a = |f: usize| self.mode.written(&av.base, f).unwrap_or(ab.data[f]);
+                let x = |f: usize| self.mode.written(&xv.base, f).unwrap_or(xb.data[f]);
+                let terms = xflats.iter().enumerate();
+                terms.map(|(t, &fx)| a(av.flat(t)) * x(fx)).sum()
+            }
         };
         self.proc.compute(2.0 * xflats.len() as f64);
         self.write_section(&y, &[sum]);
@@ -3063,13 +3124,67 @@ mod tests {
                 let team = me.frame().grid.team();
                 let arrays = me.exchange_arrays(d, Work::Walk(&iters)).unwrap();
                 let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
-                let derived = me.inspect_rows(&rows, &team, &arrays).unwrap();
+                let derived = me.inspect_placed(Work::Rows(kernel, &rows), &team, &arrays);
+                let derived = derived.unwrap();
                 assert_eq!(walked, derived, "{entry}, rank {}", me.me());
                 assert_eq!(me.proc.stats().inspector_runs, 2);
                 walked.words_expected()
             });
             assert!(words.iter().sum::<usize>() > 0, "{entry}: {words:?}");
         }
+    }
+
+    /// ... and so does the CSR builder, on `spmv.kf1` at p = 3 with
+    /// uneven blocks, an empty row, and columns on every rank.
+    #[test]
+    fn the_csr_builder_derives_the_inspectors_schedule() {
+        let n = 11;
+        let cols = |i: usize| match i {
+            4 => vec![],
+            _ => vec![(i * 7) % n + 1, i + 1, (i + 5) % n + 1, (i * 7) % n + 1],
+        };
+        let (mut rp, mut ci) = (vec![1.0], Vec::new());
+        for i in 0..n {
+            ci.extend(cols(i).into_iter().map(|c| c as f64));
+            rp.push(ci.len() as f64 + 1.0);
+        }
+        let nz = ci.len();
+        let array = |data: Vec<f64>| HostValue::Array {
+            bounds: vec![(1, data.len() as i64)],
+            data,
+        };
+        let args = [
+            array(vec![0.0; n]),
+            array((0..n).map(|k| 0.5 + k as f64).collect()),
+            array(rp),
+            array(ci),
+            array(vec![1.5; nz]),
+            HostValue::Int(n as i64),
+            HostValue::Int(nz as i64),
+            HostValue::Int(1),
+        ];
+        let src = crate::listing("spmv").unwrap();
+        let words = on_entry(src, "spmvit", &[3], &args, |me, sub| {
+            let d = me.run_to_doall(&sub.body);
+            let bounds = [(1, n as i64, 1)];
+            let mut iters = IterSet {
+                arity: 1,
+                ..IterSet::default()
+            };
+            me.scan(d, &bounds, false, &mut iters).unwrap();
+            let csr = d.csr.as_ref().expect("the CSR class");
+            let rows = me
+                .place_csr(d, csr, &bounds)
+                .expect("bindings in the class");
+            let team = me.frame().grid.team();
+            let arrays = me.exchange_arrays(d, Work::Walk(&iters)).unwrap();
+            let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
+            let derived = me.inspect_placed(Work::Csr(&rows), &team, &arrays).unwrap();
+            assert_eq!(walked, derived, "rank {}", me.me());
+            assert!(!walked.boundary.is_empty() && walked.write_hint == rows.len());
+            walked.words_expected()
+        });
+        assert!(words.iter().all(|&w| w > 0), "{words:?}");
     }
 
     /// Each listing's entry and a small input for it, on one processor.
@@ -3163,14 +3278,15 @@ mod tests {
         out
     }
 
-    /// Which sites take the lowered path: a single assignment of an
-    /// affine stencil does (Jacobi's doall, `shift`'s, ADI's residual,
-    /// `spmv`'s feedback `x(i) = y(i) / 10.0`); scalar temporaries,
-    /// builtin and team calls and non-affine subscripts keep every site of
-    /// `tri` and the rest of `adi` and `spmv` on the walker.
+    /// Which sites run compiled: a single assignment of an affine stencil
+    /// is lowered (Jacobi's doall, `shift`'s, ADI's residual, `spmv`'s
+    /// feedback `x(i) = y(i) / 10.0`), and `spmv`'s row doall runs as CSR
+    /// rows; scalar temporaries, other builtin and team calls and
+    /// non-affine subscripts keep every site of `tri` and the rest of
+    /// `adi` on the walker.
     #[test]
     fn the_lowered_sites_of_the_listings() {
-        let wants: [&[usize]; 5] = [&[0], &[0], &[], &[2], &[1]];
+        let wants: [&[usize]; 5] = [&[0], &[0], &[], &[2], &[0, 1]];
         for ((listing, entry, grid, args), want) in listing_runs().into_iter().zip(wants) {
             let src = crate::listing(listing).unwrap();
             let ran = on_entry(src, entry, grid, &args, |me, sub| {
@@ -3185,7 +3301,7 @@ mod tests {
             assert_eq!(ran, [want.to_vec()], "{listing}");
             // The text alone already decides it at one processor.
             let compiled = in_text(listing, |_, s| match s {
-                RStmt::Doall(d) if d.kernel.is_some() => Some(d.site),
+                RStmt::Doall(d) if d.kernel.is_some() || d.csr.is_some() => Some(d.site),
                 _ => None,
             });
             assert_eq!(compiled, want, "{listing}");

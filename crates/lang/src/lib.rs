@@ -216,35 +216,50 @@ pub fn run_source_with(
             .call_sub(entry_sub, bindings, grid)
             .unwrap_or_else(|e| panic!("KF1 runtime error on processor {rank}: {e}"));
         // Export final per-processor state, moved out: the call is over
-        // and nothing reads the array again. The ownership map is the
-        // same on every processor, so processor 0 alone builds it. Export
+        // and nothing reads the array again. The layout is the same on
+        // every processor, so processor 0 alone hands it over. Export
         // copies on every processor would make the call's heap
         // high-water mark depend on how the processors' exports overlap.
         handles
             .into_iter()
             .map(|arr| {
                 let mut a = arr.borrow_mut();
-                let owners: Vec<usize> = if rank == 0 {
-                    let mut idxs = [0i64; MAX_RANK];
-                    (0..a.total_len())
-                        .map(|flat| a.owner_of(a.unflat_into(flat, &mut idxs)).unwrap_or(0))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                (std::mem::take(&mut a.data), owners)
+                let layout = (rank == 0).then(|| a.layout.clone());
+                (std::mem::take(&mut a.data), layout)
             })
             .collect::<Vec<_>>()
     });
 
-    // Combine: element value comes from its owner's copy; the map is
-    // processor 0's.
+    // Combine: processor 0's copy, with every run along the last dimension
+    // another processor owns — a processor coordinate's indices — copied
+    // from that processor's.
+    let mut results = run.results;
     let mut arrays = Vec::new();
     for (ai, name) in array_params.iter().enumerate() {
-        let owners = &run.results[0][ai].1;
-        let mut combined = vec![0.0; owners.len()];
-        for (flat, &owner) in owners.iter().enumerate() {
-            combined[flat] = run.results[owner][ai].0[flat];
+        let (mut combined, layout) = std::mem::take(&mut results[0][ai]);
+        let layout = layout.expect("processor 0 exports the layout");
+        if let Some((last, lead)) = layout.dists().split_last() {
+            let (width, mut idx) = (last.len(), vec![0; lead.len() + 1]);
+            for (row, out) in combined.chunks_exact_mut(width).enumerate() {
+                let mut r = row;
+                for (i, d) in idx.iter_mut().zip(lead).rev() {
+                    (*i, r) = (r % d.len(), r / d.len());
+                }
+                for q in 0..last.nprocs() {
+                    let Some(lo) = last.lower(q) else { continue };
+                    idx[lead.len()] = lo;
+                    let Some(owner @ 1..) = layout.owner(&idx) else {
+                        continue;
+                    };
+                    let from = &results[owner][ai].0[row * width..][..width];
+                    if last.is_contiguous() {
+                        let run = lo..=last.upper(q).expect("q owns indices");
+                        out[run.clone()].copy_from_slice(&from[run]);
+                    } else {
+                        last.owned(q).for_each(|j| out[j] = from[j]);
+                    }
+                }
+            }
         }
         arrays.push((name.clone(), combined));
     }

@@ -34,17 +34,22 @@
 //! sequence, and [`LoopScratch::run`] executes the chunks. The interpreter
 //! runs it only where a write is a plain store (a write-through doall
 //! iteration), and walks the loop whenever a condition fails.
+//!
+//! One doall of a builtin call is placed as well: `spmv.kf1`'s CSR rows
+//! ([`CsrRows`]), each a multiply-add over its slices of the replicated
+//! structure arrays.
 
 use std::cell::Ref;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
+use kali_grid::{DimDist, DimMap};
 use kali_machine::Proc;
 
 use crate::analysis::const_of;
 use crate::ast::{BinOp, UnOp};
 use crate::resolve::{any_expr, Node, RDoall, RExpr, RProcExpr, RStmt, Slot};
-use crate::value::{ArrObj, ArrRef, View, MAX_RANK};
+use crate::value::{ArrObj, ArrRef, View, ViewDim, MAX_RANK};
 
 /// Inclusive bounds per loop variable, the last one along a row; a
 /// one-variable loop is a single row, `[(0, 0), range]`.
@@ -55,6 +60,12 @@ const EMPTY: Bx = [(0, -1); 2];
 
 fn is_empty(b: &Bx) -> bool {
     b.iter().any(|&(lo, hi)| lo > hi)
+}
+
+/// How many iterations a box holds.
+fn count(b: &Bx) -> usize {
+    let [(a0, b0), (a1, b1)] = *b;
+    ((b0 - a0 + 1) * (b1 - a1 + 1)).max(0) as usize
 }
 
 fn meet(a: &Bx, b: &Bx) -> Bx {
@@ -404,8 +415,7 @@ impl Rows {
 
     /// How many iterations are mine.
     pub(crate) fn len(&self) -> usize {
-        let [(a0, b0), (a1, b1)] = self.bx;
-        ((b0 - a0 + 1) * (b1 - a1 + 1)).max(0) as usize
+        count(&self.bx)
     }
 
     /// Position of iteration `(i, j)` in iteration order.
@@ -503,6 +513,146 @@ impl Rows {
     }
 }
 
+/// A doall in the CSR class ([`crate::resolve::Csr`]) placed on one
+/// trip's bindings: row `i` is `y(i) = Σ av(k) · x(ci(k))` over `k` from
+/// `rp(i)` to `rp(i + 1) − 1`, the column `ci(k)` counted in `x`'s section.
+pub(crate) struct CsrRows {
+    /// My rows, `[(0, 0), (first, last)]`: the owned block of `y` met with
+    /// the loop bounds.
+    pub bx: Bx,
+    y: Addr,
+    /// `rp`, `ci` and `av`.
+    structure: [ArrRef; 3],
+    x: ArrRef,
+    /// Column `c` is stored at `c + x_at`; mine are stored in `x_owned`.
+    x_at: i64,
+    x_owned: RangeInclusive<i64>,
+}
+
+impl CsrRows {
+    /// Place the product for rank `me` over rows `lo..=hi` (unit step) on
+    /// whole arrays and the view `x` of a section, sizing `s`. `None` — the
+    /// walker runs, and reports what it reports — unless all are 1-D, `y`
+    /// real, block-distributed and holding the loop range, `rp`, `ci`, `av`
+    /// replicated, `x` real, not `y`, with contiguous blocks, and every row
+    /// of mine names sections of `ci` and `av` by exact integers in `rp`,
+    /// their columns inside `x`'s section.
+    pub(crate) fn new(
+        me: usize,
+        (lo, hi): (i64, i64),
+        [y, rp, ci, av]: [ArrRef; 4],
+        x: &View,
+        s: &mut Scratch,
+    ) -> Option<CsrRows> {
+        let (y, xa) = (Addr::of(&y, 1)?, Addr::of(&x.base, 1)?);
+        let [_, (y_lo, y_hi)] = y.bounds;
+        let fits = y.base.borrow().layout.spec().maps() == [DimMap::Dist(DimDist::Block)]
+            && (lo > hi || lo >= y_lo && hi <= y_hi)
+            && !Rc::ptr_eq(&x.base, &y.base)
+            && [&rp, &ci, &av]
+                .iter()
+                .all(|a| a.borrow().ndims() == 1 && a.borrow().replicated());
+        let (true, &[ViewDim::Range(a, b)]) = (fits, &x.map[..]) else {
+            return None;
+        };
+        let ([_, (x0, x1)], x_lo) = (xa.owned(me, true)?, xa.bounds[1].0);
+        let csr = CsrRows {
+            bx: meet(&[(0, 0), (lo, hi)], &y.owned(me, false)?),
+            y,
+            structure: [rp, ci, av],
+            x: x.base.clone(),
+            x_at: a.checked_sub(x.callee_lo[0])?.checked_sub(x_lo)?,
+            x_owned: x0.saturating_sub(x_lo)..=x1.saturating_sub(x_lo),
+        };
+        // The walker translates column `c` to `c − callee_lo + a`.
+        let inside = |c: &f64| {
+            let t = (*c as i64).checked_sub(x.callee_lo[0]);
+            t.is_some_and(|t| (0..=b - a).contains(&t))
+        };
+        let data = csr.structure.each_ref().map(|a| a.borrow());
+        let mut rows = csr.bx[1].0..=csr.bx[1].1;
+        let fits = rows.all(|i| csr.row(&data, i).is_some_and(|[c, _]| c.iter().all(inside)));
+        drop(data);
+        s.out.resize(csr.len(), 0.0);
+        fits.then_some(csr)
+    }
+
+    /// How many rows are mine.
+    pub(crate) fn len(&self) -> usize {
+        count(&self.bx)
+    }
+
+    /// The column indices and values of row `i`, if its `rp` entries are
+    /// exact integers naming a section of `ci` and of `av`.
+    fn row<'d>(&self, [rp, ci, av]: &'d [Ref<ArrObj>; 3], i: i64) -> Option<[&'d [f64]; 2]> {
+        let at = |a: &ArrObj, i: i64| usize::try_from(i.checked_sub(a.bounds[0].0)?).ok();
+        let int = |v: f64| (v.fract() == 0.0 && v.abs() <= 2f64.powi(53)).then_some(v as i64);
+        let k = int(*rp.data.get(at(rp, i)?)?)?;
+        let end = int(*rp.data.get(at(rp, i.checked_add(1)?)?)?)?;
+        let section = |a: &'d ArrObj| a.data.get(at(a, k)?..at(a, end)?);
+        Some([section(ci)?, section(av)?])
+    }
+
+    /// Run `f(position, columns, values)` over my rows at `positions`.
+    fn rows(&self, at: impl IntoIterator<Item = usize>, mut f: impl FnMut(usize, &[f64], &[f64])) {
+        let data = self.structure.each_ref().map(|a| a.borrow());
+        for pos in at {
+            let row = self.row(&data, self.bx[1].0 + pos as i64);
+            let [cols, vals] = row.expect("placed rows name sections of ci and av");
+            f(pos, cols, vals);
+        }
+    }
+
+    /// What the inspector finds walking my rows: the positions of those
+    /// with a column that is not mine, ascending, while `record` is handed
+    /// each such column as `(x, flat)` in row and column order.
+    pub(crate) fn inspect(&self, mut record: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
+        let mut boundary = Vec::new();
+        self.rows(0..self.len(), |pos, cols, _| {
+            let flats = cols.iter().map(|&c| (c as i64).wrapping_add(self.x_at));
+            let remote = flats.filter(|f| !self.x_owned.contains(f));
+            if remote.inspect(|&f| record(&self.x, f as usize)).count() > 0 {
+                boundary.push(pos);
+            }
+        });
+        boundary
+    }
+
+    /// Run the rows at `positions` into the result, charging `proc` as the
+    /// walker's `spmv` does — `2·nnz` flops, then the row's written word —
+    /// row by row in execution order.
+    pub(crate) fn exec(
+        &self,
+        at: impl IntoIterator<Item = usize>,
+        s: &mut Scratch,
+        proc: &mut Proc,
+    ) {
+        let x = self.x.borrow();
+        let product =
+            |(&c, &a): (&f64, &f64)| a * x.data[(c as i64).wrapping_add(self.x_at) as usize];
+        self.rows(at, |pos, cols, vals| {
+            // The walker's sum, and +0.0 for an empty row, as it stores.
+            s.out[pos] = match cols.len() {
+                0 => 0.0,
+                _ => cols.iter().zip(vals).map(product).sum(),
+            };
+            proc.compute(2.0 * cols.len() as f64);
+            proc.memop(1.0);
+        });
+    }
+
+    /// Copy-out: the result into `y`, charged as the walker's commit of
+    /// one write per row.
+    pub(crate) fn commit(&self, s: &Scratch, proc: &mut Proc) {
+        let n = self.len();
+        proc.memop(n as f64);
+        if n > 0 {
+            let at = self.y.flat(0, self.bx[1].0);
+            self.y.base.borrow_mut().data[at..at + n].copy_from_slice(&s.out[..n]);
+        }
+    }
+}
+
 /// The most iterations a compiled loop runs at once: its buffers never
 /// grow with the loop.
 const CHUNK: usize = 64;
@@ -519,10 +669,14 @@ impl Strided {
     /// Reference `view(lo..=hi)` of a rank-1 view: both ends translate
     /// through the view into the array's bounds, as the walker's accesses
     /// do (then so does everything between). With `writer`, every element
-    /// must also be that rank's.
+    /// must also be that rank's. An empty range references nothing.
     pub(crate) fn of(view: &View, (lo, hi): (i64, i64), writer: Option<usize>) -> Option<Strided> {
         let b = view.base.borrow();
         (view.ndims() == 1).then_some(())?;
+        if hi < lo {
+            let (base, at, step) = (view.base.clone(), 0, 1);
+            return Some(Strided { base, at, step });
+        }
         let mut base_idxs = [0; MAX_RANK];
         let mut flat = |i: i64| {
             let idxs = view.to_base_into(&[i; MAX_RANK], 1, &mut base_idxs).ok()?;

@@ -322,6 +322,17 @@ pub(crate) struct RDoall {
     /// its callee can ([`RSub::lockstep`]): the interpreter runs the callee
     /// once per batch of lines, each of its doalls as one trip.
     pub batch: bool,
+    /// The CSR row product ([`csr`]): the interpreter runs it as one
+    /// slice loop over its rows whenever a trip's bindings fit.
+    pub csr: Option<Box<Csr>>,
+}
+
+/// A doall in the CSR class ([`csr`]): the slots of `y`, `rp`, `ci`,
+/// `av` and `x`, and the section of `x` the column indices count in.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    pub slots: [Slot; 5],
+    pub x_secs: Vec<RSection>,
 }
 
 #[derive(Debug, Clone)]
@@ -681,11 +692,63 @@ impl RDoall {
             cacheable: !f.uncacheable,
             kernel: None,
             batch: false,
+            csr: None,
         };
         d.kernel = compile(&d);
         d.batch = batchable(&d);
+        d.csr = csr(&d);
         d
     }
+}
+
+/// Is `d` one CSR row product per iteration ([`RDoall::csr`])? It runs
+/// `doall i = … on owner(y(i))` over exactly `call spmv(y(i:i),
+/// ci(r(i):r(i + 1) - 1), av(r(i):r(i + 1) - 1), x(…))`, whose one section
+/// of `x` mentions neither `i` nor an array element. The bindings are
+/// checked per trip ([`crate::lower::CsrRows::new`]).
+fn csr(d: &RDoall) -> Option<Box<Csr>> {
+    let ([i], RProcExpr::Owner(y, on), [RStmt::Call { callee, args, .. }]) =
+        (&d.vars[..], &d.on, &d.body[..])
+    else {
+        return None;
+    };
+    let var = |e: &RExpr| matches!(e, RExpr::Var(v, _) if v == i);
+    let one = |e: &RExpr| matches!(e, RExpr::Const(Value::Int(1), _));
+    let [RArg::Section(ys, ysec, _), RArg::Section(ci, csec, _), RArg::Section(av, asec, _), RArg::Section(x, xsec, _)] =
+        &args[..]
+    else {
+        return None;
+    };
+    let ([Some(at)], [RSection::Range(y0, y1)], [RSection::Range(lo, hi)]) =
+        (&on[..], &ysec[..], &csec[..])
+    else {
+        return None;
+    };
+    let (RExpr::Ref(rp, _, first, _), RExpr::Bin(BinOp::Sub, end, c, _)) = (lo, hi) else {
+        return None;
+    };
+    let RExpr::Ref(r, _, next, _) = &**end else {
+        return None;
+    };
+    let by_i = matches!(&first[..], [Some(e)] if var(e))
+        && matches!(&next[..], [Some(RExpr::Bin(BinOp::Add, v, c, _))] if var(v) && one(c));
+    let same = matches!(&asec[..], [RSection::Range(l, h)] if l == lo && h == hi);
+    let mut varies =
+        |n: Node| matches!(n, Node::Expr(RExpr::Ref(..))) || matches!(n, Node::Name(s) if s == *i);
+    let x_free = match &xsec[..] {
+        [RSection::Range(a, b)] => !any_expr(a, &mut varies) && !any_expr(b, &mut varies),
+        secs => matches!(secs, [RSection::All]),
+    };
+    let fits = matches!(callee, Callee::Builtin(Builtin::Spmv))
+        && ys == y
+        && r == rp
+        && one(c)
+        && [at, y0, y1].into_iter().all(var)
+        && by_i
+        && same
+        && x_free;
+    let (slots, x_secs) = ([*y, *rp, *ci, *av, *x], xsec.clone());
+    fits.then(|| Box::new(Csr { slots, x_secs }))
 }
 
 /// A doall body's [`RDoall::plan`], if it has one. The interpreter
@@ -966,7 +1029,7 @@ end
     /// line per fact: per `doall` its site, reads in order (`?` marks
     /// `may_be_unbound`), key names, the keyed names when every declared
     /// array is bound to an array, `cacheable`, `team_call`, the plan's
-    /// arrays, `kernel` and `batch`; per `call` its callee and `parallel`;
+    /// arrays, `kernel`, `batch` and `csr`; per `call` its callee and `parallel`;
     /// per `do` whether it compiled; per subroutine `lockstep`.
     fn facts(listing: &str) -> Vec<String> {
         let prog = crate::parse(crate::listing(listing).unwrap()).unwrap();
@@ -993,7 +1056,7 @@ end
                         };
                         format!(
                             "  doall {}\n    reads {}\n    names {}\n    keyed {}\n    \
-                             plan {plan}\n    cacheable {} team_call {} kernel {} batch {}",
+                             plan {plan}\n    cacheable {} team_call {} kernel {} batch {} csr {}",
                             d.site,
                             list(&mut reads.into_iter()),
                             list(&mut d.names.iter().map(name)),
@@ -1002,6 +1065,7 @@ end
                             d.team_call,
                             d.kernel.is_some(),
                             d.batch,
+                            d.csr.is_some(),
                         )
                     }
                     Node::Stmt(RStmt::Call {
@@ -1036,7 +1100,7 @@ jacobi lockstep false
     names f i j x
     keyed i j
     plan x x x x f
-    cacheable true team_call false kernel true batch false
+    cacheable true team_call false kernel true batch false csr false
 shift
 shift lockstep true
   doall 0
@@ -1044,7 +1108,7 @@ shift lockstep true
     names a i
     keyed i
     plan a
-    cacheable true team_call false kernel true batch false
+    cacheable true team_call false kernel true batch false csr false
 tri
 tri lockstep true
   doall 0
@@ -1052,28 +1116,28 @@ tri lockstep true
     names a b c f hi ip lo lower procs ra rb rc rf upper x
     keyed lo hi ip lower procs upper
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   call reduce parallel false
   doall 1
     reads m rb k? ip? ra rc rf
     names ip k m ra rb rc rf wa wb wc wf
     keyed m k ip
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   do k kernel false
   doall 2
     reads wy ip? wb wa wc wf m
     names ip m wa wb wc wf wy
     keyed ip m
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   call seqtri parallel false
   doall 3
     reads lower? x procs ip? upper? wy lo? hi? f i? b c a
     names a b c f hi i ip lo lower procs upper wy x
     keyed ip lo hi i lower procs upper
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   do i kernel true
 adi
 adi lockstep false
@@ -1084,7 +1148,7 @@ adi lockstep false
     names 
     keyed 
     plan none
-    cacheable false team_call true kernel false batch true
+    cacheable false team_call true kernel false batch true csr false
   call tric parallel true
   call resid parallel true
   doall 1
@@ -1092,7 +1156,7 @@ adi lockstep false
     names 
     keyed 
     plan none
-    cacheable false team_call true kernel false batch true
+    cacheable false team_call true kernel false batch true csr false
   call tric parallel true
 resid lockstep true
   doall 2
@@ -1100,42 +1164,42 @@ resid lockstep true
     names cd cx cy f i j r u
     keyed i j
     plan f u u u u u
-    cacheable true team_call false kernel true batch false
+    cacheable true team_call false kernel true batch false csr false
 tric lockstep true
   doall 3
     reads max? lower? x procs ip? min? upper? n lo? hi? cc i? rho g
     names a b c cc f g hi i ip lo lower max min n procs rho upper x
     keyed lo hi i n max lower procs ip min upper
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   do i kernel true
   doall 4
     reads max? lower? x procs ip? min? upper? n b lo? hi? a c f
     names a b c f hi ip lo lower max min n procs ra rb rc rf upper x
     keyed lo hi ip max lower procs min upper n
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   call reduce parallel false
   doall 5
     reads m rb k? ip? ra rc rf
     names ip k m ra rb rc rf wa wb wc wf
     keyed m k ip
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   do k kernel false
   doall 6
     reads wy ip? wb wa wc wf m
     names ip m wa wb wc wf wy
     keyed ip m
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   call seqtri parallel false
   doall 7
     reads max? lower? x procs ip? min? upper? n lo? wy hi? i? f b c a
     names a b c f hi i ip lo lower max min n procs upper wy x
     keyed lo ip hi i max lower procs min upper n
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr false
   do i kernel true
 spmv
 spmvit lockstep false
@@ -1145,14 +1209,14 @@ spmvit lockstep false
     names av ci i n rp x y
     keyed i ci rp n
     plan none
-    cacheable true team_call false kernel false batch false
+    cacheable true team_call false kernel false batch false csr true
   call spmv parallel false
   doall 1
     reads y i?
     names i x y
     keyed i
     plan y
-    cacheable true team_call false kernel true batch false
+    cacheable true team_call false kernel true batch false csr false
 ";
 
     #[test]

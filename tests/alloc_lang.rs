@@ -56,15 +56,9 @@ fn field(np: usize, scale: f64) -> HostValue {
     }
 }
 
-/// Allocations of one whole run of `name` on `p` simulated processors,
-/// and the run's peak of live bytes above what was live before it.
-/// With two ranks the count is not quite a function of the program: the
-/// rank threads race on their channels, and an early message parks in a
-/// queue that a late one never touches. Such extras only ever add, so the
-/// least of a few runs is taken — and the comparisons below still leave
-/// the transport a few allocations of slack.
-fn run(name: &str, p: usize, np: usize, niter: i64) -> (u64, i64) {
-    let args = match name {
+/// The host arguments of `jacobi.kf1` or `adi.kf1` on `(0:np)²`.
+fn field_args(name: &str, np: usize, niter: i64) -> Vec<HostValue> {
+    match name {
         "jacobi" => vec![
             field(np, 0.0),
             field(np, 1e-3),
@@ -81,6 +75,62 @@ fn run(name: &str, p: usize, np: usize, niter: i64) -> (u64, i64) {
             HostValue::Real(1.0),
             HostValue::Real(1.0),
         ],
+    }
+}
+
+/// Allocations of one whole run of `name` on `p` simulated processors
+/// (`(0:np)²` fields, `niter` sweeps),
+/// and the run's peak of live bytes above what was live before it.
+/// With two ranks the count is not quite a function of the program: the
+/// rank threads race on their channels, and an early message parks in a
+/// queue that a late one never touches. Such extras only ever add, so the
+/// least of a few runs is taken — and the comparisons below still leave
+/// the transport a few allocations of slack.
+fn run(name: &str, p: usize, np: usize, niter: i64) -> (u64, i64) {
+    let src = listing(name).expect("shipped listing");
+    run_src(name, src, p, np, niter)
+}
+
+/// The CSR of the band `{i − 2, i, i + 2}` of order `n`, 1-based:
+/// `(rp, ci, av)`.
+fn band(n: usize) -> [HostValue; 3] {
+    let (mut rp, mut ci, mut av) = (vec![1.0], Vec::new(), Vec::new());
+    for i in 1..=n as i64 {
+        for c in [i - 2, i, i + 2]
+            .into_iter()
+            .filter(|c| (1..=n as i64).contains(c))
+        {
+            ci.push(c as f64);
+            av.push(1.0 + ((3 * i + c) % 5) as f64 * 0.25);
+        }
+        rp.push(ci.len() as f64 + 1.0);
+    }
+    let array = |data: Vec<f64>| HostValue::Array {
+        bounds: vec![(1, data.len() as i64)],
+        data,
+    };
+    [array(rp), array(ci), array(av)]
+}
+
+/// [`run`] of `src`, a twin of listing `name` (entry `spmvit`: the
+/// `spmv` listing over the band of order `np`).
+fn run_src(name: &str, src: &str, p: usize, np: usize, niter: i64) -> (u64, i64) {
+    let vector = |data: Vec<f64>| HostValue::Array {
+        bounds: vec![(1, np as i64)],
+        data,
+    };
+    let (grid, args) = match name {
+        "spmvit" => {
+            let [rp, ci, av] = band(np);
+            let nz = np as i64 * 3 - 4;
+            let x = vector((0..np).map(|k| (k % 9) as f64 * 0.5 - 2.0).collect());
+            let scalars = [np as i64, nz, niter].map(HostValue::Int);
+            let args = [vector(vec![0.0; np]), x, rp, ci, av]
+                .into_iter()
+                .chain(scalars);
+            (vec![p], args.collect())
+        }
+        _ => (vec![p, 1], field_args(name, np, niter)),
     };
     let once = || {
         let cfg = Machine::build(
@@ -94,8 +144,7 @@ fn run(name: &str, p: usize, np: usize, niter: i64) -> (u64, i64) {
         let before = COUNT.load(Ordering::Relaxed);
         let live = LIVE.load(Ordering::Relaxed);
         PEAK.store(live, Ordering::Relaxed);
-        let src = listing(name).expect("shipped listing");
-        run_source_with(cfg, src, name, &[p, 1], &args, RunOptions::default()).expect("runs");
+        run_source_with(cfg, src, name, &grid, &args, RunOptions::default()).expect("runs");
         let peak = PEAK.load(Ordering::Relaxed) - live;
         (COUNT.load(Ordering::Relaxed) - before, peak)
     };
@@ -152,14 +201,23 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
     }
     // A batched ADI call on one rank holds a batch of frames at a time,
     // however many lines there are: doubling them grows its peak by what
-    // the arrays themselves grow (as a call that never iterates shows),
-    // plus the growth of the batch's own line arrays — 16 frames of four
-    // (0:np) arrays.
-    let peak = |np, niter| run("adi", 1, np, niter).1;
-    let arrays = peak(96, 0) - peak(48, 0);
-    let (small, large) = (peak(48, 2), peak(96, 2));
-    assert!(
-        large - small <= arrays + 16 * 4 * 48 * 8,
-        "{small} {large} {arrays}"
-    );
+    // the same call grows line by line — a twin whose `tric` calls take a
+    // line-dependent scalar, which leaves the lockstep class and holds one
+    // frame at a time — plus the growth of the batch's other fifteen
+    // frames, four (0:np) arrays each.
+    let adi = listing("adi").expect("shipped listing");
+    let twin = (adi.replace("rho, cy, np;", "rho, cy + 0*i, np;"))
+        .replace("rho, cx, np;", "rho, cx + 0*j, np;");
+    let growth = |src: &str| run_src("adi", src, 1, 96, 2).1 - run_src("adi", src, 1, 48, 2).1;
+    let (batched, by_line) = (growth(adi), growth(&twin));
+    assert!(batched <= by_line + 15 * 4 * 48 * 8, "{batched} {by_line}");
+    // `spmv.kf1` on two ranks, a cold and a warm trip: its row doall runs
+    // as CSR rows — placed, inspected and run without a per-row
+    // allocation — so one whole call allocates as often at n as at 4n, up
+    // to the transport's slack. (The walker allocated per row: 23 040 more
+    // at 4n.)
+    let spmv = listing("spmv").expect("shipped listing");
+    let count = |n| run_src("spmvit", spmv, 2, n, 2).0;
+    let (small, large) = (count(256), count(1024));
+    assert!(small.abs_diff(large) <= 8, "spmv: {small} {large}");
 }

@@ -6,6 +6,7 @@ use std::time::Duration;
 use kali::lang::{listing, parse, run_source, run_source_with, HostValue, RunOptions};
 use kali::prelude::*;
 use kali::solvers::jacobi::jacobi_step;
+use kali::solvers::spmv::spmv_seq;
 
 fn cfg(p: usize) -> MachineConfig {
     Machine::build(
@@ -194,6 +195,77 @@ end
             assert_eq!(run.arrays[0].1, vec![3.0; n], "x, p = {p}, n = {n}");
             assert_eq!(run.arrays[2].1, vec![2.0; n], "a, p = {p}, n = {n}");
         }
+    }
+}
+
+/// A CSR row with no entries — `rp(i) = rp(i + 1)`, so `ci(rp(i):rp(i +
+/// 1) - 1)` is the empty section `k:k - 1` — stores +0.0, as `spmv_seq`
+/// does: first, middle and last rows empty (the last one's section starts
+/// one past the end of `ci`), on one to four processors. `reduce` and
+/// `seqtri` given an empty section fail with a runtime error instead.
+#[test]
+fn spmv_rows_may_be_empty() {
+    let n = 11;
+    let row = |i: usize| -> Vec<(usize, f64)> {
+        match i {
+            0 | 5 | 10 => Vec::new(),
+            _ => [i - 1, i, (i + 3) % n]
+                .into_iter()
+                .map(|c| (c, 0.5 + ((i * 3 + c) % 7) as f64))
+                .collect(),
+        }
+    };
+    let (mut rp, mut ci, mut av) = (vec![1.0], Vec::new(), Vec::new());
+    for i in 0..n {
+        for (c, v) in row(i) {
+            ci.push(c as f64 + 1.0);
+            av.push(v);
+        }
+        rp.push(ci.len() as f64 + 1.0);
+    }
+    let x: Vec<f64> = (0..n).map(|k| 1.0 + (k % 4) as f64 * 0.75).collect();
+    let want = spmv_seq(n, row, &x);
+    assert_eq!(want[10].to_bits(), 0.0f64.to_bits());
+    let nz = ci.len();
+    let arr = |data: Vec<f64>| HostValue::Array {
+        bounds: vec![(1, data.len() as i64)],
+        data,
+    };
+    for p in 1..=4 {
+        let args = [
+            arr(vec![-1.0; n]),
+            arr(x.clone()),
+            arr(rp.clone()),
+            arr(ci.clone()),
+            arr(av.clone()),
+            HostValue::Int(n as i64),
+            HostValue::Int(nz as i64),
+            HostValue::Int(1),
+        ];
+        let run = run_source(cfg(p), listing("spmv").unwrap(), "spmvit", &[p], &args).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.arrays[0].1), bits(&want), "y, p = {p}");
+    }
+    for call in [
+        "call reduce(x(1:0), x(1:1), x(1:1), x(1:1), 1)",
+        "call seqtri(x(1:1), x(2:1), x(1:1), x(1:1), x(1:1), 1)",
+    ] {
+        let src = format!(
+            "parsub e(x, n; procs)\n  processors procs(p)\n  real x(n) dist (block)\n  \
+             doall 100 i = 1, 1 on owner(x(i))\n    {call}\n100 continue\nend\n"
+        );
+        let args = [arr(vec![1.0; 4]), HostValue::Int(4)];
+        let run = std::panic::catch_unwind(|| run_source(cfg(1), &src, "e", &[1], &args));
+        let Err(msg) = run else {
+            panic!("{call}: an empty section is a runtime error");
+        };
+        let msg = msg
+            .downcast_ref::<String>()
+            .expect("a runtime error's message");
+        assert!(
+            msg.contains("KF1 runtime error") && msg.contains("section of x is empty"),
+            "{call}: {msg}"
+        );
     }
 }
 

@@ -670,6 +670,79 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random CSR matrices — band rows, random columns unsorted and
+    /// repeated within a row, empty rows — on one to four processors with
+    /// orders the grid does not divide, `spmv.kf1`'s iteration over a
+    /// random row range: the row doall run as CSR rows and the tree-walker
+    /// — reached through program text, a twin whose body adds a dead
+    /// scalar assignment and so leaves the class — agree bit for bit on
+    /// the results, on every message, word and protocol counter, and on
+    /// the simulator's clocks, under every policy square. An `x` that is
+    /// `y` itself, or cyclic, is outside the bindings the rows accept, so
+    /// both twins walk it.
+    #[test]
+    fn spmv_rows_match_the_walker_bitwise(
+        seed in 0u64..1_000_000,
+        p in 1usize..5,
+        policy in 0usize..4,
+        niter in 1i64..4,
+    ) {
+        let mut g = Gen(seed);
+        let n = p * (2 + g.below(6) as usize) + g.below(p as u64) as usize;
+        let (mut rp, mut ci) = (vec![1.0], Vec::new());
+        for i in 1..=n as u64 {
+            let cols: Vec<u64> = match g.below(4) {
+                0 => Vec::new(),
+                1 => [i.wrapping_sub(2), i, i + 2].into_iter().filter(|c| (1..=n as u64).contains(c)).collect(),
+                2 => (0..1 + g.below(5)).map(|_| 1 + g.below(n as u64)).collect(),
+                _ => [i + 1, i, i - 1].into_iter().filter(|c| (1..=n as u64).contains(c)).collect(),
+            };
+            ci.extend(cols.iter().map(|&c| c as f64));
+            rp.push(ci.len() as f64 + 1.0);
+        }
+        // At least one entry, so that `av` and `ci` can be declared.
+        if ci.is_empty() {
+            ci.push(1.0);
+            *rp.last_mut().unwrap() += 1.0;
+        }
+        let nz = ci.len();
+        let av: Vec<f64> = (0..nz).map(|k| 0.25 + (k % 7) as f64 * 0.5 - (k % 3) as f64).collect();
+        let (lo, hi) = (1 + g.below(2), n as u64 - g.below(2));
+        let xdist = ["block", "block", "block", "cyclic"][g.below(4) as usize];
+        let xsec = ["x(1:n)", "x(1:n)", "x(*)", "y(1:n)"][g.below(4) as usize];
+        let program = |dead: &str| {
+            format!(
+                "parsub gen(y, x, rp, ci, av, n, nz, niter; procs)\n  processors procs(p)\n  \
+                 real y(n) dist (block)\n  real x(n) dist ({xdist})\n  real av(nz)\n  \
+                 integer rp(n + 1), ci(nz)\n  do 200 t = 1, niter\n    \
+                 doall 100 i = {lo}, {hi} on owner(y(i))\n{dead}      \
+                 call spmv(y(i:i), ci(rp(i):rp(i + 1) - 1), av(rp(i):rp(i + 1) - 1), {xsec})\n\
+                 100 continue\n    doall 150 i = 1, n on owner(x(i))\n      x(i) = y(i) / 10.0 + 0.5\n\
+                 150 continue\n200 continue\nend\n"
+            )
+        };
+        let (rows, walked) = (program(""), program("      t0 = 0.5\n"));
+        let array = |data: Vec<f64>| HostValue::Array {
+            bounds: vec![(1, data.len() as i64)],
+            data,
+        };
+        let args = [
+            array(vec![-1.0; n]),
+            array((0..n).map(|k| 1.0 + (k % 5) as f64 * 0.75).collect()),
+            array(rp),
+            array(ci),
+            array(av),
+            HostValue::Int(n as i64),
+            HostValue::Int(nz as i64),
+            HostValue::Int(niter),
+        ];
+        twins_agree(&rows, &walked, &[p], &args, policy, true);
+    }
+}
+
 /// Every diagnostic of every `tests/corpus/bad` file, exactly:
 /// `(file stem, code, line, col, message)`, in report order. The table
 /// pins where each diagnostic points, not only which code it carries.
