@@ -68,17 +68,17 @@
 //!   they read only owner-local elements under a locally matching key —
 //!   and the boundary runs against the rebuilt exchange.
 //!
-//! The same four phases run a *lowered* doall without walking it: one
-//! element assignment of an affine stencil — `jacobi.kf1`'s doall, the
-//! residual of `adi.kf1`, `shift.kf1`, and `spmv.kf1`'s `x(i) = y(i) /
-//! 10.0` — whose reads are whole real arrays on block distributions. Its
-//! builder derives the inspector's schedule, word for word, from the
-//! owned boxes instead of inspecting, and its interior and boundary are
-//! rows of a compiled kernel (see "What an element costs"). So is
-//! `spmv.kf1`'s row doall, one `spmv` call per CSR row, whose builder
-//! reads the rows' column indices once. Every other site — `tri`, `tric`,
-//! anything a trip's bindings take outside those classes — is walked as
-//! below.
+//! The same four phases run a *placed* doall without walking it
+//! (`RDoall::kind`): one element assignment of an affine stencil —
+//! `jacobi.kf1`'s doall, the residual of `adi.kf1`, `shift.kf1`, and
+//! `spmv.kf1`'s `x(i) = y(i) / 10.0` — whose reads are whole real arrays
+//! on block distributions, or `spmv.kf1`'s row doall, one `spmv` call per
+//! CSR row. Its builder derives the inspector's schedule, word for word,
+//! from the owned boxes or one read of the rows' column indices instead
+//! of inspecting, and it runs the positions the schedule carries, interior
+//! then boundary, like the walker (see "What an element costs"). Every
+//! other site — `tri`, `tric`, anything a trip's bindings take outside
+//! those classes — is walked as below.
 //!
 //! The schedule subsystem itself — [`CommSchedule`], the keyed
 //! [`ScheduleCache`], and the whole trip protocol just described (vote
@@ -111,7 +111,7 @@
 //! * **lines in lockstep**: a distributed procedure call (`call sub(args;
 //!   procslice)`) narrows the current processor array to the slice and
 //!   runs the callee SPMD on it. A team-call doall in the lockstep class
-//!   (`RDoall::batch` — Listing 7's `call tric(u(i, *), …; owner(r(i,
+//!   (`Kind::Lines` — Listing 7's `call tric(u(i, *), …; owner(r(i,
 //!   *)))`) runs it once per batch of up to `LINES_PER_BATCH` lines of a
 //!   team: a frame per line, a replicated statement in each, and each
 //!   doall of the callee as *one trip* over the batch — its iteration set
@@ -120,7 +120,7 @@
 //!   per line.
 //!   Bodies still run line by line, and the lines bind disjoint storage,
 //!   so a trip in which no line runs more than one iteration writes
-//!   through. A batched trip is always walked: it neither lowers nor seeds
+//!   through. A batched trip is always walked: it neither places nor seeds
 //!   from a static plan. Line by line stays the fallback, and the oracle
 //!   the batches are tested against bit for bit.
 //!
@@ -151,22 +151,17 @@
 //! rank, one on-clause evaluation; everything that allocates does so per
 //! trip (`tests/alloc_lang.rs` pins that).
 //!
-//! A lowered site pays neither. Its right-hand side is compiled once, at
-//! parse time, into a register program over rows; per trip the kernel is
-//! placed on the bindings — my iterations are the on-array's owned block
-//! met with the loop bounds, read off its `Layout` — and the
-//! loop-invariant subtrees are evaluated once by the walker's own `eval`.
-//! An element then costs one pass of each instruction over a contiguous
-//! row of every operand, into a box-sized buffer committed once; no
-//! on-clause, iteration list or write log is built. The tree-walker stays
-//! as the fallback, and as the oracle the lowered path is tested against
-//! bit for bit (results, messages, counters, virtual clocks).
-//!
-//! Nor does a CSR site (`RDoall::csr`). Its rows are the owned block of
-//! `y` met with the loop bounds; a nonzero costs one multiply-add over its
-//! row's `ci`/`av` slices, read in place, and a row one value in a buffer
-//! committed once. The cold builder records the remote columns in the
-//! inspector's order.
+//! A placed site pays neither. Per trip it is placed on the bindings —
+//! my iterations are the target's owned block met with the loop bounds,
+//! read off its `Layout` — into a box-sized buffer committed once; no
+//! on-clause, iteration list or write log is built. A stencil's
+//! right-hand side is compiled once, at parse time, into a register
+//! program over rows, its loop-invariant subtrees evaluated per trip by
+//! the walker's own `eval`: an element costs one pass of each instruction
+//! over a contiguous row of every operand. A CSR nonzero costs one
+//! multiply-add over its row's `ci`/`av` slices, read in place. The
+//! tree-walker stays as the fallback, and as the oracle the placed path
+//! is tested against bit for bit (results, messages, counters, clocks).
 //!
 //! A trip whose one iteration writes through logs nothing: a write is the
 //! ownership test and a store, counted for the commit's `memop`. Inside
@@ -198,7 +193,7 @@ use kali_sched::{
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::Diagnostic;
-use crate::lower::{CsrRows, Kernel, LoopScratch, Part, Rows, Scratch, Strided};
+use crate::lower::{Kernel, LoopScratch, Placed, Scratch, Strided};
 use crate::resolve::*;
 use crate::value::*;
 use crate::RunOptions;
@@ -396,6 +391,10 @@ impl Mode {
 /// thirteen dynamic arrays — for the batch's whole run, on every rank.
 const LINES_PER_BATCH: usize = 16;
 
+/// How deep subroutine calls may nest, the entry counted: deeper KF1
+/// recursion would overflow a processor thread's stack, aborting the run.
+pub const MAX_CALL_DEPTH: usize = 64;
+
 /// Cached schedules per doall site; the oldest epoch is evicted beyond
 /// this (a backstop — sites normally cycle through a handful of keys).
 const MAX_SCHEDULES_PER_SITE: usize = 128;
@@ -528,16 +527,23 @@ impl IterSet {
 }
 
 /// What one doall trip executes: the walker over the iterations the
-/// on-clause listed, a lowered site's kernel over its owned box, or a CSR
-/// site's rows.
+/// on-clause listed, or a placed site over its box.
 #[derive(Clone, Copy)]
 enum Work<'w> {
     Walk(&'w IterSet),
-    Rows(&'w Kernel, &'w Rows),
-    Csr(&'w CsrRows),
+    Placed(&'w Placed<'w>),
 }
 
 impl<'w> Work<'w> {
+    /// How many iterations the trip runs here: the positions its schedule
+    /// counts.
+    fn len(self) -> usize {
+        match self {
+            Work::Walk(s) => s.len(),
+            Work::Placed(p) => p.len(),
+        }
+    }
+
     /// The trip's lines, each its frame and its positions: one line, the
     /// `top` frame's, unless the trip is batched.
     fn lines(self, top: usize) -> impl Iterator<Item = (usize, Range<usize>)> + 'w {
@@ -566,8 +572,8 @@ impl<'w> Work<'w> {
 ///   site number carries it too), then per line the words below — one
 ///   word where they repeat the last line's;
 /// * this processor's iteration set (owner-computes assignment) — listed
-///   by the on-clause scan, or at a lowered site the owned box, which
-///   names the same set (every empty box alike), so a lowered site's keys
+///   by the on-clause scan, or at a placed site the owned box, which
+///   names the same set (every empty box alike), so a placed site's keys
 ///   hit and miss exactly where the listed ones would;
 /// * the schedule-relevant free scalars of the body at entry, by name;
 /// * content fingerprints of *replicated* arrays in schedule-relevant
@@ -643,6 +649,8 @@ pub struct Interp<'a, 'p> {
     top: usize,
     mode: Mode,
     doall_depth: usize,
+    /// Subroutine calls now running, a batch of lines as one.
+    calls: usize,
     /// Execution strategy for communicating doalls — the same
     /// [`ExecPolicy`] the compiled stencil-plan path runs under, handed
     /// to the trip driver, which alone decides whether a trip replays.
@@ -654,7 +662,7 @@ pub struct Interp<'a, 'p> {
     /// frame-dependent input (bindings, views, generations), so a hit is
     /// valid regardless of which call produced the entry.
     schedules: Option<ScheduleCache<ScheduleKey>>,
-    /// Per lowered site (by site number): its result buffer and registers,
+    /// Per placed site (by site number): its result buffer and registers,
     /// reused trip after trip.
     scratch: Vec<Scratch>,
     /// The compiled `do` loops' buffers (such a loop nests nothing, so
@@ -684,6 +692,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             top: 0,
             mode: Mode::Normal,
             doall_depth: 0,
+            calls: 0,
             policy: opts.policy,
             schedules: Some(ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
             scratch: Vec::new(),
@@ -764,7 +773,9 @@ impl<'a, 'p> Interp<'a, 'p> {
     ) -> RtResult<()> {
         let caller = self.top;
         let sub = self.enter(sub, bindings, grid)?;
+        self.calls += 1;
         self.exec_stmts(&sub.body)?;
+        self.calls -= 1;
         self.frames.pop();
         self.top = caller;
         Ok(())
@@ -779,6 +790,10 @@ impl<'a, 'p> Interp<'a, 'p> {
         grid: ProcGrid,
     ) -> RtResult<&'p RSub> {
         let sub = &self.prog.code[sub];
+        if self.calls == MAX_CALL_DEPTH {
+            let name = &sub.name;
+            return Err(format!("{name}: calls nest deeper than {MAX_CALL_DEPTH}"));
+        }
         let mut slots = vec![None; sub.names.len()];
         for (slot, b) in bindings {
             slots[slot] = Some(b);
@@ -868,7 +883,8 @@ impl<'a, 'p> Interp<'a, 'p> {
         for (lo, hi) in dims {
             let l = self.eval(lo)?.as_int();
             let h = self.eval(hi)?.as_int();
-            if h < l {
+            // The extent, `h.abs_diff(l) + 1`, is then a `usize`.
+            if h < l || h.abs_diff(l) == u64::MAX {
                 return Err(format!("array {name}: bad bounds {l}:{h}"));
             }
             bounds.push((l, h));
@@ -884,9 +900,8 @@ impl<'a, 'p> Interp<'a, 'p> {
                         bounds.len()
                     ));
                 }
-                for (d, (l, h)) in bounds.iter().enumerate() {
-                    let want = (h - l + 1) as usize;
-                    let have = view.extent(d);
+                for (d, &(l, h)) in bounds.iter().enumerate() {
+                    let (want, have) = (h.abs_diff(l) as usize + 1, view.extent(d));
                     if want != have {
                         return Err(format!(
                             "parameter {name} extent mismatch in dim {}: \
@@ -894,7 +909,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                             d + 1
                         ));
                     }
-                    view.callee_lo[d] = *l;
+                    view.callee_lo[d] = l;
                 }
                 if let Some(spec) = dist {
                     let mut base = view.base.borrow_mut();
@@ -940,8 +955,16 @@ impl<'a, 'p> Interp<'a, 'p> {
                     ));
                 }
                 let grid = &self.frame().grid;
-                let extents: Vec<usize> =
-                    bounds.iter().map(|&(l, h)| (h - l + 1) as usize).collect();
+                let extents: Vec<usize> = bounds
+                    .iter()
+                    .map(|&(l, h)| h.abs_diff(l) as usize + 1)
+                    .collect();
+                let mut data = Vec::new();
+                let len = extents.iter().try_fold(1, |n: usize, &e| n.checked_mul(e));
+                let Some(len) = len.filter(|&len| data.try_reserve_exact(len).is_ok()) else {
+                    return Err(format!("array {name}: {bounds:?} does not fit in memory"));
+                };
+                data.resize(len, 0.0);
                 let layout = match dist {
                     Some(spec) => {
                         Layout::new(spec, &extents, grid).map_err(|e| format!("{name}: {e}"))?
@@ -952,7 +975,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                     name: name.to_string(),
                     bounds,
                     layout,
-                    data: vec![0.0; extents.iter().product()],
+                    data,
                     is_real,
                     dist_gen: 0,
                 }));
@@ -1144,12 +1167,13 @@ impl<'a, 'p> Interp<'a, 'p> {
         result
     }
 
-    /// Execute the iterations this processor owns: a lowered site's
-    /// kernel over its owned box when the trip's bindings fit it
-    /// ([`Interp::lower`]), otherwise the walker over the iterations whose
-    /// on-clause names this processor — or, for a batch of lines, over
-    /// `my_iters`, already scanned (a batched trip neither lowers nor seeds
-    /// from a static plan).
+    /// Execute the iterations this processor owns, as [`RDoall::kind`]
+    /// says: a placed site over its box when the trip's bindings fit it
+    /// ([`Interp::place`]), a team call's lines ([`Interp::run_lines`]),
+    /// otherwise the walker over the iterations whose on-clause names this
+    /// processor — or, for a batch of lines, over `my_iters`, already
+    /// scanned (a batched trip neither places nor seeds from a static
+    /// plan).
     fn run_doall(
         &mut self,
         d: &'p RDoall,
@@ -1157,15 +1181,12 @@ impl<'a, 'p> Interp<'a, 'p> {
         mut my_iters: IterSet,
     ) -> RtResult<()> {
         let batched = !my_iters.lines.is_empty();
-        let kernel = d.kernel.as_ref().filter(|_| !batched);
-        let lowered = kernel.and_then(|k| Some((k, self.lower(d, k, bounds)?)));
-        let csr = d.csr.as_ref().filter(|_| !batched);
-        let csr = csr.and_then(|c| self.place_csr(d, c, bounds));
+        let placed = (!batched).then(|| self.place(d, bounds)).flatten();
         // Owner set per iteration — only when a static plan may seed this
         // site: seeding simulates every team member's inspector pass, and
         // the owner sets are its input.
         let seeding = self.static_seed && d.plan.is_some();
-        let owners = match lowered.is_some() || csr.is_some() {
+        let owners = match placed.is_some() {
             true if !seeding => {
                 // The key reads the loop variables as the scan leaves
                 // them: at the last iteration (unit steps).
@@ -1180,14 +1201,12 @@ impl<'a, 'p> Interp<'a, 'p> {
         };
         let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
         self.doall_depth += 1;
-        let result = match (&lowered, &csr) {
-            (Some((k, rows)), _) => self.run_inspector_executor(d, Work::Rows(k, rows), owners),
-            (_, Some(rows)) => self.run_inspector_executor(d, Work::Csr(rows), owners),
+        let result = match (&d.kind, &placed) {
+            (_, Some(p)) => self.run_inspector_executor(d, Work::Placed(p), owners),
             // Team-call mode (Listing 7): members of each iteration's
             // owner set execute the body cooperatively — a batch of lines
             // at a time where the class allows.
-            _ if d.batch => self.run_lines(d, &my_iters),
-            _ if d.team_call => my_iters.iter().try_for_each(|it| self.run_iteration(d, it)),
+            (Kind::Lines { batch }, None) => self.run_lines(d, &my_iters, *batch),
             _ => self.run_inspector_executor(d, Work::Walk(&my_iters), owners),
         };
         self.doall_depth -= 1;
@@ -1243,53 +1262,50 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(owners)
     }
 
-    /// Place `d`'s kernel on this trip's bindings — the target, the
-    /// on-array and every read bound to a whole array, unit steps — and
-    /// evaluate its loop invariants. `None` runs the walker instead, which
-    /// then reports any error the way it always has.
-    fn lower(&mut self, d: &RDoall, k: &Kernel, bounds: &[(i64, i64, i64)]) -> Option<Rows> {
+    /// Place `d` on this trip's bindings ([`Placed`]): unit steps, every
+    /// array it names bound to a whole array but a CSR product's `x`, whose
+    /// section is evaluated once, and a stencil's loop invariants
+    /// evaluated. `None` runs the walker instead, which then reports any
+    /// error the way it always has.
+    fn place(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> Option<Placed<'p>> {
         let mut ranges = [(0, 0); 2];
         for (r, &(lo, hi, step)) in ranges.iter_mut().zip(bounds) {
             *r = (step == 1).then_some((lo, hi))?;
         }
-        let RProcExpr::Owner(on, _) = d.on else {
-            return None;
-        };
-        let rows = Rows::new(
-            self.me(),
-            &ranges[..bounds.len()],
-            k,
-            on,
-            |slot| match self.slot(slot) {
-                Some(Binding::Array(view)) if view.is_whole() => Some(view.base.clone()),
-                _ => None,
-            },
-        )?;
-        let mut values = Vec::with_capacity(k.invariants.len());
-        if rows.len() > 0 {
-            for (_, e) in &k.invariants {
-                values.push(self.eval(e).ok()?.as_f64());
+        let (ranges, me) = (&ranges[..bounds.len()], self.me());
+        let mut values = Vec::new();
+        let placed = match &d.kind {
+            Kind::Stencil(k) => {
+                let RProcExpr::Owner(on, _) = d.on else {
+                    return None;
+                };
+                let placed = Placed::stencil(me, ranges, k, on, |slot| self.whole(slot))?;
+                if placed.len() > 0 {
+                    for (_, e) in &k.invariants {
+                        values.push(self.eval(e).ok()?.as_f64());
+                    }
+                }
+                placed
             }
-        }
-        rows.prepare(k, &values, self.site_scratch(d));
-        Some(rows)
+            // The class has one loop variable.
+            Kind::Csr(c) => {
+                let [y, rp, ci, av, x] = c.slots;
+                let x = self.make_section_view(x, &c.x_secs).ok()?;
+                let w = |slot| self.whole(slot);
+                Placed::csr(me, ranges[0], [w(y)?, w(rp)?, w(ci)?, w(av)?], &x)?
+            }
+            _ => return None,
+        };
+        placed.prepare(&values, self.site_scratch(d));
+        Some(placed)
     }
 
-    /// Place `d`'s CSR row product on this trip's bindings ([`CsrRows::new`]):
-    /// unit step, `y`, `rp`, `ci` and `av` bound to whole arrays, `x`'s
-    /// section evaluated once. `None` runs the walker instead.
-    fn place_csr(&mut self, d: &RDoall, c: &Csr, bounds: &[(i64, i64, i64)]) -> Option<CsrRows> {
-        let &[(lo, hi, 1)] = bounds else {
-            return None;
-        };
-        let [y, rp, ci, av, x] = c.slots;
-        let x = self.make_section_view(x, &c.x_secs).ok()?;
-        let whole = |slot| match self.slot(slot) {
+    /// The whole array `slot` is bound to, if it is.
+    fn whole(&self, slot: Slot) -> Option<ArrRef> {
+        match self.slot(slot) {
             Some(Binding::Array(view)) if view.is_whole() => Some(view.base.clone()),
             _ => None,
-        };
-        let arrays = [whole(y)?, whole(rp)?, whole(ci)?, whole(av)?];
-        CsrRows::new(self.me(), (lo, hi), arrays, &x, self.site_scratch(d))
+        }
     }
 
     /// The buffers of a placed site, reused trip after trip.
@@ -1312,11 +1328,12 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// of the next iteration and after the loop.
     fn run_iteration(&mut self, d: &'p RDoall, it: &[i64]) -> RtResult<()> {
         self.set_loop_vars(d, it);
-        let f = self.frame_mut();
+        let (top, f) = (self.top, self.frame_mut());
         let mark = f.iter_defined.len();
         f.iter_depth += 1;
         let result = self.exec_stmts(&d.body);
-        let f = self.frame_mut();
+        // Its own frame: a failed team call leaves the callee's active.
+        let f = &mut self.frames[top];
         f.iter_depth -= 1;
         for slot in f.iter_defined.drain(mark..) {
             f.slots[slot] = None;
@@ -1553,7 +1570,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         let build = |me: &mut Self, _: &LangWorld| match work {
             Work::Walk(iters) => me.inspect(d, &team, &arrays, iters),
-            placed => me.inspect_placed(placed, &team, &arrays),
+            Work::Placed(p) => me.inspect_placed(p, &team, &arrays),
         };
         let split = self.policy.split;
         let result = (|| {
@@ -1578,30 +1595,26 @@ impl<'a, 'p> Interp<'a, 'p> {
                     .filter(|_| !wait || flight.decided());
                 if let (None, Some(pre)) = (&interior_run, early) {
                     self.proc.mark("doall:interior");
-                    // The walker's writes come back as a log; the kernel's
-                    // stay in its site's scratch.
+                    let (n, boundary) = (work.len(), &pre.boundary);
+                    // The walker's writes come back as a log; a placed
+                    // site's stay in its scratch.
                     let log = match work {
                         Work::Walk(my_iters) => {
-                            let n = my_iters.len();
-                            let interior = interior_runs(&pre.boundary, n).flatten();
+                            let interior = interior_runs(boundary, n).flatten();
                             // A lone iteration has no other to hide its
                             // writes from (lines bind disjoint storage), so
                             // once nothing will be served from storage
                             // again — a final verdict, or nothing to run
                             // before it — it writes through.
-                            let decided = flight.decided() || pre.boundary.len() == n;
+                            let decided = flight.decided() || boundary.len() == n;
                             let through = my_iters.lone() && decided;
                             let log = WriteLog::new(pre.write_hint, n, through);
                             Some(self.exec_iterations(d, my_iters, interior, log)?)
                         }
-                        Work::Rows(k, rows) => {
-                            debug_assert_eq!(pre.boundary, rows.inspect(|_, _| {}));
-                            rows.exec(k, Part::Interior, &mut self.scratch[d.site], self.proc);
-                            None
-                        }
-                        Work::Csr(rows) => {
-                            let interior = interior_runs(&pre.boundary, rows.len()).flatten();
-                            rows.exec(interior, &mut self.scratch[d.site], self.proc);
+                        Work::Placed(p) => {
+                            debug_assert_eq!(*boundary, p.inspect(|_, _| {}));
+                            let interior = interior_runs(boundary, n);
+                            p.exec(interior, &mut self.scratch[d.site], self.proc);
                             None
                         }
                     };
@@ -1670,27 +1683,21 @@ impl<'a, 'p> Interp<'a, 'p> {
         self.route(team, arrays, st, boundary)
     }
 
-    /// The inspector without the walk: a lowered site's boundary and
-    /// remote reads follow from its boxes ([`Rows::inspect`]), a CSR
-    /// site's from one read of its rows' columns ([`CsrRows::inspect`]) —
-    /// the lists the walk would record, in its order — and are routed as
-    /// the walker's are, so the schedule is the inspector's, word for word.
+    /// The inspector without the walk: a placed site's boundary and
+    /// remote reads ([`Placed::inspect`]) — the lists the walk would
+    /// record, in its order — are routed as the walker's are, so the
+    /// schedule is the inspector's, word for word.
     fn inspect_placed(
         &mut self,
-        work: Work,
+        placed: &Placed,
         team: &Team,
         arrays: &[ExchangeArray],
     ) -> RtResult<CommSchedule> {
         self.proc.note_inspector_run();
         self.proc.mark("doall:inspect");
         let mut st = InspectState::default();
-        let record = |base: &ArrRef, flat| st.record(base, flat);
-        let (boundary, writes) = match work {
-            Work::Rows(_, rows) => (rows.inspect(record), rows.len()),
-            Work::Csr(rows) => (rows.inspect(record), rows.len()),
-            Work::Walk(_) => unreachable!("the walk is inspected by walking"),
-        };
-        st.writes = writes;
+        let boundary = placed.inspect(|base, flat| st.record(base, flat));
+        st.writes = placed.len();
         self.route(team, arrays, st, boundary)
     }
 
@@ -1773,47 +1780,25 @@ impl<'a, 'p> Interp<'a, 'p> {
         ran: Option<(&[usize], Option<WriteLog>)>,
         write_hint: usize,
     ) -> RtResult<()> {
+        let n = work.len();
+        let (boundary, log) = ran.map_or((None, None), |(b, log)| (Some(b), log));
+        // With nothing run before, every position runs here, in order.
+        let rest = boundary.unwrap_or_default().iter().map(|&p| p..p + 1);
+        let rest = rest.chain(boundary.is_none().then_some(0..n));
         match work {
             Work::Walk(my_iters) => {
-                let n = my_iters.len();
-                // With nothing run before, every iteration runs here, in
-                // order: committed as segments of an empty boundary's
-                // complement.
-                let (log, boundary, interior_segs) = match ran {
-                    Some((boundary, Some(log))) => {
-                        let segs = log.seg_ends.len();
-                        let positions = boundary.iter().copied();
-                        (
-                            self.exec_iterations(d, my_iters, positions, log)?,
-                            boundary,
-                            segs,
-                        )
-                    }
-                    _ => {
-                        let log = WriteLog::new(write_hint, n, my_iters.lone());
-                        (self.exec_iterations(d, my_iters, 0..n, log)?, &[][..], 0)
-                    }
-                };
+                // Committed as segments: the interior's first, then the
+                // rest's, of an empty boundary's complement if nothing ran.
+                let segs = log.as_ref().map_or(0, |log| log.seg_ends.len());
+                let log = log.unwrap_or_else(|| WriteLog::new(write_hint, n, my_iters.lone()));
+                let log = self.exec_iterations(d, my_iters, rest.flatten(), log)?;
                 self.proc.memop(log.writes() as f64);
-                log.commit(boundary, interior_segs, n);
+                log.commit(boundary.unwrap_or_default(), segs, n);
             }
-            Work::Rows(k, rows) => {
-                let part = if ran.is_some() {
-                    Part::Boundary
-                } else {
-                    Part::All
-                };
+            Work::Placed(p) => {
                 let scratch = &mut self.scratch[d.site];
-                rows.exec(k, part, scratch, self.proc);
-                rows.commit(scratch, self.proc);
-            }
-            Work::Csr(rows) => {
-                let scratch = &mut self.scratch[d.site];
-                match ran {
-                    Some((boundary, _)) => rows.exec(boundary.iter().copied(), scratch, self.proc),
-                    None => rows.exec(0..rows.len(), scratch, self.proc),
-                }
-                rows.commit(scratch, self.proc);
+                p.exec(rest, scratch, self.proc);
+                p.commit(scratch, self.proc);
             }
         }
         Ok(())
@@ -1932,9 +1917,9 @@ impl<'a, 'p> Interp<'a, 'p> {
                 }
                 Some(())
             }
-            Work::Rows(_, Rows { bx, .. }) | Work::Csr(CsrRows { bx, .. }) => {
+            Work::Placed(p) => {
                 w.push(1);
-                w.extend(bx.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
+                w.extend(p.bx.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
                 self.line_words(d, &sched, w)
             }
         }
@@ -2268,27 +2253,24 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(Some((bindings, callee_grid)))
     }
 
-    /// A team-call doall in the lockstep class ([`RDoall::batch`]), of a
-    /// callee in it ([`RSub::lockstep`]; line by line otherwise): my lines
+    /// A team-call doall ([`Kind::Lines`]): in the lockstep class
+    /// (`batch`) and of a callee in it ([`RSub::lockstep`]), my lines
     /// grouped by the team that solves them, in iteration order, and
     /// cut into batches of at most [`LINES_PER_BATCH`] — every member of a
     /// team enumerates the same lines, so every member cuts the same
-    /// batches. Lines whose storage may overlap ([`disjoint`]: the caller
-    /// passed one array twice) run one by one.
-    fn run_lines(&mut self, d: &'p RDoall, my_iters: &IterSet) -> RtResult<()> {
-        let [RStmt::Call {
-            callee: Callee::Sub(k),
-            args,
-            on,
-            ..
-        }] = &d.body[..]
-        else {
-            unreachable!("the class is one call");
+    /// batches; line by line otherwise. Lines whose storage may overlap
+    /// ([`disjoint`]: the caller passed one array twice) run one by one.
+    fn run_lines(&mut self, d: &'p RDoall, my_iters: &IterSet, batch: bool) -> RtResult<()> {
+        let (k, args, on) = match &d.body[..] {
+            [RStmt::Call {
+                callee: Callee::Sub(k),
+                args,
+                on,
+                ..
+            }] if batch && self.prog.code[*k].lockstep => (*k, args, on),
+            _ => return my_iters.iter().try_for_each(|it| self.run_iteration(d, it)),
         };
-        let sub = &self.prog.code[*k];
-        if !sub.lockstep {
-            return my_iters.iter().try_for_each(|it| self.run_iteration(d, it));
-        }
+        let sub = &self.prog.code[k];
         let mut teams: Vec<(ProcGrid, Vec<Vec<(Slot, Binding)>>)> = Vec::new();
         for it in my_iters.iter() {
             self.set_loop_vars(d, it);
@@ -2309,10 +2291,10 @@ impl<'a, 'p> Interp<'a, 'p> {
             while lines.peek().is_some() {
                 let batch: Vec<_> = lines.by_ref().take(LINES_PER_BATCH).collect();
                 if apart {
-                    self.run_batch(*k, batch, &grid)?;
+                    self.run_batch(k, batch, &grid)?;
                 } else {
                     for bindings in batch {
-                        self.call_sub(*k, bindings, grid.clone())?;
+                        self.call_sub(k, bindings, grid.clone())?;
                     }
                 }
             }
@@ -2337,6 +2319,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         let frames = first..self.frames.len();
         let sub = &self.prog.code[k];
+        self.calls += 1;
         for s in &sub.body {
             match s {
                 RStmt::Doall(d) => self.exec_doall(d, frames.clone())?,
@@ -2349,6 +2332,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 }
             }
         }
+        self.calls -= 1;
         self.frames.truncate(first);
         self.top = caller;
         Ok(())
@@ -2468,6 +2452,13 @@ impl<'a, 'p> Interp<'a, 'p> {
                     self.eval(e)?;
                 }
             }
+        }
+        // The kernels take sections of one length, `reduce` two rows at least.
+        let least = if builtin == Builtin::Reduce { 2 } else { 1 };
+        let m = sections.first().map_or(least, |sec| sec.1);
+        if m < least || sections.iter().any(|sec| sec.1 != m) {
+            let lens: Vec<usize> = sections.iter().map(|sec| sec.1).collect();
+            return Err(format!("builtin {name}: bad section lengths {lens:?}"));
         }
         if let Mode::Inspect(st) = &mut self.mode {
             // Locality validated; no mutation during inspection — only
@@ -3119,13 +3110,12 @@ mod tests {
                     ..IterSet::default()
                 };
                 me.scan(d, &bounds, false, &mut iters).unwrap();
-                let kernel = d.kernel.as_ref().expect("a lowerable site");
-                let rows = me.lower(d, kernel, &bounds).expect("bindings in the class");
+                assert!(matches!(d.kind, Kind::Stencil(_)), "a lowerable site");
+                let placed = me.place(d, &bounds).expect("bindings in the class");
                 let team = me.frame().grid.team();
                 let arrays = me.exchange_arrays(d, Work::Walk(&iters)).unwrap();
                 let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
-                let derived = me.inspect_placed(Work::Rows(kernel, &rows), &team, &arrays);
-                let derived = derived.unwrap();
+                let derived = me.inspect_placed(&placed, &team, &arrays).unwrap();
                 assert_eq!(walked, derived, "{entry}, rank {}", me.me());
                 assert_eq!(me.proc.stats().inspector_runs, 2);
                 walked.words_expected()
@@ -3172,16 +3162,14 @@ mod tests {
                 ..IterSet::default()
             };
             me.scan(d, &bounds, false, &mut iters).unwrap();
-            let csr = d.csr.as_ref().expect("the CSR class");
-            let rows = me
-                .place_csr(d, csr, &bounds)
-                .expect("bindings in the class");
+            assert!(matches!(d.kind, Kind::Csr(_)), "the CSR class");
+            let placed = me.place(d, &bounds).expect("bindings in the class");
             let team = me.frame().grid.team();
             let arrays = me.exchange_arrays(d, Work::Walk(&iters)).unwrap();
             let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
-            let derived = me.inspect_placed(Work::Csr(&rows), &team, &arrays).unwrap();
+            let derived = me.inspect_placed(&placed, &team, &arrays).unwrap();
             assert_eq!(walked, derived, "rank {}", me.me());
-            assert!(!walked.boundary.is_empty() && walked.write_hint == rows.len());
+            assert!(!walked.boundary.is_empty() && walked.write_hint == placed.len());
             walked.words_expected()
         });
         assert!(words.iter().all(|&w| w > 0), "{words:?}");
@@ -3301,7 +3289,9 @@ mod tests {
             assert_eq!(ran, [want.to_vec()], "{listing}");
             // The text alone already decides it at one processor.
             let compiled = in_text(listing, |_, s| match s {
-                RStmt::Doall(d) if d.kernel.is_some() || d.csr.is_some() => Some(d.site),
+                RStmt::Doall(d) if matches!(d.kind, Kind::Stencil(_) | Kind::Csr(_)) => {
+                    Some(d.site)
+                }
                 _ => None,
             });
             assert_eq!(compiled, want, "{listing}");
@@ -3381,7 +3371,9 @@ mod tests {
                             }] => prog.code[*k].lockstep,
                             _ => false,
                         };
-                        out.extend(d.team_call.then_some(d.batch && callee));
+                        if let Kind::Lines { batch } = d.kind {
+                            out.push(batch && callee);
+                        }
                     }
                     false
                 });

@@ -678,6 +678,120 @@ end
         run_body(2, 8, "  call reduce(a(1:8), a(1:8), a(1:8), a(1:8), 8)");
     }
 
+    /// The message of the KF1 runtime error `run` ends in, which must be
+    /// one.
+    fn runtime_error(run: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let msg = std::panic::catch_unwind(run).expect_err("a runtime error");
+        let msg = msg
+            .downcast_ref::<String>()
+            .expect("a runtime error's message");
+        assert!(msg.contains("KF1 runtime error"), "{msg}");
+        msg.clone()
+    }
+
+    /// Builtin sections that do not conform are a runtime error naming
+    /// the builtin and the lengths — not a kernel's panic, nor a `seqtri`
+    /// storing three results through a two-element `x`, past its section
+    /// (at p = 2 into an element another processor owns): `tri.kf1` with
+    /// a one-row block, and direct calls.
+    #[test]
+    fn builtin_sections_that_do_not_conform_are_a_kf1_runtime_error() {
+        let msg = runtime_error(|| run_tri_listing(7, 4, 3));
+        assert!(
+            msg.contains("builtin reduce: bad section lengths [1, 1, 1, 1]"),
+            "{msg}"
+        );
+        for (p, call, lens) in [
+            (
+                1,
+                "reduce(a(1:2), a(1:3), a(1:3), a(1:3), 3)",
+                "reduce: bad section lengths [2, 3, 3, 3]",
+            ),
+            (
+                1,
+                "seqtri(a(1:3), a(1:3), a(1:2), a(1:3), a(1:3), 3)",
+                "seqtri: bad section lengths [3, 3, 2, 3, 3]",
+            ),
+            (
+                1,
+                "seqtri(a(1:2), c(1:3), c(1:3), c(1:3), c(1:3), 3)",
+                "seqtri: bad section lengths [2, 3, 3, 3, 3]",
+            ),
+            (
+                2,
+                "seqtri(a(1:2), c(1:3), c(1:3), c(1:3), c(1:3), 3)",
+                "seqtri: bad section lengths [2, 3, 3, 3, 3]",
+            ),
+        ] {
+            let body = format!(
+                "  real c(3)\n  c(1) = 2.0\n  c(2) = 4.0\n  c(3) = 2.0\n  \
+                 doall 100 i = 1, 1 on procs(1)\n    call {call}\n100 continue"
+            );
+            let msg = runtime_error(|| drop(run_body(p, 4, &body)));
+            assert!(msg.contains(lens), "{call}, p = {p}: {msg}");
+        }
+    }
+
+    /// A declared array whose extent or element count overflows, or that
+    /// cannot be allocated, is a runtime error.
+    #[test]
+    fn an_array_too_large_to_declare_is_a_kf1_runtime_error() {
+        for (bounds, err) in [
+            ("1:4294967296, 1:4294967296", "does not fit in memory"),
+            ("1:9223372036854775807", "does not fit in memory"),
+            (
+                "-9223372036854775807:9223372036854775807",
+                "does not fit in memory",
+            ),
+            ("-9223372036854775807 - 1:9223372036854775807", "bad bounds"),
+        ] {
+            let msg = runtime_error(|| drop(run_body(1, 4, &format!("  real b({bounds})"))));
+            assert!(
+                msg.contains("array b: ") && msg.contains(err),
+                "{bounds}: {msg}"
+            );
+        }
+    }
+
+    /// `t(u, n)` on two processors: `n` activations in all, down a chain
+    /// of sequential calls `s(k - 1)` or, with `team`, of team-call doalls
+    /// each calling `t(u, k - 1)` on both processors.
+    fn nest(n: i64, team: bool) {
+        let call = match team {
+            true => {
+                "doall 100 i = 1, 1 on owner(u(*))\n    call t(u, k - 1; owner(u(*)))\n100 continue"
+            }
+            false => "call s(k - 1)",
+        };
+        let src = format!(
+            "parsub t(u, k; procs)\n  processors procs(p)\n  real u(4) dist (block)\n  \
+             if (k .le. 1) return\n  {call}\nend\n\
+             subroutine s(k)\n  if (k .le. 1) return\n  call s(k - 1)\nend\n"
+        );
+        let u = HostValue::Array {
+            data: vec![0.0; 4],
+            bounds: vec![(1, 4)],
+        };
+        run_source(cfg(2), &src, "t", &[2], &[u, HostValue::Int(n)]).unwrap();
+    }
+
+    /// Calls nest up to `MAX_CALL_DEPTH` deep, through team calls too;
+    /// one deeper is a runtime error on every processor, not a stack
+    /// overflow that aborts the process.
+    #[test]
+    fn calls_nest_up_to_the_cap_and_no_deeper() {
+        let cap = interp::MAX_CALL_DEPTH as i64;
+        nest(cap, true);
+        nest(cap, false);
+        for team in [true, false] {
+            let msg = runtime_error(|| nest(cap + 1, team));
+            assert!(
+                msg.contains("calls nest deeper than 64"),
+                "team {team}: {msg}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cannot assign scalar to processor array procs")]
     fn assigning_to_a_processor_array_is_a_kf1_runtime_error() {

@@ -11,13 +11,13 @@
 //! `eval` computes once per trip, broadcast along the row, so Int/Real
 //! typing is exactly the walker's.
 //!
-//! Per trip, [`Rows`] places the program on the bindings at hand. My
-//! iterations are a box — the on-array's owned block, read off its
-//! `Layout`, met with the loop bounds — and the *interior*, the
+//! Per trip, [`Placed::stencil`] places the program on the bindings at
+//! hand. My iterations are a box — the on-array's owned block, read off
+//! its `Layout`, met with the loop bounds — and the *interior*, the
 //! iterations whose every read is owned, is the meet of each read
 //! array's owned block shifted back by the read's offset: the inspector's
 //! own classification, read by read. What the inspector would record by
-//! walking the body follows from the same boxes ([`Rows::inspect`]).
+//! walking the body follows from the same boxes ([`Placed::inspect`]).
 //!
 //! The same compiler takes a sequential `do v = lo, hi` loop
 //! ([`compile_loop`]) whose step is 1 and whose body is element
@@ -36,8 +36,9 @@
 //! iteration), and walks the loop whenever a condition fails.
 //!
 //! One doall of a builtin call is placed as well: `spmv.kf1`'s CSR rows
-//! ([`CsrRows`]), each a multiply-add over its slices of the replicated
-//! structure arrays.
+//! ([`Placed::csr`]), each a multiply-add over its slices of the
+//! replicated structure arrays. Either body runs the positions a trip's
+//! schedule hands it ([`Placed::exec`]) and commits its box at once.
 
 use std::cell::Ref;
 use std::ops::{Range, RangeInclusive};
@@ -62,10 +63,11 @@ fn is_empty(b: &Bx) -> bool {
     b.iter().any(|&(lo, hi)| lo > hi)
 }
 
-/// How many iterations a box holds.
-fn count(b: &Bx) -> usize {
-    let [(a0, b0), (a1, b1)] = *b;
-    ((b0 - a0 + 1) * (b1 - a1 + 1)).max(0) as usize
+/// Where `(i, j)` falls in a box, row by row: an iteration's position, an
+/// element's storage index.
+fn flat(b: &Bx, i: i64, j: i64) -> usize {
+    let [(lo0, _), (lo1, hi1)] = *b;
+    ((i - lo0) * (hi1 - lo1 + 1) + j - lo1) as usize
 }
 
 fn meet(a: &Bx, b: &Bx) -> Bx {
@@ -118,7 +120,7 @@ pub(crate) struct Kernel {
 /// decides: one element assignment subscripted by the loop variables in
 /// order, on `owner` of an array subscripted the same way, reads
 /// `a(v ± c, …)` combined by `+ − * /` and unary `−`, and a static plan.
-/// The bindings are checked per trip ([`Rows::new`]).
+/// The bindings are checked per trip ([`Placed::stencil`]).
 pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
     let [stmt @ RStmt::AssignElement { subs, .. }] = d.body.as_slice() else {
         return None;
@@ -304,11 +306,6 @@ impl Addr {
         Some(Addr { base, bounds })
     }
 
-    fn flat(&self, i: i64, j: i64) -> usize {
-        let [(lo0, _), (lo1, hi1)] = self.bounds;
-        ((i - lo0) * (hi1 - lo1 + 1) + j - lo1) as usize
-    }
-
     /// What rank `me` owns of the array (`None`: a dimension's blocks are
     /// not contiguous). A replicated array's reader owns all of it, but an
     /// on-clause on it names the grid's members only: `replicas` says which.
@@ -331,16 +328,8 @@ impl Addr {
     }
 }
 
-/// Which iterations of the box a call covers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Part {
-    Interior,
-    Boundary,
-    All,
-}
-
-/// A site's buffers, reused trip after trip: the box-sized result, the
-/// registers, and each read's row start.
+/// A placed site's buffers, reused trip after trip: the result, and a
+/// stencil's registers and each read's row start.
 #[derive(Default)]
 pub(crate) struct Scratch {
     out: Vec<f64>,
@@ -348,18 +337,36 @@ pub(crate) struct Scratch {
     starts: Vec<usize>,
 }
 
-/// A kernel placed on one trip's bindings.
-pub(crate) struct Rows {
-    /// My iterations.
+/// A doall placed on one trip's bindings: my iterations, a box whose
+/// positions count in iteration order, each writing one element of
+/// `target`.
+pub(crate) struct Placed<'k> {
     pub bx: Bx,
-    /// Those whose every read is owned.
-    interior: Bx,
     target: Addr,
-    /// Per kernel read: the array, the offset, and what I own of it.
-    reads: Vec<(Addr, [i64; 2], Bx)>,
+    body: Body<'k>,
 }
 
-impl Rows {
+enum Body<'k> {
+    /// The kernel's assignment; `interior` holds the iterations whose every
+    /// read is owned, and a read is its array, offset and what I own of it.
+    Stencil {
+        kernel: &'k Kernel,
+        interior: Bx,
+        reads: Vec<(Addr, [i64; 2], Bx)>,
+    },
+    /// Row `i` of a CSR product: `y(i) = Σ av(k) · x(ci(k))` over `k` from
+    /// `rp(i)` to `rp(i + 1) − 1`, the column `ci(k)` counted in `x`'s
+    /// section; it is stored at `ci(k) + x_at`, and mine in `x_owned`.
+    Csr {
+        /// `rp`, `ci` and `av`.
+        structure: [ArrRef; 3],
+        x: ArrRef,
+        x_at: i64,
+        x_owned: RangeInclusive<i64>,
+    },
+}
+
+impl<'k> Placed<'k> {
     /// Place `k` for rank `me` over the loop `ranges` (unit steps), with
     /// `on` the on-clause's array and `whole` the whole array a slot is
     /// bound to, if it is. `None` — the walker runs, and reports what it
@@ -367,13 +374,13 @@ impl Rows {
     /// contiguously distributed, when the on-array's layout or bounds are
     /// not the target's, or when the loop leaves those bounds or a read of
     /// the box leaves its array's.
-    pub(crate) fn new(
+    pub(crate) fn stencil(
         me: usize,
         ranges: &[(i64, i64)],
-        k: &Kernel,
+        k: &'k Kernel,
         on: Slot,
         whole: impl Fn(Slot) -> Option<ArrRef>,
-    ) -> Option<Rows> {
+    ) -> Option<Placed<'k>> {
         let arity = ranges.len();
         let (target, on) = (Addr::of(&whole(k.stmts[0].target)?, arity)?, whole(on)?);
         let (t, o) = (target.base.borrow(), on.borrow());
@@ -405,150 +412,32 @@ impl Rows {
             interior = meet(&interior, &back);
             reads.push((f, off, owned));
         }
-        Some(Rows {
-            bx,
+        let body = Body::Stencil {
+            kernel: k,
             interior,
-            target,
             reads,
-        })
+        };
+        Some(Placed { bx, target, body })
     }
 
-    /// How many iterations are mine.
-    pub(crate) fn len(&self) -> usize {
-        count(&self.bx)
-    }
-
-    /// Position of iteration `(i, j)` in iteration order.
-    fn pos(&self, i: i64, j: i64) -> usize {
-        let [(a0, _), (a1, b1)] = self.bx;
-        ((i - a0) * (b1 - a1 + 1) + j - a1) as usize
-    }
-
-    /// The runs `(row, first, last)` of `part`, in iteration order.
-    fn runs(&self, part: Part, mut f: impl FnMut(i64, i64, i64)) {
-        let [(a0, b0), (a1, b1)] = self.bx;
-        let [(c0, e0), (c1, e1)] = self.interior;
-        for i in a0..=b0 {
-            match part {
-                Part::All => f(i, a1, b1),
-                _ if !(c0..=e0).contains(&i) => {
-                    if part == Part::Boundary {
-                        f(i, a1, b1);
-                    }
-                }
-                Part::Interior => f(i, c1, e1),
-                Part::Boundary => {
-                    if a1 < c1 {
-                        f(i, a1, c1 - 1);
-                    }
-                    if e1 < b1 {
-                        f(i, e1 + 1, b1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// What the inspector finds walking my iterations: the positions of
-    /// those with a remote read, ascending, while `record` is handed each
-    /// remote read as `(array, flat)` in iteration and evaluation order.
-    pub(crate) fn inspect(&self, mut record: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
-        let mut boundary = Vec::new();
-        self.runs(Part::Boundary, |i, a, b| {
-            for j in a..=b {
-                boundary.push(self.pos(i, j));
-                for (f, [di, dj], [(l0, h0), (l1, h1)]) in &self.reads {
-                    let (i, j) = (i + di, j + dj);
-                    if !(*l0..=*h0).contains(&i) || !(*l1..=*h1).contains(&j) {
-                        record(&f.base, f.flat(i, j));
-                    }
-                }
-            }
-        });
-        boundary
-    }
-
-    /// Size `s` for this trip and broadcast the invariants' `values`, one
-    /// per [`Kernel::invariants`] entry, along the registers they fill.
-    pub(crate) fn prepare(&self, k: &Kernel, values: &[f64], s: &mut Scratch) {
-        let width = (self.bx[1].1 - self.bx[1].0 + 1).max(0) as usize;
-        s.out.resize(self.len(), 0.0);
-        s.regs.resize_with(k.regs, Vec::new);
-        s.regs.iter_mut().for_each(|r| r.resize(width, 0.0));
-        for ((r, _), &v) in k.invariants.iter().zip(values) {
-            s.regs[*r].fill(v);
-        }
-        s.starts.resize(self.reads.len(), 0);
-    }
-
-    /// Run `k` over the runs of `part` into the result, charging `proc`
-    /// the assignment's flops per iteration, as the walker does.
-    pub(crate) fn exec(&self, k: &Kernel, part: Part, s: &mut Scratch, proc: &mut Proc) {
-        let data: Vec<Ref<ArrObj>> = self.reads.iter().map(|r| r.0.base.borrow()).collect();
-        let Scratch { out, regs, starts } = s;
-        let mut count = 0;
-        self.runs(part, |i, a, b| {
-            let len = (b - a + 1) as usize;
-            count += len;
-            for (start, (f, off, _)) in starts.iter_mut().zip(&self.reads) {
-                *start = f.flat(i + off[0], a + off[1]);
-            }
-            let read = |r: usize| &data[r].data[starts[r]..];
-            k.run(0..k.code.len(), regs, len, &read);
-            let at = self.pos(i, a);
-            out[at..at + len].copy_from_slice(operand(k.stmts[0].out, regs, &read, len));
-        });
-        proc.compute_each(k.stmts[0].flops, count);
-    }
-
-    /// Copy-out: the result into the target's storage, charged as the
-    /// walker's commit of one write per iteration.
-    pub(crate) fn commit(&self, s: &Scratch, proc: &mut Proc) {
-        proc.memop(self.len() as f64);
-        let mut t = self.target.base.borrow_mut();
-        self.runs(Part::All, |i, a, b| {
-            let (from, to, len) = (self.pos(i, a), self.target.flat(i, a), (b - a + 1) as usize);
-            t.data[to..to + len].copy_from_slice(&s.out[from..from + len]);
-        });
-    }
-}
-
-/// A doall in the CSR class ([`crate::resolve::Csr`]) placed on one
-/// trip's bindings: row `i` is `y(i) = Σ av(k) · x(ci(k))` over `k` from
-/// `rp(i)` to `rp(i + 1) − 1`, the column `ci(k)` counted in `x`'s section.
-pub(crate) struct CsrRows {
-    /// My rows, `[(0, 0), (first, last)]`: the owned block of `y` met with
-    /// the loop bounds.
-    pub bx: Bx,
-    y: Addr,
-    /// `rp`, `ci` and `av`.
-    structure: [ArrRef; 3],
-    x: ArrRef,
-    /// Column `c` is stored at `c + x_at`; mine are stored in `x_owned`.
-    x_at: i64,
-    x_owned: RangeInclusive<i64>,
-}
-
-impl CsrRows {
-    /// Place the product for rank `me` over rows `lo..=hi` (unit step) on
-    /// whole arrays and the view `x` of a section, sizing `s`. `None` — the
-    /// walker runs, and reports what it reports — unless all are 1-D, `y`
-    /// real, block-distributed and holding the loop range, `rp`, `ci`, `av`
+    /// Place the CSR product for rank `me` over rows `lo..=hi` (unit step)
+    /// on whole arrays and the view `x` of a section. `None` — the walker
+    /// runs, and reports what it reports — unless all are 1-D, `y` real,
+    /// block-distributed and holding the loop range, `rp`, `ci`, `av`
     /// replicated, `x` real, not `y`, with contiguous blocks, and every row
     /// of mine names sections of `ci` and `av` by exact integers in `rp`,
     /// their columns inside `x`'s section.
-    pub(crate) fn new(
+    pub(crate) fn csr(
         me: usize,
         (lo, hi): (i64, i64),
         [y, rp, ci, av]: [ArrRef; 4],
         x: &View,
-        s: &mut Scratch,
-    ) -> Option<CsrRows> {
-        let (y, xa) = (Addr::of(&y, 1)?, Addr::of(&x.base, 1)?);
-        let [_, (y_lo, y_hi)] = y.bounds;
-        let fits = y.base.borrow().layout.spec().maps() == [DimMap::Dist(DimDist::Block)]
+    ) -> Option<Placed<'k>> {
+        let (target, xa) = (Addr::of(&y, 1)?, Addr::of(&x.base, 1)?);
+        let [_, (y_lo, y_hi)] = target.bounds;
+        let fits = y.borrow().layout.spec().maps() == [DimMap::Dist(DimDist::Block)]
             && (lo > hi || lo >= y_lo && hi <= y_hi)
-            && !Rc::ptr_eq(&x.base, &y.base)
+            && !Rc::ptr_eq(&x.base, &y)
             && [&rp, &ci, &av]
                 .iter()
                 .all(|a| a.borrow().ndims() == 1 && a.borrow().replicated());
@@ -556,100 +445,209 @@ impl CsrRows {
             return None;
         };
         let ([_, (x0, x1)], x_lo) = (xa.owned(me, true)?, xa.bounds[1].0);
-        let csr = CsrRows {
-            bx: meet(&[(0, 0), (lo, hi)], &y.owned(me, false)?),
-            y,
-            structure: [rp, ci, av],
-            x: x.base.clone(),
-            x_at: a.checked_sub(x.callee_lo[0])?.checked_sub(x_lo)?,
-            x_owned: x0.saturating_sub(x_lo)..=x1.saturating_sub(x_lo),
-        };
+        let bx = meet(&[(0, 0), (lo, hi)], &target.owned(me, false)?);
+        let structure = [rp, ci, av];
         // The walker translates column `c` to `c − callee_lo + a`.
         let inside = |c: &f64| {
             let t = (*c as i64).checked_sub(x.callee_lo[0]);
             t.is_some_and(|t| (0..=b - a).contains(&t))
         };
-        let data = csr.structure.each_ref().map(|a| a.borrow());
-        let mut rows = csr.bx[1].0..=csr.bx[1].1;
-        let fits = rows.all(|i| csr.row(&data, i).is_some_and(|[c, _]| c.iter().all(inside)));
-        drop(data);
-        s.out.resize(csr.len(), 0.0);
-        fits.then_some(csr)
+        let mut fits = true;
+        let rows = 0..(bx[1].1 - bx[1].0 + 1) as usize;
+        csr_rows(&structure, bx[1].0, rows, |_, row| {
+            fits &= row.is_some_and(|[c, _]| c.iter().all(inside))
+        });
+        let body = Body::Csr {
+            structure,
+            x: x.base.clone(),
+            x_at: a.checked_sub(x.callee_lo[0])?.checked_sub(x_lo)?,
+            x_owned: x0.saturating_sub(x_lo)..=x1.saturating_sub(x_lo),
+        };
+        fits.then_some(Placed { bx, target, body })
     }
 
-    /// How many rows are mine.
+    /// How many iterations are mine.
     pub(crate) fn len(&self) -> usize {
-        count(&self.bx)
+        let [(a0, b0), (a1, b1)] = self.bx;
+        ((b0 - a0 + 1) * (b1 - a1 + 1)).max(0) as usize
     }
 
-    /// The column indices and values of row `i`, if its `rp` entries are
-    /// exact integers naming a section of `ci` and of `av`.
-    fn row<'d>(&self, [rp, ci, av]: &'d [Ref<ArrObj>; 3], i: i64) -> Option<[&'d [f64]; 2]> {
-        let at = |a: &ArrObj, i: i64| usize::try_from(i.checked_sub(a.bounds[0].0)?).ok();
-        let int = |v: f64| (v.fract() == 0.0 && v.abs() <= 2f64.powi(53)).then_some(v as i64);
-        let k = int(*rp.data.get(at(rp, i)?)?)?;
-        let end = int(*rp.data.get(at(rp, i.checked_add(1)?)?)?)?;
-        let section = |a: &'d ArrObj| a.data.get(at(a, k)?..at(a, end)?);
-        Some([section(ci)?, section(av)?])
-    }
-
-    /// Run `f(position, columns, values)` over my rows at `positions`.
-    fn rows(&self, at: impl IntoIterator<Item = usize>, mut f: impl FnMut(usize, &[f64], &[f64])) {
-        let data = self.structure.each_ref().map(|a| a.borrow());
-        for pos in at {
-            let row = self.row(&data, self.bx[1].0 + pos as i64);
-            let [cols, vals] = row.expect("placed rows name sections of ci and av");
-            f(pos, cols, vals);
+    /// The row runs `(row, first, last)` of the positions in `at`, ranges
+    /// in ascending order: ranges that touch are joined, and a run ends
+    /// where its row does.
+    fn runs(&self, at: impl IntoIterator<Item = Range<usize>>, mut f: impl FnMut(i64, i64, i64)) {
+        let [(a0, _), (a1, b1)] = self.bx;
+        let width = (b1 - a1 + 1).max(1) as usize;
+        let mut split = |r: Range<usize>| {
+            let mut p = r.start;
+            while p < r.end {
+                let end = r.end.min((p / width + 1) * width);
+                let (row, first) = ((p / width) as i64, (p % width) as i64);
+                f(a0 + row, a1 + first, a1 + first + (end - p) as i64 - 1);
+                p = end;
+            }
+        };
+        let mut run = 0..0;
+        for r in at {
+            if r.start != run.end {
+                split(std::mem::replace(&mut run, r.start..r.start));
+            }
+            run.end = r.end;
         }
+        split(run);
     }
 
-    /// What the inspector finds walking my rows: the positions of those
-    /// with a column that is not mine, ascending, while `record` is handed
-    /// each such column as `(x, flat)` in row and column order.
+    /// The positions of a stencil's iterations with a read that is not
+    /// owned, from its interior box: per row, what lies left and right of
+    /// the interior's columns, or the whole row.
+    fn boundary<'b>(&'b self, interior: &Bx) -> impl Iterator<Item = Range<usize>> + 'b {
+        let [(a0, b0), (a1, b1)] = self.bx;
+        let [(c0, e0), (c1, e1)] = *interior;
+        (a0..=b0).flat_map(move |i| {
+            let (inner, at) = ((c0..=e0).contains(&i), |j| flat(&self.bx, i, j));
+            let (c, e) = if inner { (c1, e1) } else { (b1 + 1, b1) };
+            [at(a1)..at(c), at(e + 1)..at(b1 + 1)]
+        })
+    }
+
+    /// What the inspector finds walking my iterations: the positions of
+    /// those with a remote read, ascending, while `record` is handed each
+    /// remote read as `(array, flat)` in iteration and evaluation order. A
+    /// stencil's follow from its boxes, a CSR product's from one read of
+    /// its rows' columns.
     pub(crate) fn inspect(&self, mut record: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
         let mut boundary = Vec::new();
-        self.rows(0..self.len(), |pos, cols, _| {
-            let flats = cols.iter().map(|&c| (c as i64).wrapping_add(self.x_at));
-            let remote = flats.filter(|f| !self.x_owned.contains(f));
-            if remote.inspect(|&f| record(&self.x, f as usize)).count() > 0 {
-                boundary.push(pos);
-            }
-        });
+        match &self.body {
+            Body::Stencil {
+                interior, reads, ..
+            } => self.runs(self.boundary(interior), |i, a, b| {
+                for j in a..=b {
+                    boundary.push(flat(&self.bx, i, j));
+                    for (f, [di, dj], [(l0, h0), (l1, h1)]) in reads {
+                        let (i, j) = (i + di, j + dj);
+                        if !(*l0..=*h0).contains(&i) || !(*l1..=*h1).contains(&j) {
+                            record(&f.base, flat(&f.bounds, i, j));
+                        }
+                    }
+                }
+            }),
+            Body::Csr {
+                structure,
+                x,
+                x_at,
+                x_owned,
+            } => csr_rows(structure, self.bx[1].0, 0..self.len(), |pos, row| {
+                let [cols, _] = row.expect("placed rows name sections of ci and av");
+                let flats = cols.iter().map(|&c| (c as i64).wrapping_add(*x_at));
+                let remote = flats.filter(|f| !x_owned.contains(f));
+                if remote.inspect(|&f| record(x, f as usize)).count() > 0 {
+                    boundary.push(pos);
+                }
+            }),
+        }
         boundary
     }
 
-    /// Run the rows at `positions` into the result, charging `proc` as the
-    /// walker's `spmv` does — `2·nnz` flops, then the row's written word —
-    /// row by row in execution order.
+    /// Size `s` for this trip and broadcast a stencil's invariant
+    /// `values`, one per [`Kernel::invariants`] entry, along the
+    /// registers they fill.
+    pub(crate) fn prepare(&self, values: &[f64], s: &mut Scratch) {
+        s.out.resize(self.len(), 0.0);
+        if let Body::Stencil { kernel, reads, .. } = &self.body {
+            let width = (self.bx[1].1 - self.bx[1].0 + 1).max(0) as usize;
+            s.regs.resize_with(kernel.regs, Vec::new);
+            s.regs.iter_mut().for_each(|r| r.resize(width, 0.0));
+            for ((r, _), &v) in kernel.invariants.iter().zip(values) {
+                s.regs[*r].fill(v);
+            }
+            s.starts.resize(reads.len(), 0);
+        }
+    }
+
+    /// Run the iterations at the positions in `at`, ranges in ascending
+    /// order, into the result, charging `proc` as the walker does: a
+    /// stencil the assignment's flops per iteration, a CSR row `2·nnz`
+    /// flops and then its written word, row by row in execution order.
     pub(crate) fn exec(
         &self,
-        at: impl IntoIterator<Item = usize>,
+        at: impl IntoIterator<Item = Range<usize>>,
         s: &mut Scratch,
         proc: &mut Proc,
     ) {
-        let x = self.x.borrow();
-        let product =
-            |(&c, &a): (&f64, &f64)| a * x.data[(c as i64).wrapping_add(self.x_at) as usize];
-        self.rows(at, |pos, cols, vals| {
-            // The walker's sum, and +0.0 for an empty row, as it stores.
-            s.out[pos] = match cols.len() {
-                0 => 0.0,
-                _ => cols.iter().zip(vals).map(product).sum(),
-            };
-            proc.compute(2.0 * cols.len() as f64);
-            proc.memop(1.0);
-        });
+        let Scratch { out, regs, starts } = s;
+        match &self.body {
+            Body::Stencil {
+                kernel: k, reads, ..
+            } => {
+                let data: Vec<Ref<ArrObj>> = reads.iter().map(|r| r.0.base.borrow()).collect();
+                let mut count = 0;
+                self.runs(at, |i, a, b| {
+                    let len = (b - a + 1) as usize;
+                    count += len;
+                    for (start, (f, off, _)) in starts.iter_mut().zip(reads) {
+                        *start = flat(&f.bounds, i + off[0], a + off[1]);
+                    }
+                    let read = |r: usize| &data[r].data[starts[r]..];
+                    k.run(0..k.code.len(), regs, len, &read);
+                    let at = flat(&self.bx, i, a);
+                    out[at..at + len].copy_from_slice(operand(k.stmts[0].out, regs, &read, len));
+                });
+                proc.compute_each(k.stmts[0].flops, count);
+            }
+            Body::Csr {
+                structure, x, x_at, ..
+            } => {
+                let x = x.borrow();
+                let product =
+                    |(&c, &a): (&f64, &f64)| a * x.data[(c as i64).wrapping_add(*x_at) as usize];
+                let rows = at.into_iter().flatten();
+                csr_rows(structure, self.bx[1].0, rows, |pos, row| {
+                    let [cols, vals] = row.expect("placed rows name sections of ci and av");
+                    // The walker's sum, and +0.0 for an empty row, as it stores.
+                    out[pos] = match cols.len() {
+                        0 => 0.0,
+                        _ => cols.iter().zip(vals).map(product).sum(),
+                    };
+                    proc.compute(2.0 * cols.len() as f64);
+                    proc.memop(1.0);
+                });
+            }
+        }
     }
 
-    /// Copy-out: the result into `y`, charged as the walker's commit of
-    /// one write per row.
+    /// Copy-out: the result into the target's storage, charged as the
+    /// walker's commit of one write per iteration.
     pub(crate) fn commit(&self, s: &Scratch, proc: &mut Proc) {
-        let n = self.len();
-        proc.memop(n as f64);
-        if n > 0 {
-            let at = self.y.flat(0, self.bx[1].0);
-            self.y.base.borrow_mut().data[at..at + n].copy_from_slice(&s.out[..n]);
-        }
+        proc.memop(self.len() as f64);
+        let mut t = self.target.base.borrow_mut();
+        self.runs(std::iter::once(0..self.len()), |i, a, b| {
+            let (from, len) = (flat(&self.bx, i, a), (b - a + 1) as usize);
+            let to = flat(&self.target.bounds, i, a);
+            t.data[to..to + len].copy_from_slice(&s.out[from..from + len]);
+        });
+    }
+}
+
+/// Run `f(position, row)` over the CSR rows at `positions`, counted from
+/// row `first`: each row its column indices and values, if its `rp`
+/// entries are exact integers naming a section of `ci` and of `av`.
+fn csr_rows(
+    [rp, ci, av]: &[ArrRef; 3],
+    first: i64,
+    positions: impl IntoIterator<Item = usize>,
+    mut f: impl FnMut(usize, Option<[&[f64]; 2]>),
+) {
+    let [rp, ci, av] = [rp, ci, av].map(|a| a.borrow());
+    let at = |a: &ArrObj, i: i64| usize::try_from(i.checked_sub(a.bounds[0].0)?).ok();
+    let int = |v: f64| (v.fract() == 0.0 && v.abs() <= 2f64.powi(53)).then_some(v as i64);
+    let row = |i: i64| {
+        let k = int(*rp.data.get(at(&rp, i)?)?)?;
+        let end = int(*rp.data.get(at(&rp, i.checked_add(1)?)?)?)?;
+        let span = |a: &ArrObj| Some(at(a, k)?..at(a, end)?);
+        Some([ci.data.get(span(&ci)?)?, av.data.get(span(&av)?)?])
+    };
+    for pos in positions {
+        f(pos, row(first + pos as i64));
     }
 }
 
@@ -800,5 +798,216 @@ impl LoopScratch {
     /// Has no execution placed a compiled loop?
     pub(crate) fn is_unused(&self) -> bool {
         self.rows.is_empty() && self.regs.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::resolve::Kind;
+    use kali_grid::{DistSpec, Layout, ProcGrid};
+    use kali_machine::{CostModel, Machine, MachineConfig};
+    use kali_sched::interior_runs;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+    use std::cell::RefCell;
+
+    /// A real array of `bounds` on `grid`, distributed by `dist` or
+    /// replicated, its elements small varied reals.
+    fn array(bounds: Vec<(i64, i64)>, dist: Option<&str>, grid: &ProcGrid) -> ArrRef {
+        let extents: Vec<usize> = bounds.iter().map(|&(l, h)| (h - l + 1) as usize).collect();
+        let layout = match dist {
+            Some(d) => Layout::new(&DistSpec::parse(d).unwrap(), &extents, grid).unwrap(),
+            None => Layout::replicated(&extents, grid),
+        };
+        let len = extents.iter().product();
+        Rc::new(RefCell::new(ArrObj {
+            name: "a".into(),
+            bounds,
+            layout,
+            data: (0..len).map(|k| 0.25 * (k % 13) as f64 - 1.0).collect(),
+            is_real: true,
+            dist_gen: 0,
+        }))
+    }
+
+    /// Run `f` on one processor whose costs are powers of two, so that a
+    /// CSR body's per-row charges sum exactly in any order.
+    fn on_one(f: impl Fn(&mut Proc) + Send + Sync) {
+        let cost = CostModel {
+            alpha: 1.0,
+            beta: 0.5,
+            hop: 0.0,
+            flop: 2f64.powi(-10),
+            memop: 2f64.powi(-12),
+            overhead: 0.0,
+        };
+        Machine::run(MachineConfig::new(1).with_cost(cost), f);
+    }
+
+    /// Run `placed`'s positions all at once, as interior then boundary,
+    /// and as a random ascending split over several calls, and check that
+    /// each gives the same result bits, flops, memops and clock — and that
+    /// ranges touching within a row run as one.
+    fn same_under_every_split(placed: &Placed, g: &mut TestRng, proc: &mut Proc) {
+        let n = placed.len();
+        let boundary = placed.inspect(|_, _| {});
+        let singles: Vec<_> = boundary.iter().map(|&p| p..p + 1).collect();
+        let mut cuts: Vec<usize> = (0..g.next_u64() % 5)
+            .map(|_| (g.next_u64() as usize) % (n + 1))
+            .collect();
+        cuts.extend([0, n]);
+        cuts.sort_unstable();
+        let mut random = vec![Vec::new()];
+        for w in cuts.windows(2) {
+            random.last_mut().unwrap().push(w[0]..w[1]);
+            if g.next_u64().is_multiple_of(3) {
+                random.push(Vec::new());
+            }
+        }
+        let plans = [
+            vec![vec![0..n]],
+            vec![interior_runs(&boundary, n).collect(), singles.clone()],
+            random,
+        ];
+        let runs = |at: &[Range<usize>]| {
+            let mut runs = Vec::new();
+            placed.runs(at.iter().cloned(), |i, a, b| runs.push((i, a, b)));
+            runs
+        };
+        let rows = runs(&singles);
+        let joined = rows
+            .windows(2)
+            .all(|w| w[0].0 != w[1].0 || w[0].2 + 1 < w[1].1);
+        assert!(joined, "{rows:?}");
+        let [(a0, b0), (a1, b1)] = placed.bx;
+        let whole: Vec<_> = (a0..=b0).map(|i| (i, a1, b1)).collect();
+        let all = runs(std::slice::from_ref(&(0..n)));
+        assert_eq!(all, if n == 0 { vec![] } else { whole });
+        let mut seen = Vec::new();
+        for plan in &plans {
+            let (mut s, clock) = (Scratch::default(), proc.clock());
+            let (flops, words) = (proc.stats().flops, proc.stats().mem_words);
+            placed.prepare(&[], &mut s);
+            for at in plan {
+                placed.exec(at.iter().cloned(), &mut s, proc);
+            }
+            let bits: Vec<u64> = s.out.iter().map(|v| v.to_bits()).collect();
+            let stats = proc.stats();
+            let charges = [
+                proc.clock() - clock,
+                stats.flops - flops,
+                stats.mem_words - words,
+            ];
+            seen.push((bits, charges.map(f64::to_bits)));
+        }
+        assert!(seen.iter().all(|s| *s == seen[0]), "{plans:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A stencil of random reads of `x` and `b` on a random grid, placed
+        /// on every rank, runs alike however its positions are split.
+        #[test]
+        fn stencil_positions_run_alike_however_split(seed in 0u64..1 << 40, dims in 1usize..3) {
+            on_one(|proc| {
+                let mut g = TestRng::deterministic(&seed.to_string());
+                let mut below = |n: i64| (g.next_u64() % n as u64) as i64;
+                let p = 1 + below(4) as usize;
+                let shape = match dims {
+                    1 => vec![p],
+                    _ if p == 4 && below(2) == 0 => vec![2, 2],
+                    _ => if below(2) == 0 { vec![p, 1] } else { vec![1, p] },
+                };
+                let lb = below(4) - 1;
+                let bounds: Vec<_> = (0..dims).map(|_| (lb, lb + 2 + below(9))).collect();
+                let vars = &["i", "j"][..dims];
+                let (mut rhs, mut lo, mut hi) = (String::new(), vec![0; dims], vec![0; dims]);
+                for k in 0..1 + below(4) {
+                    let off: Vec<i64> = (0..dims).map(|_| below(5) - 2).collect();
+                    for d in 0..dims {
+                        (lo[d], hi[d]) = (lo[d].min(off[d]), hi[d].max(off[d]));
+                    }
+                    let subs: Vec<_> =
+                        vars.iter().zip(&off).map(|(v, o)| format!("{v} + {o}")).collect();
+                    let read = format!("{}({})", ["x", "b"][below(2) as usize], subs.join(", "));
+                    rhs = match k {
+                        0 => read,
+                        _ => format!("({rhs} {} {read})", ["+", "-", "*", "/"][below(4) as usize]),
+                    };
+                }
+                let ranges: Vec<_> = (0..dims)
+                    .map(|d| (bounds[d].0 - lo[d] + below(2), bounds[d].1 - hi[d]))
+                    .collect();
+                let (decl, dist) = (
+                    bounds.iter().map(|(l, h)| format!("{l}:{h}")).collect::<Vec<_>>().join(", "),
+                    vec!["block"; dims].join(", "),
+                );
+                let header = match dims {
+                    1 => format!("doall 100 i = {}, {} on owner(x(i))", ranges[0].0, ranges[0].1),
+                    _ => format!(
+                        "doall 100 (i, j) = [{}, {}] * [{}, {}] on owner(x(i, j))",
+                        ranges[0].0, ranges[0].1, ranges[1].0, ranges[1].1
+                    ),
+                };
+                let src = format!(
+                    "parsub t(x, b; procs)\n  processors procs({})\n  real x({decl}), b({decl}) \
+                     dist ({dist})\n  {header}\n    x({}) = {rhs}\n100 continue\nend\n",
+                    ["p", "q"][..dims].join(", "),
+                    vars.join(", "),
+                );
+                let prog = crate::parse(&src).unwrap();
+                let sub = &prog.code[0];
+                let crate::resolve::RStmt::Doall(d) = &sub.body[0] else { panic!("{src}") };
+                let Kind::Stencil(k) = &d.kind else { panic!("{src}") };
+                let grid = ProcGrid::with_ranks(shape, (0..p).collect());
+                let x = array(bounds.clone(), Some(&dist), &grid);
+                let b = array(bounds, Some(&dist), &grid);
+                let slot = |name: &str| sub.names.iter().position(|n| n == name).unwrap();
+                let whole = |s: Slot| Some(if s == slot("x") { x.clone() } else { b.clone() });
+                for me in 0..p {
+                    let placed = Placed::stencil(me, &ranges, k, slot("x"), whole).expect(&src);
+                    same_under_every_split(&placed, &mut g, proc);
+                }
+            });
+        }
+
+        /// A CSR product of random rows, some empty, over a section of a
+        /// block-distributed `x`, runs alike however its rows are split.
+        #[test]
+        fn csr_positions_run_alike_however_split(seed in 0u64..1 << 40) {
+            on_one(|proc| {
+                let mut g = TestRng::deterministic(&seed.to_string());
+                let mut below = |n: i64| (g.next_u64() % n as u64) as i64;
+                let (p, n, nx) = (1 + below(4) as usize, 1 + below(12), 2 + below(12));
+                let (a, b) = (1 + below(nx), nx);
+                let (mut rp, mut ci) = (vec![1.0], Vec::new());
+                for _ in 0..n {
+                    for _ in 0..below(4) {
+                        ci.push((1 + below(b - a + 1)) as f64);
+                    }
+                    rp.push(ci.len() as f64 + 1.0);
+                }
+                let grid = ProcGrid::with_ranks(vec![p], (0..p).collect());
+                let nz = ci.len() as i64;
+                let replicated = |data: Vec<f64>| {
+                    let arr = array(vec![(1, data.len().max(1) as i64)], None, &grid);
+                    arr.borrow_mut().data[..data.len()].copy_from_slice(&data);
+                    arr
+                };
+                let y = array(vec![(1, n)], Some("block"), &grid);
+                let xb = array(vec![(1, nx)], Some("block"), &grid);
+                let av = array(vec![(1, nz.max(1))], None, &grid);
+                let structure = [replicated(rp), replicated(ci), av];
+                let x = View { base: xb, map: vec![ViewDim::Range(a, b)], callee_lo: vec![1] };
+                let (lo, hi) = (1 + below(n), n - below(2));
+                for me in 0..p {
+                    let [rp, ci, av] = structure.clone();
+                    let placed = Placed::csr(me, (lo, hi), [y.clone(), rp, ci, av], &x).unwrap();
+                    same_under_every_split(&placed, &mut g, proc);
+                }
+            });
+        }
     }
 }

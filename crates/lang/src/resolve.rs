@@ -294,8 +294,8 @@ pub(crate) struct RDoall {
     pub ranges: Vec<(RExpr, RExpr, Option<RExpr>)>,
     pub on: RProcExpr,
     pub body: Vec<RStmt>,
-    /// The body calls a parallel subroutine: team-call mode (Listing 7).
-    pub team_call: bool,
+    /// How the interpreter runs the doall.
+    pub kind: Kind,
     /// Names in read position anywhere in the body, in first-appearance
     /// order: the static list the exchange phase draws its arrays from.
     pub reads: Vec<ReadName>,
@@ -314,17 +314,25 @@ pub(crate) struct RDoall {
     /// subscript — the affine-stencil class, whose communication the text
     /// alone fixes.
     pub plan: Option<Vec<(Slot, Vec<RExpr>)>>,
+}
+
+/// How a doall runs, as far as its text decides: a stencil or a CSR
+/// product is placed ([`crate::lower::Placed`]) where a trip's bindings fit.
+#[derive(Debug, Clone)]
+pub(crate) enum Kind {
+    Walk,
     /// The compiled row kernel of a planned site in the lowerable class
-    /// ([`crate::lower`]); the interpreter runs it instead of walking the
-    /// body whenever a trip's bindings fit.
-    pub kernel: Option<Kernel>,
-    /// A team call whose lines may run in lockstep ([`batchable`]) when
-    /// its callee can ([`RSub::lockstep`]): the interpreter runs the callee
-    /// once per batch of lines, each of its doalls as one trip.
-    pub batch: bool,
-    /// The CSR row product ([`csr`]): the interpreter runs it as one
-    /// slice loop over its rows whenever a trip's bindings fit.
-    pub csr: Option<Box<Csr>>,
+    /// ([`crate::lower`]).
+    Stencil(Kernel),
+    /// One CSR row product per iteration ([`csr`]).
+    Csr(Box<Csr>),
+    /// The body calls a parallel subroutine: team-call mode (Listing 7).
+    /// With `batch` its lines may run in lockstep ([`batchable`]) when its
+    /// callee can ([`RSub::lockstep`]), each of the callee's doalls as one
+    /// trip over a batch of lines.
+    Lines {
+        batch: bool,
+    },
 }
 
 /// A doall in the CSR class ([`csr`]): the slots of `y`, `rp`, `ci`,
@@ -413,7 +421,7 @@ pub(crate) fn lockstep(sub: &RSub) -> bool {
     sub.parallel && !any_stmt(&sub.body, &mut global) && sub.body.iter().all(top)
 }
 
-/// Is `d` a team call in the lockstep class ([`RDoall::batch`])? Its body
+/// Is `d` a team call in the lockstep class ([`Kind::Lines`])? Its body
 /// is one `call sub(…; owner(a(…)))` to a parallel `sub`, every array
 /// argument is a section in which each loop variable, bare, fixes a
 /// dimension, and the loop variables appear nowhere else among the
@@ -686,26 +694,25 @@ impl RDoall {
             ranges,
             on,
             body,
-            team_call: f.team_call,
+            kind: Kind::Walk,
             names: f.names,
             keyed: f.keyed,
             cacheable: !f.uncacheable,
-            kernel: None,
-            batch: false,
-            csr: None,
         };
-        d.kernel = compile(&d);
-        d.batch = batchable(&d);
-        d.csr = csr(&d);
+        let (batch, csr) = (batchable(&d), csr(&d).map(Kind::Csr));
+        d.kind = match (f.team_call, compile(&d)) {
+            (true, _) => Kind::Lines { batch },
+            (false, k) => k.map(Kind::Stencil).or(csr).unwrap_or(Kind::Walk),
+        };
         d
     }
 }
 
-/// Is `d` one CSR row product per iteration ([`RDoall::csr`])? It runs
+/// Is `d` one CSR row product per iteration ([`Kind::Csr`])? It runs
 /// `doall i = … on owner(y(i))` over exactly `call spmv(y(i:i),
 /// ci(r(i):r(i + 1) - 1), av(r(i):r(i + 1) - 1), x(…))`, whose one section
 /// of `x` mentions neither `i` nor an array element. The bindings are
-/// checked per trip ([`crate::lower::CsrRows::new`]).
+/// checked per trip ([`crate::lower::Placed::csr`]).
 fn csr(d: &RDoall) -> Option<Box<Csr>> {
     let ([i], RProcExpr::Owner(y, on), [RStmt::Call { callee, args, .. }]) =
         (&d.vars[..], &d.on, &d.body[..])
@@ -959,7 +966,7 @@ end
 "#;
         let prog = crate::parse(src).unwrap();
         let (d, names) = first_doall(&prog);
-        assert!(d.cacheable && !d.team_call);
+        assert!(d.cacheable && matches!(d.kind, Kind::Walk));
         let reads: Vec<_> = d.reads.iter().map(|r| names[r.slot].as_str()).collect();
         assert_eq!(
             reads,
@@ -1014,7 +1021,8 @@ end
             let prog = crate::parse(&src).unwrap();
             let (d, names) = first_doall(&prog);
             assert!(!d.cacheable, "{stmt}");
-            assert_eq!(d.team_call, team_call, "{stmt}");
+            let lines = matches!(d.kind, Kind::Lines { batch: false });
+            assert_eq!(lines, team_call, "{stmt}");
             // A scalar only a nested loop defines still counts as defined.
             let k = d
                 .reads
@@ -1028,8 +1036,9 @@ end
     /// What the front end derives from each shipped listing's text, one
     /// line per fact: per `doall` its site, reads in order (`?` marks
     /// `may_be_unbound`), key names, the keyed names when every declared
-    /// array is bound to an array, `cacheable`, `team_call`, the plan's
-    /// arrays, `kernel`, `batch` and `csr`; per `call` its callee and `parallel`;
+    /// array is bound to an array, `cacheable`, the plan's arrays and the
+    /// kind — `walk`, `stencil`, `csr`, `lines`, or `batch` for lines that
+    /// may run in lockstep; per `call` its callee and `parallel`;
     /// per `do` whether it compiled; per subroutine `lockstep`.
     fn facts(listing: &str) -> Vec<String> {
         let prog = crate::parse(crate::listing(listing).unwrap()).unwrap();
@@ -1056,16 +1065,19 @@ end
                         };
                         format!(
                             "  doall {}\n    reads {}\n    names {}\n    keyed {}\n    \
-                             plan {plan}\n    cacheable {} team_call {} kernel {} batch {} csr {}",
+                             plan {plan}\n    cacheable {} kind {}",
                             d.site,
                             list(&mut reads.into_iter()),
                             list(&mut d.names.iter().map(name)),
                             list(&mut keyed.iter().map(name)),
                             d.cacheable,
-                            d.team_call,
-                            d.kernel.is_some(),
-                            d.batch,
-                            d.csr.is_some(),
+                            match d.kind {
+                                Kind::Walk => "walk",
+                                Kind::Stencil(_) => "stencil",
+                                Kind::Csr(_) => "csr",
+                                Kind::Lines { batch: false } => "lines",
+                                Kind::Lines { batch: true } => "batch",
+                            },
                         )
                     }
                     Node::Stmt(RStmt::Call {
@@ -1100,7 +1112,7 @@ jacobi lockstep false
     names f i j x
     keyed i j
     plan x x x x f
-    cacheable true team_call false kernel true batch false csr false
+    cacheable true kind stencil
 shift
 shift lockstep true
   doall 0
@@ -1108,7 +1120,7 @@ shift lockstep true
     names a i
     keyed i
     plan a
-    cacheable true team_call false kernel true batch false csr false
+    cacheable true kind stencil
 tri
 tri lockstep true
   doall 0
@@ -1116,28 +1128,28 @@ tri lockstep true
     names a b c f hi ip lo lower procs ra rb rc rf upper x
     keyed lo hi ip lower procs upper
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   call reduce parallel false
   doall 1
     reads m rb k? ip? ra rc rf
     names ip k m ra rb rc rf wa wb wc wf
     keyed m k ip
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   do k kernel false
   doall 2
     reads wy ip? wb wa wc wf m
     names ip m wa wb wc wf wy
     keyed ip m
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   call seqtri parallel false
   doall 3
     reads lower? x procs ip? upper? wy lo? hi? f i? b c a
     names a b c f hi i ip lo lower procs upper wy x
     keyed ip lo hi i lower procs upper
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   do i kernel true
 adi
 adi lockstep false
@@ -1148,7 +1160,7 @@ adi lockstep false
     names 
     keyed 
     plan none
-    cacheable false team_call true kernel false batch true csr false
+    cacheable false kind batch
   call tric parallel true
   call resid parallel true
   doall 1
@@ -1156,7 +1168,7 @@ adi lockstep false
     names 
     keyed 
     plan none
-    cacheable false team_call true kernel false batch true csr false
+    cacheable false kind batch
   call tric parallel true
 resid lockstep true
   doall 2
@@ -1164,42 +1176,42 @@ resid lockstep true
     names cd cx cy f i j r u
     keyed i j
     plan f u u u u u
-    cacheable true team_call false kernel true batch false csr false
+    cacheable true kind stencil
 tric lockstep true
   doall 3
     reads max? lower? x procs ip? min? upper? n lo? hi? cc i? rho g
     names a b c cc f g hi i ip lo lower max min n procs rho upper x
     keyed lo hi i n max lower procs ip min upper
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   do i kernel true
   doall 4
     reads max? lower? x procs ip? min? upper? n b lo? hi? a c f
     names a b c f hi ip lo lower max min n procs ra rb rc rf upper x
     keyed lo hi ip max lower procs min upper n
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   call reduce parallel false
   doall 5
     reads m rb k? ip? ra rc rf
     names ip k m ra rb rc rf wa wb wc wf
     keyed m k ip
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   do k kernel false
   doall 6
     reads wy ip? wb wa wc wf m
     names ip m wa wb wc wf wy
     keyed ip m
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   call seqtri parallel false
   doall 7
     reads max? lower? x procs ip? min? upper? n lo? wy hi? i? f b c a
     names a b c f hi i ip lo lower max min n procs upper wy x
     keyed lo ip hi i max lower procs min upper n
     plan none
-    cacheable true team_call false kernel false batch false csr false
+    cacheable true kind walk
   do i kernel true
 spmv
 spmvit lockstep false
@@ -1209,14 +1221,14 @@ spmvit lockstep false
     names av ci i n rp x y
     keyed i ci rp n
     plan none
-    cacheable true team_call false kernel false batch false csr true
+    cacheable true kind csr
   call spmv parallel false
   doall 1
     reads y i?
     names i x y
     keyed i
     plan y
-    cacheable true team_call false kernel true batch false csr false
+    cacheable true kind stencil
 ";
 
     #[test]
@@ -1248,8 +1260,10 @@ spmvit lockstep false
             );
             let prog = crate::parse(&src).unwrap();
             let (d, _) = first_doall(&prog);
-            assert!(d.team_call, "{section}");
-            assert_eq!(d.batch, batch, "{section}");
+            assert!(
+                matches!(d.kind, Kind::Lines { batch: b } if b == batch),
+                "{section}"
+            );
         }
     }
 }

@@ -41,19 +41,6 @@ impl CostModel {
         }
     }
 
-    /// A contemporary cluster-like model (µs-scale latency, fast nodes).
-    /// Used by experiments that sweep the communication/computation ratio.
-    pub fn modern() -> Self {
-        CostModel {
-            alpha: 2e-6,
-            beta: 0.01e-6,
-            hop: 0.1e-6,
-            flop: 1e-9,
-            memop: 0.2e-9,
-            overhead: 0.5e-6,
-        }
-    }
-
     /// Round numbers (α=1, β=0.1, flop=0.001, free hops/overhead/memops);
     /// convenient for hand-checkable unit tests.
     pub fn unit() -> Self {
@@ -62,18 +49,6 @@ impl CostModel {
             beta: 0.1,
             hop: 0.0,
             flop: 1e-3,
-            memop: 0.0,
-            overhead: 0.0,
-        }
-    }
-
-    /// Free communication: isolates computational load balance.
-    pub fn zero_comm() -> Self {
-        CostModel {
-            alpha: 0.0,
-            beta: 0.0,
-            hop: 0.0,
-            flop: 1e-6,
             memop: 0.0,
             overhead: 0.0,
         }
@@ -127,19 +102,12 @@ mod tests {
 
     #[test]
     fn presets_are_sane() {
-        for c in [
-            CostModel::ipsc2(),
-            CostModel::modern(),
-            CostModel::unit(),
-            CostModel::zero_comm(),
-        ] {
+        for c in [CostModel::ipsc2(), CostModel::unit()] {
             assert!(c.alpha >= 0.0 && c.beta >= 0.0 && c.flop >= 0.0);
         }
-        // On both eras a message start-up is worth hundreds of flops — the
-        // regime in which the paper's pipelining/distribution choices matter.
+        // A message start-up is worth hundreds of flops — the regime in
+        // which the paper's pipelining/distribution choices matter.
         let old = CostModel::ipsc2();
-        let new = CostModel::modern();
         assert!(old.alpha / old.flop > 100.0);
-        assert!(new.alpha / new.flop > 100.0);
     }
 }

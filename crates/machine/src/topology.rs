@@ -56,20 +56,6 @@ impl Topology {
             }
         }
     }
-
-    /// Network diameter (maximum hop count between any two ranks).
-    pub fn diameter(&self, p: usize) -> usize {
-        if p <= 1 {
-            return 0;
-        }
-        match *self {
-            Topology::FullyConnected => 1,
-            Topology::Ring => p / 2,
-            Topology::Mesh2d(px, py) => (px - 1) + (py - 1),
-            Topology::Mesh3d(px, py, pz) => (px - 1) + (py - 1) + (pz - 1),
-            Topology::Hypercube => p.trailing_zeros() as usize,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +106,6 @@ mod tests {
         let t = Topology::Hypercube;
         assert_eq!(t.hops(0b000, 0b111, 8), 3);
         assert_eq!(t.hops(0b101, 0b100, 8), 1);
-        assert_eq!(t.diameter(16), 4);
     }
 
     #[test]
@@ -134,23 +119,6 @@ mod tests {
             for a in 0..16 {
                 for b in 0..16 {
                     assert_eq!(t.hops(a, b, 16), t.hops(b, a, 16), "{t:?} {a} {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diameter_bounds_hops() {
-        for t in [
-            Topology::FullyConnected,
-            Topology::Ring,
-            Topology::Mesh2d(4, 4),
-            Topology::Hypercube,
-        ] {
-            let d = t.diameter(16);
-            for a in 0..16 {
-                for b in 0..16 {
-                    assert!(t.hops(a, b, 16) <= d);
                 }
             }
         }

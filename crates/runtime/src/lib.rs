@@ -104,13 +104,6 @@ impl<'a> Ctx<'a> {
         self.policy
     }
 
-    /// Change the execution policy for subsequent plans. SPMD programs
-    /// must set the same policy on every member (the replay consensus is
-    /// collective).
-    pub fn set_policy(&mut self, policy: ExecPolicy) {
-        self.policy = policy;
-    }
-
     /// Cap the total number of cached halo schedules, evicting the
     /// least-recently-used entries if already over. SPMD programs must
     /// set the same budget on every member: evictions keep the vote gate

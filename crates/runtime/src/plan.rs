@@ -47,7 +47,7 @@ use crate::Ctx;
 
 /// How a plan's communication executes: [`kali_sched::ExecPolicy`],
 /// the one strategy type shared with the interpreter's run options.
-/// Carried by [`Ctx`] (set once per program with [`Ctx::set_policy`]).
+/// Carried by [`Ctx`] (set once per program with [`Ctx::with_policy`]).
 pub use kali_sched::ExecPolicy;
 
 /// What a stencil reads beyond the owned block: the read footprint
