@@ -169,6 +169,12 @@
 //! references `a(v ± c)` — `tric`'s and `tri`'s row builders and
 //! back-substitutions — runs compiled as well, as strided kernels over
 //! chunks of 64 iterations (`crate::lower`); every other loop is walked.
+//! Inspecting such a loop costs only its invariants where every element
+//! it reads is owned too: they are evaluated once, and the writes are
+//! counted. Ownership of a loop's references and of a builtin's sections
+//! is tested at their two ends along a contiguous dimension, where what
+//! one rank owns is an interval, and element by element only along a
+//! cyclic or block-cyclic one.
 //!
 //! A batch of lines pays a trip's own costs — key lookup, exchange, vote,
 //! marks, `begin`/`finish` — once. What stays per line is its frame and
@@ -579,7 +585,11 @@ impl<'w> Work<'w> {
 /// * content fingerprints of *replicated* arrays in schedule-relevant
 ///   positions (subscripts, section bounds, builtin arguments), by slot:
 ///   a CSR structure array (`spmv`'s column indices) makes the schedule a
-///   function of array *values* — change the sparsity and the key misses;
+///   function of array *values* — change the sparsity and the key misses.
+///   A fingerprint hashes one word per element ([`data_fingerprint`]), so
+///   a key costs a pass over the structure, and stays a function of
+///   content: SPMD-uniform, and never reused by a fresh array bound where
+///   an old one was;
 /// * every array read or written, by name, keyed *structurally* (bounds,
 ///   distribution, grid, generation, view, alias pattern) — ownership
 ///   maps, and hence schedules, depend on structure, not object identity.
@@ -597,17 +607,12 @@ struct ScheduleKey {
 // A word holds an `i64` or a `u64` bit for bit.
 const _: () = assert!(usize::BITS == u64::BITS);
 
-/// FNV-1a over the bit patterns of an array's storage, for the key's
-/// fingerprints.
+/// FNV-1a over the bit patterns of an array's storage, one 64-bit word
+/// per step, for the key's fingerprints. Each step is a bijection of the
+/// state, so arrays that differ in one word differ in fingerprint.
 fn data_fingerprint(data: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let step = |h: u64, v: &f64| (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+    data.iter().fold(0xcbf2_9ce4_8422_2325, step)
 }
 
 impl SiteKey for ScheduleKey {
@@ -680,6 +685,9 @@ pub struct Interp<'a, 'p> {
     /// the first invocation replays instead of inspecting; sites without
     /// a plan are untouched.
     static_seed: bool,
+    /// Iterations of compiled `do` loops the inspector walked.
+    #[cfg(test)]
+    inspected_loop_iterations: usize,
 }
 
 impl<'a, 'p> Interp<'a, 'p> {
@@ -700,6 +708,8 @@ impl<'a, 'p> Interp<'a, 'p> {
             key_buf: Vec::new(),
             nan_keys: 0,
             static_seed: opts.static_seed,
+            #[cfg(test)]
+            inspected_loop_iterations: 0,
         }
     }
 
@@ -1040,13 +1050,20 @@ impl<'a, 'p> Interp<'a, 'p> {
                 if st == 0 {
                     return Err("do loop with zero step".into());
                 }
-                let through = matches!(&self.mode, Mode::Execute(log) if log.through.is_some());
-                if let Some(k) = kernel.as_ref().filter(|_| through && lo <= hi) {
+                let known = match &self.mode {
+                    Mode::Execute(log) => log.through.is_some(),
+                    mode => matches!(mode, Mode::Inspect(_)),
+                };
+                if let Some(k) = kernel.as_ref().filter(|_| known && lo <= hi) {
                     if self.run_loop(*var, k, lo, hi)? {
                         return Ok(Flow::Normal);
                     }
                 }
                 for i in counted(lo, hi, st) {
+                    #[cfg(test)]
+                    if kernel.is_some() && matches!(self.mode, Mode::Inspect(_)) {
+                        self.inspected_loop_iterations += 1;
+                    }
                     self.set_scalar(*var, Value::Int(i))?;
                     if self.exec_stmts(body)? == Flow::Return {
                         return Ok(Flow::Return);
@@ -1063,12 +1080,18 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(Flow::Normal)
     }
 
-    /// Run `do var = lo, hi` (`lo ≤ hi`) as its compiled kernel `k`, in
-    /// write-through mode, where a write is a store: what the walker would
-    /// store, charged as it charges — `compute` per iteration per
-    /// assignment in its order, and one write each for the commit's
-    /// `memop` — leaving `var` at `hi` as it would. `false` (nothing done
-    /// but the walker's own first step, setting `var`) when this
+    /// Run `do var = lo, hi` (`lo ≤ hi`) as its compiled kernel `k` where
+    /// the walk's outcome is known without it. In write-through mode a
+    /// write is a store: what the walker would store, charged as it
+    /// charges — `compute` per iteration per assignment in its order, and
+    /// one write each for the commit's `memop`. In the inspector, when
+    /// every element read is owned as well, the walk would record only
+    /// what the invariants read: they are evaluated once, in inspect mode,
+    /// which records it in the walk's first-touch order, and the writes
+    /// are counted. Either leaves `var` at `hi` as the walker would.
+    /// `false` (nothing done but the walker's own first step, setting
+    /// `var`, and what an invariant recorded, which the walk records
+    /// again) when this
     /// execution's bindings are outside the class ([`LoopScratch::place`]),
     /// an invariant fails to evaluate, or `var` is not an integer: the
     /// walker runs, and reports what it reports.
@@ -1077,27 +1100,33 @@ impl<'a, 'p> Interp<'a, 'p> {
         if !matches!(self.slot(var), Some(Binding::Scalar(Value::Int(_)))) {
             return Ok(false);
         }
+        let inspect = matches!(self.mode, Mode::Inspect(_));
         let (me, mut s) = (self.me(), std::mem::take(&mut self.loops));
         let frame = self.frame();
         let view = |slot| match &frame.slots[slot] {
             Some(Binding::Array(v)) if v.base.borrow().is_real => Some(v),
             _ => None,
         };
-        let placed = s.place(k, (lo, hi), me, view).is_some()
+        let placed = s.place(k, (lo, hi), me, inspect, view).is_some()
             && (k.invariants.iter())
                 .all(|(r, e)| self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok());
         // Placed, both ends index an array: the count fits.
         let n = placed.then(|| (hi - lo + 1) as usize);
-        n.inspect(|&n| s.run(k, n));
+        n.filter(|_| !inspect).inspect(|&n| s.run(k, n));
         self.loops = s;
         let Some(n) = n else {
             return Ok(false);
         };
-        for a in (0..n).flat_map(|_| &k.stmts) {
-            self.proc.compute(a.flops);
-        }
-        if let Mode::Execute(log) = &mut self.mode {
-            log.through = log.through.map(|writes| writes + n * k.stmts.len());
+        let writes = n * k.stmts.len();
+        match &mut self.mode {
+            Mode::Inspect(st) => st.writes += writes,
+            Mode::Execute(log) => {
+                log.through = log.through.map(|w| w + writes);
+                for a in (0..n).flat_map(|_| &k.stmts) {
+                    self.proc.compute(a.flops);
+                }
+            }
+            Mode::Normal => {}
         }
         self.set_scalar(var, Value::Int(hi))?;
         Ok(true)
@@ -2976,6 +3005,8 @@ mod tests {
     use super::*;
     use crate::HostValue;
     use kali_machine::{Machine, MachineConfig};
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use std::cell::RefCell;
 
     /// Run `f` on every rank of a `grid`-shaped simulated machine, inside
@@ -3303,7 +3334,9 @@ mod tests {
     /// back-substitution (`do 350`). The rank-2 gathers `wb(k, ip) = rb(k)`
     /// (`do 150`, `do 250`) and every loop around a doall are walked. At
     /// one processor every doall trip runs one iteration, which writes
-    /// through, so the compiled loops of `tri` and `adi` run.
+    /// through, so the compiled loops of `tri` and `adi` run. Every element
+    /// `tri`'s `do 350` reads is owned, so on one to four processors the
+    /// inspector walks none of its iterations.
     #[test]
     fn the_compiled_loops_of_the_listings() {
         let wants: [&[(&str, &str, bool)]; 5] = [
@@ -3335,6 +3368,27 @@ mod tests {
                 !me.loops.is_unused()
             });
             assert_eq!(ran, [want.iter().any(|w| w.2)], "{listing}");
+        }
+        let n = 24;
+        let vec1 = HostValue::Array {
+            data: (0..n).map(|k| 4.0 + (k % 5) as f64).collect(),
+            bounds: vec![(1, n as i64)],
+        };
+        let mut args = vec![vec1; 5];
+        args.push(HostValue::Int(n as i64));
+        for p in 1..=4 {
+            let walked = on_entry(
+                crate::listing("tri").unwrap(),
+                "tri",
+                &[p],
+                &args,
+                |me, sub| {
+                    me.exec_stmts(&sub.body).unwrap();
+                    let inspected = me.proc.stats().inspector_runs > 0;
+                    (inspected, me.inspected_loop_iterations)
+                },
+            );
+            assert_eq!(walked, vec![(true, 0); p], "p = {p}");
         }
     }
 
@@ -3470,5 +3524,25 @@ mod tests {
             (&[7, 3][..], &[][..])
         );
         assert!(st.needs_of(0, &array("c", 1)).is_empty() && st.iter_touched_remote);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arrays that differ in one word — one bit of it, or any — differ
+        /// in fingerprint.
+        #[test]
+        fn one_changed_word_changes_the_fingerprint(seed in 0u64..1 << 40, len in 1usize..64) {
+            let mut g = TestRng::deterministic(&seed.to_string());
+            let data: Vec<f64> = (0..len).map(|_| f64::from_bits(g.next_u64())).collect();
+            let mask = match g.next_u64() % 2 {
+                0 => 1 << (g.next_u64() % 64),
+                _ => g.next_u64().max(1),
+            };
+            let mut edited = data.clone();
+            let at = g.next_u64() as usize % len;
+            edited[at] = f64::from_bits(data[at].to_bits() ^ mask);
+            prop_assert!(data_fingerprint(&data) != data_fingerprint(&edited));
+        }
     }
 }

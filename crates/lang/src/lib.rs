@@ -272,7 +272,7 @@ pub fn run_source_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kali_machine::CostModel;
+    use kali_machine::{BackendKind, CostModel};
     use std::time::Duration;
 
     fn cfg(p: usize) -> MachineConfig {
@@ -1284,6 +1284,77 @@ end
             run.report.total_msgs > 0,
             "the x-gather must move remote columns"
         );
+    }
+
+    /// The key fingerprints a replicated array that steers the schedule
+    /// by content: three `spmv` trips with `ci(1)` edited between them
+    /// inspect three times per rank, and with the unkeyed `av(1)` edited
+    /// once and replay twice — on one and two processors, on both
+    /// backends, with the bits of a run that rebuilds every trip.
+    #[test]
+    fn editing_a_keyed_replicated_array_forces_a_new_inspection() {
+        let n = 8;
+        let (mut rp, mut ci) = (vec![1.0], Vec::new());
+        for i in 1..=n {
+            let cols = [i - 1, i + 1].into_iter().filter(|c| (1..=n).contains(c));
+            ci.extend(cols.map(|c| c as f64));
+            rp.push(ci.len() as f64 + 1.0);
+        }
+        let nz = ci.len() as i64;
+        let array = |data: Vec<f64>| HostValue::Array {
+            bounds: vec![(1, data.len() as i64)],
+            data,
+        };
+        let args = [
+            array(vec![0.0; n as usize]),
+            array((0..n).map(|i| 0.5 + i as f64).collect()),
+            array(rp),
+            array(ci),
+            array((0..nz).map(|k| 1.0 + (k % 3) as f64).collect()),
+            HostValue::Int(n),
+            HostValue::Int(nz),
+        ];
+        for (edit, inspections) in [("ci(1) = mod(ci(1), n) + 1", 3), ("av(1) = av(1) + 1.0", 1)] {
+            let src = format!(
+                "parsub edit(y, x, rp, ci, av, n, nz; procs)\n  processors procs(p)\n  \
+                 real y(n), x(n) dist (block)\n  real av(nz)\n  integer rp(n + 1), ci(nz)\n  \
+                 do 200 t = 1, 3\n    doall 100 i = 1, n on owner(y(i))\n      \
+                 call spmv(y(i:i), ci(rp(i):rp(i + 1) - 1), av(rp(i):rp(i + 1) - 1), x(1:n))\n\
+                 100 continue\n    {edit}\n200 continue\nend\n"
+            );
+            for (p, backend) in [1, 2]
+                .into_iter()
+                .flat_map(|p| [BackendKind::Sim, BackendKind::Threads].map(|b| (p, b)))
+            {
+                let run = |optimistic| {
+                    let policy = ExecPolicy {
+                        optimistic,
+                        ..ExecPolicy::default()
+                    };
+                    let opts = RunOptions {
+                        policy,
+                        ..RunOptions::default()
+                    };
+                    let cfg = cfg(p).with_backend(backend);
+                    run_source_with(cfg, &src, "edit", &[p], &args, opts).unwrap()
+                };
+                let (keyed, rebuilt) = (run(true), run(false));
+                let r = &keyed.report;
+                let counts = (r.total_inspector_runs, r.total_schedule_replays);
+                let want = (inspections * p as u64, (3 - inspections) * p as u64);
+                assert_eq!(counts, want, "{edit} at p = {p} on {backend:?}");
+                let bits = |run: &LangRun| -> Vec<Vec<u64>> {
+                    (run.arrays.iter())
+                        .map(|(_, a)| a.iter().map(|v| v.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(
+                    bits(&keyed),
+                    bits(&rebuilt),
+                    "{edit} at p = {p} on {backend:?}"
+                );
+            }
+        }
     }
 
     #[test]

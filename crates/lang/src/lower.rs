@@ -33,7 +33,10 @@
 //! whole 1-D array, or a section like `u(i, *)` — as a strided address
 //! sequence, and [`LoopScratch::run`] executes the chunks. The interpreter
 //! runs it only where a write is a plain store (a write-through doall
-//! iteration), and walks the loop whenever a condition fails.
+//! iteration). A placed loop also stands in for the inspector's walk:
+//! where every element read is owned too, the walk would record only what
+//! the invariants read, so the inspector evaluates them once and counts
+//! the writes. Whenever a condition fails, the loop is walked.
 //!
 //! One doall of a builtin call is placed as well: `spmv.kf1`'s CSR rows
 //! ([`Placed::csr`]), each a multiply-add over its slices of the
@@ -666,11 +669,17 @@ pub(crate) struct Strided {
 impl Strided {
     /// Reference `view(lo..=hi)` of a rank-1 view: both ends translate
     /// through the view into the array's bounds, as the walker's accesses
-    /// do (then so does everything between). With `writer`, every element
-    /// must also be that rank's. An empty range references nothing.
-    pub(crate) fn of(view: &View, (lo, hi): (i64, i64), writer: Option<usize>) -> Option<Strided> {
+    /// do (then so does everything between). With `owner`, every element
+    /// must also be that rank's: along a contiguous dimension what a rank
+    /// owns is an interval, so the ends decide; elsewhere every element
+    /// is tested. An empty range references nothing.
+    pub(crate) fn of(view: &View, (lo, hi): (i64, i64), owner: Option<usize>) -> Option<Strided> {
         let b = view.base.borrow();
         (view.ndims() == 1).then_some(())?;
+        let dim = view
+            .map
+            .iter()
+            .position(|m| matches!(m, ViewDim::Range(..)))?;
         if hi < lo {
             let (base, at, step) = (view.base.clone(), 0, 1);
             return Some(Strided { base, at, step });
@@ -678,11 +687,12 @@ impl Strided {
         let mut base_idxs = [0; MAX_RANK];
         let mut flat = |i: i64| {
             let idxs = view.to_base_into(&[i; MAX_RANK], 1, &mut base_idxs).ok()?;
-            let mine = writer.is_none_or(|me| b.owned_by(me, idxs));
+            let mine = owner.is_none_or(|me| b.owned_by(me, idxs));
             mine.then(|| b.flat(idxs).ok())?
         };
         let (at, last) = (flat(lo)?, flat(hi)?);
-        (writer.is_none() || (lo..hi).skip(1).all(|i| flat(i).is_some())).then_some(())?;
+        let interval = owner.is_none() || b.layout.dists()[dim].is_contiguous();
+        (interval || (lo..hi).skip(1).all(|i| flat(i).is_some())).then_some(())?;
         let step = ((last - at) / (hi - lo).max(1) as usize).max(1);
         let base = view.base.clone();
         Some(Strided { base, at, step })
@@ -723,21 +733,24 @@ impl LoopScratch {
     /// `me`, `view` the view a slot is bound to, if it is a real array.
     /// `None` — the walker runs, and reports what it reports — unless
     /// every reference is placed ([`Strided::of`]), `me` owns every
-    /// element written, and nothing written is also read at another
-    /// address: by a reference with another sequence, or by an invariant.
+    /// element written (and, with `owned_reads`, every element read), and
+    /// nothing written is also read at another address: by a reference
+    /// with another sequence, or by an invariant.
     pub(crate) fn place<'v>(
         &mut self,
         k: &Kernel,
         (lo, hi): (i64, i64),
         me: usize,
+        owned_reads: bool,
         view: impl Fn(Slot) -> Option<&'v View>,
     ) -> Option<()> {
         self.refs.clear();
-        let reads = k.reads.iter().map(|&(slot, off)| (slot, off, None));
+        let reader = owned_reads.then_some(me);
+        let reads = k.reads.iter().map(|&(slot, off)| (slot, off, reader));
         let targets = k.stmts.iter().map(|a| (a.target, a.off, Some(me)));
-        for (slot, [_, c], writer) in reads.chain(targets) {
+        for (slot, [_, c], owner) in reads.chain(targets) {
             let range = (lo.checked_add(c)?, hi.checked_add(c)?);
-            self.refs.push(Strided::of(view(slot)?, range, writer)?);
+            self.refs.push(Strided::of(view(slot)?, range, owner)?);
         }
         let (reads, targets) = self.refs.split_at(k.reads.len());
         let clash = targets.iter().any(|w| {
@@ -971,6 +984,79 @@ mod tests {
                     same_under_every_split(&placed, &mut g, proc);
                 }
             });
+        }
+
+        /// `Strided::of` with an owner answers as the element-by-element
+        /// test does — every element of the section in bounds and that
+        /// rank's — on 1-D arrays and the rows and columns of 2-D ones,
+        /// block, cyclic, block-cyclic(k) and replicated, at p = 1..4 and
+        /// every rank, on ranges within one block and across blocks: the
+        /// ends decide only along a contiguous dimension.
+        #[test]
+        fn a_section_is_owned_where_its_elements_are(seed in 0u64..1 << 40) {
+            let mut g = TestRng::deterministic(&seed.to_string());
+            let mut below = |n: i64| (g.next_u64() % n as u64) as i64;
+            let (p, dims) = (1 + below(4) as usize, 1 + below(2) as usize);
+            let bounds: Vec<_> = (0..dims)
+                .map(|_| (below(3) - 1, 1 + below(12)))
+                .map(|(lb, n)| (lb, lb + n - 1))
+                .collect();
+            let extent = |d: usize| bounds[d].1 - bounds[d].0 + 1;
+            let patterns: Vec<String> = (0..dims)
+                .map(|d| match below(3) {
+                    0 => "block".into(),
+                    1 => "cyclic".into(),
+                    _ => format!("cyclic({})", 1 + below(2 * extent(d))),
+                })
+                .collect();
+            // Replicated, or one dimension distributed on a line of `p`, or
+            // both on a `p × 1`, `1 × p` or `2 × 2` grid.
+            let (shape, dist) = match (dims, below(4)) {
+                (_, 0) => (vec![p], None),
+                (1, _) => (vec![p], Some(patterns[0].clone())),
+                (_, 1) => (vec![p], Some(format!("{}, *", patterns[0]))),
+                (_, 2) => (vec![p], Some(format!("*, {}", patterns[1]))),
+                _ => {
+                    let shape = match (p, below(2)) {
+                        (4, 0) => vec![2, 2],
+                        (_, 0) => vec![p, 1],
+                        _ => vec![1, p],
+                    };
+                    (shape, Some(patterns.join(", ")))
+                }
+            };
+            let grid = ProcGrid::with_ranks(shape, (0..p).collect());
+            let base = array(bounds.clone(), dist.as_deref(), &grid);
+            for _ in 0..16 {
+                // A row or column through a random fixed index, over a random
+                // stretch of its dimension, its callee bounds counted from c.
+                let along = below(dims as i64) as usize;
+                let (l, h) = bounds[along];
+                let a = l + below(h - l + 1);
+                let b = a + below(h - a + 1);
+                let mut map: Vec<_> = bounds.iter().map(|&(l, h)| ViewDim::Fixed(l + below(h - l + 1))).collect();
+                map[along] = ViewDim::Range(a, b);
+                let c = below(3);
+                let view = View { base: base.clone(), map, callee_lo: vec![c] };
+                // Sometimes one past either end of the view.
+                let lo = c + below(b - a + 2) - below(2);
+                let hi = lo + below(b - a + 2) - 1;
+                for me in 0..p {
+                    for owner in [None, Some(me)] {
+                        let ours = Strided::of(&view, (lo, hi), owner)
+                            .map(|s| (0..=hi - lo).map(|t| s.flat(t as usize)).collect::<Vec<_>>());
+                        let arr = base.borrow();
+                        let each = (lo..=hi).map(|i| {
+                            let mut idxs = [0; MAX_RANK];
+                            let idxs = view.to_base_into(&[i; MAX_RANK], 1, &mut idxs).ok()?;
+                            let mine = owner.is_none_or(|me| arr.owned_by(me, idxs));
+                            mine.then(|| arr.flat(idxs).ok())?
+                        });
+                        let theirs: Option<Vec<usize>> = each.collect();
+                        prop_assert_eq!(&ours, &theirs, "{:?} {:?} {:?}", dist, view.map, (lo, hi, owner));
+                    }
+                }
+            }
         }
 
         /// A CSR product of random rows, some empty, over a section of a

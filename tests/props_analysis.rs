@@ -241,13 +241,13 @@ impl Gen {
     fn expr(
         &mut self,
         depth: usize,
-        leaves: &[&str; 6],
+        leaves: &[&str],
         product: &str,
         read: &mut dyn FnMut(&mut Gen, bool) -> String,
     ) -> String {
         match self.below(if depth == 0 { 4 } else { 9 }) {
             0 | 1 => read(self, false),
-            2 => leaves[self.below(6) as usize].to_string(),
+            2 => leaves[self.below(leaves.len() as u64) as usize].to_string(),
             3 => format!("{product} - {}", self.below(4)),
             4 => format!("-({})", self.expr(depth - 1, leaves, product, read)),
             5 => {
@@ -446,9 +446,10 @@ proptest! {
 /// then right-hand sides over reads `a(k ± c)` of every line array (a
 /// written one at its target's offset, the others at any offset in
 /// −2..=2), Int and Real invariants (`kk`, `sc`, `kk*ip - 1`, `g(2*ip -
-/// 1)`, constants) and `+ − *`, unary `−`, and `/` by a constant or by a
-/// read of `d` (never written, every value ≥ 1). Returns the targets with
-/// their offsets and the right-hand sides.
+/// 1)`, constants, and `g(1)` and `g(2*q)`, which another processor owns
+/// unless `ip` is 1 or `q`) and `+ − *`, unary `−`, and `/` by a constant
+/// or by a read of `d` (never written, every value ≥ 1). Returns the
+/// targets with their offsets and the right-hand sides.
 fn loop_body(g: &mut Gen) -> (Vec<(&'static str, i64)>, Vec<String>) {
     let count = 1 + g.below(4) as usize;
     let mut targets: Vec<(&str, i64)> = Vec::new();
@@ -476,7 +477,16 @@ fn loop_body(g: &mut Gen) -> (Vec<(&'static str, i64)>, Vec<String>) {
         };
         format!("{slot}({})", sub(off))
     };
-    let leaves = ["0.5", "1.25", "kk", "sc", "3", "g(2*ip - 1)"];
+    let leaves = [
+        "0.5",
+        "1.25",
+        "kk",
+        "sc",
+        "3",
+        "g(2*ip - 1)",
+        "g(1)",
+        "g(2*q)",
+    ];
     let rhss = (0..count)
         .map(|_| g.expr(3, &leaves, "kk*ip", &mut read))
         .collect();
