@@ -607,11 +607,16 @@ struct ScheduleKey {
 // A word holds an `i64` or a `u64` bit for bit.
 const _: () = assert!(usize::BITS == u64::BITS);
 
-/// FNV-1a over the bit patterns of an array's storage, one 64-bit word
-/// per step, for the key's fingerprints. Each step is a bijection of the
-/// state, so arrays that differ in one word differ in fingerprint.
+/// The key's fingerprint of an array's storage: one 64-bit word per step,
+/// xored in and multiplied by the FNV prime, then rotated so the high
+/// bits, where the multiply mixes, feed the low bits of the next step.
+/// (A multiply only carries upwards: without the rotation, negating two
+/// words would flip the top bit twice and cancel.) Each step is a
+/// bijection of the state, so arrays that differ in one word differ in
+/// fingerprint.
 fn data_fingerprint(data: &[f64]) -> u64 {
-    let step = |h: u64, v: &f64| (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+    let step =
+        |h: u64, v: &f64| ((h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)).rotate_left(29);
     data.iter().fold(0xcbf2_9ce4_8422_2325, step)
 }
 
@@ -3543,6 +3548,42 @@ mod tests {
             let at = g.next_u64() as usize % len;
             edited[at] = f64::from_bits(data[at].to_bits() ^ mask);
             prop_assert!(data_fingerprint(&data) != data_fingerprint(&edited));
+        }
+
+        /// Two-word edits a multiply alone carries only upwards — negating
+        /// two words, scaling two by powers of two (exponent bits only),
+        /// swapping two — of small integers stored as reals, like column
+        /// indices, whose low bits are zero, differ in the fingerprint's
+        /// low half.
+        #[test]
+        fn two_changed_words_change_the_fingerprints_low_half(seed in 0u64..1 << 40, len in 2usize..64) {
+            let mut g = TestRng::deterministic(&seed.to_string());
+            let data: Vec<f64> = (0..len)
+                .map(|k| ((g.next_u64() % 1000) * 64 + k as u64 + 1) as f64)
+                .collect();
+            let i = g.next_u64() as usize % len;
+            let j = (i + 1 + g.next_u64() as usize % (len - 1)) % len;
+            let mut edited = data.clone();
+            match g.next_u64() % 3 {
+                0 => (edited[i], edited[j]) = (-data[i], -data[j]),
+                1 => (edited[i], edited[j]) = (2.0 * data[i], 0.25 * data[j]),
+                _ => edited.swap(i, j),
+            }
+            let low = |d: &[f64]| data_fingerprint(d) as u32;
+            prop_assert!(low(&data) != low(&edited));
+        }
+    }
+
+    /// Two sign flips change the fingerprint, and so do two words that
+    /// trade or shift exponents.
+    #[test]
+    fn sign_flips_and_exponent_swaps_change_the_fingerprint() {
+        for (a, b) in [
+            ([2.0, 3.0], [-2.0, -3.0]),
+            ([2.0, 4.0], [4.0, 2.0]),
+            ([1.0, 1.0], [0.5, 2.0]),
+        ] {
+            assert_ne!(data_fingerprint(&a), data_fingerprint(&b), "{a:?} vs {b:?}");
         }
     }
 }

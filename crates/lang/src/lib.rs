@@ -1289,8 +1289,11 @@ end
     /// The key fingerprints a replicated array that steers the schedule
     /// by content: three `spmv` trips with `ci(1)` edited between them
     /// inspect three times per rank, and with the unkeyed `av(1)` edited
-    /// once and replay twice — on one and two processors, on both
-    /// backends, with the bits of a run that rebuilds every trip.
+    /// once and replay twice; three trips reading `x(i + off(1))` and
+    /// `x(i + off(2))` with both offsets negated between them inspect for
+    /// the first two and replay the first schedule on the third — on one
+    /// and two processors, on both backends, with the bits of a run that
+    /// rebuilds every trip.
     #[test]
     fn editing_a_keyed_replicated_array_forces_a_new_inspection() {
         let n = 8;
@@ -1305,23 +1308,41 @@ end
             bounds: vec![(1, data.len() as i64)],
             data,
         };
-        let args = [
+        let x = array((0..n).map(|i| 0.5 + i as f64).collect());
+        let spmv_args = [
             array(vec![0.0; n as usize]),
-            array((0..n).map(|i| 0.5 + i as f64).collect()),
+            x.clone(),
             array(rp),
             array(ci),
             array((0..nz).map(|k| 1.0 + (k % 3) as f64).collect()),
             HostValue::Int(n),
             HostValue::Int(nz),
         ];
-        for (edit, inspections) in [("ci(1) = mod(ci(1), n) + 1", 3), ("av(1) = av(1) + 1.0", 1)] {
-            let src = format!(
+        let spmv = |edit: &str| {
+            format!(
                 "parsub edit(y, x, rp, ci, av, n, nz; procs)\n  processors procs(p)\n  \
                  real y(n), x(n) dist (block)\n  real av(nz)\n  integer rp(n + 1), ci(nz)\n  \
                  do 200 t = 1, 3\n    doall 100 i = 1, n on owner(y(i))\n      \
                  call spmv(y(i:i), ci(rp(i):rp(i + 1) - 1), av(rp(i):rp(i + 1) - 1), x(1:n))\n\
                  100 continue\n    {edit}\n200 continue\nend\n"
-            );
+            )
+        };
+        let off_args = [
+            array(vec![0.0; n as usize]),
+            x,
+            array(vec![2.0, 3.0]),
+            HostValue::Int(n),
+        ];
+        let negate = "parsub edit(y, x, off, n; procs)\n  processors procs(p)\n  \
+             real y(n), x(n) dist (block)\n  integer off(2)\n  \
+             do 200 t = 1, 3\n    doall 100 i = 4, n - 3 on owner(y(i))\n      \
+             y(i) = y(i) + x(i + off(1)) * x(i + off(2))\n\
+             100 continue\n    off(1) = -off(1)\n    off(2) = -off(2)\n200 continue\nend\n";
+        for (src, args, inspections) in [
+            (spmv("ci(1) = mod(ci(1), n) + 1"), &spmv_args[..], 3),
+            (spmv("av(1) = av(1) + 1.0"), &spmv_args[..], 1),
+            (negate.to_string(), &off_args[..], 2),
+        ] {
             for (p, backend) in [1, 2]
                 .into_iter()
                 .flat_map(|p| [BackendKind::Sim, BackendKind::Threads].map(|b| (p, b)))
@@ -1336,13 +1357,13 @@ end
                         ..RunOptions::default()
                     };
                     let cfg = cfg(p).with_backend(backend);
-                    run_source_with(cfg, &src, "edit", &[p], &args, opts).unwrap()
+                    run_source_with(cfg, &src, "edit", &[p], args, opts).unwrap()
                 };
                 let (keyed, rebuilt) = (run(true), run(false));
                 let r = &keyed.report;
                 let counts = (r.total_inspector_runs, r.total_schedule_replays);
                 let want = (inspections * p as u64, (3 - inspections) * p as u64);
-                assert_eq!(counts, want, "{edit} at p = {p} on {backend:?}");
+                assert_eq!(counts, want, "{src} at p = {p} on {backend:?}");
                 let bits = |run: &LangRun| -> Vec<Vec<u64>> {
                     (run.arrays.iter())
                         .map(|(_, a)| a.iter().map(|v| v.to_bits()).collect())
@@ -1351,7 +1372,7 @@ end
                 assert_eq!(
                     bits(&keyed),
                     bits(&rebuilt),
-                    "{edit} at p = {p} on {backend:?}"
+                    "{src} at p = {p} on {backend:?}"
                 );
             }
         }
