@@ -108,21 +108,21 @@
 //!
 //! whereas the blocking replay would sit idle for the full transit
 //! between `post` and the first executed iteration;
-//! * **lines in lockstep**: a distributed procedure call (`call sub(args;
+//! * **lifted team calls**: a distributed procedure call (`call sub(args;
 //!   procslice)`) narrows the current processor array to the slice and
-//!   runs the callee SPMD on it. A team-call doall in the lockstep class
+//!   runs the callee SPMD on it. A team-call doall in the lifted class
 //!   (`Kind::Lines` — Listing 7's `call tric(u(i, *), …; owner(r(i,
-//!   *)))`) runs it once per batch of up to `LINES_PER_BATCH` lines of a
-//!   team: a frame per line, a replicated statement in each, and each
-//!   doall of the callee as *one trip* over the batch — its iteration set
-//!   the lines' in turn, its exchange list theirs, its key one word
-//!   vector — so one vote and one fused message per peer per batch, not
-//!   per line.
-//!   Bodies still run line by line, and the lines bind disjoint storage,
-//!   so a trip in which no line runs more than one iteration writes
-//!   through. A batched trip is always walked: it neither places nor seeds
-//!   from a static plan. Line by line stays the fallback, and the oracle
-//!   the batches are tested against bit for bit.
+//!   *)))`) runs a batch of up to `LINES_PER_BATCH` lines of a team as
+//!   *one activation* of the callee, I_L ⊗ A: one frame, each dynamic
+//!   array with a leading line axis, each array parameter bound to the
+//!   first line's view plus a line stride. Scalars, control flow and
+//!   each doall's trip — one key, one exchange entry per array, one vote
+//!   and one fused message per peer — run once for the batch; element
+//!   assignments and calls run line after line, compiled loops and
+//!   `reduce`/`seqtri` are placed once and moved along the line strides.
+//!   Lines that are no progression, or whose pinned coordinates change
+//!   owner, run line by line: the fallback, and the oracle the batches
+//!   are tested against bit for bit.
 //!
 //! # What an element costs
 //!
@@ -176,13 +176,11 @@
 //! one rank owns is an interval, and element by element only along a
 //! cyclic or block-cyclic one.
 //!
-//! A batch of lines pays a trip's own costs — key lookup, exchange, vote,
-//! marks, `begin`/`finish` — once. What stays per line is its frame and
-//! the dynamic arrays it declares, its iterations, its exchange entries,
-//! and its share of the key, one word where it repeats the last line's.
-//! A batch whose lines run one iteration each holds an undecided trip's
-//! iterations until the verdict, so they write through and run their
-//! loops compiled.
+//! A batch of lines pays a frame, a trip's own costs and the placement of
+//! its loops and builtins once; per line it pays the element work. A
+//! batch whose lines run one iteration each holds an undecided trip's
+//! iteration until the verdict, so it writes through: its loops run
+//! compiled and its builtins on slices of storage.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -214,12 +212,10 @@ enum Flow {
 
 #[derive(Default)]
 struct InspectState {
-    /// Per line of the trip and distinct base array: remote flat indices
-    /// needed by my iterations, in first-touch order (it fixes the order
-    /// of the request vectors on the wire).
-    needs: Vec<(usize, ArrRef, Vec<usize>)>,
-    /// The line whose iteration is being inspected (0 unless batched).
-    line: usize,
+    /// Per distinct base array: remote flat indices needed by my
+    /// iterations, in first-touch order (it fixes the order of the request
+    /// vectors on the wire).
+    needs: Vec<(ArrRef, Vec<usize>)>,
     /// Membership in `needs`, as (position in `needs`, flat): the dedupe
     /// is a set probe, not a scan of the list.
     seen: HashSet<(usize, usize)>,
@@ -237,26 +233,19 @@ struct InspectState {
 impl InspectState {
     fn record(&mut self, arr: &ArrRef, flat: usize) {
         self.iter_touched_remote = true;
-        let line = self.line;
-        let known = self
-            .needs
-            .iter()
-            .position(|(l, a, _)| *l == line && Rc::ptr_eq(a, arr));
+        let known = self.needs.iter().position(|(a, _)| Rc::ptr_eq(a, arr));
         let k = known.unwrap_or_else(|| {
-            self.needs.push((line, arr.clone(), Vec::new()));
+            self.needs.push((arr.clone(), Vec::new()));
             self.needs.len() - 1
         });
         if self.seen.insert((k, flat)) {
-            self.needs[k].2.push(flat);
+            self.needs[k].1.push(flat);
         }
     }
 
-    fn needs_of(&self, line: usize, base: &ArrRef) -> &[usize] {
-        let hit = self
-            .needs
-            .iter()
-            .find(|(l, b, _)| *l == line && Rc::ptr_eq(b, base));
-        hit.map_or(&[], |(.., v)| v.as_slice())
+    fn needs_of(&self, base: &ArrRef) -> &[usize] {
+        let hit = self.needs.iter().find(|(b, _)| Rc::ptr_eq(b, base));
+        hit.map_or(&[], |(_, v)| v.as_slice())
     }
 }
 
@@ -392,10 +381,24 @@ impl Mode {
     }
 }
 
-/// The most lines a batch of a team call runs in lockstep
-/// ([`Interp::run_lines`]). Every line of a batch holds its frame — `tric`'s
-/// thirteen dynamic arrays — for the batch's whole run, on every rank.
+/// The most lines a batch of a team call runs as one activation
+/// ([`Interp::run_lines`]). A batch holds its lines' share of every dynamic
+/// array — `tric`'s thirteen — for the batch's whole run, on every rank.
 const LINES_PER_BATCH: usize = 16;
+
+/// A batch of lines run as one activation of the callee ([`lift`]): its
+/// frame binds the first line's views, and element work moves them from
+/// line to line.
+struct Lift {
+    lines: usize,
+    /// The lines element work now runs over: all of them, or the one a
+    /// run of element statements is at ([`Interp::exec_stmts`]).
+    active: Range<usize>,
+    /// Per array slot and base dimension a line pins: line 0's
+    /// coordinate, the step from one line to the next, and that step in
+    /// storage. A dynamic array steps along its leading line axis.
+    moves: Vec<(Slot, usize, i64, i64, isize)>,
+}
 
 /// How deep subroutine calls may nest, the entry counted: deeper KF1
 /// recursion would overflow a processor thread's stack, aborting the run.
@@ -422,19 +425,16 @@ const EXEC: ScheduleExecutor = ScheduleExecutor::new(SPLIT_VALUE_TAG);
 /// One array of a doall's exchange list ([`Interp::exchange_arrays`]).
 struct ExchangeArray {
     base: ArrRef,
-    /// Flat base index of the bound view's origin *in the current frame*
-    /// ([`view_origin_flat`]).
+    /// Flat base index of the bound view's origin *in the current frame*,
+    /// at its first line ([`view_origin_flat`]).
     origin: u64,
-    /// The line of the trip whose frame binds it (0 unless batched): a
-    /// batched trip lists each line's arrays in turn.
-    line: usize,
 }
 
 /// A trip's schedule is one array ([`Interp::compute_requests`]): element
 /// `f` of entry `e` of the exchange list travels as `e·span + span/2 + f −
 /// origin`, relative to its entry's origin, so the schedule replays
 /// untranslated on every trip whose key is equal — another line of the
-/// same team, or another batch of lines.
+/// same team, or another batch of lines the same distance apart.
 fn span(arrays: &[ExchangeArray]) -> u64 {
     let len = |a: &ExchangeArray| a.base.borrow().total_len() as u64;
     2 * arrays.iter().map(len).max().unwrap_or(1)
@@ -502,23 +502,9 @@ impl ScheduleWorld<f64> for LangWorld {
 struct IterSet {
     arity: usize,
     flat: Vec<i64>,
-    /// A batched trip's lines, in order: each its frame and the end of its
-    /// positions. Empty for a trip of one frame, the active one.
-    lines: Vec<(usize, usize)>,
 }
 
 impl IterSet {
-    /// The frame position `pos` runs in, if the trip is batched.
-    fn frame_of(&self, pos: usize) -> Option<usize> {
-        let line = self.lines.partition_point(|&(_, end)| end <= pos);
-        self.lines.get(line).map(|l| l.0)
-    }
-
-    /// Does every line run at most one iteration?
-    fn lone(&self) -> bool {
-        Work::Walk(self).lines(0).all(|(_, r)| r.len() <= 1)
-    }
-
     fn len(&self) -> usize {
         self.flat.len() / self.arity
     }
@@ -549,22 +535,6 @@ impl<'w> Work<'w> {
             Work::Placed(p) => p.len(),
         }
     }
-
-    /// The trip's lines, each its frame and its positions: one line, the
-    /// `top` frame's, unless the trip is batched.
-    fn lines(self, top: usize) -> impl Iterator<Item = (usize, Range<usize>)> + 'w {
-        let (batch, len) = match self {
-            Work::Walk(s) => (&s.lines[..], s.len()),
-            _ => (&[][..], 0),
-        };
-        let one = batch.is_empty().then_some((top, 0..len));
-        let starts = std::iter::once(0).chain(batch.iter().map(|l| l.1));
-        let batch = batch
-            .iter()
-            .zip(starts)
-            .map(|(&(f, end), start)| (f, start..end));
-        one.into_iter().chain(batch)
-    }
 }
 
 /// Everything the inspector's output is a deterministic function of. Two
@@ -574,9 +544,9 @@ impl<'w> Work<'w> {
 /// writes it); in order:
 ///
 /// * the team's ranks (which [`SiteKey::team_ranks`] borrows back);
-/// * a batched trip's number of lines (0 for a trip of one frame; the
-///   site number carries it too), then per line the words below — one
-///   word where they repeat the last line's;
+/// * a lifted trip's number of lines (0 outside a batch; the site number
+///   carries it too) and how each array moves from line to line — the
+///   words below describe the first line, whose owners are every line's;
 /// * this processor's iteration set (owner-computes assignment) — listed
 ///   by the on-clause scan, or at a placed site the owned box, which
 ///   names the same set (every empty box alike), so a placed site's keys
@@ -648,15 +618,16 @@ struct Frame<'p> {
     iter_defined: Vec<Slot>,
     /// Doall iterations of this frame now running (nested via team calls).
     iter_depth: usize,
+    /// The batch of lines the activation runs, if it is lifted.
+    lift: Option<Lift>,
 }
 
 /// The interpreter for one simulated processor.
 pub struct Interp<'a, 'p> {
     pub proc: &'a mut Proc,
     prog: &'p Program,
+    /// The activations now running; the last is the active one.
     frames: Vec<Frame<'p>>,
-    /// The active frame: the last, or one line's of a batch.
-    top: usize,
     mode: Mode,
     doall_depth: usize,
     /// Subroutine calls now running, a batch of lines as one.
@@ -693,6 +664,9 @@ pub struct Interp<'a, 'p> {
     /// Iterations of compiled `do` loops the inspector walked.
     #[cfg(test)]
     inspected_loop_iterations: usize,
+    /// Activations entered, a batch of lines as one.
+    #[cfg(test)]
+    frames_entered: usize,
 }
 
 impl<'a, 'p> Interp<'a, 'p> {
@@ -702,7 +676,6 @@ impl<'a, 'p> Interp<'a, 'p> {
             proc,
             prog,
             frames: Vec::new(),
-            top: 0,
             mode: Mode::Normal,
             doall_depth: 0,
             calls: 0,
@@ -715,6 +688,8 @@ impl<'a, 'p> Interp<'a, 'p> {
             static_seed: opts.static_seed,
             #[cfg(test)]
             inspected_loop_iterations: 0,
+            #[cfg(test)]
+            frames_entered: 0,
         }
     }
 
@@ -723,11 +698,35 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     fn frame(&self) -> &Frame<'p> {
-        &self.frames[self.top]
+        self.frames.last().expect("an active frame")
     }
 
     fn frame_mut(&mut self) -> &mut Frame<'p> {
-        &mut self.frames[self.top]
+        self.frames.last_mut().expect("an active frame")
+    }
+
+    /// The lines element work in the active frame now runs over: `0..1`
+    /// outside a batch.
+    fn lines(&self) -> Range<usize> {
+        self.frame()
+            .lift
+            .as_ref()
+            .map_or(0..1, |l| l.active.clone())
+    }
+
+    /// Run element work over `lines` from now on, the frame's views at the
+    /// first of them.
+    fn set_lines(&mut self, lines: Range<usize>) {
+        let f = self.frames.last_mut().expect("an active frame");
+        let Some(lift) = &mut f.lift else {
+            return;
+        };
+        for &(slot, dim, first, step, _) in &lift.moves {
+            if let Some(Binding::Array(v)) = &mut f.slots[slot] {
+                v.map[dim] = ViewDim::Fixed(first + lines.start as i64 * step);
+            }
+        }
+        lift.active = lines;
     }
 
     /// What `slot` is bound to in the active frame.
@@ -786,14 +785,24 @@ impl<'a, 'p> Interp<'a, 'p> {
         bindings: Vec<(usize, Binding)>,
         grid: ProcGrid,
     ) -> RtResult<()> {
-        let caller = self.top;
-        let sub = self.enter(sub, bindings, grid)?;
+        self.activate(sub, bindings, grid, None)
+    }
+
+    /// Run subroutine `sub` in a new activation, over a batch of lines
+    /// with `lift`.
+    fn activate(
+        &mut self,
+        sub: usize,
+        bindings: Vec<(usize, Binding)>,
+        grid: ProcGrid,
+        lift: Option<Lift>,
+    ) -> RtResult<()> {
+        let sub = self.enter(sub, bindings, grid, lift)?;
         self.calls += 1;
-        self.exec_stmts(&sub.body)?;
+        let result = self.exec_stmts(&sub.body);
         self.calls -= 1;
         self.frames.pop();
-        self.top = caller;
-        Ok(())
+        result.map(|_| ())
     }
 
     /// Push an activation of subroutine `sub` as the active frame and
@@ -803,6 +812,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         sub: usize,
         bindings: Vec<(usize, Binding)>,
         grid: ProcGrid,
+        lift: Option<Lift>,
     ) -> RtResult<&'p RSub> {
         let sub = &self.prog.code[sub];
         if self.calls == MAX_CALL_DEPTH {
@@ -813,15 +823,22 @@ impl<'a, 'p> Interp<'a, 'p> {
         for (slot, b) in bindings {
             slots[slot] = Some(b);
         }
-        self.top = self.frames.len();
+        #[cfg(test)]
+        {
+            self.frames_entered += 1;
+        }
         self.frames.push(Frame {
             grid,
             sub,
             slots,
             iter_defined: Vec::new(),
             iter_depth: 0,
+            lift,
         });
-        self.elaborate_decls(sub)?;
+        if let Err(e) = self.elaborate_decls(sub) {
+            self.frames.pop();
+            return Err(e);
+        }
         Ok(sub)
     }
 
@@ -969,10 +986,12 @@ impl<'a, 'p> Interp<'a, 'p> {
                         bounds.len()
                     ));
                 }
-                let grid = &self.frame().grid;
-                let extents: Vec<usize> = bounds
-                    .iter()
-                    .map(|&(l, h)| h.abs_diff(l) as usize + 1)
+                let (grid, lines) = (&self.frame().grid, self.frame().lift.as_ref());
+                let lines = lines.map(|l| l.lines);
+                // A batch's array has a leading line axis, held whole by
+                // every owner: one line's elements stay contiguous.
+                let extents: Vec<usize> = (lines.iter().copied())
+                    .chain(bounds.iter().map(|&(l, h)| h.abs_diff(l) as usize + 1))
                     .collect();
                 let mut data = Vec::new();
                 let len = extents.iter().try_fold(1, |n: usize, &e| n.checked_mul(e));
@@ -982,19 +1001,36 @@ impl<'a, 'p> Interp<'a, 'p> {
                 data.resize(len, 0.0);
                 let layout = match dist {
                     Some(spec) => {
-                        Layout::new(spec, &extents, grid).map_err(|e| format!("{name}: {e}"))?
+                        let local = lines.map(|_| DimMap::Local).into_iter();
+                        let maps = local.chain(spec.maps().iter().copied()).collect();
+                        // An error is the declaration's, without the axis.
+                        let declared = &extents[lines.iter().len()..];
+                        let declared = |e| Layout::new(spec, declared, grid).and(Err(e));
+                        let layout = Layout::new(&DistSpec::new(maps), &extents, grid);
+                        layout
+                            .or_else(declared)
+                            .map_err(|e| format!("{name}: {e}"))?
                     }
                     None => Layout::replicated(&extents, grid),
                 };
-                let arr = Rc::new(std::cell::RefCell::new(ArrObj {
+                if let Some(lines) = lines {
+                    bounds.insert(0, (0, lines as i64 - 1));
+                    let lift = self.frame_mut().lift.as_mut().expect("a batch");
+                    lift.moves
+                        .push((slot, 0, 0, 1, len as isize / lines as isize));
+                }
+                let mut view = View::whole(Rc::new(std::cell::RefCell::new(ArrObj {
                     name: name.to_string(),
                     bounds,
                     layout,
                     data,
                     is_real,
                     dist_gen: 0,
-                }));
-                self.bind(slot, Binding::Array(View::whole(arr)));
+                })));
+                if lines.is_some() {
+                    (view.map[0], _) = (ViewDim::Fixed(0), view.callee_lo.remove(0));
+                }
+                self.bind(slot, Binding::Array(view));
             }
         }
         Ok(())
@@ -1002,11 +1038,39 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     // ---------- statements ----------
 
+    /// Run `stmts` in order. In a batch of lines ([`Lift`]) a run of
+    /// element assignments and calls runs line after line, each line the
+    /// run in order, as it would in its own activation; a compiled loop
+    /// runs line after line too ([`Interp::run_loop`]), and everything else
+    /// once for all the lines, which the class ([`RSub::lockstep`]) makes
+    /// the same on every line.
     fn exec_stmts(&mut self, stmts: &'p [RStmt]) -> RtResult<Flow> {
-        for s in stmts {
+        let mut rest = stmts;
+        while let Some(s) = rest.first() {
+            let lines = self.lines();
+            let by_line = |s: &RStmt| match s {
+                RStmt::Call { callee, .. } => !callee.lifts(),
+                s => matches!(s, RStmt::AssignElement { .. }),
+            };
+            let run = match lines.len() {
+                1 => 0,
+                _ => rest.iter().take_while(|s| by_line(s)).count(),
+            };
+            if run > 0 {
+                for line in lines.clone() {
+                    self.set_lines(line..line + 1);
+                    for s in &rest[..run] {
+                        self.exec_stmt(s)?;
+                    }
+                }
+                self.set_lines(lines);
+                rest = &rest[run..];
+                continue;
+            }
             if self.exec_stmt(s)? == Flow::Return {
                 return Ok(Flow::Return);
             }
+            rest = &rest[1..];
         }
         Ok(Flow::Normal)
     }
@@ -1018,7 +1082,10 @@ impl<'a, 'p> Interp<'a, 'p> {
             } => {
                 let v = self.eval(rhs)?;
                 self.set_scalar(*slot, v)?;
-                self.charge_assignment(*flops);
+                // Charged as each line's activation would be.
+                for _ in self.lines() {
+                    self.charge_assignment(*flops);
+                }
             }
             RStmt::AssignElement {
                 slot,
@@ -1059,11 +1126,16 @@ impl<'a, 'p> Interp<'a, 'p> {
                     Mode::Execute(log) => log.through.is_some(),
                     mode => matches!(mode, Mode::Inspect(_)),
                 };
-                if let Some(k) = kernel.as_ref().filter(|_| known && lo <= hi) {
-                    if self.run_loop(*var, k, lo, hi)? {
-                        return Ok(Flow::Normal);
-                    }
+                let lines = self.lines();
+                let ran = match kernel.as_ref().filter(|_| known && lo <= hi) {
+                    Some(k) => self.run_loop(*var, k, lo, hi)?,
+                    None => 0,
+                };
+                if ran == lines.len() {
+                    return Ok(Flow::Normal);
                 }
+                // The walker runs the lines the kernel did not.
+                self.set_lines(lines.start + ran..lines.end);
                 for i in counted(lo, hi, st) {
                     #[cfg(test)]
                     if kernel.is_some() && matches!(self.mode, Mode::Inspect(_)) {
@@ -1074,12 +1146,13 @@ impl<'a, 'p> Interp<'a, 'p> {
                         return Ok(Flow::Return);
                     }
                 }
+                self.set_lines(lines);
             }
             RStmt::Return => return Ok(Flow::Return),
             RStmt::Call {
                 callee, args, on, ..
             } => self.exec_call(callee, args, on.as_ref())?,
-            RStmt::Doall(d) => self.exec_doall(d, self.top..self.top + 1)?,
+            RStmt::Doall(d) => self.exec_doall(d)?,
             RStmt::Distribute { slot, dist, .. } => self.exec_distribute(*slot, dist)?,
         }
         Ok(Flow::Normal)
@@ -1093,48 +1166,60 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// every element read is owned as well, the walk would record only
     /// what the invariants read: they are evaluated once, in inspect mode,
     /// which records it in the walk's first-touch order, and the writes
-    /// are counted. Either leaves `var` at `hi` as the walker would.
-    /// `false` (nothing done but the walker's own first step, setting
-    /// `var`, and what an invariant recorded, which the walk records
-    /// again) when this
-    /// execution's bindings are outside the class ([`LoopScratch::place`]),
-    /// an invariant fails to evaluate, or `var` is not an integer: the
-    /// walker runs, and reports what it reports.
-    fn run_loop(&mut self, var: Slot, k: &Kernel, lo: i64, hi: i64) -> RtResult<bool> {
+    /// are counted. Either leaves `var` at `hi` as the walker would. A
+    /// batch's loop is placed once and runs line after line. Returns the
+    /// lines it ran: those before the first where this execution's
+    /// bindings are outside the class ([`LoopScratch::place`]), an
+    /// invariant fails to evaluate, or `var` is not an integer. Nothing is
+    /// done for the rest but the walker's own first step, setting `var`,
+    /// and what an invariant recorded, which the walk records again: the
+    /// walker runs them, and reports what it reports.
+    fn run_loop(&mut self, var: Slot, k: &Kernel, lo: i64, hi: i64) -> RtResult<usize> {
         self.set_scalar(var, Value::Int(lo))?;
         if !matches!(self.slot(var), Some(Binding::Scalar(Value::Int(_)))) {
-            return Ok(false);
+            return Ok(0);
         }
-        let inspect = matches!(self.mode, Mode::Inspect(_));
+        let (inspect, lines) = (matches!(self.mode, Mode::Inspect(_)), self.lines());
         let (me, mut s) = (self.me(), std::mem::take(&mut self.loops));
         let frame = self.frame();
         let view = |slot| match &frame.slots[slot] {
             Some(Binding::Array(v)) if v.base.borrow().is_real => Some(v),
             _ => None,
         };
-        let placed = s.place(k, (lo, hi), me, inspect, view).is_some()
-            && (k.invariants.iter())
-                .all(|(r, e)| self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok());
-        // Placed, both ends index an array: the count fits.
-        let n = placed.then(|| (hi - lo + 1) as usize);
-        n.filter(|_| !inspect).inspect(|&n| s.run(k, n));
-        self.loops = s;
-        let Some(n) = n else {
-            return Ok(false);
-        };
-        let writes = n * k.stmts.len();
-        match &mut self.mode {
-            Mode::Inspect(st) => st.writes += writes,
-            Mode::Execute(log) => {
-                log.through = log.through.map(|w| w + writes);
-                for a in (0..n).flat_map(|_| &k.stmts) {
-                    self.proc.compute(a.flops);
-                }
+        let placed = s.place(k, (lo, hi), me, inspect, view).is_some();
+        // Placed, both ends index an array: the count fits. A batch's
+        // lines run one after the other, each reference moved along its
+        // array by a line's step ([`lift`]).
+        let (n, mut ran) = ((hi - lo + 1) as usize, 0);
+        for line in lines.clone().filter(|_| placed) {
+            self.set_lines(line..line + 1);
+            let mut invariants = k.invariants.iter();
+            if !invariants.all(|(r, e)| self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok()) {
+                break;
             }
-            Mode::Normal => {}
+            if !inspect {
+                s.run(k, n);
+            }
+            let writes = n * k.stmts.len();
+            match &mut self.mode {
+                Mode::Inspect(st) => st.writes += writes,
+                Mode::Execute(log) => {
+                    log.through = log.through.map(|w| w + writes);
+                    for a in (0..n).flat_map(|_| &k.stmts) {
+                        self.proc.compute(a.flops);
+                    }
+                }
+                Mode::Normal => {}
+            }
+            s.next_line(k, |slot| self.line_step(slot));
+            ran += 1;
         }
-        self.set_scalar(var, Value::Int(hi))?;
-        Ok(true)
+        self.set_lines(lines);
+        self.loops = s;
+        if ran > 0 {
+            self.set_scalar(var, Value::Int(hi))?;
+        }
+        Ok(ran)
     }
 
     /// The virtual flops of one executed assignment (the inspector's
@@ -1147,56 +1232,39 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     // ---------- doall ----------
 
-    /// Run doall `d` in `frames` ([`Interp::run_doall`]): the active
-    /// frame's, or a batch of lines' ([`Interp::run_batch`]), whose
-    /// iterations are scanned here, each line in its own frame.
-    fn exec_doall(&mut self, d: &'p RDoall, frames: Range<usize>) -> RtResult<()> {
+    /// Run doall `d` ([`Interp::run_doall`]).
+    fn exec_doall(&mut self, d: &'p RDoall) -> RtResult<()> {
         if !matches!(self.mode, Mode::Normal) {
             return Err("nested doall loops are not supported".into());
         }
-        let (arity, batched) = (d.ranges.len(), frames.len() > 1);
+        let arity = d.ranges.len();
         let mut bounds = [(0i64, 0i64, 1i64); 2];
-        let mut lines = IterSet {
-            arity,
-            ..IterSet::default()
-        };
-        let mut shadowed = Vec::with_capacity(frames.len() * d.vars.len());
-        for f in frames.clone() {
-            self.top = f;
-            for (k, (lo, hi, step)) in d.ranges.iter().enumerate() {
-                let l = self.eval(lo)?.as_int();
-                let h = self.eval(hi)?.as_int();
-                let s = match step {
-                    Some(e) => self.eval(e)?.as_int(),
-                    None => 1,
-                };
-                if s <= 0 {
-                    return Err("doall requires a positive step".into());
-                }
-                if k < 2 {
-                    bounds[k] = (l, h, s);
-                }
+        for (k, (lo, hi, step)) in d.ranges.iter().enumerate() {
+            let l = self.eval(lo)?.as_int();
+            let h = self.eval(hi)?.as_int();
+            let s = match step {
+                Some(e) => self.eval(e)?.as_int(),
+                None => 1,
+            };
+            if s <= 0 {
+                return Err("doall requires a positive step".into());
             }
-            if arity != 1 && arity != 2 {
-                return Err("doall supports one or two loop variables".into());
-            }
-            // The loop variables are written in place, iteration after
-            // iteration; whatever they shadow is set aside once and comes
-            // back after the loop.
-            let frame = self.frame_mut();
-            shadowed.extend(d.vars.iter().map(|&v| frame.slots[v].take()));
-            if batched {
-                self.scan(d, &bounds[..arity], false, &mut lines)?;
-                lines.lines.push((f, lines.len()));
+            if k < 2 {
+                bounds[k] = (l, h, s);
             }
         }
-        let result = self.run_doall(d, &bounds[..arity], lines);
-        let mut shadowed = shadowed.into_iter();
-        for f in frames {
-            let vars = d.vars.iter().zip(shadowed.by_ref().take(d.vars.len()));
-            for (&v, b) in vars.rev() {
-                self.frames[f].slots[v] = b;
-            }
+        if arity != 1 && arity != 2 {
+            return Err("doall supports one or two loop variables".into());
+        }
+        // The loop variables are written in place, iteration after
+        // iteration; whatever they shadow is set aside once and comes back
+        // after the loop.
+        let frame = self.frame_mut();
+        let shadowed: Vec<_> = d.vars.iter().map(|&v| frame.slots[v].take()).collect();
+        let result = self.run_doall(d, &bounds[..arity]);
+        let frame = self.frame_mut();
+        for (&v, b) in d.vars.iter().zip(shadowed).rev() {
+            frame.slots[v] = b;
         }
         result
     }
@@ -1205,21 +1273,19 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// says: a placed site over its box when the trip's bindings fit it
     /// ([`Interp::place`]), a team call's lines ([`Interp::run_lines`]),
     /// otherwise the walker over the iterations whose on-clause names this
-    /// processor — or, for a batch of lines, over `my_iters`, already
-    /// scanned (a batched trip neither places nor seeds from a static
-    /// plan).
-    fn run_doall(
-        &mut self,
-        d: &'p RDoall,
-        bounds: &[(i64, i64, i64)],
-        mut my_iters: IterSet,
-    ) -> RtResult<()> {
-        let batched = !my_iters.lines.is_empty();
-        let placed = (!batched).then(|| self.place(d, bounds)).flatten();
+    /// processor. A batch of lines' trip neither places nor seeds from a
+    /// static plan.
+    fn run_doall(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> RtResult<()> {
+        let (arity, lifted) = (bounds.len(), self.frame().lift.is_some());
+        let mut my_iters = IterSet {
+            arity,
+            ..IterSet::default()
+        };
+        let placed = (!lifted).then(|| self.place(d, bounds)).flatten();
         // Owner set per iteration — only when a static plan may seed this
         // site: seeding simulates every team member's inspector pass, and
         // the owner sets are its input.
-        let seeding = self.static_seed && d.plan.is_some();
+        let seeding = self.static_seed && d.plan.is_some() && !lifted;
         let owners = match placed.is_some() {
             true if !seeding => {
                 // The key reads the loop variables as the scan leaves
@@ -1230,7 +1296,6 @@ impl<'a, 'p> Interp<'a, 'p> {
                 }
                 None
             }
-            _ if batched => None,
             _ => self.scan(d, bounds, seeding, &mut my_iters)?,
         };
         let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
@@ -1275,7 +1340,6 @@ impl<'a, 'p> Interp<'a, 'p> {
             let iters = IterSet {
                 arity,
                 flat: Vec::with_capacity(total),
-                ..IterSet::default()
             };
             (iters, Vec::new())
         });
@@ -1362,12 +1426,11 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// of the next iteration and after the loop.
     fn run_iteration(&mut self, d: &'p RDoall, it: &[i64]) -> RtResult<()> {
         self.set_loop_vars(d, it);
-        let (top, f) = (self.top, self.frame_mut());
+        let f = self.frame_mut();
         let mark = f.iter_defined.len();
         f.iter_depth += 1;
         let result = self.exec_stmts(&d.body);
-        // Its own frame: a failed team call leaves the callee's active.
-        let f = &mut self.frames[top];
+        let f = self.frame_mut();
         f.iter_depth -= 1;
         for slot in f.iter_defined.drain(mark..) {
             f.slots[slot] = None;
@@ -1436,7 +1499,7 @@ impl<'a, 'p> Interp<'a, 'p> {
 
         // The stale-read hazard guard, statically: every simulated remote
         // read must belong to an array in the exchange list.
-        for (_, arr, flats) in &needs[my_ti].needs {
+        for (arr, flats) in &needs[my_ti].needs {
             if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
                 return None;
             }
@@ -1507,25 +1570,10 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// alone — never of what an inspection finds — so a schedule cached
     /// under an equal key lists exactly these arrays, and one scan serves
     /// as the executor's world, the schedule's encoding, and the
-    /// inspector's routing table. A batched trip lists each line's arrays
-    /// in turn.
-    fn exchange_arrays(&mut self, d: &RDoall, work: Work) -> RtResult<Vec<ExchangeArray>> {
+    /// inspector's routing table. A batch of lines lists each array once,
+    /// at its first line.
+    fn exchange_arrays(&self, d: &RDoall) -> RtResult<Vec<ExchangeArray>> {
         let mut arrays: Vec<ExchangeArray> = Vec::new();
-        for (line, (frame, _)) in work.lines(self.top).enumerate() {
-            self.top = frame;
-            self.line_exchange(d, line, &mut arrays)?;
-        }
-        Ok(arrays)
-    }
-
-    /// The active frame's arrays of the exchange list, appended to
-    /// `arrays` as line `line`'s.
-    fn line_exchange(
-        &self,
-        d: &RDoall,
-        line: usize,
-        arrays: &mut Vec<ExchangeArray>,
-    ) -> RtResult<()> {
         for r in &d.reads {
             let view = match self.slot(r.slot) {
                 Some(Binding::Array(view)) => view,
@@ -1548,19 +1596,17 @@ impl<'a, 'p> Interp<'a, 'p> {
                     return Err(d.render(&self.prog.src));
                 }
             };
-            let mine = &arrays[arrays.partition_point(|a| a.line < line)..];
             if view.base.borrow().replicated()
-                || mine.iter().any(|a| Rc::ptr_eq(&a.base, &view.base))
+                || arrays.iter().any(|a| Rc::ptr_eq(&a.base, &view.base))
             {
                 continue;
             }
             arrays.push(ExchangeArray {
                 origin: view_origin_flat(view)?,
                 base: view.base.clone(),
-                line,
             });
         }
-        Ok(())
+        Ok(arrays)
     }
 
     /// The four-phase doall engine — one trip of `kali-sched`'s driver.
@@ -1577,8 +1623,8 @@ impl<'a, 'p> Interp<'a, 'p> {
         work: Work,
         owners: Option<(&IterSet, &[Vec<usize>])>,
     ) -> RtResult<()> {
-        let team = self.frame().grid.team();
-        let arrays = self.exchange_arrays(d, work)?;
+        let (team, lifted) = (self.frame().grid.team(), self.frame().lift.is_some());
+        let arrays = self.exchange_arrays(d)?;
         let mut world = LangWorld::new(&arrays);
         let trip = Trip {
             exec: EXEC,
@@ -1623,7 +1669,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 // a rollback, whose cold re-run then has nothing left to
                 // overlap. A batch of lone lines waits for an open verdict
                 // instead: after it, they write through and run compiled.
-                let wait = matches!(work, Work::Walk(s) if !s.lines.is_empty() && s.lone());
+                let wait = matches!(work, Work::Walk(s) if lifted && s.len() <= 1);
                 let early = flight
                     .interior_schedule()
                     .filter(|_| !wait || flight.decided());
@@ -1641,7 +1687,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                             // again — a final verdict, or nothing to run
                             // before it — it writes through.
                             let decided = flight.decided() || boundary.len() == n;
-                            let through = my_iters.lone() && decided;
+                            let through = my_iters.len() <= 1 && decided;
                             let log = WriteLog::new(pre.write_hint, n, through);
                             Some(self.exec_iterations(d, my_iters, interior, log)?)
                         }
@@ -1698,16 +1744,13 @@ impl<'a, 'p> Interp<'a, 'p> {
         self.proc.mark("doall:inspect");
         self.mode = Mode::Inspect(InspectState::default());
         let mut boundary = Vec::new();
-        for (line, (frame, positions)) in Work::Walk(my_iters).lines(self.top).enumerate() {
-            self.top = frame;
-            for pos in positions {
-                if let Mode::Inspect(st) = &mut self.mode {
-                    (st.iter_touched_remote, st.line) = (false, line);
-                }
-                self.run_iteration(d, my_iters.get(pos))?;
-                if matches!(&self.mode, Mode::Inspect(st) if st.iter_touched_remote) {
-                    boundary.push(pos);
-                }
+        for (pos, it) in my_iters.iter().enumerate() {
+            if let Mode::Inspect(st) = &mut self.mode {
+                st.iter_touched_remote = false;
+            }
+            self.run_iteration(d, it)?;
+            if matches!(&self.mode, Mode::Inspect(st) if st.iter_touched_remote) {
+                boundary.push(pos);
             }
         }
         let st = match std::mem::replace(&mut self.mode, Mode::Normal) {
@@ -1749,9 +1792,8 @@ impl<'a, 'p> Interp<'a, 'p> {
         // Every array the inspector recorded remote reads for must take
         // part in the exchange; anything missed would execute on stale
         // values.
-        for (line, arr, flats) in &st.needs {
-            let listed = |a: &ExchangeArray| a.line == *line && Rc::ptr_eq(&a.base, arr);
-            if !flats.is_empty() && !arrays.iter().any(listed) {
+        for (arr, flats) in &st.needs {
+            if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
                 return Err(format!(
                     "inspector recorded {} remote read(s) of {} but the exchange phase \
                      did not fetch them (stale-read hazard)",
@@ -1787,9 +1829,6 @@ impl<'a, 'p> Interp<'a, 'p> {
     ) -> RtResult<WriteLog> {
         self.mode = Mode::Execute(log);
         for pos in positions {
-            if let Some(frame) = my_iters.frame_of(pos) {
-                self.top = frame;
-            }
             self.run_iteration(d, my_iters.get(pos))?;
             if let Mode::Execute(log) = &mut self.mode {
                 log.end_iteration();
@@ -1824,7 +1863,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                 // Committed as segments: the interior's first, then the
                 // rest's, of an empty boundary's complement if nothing ran.
                 let segs = log.as_ref().map_or(0, |log| log.seg_ends.len());
-                let log = log.unwrap_or_else(|| WriteLog::new(write_hint, n, my_iters.lone()));
+                let log = log.unwrap_or_else(|| WriteLog::new(write_hint, n, my_iters.len() <= 1));
                 let log = self.exec_iterations(d, my_iters, rest.flatten(), log)?;
                 self.proc.memop(log.writes() as f64);
                 log.commit(boundary.unwrap_or_default(), segs, n);
@@ -1853,7 +1892,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         let mut idxs = [0i64; MAX_RANK];
         for (e, a) in arrays.iter().enumerate() {
             let b = a.base.borrow();
-            for &flat in st.needs_of(a.line, &a.base) {
+            for &flat in st.needs_of(&a.base) {
                 let owner = b
                     .owner_of(b.unflat_into(flat, &mut idxs))
                     .ok_or_else(|| format!("element of {} has no owner", b.name))?;
@@ -1877,10 +1916,9 @@ impl<'a, 'p> Interp<'a, 'p> {
         let arrays = [ExchangeArray {
             base: base.clone(),
             origin: 0,
-            line: 0,
         }];
         let st = InspectState {
-            needs: vec![(0, base.clone(), my_needs)],
+            needs: vec![(base.clone(), my_needs)],
             ..InspectState::default()
         };
         let my_reqs = self.compute_requests(team, &arrays, &st)?;
@@ -1907,7 +1945,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         // Batches of different sizes are different collectives: the first
         // of a size builds without a vote, as a site's first trip does.
         let lines = match work {
-            Work::Walk(s) => s.lines.len(),
+            Work::Walk(_) => self.frame().lift.as_ref().map_or(0, |l| l.lines),
             _ => 0,
         };
         let key = self
@@ -1923,8 +1961,6 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// Write the words of [`ScheduleKey`] after its site, in its order,
     /// into `w`; `None` as for [`Interp::schedule_cache_key`].
     fn key_words(&mut self, d: &RDoall, team: &Team, work: Work, w: &mut Vec<usize>) -> Option<()> {
-        // The names relevant in one line's frame are relevant in every
-        // line's: the lines bind the same kinds of things.
         let mut sched = sched_names(d, |s| matches!(self.slot(s), Some(Binding::Array(_))));
         sched.sort_unstable();
         let int = |i: i64| i as usize;
@@ -1932,38 +1968,22 @@ impl<'a, 'p> Interp<'a, 'p> {
         w.extend_from_slice(team.ranks());
         match work {
             Work::Walk(iters) => {
-                w.push(iters.lines.len());
-                let mut last = 0..0;
-                for (frame, r) in work.lines(self.top) {
-                    self.top = frame;
-                    let start = w.len();
-                    let flat = &iters.flat[r.start * iters.arity..r.end * iters.arity];
-                    w.extend([0, iters.arity, flat.len()]);
-                    w.extend(flat.iter().map(|&i| int(i)));
-                    self.line_words(d, &sched, w)?;
-                    // A line whose words repeat the last line's is one word.
-                    if w[last.clone()] == w[start..] {
-                        w.truncate(start);
-                        w.push(2);
-                    } else {
-                        last = start..w.len();
+                match &self.frame().lift {
+                    Some(lift) => {
+                        w.extend([lift.lines, lift.moves.len()]);
+                        let moves = lift.moves.iter();
+                        w.extend(moves.flat_map(|&(slot, dim, _, step, _)| [slot, dim, int(step)]));
                     }
+                    None => w.push(0),
                 }
-                Some(())
+                w.extend([iters.arity, iters.flat.len()]);
+                w.extend(iters.flat.iter().map(|&i| int(i)));
             }
             Work::Placed(p) => {
                 w.push(1);
                 w.extend(p.bx.iter().flat_map(|&(lo, hi)| [int(lo), int(hi)]));
-                self.line_words(d, &sched, w)
             }
         }
-    }
-
-    /// The words of [`ScheduleKey`] the active frame's bindings decide,
-    /// after the iteration set's; `sched` lists the schedule-relevant
-    /// names ([`sched_names`]), sorted.
-    fn line_words(&mut self, d: &RDoall, sched: &[Slot], w: &mut Vec<usize>) -> Option<()> {
-        let int = |i: i64| i as usize;
         // Only schedule-relevant scalars belong in the key: a scalar that
         // feeds values but never subscripts or control flow (e.g. the
         // enclosing do's counter) cannot change what the inspector would
@@ -1989,7 +2009,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         let count = w.len();
         w.push(0);
-        for &n in sched {
+        for &n in &sched {
             if let Some(Binding::Array(view)) = self.slot(n) {
                 let b = view.base.borrow();
                 // A distributed array's remote values cannot key a local
@@ -2287,13 +2307,13 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(Some((bindings, callee_grid)))
     }
 
-    /// A team-call doall ([`Kind::Lines`]): in the lockstep class
-    /// (`batch`) and of a callee in it ([`RSub::lockstep`]), my lines
+    /// A team-call doall ([`Kind::Lines`]): in the lifted class (`batch`)
+    /// and of a callee in it ([`RSub::lockstep`]), my lines
     /// grouped by the team that solves them, in iteration order, and
     /// cut into batches of at most [`LINES_PER_BATCH`] — every member of a
     /// team enumerates the same lines, so every member cuts the same
-    /// batches; line by line otherwise. Lines whose storage may overlap
-    /// ([`disjoint`]: the caller passed one array twice) run one by one.
+    /// batches — each batch one activation where it can be ([`lift`]);
+    /// line by line otherwise.
     fn run_lines(&mut self, d: &'p RDoall, my_iters: &IterSet, batch: bool) -> RtResult<()> {
         let (k, args, on) = match &d.body[..] {
             [RStmt::Call {
@@ -2316,59 +2336,20 @@ impl<'a, 'p> Interp<'a, 'p> {
                 None => teams.push((grid, vec![bindings])),
             }
         }
-        // Every line binds the same kinds of things as the first.
-        let apart = teams
-            .first()
-            .is_none_or(|(_, lines)| disjoint(args, &lines[0]));
         for (grid, lines) in teams {
             let mut lines = lines.into_iter().peekable();
             while lines.peek().is_some() {
-                let batch: Vec<_> = lines.by_ref().take(LINES_PER_BATCH).collect();
-                if apart {
-                    self.run_batch(k, batch, &grid)?;
-                } else {
-                    for bindings in batch {
-                        self.call_sub(k, bindings, grid.clone())?;
+                let mut batch: Vec<_> = lines.by_ref().take(LINES_PER_BATCH).collect();
+                match lift(&batch) {
+                    Some(lift) => {
+                        self.activate(k, batch.swap_remove(0), grid.clone(), Some(lift))?
+                    }
+                    None => {
+                        (batch.into_iter()).try_for_each(|b| self.call_sub(k, b, grid.clone()))?
                     }
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Run subroutine `k` over a batch of lines in lockstep: a frame per
-    /// line, then the body's top-level statements in order — a doall as
-    /// one trip over every line ([`Interp::exec_doall`]), anything else in
-    /// each frame in line order. The class leaves no `return` below the
-    /// top level, so every line reaches the same statements.
-    fn run_batch(
-        &mut self,
-        k: usize,
-        lines: Vec<Vec<(Slot, Binding)>>,
-        grid: &ProcGrid,
-    ) -> RtResult<()> {
-        let (caller, first) = (self.top, self.frames.len());
-        for bindings in lines {
-            self.enter(k, bindings, grid.clone())?;
-        }
-        let frames = first..self.frames.len();
-        let sub = &self.prog.code[k];
-        self.calls += 1;
-        for s in &sub.body {
-            match s {
-                RStmt::Doall(d) => self.exec_doall(d, frames.clone())?,
-                RStmt::Return => break,
-                s => {
-                    for f in frames.clone() {
-                        self.top = f;
-                        self.exec_stmt(s)?;
-                    }
-                }
-            }
-        }
-        self.calls -= 1;
-        self.frames.truncate(first);
-        self.top = caller;
         Ok(())
     }
 
@@ -2448,8 +2429,8 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     /// The values of section `s`, `n` long, as the iteration now
     /// executing sees them: its own writes included, like element reads.
-    fn read_section(&self, (s, n): &(Strided, usize)) -> Vec<f64> {
-        let mut vals = vec![0.0; *n];
+    fn read_section(&self, s: &Strided, n: usize) -> Vec<f64> {
+        let mut vals = vec![0.0; n];
         s.load(0, &mut vals);
         for (t, v) in vals.iter_mut().enumerate() {
             if let Some(w) = self.mode.written(&s.base, s.flat(t)) {
@@ -2478,7 +2459,8 @@ impl<'a, 'p> Interp<'a, 'p> {
                         let arr = &v.base.borrow().name;
                         return Err(format!("builtin {name}: the section of {arr} is empty"));
                     }
-                    sections.push(self.local_section(name, &v)?);
+                    let (s, n) = self.local_section(name, &v)?;
+                    sections.push((s, n, self.line_step(*slot)));
                 }
                 // Scalar arguments (the length) are evaluated for their
                 // errors only: the sections carry their own extents.
@@ -2494,37 +2476,83 @@ impl<'a, 'p> Interp<'a, 'p> {
             let lens: Vec<usize> = sections.iter().map(|sec| sec.1).collect();
             return Err(format!("builtin {name}: bad section lengths {lens:?}"));
         }
+        // reduce(b, a, c, f, n) reduces its sections in place; seqtri(x,
+        // b, a, c, f, n) solves and stores into x.
+        let (arity, outputs, flops) = match builtin {
+            Builtin::Reduce => (4, 0..4, reduce_flops(m)),
+            _ => (5, 0..1, thomas_flops(m)),
+        };
+        // A batch's sections are placed once and move from line to line.
+        let lines = self.lines();
         if let Mode::Inspect(st) = &mut self.mode {
             // Locality validated; no mutation during inspection — only
             // the count of what the executor will write back.
-            st.writes += match builtin {
-                Builtin::Reduce => sections.iter().map(|sec| sec.1).sum(),
-                _ => sections.first().map_or(0, |sec| sec.1),
-            };
+            st.writes += lines.len() * outputs.len().min(sections.len()) * m;
             return Ok(());
         }
-        if builtin == Builtin::Reduce {
-            // reduce(b, a, c, f, n)
-            let [b, a, c, f] = &sections[..] else {
-                return Err("reduce(b, a, c, f, n) needs four sections".into());
-            };
-            let [mut vb, mut va, mut vc, mut vf] = [b, a, c, f].map(|s| self.read_section(s));
-            reduce_block(&mut vb, &mut va, &mut vc, &mut vf);
-            self.proc.compute(reduce_flops(vb.len()));
-            for (sec, vals) in sections.iter().zip([&vb, &va, &vc, &vf]) {
-                self.write_section(&sec.0, vals);
+        if sections.len() != arity {
+            let sig = [
+                "reduce(b, a, c, f, n) needs four",
+                "seqtri(x, b, a, c, f, n) needs five",
+            ];
+            return Err(format!("{} sections", sig[arity - 4]));
+        }
+        let kernel = |s: &mut [&mut [f64]]| match s {
+            [b, a, c, f] => reduce_block(b, a, c, f),
+            [x, b, a, c, f] => x.copy_from_slice(&thomas(b, a, c, f)),
+            _ => unreachable!("arity checked"),
+        };
+        // Written through, contiguous sections of distinct arrays are the
+        // kernels' slices of storage; elsewhere they are copied in and out.
+        let through = match &self.mode {
+            Mode::Execute(log) => log.through.is_some(),
+            mode => matches!(mode, Mode::Normal),
+        };
+        let apart = |(i, (s, ..)): (usize, &(Strided, usize, isize))| {
+            let other = |(t, ..): &(Strided, usize, isize)| !Rc::ptr_eq(&s.base, &t.base);
+            s.span(m).is_some() && sections[..i].iter().all(other)
+        };
+        let in_place = through && sections.iter().enumerate().all(apart);
+        for _ in lines {
+            let mut copies: Vec<Vec<f64>> = Vec::new();
+            if in_place {
+                let mut bases: Vec<_> = sections.iter().map(|s| s.0.base.borrow_mut()).collect();
+                let at = bases.iter_mut().zip(&sections);
+                let mut v: Vec<_> = at
+                    .flat_map(|(a, s)| Some(&mut a.data[s.0.span(m)?]))
+                    .collect();
+                kernel(&mut v);
+            } else {
+                copies = sections
+                    .iter()
+                    .map(|s| self.read_section(&s.0, m))
+                    .collect();
+                kernel(&mut copies.iter_mut().map(|v| &mut v[..]).collect::<Vec<_>>());
             }
-        } else {
-            // seqtri(x, b, a, c, f, n): solve and store into x.
-            let [x, b, a, c, f] = &sections[..] else {
-                return Err("seqtri(x, b, a, c, f, n) needs five sections".into());
-            };
-            let [vb, va, vc, vf] = [b, a, c, f].map(|s| self.read_section(s));
-            let vx = thomas(&vb, &va, &vc, &vf);
-            self.proc.compute(thomas_flops(vx.len()));
-            self.write_section(&x.0, &vx);
+            self.proc.compute(flops);
+            for k in outputs.clone() {
+                match copies.get(k) {
+                    Some(vals) => self.write_section(&sections[k].0, vals),
+                    None => {
+                        if let Mode::Execute(log) = &mut self.mode {
+                            log.through = log.through.map(|w| w + m);
+                        }
+                        self.proc.memop(m as f64);
+                    }
+                }
+            }
+            for (s, _, step) in &mut sections {
+                s.advance(*step);
+            }
         }
         Ok(())
+    }
+
+    /// How far `slot`'s view moves in storage from one line of the active
+    /// batch to the next ([`Lift`]): 0 outside a batch.
+    fn line_step(&self, slot: Slot) -> isize {
+        let moves = self.frame().lift.as_ref().map_or(&[][..], |l| &l.moves);
+        moves.iter().filter(|m| m.0 == slot).map(|m| m.4).sum()
     }
 
     /// `call spmv(y(i:i), ci(lo:hi), av(lo:hi), x(1:n))`: one CSR row of
@@ -2657,7 +2685,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         let depth = self.doall_depth;
         // The frame is borrowed next to the mode, not instead of it: the
         // view stays where it is bound.
-        let frame = &self.frames[self.top];
+        let frame = self.frames.last().expect("an active frame");
         let name = &frame.sub.names[slot];
         let Some(Binding::Array(view)) = &frame.slots[slot] else {
             return Err(format!("{name} is not an array"));
@@ -2703,7 +2731,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     fn read_element(&mut self, slot: Slot, args: &[Option<RExpr>]) -> RtResult<Value> {
         let (idxs, n) = self.eval_subscripts(slot, args.iter().map(Option::as_ref))?;
         let me = self.proc.rank();
-        let frame = &self.frames[self.top];
+        let frame = self.frames.last().expect("an active frame");
         let Some(Binding::Array(view)) = &frame.slots[slot] else {
             unreachable!("the caller saw an array binding");
         };
@@ -2974,20 +3002,53 @@ fn eval_bin(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
     })
 }
 
-/// Do the lines of a call with `args` bind disjoint storage? Each array
-/// `line` binds is a section a loop variable pins (the class), unless it
-/// comes through a scalar argument; the lines are apart when no two of
-/// them share a base.
-fn disjoint(args: &[RArg], line: &[(Slot, Binding)]) -> bool {
-    let arrays = args.iter().zip(line).filter_map(|(a, (_, b))| match b {
-        Binding::Array(v) => Some((matches!(a, RArg::Section(..)), &v.base)),
-        _ => None,
-    });
-    let arrays: Vec<_> = arrays.collect();
-    let apart = |(i, (section, base)): (usize, &(bool, &ArrRef))| {
-        *section && arrays[..i].iter().all(|(_, b)| !Rc::ptr_eq(base, b))
-    };
-    arrays.iter().enumerate().all(apart)
+/// Can a batch of `lines` (each a call's bindings, in the same order) run
+/// as one activation, and how do its arrays move from line to line? The
+/// lines bind disjoint storage — every array argument is a distinct array
+/// that some pinned coordinate moves — and each pinned coordinate steps
+/// by a constant, an arithmetic progression, and lands on the same owner
+/// on every line, so that scalars, control flow and ownership are the
+/// same on every line. `None`: line by line.
+fn lift(lines: &[Vec<(Slot, Binding)>]) -> Option<Lift> {
+    let (n, mut moves, mut bases) = (lines.len(), Vec::new(), Vec::<&ArrRef>::new());
+    for (k, (slot, first)) in lines.first()?.iter().enumerate() {
+        let Binding::Array(first) = first else {
+            continue;
+        };
+        (!bases.iter().any(|b| Rc::ptr_eq(b, &first.base))).then_some(())?;
+        bases.push(&first.base);
+        let (b, moved) = (first.base.borrow(), moves.len());
+        for (dim, m) in first.map.iter().enumerate() {
+            let ViewDim::Fixed(c0) = *m else {
+                continue;
+            };
+            let at = |l: usize| match &lines[l][k].1 {
+                Binding::Array(v) => Some(v.map[dim]),
+                _ => None,
+            };
+            let Some(ViewDim::Fixed(c1)) = at(n.min(2) - 1) else {
+                return None;
+            };
+            let (step, owner) = (c1 - c0, |c| {
+                b.layout.dists()[dim].owner((c - b.bounds[dim].0) as usize)
+            });
+            let on = |l| {
+                let c = c0 + l as i64 * step;
+                at(l) == Some(ViewDim::Fixed(c)) && owner(c) == owner(c0)
+            };
+            (1..n).all(on).then_some(())?;
+            if step != 0 {
+                let stride: usize = (dim + 1..b.ndims()).map(|d| b.extent(d)).product();
+                moves.push((*slot, dim, c0, step, step as isize * stride as isize));
+            }
+        }
+        (n == 1 || moves.len() > moved).then_some(())?;
+    }
+    Some(Lift {
+        lines: n,
+        active: 0..n,
+        moves,
+    })
 }
 
 /// Flat base index of a view's origin: fixed dimensions at their
@@ -3057,6 +3118,7 @@ mod tests {
                 slots,
                 iter_defined: Vec::new(),
                 iter_depth: 0,
+                lift: None,
             });
             me.elaborate_decls(sub).unwrap();
             f(&mut me, sub)
@@ -3149,7 +3211,7 @@ mod tests {
                 assert!(matches!(d.kind, Kind::Stencil(_)), "a lowerable site");
                 let placed = me.place(d, &bounds).expect("bindings in the class");
                 let team = me.frame().grid.team();
-                let arrays = me.exchange_arrays(d, Work::Walk(&iters)).unwrap();
+                let arrays = me.exchange_arrays(d).unwrap();
                 let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
                 let derived = me.inspect_placed(&placed, &team, &arrays).unwrap();
                 assert_eq!(walked, derived, "{entry}, rank {}", me.me());
@@ -3201,7 +3263,7 @@ mod tests {
             assert!(matches!(d.kind, Kind::Csr(_)), "the CSR class");
             let placed = me.place(d, &bounds).expect("bindings in the class");
             let team = me.frame().grid.team();
-            let arrays = me.exchange_arrays(d, Work::Walk(&iters)).unwrap();
+            let arrays = me.exchange_arrays(d).unwrap();
             let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
             let derived = me.inspect_placed(&placed, &team, &arrays).unwrap();
             assert_eq!(walked, derived, "rank {}", me.me());
@@ -3411,7 +3473,7 @@ mod tests {
         assert_eq!(errs, [err(), err()]);
     }
 
-    /// Which team calls run their lines in lockstep: ADI's two, whose
+    /// Which team calls lift their lines: ADI's two, whose
     /// `tric` gets line sections and line-free scalars; not `tri`'s call
     /// of a builtin, nor a twin that passes the line index as a scalar or
     /// one that reads an array element for one.
@@ -3448,6 +3510,178 @@ mod tests {
                 .unwrap()
                 .replace("rho, cy, np;", &format!("rho, {scalar}, np;"));
             assert_eq!(batch(&twin), [false, true], "{scalar}");
+        }
+        // `tric` lifts; a twin that reads an element where a batch
+        // evaluates once for all its lines does not.
+        let lifts = |src: &str| {
+            let prog = crate::parse(src).unwrap();
+            prog.code
+                .iter()
+                .find(|s| s.name == "tric")
+                .unwrap()
+                .lockstep
+        };
+        assert!(lifts(crate::listing("adi").unwrap()));
+        for (_, twin) in tric_twins() {
+            assert!(!lifts(&twin), "{twin}");
+        }
+    }
+
+    /// Twins of `adi.kf1` whose `tric` reads an element where a batch of
+    /// lines evaluates once — a scalar, a `do` bound, an `if` condition —
+    /// and so runs line by line, computing the same bits.
+    fn tric_twins() -> [(&'static str, String); 3] {
+        let adi = crate::listing("adi").unwrap();
+        let twin = |from: &str, to: &str| {
+            assert!(adi.contains(from), "{from}");
+            adi.replace(from, to)
+        };
+        [
+            (
+                "scalar",
+                twin(
+                    "    x(lo) = x(lo) - wy(2*ip - 1, ip)\n",
+                    "    t = wy(2*ip - 1, ip)\n    x(lo) = x(lo) - t\n",
+                ),
+            ),
+            (
+                "do bound",
+                twin(
+                    "do 450 i = lo + 1, hi - 1",
+                    "do 450 i = lo + 1, hi - 1 + 0*x(lo)",
+                ),
+            ),
+            (
+                "if condition",
+                twin(
+                    "if (lo .eq. 1) b(1)",
+                    "if (lo .eq. 1 .and. g(lo) .eq. g(lo)) b(1)",
+                ),
+            ),
+        ]
+    }
+
+    /// A batch of lines is one activation: `adi.kf1` (np 48, 4 iterations)
+    /// enters 33 frames at p = 1 — `adi`, eight of `resid`, and 24
+    /// batches of `tric` lines, where a frame per line made 385 — and 29
+    /// on each rank of `procs(2, 1)`, where it made 289 on rank 0.
+    #[test]
+    fn a_batch_of_lines_is_one_activation() {
+        let np = 48;
+        let args = [
+            grid2(np, 0.0),
+            grid2(np, 0.5),
+            grid2(np, 0.0),
+            HostValue::Int(np),
+            HostValue::Real(40.0),
+            HostValue::Int(4),
+            HostValue::Real(1.0),
+            HostValue::Real(1.0),
+        ];
+        for (grid, want) in [([1, 1], vec![33]), ([2, 1], vec![29, 29])] {
+            let src = crate::listing("adi").unwrap();
+            let entered = on_entry(src, "adi", &grid, &args, |me, sub| {
+                me.exec_stmts(&sub.body).unwrap();
+                1 + me.frames_entered
+            });
+            assert_eq!(entered, want, "procs{grid:?}");
+        }
+    }
+
+    /// The edges of the lifted class, on `tric` over the rows of a grid:
+    /// a twin that reads an element where a batch evaluates once
+    /// ([`tric_twins`]), and one whose lines are not a progression (the
+    /// rows on `cyclic(2)` at px = 2), run a frame per line, and compute
+    /// the bits of their lifted sibling on both backends under every
+    /// policy square.
+    #[test]
+    fn twins_outside_the_lifted_class_run_line_by_line_alike() {
+        let rows = |src: &str, rows: &str| {
+            let tric = &src[src.find("parsub tric").unwrap()..];
+            format!(
+                "parsub rows(u, r, np, rho, cc; procs)\n  processors procs(px, py)\n  \
+                 real u(0:np, 0:np), r(0:np, 0:np) dist ({rows}, block)\n  \
+                 doall 100 i = 1, np - 1 on owner(r(i, *))\n    \
+                 call tric(u(i, *), r(i, *), rho, cc, np; owner(r(i, *)))\n100 continue\nend\n{tric}"
+            )
+        };
+        let np = 20;
+        let args = [
+            grid2(np, 1.0),
+            grid2(np, 0.25),
+            HostValue::Int(np),
+            HostValue::Real(40.0),
+            HostValue::Real(1.0),
+        ];
+        let adi = crate::listing("adi").unwrap();
+        let sibling = rows(adi, "block");
+        let mut twins: Vec<_> = (tric_twins().into_iter())
+            .map(|(what, twin)| (what, rows(&twin, "block"), [1, 1]))
+            .collect();
+        twins.push(("not a progression", rows(adi, "cyclic(2)"), [2, 1]));
+        let lines = |grid: [usize; 2]| match grid {
+            // Rank 0 owns rows 1..9 of 0:20 on blocks (rows 1, 4, 5, 8, 9,
+            // … on cyclic(2)), rank 1 the ten others.
+            [2, _] => vec![9, 10],
+            _ => vec![19],
+        };
+        for (what, twin, grid) in &twins {
+            let frames = |src: &str| {
+                on_entry(src, "rows", grid, &args, |me, sub| {
+                    me.exec_stmts(&sub.body).unwrap();
+                    me.frames_entered
+                })
+            };
+            let batches = lines(*grid)
+                .iter()
+                .map(|l: &usize| l.div_ceil(LINES_PER_BATCH))
+                .collect::<Vec<_>>();
+            assert_eq!(frames(&sibling), batches, "{what}: the sibling lifts");
+            assert_eq!(frames(twin), lines(*grid), "{what}: a frame per line");
+        }
+        for (what, twin, grid) in &twins {
+            let grids: &[[usize; 2]] = match grid {
+                [2, 1] => &[[2, 1], [2, 2]],
+                _ => &[[1, 1], [2, 1], [1, 2], [2, 2]],
+            };
+            for grid in grids {
+                for backend in [
+                    kali_machine::BackendKind::Sim,
+                    kali_machine::BackendKind::Threads,
+                ] {
+                    for policy in 0..4 {
+                        let opts = RunOptions {
+                            policy: ExecPolicy {
+                                split: policy & 1 == 1,
+                                optimistic: policy & 2 == 2,
+                            },
+                            ..RunOptions::default()
+                        };
+                        let cfg = Machine::build(
+                            backend,
+                            kali_machine::Topology::FullyConnected,
+                            kali_machine::CostModel::ipsc2(),
+                        )
+                        .procs(grid[0] * grid[1])
+                        .config();
+                        let run = |src: &str| {
+                            let run =
+                                crate::run_source_with(cfg.clone(), src, "rows", grid, &args, opts);
+                            run.unwrap().arrays
+                        };
+                        let bits = |arrays: Vec<(String, Vec<f64>)>| {
+                            (arrays.into_iter())
+                                .map(|(_, v)| v.into_iter().map(f64::to_bits).collect::<Vec<_>>())
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(
+                            bits(run(twin)),
+                            bits(run(&sibling)),
+                            "{what}: procs{grid:?}, {backend:?}, policy {policy}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -3509,8 +3743,8 @@ mod tests {
         assert_eq!(a.borrow().data[..2], [3.0, 4.0]);
     }
 
-    /// ... per line of a batched trip: each line's needs of an array are
-    /// its own list, even where the lines share the array.
+    /// The inspector's needs of each array keep first-touch order, without
+    /// duplicates.
     #[test]
     fn inspector_needs_keep_first_touch_order_without_duplicates() {
         let (a, b) = (array("a", 8), array("b", 8));
@@ -3518,17 +3752,9 @@ mod tests {
         for (arr, flat) in [(&a, 5), (&b, 1), (&a, 2), (&a, 5), (&b, 1), (&a, 7)] {
             st.record(arr, flat);
         }
-        st.line = 1;
-        for flat in [7, 3, 7] {
-            st.record(&a, flat);
-        }
-        assert_eq!(st.needs_of(0, &a), [5, 2, 7]);
-        assert_eq!(st.needs_of(0, &b), [1]);
-        assert_eq!(
-            (st.needs_of(1, &a), st.needs_of(1, &b)),
-            (&[7, 3][..], &[][..])
-        );
-        assert!(st.needs_of(0, &array("c", 1)).is_empty() && st.iter_touched_remote);
+        assert_eq!(st.needs_of(&a), [5, 2, 7]);
+        assert_eq!(st.needs_of(&b), [1]);
+        assert!(st.needs_of(&array("c", 1)).is_empty() && st.iter_touched_remote);
     }
 
     proptest! {

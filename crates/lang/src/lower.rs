@@ -703,6 +703,16 @@ impl Strided {
         self.at + t * self.step
     }
 
+    /// Where the section's first `n` elements are stored, if contiguously.
+    pub(crate) fn span(&self, n: usize) -> Option<Range<usize>> {
+        (self.step == 1).then_some(self.at..self.at + n)
+    }
+
+    /// Move the section `by` elements along its array.
+    pub(crate) fn advance(&mut self, by: isize) {
+        self.at = self.at.wrapping_add_signed(by);
+    }
+
     /// Load iterations `start..` into `out`.
     pub(crate) fn load(&self, start: usize, out: &mut [f64]) {
         let b = self.base.borrow();
@@ -770,6 +780,16 @@ impl LoopScratch {
             r.resize(CHUNK, 0.0);
         }
         Some(())
+    }
+
+    /// Move every placed reference `step(slot)` elements along its array:
+    /// to the next line of a batch.
+    pub(crate) fn next_line(&mut self, k: &Kernel, step: impl Fn(Slot) -> isize) {
+        let slots = k.reads.iter().map(|r| r.0);
+        let slots = slots.chain(k.stmts.iter().map(|a| a.target));
+        for (r, slot) in self.refs.iter_mut().zip(slots) {
+            r.advance(step(slot));
+        }
     }
 
     /// Broadcast an invariant's value along the register it fills.

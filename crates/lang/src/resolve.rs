@@ -22,7 +22,7 @@
 //!
 //! The `doall` facts are gathered here, in one walk over each closed
 //! body ([`RDoall::new`]), and so is whether a subroutine can run in
-//! lockstep ([`lockstep`]).
+//! one activation per batch of a team call's lines ([`lockstep`]).
 //!
 //! Resolution is total: every program that parses resolves. A name that
 //! denotes nothing still gets a slot; the analyzer reports it, and the
@@ -193,6 +193,13 @@ pub(crate) enum Callee {
     Unknown(String),
 }
 
+impl Callee {
+    /// A builtin a batch of lines calls once, on sections placed once.
+    pub(crate) fn lifts(&self) -> bool {
+        matches!(self, Callee::Builtin(Builtin::Reduce | Builtin::Seqtri))
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) enum RStmt {
     /// `flops` is the right-hand side's static operation count, charged
@@ -327,9 +334,9 @@ pub(crate) enum Kind {
     /// One CSR row product per iteration ([`csr`]).
     Csr(Box<Csr>),
     /// The body calls a parallel subroutine: team-call mode (Listing 7).
-    /// With `batch` its lines may run in lockstep ([`batchable`]) when its
-    /// callee can ([`RSub::lockstep`]), each of the callee's doalls as one
-    /// trip over a batch of lines.
+    /// With `batch` its lines may run a batch at a time as one activation
+    /// of its callee ([`batchable`]) when the callee can
+    /// ([`RSub::lockstep`]), each of the callee's doalls one trip.
     Lines {
         batch: bool,
     },
@@ -379,8 +386,8 @@ pub(crate) struct RSub {
     /// Slot → what the declarations make of it.
     pub declared: Vec<Declared>,
     pub body: Vec<RStmt>,
-    /// The lines of a team call can run this subroutine in lockstep
-    /// ([`lockstep`]).
+    /// The lines of a team call can run this subroutine as one activation
+    /// per batch ([`lockstep`]).
     pub lockstep: bool,
 }
 
@@ -395,39 +402,45 @@ impl RSub {
     }
 }
 
-/// Can the lines of a team call run `sub` in lockstep? It is a parallel
-/// subroutine without parallel calls or `distribute`, every doall is a
-/// top-level statement, and no other statement reads an element of an
-/// array parameter or returns below the top level: the replicated control
-/// flow is then the same for every line.
+/// Can the lines of a team call run `sub` as one activation, a batch of
+/// lines at a time ([`crate::interp`])? It is a parallel subroutine
+/// without parallel calls or `distribute`, and no scalar assignment, `if`
+/// condition, `do` or doall bound, `on` clause or argument of
+/// `reduce`/`seqtri` reads an array element: what runs once for all the
+/// lines is then the same on every line.
 pub(crate) fn lockstep(sub: &RSub) -> bool {
-    let mut global = |n: Node| {
-        matches!(
-            n,
-            Node::Stmt(RStmt::Call { parallel: true, .. } | RStmt::Distribute { .. })
-        )
-    };
-    let param = |s: &Slot| sub.params.contains(s);
-    let mut replicated = |n: Node| match n {
-        Node::Stmt(RStmt::Doall(_) | RStmt::Return) => true,
-        Node::Expr(RExpr::Ref(s, ..)) => param(s),
-        Node::Name(s) => param(&s) && sub.declared[s].array.is_some(),
+    let element = |n: Node| match n {
+        Node::Expr(RExpr::Ref(s, f, ..)) => {
+            let d = sub.declared[*s];
+            d.procs.is_none() && (f.is_none() || d.array.is_some())
+        }
         _ => false,
     };
-    let top = |s: &RStmt| {
-        matches!(s, RStmt::Doall(_) | RStmt::Return)
-            || !any_stmt(std::slice::from_ref(s), &mut replicated)
+    let reads = |e: &RExpr| any_expr(e, &mut { element });
+    let mut breaks = |n: Node| match n {
+        Node::Stmt(RStmt::Call { parallel: true, .. } | RStmt::Distribute { .. }) => true,
+        Node::Stmt(RStmt::AssignScalar { rhs: e, .. } | RStmt::If(e, ..)) => reads(e),
+        Node::Stmt(RStmt::Do { lo, hi, step, .. }) => [lo, hi].into_iter().chain(step).any(reads),
+        Node::Stmt(RStmt::Doall(d)) => {
+            let once = |(l, h, s): &(_, _, Option<_>)| reads(l) || reads(h) || s.iter().any(reads);
+            d.ranges.iter().any(once) || any_proc(&d.on, &mut { element })
+        }
+        Node::Stmt(s @ RStmt::Call { callee, .. }) if callee.lifts() => {
+            any_stmt(std::slice::from_ref(s), &mut { element })
+        }
+        _ => false,
     };
-    sub.parallel && !any_stmt(&sub.body, &mut global) && sub.body.iter().all(top)
+    sub.parallel && !any_stmt(&sub.body, &mut breaks)
 }
 
-/// Is `d` a team call in the lockstep class ([`Kind::Lines`])? Its body
-/// is one `call sub(…; owner(a(…)))` to a parallel `sub`, every array
+/// Is `d` a team call whose lines can be lifted ([`Kind::Lines`])? Its
+/// body is one `call sub(…; owner(a(…)))` to a parallel `sub`, every array
 /// argument is a section in which each loop variable, bare, fixes a
 /// dimension, and the loop variables appear nowhere else among the
-/// arguments: distinct lines bind disjoint storage and equal scalars. Nor
-/// does the call read an array element, so binding every line before the
-/// first runs binds what binding each in turn would.
+/// arguments: the lines bind equal scalars, and views that differ only
+/// in the coordinates the loop variables pin. Nor does the call read an
+/// array element, so binding every line before the first runs binds what
+/// binding each in turn would.
 fn batchable(d: &RDoall) -> bool {
     let [RStmt::Call {
         callee: Callee::Sub(_),
@@ -1038,7 +1051,7 @@ end
     /// `may_be_unbound`), key names, the keyed names when every declared
     /// array is bound to an array, `cacheable`, the plan's arrays and the
     /// kind — `walk`, `stencil`, `csr`, `lines`, or `batch` for lines that
-    /// may run in lockstep; per `call` its callee and `parallel`;
+    /// may be lifted; per `call` its callee and `parallel`;
     /// per `do` whether it compiled; per subroutine `lockstep`.
     fn facts(listing: &str) -> Vec<String> {
         let prog = crate::parse(crate::listing(listing).unwrap()).unwrap();
@@ -1105,7 +1118,7 @@ end
     /// [`facts`] of the five listings, pinned.
     const FACTS: &str = "\
 jacobi
-jacobi lockstep false
+jacobi lockstep true
   do it kernel false
   doall 0
     reads x i? j? f
@@ -1214,7 +1227,7 @@ tric lockstep true
     cacheable true kind walk
   do i kernel true
 spmv
-spmvit lockstep false
+spmvit lockstep true
   do t kernel false
   doall 0
     reads y i? ci rp av x n

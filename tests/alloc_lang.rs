@@ -1,6 +1,7 @@
 //! Interpreted doalls allocate per trip, never per element: an exact,
 //! deterministic stand-in for a wall-clock gate on the KF1 evaluator.
-//! And a batch of lines in lockstep holds at most a batch's frames.
+//! And a batch of lines run as one activation holds at most a batch's
+//! lines.
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`. `run_source_with` owns its `Machine::run`, so
@@ -186,25 +187,26 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
             (c - b).abs_diff(b - a) <= 8 + 4 * slack,
             "adi, p = {p}: {a} {b} {c}"
         );
-        // A warm line on one rank is a frame for `tric`, with its thirteen
-        // dynamic arrays, and its share of five trips, each with a key and
-        // an exchange list per batch (250 allocations a line, where a
-        // `tric` call per line took 329, and 261 when the builtins listed
-        // their sections' flat indices). Every line runs one iteration,
-        // which writes through, so no write log is built and the element
-        // loops run compiled. A sweep of np = 97 has 2 · 64 more lines than
-        // one of np = 33.
+        // A warm line on one rank is its share of one activation of
+        // `tric` per batch — one frame, thirteen dynamic arrays with a line
+        // axis — and of its five trips, each with one key and one exchange
+        // list, plus its two builtin calls on slices of storage (39
+        // allocations a line, where a frame per line took 250 and a `tric`
+        // call per line 329). Every line runs one iteration, which writes
+        // through, so no write log is built and the element loops run
+        // compiled. A sweep of np = 97 has 2 · 64 more lines than one of
+        // np = 33.
         if p == 1 {
             let per_line = (c - a) / 128;
-            assert!(per_line <= 250, "adi: {per_line} allocations per line");
+            assert!(per_line <= 42, "adi: {per_line} allocations per line");
         }
     }
-    // A batched ADI call on one rank holds a batch of frames at a time,
+    // A batched ADI call on one rank holds a batch's lines at a time,
     // however many lines there are: doubling them grows its peak by what
     // the same call grows line by line — a twin whose `tric` calls take a
     // line-dependent scalar, which leaves the lockstep class and holds one
-    // frame at a time — plus the growth of the batch's other fifteen
-    // frames, four (0:np) arrays each.
+    // line at a time — plus the growth of the batch's other fifteen
+    // lines, four (0:np) arrays each.
     let adi = listing("adi").expect("shipped listing");
     let twin = (adi.replace("rho, cy, np;", "rho, cy + 0*i, np;"))
         .replace("rho, cx, np;", "rho, cx + 0*j, np;");

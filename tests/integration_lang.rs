@@ -381,6 +381,81 @@ fn adi_lines_run_in_lockstep_with_pinned_message_counts() {
     }
 }
 
+/// A lifted callee need not keep its doalls at the top level: a doall
+/// inside a `do` loop, a `return` below the top level, a replicated
+/// dynamic array written at the top level and read in a doall, a doall
+/// of many iterations per member (copy-in/copy-out) and a walked loop in
+/// one. Each runs once for a batch of lines, as one activation, and
+/// computes the bits of a twin whose callee takes the line index as a
+/// scalar and so runs line by line, on fewer messages, under every
+/// policy square.
+#[test]
+fn lifted_callees_with_nested_doalls_and_returns_match_line_by_line() {
+    let bodies = [
+        "  do 10 k = 1, 3\n    doall 100 j = 1, n on owner(t(j))\n      t(j) = x(j) + k\n\
+         100 continue\n    if (k .eq. 3) return\n    doall 200 j = 2, n - 1 on owner(y(j))\n      \
+         y(j) = y(j) + 0.5*(t(j-1) + t(j+1))\n200 continue\n10 continue",
+        "  do 20 k = 1, n\n    s(k) = 0.25*k\n20 continue\n  doall 300 j = 1, n on owner(y(j))\n    \
+         y(j) = y(j) + s(j)*x(j)\n300 continue",
+        "  doall 400 j = 2, n - 1 on owner(x(j))\n    x(j) = x(j-1) + x(j+1) - y(j)\n400 continue\n  \
+         doall 500 j = 1, n on owner(y(j))\n    do 50 m = 1, 2\n      y(j) = y(j) + x(j)*m\n\
+         50  continue\n500 continue",
+    ];
+    let program = |scalar: &str, body: &str| {
+        format!(
+            "parsub gen(u, v, n; procs)\n  processors procs(p1, p2)\n  \
+             real u(n, n), v(n, n) dist (block, block)\n  doall 100 i = 1, n on owner(u(i, *))\n    \
+             call line(u(i, *), v(i, *), n{scalar}; owner(u(i, *)))\n100 continue\nend\n\
+             parsub line(x, y, n{scalar}; procs)\n  processors procs(q)\n  \
+             real x(n), y(n) dist (block)\n  dynamic real t(n) dist (block)\n  \
+             dynamic real s(n)\n{body}\n  return\nend\n"
+        )
+    };
+    let n = 13;
+    let array = |f: fn(usize) -> f64| HostValue::Array {
+        data: (0..n * n).map(f).collect(),
+        bounds: vec![(1, n as i64); 2],
+    };
+    let args = [
+        array(|k| (k % 7) as f64 * 0.5),
+        array(|k| (k % 5) as f64 - 1.0),
+        HostValue::Int(n as i64),
+    ];
+    for body in bodies {
+        let (lifted, twin) = (program("", body), program(", i", body));
+        for grid in [[1, 1], [2, 1], [1, 2], [2, 2]] {
+            for policy in 0..4 {
+                let policy = ExecPolicy {
+                    split: policy & 1 == 1,
+                    optimistic: policy & 2 == 2,
+                };
+                let opts = RunOptions {
+                    policy,
+                    ..RunOptions::default()
+                };
+                let run = |src: &str| {
+                    run_source_with(cfg(grid[0] * grid[1]), src, "gen", &grid, &args, opts).unwrap()
+                };
+                let (a, b) = (run(&lifted), run(&twin));
+                let bits = |arrays: &[(String, Vec<f64>)]| {
+                    let bits = arrays.iter().map(|(_, v)| v.iter().map(|x| x.to_bits()));
+                    bits.map(Iterator::collect).collect::<Vec<Vec<u64>>>()
+                };
+                assert_eq!(
+                    bits(&a.arrays),
+                    bits(&b.arrays),
+                    "procs{grid:?} {policy:?}\n{lifted}"
+                );
+                let msgs = [a.report.total_msgs, b.report.total_msgs];
+                assert!(
+                    msgs[0] <= msgs[1] && (grid[1] == 1 || msgs[0] < msgs[1]),
+                    "{msgs:?}"
+                );
+            }
+        }
+    }
+}
+
 /// A cold trip's request round is one message per peer, however many
 /// arrays the doall reads: `x(i) = a(i) + b(i) + c(i)` with `x` on blocks
 /// and `a`, `b`, `c` cyclic, so every member requests from and serves
