@@ -1390,7 +1390,8 @@ impl<'a, 'p> Interp<'a, 'p> {
                 let [y, rp, ci, av, x] = c.slots;
                 let x = self.make_section_view(x, &c.x_secs).ok()?;
                 let w = |slot| self.whole(slot);
-                Placed::csr(me, ranges[0], [w(y)?, w(rp)?, w(ci)?, w(av)?], &x)?
+                let arrays = [w(y)?, w(rp)?, w(ci)?, w(av)?];
+                Placed::csr(me, ranges[0], arrays, &x, self.site_scratch(d))?
             }
             _ => return None,
         };
@@ -1650,7 +1651,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
         let build = |me: &mut Self, _: &LangWorld| match work {
             Work::Walk(iters) => me.inspect(d, &team, &arrays, iters),
-            Work::Placed(p) => me.inspect_placed(p, &team, &arrays),
+            Work::Placed(p) => me.inspect_placed(d, p, &team, &arrays),
         };
         let split = self.policy.split;
         let result = (|| {
@@ -1692,9 +1693,10 @@ impl<'a, 'p> Interp<'a, 'p> {
                             Some(self.exec_iterations(d, my_iters, interior, log)?)
                         }
                         Work::Placed(p) => {
-                            debug_assert_eq!(*boundary, p.inspect(|_, _| {}));
+                            let scratch = &mut self.scratch[d.site];
+                            debug_assert_eq!(*boundary, p.inspect(scratch, |_, _| {}));
                             let interior = interior_runs(boundary, n);
-                            p.exec(interior, &mut self.scratch[d.site], self.proc);
+                            p.exec(interior, scratch, self.proc);
                             None
                         }
                     };
@@ -1766,6 +1768,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// schedule is the inspector's, word for word.
     fn inspect_placed(
         &mut self,
+        d: &RDoall,
         placed: &Placed,
         team: &Team,
         arrays: &[ExchangeArray],
@@ -1773,7 +1776,7 @@ impl<'a, 'p> Interp<'a, 'p> {
         self.proc.note_inspector_run();
         self.proc.mark("doall:inspect");
         let mut st = InspectState::default();
-        let boundary = placed.inspect(|base, flat| st.record(base, flat));
+        let boundary = placed.inspect(&self.scratch[d.site], |base, flat| st.record(base, flat));
         st.writes = placed.len();
         self.route(team, arrays, st, boundary)
     }
@@ -3213,7 +3216,7 @@ mod tests {
                 let team = me.frame().grid.team();
                 let arrays = me.exchange_arrays(d).unwrap();
                 let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
-                let derived = me.inspect_placed(&placed, &team, &arrays).unwrap();
+                let derived = me.inspect_placed(d, &placed, &team, &arrays).unwrap();
                 assert_eq!(walked, derived, "{entry}, rank {}", me.me());
                 assert_eq!(me.proc.stats().inspector_runs, 2);
                 walked.words_expected()
@@ -3222,10 +3225,9 @@ mod tests {
         }
     }
 
-    /// ... and so does the CSR builder, on `spmv.kf1` at p = 3 with
-    /// uneven blocks, an empty row, and columns on every rank.
-    #[test]
-    fn the_csr_builder_derives_the_inspectors_schedule() {
+    /// `spmvit`'s arguments for `iters` sweeps over 11 rows: an empty
+    /// row, and the others' columns spread over the whole of `x`.
+    fn spmv_args(iters: i64) -> [HostValue; 8] {
         let n = 11;
         let cols = |i: usize| match i {
             4 => vec![],
@@ -3241,7 +3243,7 @@ mod tests {
             bounds: vec![(1, data.len() as i64)],
             data,
         };
-        let args = [
+        [
             array(vec![0.0; n]),
             array((0..n).map(|k| 0.5 + k as f64).collect()),
             array(rp),
@@ -3249,10 +3251,17 @@ mod tests {
             array(vec![1.5; nz]),
             HostValue::Int(n as i64),
             HostValue::Int(nz as i64),
-            HostValue::Int(1),
-        ];
+            HostValue::Int(iters),
+        ]
+    }
+
+    /// ... and so does the CSR builder, on `spmv.kf1` at p = 3 with
+    /// uneven blocks, an empty row, and columns on every rank.
+    #[test]
+    fn the_csr_builder_derives_the_inspectors_schedule() {
+        let n = 11;
         let src = crate::listing("spmv").unwrap();
-        let words = on_entry(src, "spmvit", &[3], &args, |me, sub| {
+        let words = on_entry(src, "spmvit", &[3], &spmv_args(1), |me, sub| {
             let d = me.run_to_doall(&sub.body);
             let bounds = [(1, n as i64, 1)];
             let mut iters = IterSet {
@@ -3265,12 +3274,40 @@ mod tests {
             let team = me.frame().grid.team();
             let arrays = me.exchange_arrays(d).unwrap();
             let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
-            let derived = me.inspect_placed(&placed, &team, &arrays).unwrap();
+            let derived = me.inspect_placed(d, &placed, &team, &arrays).unwrap();
             assert_eq!(walked, derived, "rank {}", me.me());
             assert!(!walked.boundary.is_empty() && walked.write_hint == placed.len());
             walked.words_expected()
         });
         assert!(words.iter().all(|&w| w > 0), "{words:?}");
+    }
+
+    /// A trip of `spmv.kf1`'s CSR rows reads each row of mine twice, cold
+    /// or warm: to place it, which also inspects it, and to run it.
+    #[test]
+    fn a_csr_trip_reads_each_row_twice() {
+        let src = crate::listing("spmv").unwrap();
+        for p in 1..=4 {
+            for iters in [1, 2] {
+                let visits = on_entry(src, "spmvit", &[p], &spmv_args(iters), |me, sub| {
+                    let visited = || crate::lower::CSR_ROWS_VISITED.with(|n| n.get());
+                    let before = visited();
+                    me.exec_stmts(&sub.body).unwrap();
+                    let y = sub.names.iter().position(|s| s == "y").unwrap();
+                    let y = me.whole(y).unwrap();
+                    let layout = &y.borrow().layout;
+                    let mine = (0..11).filter(|&i| layout.owner(&[i]) == Some(me.me()));
+                    let stats = me.proc.stats();
+                    let trips = (stats.inspector_runs, stats.schedule_replays);
+                    (visited() - before, 2 * iters as usize * mine.count(), trips)
+                });
+                for (rank, (visited, twice, trips)) in visits.into_iter().enumerate() {
+                    assert_eq!(visited, twice, "p = {p}, rank {rank}, {iters} trips");
+                    // Each sweep is a trip of both sites: cold, then warm.
+                    assert_eq!(trips, (2, 2 * (iters as u64 - 1)), "p = {p}, rank {rank}");
+                }
+            }
+        }
     }
 
     /// Each listing's entry and a small input for it, on one processor.

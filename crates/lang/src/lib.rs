@@ -121,7 +121,8 @@ pub fn run_source(
     run_source_with(cfg, src, entry, grid_dims, args, RunOptions::default())
 }
 
-/// [`run_source`] with explicit [`RunOptions`].
+/// [`run_source`] with explicit [`RunOptions`]. The host arrays are read
+/// in place: each processor copies them once, into its own storage.
 pub fn run_source_with(
     cfg: MachineConfig,
     src: &str,
@@ -155,9 +156,8 @@ pub fn run_source_with(
         ));
     }
     let grid_dims = grid_dims.to_vec();
-    let args = args.to_vec();
     let mut array_params = Vec::new();
-    for (&p, a) in sub.params.iter().zip(&args) {
+    for (&p, a) in sub.params.iter().zip(args) {
         if let HostValue::Array { data, bounds } = a {
             let name = &sub.names[p];
             if bounds.len() > MAX_RANK {
@@ -187,7 +187,7 @@ pub fn run_source_with(
         // subroutine's declarations adopt them into the real distribution.
         let mut bindings = Vec::new();
         let mut handles = Vec::new();
-        for (&p, a) in sub.params.iter().zip(&args) {
+        for (&p, a) in sub.params.iter().zip(args) {
             let b = match a {
                 HostValue::Int(v) => Binding::Scalar(Value::Int(*v)),
                 HostValue::Real(v) => Binding::Scalar(Value::Real(*v)),

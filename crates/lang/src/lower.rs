@@ -5,11 +5,12 @@
 //! `owner(x(i, j))`, every element read in `rhs` a whole array subscripted
 //! `a(i ± c, j ± c)`, needs no tree walk. [`compile`] turns `rhs`, once
 //! per site, into a flat register program whose every instruction
-//! processes a whole row run: an operand is the row of an element read or
-//! a register — an earlier instruction's result, or a loop-invariant
-//! subtree (no element read, no loop variable) that the interpreter's own
-//! `eval` computes once per trip, broadcast along the row, so Int/Real
-//! typing is exactly the walker's.
+//! processes a row run a chunk ([`CHUNK`] iterations) at a time: an
+//! operand is the row of an element read or a register — an earlier
+//! instruction's result, or a loop-invariant subtree (no element read, no
+//! loop variable) that the interpreter's own `eval` computes once per
+//! trip, broadcast along the chunk, so Int/Real typing is exactly the
+//! walker's. The registers are a chunk long however long the rows are.
 //!
 //! Per trip, [`Placed::stencil`] places the program on the bindings at
 //! hand. My iterations are a box — the on-array's owned block, read off
@@ -40,11 +41,14 @@
 //!
 //! One doall of a builtin call is placed as well: `spmv.kf1`'s CSR rows
 //! ([`Placed::csr`]), each a multiply-add over its slices of the
-//! replicated structure arrays. Either body runs the positions a trip's
-//! schedule hands it ([`Placed::exec`]) and commits its box at once.
+//! replicated structure arrays. The placing pass reads every row of mine
+//! to check it, and notes on the way the columns the inspector would find
+//! remote, so a cold trip reads the rows twice (place, execute), not
+//! three times. Either body runs the positions a trip's schedule hands it
+//! ([`Placed::exec`]) and commits its box at once.
 
 use std::cell::Ref;
-use std::ops::{Range, RangeInclusive};
+use std::ops::Range;
 use std::rc::Rc;
 
 use kali_grid::{DimDist, DimMap};
@@ -331,13 +335,17 @@ impl Addr {
     }
 }
 
-/// A placed site's buffers, reused trip after trip: the result, and a
-/// stencil's registers and each read's row start.
+/// A placed site's buffers, reused trip after trip: the result, a
+/// stencil's chunk-long registers and each read's row start, and what a
+/// CSR product's placing pass found remote — the flats of `x` its rows
+/// read outside `x_owned`, and the positions of those rows.
 #[derive(Default)]
 pub(crate) struct Scratch {
     out: Vec<f64>,
     regs: Vec<Vec<f64>>,
     starts: Vec<usize>,
+    remote: Vec<usize>,
+    boundary: Vec<usize>,
 }
 
 /// A doall placed on one trip's bindings: my iterations, a box whose
@@ -359,13 +367,12 @@ enum Body<'k> {
     },
     /// Row `i` of a CSR product: `y(i) = Σ av(k) · x(ci(k))` over `k` from
     /// `rp(i)` to `rp(i + 1) − 1`, the column `ci(k)` counted in `x`'s
-    /// section; it is stored at `ci(k) + x_at`, and mine in `x_owned`.
+    /// section; it is stored at `ci(k) + x_at`.
     Csr {
         /// `rp`, `ci` and `av`.
         structure: [ArrRef; 3],
         x: ArrRef,
         x_at: i64,
-        x_owned: RangeInclusive<i64>,
     },
 }
 
@@ -429,12 +436,14 @@ impl<'k> Placed<'k> {
     /// block-distributed and holding the loop range, `rp`, `ci`, `av`
     /// replicated, `x` real, not `y`, with contiguous blocks, and every row
     /// of mine names sections of `ci` and `av` by exact integers in `rp`,
-    /// their columns inside `x`'s section.
+    /// their columns inside `x`'s section. The same pass notes in `s` what
+    /// the inspector would find remote ([`Placed::inspect`]).
     pub(crate) fn csr(
         me: usize,
         (lo, hi): (i64, i64),
         [y, rp, ci, av]: [ArrRef; 4],
         x: &View,
+        s: &mut Scratch,
     ) -> Option<Placed<'k>> {
         let (target, xa) = (Addr::of(&y, 1)?, Addr::of(&x.base, 1)?);
         let [_, (y_lo, y_hi)] = target.bounds;
@@ -450,22 +459,33 @@ impl<'k> Placed<'k> {
         let ([_, (x0, x1)], x_lo) = (xa.owned(me, true)?, xa.bounds[1].0);
         let bx = meet(&[(0, 0), (lo, hi)], &target.owned(me, false)?);
         let structure = [rp, ci, av];
+        let x_at = a.checked_sub(x.callee_lo[0])?.checked_sub(x_lo)?;
+        let x_owned = x0.saturating_sub(x_lo)..=x1.saturating_sub(x_lo);
         // The walker translates column `c` to `c − callee_lo + a`.
         let inside = |c: &f64| {
             let t = (*c as i64).checked_sub(x.callee_lo[0]);
             t.is_some_and(|t| (0..=b - a).contains(&t))
         };
         let mut fits = true;
+        s.remote.clear();
+        s.boundary.clear();
         let rows = 0..(bx[1].1 - bx[1].0 + 1) as usize;
-        csr_rows(&structure, bx[1].0, rows, |_, row| {
-            fits &= row.is_some_and(|[c, _]| c.iter().all(inside))
+        csr_rows(&structure, bx[1].0, rows, |pos, row| {
+            match row.filter(|[c, _]| c.iter().all(inside)) {
+                None => fits = false,
+                Some([cols, _]) => {
+                    let before = s.remote.len();
+                    let flats = cols.iter().map(|&c| (c as i64).wrapping_add(x_at));
+                    let remote = flats.filter(|f| !x_owned.contains(f));
+                    s.remote.extend(remote.map(|f| f as usize));
+                    if s.remote.len() > before {
+                        s.boundary.push(pos);
+                    }
+                }
+            }
         });
-        let body = Body::Csr {
-            structure,
-            x: x.base.clone(),
-            x_at: a.checked_sub(x.callee_lo[0])?.checked_sub(x_lo)?,
-            x_owned: x0.saturating_sub(x_lo)..=x1.saturating_sub(x_lo),
-        };
+        let x = x.base.clone();
+        let body = Body::Csr { structure, x, x_at };
         fits.then_some(Placed { bx, target, body })
     }
 
@@ -514,11 +534,12 @@ impl<'k> Placed<'k> {
     }
 
     /// What the inspector finds walking my iterations: the positions of
-    /// those with a remote read, ascending, while `record` is handed each
+    /// those with a remote read, ascending, while `note` is handed each
     /// remote read as `(array, flat)` in iteration and evaluation order. A
-    /// stencil's follow from its boxes, a CSR product's from one read of
-    /// its rows' columns.
-    pub(crate) fn inspect(&self, mut record: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
+    /// stencil's follow from its boxes; a CSR product's are the lists its
+    /// placing pass left in `s`, read off its rows' columns in this order,
+    /// so no row is read again.
+    pub(crate) fn inspect(&self, s: &Scratch, mut note: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
         let mut boundary = Vec::new();
         match &self.body {
             Body::Stencil {
@@ -529,35 +550,26 @@ impl<'k> Placed<'k> {
                     for (f, [di, dj], [(l0, h0), (l1, h1)]) in reads {
                         let (i, j) = (i + di, j + dj);
                         if !(*l0..=*h0).contains(&i) || !(*l1..=*h1).contains(&j) {
-                            record(&f.base, flat(&f.bounds, i, j));
+                            note(&f.base, flat(&f.bounds, i, j));
                         }
                     }
                 }
             }),
-            Body::Csr {
-                structure,
-                x,
-                x_at,
-                x_owned,
-            } => csr_rows(structure, self.bx[1].0, 0..self.len(), |pos, row| {
-                let [cols, _] = row.expect("placed rows name sections of ci and av");
-                let flats = cols.iter().map(|&c| (c as i64).wrapping_add(*x_at));
-                let remote = flats.filter(|f| !x_owned.contains(f));
-                if remote.inspect(|&f| record(x, f as usize)).count() > 0 {
-                    boundary.push(pos);
-                }
-            }),
+            Body::Csr { x, .. } => {
+                s.remote.iter().for_each(|&f| note(x, f));
+                boundary.extend_from_slice(&s.boundary);
+            }
         }
         boundary
     }
 
     /// Size `s` for this trip and broadcast a stencil's invariant
     /// `values`, one per [`Kernel::invariants`] entry, along the
-    /// registers they fill.
+    /// registers they fill: a row's first chunk at most.
     pub(crate) fn prepare(&self, values: &[f64], s: &mut Scratch) {
         s.out.resize(self.len(), 0.0);
         if let Body::Stencil { kernel, reads, .. } = &self.body {
-            let width = (self.bx[1].1 - self.bx[1].0 + 1).max(0) as usize;
+            let width = (self.bx[1].1 - self.bx[1].0 + 1).clamp(0, CHUNK as i64) as usize;
             s.regs.resize_with(kernel.regs, Vec::new);
             s.regs.iter_mut().for_each(|r| r.resize(width, 0.0));
             for ((r, _), &v) in kernel.invariants.iter().zip(values) {
@@ -569,31 +581,35 @@ impl<'k> Placed<'k> {
 
     /// Run the iterations at the positions in `at`, ranges in ascending
     /// order, into the result, charging `proc` as the walker does: a
-    /// stencil the assignment's flops per iteration, a CSR row `2·nnz`
-    /// flops and then its written word, row by row in execution order.
+    /// stencil the assignment's flops per iteration, its row runs a chunk
+    /// at a time, a CSR row `2·nnz` flops and then its written word, row
+    /// by row in execution order.
     pub(crate) fn exec(
         &self,
         at: impl IntoIterator<Item = Range<usize>>,
         s: &mut Scratch,
         proc: &mut Proc,
     ) {
-        let Scratch { out, regs, starts } = s;
+        let (out, regs, starts) = (&mut s.out, &mut s.regs, &mut s.starts);
         match &self.body {
             Body::Stencil {
                 kernel: k, reads, ..
             } => {
                 let data: Vec<Ref<ArrObj>> = reads.iter().map(|r| r.0.base.borrow()).collect();
                 let mut count = 0;
-                self.runs(at, |i, a, b| {
-                    let len = (b - a + 1) as usize;
-                    count += len;
-                    for (start, (f, off, _)) in starts.iter_mut().zip(reads) {
-                        *start = flat(&f.bounds, i + off[0], a + off[1]);
+                self.runs(at, |i, first, last| {
+                    for a in (first..=last).step_by(CHUNK) {
+                        let len = CHUNK.min((last - a + 1) as usize);
+                        count += len;
+                        for (start, (f, off, _)) in starts.iter_mut().zip(reads) {
+                            *start = flat(&f.bounds, i + off[0], a + off[1]);
+                        }
+                        let read = |r: usize| &data[r].data[starts[r]..];
+                        k.run(0..k.code.len(), regs, len, &read);
+                        let at = flat(&self.bx, i, a);
+                        let result = operand(k.stmts[0].out, regs, &read, len);
+                        out[at..at + len].copy_from_slice(result);
                     }
-                    let read = |r: usize| &data[r].data[starts[r]..];
-                    k.run(0..k.code.len(), regs, len, &read);
-                    let at = flat(&self.bx, i, a);
-                    out[at..at + len].copy_from_slice(operand(k.stmts[0].out, regs, &read, len));
                 });
                 proc.compute_each(k.stmts[0].flops, count);
             }
@@ -642,20 +658,27 @@ fn csr_rows(
 ) {
     let [rp, ci, av] = [rp, ci, av].map(|a| a.borrow());
     let at = |a: &ArrObj, i: i64| usize::try_from(i.checked_sub(a.bounds[0].0)?).ok();
-    let int = |v: f64| (v.fract() == 0.0 && v.abs() <= 2f64.powi(53)).then_some(v as i64);
     let row = |i: i64| {
-        let k = int(*rp.data.get(at(&rp, i)?)?)?;
-        let end = int(*rp.data.get(at(&rp, i.checked_add(1)?)?)?)?;
+        let k = exact_int(*rp.data.get(at(&rp, i)?)?)?;
+        let end = exact_int(*rp.data.get(at(&rp, i.checked_add(1)?)?)?)?;
         let span = |a: &ArrObj| Some(at(a, k)?..at(a, end)?);
         Some([ci.data.get(span(&ci)?)?, av.data.get(span(&av)?)?])
     };
     for pos in positions {
+        #[cfg(test)]
+        CSR_ROWS_VISITED.with(|n| n.set(n.get() + 1));
         f(pos, row(first + pos as i64));
     }
 }
 
-/// The most iterations a compiled loop runs at once: its buffers never
-/// grow with the loop.
+/// `v` as an integer, if it is one of magnitude at most 2⁵³.
+fn exact_int(v: f64) -> Option<i64> {
+    let i = v as i64;
+    (i as f64 == v && i.unsigned_abs() <= 1 << 53).then_some(i)
+}
+
+/// The most iterations a compiled loop or a placed stencil's row runs at
+/// once: their registers never grow with the loop.
 const CHUNK: usize = 64;
 
 /// A rank-1 section, placed — a compiled loop's reference, a builtin's
@@ -835,6 +858,12 @@ impl LoopScratch {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// The CSR rows [`csr_rows`] visited on this thread (a processor's).
+    pub(crate) static CSR_ROWS_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::resolve::Kind;
@@ -879,12 +908,13 @@ mod tests {
     }
 
     /// Run `placed`'s positions all at once, as interior then boundary,
-    /// and as a random ascending split over several calls, and check that
-    /// each gives the same result bits, flops, memops and clock — and that
-    /// ranges touching within a row run as one.
-    fn same_under_every_split(placed: &Placed, g: &mut TestRng, proc: &mut Proc) {
+    /// as a random ascending split over several calls, and one position a
+    /// call (no run crosses a chunk), and check that each gives the same
+    /// result bits, flops, memops and clock — and that ranges touching
+    /// within a row run as one. `s` is the scratch it was placed with.
+    fn same_under_every_split(placed: &Placed, s: &Scratch, g: &mut TestRng, proc: &mut Proc) {
         let n = placed.len();
-        let boundary = placed.inspect(|_, _| {});
+        let boundary = placed.inspect(s, |_, _| {});
         let singles: Vec<_> = boundary.iter().map(|&p| p..p + 1).collect();
         let mut cuts: Vec<usize> = (0..g.next_u64() % 5)
             .map(|_| (g.next_u64() as usize) % (n + 1))
@@ -902,6 +932,9 @@ mod tests {
             vec![vec![0..n]],
             vec![interior_runs(&boundary, n).collect(), singles.clone()],
             random,
+            (0..n)
+                .map(|p| std::iter::once(p..p + 1).collect())
+                .collect(),
         ];
         let runs = |at: &[Range<usize>]| {
             let mut runs = Vec::new();
@@ -937,6 +970,33 @@ mod tests {
         assert!(seen.iter().all(|s| *s == seen[0]), "{plans:?}");
     }
 
+    /// `exact_int` answers as the test by `fract` and `powi` it replaces.
+    #[test]
+    fn an_exact_integer_is_one_without_a_fraction() {
+        let two53 = 2f64.powi(53);
+        let cases = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            two53,
+            -two53,
+        ];
+        let more = [
+            two53 + 2.0,
+            -two53 - 2.0,
+            2f64.powi(63),
+            -2f64.powi(63),
+            0.5,
+            -3.0,
+        ];
+        for v in cases.into_iter().chain(more) {
+            let by_fraction = (v.fract() == 0.0 && v.abs() <= two53).then_some(v as i64);
+            assert_eq!(exact_int(v), by_fraction, "{v}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -954,7 +1014,12 @@ mod tests {
                     _ => if below(2) == 0 { vec![p, 1] } else { vec![1, p] },
                 };
                 let lb = below(4) - 1;
-                let bounds: Vec<_> = (0..dims).map(|_| (lb, lb + 2 + below(9))).collect();
+                let mut bounds: Vec<_> = (0..dims).map(|_| (lb, lb + 2 + below(9))).collect();
+                // Now and then a rank's rows are up to 3·CHUNK + 7 long.
+                if below(3) == 0 {
+                    let q = *shape.last().unwrap() as i64;
+                    bounds[dims - 1].1 = lb + q * (1 + below(3 * CHUNK as i64 + 7)) + below(q) - 1;
+                }
                 let vars = &["i", "j"][..dims];
                 let (mut rhs, mut lo, mut hi) = (String::new(), vec![0; dims], vec![0; dims]);
                 for k in 0..1 + below(4) {
@@ -1001,7 +1066,7 @@ mod tests {
                 let whole = |s: Slot| Some(if s == slot("x") { x.clone() } else { b.clone() });
                 for me in 0..p {
                     let placed = Placed::stencil(me, &ranges, k, slot("x"), whole).expect(&src);
-                    same_under_every_split(&placed, &mut g, proc);
+                    same_under_every_split(&placed, &Scratch::default(), &mut g, proc);
                 }
             });
         }
@@ -1110,8 +1175,10 @@ mod tests {
                 let (lo, hi) = (1 + below(n), n - below(2));
                 for me in 0..p {
                     let [rp, ci, av] = structure.clone();
-                    let placed = Placed::csr(me, (lo, hi), [y.clone(), rp, ci, av], &x).unwrap();
-                    same_under_every_split(&placed, &mut g, proc);
+                    let mut s = Scratch::default();
+                    let arrays = [y.clone(), rp, ci, av];
+                    let placed = Placed::csr(me, (lo, hi), arrays, &x, &mut s).unwrap();
+                    same_under_every_split(&placed, &s, &mut g, proc);
                 }
             });
         }

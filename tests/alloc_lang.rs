@@ -222,4 +222,17 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
     let count = |n| run_src("spmvit", spmv, 2, n, 2).0;
     let (small, large) = (count(256), count(1024));
     assert!(small.abs_diff(large) <= 8, "spmv: {small} {large}");
+    // One sweep of `spmv.kf1` holds the host arrays in place and each
+    // processor's copy of them, plus the result buffers of its two placed
+    // sites, 8 bytes a row each: quadrupling n grows the call's peak by
+    // no more than that, up to 1 KiB of slack. A copy of the host
+    // arguments, or a stencil register a whole row long, adds 48 KiB or
+    // more.
+    let host = |n: i64| 8 * (2 * n + (n + 1) + 2 * (3 * n - 4));
+    for p in [1, 2] {
+        let peak = |n| run_src("spmvit", spmv, p, n, 1).1;
+        let growth = peak(4096) - peak(1024);
+        let bound = p as i64 * (host(4096) - host(1024)) + 16 * 3072;
+        assert!(growth <= bound + 1024, "spmv, p = {p}: {growth} > {bound}");
+    }
 }

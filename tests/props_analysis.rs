@@ -383,10 +383,17 @@ proptest! {
             _ if p == 4 && g.below(2) == 0 => vec![2, 2],
             _ => if g.below(2) == 0 { vec![p, 1] } else { vec![1, p] },
         };
-        // Extents the grid does not divide (where it divides at all).
+        // Extents the grid does not divide (where it divides at all), and
+        // now and then rows longer than the 64 iterations a placed stencil
+        // runs at once: up to 3·64 + 7 a rank.
+        let long = g.below(3) == 0;
         let extents: Vec<usize> = grid
             .iter()
-            .map(|&q| match q {
+            .enumerate()
+            .map(|(d, &q)| match q {
+                _ if long && d + 1 == dims => {
+                    q * (1 + g.below(3 * 64 + 7) as usize) + g.below(q as u64) as usize
+                }
                 1 => 4 + g.below(6) as usize,
                 q => q * (3 + g.below(3) as usize) + 1 + g.below(q as u64 - 1) as usize,
             })
