@@ -48,6 +48,8 @@ pub struct DistArrayN<T, const N: usize> {
     /// Row-major strides of the local storage box.
     pub(crate) stride: [usize; N],
     pub(crate) data: Vec<T>,
+    /// Storage kept between copy-in updates ([`DistArray2::with_copy_in`]).
+    pub(crate) kept: Kept<T>,
     /// Distribution generation: bumped every time the array's layout
     /// changes (redistribution). Cached communication schedules carry the
     /// generation they were derived under and must be discarded on mismatch.
@@ -56,6 +58,16 @@ pub struct DistArrayN<T, const N: usize> {
     /// element read is checked against the declared stencil footprint.
     #[cfg(debug_assertions)]
     pub(crate) fence: std::cell::Cell<Option<ReadFence>>,
+}
+
+/// The second storage of [`DistArray2::with_copy_in`]; a clone has none.
+#[derive(Debug)]
+pub(crate) struct Kept<T>(Vec<T>);
+
+impl<T> Clone for Kept<T> {
+    fn clone(&self) -> Self {
+        Kept(Vec::new())
+    }
 }
 
 /// 1-D distributed array.
@@ -131,6 +143,7 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
             ghost,
             stride,
             data: vec![T::default(); total],
+            kept: Kept(Vec::new()),
             generation: 0,
             #[cfg(debug_assertions)]
             fence: std::cell::Cell::new(None),
@@ -780,6 +793,45 @@ impl<T: Elem> DistArray2<T> {
     #[inline]
     pub fn col_set(&mut self, j: usize, is: std::ops::Range<usize>, vals: &[T]) {
         self.box_set([is.start, j], [is.end, j + 1], vals);
+    }
+
+    /// Copy-in/copy-out without copying the array: run one update of
+    /// the owned points of `[r0] × [r1]` as `f(live, old)`. `old` is lent
+    /// the array's own storage: the copy-in state, ghost skirt and armed
+    /// read fence included. `live` is the array on a kept second buffer,
+    /// onto which only the skirt and the owned points outside the box are
+    /// copied, so `f` must write every owned point of the box. When `f`
+    /// returns, `old`'s storage becomes the kept buffer: allocated on the
+    /// first update, reused while its length fits, never carried by a
+    /// clone, [`DistArrayN::like`] or [`DistArrayN::redistribute`]. Panics
+    /// on a cyclic dimension, like [`DistArrayN::owned_box`].
+    pub fn with_copy_in<R>(
+        &mut self,
+        r0: std::ops::Range<usize>,
+        r1: std::ops::Range<usize>,
+        f: impl FnOnce(&mut Self, &mut Self) -> R,
+    ) -> R {
+        let (lo, hi) = self.owned_box([r0.start, r1.start], [r0.end, r1.end]);
+        let mut buf = std::mem::take(&mut self.kept.0);
+        if buf.len() != self.data.len() {
+            buf = vec![T::default(); self.data.len()];
+        }
+        // The descriptor is cloned while the array holds no storage.
+        let storage = std::mem::take(&mut self.data);
+        let mut old = self.clone();
+        old.data = storage;
+        self.data = buf;
+        // Copy the gaps between the box's row runs, in storage order.
+        let mut from = 0;
+        for i in lo[0]..hi[0] {
+            let to = self.storage_index_owned([i, lo[1]]);
+            self.data[from..to].copy_from_slice(&old.data[from..to]);
+            from = to + hi[1] - lo[1];
+        }
+        self.data[from..].copy_from_slice(&old.data[from..]);
+        let r = f(self, &mut old);
+        self.kept.0 = old.data;
+        r
     }
 }
 

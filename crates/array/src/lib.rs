@@ -28,6 +28,8 @@
 //!   copy-out of array slices (`r(i, *)`, `u(*, *, k)`) passed to line and
 //!   plane operators: one gather of a visible box into contiguous scratch,
 //!   one scatter back into an owned box;
+//! * [`DistArray2::with_copy_in`] — a `doall`'s copy-in/copy-out (§2)
+//!   that lends the array's storage as the snapshot instead of copying it;
 //! * [`DistArrayN::gather_to_root`] — assembling a global array for
 //!   verification or output;
 //! * [`DistArrayN::redistribute`] — changing the `dist` clause at run time

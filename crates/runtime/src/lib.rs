@@ -420,6 +420,24 @@ mod tests {
         assert_eq!(g, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.0]);
     }
 
+    /// A product-range plan needs owned boxes: a cyclic dimension is
+    /// rejected up front, naming the distribution, in release builds too.
+    #[test]
+    #[should_panic(expected = "not dist (*, cyclic)")]
+    fn plan_update_rejects_a_cyclic_dimension() {
+        let _ = Machine::run(cfg(2), |proc| {
+            let grid = ProcGrid::new_1d(2);
+            let spec = DistSpec::parse("(*, cyclic)").unwrap();
+            let mut u = DistArray2::from_fn(proc.rank(), &grid, &spec, [2, 6], [0, 0], |[i, j]| {
+                (i * 6 + j) as f64
+            });
+            let mut ctx = Ctx::new(proc, grid);
+            ctx.plan()
+                .reads(&mut u, Ghosts::faces(0))
+                .update2(0..2, 0..6, 1.0, |old, i, j| old.at(i, j));
+        });
+    }
+
     /// Every policy combination must produce the same bits; the split
     /// policies must overlap transit and be faster on this latency-bound
     /// cost model.

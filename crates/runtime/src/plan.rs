@@ -25,8 +25,9 @@
 //!
 //! * [`PlanRead::update2`] — the copy-in/copy-out stencil update of §2
 //!   (Listing 3's one-statement Jacobi `doall`): ghosts are refreshed,
-//!   the old array is snapshotted, and every owned point in the range is
-//!   rewritten from the snapshot — no user-visible temporary.
+//!   the old array's storage is lent as the snapshot, and every owned
+//!   point in the range is rewritten from it — no user-visible temporary
+//!   and no copy of the array ([`DistArray2::with_copy_in`]).
 //! * [`PlanRead::run2`] — a product-range `doall` that reads the
 //!   declared array (fresh ghosts) and writes elsewhere (e.g. a
 //!   residual into a second array captured by the body).
@@ -211,7 +212,9 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
     /// §2): ghosts are refreshed, the *old* array (owned block + skirt)
     /// is snapshotted, and every owned point of `[r0] × [r1]` is
     /// rewritten as `f(old, i, j)` — so no user-visible temporary is
-    /// needed, exactly as in Listing 3. `flops_per_point` is charged per
+    /// needed, exactly as in Listing 3. The snapshot is the array's own
+    /// storage, lent ([`DistArray2::with_copy_in`]); the copy-in is still
+    /// charged as a full `memop`. `flops_per_point` is charged per
     /// updated point; under a split policy the interior flops are
     /// charged *before* completion, so they overlap the transit on the
     /// virtual timeline.
@@ -233,14 +236,14 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
     /// Row-form sibling of [`PlanRead::update2`]: the same copy-in/
     /// copy-out semantics, the same points, the same flop accounting —
     /// but the body is handed whole contiguous *row runs* instead of one
-    /// call per point: `f(old, i, js, dst)` must write
-    /// `dst[k] = new value of (i, js.start + k)` reading the snapshot's
-    /// rows ([`DistArrayN::row`]). Because owned rows and their ghost
-    /// columns are contiguous in storage (`stride[1] == 1`), a stencil
-    /// body written against slices compiles to an autovectorizable tight
-    /// loop — the form the solvers are written in; the per-point
-    /// [`PlanRead::update2`] is an adaptor over it, pinned
-    /// bitwise-identical.
+    /// call per point: `f(old, i, js, dst)` must write every
+    /// `dst[k] = new value of (i, js.start + k)` (it arrives unspecified)
+    /// reading the snapshot's rows ([`DistArrayN::row`]). Because owned
+    /// rows and their ghost columns are contiguous in storage
+    /// (`stride[1] == 1`), a stencil body written against slices compiles
+    /// to an autovectorizable tight loop — the form the solvers are
+    /// written in; the per-point [`PlanRead::update2`] is an adaptor over
+    /// it, pinned bitwise-identical.
     pub fn update2_rows(
         self,
         r0: std::ops::Range<usize>,
@@ -295,10 +298,12 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
     /// and run `seg` once per contiguous row run (`(i, j-range)`) of it —
     /// natural order after a blocking refresh, interior / complete /
     /// boundary around an in-flight one. The per-point entry points are
-    /// adaptors that loop each run. With `snapshot`, a copy-in clone is
-    /// taken before any write and the refresh completes *into the clone*
-    /// (its ghosts are the copy-in state, while the live array receives
-    /// updates); without it, the refresh completes into the array itself.
+    /// adaptors that loop each run. With `snapshot`, the array lends its
+    /// storage to a copy-in snapshot after the refresh packs its sends and
+    /// before any write, and the refresh completes *into the snapshot*
+    /// (its ghosts are the copy-in state, re-packed from on a rollback,
+    /// while the live array receives updates); without it, the refresh
+    /// completes into the array itself.
     fn drive2_rows(
         mut self,
         r0: std::ops::Range<usize>,
@@ -323,15 +328,15 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
             }
             return;
         }
-        debug_assert!(a.dist(0).is_contiguous() && a.dist(1).is_contiguous());
+        assert!(
+            a.dist(0).is_contiguous() && a.dist(1).is_contiguous(),
+            "a 2-D plan needs block or undistributed dimensions, not dist {}: \
+             what a rank owns is not a box",
+            a.spec()
+        );
         // Debug builds deny the body reads outside the declared skirt
-        // (the snapshot clone inherits the armed fence).
+        // (the copy-in snapshot inherits the armed fence).
         a.set_read_fence(width, corners);
-        let mut old = snapshot.then(|| {
-            let old = a.clone();
-            ctx.proc().memop((a.local_len(0) * a.local_len(1)) as f64);
-            old
-        });
         let g = a.ghosts();
         let owned = [a.owned_range(0), a.owned_range(1)];
         // A refresh already complete leaves nothing to wait for: with no
@@ -340,18 +345,26 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
             Some(_) => [width.min(g[0]), width.min(g[1])],
             None => [0, 0],
         };
-        let split = SplitBox2::new(owned, r0, r1, margins);
-        split.for_interior_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
-        ctx.proc()
-            .compute(flops_per_point * split.interior_count() as f64);
-        if let Some(p) = refresh {
-            match old.as_mut() {
-                Some(old) => Self::finish(ctx, old, p),
-                None => Self::finish(ctx, a, p),
-            }
-            split.for_boundary_rows(|i, js| seg(ctx, a, old.as_ref(), i, js));
+        let split = SplitBox2::new(owned, r0.clone(), r1.clone(), margins);
+        let run = |ctx: &mut Ctx, a: &mut DistArray2<T>, mut old: Option<&mut DistArray2<T>>| {
+            split.for_interior_rows(|i, js| seg(ctx, a, old.as_deref(), i, js));
             ctx.proc()
-                .compute(flops_per_point * split.boundary_count() as f64);
+                .compute(flops_per_point * split.interior_count() as f64);
+            if let Some(p) = refresh {
+                match old.as_deref_mut() {
+                    Some(old) => Self::finish(ctx, old, p),
+                    None => Self::finish(ctx, a, p),
+                }
+                split.for_boundary_rows(|i, js| seg(ctx, a, old.as_deref(), i, js));
+                ctx.proc()
+                    .compute(flops_per_point * split.boundary_count() as f64);
+            }
+        };
+        if snapshot {
+            ctx.proc().memop((a.local_len(0) * a.local_len(1)) as f64);
+            a.with_copy_in(r0, r1, |a, old| run(ctx, a, Some(old)));
+        } else {
+            run(ctx, a, None);
         }
         a.clear_read_fence();
     }

@@ -376,3 +376,143 @@ fn redistribute_mid_loop_pins_exact_hit_and_rollback_counters() {
         assert_eq!(*rollbacks, 0, "rank {rank}");
     }
 }
+
+/// The point stencil of the partial-box suite: reads its four faces and
+/// one corner, clamped at the global edges so that a box may cover them.
+fn partial_stencil(old: &DistArray2<f64>, i: usize, j: usize) -> f64 {
+    let [n, m] = old.extents();
+    let (up, dn) = (i.saturating_sub(1), (i + 1).min(n - 1));
+    let (lf, rt) = (j.saturating_sub(1), (j + 1).min(m - 1));
+    0.5 * old.at(i, j)
+        + 0.125 * (old.at(up, j) + old.at(dn, j) + old.at(i, lf) + old.at(i, rt))
+        + 0.0625 * old.at(up, rt)
+        + 1.0
+}
+
+/// Boxes given per rank, relative to my block (the ghost refresh does
+/// not depend on the box, so ranks may pass different ones): strictly
+/// inside, across one owned edge along each axis, missing my block,
+/// covering it, and inside again on a reused kept buffer.
+fn partial_boxes(u: &DistArray2<f64>) -> Vec<[std::ops::Range<usize>; 2]> {
+    let [n, m] = u.extents();
+    let (r, c) = (u.owned_range(0), u.owned_range(1));
+    let inside = [r.start + 1..r.end - 1, c.start + 1..c.end - 1];
+    let miss = if r.end < n { r.end..n } else { 0..r.start };
+    vec![
+        inside.clone(),
+        [r.start + 1..(r.end + 2).min(n), c.start + 1..c.end - 1],
+        [r.start + 1..r.end - 1, c.start.saturating_sub(2)..c.end - 1],
+        [miss, 0..m],
+        [0..n, 0..m],
+        inside,
+    ]
+}
+
+/// What `update2`/`update2_rows` over `[r0] × [r1]` did before the kept
+/// buffer: a blocking full-skirt refresh into the array, a clone, and
+/// every owned point of the box rewritten from the clone.
+fn partial_update_by_clone(
+    proc: &mut Proc,
+    w: &mut DistArray2<f64>,
+    r0: std::ops::Range<usize>,
+    r1: std::ops::Range<usize>,
+) {
+    w.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
+    let old = w.clone();
+    let (lo, hi) = w.owned_box([r0.start, r1.start], [r0.end, r1.end]);
+    for i in lo[0]..hi[0] {
+        for j in lo[1]..hi[1] {
+            w.put(i, j, partial_stencil(&old, i, j));
+        }
+    }
+}
+
+#[test]
+fn partial_boxes_keep_everything_outside_them() {
+    let go = |backend: BackendKind, grid: ProcGrid, policy: ExecPolicy| {
+        let cfg = Machine::build(backend, Topology::FullyConnected, CostModel::unit())
+            .procs(4)
+            .watchdog(Duration::from_secs(60))
+            .config();
+        Machine::run(cfg, move |proc| {
+            let spec = DistSpec::block2();
+            let u = DistArray2::from_fn(proc.rank(), &grid, &spec, [18, 12], [1, 1], |[i, j]| {
+                ((i * 31 + j * 17) % 23) as f64 * 0.5 + 1.0
+            });
+            let (mut rows, mut points, mut want) = (u.clone(), u.clone(), u);
+            let mut ctx = Ctx::with_policy(proc, grid.clone(), policy);
+            let mut wrong = Vec::new();
+            for (k, [r0, r1]) in partial_boxes(&want).into_iter().enumerate() {
+                let before = rows.clone();
+                ctx.plan().reads(&mut rows, Ghosts::full(1)).update2_rows(
+                    r0.clone(),
+                    r1.clone(),
+                    1.0,
+                    |old, i, js, dst| {
+                        for (d, j) in dst.iter_mut().zip(js) {
+                            *d = partial_stencil(old, i, j);
+                        }
+                    },
+                );
+                ctx.plan().reads(&mut points, Ghosts::full(1)).update2(
+                    r0.clone(),
+                    r1.clone(),
+                    1.0,
+                    partial_stencil,
+                );
+                partial_update_by_clone(ctx.proc(), &mut want, r0.clone(), r1.clone());
+                // Every visible cell: the box as the oracle wrote it, the
+                // rest of my block as it was, and the skirt refreshed under
+                // a blocking policy, untouched under a split one.
+                let (oi, oj) = (rows.owned_range(0), rows.owned_range(1));
+                for i in oi.start.saturating_sub(1)..(oi.end + 1).min(18) {
+                    for j in oj.start.saturating_sub(1)..(oj.end + 1).min(12) {
+                        let in_box = r0.contains(&i) && r1.contains(&j);
+                        let expect = match rows.owns([i, j]) {
+                            true if in_box => want.try_get([i, j]),
+                            true => before.try_get([i, j]),
+                            false if policy.split => before.try_get([i, j]),
+                            false => want.try_get([i, j]),
+                        };
+                        for (form, a) in [("rows", &rows), ("points", &points)] {
+                            let got = a.try_get([i, j]);
+                            if got.map(f64::to_bits) != expect.map(f64::to_bits) {
+                                wrong.push(format!(
+                                    "box {k} {form} at ({i}, {j}): {got:?} vs {expect:?}"
+                                ));
+                            }
+                        }
+                        if rows.owns([i, j]) && !in_box && want.try_get([i, j]) != expect {
+                            wrong.push(format!(
+                                "box {k}: the oracle moved ({i}, {j}) outside its box"
+                            ));
+                        }
+                    }
+                }
+            }
+            let gathered = [&rows, &points, &want].map(|a| a.gather_to_root(ctx.proc()));
+            (gathered, wrong)
+        })
+    };
+    for backend in [BackendKind::Sim, BackendKind::Threads] {
+        for grid in [ProcGrid::new_2d(2, 2), ProcGrid::new_2d(4, 1)] {
+            for (split, optimistic) in [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let policy = ExecPolicy { split, optimistic };
+                let run = go(backend, grid.clone(), policy);
+                let what = format!("{backend:?} {grid:?} {policy:?}");
+                for (rank, (_, wrong)) in run.results.iter().enumerate() {
+                    assert!(wrong.is_empty(), "{what} rank {rank}: {wrong:#?}");
+                }
+                let [rows, points, want] = &run.results[0].0;
+                let want = want.as_ref().unwrap();
+                assert_bitwise(
+                    want,
+                    rows.as_ref().unwrap(),
+                    &format!("{what} update2_rows"),
+                );
+                assert_bitwise(want, points.as_ref().unwrap(), &format!("{what} update2"));
+            }
+        }
+    }
+}
