@@ -117,9 +117,11 @@
 //!   array with a leading line axis, each array parameter bound to the
 //!   first line's view plus a line stride. Scalars, control flow and
 //!   each doall's trip — one key, one exchange entry per array, one vote
-//!   and one fused message per peer — run once for the batch; element
-//!   assignments and calls run line after line, compiled loops and
-//!   `reduce`/`seqtri` are placed once and moved along the line strides.
+//!   and one fused message per peer — run once for the batch; a run of
+//!   element assignments runs compiled over the line axis, all the lines
+//!   at once, where its subscripts are scalars; calls and other runs run
+//!   line after line; compiled loops and `reduce`/`seqtri` are placed
+//!   once and moved along the line strides.
 //!   Lines that are no progression, or whose pinned coordinates change
 //!   owner, run line by line: the fallback, and the oracle the batches
 //!   are tested against bit for bit.
@@ -165,10 +167,11 @@
 //!
 //! A trip whose one iteration writes through logs nothing: a write is the
 //! ownership test and a store, counted for the commit's `memop`. Inside
-//! such an iteration a `do` loop of element assignments over rank-1
-//! references `a(v ± c)` — `tric`'s and `tri`'s row builders and
-//! back-substitutions — runs compiled as well, as strided kernels over
-//! chunks of 64 iterations (`crate::lower`); every other loop is walked.
+//! such an iteration a `do` loop of element assignments over references
+//! with one subscript `v ± c` and scalars elsewhere — `tric`'s and `tri`'s
+//! row builders, gathers (`wb(k, ip) = rb(k)`) and back-substitutions —
+//! runs compiled as well, as strided kernels over chunks of 64 iterations
+//! (`crate::lower`); every other loop is walked.
 //! Inspecting such a loop costs only its invariants where every element
 //! it reads is owned too: they are evaluated once, and the writes are
 //! counted. Ownership of a loop's references and of a builtin's sections
@@ -177,10 +180,10 @@
 //! cyclic or block-cyclic one.
 //!
 //! A batch of lines pays a frame, a trip's own costs and the placement of
-//! its loops and builtins once; per line it pays the element work. A
-//! batch whose lines run one iteration each holds an undecided trip's
-//! iteration until the verdict, so it writes through: its loops run
-//! compiled and its builtins on slices of storage.
+//! its loops, builtins and runs of element assignments once; per line it
+//! pays the element work. A batch whose lines run one iteration each holds
+//! an undecided trip's iteration until the verdict, so it writes through:
+//! its loops and runs run compiled and its builtins on slices of storage.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -1039,32 +1042,36 @@ impl<'a, 'p> Interp<'a, 'p> {
     // ---------- statements ----------
 
     /// Run `stmts` in order. In a batch of lines ([`Lift`]) a run of
-    /// element assignments and calls runs line after line, each line the
-    /// run in order, as it would in its own activation; a compiled loop
-    /// runs line after line too ([`Interp::run_loop`]), and everything else
-    /// once for all the lines, which the class ([`RSub::lockstep`]) makes
-    /// the same on every line.
+    /// element assignments and calls ([`RStmt::by_line`]) runs line after
+    /// line, each line the run in order, as it would in its own activation
+    /// — or, a run of element assignments compiled over the line axis
+    /// ([`Interp::run_kernel`]), statement by statement over all the lines
+    /// at once; a compiled loop runs line after line too, and everything
+    /// else once for all the lines, which the class ([`RSub::lockstep`])
+    /// makes the same on every line.
     fn exec_stmts(&mut self, stmts: &'p [RStmt]) -> RtResult<Flow> {
         let mut rest = stmts;
         while let Some(s) = rest.first() {
             let lines = self.lines();
-            let by_line = |s: &RStmt| match s {
-                RStmt::Call { callee, .. } => !callee.lifts(),
-                s => matches!(s, RStmt::AssignElement { .. }),
-            };
-            let run = match lines.len() {
+            let n = match lines.len() {
                 1 => 0,
-                _ => rest.iter().take_while(|s| by_line(s)).count(),
+                _ => rest.iter().take_while(|s| s.by_line()).count(),
             };
-            if run > 0 {
-                for line in lines.clone() {
+            if n > 0 {
+                let compiled = match s {
+                    RStmt::AssignElement { run: Some(k), .. } if self.known() => {
+                        self.run_kernel(k, None) > 0
+                    }
+                    _ => false,
+                };
+                for line in lines.clone().filter(|_| !compiled) {
                     self.set_lines(line..line + 1);
-                    for s in &rest[..run] {
+                    for s in &rest[..n] {
                         self.exec_stmt(s)?;
                     }
                 }
                 self.set_lines(lines);
-                rest = &rest[run..];
+                rest = &rest[n..];
                 continue;
             }
             if self.exec_stmt(s)? == Flow::Return {
@@ -1094,6 +1101,8 @@ impl<'a, 'p> Interp<'a, 'p> {
                 flops,
                 ..
             } => {
+                #[cfg(test)]
+                crate::lower::WALKED.with(|n| n.set(n.get() + 1));
                 let v = self.eval(rhs)?;
                 self.write_element(*slot, subs, v.as_f64())?;
                 self.charge_assignment(*flops);
@@ -1122,13 +1131,19 @@ impl<'a, 'p> Interp<'a, 'p> {
                 if st == 0 {
                     return Err("do loop with zero step".into());
                 }
-                let known = match &self.mode {
-                    Mode::Execute(log) => log.through.is_some(),
-                    mode => matches!(mode, Mode::Inspect(_)),
-                };
                 let lines = self.lines();
-                let ran = match kernel.as_ref().filter(|_| known && lo <= hi) {
-                    Some(k) => self.run_loop(*var, k, lo, hi)?,
+                let ran = match kernel.as_ref().filter(|_| self.known() && lo <= hi) {
+                    Some(k) => {
+                        // The walk's first step; a compiled run ends where the walk would.
+                        self.set_scalar(*var, Value::Int(lo))?;
+                        let int = matches!(self.slot(*var), Some(Binding::Scalar(Value::Int(_))));
+                        let ran = int.then(|| self.run_kernel(k, Some((lo, hi))));
+                        let ran = ran.unwrap_or(0);
+                        if ran > 0 {
+                            self.set_scalar(*var, Value::Int(hi))?;
+                        }
+                        ran
+                    }
                     None => 0,
                 };
                 if ran == lines.len() {
@@ -1158,40 +1173,53 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(Flow::Normal)
     }
 
-    /// Run `do var = lo, hi` (`lo ≤ hi`) as its compiled kernel `k` where
-    /// the walk's outcome is known without it. In write-through mode a
-    /// write is a store: what the walker would store, charged as it
-    /// charges — `compute` per iteration per assignment in its order, and
-    /// one write each for the commit's `memop`. In the inspector, when
-    /// every element read is owned as well, the walk would record only
-    /// what the invariants read: they are evaluated once, in inspect mode,
-    /// which records it in the walk's first-touch order, and the writes
-    /// are counted. Either leaves `var` at `hi` as the walker would. A
-    /// batch's loop is placed once and runs line after line. Returns the
-    /// lines it ran: those before the first where this execution's
-    /// bindings are outside the class ([`LoopScratch::place`]), an
-    /// invariant fails to evaluate, or `var` is not an integer. Nothing is
-    /// done for the rest but the walker's own first step, setting `var`,
-    /// and what an invariant recorded, which the walk records again: the
-    /// walker runs them, and reports what it reports.
-    fn run_loop(&mut self, var: Slot, k: &Kernel, lo: i64, hi: i64) -> RtResult<usize> {
-        self.set_scalar(var, Value::Int(lo))?;
-        if !matches!(self.slot(var), Some(Binding::Scalar(Value::Int(_)))) {
-            return Ok(0);
+    /// Is a write a store (write-through), or only counted (inspector)?
+    fn known(&self) -> bool {
+        match &self.mode {
+            Mode::Execute(log) => log.through.is_some(),
+            mode => matches!(mode, Mode::Inspect(_)),
         }
+    }
+
+    /// Run compiled kernel `k` where the walk's outcome is [known](Self::known):
+    /// a `do` loop's iterations `Some((lo, hi))` (`lo ≤ hi`, the loop
+    /// variable at `lo`), placed once and run line after line, or a run of
+    /// element assignments placed over all the active lines at once, one
+    /// iteration a line ([`LoopScratch::place`]). In write-through mode a
+    /// write is a store: what the walker would store, charged as it charges
+    /// — `compute` per iteration per assignment in its order, and one write
+    /// each for the commit's `memop`. In the inspector, when every element
+    /// read is owned as well, the walk would record only what the
+    /// invariants read: they are evaluated once, in inspect mode, which
+    /// records it in the walk's first-touch order, and the writes are
+    /// counted. Returns the lines it ran: none where this execution's
+    /// bindings are outside the class or a subscript fails to evaluate, and
+    /// none from the first where an invariant fails. Nothing is done for the
+    /// rest but what an invariant recorded, which the walk records again:
+    /// the walker runs them, and reports what it reports.
+    fn run_kernel(&mut self, k: &Kernel, range: Option<(i64, i64)>) -> usize {
         let (inspect, lines) = (matches!(self.mode, Mode::Inspect(_)), self.lines());
         let (me, mut s) = (self.me(), std::mem::take(&mut self.loops));
+        let fixed = s.eval(k, |e| self.eval(e).ok().map(Value::as_int));
         let frame = self.frame();
         let view = |slot| match &frame.slots[slot] {
             Some(Binding::Array(v)) if v.base.borrow().is_real => Some(v),
             _ => None,
         };
-        let placed = s.place(k, (lo, hi), me, inspect, view).is_some();
-        // Placed, both ends index an array: the count fits. A batch's
-        // lines run one after the other, each reference moved along its
-        // array by a line's step ([`lift`]).
-        let (n, mut ran) = ((hi - lo + 1) as usize, 0);
-        for line in lines.clone().filter(|_| placed) {
+        let step = |slot| self.line_step(slot);
+        let placed = fixed && s.place(k, range, me, inspect, view, step).is_some();
+        // Placed, both ends index an array: the count fits (unplaced, it is
+        // not used). A loop's lines run one after the other, each reference
+        // moved along its array by a line's step ([`lift`]).
+        let (n, runs) = match range {
+            Some((lo, hi)) => (
+                (hi.wrapping_sub(lo) as usize).wrapping_add(1),
+                lines.clone(),
+            ),
+            None => (lines.len(), lines.start..lines.start + 1),
+        };
+        let mut ran = 0;
+        for line in runs.filter(|_| placed) {
             self.set_lines(line..line + 1);
             let mut invariants = k.invariants.iter();
             if !invariants.all(|(r, e)| self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok()) {
@@ -1205,21 +1233,19 @@ impl<'a, 'p> Interp<'a, 'p> {
                 Mode::Inspect(st) => st.writes += writes,
                 Mode::Execute(log) => {
                     log.through = log.through.map(|w| w + writes);
-                    for a in (0..n).flat_map(|_| &k.stmts) {
-                        self.proc.compute(a.flops);
-                    }
+                    self.proc.compute_each(&k.flops, n);
                 }
                 Mode::Normal => {}
             }
             s.next_line(k, |slot| self.line_step(slot));
             ran += 1;
         }
-        self.set_lines(lines);
+        self.set_lines(lines.clone());
         self.loops = s;
-        if ran > 0 {
-            self.set_scalar(var, Value::Int(hi))?;
+        match range {
+            None if ran > 0 => lines.len(),
+            _ => ran,
         }
-        Ok(ran)
     }
 
     /// The virtual flops of one executed assignment (the inspector's
@@ -2418,7 +2444,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// element of it this processor's.
     fn local_section(&self, name: &str, v: &View) -> RtResult<(Strided, usize)> {
         let (lo, n, me) = (v.callee_lo[0], v.extent(0), self.me());
-        if let Some(s) = Strided::of(v, (lo, lo + n as i64 - 1), Some(me)) {
+        if let Some(s) = Strided::of(v, &[lo], 0, (lo, lo + n as i64 - 1), Some(me)) {
             return Ok((s, n));
         }
         // An element outside the array, or one another processor owns.
@@ -2699,8 +2725,9 @@ impl<'a, 'p> Interp<'a, 'p> {
         let flat = b.flat(base_idxs)?;
         let (ok, replicated) = (b.owned_by(me, base_idxs), b.replicated());
         drop(b);
+        let shown = &base_idxs[lined(frame, slot)..];
         let violation =
-            || format!("owner-computes violation: processor {me} writes {name}{base_idxs:?}");
+            || format!("owner-computes violation: processor {me} writes {name}{shown:?}");
         match &mut self.mode {
             Mode::Inspect(st) => {
                 if !ok {
@@ -2755,8 +2782,9 @@ impl<'a, 'p> Interp<'a, 'p> {
             Mode::Execute(log) => val = log.written(&view.base, flat).unwrap_or(val),
             Mode::Normal => {
                 if self.doall_depth == 0 && !b.owned_by(me, base_idxs) {
+                    let shown = &base_idxs[lined(frame, slot)..];
                     return Err(format!(
-                        "non-local read of {}{base_idxs:?} in replicated code; \
+                        "non-local read of {}{shown:?} in replicated code; \
                          remote values only flow through doall communication",
                         b.name
                     ));
@@ -3052,6 +3080,12 @@ fn lift(lines: &[Vec<(Slot, Binding)>]) -> Option<Lift> {
         active: 0..n,
         moves,
     })
+}
+
+/// How many leading base indices of an element of `slot` a message leaves
+/// out: a batch's own array's line axis, which its text does not name.
+fn lined(frame: &Frame, slot: Slot) -> usize {
+    usize::from(frame.lift.is_some() && !frame.sub.params.contains(&slot))
 }
 
 /// Flat base index of a view's origin: fixed dimensions at their
@@ -3434,23 +3468,24 @@ mod tests {
     }
 
     /// Which `do` loops compile as strided kernels: `tric`'s row builder
-    /// (`do 50`) and back-substitution (`do 450`), and `tri`'s
-    /// back-substitution (`do 350`). The rank-2 gathers `wb(k, ip) = rb(k)`
-    /// (`do 150`, `do 250`) and every loop around a doall are walked. At
-    /// one processor every doall trip runs one iteration, which writes
+    /// (`do 50`), gather (`do 250`, rank-2 targets `wb(k, ip)`) and
+    /// back-substitution (`do 450`), and `tri`'s gather (`do 150`) and
+    /// back-substitution (`do 350`); every loop around a doall is walked.
+    /// At one processor every doall trip runs one iteration, which writes
     /// through, so the compiled loops of `tri` and `adi` run. Every element
     /// `tri`'s `do 350` reads is owned, so on one to four processors the
-    /// inspector walks none of its iterations.
+    /// inspector walks none of its iterations; `do 150` reads the other
+    /// processors' `rb`, so from p = 2 on the inspector walks its `2p`.
     #[test]
     fn the_compiled_loops_of_the_listings() {
         let wants: [&[(&str, &str, bool)]; 5] = [
             &[("jacobi", "it", false)],
             &[],
-            &[("tri", "k", false), ("tri", "i", true)],
+            &[("tri", "k", true), ("tri", "i", true)],
             &[
                 ("adi", "it", false),
                 ("tric", "i", true),
-                ("tric", "k", false),
+                ("tric", "k", true),
                 ("tric", "i", true),
             ],
             &[("spmvit", "t", false)],
@@ -3492,7 +3527,8 @@ mod tests {
                     (inspected, me.inspected_loop_iterations)
                 },
             );
-            assert_eq!(walked, vec![(true, 0); p], "p = {p}");
+            let gather = if p == 1 { 0 } else { 2 * p };
+            assert_eq!(walked, vec![(true, gather); p], "p = {p}");
         }
     }
 
@@ -3625,6 +3661,47 @@ mod tests {
         }
     }
 
+    /// Warm `tric` trips walk no element assignment: every run of them is
+    /// compiled over the line axis, and every loop is compiled. `adi.kf1`
+    /// (np 48) walks as many at four iterations as at one — the trips of
+    /// iterations 2–4 all replay — at p = 1 and on each rank of
+    /// `procs(2, 1)`.
+    #[test]
+    fn warm_tric_trips_walk_no_element_assignment() {
+        let args = |iters| {
+            [
+                grid2(48, 0.0),
+                grid2(48, 0.5),
+                grid2(48, 0.0),
+                HostValue::Int(48),
+                HostValue::Real(40.0),
+                HostValue::Int(iters),
+                HostValue::Real(1.0),
+                HostValue::Real(1.0),
+            ]
+        };
+        for grid in [[1, 1], [2, 1]] {
+            let walked = |iters| {
+                let src = crate::listing("adi").unwrap();
+                on_entry(src, "adi", &grid, &args(iters), |me, sub| {
+                    me.exec_stmts(&sub.body).unwrap();
+                    let stats = me.proc.stats();
+                    let walked = crate::lower::WALKED.with(|n| n.get());
+                    (walked, stats.inspector_runs, stats.schedule_replays)
+                })
+            };
+            let (one, four) = (walked(1), walked(4));
+            if grid == [1, 1] {
+                assert_eq!(one[0].0, 0, "p = 1: the cold trips' reads are owned too");
+            }
+            for (one, four) in one.iter().zip(&four) {
+                assert_eq!(four.0, one.0, "procs{grid:?}");
+                assert_eq!(four.1, one.1, "procs{grid:?}: iterations 2-4 replay");
+                assert!(four.2 > one.2, "procs{grid:?}");
+            }
+        }
+    }
+
     /// The edges of the lifted class, on `tric` over the rows of a grid:
     /// a twin that reads an element where a batch evaluates once
     /// ([`tric_twins`]), and one whose lines are not a progression (the
@@ -3719,6 +3796,66 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// An error inside a lifted activation names its element as line by
+    /// line execution does: a `tric` that also writes `rb(3)` on its first
+    /// processor — the second's element, when a team of two solves a line —
+    /// fails with the same message lifted and line by line (a line-index
+    /// argument), where the batch's `rb` has a line axis the text does not
+    /// name, on both backends.
+    #[test]
+    fn a_lifted_error_names_its_element_as_line_by_line_does() {
+        let adi = crate::listing("adi").unwrap();
+        let (from, to) = (
+            "    rb(2*ip) = b(hi)\n",
+            "    if (ip .eq. 1) rb(3) = b(lo)\n",
+        );
+        let tric = adi[adi.find("parsub tric").unwrap()..].replace(from, &format!("{from}{to}"));
+        let rows = |arg: &str, param: &str| {
+            format!(
+                "parsub rows(u, r, np, rho, cc; procs)\n  processors procs(px, py)\n  \
+                 real u(0:np, 0:np), r(0:np, 0:np) dist (block, block)\n  \
+                 doall 100 i = 1, np - 1 on owner(r(i, *))\n    \
+                 call tric(u(i, *), r(i, *), rho, cc, np{arg}; owner(r(i, *)))\n100 continue\nend\n{}",
+                tric.replace("tric(x, g, rho, cc, np;", &format!("tric(x, g, rho, cc, np{param};"))
+            )
+        };
+        let args = [
+            grid2(12, 1.0),
+            grid2(12, 0.25),
+            HostValue::Int(12),
+            HostValue::Real(40.0),
+            HostValue::Real(1.0),
+        ];
+        for backend in [
+            kali_machine::BackendKind::Sim,
+            kali_machine::BackendKind::Threads,
+        ] {
+            let cfg = Machine::build(
+                backend,
+                kali_machine::Topology::FullyConnected,
+                kali_machine::CostModel::ipsc2(),
+            )
+            .procs(2)
+            .config();
+            let error = |src: &str| {
+                let opts = RunOptions::default();
+                let run = || crate::run_source_with(cfg.clone(), src, "rows", &[1, 2], &args, opts);
+                let msg = std::panic::catch_unwind(run)
+                    .map(|_| ())
+                    .expect_err("a runtime error");
+                msg.downcast_ref::<String>().expect("a message").clone()
+            };
+            let lifted = error(&rows("", ""));
+            assert!(
+                lifted.ends_with(
+                    "processor 0 writes rb[3] owned elsewhere (check the doall's on-clause)"
+                ),
+                "{lifted}"
+            );
+            assert_eq!(lifted, error(&rows(", i", ", il")), "{backend:?}");
         }
     }
 

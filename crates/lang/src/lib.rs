@@ -648,6 +648,19 @@ end
         assert_eq!(run_body(1, 4, body), [1.0, 1.0, 0.0, 0.0]);
     }
 
+    /// A compiled loop over every `i64` is not placed, and the walker
+    /// reports its first subscript, without an overflow of its own.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_compiled_loop_over_all_of_i64_is_a_kf1_runtime_error() {
+        let body = "  doall 20 j = 1, 1 on procs(1)
+    do 10 i = -9223372036854775807 - 1, 9223372036854775807
+      a(i) = 1.0
+10  continue
+20 continue";
+        run_body(1, 4, body);
+    }
+
     #[test]
     fn a_doall_up_to_the_end_of_i64_runs_its_iterations() {
         let body = "  doall 10 i = 9223372036854775806, 9223372036854775807 on procs(1)

@@ -23,21 +23,31 @@
 //! The same compiler takes a sequential `do v = lo, hi` loop
 //! ([`compile_loop`]) whose step is 1 and whose body is element
 //! assignments only, every target and every read that mentions `v` a
-//! rank-1 reference `a(v ± c)`: each assignment's right-hand side becomes
-//! instructions of one program, and here a maximal subtree without `v` is
-//! an invariant even when it reads an element (`wy(2*ip - 1, ip)`), since
-//! nothing the loop writes may be read at another offset. A written slot
-//! is referenced at one offset only, so no iteration reads what another
-//! writes, and the loop may run statement by statement over chunks of
-//! iterations instead of iteration by iteration. Per execution,
-//! [`LoopScratch::place`] binds every reference to its rank-1 view — a
-//! whole 1-D array, or a section like `u(i, *)` — as a strided address
-//! sequence, and [`LoopScratch::run`] executes the chunks. The interpreter
-//! runs it only where a write is a plain store (a write-through doall
-//! iteration). A placed loop also stands in for the inspector's walk:
-//! where every element read is owned too, the walk would record only what
-//! the invariants read, so the inspector evaluates them once and counts
-//! the writes. Whenever a condition fails, the loop is walked.
+//! reference of any rank with one subscript `v ± c` and scalars — no
+//! element read, no call, no `v` — in the others (`wb(k, ip) = rb(k)`):
+//! each assignment's right-hand side becomes instructions of one program,
+//! and here a maximal subtree without `v` is an invariant even when it
+//! reads an element (`wy(2*ip - 1, ip)`). Per execution,
+//! [`LoopScratch::place`] evaluates the scalar subscripts and binds every
+//! reference to a strided address sequence along its `v` dimension — of a
+//! whole array, or of a section like `u(i, *)` — and the loop may run
+//! statement by statement over chunks of iterations
+//! ([`LoopScratch::run`]) where no iteration reads what another writes:
+//! nothing written is referenced at another address, not even by an
+//! invariant. The interpreter runs it only where a write is a plain store
+//! (a write-through doall iteration). A placed loop also stands in for the
+//! inspector's walk: where every element read is owned too, the walk would
+//! record only what the invariants read, so the inspector evaluates them
+//! once and counts the writes. Whenever a condition fails, the loop is
+//! walked.
+//!
+//! In a batch of lines run as one activation, a run of element
+//! assignments whose every subscript is a scalar ([`compile_runs`]) is a
+//! kernel too, over the line axis: line `l`'s element is line 0's moved
+//! `l` line steps along its array, so each reference is placed once as a
+//! sequence whose step is the line's, and the run executes statement by
+//! statement over all the lines at once, under the loop's conditions.
+//! Lines touch disjoint storage, so only each line's own order matters.
 //!
 //! One doall of a builtin call is placed as well: `spmv.kf1`'s CSR rows
 //! ([`Placed::csr`]), each a multiply-add over its slices of the
@@ -93,14 +103,22 @@ enum Src {
     Read(usize),
 }
 
+/// An element access of a kernel: its array, over a doall's box its
+/// offset from the loop variables, placed as in [`Bx`], and otherwise its
+/// subscripts, which placing it evaluates, and the dimension a loop
+/// variable subscripts (`along`), if one does.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Access {
+    slot: Slot,
+    off: [i64; 2],
+    subs: Vec<RExpr>,
+    along: Option<usize>,
+}
+
 /// One compiled element assignment.
 #[derive(Debug, Clone)]
 pub(crate) struct Assign {
-    pub target: Slot,
-    /// The target's offset from the loop variables, placed as in [`Bx`].
-    pub off: [i64; 2],
-    /// The assignment's flops, charged per iteration as the walker does.
-    pub flops: f64,
+    pub target: Access,
     /// Where this assignment's reads and instructions end in the
     /// kernel's lists (they start where the previous one's end).
     reads_end: usize,
@@ -112,9 +130,10 @@ pub(crate) struct Assign {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Kernel {
     pub stmts: Vec<Assign>,
-    /// Every element read, in evaluation order: the array and its offset
-    /// from the loop variables, placed as in [`Bx`].
-    pub reads: Vec<(Slot, [i64; 2])>,
+    /// Each assignment's flops, charged per iteration as the walker does.
+    pub flops: Vec<f64>,
+    /// Every element read, in evaluation order.
+    pub reads: Vec<Access>,
     /// The loop-invariant subtrees, each with the register it fills.
     pub invariants: Vec<(usize, RExpr)>,
     /// `(op, destination register, operands)` in evaluation order; no op
@@ -149,9 +168,8 @@ pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
 }
 
 /// The kernel of a `do var = …` loop in the compiled class as far as its
-/// text decides (see the module docs; `var` appears in subscripts only,
-/// and no invariant names a slot the loop writes). The bindings are
-/// checked per execution ([`LoopScratch::place`]).
+/// text decides (see the module docs; `var` appears in subscripts only).
+/// The bindings are checked per execution ([`LoopScratch::place`]).
 pub(crate) fn compile_loop(var: Slot, step: Option<&RExpr>, body: &[RStmt]) -> Option<Kernel> {
     let unit = step.is_none_or(|s| const_of(s) == Some(1));
     (unit && !body.is_empty()).then_some(())?;
@@ -159,21 +177,39 @@ pub(crate) fn compile_loop(var: Slot, step: Option<&RExpr>, body: &[RStmt]) -> O
     for s in body {
         k.assign(s, &[var], true)?;
     }
-    for a in &k.stmts {
-        let at_a = |&(slot, off): &(Slot, [i64; 2])| slot != a.target || off == a.off;
-        let names_a = |e: &RExpr| any_expr(e, &mut |n| matches!(n, Node::Name(s) if s == a.target));
-        let one_offset = k.reads.iter().all(at_a)
-            && k.stmts.iter().all(|b| at_a(&(b.target, b.off)))
-            && !k.invariants.iter().any(|(_, e)| names_a(e));
-        one_offset.then_some(())?;
-    }
     Some(k)
 }
 
+/// Compile, in every statement list of `body`, each run of statements a
+/// batch of lines runs line after line ([`RStmt::by_line`]) that is only
+/// element assignments into one kernel over the line axis, kept by the
+/// run's first statement.
+pub(crate) fn compile_runs(body: &mut [RStmt]) {
+    let mut at = 0;
+    while at < body.len() {
+        let n = body[at..].iter().take_while(|s| s.by_line()).count().max(1);
+        let mut k = Kernel::default();
+        let compiled = body[at..at + n]
+            .iter()
+            .all(|s| k.assign(s, &[], false).is_some());
+        match &mut body[at] {
+            RStmt::AssignElement { run, .. } if compiled => *run = Some(Box::new(k)),
+            RStmt::Do { body, .. } => compile_runs(body),
+            RStmt::Doall(d) => compile_runs(&mut d.body),
+            RStmt::If(_, then_body, else_body) => {
+                compile_runs(then_body);
+                compile_runs(else_body);
+            }
+            _ => {}
+        }
+        at += n;
+    }
+}
+
 impl Kernel {
-    /// Compile `target(v ± c, …) = rhs` onto the program. With `hoist`, a
-    /// subtree without a loop variable is an invariant even if it reads
-    /// an element; without, every element read is a kernel read.
+    /// Compile `target(…) = rhs` onto the program ([`access`]). With
+    /// `hoist`, a subtree without a loop variable is an invariant even if
+    /// it reads an element; without, every element read is a kernel read.
     fn assign(&mut self, s: &RStmt, vars: &[Slot], hoist: bool) -> Option<()> {
         let RStmt::AssignElement {
             slot,
@@ -185,12 +221,11 @@ impl Kernel {
         else {
             return None;
         };
-        let off = offsets(subs.iter().map(Some), vars)?;
+        let target = access(*slot, subs.iter().map(Some), vars, hoist)?;
         let out = self.operand(rhs, vars, hoist)?;
+        self.flops.push(*flops);
         self.stmts.push(Assign {
-            target: *slot,
-            off,
-            flops: *flops,
+            target,
             reads_end: self.reads.len(),
             code_end: self.code.len(),
             out,
@@ -211,8 +246,8 @@ impl Kernel {
                 return Some(Src::Reg(self.regs - 1));
             }
             RExpr::Ref(slot, _, args, _) => {
-                let off = offsets(args.iter().map(Option::as_ref), vars)?;
-                self.reads.push((*slot, off));
+                let args = args.iter().map(Option::as_ref);
+                self.reads.push(access(*slot, args, vars, hoist)?);
                 return Some(Src::Read(self.reads.len() - 1));
             }
             RExpr::Un(UnOp::Neg, x, _) => {
@@ -229,6 +264,12 @@ impl Kernel {
         self.code.push((op, self.regs, a, b));
         self.regs += 1;
         Some(Src::Reg(self.regs - 1))
+    }
+
+    /// The accesses, the reads then one target per assignment.
+    fn refs(&self) -> impl Iterator<Item = &Access> {
+        let targets = self.stmts.iter().map(|a| &a.target);
+        self.reads.iter().chain(targets)
     }
 
     /// Run instructions `code` over a run of `len` iterations, `read(k)`
@@ -254,6 +295,33 @@ impl Kernel {
             regs[dst] = d;
         }
     }
+}
+
+/// Access `slot(subs)`. Over a doall's box (`vars`, not `hoist`) each
+/// loop variable subscripts its dimension, in order, as `var ± c`.
+/// Otherwise one subscript names the loop variable — in a loop (`hoist`),
+/// as `var ± c` — or, over lines, none does, and the others are scalars:
+/// they read no element, call nothing and name no loop variable.
+fn access<'e>(
+    slot: Slot,
+    subs: impl ExactSizeIterator<Item = Option<&'e RExpr>>,
+    vars: &[Slot],
+    hoist: bool,
+) -> Option<Access> {
+    let mut a = Access::default();
+    if !hoist && !vars.is_empty() {
+        (a.slot, a.off) = (slot, offsets(subs, vars)?);
+        return Some(a);
+    }
+    (a.slot, a.subs) = (slot, subs.map(|e| e.cloned()).collect::<Option<_>>()?);
+    let names = |e: &RExpr| any_expr(e, &mut |n| matches!(n, Node::Name(s) if vars.contains(&s)));
+    let element = |e: &RExpr| any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))));
+    a.along = a.subs.iter().position(names);
+    let scalar = |(d, e): (usize, &RExpr)| Some(d) == a.along || !names(e) && !element(e);
+    let var = a
+        .along
+        .map_or(!hoist, |d| offset(&a.subs[d], vars[0]).is_some());
+    (var && a.subs.iter().enumerate().all(scalar)).then_some(a)
 }
 
 /// The offsets `c` of subscripts `var ± c`, one per loop variable, placed
@@ -392,7 +460,8 @@ impl<'k> Placed<'k> {
         whole: impl Fn(Slot) -> Option<ArrRef>,
     ) -> Option<Placed<'k>> {
         let arity = ranges.len();
-        let (target, on) = (Addr::of(&whole(k.stmts[0].target)?, arity)?, whole(on)?);
+        let target = Addr::of(&whole(k.stmts[0].target.slot)?, arity)?;
+        let on = whole(on)?;
         let (t, o) = (target.base.borrow(), on.borrow());
         (t.layout == o.layout && t.bounds == o.bounds).then_some(())?;
         drop((t, o));
@@ -409,7 +478,7 @@ impl<'k> Placed<'k> {
         inside(&target, &loops, [0; 2]).then_some(())?;
         let bx = meet(&loops, &target.owned(me, false)?);
         let (mut interior, mut reads) = (bx, Vec::with_capacity(k.reads.len()));
-        for &(slot, off) in &k.reads {
+        for &Access { slot, off, .. } in &k.reads {
             let f = Addr::of(&whole(slot)?, arity)?;
             let owned = f.owned(me, true)?;
             inside(&f, &bx, off).then_some(())?;
@@ -611,7 +680,7 @@ impl<'k> Placed<'k> {
                         out[at..at + len].copy_from_slice(result);
                     }
                 });
-                proc.compute_each(k.stmts[0].flops, count);
+                proc.compute_each(&k.flops, count);
             }
             Body::Csr {
                 structure, x, x_at, ..
@@ -690,26 +759,34 @@ pub(crate) struct Strided {
 }
 
 impl Strided {
-    /// Reference `view(lo..=hi)` of a rank-1 view: both ends translate
+    /// Reference `view(subs)` for subscript `along` from `lo` to `hi`,
+    /// `subs` one subscript per dimension of the view: both ends translate
     /// through the view into the array's bounds, as the walker's accesses
     /// do (then so does everything between). With `owner`, every element
     /// must also be that rank's: along a contiguous dimension what a rank
     /// owns is an interval, so the ends decide; elsewhere every element
     /// is tested. An empty range references nothing.
-    pub(crate) fn of(view: &View, (lo, hi): (i64, i64), owner: Option<usize>) -> Option<Strided> {
+    pub(crate) fn of(
+        view: &View,
+        subs: &[i64],
+        along: usize,
+        (lo, hi): (i64, i64),
+        owner: Option<usize>,
+    ) -> Option<Strided> {
         let b = view.base.borrow();
-        (view.ndims() == 1).then_some(())?;
-        let dim = view
-            .map
-            .iter()
-            .position(|m| matches!(m, ViewDim::Range(..)))?;
+        (view.ndims() == subs.len()).then_some(())?;
+        let ranged = view.map.iter().enumerate();
+        let mut ranged = ranged.filter(|(_, m)| matches!(m, ViewDim::Range(..)));
+        let dim = ranged.nth(along)?.0;
         if hi < lo {
             let (base, at, step) = (view.base.clone(), 0, 1);
             return Some(Strided { base, at, step });
         }
-        let mut base_idxs = [0; MAX_RANK];
+        let (mut idxs, mut base_idxs) = ([0; MAX_RANK], [0; MAX_RANK]);
+        idxs[..subs.len()].copy_from_slice(subs);
         let mut flat = |i: i64| {
-            let idxs = view.to_base_into(&[i; MAX_RANK], 1, &mut base_idxs).ok()?;
+            idxs[along] = i;
+            let idxs = view.to_base_into(&idxs, subs.len(), &mut base_idxs).ok()?;
             let mine = owner.is_none_or(|me| b.owned_by(me, idxs));
             mine.then(|| b.flat(idxs).ok())?
         };
@@ -751,56 +828,82 @@ impl Strided {
     }
 }
 
-/// A compiled loop's buffers, reused execution after execution: chunk-long
-/// registers and per-read rows, and the placed references — the reads,
-/// then one target per assignment.
+/// A compiled loop's or element run's buffers, reused execution after
+/// execution: chunk-long registers and per-read rows, the placed
+/// references — the reads, then one target per assignment — and their
+/// evaluated subscripts.
 #[derive(Default)]
 pub(crate) struct LoopScratch {
     regs: Vec<Vec<f64>>,
     rows: Vec<Vec<f64>>,
     refs: Vec<Strided>,
+    subs: Vec<i64>,
 }
 
 impl LoopScratch {
-    /// Place `k` on one execution over `lo..=hi` (not empty) for rank
-    /// `me`, `view` the view a slot is bound to, if it is a real array.
-    /// `None` — the walker runs, and reports what it reports — unless
-    /// every reference is placed ([`Strided::of`]), `me` owns every
-    /// element written (and, with `owned_reads`, every element read), and
-    /// nothing written is also read at another address: by a reference
-    /// with another sequence, or by an invariant.
+    /// Evaluate by `f` the subscripts of `k`'s accesses, a loop
+    /// variable's at its first value: `false` if one fails.
+    pub(crate) fn eval(&mut self, k: &Kernel, mut f: impl FnMut(&RExpr) -> Option<i64>) -> bool {
+        self.subs.clear();
+        let mut subs = k.refs().flat_map(|r| &r.subs);
+        subs.all(|e| f(e).map(|v| self.subs.push(v)).is_some())
+    }
+
+    /// Place `k` on one execution for rank `me`, on the subscripts
+    /// [`LoopScratch::eval`] evaluated, `view` the view a slot is
+    /// bound to, if it is a real array: a loop over `Some((lo, hi))` (not
+    /// empty), or a run of element assignments over a batch's lines, one
+    /// iteration a line, each reference moving `step(slot)` elements from
+    /// line to line. `None` — the walker runs, and reports what it reports
+    /// — unless every reference is placed ([`Strided::of`]), `me` owns every
+    /// element written (and, with `owned_reads`, every element read), and,
+    /// in a loop, nothing written is also read at another address: by a
+    /// reference with another sequence, or by an invariant. Over lines a
+    /// line steps forwards, and what one line references no other does
+    /// ([`crate::interp`]'s lift): only each line's own order matters.
     pub(crate) fn place<'v>(
         &mut self,
         k: &Kernel,
-        (lo, hi): (i64, i64),
+        range: Option<(i64, i64)>,
         me: usize,
         owned_reads: bool,
         view: impl Fn(Slot) -> Option<&'v View>,
+        step: impl Fn(Slot) -> isize,
     ) -> Option<()> {
         self.refs.clear();
-        let reader = owned_reads.then_some(me);
-        let reads = k.reads.iter().map(|&(slot, off)| (slot, off, reader));
-        let targets = k.stmts.iter().map(|a| (a.target, a.off, Some(me)));
-        for (slot, [_, c], owner) in reads.chain(targets) {
-            let range = (lo.checked_add(c)?, hi.checked_add(c)?);
-            self.refs.push(Strided::of(view(slot)?, range, owner)?);
+        let span = range.map_or(Some(0), |(lo, hi)| hi.checked_sub(lo))?;
+        let mut subs = &self.subs[..];
+        for (i, r) in k.refs().enumerate() {
+            let owner = (owned_reads || i >= k.reads.len()).then_some(me);
+            let at;
+            (at, subs) = subs.split_at(r.subs.len());
+            let along = r.along.unwrap_or(0);
+            let first = *at.get(along)?;
+            let ends = (first, first.checked_add(span)?);
+            let mut s = Strided::of(view(r.slot)?, at, along, ends, owner)?;
+            if range.is_none() {
+                s.step = usize::try_from(step(r.slot)).ok().filter(|&s| s > 0)?;
+            }
+            self.refs.push(s);
         }
         let (reads, targets) = self.refs.split_at(k.reads.len());
-        let clash = targets.iter().any(|w| {
-            let elsewhere =
-                |r: &Strided| Rc::ptr_eq(&r.base, &w.base) && (r.at, r.step) != (w.at, w.step);
-            let mut names_w = |n: Node| match n {
-                Node::Name(s) => view(s).is_some_and(|v| Rc::ptr_eq(&v.base, &w.base)),
-                _ => false,
-            };
-            reads.iter().chain(targets).any(elsewhere)
-                || k.invariants.iter().any(|(_, e)| any_expr(e, &mut names_w))
-        });
+        let clash = range.is_some()
+            && targets.iter().any(|w| {
+                let elsewhere =
+                    |r: &Strided| Rc::ptr_eq(&r.base, &w.base) && (r.at, r.step) != (w.at, w.step);
+                let mut names_w = |n: Node| match n {
+                    Node::Name(s) => view(s).is_some_and(|v| Rc::ptr_eq(&v.base, &w.base)),
+                    _ => false,
+                };
+                reads.iter().chain(targets).any(elsewhere)
+                    || k.invariants.iter().any(|(_, e)| any_expr(e, &mut names_w))
+            });
         (!clash).then_some(())?;
-        self.regs.resize_with(k.regs, Vec::new);
-        self.rows.resize_with(k.reads.len(), Vec::new);
-        for r in self.regs.iter_mut().chain(&mut self.rows) {
-            r.resize(CHUNK, 0.0);
+        // Kept however few the next kernel needs: kernels take turns.
+        for (bufs, n) in [(&mut self.regs, k.regs), (&mut self.rows, k.reads.len())] {
+            if bufs.len() < n {
+                bufs.resize_with(n, || vec![0.0; CHUNK]);
+            }
         }
         Some(())
     }
@@ -808,10 +911,8 @@ impl LoopScratch {
     /// Move every placed reference `step(slot)` elements along its array:
     /// to the next line of a batch.
     pub(crate) fn next_line(&mut self, k: &Kernel, step: impl Fn(Slot) -> isize) {
-        let slots = k.reads.iter().map(|r| r.0);
-        let slots = slots.chain(k.stmts.iter().map(|a| a.target));
-        for (r, slot) in self.refs.iter_mut().zip(slots) {
-            r.advance(step(slot));
+        for (s, r) in self.refs.iter_mut().zip(k.refs()) {
+            s.advance(step(r.slot));
         }
     }
 
@@ -824,7 +925,7 @@ impl LoopScratch {
     /// chunk statement by statement: each assignment's reads are loaded
     /// after the previous one's writes are stored.
     pub(crate) fn run(&mut self, k: &Kernel, n: usize) {
-        let LoopScratch { regs, rows, refs } = self;
+        let (regs, rows, refs) = (&mut self.regs, &mut self.rows, &self.refs);
         let (reads, targets) = refs.split_at(k.reads.len());
         for start in (0..n).step_by(CHUNK) {
             let len = CHUNK.min(n - start);
@@ -861,6 +962,8 @@ impl LoopScratch {
 thread_local! {
     /// The CSR rows [`csr_rows`] visited on this thread (a processor's).
     pub(crate) static CSR_ROWS_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// The element assignments the interpreter walked on this thread.
+    pub(crate) static WALKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -1128,7 +1231,7 @@ mod tests {
                 let hi = lo + below(b - a + 2) - 1;
                 for me in 0..p {
                     for owner in [None, Some(me)] {
-                        let ours = Strided::of(&view, (lo, hi), owner)
+                        let ours = Strided::of(&view, &[lo], 0, (lo, hi), owner)
                             .map(|s| (0..=hi - lo).map(|t| s.flat(t as usize)).collect::<Vec<_>>());
                         let arr = base.borrow();
                         let each = (lo..=hi).map(|i| {

@@ -14,7 +14,7 @@ use kali_grid::{DimDist, DimMap, DistSpec};
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::{Diagnostic, Span};
-use crate::lower::compile_loop;
+use crate::lower::{compile_loop, compile_runs};
 use crate::resolve::*;
 use crate::token::{lex, SpannedTok, Tok};
 use crate::value::Value;
@@ -39,6 +39,7 @@ pub fn parse(src: &str) -> PResult<Program> {
         decls: Vec::new(),
         declared: Vec::new(),
         depth: 0,
+        team_callees: Vec::new(),
     };
     p.program()
 }
@@ -76,6 +77,8 @@ struct Parser<'a> {
     declared: Vec<Declared>,
     /// How many `doall` bodies enclose the cursor.
     depth: usize,
+    /// The subroutines a parallel call inside a doall names.
+    team_callees: Vec<usize>,
 }
 
 /// What ended a statement block.
@@ -250,6 +253,14 @@ impl Parser<'_> {
         while !matches!(self.peek(), Tok::Eof) {
             code.push(self.subroutine()?);
             self.skip_eols();
+        }
+        // A batch of lines runs a team call's callee.
+        let mut lifted = std::mem::take(&mut self.team_callees);
+        lifted.sort_unstable();
+        lifted.dedup();
+        lifted.retain(|&k| code[k].lockstep);
+        for k in lifted {
+            compile_runs(&mut code[k].body);
         }
         Ok(Program {
             src: self.src.to_string(),
@@ -463,6 +474,7 @@ impl Parser<'_> {
                 rhs,
                 flops,
                 at,
+                run: None,
             },
         })
     }
@@ -683,6 +695,9 @@ impl Parser<'_> {
         let (args, on) = self.list_and_tail(Self::call_arg, Self::proc_expr)?;
         self.expect_eol()?;
         let sub = self.heads.iter().position(|(s, _)| *s == name);
+        if self.depth > 0 && sub.is_some_and(|k| self.heads[k].1) {
+            self.team_callees.extend(sub);
+        }
         let callee = match (Builtin::of(&name), sub) {
             (Some(b), _) => Callee::Builtin(b),
             (None, Some(k)) => Callee::Sub(k),

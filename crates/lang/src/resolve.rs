@@ -210,12 +210,16 @@ pub(crate) enum RStmt {
         flops: f64,
         at: At,
     },
+    /// `run` is the kernel over the line axis of the run of element
+    /// assignments this one begins, if it is in the class
+    /// ([`crate::lower::compile_runs`]).
     AssignElement {
         slot: Slot,
         subs: Vec<RExpr>,
         rhs: RExpr,
         flops: f64,
         at: At,
+        run: Option<Box<Kernel>>,
     },
     /// `kernel` is the loop compiled as a strided kernel when its text is
     /// in the class ([`crate::lower::compile_loop`]); the interpreter runs
@@ -247,6 +251,18 @@ pub(crate) enum RStmt {
         parallel: bool,
     },
     Return,
+}
+
+impl RStmt {
+    /// Does a batch of lines run this statement line after line
+    /// ([`crate::interp`])? An element assignment does, and so does a call
+    /// of anything but a builtin the batch calls once.
+    pub(crate) fn by_line(&self) -> bool {
+        match self {
+            RStmt::Call { callee, .. } => !callee.lifts(),
+            s => matches!(s, RStmt::AssignElement { .. }),
+        }
+    }
 }
 
 /// One occurrence of a name in a doall body, placed: whether it sits in
@@ -1149,7 +1165,7 @@ tri lockstep true
     keyed m k ip
     plan none
     cacheable true kind walk
-  do k kernel false
+  do k kernel true
   doall 2
     reads wy ip? wb wa wc wf m
     names ip m wa wb wc wf wy
@@ -1211,7 +1227,7 @@ tric lockstep true
     keyed m k ip
     plan none
     cacheable true kind walk
-  do k kernel false
+  do k kernel true
   doall 6
     reads wy ip? wb wa wc wf m
     names ip m wa wb wc wf wy

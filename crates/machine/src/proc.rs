@@ -323,17 +323,26 @@ impl Proc {
         self.stats.flops += flops;
     }
 
-    /// [`Proc::compute`]`(flops)`, `times` times over: the same clock and
-    /// counters, bit for bit, as that many calls, for a caller that runs
-    /// a batch of equal iterations at once.
-    pub fn compute_each(&mut self, flops: f64, times: usize) {
-        debug_assert!(flops >= 0.0);
-        let dt = self.backend.flop_seconds(&self.cfg.cost, flops);
-        for _ in 0..times {
-            self.clock += dt;
-            self.stats.busy += dt;
-            self.stats.flops += flops;
+    /// [`Proc::compute`] of each entry of `pattern` in turn, `times` times
+    /// over: the same clock and counters, bit for bit, as those calls. The
+    /// backend is asked once per entry (of a pattern up to 16 long).
+    pub fn compute_each(&mut self, pattern: &[f64], times: usize) {
+        let mut dts = [0.0; 16];
+        let Some(dts) = dts.get_mut(..pattern.len()) else {
+            return (0..times).for_each(|_| pattern.iter().for_each(|&f| self.compute(f)));
+        };
+        for (dt, &flops) in dts.iter_mut().zip(pattern) {
+            debug_assert!(flops >= 0.0);
+            *dt = self.backend.flop_seconds(&self.cfg.cost, flops);
         }
+        // The sums run in locals, and a single entry in a loop of its own.
+        let (mut clock, mut busy, mut flops) = (self.clock, self.stats.busy, self.stats.flops);
+        let mut add = |dt: f64, f: f64| (clock, busy, flops) = (clock + dt, busy + dt, flops + f);
+        match (&*dts, pattern) {
+            (&[dt], &[f]) => (0..times).for_each(|_| add(dt, f)),
+            _ => (0..times).for_each(|_| dts.iter().zip(pattern).for_each(|(&d, &f)| add(d, f))),
+        }
+        (self.clock, self.stats.busy, self.stats.flops) = (clock, busy, flops);
     }
 
     /// Charge a local memory movement of `words` 8-byte words.
@@ -693,18 +702,28 @@ mod tests {
         let _ = Team::new(vec![]);
     }
 
+    /// An interleaved pattern of unequal flops — one that fits the stack
+    /// buffer, one that does not, and none — charges what the calls it
+    /// stands for charge, in their order: charged entry by entry instead,
+    /// the clock reads other bits.
     #[test]
     fn compute_each_charges_exactly_like_repeated_computes() {
-        let run = crate::Machine::run(crate::MachineConfig::new(2), |proc| {
-            if proc.rank() == 0 {
-                (0..1000).for_each(|_| proc.compute(0.7));
-            } else {
-                proc.compute_each(0.7, 1000);
+        let short = [0.7, 3.0, 0.1, 0.001, 5.0];
+        let long: Vec<f64> = (0..20).map(|k| 0.3 + k as f64 * 0.7).collect();
+        for pattern in [&short[..], &long, &[]] {
+            let run = crate::Machine::run(crate::MachineConfig::new(3), |proc| {
+                match proc.rank() {
+                    0 => (0..1000).for_each(|_| pattern.iter().for_each(|&f| proc.compute(f))),
+                    1 => proc.compute_each(pattern, 1000),
+                    _ => pattern.iter().for_each(|&f| proc.compute_each(&[f], 1000)),
+                }
+                let s = proc.stats();
+                [proc.clock(), s.busy, s.flops].map(f64::to_bits)
+            });
+            assert_eq!(run.results[0], run.results[1], "{pattern:?}");
+            if !pattern.is_empty() {
+                assert_ne!(run.results[0][0], run.results[2][0], "{pattern:?}");
             }
-            let s = proc.stats();
-            [proc.clock(), s.busy, s.flops].map(f64::to_bits)
-        });
-        assert_ne!(run.results[0][0], 0);
-        assert_eq!(run.results[0], run.results[1]);
+        }
     }
 }

@@ -687,6 +687,152 @@ proptest! {
     }
 }
 
+/// A right-hand side over `reads`, linear so that every value stays
+/// finite: one to three terms — a read, scaled by a constant or the real
+/// `sc`, divided by one of `divisors` (never written, every value ≥ 1), or
+/// negated, or an Int or Real invariant — under `+` and `−`.
+fn linear(g: &mut Gen, reads: &[&str], divisors: &[&str]) -> String {
+    let pick = |g: &mut Gen, from: &[&str]| from[g.below(from.len() as u64) as usize].to_string();
+    let mut rhs = String::new();
+    for t in 0..1 + g.below(3) {
+        let read = pick(g, reads);
+        let term = match g.below(6) {
+            0 => read,
+            1 => format!("0.5*{read}"),
+            2 => format!("{read} / {}", pick(g, divisors)),
+            3 => format!("(-{read})"),
+            4 => format!("{read}*sc"),
+            _ => pick(g, &["kk", "sc", "1.25", "kk*ip - 1"]),
+        };
+        rhs = match t {
+            0 => term,
+            _ => format!("{rhs} {} {term}", ["+", "-"][g.below(2) as usize]),
+        };
+    }
+    rhs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random `tric`-like callees of a team call over the rows or the
+    /// columns of 2-D block arrays, on every grid of one to four
+    /// processors: runs of one to eight element assignments with scalar
+    /// subscripts, on line sections and dynamic arrays (`x(lo)`,
+    /// `rb(2*ip)`, `wb(2*q, ip)`), `if`-guarded single assignments, and a
+    /// loop over rank-2 references (`wb(k, ip) = rb(k)`). Compiled over the
+    /// line axis, they compute, communicate and charge exactly what their
+    /// twin does whose right-hand sides are wrapped in `min(…, 1.0e300)` —
+    /// the same value and flops, out of the class, so every run and loop is
+    /// walked — on both backends under every policy square; and they
+    /// compute the bits of line-by-line execution (a line-index argument),
+    /// on fewer or as many messages. Now and then a read is subscripted by
+    /// elements (`y(hi - abs(mod(8*x(lo), 2)))`, which differs from line to
+    /// line), which takes its run back to the walker; reads of another
+    /// member's `rb(1)` or `x(1)` do so in the inspector, and so does a
+    /// doall of many iterations a rank (`y(k) = …` on `owner(y(k))`), whose
+    /// writes are logged, always.
+    #[test]
+    fn element_runs_match_line_by_line_bitwise(
+        seed in 0u64..1_000_000,
+        p in 1usize..5,
+        policy in 0usize..4,
+        niter in 1i64..3,
+        rows in 0usize..2,
+    ) {
+        let mut g = Gen(seed);
+        let grid = match p {
+            4 if g.below(2) == 0 => vec![2, 2],
+            _ if g.below(2) == 0 => vec![p, 1],
+            _ => vec![1, p],
+        };
+        let n = 8 + g.below(33) as usize;
+        let line = ["i, *", "*, i"][rows];
+        let defeat = g.below(3) == 0;
+        let run = |g: &mut Gen, len: u64, targets: &[&str], reads: &[&str]| {
+            let mut reads = reads.to_vec();
+            if defeat {
+                reads.push("y(hi - abs(mod(8*x(lo), 2)))");
+            }
+            (0..1 + g.below(len))
+                .map(|_| {
+                    let t = targets[g.below(targets.len() as u64) as usize];
+                    (t.to_string(), linear(g, &reads, &["d(lo)", "d(hi)"]))
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = run(
+            &mut g,
+            8,
+            &["x(lo)", "x(hi)", "y(lo)", "r(lo)", "r(hi)", "rb(2*ip - 1)", "rb(2*ip)", "ra(2*ip)"],
+            &["x(lo)", "x(hi)", "y(lo)", "y(hi)", "r(lo)", "r(hi)", "rb(2*ip - 1)", "rb(2*ip)", "rb(1)", "x(1)"],
+        );
+        let guarded = run(&mut g, 2, &["x(lo)", "y(hi)", "rb(2*ip)"], &["x(lo)", "y(hi)", "r(lo)"]);
+        let gather = run(&mut g, 3, &["wb(k, ip)", "wc(k, ip)"], &["rb(k)", "ra(k)", "rb(2*ip)"]);
+        let last = run(
+            &mut g,
+            8,
+            &["x(lo)", "x(hi)", "y(hi)"],
+            &["wb(1, ip)", "wb(2*q, ip)", "wb(2*ip - 1, ip)", "wc(2*ip, ip)", "x(lo)", "y(lo)"],
+        );
+        let program = |walk: bool, scalar: &str| {
+            let assign = |(t, rhs): &(String, String)| match walk {
+                true => format!("{t} = min({rhs}, 1.0e300)"),
+                false => format!("{t} = {rhs}"),
+            };
+            let block = |stmts: &[(String, String)], indent: &str| {
+                let lines: Vec<String> = stmts.iter().map(|s| format!("{indent}{}", assign(s))).collect();
+                lines.join("\n")
+            };
+            let guards = ["lo .eq. 1", "hi .eq. n"];
+            let guarded: Vec<String> = (guarded.iter().zip(guards))
+                .map(|(s, c)| format!("    if ({c}) {}", assign(s)))
+                .collect();
+            format!(
+                "parsub gen(u, v, dd, n, niter; procs)\n  processors procs(p1, p2)\n  \
+                 real u(n, n), v(n, n), dd(n, n) dist (block, block)\n  \
+                 kk = 3\n  sc = 0.375\n  do 1000 it = 1, niter\n    \
+                 doall 200 i = 1, n on owner(u({line}))\n      \
+                 call line(u({line}), v({line}), dd({line}), n, kk, sc{scalar}; owner(u({line})))\n\
+                 200 continue\n1000 continue\nend\n\n\
+                 parsub line(x, y, d, n, kk, sc{scalar}; procs)\n  processors procs(q)\n  \
+                 real x(n), y(n), d(n) dist (block)\n  \
+                 dynamic real r(n), rb(2*q), ra(2*q) dist (block)\n  \
+                 dynamic real wb(2*q, q), wc(2*q, q) dist (*, block)\n  integer lo, hi\n  \
+                 doall 100 ip = 1, q on procs(ip)\n    lo = lower(x, procs(ip))\n    \
+                 hi = upper(x, procs(ip))\n    do 40 k = lo, hi\n      r(k) = 0.25*k + x(k)\n\
+                 40  continue\n{}\n{}\n100 continue\n  doall 300 ip = 1, q on procs(ip)\n    \
+                 do 250 k = 1, 2*q\n{}\n250 continue\n300 continue\n  \
+                 doall 400 ip = 1, q on procs(ip)\n    lo = lower(x, procs(ip))\n    \
+                 hi = upper(x, procs(ip))\n{}\n400 continue\n  \
+                 doall 600 k = 2, n - 1 on owner(y(k))\n    {}\n    {}\n600 continue\n  \
+                 return\nend\n",
+                block(&first, "    "),
+                guarded.join("\n"),
+                block(&gather, "      "),
+                block(&last, "    "),
+                assign(&("y(k)".into(), "0.5*y(k) + 0.25*(y(k - 1) + y(k + 1))".into())),
+                assign(&("r(k)".into(), "y(k) - sc*x(k)".into())),
+            )
+        };
+        let (compiled, walked, per_line) = (program(false, ""), program(true, ""), program(false, ", i"));
+        let array = |f: fn(usize) -> f64| HostValue::Array {
+            data: (0..n * n).map(f).collect(),
+            bounds: vec![(1, n as i64); 2],
+        };
+        let args = [
+            array(|k| (k % 13) as f64 * 0.125 - 0.5),
+            array(|k| (k % 5) as f64 * 0.75 + 0.25),
+            array(|k| 1.0 + (k % 7) as f64 * 0.25),
+            HostValue::Int(n as i64),
+            HostValue::Int(niter),
+        ];
+        twins_agree(&compiled, &walked, &grid, &args, policy, true);
+        let [a, b] = twins_agree(&compiled, &per_line, &grid, &args, policy, false);
+        prop_assert!(a.total_msgs <= b.total_msgs, "{} > {}\n{}", a.total_msgs, b.total_msgs, compiled);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
