@@ -241,32 +241,7 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 
     /// Overwrite every owned element from a function of global indices.
     pub fn fill_with(&mut self, f: impl Fn([usize; N]) -> T) {
-        if !self.is_participant() {
-            return;
-        }
-        let mut idx = [0usize; N];
-        self.for_each_owned_rec(0, &mut idx, &mut |a, g| {
-            let v = f(g);
-            let di = a.storage_index_owned(g);
-            a.data[di] = v;
-        });
-    }
-
-    fn for_each_owned_rec(
-        &mut self,
-        d: usize,
-        idx: &mut [usize; N],
-        f: &mut impl FnMut(&mut Self, [usize; N]),
-    ) {
-        if d == N {
-            let g = *idx;
-            f(self, g);
-            return;
-        }
-        for li in 0..self.len[d] {
-            idx[d] = self.dists[d].local_to_global(self.qs[d], li);
-            self.for_each_owned_rec(d + 1, idx, f);
-        }
+        self.map_owned(|g, _| f(g));
     }
 
     /// Does this processor belong to the grid *and* own a non-empty block?
@@ -624,10 +599,9 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         if !self.is_participant() {
             return;
         }
-        let mut idx = [0usize; N];
-        self.for_each_owned_rec(0, &mut idx, &mut |a, g| {
-            let s = a.storage_index_owned(g);
-            a.data[s] = f(g, a.data[s]);
+        cartesian(&self.owned_lists(self.rank), |g| {
+            let s = self.storage_index_owned(g);
+            self.data[s] = f(g, self.data[s]);
         });
     }
 
@@ -636,28 +610,36 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         if !self.is_participant() {
             return;
         }
-        // Iterative over a clone of the index lists to keep `self` shared.
-        let lists: Vec<Vec<usize>> = (0..N).map(|d| self.owned_indices(d)).collect();
-        let mut counters = [0usize; N];
-        'outer: loop {
-            let mut idx = [0usize; N];
-            for d in 0..N {
-                idx[d] = lists[d][counters[d]];
+        cartesian(&self.owned_lists(self.rank), |g| {
+            f(g, self.data[self.storage_index_owned(g)])
+        });
+    }
+}
+
+/// Visit the cartesian product of per-dimension index lists in
+/// lexicographic order.
+pub(crate) fn cartesian<const N: usize>(lists: &[Vec<usize>; N], mut f: impl FnMut([usize; N])) {
+    if lists.iter().any(|l| l.is_empty()) {
+        return;
+    }
+    let mut counters = [0usize; N];
+    'outer: loop {
+        let mut idx = [0usize; N];
+        for d in 0..N {
+            idx[d] = lists[d][counters[d]];
+        }
+        f(idx);
+        let mut d = N;
+        loop {
+            if d == 0 {
+                break 'outer;
             }
-            f(idx, self.data[self.storage_index_owned(idx)]);
-            // Odometer increment.
-            let mut d = N;
-            loop {
-                if d == 0 {
-                    break 'outer;
-                }
-                d -= 1;
-                counters[d] += 1;
-                if counters[d] < lists[d].len() {
-                    break;
-                }
-                counters[d] = 0;
+            d -= 1;
+            counters[d] += 1;
+            if counters[d] < lists[d].len() {
+                break;
             }
+            counters[d] = 0;
         }
     }
 }

@@ -262,19 +262,14 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// The halo's schedule builder (infallible, in the shape the trip
     /// driver calls): derive the ghost [`CommSchedule`] analytically and
     /// charge the walk (every relevant rank's storage box) to the virtual
-    /// clock as inspection work, mirroring the interpreter's inspector
-    /// pass.
+    /// clock, which the driver counts as inspection.
     fn build_halo_schedule(
         &self,
         proc: &mut Proc,
         corners: bool,
     ) -> Result<CommSchedule, Infallible> {
-        let t0 = proc.clock();
-        proc.note_inspector_run();
         let (sched, cells_walked) = self.halo_schedule(corners);
         proc.memop(cells_walked as f64);
-        let dt = proc.clock() - t0;
-        proc.attribute_inspector_time(dt);
         Ok(sched)
     }
 

@@ -445,15 +445,13 @@ impl<T: Real> SparseCsr<T> {
     /// columns per owning peer (sorted, deduplicated), record the
     /// boundary rows, and run the request round so every peer learns
     /// which x-values to serve. The walk and the request round are
-    /// charged to the virtual clock as inspection time, mirroring the
-    /// interpreter's inspector pass.
+    /// charged to the virtual clock, which the driver counts as
+    /// inspection.
     fn build_gather_schedule(
         &self,
         proc: &mut Proc,
         x: &DistArray1<T>,
     ) -> Result<CommSchedule, Infallible> {
-        let t0 = proc.clock();
-        proc.note_inspector_run();
         let team = self.grid.team();
         let q = team.len();
         let xd = x.dist(0);
@@ -488,8 +486,6 @@ impl<T: Real> SparseCsr<T> {
         }
         proc.memop(self.local_nnz() as f64);
         let incoming = ScheduleExecutor::request_round(GATHER_REQUEST_TAG, proc, &team, &my_reqs);
-        let dt = proc.clock() - t0;
-        proc.attribute_inspector_time(dt);
         Ok(CommSchedule {
             arrays: vec![ArraySchedule {
                 name: "x".into(),

@@ -3,7 +3,7 @@
 use kali_grid::DistSpec;
 use kali_machine::{collective, Proc, Wire};
 
-use crate::arrays::{DistArrayN, Elem};
+use crate::arrays::{cartesian, DistArrayN, Elem};
 
 /// Sorted-set intersection of two increasing index lists.
 fn intersect(a: &[usize], b: &[usize]) -> Vec<usize> {
@@ -21,34 +21,6 @@ fn intersect(a: &[usize], b: &[usize]) -> Vec<usize> {
         }
     }
     out
-}
-
-/// Visit the cartesian product of per-dimension index lists in
-/// lexicographic order.
-fn cartesian<const N: usize>(lists: &[Vec<usize>; N], mut f: impl FnMut([usize; N])) {
-    if lists.iter().any(|l| l.is_empty()) {
-        return;
-    }
-    let mut counters = [0usize; N];
-    'outer: loop {
-        let mut idx = [0usize; N];
-        for d in 0..N {
-            idx[d] = lists[d][counters[d]];
-        }
-        f(idx);
-        let mut d = N;
-        loop {
-            if d == 0 {
-                break 'outer;
-            }
-            d -= 1;
-            counters[d] += 1;
-            if counters[d] < lists[d].len() {
-                break;
-            }
-            counters[d] = 0;
-        }
-    }
 }
 
 impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {

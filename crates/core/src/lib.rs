@@ -62,7 +62,7 @@ pub mod prelude {
     pub use kali_grid::{DimDist, DimMap, Dist1, DistSpec, ProcGrid};
     pub use kali_machine::{
         collective, tag, BackendKind, CostModel, Machine, MachineBuilder, MachineConfig,
-        PendingRecv, PendingSend, Proc, RunReport, Tag, Team, Topology, NS_USER,
+        PendingRecv, Proc, RunReport, Tag, Team, Topology, NS_USER,
     };
     pub use kali_runtime::{global_max_abs, global_norm2, Ctx, ExecPolicy, Ghosts, StencilPlan};
     pub use kali_solvers::Pde;

@@ -23,25 +23,27 @@
 //! | `A005` | provably non-owned writes under the declared distribution | owner-computes: every write in a `doall` must land on the executing processor |
 //! | `A006` | rank-dependent control flow guarding a collective | `doall`s, `distribute`s and parallel calls are collective; guarding one with a distributed-element read diverges the SPMD replica |
 //! | `A007` | dead / shadowed `distribute` statements | a redistribution no one reads before the next one only invalidates schedules and moves data for nothing |
+//! | `A008` | a `doall`'s subscript, section bound, `if` condition or `do` bound reading an element offset from the one the iteration owns | runtime resolution inspects before it exchanges: a value that steers communication must be local, or the inspector decides from a stale copy |
 //!
-//! `A005` and `A006` are deliberately conservative: they fire only on
-//! *provable* cases (constant processor selections, same-distribution
-//! constant-offset writes), under the standing assumption that the
-//! processor array has at least two processors — the degenerate
-//! single-processor machine owns everything and can violate nothing.
+//! `A005`, `A006` and `A008` are deliberately conservative: they fire
+//! only on *provable* cases (constant processor selections,
+//! same-distribution constant-offset writes and reads), under the
+//! standing assumption that the processor array has at least two
+//! processors — the degenerate single-processor machine owns everything
+//! and can violate nothing.
 //!
 //! **Static communication plans** ([`comm_plans`]): for `doall`s whose
 //! bodies are pure element assignments with subscript expressions free
 //! of array references (the affine-stencil class: Jacobi sweeps,
 //! shifts, residuals), the parser records a plan on the `doall` node —
 //! the compile-time equivalent of the inspector's `CommSchedule` — and
-//! [`comm_plans`] reports it as a [`StaticCommPlan`]. The plan lists
-//! every array element *read* the body performs, in evaluation order;
-//! the interpreter concretizes it against the live distributions and
-//! pre-seeds the schedule cache (`kali_sched::ScheduleCache::seed`), so
-//! an analyzable `doall`'s cold trip replays a compile-time schedule
-//! instead of running the inspector — the paper's observation that for
-//! loops whose communication pattern is statically analyzable the
+//! [`comm_plans`] reports it as a [`StaticCommPlan`]: the array of every
+//! element *read* the body performs, in evaluation order. Inspecting such
+//! a body reads no array value, so every processor can run every team
+//! member's inspector without communicating and pre-seed the schedule
+//! cache (`kali_sched::ScheduleCache::seed`): an analyzable `doall`'s
+//! cold trip replays instead of inspecting — the paper's observation that
+//! for loops whose communication pattern is statically analyzable the
 //! inspector adds no information, made executable.
 
 use std::collections::HashMap;
@@ -63,10 +65,9 @@ pub struct StaticRead {
 }
 
 /// A compile-time communication plan for one `doall` site: the complete
-/// list of element reads its body performs per iteration. Concretized
-/// against live bounds and distributions it reproduces exactly the
-/// needs the runtime inspector would discover, so the interpreter can
-/// seed the schedule cache before the loop's first trip.
+/// list of element reads its body performs per iteration. Its inspection
+/// is a function of SPMD-uniform data, so the interpreter can seed the
+/// schedule cache before the loop's first trip.
 #[derive(Debug, Clone)]
 pub struct StaticCommPlan {
     /// The `doall`'s parser-assigned site id (the schedule-cache index).
@@ -82,8 +83,14 @@ pub struct StaticCommPlan {
 pub fn analyze(prog: &Program) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for sub in &prog.code {
-        let mut c = Checker { prog, sub, diags };
-        c.stmts(&sub.body, None);
+        let mut c = Checker {
+            prog,
+            sub,
+            diags,
+            doall: None,
+            steers: false,
+        };
+        c.stmts(&sub.body);
         c.shadowed_distributes(&sub.body);
         diags = c.diags;
     }
@@ -105,7 +112,7 @@ pub fn comm_plans(prog: &Program) -> HashMap<usize, StaticCommPlan> {
                 ..
             })) = n
             {
-                let reads = reads.iter().map(|&(slot, _)| StaticRead {
+                let reads = reads.iter().map(|&slot| StaticRead {
                     name: sub.names[slot].clone(),
                 });
                 let plan = StaticCommPlan {
@@ -127,6 +134,11 @@ struct Checker<'p> {
     prog: &'p Program,
     sub: &'p RSub,
     diags: Vec<Diagnostic>,
+    /// The innermost `doall` around what is checked now.
+    doall: Option<&'p RDoall>,
+    /// What is checked now steers the `doall`'s communication: a
+    /// subscript, a section bound, an `if` condition or a `do` bound.
+    steers: bool,
 }
 
 impl<'p> Checker<'p> {
@@ -157,14 +169,13 @@ impl<'p> Checker<'p> {
 
     // ---------- statement walk ----------
 
-    /// `doall` is the innermost enclosing `doall`, if any.
-    fn stmts(&mut self, body: &'p [RStmt], doall: Option<&'p RDoall>) {
+    fn stmts(&mut self, body: &'p [RStmt]) {
         for s in body {
-            self.stmt(s, doall);
+            self.stmt(s);
         }
     }
 
-    fn stmt(&mut self, s: &'p RStmt, doall: Option<&'p RDoall>) {
+    fn stmt(&mut self, s: &'p RStmt) {
         match s {
             RStmt::AssignScalar { slot, rhs, at, .. } => {
                 self.expr(rhs);
@@ -191,20 +202,22 @@ impl<'p> Checker<'p> {
                 ..
             } => {
                 self.expr(rhs);
-                self.element_write(*slot, subs, at.0, doall);
+                self.element_write(*slot, subs, at.0);
             }
             RStmt::Do {
                 lo, hi, step, body, ..
             } => {
-                self.exprs([lo, hi].into_iter().chain(step));
-                self.stmts(body, doall);
+                self.steering([lo, hi].into_iter().chain(step));
+                self.stmts(body);
             }
             RStmt::Doall(d) => {
                 for (lo, hi, step) in &d.ranges {
                     self.exprs([lo, hi].into_iter().chain(step));
                 }
                 self.proc_expr(&d.on, d.at.0);
-                self.stmts(&d.body, Some(d));
+                let outer = self.doall.replace(d);
+                self.stmts(&d.body);
+                self.doall = outer;
             }
             RStmt::Distribute {
                 slot,
@@ -235,9 +248,9 @@ impl<'p> Checker<'p> {
                 }
             }
             RStmt::If(cond, then_body, else_body) => {
-                self.expr(cond);
+                self.steering([cond]);
                 // Inside a doall, iterations are already per-owner.
-                if doall.is_none()
+                if self.doall.is_none()
                     && self.reads_distributed_element(cond)
                     && (contains_collective(then_body) || contains_collective(else_body))
                 {
@@ -254,8 +267,8 @@ impl<'p> Checker<'p> {
                             .into(),
                     );
                 }
-                self.stmts(then_body, doall);
-                self.stmts(else_body, doall);
+                self.stmts(then_body);
+                self.stmts(else_body);
             }
             RStmt::Call {
                 callee,
@@ -268,14 +281,8 @@ impl<'p> Checker<'p> {
         }
     }
 
-    fn element_write(
-        &mut self,
-        slot: Slot,
-        subs: &'p [RExpr],
-        span: Span,
-        doall: Option<&'p RDoall>,
-    ) {
-        self.exprs(subs);
+    fn element_write(&mut self, slot: Slot, subs: &'p [RExpr], span: Span) {
+        self.steering(subs);
         let name = self.name(slot);
         if self.procs(slot).is_some() {
             self.diag(
@@ -306,7 +313,7 @@ impl<'p> Checker<'p> {
             return;
         }
         self.const_bounds(slot, subs);
-        if let Some(d) = doall {
+        if let Some(d) = self.doall {
             self.owner_write(slot, subs, span, d);
         }
     }
@@ -317,6 +324,14 @@ impl<'p> Checker<'p> {
         for e in es {
             self.expr(e);
         }
+    }
+
+    /// [`Checker::exprs`] on expressions that steer the communication of
+    /// the `doall` around them, if there is one.
+    fn steering(&mut self, es: impl IntoIterator<Item = &'p RExpr>) {
+        let outer = std::mem::replace(&mut self.steers, self.doall.is_some());
+        self.exprs(es);
+        self.steers = outer;
     }
 
     fn expr(&mut self, e: &'p RExpr) {
@@ -356,6 +371,7 @@ impl<'p> Checker<'p> {
                 );
                 return;
             }
+            self.remote_steering(slot, args, span);
             for a in args {
                 let Some(e) = a else {
                     self.diag(
@@ -365,7 +381,7 @@ impl<'p> Checker<'p> {
                     );
                     return;
                 };
-                self.expr(e);
+                self.steering([e]);
             }
             self.const_bounds(slot, args.iter().flatten());
         } else if self.procs(slot).is_some() {
@@ -492,8 +508,8 @@ impl<'p> Checker<'p> {
                 RArg::Section(slot, secs, at) => {
                     for sec in secs {
                         match sec {
-                            RSection::Index(e) => self.expr(e),
-                            RSection::Range(e1, e2) => self.exprs([e1, e2]),
+                            RSection::Index(e) => self.steering([e]),
+                            RSection::Range(e1, e2) => self.steering([e1, e2]),
                             RSection::All => {}
                         }
                     }
@@ -622,7 +638,7 @@ impl<'p> Checker<'p> {
     ///    different constant offset in a distributed dimension — the
     ///    aligned element is owned, the shifted one crosses a boundary.
     fn owner_write(&mut self, slot: Slot, subs: &[RExpr], span: Span, d: &RDoall) {
-        let Some((bounds, Some(dist))) = self.sub.array(slot) else {
+        let Some((_, Some(dist))) = self.sub.array(slot) else {
             return; // replicated: every processor owns every element
         };
         let name = self.name(slot);
@@ -658,50 +674,88 @@ impl<'p> Checker<'p> {
                     );
                 }
             }
-            RProcExpr::Owner(on_array, on_subs) => {
-                let Some((on_bounds, on_dist)) = self.sub.array(*on_array) else {
+            RProcExpr::Owner(..) => {
+                let Some((k, delta)) = self.off_owner(slot, subs.iter().map(Some), d) else {
                     return;
                 };
-                // Identical declared layout is what makes misalignment
-                // provable; different shapes or distributions need the
-                // runtime ownership map.
-                if on_dist != Some(dist) || on_bounds != bounds || on_subs.len() != subs.len() {
-                    return;
-                }
-                for (k, (ws, os)) in subs.iter().zip(on_subs).enumerate() {
-                    let Some(os) = os.as_ref().filter(|_| distributed(k)) else {
-                        continue;
-                    };
-                    let (Some(wa), Some(oa)) = (affine_of(ws, &d.vars), affine_of(os, &d.vars))
-                    else {
-                        continue;
-                    };
-                    if wa.var == oa.var
-                        && wa.var.is_some()
-                        && wa.coeff == oa.coeff
-                        && wa.offset != oa.offset
-                    {
-                        let delta = wa.offset.wrapping_sub(oa.offset);
-                        self.diag(
-                            "A005",
-                            span,
-                            format!(
-                                "write to `{name}` is offset by {delta} from the owner() \
-                                 subscript in distributed dimension {}",
-                                k + 1
-                            ),
-                        )
-                        .note = Some(format!(
-                            "iterations own the element at the owner() subscript; on >= 2 \
-                             processors the element {delta} away crosses a block boundary \
-                             for some iteration"
-                        ));
-                        return;
-                    }
-                }
+                self.diag(
+                    "A005",
+                    span,
+                    format!(
+                        "write to `{name}` is offset by {delta} from the owner() \
+                         subscript in distributed dimension {}",
+                        k + 1
+                    ),
+                )
+                .note = Some(format!(
+                    "iterations own the element at the owner() subscript; on >= 2 \
+                     processors the element {delta} away crosses a block boundary \
+                     for some iteration"
+                ));
             }
             RProcExpr::Whole(_) => {}
         }
+    }
+
+    /// The first distributed dimension in which element `subs` of `slot`
+    /// is offset from the element `d`'s `on owner(…)` names, and by how
+    /// much: both arrays have one declared layout — identical layout is
+    /// what makes misalignment provable; different shapes or distributions
+    /// need the runtime ownership map — and the two subscripts are the
+    /// same multiple of one loop variable plus different constants.
+    fn off_owner<'e>(
+        &self,
+        slot: Slot,
+        subs: impl ExactSizeIterator<Item = Option<&'e RExpr>>,
+        d: &RDoall,
+    ) -> Option<(usize, i64)> {
+        let (RProcExpr::Owner(on_array, on_subs), Some((bounds, Some(dist)))) =
+            (&d.on, self.sub.array(slot))
+        else {
+            return None;
+        };
+        let (on_bounds, on_dist) = self.sub.array(*on_array)?;
+        if on_dist != Some(dist) || on_bounds != bounds || on_subs.len() != subs.len() {
+            return None;
+        }
+        let distributed = |k: usize| dist.maps().get(k) != Some(&DimMap::Local);
+        subs.zip(on_subs).enumerate().find_map(|(k, (s, os))| {
+            let os = os.as_ref().filter(|_| distributed(k))?;
+            let (a, oa) = (affine_of(s?, &d.vars)?, affine_of(os, &d.vars)?);
+            let off = a.var.is_some() && a.var == oa.var && a.coeff == oa.coeff;
+            (off && a.offset != oa.offset).then(|| (k, a.offset.wrapping_sub(oa.offset)))
+        })
+    }
+
+    // ---------- A008: a remote value steering communication ----------
+
+    /// Flag element `args` of `slot` where it [steers](Checker::steers)
+    /// and is [offset](Checker::off_owner) from the element the iteration
+    /// owns: remote for some iteration on ≥ 2 processors, it is a stale
+    /// copy when the inspector, which runs before the exchange, reads it.
+    fn remote_steering(&mut self, slot: Slot, args: &[Option<RExpr>], span: Span) {
+        let d = self.doall.filter(|_| self.steers);
+        let Some((k, delta)) =
+            d.and_then(|d| self.off_owner(slot, args.iter().map(Option::as_ref), d))
+        else {
+            return;
+        };
+        let name = self.name(slot);
+        self.diag(
+            "A008",
+            span,
+            format!(
+                "`{name}` read {delta} away from the owner() element in distributed \
+                 dimension {} steers communication",
+                k + 1
+            ),
+        )
+        .note = Some(
+            "on >= 2 processors the element is remote for some iteration, and the inspector \
+             chooses what to fetch from a stale copy of it; read the value in a subscript, \
+             bound or condition only where the iteration owns it"
+                .into(),
+        );
     }
 
     // ---------- A006: SPMD divergence ----------
@@ -947,6 +1001,37 @@ mod tests {
         let live =
             format!("{HEADER}  distribute a (cyclic)\n  x = a(1)\n  distribute a (block)\nend\n");
         assert!(codes(&live).is_empty());
+    }
+
+    /// A008 flags a read offset from the owned element where it steers
+    /// communication — a subscript, an `if` condition, a `do` bound, a
+    /// section bound — and nowhere else.
+    #[test]
+    fn a008_offset_read_steering_communication() {
+        let doall = |body: &str| {
+            format!("{HEADER}  doall 100 i = 2, 7 on owner(a(i))\n{body}\n100 continue\nend\n")
+        };
+        for body in [
+            "    a(i) = b(a(i + 1))",
+            "    if (b(i - 1) .gt. 0.0) then\n      a(i) = 1.0\n    endif",
+            "    do 50 k = 1, a(i - 1)\n      x = k\n50  continue",
+            "    call reduce(a(i:i + 1), b(1:b(i + 1)), a(i:i + 1), a(i:i + 1), 2)",
+        ] {
+            assert_eq!(codes(&doall(body)), vec!["A008"], "{body}");
+        }
+        // Aligned, a value only, or a scalar: clean.
+        for body in [
+            "    a(i) = b(a(i))",
+            "    a(i) = b(i - 1) + b(i + 1)",
+            "    t = b(i - 1)\n    a(i) = t",
+        ] {
+            assert!(codes(&doall(body)).is_empty(), "{body}");
+        }
+        // Another layout proves nothing.
+        let other = "parsub t(a, b, n; procs)\n  processors procs(p)\n  real a(8) dist (block)\n  \
+                     real b(8) dist (cyclic)\n  doall 100 i = 2, 7 on owner(a(i))\n    \
+                     a(i) = a(b(i + 1))\n100 continue\nend\n";
+        assert!(codes(other).is_empty());
     }
 
     #[test]

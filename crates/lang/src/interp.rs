@@ -21,7 +21,12 @@
 //!   `CommSchedule` (request vectors in both directions, plus the
 //!   interior/boundary partition of the iteration set), and then
 //!   exchanges and executes synchronously — the runtime-resolution scheme
-//!   of the Kali project that the paper cites as \[11\]/\[17\];
+//!   of the Kali project that the paper cites as \[11\]/\[17\]. The
+//!   inspector only *records* what an element assignment's value reads:
+//!   before the exchange a remote element is a stale copy, so values are
+//!   the executor's, computed on fresh data, and so are their errors. A
+//!   scalar, a subscript, a condition or a bound steers communication and
+//!   is computed in the inspector too;
 //! * **executor reuse**: under an optimistic [`ExecPolicy`] (the
 //!   default) schedules are cached across invocations. When a
 //!   `doall` sits inside a sequential `do` loop and nothing that could
@@ -222,10 +227,11 @@ struct InspectState {
     /// Membership in `needs`, as (position in `needs`, flat): the dedupe
     /// is a set probe, not a scan of the list.
     seen: HashSet<(usize, usize)>,
-    /// Did the iteration currently being inspected read any remote
-    /// element? Reset per iteration; drives the interior/boundary
-    /// partition of the split-phase executor.
-    iter_touched_remote: bool,
+    /// The positions of the iterations that read a remote element, in
+    /// order — the boundary of the split-phase executor's partition — and
+    /// the position of the iteration being inspected.
+    boundary: Vec<usize>,
+    pos: usize,
     /// Writes the executor will buffer for my iterations (the schedule's
     /// `write_hint`): a cacheable body's control flow cannot depend on
     /// array values, so the inspector sees every write the executor will
@@ -235,7 +241,9 @@ struct InspectState {
 
 impl InspectState {
     fn record(&mut self, arr: &ArrRef, flat: usize) {
-        self.iter_touched_remote = true;
+        if self.boundary.last() != Some(&self.pos) {
+            self.boundary.push(self.pos);
+        }
         let known = self.needs.iter().position(|(a, _)| Rc::ptr_eq(a, arr));
         let k = known.unwrap_or_else(|| {
             self.needs.push((arr.clone(), Vec::new()));
@@ -498,6 +506,18 @@ impl ScheduleWorld<f64> for LangWorld {
     }
 }
 
+/// An array the inspector recorded remote reads of, with the reads, that
+/// is not on the exchange list: executed, they would read stale values.
+fn unfetched<'s>(
+    st: &'s InspectState,
+    arrays: &[ExchangeArray],
+) -> Option<&'s (ArrRef, Vec<usize>)> {
+    let listed = |arr: &ArrRef| arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr));
+    st.needs
+        .iter()
+        .find(|(arr, flats)| !flats.is_empty() && !listed(arr))
+}
+
 /// A doall iteration set, flat: `arity` loop-variable values per
 /// iteration, in iteration order. One allocation however many iterations,
 /// and comparing two sets is comparing two slices.
@@ -658,11 +678,13 @@ pub struct Interp<'a, 'p> {
     /// Keys made unequal to every other key so far: a NaN scalar, which
     /// equals nothing.
     nan_keys: usize,
-    /// Seed from compile-time communication plans ([`RDoall::plan`]):
-    /// before an analyzable site's cold trip the interpreter concretizes
-    /// its plan into a full `CommSchedule` and seeds the cache, so even
-    /// the first invocation replays instead of inspecting; sites without
-    /// a plan are untouched.
+    /// The rank the on-clause, ownership tests and the inspector speak
+    /// for: this processor's, but while the static seed walks a team
+    /// member's iterations, that member's ([`Interp::seed_schedule`]).
+    me: usize,
+    /// Seed the cache before a site with a plan ([`RDoall::plan`]) first
+    /// runs: the inspector walks every team member's iterations here, so
+    /// even the first trip replays; sites without a plan are untouched.
     static_seed: bool,
     /// Iterations of compiled `do` loops the inspector walked.
     #[cfg(test)]
@@ -676,6 +698,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// An interpreter for `prog` under the knobs of `opts`.
     pub fn new(proc: &'a mut Proc, prog: &'p Program, opts: RunOptions) -> Self {
         Interp {
+            me: proc.rank(),
             proc,
             prog,
             frames: Vec::new(),
@@ -697,7 +720,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     }
 
     fn me(&self) -> usize {
-        self.proc.rank()
+        self.me
     }
 
     fn frame(&self) -> &Frame<'p> {
@@ -1103,8 +1126,13 @@ impl<'a, 'p> Interp<'a, 'p> {
             } => {
                 #[cfg(test)]
                 crate::lower::WALKED.with(|n| n.set(n.get() + 1));
-                let v = self.eval(rhs)?;
-                self.write_element(*slot, subs, v.as_f64())?;
+                // The inspector records what the value reads; the value is
+                // the executor's, on fresh data.
+                let v = match self.mode {
+                    Mode::Inspect(_) => self.record_reads(rhs).map(|()| 0.0)?,
+                    _ => self.eval(rhs)?.as_f64(),
+                };
+                self.write_element(*slot, subs, v)?;
                 self.charge_assignment(*flops);
             }
             RStmt::If(cond, then_body, else_body) => {
@@ -1190,9 +1218,9 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// — `compute` per iteration per assignment in its order, and one write
     /// each for the commit's `memop`. In the inspector, when every element
     /// read is owned as well, the walk would record only what the
-    /// invariants read: they are evaluated once, in inspect mode, which
-    /// records it in the walk's first-touch order, and the writes are
-    /// counted. Returns the lines it ran: none where this execution's
+    /// invariants read: their reads are recorded once
+    /// ([`Interp::record_reads`]), in the walk's first-touch order, and
+    /// the writes are counted. Returns the lines it ran: none where this execution's
     /// bindings are outside the class or a subscript fails to evaluate, and
     /// none from the first where an invariant fails. Nothing is done for the
     /// rest but what an invariant recorded, which the walk records again:
@@ -1222,7 +1250,11 @@ impl<'a, 'p> Interp<'a, 'p> {
         for line in runs.filter(|_| placed) {
             self.set_lines(line..line + 1);
             let mut invariants = k.invariants.iter();
-            if !invariants.all(|(r, e)| self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok()) {
+            let filled = invariants.all(|(r, e)| match inspect {
+                true => self.record_reads(e).is_ok(),
+                false => self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok(),
+            });
+            if !filled {
                 break;
             }
             if !inspect {
@@ -1302,54 +1334,36 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// processor. A batch of lines' trip neither places nor seeds from a
     /// static plan.
     fn run_doall(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> RtResult<()> {
-        let (arity, lifted) = (bounds.len(), self.frame().lift.is_some());
-        let mut my_iters = IterSet {
-            arity,
-            ..IterSet::default()
-        };
+        let lifted = self.frame().lift.is_some();
         let placed = (!lifted).then(|| self.place(d, bounds)).flatten();
-        // Owner set per iteration — only when a static plan may seed this
-        // site: seeding simulates every team member's inspector pass, and
-        // the owner sets are its input.
-        let seeding = self.static_seed && d.plan.is_some() && !lifted;
-        let owners = match placed.is_some() {
-            true if !seeding => {
-                // The key reads the loop variables as the scan leaves
-                // them: at the last iteration (unit steps).
+        let my_iters = match placed {
+            None => self.scan(d, bounds)?,
+            // The key reads the loop variables as the scan leaves them: at
+            // the last iteration (unit steps).
+            Some(_) => {
                 if bounds.iter().all(|&(l, h, _)| l <= h) {
                     let last = [bounds[0].1, bounds.get(1).map_or(0, |b| b.1)];
                     self.set_loop_vars(d, &last[..bounds.len()]);
                 }
-                None
+                IterSet::default()
             }
-            _ => self.scan(d, bounds, seeding, &mut my_iters)?,
         };
-        let owners = owners.as_ref().map(|(iters, ranks)| (iters, &ranks[..]));
         self.doall_depth += 1;
         let result = match (&d.kind, &placed) {
-            (_, Some(p)) => self.run_inspector_executor(d, Work::Placed(p), owners),
+            (_, Some(p)) => self.run_inspector_executor(d, Work::Placed(p), bounds),
             // Team-call mode (Listing 7): members of each iteration's
             // owner set execute the body cooperatively — a batch of lines
             // at a time where the class allows.
             (Kind::Lines { batch }, None) => self.run_lines(d, &my_iters, *batch),
-            _ => self.run_inspector_executor(d, Work::Walk(&my_iters), owners),
+            _ => self.run_inspector_executor(d, Work::Walk(&my_iters), bounds),
         };
         self.doall_depth -= 1;
         result
     }
 
     /// The on-clause scan: enumerate the iterations (outer variable
-    /// first) and append those whose on-clause names this processor to
-    /// `my_iters` — and, with `keep`, list every iteration with its owner
-    /// set.
-    #[allow(clippy::type_complexity)]
-    fn scan(
-        &mut self,
-        d: &'p RDoall,
-        bounds: &[(i64, i64, i64)],
-        keep: bool,
-        my_iters: &mut IterSet,
-    ) -> RtResult<Option<(IterSet, Vec<Vec<usize>>)>> {
+    /// first) and list those whose on-clause names `me`.
+    fn scan(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> RtResult<IterSet> {
         let arity = bounds.len();
         let total = bounds
             .iter()
@@ -1358,32 +1372,21 @@ impl<'a, 'p> Interp<'a, 'p> {
             .fold(arity, usize::saturating_mul);
         // Presized from the loop bounds: the set is built without a
         // reallocation however it is distributed.
-        my_iters
-            .flat
-            .try_reserve(total)
+        let mut flat = Vec::new();
+        flat.try_reserve(total)
             .map_err(|_| "doall iteration set does not fit in memory".to_string())?;
-        let mut owners = keep.then(|| {
-            let iters = IterSet {
-                arity,
-                flat: Vec::with_capacity(total),
-            };
-            (iters, Vec::new())
-        });
         let (first, second) = (bounds[0], bounds.get(1).copied().unwrap_or((0, 0, 1)));
         for i in counted(first.0, first.1, first.2) {
             for j in counted(second.0, second.1, second.2) {
                 let it = [i, j];
                 let it = &it[..arity];
                 self.set_loop_vars(d, it);
-                if let Some((iters, _)) = &mut owners {
-                    iters.flat.extend_from_slice(it);
-                }
-                if self.on_clause_names_me(&d.on, owners.as_mut().map(|o| &mut o.1))? {
-                    my_iters.flat.extend_from_slice(it);
+                if self.on_clause_names_me(&d.on)? {
+                    flat.extend_from_slice(it);
                 }
             }
         }
-        Ok(owners)
+        Ok(IterSet { arity, flat })
     }
 
     /// Place `d` on this trip's bindings ([`Placed`]): unit steps, every
@@ -1465,130 +1468,51 @@ impl<'a, 'p> Interp<'a, 'p> {
         result.map(|_| ())
     }
 
-    /// Concretize a compile-time plan into the exact `CommSchedule` the
-    /// inspector would build for this invocation — the trip driver seeds
-    /// the cache with it ahead of an analyzable site's first trip, so
-    /// every member stores the same schedule at ordinal 1, the first
-    /// replay vote agrees, and the inspector never runs. Every step
-    /// mirrors [`Interp::inspect`]: the per-iteration read simulation
-    /// reproduces the inspector's per-rank needs lists (first-touch
-    /// order, deduplicated) and boundary classification; the array list
-    /// is the same exchange list; `my_reqs` routing and the peers'
-    /// `incoming` lists reproduce what the request round would deliver.
-    /// The simulation is a pure function of the distributions, bounds and
-    /// program text — all SPMD-uniform — so every team member computes
-    /// identical schedules without communicating. Returns `None` when
-    /// anything falls outside the plan's provable class (unexpected
-    /// binding, out of bounds): the runtime inspector is the
-    /// always-correct fallback.
-    fn build_static_schedule(
+    /// The static seed ([`Trip::seed`]) of a site with a plan: the
+    /// inspector, run here for every team member — the on-clause scan and
+    /// the walk, with that member's rank as `me` — and the needs routed as
+    /// the request round would deliver them, so this member holds the
+    /// schedule its own inspection would build, without communicating. A
+    /// plan's walk records reads and computes no value, and its subscripts
+    /// read no array: it is a function of SPMD-uniform data, and every
+    /// member derives the same schedules. `None` when a member's walk
+    /// fails: the inspector then runs, and reports it.
+    fn seed_schedule(
         &mut self,
-        d: &RDoall,
-        plan: &[(Slot, Vec<RExpr>)],
+        d: &'p RDoall,
+        bounds: &[(i64, i64, i64)],
         team: &Team,
         arrays: &[ExchangeArray],
-        (iters, all_ranks): (&IterSet, &[Vec<usize>]),
     ) -> Option<CommSchedule> {
-        let q = team.len();
-        let my_ti = team.index_of(self.me())?;
-
-        // ---- Simulated inspector, once per team member: which remote
-        // flats does each rank's iteration set read (per base, first-touch
-        // order), and which of *my* iterations touch a remote element.
-        let mut needs: Vec<InspectState> = (0..q).map(|_| InspectState::default()).collect();
-        let mut boundary: Vec<usize> = Vec::new();
-        for (ti, &rank) in team.ranks().iter().enumerate() {
-            let mut pos = 0usize;
-            for (it, owners) in iters.iter().zip(all_ranks) {
-                if !owners.contains(&rank) {
-                    continue;
-                }
-                self.set_loop_vars(d, it);
-                needs[ti].iter_touched_remote = false;
-                self.simulate_iter_reads(plan, rank, &mut needs[ti])?;
-                if needs[ti].iter_touched_remote && ti == my_ti {
-                    boundary.push(pos);
-                }
-                pos += 1;
-            }
+        let (me, mut mine, mut reqs) = (self.me, None, Vec::with_capacity(team.len()));
+        for &rank in team.ranks() {
+            self.me = rank;
+            let walk = self.scan(d, bounds).and_then(|iters| self.walk(d, &iters));
+            self.me = me;
+            let st = walk.ok()?;
+            reqs.push(self.compute_requests(team, arrays, &st).ok()?);
+            mine = mine.or((rank == me).then_some(st));
         }
-
-        // ---- Request routing over the exchange list. What the request
-        // round would deliver: `incoming[ti]` is peer `ti`'s request vector
-        // addressed to me — the subset of its needs that I own, in the
-        // peer's discovery order.
-        let my_reqs = self.compute_requests(team, arrays, &needs[my_ti]).ok()?;
-        let mut incoming: Vec<Vec<u64>> = Vec::with_capacity(q);
-        for peer in &needs {
-            let peer_reqs = self.compute_requests(team, arrays, peer).ok()?;
-            incoming.push(peer_reqs.into_iter().nth(my_ti)?);
+        let (st, ti) = (mine?, team.index_of(me)?);
+        let incoming = reqs.iter().map(|r| r[ti].clone()).collect();
+        if unfetched(&st, arrays).is_some() {
+            return None;
         }
-
-        // The stale-read hazard guard, statically: every simulated remote
-        // read must belong to an array in the exchange list.
-        for (arr, flats) in &needs[my_ti].needs {
-            if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
-                return None;
-            }
-        }
-
-        // The write hint is a capacity hint only — never observable.
-        Some(schedule(my_reqs, incoming, 0, boundary))
+        let my_reqs = reqs.swap_remove(ti);
+        Some(schedule(my_reqs, incoming, st.writes, st.boundary))
     }
 
-    /// One iteration of the simulated inspector for `rank`: walk the
-    /// plan's reads in body evaluation order, recording remote flats into
-    /// `needs` exactly as the inspector would. `None` when a read falls
-    /// outside the provable class (not an array binding, subscript out of
-    /// bounds).
-    fn simulate_iter_reads(
-        &mut self,
-        plan: &[(Slot, Vec<RExpr>)],
-        rank: usize,
-        needs: &mut InspectState,
-    ) -> Option<()> {
-        for (slot, subs) in plan {
-            // Plan subscripts are scalar-pure, so evaluation touches no
-            // array storage and cannot communicate.
-            let (idxs, n) = self.eval_subscripts(*slot, subs.iter().map(Some)).ok()?;
-            let view = self.array(*slot, |_| String::new()).ok()?;
-            let mut base_idxs = [0i64; MAX_RANK];
-            let base_idxs = view.to_base_into(&idxs, n, &mut base_idxs).ok()?;
-            let b = view.base.borrow();
-            let flat = b.flat(base_idxs).ok()?;
-            if !b.owned_by(rank, base_idxs) {
-                needs.record(&view.base, flat);
-            }
-        }
-        Some(())
-    }
-
-    /// Does the on-clause assign the current iteration to this processor?
-    /// With `keep` the iteration's whole owner set is appended to it;
-    /// without, nothing is materialised.
-    fn on_clause_names_me(
-        &mut self,
-        on: &RProcExpr,
-        keep: Option<&mut Vec<Vec<usize>>>,
-    ) -> RtResult<bool> {
+    /// Does the on-clause assign the current iteration to `me`?
+    fn on_clause_names_me(&mut self, on: &RProcExpr) -> RtResult<bool> {
         let me = self.me();
-        let ranks = match (on, &keep) {
-            (RProcExpr::Owner(slot, subs), _) => {
+        match on {
+            RProcExpr::Owner(slot, subs) => {
                 let (view, base_subs) = self.owner_base_subs(*slot, subs)?;
-                let (base, base_subs) = (view.base.borrow(), &base_subs[..view.map.len()]);
-                match keep {
-                    None => return base.owner_set_contains(me, base_subs),
-                    Some(_) => base.owner_ranks(base_subs)?,
-                }
+                let base = view.base.borrow();
+                base.owner_set_contains(me, &base_subs[..view.map.len()])
             }
-            (pe, None) => return Ok(self.eval_proc_expr(pe)?.contains(me)),
-            (pe, Some(_)) => self.eval_proc_expr(pe)?.ranks().to_vec(),
-        };
-        let mine = ranks.contains(&me);
-        if let Some(kept) = keep {
-            kept.push(ranks);
+            pe => Ok(self.eval_proc_expr(pe)?.contains(me)),
         }
-        Ok(mine)
     }
 
     /// The distributed arrays the body reads, one entry per distinct
@@ -1638,17 +1562,18 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     /// The four-phase doall engine — one trip of `kali-sched`'s driver.
     /// The driver owns the protocol (vote gate, lookup, vote, post,
-    /// complete, scatter, rollback, store); this function hands it the
-    /// interpreter's data — the cache key, the inspector as schedule
-    /// builder, the exchange list as world and wire encoding,
-    /// an optional static plan to seed from — and executes the
+    /// complete, scatter, rollback, store) and its bookkeeping; this
+    /// function hands it the interpreter's data — the cache key, the
+    /// inspector as schedule builder, the exchange list as world and wire
+    /// encoding, and, with [`RunOptions::static_seed`], the inspector of
+    /// every member as the seed of a site with a plan — and executes the
     /// iterations around it: interior while the messages fly, the rest
     /// after completion.
     fn run_inspector_executor(
         &mut self,
         d: &'p RDoall,
         work: Work,
-        owners: Option<(&IterSet, &[Vec<usize>])>,
+        bounds: &[(i64, i64, i64)],
     ) -> RtResult<()> {
         let (team, lifted) = (self.frame().grid.team(), self.frame().lift.is_some());
         let arrays = self.exchange_arrays(d)?;
@@ -1670,9 +1595,9 @@ impl<'a, 'p> Interp<'a, 'p> {
         let mut cache = self.schedules.take();
         let mut cache_ref = cache.as_mut();
 
-        if let (Some(owners), Some(plan)) = (owners, &d.plan) {
+        if self.static_seed && d.plan.is_some() && !lifted {
             trip.seed(self, cache_ref.as_deref_mut(), |me: &mut Self| {
-                me.build_static_schedule(d, plan, &team, &arrays, owners)
+                me.seed_schedule(d, bounds, &team, &arrays)
             });
         }
         let build = |me: &mut Self, _: &LangWorld| match work {
@@ -1768,24 +1693,26 @@ impl<'a, 'p> Interp<'a, 'p> {
         arrays: &[ExchangeArray],
         my_iters: &IterSet,
     ) -> RtResult<CommSchedule> {
-        self.proc.note_inspector_run();
         self.proc.mark("doall:inspect");
+        let st = self.walk(d, my_iters)?;
+        self.route(team, arrays, st)
+    }
+
+    /// The inspector's walk of `my_iters`: what they read remotely, in
+    /// first-touch order, what they write, and which read a remote
+    /// element. It charges no time and sends nothing.
+    fn walk(&mut self, d: &'p RDoall, my_iters: &IterSet) -> RtResult<InspectState> {
         self.mode = Mode::Inspect(InspectState::default());
-        let mut boundary = Vec::new();
-        for (pos, it) in my_iters.iter().enumerate() {
+        let walked = my_iters.iter().enumerate().try_for_each(|(pos, it)| {
             if let Mode::Inspect(st) = &mut self.mode {
-                st.iter_touched_remote = false;
+                st.pos = pos;
             }
-            self.run_iteration(d, it)?;
-            if matches!(&self.mode, Mode::Inspect(st) if st.iter_touched_remote) {
-                boundary.push(pos);
-            }
-        }
-        let st = match std::mem::replace(&mut self.mode, Mode::Normal) {
-            Mode::Inspect(st) => st,
+            self.run_iteration(d, it)
+        });
+        match std::mem::replace(&mut self.mode, Mode::Normal) {
+            Mode::Inspect(st) => walked.map(|()| st),
             _ => unreachable!(),
-        };
-        self.route(team, arrays, st, boundary)
+        }
     }
 
     /// The inspector without the walk: a placed site's boundary and
@@ -1799,12 +1726,11 @@ impl<'a, 'p> Interp<'a, 'p> {
         team: &Team,
         arrays: &[ExchangeArray],
     ) -> RtResult<CommSchedule> {
-        self.proc.note_inspector_run();
         self.proc.mark("doall:inspect");
         let mut st = InspectState::default();
-        let boundary = placed.inspect(&self.scratch[d.site], |base, flat| st.record(base, flat));
+        st.boundary = placed.inspect(&self.scratch[d.site], |base, flat| st.record(base, flat));
         st.writes = placed.len();
-        self.route(team, arrays, st, boundary)
+        self.route(team, arrays, st)
     }
 
     /// Both inspectors' second half: route each exchange array's remote
@@ -1815,34 +1741,28 @@ impl<'a, 'p> Interp<'a, 'p> {
         team: &Team,
         arrays: &[ExchangeArray],
         st: InspectState,
-        boundary: Vec<usize>,
     ) -> RtResult<CommSchedule> {
         let my_reqs = self.compute_requests(team, arrays, &st)?;
         // Every array the inspector recorded remote reads for must take
         // part in the exchange; anything missed would execute on stale
         // values.
-        for (arr, flats) in &st.needs {
-            if !flats.is_empty() && !arrays.iter().any(|a| Rc::ptr_eq(&a.base, arr)) {
-                return Err(format!(
-                    "inspector recorded {} remote read(s) of {} but the exchange phase \
-                     did not fetch them (stale-read hazard)",
-                    flats.len(),
-                    arr.borrow().name
-                ));
-            }
+        if let Some((arr, flats)) = unfetched(&st, arrays) {
+            return Err(format!(
+                "inspector recorded {} remote read(s) of {} but the exchange phase \
+                 did not fetch them (stale-read hazard)",
+                flats.len(),
+                arr.borrow().name
+            ));
         }
 
         // ---- The request round: one message per peer, posted
         // nonblocking in split-phase mode, a blocking all-to-all otherwise.
-        let t0 = self.proc.clock();
         let incoming = if self.policy.split {
             ScheduleExecutor::request_round(SPLIT_REQUEST_TAG, self.proc, team, &my_reqs)
         } else {
             collective::alltoallv(self.proc, team, my_reqs.clone())
         };
-        let dt = self.proc.clock() - t0;
-        self.proc.attribute_inspector_time(dt);
-        Ok(schedule(my_reqs, incoming, st.writes, boundary))
+        Ok(schedule(my_reqs, incoming, st.writes, st.boundary))
     }
 
     /// Run the iterations at `positions` (indices into `my_iters`) under
@@ -2492,7 +2412,9 @@ impl<'a, 'p> Interp<'a, 'p> {
                     sections.push((s, n, self.line_step(*slot)));
                 }
                 // Scalar arguments (the length) are evaluated for their
-                // errors only: the sections carry their own extents.
+                // errors only, by the executor: the sections carry their
+                // own extents.
+                RArg::Expr(e) if matches!(self.mode, Mode::Inspect(_)) => self.record_reads(e)?,
                 RArg::Expr(e) => {
                     self.eval(e)?;
                 }
@@ -2710,8 +2632,7 @@ impl<'a, 'p> Interp<'a, 'p> {
 
     fn write_element(&mut self, slot: Slot, subs: &[RExpr], v: f64) -> RtResult<()> {
         let (idxs, n) = self.eval_subscripts(slot, subs.iter().map(Some))?;
-        let me = self.proc.rank();
-        let depth = self.doall_depth;
+        let (me, depth) = (self.me, self.doall_depth);
         // The frame is borrowed next to the mode, not instead of it: the
         // view stays where it is bound.
         let frame = self.frames.last().expect("an active frame");
@@ -2760,7 +2681,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// `a(subs)` where `slot` is bound to an array.
     fn read_element(&mut self, slot: Slot, args: &[Option<RExpr>]) -> RtResult<Value> {
         let (idxs, n) = self.eval_subscripts(slot, args.iter().map(Option::as_ref))?;
-        let me = self.proc.rank();
+        let me = self.me;
         let frame = self.frames.last().expect("an active frame");
         let Some(Binding::Array(view)) = &frame.slots[slot] else {
             unreachable!("the caller saw an array binding");
@@ -2771,7 +2692,8 @@ impl<'a, 'p> Interp<'a, 'p> {
         let flat = b.flat(base_idxs)?;
         let mut val = b.data[flat];
         match &mut self.mode {
-            // May be stale; only used for subscript-free reads.
+            // May be stale: only a subscript, a condition or a bound reads
+            // it ([`Interp::record_reads`]).
             Mode::Inspect(st) => {
                 if !b.owned_by(me, base_idxs) {
                     st.record(&view.base, flat);
@@ -2837,6 +2759,23 @@ impl<'a, 'p> Interp<'a, 'p> {
                     self.eval_intrinsic(*slot, *intrinsic, args)
                 }
             }
+        }
+    }
+
+    /// The inspector's walk of a value nobody reads: every element `e`
+    /// reads is recorded as [`Interp::eval`] records it, in its order —
+    /// a reference's subscripts evaluated, then the element — and nothing
+    /// else is computed, so a stale copy of a remote element never becomes
+    /// a value or an error. The executor raises what the value raises.
+    fn record_reads(&mut self, e: &RExpr) -> RtResult<()> {
+        match e {
+            RExpr::Const(..) | RExpr::Var(..) => Ok(()),
+            RExpr::Un(_, e, _) => self.record_reads(e),
+            RExpr::Bin(_, l, r, _) => self.record_reads(l).and_then(|()| self.record_reads(r)),
+            RExpr::Ref(slot, _, args, _) => match self.slot(*slot) {
+                Some(Binding::Array(_)) => self.read_element(*slot, args).map(drop),
+                _ => args.iter().flatten().try_for_each(|a| self.record_reads(a)),
+            },
         }
     }
 
@@ -3240,11 +3179,7 @@ mod tests {
                         )
                     })
                     .collect();
-                let mut iters = IterSet {
-                    arity: bounds.len(),
-                    ..IterSet::default()
-                };
-                me.scan(d, &bounds, false, &mut iters).unwrap();
+                let iters = me.scan(d, &bounds).unwrap();
                 assert!(matches!(d.kind, Kind::Stencil(_)), "a lowerable site");
                 let placed = me.place(d, &bounds).expect("bindings in the class");
                 let team = me.frame().grid.team();
@@ -3252,7 +3187,8 @@ mod tests {
                 let walked = me.inspect(d, &team, &arrays, &iters).unwrap();
                 let derived = me.inspect_placed(d, &placed, &team, &arrays).unwrap();
                 assert_eq!(walked, derived, "{entry}, rank {}", me.me());
-                assert_eq!(me.proc.stats().inspector_runs, 2);
+                // The trip driver counts builds; outside a trip nothing does.
+                assert_eq!(me.proc.stats().inspector_runs, 0);
                 walked.words_expected()
             });
             assert!(words.iter().sum::<usize>() > 0, "{entry}: {words:?}");
@@ -3298,11 +3234,7 @@ mod tests {
         let words = on_entry(src, "spmvit", &[3], &spmv_args(1), |me, sub| {
             let d = me.run_to_doall(&sub.body);
             let bounds = [(1, n as i64, 1)];
-            let mut iters = IterSet {
-                arity: 1,
-                ..IterSet::default()
-            };
-            me.scan(d, &bounds, false, &mut iters).unwrap();
+            let iters = me.scan(d, &bounds).unwrap();
             assert!(matches!(d.kind, Kind::Csr(_)), "the CSR class");
             let placed = me.place(d, &bounds).expect("bindings in the class");
             let team = me.frame().grid.team();
@@ -3928,7 +3860,7 @@ mod tests {
         }
         assert_eq!(st.needs_of(&a), [5, 2, 7]);
         assert_eq!(st.needs_of(&b), [1]);
-        assert!(st.needs_of(&array("c", 1)).is_empty() && st.iter_touched_remote);
+        assert!(st.needs_of(&array("c", 1)).is_empty() && st.boundary == [0]);
     }
 
     proptest! {

@@ -95,9 +95,10 @@ pub struct RunOptions {
     /// invocation runs a fresh inspector pass — the differential-testing
     /// baseline. Both on by default.
     pub policy: ExecPolicy,
-    /// Pre-seed the schedule cache from compile-time communication plans
-    /// ([`analysis::comm_plans`]). Analyzable doall sites then replay a
-    /// statically derived schedule on their *cold* trip — zero inspector
+    /// Pre-seed the schedule cache at the doall sites with a
+    /// compile-time communication plan ([`analysis::comm_plans`]): before
+    /// a site's first trip each processor runs the inspector once per
+    /// team member, locally, so the *cold* trip replays — zero inspector
     /// runs — with bitwise-identical results. Off by default so counter
     /// expectations of inspector-path tests stay exact; requires
     /// `policy.optimistic`.
@@ -1666,5 +1667,54 @@ end
             "no plan exists for tri's sites, so seeding must change nothing"
         );
         assert!(seeded.report.total_inspector_runs > 0);
+    }
+
+    /// A right-hand side is the executor's: the inspector records what
+    /// it reads and computes nothing, so `b(i - 1)` across a block edge —
+    /// still 0 in the reader's storage until the exchange — never
+    /// divides, in an element assignment nor in a builtin's scalar
+    /// argument. At p = 2 and 4 every backend, policy square and seeding
+    /// returns p = 1's array; none stops at `integer division by zero`.
+    #[test]
+    fn a_right_hand_side_is_computed_on_fresh_data_only() {
+        let src = |body: &str| {
+            format!(
+                "parsub t(a, n; procs)\n  processors procs(p)\n  real a(n), c(n) dist (block)\n  \
+                 integer b(n) dist (block)\n  doall 10 i = 1, n on owner(b(i))\n    b(i) = 1\n    \
+                 c(i) = 1.0\n10 continue\n  doall 20 i = 2, n on owner(a(i))\n    {body}\n\
+                 20 continue\nend\n"
+            )
+        };
+        let args = [
+            HostValue::Array {
+                data: vec![0.0; 8],
+                bounds: vec![(1, 8)],
+            },
+            HostValue::Int(8),
+        ];
+        let seqtri = "call seqtri(a(i:i), c(i:i), c(i:i), c(i:i), c(i:i), 100 / b(i - 1))";
+        for (body, v) in [("a(i) = 100 / b(i - 1)", 100.0), (seqtri, 1.0)] {
+            let want = [0.0, v, v, v, v, v, v, v];
+            for backend in [BackendKind::Sim, BackendKind::Threads] {
+                for p in [1, 2, 4] {
+                    for (split, optimistic, static_seed) in
+                        (0..8).map(|k| (k & 1 > 0, k & 2 > 0, k & 4 > 0))
+                    {
+                        let policy = ExecPolicy { split, optimistic };
+                        let opts = RunOptions {
+                            policy,
+                            static_seed,
+                        };
+                        let cfg = cfg(p).with_backend(backend);
+                        let run = run_source_with(cfg, &src(body), "t", &[p], &args, opts);
+                        assert_eq!(
+                            run.unwrap().arrays[0].1,
+                            want,
+                            "{body}: p = {p} on {backend:?} under {opts:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -330,13 +330,12 @@ pub(crate) struct RDoall {
     /// No user-subroutine call, nested `doall` or `distribute` in the
     /// body: a local key can prove the schedule reusable.
     pub cacheable: bool,
-    /// The static communication plan: every element read of one
-    /// iteration, in evaluation order, as (array, subscripts). Present
-    /// for a `doall` outside any other whose body is only element
-    /// assignments to declared arrays with no array read inside a
-    /// subscript — the affine-stencil class, whose communication the text
-    /// alone fixes.
-    pub plan: Option<Vec<(Slot, Vec<RExpr>)>>,
+    /// The static communication plan: the array of every element read
+    /// of one iteration, in evaluation order. Present for a `doall`
+    /// outside any other whose body is only element assignments to
+    /// declared arrays with no array read inside a subscript — the
+    /// affine-stencil class, whose communication the text alone fixes.
+    pub plan: Option<Vec<Slot>>,
 }
 
 /// How a doall runs, as far as its text decides: a stencil or a CSR
@@ -791,7 +790,7 @@ fn csr(d: &RDoall) -> Option<Box<Csr>> {
 /// evaluates a right-hand side before the target's subscripts, and those
 /// are required free of array reads: the right-hand sides' element
 /// references, in order, are every read.
-fn plan(body: &[RStmt], is_array: impl Fn(Slot) -> bool) -> Option<Vec<(Slot, Vec<RExpr>)>> {
+fn plan(body: &[RStmt], is_array: impl Fn(Slot) -> bool) -> Option<Vec<Slot>> {
     let scalar_pure = |e: &RExpr| !any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))));
     let mut reads = Vec::new();
     for s in body {
@@ -813,7 +812,7 @@ fn plan(body: &[RStmt], is_array: impl Fn(Slot) -> bool) -> Option<Vec<(Slot, Ve
             if !is_array(*slot) || !pure {
                 return true;
             }
-            reads.push((*slot, args.iter().flatten().cloned().collect()));
+            reads.push(*slot);
             false
         });
         if outside {
@@ -1089,7 +1088,7 @@ end
                         });
                         let keyed = sched_names(d, |s| sub.declared[s].array.is_some());
                         let plan = match &d.plan {
-                            Some(reads) => list(&mut reads.iter().map(|(s, _)| name(s))),
+                            Some(reads) => list(&mut reads.iter().map(name)),
                             None => "none".into(),
                         };
                         format!(

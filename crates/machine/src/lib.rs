@@ -60,7 +60,7 @@ pub use backend::{Backend, BackendKind};
 pub use cost::CostModel;
 pub use elem::{Elem, Real};
 pub use machine::{Machine, MachineBuilder, MachineConfig, MachineRun};
-pub use proc::{PendingRecv, PendingSend, Proc, ProcStats, Team};
+pub use proc::{PendingRecv, Proc, ProcStats, Team};
 pub use report::{ProcReport, RunReport};
 pub use topology::Topology;
 pub use wire::Wire;

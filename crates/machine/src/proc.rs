@@ -148,20 +148,6 @@ impl Team {
     }
 }
 
-/// Token returned by [`Proc::isend`]. Sends never block in this model
-/// (channels are unbounded), so the token exists for symmetry with
-/// [`PendingRecv`] and to expose the stamped arrival time to callers that
-/// reason about overlap windows.
-#[must_use = "an isend is complete at post time, but dropping the token usually means \
-              the matching irecv bookkeeping was forgotten"]
-#[derive(Debug, Clone, Copy)]
-pub struct PendingSend {
-    /// Virtual time at which the message lands at the receiver.
-    pub arrival: f64,
-    /// Payload size in 8-byte words.
-    pub words: usize,
-}
-
 /// A posted split-phase receive: created by [`Proc::irecv`], completed by
 /// [`Proc::wait`]. The type parameter pins the
 /// expected payload type at post time.
@@ -189,12 +175,6 @@ impl<T: Wire> PendingRecv<T> {
     #[inline]
     pub fn src(&self) -> usize {
         self.src
-    }
-
-    /// Virtual post time (start of the overlap window).
-    #[inline]
-    pub fn posted_at(&self) -> f64 {
-        self.posted_at
     }
 }
 
@@ -579,20 +559,9 @@ impl Proc {
 
     /// Nonblocking send. In this machine model every send is asynchronous,
     /// so `isend` charges exactly what [`Proc::send`] charges (the send
-    /// overhead) and completes immediately; the returned token carries the
-    /// stamped arrival time for overlap analysis.
-    pub fn isend<T: Wire>(&mut self, dst: usize, tag: Tag, value: T) -> PendingSend {
-        let words = value.wire_words();
+    /// overhead) and completes immediately.
+    pub fn isend<T: Wire>(&mut self, dst: usize, tag: Tag, value: T) {
         self.send(dst, tag, value);
-        // send() stamped the arrival from the clock after overhead;
-        // recompute it from the post-send clock for the token.
-        let hops = self.cfg.topology.hops(self.rank, dst, self.nprocs);
-        PendingSend {
-            arrival: self
-                .backend
-                .arrival(&self.cfg.cost, self.clock, words, hops),
-            words,
-        }
     }
 
     /// Post a split-phase receive for a message from `src` carrying `tag`.

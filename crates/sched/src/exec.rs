@@ -198,7 +198,7 @@ impl ScheduleExecutor {
         let replies = Self::serve(proc, q, sched, world);
         for (d, payload) in replies.into_iter().enumerate() {
             if d != me && !payload.is_empty() {
-                let _ = proc.isend(team.rank(d), self.value_tag, payload);
+                proc.isend(team.rank(d), self.value_tag, payload);
             }
         }
         let recvs = (0..q)
@@ -259,7 +259,7 @@ impl ScheduleExecutor {
             if d == me {
                 continue;
             }
-            let _ = proc.isend(team.rank(d), self.value_tag, (vote, std::mem::take(values)));
+            proc.isend(team.rank(d), self.value_tag, (vote, std::mem::take(values)));
         }
         let recvs = (0..q)
             .filter(|&d| d != me)
@@ -362,7 +362,7 @@ impl ScheduleExecutor {
         debug_assert_eq!(reqs.len(), q);
         for (d, r) in reqs.iter().enumerate() {
             if d != me {
-                let _ = proc.isend(team.rank(d), request_tag, r.clone());
+                proc.isend(team.rank(d), request_tag, r.clone());
             }
         }
         let peers = (0..q).filter(|&d| d != me);

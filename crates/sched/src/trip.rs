@@ -12,10 +12,12 @@
 //! ```
 //!
 //! [`Trip::begin`] and [`InFlight::finish`] own all of it, counters
-//! included. A consumer contributes only *data* (the fields of [`Trip`]),
-//! a `build` closure that derives a fresh [`CommSchedule`] (analytically,
-//! by inspection, from a static plan — the driver does not care), and the
-//! [`ScheduleWorld`] the values are served from and scattered into.
+//! included: the driver counts every build as an inspector run and the
+//! virtual time it charges as inspection. A consumer contributes only
+//! *data* (the fields of [`Trip`]), a `build` closure that derives a
+//! fresh [`CommSchedule`] (analytically or by inspection — the driver
+//! does not care), and the [`ScheduleWorld`] the values are served from
+//! and scattered into.
 //!
 //! Whether a trip replays is decided here and nowhere else: it replays
 //! only with a cache, a key and [`ExecPolicy::optimistic`], and then its
@@ -136,11 +138,12 @@ impl<K: SiteKey> Trip<K> {
     }
 
     /// Seed the cache, ahead of a site's first trip, with a schedule
-    /// derived *without* inspection (a compile-time communication plan),
-    /// so that even the first trip replays. `plan` must be a pure
-    /// function of SPMD-uniform inputs: every member then stores the same
-    /// schedule at ordinal 1 and the first vote agrees. It is not even
-    /// called once the `(site, team)` has history —
+    /// derived *without* communicating — the interpreter runs its
+    /// inspector once per team member, locally — so that even the first
+    /// trip replays. `plan` must be a pure function of SPMD-uniform
+    /// inputs: every member then stores the same schedule at ordinal 1
+    /// and the first vote agrees. It is not counted as an inspector run,
+    /// and it is not even called once the `(site, team)` has history —
     /// [`ScheduleCache::seed`] would refuse the result — nor under a
     /// policy that does not replay.
     pub fn seed<H: TripHost>(
@@ -164,10 +167,11 @@ impl<K: SiteKey> Trip<K> {
         }
     }
 
-    /// Build a fresh schedule and store it (when the site is cached).
-    /// Runs on *every* member, sitting out or not: stores are collective
-    /// per `(site, team)`, which is what keeps the gate and the ordinals
-    /// SPMD-uniform.
+    /// Build a fresh schedule and store it (when the site is cached),
+    /// counting the build as an inspector run and the virtual time it
+    /// charges as inspection. Runs on *every* member, sitting out or not:
+    /// stores are collective per `(site, team)`, which is what keeps the
+    /// gate and the ordinals SPMD-uniform.
     fn rebuild<W, H: TripHost, E>(
         &mut self,
         host: &mut H,
@@ -175,7 +179,11 @@ impl<K: SiteKey> Trip<K> {
         world: &W,
         build: impl FnOnce(&mut H, &W) -> Result<CommSchedule, E>,
     ) -> Result<Rc<CommSchedule>, E> {
+        let t0 = host.proc().clock();
+        host.proc().note_inspector_run();
         let sched = build(host, world)?;
+        let proc = host.proc();
+        proc.attribute_inspector_time(proc.clock() - t0);
         Ok(match cache.zip(self.key.take()) {
             Some((cache, key)) => {
                 let (_, sched) = cache.store(key, sched);
@@ -424,8 +432,7 @@ mod tests {
             let mut world = VecWorld(vec![(0..q)
                 .map(|i| Self::word(self.trips, me, i))
                 .collect()]);
-            let build = |proc: &mut Proc, _: &VecWorld| {
-                proc.note_inspector_run();
+            let build = |_: &mut Proc, _: &VecWorld| {
                 let mut sched = ring_schedule(ti.unwrap_or(0), q);
                 if ti.is_none() {
                     let a = &mut sched.arrays[0];

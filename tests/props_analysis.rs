@@ -961,6 +961,14 @@ const BAD_CORPUS: &[(&str, &str, usize, usize, &str)] = &[
         "dead distribute: `a` is redistributed again before any use",
     ),
     (
+        "a008_remote_steering",
+        "A008",
+        11,
+        14,
+        "`idx` read 1 away from the owner() element in distributed dimension 1 steers \
+         communication",
+    ),
+    (
         "l001_bad_literal",
         "L001",
         4,

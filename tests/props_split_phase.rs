@@ -51,7 +51,7 @@ fn ring(
         for (r, &sz) in sizes.iter().enumerate() {
             let payload: Vec<f64> = (0..sz).map(|k| (me * 1000 + r * 10 + k) as f64).collect();
             let got: Vec<f64> = if split {
-                let _ = proc.isend(nxt, T, payload);
+                proc.isend(nxt, T, payload);
                 let h = proc.irecv::<Vec<f64>>(prv, T);
                 proc.compute(work[r] as f64);
                 proc.wait(h)
@@ -113,7 +113,7 @@ proptest! {
             let nxt = (me + 1) % proc.nprocs();
             let prv = (me + proc.nprocs() - 1) % proc.nprocs();
             for k in 0..n_msgs {
-                let _ = proc.isend(nxt, T, vec![(me * 100 + k) as f64; k + 1]);
+                proc.isend(nxt, T, vec![(me * 100 + k) as f64; k + 1]);
             }
             let handles: Vec<_> =
                 (0..n_msgs).map(|_| proc.irecv::<Vec<f64>>(prv, T)).collect();
