@@ -770,13 +770,6 @@ impl<T: Elem> DistArray2<T> {
         self.box_into([is.start, j], [is.end, j + 1], out);
     }
 
-    /// The write side of the column interface ([`DistArrayN::box_set`]):
-    /// scatter `vals` into the *owned* run of column `j`, rows `is`.
-    #[inline]
-    pub fn col_set(&mut self, j: usize, is: std::ops::Range<usize>, vals: &[T]) {
-        self.box_set([is.start, j], [is.end, j + 1], vals);
-    }
-
     /// Copy-in/copy-out without copying the array: run one update of
     /// the owned points of `[r0] × [r1]` as `f(live, old)`. `old` is lent
     /// the array's own storage: the copy-in state, ghost skirt and armed
@@ -1223,7 +1216,7 @@ mod tests {
     #[should_panic(expected = "owner-computes violation")]
     fn box_reaching_into_ghosts_panics_on_write() {
         let mut a = skirted2();
-        a.col_set(2, 0..5, &[0.0; 5]); // row 4 is visible but not owned
+        a.box_set([0, 2], [5, 3], &[0.0; 5]); // row 4 is visible but not owned
     }
 
     #[test]

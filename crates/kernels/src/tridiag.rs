@@ -119,6 +119,57 @@ pub fn thomas(b: &[f64], a: &[f64], c: &[f64], f: &[f64]) -> Vec<f64> {
     x
 }
 
+/// A tridiagonal matrix factored as [`thomas`] eliminates it: the
+/// multipliers `w[i] = b[i] / ap[i-1]` and pivots `ap[i] = a[i] − w[i]
+/// c[i-1]`, shared by every right-hand side.
+#[derive(Debug, Clone)]
+pub struct Factored {
+    w: Vec<f64>,
+    ap: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl Factored {
+    /// Factor the matrix with diagonals `b`, `a`, `c` (as for [`thomas`]).
+    pub fn new(b: &[f64], a: &[f64], c: &[f64]) -> Self {
+        let n = a.len();
+        assert!(n >= 1);
+        assert!(b.len() == n && c.len() == n);
+        let (mut w, mut ap, c) = (vec![0.0; n], a.to_vec(), c.to_vec());
+        for i in 1..n {
+            w[i] = b[i] / ap[i - 1];
+            ap[i] -= w[i] * c[i - 1];
+        }
+        Factored { w, ap, c }
+    }
+
+    /// Solve `k` systems in place: `x[i * k + l]` is unknown `i` of line
+    /// `l`, right-hand side in, solution out. Every line is bitwise what
+    /// [`thomas`] returns for it: its expressions in its order.
+    pub fn solve_lines(&self, x: &mut [f64], k: usize) {
+        let n = self.ap.len();
+        assert_eq!(x.len(), n * k);
+        for i in 1..n {
+            let (done, row) = x[(i - 1) * k..(i + 1) * k].split_at_mut(k);
+            let w = self.w[i];
+            for (f, &prev) in row.iter_mut().zip(&*done) {
+                *f -= w * prev;
+            }
+        }
+        let last = self.ap[n - 1];
+        for f in &mut x[(n - 1) * k..] {
+            *f /= last;
+        }
+        for i in (0..n - 1).rev() {
+            let (row, next) = x[i * k..(i + 2) * k].split_at_mut(k);
+            let (c, ap) = (self.c[i], self.ap[i]);
+            for (f, &xn) in row.iter_mut().zip(&*next) {
+                *f = (*f - c * xn) / ap;
+            }
+        }
+    }
+}
+
 /// Flop count of [`thomas`] for cost accounting (≈ 8 per row).
 pub fn thomas_flops(n: usize) -> f64 {
     8.0 * n as f64
@@ -191,5 +242,55 @@ mod tests {
     fn single_equation() {
         let x = thomas(&[0.0], &[4.0], &[0.0], &[8.0]);
         assert_eq!(x, vec![2.0]);
+    }
+
+    /// Solve `k` lines of `m` interleaved through one [`Factored`] and
+    /// check every line's bits against its own [`thomas`] call.
+    fn assert_lines_are_thomas(m: &TriDiag, k: usize, rhs: &[f64]) {
+        let n = m.n();
+        let mut x = rhs[..n * k].to_vec();
+        Factored::new(&m.b, &m.a, &m.c).solve_lines(&mut x, k);
+        for l in 0..k {
+            let f: Vec<f64> = (0..n).map(|i| rhs[i * k + l]).collect();
+            let want = thomas(&m.b, &m.a, &m.c, &f);
+            for (i, w) in want.iter().enumerate() {
+                assert_eq!(
+                    x[i * k + l].to_bits(),
+                    w.to_bits(),
+                    "n={n} k={k} line {l} unknown {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn factored_lines_of_one_unknown_are_thomas() {
+        for k in 1..9 {
+            let rhs: Vec<f64> = (0..k).map(|l| 0.3 - l as f64 * 1.7).collect();
+            assert_lines_are_thomas(&TriDiag::constant(1, 0.0, 3.1, 0.0), k, &rhs);
+            assert_lines_are_thomas(&TriDiag::random_dd(1, k as u64), k, &rhs);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn factored_lines_are_bitwise_thomas(
+            n in 1usize..64,
+            k in 1usize..9,
+            constant in 0usize..2,
+            seed in 0u64..1 << 40,
+            off in -1.0f64..-0.1,
+            diag in 2.05f64..4.0,
+            rhs in prop::collection::vec(-10.0f64..10.0, 512..513),
+        ) {
+            let m = if constant == 1 {
+                TriDiag::constant(n, off, diag, off * 0.9)
+            } else {
+                TriDiag::random_dd(n, seed)
+            };
+            assert_lines_are_thomas(&m, k, &rhs);
+        }
     }
 }

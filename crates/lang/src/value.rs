@@ -147,17 +147,8 @@ impl ArrObj {
         usize::try_from(i.wrapping_sub(self.bounds[d].0)).unwrap_or(usize::MAX)
     }
 
-    /// Machine ranks owning the element(s) selected by `subs` (`None`
-    /// entries are `*`), in grid order — for the partially starred
-    /// `owner(r(i, *))` forms that need the *set*; a membership question
-    /// is [`ArrObj::owner_set_contains`], a fully pinned element
-    /// [`ArrObj::owner_of`].
-    pub fn owner_ranks(&self, subs: &[Option<i64>]) -> Result<Vec<usize>, String> {
-        Ok(self.owner_grid(subs)?.ranks().to_vec())
-    }
-
-    /// Is machine rank `rank` one of [`ArrObj::owner_ranks`]`(subs)`? Same
-    /// errors, no list.
+    /// Is machine rank `rank` one of the ranks of
+    /// [`ArrObj::owner_grid`]`(subs)`? Same errors, no grid.
     pub fn owner_set_contains(&self, rank: usize, subs: &[Option<i64>]) -> Result<bool, String> {
         self.section(subs, |pins| self.layout.section_contains(rank, pins))
     }
@@ -382,9 +373,9 @@ mod tests {
             g,
         );
         // Fully pinned element.
-        assert_eq!(a.owner_ranks(&[Some(1), Some(6)]).unwrap(), vec![1]);
+        assert_eq!(a.owner_grid(&[Some(1), Some(6)]).unwrap().ranks(), [1]);
         // Row 6, all columns: grid row 1 -> ranks 2, 3.
-        assert_eq!(a.owner_ranks(&[Some(6), None]).unwrap(), vec![2, 3]);
+        assert_eq!(a.owner_grid(&[Some(6), None]).unwrap().ranks(), [2, 3]);
         assert_eq!(a.owner_of(&[6, 1]), Some(2));
         assert!(a.owned_by(2, &[6, 1]));
         assert!(!a.owned_by(0, &[6, 1]));
@@ -427,7 +418,7 @@ mod tests {
                     let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
                     let owner = a.owner_of(&idxs).expect("distributed and in bounds");
                     assert_eq!(
-                        a.owner_ranks(&subs).unwrap(),
+                        a.owner_grid(&subs).unwrap().ranks(),
                         [owner],
                         "{}",
                         a.layout.spec()
@@ -444,10 +435,13 @@ mod tests {
                     for star in 0..a.ndims() {
                         let mut subs = subs.clone();
                         subs[star] = None;
-                        let set = a.owner_ranks(&subs).unwrap();
+                        let set = a.owner_grid(&subs).unwrap();
                         for &r in grid.ranks() {
                             assert!(a.owned_by(r, &idxs) == (r == owner));
-                            assert_eq!(a.owner_set_contains(r, &subs).unwrap(), set.contains(&r));
+                            assert_eq!(
+                                a.owner_set_contains(r, &subs).unwrap(),
+                                set.ranks().contains(&r)
+                            );
                         }
                         assert!(!a.owner_set_contains(99, &subs).unwrap());
                     }
@@ -459,7 +453,7 @@ mod tests {
                         idxs[d] = out;
                         assert_eq!(a.owner_of(&idxs), None);
                         let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
-                        assert!(a.owner_ranks(&subs).is_err());
+                        assert!(a.owner_grid(&subs).is_err());
                         assert!(a.owner_set_contains(0, &subs).is_err());
                     }
                 }
@@ -503,9 +497,9 @@ mod tests {
             g,
         );
         // Pinning the star dim selects everyone; pinning dim 1 selects one.
-        assert_eq!(a.owner_ranks(&[Some(3), None]).unwrap().len(), 4);
-        assert_eq!(a.owner_ranks(&[None, Some(0)]).unwrap(), vec![0]);
-        assert_eq!(a.owner_ranks(&[Some(3), Some(15)]).unwrap(), vec![3]);
+        assert_eq!(a.owner_grid(&[Some(3), None]).unwrap().ranks().len(), 4);
+        assert_eq!(a.owner_grid(&[None, Some(0)]).unwrap().ranks(), [0]);
+        assert_eq!(a.owner_grid(&[Some(3), Some(15)]).unwrap().ranks(), [3]);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   reads ([`Ghosts`]: width + corner policy) and which loop shape runs
 //!   ([`PlanRead::update2_rows`] for copy-in/copy-out updates,
 //!   [`PlanRead::run2_rows`] for product-range loops writing elsewhere,
-//!   [`PlanRead::run_lines`] for line `doall`s,
+//!   [`PlanRead::run_line_runs`] for line `doall`s, with
+//!   [`PlanRead::run_lines`] its per-line adaptor,
 //!   [`PlanRead::refresh`] for a bare skirt refresh) — and the runtime
 //!   derives and executes the communication: split-phase with the
 //!   interior overlapping the transit, warm trips replayed from the

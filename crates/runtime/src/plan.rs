@@ -35,9 +35,10 @@
 //!   shapes with the body handed whole contiguous row runs as slices:
 //!   the engine itself, and the form the solvers are written in (the
 //!   per-point pair above loops each run).
-//! * [`PlanRead::run_lines`] — a one-dimensional `doall` over lines
-//!   (zebra relaxation, semicoarsening restriction) with the declared
-//!   array handed back mutably for in-place line solves.
+//! * [`PlanRead::run_line_runs`] / [`PlanRead::run_lines`] — a
+//!   one-dimensional `doall` over runs of lines (zebra relaxation) or,
+//!   its adaptor, one line at a time (semicoarsening restriction), with
+//!   the declared array handed back mutably for in-place line solves.
 //! * [`PlanRead::refresh`] — the bare ghost refresh, for consumers that
 //!   only need the skirt made current.
 
@@ -173,12 +174,29 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
     /// refreshed array handed back mutably (in-place line solves — zebra
     /// relaxation, restriction). Under a split policy the lines whose
     /// `width`-neighbourhood is owned run while the ghost lines travel;
-    /// block-edge lines run after completion.
+    /// block-edge lines run after completion. An adaptor over
+    /// [`PlanRead::run_line_runs`].
     pub fn run_lines(
-        mut self,
+        self,
         d: usize,
         range: std::ops::Range<usize>,
         mut body: impl FnMut(&mut Ctx, &mut DistArrayN<T, N>, usize),
+    ) {
+        self.run_line_runs(d, range, |ctx, a, js| {
+            for j in js {
+                body(ctx, a, j);
+            }
+        });
+    }
+
+    /// The line engine: [`PlanRead::run_lines`]' lines in the same order,
+    /// as `body(ctx, a, js)` once per non-empty ascending run — under a
+    /// split policy the interior, then the low and the high edge.
+    pub fn run_line_runs(
+        mut self,
+        d: usize,
+        range: std::ops::Range<usize>,
+        mut body: impl FnMut(&mut Ctx, &mut DistArrayN<T, N>, std::ops::Range<usize>),
     ) {
         let refresh = self.begin();
         let PlanRead { ctx, a, ghosts } = self;
@@ -196,12 +214,19 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
             .as_ref()
             .map_or(0, |_| ghosts.width.min(a.ghosts()[d]));
         let split = SplitRange1::new(a.owned_range(d), range, margin);
-        split.for_interior(|j| body(ctx, a, j));
+        let mut run = |ctx: &mut Ctx, a: &mut DistArrayN<T, N>, js: std::ops::Range<usize>| {
+            if !js.is_empty() {
+                body(ctx, a, js);
+            }
+        };
+        run(ctx, a, split.interior());
         if let Some(p) = refresh {
             a.clear_read_fence();
             Self::finish(ctx, a, p);
             a.set_read_fence(ghosts.width, ghosts.corners);
-            split.for_boundary(|j| body(ctx, a, j));
+            for js in split.boundary() {
+                run(ctx, a, js);
+            }
         }
         a.clear_read_fence();
     }

@@ -37,32 +37,19 @@ impl SplitRange1 {
         }
     }
 
-    /// Number of interior indices.
-    pub fn interior_count(&self) -> usize {
-        self.is1 - self.is0
+    /// The interior indices, as one ascending run.
+    pub fn interior(&self) -> std::ops::Range<usize> {
+        self.is0..self.is1
     }
 
-    /// Number of boundary indices.
-    pub fn boundary_count(&self) -> usize {
-        self.end.saturating_sub(self.start) - self.interior_count()
-    }
-
-    /// Visit the interior indices in ascending order.
-    pub fn for_interior(&self, mut f: impl FnMut(usize)) {
-        for i in self.is0..self.is1 {
-            f(i);
-        }
-    }
-
-    /// Visit the boundary indices (covered range minus interior): the low
-    /// edge ascending, then the high edge ascending.
-    pub fn for_boundary(&self, mut f: impl FnMut(usize)) {
-        for i in self.start..self.is0.min(self.end) {
-            f(i);
-        }
-        for i in self.is1.max(self.start)..self.end {
-            f(i);
-        }
+    /// The boundary indices (covered range minus interior) as two
+    /// ascending runs, either possibly empty: the low edge, then the high
+    /// edge.
+    pub fn boundary(&self) -> [std::ops::Range<usize>; 2] {
+        [
+            self.start..self.is0.min(self.end),
+            self.is1.max(self.start)..self.end,
+        ]
     }
 }
 
@@ -170,22 +157,16 @@ mod tests {
             (3..5, 3..9, 1),
             (0..2, 0..8, 5), // margin swallows the whole block
             (4..8, 9..12, 1),
+            (0..9, 2..7, 0),
         ] {
             let s = SplitRange1::new(owned.clone(), range.clone(), margin);
-            let mut seen = Vec::new();
-            s.for_interior(|i| seen.push(i));
-            assert_eq!(seen.len(), s.interior_count());
-            for &i in &seen {
+            for i in s.interior() {
                 assert!(i >= owned.start + margin && i + margin < owned.end);
             }
-            s.for_boundary(|i| seen.push(i));
-            assert_eq!(seen.len(), s.interior_count() + s.boundary_count());
-            let mut sorted = seen.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), seen.len(), "no index visited twice");
+            let [lo, hi] = s.boundary();
+            let seen: Vec<usize> = lo.chain(s.interior()).chain(hi).collect();
             let want: Vec<usize> = range.filter(|i| owned.contains(i)).collect();
-            assert_eq!(sorted, want);
+            assert_eq!(seen, want, "each index of range ∩ owned once, ascending");
         }
     }
 

@@ -10,7 +10,7 @@
 //! until the lines themselves run out.
 
 use kali_array::DistArray2;
-use kali_kernels::tridiag::{thomas, thomas_flops};
+use kali_kernels::tridiag::{thomas_flops, Factored};
 use kali_runtime::{Ctx, Ghosts};
 
 use crate::transfer::{intrp2, resid2, rest2};
@@ -26,12 +26,11 @@ use crate::Pde;
 /// interior-first solve order is invisible and results are bitwise
 /// identical across policies.
 ///
-/// Each x-line's column-strided reads — `u(*, j∓1)` and `f(*, j)` run
-/// *across* the storage rows under `dist (*, block)` — are gathered once
-/// into contiguous scratch ([`DistArray2::col_into`]), the right-hand
-/// side is formed by a tight loop over the scratch (vectorizable, no
-/// per-point index decode), and the solved line scatters back in one
-/// strided pass ([`DistArray2::col_set`]).
+/// An x-line runs *across* the storage rows under `dist (*, block)`, so
+/// the colour's lines of a run are solved together from row slices: the
+/// lines share one matrix, factored once per call ([`Factored`]), and
+/// their right-hand sides sit row-major in one scratch buffer, the lines
+/// innermost. Every line keeps `thomas`'s bits and flop charges.
 pub fn zebra2(
     ctx: &mut Ctx,
     pde: &Pde,
@@ -47,27 +46,35 @@ pub fn zebra2(
     let mut c = vec![ax; ni];
     b[0] = 0.0;
     c[ni - 1] = 0.0;
-    let a = vec![ad; ni];
-    let mut below = vec![0.0; ni];
-    let mut above = vec![0.0; ni];
-    let mut fcol = vec![0.0; ni];
-    let mut rhs = vec![0.0; ni];
+    let tri = Factored::new(&b, &vec![ad; ni], &c);
+    let mut x = Vec::new();
     ctx.plan()
         .reads(u, Ghosts::full(1))
-        .run_lines(1, 1..ny, |ctx, u, j| {
-            if j % 2 != colour % 2 {
+        .run_line_runs(1, 1..ny, |ctx, u, js| {
+            // The run's lines of the colour: j0, j0 + 2, …, jl.
+            let j0 = js.start + ((js.start ^ colour) & 1);
+            if j0 >= js.end {
                 return;
             }
-            u.col_into(j - 1, 1..nx, &mut below);
-            u.col_into(j + 1, 1..nx, &mut above);
-            f.col_into(j, 1..nx, &mut fcol);
-            for ((r, &fv), (&lo, &hi)) in rhs.iter_mut().zip(&fcol).zip(below.iter().zip(&above)) {
-                *r = fv - ay * (lo + hi);
+            let k = (js.end - j0).div_ceil(2);
+            let jl = j0 + 2 * (k - 1);
+            x.clear();
+            x.reserve(ni * k);
+            for i in 1..nx {
+                let (us, fs) = (u.row(i, j0 - 1..jl + 2), f.row(i, j0..jl + 1));
+                x.extend((0..k).map(|l| fs[2 * l] - ay * (us[2 * l] + us[2 * l + 2])));
             }
-            ctx.proc().compute(3.0 * ni as f64);
-            let x = thomas(&b, &a, &c, &rhs);
-            ctx.proc().compute(thomas_flops(ni));
-            u.col_set(j, 1..nx, &x);
+            for _ in 0..k {
+                ctx.proc().compute(3.0 * ni as f64);
+                ctx.proc().compute(thomas_flops(ni));
+            }
+            tri.solve_lines(&mut x, k);
+            for (i, line) in (1..nx).zip(x.chunks_exact(k)) {
+                let row = u.row_mut(i, j0..jl + 1);
+                for (v, &s) in row.iter_mut().step_by(2).zip(line) {
+                    *v = s;
+                }
+            }
         });
 }
 

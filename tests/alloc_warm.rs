@@ -1,6 +1,8 @@
 //! A warm Jacobi sweep allocates nothing that scales with the array: the
 //! copy-in snapshot of `update2_rows` lends the array's own storage and
 //! swaps in a buffer the array keeps, instead of cloning it every sweep.
+//! A warm zebra relaxation allocates as often however many lines it
+//! solves: one scratch buffer per call, not vectors per line.
 //!
 //! This is a test binary of its own because it installs a counting
 //! `#[global_allocator]`. The counter is per thread and every simulated
@@ -13,9 +15,11 @@ use std::time::Duration;
 
 use kali::prelude::*;
 use kali::solvers::jacobi::jacobi_step;
+use kali::solvers::mg2::zebra2;
 
 thread_local! {
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static COUNT: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -27,6 +31,7 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = BYTES.try_with(|b| b.set(b.get() + layout.size() as u64));
+        let _ = COUNT.try_with(|c| c.set(c.get() + 1));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -46,6 +51,24 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, BYTES.with(Cell::get) - before)
 }
 
+/// How many allocations `f` makes on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = COUNT.with(Cell::get);
+    f();
+    COUNT.with(Cell::get) - before
+}
+
+fn two_procs() -> MachineConfig {
+    Machine::build(
+        BackendKind::Sim,
+        Topology::FullyConnected,
+        CostModel::unit(),
+    )
+    .procs(2)
+    .watchdog(Duration::from_secs(60))
+    .config()
+}
+
 /// What rank 0 of a 2×1 grid allocates on an `(n+1)²` Jacobi grid:
 /// `(second sweep, u.clone() after the sweeps, local storage)`, in bytes.
 /// The two rank threads race on their channels, and a message that
@@ -60,15 +83,7 @@ fn rank0_bytes(n: usize) -> (u64, u64, u64) {
 }
 
 fn rank0_bytes_once(n: usize) -> (u64, u64, u64) {
-    let cfg = Machine::build(
-        BackendKind::Sim,
-        Topology::FullyConnected,
-        CostModel::unit(),
-    )
-    .procs(2)
-    .watchdog(Duration::from_secs(60))
-    .config();
-    let run = Machine::run(cfg, move |proc| {
+    let run = Machine::run(two_procs(), move |proc| {
         let grid = ProcGrid::new_2d(2, 1);
         let spec = DistSpec::block2();
         let ext = [n + 1, n + 1];
@@ -110,5 +125,44 @@ fn a_warm_jacobi_sweep_allocates_nothing_that_scales_with_the_array() {
         clone_big - clone_small,
         storage_big - storage_small,
         "u.clone() allocates {clone_small} B and {clone_big} B"
+    );
+}
+
+/// How many times rank 0 of a 2-processor line allocates in a warm
+/// `zebra2` call on an `(n+1)²` grid (`dist (*, block)`, one ghost line),
+/// the least of three runs for the reason [`rank0_bytes`] gives.
+fn rank0_zebra_allocations(n: usize) -> u64 {
+    (0..3)
+        .map(|_| {
+            let run = Machine::run(two_procs(), move |proc| {
+                let grid = ProcGrid::new_1d(2);
+                let spec = DistSpec::local_block();
+                let ext = [n + 1, n + 1];
+                let mut u = DistArray2::from_fn(proc.rank(), &grid, &spec, ext, [0, 1], |[i, j]| {
+                    ((i * 13 + j * 7) % 11) as f64
+                });
+                let f = DistArray2::from_fn(proc.rank(), &grid, &spec, ext, [0, 1], |[i, j]| {
+                    ((i + 2 * j) % 5) as f64
+                });
+                let mut ctx = Ctx::new(proc, grid);
+                let pde = Pde::poisson();
+                // The first call is cold: it builds and caches the halo
+                // schedule.
+                zebra2(&mut ctx, &pde, &mut u, &f, 0);
+                allocations(|| zebra2(&mut ctx, &pde, &mut u, &f, 0))
+            });
+            run.results[0]
+        })
+        .min()
+        .expect("three runs")
+}
+
+#[test]
+fn a_warm_zebra_relaxation_allocates_per_call_not_per_line() {
+    let (small, big) = (rank0_zebra_allocations(64), rank0_zebra_allocations(256));
+    assert_eq!(
+        small, big,
+        "a warm zebra2 call allocates {small} times at n = 64 (16 lines of a colour) \
+         but {big} times at n = 256 (64 lines)"
     );
 }
