@@ -395,26 +395,6 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         s
     }
 
-    /// Row-major flat index of a global element over the full extents —
-    /// the element naming used by communication schedules.
-    pub(crate) fn global_flat(&self, idx: [usize; N]) -> usize {
-        let mut f = 0usize;
-        for d in 0..N {
-            f = f * self.extents[d] + idx[d];
-        }
-        f
-    }
-
-    /// Inverse of [`DistArrayN::global_flat`].
-    pub(crate) fn global_unflat(&self, mut f: usize) -> [usize; N] {
-        let mut idx = [0usize; N];
-        for d in (0..N).rev() {
-            idx[d] = f % self.extents[d];
-            f /= self.extents[d];
-        }
-        idx
-    }
-
     /// Storage index of a global element visible to this processor (owned or
     /// within a ghost layer); `None` if remote.
     pub(crate) fn storage_index(&self, idx: [usize; N]) -> Option<usize> {
@@ -1096,8 +1076,8 @@ mod tests {
             (0..N).all(|d| lo[d] <= idx[d] && idx[d] < hi[d])
         };
         let mut kept = 0;
-        for flat in 0..a.extents().iter().product() {
-            let idx = a.global_unflat(flat);
+        let all: [Vec<usize>; N] = std::array::from_fn(|d| (0..a.extents()[d]).collect());
+        cartesian(&all, |idx| {
             let want = inside(idx, lo, hi) && a.owns(idx);
             assert_eq!(
                 inside(idx, olo, ohi),
@@ -1106,7 +1086,7 @@ mod tests {
                 a.rank()
             );
             kept += want as usize;
-        }
+        });
         if kept == 0 {
             assert_eq!((olo, ohi), ([0; N], [0; N]), "one spelling of empty");
         }

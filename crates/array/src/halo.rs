@@ -12,12 +12,14 @@
 //! The ghost geometry is turned into a [`CommSchedule`] *analytically* —
 //! every member derives, with no communication, which of its ghost cells
 //! each peer owns and which of its owned cells sit in each peer's ghost
-//! skirt. Because each ghost cell is fetched directly from
-//! its true *owner* (not pipelined through a face neighbour), the
-//! corner-completing variant (`corners = true`) refreshes edge and corner
-//! ghosts in the same posted exchange, so 9-point stencils can run
-//! split-phase; the face-only variant skips the diagonal traffic that
-//! 5/7-point stencils never read.
+//! skirt. The schedule names each cell by its offset in this processor's
+//! storage, checked visible once at build time, so a replay indexes the
+//! array and decodes nothing. Because each ghost cell is fetched
+//! directly from its true *owner* (not pipelined through a face
+//! neighbour), the corner-completing variant (`corners = true`)
+//! refreshes edge and corner ghosts in the same posted exchange, so
+//! 9-point stencils can run split-phase; the face-only variant skips the
+//! diagonal traffic that 5/7-point stencils never read.
 //!
 //! Deriving the schedule is host work a real runtime pays per trip:
 //! every relevant peer's storage box is walked, so the build is charged
@@ -67,7 +69,7 @@ use kali_sched::{
     ScheduleWorld, SiteKey, Trip,
 };
 
-use crate::arrays::{DistArrayN, Elem};
+use crate::arrays::{cartesian, DistArrayN, Elem};
 
 /// Tag of the fused ghost value messages (one per communicating peer
 /// pair per exchange; posting-order matching keeps successive exchanges
@@ -78,61 +80,15 @@ const HALO_VALUE_TAG: u64 = tag(NS_ARRAY, 0x0048_6057);
 const EXEC: ScheduleExecutor = ScheduleExecutor::new(HALO_VALUE_TAG);
 
 /// The executor's view of a distributed array: a halo schedule names one
-/// array (index 0) and flat indices are global row-major element indices.
+/// array (index 0), and its flat indices are storage offsets on this
+/// processor, fixed by the geometry the [`HaloKey`] records.
 impl<T: Elem, const N: usize> ScheduleWorld<T> for DistArrayN<T, N> {
     fn load(&self, _array: usize, flat: u64) -> T {
-        let idx = self.global_unflat(flat as usize);
-        let s = self
-            .storage_index(idx)
-            .expect("halo schedule serves owned cells only");
-        self.data[s]
+        self.data[flat as usize]
     }
 
     fn store(&mut self, _array: usize, flat: u64, value: T) {
-        let idx = self.global_unflat(flat as usize);
-        let s = self
-            .storage_index(idx)
-            .expect("halo schedule scatters into this processor's ghost skirt");
-        self.data[s] = value;
-    }
-
-    // Batched forms for the executor's hot loops: the canonical skirt
-    // walk emits long runs of consecutive flat indices (rows of the
-    // storage box), so successive elements usually advance the storage
-    // index by one last-dimension stride — the full N-dimensional decode
-    // runs only at run breaks.
-    fn load_into(&self, _array: usize, flats: &[u64], out: &mut Vec<T>) {
-        let row = self.extents[N - 1] as u64;
-        let step = self.stride[N - 1];
-        let mut prev: Option<(u64, usize)> = None;
-        out.reserve(flats.len());
-        for &f in flats {
-            let s = match prev {
-                Some((pf, ps)) if f == pf + 1 && f % row != 0 => ps + step,
-                _ => self
-                    .storage_index(self.global_unflat(f as usize))
-                    .expect("halo schedule serves owned cells only"),
-            };
-            out.push(self.data[s]);
-            prev = Some((f, s));
-        }
-    }
-
-    fn store_from(&mut self, _array: usize, flats: &[u64], values: &[T]) {
-        debug_assert_eq!(flats.len(), values.len());
-        let row = self.extents[N - 1] as u64;
-        let step = self.stride[N - 1];
-        let mut prev: Option<(u64, usize)> = None;
-        for (&f, &v) in flats.iter().zip(values) {
-            let s = match prev {
-                Some((pf, ps)) if f == pf + 1 && f % row != 0 => ps + step,
-                _ => self
-                    .storage_index(self.global_unflat(f as usize))
-                    .expect("halo schedule scatters into this processor's ghost skirt"),
-            };
-            self.data[s] = v;
-            prev = Some((f, s));
-        }
+        self.data[flat as usize] = value;
     }
 }
 
@@ -177,8 +133,10 @@ pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 /// Cached analytic halo schedules, shared by every exchange a context
 /// issues. One instance lives in `kali-runtime`'s `Ctx`; arrays with the
 /// same geometry (e.g. an array and its copy-in snapshot, or the coarse
-/// levels successive V-cycles reallocate) share entries, because the
-/// schedule is a function of geometry alone.
+/// levels successive V-cycles reallocate) share entries: the key's
+/// extents, dists, ghost widths and team fix each processor's storage
+/// layout, so the storage offsets a schedule names mean the same cells
+/// in every array that shares its key.
 pub struct HaloCache {
     cache: ScheduleCache<HaloKey>,
 }
@@ -295,9 +253,13 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// Derive the ghost [`CommSchedule`]: every member walks each rank's
     /// storage box (owned block plus ghost skirt, clipped to the global
     /// extents) in the same canonical row-major order, so the requesting
-    /// side and every serving side agree on the per-pair element
-    /// sequences without a request round. Returns the schedule plus the
-    /// number of cells walked (the work the build is charged for).
+    /// side and every serving side agree on the per-pair cell sequences
+    /// without a request round. Each side names a cell by its offset in
+    /// its *own* storage — a ghost cell in `my_reqs`, an owned cell in
+    /// `incoming` — so a replay indexes storage and decodes nothing; the
+    /// walk's order is what pairs the two names. Returns the schedule
+    /// plus the number of cells walked (the work the build is charged
+    /// for).
     ///
     /// The per-peer vectors are indexed by *active-team* position (see
     /// [`DistArrayN::active_team`]): ranks owning nothing can appear on
@@ -316,7 +278,10 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
                 let oi = team
                     .index_of(self.owner_rank(g))
                     .expect("every owner belongs to the owning grid");
-                my_reqs[oi].push(self.global_flat(g) as u64);
+                let s = self
+                    .storage_index(g)
+                    .expect("a ghost cell I request lies in my skirt");
+                my_reqs[oi].push(s as u64);
             });
             // Peers whose widened (skirted) box can overlap my owned
             // block: what each will request of me. Every other rank
@@ -345,7 +310,8 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
                 }
                 cells_walked += self.walk_skirt(&qs, corners, &mut |g| {
                     if self.owner_rank(g) == self.rank {
-                        incoming[ti].push(self.global_flat(g) as u64);
+                        let s = self.storage_index(g).expect("a cell I serve is mine");
+                        incoming[ti].push(s as u64);
                     }
                 });
             }
@@ -373,42 +339,31 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
     /// non-contiguous dimension (necessarily ghost-free) it is exactly
     /// the owned index list. Returns the size of the walked box.
     fn walk_skirt(&self, qs: &[usize; N], corners: bool, f: &mut impl FnMut([usize; N])) -> usize {
-        // Per dimension: the global indices of the storage box, each
-        // tagged with whether the processor owns it along that dimension.
-        let dims: [Vec<(usize, bool)>; N] = std::array::from_fn(|d| {
+        // Per dimension: the owned interval (everything, along a
+        // non-contiguous dimension) and the global indices of the box.
+        let mut owned = [(0, usize::MAX); N];
+        let dims: [Vec<usize>; N] = std::array::from_fn(|d| {
             let dist = self.dists[d];
             if dist.is_contiguous() {
-                let len = dist.local_len(qs[d]);
                 let lo = dist.lower(qs[d]).unwrap_or(0);
+                let hi = lo + dist.local_len(qs[d]);
+                owned[d] = (lo, hi);
                 let start = lo.saturating_sub(self.ghost[d]);
-                let end = (lo + len + self.ghost[d]).min(self.extents[d]);
-                (start..end).map(|g| (g, g >= lo && g < lo + len)).collect()
+                let end = (hi + self.ghost[d]).min(self.extents[d]);
+                (start..end).collect()
             } else {
                 debug_assert_eq!(self.ghost[d], 0, "ghosts require contiguous dims");
-                dist.owned(qs[d]).map(|g| (g, true)).collect()
+                dist.owned(qs[d]).collect()
             }
         });
-        fn rec<const N: usize>(
-            dims: &[Vec<(usize, bool)>; N],
-            d: usize,
-            corners: bool,
-            idx: &mut [usize; N],
-            outside: usize,
-            f: &mut impl FnMut([usize; N]),
-        ) {
-            if d == N {
-                if outside > 0 && (corners || outside == 1) {
-                    f(*idx);
-                }
-                return;
+        cartesian(&dims, |g| {
+            let outside = (0..N)
+                .filter(|&d| g[d] < owned[d].0 || owned[d].1 <= g[d])
+                .count();
+            if outside > 0 && (corners || outside == 1) {
+                f(g);
             }
-            for &(g, inside) in &dims[d] {
-                idx[d] = g;
-                rec(dims, d + 1, corners, idx, outside + usize::from(!inside), f);
-            }
-        }
-        let mut idx = [0usize; N];
-        rec(&dims, 0, corners, &mut idx, 0, f);
+        });
         dims.iter().map(Vec::len).product()
     }
 }

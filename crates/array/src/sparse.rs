@@ -298,10 +298,10 @@ pub struct GatherHaul<T> {
 }
 
 impl<T: Real> GatherHaul<T> {
-    fn empty() -> Self {
+    fn with_capacity(n: usize) -> Self {
         GatherHaul {
-            cols: Vec::new(),
-            vals: Vec::new(),
+            cols: Vec::with_capacity(n),
+            vals: Vec::with_capacity(n),
         }
     }
 
@@ -347,11 +347,6 @@ impl<T: Real> ScheduleWorld<T> for GatherWorld<'_, T> {
         self.haul.cols.push(flat);
         self.haul.vals.push(value);
     }
-
-    fn store_from(&mut self, _array: usize, flats: &[u64], values: &[T]) {
-        self.haul.cols.extend_from_slice(flats);
-        self.haul.vals.extend_from_slice(values);
-    }
 }
 
 /// A completed gather: the schedule that produced it (for the
@@ -369,7 +364,7 @@ impl<T: Real> Gathered<T> {
                 write_hint: 0,
                 boundary: Vec::new(),
             }),
-            haul: GatherHaul::empty(),
+            haul: GatherHaul::with_capacity(0),
         }
     }
 
@@ -524,7 +519,7 @@ impl<T: Real> SparseCsr<T> {
             };
             let world = GatherWorld {
                 x,
-                haul: GatherHaul::empty(),
+                haul: GatherHaul::with_capacity(0),
             };
             let cache = cache.map(|c| &mut c.cache);
             let build = |proc: &mut Proc, _: &_| self.build_gather_schedule(proc, x);
@@ -550,9 +545,11 @@ impl<T: Real> SparseCsr<T> {
         let Some(flight) = pending.flight else {
             return Gathered::idle();
         };
+        // One allocation per trip: the haul holds what the schedule fetches.
+        let words = flight.schedule().map_or(0, CommSchedule::words_expected);
         let mut world = GatherWorld {
             x,
-            haul: GatherHaul::empty(),
+            haul: GatherHaul::with_capacity(words),
         };
         let cache = cache.map(|c| &mut c.cache);
         let build = |proc: &mut Proc, _: &_| self.build_gather_schedule(proc, x);

@@ -237,6 +237,9 @@ struct InspectState {
     /// array values, so the inspector sees every write the executor will
     /// make.
     writes: usize,
+    /// A cacheable body's schedule-relevant names ([`sched_names`]): the
+    /// only scalars whose values the walk computes. `None` elsewhere.
+    sched: Option<Vec<Slot>>,
 }
 
 impl InspectState {
@@ -1110,6 +1113,15 @@ impl<'a, 'p> Interp<'a, 'p> {
             RStmt::AssignScalar {
                 slot, rhs, flops, ..
             } => {
+                // A scalar no schedule-relevant position reads is a value,
+                // like an element's: the inspector records its reads only.
+                let value = match &self.mode {
+                    Mode::Inspect(st) => st.sched.as_ref().is_some_and(|n| !n.contains(slot)),
+                    _ => false,
+                };
+                if value {
+                    return self.record_reads(rhs).map(|()| Flow::Normal);
+                }
                 let v = self.eval(rhs)?;
                 self.set_scalar(*slot, v)?;
                 // Charged as each line's activation would be.
@@ -1702,7 +1714,13 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// first-touch order, what they write, and which read a remote
     /// element. It charges no time and sends nothing.
     fn walk(&mut self, d: &'p RDoall, my_iters: &IterSet) -> RtResult<InspectState> {
-        self.mode = Mode::Inspect(InspectState::default());
+        let sched = d
+            .cacheable
+            .then(|| sched_names(d, |s| matches!(self.slot(s), Some(Binding::Array(_)))));
+        self.mode = Mode::Inspect(InspectState {
+            sched,
+            ..InspectState::default()
+        });
         let walked = my_iters.iter().enumerate().try_for_each(|(pos, it)| {
             if let Mode::Inspect(st) = &mut self.mode {
                 st.pos = pos;

@@ -1672,9 +1672,10 @@ end
     /// A right-hand side is the executor's: the inspector records what
     /// it reads and computes nothing, so `b(i - 1)` across a block edge —
     /// still 0 in the reader's storage until the exchange — never
-    /// divides, in an element assignment nor in a builtin's scalar
-    /// argument. At p = 2 and 4 every backend, policy square and seeding
-    /// returns p = 1's array; none stops at `integer division by zero`.
+    /// divides, in an element assignment, a builtin's scalar argument or
+    /// a scalar assignment that only feeds values. At p = 2 and 4 every
+    /// backend, policy square and seeding returns p = 1's array; none
+    /// stops at `integer division by zero`.
     #[test]
     fn a_right_hand_side_is_computed_on_fresh_data_only() {
         let src = |body: &str| {
@@ -1693,7 +1694,12 @@ end
             HostValue::Int(8),
         ];
         let seqtri = "call seqtri(a(i:i), c(i:i), c(i:i), c(i:i), c(i:i), 100 / b(i - 1))";
-        for (body, v) in [("a(i) = 100 / b(i - 1)", 100.0), (seqtri, 1.0)] {
+        let scalar = "t = 100 / b(i - 1)\n    a(i) = t";
+        for (body, v) in [
+            ("a(i) = 100 / b(i - 1)", 100.0),
+            (seqtri, 1.0),
+            (scalar, 100.0),
+        ] {
             let want = [0.0, v, v, v, v, v, v, v];
             for backend in [BackendKind::Sim, BackendKind::Threads] {
                 for p in [1, 2, 4] {

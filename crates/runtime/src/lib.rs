@@ -28,8 +28,8 @@
 //!   trip driver — the one place that decides replay. The two product-range
 //!   shapes hand the body whole contiguous row runs (`&[T]` in,
 //!   `&mut [T]` out) — the form every solver is written in;
-//!   [`PlanRead::update2`]/[`PlanRead::run2`] are the per-point
-//!   convenience, adaptors over the row-run engine, not a second engine;
+//!   [`PlanRead::update2`] is the per-point convenience, an adaptor over
+//!   the row-run engine, not a second engine;
 //! * [`Ctx::sparse`] — the same contract for *irregular* reads: a
 //!   [`SparsePlan`] drives one inspector-executor SpMV against a
 //!   [`kali_array::SparseCsr`], overlapping the x-gather transit with
@@ -485,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_run2_covers_exactly_the_owned_product_subbox() {
+    fn plan_run2_rows_covers_exactly_the_owned_product_subbox() {
         for policy in [ExecPolicy::blocking(), ExecPolicy::default()] {
             let run = Machine::run(cfg(4), move |proc| {
                 let grid = ProcGrid::new_2d(2, 2);
@@ -493,9 +493,12 @@ mod tests {
                 let mut a = DistArray2::<f64>::new(proc.rank(), &grid, &spec, [8, 8], [1, 1]);
                 let mut ctx = Ctx::with_policy(proc, grid, policy);
                 let mut seen = Vec::new();
-                ctx.plan()
-                    .reads(&mut a, Ghosts::faces(1))
-                    .run2(1..7, 1..7, 1.0, |_, _, i, j| seen.push((i, j)));
+                ctx.plan().reads(&mut a, Ghosts::faces(1)).run2_rows(
+                    1..7,
+                    1..7,
+                    1.0,
+                    |_, _, i, js| seen.extend(js.map(|j| (i, j))),
+                );
                 seen
             });
             let mut all: Vec<(usize, usize)> = run.results.into_iter().flatten().collect();

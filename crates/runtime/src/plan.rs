@@ -28,13 +28,12 @@
 //!   the old array's storage is lent as the snapshot, and every owned
 //!   point in the range is rewritten from it — no user-visible temporary
 //!   and no copy of the array ([`DistArray2::with_copy_in`]).
-//! * [`PlanRead::run2`] — a product-range `doall` that reads the
+//! * [`PlanRead::run2_rows`] — a product-range `doall` that reads the
 //!   declared array (fresh ghosts) and writes elsewhere (e.g. a
 //!   residual into a second array captured by the body).
-//! * [`PlanRead::update2_rows`] / [`PlanRead::run2_rows`] — the same two
-//!   shapes with the body handed whole contiguous row runs as slices:
-//!   the engine itself, and the form the solvers are written in (the
-//!   per-point pair above loops each run).
+//! * [`PlanRead::update2_rows`] — `update2` with the body handed whole
+//!   contiguous row runs as slices: the engine itself, and the form the
+//!   solvers are written in (`update2` loops each run).
 //! * [`PlanRead::run_line_runs`] / [`PlanRead::run_lines`] — a
 //!   one-dimensional `doall` over runs of lines (zebra relaxation) or,
 //!   its adaptor, one line at a time (semicoarsening restriction), with
@@ -106,7 +105,7 @@ impl<'c, 'p> StencilPlan<'c, 'p> {
     /// Declare the distributed array this stencil reads beyond its owned
     /// block. The runtime derives the ghost communication from the
     /// declaration; the array is handed back to the loop body (shared
-    /// for [`PlanRead::run2`]/[`PlanRead::update2`], mutable for
+    /// for [`PlanRead::run2_rows`]/[`PlanRead::update2`], mutable for
     /// [`PlanRead::run_lines`]) once its skirt is current.
     ///
     /// Generic over the element type: an `f32` array halves the wire
@@ -283,29 +282,12 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
     }
 
     /// Product-range `doall` reading the refreshed array and writing
-    /// elsewhere: `body(ctx, a, i, j)` runs for exactly the owned points
-    /// of `[r0] × [r1]`, interior first under a split policy.
-    /// `flops_per_point` is charged per point, interior before
+    /// elsewhere: `body(ctx, a, i, js)` runs for exactly the owned points
+    /// of `[r0] × [r1]`, handed as whole row runs, interior first under a
+    /// split policy. It reads `a`'s rows as slices ([`DistArrayN::row`])
+    /// and writes wherever it captures (typically `row_mut` of a second
+    /// array). `flops_per_point` is charged per point, interior before
     /// completion (overlapping the transit), boundary after.
-    pub fn run2(
-        self,
-        r0: std::ops::Range<usize>,
-        r1: std::ops::Range<usize>,
-        flops_per_point: f64,
-        mut body: impl FnMut(&mut Ctx, &DistArray2<T>, usize, usize),
-    ) {
-        self.drive2_rows(r0, r1, flops_per_point, false, |ctx, a, _, i, js| {
-            for j in js {
-                body(ctx, a, i, j);
-            }
-        });
-    }
-
-    /// Row-form sibling of [`PlanRead::run2`]: the same points and flop
-    /// accounting, with the body handed whole row runs
-    /// (`body(ctx, a, i, js)`) of the refreshed array — it reads `a`'s
-    /// rows as slices ([`DistArrayN::row`]) and writes wherever it
-    /// captures (typically `row_mut` of a second array).
     pub fn run2_rows(
         self,
         r0: std::ops::Range<usize>,

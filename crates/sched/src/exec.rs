@@ -13,14 +13,10 @@ use kali_machine::{collective, Elem, PendingRecv, Proc, Tag, Team, Wire};
 use crate::schedule::CommSchedule;
 
 /// How the executor touches a consumer's storage. `array` indexes into
-/// [`CommSchedule::arrays`]; `flat` is the consumer's flat element index
-/// (global row-major for both current consumers).
-///
-/// The executor's serve/scatter hot loops call the *batched* accessors
-/// ([`ScheduleWorld::load_into`] / [`ScheduleWorld::store_from`]), which
-/// default to per-element calls; consumers whose per-element access pays
-/// a fixed cost (a `RefCell` borrow, an N-dimensional index decode)
-/// override them to pay it once per request vector instead.
+/// [`CommSchedule::arrays`]; `flat` is an element name the consumer
+/// chose when it built the schedule, and only the consumer decodes it:
+/// the halo names storage offsets, the sparse gather global columns, the
+/// interpreter an entry-major encoding over its exchange list.
 pub trait ScheduleWorld<T> {
     /// Read the current local value of element `flat` of schedule array
     /// `array` (serving a peer's cached request).
@@ -28,28 +24,6 @@ pub trait ScheduleWorld<T> {
     /// Store a freshly received value into element `flat` of schedule
     /// array `array`.
     fn store(&mut self, array: usize, flat: u64, value: T);
-
-    /// Append the values of `flats` (one request vector of array `array`)
-    /// to `out`, in order. Override to hoist per-element overhead.
-    fn load_into(&self, array: usize, flats: &[u64], out: &mut Vec<T>)
-    where
-        T: Copy,
-    {
-        out.extend(flats.iter().map(|&f| self.load(array, f)));
-    }
-
-    /// Store `values` into the elements named by `flats`, pairwise
-    /// (`values.len() == flats.len()`). Override to hoist per-element
-    /// overhead.
-    fn store_from(&mut self, array: usize, flats: &[u64], values: &[T])
-    where
-        T: Copy,
-    {
-        debug_assert_eq!(flats.len(), values.len());
-        for (&f, &v) in flats.iter().zip(values) {
-            self.store(array, f, v);
-        }
-    }
 }
 
 /// An in-flight pessimistic value exchange created by
@@ -114,7 +88,7 @@ impl ScheduleExecutor {
         let mut served = 0usize;
         for (k, a) in sched.arrays.iter().enumerate() {
             for (d, idxs) in a.incoming.iter().enumerate() {
-                world.load_into(k, idxs, &mut replies[d]);
+                replies[d].extend(idxs.iter().map(|&f| world.load(k, f)));
                 served += idxs.len();
             }
         }
@@ -138,7 +112,10 @@ impl ScheduleExecutor {
         let mut cursor = vec![0usize; values.len()];
         for (k, a) in sched.arrays.iter().enumerate() {
             for (d, idxs) in a.my_reqs.iter().enumerate() {
-                world.store_from(k, idxs, &values[d][cursor[d]..cursor[d] + idxs.len()]);
+                let got = &values[d][cursor[d]..cursor[d] + idxs.len()];
+                for (&f, &v) in idxs.iter().zip(got) {
+                    world.store(k, f, v);
+                }
                 cursor[d] += idxs.len();
             }
         }

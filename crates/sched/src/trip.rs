@@ -264,6 +264,16 @@ impl<T: Elem, K: SiteKey> InFlight<T, K> {
         }
     }
 
+    /// The schedule this flight scatters unless its vote is lost: a
+    /// fresh build, or the local hit. `None` on a local miss. A consumer
+    /// sizes its receive buffers by it.
+    pub fn schedule(&self) -> Option<&CommSchedule> {
+        match &self.state {
+            State::Posted(sched, _) | State::Ready(sched) => Some(sched),
+            State::Voting(hit, _) | State::Undecided(hit) => hit.as_ref().map(|(_, s)| &**s),
+        }
+    }
+
     /// Is the verdict final — will [`InFlight::finish`] deliver this
     /// flight's schedule without a rollback? True for a fresh build, and
     /// for a local hit whose own ballot is the verdict (a singleton team, or a member sitting out); false while a

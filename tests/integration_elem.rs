@@ -1,12 +1,12 @@
 //! Differential suite for the element-generic compiled path: `f32`
 //! grids answer within tolerance of `f64` while moving exactly half the
-//! face-exchange words; the plan's row-run entry points
-//! (`update2_rows`/`run2_rows`) are bitwise identical to the per-point
-//! ones (`update2`/`run2`) on both backends, with the per-point bodies
-//! written here; random `f32` stencil loops replay warm with zero
-//! rollbacks; optimistic vote headers flow only among the *active*
-//! team (ranks whose owned block is non-empty); and debug builds fence
-//! reads that stray outside the declared `Ghosts` skirt.
+//! face-exchange words; the plan's row-run copy-in/copy-out update
+//! (`update2_rows`) is bitwise identical to the per-point one
+//! (`update2`) on both backends, with the per-point bodies written here;
+//! random `f32` stencil loops replay warm with zero rollbacks; optimistic
+//! vote headers flow only among the *active* team (ranks whose owned
+//! block is non-empty); and debug builds fence reads that stray outside
+//! the declared `Ghosts` skirt.
 
 use std::time::Duration;
 
@@ -89,13 +89,11 @@ fn jacobi_elem<T: Real>(
     (run.results[0].clone().unwrap(), run.report)
 }
 
-/// The plan's two 2-D loop shapes on a 2×2 grid — four copy-in/copy-out
-/// 5-point updates of `u`, then a residual-style product loop writing a
-/// second array — written per row run (`update2_rows`/`run2_rows`) or per
-/// point (`update2`/`run2`): the same expressions in the same order, so
-/// the two spellings must agree to the bit. Returns the gathered `u`,
-/// the gathered residual, and the report.
-fn plan_forms<T: Real>(backend: BackendKind, rows: bool) -> (Vec<T>, Vec<T>, RunReport) {
+/// Four copy-in/copy-out 5-point updates of `u` on a 2×2 grid, written
+/// per row run (`update2_rows`) or per point (`update2`): the same
+/// expressions in the same order, so the two spellings must agree to the
+/// bit. Returns the gathered `u` and the report.
+fn plan_forms<T: Real>(backend: BackendKind, rows: bool) -> (Vec<T>, RunReport) {
     let (n, m) = (16usize, 15usize);
     let run = Machine::run(cfg_on(backend, 4), move |proc| {
         let grid = ProcGrid::new_2d(2, 2);
@@ -116,8 +114,7 @@ fn plan_forms<T: Real>(backend: BackendKind, rows: bool) -> (Vec<T>, Vec<T>, Run
             [0, 0],
             |[i, j]| T::from_f64(((i + 2 * j) % 5) as f64 / 50.0),
         );
-        let mut r = u.like();
-        let (quarter, four) = (T::from_f64(0.25), T::from_f64(4.0));
+        let quarter = T::from_f64(0.25);
         let mut ctx = Ctx::new(proc, grid);
         for _ in 0..4 {
             let plan = ctx.plan().reads(&mut u, Ghosts::faces(1));
@@ -143,32 +140,9 @@ fn plan_forms<T: Real>(backend: BackendKind, rows: bool) -> (Vec<T>, Vec<T>, Run
                 });
             }
         }
-        let plan = ctx.plan().reads(&mut u, Ghosts::faces(1));
-        if rows {
-            plan.run2_rows(1..n, 1..m, 6.0, |_, u, i, js| {
-                let up = u.row(i + 1, js.clone());
-                let dn = u.row(i - 1, js.clone());
-                let rt = u.row(i, js.start + 1..js.end + 1);
-                let lf = u.row(i, js.start - 1..js.end - 1);
-                let mid = u.row(i, js.clone());
-                let fr = f.row(i, js.clone());
-                let dst = r.row_mut(i, js);
-                for k in 0..dst.len() {
-                    dst[k] = fr[k] - (four * mid[k] - (up[k] + dn[k]) - (rt[k] + lf[k]));
-                }
-            });
-        } else {
-            plan.run2(1..n, 1..m, 6.0, |_, u, i, j| {
-                let lu = four * u.at(i, j)
-                    - (u.at(i + 1, j) + u.at(i - 1, j))
-                    - (u.at(i, j + 1) + u.at(i, j - 1));
-                r.put(i, j, f.at(i, j) - lu);
-            });
-        }
-        (u.gather_to_root(ctx.proc()), r.gather_to_root(ctx.proc()))
+        u.gather_to_root(ctx.proc())
     });
-    let (u, r) = run.results[0].clone();
-    (u.unwrap(), r.unwrap(), run.report)
+    (run.results[0].clone().unwrap(), run.report)
 }
 
 #[test]
@@ -214,11 +188,9 @@ fn f32_face_exchange_words_are_exactly_half_of_f64() {
 fn row_and_point_plan_forms_are_bitwise_identical() {
     /// One element type on one backend; returns the flops charged.
     fn check<T: Real>(backend: BackendKind) -> f64 {
-        let (u_rows, r_rows, rows) = plan_forms::<T>(backend, true);
-        let (u_point, r_point, point) = plan_forms::<T>(backend, false);
+        let (u_rows, rows) = plan_forms::<T>(backend, true);
+        let (u_point, point) = plan_forms::<T>(backend, false);
         assert_bitwise(&u_rows, &u_point, "update2 row-vs-point");
-        assert_bitwise(&r_rows, &r_point, "run2 row-vs-point");
-        assert!(r_rows.iter().any(|v| v.to_f64() != 0.0), "residual written");
         assert_eq!(rows.total_flops, point.total_flops, "flop parity");
         assert!(rows.total_exchange_words > 0, "the loops must exchange");
         assert_eq!(rows.total_exchange_words, point.total_exchange_words);
@@ -357,13 +329,15 @@ fn read_fence_rejects_reads_beyond_the_declared_width() {
         let mut u = DistArray2::<f64>::new(proc.rank(), &grid, &spec, [9, 5], [2, 0]);
         let mut ctx = Ctx::new(proc, grid);
         let [nxp, nyp] = u.extents();
-        ctx.plan().reads(&mut u, Ghosts::faces(1)).run2(
+        ctx.plan().reads(&mut u, Ghosts::faces(1)).run2_rows(
             1..nxp - 1,
             1..nyp - 1,
             1.0,
-            |_, u, i, j| {
-                if i + 2 < nxp && !u.owns([i + 2, j]) {
-                    let _ = u.at(i + 2, j); // depth-2 ghost read
+            |_, u, i, js| {
+                for j in js {
+                    if i + 2 < nxp && !u.owns([i + 2, j]) {
+                        let _ = u.at(i + 2, j); // depth-2 ghost read
+                    }
                 }
             },
         );
@@ -383,10 +357,10 @@ fn read_fence_rejects_undeclared_corner_reads() {
         let mut ctx = Ctx::new(proc, grid);
         ctx.plan()
             .reads(&mut u, Ghosts::faces(1))
-            .run2(1..16, 1..16, 1.0, |_, u, i, j| {
-                let corner_of_my_block = i == u.owned_range(0).start && j == u.owned_range(1).start;
-                if corner_of_my_block && i > 1 && j > 1 {
-                    let _ = u.at(i - 1, j - 1); // diagonal ghost, undeclared
+            .run2_rows(1..16, 1..16, 1.0, |_, u, i, js| {
+                let (i0, j0) = (u.owned_range(0).start, u.owned_range(1).start);
+                if i == i0 && js.contains(&j0) && i > 1 && j0 > 1 {
+                    let _ = u.at(i - 1, j0 - 1); // diagonal ghost, undeclared
                 }
             });
     });

@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use kali::array::HaloCache;
 use kali::grid::Layout;
 use kali::kernels::tri_dist::tri_dist;
 use kali::kernels::tridiag::{thomas, TriDiag};
@@ -77,38 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn ghost_exchange_provides_correct_neighbours(
-        n in 4usize..40,
-        p in 1usize..7,
-    ) {
-        let run = Machine::run(cfg(p), move |proc| {
-            let grid = ProcGrid::new_1d(p);
-            let mut a = DistArray1::from_fn(
-                proc.rank(),
-                &grid,
-                &DistSpec::block1(),
-                [n],
-                [1],
-                |[i]| (i * i) as f64,
-            );
-            a.refresh_ghosts(proc, None, ExecPolicy::blocking(), true);
-            // Verify every visible neighbour value.
-            let mut ok = true;
-            if a.is_participant() {
-                let r = a.owned_range(0);
-                if r.start > 0 {
-                    ok &= a.at(r.start - 1) == ((r.start - 1) * (r.start - 1)) as f64;
-                }
-                if r.end < n {
-                    ok &= a.at(r.end) == (r.end * r.end) as f64;
-                }
-            }
-            ok
-        });
-        prop_assert!(run.results.iter().all(|&ok| ok));
-    }
-
-    #[test]
     fn collectives_agree_with_scalar_reference(
         p in 1usize..9,
         vals in prop::collection::vec(-100.0f64..100.0, 1..9),
@@ -139,6 +108,16 @@ fn draw(state: &mut u64, below: usize) -> usize {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     ((z ^ (z >> 31)) % below as u64) as usize
+}
+
+/// The global index of row-major position `flat` over `extents`.
+fn unflat<const N: usize>(mut flat: usize, extents: [usize; N]) -> [usize; N] {
+    let mut g = [0usize; N];
+    for d in (0..N).rev() {
+        g[d] = flat % extents[d];
+        flat /= extents[d];
+    }
+    g
 }
 
 /// The interpreter's array object under `spec` on `grid`, declared with
@@ -173,12 +152,7 @@ fn ownership_agrees<const N: usize>(
         .collect();
     let total: usize = extents.iter().product();
     for flat in 0..total {
-        let mut rem = flat;
-        let mut g = [0usize; N];
-        for d in (0..N).rev() {
-            g[d] = rem % extents[d];
-            rem /= extents[d];
-        }
+        let g = unflat(flat, extents);
         let idxs: Vec<i64> = (0..N).map(|d| lo[d] + g[d] as i64).collect();
         let owner = a.owner_of(&idxs).expect("distributed and in bounds");
         let subs: Vec<Option<i64>> = idxs.iter().map(|&i| Some(i)).collect();
@@ -255,6 +229,134 @@ proptest! {
             1 => ownership_agrees([lo[0]], [ext[0]], &spec, &grid),
             2 => ownership_agrees([lo[0], lo[1]], [ext[0], ext[1]], &spec, &grid),
             _ => ownership_agrees(lo, ext, &spec, &grid),
+        }
+    }
+}
+
+/// Row-major over extents below 10, plus one: every cell's value is its
+/// own, and none is the 0 a fresh array's ghost cells hold.
+fn cell<const N: usize>(idx: [usize; N]) -> f64 {
+    idx.iter().fold(0, |f, &i| 10 * f + i) as f64 + 1.0
+}
+
+/// The first cell this processor stores with the wrong value, if any:
+/// owned cells and the refreshed skirt hold [`cell`], and the corners a
+/// face-only refresh skips still hold 0.
+fn misplaced<const N: usize>(
+    a: &DistArrayN<f64, N>,
+    ghost: [usize; N],
+    corners: bool,
+) -> Option<[usize; N]> {
+    let extents = a.extents();
+    (0..extents.iter().product()).find_map(|flat| {
+        let g = unflat(flat, extents);
+        let v = a.try_get(g)?;
+        // Only a ghosted dimension stores cells outside the owned block.
+        let outside = (0..N)
+            .filter(|&d| ghost[d] > 0 && !a.owned_range(d).contains(&g[d]))
+            .count();
+        let want = if corners || outside <= 1 {
+            cell(g)
+        } else {
+            0.0
+        };
+        (v != want).then_some(g)
+    })
+}
+
+/// Refresh an array's ghosts through a fresh [`HaloCache`], then a freshly
+/// allocated array of the same geometry through the same cache: both land
+/// every ghost, and the second replays the first's schedule (no new
+/// inspector run) under an optimistic policy — an entry names the same
+/// cell in every array that shares its key.
+fn ghosts_land<const N: usize>(
+    grid: ProcGrid,
+    spec: DistSpec,
+    extents: [usize; N],
+    ghost: [usize; N],
+    corners: bool,
+    policy: ExecPolicy,
+) {
+    let p = grid.size();
+    let what =
+        format!("{spec} on {grid:?} {extents:?} ghosts {ghost:?} corners {corners} {policy:?}");
+    let run = Machine::run(cfg(p), move |proc| {
+        let me = proc.rank();
+        let fresh = || DistArrayN::from_fn(me, &grid, &spec, extents, ghost, cell);
+        let mut cache = HaloCache::new();
+        let mut a = fresh();
+        a.refresh_ghosts(proc, Some(&mut cache), policy, corners);
+        let built = proc.stats().inspector_runs;
+        let mut b = fresh();
+        b.refresh_ghosts(proc, Some(&mut cache), policy, corners);
+        let rebuilt = proc.stats().inspector_runs - built;
+        (
+            misplaced(&a, ghost, corners),
+            misplaced(&b, ghost, corners),
+            rebuilt,
+        )
+    });
+    for (rank, (a, b, rebuilt)) in run.results.iter().enumerate() {
+        assert_eq!(*a, None, "rank {rank}, first array: {what}");
+        assert_eq!(*b, None, "rank {rank}, second array: {what}");
+        assert_eq!(
+            *rebuilt,
+            u64::from(!policy.optimistic),
+            "rank {rank}: {what}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random ghost refreshes: one to three dimensions, each block, cyclic
+    /// or `*`; ghost widths 0 to 2 on the block and `*` dimensions, wider
+    /// than a block where the extent is small; corners on and off; p = 1
+    /// to 6 factored over the distributed dimensions, on extents the grid
+    /// need not divide; every policy square.
+    #[test]
+    fn ghost_exchange_provides_correct_neighbours(seed in 0u64..u64::MAX) {
+        let mut s = seed;
+        let rank = 1 + draw(&mut s, 3);
+        let mut kinds: Vec<usize> = (0..rank).map(|_| draw(&mut s, 3)).collect();
+        if kinds.iter().all(|&k| k == 2) {
+            kinds[0] = 0;
+        }
+        let maps: Vec<DimMap> = (kinds.iter())
+            .map(|&k| match k {
+                0 => DimMap::Dist(DimDist::Block),
+                1 => DimMap::Dist(DimDist::Cyclic),
+                _ => DimMap::Local,
+            })
+            .collect();
+        let ndist = kinds.iter().filter(|&&k| k < 2).count();
+        let p = 1 + draw(&mut s, 6);
+        let mut gdims = Vec::with_capacity(ndist);
+        let mut rest = p;
+        for _ in 1..ndist {
+            let divisors: Vec<usize> = (1..=rest).filter(|&d| rest.is_multiple_of(d)).collect();
+            let d = divisors[draw(&mut s, divisors.len())];
+            gdims.push(d);
+            rest /= d;
+        }
+        gdims.push(rest);
+        let grid = ProcGrid::with_ranks(gdims, (0..p).collect());
+        let spec = DistSpec::new(maps);
+        let ext: [usize; 3] = std::array::from_fn(|_| 1 + draw(&mut s, 9));
+        let gh: [usize; 3] = std::array::from_fn(|d| match kinds.get(d) {
+            Some(1) => 0,
+            _ => draw(&mut s, 3),
+        });
+        let corners = draw(&mut s, 2) == 1;
+        let policy = ExecPolicy {
+            split: draw(&mut s, 2) == 1,
+            optimistic: draw(&mut s, 2) == 1,
+        };
+        match rank {
+            1 => ghosts_land(grid, spec, [ext[0]], [gh[0]], corners, policy),
+            2 => ghosts_land(grid, spec, [ext[0], ext[1]], [gh[0], gh[1]], corners, policy),
+            _ => ghosts_land(grid, spec, ext, gh, corners, policy),
         }
     }
 }
