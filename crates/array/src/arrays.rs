@@ -385,7 +385,7 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 
     /// Storage index of an owned global element (no ghost reasoning).
     #[inline]
-    fn storage_index_owned(&self, idx: [usize; N]) -> usize {
+    pub(crate) fn storage_index_owned(&self, idx: [usize; N]) -> usize {
         let mut s = 0;
         for d in 0..N {
             let (q, li) = self.dists[d].global_to_local(idx[d]);

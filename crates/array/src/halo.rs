@@ -2,30 +2,35 @@
 //! sends/receives, generalized to any block-distributed dimension of an
 //! N-dimensional array, and routed *entirely* through the shared
 //! inspector–executor engine (`kali-sched`): this module holds the
-//! halo's **key** ([`HaloKey`]), **builder** (the analytic skirt walk)
+//! halo's **key** ([`HaloKey`]), **builder** (a product of 1-D factors)
 //! and **world** (the array's storage), and [`DistArrayN::begin_ghosts`] /
 //! [`DistArrayN::finish_ghosts`] hand them to the one trip driver
 //! ([`kali_sched::Trip`]) that also runs the sparse gather and the
 //! interpreter's `doall`. The protocol itself — gate, vote, post,
 //! complete, scatter, rollback, store — is not written here.
 //!
-//! The ghost geometry is turned into a [`CommSchedule`] *analytically* —
-//! every member derives, with no communication, which of its ghost cells
-//! each peer owns and which of its owned cells sit in each peer's ghost
-//! skirt. The schedule names each cell by its offset in this processor's
-//! storage, checked visible once at build time, so a replay indexes the
-//! array and decodes nothing. Because each ghost cell is fetched
-//! directly from its true *owner* (not pipelined through a face
-//! neighbour), the corner-completing variant (`corners = true`)
+//! The ghost geometry is turned into a [`CommSchedule`] *analytically*,
+//! with no communication. Ownership is the tensor product of the 1-D
+//! block/cyclic maps, so the cells a member fetches from one peer form a
+//! box: per dimension, its storage interval (owned block plus ghost
+//! width, clipped to the extent) met with the peer's owned interval. The
+//! cells it serves that peer are the mirror box, and both sides list a
+//! box in row-major order. The schedule names each cell by its offset in
+//! this processor's storage, checked visible once at build time, so a
+//! replay indexes the array and decodes nothing. Because each ghost cell
+//! is fetched directly from its true *owner* (not pipelined through a
+//! face neighbour), the corner-completing variant (`corners = true`)
 //! refreshes edge and corner ghosts in the same posted exchange, so
 //! 9-point stencils can run split-phase; the face-only variant skips the
-//! diagonal traffic that 5/7-point stencils never read.
+//! diagonal peers whose traffic 5/7-point stencils never read.
 //!
-//! Deriving the schedule is host work a real runtime pays per trip:
-//! every relevant peer's storage box is walked, so the build is charged
-//! to the virtual clock (as inspection time) like the interpreter's
-//! inspector pass. The [`HaloCache`] removes it from warm trips: built
-//! schedules are stored in `kali-sched`'s [`ScheduleCache`] keyed on
+//! Deriving the schedule is host work a real runtime pays per trip, and
+//! the build is charged to the virtual clock (as inspection time) like
+//! the interpreter's inspector pass. The charge prices a walk of every
+//! storage box that meets this member's owned block, its own included —
+//! the sum of those boxes' sizes — not the handful of intervals the
+//! builder actually meets. The [`HaloCache`] removes it from warm trips:
+//! built schedules are stored in `kali-sched`'s [`ScheduleCache`] keyed on
 //! `(extents, dists, ghosts, corner policy, distribution generation)`,
 //! and a warm exchange replays the cached schedule with the replay
 //! consensus vote riding as a one-word header on the fused value
@@ -61,6 +66,7 @@
 //! processor that exchanges no messages observes no votes.
 
 use std::convert::Infallible;
+use std::ops::Range;
 
 use kali_grid::Dist1;
 use kali_machine::{tag, Proc, Team, NS_ARRAY};
@@ -219,15 +225,15 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 
     /// The halo's schedule builder (infallible, in the shape the trip
     /// driver calls): derive the ghost [`CommSchedule`] analytically and
-    /// charge the walk (every relevant rank's storage box) to the virtual
-    /// clock, which the driver counts as inspection.
+    /// charge it (every meeting rank's storage box) to the virtual clock,
+    /// which the driver counts as inspection.
     fn build_halo_schedule(
         &self,
         proc: &mut Proc,
         corners: bool,
     ) -> Result<CommSchedule, Infallible> {
-        let (sched, cells_walked) = self.halo_schedule(corners);
-        proc.memop(cells_walked as f64);
+        let (sched, charge) = self.halo_schedule(corners);
+        proc.memop(charge as f64);
         Ok(sched)
     }
 
@@ -250,16 +256,21 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         }
     }
 
-    /// Derive the ghost [`CommSchedule`]: every member walks each rank's
-    /// storage box (owned block plus ghost skirt, clipped to the global
-    /// extents) in the same canonical row-major order, so the requesting
-    /// side and every serving side agree on the per-pair cell sequences
-    /// without a request round. Each side names a cell by its offset in
-    /// its *own* storage — a ghost cell in `my_reqs`, an owned cell in
-    /// `incoming` — so a replay indexes storage and decodes nothing; the
-    /// walk's order is what pairs the two names. Returns the schedule
-    /// plus the number of cells walked (the work the build is charged
-    /// for).
+    /// Derive the ghost [`CommSchedule`] as a product of 1-D factors.
+    /// Ownership is the tensor product of the per-dimension maps, so what
+    /// I fetch from a peer is a box — per dimension, my storage interval
+    /// met with the peer's owned interval — and what I serve it is the
+    /// mirror box, its storage interval met with mine. Both sides meet
+    /// the same intervals and enumerate each box in row-major order, so
+    /// they agree on the per-pair cell sequences without a request round.
+    /// Each side names a cell by its offset in its *own* storage — a
+    /// ghost cell in `my_reqs`, an owned cell in `incoming` — so a replay
+    /// indexes storage and decodes nothing. A peer whose coordinates
+    /// differ from mine in `k` dimensions sees only cells outside its
+    /// block in exactly those `k`, so the face-only policy skips every
+    /// peer with `k > 1`. Returns the schedule plus its charge: the
+    /// storage-box sizes of every peer whose box meets my owned block
+    /// (mine included), the cells a walk of those boxes would visit.
     ///
     /// The per-peer vectors are indexed by *active-team* position (see
     /// [`DistArrayN::active_team`]): ranks owning nothing can appear on
@@ -271,48 +282,41 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
         let q = team.len();
         let mut my_reqs: Vec<Vec<u64>> = vec![Vec::new(); q];
         let mut incoming: Vec<Vec<u64>> = vec![Vec::new(); q];
-        let mut cells_walked = 0usize;
+        let mut charge = 0usize;
         if self.ghost.iter().any(|&g| g > 0) && self.is_participant() {
-            // My own skirt: what I request of each cell's owner.
-            cells_walked += self.walk_skirt(&self.qs, corners, &mut |g| {
-                let oi = team
-                    .index_of(self.owner_rank(g))
-                    .expect("every owner belongs to the owning grid");
-                let s = self
-                    .storage_index(g)
-                    .expect("a ghost cell I request lies in my skirt");
-                my_reqs[oi].push(s as u64);
-            });
-            // Peers whose widened (skirted) box can overlap my owned
-            // block: what each will request of me. Every other rank
-            // exchanges nothing with us, so its box is never walked.
+            let meet = |a: &Range<usize>, b: &Range<usize>| a.start.max(b.start)..a.end.min(b.end);
+            let mine: [_; N] = std::array::from_fn(|d| self.intervals(d, self.qs[d]));
             for ti in 0..q {
-                let r = team.rank(ti);
-                if r == self.rank {
-                    continue;
-                }
-                let qs = self
-                    .layout
-                    .coords(r)
+                let qs = (self.layout.coords::<N>(team.rank(ti)))
                     .expect("active members are grid members");
-                // Interval prefilter; non-contiguous dims (ghost width 0
-                // there) are conservatively kept.
-                let overlaps = |d: usize| {
-                    let dist = self.dists[d];
-                    let lo = dist.lower(qs[d]).unwrap_or(0);
-                    let skirt_lo = lo.saturating_sub(self.ghost[d]);
-                    let skirt_hi = lo + dist.local_len(qs[d]) + self.ghost[d];
-                    !dist.is_contiguous()
-                        || skirt_lo < self.lo[d] + self.len[d] && self.lo[d] < skirt_hi
-                };
-                if !(0..N).all(overlaps) {
+                let theirs: [_; N] = std::array::from_fn(|d| self.intervals(d, qs[d]));
+                let fetch: [_; N] = std::array::from_fn(|d| meet(&mine[d].1, &theirs[d].0));
+                let serve: [_; N] = std::array::from_fn(|d| meet(&theirs[d].1, &mine[d].0));
+                if serve.iter().any(Range::is_empty) {
                     continue;
                 }
-                cells_walked += self.walk_skirt(&qs, corners, &mut |g| {
-                    if self.owner_rank(g) == self.rank {
-                        let s = self.storage_index(g).expect("a cell I serve is mine");
-                        incoming[ti].push(s as u64);
-                    }
+                charge += theirs.iter().map(|(_, s)| s.len()).product::<usize>();
+                let differ = (0..N).filter(|&d| qs[d] != self.qs[d]).count();
+                if differ == 0 || (differ > 1 && !corners) {
+                    continue;
+                }
+                // A box's global indices; along a non-contiguous
+                // (ghost-free) dimension, my owned list if we share it.
+                let cells = |b: [Range<usize>; N]| -> [Vec<usize>; N] {
+                    std::array::from_fn(|d| match self.dists[d].is_contiguous() {
+                        true => b[d].clone().collect(),
+                        false if qs[d] == self.qs[d] => self.dists[d].owned(qs[d]).collect(),
+                        false => Vec::new(),
+                    })
+                };
+                cartesian(&cells(fetch), |g| {
+                    let s = self
+                        .storage_index(g)
+                        .expect("a ghost cell I fetch is in my skirt");
+                    my_reqs[ti].push(s as u64);
+                });
+                cartesian(&cells(serve), |g| {
+                    incoming[ti].push(self.storage_index_owned(g) as u64);
                 });
             }
         }
@@ -326,45 +330,23 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
             write_hint: 0,
             boundary: Vec::new(),
         };
-        (sched, cells_walked)
+        (sched, charge)
     }
 
-    /// Visit the global-valid ghost-skirt cells of the block owned by the
-    /// processor at per-dimension coordinates `qs`, in canonical
-    /// (row-major, ascending) order: cells of its storage box that lie
-    /// outside its owned set — all of them when `corners`, else only
-    /// those outside in exactly one dimension. Along a contiguous
-    /// (block/local) dimension the storage box is the owned interval
-    /// widened by the ghost width and clipped to the extents; along a
-    /// non-contiguous dimension (necessarily ghost-free) it is exactly
-    /// the owned index list. Returns the size of the walked box.
-    fn walk_skirt(&self, qs: &[usize; N], corners: bool, f: &mut impl FnMut([usize; N])) -> usize {
-        // Per dimension: the owned interval (everything, along a
-        // non-contiguous dimension) and the global indices of the box.
-        let mut owned = [(0, usize::MAX); N];
-        let dims: [Vec<usize>; N] = std::array::from_fn(|d| {
-            let dist = self.dists[d];
-            if dist.is_contiguous() {
-                let lo = dist.lower(qs[d]).unwrap_or(0);
-                let hi = lo + dist.local_len(qs[d]);
-                owned[d] = (lo, hi);
-                let start = lo.saturating_sub(self.ghost[d]);
-                let end = (hi + self.ghost[d]).min(self.extents[d]);
-                (start..end).collect()
-            } else {
-                debug_assert_eq!(self.ghost[d], 0, "ghosts require contiguous dims");
-                dist.owned(qs[d]).collect()
-            }
-        });
-        cartesian(&dims, |g| {
-            let outside = (0..N)
-                .filter(|&d| g[d] < owned[d].0 || owned[d].1 <= g[d])
-                .count();
-            if outside > 0 && (corners || outside == 1) {
-                f(g);
-            }
-        });
-        dims.iter().map(Vec::len).product()
+    /// Along dimension `d`, the owned interval of the processor at
+    /// coordinate `c` and its storage interval: the owned one widened by
+    /// the ghost width and clipped to the extent. A non-contiguous
+    /// dimension is ghost-free and owns no interval; both stand as its
+    /// local range `0..len`, so every active peer's box meets mine there
+    /// and the charge counts it, as the cell walk it replaces did.
+    fn intervals(&self, d: usize, c: usize) -> (Range<usize>, Range<usize>) {
+        let (dist, g) = (self.dists[d], self.ghost[d]);
+        if !dist.is_contiguous() {
+            return (0..dist.local_len(c), 0..dist.local_len(c));
+        }
+        let lo = dist.lower(c).unwrap_or(0);
+        let hi = lo + dist.local_len(c);
+        (lo..hi, lo.saturating_sub(g)..(hi + g).min(self.extents[d]))
     }
 }
 
@@ -491,6 +473,150 @@ mod tests {
         MachineConfig::new(p)
             .with_cost(CostModel::unit())
             .with_watchdog(Duration::from_secs(10))
+    }
+
+    /// The cell walk the factor product replaced: walk my storage box and
+    /// every active peer's whose box meets my owned block, and ask each
+    /// skirt cell its owner. Returns `(my_reqs, incoming, cells walked)`.
+    fn walked_schedule<const N: usize>(
+        a: &DistArrayN<f64, N>,
+        corners: bool,
+    ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>, usize) {
+        let team = a.active_team();
+        let mut my_reqs = vec![Vec::new(); team.len()];
+        let mut incoming = vec![Vec::new(); team.len()];
+        let mut walked = 0;
+        if !a.ghost.iter().any(|&g| g > 0) || !a.is_participant() {
+            return (my_reqs, incoming, walked);
+        }
+        walked += walk_skirt(a, &a.qs, corners, &mut |g| {
+            let oi = team.index_of(a.owner_rank(g)).unwrap();
+            my_reqs[oi].push(a.storage_index(g).unwrap() as u64);
+        });
+        for (ti, &r) in team.ranks().iter().enumerate() {
+            let qs = a.layout.coords(r).unwrap();
+            let overlaps = |d: usize| {
+                let dist = a.dists[d];
+                let lo = dist.lower(qs[d]).unwrap();
+                let skirt_hi = lo + dist.local_len(qs[d]) + a.ghost[d];
+                !dist.is_contiguous()
+                    || lo.saturating_sub(a.ghost[d]) < a.lo[d] + a.len[d] && a.lo[d] < skirt_hi
+            };
+            if r == a.rank || !(0..N).all(overlaps) {
+                continue;
+            }
+            walked += walk_skirt(a, &qs, corners, &mut |g| {
+                if a.owner_rank(g) == a.rank {
+                    incoming[ti].push(a.storage_index(g).unwrap() as u64);
+                }
+            });
+        }
+        (my_reqs, incoming, walked)
+    }
+
+    /// Visit the skirt cells of the processor at coordinates `qs` in
+    /// row-major order — all of them when `corners`, else those outside
+    /// its block in exactly one dimension — and return its box's size.
+    fn walk_skirt<const N: usize>(
+        a: &DistArrayN<f64, N>,
+        qs: &[usize; N],
+        corners: bool,
+        f: &mut impl FnMut([usize; N]),
+    ) -> usize {
+        let mut owned = [(0, usize::MAX); N];
+        let dims: [Vec<usize>; N] = std::array::from_fn(|d| {
+            let dist = a.dists[d];
+            if !dist.is_contiguous() {
+                return dist.owned(qs[d]).collect();
+            }
+            let lo = dist.lower(qs[d]).unwrap_or(0);
+            let hi = lo + dist.local_len(qs[d]);
+            owned[d] = (lo, hi);
+            (lo.saturating_sub(a.ghost[d])..(hi + a.ghost[d]).min(a.extents[d])).collect()
+        });
+        cartesian(&dims, |g| {
+            let outside = (0..N)
+                .filter(|&d| g[d] < owned[d].0 || owned[d].1 <= g[d])
+                .count();
+            if outside > 0 && (corners || outside == 1) {
+                f(g);
+            }
+        });
+        dims.iter().map(Vec::len).product()
+    }
+
+    /// Every ordered way to write `p` as a product of `n` positive factors.
+    fn factorizations(p: usize, n: usize) -> Vec<Vec<usize>> {
+        if n == 1 {
+            return vec![vec![p]];
+        }
+        (1..=p)
+            .filter(|&f| p.is_multiple_of(f))
+            .flat_map(|f| {
+                factorizations(p / f, n - 1)
+                    .into_iter()
+                    .map(move |r| [vec![f], r].concat())
+            })
+            .collect()
+    }
+
+    /// Compare the factor product with the walk on every rank of `grid`
+    /// under both corner policies; returns the number of cases compared.
+    fn check_grid<const N: usize>(
+        grid: &ProcGrid,
+        spec: &DistSpec,
+        extents: [usize; N],
+        ghost: [usize; N],
+    ) -> usize {
+        for &rank in grid.ranks() {
+            let a = DistArrayN::<f64, N>::new(rank, grid, spec, extents, ghost);
+            for corners in [false, true] {
+                let (sched, charge) = a.halo_schedule(corners);
+                let (my_reqs, incoming, walked) = walked_schedule(&a, corners);
+                let at = (spec, extents, ghost, grid.extents(), rank, corners);
+                assert_eq!(sched.arrays[0].my_reqs, my_reqs, "my_reqs at {at:?}");
+                assert_eq!(sched.arrays[0].incoming, incoming, "incoming at {at:?}");
+                assert_eq!(charge, walked, "charge at {at:?}");
+            }
+        }
+        2 * grid.size()
+    }
+
+    /// [`check_grid`] over every `dist` clause of block/cyclic/`*`
+    /// dimensions, every ghost width 0–2 on the dimensions that allow
+    /// one, and every grid shape of `p = 1..6` processors (ranks listed
+    /// backwards, so a team position is not a rank).
+    fn oracle_cases<const N: usize>(extents: [usize; N]) -> usize {
+        use kali_grid::{DimDist, DimMap};
+        let (block, cyclic) = (DimMap::Dist(DimDist::Block), DimMap::Dist(DimDist::Cyclic));
+        let digits = |code: usize| -> [usize; N] {
+            std::array::from_fn(|d| code / 3usize.pow(d as u32) % 3)
+        };
+        let mut cases = 0;
+        for code in 0..3usize.pow(N as u32) {
+            let maps = digits(code).map(|k| [block, cyclic, DimMap::Local][k]);
+            let nd = maps.iter().filter(|&&m| m != DimMap::Local).count();
+            let spec = DistSpec::new(maps.to_vec());
+            for ghost in (0..3usize.pow(N as u32)).map(digits) {
+                if nd == 0 || (0..N).any(|d| ghost[d] > 0 && maps[d] == cyclic) {
+                    continue;
+                }
+                for p in 1..=6 {
+                    for dims in factorizations(p, nd) {
+                        let grid = ProcGrid::with_ranks(dims, (0..p).rev().collect());
+                        cases += check_grid(&grid, &spec, extents, ghost);
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn factor_product_schedule_matches_the_cell_walk() {
+        let cases = oracle_cases([7]) + oracle_cases([3]);
+        let cases = cases + oracle_cases([7, 5]) + oracle_cases([5, 4, 3]);
+        assert_eq!(cases, 38_072, "every case of the grid above is compared");
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //!   a split-phase executor can compute every other row while the values
 //!   are in flight. The walk and the request round are charged to the
 //!   virtual clock as inspection time, and the schedule is stored in
-//!   `kali-sched`'s [`ScheduleCache`] keyed on (shape, teams, dists, a
-//!   sparsity fingerprint, and both distribution generations).
+//!   `kali-sched`'s [`ScheduleCache`] keyed on (shape, teams, dists,
+//!   `x`'s ghost width, a sparsity fingerprint, and both distribution
+//!   generations). What a peer requests is named by its offset in `x`'s
+//!   storage, decoded once here, so a replay serves by indexing.
 //! * **Warm trip**: replay the cached schedule optimistically, the replay
 //!   consensus vote riding as a one-word header on the fused value
 //!   messages — zero inspector runs, zero request rounds. A CG solve does
@@ -258,6 +260,9 @@ pub struct GatherKey {
     shape: [usize; 2],
     row_dist: Dist1,
     x_dist: Dist1,
+    /// `x`'s ghost width: with `x_dist` it fixes the storage offset at
+    /// which each served x-value sits.
+    x_ghost: usize,
     /// FNV-1a over the local `row_ptr`/`col_idx` stream.
     fingerprint: u64,
     mat_generation: u64,
@@ -325,10 +330,11 @@ impl<T: Real> GatherHaul<T> {
 }
 
 /// The executor's view of one gather trip: serves owned x-values by
-/// global column index, scatters received values into the trip's haul.
-/// The scatter delivers each peer's request vector in team order, and
-/// block x-distribution makes those vectors disjoint and ascending in
-/// that order — so *appending* them leaves the haul sorted.
+/// storage offset, scatters received values into the trip's haul. The
+/// haul's columns are the schedule's request vectors, which the scatter
+/// delivers in team order; block x-distribution makes those vectors
+/// disjoint and ascending in that order — so *appending* them (see
+/// [`SparseCsr::finish_gather`]) leaves the haul sorted.
 struct GatherWorld<'a, T: Real> {
     x: &'a DistArray1<T>,
     haul: GatherHaul<T>,
@@ -336,15 +342,10 @@ struct GatherWorld<'a, T: Real> {
 
 impl<T: Real> ScheduleWorld<T> for GatherWorld<'_, T> {
     fn load(&self, _array: usize, flat: u64) -> T {
-        let s = self
-            .x
-            .storage_index([flat as usize])
-            .expect("gather schedule serves owned x-values only");
-        self.x.data[s]
+        self.x.data[flat as usize]
     }
 
-    fn store(&mut self, _array: usize, flat: u64, value: T) {
-        self.haul.cols.push(flat);
+    fn store(&mut self, _array: usize, _flat: u64, value: T) {
         self.haul.vals.push(value);
     }
 }
@@ -430,6 +431,7 @@ impl<T: Real> SparseCsr<T> {
             shape: [self.nrows, self.ncols],
             row_dist: self.row_dist,
             x_dist: x.dist(0),
+            x_ghost: x.ghosts()[0],
             fingerprint: self.fingerprint,
             mat_generation: self.generation,
             x_generation: x.generation(),
@@ -480,7 +482,14 @@ impl<T: Real> SparseCsr<T> {
             reqs.dedup();
         }
         proc.memop(self.local_nnz() as f64);
-        let incoming = ScheduleExecutor::request_round(GATHER_REQUEST_TAG, proc, &team, &my_reqs);
+        let mut incoming =
+            ScheduleExecutor::request_round(GATHER_REQUEST_TAG, proc, &team, &my_reqs);
+        // Serve by storage offset: each requested column is decoded once,
+        // here, and never on a replay.
+        for c in incoming.iter_mut().flatten() {
+            let s = x.storage_index([*c as usize]);
+            *c = s.expect("gather schedule serves owned x-values only") as u64;
+        }
         Ok(CommSchedule {
             arrays: vec![ArraySchedule {
                 name: "x".into(),
@@ -554,7 +563,13 @@ impl<T: Real> SparseCsr<T> {
         let cache = cache.map(|c| &mut c.cache);
         let build = |proc: &mut Proc, _: &_| self.build_gather_schedule(proc, x);
         let Ok(sched) = flight.complete(proc, cache, &mut world, build);
-        let haul = world.haul;
+        // The haul's columns are the request vectors, in the order the
+        // executor scattered their values.
+        let mut haul = world.haul;
+        for reqs in &sched.arrays[0].my_reqs {
+            haul.cols.extend_from_slice(reqs);
+        }
+        debug_assert_eq!(haul.cols.len(), haul.vals.len());
         debug_assert!(haul.cols.windows(2).all(|w| w[0] < w[1]));
         proc.note_gather_words(gather_words_of::<T>(&sched));
         Gathered { sched, haul }
@@ -754,6 +769,43 @@ mod tests {
         assert_eq!(run.report.total_inspector_runs, 4);
         assert_eq!(run.report.total_optimistic_hits, 4 * (trips - 1));
         assert_eq!(run.report.total_rollbacks, 0);
+    }
+
+    #[test]
+    fn x_layouts_differing_only_in_ghost_width_keep_their_own_schedules() {
+        // A schedule serves x by storage offset, and a ghost layer shifts
+        // every offset: one cache must not replay one layout's route for
+        // the other.
+        let n = 19;
+        let run = Machine::run(cfg(4), |proc| {
+            let g = ProcGrid::new_1d(4);
+            let a = SparseCsr::from_rows(proc.rank(), &g, n, n, band_row::<f64>(n));
+            let mut cache = GatherCache::new();
+            let mut ys = Vec::new();
+            for ghost in [0, 1, 0, 1] {
+                let x = DistArray1::from_fn(
+                    proc.rank(),
+                    &g,
+                    &DistSpec::block1(),
+                    [n],
+                    [ghost],
+                    |[i]| (i % 13) as f64 * 0.5 + 1.0,
+                );
+                let mut y = x.with_extents([n]);
+                let got = a.gather_x_cached(proc, &mut cache, &x);
+                a.apply_all(&x, Some(got.haul()), &mut y);
+                ys.push(y.gather_to_root(proc));
+            }
+            ys
+        });
+        let xs: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5 + 1.0).collect();
+        let want = dense_spmv(n, &xs);
+        for y in &run.results[0] {
+            assert_eq!(y.as_ref().unwrap(), &want);
+        }
+        // One inspection per layout, then a replay of each.
+        assert_eq!(run.report.total_inspector_runs, 2 * 4);
+        assert_eq!(run.report.total_optimistic_hits, 2 * 4);
     }
 
     #[test]

@@ -24,16 +24,6 @@ fn intersect(a: &[usize], b: &[usize]) -> Vec<usize> {
 }
 
 impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
-    fn storage_index_checked(&self, idx: [usize; N]) -> usize {
-        let mut s = 0;
-        for d in 0..N {
-            let (q, li) = self.dists[d].global_to_local(idx[d]);
-            debug_assert_eq!(q, self.qs[d], "slice touches non-owned index");
-            s += (li + self.ghost[d]) * self.stride[d];
-        }
-        s
-    }
-
     /// Gather the whole array (row-major) to the grid's first processor.
     /// Every grid member must call; returns `Some(global)` on the root.
     pub fn gather_to_root(&self, proc: &mut Proc) -> Option<Vec<T>> {
@@ -98,7 +88,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
                 std::array::from_fn(|d| intersect(&my_old[d], &dest_new[d]));
             let mut payload = Vec::new();
             cartesian(&inter, |idx| {
-                payload.push(self.data[self.storage_index_checked(idx)]);
+                payload.push(self.data[self.storage_index_owned(idx)]);
             });
             proc.memop(payload.len() as f64);
             sends.push(payload);
@@ -113,7 +103,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
                 std::array::from_fn(|d| intersect(&src_old[d], &my_new[d]));
             let mut pos = 0;
             cartesian(&inter, |idx| {
-                let s = out.storage_index_checked(idx);
+                let s = out.storage_index_owned(idx);
                 out.data[s] = payload[pos];
                 pos += 1;
             });
