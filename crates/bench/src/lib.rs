@@ -24,6 +24,37 @@ pub mod exp_loc;
 pub mod exp_mg3;
 pub mod exp_tridiag_scaling;
 
+/// Paper artifact id, experiment name, report generator, in the paper's
+/// order.
+pub const EXPERIMENTS: [(&str, &str, fn() -> String); 10] = [
+    ("F1/F2", "fig1_structure", exp_fig1_structure::run),
+    ("F3/F4", "fig3_dataflow", exp_fig3_dataflow::run),
+    ("F5/T2", "fig5_pipeline", exp_fig5_pipeline::run),
+    ("C1", "loc", exp_loc::run),
+    ("C2", "kf1_vs_mp", exp_kf1_vs_mp::run),
+    ("C3", "distributions", exp_distributions::run),
+    ("T1", "tridiag_scaling", exp_tridiag_scaling::run),
+    ("T3", "adi", exp_adi::run),
+    ("T4", "mg3", exp_mg3::run),
+    ("C6", "lang_overhead", exp_lang_overhead::run),
+];
+
+/// What `kali-bench <name>` prints: the reports of the experiment `name`
+/// names, or of all ten for `all`, each under its artifact's banner.
+/// `None` for an unknown name.
+pub fn report(name: &str) -> Option<String> {
+    let selected = EXPERIMENTS.iter().filter(|e| name == "all" || name == e.1);
+    let out: String = selected
+        .map(|(id, _, run)| {
+            format!(
+                "\n################ experiment {id} ################\n\n{}\n",
+                run()
+            )
+        })
+        .collect();
+    (!out.is_empty()).then_some(out)
+}
+
 /// Standard machine for experiments: the simulator with iPSC/2-era
 /// costs and a generous watchdog.
 pub fn cfg(p: usize) -> MachineConfig {
@@ -109,6 +140,24 @@ mod tests {
         let s = t.render();
         assert!(s.contains("speed"));
         assert_eq!(s.lines().count(), 4);
+    }
+
+    /// Every experiment runs on the simulator's virtual clock, so the
+    /// whole output is deterministic: it is compared with the committed
+    /// file byte for byte, and rewritten only with `KALI_BLESS=1`.
+    #[test]
+    fn all_experiments_print_the_golden_report() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/kali_bench_all.txt"
+        );
+        let got = report("all").expect("the experiments");
+        if std::env::var_os("KALI_BLESS").is_some_and(|v| v == "1") {
+            std::fs::write(path, &got).expect("the golden file is writable");
+        }
+        let want =
+            std::fs::read_to_string(path).expect("the golden file (bless with KALI_BLESS=1)");
+        assert!(got == want, "kali-bench all differs from {path}; diff it, and bless with KALI_BLESS=1 if the change is meant");
     }
 
     #[test]
