@@ -124,9 +124,10 @@
 //!   each doall's trip — one key, one exchange entry per array, one vote
 //!   and one fused message per peer — run once for the batch; a run of
 //!   element assignments runs compiled over the line axis, all the lines
-//!   at once, where its subscripts are scalars; calls and other runs run
-//!   line after line; compiled loops and `reduce`/`seqtri` are placed
-//!   once and moved along the line strides.
+//!   at once, where its subscripts are scalars; a compiled loop is placed
+//!   once as one box of lines × iterations and run a line at a time;
+//!   calls and other runs run line after line; `reduce`/`seqtri` are
+//!   placed once, a row of each section per line.
 //!   Lines that are no progression, or whose pinned coordinates change
 //!   owner, run line by line: the fallback, and the oracle the batches
 //!   are tested against bit for bit.
@@ -160,8 +161,8 @@
 //!
 //! A placed site pays neither. Per trip it is placed on the bindings —
 //! my iterations are the target's owned block met with the loop bounds,
-//! read off its `Layout` — into a box-sized buffer committed once; no
-//! on-clause, iteration list or write log is built. A stencil's
+//! read off its `Layout` — into its site's box-sized buffer, committed
+//! once; no on-clause, iteration list or write log is built. A stencil's
 //! right-hand side is compiled once, at parse time, into a register
 //! program over rows, its loop-invariant subtrees evaluated per trip by
 //! the walker's own `eval`: an element costs one pass of each instruction
@@ -175,8 +176,9 @@
 //! such an iteration a `do` loop of element assignments over references
 //! with one subscript `v ± c` and scalars elsewhere — `tric`'s and `tri`'s
 //! row builders, gathers (`wb(k, ip) = rb(k)`) and back-substitutions —
-//! runs compiled as well, as strided kernels over chunks of 64 iterations
-//! (`crate::lower`); every other loop is walked.
+//! runs compiled as well, placed in the running site's buffers as the
+//! doalls are and run over chunks of 64 iterations (`crate::lower`);
+//! every other loop is walked.
 //! Inspecting such a loop costs only its invariants where every element
 //! it reads is owned too: they are evaluated once, and the writes are
 //! counted. Ownership of a loop's references and of a builtin's sections
@@ -205,7 +207,7 @@ use kali_sched::{
 
 use crate::ast::{BinOp, Program, UnOp};
 use crate::diag::Diagnostic;
-use crate::lower::{Kernel, LoopScratch, Placed, Scratch, Strided};
+use crate::lower::{Kernel, Placed, Scratch, Strided};
 use crate::resolve::*;
 use crate::value::*;
 use crate::RunOptions;
@@ -669,12 +671,12 @@ pub struct Interp<'a, 'p> {
     /// frame-dependent input (bindings, views, generations), so a hit is
     /// valid regardless of which call produced the entry.
     schedules: Option<ScheduleCache<ScheduleKey>>,
-    /// Per placed site (by site number): its result buffer and registers,
+    /// Per doall site (by site number): the buffers its placements use,
     /// reused trip after trip.
     scratch: Vec<Scratch>,
-    /// The compiled `do` loops' buffers (such a loop nests nothing, so
-    /// one set serves them all).
-    loops: LoopScratch,
+    /// The site whose trip runs now: its walked iterations place their
+    /// compiled loops and runs in its scratch.
+    site: usize,
     /// The buffer schedule keys are written into, copied out exactly
     /// sized.
     key_buf: Vec<usize>,
@@ -711,7 +713,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             policy: opts.policy,
             schedules: Some(ScheduleCache::new(MAX_SCHEDULES_PER_SITE)),
             scratch: Vec::new(),
-            loops: LoopScratch::default(),
+            site: 0,
             key_buf: Vec::new(),
             nan_keys: 0,
             static_seed: opts.static_seed,
@@ -1072,9 +1074,9 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// line, each line the run in order, as it would in its own activation
     /// — or, a run of element assignments compiled over the line axis
     /// ([`Interp::run_kernel`]), statement by statement over all the lines
-    /// at once; a compiled loop runs line after line too, and everything
-    /// else once for all the lines, which the class ([`RSub::lockstep`])
-    /// makes the same on every line.
+    /// at once; a compiled loop is one box over the lines, a line at a
+    /// time, and everything else runs once for all the lines, which the
+    /// class ([`RSub::lockstep`]) makes the same on every line.
     fn exec_stmts(&mut self, stmts: &'p [RStmt]) -> RtResult<Flow> {
         let mut rest = stmts;
         while let Some(s) = rest.first() {
@@ -1085,9 +1087,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             };
             if n > 0 {
                 let compiled = match s {
-                    RStmt::AssignElement { run: Some(k), .. } if self.known() => {
-                        self.run_kernel(k, None) > 0
-                    }
+                    RStmt::AssignElement { run: Some(k), .. } => self.run_kernel(k, None) > 0,
                     _ => false,
                 };
                 for line in lines.clone().filter(|_| !compiled) {
@@ -1172,7 +1172,7 @@ impl<'a, 'p> Interp<'a, 'p> {
                     return Err("do loop with zero step".into());
                 }
                 let lines = self.lines();
-                let ran = match kernel.as_ref().filter(|_| self.known() && lo <= hi) {
+                let ran = match kernel.as_ref().filter(|_| lo <= hi) {
                     Some(k) => {
                         // The walk's first step; a compiled run ends where the walk would.
                         self.set_scalar(*var, Value::Int(lo))?;
@@ -1213,83 +1213,66 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(Flow::Normal)
     }
 
-    /// Is a write a store (write-through), or only counted (inspector)?
-    fn known(&self) -> bool {
-        match &self.mode {
-            Mode::Execute(log) => log.through.is_some(),
-            mode => matches!(mode, Mode::Inspect(_)),
+    /// Run compiled kernel `k` where the walk's outcome is known — a write
+    /// is a store (write-through) or only counted (inspector) — placed once
+    /// in the running site's scratch ([`Placed::kernel`]): a `do` loop's
+    /// iterations `Some((lo, hi))` (`lo ≤ hi`, the loop variable at `lo`)
+    /// as a box of the active lines × iterations, run a line at a time with
+    /// that line's invariants, or a run of element assignments as one row
+    /// whose iterations are the active lines. Written through, a write is
+    /// what the walker would store, charged as it charges — `compute` per
+    /// iteration per assignment in its order, and one write each for the
+    /// commit's `memop`. In the inspector, when every element read is owned
+    /// as well, the walk would record only what the invariants read: their
+    /// reads are recorded ([`Interp::record_reads`]), in the walk's
+    /// first-touch order, and the writes are counted. Returns the rows it
+    /// ran: none where the outcome is not known, the bindings are outside
+    /// the class or a subscript fails to evaluate, and none from the first
+    /// where an invariant fails. Nothing is done for the rest but what an
+    /// invariant recorded, which the walk records again: the walker runs
+    /// them, and reports what it reports.
+    fn run_kernel(&mut self, k: &Kernel, iters: Option<(i64, i64)>) -> usize {
+        let (lines, me) = (self.lines(), self.me());
+        let inspect = matches!(self.mode, Mode::Inspect(_));
+        if !inspect && !matches!(&self.mode, Mode::Execute(log) if log.through.is_some()) {
+            return 0;
         }
-    }
-
-    /// Run compiled kernel `k` where the walk's outcome is [known](Self::known):
-    /// a `do` loop's iterations `Some((lo, hi))` (`lo ≤ hi`, the loop
-    /// variable at `lo`), placed once and run line after line, or a run of
-    /// element assignments placed over all the active lines at once, one
-    /// iteration a line ([`LoopScratch::place`]). In write-through mode a
-    /// write is a store: what the walker would store, charged as it charges
-    /// — `compute` per iteration per assignment in its order, and one write
-    /// each for the commit's `memop`. In the inspector, when every element
-    /// read is owned as well, the walk would record only what the
-    /// invariants read: their reads are recorded once
-    /// ([`Interp::record_reads`]), in the walk's first-touch order, and
-    /// the writes are counted. Returns the lines it ran: none where this execution's
-    /// bindings are outside the class or a subscript fails to evaluate, and
-    /// none from the first where an invariant fails. Nothing is done for the
-    /// rest but what an invariant recorded, which the walk records again:
-    /// the walker runs them, and reports what it reports.
-    fn run_kernel(&mut self, k: &Kernel, range: Option<(i64, i64)>) -> usize {
-        let (inspect, lines) = (matches!(self.mode, Mode::Inspect(_)), self.lines());
-        let (me, mut s) = (self.me(), std::mem::take(&mut self.loops));
+        let mut s = std::mem::take(self.site_scratch(self.site));
         let fixed = s.eval(k, |e| self.eval(e).ok().map(Value::as_int));
         let frame = self.frame();
-        let view = |slot| match &frame.slots[slot] {
-            Some(Binding::Array(v)) if v.base.borrow().is_real => Some(v),
+        let bound = |slot| match &frame.slots[slot] {
+            Some(Binding::Array(v)) if v.base.borrow().is_real => Some((v, self.line_step(slot))),
             _ => None,
         };
-        let step = |slot| self.line_step(slot);
-        let placed = fixed && s.place(k, range, me, inspect, view, step).is_some();
-        // Placed, both ends index an array: the count fits (unplaced, it is
-        // not used). A loop's lines run one after the other, each reference
-        // moved along its array by a line's step ([`lift`]).
-        let (n, runs) = match range {
-            Some((lo, hi)) => (
-                (hi.wrapping_sub(lo) as usize).wrapping_add(1),
-                lines.clone(),
-            ),
-            None => (lines.len(), lines.start..lines.start + 1),
-        };
+        let placed =
+            fixed.then(|| Placed::kernel(k, iters, lines.len(), me, inspect, bound, &mut s));
         let mut ran = 0;
-        for line in runs.filter(|_| placed) {
-            self.set_lines(line..line + 1);
-            let mut invariants = k.invariants.iter();
-            let filled = invariants.all(|(r, e)| match inspect {
-                true => self.record_reads(e).is_ok(),
-                false => self.eval(e).map(|v| s.fill(*r, v.as_f64())).is_ok(),
-            });
-            if !filled {
-                break;
-            }
-            if !inspect {
-                s.run(k, n);
-            }
-            let writes = n * k.stmts.len();
-            match &mut self.mode {
-                Mode::Inspect(st) => st.writes += writes,
-                Mode::Execute(log) => {
-                    log.through = log.through.map(|w| w + writes);
-                    self.proc.compute_each(&k.flops, n);
+        if let Some(p) = placed.flatten() {
+            let n = p.width();
+            while ran < p.len() / n {
+                self.set_lines(lines.start + ran..lines.start + ran + 1);
+                let filled = s.fill(k, |e| match inspect {
+                    true => self.record_reads(e).ok().map(|()| 0.0),
+                    false => self.eval(e).ok().map(Value::as_f64),
+                });
+                if !filled {
+                    break;
                 }
-                Mode::Normal => {}
+                let writes = n * k.stmts.len();
+                match &mut self.mode {
+                    Mode::Inspect(st) => st.writes += writes,
+                    Mode::Execute(log) => log.through = log.through.map(|w| w + writes),
+                    Mode::Normal => {}
+                }
+                if !inspect {
+                    p.exec(std::iter::once(ran * n..(ran + 1) * n), &mut s, self.proc);
+                }
+                ran += 1;
             }
-            s.next_line(k, |slot| self.line_step(slot));
-            ran += 1;
         }
-        self.set_lines(lines.clone());
-        self.loops = s;
-        match range {
-            None if ran > 0 => lines.len(),
-            _ => ran,
-        }
+        self.set_lines(lines);
+        self.scratch[self.site] = s;
+        ran
     }
 
     /// The virtual flops of one executed assignment (the inspector's
@@ -1347,6 +1330,7 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// static plan.
     fn run_doall(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> RtResult<()> {
         let lifted = self.frame().lift.is_some();
+        self.site = d.site;
         let placed = (!lifted).then(|| self.place(d, bounds)).flatten();
         let my_iters = match placed {
             None => self.scan(d, bounds)?,
@@ -1401,30 +1385,26 @@ impl<'a, 'p> Interp<'a, 'p> {
         Ok(IterSet { arity, flat })
     }
 
-    /// Place `d` on this trip's bindings ([`Placed`]): unit steps, every
-    /// array it names bound to a whole array but a CSR product's `x`, whose
-    /// section is evaluated once, and a stencil's loop invariants
-    /// evaluated. `None` runs the walker instead, which then reports any
-    /// error the way it always has.
+    /// Place `d` on this trip's bindings ([`Placed`]) in its site's
+    /// scratch: unit steps, every array it names bound to a whole array but
+    /// a CSR product's `x`, whose section is evaluated once, and a
+    /// stencil's loop invariants evaluated. `None` runs the walker instead,
+    /// which then reports any error the way it always has.
     fn place(&mut self, d: &'p RDoall, bounds: &[(i64, i64, i64)]) -> Option<Placed<'p>> {
         let mut ranges = [(0, 0); 2];
         for (r, &(lo, hi, step)) in ranges.iter_mut().zip(bounds) {
             *r = (step == 1).then_some((lo, hi))?;
         }
         let (ranges, me) = (&ranges[..bounds.len()], self.me());
-        let mut values = Vec::new();
-        let placed = match &d.kind {
+        let mut s = std::mem::take(self.site_scratch(d.site));
+        let placed = (|| match &d.kind {
             Kind::Stencil(k) => {
                 let RProcExpr::Owner(on, _) = d.on else {
                     return None;
                 };
-                let placed = Placed::stencil(me, ranges, k, on, |slot| self.whole(slot))?;
-                if placed.len() > 0 {
-                    for (_, e) in &k.invariants {
-                        values.push(self.eval(e).ok()?.as_f64());
-                    }
-                }
-                placed
+                let p = Placed::stencil(me, ranges, k, on, |slot| self.whole(slot), &mut s)?;
+                let value = |e: &RExpr| self.eval(e).ok().map(Value::as_f64);
+                (p.len() == 0 || s.fill(k, value)).then_some(p)
             }
             // The class has one loop variable.
             Kind::Csr(c) => {
@@ -1432,12 +1412,12 @@ impl<'a, 'p> Interp<'a, 'p> {
                 let x = self.make_section_view(x, &c.x_secs).ok()?;
                 let w = |slot| self.whole(slot);
                 let arrays = [w(y)?, w(rp)?, w(ci)?, w(av)?];
-                Placed::csr(me, ranges[0], arrays, &x, self.site_scratch(d))?
+                Placed::csr(me, ranges[0], arrays, &x, &mut s)
             }
-            _ => return None,
-        };
-        placed.prepare(&values, self.site_scratch(d));
-        Some(placed)
+            _ => None,
+        })();
+        self.scratch[d.site] = s;
+        placed
     }
 
     /// The whole array `slot` is bound to, if it is.
@@ -1448,12 +1428,12 @@ impl<'a, 'p> Interp<'a, 'p> {
         }
     }
 
-    /// The buffers of a placed site, reused trip after trip.
-    fn site_scratch(&mut self, d: &RDoall) -> &mut Scratch {
-        if self.scratch.len() <= d.site {
-            self.scratch.resize_with(d.site + 1, Scratch::default);
+    /// The buffers of doall site `site`, reused trip after trip.
+    fn site_scratch(&mut self, site: usize) -> &mut Scratch {
+        if self.scratch.len() <= site {
+            self.scratch.resize_with(site + 1, Scratch::default);
         }
-        &mut self.scratch[d.site]
+        &mut self.scratch[site]
     }
 
     fn set_loop_vars(&mut self, d: &RDoall, it: &[i64]) {
@@ -2394,13 +2374,13 @@ impl<'a, 'p> Interp<'a, 'p> {
         ))
     }
 
-    /// The values of section `s`, `n` long, as the iteration now
-    /// executing sees them: its own writes included, like element reads.
-    fn read_section(&self, s: &Strided, n: usize) -> Vec<f64> {
+    /// The values of row `r` of section `s`, `n` long, as the iteration
+    /// now executing sees them: its own writes included, like element reads.
+    fn read_section(&self, s: &Strided, r: usize, n: usize) -> Vec<f64> {
         let mut vals = vec![0.0; n];
-        s.load(0, &mut vals);
+        s.load(r, 0, &mut vals);
         for (t, v) in vals.iter_mut().enumerate() {
-            if let Some(w) = self.mode.written(&s.base, s.flat(t)) {
+            if let Some(w) = self.mode.written(&s.base, s.flat(r, t)) {
                 *v = w;
             }
         }
@@ -2426,8 +2406,9 @@ impl<'a, 'p> Interp<'a, 'p> {
                         let arr = &v.base.borrow().name;
                         return Err(format!("builtin {name}: the section of {arr} is empty"));
                     }
-                    let (s, n) = self.local_section(name, &v)?;
-                    sections.push((s, n, self.line_step(*slot)));
+                    let (mut s, n) = self.local_section(name, &v)?;
+                    s.row = self.line_step(*slot);
+                    sections.push((s, n));
                 }
                 // Scalar arguments (the length) are evaluated for their
                 // errors only, by the executor: the sections carry their
@@ -2451,7 +2432,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             Builtin::Reduce => (4, 0..4, reduce_flops(m)),
             _ => (5, 0..1, thomas_flops(m)),
         };
-        // A batch's sections are placed once and move from line to line.
+        // A batch's sections are placed once, a row per line.
         let lines = self.lines();
         if let Mode::Inspect(st) = &mut self.mode {
             // Locality validated; no mutation during inspection — only
@@ -2477,31 +2458,31 @@ impl<'a, 'p> Interp<'a, 'p> {
             Mode::Execute(log) => log.through.is_some(),
             mode => matches!(mode, Mode::Normal),
         };
-        let apart = |(i, (s, ..)): (usize, &(Strided, usize, isize))| {
-            let other = |(t, ..): &(Strided, usize, isize)| !Rc::ptr_eq(&s.base, &t.base);
-            s.span(m).is_some() && sections[..i].iter().all(other)
+        let apart = |(i, (s, _)): (usize, &(Strided, usize))| {
+            let other = |(t, _): &(Strided, usize)| !Rc::ptr_eq(&s.base, &t.base);
+            s.span(0, m).is_some() && sections[..i].iter().all(other)
         };
         let in_place = through && sections.iter().enumerate().all(apart);
-        for _ in lines {
+        for r in 0..lines.len() {
             let mut copies: Vec<Vec<f64>> = Vec::new();
             if in_place {
                 let mut bases: Vec<_> = sections.iter().map(|s| s.0.base.borrow_mut()).collect();
                 let at = bases.iter_mut().zip(&sections);
                 let mut v: Vec<_> = at
-                    .flat_map(|(a, s)| Some(&mut a.data[s.0.span(m)?]))
+                    .flat_map(|(a, s)| Some(&mut a.data[s.0.span(r, m)?]))
                     .collect();
                 kernel(&mut v);
             } else {
                 copies = sections
                     .iter()
-                    .map(|s| self.read_section(&s.0, m))
+                    .map(|s| self.read_section(&s.0, r, m))
                     .collect();
                 kernel(&mut copies.iter_mut().map(|v| &mut v[..]).collect::<Vec<_>>());
             }
             self.proc.compute(flops);
             for k in outputs.clone() {
                 match copies.get(k) {
-                    Some(vals) => self.write_section(&sections[k].0, vals),
+                    Some(vals) => self.write_section(&sections[k].0, r, vals),
                     None => {
                         if let Mode::Execute(log) = &mut self.mode {
                             log.through = log.through.map(|w| w + m);
@@ -2509,9 +2490,6 @@ impl<'a, 'p> Interp<'a, 'p> {
                         self.proc.memop(m as f64);
                     }
                 }
-            }
-            for (s, _, step) in &mut sections {
-                s.advance(*step);
             }
         }
         Ok(())
@@ -2570,7 +2548,7 @@ impl<'a, 'p> Interp<'a, 'p> {
             let b = xv.base.borrow();
             let mut idx = [0i64; MAX_RANK];
             for t in 0..nnz {
-                let f = ci.flat(t);
+                let f = ci.flat(0, t);
                 idx[0] = self.mode.written(&ci.base, f).unwrap_or(cb.data[f]) as i64;
                 let mut base_idxs = [0i64; MAX_RANK];
                 let base_idxs = xv.to_base_into(&idx, 1, &mut base_idxs)?;
@@ -2603,21 +2581,23 @@ impl<'a, 'p> Interp<'a, 'p> {
                 let a = |f: usize| self.mode.written(&av.base, f).unwrap_or(ab.data[f]);
                 let x = |f: usize| self.mode.written(&xv.base, f).unwrap_or(xb.data[f]);
                 let terms = xflats.iter().enumerate();
-                terms.map(|(t, &fx)| a(av.flat(t)) * x(fx)).sum()
+                terms.map(|(t, &fx)| a(av.flat(0, t)) * x(fx)).sum()
             }
         };
         self.proc.compute(2.0 * xflats.len() as f64);
-        self.write_section(&y, &[sum]);
+        self.write_section(&y, 0, &[sum]);
         Ok(())
     }
 
-    /// Store `vals` into section `s` — or log them, as element writes are.
-    fn write_section(&mut self, s: &Strided, vals: &[f64]) {
+    /// Store `vals` into row `r` of section `s` — or log them, as element
+    /// writes are.
+    fn write_section(&mut self, s: &Strided, r: usize, vals: &[f64]) {
         match &mut self.mode {
-            Mode::Execute(log) => {
-                log.write(&s.base, (0..).map(|t| s.flat(t)).zip(vals.iter().copied()))
-            }
-            _ => s.store(0, vals),
+            Mode::Execute(log) => log.write(
+                &s.base,
+                (0..).map(|t| s.flat(r, t)).zip(vals.iter().copied()),
+            ),
+            _ => s.store(r, 0, vals),
         }
         self.proc.memop(vals.len() as f64);
     }
@@ -3454,7 +3434,7 @@ mod tests {
             let src = crate::listing(listing).unwrap();
             let ran = on_entry(src, entry, grid, &args, |me, sub| {
                 me.exec_stmts(&sub.body).unwrap();
-                !me.loops.is_unused()
+                me.scratch.iter().any(Scratch::ran_through)
             });
             assert_eq!(ran, [want.iter().any(|w| w.2)], "{listing}");
         }

@@ -1,61 +1,54 @@
-//! Compiled element assignments: the affine stencil class run as row
-//! kernels, and `do` loops run as strided kernels.
+//! Compiled element assignments, and the one placement that runs them: a
+//! box of iterations whose rows run a chunk at a time.
 //!
 //! A `doall` whose body is one element assignment `x(i, j) = rhs` on
 //! `owner(x(i, j))`, every element read in `rhs` a whole array subscripted
 //! `a(i ± c, j ± c)`, needs no tree walk. [`compile`] turns `rhs`, once
 //! per site, into a flat register program whose every instruction
-//! processes a row run a chunk ([`CHUNK`] iterations) at a time: an
-//! operand is the row of an element read or a register — an earlier
+//! processes a chunk ([`CHUNK`] iterations) of a row at a time: an operand
+//! is an element read's values along the chunk or a register — an earlier
 //! instruction's result, or a loop-invariant subtree (no element read, no
-//! loop variable) that the interpreter's own `eval` computes once per
-//! trip, broadcast along the chunk, so Int/Real typing is exactly the
-//! walker's. The registers are a chunk long however long the rows are.
+//! loop variable) that the interpreter's own `eval` computes, broadcast
+//! along the chunk, so Int/Real typing is exactly the walker's. The same
+//! compiler takes a sequential `do v = lo, hi` loop ([`compile_loop`])
+//! whose step is 1 and whose body is element assignments only, every
+//! reference that mentions `v` of any rank with one subscript `v ± c` and
+//! scalars — no element read, call or `v` — in the others (`wb(k, ip) =
+//! rb(k)`); there a maximal subtree without `v` is an invariant even when
+//! it reads an element (`wy(2*ip - 1, ip)`). In a batch of lines run as one
+//! activation, a run of element assignments whose every subscript is a
+//! scalar ([`compile_runs`]) is a kernel whose iterations are the lines.
 //!
-//! Per trip, [`Placed::stencil`] places the program on the bindings at
-//! hand. My iterations are a box — the on-array's owned block, read off
-//! its `Layout`, met with the loop bounds — and the *interior*, the
-//! iterations whose every read is owned, is the meet of each read
-//! array's owned block shifted back by the read's offset: the inspector's
-//! own classification, read by read. What the inspector would record by
-//! walking the body follows from the same boxes ([`Placed::inspect`]).
+//! A [`Placed`] body is a kernel or a CSR product. A kernel's references
+//! are [`Strided`] sequences in its site's [`Scratch`] — element `t` of row
+//! `r` at a start, a step and a row stride — and it runs its positions row
+//! by row, each row's run a chunk at a time and each chunk statement by
+//! statement, so each assignment's reads follow the previous one's writes.
+//! A stencil doall ([`Placed::stencil`]) is a box of rows of its arrays:
+//! my iterations are the on-array's owned block, read off its `Layout`,
+//! met with the loop bounds, and the *interior* — the iterations whose
+//! every read is owned — is the meet of each read array's owned block
+//! shifted back by the read's offset, the inspector's own classification,
+//! from which [`Placed::inspect`] derives what the walk would record. Its
+//! reads are sliced from storage and its results committed at once
+//! ([`Placed::commit`]). A loop or a run ([`Placed::kernel`]) is a box of
+//! a batch's lines × the loop's iterations (a run's iterations are the
+//! lines), every reference stepping a line's step from row to row; its
+//! reads are loaded and its writes go through storage, so it runs only
+//! where no iteration reads what another writes — nothing written is
+//! referenced at another address, not even by an invariant — and where a
+//! write is a plain store (a write-through doall iteration), a row at a
+//! time with that line's invariants. Lines touch disjoint storage, so only
+//! each line's own order matters. Where every element read is owned too,
+//! a placed loop stands in for the inspector's walk, which would record
+//! only what the invariants read. Whenever a condition fails, the walker
+//! runs.
 //!
-//! The same compiler takes a sequential `do v = lo, hi` loop
-//! ([`compile_loop`]) whose step is 1 and whose body is element
-//! assignments only, every target and every read that mentions `v` a
-//! reference of any rank with one subscript `v ± c` and scalars — no
-//! element read, no call, no `v` — in the others (`wb(k, ip) = rb(k)`):
-//! each assignment's right-hand side becomes instructions of one program,
-//! and here a maximal subtree without `v` is an invariant even when it
-//! reads an element (`wy(2*ip - 1, ip)`). Per execution,
-//! [`LoopScratch::place`] evaluates the scalar subscripts and binds every
-//! reference to a strided address sequence along its `v` dimension — of a
-//! whole array, or of a section like `u(i, *)` — and the loop may run
-//! statement by statement over chunks of iterations
-//! ([`LoopScratch::run`]) where no iteration reads what another writes:
-//! nothing written is referenced at another address, not even by an
-//! invariant. The interpreter runs it only where a write is a plain store
-//! (a write-through doall iteration). A placed loop also stands in for the
-//! inspector's walk: where every element read is owned too, the walk would
-//! record only what the invariants read, so the inspector evaluates them
-//! once and counts the writes. Whenever a condition fails, the loop is
-//! walked.
-//!
-//! In a batch of lines run as one activation, a run of element
-//! assignments whose every subscript is a scalar ([`compile_runs`]) is a
-//! kernel too, over the line axis: line `l`'s element is line 0's moved
-//! `l` line steps along its array, so each reference is placed once as a
-//! sequence whose step is the line's, and the run executes statement by
-//! statement over all the lines at once, under the loop's conditions.
-//! Lines touch disjoint storage, so only each line's own order matters.
-//!
-//! One doall of a builtin call is placed as well: `spmv.kf1`'s CSR rows
-//! ([`Placed::csr`]), each a multiply-add over its slices of the
-//! replicated structure arrays. The placing pass reads every row of mine
-//! to check it, and notes on the way the columns the inspector would find
-//! remote, so a cold trip reads the rows twice (place, execute), not
-//! three times. Either body runs the positions a trip's schedule hands it
-//! ([`Placed::exec`]) and commits its box at once.
+//! The CSR body is `spmv.kf1`'s rows ([`Placed::csr`]), each a multiply-add
+//! over its slices of the replicated structure arrays. The placing pass
+//! reads every row of mine to check it, and notes on the way the columns
+//! the inspector would find remote, so a cold trip reads the rows twice
+//! (place, execute), not three times.
 
 use std::cell::Ref;
 use std::ops::Range;
@@ -169,7 +162,7 @@ pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
 
 /// The kernel of a `do var = …` loop in the compiled class as far as its
 /// text decides (see the module docs; `var` appears in subscripts only).
-/// The bindings are checked per execution ([`LoopScratch::place`]).
+/// The bindings are checked per execution ([`Placed::kernel`]).
 pub(crate) fn compile_loop(var: Slot, step: Option<&RExpr>, body: &[RStmt]) -> Option<Kernel> {
     let unit = step.is_none_or(|s| const_of(s) == Some(1));
     (unit && !body.is_empty()).then_some(())?;
@@ -362,7 +355,7 @@ fn operand<'a, 'd: 'a>(
     }
 }
 
-/// A whole array as a kernel addresses it: its bounds, placed as in
+/// A whole array as a stencil addresses it: its bounds, placed as in
 /// [`Bx`].
 struct Addr {
     base: ArrRef,
@@ -401,38 +394,66 @@ impl Addr {
         }
         Some(if mine { owned } else { EMPTY })
     }
+
+    /// The reference at offset `off` from iterations `bx`, inside the
+    /// array unless `bx` is empty: its rows are the array's.
+    fn at(&self, bx: &Bx, off: [i64; 2]) -> Strided {
+        let (b, row) = (&self.bounds, self.bounds[1].1 - self.bounds[1].0 + 1);
+        let at = (!is_empty(bx)).then(|| flat(b, bx[0].0 + off[0], bx[1].0 + off[1]));
+        Strided::new(self.base.clone(), at.unwrap_or(0), 1, row as isize)
+    }
 }
 
-/// A placed site's buffers, reused trip after trip: the result, a
-/// stencil's chunk-long registers and each read's row start, and what a
-/// CSR product's placing pass found remote — the flats of `x` its rows
-/// read outside `x_owned`, and the positions of those rows.
+/// A site's buffers, reused by its doall's trips and by the loops and runs
+/// its walked iterations place: the placed references (a kernel's reads,
+/// then one target per assignment; a CSR product's target), a stencil's
+/// owned block of each array it reads, evaluated subscripts, chunk-long
+/// registers — a loop's or run's loaded reads after them — a doall's
+/// result, and the remote flats of `x` a CSR product's placing pass found,
+/// with their rows' positions.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    out: Vec<f64>,
+    refs: Vec<Strided>,
+    owned: Vec<Bx>,
+    subs: Vec<i64>,
     regs: Vec<Vec<f64>>,
-    starts: Vec<usize>,
+    out: Vec<f64>,
     remote: Vec<usize>,
     boundary: Vec<usize>,
 }
 
-/// A doall placed on one trip's bindings: my iterations, a box whose
-/// positions count in iteration order, each writing one element of
-/// `target`.
+impl Scratch {
+    /// Evaluate by `f` the subscripts of `k`'s accesses, a loop
+    /// variable's at its first value: `false` if one fails.
+    pub(crate) fn eval(&mut self, k: &Kernel, mut f: impl FnMut(&RExpr) -> Option<i64>) -> bool {
+        self.subs.clear();
+        let mut subs = k.refs().flat_map(|r| &r.subs);
+        subs.all(|e| f(e).map(|v| self.subs.push(v)).is_some())
+    }
+
+    /// Broadcast the values `f` gives `k`'s invariants, in order, along
+    /// the registers they fill: `false` at the first it has none for.
+    pub(crate) fn fill(&mut self, k: &Kernel, mut f: impl FnMut(&RExpr) -> Option<f64>) -> bool {
+        let mut invariants = k.invariants.iter();
+        invariants.all(|(r, e)| f(e).map(|v| self.regs[*r].fill(v)).is_some())
+    }
+}
+
+/// A compiled body placed on one execution's bindings: my iterations, a
+/// box whose positions count row by row, its references in the site's
+/// [`Scratch`].
 pub(crate) struct Placed<'k> {
     pub bx: Bx,
-    target: Addr,
+    /// Writes go through storage (a loop, a run), not into the scratch
+    /// for [`Placed::commit`] (a doall's copy-out).
+    through: bool,
     body: Body<'k>,
 }
 
 enum Body<'k> {
-    /// The kernel's assignment; `interior` holds the iterations whose every
-    /// read is owned, and a read is its array, offset and what I own of it.
-    Stencil {
-        kernel: &'k Kernel,
-        interior: Bx,
-        reads: Vec<(Addr, [i64; 2], Bx)>,
-    },
+    /// Compiled element assignments, and a stencil's interior: the
+    /// iterations whose every read is owned.
+    Kernel(&'k Kernel, Bx),
     /// Row `i` of a CSR product: `y(i) = Σ av(k) · x(ci(k))` over `k` from
     /// `rp(i)` to `rp(i + 1) − 1`, the column `ci(k)` counted in `x`'s
     /// section; it is stored at `ci(k) + x_at`.
@@ -445,19 +466,20 @@ enum Body<'k> {
 }
 
 impl<'k> Placed<'k> {
-    /// Place `k` for rank `me` over the loop `ranges` (unit steps), with
-    /// `on` the on-clause's array and `whole` the whole array a slot is
-    /// bound to, if it is. `None` — the walker runs, and reports what it
-    /// reports — when an array is not whole, real, of the loop's rank and
-    /// contiguously distributed, when the on-array's layout or bounds are
-    /// not the target's, or when the loop leaves those bounds or a read of
-    /// the box leaves its array's.
+    /// Place `k` in `s` for rank `me` over the loop `ranges` (unit steps),
+    /// with `on` the on-clause's array and `whole` the whole array a slot
+    /// is bound to, if it is. `None` — the walker runs, and reports what
+    /// it reports — when an array is not whole, real, of the loop's rank
+    /// and contiguously distributed, when the on-array's layout or bounds
+    /// are not the target's, or when the loop leaves those bounds or a read
+    /// of the box leaves its array's.
     pub(crate) fn stencil(
         me: usize,
         ranges: &[(i64, i64)],
         k: &'k Kernel,
         on: Slot,
         whole: impl Fn(Slot) -> Option<ArrRef>,
+        s: &mut Scratch,
     ) -> Option<Placed<'k>> {
         let arity = ranges.len();
         let target = Addr::of(&whole(k.stmts[0].target.slot)?, arity)?;
@@ -477,7 +499,9 @@ impl<'k> Placed<'k> {
         loops[2 - arity..].copy_from_slice(ranges);
         inside(&target, &loops, [0; 2]).then_some(())?;
         let bx = meet(&loops, &target.owned(me, false)?);
-        let (mut interior, mut reads) = (bx, Vec::with_capacity(k.reads.len()));
+        let mut interior = bx;
+        s.refs.clear();
+        s.owned.clear();
         for &Access { slot, off, .. } in &k.reads {
             let f = Addr::of(&whole(slot)?, arity)?;
             let owned = f.owned(me, true)?;
@@ -489,20 +513,75 @@ impl<'k> Placed<'k> {
                 )
             });
             interior = meet(&interior, &back);
-            reads.push((f, off, owned));
+            s.refs.push(f.at(&bx, off));
+            s.owned.push(owned);
         }
-        let body = Body::Stencil {
-            kernel: k,
-            interior,
-            reads,
-        };
-        Some(Placed { bx, target, body })
+        s.refs.push(target.at(&bx, [0; 2]));
+        Some(Self::sized(s, bx, false, Body::Kernel(k, interior)))
     }
 
-    /// Place the CSR product for rank `me` over rows `lo..=hi` (unit step)
-    /// on whole arrays and the view `x` of a section. `None` — the walker
-    /// runs, and reports what it reports — unless all are 1-D, `y` real,
-    /// block-distributed and holding the loop range, `rp`, `ci`, `av`
+    /// Place `k` in `s` for rank `me` on one execution, on the subscripts
+    /// [`Scratch::eval`] evaluated: a loop over iterations `Some((lo, hi))`
+    /// (not empty) on each of `lines` lines, or a run of element
+    /// assignments whose iterations are the lines. `bound` gives the view
+    /// a slot is bound to, if it is a real array, and how far it moves from
+    /// line to line: a loop's row stride, a run's step. `None` — the walker
+    /// runs, and reports what it reports — unless every reference is placed
+    /// ([`Strided::of`]), `me` owns every element written (and, with
+    /// `owned_reads`, every element read), and, in a loop, nothing written
+    /// is also read at another address: by a reference with another
+    /// sequence, or by an invariant. A run's lines step forwards, and what
+    /// one line references no other does ([`crate::interp`]'s lift): only
+    /// each line's own order matters.
+    pub(crate) fn kernel<'v>(
+        k: &'k Kernel,
+        iters: Option<(i64, i64)>,
+        lines: usize,
+        me: usize,
+        owned_reads: bool,
+        bound: impl Fn(Slot) -> Option<(&'v View, isize)>,
+        s: &mut Scratch,
+    ) -> Option<Placed<'k>> {
+        s.refs.clear();
+        let span = iters.map_or(Some(0), |(lo, hi)| hi.checked_sub(lo))?;
+        let mut subs = &s.subs[..];
+        for (i, r) in k.refs().enumerate() {
+            let owner = (owned_reads || i >= k.reads.len()).then_some(me);
+            let (view, step) = bound(r.slot)?;
+            let at;
+            (at, subs) = subs.split_at(r.subs.len());
+            let along = r.along.unwrap_or(0);
+            let first = *at.get(along)?;
+            let ends = (first, first.checked_add(span)?);
+            let mut p = Strided::of(view, at, along, ends, owner)?;
+            match iters {
+                Some(_) => p.row = step,
+                None => p.step = usize::try_from(step).ok().filter(|&s| s > 0)?,
+            }
+            s.refs.push(p);
+        }
+        let (reads, targets) = s.refs.split_at(k.reads.len());
+        let clash = iters.is_some()
+            && targets.iter().any(|w| {
+                let seq = |r: &Strided| (r.at, r.step, r.row);
+                let elsewhere = |r: &Strided| Rc::ptr_eq(&r.base, &w.base) && seq(r) != seq(w);
+                let mut names_w = |n: Node| match n {
+                    Node::Name(s) => bound(s).is_some_and(|(v, _)| Rc::ptr_eq(&v.base, &w.base)),
+                    _ => false,
+                };
+                reads.iter().chain(targets).any(elsewhere)
+                    || k.invariants.iter().any(|(_, e)| any_expr(e, &mut names_w))
+            });
+        (!clash).then_some(())?;
+        let last = lines as i64 - 1;
+        let bx = iters.map_or([(0, 0), (0, last)], |_| [(0, last), (0, span)]);
+        Some(Self::sized(s, bx, true, Body::Kernel(k, EMPTY)))
+    }
+
+    /// Place the CSR product in `s` for rank `me` over rows `lo..=hi` (unit
+    /// step) on whole arrays and the view `x` of a section. `None` — the
+    /// walker runs, and reports what it reports — unless all are 1-D, `y`
+    /// real, block-distributed and holding the loop range, `rp`, `ci`, `av`
     /// replicated, `x` real, not `y`, with contiguous blocks, and every row
     /// of mine names sections of `ci` and `av` by exact integers in `rp`,
     /// their columns inside `x`'s section. The same pass notes in `s` what
@@ -553,9 +632,29 @@ impl<'k> Placed<'k> {
                 }
             }
         });
+        s.refs.clear();
+        s.refs.push(target.at(&bx, [0; 2]));
         let x = x.base.clone();
         let body = Body::Csr { structure, x, x_at };
-        fits.then_some(Placed { bx, target, body })
+        fits.then(|| Self::sized(s, bx, false, body))
+    }
+
+    /// Placed over `bx`, with `s` sized for it: a doall's result, and
+    /// registers — a loop's or run's loaded reads after them — a row's first
+    /// chunk long at most.
+    fn sized(s: &mut Scratch, bx: Bx, through: bool, body: Body<'k>) -> Self {
+        let placed = Placed { bx, through, body };
+        if !through {
+            s.out.resize(placed.len(), 0.0);
+        }
+        if let Body::Kernel(k, _) = placed.body {
+            let n = k.regs + if through { k.reads.len() } else { 0 };
+            // Kept however few the next kernel needs: kernels take turns.
+            s.regs.resize_with(s.regs.len().max(n), Vec::new);
+            let width = placed.width().min(CHUNK);
+            s.regs[..n].iter_mut().for_each(|r| r.resize(width, 0.0));
+        }
+        placed
     }
 
     /// How many iterations are mine.
@@ -564,12 +663,17 @@ impl<'k> Placed<'k> {
         ((b0 - a0 + 1) * (b1 - a1 + 1)).max(0) as usize
     }
 
+    /// How many iterations a row has.
+    pub(crate) fn width(&self) -> usize {
+        (self.bx[1].1 - self.bx[1].0 + 1).max(0) as usize
+    }
+
     /// The row runs `(row, first, last)` of the positions in `at`, ranges
     /// in ascending order: ranges that touch are joined, and a run ends
     /// where its row does.
     fn runs(&self, at: impl IntoIterator<Item = Range<usize>>, mut f: impl FnMut(i64, i64, i64)) {
-        let [(a0, _), (a1, b1)] = self.bx;
-        let width = (b1 - a1 + 1).max(1) as usize;
+        let [(a0, _), (a1, _)] = self.bx;
+        let width = self.width().max(1);
         let mut split = |r: Range<usize>| {
             let mut p = r.start;
             while p < r.end {
@@ -602,24 +706,23 @@ impl<'k> Placed<'k> {
         })
     }
 
-    /// What the inspector finds walking my iterations: the positions of
-    /// those with a remote read, ascending, while `note` is handed each
+    /// What the inspector finds walking a doall's iterations: the positions
+    /// of those with a remote read, ascending, while `note` is handed each
     /// remote read as `(array, flat)` in iteration and evaluation order. A
     /// stencil's follow from its boxes; a CSR product's are the lists its
     /// placing pass left in `s`, read off its rows' columns in this order,
     /// so no row is read again.
     pub(crate) fn inspect(&self, s: &Scratch, mut note: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
         let mut boundary = Vec::new();
+        let [(a0, _), (a1, _)] = self.bx;
         match &self.body {
-            Body::Stencil {
-                interior, reads, ..
-            } => self.runs(self.boundary(interior), |i, a, b| {
+            Body::Kernel(k, interior) => self.runs(self.boundary(interior), |i, a, b| {
                 for j in a..=b {
                     boundary.push(flat(&self.bx, i, j));
-                    for (f, [di, dj], [(l0, h0), (l1, h1)]) in reads {
-                        let (i, j) = (i + di, j + dj);
-                        if !(*l0..=*h0).contains(&i) || !(*l1..=*h1).contains(&j) {
-                            note(&f.base, flat(&f.bounds, i, j));
+                    let reads = s.refs.iter().zip(&s.owned).zip(&k.reads);
+                    for ((f, &[(l0, h0), (l1, h1)]), Access { off: [di, dj], .. }) in reads {
+                        if !(l0..=h0).contains(&(i + di)) || !(l1..=h1).contains(&(j + dj)) {
+                            note(&f.base, f.flat((i - a0) as usize, (j - a1) as usize));
                         }
                     }
                 }
@@ -632,52 +735,52 @@ impl<'k> Placed<'k> {
         boundary
     }
 
-    /// Size `s` for this trip and broadcast a stencil's invariant
-    /// `values`, one per [`Kernel::invariants`] entry, along the
-    /// registers they fill: a row's first chunk at most.
-    pub(crate) fn prepare(&self, values: &[f64], s: &mut Scratch) {
-        s.out.resize(self.len(), 0.0);
-        if let Body::Stencil { kernel, reads, .. } = &self.body {
-            let width = (self.bx[1].1 - self.bx[1].0 + 1).clamp(0, CHUNK as i64) as usize;
-            s.regs.resize_with(kernel.regs, Vec::new);
-            s.regs.iter_mut().for_each(|r| r.resize(width, 0.0));
-            for ((r, _), &v) in kernel.invariants.iter().zip(values) {
-                s.regs[*r].fill(v);
-            }
-            s.starts.resize(reads.len(), 0);
-        }
-    }
-
     /// Run the iterations at the positions in `at`, ranges in ascending
-    /// order, into the result, charging `proc` as the walker does: a
-    /// stencil the assignment's flops per iteration, its row runs a chunk
-    /// at a time, a CSR row `2·nnz` flops and then its written word, row
-    /// by row in execution order.
+    /// order, charging `proc` as the walker does: a kernel its assignments'
+    /// flops per iteration, its row runs a chunk at a time, a CSR row
+    /// `2·nnz` flops and then its written word, row by row in execution
+    /// order. A doall's results go to the scratch, a loop's or run's
+    /// through storage.
     pub(crate) fn exec(
         &self,
         at: impl IntoIterator<Item = Range<usize>>,
         s: &mut Scratch,
         proc: &mut Proc,
     ) {
-        let (out, regs, starts) = (&mut s.out, &mut s.regs, &mut s.starts);
+        let (refs, regs, out) = (&s.refs, &mut s.regs, &mut s.out);
+        let ([(a0, _), (a1, _)], width) = (self.bx, self.width());
         match &self.body {
-            Body::Stencil {
-                kernel: k, reads, ..
-            } => {
-                let data: Vec<Ref<ArrObj>> = reads.iter().map(|r| r.0.base.borrow()).collect();
+            Body::Kernel(k, _) => {
+                let ((reads, targets), (regs, rows)) =
+                    (refs.split_at(k.reads.len()), regs.split_at_mut(k.regs));
+                // A doall reads its rows in storage; a loop or run, which
+                // stores as it goes, loads them.
+                let copy_out = reads.iter().filter(|_| !self.through);
+                let data: Vec<Ref<ArrObj>> = copy_out.map(|r| r.base.borrow()).collect();
                 let mut count = 0;
                 self.runs(at, |i, first, last| {
-                    for a in (first..=last).step_by(CHUNK) {
-                        let len = CHUNK.min((last - a + 1) as usize);
+                    let (r, first, end) = ((i - a0) as usize, first - a1, last - a1 + 1);
+                    for t in (first as usize..end as usize).step_by(CHUNK) {
+                        let len = CHUNK.min(end as usize - t);
                         count += len;
-                        for (start, (f, off, _)) in starts.iter_mut().zip(reads) {
-                            *start = flat(&f.bounds, i + off[0], a + off[1]);
+                        let (mut r0, mut c0) = (0, 0);
+                        for (a, w) in k.stmts.iter().zip(targets) {
+                            if self.through {
+                                let loads = rows[r0..a.reads_end].iter_mut().zip(&reads[r0..]);
+                                loads.for_each(|(row, s)| s.load(r, t, &mut row[..len]));
+                            }
+                            let read = |n: usize| match self.through {
+                                true => &rows[n][..],
+                                false => &data[n].data[reads[n].flat(r, t)..],
+                            };
+                            k.run(c0..a.code_end, regs, len, &read);
+                            let (result, p) = (operand(a.out, regs, &read, len), r * width + t);
+                            match self.through {
+                                true => w.store(r, t, result),
+                                false => out[p..p + len].copy_from_slice(result),
+                            }
+                            (r0, c0) = (a.reads_end, a.code_end);
                         }
-                        let read = |r: usize| &data[r].data[starts[r]..];
-                        k.run(0..k.code.len(), regs, len, &read);
-                        let at = flat(&self.bx, i, a);
-                        let result = operand(k.stmts[0].out, regs, &read, len);
-                        out[at..at + len].copy_from_slice(result);
                     }
                 });
                 proc.compute_each(&k.flops, count);
@@ -689,7 +792,7 @@ impl<'k> Placed<'k> {
                 let product =
                     |(&c, &a): (&f64, &f64)| a * x.data[(c as i64).wrapping_add(*x_at) as usize];
                 let rows = at.into_iter().flatten();
-                csr_rows(structure, self.bx[1].0, rows, |pos, row| {
+                csr_rows(structure, a1, rows, |pos, row| {
                     let [cols, vals] = row.expect("placed rows name sections of ci and av");
                     // The walker's sum, and +0.0 for an empty row, as it stores.
                     out[pos] = match cols.len() {
@@ -703,15 +806,17 @@ impl<'k> Placed<'k> {
         }
     }
 
-    /// Copy-out: the result into the target's storage, charged as the
-    /// walker's commit of one write per iteration.
+    /// Copy-out: a doall's result into its target's storage, charged as
+    /// the walker's commit of one write per iteration.
     pub(crate) fn commit(&self, s: &Scratch, proc: &mut Proc) {
         proc.memop(self.len() as f64);
-        let mut t = self.target.base.borrow_mut();
+        let ([(a0, _), (a1, _)], width) = (self.bx, self.width());
+        let target = s.refs.last().expect("a placed doall's target");
+        let mut t = target.base.borrow_mut();
         self.runs(std::iter::once(0..self.len()), |i, a, b| {
-            let (from, len) = (flat(&self.bx, i, a), (b - a + 1) as usize);
-            let to = flat(&self.target.bounds, i, a);
-            t.data[to..to + len].copy_from_slice(&s.out[from..from + len]);
+            let (r, c, n) = ((i - a0) as usize, (a - a1) as usize, (b - a + 1) as usize);
+            let (from, to) = (r * width + c, target.flat(r, c));
+            t.data[to..to + n].copy_from_slice(&s.out[from..from + n]);
         });
     }
 }
@@ -746,16 +851,18 @@ fn exact_int(v: f64) -> Option<i64> {
     (i as f64 == v && i.unsigned_abs() <= 1 << 53).then_some(i)
 }
 
-/// The most iterations a compiled loop or a placed stencil's row runs at
-/// once: their registers never grow with the loop.
+/// The most iterations a placed kernel's row runs at once: its registers
+/// never grow with the loop.
 const CHUNK: usize = 64;
 
-/// A rank-1 section, placed — a compiled loop's reference, a builtin's
-/// argument: element `t` (from the first) is `base.data[at + t * step]`.
+/// A placed reference — a kernel's, a builtin's section: element `t` of
+/// row `r` is `base.data[at + r · row + t · step]`, a row one of a batch's
+/// lines or of a stencil's box.
 pub(crate) struct Strided {
     pub(crate) base: ArrRef,
     at: usize,
     step: usize,
+    pub(crate) row: isize,
 }
 
 impl Strided {
@@ -765,7 +872,7 @@ impl Strided {
     /// do (then so does everything between). With `owner`, every element
     /// must also be that rank's: along a contiguous dimension what a rank
     /// owns is an interval, so the ends decide; elsewhere every element
-    /// is tested. An empty range references nothing.
+    /// is tested. An empty range references nothing. One row.
     pub(crate) fn of(
         view: &View,
         subs: &[i64],
@@ -778,9 +885,9 @@ impl Strided {
         let ranged = view.map.iter().enumerate();
         let mut ranged = ranged.filter(|(_, m)| matches!(m, ViewDim::Range(..)));
         let dim = ranged.nth(along)?.0;
+        let (base, row) = (view.base.clone(), 0);
         if hi < lo {
-            let (base, at, step) = (view.base.clone(), 0, 1);
-            return Some(Strided { base, at, step });
+            return Some(Strided::new(base, 0, 1, row));
         }
         let (mut idxs, mut base_idxs) = ([0; MAX_RANK], [0; MAX_RANK]);
         idxs[..subs.len()].copy_from_slice(subs);
@@ -794,167 +901,53 @@ impl Strided {
         let interval = owner.is_none() || b.layout.dists()[dim].is_contiguous();
         (interval || (lo..hi).skip(1).all(|i| flat(i).is_some())).then_some(())?;
         let step = ((last - at) / (hi - lo).max(1) as usize).max(1);
-        let base = view.base.clone();
-        Some(Strided { base, at, step })
+        Some(Strided::new(base, at, step, row))
     }
 
-    /// The storage index of element `t`.
-    pub(crate) fn flat(&self, t: usize) -> usize {
-        self.at + t * self.step
+    fn new(base: ArrRef, at: usize, step: usize, row: isize) -> Strided {
+        Strided {
+            base,
+            at,
+            step,
+            row,
+        }
     }
 
-    /// Where the section's first `n` elements are stored, if contiguously.
-    pub(crate) fn span(&self, n: usize) -> Option<Range<usize>> {
-        (self.step == 1).then_some(self.at..self.at + n)
+    /// The storage index of element `t` of row `r`.
+    pub(crate) fn flat(&self, r: usize, t: usize) -> usize {
+        self.at.wrapping_add_signed(r as isize * self.row) + t * self.step
     }
 
-    /// Move the section `by` elements along its array.
-    pub(crate) fn advance(&mut self, by: isize) {
-        self.at = self.at.wrapping_add_signed(by);
+    /// Where row `r`'s first `n` elements are stored, if contiguously.
+    pub(crate) fn span(&self, r: usize, n: usize) -> Option<Range<usize>> {
+        (self.step == 1).then(|| self.flat(r, 0)..self.flat(r, n))
     }
 
-    /// Load iterations `start..` into `out`.
-    pub(crate) fn load(&self, start: usize, out: &mut [f64]) {
+    /// Load row `r`'s elements `start..` into `out`.
+    pub(crate) fn load(&self, r: usize, start: usize, out: &mut [f64]) {
         let b = self.base.borrow();
-        let lane = b.data[self.flat(start)..].iter().step_by(self.step);
+        let lane = b.data[self.flat(r, start)..].iter().step_by(self.step);
         out.iter_mut().zip(lane).for_each(|(o, v)| *o = *v);
     }
 
-    /// Store `vals` into iterations `start..`.
-    pub(crate) fn store(&self, start: usize, vals: &[f64]) {
+    /// Store `vals` into row `r`'s elements `start..`.
+    pub(crate) fn store(&self, r: usize, start: usize, vals: &[f64]) {
         let mut b = self.base.borrow_mut();
-        let lane = b.data[self.flat(start)..].iter_mut();
+        let lane = b.data[self.flat(r, start)..].iter_mut();
         lane.step_by(self.step).zip(vals).for_each(|(t, v)| *t = *v);
-    }
-}
-
-/// A compiled loop's or element run's buffers, reused execution after
-/// execution: chunk-long registers and per-read rows, the placed
-/// references — the reads, then one target per assignment — and their
-/// evaluated subscripts.
-#[derive(Default)]
-pub(crate) struct LoopScratch {
-    regs: Vec<Vec<f64>>,
-    rows: Vec<Vec<f64>>,
-    refs: Vec<Strided>,
-    subs: Vec<i64>,
-}
-
-impl LoopScratch {
-    /// Evaluate by `f` the subscripts of `k`'s accesses, a loop
-    /// variable's at its first value: `false` if one fails.
-    pub(crate) fn eval(&mut self, k: &Kernel, mut f: impl FnMut(&RExpr) -> Option<i64>) -> bool {
-        self.subs.clear();
-        let mut subs = k.refs().flat_map(|r| &r.subs);
-        subs.all(|e| f(e).map(|v| self.subs.push(v)).is_some())
-    }
-
-    /// Place `k` on one execution for rank `me`, on the subscripts
-    /// [`LoopScratch::eval`] evaluated, `view` the view a slot is
-    /// bound to, if it is a real array: a loop over `Some((lo, hi))` (not
-    /// empty), or a run of element assignments over a batch's lines, one
-    /// iteration a line, each reference moving `step(slot)` elements from
-    /// line to line. `None` — the walker runs, and reports what it reports
-    /// — unless every reference is placed ([`Strided::of`]), `me` owns every
-    /// element written (and, with `owned_reads`, every element read), and,
-    /// in a loop, nothing written is also read at another address: by a
-    /// reference with another sequence, or by an invariant. Over lines a
-    /// line steps forwards, and what one line references no other does
-    /// ([`crate::interp`]'s lift): only each line's own order matters.
-    pub(crate) fn place<'v>(
-        &mut self,
-        k: &Kernel,
-        range: Option<(i64, i64)>,
-        me: usize,
-        owned_reads: bool,
-        view: impl Fn(Slot) -> Option<&'v View>,
-        step: impl Fn(Slot) -> isize,
-    ) -> Option<()> {
-        self.refs.clear();
-        let span = range.map_or(Some(0), |(lo, hi)| hi.checked_sub(lo))?;
-        let mut subs = &self.subs[..];
-        for (i, r) in k.refs().enumerate() {
-            let owner = (owned_reads || i >= k.reads.len()).then_some(me);
-            let at;
-            (at, subs) = subs.split_at(r.subs.len());
-            let along = r.along.unwrap_or(0);
-            let first = *at.get(along)?;
-            let ends = (first, first.checked_add(span)?);
-            let mut s = Strided::of(view(r.slot)?, at, along, ends, owner)?;
-            if range.is_none() {
-                s.step = usize::try_from(step(r.slot)).ok().filter(|&s| s > 0)?;
-            }
-            self.refs.push(s);
-        }
-        let (reads, targets) = self.refs.split_at(k.reads.len());
-        let clash = range.is_some()
-            && targets.iter().any(|w| {
-                let elsewhere =
-                    |r: &Strided| Rc::ptr_eq(&r.base, &w.base) && (r.at, r.step) != (w.at, w.step);
-                let mut names_w = |n: Node| match n {
-                    Node::Name(s) => view(s).is_some_and(|v| Rc::ptr_eq(&v.base, &w.base)),
-                    _ => false,
-                };
-                reads.iter().chain(targets).any(elsewhere)
-                    || k.invariants.iter().any(|(_, e)| any_expr(e, &mut names_w))
-            });
-        (!clash).then_some(())?;
-        // Kept however few the next kernel needs: kernels take turns.
-        for (bufs, n) in [(&mut self.regs, k.regs), (&mut self.rows, k.reads.len())] {
-            if bufs.len() < n {
-                bufs.resize_with(n, || vec![0.0; CHUNK]);
-            }
-        }
-        Some(())
-    }
-
-    /// Move every placed reference `step(slot)` elements along its array:
-    /// to the next line of a batch.
-    pub(crate) fn next_line(&mut self, k: &Kernel, step: impl Fn(Slot) -> isize) {
-        for (s, r) in self.refs.iter_mut().zip(k.refs()) {
-            s.advance(step(r.slot));
-        }
-    }
-
-    /// Broadcast an invariant's value along the register it fills.
-    pub(crate) fn fill(&mut self, reg: usize, v: f64) {
-        self.regs[reg].fill(v);
-    }
-
-    /// Execute the placed loop's `n` iterations, chunk by chunk, and each
-    /// chunk statement by statement: each assignment's reads are loaded
-    /// after the previous one's writes are stored.
-    pub(crate) fn run(&mut self, k: &Kernel, n: usize) {
-        let (regs, rows, refs) = (&mut self.regs, &mut self.rows, &self.refs);
-        let (reads, targets) = refs.split_at(k.reads.len());
-        for start in (0..n).step_by(CHUNK) {
-            let len = CHUNK.min(n - start);
-            let (mut r0, mut c0) = (0, 0);
-            for (a, w) in k.stmts.iter().zip(targets) {
-                let loads = rows[r0..a.reads_end].iter_mut().zip(&reads[r0..]);
-                loads.for_each(|(row, s)| s.load(start, &mut row[..len]));
-                let read = |r: usize| &rows[r][..];
-                k.run(c0..a.code_end, regs, len, &read);
-                w.store(start, operand(a.out, regs, &read, len));
-                (r0, c0) = (a.reads_end, a.code_end);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 impl Scratch {
-    /// Has no trip placed a kernel here (with a non-empty box)?
+    /// Has no trip placed a doall here (with a non-empty box)?
     pub(crate) fn is_unused(&self) -> bool {
         self.out.is_empty()
     }
-}
 
-#[cfg(test)]
-impl LoopScratch {
-    /// Has no execution placed a compiled loop?
-    pub(crate) fn is_unused(&self) -> bool {
-        self.rows.is_empty() && self.regs.is_empty()
+    /// Has a loop or run been placed here, and no doall?
+    pub(crate) fn ran_through(&self) -> bool {
+        self.out.is_empty() && !self.regs.is_empty()
     }
 }
 
@@ -1015,7 +1008,7 @@ mod tests {
     /// call (no run crosses a chunk), and check that each gives the same
     /// result bits, flops, memops and clock — and that ranges touching
     /// within a row run as one. `s` is the scratch it was placed with.
-    fn same_under_every_split(placed: &Placed, s: &Scratch, g: &mut TestRng, proc: &mut Proc) {
+    fn same_under_every_split(placed: &Placed, s: &mut Scratch, g: &mut TestRng, proc: &mut Proc) {
         let n = placed.len();
         let boundary = placed.inspect(s, |_, _| {});
         let singles: Vec<_> = boundary.iter().map(|&p| p..p + 1).collect();
@@ -1055,11 +1048,11 @@ mod tests {
         assert_eq!(all, if n == 0 { vec![] } else { whole });
         let mut seen = Vec::new();
         for plan in &plans {
-            let (mut s, clock) = (Scratch::default(), proc.clock());
+            let clock = proc.clock();
             let (flops, words) = (proc.stats().flops, proc.stats().mem_words);
-            placed.prepare(&[], &mut s);
+            s.out.fill(f64::NAN);
             for at in plan {
-                placed.exec(at.iter().cloned(), &mut s, proc);
+                placed.exec(at.iter().cloned(), s, proc);
             }
             let bits: Vec<u64> = s.out.iter().map(|v| v.to_bits()).collect();
             let stats = proc.stats();
@@ -1168,8 +1161,9 @@ mod tests {
                 let slot = |name: &str| sub.names.iter().position(|n| n == name).unwrap();
                 let whole = |s: Slot| Some(if s == slot("x") { x.clone() } else { b.clone() });
                 for me in 0..p {
-                    let placed = Placed::stencil(me, &ranges, k, slot("x"), whole).expect(&src);
-                    same_under_every_split(&placed, &Scratch::default(), &mut g, proc);
+                    let mut s = Scratch::default();
+                    let placed = Placed::stencil(me, &ranges, k, slot("x"), whole, &mut s).expect(&src);
+                    same_under_every_split(&placed, &mut s, &mut g, proc);
                 }
             });
         }
@@ -1232,7 +1226,7 @@ mod tests {
                 for me in 0..p {
                     for owner in [None, Some(me)] {
                         let ours = Strided::of(&view, &[lo], 0, (lo, hi), owner)
-                            .map(|s| (0..=hi - lo).map(|t| s.flat(t as usize)).collect::<Vec<_>>());
+                            .map(|s| (0..=hi - lo).map(|t| s.flat(0, t as usize)).collect::<Vec<_>>());
                         let arr = base.borrow();
                         let each = (lo..=hi).map(|i| {
                             let mut idxs = [0; MAX_RANK];
@@ -1281,7 +1275,7 @@ mod tests {
                     let mut s = Scratch::default();
                     let arrays = [y.clone(), rp, ci, av];
                     let placed = Placed::csr(me, (lo, hi), arrays, &x, &mut s).unwrap();
-                    same_under_every_split(&placed, &s, &mut g, proc);
+                    same_under_every_split(&placed, &mut s, &mut g, proc);
                 }
             });
         }
