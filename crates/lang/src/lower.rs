@@ -355,7 +355,7 @@ fn operand<'a, 'd: 'a>(
     }
 }
 
-/// A whole array as a stencil addresses it: its bounds, placed as in
+/// A whole array as a doall addresses it: its bounds, placed as in
 /// [`Bx`].
 struct Addr {
     base: ArrRef,

@@ -200,12 +200,8 @@ parsub swap(a, b, n, niter; procs)
 end
 "#;
     let n = 16usize;
-    let (_, on) = differential(
-        src,
-        "swap",
-        4,
-        &[4],
-        &[
+    let args = |niter| {
+        [
             HostValue::Array {
                 data: vec![0.0; n],
                 bounds: vec![(1, n as i64)],
@@ -215,13 +211,29 @@ end
                 bounds: vec![(1, n as i64)],
             },
             HostValue::Int(n as i64),
-            HostValue::Int(5),
-        ],
-    );
+            HostValue::Int(niter),
+        ]
+    };
+    let (_, on) = differential(src, "swap", 4, &[4], &args(5));
     // Trips 1-2 share a schedule; trip 3 re-inspects under the new
     // distribution; trips 4-5 replay it.
     assert_eq!(on.report.total_inspector_runs, 4 * 2);
     assert_eq!(on.report.total_schedule_replays, 4 * 3);
+    // Back to blocks after trip 4: the site is placed (trips 1-2), walked
+    // while `b` is cyclic and outside the placed class (trips 3-4), then
+    // placed again in the buffers its first placement left (trips 5-8).
+    // Each distribution is inspected once, its first trip after a
+    // redistribution a lost vote on every rank. (Over six trips those two
+    // wasted header rounds outweigh the replays: more messages than
+    // rebuilding every trip.)
+    let back = src.replace(
+        "    endif\n",
+        "    endif\n    if (it .eq. 4) then\n      distribute b (block)\n    endif\n",
+    );
+    let (_, on) = differential(&back, "swap", 4, &[4], &args(8));
+    assert_eq!(on.report.total_inspector_runs, 4 * 3);
+    assert_eq!(on.report.total_schedule_replays, 4 * 5);
+    assert_eq!(on.report.total_rollbacks, 4 * 2);
 }
 
 #[test]

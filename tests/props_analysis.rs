@@ -601,8 +601,8 @@ proptest! {
     /// sections, a gathered reduced system, a correction and a stencil
     /// with many iterations a line, six trips in all — called from a team-call doall over the rows or the columns of
     /// 2-D block arrays on every grid of one to four processors, with line
-    /// counts the grid does not divide and teams that own more lines than
-    /// a batch holds. In lockstep, and line by line through a twin that
+    /// counts the grid does not divide, teams that own more lines than
+    /// a batch holds and, one case in four, blocks longer than a chunk. In lockstep, and line by line through a twin that
     /// passes the line index as a scalar (which leaves the class): the
     /// same bits on both backends under every policy square, on fewer or
     /// as many messages.
@@ -620,7 +620,13 @@ proptest! {
             _ if g.below(2) == 0 => vec![p, 1],
             _ => vec![1, p],
         };
-        let n = 8 + g.below(33) as usize;
+        // One case in four, a team's block is longer than a compiled
+        // loop's chunk (64 iterations): its rows cross a chunk seam.
+        let q = grid[1 - rows] as u64;
+        let n = match g.below(4) {
+            0 => 64 * q + 1 + g.below(16 * q),
+            _ => 8 + g.below(33),
+        } as usize;
         let (targets, rhss) = loop_body(&mut g);
         let tmin = targets.iter().map(|t| t.1).min().unwrap();
         let tmax = targets.iter().map(|t| t.1).max().unwrap();
@@ -632,8 +638,11 @@ proptest! {
         let (line, cross) = [("i, *", "*, i"), ("*, i", "i, *")][rows];
         // `s` is a third line, or aliases `x`, or crosses the other lines
         // of `y`: sharing a base with another argument, the last two take
-        // the call back to line by line.
-        let s = [("w", line), ("w", line), ("u", line), ("v", cross)][g.below(4) as usize];
+        // the call back to line by line. A crossing line is the team's
+        // only where one processor spans the lines' dimension; elsewhere
+        // the call is an error, on both twins alike.
+        let crossing = if grid[rows] == 1 { 4 } else { 3 };
+        let s = [("w", line), ("w", line), ("u", line), ("v", cross)][g.below(crossing) as usize];
         let body: Vec<String> = targets
             .iter()
             .zip(&rhss)
