@@ -693,31 +693,21 @@ impl<'k> Placed<'k> {
         split(run);
     }
 
-    /// The positions of a stencil's iterations with a read that is not
-    /// owned, from its interior box: per row, what lies left and right of
-    /// the interior's columns, or the whole row.
-    fn boundary<'b>(&'b self, interior: &Bx) -> impl Iterator<Item = Range<usize>> + 'b {
-        let [(a0, b0), (a1, b1)] = self.bx;
-        let [(c0, e0), (c1, e1)] = *interior;
-        (a0..=b0).flat_map(move |i| {
-            let (inner, at) = ((c0..=e0).contains(&i), |j| flat(&self.bx, i, j));
-            let (c, e) = if inner { (c1, e1) } else { (b1 + 1, b1) };
-            [at(a1)..at(c), at(e + 1)..at(b1 + 1)]
-        })
-    }
-
     /// What the inspector finds walking a doall's iterations: the positions
     /// of those with a remote read, ascending, while `note` is handed each
     /// remote read as `(array, flat)` in iteration and evaluation order. A
-    /// stencil's follow from its boxes; a CSR product's are the lists its
-    /// placing pass left in `s`, read off its rows' columns in this order,
-    /// so no row is read again.
+    /// stencil's follow from its boxes — the iterations outside its
+    /// interior, and their reads outside the owned blocks; a CSR product's
+    /// are the lists its placing pass left in `s`, read off its rows'
+    /// columns in this order, so no row is read again.
     pub(crate) fn inspect(&self, s: &Scratch, mut note: impl FnMut(&ArrRef, usize)) -> Vec<usize> {
         let mut boundary = Vec::new();
         let [(a0, _), (a1, _)] = self.bx;
         match &self.body {
-            Body::Kernel(k, interior) => self.runs(self.boundary(interior), |i, a, b| {
-                for j in a..=b {
+            Body::Kernel(k, interior) => self.runs(std::iter::once(0..self.len()), |i, a, b| {
+                let [(c0, e0), (c1, e1)] = *interior;
+                let inner = |j| (c0..=e0).contains(&i) && (c1..=e1).contains(&j);
+                for j in (a..=b).filter(|&j| !inner(j)) {
                     boundary.push(flat(&self.bx, i, j));
                     let reads = s.refs.iter().zip(&s.owned).zip(&k.reads);
                     for ((f, &[(l0, h0), (l1, h1)]), Access { off: [di, dj], .. }) in reads {
