@@ -9,11 +9,13 @@
 //! * [`substructure`] — the block elimination of Figures 1 and 2 (interior
 //!   elimination with fill-in confined to the block's end columns) and the
 //!   Figure 4 interior back-substitution;
-//! * [`tri_dist()`](tri_dist::tri_dist) — Listing 4: the substructured ("spike"-variant)
+//! * [`mtrix()`](mtrix::mtrix) — Listing 6: the substructured ("spike"-variant)
 //!   divide-and-conquer solver on a 1-D processor array, using the
-//!   shuffle/unshuffle level mapping of Listing 5 / Figure 5;
-//! * [`mtrix()`](mtrix::mtrix) — Listing 6: the pipelined multi-system solver that keeps
-//!   all level sets of Figure 3's data-flow graph busy simultaneously.
+//!   shuffle/unshuffle level mapping of Listing 5 / Figure 5, pipelined
+//!   over many systems so that all level sets of Figure 3's data-flow
+//!   graph are busy simultaneously;
+//! * [`tri_dist()`](tri_dist::tri_dist) — Listing 4: one system, which is
+//!   `mtrix` with one system in the pipe (the tree is written once).
 
 pub mod mtrix;
 pub mod substructure;

@@ -1,4 +1,5 @@
-//! Listing 6: the pipelined multi-system tridiagonal solver.
+//! Listing 6: the pipelined multi-system tridiagonal solver, and the one
+//! reduction/substitution tree of the crate.
 //!
 //! Because the unshuffle mapping (Figure 5) places each reduction level on a
 //! *disjoint* set of processors, solving `m` systems can be software
@@ -6,10 +7,12 @@
 //! `t − l` while level `l+1` works on system `t − l − 1`, and the
 //! substitution wave follows the reduction wave back down. The whole batch
 //! completes in `m + 2k` phases instead of the `m · (2k + 1)` phases of `m`
-//! back-to-back calls to [`crate::tri_dist::tri_dist`], and every level set
-//! stays busy once the pipe is full — the paper's motivation for `mtrix`.
+//! back-to-back calls to [`crate::tri_dist::tri_dist`] — each of which is
+//! this solver with one system in the pipe, `1 + 2k` phases — and every
+//! level set stays busy once the pipe is full — the paper's motivation for
+//! `mtrix`.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use kali_runtime::Ctx;
 
@@ -58,12 +61,34 @@ impl TriLocal {
     }
 }
 
+/// Team index of the level-`s` destination that source `q` of level `s`
+/// mails its pair to.
+fn parent(p: usize, s: usize, q: usize) -> usize {
+    level_set(p, s).start + (q - source_set(p, s).start) / 2
+}
+
+/// Send the two halves of `x`, the solution of the four-row block of index
+/// `j` of level `s`, back down to the two sources that fed it.
+fn send_down(ctx: &mut Ctx, team: &[usize], s: usize, j: usize, sys: usize, x: &[f64]) {
+    let first = source_set(team.len(), s).start + 2 * j;
+    ctx.proc()
+        .send(team[first], ktag(DOWN, s, sys), vec![x[0], x[1]]);
+    ctx.proc()
+        .send(team[first + 1], ktag(DOWN, s, sys), vec![x[2], x[3]]);
+}
+
 /// Solve `m` block-distributed tridiagonal systems of size `n` over the
 /// current (1-D, power-of-two) processor array, pipelining the reduction
 /// and substitution trees across systems.
 ///
 /// `systems[j]` is this processor's block of system `j`; the result is the
 /// matching blocks of the solutions. Non-members return an empty vector.
+/// Every block needs at least two rows (`n ≥ 2p` for block layouts).
+///
+/// The phase `t` schedule: system `j` is reduced at level `s` in phase
+/// `j + s` and substituted from level `s` (the root's solve is its `s = k`
+/// step) in phase `j + 2k − s`. Phase marks name the step, not the
+/// system: `tri:reduce:s=L` and `tri:subst:s=L`.
 pub fn mtrix(ctx: &mut Ctx, n: usize, systems: Vec<TriLocal>) -> Vec<Vec<f64>> {
     let grid = ctx.grid().clone();
     let Some(me) = grid.index_of(ctx.rank()) else {
@@ -84,120 +109,86 @@ pub fn mtrix(ctx: &mut Ctx, n: usize, systems: Vec<TriLocal>) -> Vec<Vec<f64>> {
             .collect();
     }
     assert!(p.is_power_of_two(), "mtrix needs a power-of-two team");
-    assert!(n >= 2 * p, "mtrix needs at least 2 rows per processor");
+    assert!(
+        n >= 2 * p && systems.iter().all(|s| s.len() >= 2),
+        "mtrix needs at least 2 rows per processor"
+    );
     let k = p.trailing_zeros() as usize;
-    let team: Vec<usize> = grid.ranks().to_vec();
+    let team = grid.ranks();
 
-    // Which levels is this processor a destination of? (at most one, plus
-    // it is always a level-1 source.)
+    // The one level this processor is a destination of, if any, and its
+    // index there (it is always a level-1 source).
     let my_dest_level: Option<(usize, usize)> =
         (1..=k).find_map(|s| level_set(p, s).position(|i| i == me).map(|j| (s, j)));
 
-    // Saved reduced blocks: level-0 per system, and (sys, level) four-row
-    // blocks for this processor's destination level.
-    let mut level0: Vec<Option<TriLocal>> = vec![None; m];
-    let mut saved4: HashMap<usize, ([f64; 4], [f64; 4], [f64; 4], [f64; 4])> = HashMap::new();
-    let mut x4: HashMap<usize, Vec<f64>> = HashMap::new();
-    let mut x_out: Vec<Vec<f64>> = vec![Vec::new(); m];
+    // Each system's level-0 block stays here, reduced, until its final
+    // substitution; the four-row blocks of my destination level wait in
+    // system order for theirs.
     let mut systems: Vec<Option<TriLocal>> = systems.into_iter().map(Some).collect();
-
-    let dests1: Vec<usize> = level_set(p, 1).collect();
+    let mut saved4: VecDeque<([f64; 4], [f64; 4], [f64; 4], [f64; 4])> = VecDeque::new();
+    let mut x_out: Vec<Vec<f64>> = Vec::with_capacity(m);
 
     for t in 0..(m + 2 * k) {
         // --- Level-0 reduction duty: start system t into the pipe.
         if t < m {
-            let mut s0 = systems[t].take().expect("system consumed once");
-            ctx.proc().mark(format!("mtrix:reduce:s=0:sys={t}"));
+            let s0 = systems[t].as_mut().expect("system not yet solved");
+            ctx.proc().mark("tri:reduce:s=0");
             reduce_block(&mut s0.b, &mut s0.a, &mut s0.c, &mut s0.f);
             ctx.proc().compute(reduce_flops(s0.len()));
             let pair = pair_msg(boundary_pair(&s0.b, &s0.a, &s0.c, &s0.f));
-            level0[t] = Some(s0);
-            let dest = dests1[me / 2];
-            ctx.proc().send(team[dest], ktag(UP, 1, t), pair);
+            ctx.proc()
+                .send(team[parent(p, 1, me)], ktag(UP, 1, t), pair);
         }
 
-        // --- Tree reduction duty at my destination level.
         if let Some((l, j)) = my_dest_level {
+            // --- Tree reduction duty at my destination level.
             if t >= l && t - l < m {
                 let sys = t - l;
-                let sources: Vec<usize> = source_set(p, l).collect();
-                let lo: PairMsg = ctx.proc().recv(team[sources[2 * j]], ktag(UP, l, sys));
-                let hi: PairMsg = ctx.proc().recv(team[sources[2 * j + 1]], ktag(UP, l, sys));
+                let first = source_set(p, l).start + 2 * j;
+                let lo: PairMsg = ctx.proc().recv(team[first], ktag(UP, l, sys));
+                let hi: PairMsg = ctx.proc().recv(team[first + 1], ktag(UP, l, sys));
                 let (mut rb, mut ra, mut rc, mut rf) = four_rows(&lo, &hi);
-                ctx.proc().mark(format!("mtrix:reduce:s={l}:sys={sys}"));
+                ctx.proc().mark(format!("tri:reduce:s={l}"));
                 if l < k {
                     reduce_block(&mut rb, &mut ra, &mut rc, &mut rf);
                     ctx.proc().compute(reduce_flops(4));
-                    saved4.insert(sys, (rb, ra, rc, rf));
+                    saved4.push_back((rb, ra, rc, rf));
                     let pair =
                         pair_msg([[rb[0], ra[0], rc[0], rf[0]], [rb[3], ra[3], rc[3], rf[3]]]);
-                    let updests: Vec<usize> = level_set(p, l + 1).collect();
-                    let qidx = source_set(p, l + 1)
-                        .position(|i| i == me)
-                        .expect("dest of level l is a source of level l+1");
                     ctx.proc()
-                        .send(team[updests[qidx / 2]], ktag(UP, l + 1, sys), pair);
+                        .send(team[parent(p, l + 1, me)], ktag(UP, l + 1, sys), pair);
                 } else {
-                    // Root: solve and immediately start the downward wave.
+                    // Root: the four-row system is closed (outer couplings
+                    // are the original b[0] = c[n-1] = 0); solve it and
+                    // start the downward wave at once.
                     let x = thomas(&rb, &ra, &rc, &rf);
                     ctx.proc().compute(thomas_flops(4));
-                    ctx.proc().mark(format!("mtrix:solve:sys={sys}"));
-                    ctx.proc()
-                        .send(team[sources[2 * j]], ktag(DOWN, k, sys), vec![x[0], x[1]]);
-                    ctx.proc().send(
-                        team[sources[2 * j + 1]],
-                        ktag(DOWN, k, sys),
-                        vec![x[2], x[3]],
-                    );
+                    ctx.proc().mark(format!("tri:subst:s={k}"));
+                    send_down(ctx, team, k, j, sys, &x);
                 }
             }
-        }
-
-        // --- Substitution duty as a source of level l ≥ 2 (I am the
-        //     level-(l−1) destination).
-        if let Some((lm1, _)) = my_dest_level {
-            let l = lm1 + 1;
-            if l <= k {
-                // I receive my block's end values for system t − 2k + l − 1.
-                if t + l > 2 * k && t + l - 2 * k - 1 < m {
-                    let sys = t + l - 2 * k - 1;
-                    let sources: Vec<usize> = source_set(p, l).collect();
-                    let dests: Vec<usize> = level_set(p, l).collect();
-                    let qidx = sources.iter().position(|&i| i == me).expect("source");
-                    let ends: Vec<f64> = ctx.proc().recv(team[dests[qidx / 2]], ktag(DOWN, l, sys));
-                    let (sb, sa, sc, sf) = saved4.remove(&sys).expect("saved block");
-                    let v = interior_solve(&sb, &sa, &sc, &sf, ends[0], ends[1]);
-                    ctx.proc().compute(interior_flops(4));
-                    ctx.proc().mark(format!("mtrix:subst:s={lm1}:sys={sys}"));
-                    x4.insert(sys, v);
-                    // Forward halves to my own sources (level lm1).
-                    let my_sources: Vec<usize> = source_set(p, lm1).collect();
-                    let j = level_set(p, lm1).position(|i| i == me).expect("dest");
-                    let v = &x4[&sys];
-                    ctx.proc().send(
-                        team[my_sources[2 * j]],
-                        ktag(DOWN, lm1, sys),
-                        vec![v[0], v[1]],
-                    );
-                    ctx.proc().send(
-                        team[my_sources[2 * j + 1]],
-                        ktag(DOWN, lm1, sys),
-                        vec![v[2], v[3]],
-                    );
-                    x4.remove(&sys);
-                }
+            // --- Substitution duty below the root: my block's end values
+            //     come down from level l + 1.
+            if l < k && t + l >= 2 * k && t + l - 2 * k < m {
+                let sys = t + l - 2 * k;
+                let ends: Vec<f64> = ctx
+                    .proc()
+                    .recv(team[parent(p, l + 1, me)], ktag(DOWN, l + 1, sys));
+                let (sb, sa, sc, sf) = saved4.pop_front().expect("saved block");
+                let x = interior_solve(&sb, &sa, &sc, &sf, ends[0], ends[1]);
+                ctx.proc().compute(interior_flops(4));
+                ctx.proc().mark(format!("tri:subst:s={l}"));
+                send_down(ctx, team, l, j, sys, &x);
             }
         }
 
         // --- Final substitution duty (everyone is a level-1 source).
-        if t + 1 > 2 * k && t - 2 * k < m {
+        if t >= 2 * k && t - 2 * k < m {
             let sys = t - 2 * k;
-            let qidx = me;
-            let dest = dests1[qidx / 2];
-            let ends: Vec<f64> = ctx.proc().recv(team[dest], ktag(DOWN, 1, sys));
-            let s0 = level0[sys].take().expect("level-0 block saved");
-            ctx.proc().mark(format!("mtrix:subst:s=0:sys={sys}"));
-            x_out[sys] = interior_solve(&s0.b, &s0.a, &s0.c, &s0.f, ends[0], ends[1]);
+            let ends: Vec<f64> = ctx.proc().recv(team[parent(p, 1, me)], ktag(DOWN, 1, sys));
+            let s0 = systems[sys].take().expect("level-0 block saved");
+            ctx.proc().mark("tri:subst:s=0");
+            x_out.push(interior_solve(&s0.b, &s0.a, &s0.c, &s0.f, ends[0], ends[1]));
             ctx.proc().compute(interior_flops(s0.len()));
         }
     }

@@ -10,17 +10,16 @@
 //! to two (Figure 2), and after `k = log₂ p` steps a final four-row system
 //! is solved by the sequential Thomas algorithm. Substitution then walks
 //! the tree back down (Figure 4), doubling the active set at each step.
+//!
+//! The tree is written once, in [`crate::mtrix()`](crate::mtrix::mtrix):
+//! Listing 4 is Listing 6 with one system in the pipe. This module holds
+//! the level mapping and the wire format the tree shares, and
+//! [`tri_dist`], the one-system call.
 
 use kali_machine::{tag, Tag, NS_KERNEL};
 use kali_runtime::Ctx;
 
-use crate::substructure::{
-    boundary_pair, interior_flops, interior_solve, reduce_block, reduce_flops,
-};
-use crate::tridiag::{thomas, thomas_flops};
-
-const UP: u64 = 0;
-const DOWN: u64 = 1;
+use crate::mtrix::{mtrix, TriLocal};
 
 /// Tag for solver traffic: direction, tree level, system id.
 pub(crate) fn ktag(dir: u64, level: usize, sys: usize) -> Tag {
@@ -72,7 +71,8 @@ pub(crate) fn four_rows(lo: &[f64], hi: &[f64]) -> ([f64; 4], [f64; 4], [f64; 4]
 }
 
 /// Solve one tridiagonal system distributed by blocks over the current
-/// (1-D, power-of-two) processor array.
+/// (1-D, power-of-two) processor array: [`mtrix`] with one system in the
+/// pipe.
 ///
 /// Inputs are this processor's block of the diagonals and right-hand side
 /// (global rows `lower..=upper` of the block distribution of `n` rows);
@@ -82,102 +82,21 @@ pub(crate) fn four_rows(lo: &[f64], hi: &[f64]) -> ([f64; 4], [f64; 4], [f64; 4]
 /// Requires `n ≥ 2p` so every block has at least two rows (the paper's
 /// implicit assumption).
 pub fn tri_dist(ctx: &mut Ctx, n: usize, b: &[f64], a: &[f64], c: &[f64], f: &[f64]) -> Vec<f64> {
-    let grid = ctx.grid().clone();
-    let Some(me) = grid.index_of(ctx.rank()) else {
-        return Vec::new();
-    };
-    let p = grid.size();
-    if p == 1 {
-        ctx.proc().compute(thomas_flops(n));
-        return thomas(b, a, c, f);
-    }
-    assert!(p.is_power_of_two(), "tri_dist needs a power-of-two team");
-    assert!(n >= 2 * p, "tri_dist needs at least 2 rows per processor");
     let m = b.len();
-    assert!(m >= 2 && a.len() == m && c.len() == m && f.len() == m);
-    let k = p.trailing_zeros() as usize;
-    let team: Vec<usize> = grid.ranks().to_vec();
-
-    // Phase 0: local substructuring (Figure 1).
-    let mut lb = b.to_vec();
-    let mut la = a.to_vec();
-    let mut lc = c.to_vec();
-    let mut lf = f.to_vec();
-    ctx.proc().mark("tri:reduce:s=0");
-    reduce_block(&mut lb, &mut la, &mut lc, &mut lf);
-    ctx.proc().compute(reduce_flops(m));
-    let mut pair = pair_msg(boundary_pair(&lb, &la, &lc, &lf));
-
-    // Saved four-row blocks per level (levels 1..k-1 where this proc is a dest).
-    let mut saved: Vec<Option<([f64; 4], [f64; 4], [f64; 4], [f64; 4])>> = vec![None; k + 1];
-    let mut x4_root: Option<Vec<f64>> = None;
-
-    // Reduction sweep up the tree.
-    for s in 1..=k {
-        let sources: Vec<usize> = source_set(p, s).collect();
-        let dests: Vec<usize> = level_set(p, s).collect();
-        if let Some(qidx) = sources.iter().position(|&x| x == me) {
-            let dest = dests[qidx / 2];
-            ctx.proc().send(team[dest], ktag(UP, s, 0), pair.clone());
-        }
-        if let Some(j) = dests.iter().position(|&x| x == me) {
-            let lo: PairMsg = ctx.proc().recv(team[sources[2 * j]], ktag(UP, s, 0));
-            let hi: PairMsg = ctx.proc().recv(team[sources[2 * j + 1]], ktag(UP, s, 0));
-            let (mut rb, mut ra, mut rc, mut rf) = four_rows(&lo, &hi);
-            ctx.proc().mark(format!("tri:reduce:s={s}"));
-            if s < k {
-                reduce_block(&mut rb, &mut ra, &mut rc, &mut rf);
-                ctx.proc().compute(reduce_flops(4));
-                saved[s] = Some((rb, ra, rc, rf));
-                pair = pair_msg([[rb[0], ra[0], rc[0], rf[0]], [rb[3], ra[3], rc[3], rf[3]]]);
-            } else {
-                // Root: the four-row system is closed (outer couplings are
-                // the original b[0] = c[n-1] = 0).
-                let x = thomas(&rb, &ra, &rc, &rf);
-                ctx.proc().compute(thomas_flops(4));
-                x4_root = Some(x);
-            }
-        }
-    }
-
-    // Substitution sweep back down (Figure 4).
-    let mut x4: Option<Vec<f64>> = x4_root;
-    let mut x_local = Vec::new();
-    for s in (1..=k).rev() {
-        let sources: Vec<usize> = source_set(p, s).collect();
-        let dests: Vec<usize> = level_set(p, s).collect();
-        if let Some(j) = dests.iter().position(|&x| x == me) {
-            let x4v = x4.take().expect("dest has its block solution");
-            ctx.proc().mark(format!("tri:subst:s={s}"));
-            ctx.proc()
-                .send(team[sources[2 * j]], ktag(DOWN, s, 0), vec![x4v[0], x4v[1]]);
-            ctx.proc().send(
-                team[sources[2 * j + 1]],
-                ktag(DOWN, s, 0),
-                vec![x4v[2], x4v[3]],
-            );
-        }
-        if let Some(qidx) = sources.iter().position(|&x| x == me) {
-            let dest = dests[qidx / 2];
-            let ends: Vec<f64> = ctx.proc().recv(team[dest], ktag(DOWN, s, 0));
-            if s > 1 {
-                let (sb, sa, sc, sf) = saved[s - 1].expect("source was a dest one level down");
-                x4 = Some(interior_solve(&sb, &sa, &sc, &sf, ends[0], ends[1]));
-                ctx.proc().compute(interior_flops(4));
-            } else {
-                ctx.proc().mark("tri:subst:s=0");
-                x_local = interior_solve(&lb, &la, &lc, &lf, ends[0], ends[1]);
-                ctx.proc().compute(interior_flops(m));
-            }
-        }
-    }
-    x_local
+    assert!(a.len() == m && c.len() == m && f.len() == m);
+    let sys = TriLocal {
+        b: b.to_vec(),
+        a: a.to_vec(),
+        c: c.to_vec(),
+        f: f.to_vec(),
+    };
+    mtrix(ctx, n, vec![sys]).pop().unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tridiag::TriDiag;
+    use crate::tridiag::{thomas, thomas_flops, TriDiag};
     use kali_grid::{Dist1, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
@@ -268,34 +187,61 @@ mod tests {
         run_tri(1 << 12, 8, 11);
     }
 
+    /// The report of one `mtrix` batch of `m` random systems.
+    fn run_batch(n: usize, p: usize, m: usize, seed: u64) -> kali_machine::RunReport {
+        let systems: Vec<(TriDiag, Vec<f64>)> = (0..m)
+            .map(|j| {
+                let sys = TriDiag::random_dd(n, seed + j as u64);
+                let f = sys.apply(&vec![1.0; n]);
+                (sys, f)
+            })
+            .collect();
+        let run = Machine::run(cfg(p), move |proc| {
+            let grid = ProcGrid::new_1d(proc.nprocs());
+            let dist = Dist1::block(n, proc.nprocs());
+            let lo = dist.lower(proc.rank()).unwrap();
+            let hi = dist.upper(proc.rank()).unwrap() + 1;
+            let locals = systems
+                .iter()
+                .map(|(sys, f)| TriLocal {
+                    b: sys.b[lo..hi].to_vec(),
+                    a: sys.a[lo..hi].to_vec(),
+                    c: sys.c[lo..hi].to_vec(),
+                    f: f[lo..hi].to_vec(),
+                })
+                .collect();
+            let mut ctx = Ctx::new(proc, grid);
+            mtrix(&mut ctx, n, locals)
+        });
+        run.report
+    }
+
     #[test]
     fn active_processors_halve_each_step_figure3() {
         let n = 256;
         let p = 8;
-        let (_, report) = run_tri(n, p, 21);
-        // Count how many procs recorded a reduce mark at each level.
-        for s in 1..=3usize {
-            let label = format!("tri:reduce:s={s}");
-            let active = report
-                .procs
-                .iter()
-                .filter(|pr| pr.marks.iter().any(|m| m.label == label))
-                .count();
-            assert_eq!(active, p >> s, "level {s}");
+        // One system through `tri_dist`, then three through `mtrix`: the
+        // one tree marks each step once per system, on the same processors.
+        let (_, one) = run_tri(n, p, 21);
+        for (m, report) in [(1, one), (3, run_batch(n, p, 3, 21))] {
+            // Per processor, how many marks carry `label`.
+            let marks = |label: &str| -> Vec<usize> {
+                let count = |pr: &kali_machine::ProcReport| {
+                    pr.marks.iter().filter(|mk| mk.label == label).count()
+                };
+                report.procs.iter().map(count).collect()
+            };
+            // Every level's reduction and substitution sit on p >> s
+            // processors, level 0 (the local phases) on all of them.
+            for s in 0..=3usize {
+                for phase in ["reduce", "subst"] {
+                    let per_proc = marks(&format!("tri:{phase}:s={s}"));
+                    let active = per_proc.iter().filter(|&&c| c > 0).count();
+                    assert_eq!(active, p >> s, "{phase} level {s}, m = {m}");
+                    assert!(per_proc.iter().all(|&c| c == 0 || c == m), "{per_proc:?}");
+                }
+            }
         }
-        // Everyone participates at level 0 and in the final substitution.
-        let base = report
-            .procs
-            .iter()
-            .filter(|pr| pr.marks.iter().any(|m| m.label == "tri:reduce:s=0"))
-            .count();
-        assert_eq!(base, p);
-        let fin = report
-            .procs
-            .iter()
-            .filter(|pr| pr.marks.iter().any(|m| m.label == "tri:subst:s=0"))
-            .count();
-        assert_eq!(fin, p);
     }
 
     #[test]

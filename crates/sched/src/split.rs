@@ -42,6 +42,11 @@ impl SplitRange1 {
         self.is0..self.is1
     }
 
+    /// Every index of `range ∩ owned` (empty when `start ≥ end`).
+    fn covered(&self) -> std::ops::Range<usize> {
+        self.start..self.end
+    }
+
     /// The boundary indices (covered range minus interior) as two
     /// ascending runs, either possibly empty: the low edge, then the high
     /// edge.
@@ -61,85 +66,64 @@ impl SplitRange1 {
 /// `jacobi_update_split` and the split-phase solvers.
 #[derive(Debug, Clone, Copy)]
 pub struct SplitBox2 {
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-    ii0: usize,
-    ii1: usize,
-    jj0: usize,
-    jj1: usize,
+    rows: SplitRange1,
+    cols: SplitRange1,
 }
 
 impl SplitBox2 {
     /// Partition `r0 × r1` clipped to the owned box, with the interior
-    /// shrunk by `margin` against the *owned* block edges.
+    /// shrunk by `margin` against the *owned* block edges: the product of
+    /// the two dimensions' [`SplitRange1`]s.
     pub fn new(
         owned: [std::ops::Range<usize>; 2],
         r0: std::ops::Range<usize>,
         r1: std::ops::Range<usize>,
         margin: [usize; 2],
     ) -> SplitBox2 {
-        let i0 = r0.start.max(owned[0].start);
-        let i1 = r0.end.min(owned[0].end);
-        let j0 = r1.start.max(owned[1].start);
-        let j1 = r1.end.min(owned[1].end);
-        let ii0 = i0.max(owned[0].start + margin[0]);
-        let ii1 = i1.min(owned[0].end.saturating_sub(margin[0])).max(ii0);
-        let jj0 = j0.max(owned[1].start + margin[1]);
-        let jj1 = j1.min(owned[1].end.saturating_sub(margin[1])).max(jj0);
+        let [o0, o1] = owned;
         SplitBox2 {
-            i0,
-            i1,
-            j0,
-            j1,
-            ii0,
-            ii1,
-            jj0,
-            jj1,
+            rows: SplitRange1::new(o0, r0, margin[0]),
+            cols: SplitRange1::new(o1, r1, margin[1]),
         }
     }
 
     /// Number of interior points.
     pub fn interior_count(&self) -> usize {
-        (self.ii1 - self.ii0) * (self.jj1 - self.jj0)
+        self.rows.interior().len() * self.cols.interior().len()
     }
 
     /// Number of boundary points.
     pub fn boundary_count(&self) -> usize {
-        self.i1.saturating_sub(self.i0) * self.j1.saturating_sub(self.j0) - self.interior_count()
+        self.rows.covered().len() * self.cols.covered().len() - self.interior_count()
     }
 
     /// The interior as whole-row segments `(i, column range)`, row-major:
     /// contiguous column runs, so row-form stencil bodies can consume
     /// each visit as slices (and per-point bodies loop the run).
     pub fn for_interior_rows(&self, mut f: impl FnMut(usize, std::ops::Range<usize>)) {
-        if self.jj0 >= self.jj1 {
+        let cols = self.cols.interior();
+        if cols.is_empty() {
             return;
         }
-        for i in self.ii0..self.ii1 {
-            f(i, self.jj0..self.jj1);
+        for i in self.rows.interior() {
+            f(i, cols.clone());
         }
     }
 
     /// The boundary frame (covered box minus interior) as row segments,
-    /// row-major: full rows above and below the interior, and the left
-    /// and right margin runs of each interior row.
+    /// row-major: full rows above and below the interior, and the two
+    /// [`SplitRange1::boundary`] runs of each interior row.
     pub fn for_boundary_rows(&self, mut f: impl FnMut(usize, std::ops::Range<usize>)) {
-        for i in self.i0..self.i1 {
-            if i < self.ii0 || i >= self.ii1 {
-                if self.j0 < self.j1 {
-                    f(i, self.j0..self.j1);
-                }
+        let inner = self.rows.interior();
+        let (cols, runs) = (self.cols.covered(), self.cols.boundary());
+        for i in self.rows.covered() {
+            let segments = if inner.contains(&i) {
+                runs.clone()
             } else {
-                let lo = self.j0..self.jj0.min(self.j1);
-                if !lo.is_empty() {
-                    f(i, lo);
-                }
-                let hi = self.jj1.max(self.j0)..self.j1;
-                if !hi.is_empty() {
-                    f(i, hi);
-                }
+                [cols.clone(), 0..0]
+            };
+            for run in segments.into_iter().filter(|run| !run.is_empty()) {
+                f(i, run);
             }
         }
     }

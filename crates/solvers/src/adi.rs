@@ -21,7 +21,6 @@
 
 use kali_array::DistArray2;
 use kali_kernels::mtrix::{mtrix, TriLocal};
-use kali_kernels::tri_dist::tri_dist;
 use kali_runtime::{global_norm2, Ctx};
 
 use crate::seq::Grid2;
@@ -40,9 +39,10 @@ pub fn suggested_rho(pde: &Pde, nx: usize, ny: usize) -> f64 {
 /// `axis` — `r(i, *)` for `axis = 0` (so `L = L_y`), `r(*, j)` for
 /// `axis = 1` — each on the processor-array slice owning it, and subtract.
 ///
-/// `pipelined = false` issues one distributed tridiagonal solve per line
-/// (Listing 7); `pipelined = true` batches this processor row's lines into
-/// a single pipelined multi-system solve (Listing 8).
+/// Every solve is an [`mtrix`] call: `pipelined = false` hands it one line
+/// at a time (Listing 7's `tric` per line, which is `mtrix` of one
+/// system); `pipelined = true` hands it this processor row's whole batch
+/// of lines (Listing 8).
 fn half_sweep(
     ctx: &mut Ctx,
     pde: &Pde,
@@ -81,15 +81,12 @@ fn half_sweep(
             r.box_into(lo, hi, &mut rhs);
             TriLocal::constant(n_int, lo[along] - 1, m_local, off, diag, off, rhs)
         };
-        let ws: Vec<Vec<f64>> = if pipelined {
-            mtrix(sub, n_int, ks.clone().map(system).collect())
-        } else {
-            let solve = |k| {
-                let t = system(k);
-                tri_dist(sub, n_int, &t.b, &t.a, &t.c, &t.f)
-            };
-            ks.clone().map(solve).collect()
-        };
+        let batch = if pipelined { ks.len().max(1) } else { 1 };
+        let mut ws = Vec::with_capacity(ks.len());
+        for first in ks.clone().step_by(batch) {
+            let lines = first..ks.end.min(first + batch);
+            ws.extend(mtrix(sub, n_int, lines.map(system).collect()));
+        }
         let mut cur = vec![0.0; m_local];
         for (k, w) in ks.zip(ws) {
             let (lo, hi) = line(k);

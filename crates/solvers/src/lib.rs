@@ -7,9 +7,10 @@
 //! * [`jacobi`] — Listings 1–3: Jacobi iteration for Poisson's equation;
 //! * [`adi`] — Listings 7–8: Alternating Direction Implicit iteration in
 //!   residual-correction (Peaceman–Rachford) form, with the y- and
-//!   x-direction tridiagonal solves performed by the distributed kernels,
-//!   in both non-pipelined (`tric` per line) and pipelined (`mtrixc` per
-//!   processor row) variants;
+//!   x-direction tridiagonal solves performed by the distributed kernel
+//!   `mtrix`, in both non-pipelined (`tric` per line: `mtrix` of one line)
+//!   and pipelined (`mtrixc` per processor row: `mtrix` of all its lines)
+//!   variants;
 //! * [`mg2`] — Listing 11: 2-D multigrid with y-semicoarsening and zebra
 //!   *line* relaxation (x-lines solved by the sequential Thomas kernel);
 //! * [`mg3`] — Listings 9–10: 3-D multigrid with z-semicoarsening and zebra

@@ -82,11 +82,15 @@ fn field_args(name: &str, np: usize, niter: i64) -> Vec<HostValue> {
 /// Allocations of one whole run of `name` on `p` simulated processors
 /// (`(0:np)²` fields, `niter` sweeps),
 /// and the run's peak of live bytes above what was live before it.
-/// With two ranks the count is not quite a function of the program: the
+/// The count is not quite a function of the program. The counter is
+/// process-wide, and the test harness's own thread sets itself up lazily
+/// (four allocations, once per process) whenever it is next scheduled —
+/// on a busy host, inside a counted run. With two ranks, moreover, the
 /// rank threads race on their channels, and an early message parks in a
 /// queue that a late one never touches. Such extras only ever add, so the
-/// least of a few runs is taken — and the comparisons below still leave
-/// the transport a few allocations of slack.
+/// least of a few runs is taken, on one rank as on two — and the
+/// comparisons below still leave the transport a few allocations of
+/// slack.
 fn run(name: &str, p: usize, np: usize, niter: i64) -> (u64, i64) {
     let src = listing(name).expect("shipped listing");
     run_src(name, src, p, np, niter)
@@ -149,8 +153,7 @@ fn run_src(name: &str, src: &str, p: usize, np: usize, niter: i64) -> (u64, i64)
         let peak = PEAK.load(Ordering::Relaxed) - live;
         (COUNT.load(Ordering::Relaxed) - before, peak)
     };
-    let runs = if p == 1 { 1 } else { 5 };
-    (0..runs).map(|_| once()).min().expect("at least one run")
+    (0..5).map(|_| once()).min().expect("at least one run")
 }
 
 /// What one extra warm sweep costs: every trip of sweep 3 replays.
@@ -196,10 +199,17 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
         // through, so no write log is built, and the element loops and runs
         // of element assignments run compiled on buffers they keep from
         // batch to batch. A sweep of np = 97 has 2 · 64 more lines than one
-        // of np = 33.
+        // of np = 33, so the total is gated, not a rounded per-line mean: a
+        // `Vec` per batch per compiled kernel (0.8 a line) must show. It
+        // reads 5 003 in a debug build (its checks allocate) and 4 963 in
+        // an optimised one, each given the linearity check's slack of 8.
         if p == 1 {
-            let per_line = (c - a) / 128;
-            assert!(per_line <= 39, "adi: {per_line} allocations per line");
+            let measured = if cfg!(debug_assertions) { 5003 } else { 4963 };
+            assert!(
+                c - a <= measured + 8,
+                "adi: {} allocations for 128 lines",
+                c - a
+            );
         }
     }
     // A batched ADI call on one rank holds a batch's lines at a time,
