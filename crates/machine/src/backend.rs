@@ -1,22 +1,25 @@
-//! The execution-backend seam: one machine API, two time semantics.
+//! The execution backends: one machine API, one charging path, two price
+//! lists.
 //!
-//! Everything structural about a run — SPMD threads, channel transport,
+//! Everything about a run — SPMD threads, channel transport,
 //! per-`(src, tag)` posting-order message matching, collectives, counter
-//! bookkeeping — is shared code in [`crate::Proc`] / [`crate::Machine`].
-//! What differs between backends is *what time means*, and that policy
-//! lives behind the [`Backend`] trait:
+//! bookkeeping and the virtual-time arithmetic itself — is shared code in
+//! [`crate::Proc`] / [`crate::Machine`]. A backend does not change that
+//! code; it picks the [`CostModel`] the code charges from, once, when a
+//! processor is built:
 //!
 //! * [`BackendKind::Sim`] — the deterministic virtual-time simulator.
 //!   Local work and message transit are charged to a scalar virtual
-//!   clock from the [`CostModel`] (`α + β·words + hop·distance`, per-flop
-//!   and per-word compute costs), so a run reports the timeline of an
-//!   iPSC/2-class machine bit-for-bit reproducibly. This backend is the
-//!   cost model and the differential oracle: every protocol claim in
+//!   clock from the machine's [`CostModel`] (`α + β·words + hop·distance`,
+//!   per-flop and per-word compute costs), so a run reports the timeline
+//!   of an iPSC/2-class machine bit-for-bit reproducibly. This backend is
+//!   the cost model and the differential oracle: every protocol claim in
 //!   this repository is pinned against it.
 //! * [`BackendKind::Threads`] — real concurrency. The same processor
-//!   threads run the same protocol over the same channels, but nothing
-//!   is charged to the virtual clock (it stays at zero): the only
-//!   timing a threads run reports is measured wall-clock time
+//!   threads run the same protocol over the same channels and the same
+//!   arithmetic, at every price zero: each charge adds `0.0` and each
+//!   arrival stamp is its post instant, so every clock stays at zero and
+//!   the only timing a threads run reports is measured wall-clock time
 //!   ([`crate::RunReport::wall_seconds`]). Message matching still uses
 //!   posting-order tickets per `(src, tag)`, so payload pairing — and
 //!   therefore every numerical result and traffic counter — is bitwise
@@ -71,6 +74,23 @@ impl BackendKind {
     pub fn virtual_time(self) -> bool {
         matches!(self, BackendKind::Sim)
     }
+
+    /// The price list [`crate::Proc`] charges from on this backend: the
+    /// machine's cost model on the simulator, every price zero on
+    /// threads.
+    pub(crate) fn prices(self, cost: CostModel) -> CostModel {
+        match self {
+            BackendKind::Sim => cost,
+            BackendKind::Threads => CostModel {
+                alpha: 0.0,
+                beta: 0.0,
+                hop: 0.0,
+                flop: 0.0,
+                memop: 0.0,
+                overhead: 0.0,
+            },
+        }
+    }
 }
 
 impl std::str::FromStr for BackendKind {
@@ -93,97 +113,6 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// The time-semantics policy of one backend: how much virtual time each
-/// primitive charges and what a message's virtual arrival stamp is.
-///
-/// [`crate::Proc`] calls these hooks on every `compute`/`memop`/
-/// `send`/`recv`; the simulator implements the LogGP-flavoured
-/// [`CostModel`] arithmetic, the threads backend returns zero everywhere
-/// so the machinery runs at hardware speed with the clock pinned at the
-/// origin. Implementations are stateless — per-processor state (clock,
-/// counters, tickets) stays in [`crate::Proc`] so both backends share
-/// the exact matching semantics.
-pub trait Backend: Send + Sync {
-    /// Which kind this is (lets shared code brand reports).
-    fn kind(&self) -> BackendKind;
-
-    /// Virtual seconds charged for `flops` floating-point operations.
-    fn flop_seconds(&self, cost: &CostModel, flops: f64) -> f64;
-
-    /// Virtual seconds charged for moving `words` through local memory.
-    fn memop_seconds(&self, cost: &CostModel, words: f64) -> f64;
-
-    /// Virtual seconds of CPU overhead charged on each send and each
-    /// receive posting.
-    fn overhead_seconds(&self, cost: &CostModel) -> f64;
-
-    /// Virtual arrival stamp for a message of `words` words over `hops`
-    /// hops, posted when the sender's clock reads `now`.
-    fn arrival(&self, cost: &CostModel, now: f64, words: usize, hops: usize) -> f64;
-}
-
-/// The deterministic virtual-time simulator: full [`CostModel`]
-/// accounting, exactly the semantics this crate has always had.
-pub(crate) struct SimBackend;
-
-impl Backend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
-    fn flop_seconds(&self, cost: &CostModel, flops: f64) -> f64 {
-        flops * cost.flop
-    }
-
-    fn memop_seconds(&self, cost: &CostModel, words: f64) -> f64 {
-        words * cost.memop
-    }
-
-    fn overhead_seconds(&self, cost: &CostModel) -> f64 {
-        cost.overhead
-    }
-
-    fn arrival(&self, cost: &CostModel, now: f64, words: usize, hops: usize) -> f64 {
-        now + cost.wire_time(words, hops)
-    }
-}
-
-/// Real threads: no virtual charging at all. A message's virtual arrival
-/// is its post instant, so `recv`/`wait` never charge virtual idle —
-/// the thread still physically blocks until the payload is delivered,
-/// and that real waiting shows up in measured wall-clock time instead.
-pub(crate) struct ThreadsBackend;
-
-impl Backend for ThreadsBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Threads
-    }
-
-    fn flop_seconds(&self, _cost: &CostModel, _flops: f64) -> f64 {
-        0.0
-    }
-
-    fn memop_seconds(&self, _cost: &CostModel, _words: f64) -> f64 {
-        0.0
-    }
-
-    fn overhead_seconds(&self, _cost: &CostModel) -> f64 {
-        0.0
-    }
-
-    fn arrival(&self, _cost: &CostModel, now: f64, _words: usize, _hops: usize) -> f64 {
-        now
-    }
-}
-
-/// The (stateless) backend implementation for a kind.
-pub(crate) fn backend_for(kind: BackendKind) -> &'static dyn Backend {
-    match kind {
-        BackendKind::Sim => &SimBackend,
-        BackendKind::Threads => &ThreadsBackend,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,25 +131,91 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::Sim);
     }
 
+    /// The simulator charges the machine's cost model: a flop and a word
+    /// at their prices, a send its overhead, and an arrival stamp of
+    /// `α + β·words + hop·distance` after it (dyadic prices, exact sums).
     #[test]
-    fn sim_backend_charges_cost_model() {
-        let c = CostModel::unit();
-        let b = SimBackend;
-        assert_eq!(b.kind(), BackendKind::Sim);
-        assert_eq!(b.flop_seconds(&c, 1000.0), 1.0);
-        assert_eq!(b.arrival(&c, 2.0, 10, 0), 2.0 + 1.0 + 1.0);
-        assert!(BackendKind::Sim.virtual_time());
+    fn sim_charges_the_machine_cost_model() {
+        use crate::{tag, Machine, MachineConfig, Topology, NS_USER};
+        let cost = CostModel {
+            alpha: 1.0,
+            beta: 0.25,
+            hop: 0.5,
+            flop: 0.125,
+            memop: 0.5,
+            overhead: 0.25,
+        };
+        let cfg = MachineConfig::new(4)
+            .with_cost(cost)
+            .with_topology(Topology::Ring);
+        let run = Machine::run(cfg, |proc| match proc.rank() {
+            0 => {
+                proc.compute(8.0);
+                proc.memop(2.0);
+                proc.send(2, tag(NS_USER, 1), vec![0.0f64; 4]);
+            }
+            2 => {
+                let _: Vec<f64> = proc.recv(0, tag(NS_USER, 1));
+            }
+            _ => {}
+        });
+        let [p0, _, p2, _] = &run.report.procs[..] else {
+            unreachable!()
+        };
+        // 1 (flops) + 1 (words) + 0.25 (send overhead).
+        assert_eq!((p0.clock, p0.stats.busy, p0.stats.idle), (2.25, 2.25, 0.0));
+        // Arrival 2.25 + 1 + 4·0.25 + 2·0.5 = 5.25, then the receive overhead.
+        assert_eq!((p2.clock, p2.stats.busy, p2.stats.idle), (5.5, 0.25, 5.25));
+        assert_eq!(run.report.elapsed, 5.5);
     }
 
+    /// The threads backend is the simulator at zero cost: one SPMD body
+    /// — sends, blocking and split-phase receives, collectives, `compute`,
+    /// `compute_each` and `memop` — run on threads under the iPSC/2 model
+    /// and on the sim under an all-zero model leaves equal stats on every
+    /// rank, and no virtual time anywhere. A threads charge that kept any
+    /// one nonzero price would show in `busy`, `idle` or the clock.
     #[test]
-    fn threads_backend_charges_nothing() {
-        let c = CostModel::ipsc2();
-        let b = ThreadsBackend;
-        assert_eq!(b.kind(), BackendKind::Threads);
-        assert_eq!(b.flop_seconds(&c, 1e9), 0.0);
-        assert_eq!(b.memop_seconds(&c, 1e9), 0.0);
-        assert_eq!(b.overhead_seconds(&c), 0.0);
-        assert_eq!(b.arrival(&c, 3.5, 1 << 20, 9), 3.5);
-        assert!(!BackendKind::Threads.virtual_time());
+    fn threads_are_the_simulator_at_zero_cost() {
+        use crate::{collective, tag, Machine, MachineConfig, Team, NS_USER};
+        let body = |proc: &mut crate::Proc| {
+            let (me, p) = (proc.rank(), proc.nprocs());
+            let (nxt, prv) = ((me + 1) % p, (me + p - 1) % p);
+            let t = tag(NS_USER, 48);
+            proc.compute(250.0 * (me + 1) as f64);
+            proc.memop(64.0);
+            let h = proc.irecv::<Vec<f64>>(prv, t);
+            proc.send(nxt, t, vec![me as f64; 16]);
+            proc.compute_each(&[2.0, 0.5, 7.0], 100);
+            let got = proc.wait(h);
+            proc.send(prv, t + 1, got[0]);
+            let back: f64 = proc.recv(nxt, t + 1);
+            let team = Team::all(p);
+            let sum = collective::allreduce_sum(proc, &team, back);
+            collective::barrier(proc, &team);
+            (sum, proc.clock())
+        };
+        let cfg = MachineConfig::new(4).with_cost(CostModel::ipsc2());
+        let zero = CostModel {
+            alpha: 0.0,
+            beta: 0.0,
+            hop: 0.0,
+            flop: 0.0,
+            memop: 0.0,
+            overhead: 0.0,
+        };
+        let thr = Machine::run(cfg.clone().with_backend(BackendKind::Threads), body);
+        let sim = Machine::run(cfg.with_cost(zero), body);
+        assert_eq!(thr.results, sim.results);
+        for (t, s) in thr.report.procs.iter().zip(&sim.report.procs) {
+            assert_eq!(t.stats, s.stats, "rank {}", t.rank);
+            assert_eq!(t.clock, 0.0);
+            assert_eq!(s.clock, 0.0);
+            for v in [t.stats.busy, t.stats.idle, t.stats.overlap_hidden] {
+                assert_eq!(v, 0.0, "rank {}", t.rank);
+            }
+        }
+        assert!(thr.report.total_msgs > 0 && thr.report.total_flops > 0.0);
+        assert!(BackendKind::Sim.virtual_time() && !BackendKind::Threads.virtual_time());
     }
 }

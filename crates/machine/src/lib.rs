@@ -1,18 +1,20 @@
-//! # kali-machine — a distributed-memory machine with swappable backends
+//! # kali-machine — a distributed-memory machine with two price lists
 //!
 //! This crate models the "loosely coupled architecture" assumed by
 //! Mehrotra & Van Rosendale (ICASE 89-41, 1989): a collection of processors,
 //! each with private memory, interacting only through message passing.
 //!
 //! Every processor runs as an OS thread executing the same SPMD closure
-//! (see [`Machine::run`]). What *time* means during that run is a pluggable
-//! policy — the [`backend`] module — selected by data when the machine is
+//! (see [`Machine::run`]) and charges every step through one arithmetic.
+//! What *time* means during that run is the price list that arithmetic
+//! reads — the [`backend`] module — selected by data when the machine is
 //! built ([`Machine::build`], [`BackendKind`]):
 //!
 //! * [`BackendKind::Sim`] (the default): the deterministic virtual-time
-//!   simulator and cost model described below;
-//! * [`BackendKind::Threads`]: the same threads, channels, and matching
-//!   protocol at hardware speed, timed by the wall clock only
+//!   simulator, charging the machine's [`CostModel`] as described below;
+//! * [`BackendKind::Threads`]: the same threads, channels, matching
+//!   protocol and charges at every price zero, so the clocks stay at 0.0
+//!   and the run is timed by the wall clock only
 //!   ([`RunReport::wall_seconds`]).
 //!
 //! On the simulator, a processor owns a scalar *virtual clock*:
@@ -56,7 +58,7 @@ mod wire;
 
 pub mod collective;
 
-pub use backend::{Backend, BackendKind};
+pub use backend::BackendKind;
 pub use cost::CostModel;
 pub use elem::{Elem, Real};
 pub use machine::{Machine, MachineBuilder, MachineConfig, MachineRun};

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
-use crate::backend::{backend_for, Backend};
+use crate::cost::CostModel;
 use crate::machine::MachineConfig;
 use crate::wire::Wire;
 use crate::Tag;
@@ -184,11 +184,10 @@ pub struct Proc {
     nprocs: usize,
     clock: f64,
     cfg: Arc<MachineConfig>,
-    /// Time-semantics policy for this run's [`crate::BackendKind`]: every
-    /// virtual charge and arrival stamp goes through these hooks, so the
-    /// protocol code below is identical on the simulator and on real
-    /// threads.
-    backend: &'static dyn Backend,
+    /// The price list every virtual charge and arrival stamp reads:
+    /// `cfg.cost` on the simulator, all zeros on threads (see
+    /// [`crate::backend`]), so the arithmetic below is one path.
+    cost: CostModel,
     outboxes: Arc<Vec<Sender<Envelope>>>,
     inbox: Receiver<Envelope>,
     /// Rank of the first processor whose body panicked this run
@@ -226,13 +225,12 @@ impl Proc {
         inbox: Receiver<Envelope>,
         failed: Arc<AtomicUsize>,
     ) -> Self {
-        let backend = backend_for(cfg.backend);
         Proc {
             rank,
             nprocs,
             clock: 0.0,
+            cost: cfg.backend.prices(cfg.cost),
             cfg,
-            backend,
             outboxes,
             inbox,
             failed,
@@ -297,15 +295,15 @@ impl Proc {
     #[inline]
     pub fn compute(&mut self, flops: f64) {
         debug_assert!(flops >= 0.0);
-        let dt = self.backend.flop_seconds(&self.cfg.cost, flops);
+        let dt = flops * self.cost.flop;
         self.clock += dt;
         self.stats.busy += dt;
         self.stats.flops += flops;
     }
 
     /// [`Proc::compute`] of each entry of `pattern` in turn, `times` times
-    /// over: the same clock and counters, bit for bit, as those calls. The
-    /// backend is asked once per entry (of a pattern up to 16 long).
+    /// over: the same clock and counters, bit for bit, as those calls. Each
+    /// entry is priced once (of a pattern up to 16 long).
     pub fn compute_each(&mut self, pattern: &[f64], times: usize) {
         let mut dts = [0.0; 16];
         let Some(dts) = dts.get_mut(..pattern.len()) else {
@@ -313,7 +311,7 @@ impl Proc {
         };
         for (dt, &flops) in dts.iter_mut().zip(pattern) {
             debug_assert!(flops >= 0.0);
-            *dt = self.backend.flop_seconds(&self.cfg.cost, flops);
+            *dt = flops * self.cost.flop;
         }
         // The sums run in locals, and a single entry in a loop of its own.
         let (mut clock, mut busy, mut flops) = (self.clock, self.stats.busy, self.stats.flops);
@@ -329,7 +327,7 @@ impl Proc {
     #[inline]
     pub fn memop(&mut self, words: f64) {
         debug_assert!(words >= 0.0);
-        let dt = self.backend.memop_seconds(&self.cfg.cost, words);
+        let dt = words * self.cost.memop;
         self.clock += dt;
         self.stats.busy += dt;
         self.stats.mem_words += words;
@@ -343,16 +341,13 @@ impl Proc {
     }
 
     /// Record one doall invocation served by replaying a cached
-    /// communication schedule. Pure bookkeeping: no virtual time.
+    /// communication schedule. Every replay is optimistic — its consensus
+    /// vote rode as a header on the value messages and was confirmed —
+    /// so this counts one schedule replay and one optimistic hit. Pure
+    /// bookkeeping: no virtual time.
     #[inline]
-    pub fn note_schedule_replay(&mut self) {
+    pub fn note_replay(&mut self) {
         self.stats.schedule_replays += 1;
-    }
-
-    /// Record one replay whose piggybacked (optimistic) consensus vote
-    /// was confirmed. Pure bookkeeping: no virtual time.
-    #[inline]
-    pub fn note_optimistic_hit(&mut self) {
         self.stats.optimistic_hits += 1;
     }
 
@@ -407,13 +402,11 @@ impl Proc {
             self.nprocs
         );
         let words = value.wire_words();
-        let overhead = self.backend.overhead_seconds(&self.cfg.cost);
+        let overhead = self.cost.overhead;
         self.clock += overhead;
         self.stats.busy += overhead;
         let hops = self.cfg.topology.hops(self.rank, dst, self.nprocs);
-        let arrival = self
-            .backend
-            .arrival(&self.cfg.cost, self.clock, words, hops);
+        let arrival = self.clock + self.cost.wire_time(words, hops);
         self.stats.msgs_sent += 1;
         self.stats.words_sent += words as u64;
         let env = Envelope {
@@ -443,7 +436,7 @@ impl Proc {
         if env.arrival > self.clock {
             self.charge_idle(env.arrival);
         }
-        let overhead = self.backend.overhead_seconds(&self.cfg.cost);
+        let overhead = self.cost.overhead;
         self.clock += overhead;
         self.stats.busy += overhead;
         self.stats.msgs_recv += 1;
@@ -576,7 +569,7 @@ impl Proc {
             "irecv from rank {src} on {}-proc machine",
             self.nprocs
         );
-        let overhead = self.backend.overhead_seconds(&self.cfg.cost);
+        let overhead = self.cost.overhead;
         self.clock += overhead;
         self.stats.busy += overhead;
         let ticket = self.issue_ticket(src, tag);

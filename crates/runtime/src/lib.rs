@@ -51,7 +51,7 @@
 
 use kali_array::{DistArrayN, Elem, GatherCache, HaloCache};
 use kali_grid::ProcGrid;
-use kali_machine::{collective, Proc, Team, Wire};
+use kali_machine::{collective, Proc, Team};
 
 mod plan;
 mod sparse_plan;
@@ -71,8 +71,6 @@ pub use kali_sched::{SplitBox2, SplitRange1};
 pub struct Ctx<'a> {
     proc: &'a mut Proc,
     grid: ProcGrid,
-    /// Grid coordinates of this processor within `grid` (None if not a member).
-    coords: Option<Vec<usize>>,
     policy: ExecPolicy,
     halo: HaloCache,
     gather: GatherCache,
@@ -82,11 +80,9 @@ impl<'a> Ctx<'a> {
     /// Enter a parallel subroutine on the given processor array, under
     /// the default [`ExecPolicy`] (split-phase, optimistic replay).
     pub fn new(proc: &'a mut Proc, grid: ProcGrid) -> Self {
-        let coords = grid.coords_of(proc.rank());
         Ctx {
             proc,
             grid,
-            coords,
             policy: ExecPolicy::default(),
             halo: HaloCache::new(),
             gather: GatherCache::new(),
@@ -170,17 +166,7 @@ impl<'a> Ctx<'a> {
 
     /// Is this processor a member of the current processor array?
     pub fn in_grid(&self) -> bool {
-        self.coords.is_some()
-    }
-
-    /// Grid coordinates within the current processor array.
-    pub fn coords(&self) -> Option<&[usize]> {
-        self.coords.as_deref()
-    }
-
-    /// My coordinate along grid dimension `gd` (panics if not a member).
-    pub fn coord(&self, gd: usize) -> usize {
-        self.coords.as_ref().expect("processor not in current grid")[gd]
+        self.grid.contains(self.proc.rank())
     }
 
     /// The current grid as a machine [`Team`].
@@ -258,12 +244,6 @@ impl<'a> Ctx<'a> {
         let team = self.team();
         collective::barrier(self.proc, &team);
     }
-
-    /// Broadcast from the grid's first processor.
-    pub fn broadcast<T: Wire + Clone>(&mut self, value: Option<T>) -> T {
-        let team = self.team();
-        collective::broadcast(self.proc, &team, 0, value)
-    }
 }
 
 /// Squared 2-norm of a distributed array over the current grid
@@ -325,6 +305,31 @@ mod tests {
         assert_eq!(run.results[0], None);
         assert_eq!(run.results[2], Some(2.0));
         assert_eq!(run.results[3], Some(2.0));
+    }
+
+    /// `in_grid` asks the grid in scope: a narrowed context is inside its
+    /// slice, and a context entered on a grid that leaves me out is
+    /// outside it.
+    #[test]
+    fn in_grid_is_membership_of_the_grid_in_scope() {
+        let run = Machine::run(cfg(4), |proc| {
+            let grid = ProcGrid::new_2d(2, 2);
+            let row1 = grid.slice(0, 1);
+            let mut ctx = Ctx::new(proc, grid);
+            let whole = ctx.in_grid();
+            let narrowed = ctx.call_on(row1.clone(), |sub| sub.in_grid());
+            let outside = Ctx::new(ctx.proc(), row1).in_grid();
+            (whole, narrowed, outside)
+        });
+        assert_eq!(
+            run.results,
+            vec![
+                (true, None, false),
+                (true, None, false),
+                (true, Some(true), true),
+                (true, Some(true), true)
+            ]
+        );
     }
 
     /// Over a whole machine, `lift` must run its body on every grid member

@@ -140,11 +140,7 @@ impl<T: Elem, const N: usize> PlanRead<'_, '_, '_, T, N> {
     /// already complete — landed in the array itself, ahead of any
     /// copy-in snapshot.
     fn begin(&mut self) -> Option<PendingHalo<T>> {
-        let policy = self.ctx.policy();
-        // The rebuild-per-trip blocking baseline refreshes the whole
-        // skirt whatever the plan declares, as the pre-plan blocking
-        // exchange it is pinned against did.
-        let corners = self.ghosts.corners || !(policy.split || policy.optimistic);
+        let (policy, corners) = (self.ctx.policy(), self.ghosts.corners);
         let (proc, halo) = self.ctx.proc_and_halo();
         if policy.split {
             return Some(self.a.begin_ghosts(proc, Some(halo), policy, corners));

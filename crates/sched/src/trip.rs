@@ -334,8 +334,7 @@ impl<T: Elem, K: SiteKey> InFlight<T, K> {
         match hit {
             Some((seq, sched)) if agreed => {
                 debug_assert!(outcome.as_ref().is_none_or(|o| o.agreed == Some(seq)));
-                proc.note_schedule_replay();
-                proc.note_optimistic_hit();
+                proc.note_replay();
                 if let Some(outcome) = &outcome {
                     exec.scatter_agreed(proc, &sched, world, outcome);
                 }

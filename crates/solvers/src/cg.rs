@@ -14,8 +14,6 @@
 use kali_array::{DistArray1, Real, SparseCsr};
 use kali_runtime::Ctx;
 
-use crate::spmv::spmv;
-
 /// What a [`cg`] solve did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgResult {
@@ -95,7 +93,7 @@ pub fn cg<T: Real>(
     }
     // r = b − A·x
     let mut r = x.like();
-    spmv(ctx, a, x, &mut r);
+    ctx.sparse().spmv(a, x, &mut r);
     assert_conformal(b, &r);
     for (ri, &bi) in r.owned_mut().iter_mut().zip(b.owned()) {
         *ri = bi - *ri;
@@ -113,7 +111,7 @@ pub fn cg<T: Real>(
     p.owned_mut().copy_from_slice(r.owned());
     let mut q = x.like();
     for it in 1..=max_iters {
-        spmv(ctx, a, &p, &mut q);
+        ctx.sparse().spmv(a, &p, &mut q);
         let pq = dot(ctx, &p, &q);
         let alpha = rho / pq;
         axpy(ctx, T::from_f64(alpha), &p, x);

@@ -21,8 +21,8 @@
 //!   (`resid2/3`, `rest2/3`, `intrp2/3`), the last two written once for
 //!   any rank (`rest`, `intrp`) as ownership-routed slice transfers that
 //!   stay correct for any block alignment;
-//! * [`spmv`] / [`cg`] — the irregular workload class: sparse
-//!   matrix-vector product and conjugate gradients on the
+//! * [`spmv`] / [`cg`] — the irregular workload class: the sequential
+//!   sparse matrix-vector reference and conjugate gradients on the
 //!   block-row-distributed CSR matrix, whose x-gather is inspected once
 //!   and replayed warm every iteration;
 //! * [`seq`] — plain sequential references used for verification and for

@@ -1,24 +1,15 @@
-//! Distributed sparse matrix-vector product — the irregular workload,
-//! driven through [`Ctx::sparse`]'s inspector-executor plan exactly as
-//! the stencil solvers drive [`Ctx::plan`].
-//!
-//! The solver-level entry point is deliberately thin: all protocol —
+//! Sparse matrix-vector product — the irregular workload. The
+//! distributed product is `ctx.sparse().spmv(&a, &x, &mut y)`
+//! ([`kali_runtime::Ctx::sparse`]), driven through its inspector-executor
+//! plan exactly as the stencil solvers drive `Ctx::plan`: all protocol —
 //! cold inspection, warm optimistic replay, split-phase overlap of the
 //! x-gather with the owner-local rows — lives in `kali-array`'s
-//! [`SparseCsr`] and `kali-sched`, selected by the context's
-//! [`ExecPolicy`](kali_runtime::ExecPolicy). Generic over [`Real`]: an
-//! `f32` matrix/vector pair halves every gather's wire words with no
-//! change here.
+//! [`SparseCsr`](kali_array::SparseCsr) and `kali-sched`, selected by the
+//! context's [`ExecPolicy`](kali_runtime::ExecPolicy). This module holds
+//! its sequential reference. Generic over [`Real`]: an `f32`
+//! matrix/vector pair halves every gather's wire words.
 
-use kali_array::{DistArray1, Real, SparseCsr};
-use kali_runtime::Ctx;
-
-/// `y = A·x` under the context's policy. One trip: warm iterations of an
-/// outer solve (see [`crate::cg`]) replay the cached gather schedule
-/// with zero inspector runs.
-pub fn spmv<T: Real>(ctx: &mut Ctx, a: &SparseCsr<T>, x: &DistArray1<T>, y: &mut DistArray1<T>) {
-    ctx.sparse().spmv(a, x, y);
-}
+use kali_array::Real;
 
 /// Sequential dense reference: `y = A·x` with `A` given row-wise, for
 /// differential tests. Mirrors the distributed row arithmetic (ascending
@@ -44,8 +35,10 @@ pub fn spmv_seq<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kali_array::{DistArray1, SparseCsr};
     use kali_grid::{DistSpec, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
+    use kali_runtime::Ctx;
     use std::time::Duration;
 
     fn cfg(p: usize) -> MachineConfig {
@@ -76,7 +69,7 @@ mod tests {
             });
             let mut y = DistArray1::from_fn(proc.rank(), &g, &spec, [n], [0], |_| 0.0);
             let mut ctx = Ctx::new(proc, g);
-            spmv(&mut ctx, &a, &x, &mut y);
+            ctx.sparse().spmv(&a, &x, &mut y);
             y.gather_to_root(ctx.proc())
         });
         let xs: Vec<f64> = (0..n).map(|i| (i % 9) as f64 * 0.75 - 2.0).collect();

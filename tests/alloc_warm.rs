@@ -128,6 +128,23 @@ fn a_warm_jacobi_sweep_allocates_nothing_that_scales_with_the_array() {
     );
 }
 
+/// Entering a context, and narrowing it to a slice of its grid, allocate
+/// nothing: the context keeps the grid it is handed and asks it for
+/// membership instead of storing its own coordinates.
+#[test]
+fn entering_a_context_or_a_slice_allocates_nothing() {
+    let run = Machine::run(two_procs(), |proc| {
+        let grid = ProcGrid::new_2d(2, 1);
+        let (whole, row) = (grid.clone(), grid.slice(0, 1));
+        let mut entered = None;
+        let enter = allocations(|| entered = Some(Ctx::new(proc, whole)));
+        let mut ctx = entered.expect("entered");
+        let narrow = allocations(|| ctx.call_on(row, |sub| sub.in_grid()));
+        (enter, narrow)
+    });
+    assert_eq!(run.results, vec![(0, 0), (0, 0)]);
+}
+
 /// How many times rank 0 of a 2-processor line allocates in a warm
 /// `zebra2` call on an `(n+1)²` grid (`dist (*, block)`, one ghost line),
 /// the least of three warm calls of one run. One warm call of a run may

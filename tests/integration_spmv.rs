@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use kali::prelude::*;
 use kali::sched::interior_runs;
 use kali::solvers::cg::{cg, cg_seq, CgResult};
-use kali::solvers::spmv::{spmv, spmv_seq};
+use kali::solvers::spmv::spmv_seq;
 
 fn cfg_on(backend: BackendKind, p: usize) -> MachineConfig {
     Machine::build(backend, Topology::FullyConnected, CostModel::unit())
@@ -97,7 +97,7 @@ fn spmv_stream(
             if redistribute_at == Some(t) {
                 a.distribute(ctx.proc());
             }
-            spmv(&mut ctx, &a, &x, &mut y);
+            ctx.sparse().spmv(&a, &x, &mut y);
         }
         y.gather_to_root(ctx.proc())
     });
