@@ -1,5 +1,7 @@
 //! The distributed array type and its local index arithmetic.
 
+use std::ops::Range;
+
 use kali_grid::{DimDist, DimMap, Dist1, DistSpec, Layout, ProcGrid};
 
 /// Element types a distributed array can hold — re-exported from
@@ -690,46 +692,86 @@ impl<T: Elem> DistArray2<T> {
     /// autovectorizable tight loop instead of per-point `at` calls.
     ///
     /// Panics if any element of the run is not visible (owned or ghost)
-    /// on this processor, exactly like [`DistArrayN::get`].
+    /// on this processor, exactly like [`DistArrayN::get`]. The one-row
+    /// box of [`DistArray2::rows`], which a body reading many rows of a
+    /// box calls instead: it decodes and checks once per box.
     #[inline]
-    pub fn row(&self, i: usize, js: std::ops::Range<usize>) -> &[T] {
-        if js.is_empty() {
-            return &[];
-        }
-        #[cfg(debug_assertions)]
-        {
-            self.check_fence([i, js.start]);
-            if js.end > js.start + 1 {
-                self.check_fence([i, js.end - 1]);
-            }
-        }
-        let s = self
-            .storage_index([i, js.start])
-            .unwrap_or_else(|| self.non_visible_row(i, js.clone()));
-        let e = self
-            .storage_index([i, js.end - 1])
-            .unwrap_or_else(|| self.non_visible_row(i, js.clone()));
-        debug_assert_eq!(e + 1 - s, js.len(), "row run must be contiguous");
-        &self.data[s..=e]
+    pub fn row(&self, i: usize, js: Range<usize>) -> &[T] {
+        self.rows(i..i + 1, js).next().unwrap_or(&[])
     }
 
     /// The write side of the row-form interface: a mutable slice of the
     /// *owned* run of row `i`, columns `js`. Writes outside the owned box
     /// are an owner-computes violation, exactly like [`DistArrayN::set`].
+    /// The one-row box of [`DistArray2::rows_mut`].
     #[inline]
-    pub fn row_mut(&mut self, i: usize, js: std::ops::Range<usize>) -> &mut [T] {
-        if js.is_empty() {
-            return &mut [];
+    pub fn row_mut(&mut self, i: usize, js: Range<usize>) -> &mut [T] {
+        self.rows_mut(i..i + 1, js).next().unwrap_or(&mut [])
+    }
+
+    /// The rows `is` of the box `is × js`, in order, each a contiguous
+    /// visible run as [`DistArray2::row`] describes. Visibility is checked
+    /// once, at the box's two corners, with `row`'s panic (release builds
+    /// too); the rows are then stepped by the storage stride. A box with
+    /// no point yields no row; one that is not one storage box (across a
+    /// cyclic dimension) panics.
+    pub fn rows(&self, is: Range<usize>, js: Range<usize>) -> impl Iterator<Item = &[T]> {
+        let span = self.box_span(&is, &js, |[i, j]| {
+            // Debug builds fence both ends of the corner's row, so all
+            // four corners of the box.
+            #[cfg(debug_assertions)]
+            for j in [j, js.start + js.end - 1 - j] {
+                self.check_fence([i, j]);
+            }
+            (self.storage_index([i, j])).unwrap_or_else(|| self.non_visible_row(i, js.clone()))
+        });
+        let w = js.len();
+        self.data[span]
+            .chunks(self.stride[0].max(1))
+            .map(move |r| &r[..w])
+    }
+
+    /// The write side of [`DistArray2::rows`]: each row an owned run,
+    /// ownership checked once, at the box's two corners, with
+    /// [`DistArrayN::set`]'s owner-computes panic.
+    pub fn rows_mut(
+        &mut self,
+        is: Range<usize>,
+        js: Range<usize>,
+    ) -> impl Iterator<Item = &mut [T]> {
+        let span = self.box_span(&is, &js, |idx| {
+            assert!(
+                self.owns(idx),
+                "proc {}: owner-computes violation — rows_mut({is:?}, {js:?}) reaches \
+                 outside the owned box",
+                self.rank
+            );
+            self.storage_index_owned(idx)
+        });
+        let (w, stride) = (js.len(), self.stride[0].max(1));
+        self.data[span].chunks_mut(stride).map(move |r| &mut r[..w])
+    }
+
+    /// The storage run of the box `is × js` from its first corner to its
+    /// last, each decoded by `at`, checked to hold the box's rows at the
+    /// storage stride; empty for an empty box.
+    fn box_span(
+        &self,
+        is: &Range<usize>,
+        js: &Range<usize>,
+        at: impl Fn([usize; 2]) -> usize,
+    ) -> Range<usize> {
+        if is.is_empty() || js.is_empty() {
+            return 0..0;
         }
+        let (s, e) = (at([is.start, js.start]), at([is.end - 1, js.end - 1]));
         assert!(
-            self.owns([i, js.start]) && self.owns([i, js.end - 1]),
-            "proc {}: owner-computes violation — row_mut({i}, {js:?}) reaches \
-             outside the owned box",
-            self.rank
+            e - s == (is.len() - 1) * self.stride[0] + js.len() - 1,
+            "proc {}: the box ({is:?}, {js:?}) is not one storage box (dist {})",
+            self.rank,
+            self.spec()
         );
-        let s = self.storage_index_owned([i, js.start]);
-        let e = self.storage_index_owned([i, js.end - 1]);
-        &mut self.data[s..=e]
+        s..e + 1
     }
 
     #[cold]
@@ -1197,6 +1239,119 @@ mod tests {
     fn box_reaching_into_ghosts_panics_on_write() {
         let mut a = skirted2();
         a.box_set([0, 2], [5, 3], &[0.0; 5]); // row 4 is visible but not owned
+    }
+
+    /// Random boxes `lo..hi` inside `range`, a tenth of them empty.
+    fn random_range(
+        next: &mut impl FnMut(usize) -> usize,
+        range: &std::ops::Range<usize>,
+    ) -> std::ops::Range<usize> {
+        let lo = range.start + next(range.len());
+        let hi = if next(10) == 0 {
+            lo
+        } else {
+            lo + 1 + next(range.end - lo)
+        };
+        lo..hi
+    }
+
+    #[test]
+    fn rows_are_the_row_slices_of_random_boxes() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n.max(1) as u64) as usize
+        };
+        for p in 1..=6usize {
+            let mut layouts = vec![
+                (ProcGrid::new_1d(p), DistSpec::block_local()),
+                (ProcGrid::new_1d(p), DistSpec::local_block()),
+            ];
+            for p0 in (1..=p).filter(|p0| p % p0 == 0) {
+                layouts.push((ProcGrid::new_2d(p0, p / p0), DistSpec::block2()));
+            }
+            for ((grid, spec), g, ext) in layouts
+                .iter()
+                .flat_map(|l| (0..=2).flat_map(move |g| [[11, 13], [5, 7]].map(|e| (l, g, e))))
+            {
+                for rank in 0..p {
+                    let mut a = numbered(DistArray2::<f64>::new(rank, grid, spec, ext, [g, g]));
+                    if !a.is_participant() {
+                        assert_eq!(a.rows(0..0, 0..0).count(), 0);
+                        continue;
+                    }
+                    let seen = |a: &DistArray2<f64>, d: usize| {
+                        let o = a.owned_range(d);
+                        o.start.saturating_sub(g)..(o.end + g).min(ext[d])
+                    };
+                    let (vis, own) = (
+                        [seen(&a, 0), seen(&a, 1)],
+                        [a.owned_range(0), a.owned_range(1)],
+                    );
+                    for _ in 0..20 {
+                        let (is, js) = (
+                            random_range(&mut next, &vis[0]),
+                            random_range(&mut next, &vis[1]),
+                        );
+                        let got: Vec<&[f64]> = a.rows(is.clone(), js.clone()).collect();
+                        let n = if js.is_empty() { 0 } else { is.len() };
+                        assert_eq!(got.len(), n, "{spec} p={p} rank {rank}: {is:?} x {js:?}");
+                        for (i, row) in is.clone().zip(&got) {
+                            assert!(std::ptr::eq(*row, a.row(i, js.clone())), "{spec} row {i}");
+                        }
+                        let (is, js) = (
+                            random_range(&mut next, &own[0]),
+                            random_range(&mut next, &own[1]),
+                        );
+                        let got: Vec<(*const f64, usize)> = a
+                            .rows_mut(is.clone(), js.clone())
+                            .map(|r| (r.as_ptr(), r.len()))
+                            .collect();
+                        let n = if js.is_empty() { 0 } else { is.len() };
+                        assert_eq!(
+                            got.len(),
+                            n,
+                            "{spec} p={p} rank {rank}: mut {is:?} x {js:?}"
+                        );
+                        for (i, &(ptr, len)) in is.zip(&got) {
+                            let row = a.row_mut(i, js.clone());
+                            assert_eq!((row.as_ptr(), row.len()), (ptr, len), "{spec} row {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-local row read")]
+    fn rows_beyond_the_ghost_skirt_panic_as_row_does() {
+        let a = skirted2();
+        let _ = a.rows(2..6, 1..3); // row 5 is past the ghost row 4
+    }
+
+    #[test]
+    #[should_panic(expected = "non-local row read")]
+    fn rows_beyond_the_ghost_columns_panic_as_row_does() {
+        let a = skirted2();
+        let _ = a.rows(0..3, 2..6); // column 5 is past the ghost column 4
+    }
+
+    #[test]
+    #[should_panic(expected = "owner-computes violation")]
+    fn rows_mut_reaching_into_ghosts_panics_as_row_mut_does() {
+        let mut a = skirted2();
+        let _ = a.rows_mut(1..5, 0..2); // row 4 is visible but not owned
+    }
+
+    #[test]
+    #[should_panic(expected = "not one storage box")]
+    fn rows_across_a_cyclic_dimension_panic() {
+        let spec = DistSpec::parse("(cyclic, *)").unwrap();
+        let a: DistArray2<f64> = DistArrayN::new(0, &ProcGrid::new_1d(2), &spec, [8, 4], [0, 0]);
+        let _ = a.rows(0..3, 0..4); // owns rows 0 and 2, not 1
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crossbeam::channel::unbounded;
 
 use crate::backend::BackendKind;
 use crate::cost::CostModel;
-use crate::proc::{Envelope, Proc};
+use crate::proc::{poll_window, Envelope, Proc};
 use crate::report::{ProcReport, RunReport};
 use crate::topology::Topology;
 
@@ -181,6 +181,7 @@ impl Machine {
         // none). Peers poll it while blocked in a receive, so a panic
         // mid-collective aborts the whole run promptly.
         let failed = Arc::new(AtomicUsize::new(usize::MAX));
+        let poll = poll_window(p);
 
         let mut slots: Vec<Option<(ProcReport, R)>> = Vec::with_capacity(p);
         slots.resize_with(p, || None);
@@ -193,7 +194,8 @@ impl Machine {
                 let failed = Arc::clone(&failed);
                 let body = &body;
                 handles.push(scope.spawn(move || {
-                    let mut proc = Proc::new(rank, p, cfg, senders, inbox, Arc::clone(&failed));
+                    let mut proc =
+                        Proc::new(rank, p, cfg, senders, inbox, Arc::clone(&failed), poll);
                     let result =
                         match std::panic::catch_unwind(AssertUnwindSafe(|| body(&mut proc))) {
                             Ok(r) => r,
@@ -379,32 +381,86 @@ mod tests {
         // With a watchdog far longer than the test budget the run must
         // still end almost immediately — peers poll the failure flag each
         // receive slice — and re-raise rank 1's *original* panic, not a
-        // peer's secondary abort.
-        let cfg = unit_cfg(2)
+        // peer's secondary abort. In the second case rank 1 sends once and
+        // panics at once, so rank 0 is inside its poll window (two workers
+        // fit the CPUs here) when the failure lands.
+        for sends_first in [false, true] {
+            let cfg = unit_cfg(2)
+                .with_backend(BackendKind::Threads)
+                .with_watchdog(Duration::from_secs(60));
+            let started = Instant::now();
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let _ = Machine::run(cfg, |proc| {
+                    if proc.rank() == 1 {
+                        if sends_first {
+                            proc.send(0, tag(NS_USER, 40), 1.0f64);
+                        }
+                        panic!("injected worker failure");
+                    }
+                    for _ in 0..2 {
+                        let _: f64 = proc.recv(1, tag(NS_USER, 40));
+                    }
+                });
+            }))
+            .unwrap_err();
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .map(str::to_owned)
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(msg.contains("injected worker failure"), "got: {msg}");
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "peers sat out the watchdog instead of aborting promptly ({:?})",
+                started.elapsed()
+            );
+        }
+    }
+
+    /// A ping-pong on threads: rank 1 announces it is about to receive,
+    /// and rank 0 answers after `delay`. Returns the value rank 1 got and
+    /// rank 1's poll window.
+    fn answer_after(p: usize, delay: Duration) -> (f64, Duration) {
+        let cfg = unit_cfg(p)
             .with_backend(BackendKind::Threads)
-            .with_watchdog(Duration::from_secs(60));
-        let started = Instant::now();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _ = Machine::run(cfg, |proc| {
-                if proc.rank() == 1 {
-                    panic!("injected worker failure");
-                }
-                let _: f64 = proc.recv(1, tag(NS_USER, 40));
-            });
-        }))
-        .unwrap_err();
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("injected worker failure"), "got: {msg}");
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "peers sat out the watchdog instead of aborting promptly ({:?})",
-            started.elapsed()
-        );
+            .with_watchdog(Duration::from_secs(20));
+        let run = Machine::run(cfg, |proc| match proc.rank() {
+            0 => {
+                let _: f64 = proc.recv(1, tag(NS_USER, 41));
+                std::thread::sleep(delay);
+                proc.send(1, tag(NS_USER, 42), 7.0f64);
+                (0.0, proc.poll)
+            }
+            1 => {
+                proc.send(0, tag(NS_USER, 41), 0.0f64);
+                (proc.recv(0, tag(NS_USER, 42)), proc.poll)
+            }
+            _ => (0.0, proc.poll),
+        });
+        run.results[1]
+    }
+
+    #[test]
+    fn a_receive_completes_inside_and_after_its_poll_window() {
+        let (got, poll) = answer_after(2, Duration::ZERO);
+        assert_eq!(got, 7.0);
+        assert_eq!(poll, poll_window(2));
+        assert!(poll <= Duration::from_micros(50));
+        // Lands long after any poll window: the receive parks and wakes.
+        let (got, _) = answer_after(2, Duration::from_millis(20));
+        assert_eq!(got, 7.0);
+    }
+
+    #[test]
+    fn an_oversubscribed_run_parks_without_polling() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Never more than 8 threads: with 8 or more CPUs this is the
+        // polling case instead.
+        let p = (cpus + 1).min(8);
+        let (got, poll) = answer_after(p, Duration::ZERO);
+        assert_eq!(got, 7.0);
+        assert_eq!(poll.is_zero(), p > cpus);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
@@ -212,8 +212,22 @@ pub struct Proc {
     tickets_issued: HashMap<(usize, Tag), u64>,
     /// Next ticket to be matched against an arrival per `(src, tag)`.
     tickets_served: HashMap<(usize, Tag), u64>,
+    /// How long a receive polls before it parks ([`poll_window`]).
+    pub(crate) poll: Duration,
     stats: ProcStats,
     marks: Vec<MarkEvent>,
+}
+
+/// The poll window of a run of `nprocs` processors. A hand-off to a
+/// parked thread costs a wake-up, so a receive first polls for 50 µs, but
+/// only when each processor can hold a CPU of its own (`nprocs` ≤
+/// `available_parallelism`, read once per process): an oversubscribed
+/// receiver that polls only holds back the peer it waits for.
+pub(crate) fn poll_window(nprocs: usize) -> Duration {
+    const POLL_US: u64 = 50;
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    Duration::from_micros(if nprocs <= cpus { POLL_US } else { 0 })
 }
 
 impl Proc {
@@ -224,6 +238,7 @@ impl Proc {
         outboxes: Arc<Vec<Sender<Envelope>>>,
         inbox: Receiver<Envelope>,
         failed: Arc<AtomicUsize>,
+        poll: Duration,
     ) -> Self {
         Proc {
             rank,
@@ -240,6 +255,7 @@ impl Proc {
             outstanding_recvs: 0,
             tickets_issued: HashMap::new(),
             tickets_served: HashMap::new(),
+            poll,
             stats: ProcStats::default(),
             marks: Vec::new(),
         }
@@ -495,6 +511,10 @@ impl Proc {
         }
     }
 
+    /// The next arrival from `(src, tag)`, others kept in `pending`: poll
+    /// the inbox for the run's [`poll_window`] (≤ 50 µs, zero when the run
+    /// has more processors than `available_parallelism`), then park in
+    /// slices of ≤ 200 ms, checking for a panicked peer and the watchdog.
     fn recv_envelope(&mut self, src: usize, tag: Tag) -> Envelope {
         if let Some(pos) = self
             .pending
@@ -502,6 +522,14 @@ impl Proc {
             .position(|e| e.src == src && e.tag == tag)
         {
             return self.pending.remove(pos).unwrap();
+        }
+        let until = Instant::now() + self.poll;
+        while !self.poll.is_zero() && Instant::now() < until {
+            match self.inbox.try_recv() {
+                Ok(e) if e.src == src && e.tag == tag => return e,
+                Ok(e) => self.pending.push_back(e),
+                Err(_) => std::hint::spin_loop(),
+            }
         }
         let mut waited = Duration::ZERO;
         let slice = Duration::from_millis(200).min(self.cfg.watchdog);

@@ -491,7 +491,12 @@ mod tests {
 
     #[test]
     fn plan_run2_rows_covers_exactly_the_owned_product_subbox() {
-        for policy in [ExecPolicy::blocking(), ExecPolicy::default()] {
+        let policies = [
+            ExecPolicy::blocking(),
+            ExecPolicy::pessimistic(),
+            ExecPolicy::default(),
+        ];
+        for policy in policies {
             let run = Machine::run(cfg(4), move |proc| {
                 let grid = ProcGrid::new_2d(2, 2);
                 let spec = DistSpec::block2();
@@ -502,7 +507,10 @@ mod tests {
                     1..7,
                     1..7,
                     1.0,
-                    |_, _, i, js| seen.extend(js.map(|j| (i, j))),
+                    |_, _, is, js| {
+                        let boxed = is.flat_map(|i| js.clone().map(move |j| (i, j)));
+                        seen.extend(boxed)
+                    },
                 );
                 seen
             });

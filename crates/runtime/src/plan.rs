@@ -21,7 +21,11 @@
 //! ```
 //!
 //! Entry points (all cover exactly the owned iterations, interior first
-//! under a split policy — bodies must not rely on iteration order):
+//! under a split policy — bodies must not rely on iteration order). The
+//! 2-D ones are adaptors over one engine that hands its body *boxes*:
+//! one interior box, then at most four boundary-frame boxes, so a body
+//! steps its rows with [`DistArray2::rows`]/[`DistArray2::rows_mut`] and
+//! pays the row-slice arithmetic once per box, not once per row:
 //!
 //! * [`PlanRead::update2`] — the copy-in/copy-out stencil update of §2
 //!   (Listing 3's one-statement Jacobi `doall`): ghosts are refreshed,
@@ -30,10 +34,10 @@
 //!   and no copy of the array ([`DistArray2::with_copy_in`]).
 //! * [`PlanRead::run2_rows`] — a product-range `doall` that reads the
 //!   declared array (fresh ghosts) and writes elsewhere (e.g. a
-//!   residual into a second array captured by the body).
+//!   residual into a second array captured by the body), handed boxes.
 //! * [`PlanRead::update2_rows`] — `update2` with the body handed whole
-//!   contiguous row runs as slices: the engine itself, and the form the
-//!   solvers are written in (`update2` loops each run).
+//!   contiguous row runs as slices, the form the solvers are written in
+//!   (`update2` loops each run's points).
 //! * [`PlanRead::run_line_runs`] / [`PlanRead::run_lines`] — a
 //!   one-dimensional `doall` over runs of lines (zebra relaxation) or,
 //!   its adaptor, one line at a time (semicoarsening restriction), with
@@ -237,7 +241,7 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
     /// charged as a full `memop`. `flops_per_point` is charged per
     /// updated point; under a split policy the interior flops are
     /// charged *before* completion, so they overlap the transit on the
-    /// virtual timeline.
+    /// virtual timeline. An adaptor over [`PlanRead::update2_rows`].
     pub fn update2(
         self,
         r0: std::ops::Range<usize>,
@@ -245,10 +249,9 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         flops_per_point: f64,
         f: impl Fn(&DistArray2<T>, usize, usize) -> T,
     ) {
-        self.drive2_rows(r0, r1, flops_per_point, true, |_, a, old, i, js| {
-            let old = old.expect("update2 always snapshots");
-            for j in js {
-                a.set([i, j], f(old, i, j));
+        self.update2_rows(r0, r1, flops_per_point, |old, i, js, dst| {
+            for (d, j) in dst.iter_mut().zip(js) {
+                *d = f(old, i, j);
             }
         });
     }
@@ -261,9 +264,8 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
     /// reading the snapshot's rows ([`DistArrayN::row`]). Because owned
     /// rows and their ghost columns are contiguous in storage
     /// (`stride[1] == 1`), a stencil body written against slices compiles
-    /// to an autovectorizable tight loop — the form the solvers are
-    /// written in; the per-point [`PlanRead::update2`] is an adaptor over
-    /// it, pinned bitwise-identical.
+    /// to an autovectorizable tight loop. An adaptor over the box engine:
+    /// each box's `dst` rows come from one [`DistArray2::rows_mut`].
     pub fn update2_rows(
         self,
         r0: std::ops::Range<usize>,
@@ -271,42 +273,46 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         flops_per_point: f64,
         f: impl Fn(&DistArray2<T>, usize, std::ops::Range<usize>, &mut [T]),
     ) {
-        self.drive2_rows(r0, r1, flops_per_point, true, |_, a, old, i, js| {
+        self.drive2_rows(r0, r1, flops_per_point, true, |_, a, old, is, js| {
             let old = old.expect("update2_rows always snapshots");
-            f(old, i, js.clone(), a.row_mut(i, js))
+            for (i, dst) in is.clone().zip(a.rows_mut(is, js.clone())) {
+                f(old, i, js.clone(), dst);
+            }
         });
     }
 
     /// Product-range `doall` reading the refreshed array and writing
-    /// elsewhere: `body(ctx, a, i, js)` runs for exactly the owned points
-    /// of `[r0] × [r1]`, handed as whole row runs, interior first under a
-    /// split policy. It reads `a`'s rows as slices ([`DistArrayN::row`])
-    /// and writes wherever it captures (typically `row_mut` of a second
-    /// array). `flops_per_point` is charged per point, interior before
-    /// completion (overlapping the transit), boundary after.
+    /// elsewhere: `body(ctx, a, is, js)` runs once per box of the owned
+    /// points of `[r0] × [r1]`, interior first under a split policy (one
+    /// interior box, then at most four frame boxes). It reads `a`'s rows
+    /// as slices ([`DistArray2::rows`]) and writes wherever it captures
+    /// (typically [`DistArray2::rows_mut`] of a second array).
+    /// `flops_per_point` is charged per point, interior before completion
+    /// (overlapping the transit), boundary after.
     pub fn run2_rows(
         self,
         r0: std::ops::Range<usize>,
         r1: std::ops::Range<usize>,
         flops_per_point: f64,
-        mut body: impl FnMut(&mut Ctx, &DistArray2<T>, usize, std::ops::Range<usize>),
+        mut body: impl FnMut(&mut Ctx, &DistArray2<T>, std::ops::Range<usize>, std::ops::Range<usize>),
     ) {
-        self.drive2_rows(r0, r1, flops_per_point, false, |ctx, a, _, i, js| {
-            body(ctx, a, i, js)
+        self.drive2_rows(r0, r1, flops_per_point, false, |ctx, a, _, is, js| {
+            body(ctx, a, is, js)
         });
     }
 
     /// The shared product-range engine behind every 2-D entry point:
     /// refresh under the policy, clamp `[r0] × [r1]` to the owned box,
-    /// and run `seg` once per contiguous row run (`(i, j-range)`) of it —
-    /// natural order after a blocking refresh, interior / complete /
-    /// boundary around an in-flight one. The per-point entry points are
-    /// adaptors that loop each run. With `snapshot`, the array lends its
-    /// storage to a copy-in snapshot after the refresh packs its sends and
-    /// before any write, and the refresh completes *into the snapshot*
-    /// (its ghosts are the copy-in state, re-packed from on a rollback,
-    /// while the live array receives updates); without it, the refresh
-    /// completes into the array itself.
+    /// and run `seg` once per box `(is, js)` of it — the whole box after
+    /// a blocking refresh; the interior box, completion, then the frame
+    /// boxes around an in-flight one ([`SplitBox2::interior_box`],
+    /// [`SplitBox2::boundary_boxes`]). A body pays its row-slice
+    /// arithmetic once per box, not once per row. With `snapshot`, the
+    /// array lends its storage to a copy-in snapshot after the refresh
+    /// packs its sends and before any write, and the refresh completes
+    /// *into the snapshot* (its ghosts are the copy-in state, re-packed
+    /// from on a rollback, while the live array receives updates);
+    /// without it, the refresh completes into the array itself.
     fn drive2_rows(
         mut self,
         r0: std::ops::Range<usize>,
@@ -317,7 +323,7 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
             &mut Ctx,
             &mut DistArray2<T>,
             Option<&DistArray2<T>>,
-            usize,
+            std::ops::Range<usize>,
             std::ops::Range<usize>,
         ),
     ) {
@@ -350,7 +356,9 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
         };
         let split = SplitBox2::new(owned, r0.clone(), r1.clone(), margins);
         let run = |ctx: &mut Ctx, a: &mut DistArray2<T>, mut old: Option<&mut DistArray2<T>>| {
-            split.for_interior_rows(|i, js| seg(ctx, a, old.as_deref(), i, js));
+            if let Some((is, js)) = split.interior_box() {
+                seg(ctx, a, old.as_deref(), is, js);
+            }
             ctx.proc()
                 .compute(flops_per_point * split.interior_count() as f64);
             if let Some(p) = refresh {
@@ -358,7 +366,9 @@ impl<T: Elem> PlanRead<'_, '_, '_, T, 2> {
                     Some(old) => Self::finish(ctx, old, p),
                     None => Self::finish(ctx, a, p),
                 }
-                split.for_boundary_rows(|i, js| seg(ctx, a, old.as_deref(), i, js));
+                for (is, js) in split.boundary_boxes() {
+                    seg(ctx, a, old.as_deref(), is, js);
+                }
                 ctx.proc()
                     .compute(flops_per_point * split.boundary_count() as f64);
             }

@@ -62,5 +62,5 @@ pub use cache::{ScheduleCache, SiteKey};
 pub use exec::{PendingValues, PendingVote, ScheduleExecutor, ScheduleWorld, VoteOutcome, NO_VOTE};
 pub use policy::ExecPolicy;
 pub use schedule::{interior_positions, interior_runs, ArraySchedule, CommSchedule};
-pub use split::{SplitBox2, SplitRange1};
+pub use split::{Box2, SplitBox2, SplitRange1};
 pub use trip::{Finished, InFlight, Trip, TripHost};

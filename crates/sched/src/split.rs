@@ -70,6 +70,9 @@ pub struct SplitBox2 {
     cols: SplitRange1,
 }
 
+/// A box of a [`SplitBox2`]'s partition: `(rows, columns)`.
+pub type Box2 = (std::ops::Range<usize>, std::ops::Range<usize>);
+
 impl SplitBox2 {
     /// Partition `r0 × r1` clipped to the owned box, with the interior
     /// shrunk by `margin` against the *owned* block edges: the product of
@@ -97,16 +100,34 @@ impl SplitBox2 {
         self.rows.covered().len() * self.cols.covered().len() - self.interior_count()
     }
 
+    /// The interior as one box `(rows, columns)`, if it has a point.
+    pub fn interior_box(&self) -> Option<Box2> {
+        let b = (self.rows.interior(), self.cols.interior());
+        (!b.0.is_empty() && !b.1.is_empty()).then_some(b)
+    }
+
+    /// The boundary frame as at most four non-empty boxes: the full rows
+    /// above the interior, its rows' low and high column edges, and the
+    /// full rows below it.
+    pub fn boundary_boxes(&self) -> impl Iterator<Item = Box2> {
+        let (inner, cols) = (self.rows.interior(), self.cols.covered());
+        let ([above, below], [left, right]) = (self.rows.boundary(), self.cols.boundary());
+        [
+            (above, cols.clone()),
+            (inner.clone(), left),
+            (inner, right),
+            (below, cols),
+        ]
+        .into_iter()
+        .filter(|(is, js)| !is.is_empty() && !js.is_empty())
+    }
+
     /// The interior as whole-row segments `(i, column range)`, row-major:
     /// contiguous column runs, so row-form stencil bodies can consume
     /// each visit as slices (and per-point bodies loop the run).
     pub fn for_interior_rows(&self, mut f: impl FnMut(usize, std::ops::Range<usize>)) {
-        let cols = self.cols.interior();
-        if cols.is_empty() {
-            return;
-        }
-        for i in self.rows.interior() {
-            f(i, cols.clone());
+        if let Some((is, js)) = self.interior_box() {
+            is.for_each(|i| f(i, js.clone()));
         }
     }
 
@@ -218,6 +239,47 @@ mod tests {
             assert_eq!(s.interior_count(), interior.len());
             assert_eq!(s.boundary_count(), boundary.len());
         }
+    }
+
+    /// The points of boxes, box by box, each row-major.
+    fn box_points(boxes: impl IntoIterator<Item = Box2>) -> Vec<(usize, usize)> {
+        let mut pts = Vec::new();
+        for (is, js) in boxes {
+            assert!(!is.is_empty() && !js.is_empty(), "an empty box");
+            pts.extend(is.flat_map(|i| js.clone().map(move |j| (i, j))));
+        }
+        pts
+    }
+
+    #[test]
+    fn box2_boxes_tile_the_row_walkers_points_once() {
+        for (owned, r0, r1, margin) in [
+            ([4..8, 0..4], 1..7, 1..7, [1, 1]),
+            ([0..4, 0..4], 0..8, 0..8, [1, 1]),
+            ([0..8, 0..8], 1..7, 1..7, [2, 1]),
+            ([0..2, 0..2], 0..2, 0..2, [3, 3]),
+            ([4..8, 4..8], 0..3, 0..3, [1, 1]),
+            ([0..9, 4..8], 1..8, 1..12, [0, 1]), // `dist (*, block)`: rows all interior
+        ] {
+            let s = SplitBox2::new(owned, r0, r1, margin);
+            let interior = box_points(s.interior_box());
+            assert_eq!(interior, points(|f| s.for_interior_rows(f)));
+            let mut frame = box_points(s.boundary_boxes());
+            assert!(s.boundary_boxes().count() <= 4);
+            frame.sort_unstable();
+            let mut want = points(|f| s.for_boundary_rows(f));
+            want.sort_unstable();
+            assert_eq!(frame, want, "the frame, each point once");
+        }
+        // Under `dist (*, block)` the frame is the two column edges: three
+        // boxes, where the row walkers make three visits per row.
+        let s = SplitBox2::new([0..9, 4..8], 1..8, 1..12, [0, 1]);
+        let boxes: Vec<Box2> = s
+            .interior_box()
+            .into_iter()
+            .chain(s.boundary_boxes())
+            .collect();
+        assert_eq!(boxes, [(1..8, 5..7), (1..8, 4..5), (1..8, 7..8)]);
     }
 
     #[test]

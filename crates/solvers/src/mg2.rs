@@ -60,8 +60,7 @@ pub fn zebra2(
             let jl = j0 + 2 * (k - 1);
             x.clear();
             x.reserve(ni * k);
-            for i in 1..nx {
-                let (us, fs) = (u.row(i, j0 - 1..jl + 2), f.row(i, j0..jl + 1));
+            for (us, fs) in u.rows(1..nx, j0 - 1..jl + 2).zip(f.rows(1..nx, j0..jl + 1)) {
                 x.extend((0..k).map(|l| fs[2 * l] - ay * (us[2 * l] + us[2 * l + 2])));
             }
             for _ in 0..k {
@@ -69,8 +68,7 @@ pub fn zebra2(
                 ctx.proc().compute(thomas_flops(ni));
             }
             tri.solve_lines(&mut x, k);
-            for (i, line) in (1..nx).zip(x.chunks_exact(k)) {
-                let row = u.row_mut(i, j0..jl + 1);
+            for (row, line) in u.rows_mut(1..nx, j0..jl + 1).zip(x.chunks_exact(k)) {
                 for (v, &s) in row.iter_mut().step_by(2).zip(line) {
                     *v = s;
                 }

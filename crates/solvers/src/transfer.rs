@@ -46,8 +46,9 @@ pub fn route(
 /// type. The 5-point read of `u` is declared to the stencil plan
 /// ([`Ghosts::faces`]); under a split policy the operator is evaluated on
 /// the block interior while the edge strips travel, then on the boundary
-/// frame once they land. The body consumes whole contiguous rows as
-/// slices — the autovectorizable form ADI and mg2 inherit.
+/// frame once they land. The body steps each box's rows as slices
+/// ([`DistArray2::rows`]) — the autovectorizable form ADI and mg2
+/// inherit.
 pub fn resid2<T: Real>(
     ctx: &mut Ctx,
     pde: &Pde,
@@ -61,17 +62,19 @@ pub fn resid2<T: Real>(
     let mut r = u.like();
     ctx.plan()
         .reads(u, Ghosts::faces(1))
-        .run2_rows(1..nx, 1..ny, 8.0, |_, u, i, js| {
-            let dn = u.row(i - 1, js.clone());
-            let up = u.row(i + 1, js.clone());
-            let lf = u.row(i, js.start - 1..js.end - 1);
-            let rt = u.row(i, js.start + 1..js.end + 1);
-            let mid = u.row(i, js.clone());
-            let fr = f.row(i, js.clone());
-            let dst = r.row_mut(i, js);
-            for k in 0..dst.len() {
-                let lu = ax * (dn[k] + up[k]) + ay * (lf[k] + rt[k]) + ad * mid[k];
-                dst[k] = fr[k] - lu;
+        .run2_rows(1..nx, 1..ny, 8.0, |_, u, is, js| {
+            let n = js.len();
+            let dn = u.rows(is.start - 1..is.end - 1, js.clone());
+            let up = u.rows(is.start + 1..is.end + 1, js.clone());
+            let wide = u.rows(is.clone(), js.start - 1..js.end + 1);
+            let rows = dn.zip(up).zip(wide).zip(f.rows(is.clone(), js.clone()));
+            for (dst, (((dn, up), wide), fr)) in r.rows_mut(is, js).zip(rows) {
+                let (dn, up, fr, dst) = (&dn[..n], &up[..n], &fr[..n], &mut dst[..n]);
+                let (lf, mid, rt) = (&wide[..n], &wide[1..=n], &wide[2..n + 2]);
+                for k in 0..n {
+                    let lu = ax * (dn[k] + up[k]) + ay * (lf[k] + rt[k]) + ad * mid[k];
+                    dst[k] = fr[k] - lu;
+                }
             }
         });
     r

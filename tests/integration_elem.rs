@@ -333,10 +333,12 @@ fn read_fence_rejects_reads_beyond_the_declared_width() {
             1..nxp - 1,
             1..nyp - 1,
             1.0,
-            |_, u, i, js| {
-                for j in js {
-                    if i + 2 < nxp && !u.owns([i + 2, j]) {
-                        let _ = u.at(i + 2, j); // depth-2 ghost read
+            |_, u, is, js| {
+                for i in is {
+                    for j in js.clone() {
+                        if i + 2 < nxp && !u.owns([i + 2, j]) {
+                            let _ = u.at(i + 2, j); // depth-2 ghost read
+                        }
                     }
                 }
             },
@@ -357,10 +359,10 @@ fn read_fence_rejects_undeclared_corner_reads() {
         let mut ctx = Ctx::new(proc, grid);
         ctx.plan()
             .reads(&mut u, Ghosts::faces(1))
-            .run2_rows(1..16, 1..16, 1.0, |_, u, i, js| {
+            .run2_rows(1..16, 1..16, 1.0, |_, u, is, js| {
                 let (i0, j0) = (u.owned_range(0).start, u.owned_range(1).start);
-                if i == i0 && js.contains(&j0) && i > 1 && j0 > 1 {
-                    let _ = u.at(i - 1, j0 - 1); // diagonal ghost, undeclared
+                if is.contains(&i0) && js.contains(&j0) && i0 > 1 && j0 > 1 {
+                    let _ = u.at(i0 - 1, j0 - 1); // diagonal ghost, undeclared
                 }
             });
     });

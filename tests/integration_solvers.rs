@@ -257,3 +257,123 @@ fn jacobi_distribution_choice_does_not_change_semantics() {
         assert!((outs[0][k] - outs[2][k]).abs() < 1e-13);
     }
 }
+
+/// Rank 0's virtual clock bits, messages sent and words sent after two
+/// V-cycles on the sim, per `(ny, p, policy square)` of the coarse-level
+/// differential below. A change to how the operators visit their points
+/// must move none of them.
+const MG2_COARSE_PINS: [((usize, usize, usize), (u64, u64, u64)); 48] = [
+    ((16, 1, 0), (4576807606485720650, 0, 0)),
+    ((16, 1, 1), (4576690325545664518, 0, 0)),
+    ((16, 1, 2), (4576807606485720650, 0, 0)),
+    ((16, 1, 3), (4576690325545664518, 0, 0)),
+    ((16, 2, 0), (4583977063273637152, 50, 494)),
+    ((16, 2, 1), (4583931825516100142, 50, 525)),
+    ((16, 2, 2), (4582736231504304029, 50, 494)),
+    ((16, 2, 3), (4582690993746767018, 50, 525)),
+    ((16, 3, 0), (4584019591665638340, 62, 578)),
+    ((16, 3, 1), (4584159642805410467, 93, 640)),
+    ((16, 3, 2), (4583244554595685187, 62, 578)),
+    ((16, 3, 3), (4583294692269616776, 93, 640)),
+    ((16, 4, 0), (4583993939162160838, 72, 468)),
+    ((16, 4, 1), (4584448175823457149, 132, 558)),
+    ((16, 4, 2), (4583337624184144576, 72, 468)),
+    ((16, 4, 3), (4583451287832980010, 132, 558)),
+    ((16, 5, 0), (4584118353804026727, 84, 524)),
+    ((16, 5, 1), (4584783207606936479, 174, 644)),
+    ((16, 5, 2), (4583536921077734678, 84, 524)),
+    ((16, 5, 3), (4583768946530536815, 174, 644)),
+    ((16, 6, 0), (4584181288906659459, 84, 312)),
+    ((16, 6, 1), (4584980256303592596, 164, 412)),
+    ((16, 6, 2), (4583686166766506040, 84, 312)),
+    ((16, 6, 3), (4583980507626632171, 164, 412)),
+    ((32, 1, 0), (4585588717833408229, 0, 0)),
+    ((32, 1, 1), (4585491418464178816, 0, 0)),
+    ((32, 1, 2), (4585588717833408229, 0, 0)),
+    ((32, 1, 3), (4585491418464178816, 0, 0)),
+    ((32, 2, 0), (4587713825985255999, 66, 1050)),
+    ((32, 2, 1), (4587620662721924356, 66, 1091)),
+    ((32, 2, 2), (4586124840744569224, 66, 1050)),
+    ((32, 2, 3), (4586027238733444851, 66, 1091)),
+    ((32, 3, 0), (4587212564538090550, 82, 1226)),
+    ((32, 3, 1), (4587231825532976876, 123, 1308)),
+    ((32, 3, 2), (4586065969690240240, 82, 1226)),
+    ((32, 3, 3), (4586011955317749409, 123, 1308)),
+    ((32, 4, 0), (4586875601611090980, 96, 1008)),
+    ((32, 4, 1), (4587076310833524210, 176, 1128)),
+    ((32, 4, 2), (4585885364536543576, 96, 1008)),
+    ((32, 4, 3), (4585901519849126878, 176, 1128)),
+    ((32, 5, 0), (4586838124456431850, 112, 1096)),
+    ((32, 5, 1), (4587270397963065358, 232, 1256)),
+    ((32, 5, 2), (4586074782333991075, 112, 1096)),
+    ((32, 5, 3), (4586192769438468776, 232, 1256)),
+    ((32, 6, 0), (4586751929162443679, 116, 800)),
+    ((32, 6, 1), (4587409865436325751, 236, 950)),
+    ((32, 6, 2), (4586117584544849602, 116, 800)),
+    ((32, 6, 3), (4586318776553162894, 236, 950)),
+];
+
+#[test]
+fn mg2_coarse_levels_match_sequential_on_every_team_and_policy() {
+    // At the coarse levels (down to 5 and 3 points along y) some rank
+    // owns 0, 1, 2 or 3 lines; p = 4, 5 and 6 do not divide the extents.
+    let pde = Pde::anisotropic(3.0, 1.0, 0.0);
+    let squares = [(false, false), (false, true), (true, false), (true, true)];
+    let mut pins = Vec::new();
+    for (nx, ny) in [(12usize, 16usize), (20, 32)] {
+        let us = seq::Grid2::random_interior(nx, ny, 29);
+        let f = seq::apply2(&pde, &us);
+        let mut want = seq::Grid2::zeros(nx, ny);
+        for _ in 0..2 {
+            seq::mg2_seq(&pde, &mut want, &f);
+        }
+        for p in 1..=6usize {
+            for (s, &(split, optimistic)) in squares.iter().enumerate() {
+                let policy = ExecPolicy { split, optimistic };
+                let mut counts = Vec::new();
+                for backend in [BackendKind::Sim, BackendKind::Threads] {
+                    let f2 = f.clone();
+                    let cfg = Machine::build(backend, Topology::FullyConnected, CostModel::ipsc2())
+                        .procs(p)
+                        .watchdog(Duration::from_secs(60))
+                        .config();
+                    let run = Machine::run(cfg, move |proc| {
+                        let grid = ProcGrid::new_1d(p);
+                        let spec = DistSpec::local_block();
+                        let ext = [nx + 1, ny + 1];
+                        let mut u = DistArray2::<f64>::new(proc.rank(), &grid, &spec, ext, [0, 1]);
+                        let farr =
+                            DistArray2::from_fn(proc.rank(), &grid, &spec, ext, [0, 1], |[i, j]| {
+                                f2.at(i, j)
+                            });
+                        let mut ctx = Ctx::with_policy(proc, grid, policy);
+                        for _ in 0..2 {
+                            mg2_vcycle(&mut ctx, &pde, &mut u, &farr);
+                        }
+                        u.gather_to_root(ctx.proc())
+                    });
+                    let got = run.results[0].as_ref().unwrap();
+                    for (k, (x, y)) in got.iter().zip(&want.v).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{backend:?} ny={ny} p={p} {policy:?}: flat {k}: {x} vs {y}"
+                        );
+                    }
+                    let r0 = &run.report.procs[0];
+                    counts.push((r0.stats.msgs_sent, r0.stats.words_sent));
+                    if backend == BackendKind::Sim {
+                        let (m, w) = (r0.stats.msgs_sent, r0.stats.words_sent);
+                        pins.push(((ny, p, s), (r0.clock.to_bits(), m, w)));
+                    }
+                }
+                assert_eq!(
+                    counts[0], counts[1],
+                    "ny={ny} p={p} {policy:?}: sim vs threads"
+                );
+            }
+        }
+    }
+    let table: String = pins.iter().map(|pin| format!("    {pin:?},\n")).collect();
+    assert_eq!(pins, MG2_COARSE_PINS, "rank 0's pins moved; now:\n{table}");
+}
