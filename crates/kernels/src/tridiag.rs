@@ -119,6 +119,29 @@ pub fn thomas(b: &[f64], a: &[f64], c: &[f64], f: &[f64]) -> Vec<f64> {
     x
 }
 
+/// [`thomas`] into `x`, with its pivots in `ap` (any length, overwritten)
+/// and its eliminated right-hand side in `x` until the back-substitution
+/// overwrites it: its operations in its order, so its bits, and nothing
+/// allocated once `ap` has grown. ([`thomas`] stays the textbook form
+/// the paper's line counts measure.)
+pub fn thomas_into(b: &[f64], a: &[f64], c: &[f64], f: &[f64], x: &mut [f64], ap: &mut Vec<f64>) {
+    let n = a.len();
+    assert!(n >= 1);
+    assert!(b.len() == n && c.len() == n && f.len() == n && x.len() == n);
+    ap.clear();
+    ap.extend_from_slice(a);
+    x.copy_from_slice(f);
+    for i in 1..n {
+        let w = b[i] / ap[i - 1];
+        ap[i] -= w * c[i - 1];
+        x[i] -= w * x[i - 1];
+    }
+    x[n - 1] /= ap[n - 1];
+    for i in (0..n - 1).rev() {
+        x[i] = (x[i] - c[i] * x[i + 1]) / ap[i];
+    }
+}
+
 /// A tridiagonal matrix factored as [`thomas`] eliminates it: the
 /// multipliers `w[i] = b[i] / ap[i-1]` and pivots `ap[i] = a[i] − w[i]
 /// c[i-1]`, shared by every right-hand side.
@@ -244,21 +267,23 @@ mod tests {
         assert_eq!(x, vec![2.0]);
     }
 
-    /// Solve `k` lines of `m` interleaved through one [`Factored`] and
-    /// check every line's bits against its own [`thomas`] call.
+    /// Solve `k` lines of `m` interleaved through one [`Factored`], and
+    /// each into a slice by [`thomas_into`] with pivots left over from the
+    /// line before, and check every line's bits against its own [`thomas`]
+    /// call.
     fn assert_lines_are_thomas(m: &TriDiag, k: usize, rhs: &[f64]) {
         let n = m.n();
         let mut x = rhs[..n * k].to_vec();
         Factored::new(&m.b, &m.a, &m.c).solve_lines(&mut x, k);
+        let (mut into, mut ap) = (vec![f64::NAN; n], vec![-1.0; 3]);
         for l in 0..k {
             let f: Vec<f64> = (0..n).map(|i| rhs[i * k + l]).collect();
             let want = thomas(&m.b, &m.a, &m.c, &f);
+            thomas_into(&m.b, &m.a, &m.c, &f, &mut into, &mut ap);
             for (i, w) in want.iter().enumerate() {
-                assert_eq!(
-                    x[i * k + l].to_bits(),
-                    w.to_bits(),
-                    "n={n} k={k} line {l} unknown {i}"
-                );
+                let at = format!("n={n} k={k} line {l} unknown {i}");
+                assert_eq!(x[i * k + l].to_bits(), w.to_bits(), "{at}");
+                assert_eq!(into[i].to_bits(), w.to_bits(), "{at}: thomas_into");
             }
         }
     }

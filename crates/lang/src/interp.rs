@@ -125,9 +125,11 @@
 //!   and one fused message per peer — run once for the batch; a run of
 //!   element assignments runs compiled over the line axis, all the lines
 //!   at once, where its subscripts are scalars; a compiled loop is placed
-//!   once as one box of lines × iterations and run a line at a time;
+//!   once as one box of lines × iterations and run in one call, each
+//!   line's invariants evaluated first into a column of the box's rows;
 //!   calls and other runs run line after line; `reduce`/`seqtri` are
-//!   placed once, a row of each section per line.
+//!   placed once, a row of each section per line, on slices of storage
+//!   borrowed once per call.
 //!   Lines that are no progression, or whose pinned coordinates change
 //!   owner, run line by line: the fallback, and the oracle the batches
 //!   are tested against bit for bit.
@@ -186,11 +188,13 @@
 //! one rank owns is an interval, and element by element only along a
 //! cyclic or block-cyclic one.
 //!
-//! A batch of lines pays a frame, a trip's own costs and the placement of
-//! its loops, builtins and runs of element assignments once; per line it
-//! pays the element work. A batch whose lines run one iteration each holds
-//! an undecided trip's iteration until the verdict, so it writes through:
-//! its loops and runs run compiled and its builtins on slices of storage.
+//! A batch of lines pays a frame, a trip's own costs, the placement and
+//! the call of its loops and runs of element assignments and the
+//! placement of its builtins once; per line it pays the element work, a
+//! loop's invariants and a builtin's kernel, and allocates nothing. A
+//! batch whose lines run one iteration each holds an undecided trip's
+//! iteration until the verdict, so it writes through: its loops and runs
+//! run compiled and its builtins on slices of storage.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -198,7 +202,7 @@ use std::rc::Rc;
 
 use kali_grid::{DimDist, DimMap, DistSpec, Layout, ProcGrid};
 use kali_kernels::substructure::{reduce_block, reduce_flops};
-use kali_kernels::tridiag::{thomas, thomas_flops};
+use kali_kernels::tridiag::{thomas_flops, thomas_into};
 use kali_machine::{collective, tag, Proc, Tag, Team, NS_LANG};
 use kali_sched::{
     interior_runs, ArraySchedule, CommSchedule, ExecPolicy, Finished, ScheduleCache,
@@ -399,8 +403,11 @@ impl Mode {
 
 /// The most lines a batch of a team call runs as one activation
 /// ([`Interp::run_lines`]). A batch holds its lines' share of every dynamic
-/// array — `tric`'s thirteen — for the batch's whole run, on every rank.
-const LINES_PER_BATCH: usize = 16;
+/// array — `tric`'s thirteen — for the batch's whole run, on every rank:
+/// at the cap, `tric`'s is 64 × (4 ⌈(np + 1)/q⌉ + 10q + 8) words, 107 KiB
+/// at np = 48 on a team of one, however many lines the team has. A team's
+/// sweep of up to 64 lines is one activation.
+const LINES_PER_BATCH: usize = 64;
 
 /// A batch of lines run as one activation of the callee ([`lift`]): its
 /// frame binds the first line's views, and element work moves them from
@@ -605,17 +612,30 @@ struct ScheduleKey {
 // A word holds an `i64` or a `u64` bit for bit.
 const _: () = assert!(usize::BITS == u64::BITS);
 
-/// The key's fingerprint of an array's storage: one 64-bit word per step,
-/// xored in and multiplied by the FNV prime, then rotated so the high
-/// bits, where the multiply mixes, feed the low bits of the next step.
-/// (A multiply only carries upwards: without the rotation, negating two
-/// words would flip the top bit twice and cancel.) Each step is a
-/// bijection of the state, so arrays that differ in one word differ in
-/// fingerprint.
+/// The key's fingerprint of an array's storage. Word `k` steps lane
+/// `k mod 4`: xored in and multiplied by the FNV prime, then rotated so
+/// the high bits, where the multiply mixes, feed the low bits of the next
+/// step. (A multiply only carries upwards: without the rotation, negating
+/// two words would flip the top bit twice and cancel.) The four lanes are
+/// then folded into one by the same step. A step is a bijection of the
+/// state and, for a given state, injective in its word, so arrays that
+/// differ in one word differ in one lane, and so in fingerprint. Four
+/// lanes run four independent multiply chains, so a replicated CSR
+/// structure keys at the multiplier's throughput, not its latency.
 fn data_fingerprint(data: &[f64]) -> u64 {
-    let step =
-        |h: u64, v: &f64| ((h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)).rotate_left(29);
-    data.iter().fold(0xcbf2_9ce4_8422_2325, step)
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    let step = |h: u64, bits: u64| ((h ^ bits).wrapping_mul(0x0000_0100_0000_01b3)).rotate_left(29);
+    let mut lanes = [SEED; 4];
+    let mut words = data.chunks_exact(4);
+    for w in &mut words {
+        for (lane, v) in lanes.iter_mut().zip(w) {
+            *lane = step(*lane, v.to_bits());
+        }
+    }
+    for (lane, v) in lanes.iter_mut().zip(words.remainder()) {
+        *lane = step(*lane, v.to_bits());
+    }
+    lanes.into_iter().fold(SEED, step)
 }
 
 impl SiteKey for ScheduleKey {
@@ -1217,12 +1237,13 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// is a store (write-through) or only counted (inspector) — placed once
     /// in the running site's scratch ([`Placed::kernel`]): a `do` loop's
     /// iterations `Some((lo, hi))` (`lo ≤ hi`, the loop variable at `lo`)
-    /// as a box of the active lines × iterations, run a line at a time with
-    /// that line's invariants, or a run of element assignments as one row
-    /// whose iterations are the active lines. Written through, a write is
-    /// what the walker would store, charged as it charges — `compute` per
-    /// iteration per assignment in its order, and one write each for the
-    /// commit's `memop`. In the inspector, when every element read is owned
+    /// as a box of the active lines × iterations, or a run of element
+    /// assignments as one row whose iterations are the active lines. Each
+    /// row's invariants are evaluated first, at its line, and then the rows
+    /// run in one call. Written through, a write is what the walker would
+    /// store, charged as it charges — `compute` per iteration per
+    /// assignment in its order, and one write each for the commit's
+    /// `memop`. In the inspector, when every element read is owned
     /// as well, the walk would record only what the invariants read: their
     /// reads are recorded ([`Interp::record_reads`]), in the walk's
     /// first-touch order, and the writes are counted. Returns the rows it
@@ -1230,7 +1251,8 @@ impl<'a, 'p> Interp<'a, 'p> {
     /// the class or a subscript fails to evaluate, and none from the first
     /// where an invariant fails. Nothing is done for the rest but what an
     /// invariant recorded, which the walk records again: the walker runs
-    /// them, and reports what it reports.
+    /// them, and reports what it reports. (No row writes what an invariant
+    /// reads, so evaluating them all first changes no value.)
     fn run_kernel(&mut self, k: &Kernel, iters: Option<(i64, i64)>) -> usize {
         let (lines, me) = (self.lines(), self.me());
         let inspect = matches!(self.mode, Mode::Inspect(_));
@@ -1249,25 +1271,21 @@ impl<'a, 'p> Interp<'a, 'p> {
         let mut ran = 0;
         if let Some(p) = placed.flatten() {
             let n = p.width();
-            while ran < p.len() / n {
-                self.set_lines(lines.start + ran..lines.start + ran + 1);
-                let filled = s.fill(k, |e| match inspect {
+            ran = s.fill(k, p.len() / n, |r, e| {
+                self.set_lines(lines.start + r..lines.start + r + 1);
+                match inspect {
                     true => self.record_reads(e).ok().map(|()| 0.0),
                     false => self.eval(e).ok().map(Value::as_f64),
-                });
-                if !filled {
-                    break;
                 }
-                let writes = n * k.stmts.len();
-                match &mut self.mode {
-                    Mode::Inspect(st) => st.writes += writes,
-                    Mode::Execute(log) => log.through = log.through.map(|w| w + writes),
-                    Mode::Normal => {}
-                }
-                if !inspect {
-                    p.exec(std::iter::once(ran * n..(ran + 1) * n), &mut s, self.proc);
-                }
-                ran += 1;
+            });
+            let writes = ran * n * k.stmts.len();
+            match &mut self.mode {
+                Mode::Inspect(st) => st.writes += writes,
+                Mode::Execute(log) => log.through = log.through.map(|w| w + writes),
+                Mode::Normal => {}
+            }
+            if !inspect && ran > 0 {
+                p.exec(std::iter::once(0..ran * n), &mut s, self.proc);
             }
         }
         self.set_lines(lines);
@@ -1403,8 +1421,8 @@ impl<'a, 'p> Interp<'a, 'p> {
                     return None;
                 };
                 let p = Placed::stencil(me, ranges, k, on, |slot| self.whole(slot), &mut s)?;
-                let value = |e: &RExpr| self.eval(e).ok().map(Value::as_f64);
-                (p.len() == 0 || s.fill(k, value)).then_some(p)
+                let value = |_, e: &RExpr| self.eval(e).ok().map(Value::as_f64);
+                (p.len() == 0 || s.fill(k, 1, value) == 1).then_some(p)
             }
             // The class has one loop variable.
             Kind::Csr(c) => {
@@ -2374,17 +2392,15 @@ impl<'a, 'p> Interp<'a, 'p> {
         ))
     }
 
-    /// The values of row `r` of section `s`, `n` long, as the iteration
-    /// now executing sees them: its own writes included, like element reads.
-    fn read_section(&self, s: &Strided, r: usize, n: usize) -> Vec<f64> {
-        let mut vals = vec![0.0; n];
-        s.load(r, 0, &mut vals);
+    /// Read row `r` of section `s` into `vals` as the iteration now
+    /// executing sees it: its own writes included, like element reads.
+    fn read_section(&self, s: &Strided, r: usize, vals: &mut [f64]) {
+        s.load(r, 0, vals);
         for (t, v) in vals.iter_mut().enumerate() {
             if let Some(w) = self.mode.written(&s.base, s.flat(r, t)) {
                 *v = w;
             }
         }
-        vals
     }
 
     /// Built-in sequential kernels (`reduce`, `seqtri`, `spmv`) operating
@@ -2447,13 +2463,10 @@ impl<'a, 'p> Interp<'a, 'p> {
             ];
             return Err(format!("{} sections", sig[arity - 4]));
         }
-        let kernel = |s: &mut [&mut [f64]]| match s {
-            [b, a, c, f] => reduce_block(b, a, c, f),
-            [x, b, a, c, f] => x.copy_from_slice(&thomas(b, a, c, f)),
-            _ => unreachable!("arity checked"),
-        };
         // Written through, contiguous sections of distinct arrays are the
-        // kernels' slices of storage; elsewhere they are copied in and out.
+        // kernels' slices of storage, borrowed once for the call; elsewhere
+        // they are copied in and out of one buffer. Nothing is allocated
+        // per line.
         let through = match &self.mode {
             Mode::Execute(log) => log.through.is_some(),
             mode => matches!(mode, Mode::Normal),
@@ -2463,25 +2476,25 @@ impl<'a, 'p> Interp<'a, 'p> {
             s.span(0, m).is_some() && sections[..i].iter().all(other)
         };
         let in_place = through && sections.iter().enumerate().all(apart);
+        let mut bases: Vec<_> = (sections.iter().filter(|_| in_place))
+            .map(|s| s.0.base.borrow_mut())
+            .collect();
+        let mut copies = vec![0.0; if in_place { 0 } else { arity * m }];
+        let mut pivots = Vec::new();
         for r in 0..lines.len() {
-            let mut copies: Vec<Vec<f64>> = Vec::new();
             if in_place {
-                let mut bases: Vec<_> = sections.iter().map(|s| s.0.base.borrow_mut()).collect();
                 let at = bases.iter_mut().zip(&sections);
-                let mut v: Vec<_> = at
-                    .flat_map(|(a, s)| Some(&mut a.data[s.0.span(r, m)?]))
-                    .collect();
-                kernel(&mut v);
+                let slices = at.map(|(a, s)| &mut a.data[s.0.span(r, m).expect("contiguous")]);
+                run_builtin(builtin, slices, &mut pivots);
             } else {
-                copies = sections
-                    .iter()
-                    .map(|s| self.read_section(&s.0, r, m))
-                    .collect();
-                kernel(&mut copies.iter_mut().map(|v| &mut v[..]).collect::<Vec<_>>());
+                for (vals, s) in copies.chunks_mut(m).zip(&sections) {
+                    self.read_section(&s.0, r, vals);
+                }
+                run_builtin(builtin, copies.chunks_mut(m), &mut pivots);
             }
             self.proc.compute(flops);
             for k in outputs.clone() {
-                match copies.get(k) {
+                match copies.get(k * m..(k + 1) * m) {
                     Some(vals) => self.write_section(&sections[k].0, r, vals),
                     None => {
                         if let Mode::Execute(log) = &mut self.mode {
@@ -2968,6 +2981,23 @@ fn eval_bin(op: BinOp, a: Value, b: Value) -> RtResult<Value> {
         And => Value::Int((a.truthy() && b.truthy()) as i64),
         Or => Value::Int((a.truthy() || b.truthy()) as i64),
     })
+}
+
+/// Run `reduce` on its four sections, or `seqtri` on its five (`x`
+/// first) with `pivots` as its scratch, each section the next of `s`.
+fn run_builtin<'s>(
+    builtin: Builtin,
+    mut s: impl Iterator<Item = &'s mut [f64]>,
+    pivots: &mut Vec<f64>,
+) {
+    let mut next = || s.next().expect("arity checked");
+    match builtin {
+        Builtin::Reduce => reduce_block(next(), next(), next(), next()),
+        _ => {
+            let x = next();
+            thomas_into(next(), next(), next(), next(), x, pivots);
+        }
+    }
 }
 
 /// Can a batch of `lines` (each a call's bindings, in the same order) run
@@ -3565,9 +3595,12 @@ mod tests {
     }
 
     /// A batch of lines is one activation: `adi.kf1` (np 48, 4 iterations)
-    /// enters 33 frames at p = 1 — `adi`, eight of `resid`, and 24
-    /// batches of `tric` lines, where a frame per line made 385 — and 29
-    /// on each rank of `procs(2, 1)`, where it made 289 on rank 0.
+    /// enters one frame of `adi`, and per iteration two of `resid` and one
+    /// per batch of `tric` lines in each of its two sweeps. A sweep's 47
+    /// lines are one batch at p = 1 (17 frames, where a frame per line made
+    /// 385). On `procs(2, 1)` the row sweep gives rank 0 24 lines and rank
+    /// 1 23, and the column sweep all 47 to a team of both: 17 on each
+    /// rank, where a frame per line made 289 on rank 0.
     #[test]
     fn a_batch_of_lines_is_one_activation() {
         let np = 48;
@@ -3581,7 +3614,12 @@ mod tests {
             HostValue::Real(1.0),
             HostValue::Real(1.0),
         ];
-        for (grid, want) in [([1, 1], vec![33]), ([2, 1], vec![29, 29])] {
+        let frames = |sweeps: [usize; 2]| {
+            let batches = sweeps.map(|lines| lines.div_ceil(LINES_PER_BATCH));
+            1 + 4 * (2 + batches[0] + batches[1])
+        };
+        let procs21 = vec![frames([24, 47]), frames([23, 47])];
+        for (grid, want) in [([1, 1], vec![frames([47, 47])]), ([2, 1], procs21)] {
             let src = crate::listing("adi").unwrap();
             let entered = on_entry(src, "adi", &grid, &args, |me, sub| {
                 me.exec_stmts(&sub.body).unwrap();

@@ -37,9 +37,10 @@
 //! reads are loaded and its writes go through storage, so it runs only
 //! where no iteration reads what another writes — nothing written is
 //! referenced at another address, not even by an invariant — and where a
-//! write is a plain store (a write-through doall iteration), a row at a
-//! time with that line's invariants. Lines touch disjoint storage, so only
-//! each line's own order matters. Where every element read is owned too,
+//! write is a plain store (a write-through doall iteration), all its rows
+//! in one call, each with its line's invariants, evaluated beforehand into
+//! a column of the scratch. Lines touch disjoint storage, so only each
+//! line's own order matters. Where every element read is owned too,
 //! a placed loop stands in for the inspector's walk, which would record
 //! only what the invariants read. Whenever a condition fails, the walker
 //! runs.
@@ -407,7 +408,8 @@ impl Addr {
 /// A site's buffers, reused by its doall's trips and by the loops and runs
 /// its walked iterations place: the placed references (a kernel's reads,
 /// then one target per assignment; a CSR product's target), a stencil's
-/// owned block of each array it reads, evaluated subscripts, chunk-long
+/// owned block of each array it reads, evaluated subscripts, the values of
+/// a kernel's invariants on each row — a line-axis column — chunk-long
 /// registers — a loop's or run's loaded reads after them — a doall's
 /// result, and the remote flats of `x` a CSR product's placing pass found,
 /// with their rows' positions.
@@ -416,6 +418,7 @@ pub(crate) struct Scratch {
     refs: Vec<Strided>,
     owned: Vec<Bx>,
     subs: Vec<i64>,
+    invariants: Vec<f64>,
     regs: Vec<Vec<f64>>,
     out: Vec<f64>,
     remote: Vec<usize>,
@@ -431,11 +434,22 @@ impl Scratch {
         subs.all(|e| f(e).map(|v| self.subs.push(v)).is_some())
     }
 
-    /// Broadcast the values `f` gives `k`'s invariants, in order, along
-    /// the registers they fill: `false` at the first it has none for.
-    pub(crate) fn fill(&mut self, k: &Kernel, mut f: impl FnMut(&RExpr) -> Option<f64>) -> bool {
-        let mut invariants = k.invariants.iter();
-        invariants.all(|(r, e)| f(e).map(|v| self.regs[*r].fill(v)).is_some())
+    /// Keep the values `f(r, e)` gives `k`'s invariants `e` on each of
+    /// `rows` rows `r`, row after row and in order, for [`Placed::exec`]
+    /// to broadcast along the registers they fill: the rows filled, up to
+    /// the first with an invariant `f` has no value for.
+    pub(crate) fn fill(
+        &mut self,
+        k: &Kernel,
+        rows: usize,
+        mut f: impl FnMut(usize, &RExpr) -> Option<f64>,
+    ) -> usize {
+        self.invariants.clear();
+        let mut row = |r| {
+            let mut invariants = k.invariants.iter();
+            invariants.all(|(_, e)| f(r, e).map(|v| self.invariants.push(v)).is_some())
+        };
+        (0..rows).take_while(|&r| row(r)).count()
     }
 }
 
@@ -743,6 +757,16 @@ impl<'k> Placed<'k> {
             Body::Kernel(k, _) => {
                 let ((reads, targets), (regs, rows)) =
                     (refs.split_at(k.reads.len()), regs.split_at_mut(k.regs));
+                // Row `r`'s invariants along their registers: a doall's
+                // are its only row's, a loop's each line's.
+                let n = k.invariants.len();
+                let invariants = |regs: &mut [Vec<f64>], r: usize| {
+                    let values = s.invariants.get(r * n..(r + 1) * n).unwrap_or_default();
+                    (k.invariants.iter().zip(values)).for_each(|((g, _), &v)| regs[*g].fill(v));
+                };
+                if !self.through {
+                    invariants(regs, 0);
+                }
                 // A doall reads its rows in storage; a loop or run, which
                 // stores as it goes, loads them.
                 let copy_out = reads.iter().filter(|_| !self.through);
@@ -750,6 +774,9 @@ impl<'k> Placed<'k> {
                 let mut count = 0;
                 self.runs(at, |i, first, last| {
                     let (r, first, end) = ((i - a0) as usize, first - a1, last - a1 + 1);
+                    if self.through {
+                        invariants(regs, r);
+                    }
                     for t in (first as usize..end as usize).step_by(CHUNK) {
                         let len = CHUNK.min(end as usize - t);
                         count += len;

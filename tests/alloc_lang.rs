@@ -178,14 +178,17 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
         );
         // ADI: two residual trips per iteration plus five trips per batch
         // of lines and a frame per line, so the cost is linear in the line
-        // count where every batch is full — 32, 64 and 96 lines a team
-        // here, on one rank and on two: equal line increments cost equal
+        // count where every batch is full. A sweep of np − 1 lines is cut
+        // into batches of `LINES_PER_BATCH` = 64 per team: on one rank a
+        // team of one holds every line; on two the row sweep gives each
+        // rank half of them, so np − 1 is a multiple of 2 · 64 = 128 —
+        // 128, 256 and 384 lines here: equal line increments cost equal
         // allocations. Not to the unit even on one rank — logs that live
         // as long as the run (phase marks) grow by doubling, and where a
         // doubling falls depends on how many trips came before — but a
-        // single allocation per element update would put 4 · 2 · 32² =
-        // 8 192 between the two increments.
-        let [a, b, c] = [33, 65, 97].map(|np| extra_sweep("adi", p, np));
+        // single allocation per element update would put 4 · 2 · 128² =
+        // 131 072 between the two increments.
+        let [a, b, c] = [129, 257, 385].map(|np| extra_sweep("adi", p, np));
         assert!(
             (c - b).abs_diff(b - a) <= 8 + 4 * slack,
             "adi, p = {p}: {a} {b} {c}"
@@ -193,37 +196,47 @@ fn a_warm_sweep_allocates_per_trip_not_per_element() {
         // A warm line on one rank is its share of one activation of
         // `tric` per batch — one frame, thirteen dynamic arrays with a line
         // axis — and of its five trips, each with one key and one exchange
-        // list, plus its two builtin calls on slices of storage (39.1
-        // allocations a line, where a frame per line took 250 and a `tric`
-        // call per line 329). Every line runs one iteration, which writes
-        // through, so no write log is built, and the element loops and runs
-        // of element assignments run compiled on buffers they keep from
-        // batch to batch. A sweep of np = 97 has 2 · 64 more lines than one
-        // of np = 33, so the total is gated, not a rounded per-line mean: a
-        // `Vec` per batch per compiled kernel (0.8 a line) must show. It
-        // reads 5 003 in a debug build (its checks allocate) and 4 963 in
-        // an optimised one, each given the linearity check's slack of 8.
+        // list, plus its two builtin calls on slices of storage, which
+        // allocate nothing per line: 16.0 allocations a line of a sweep
+        // (23.9 with buffers per builtin call per line, 38.8 at 16 lines a
+        // batch, 250 with a frame per line, 329 with a `tric` call per
+        // line). Every line runs one iteration, which writes through, so no
+        // write log is built, and the element loops and runs of element
+        // assignments run compiled on buffers they keep from batch to
+        // batch. A sweep of np = 385 has 256 more lines than one of np =
+        // 129, four more batches, and an iteration has two sweeps: 512
+        // lines. So the total is gated, not a rounded per-line mean: a
+        // `Vec` per placement of a compiled kernel (104 more) must
+        // show. It reads 8 235 in a debug build (its checks allocate) and
+        // 8 195 in an optimised one, each given the linearity check's
+        // slack of 8.
         if p == 1 {
-            let measured = if cfg!(debug_assertions) { 5003 } else { 4963 };
+            let measured = if cfg!(debug_assertions) { 8235 } else { 8195 };
             assert!(
                 c - a <= measured + 8,
-                "adi: {} allocations for 128 lines",
+                "adi: {} allocations for 512 lines",
                 c - a
             );
         }
     }
     // A batched ADI call on one rank holds a batch's lines at a time,
-    // however many lines there are: doubling them grows its peak by what
-    // the same call grows line by line — a twin whose `tric` calls take a
-    // line-dependent scalar, which leaves the lockstep class and holds one
-    // line at a time — plus the growth of the batch's other fifteen
-    // lines, four (0:np) arrays each.
+    // however many lines there are: doubling np from 80 to 160 — 79 lines
+    // a sweep, a full batch of `LINES_PER_BATCH` = 64 and 15, then 159,
+    // two full batches and 31 — grows its peak by what the same call grows
+    // line by line — a twin whose `tric` calls take a line-dependent
+    // scalar, which leaves the lockstep class and holds one line at a
+    // time — plus the growth of a full batch's other 64 − 1 lines, four
+    // (0:np) arrays each.
+    let cap = 64;
     let adi = listing("adi").expect("shipped listing");
     let twin = (adi.replace("rho, cy, np;", "rho, cy + 0*i, np;"))
         .replace("rho, cx, np;", "rho, cx + 0*j, np;");
-    let growth = |src: &str| run_src("adi", src, 1, 96, 2).1 - run_src("adi", src, 1, 48, 2).1;
+    let growth = |src: &str| run_src("adi", src, 1, 160, 2).1 - run_src("adi", src, 1, 80, 2).1;
     let (batched, by_line) = (growth(adi), growth(&twin));
-    assert!(batched <= by_line + 15 * 4 * 48 * 8, "{batched} {by_line}");
+    assert!(
+        batched <= by_line + (cap - 1) * 4 * 80 * 8,
+        "{batched} {by_line}"
+    );
     // `spmv.kf1` on two ranks, a cold and a warm trip: its row doall runs
     // as CSR rows — placed, inspected and run without a per-row
     // allocation — so one whole call allocates as often at n as at 4n, up

@@ -345,38 +345,53 @@ fn adi_line_by_line() -> String {
 /// solves its lines a batch at a time, so every `tric` doall is one trip —
 /// one vote, one fused message per peer — per batch instead of per line.
 /// The line-by-line twin keeps the per-line count, and the two agree bit
-/// for bit. (At `procs(2, 1)` the 47 column lines of a two-member team are
-/// three batches of five trips per sweep, where there were 47 lines of
-/// five; the budget was 300 and 600 messages.) A cold trip's request
-/// round is one message per peer, however many arrays it exchanges:
-/// `resid`'s cold trip requests `u` and `f` in one message per peer, and
-/// so do the twin's cold `tric` trips over several arrays.
+/// for bit. A batch holds up to `LINES_PER_BATCH` = 64 lines, and its five
+/// trips on a two-member team send 12 messages the first time a batch of
+/// its size runs (with a request round) and 10 after (one fused message
+/// per member per trip). At `procs(2, 1)`, `resid` sends 6 messages the
+/// first iteration and 4 after, and the column sweep's 47 lines on a team
+/// of both are ⌈47 / 64⌉ = 1 batch: 6 + 3 · 4 + 12 + 3 · 10 = 60. At
+/// `procs(2, 2)`, `resid` sends 32 then 24, and each sweep's two teams
+/// solve 24 and 23 lines, one batch each: 32 + 3 · 24 + 4 · (12 + 3 · 10)
+/// = 272. At np = 80 on `procs(2, 1)` the column sweep's 79 lines are a
+/// full batch and a 15-line remainder, a collective of its own that never
+/// loses a vote: 6 + 3 · 4 + (12 + 12) + 3 · (10 + 10) = 102. A cold
+/// trip's request round is one message per peer, however many arrays it
+/// exchanges: `resid`'s cold trip requests `u` and `f` in one message per
+/// peer, and so do the twin's cold `tric` trips over several arrays.
 #[test]
 fn adi_lines_run_in_lockstep_with_pinned_message_counts() {
-    let np = 48i64;
-    let field = |scale: f64| HostValue::Array {
-        data: (0..49 * 49).map(|k| scale * (k % 7) as f64).collect(),
-        bounds: vec![(0, np); 2],
-    };
-    let args = [
-        field(0.0),
-        field(0.5),
-        field(0.0),
-        HostValue::Int(np),
-        HostValue::Real(40.0),
-        HostValue::Int(4),
-        HostValue::Real(1.0),
-        HostValue::Real(1.0),
+    let cases = [
+        (48, [2, 1], 60, 1900),
+        (48, [2, 2], 272, 3872),
+        (80, [2, 1], 102, 3180),
     ];
-    for (grid, batched, per_line) in [([2, 1], 142, 1900), ([2, 2], 440, 3872)] {
+    for (np, grid, batched, per_line) in cases {
+        let field = |scale: f64| HostValue::Array {
+            data: (0..(np + 1) * (np + 1))
+                .map(|k| scale * (k % 7) as f64)
+                .collect(),
+            bounds: vec![(0, np); 2],
+        };
+        let args = [
+            field(0.0),
+            field(0.5),
+            field(0.0),
+            HostValue::Int(np),
+            HostValue::Real(40.0),
+            HostValue::Int(4),
+            HostValue::Real(1.0),
+            HostValue::Real(1.0),
+        ];
         let p = grid[0] * grid[1];
         let run = |src: &str| run_source(cfg(p), src, "adi", &grid, &args).unwrap();
         let (lockstep, twin) = (run(listing("adi").unwrap()), run(&adi_line_by_line()));
         let msgs = [lockstep.report.total_msgs, twin.report.total_msgs];
-        assert_eq!(msgs, [batched, per_line], "procs{grid:?}");
+        assert_eq!(msgs, [batched, per_line], "np {np}, procs{grid:?}");
+        assert_eq!(lockstep.report.total_rollbacks, 0, "np {np}, procs{grid:?}");
         for ((name, a), (_, b)) in lockstep.arrays.iter().zip(&twin.arrays) {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(a), bits(b), "procs{grid:?}: {name}");
+            assert_eq!(bits(a), bits(b), "np {np}, procs{grid:?}: {name}");
         }
     }
 }

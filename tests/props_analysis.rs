@@ -601,8 +601,9 @@ proptest! {
     /// sections, a gathered reduced system, a correction and a stencil
     /// with many iterations a line, six trips in all — called from a team-call doall over the rows or the columns of
     /// 2-D block arrays on every grid of one to four processors, with line
-    /// counts the grid does not divide, teams that own more lines than
-    /// a batch holds and, one case in four, blocks longer than a chunk. In lockstep, and line by line through a twin that
+    /// counts the grid does not divide and, one case in four each, teams
+    /// that own more lines than a batch holds and blocks longer than a
+    /// chunk. In lockstep, and line by line through a twin that
     /// passes the line index as a scalar (which leaves the class): the
     /// same bits on both backends under every policy square, on fewer or
     /// as many messages.
@@ -621,10 +622,15 @@ proptest! {
             _ => vec![1, p],
         };
         // One case in four, a team's block is longer than a compiled
-        // loop's chunk (64 iterations): its rows cross a chunk seam.
-        let q = grid[1 - rows] as u64;
+        // loop's chunk (64 iterations): its rows cross a chunk seam. One in
+        // four, each team owns more lines than a batch holds
+        // (`LINES_PER_BATCH` = 64): 65 to 96 of the `teams` · 65 to
+        // `teams` · 96 + `teams` − 1, so a full batch and a short
+        // remainder, whose schedules have keys of their own.
+        let (q, teams) = (grid[1 - rows] as u64, grid[rows] as u64);
         let n = match g.below(4) {
             0 => 64 * q + 1 + g.below(16 * q),
+            1 => teams * (65 + g.below(32)) + g.below(teams),
             _ => 8 + g.below(33),
         } as usize;
         let (targets, rhss) = loop_body(&mut g);
