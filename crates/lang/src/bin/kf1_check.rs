@@ -1,20 +1,18 @@
 //! `kf1_check` — the standalone KF1 lint driver.
 //!
 //! Parses (and so resolves) each `.kf1` file named on the command line
-//! and runs the full static analysis over the resolved tree
-//! ([`kali_lang::analyze`]). Lexer, parser and semantic diagnostics render
-//! as caret-underlined source excerpts on stderr; the exit status is the
-//! number of files with at least one diagnostic (clamped to 125), so
-//! `kf1_check prog.kf1` in CI fails exactly when a program stops being
-//! clean.
+//! and runs the full static analysis over the resolved tree; the report
+//! on each file is [`kali_lang::check`]'s. Lexer, parser and semantic
+//! diagnostics render as caret-underlined source excerpts on stderr; the
+//! exit status is the number of files with at least one diagnostic
+//! (clamped to 125), so `kf1_check prog.kf1` in CI fails exactly when a
+//! program stops being clean.
 //!
 //! With `--plans`, additionally prints which doall sites carry a
 //! [`kali_lang::StaticCommPlan`] — the sites whose cold trips the
 //! interpreter can serve from a compile-time schedule.
 
 use std::process::ExitCode;
-
-use kali_lang::{analyze, comm_plans, parse};
 
 fn main() -> ExitCode {
     let mut show_plans = false;
@@ -44,31 +42,11 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        // Lex/parse errors are diagnostics too: render them the same way.
-        let prog = match parse(&src) {
-            Ok(p) => p,
-            Err(d) => {
-                eprint!("{path}: {}", d.render(&src));
+        match kali_lang::check(path, &src, show_plans) {
+            Ok(plans) => print!("{plans}"),
+            Err(diags) => {
+                eprint!("{diags}");
                 bad_files = bad_files.saturating_add(1);
-                continue;
-            }
-        };
-        let diags = analyze(&prog);
-        for d in &diags {
-            eprint!("{path}: {}", d.render(&prog.src));
-        }
-        if !diags.is_empty() {
-            bad_files = bad_files.saturating_add(1);
-        } else if show_plans {
-            let mut plans: Vec<_> = comm_plans(&prog).into_values().collect();
-            plans.sort_by_key(|p| p.site);
-            for p in &plans {
-                println!(
-                    "{path}: site {} ({}): static plan with {} read(s)",
-                    p.site,
-                    p.subroutine,
-                    p.reads.len()
-                );
             }
         }
     }

@@ -60,6 +60,38 @@ pub fn listing(name: &str) -> Option<&'static str> {
     }
 }
 
+/// The `kf1_check` lint's report on one file, each line prefixed with
+/// `path`. A file with a lexer, parser or analysis diagnostic is an
+/// `Err` holding every diagnostic rendered against the source. A clean
+/// file is `Ok`: with `plans`, one line per doall site that carries a
+/// [`StaticCommPlan`], in site order; without it, nothing.
+pub fn check(path: &str, src: &str, plans: bool) -> Result<String, String> {
+    let prog = parse(src).map_err(|d| format!("{path}: {}", d.render(src)))?;
+    let diags = analyze(&prog);
+    if !diags.is_empty() {
+        return Err(diags
+            .iter()
+            .map(|d| format!("{path}: {}", d.render(src)))
+            .collect());
+    }
+    if !plans {
+        return Ok(String::new());
+    }
+    let mut sites: Vec<_> = comm_plans(&prog).into_values().collect();
+    sites.sort_by_key(|p| p.site);
+    Ok(sites
+        .iter()
+        .map(|p| {
+            format!(
+                "{path}: site {} ({}): static plan with {} read(s)\n",
+                p.site,
+                p.subroutine,
+                p.reads.len()
+            )
+        })
+        .collect())
+}
+
 /// A host-side argument for [`run_source`].
 #[derive(Debug, Clone)]
 pub enum HostValue {

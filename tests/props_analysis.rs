@@ -14,7 +14,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use kali::lang::{analyze, comm_plans, parse, run_source_with, HostValue, LangRun, RunOptions};
+use kali::lang::token::{lex, Tok};
+use kali::lang::{
+    analyze, comm_plans, parse, run_source_with, HostValue, LangRun, RunOptions, Span,
+};
 use kali::prelude::*;
 
 fn cfg(p: usize) -> MachineConfig {
@@ -1123,5 +1126,117 @@ proptest! {
             }
         });
         prop_assert!(run.is_ok(), "the front end panicked on:\n{}", src);
+    }
+}
+
+/// The byte ranges of `src` that hold code, one per line: lines that are
+/// not comment lines, each up to its `!` comment.
+fn code_ranges(src: &str) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    for line in src.split('\n') {
+        let mut chars = line.chars();
+        let comment = match (chars.next(), chars.next()) {
+            (Some('c' | 'C'), None) => true,
+            (Some('c' | 'C' | '*'), Some(w)) => w.is_whitespace(),
+            _ => false,
+        };
+        if !comment {
+            out.push(start..start + line.find('!').unwrap_or(line.len()));
+        }
+        start += line.len() + 1;
+    }
+    out
+}
+
+/// What the lexer makes of `src`, each span replaced by the text it
+/// slices, lower-cased: the tokens, or the error's code, message and text.
+type Lexed = Result<Vec<(Tok, String)>, (&'static str, String, String)>;
+
+fn lexed(src: &str) -> Lexed {
+    let text = |s: Span| s.slice(src).to_ascii_lowercase();
+    match lex(src) {
+        Ok(toks) => Ok(toks.into_iter().map(|t| (t.tok, text(t.span))).collect()),
+        Err(d) => Err((d.code, d.message, text(d.span))),
+    }
+}
+
+/// One rewrite the lexer must see through, at a random place: `&` and an
+/// indented new line where a token ends and another follows on its line
+/// (0), a blank or comment line (1), or flipped letter case in code (2).
+fn rewrite(src: &str, kind: u64, g: &mut Gen) -> String {
+    let code = code_ranges(src);
+    let b = src.as_bytes();
+    match kind {
+        0 => {
+            let ends: BTreeSet<usize> = match lex(src) {
+                Ok(toks) => toks.iter().map(|t| t.span.hi as usize).collect(),
+                Err(_) => BTreeSet::new(),
+            };
+            let cuts: Vec<usize> = code
+                .iter()
+                .flat_map(|r| (r.start + 1..r.end).map(move |p| (p, r.end)))
+                .filter(|&(p, end)| {
+                    !b[p - 1].is_ascii_whitespace()
+                        && (b[p].is_ascii_whitespace() || ends.contains(&p))
+                        && !src[p..end].trim().is_empty()
+                })
+                .map(|(p, _)| p)
+                .collect();
+            if cuts.is_empty() {
+                return src.to_string();
+            }
+            let p = cuts[g.below(cuts.len() as u64) as usize];
+            let indent = " ".repeat(1 + g.below(6) as usize);
+            format!("{}&\n{indent}{}", &src[..p], &src[p..])
+        }
+        1 => {
+            let starts: Vec<usize> = (0..=b.len())
+                .filter(|&p| p == 0 || b[p - 1] == b'\n')
+                .collect();
+            let p = starts[g.below(starts.len() as u64) as usize];
+            let lines = [
+                "\n",
+                "   \n",
+                "c comment\n",
+                "C\n",
+                "* star\n",
+                "! note\n",
+                "  ! note\n",
+            ];
+            let line = lines[g.below(lines.len() as u64) as usize];
+            format!("{}{line}{}", &src[..p], &src[p..])
+        }
+        _ => {
+            let mut out = b.to_vec();
+            for p in code.into_iter().flatten() {
+                if out[p].is_ascii_alphabetic() && g.below(2) == 0 {
+                    out[p] ^= 0x20;
+                }
+            }
+            String::from_utf8(out).unwrap()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Continuations, blank and comment lines, and letter case are not
+    /// tokens: every listing and corpus file, put through a few random
+    /// rewrites, lexes to the same tokens (or the same error), each span
+    /// slicing the same text up to case.
+    #[test]
+    fn continuations_comments_and_case_leave_the_tokens_alone(seed in 0u64..1_000_000) {
+        let mut g = Gen(seed);
+        for src in front_end_sources() {
+            let want = lexed(&src);
+            let mut new = src.clone();
+            for _ in 0..1 + g.below(4) {
+                let kind = g.below(3);
+                new = rewrite(&new, kind, &mut g);
+            }
+            prop_assert_eq!(lexed(&new), want, "rewritten source:\n{}", new);
+        }
     }
 }
