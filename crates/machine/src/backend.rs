@@ -147,7 +147,7 @@ mod tests {
         };
         let cfg = MachineConfig::new(4)
             .with_cost(cost)
-            .with_topology(Topology::Ring);
+            .with_topology(Topology::FullyConnected);
         let run = Machine::run(cfg, |proc| match proc.rank() {
             0 => {
                 proc.compute(8.0);
@@ -164,9 +164,9 @@ mod tests {
         };
         // 1 (flops) + 1 (words) + 0.25 (send overhead).
         assert_eq!((p0.clock, p0.stats.busy, p0.stats.idle), (2.25, 2.25, 0.0));
-        // Arrival 2.25 + 1 + 4·0.25 + 2·0.5 = 5.25, then the receive overhead.
-        assert_eq!((p2.clock, p2.stats.busy, p2.stats.idle), (5.5, 0.25, 5.25));
-        assert_eq!(run.report.elapsed, 5.5);
+        // Arrival 2.25 + 1 + 4·0.25 + 1·0.5 = 4.75, then the receive overhead.
+        assert_eq!((p2.clock, p2.stats.busy, p2.stats.idle), (5.0, 0.25, 4.75));
+        assert_eq!(run.report.elapsed, 5.0);
     }
 
     /// The threads backend is the simulator at zero cost: one SPMD body

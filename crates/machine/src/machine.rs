@@ -478,14 +478,14 @@ mod tests {
 
     #[test]
     fn hop_latency_respects_topology() {
-        // Ring of 4: 0 -> 2 is two hops.
+        // Fully connected: 0 -> 2 is one hop.
         let cost = CostModel {
             hop: 10.0,
             ..CostModel::unit()
         };
         let cfg = MachineConfig::new(4)
             .with_cost(cost)
-            .with_topology(Topology::Ring)
+            .with_topology(Topology::FullyConnected)
             .with_watchdog(Duration::from_secs(5));
         let run = Machine::run(cfg, |proc| {
             let t = tag(NS_USER, 6);
@@ -499,8 +499,8 @@ mod tests {
                 0.0
             }
         });
-        // alpha(1) + beta(0.1) + 2 hops * 10
-        assert!((run.results[2] - 21.1).abs() < 1e-12);
+        // alpha(1) + beta(0.1) + 1 hop * 10
+        assert!((run.results[2] - 11.1).abs() < 1e-12);
     }
 
     #[test]
@@ -677,12 +677,16 @@ mod tests {
         assert_eq!(run.report.backend, BackendKind::Sim);
         assert!(run.report.wall_seconds > 0.0);
 
-        let cfg = Machine::build(BackendKind::Threads, Topology::Ring, CostModel::ipsc2())
-            .procs(3)
-            .config();
+        let cfg = Machine::build(
+            BackendKind::Threads,
+            Topology::FullyConnected,
+            CostModel::ipsc2(),
+        )
+        .procs(3)
+        .config();
         assert_eq!(cfg.nprocs, 3);
         assert_eq!(cfg.backend, BackendKind::Threads);
-        assert_eq!(cfg.topology, Topology::Ring);
+        assert_eq!(cfg.topology, Topology::FullyConnected);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 pub enum Topology {
     /// Every pair of processors is directly connected (1 hop).
     FullyConnected,
-    /// Bidirectional ring; distance is the shorter way round.
-    Ring,
 }
 
 impl Topology {
@@ -19,15 +17,8 @@ impl Topology {
     /// `hops(a, a) == 0` for every topology.
     pub fn hops(&self, a: usize, b: usize, p: usize) -> usize {
         assert!(a < p && b < p, "rank out of range: {a}, {b} on {p} procs");
-        if a == b {
-            return 0;
-        }
         match *self {
-            Topology::FullyConnected => 1,
-            Topology::Ring => {
-                let d = a.abs_diff(b);
-                d.min(p - d)
-            }
+            Topology::FullyConnected => usize::from(a != b),
         }
     }
 }
@@ -38,10 +29,8 @@ mod tests {
 
     #[test]
     fn self_distance_is_zero() {
-        for t in [Topology::FullyConnected, Topology::Ring] {
-            for r in 0..8 {
-                assert_eq!(t.hops(r, r, 8), 0, "{t:?}");
-            }
+        for r in 0..8 {
+            assert_eq!(Topology::FullyConnected.hops(r, r, 8), 0);
         }
     }
 
@@ -56,20 +45,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_takes_the_short_way() {
-        let t = Topology::Ring;
-        assert_eq!(t.hops(0, 7, 8), 1);
-        assert_eq!(t.hops(0, 4, 8), 4);
-        assert_eq!(t.hops(1, 6, 8), 3);
-    }
-
-    #[test]
     fn symmetry() {
-        for t in [Topology::FullyConnected, Topology::Ring] {
-            for a in 0..16 {
-                for b in 0..16 {
-                    assert_eq!(t.hops(a, b, 16), t.hops(b, a, 16), "{t:?} {a} {b}");
-                }
+        let t = Topology::FullyConnected;
+        for a in 0..16 {
+            for b in 0..16 {
+                assert_eq!(t.hops(a, b, 16), t.hops(b, a, 16), "{a} {b}");
             }
         }
     }

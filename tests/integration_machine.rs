@@ -30,37 +30,6 @@ fn teams_from_grid_slices_run_independent_collectives() {
 }
 
 #[test]
-fn ring_topology_costs_more_than_crossbar_for_distant_peers() {
-    // Hop costs are a virtual-time quantity: pinned to the simulator.
-    let go = |topology| {
-        let cfg = Machine::build(
-            BackendKind::Sim,
-            topology,
-            CostModel {
-                hop: 10.0,
-                ..CostModel::unit()
-            },
-        )
-        .procs(8)
-        .watchdog(Duration::from_secs(10))
-        .config();
-        Machine::run(cfg, |proc| {
-            let t = kali::machine::tag(kali::machine::NS_USER, 9);
-            if proc.rank() == 0 {
-                proc.send(4, t, 1.0f64);
-            } else if proc.rank() == 4 {
-                let _: f64 = proc.recv(0, t);
-            }
-        })
-        .report
-        .elapsed
-    };
-    let crossbar = go(Topology::FullyConnected);
-    let ring = go(Topology::Ring);
-    assert!(ring > crossbar, "ring {ring} vs crossbar {crossbar}");
-}
-
-#[test]
 fn redistribute_then_stencil_is_consistent() {
     // Fill under (block, *), transpose to (*, block), run one stencil sweep,
     // gather — must equal the same sweep done sequentially.
