@@ -1,11 +1,11 @@
 //! Lexer for the KF1 subset: Fortran-flavoured, line-oriented,
 //! case-insensitive, with `c`/`!` comments and `&` continuations.
 //!
-//! Every token carries a byte [`Span`] into the *original* source, even
-//! though lexing happens on comment-stripped, continuation-joined logical
-//! lines: phase 1 keeps a per-byte offset map alongside each logical
-//! line's text, so spans survive lower-casing, comment stripping and
-//! `&` joins, and diagnostics can underline the real source text.
+//! One pass over the source, lower-cased once: ASCII lower-casing keeps
+//! every byte offset, so every token's [`Span`] is its own byte range in
+//! the original source, and diagnostics underline the real source text.
+//! Comment lines and `!` tails are skipped, and a trailing `&` carries
+//! the statement on into the next line that holds code.
 
 use crate::diag::{Diagnostic, Span};
 
@@ -27,286 +27,164 @@ pub enum Tok {
 #[derive(Debug, Clone)]
 pub struct SpannedTok {
     pub tok: Tok,
-    pub line: usize,
     /// Byte range of the token in the original source text.
     pub span: Span,
 }
 
-/// Dotted Fortran operators mapped to punctuation.
-const DOT_OPS: &[(&str, &str)] = &[
+/// Every operator spelling and the punctuation it lexes to. A spelling
+/// comes before its own prefixes, so the longest match wins (`<=` is one
+/// token, not `<` then `=`); otherwise the most frequent come first.
+const OPS: &[(&str, &str)] = &[
+    ("(", "("),
+    (")", ")"),
+    (",", ","),
+    ("+", "+"),
+    ("-", "-"),
+    ("*", "*"),
+    ("==", "=="),
+    ("=", "="),
+    ("/=", "/="),
+    ("/", "/"),
+    ("<=", "<="),
+    ("<", "<"),
+    (">=", ">="),
+    (">", ">"),
+    (";", ";"),
+    (":", ":"),
+    ("%", "%"),
+    ("[", "["),
+    ("]", "]"),
+    (".and.", "&&"),
+    (".not.", "!"),
     (".eq.", "=="),
     (".ne.", "/="),
     (".lt.", "<"),
     (".le.", "<="),
     (".gt.", ">"),
     (".ge.", ">="),
-    (".and.", "&&"),
     (".or.", "||"),
-    (".not.", "!"),
 ];
 
-/// One comment-stripped, continuation-joined line. `offs[i]` is the byte
-/// offset in the original source of `text.as_bytes()[i]` (synthetic join
-/// spaces borrow a neighbouring offset; tokens never span whitespace, so
-/// they never leak into a span).
-struct Logical {
-    line: usize,
-    text: String,
-    offs: Vec<u32>,
+/// The operator spelled at the start of `rest`, if any.
+fn op(rest: &[u8]) -> Option<&'static (&'static str, &'static str)> {
+    let c = *rest.first()?;
+    OPS.iter()
+        .find(|(s, _)| s.as_bytes()[0] == c && rest.starts_with(s.as_bytes()))
 }
 
 /// Tokenize KF1 source. Comment lines start with `c`/`C`/`*` in column 1
 /// or `!` anywhere; a trailing `&` joins the next line.
 pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
-    // Phase 1: logical lines (strip comments, apply continuations),
-    // tracking the original byte offset of every surviving byte.
-    let mut logical: Vec<Logical> = Vec::new();
-    let mut pending: Option<Logical> = None;
-    let mut line_start = 0usize;
-    for (lineno, raw_nl) in src.split('\n').enumerate() {
-        let line = lineno + 1;
-        let start = line_start;
-        line_start += raw_nl.len() + 1;
-        let raw = raw_nl.strip_suffix('\r').unwrap_or(raw_nl);
-        // Fortran-style full-line comments.
-        let first = raw.chars().next();
-        if matches!(first, Some('c') | Some('C') | Some('*'))
-            && raw.len() > 1
-            && raw.chars().nth(1).is_some_and(|ch| ch.is_whitespace())
-        {
-            continue;
-        }
-        if (first == Some('c') || first == Some('C')) && (raw.trim() == "c" || raw.trim() == "C") {
-            continue;
-        }
-        // Inline `!` comments.
-        let no_comment = match raw.find('!') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        if no_comment.trim().is_empty() {
-            // Comment-only or blank line: contributes nothing.
-            continue;
-        }
-        let content = no_comment.trim_end();
-        let mut text = content.to_string();
-        let mut offs: Vec<u32> = (0..content.len()).map(|i| (start + i) as u32).collect();
-        let continued = text.ends_with('&');
-        if continued {
-            text.pop();
-            offs.pop();
-        }
-        let joined = match pending.take() {
-            Some(mut acc) => {
-                let trimmed_len = text.trim_start().len();
-                let skip = text.len() - trimmed_len;
-                if trimmed_len > 0 {
-                    acc.text.push(' ');
-                    acc.offs.push(offs[skip]);
-                    acc.text.push_str(&text[skip..]);
-                    acc.offs.extend_from_slice(&offs[skip..]);
-                }
-                acc
-            }
-            None => Logical { line, text, offs },
-        };
-        if continued {
-            pending = Some(joined);
-        } else {
-            logical.push(joined);
-        }
-    }
-    if let Some(acc) = pending {
-        logical.push(acc);
-    }
-
-    // Phase 2: tokens within each logical line. Lower-casing is
-    // byte-for-byte, so `offs` still lines up with `lower`.
+    let lower = src.to_ascii_lowercase();
+    let err = |code, lo: usize, hi: usize, msg| {
+        Diagnostic::new(code, Span::new(lo as u32, hi as u32), msg, src)
+    };
+    let spanned = |tok, lo: usize, hi: usize| SpannedTok {
+        tok,
+        span: Span::new(lo as u32, hi as u32),
+    };
     let mut out = Vec::new();
-    for Logical { line, text, offs } in logical {
-        let mut lower = text;
-        lower.make_ascii_lowercase();
-        let b = lower.as_bytes();
-        let span_of =
-            |start: usize, end: usize| -> Span { Span::new(offs[start], offs[end - 1] + 1) };
-        let mut i = 0usize;
-        // Optional numeric label at line start.
-        let start_ws = lower.len() - lower.trim_start().len();
-        i += start_ws;
-        let mut first_tok = true;
-        while i < b.len() {
-            let ch = b[i] as char;
+    // The statement being read: whether an `&` carries it on, whether its
+    // first token (a label, if a number) is still to come, and where its
+    // `Eol` goes — one past its last byte of code, or 0 if it has none.
+    let (mut carried, mut first_tok, mut eol) = (false, true, 0);
+    let mut next_line = 0;
+    for raw in lower.split('\n') {
+        let line = next_line;
+        next_line += raw.len() + 1;
+        let raw = raw.strip_suffix('\r').unwrap_or(raw);
+        let mut chars = raw.chars();
+        let comment = match (chars.next(), chars.next()) {
+            (Some('c'), None) => true,
+            (Some('c' | '*'), Some(w)) => w.is_whitespace(),
+            _ => false,
+        };
+        let code = raw[..raw.find('!').unwrap_or(raw.len())].trim_end();
+        if comment || code.trim_start().is_empty() {
+            continue;
+        }
+        let (code, carries) = match code.strip_suffix('&') {
+            Some(code) => (code, true),
+            None => (code, false),
+        };
+        let end = line + code.len();
+        let mut i = end - code.trim_start().len();
+        // A statement's first line counts as code from column 1, blanks
+        // before an `&` included; a carried-on line from its first
+        // non-blank byte.
+        if i < end || !carried && line < end {
+            eol = end;
+        }
+        let text = &lower[..end];
+        let b = text.as_bytes();
+        while i < end {
+            let (start, ch) = (i, b[i] as char);
             if ch.is_whitespace() {
                 i += 1;
                 continue;
             }
-            if ch.is_ascii_digit()
-                || (ch == '.' && i + 1 < b.len() && (b[i + 1] as char).is_ascii_digit())
+            let tok = if ch.is_ascii_digit()
+                || ch == '.' && b.get(i + 1).is_some_and(u8::is_ascii_digit)
             {
-                // Number (integer, real, or statement label if first).
-                let start = i;
-                let mut seen_dot = false;
-                let mut seen_exp = false;
-                while i < b.len() {
-                    let c = b[i] as char;
-                    if c.is_ascii_digit() {
-                        i += 1;
-                    } else if c == '.' && !seen_dot && !seen_exp {
-                        // Don't swallow dotted operators like `1.eq.`:
-                        let rest = &lower[i..];
-                        if DOT_OPS.iter().any(|(d, _)| rest.starts_with(d)) {
-                            break;
-                        }
-                        seen_dot = true;
-                        i += 1;
-                    } else if (c == 'e' || c == 'd') && !seen_exp && i > start {
-                        let nxt = b.get(i + 1).map(|&x| x as char);
-                        if matches!(nxt, Some(d2) if d2.is_ascii_digit() || d2 == '+' || d2 == '-')
-                        {
-                            seen_exp = true;
-                            seen_dot = true;
+                // A number: an integer, a real, or a label if first.
+                let (mut dot, mut exp) = (false, false);
+                while i < end {
+                    match b[i] {
+                        b'0'..=b'9' => i += 1,
+                        // Not the start of a dotted operator, as in `1.eq.`.
+                        b'.' if !dot && !exp && op(&b[i..]).is_none() => {
+                            dot = true;
                             i += 1;
-                            if matches!(b.get(i).map(|&x| x as char), Some('+') | Some('-')) {
-                                i += 1;
-                            }
-                        } else {
-                            break;
                         }
-                    } else {
-                        break;
+                        b'e' | b'd'
+                            if !exp && matches!(b.get(i + 1), Some(b'0'..=b'9' | b'+' | b'-')) =>
+                        {
+                            (dot, exp) = (true, true);
+                            i += 1 + usize::from(matches!(b[i + 1], b'+' | b'-'));
+                        }
+                        _ => break,
                     }
                 }
-                let textn = &lower[start..i];
-                let span = span_of(start, i);
-                let tok = if seen_dot {
-                    let v: f64 = textn.replace('d', "e").parse().map_err(|_| {
-                        Diagnostic::new("L001", span, format!("bad real literal {textn:?}"), src)
-                    })?;
-                    Tok::Real(v)
+                let t = &text[start..i];
+                let bad = |code, what| err(code, start, i, format!("bad {what} {t:?}"));
+                if dot {
+                    let v = t.replace('d', "e").parse();
+                    Tok::Real(v.map_err(|_| bad("L001", "real literal"))?)
                 } else if first_tok {
-                    let v: u32 = textn.parse().map_err(|_| {
-                        Diagnostic::new("L002", span, format!("bad label {textn:?}"), src)
-                    })?;
-                    Tok::Label(v)
+                    Tok::Label(t.parse().map_err(|_| bad("L002", "label"))?)
                 } else {
-                    let v: i64 = textn.parse().map_err(|_| {
-                        Diagnostic::new("L001", span, format!("bad integer {textn:?}"), src)
-                    })?;
-                    Tok::Int(v)
-                };
-                out.push(SpannedTok { tok, line, span });
-                first_tok = false;
-                continue;
-            }
-            if ch.is_ascii_alphabetic() || ch == '_' {
-                let start = i;
-                while i < b.len() {
-                    let c = b[i] as char;
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
+                    Tok::Int(t.parse().map_err(|_| bad("L001", "integer"))?)
                 }
-                out.push(SpannedTok {
-                    tok: Tok::Ident(lower[start..i].to_string()),
-                    line,
-                    span: span_of(start, i),
-                });
-                first_tok = false;
-                continue;
-            }
-            if ch == '.' {
-                // Dotted operator.
-                let rest = &lower[i..];
-                if let Some((d, p)) = DOT_OPS.iter().find(|(d, _)| rest.starts_with(d)) {
-                    out.push(SpannedTok {
-                        tok: Tok::Punct(p),
-                        line,
-                        span: span_of(i, i + d.len()),
-                    });
-                    i += d.len();
-                    first_tok = false;
-                    continue;
-                }
-                return Err(Diagnostic::new(
-                    "L003",
-                    span_of(i, i + 1),
-                    format!("unexpected '.' in {rest:?}"),
-                    src,
-                ));
-            }
-            // Multi-char operators first.
-            let two = lower.get(i..(i + 2).min(lower.len())).unwrap_or("");
-            let punct2: Option<&'static str> = match two {
-                "==" => Some("=="),
-                "/=" => Some("/="),
-                "<=" => Some("<="),
-                ">=" => Some(">="),
-                _ => None,
-            };
-            if let Some(p) = punct2 {
-                out.push(SpannedTok {
-                    tok: Tok::Punct(p),
-                    line,
-                    span: span_of(i, i + 2),
-                });
-                i += 2;
-                first_tok = false;
-                continue;
-            }
-            let punct1: Option<&'static str> = match ch {
-                '(' => Some("("),
-                ')' => Some(")"),
-                ',' => Some(","),
-                ';' => Some(";"),
-                ':' => Some(":"),
-                '*' => Some("*"),
-                '+' => Some("+"),
-                '-' => Some("-"),
-                '/' => Some("/"),
-                '=' => Some("="),
-                '<' => Some("<"),
-                '>' => Some(">"),
-                '%' => Some("%"),
-                '[' => Some("["),
-                ']' => Some("]"),
-                _ => None,
-            };
-            match punct1 {
-                Some(p) => {
-                    out.push(SpannedTok {
-                        tok: Tok::Punct(p),
-                        line,
-                        span: span_of(i, i + 1),
-                    });
+            } else if ch.is_ascii_alphabetic() || ch == '_' {
+                while i < end && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
-                    first_tok = false;
                 }
-                None => {
-                    // The whole character, however many bytes it takes.
-                    let ch = lower[i..].chars().next().unwrap_or(ch);
-                    return Err(Diagnostic::new(
-                        "L004",
-                        span_of(i, i + ch.len_utf8()),
-                        format!("unexpected character {ch:?}"),
-                        src,
-                    ));
-                }
-            }
+                Tok::Ident(text[start..i].to_string())
+            } else if let Some((s, p)) = op(&b[i..]) {
+                i += s.len();
+                Tok::Punct(p)
+            } else if ch == '.' {
+                let msg = format!("unexpected '.' in {:?}", &text[i..]);
+                return Err(err("L003", i, i + 1, msg));
+            } else {
+                // The whole character, however many bytes it takes.
+                let ch = text[i..].chars().next().unwrap_or(ch);
+                let msg = format!("unexpected character {ch:?}");
+                return Err(err("L004", i, i + ch.len_utf8(), msg));
+            };
+            out.push(spanned(tok, start, i));
+            first_tok = false;
         }
-        let end = offs.last().map(|&o| o + 1).unwrap_or(0);
-        out.push(SpannedTok {
-            tok: Tok::Eol,
-            line,
-            span: Span::point(end),
-        });
+        carried = carries;
+        if !carries {
+            out.push(spanned(Tok::Eol, eol, eol));
+            (first_tok, eol) = (true, 0);
+        }
     }
-    out.push(SpannedTok {
-        tok: Tok::Eof,
-        line: usize::MAX,
-        span: Span::point(src.len() as u32),
-    });
+    if carried {
+        out.push(spanned(Tok::Eol, eol, eol));
+    }
+    out.push(spanned(Tok::Eof, src.len(), src.len()));
     Ok(out)
 }
 
@@ -466,5 +344,33 @@ mod tests {
                 format!("unexpected character {:?}", ch.chars().next().unwrap())
             );
         }
+    }
+
+    /// The longest spelling wins because a spelling is listed before
+    /// every spelling that is its prefix.
+    #[test]
+    fn operator_spellings_precede_their_prefixes() {
+        for (k, (s, _)) in OPS.iter().enumerate() {
+            for (t, _) in &OPS[..k] {
+                assert!(!s.starts_with(t), "{t:?} shadows {s:?}");
+            }
+        }
+        assert_eq!(toks("a<=b")[1], Tok::Punct("<="));
+        assert_eq!(toks("a/ =b")[1], Tok::Punct("/"));
+    }
+
+    /// `Eol` sits one past the statement's last byte of code, after
+    /// continuations, trailing blanks and `!` comments.
+    #[test]
+    fn eol_follows_the_last_code_byte() {
+        let src = "  x = 1 + &\nc comment\n      2   ! tail\n  y = 3\n";
+        let toks = lex(src).unwrap();
+        let eols: Vec<_> = toks.iter().filter(|t| t.tok == Tok::Eol).collect();
+        assert_eq!(eols.len(), 2);
+        assert_eq!(
+            eols[0].span,
+            Span::point(src.find("2 ").unwrap() as u32 + 1)
+        );
+        assert_eq!(eols[1].span, Span::point(src.len() as u32 - 1));
     }
 }
