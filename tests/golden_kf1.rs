@@ -1,13 +1,19 @@
 //! KF1 outputs pinned byte for byte in `tests/golden/`: the `kf1_check`
-//! report on the shipped listings and the bad corpus, and the exact cost
-//! of every listing's `kf1_run` run on the simulator. A test rewrites its
-//! file only under `KALI_BLESS=1`; the diff is the statement of what moved.
+//! report on the shipped listings and the bad corpus, the exact cost of
+//! every listing's `kf1_run` run on the simulator, and the exact cost of
+//! the compiled solvers the benchmark's workloads drive. A test rewrites
+//! its file only under `KALI_BLESS=1`; the diff is the statement of what
+//! moved.
 
 use std::time::Duration;
 
 use kali::lang::{check, listing, run_source_with, HostValue, LangRun, RunOptions};
 use kali::prelude::*;
-use kali::solvers::adi::suggested_rho;
+use kali::prelude::{DistArray1, SparseCsr};
+use kali::solvers::adi::{adi_run, suggested_rho};
+use kali::solvers::cg::cg;
+use kali::solvers::jacobi::jacobi_step;
+use kali::solvers::mg2::mg2_vcycle;
 use kali::solvers::seq::{apply2, Grid2};
 
 /// Compare `got` with `tests/golden/{name}` line by line, fields split at
@@ -184,17 +190,39 @@ fn run_kf1(which: &str) -> LangRun {
         .unwrap_or_else(|e| panic!("{which}: {e}"))
 }
 
-/// FNV-1a over the bits of every returned array, in parameter order.
-fn bits_hash(run: &LangRun) -> u64 {
-    let bits = run
-        .arrays
-        .iter()
-        .flat_map(|(_, a)| a.iter().map(|x| x.to_bits()));
+/// FNV-1a over a run's result bits.
+fn bits_hash(bits: impl Iterator<Item = u64>) -> u64 {
     bits.fold(0xcbf2_9ce4_8422_2325, |h, b| {
         b.to_le_bytes().iter().fold(h, |h, &byte| {
             (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
         })
     })
+}
+
+/// One golden line: `name`, the report's exact costs and `hash`.
+fn cost_line(name: &str, r: &RunReport, hash: u64) -> String {
+    format!(
+        "{name}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{:016x}\n",
+        r.total_msgs,
+        r.total_words,
+        r.total_flops,
+        r.total_inspector_runs,
+        r.total_schedule_replays,
+        r.total_rollbacks,
+        r.total_schedule_evictions,
+        r.total_exchange_words,
+        r.total_gather_words,
+        r.elapsed.to_bits(),
+        hash,
+    )
+}
+
+/// The column names of a cost table, `first` naming the row.
+fn cost_header(first: &str) -> String {
+    format!(
+        "{first}\tmsgs\twords\tflops\tinspector_runs\tschedule_replays\trollbacks\t\
+         schedule_evictions\texchange_words\tgather_words\telapsed_bits\tarrays_hash\n"
+    )
 }
 
 /// The five listings' exact costs: one line each of messages, words,
@@ -203,28 +231,129 @@ fn bits_hash(run: &LangRun) -> u64 {
 /// the threads backend the clock reads zero, so its column is skipped.
 #[test]
 fn kf1_listings_cost_exactly_the_golden_values() {
-    let mut out = String::from(
-        "listing\tmsgs\twords\tflops\tinspector_runs\tschedule_replays\trollbacks\t\
-         schedule_evictions\texchange_words\tgather_words\telapsed_bits\tarrays_hash\n",
-    );
+    let mut out = cost_header("listing");
     for which in ["jacobi", "shift", "tri", "adi", "spmv"] {
         let run = run_kf1(which);
-        let r = &run.report;
-        out += &format!(
-            "{which}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{:016x}\n",
-            r.total_msgs,
-            r.total_words,
-            r.total_flops,
-            r.total_inspector_runs,
-            r.total_schedule_replays,
-            r.total_rollbacks,
-            r.total_schedule_evictions,
-            r.total_exchange_words,
-            r.total_gather_words,
-            r.elapsed.to_bits(),
-            bits_hash(&run),
-        );
+        let bits = run
+            .arrays
+            .iter()
+            .flat_map(|(_, a)| a.iter().map(|x| x.to_bits()));
+        out += &cost_line(which, &run.report, bits_hash(bits));
     }
     let threads = BackendKind::from_env() == BackendKind::Threads;
     golden("kf1_exact.tsv", &out, threads.then_some(10));
+}
+
+/// Run `body` on `p` processors and return the golden line of its
+/// costs, hashing the one result a processor returns (the root's gather).
+fn compiled_line<F>(name: &str, p: usize, body: F) -> String
+where
+    F: Fn(&mut Proc) -> Option<Vec<f64>> + Send + Sync,
+{
+    let run = Machine::run(cfg(p), body);
+    let got = run
+        .results
+        .iter()
+        .flatten()
+        .next()
+        .expect("the root returns its gather");
+    cost_line(
+        name,
+        &run.report,
+        bits_hash(got.iter().map(|x| x.to_bits())),
+    )
+}
+
+/// The compiled solvers the benchmark's workloads time, at test sizes:
+/// Jacobi sweeps on 2×2, the 2-D multigrid V-cycle and CG on 1, 2 and 4
+/// processors, and one ADI iteration (a `Ctx::lift` per half sweep), one
+/// line each in `kf1_exact.tsv`'s columns. On the threads backend the
+/// clock column is skipped.
+#[test]
+fn compiled_solvers_cost_exactly_the_golden_values() {
+    let mut out = cost_header("run");
+    out += &compiled_line("jacobi_step 2x2", 4, |proc| {
+        let (n, grid, spec) = (32usize, ProcGrid::new_2d(2, 2), DistSpec::block2());
+        let ext = [n + 1, n + 1];
+        let mut u = DistArray2::<f64>::new(proc.rank(), &grid, &spec, ext, [1, 1]);
+        let f = DistArray2::from_fn(proc.rank(), &grid, &spec, ext, [0, 0], |[i, j]| {
+            ((i * 7 + j * 3) % 11) as f64 * 1e-3
+        });
+        let mut ctx = Ctx::new(proc, grid);
+        for _ in 0..6 {
+            jacobi_step(&mut ctx, &mut u, &f);
+        }
+        u.gather_to_root(ctx.proc())
+    });
+    for p in [1, 2, 4] {
+        out += &compiled_line(&format!("mg2_vcycle p={p}"), p, move |proc| {
+            let (n, grid, spec) = (32usize, ProcGrid::new_1d(p), DistSpec::local_block());
+            let ext = [n + 1, n + 1];
+            let mut u = DistArray2::<f64>::new(proc.rank(), &grid, &spec, ext, [0, 1]);
+            let f = DistArray2::from_fn(proc.rank(), &grid, &spec, ext, [0, 1], |[i, j]| {
+                let edge = i == 0 || j == 0 || i == n || j == n;
+                if edge {
+                    0.0
+                } else {
+                    ((i * 5 + j * 13) % 17) as f64 / 17.0
+                }
+            });
+            let mut ctx = Ctx::new(proc, grid);
+            for _ in 0..2 {
+                mg2_vcycle(&mut ctx, &Pde::poisson(), &mut u, &f);
+            }
+            u.gather_to_root(ctx.proc())
+        });
+    }
+    for p in [1, 2, 4] {
+        out += &compiled_line(&format!("cg p={p}"), p, move |proc| {
+            // The 5-point Laplacian on an m×m grid, rows in natural order.
+            let (m, grid, spec) = (8usize, ProcGrid::new_1d(p), DistSpec::block1());
+            let n = m * m;
+            let a = SparseCsr::from_rows(proc.rank(), &grid, n, n, |i| {
+                let mut row = vec![(i, 4.0)];
+                let (r, c) = (i / m, i % m);
+                for (ok, k) in [(r > 0, i.wrapping_sub(m)), (c > 0, i.wrapping_sub(1))] {
+                    if ok {
+                        row.push((k, -1.0));
+                    }
+                }
+                for (ok, k) in [(c + 1 < m, i + 1), (r + 1 < m, i + m)] {
+                    if ok {
+                        row.push((k, -1.0));
+                    }
+                }
+                row.sort_by_key(|&(k, _)| k);
+                row
+            });
+            let b = DistArray1::from_fn(proc.rank(), &grid, &spec, [n], [0], |[i]| {
+                (i % 7) as f64 - 2.5
+            });
+            let mut x = DistArray1::from_fn(proc.rank(), &grid, &spec, [n], [0], |_| 0.0);
+            let mut ctx = Ctx::new(proc, grid);
+            cg(&mut ctx, &a, &b, &mut x, 12, 0.0);
+            x.gather_to_root(ctx.proc())
+        });
+    }
+    out += &compiled_line("adi_run 2x2", 4, |proc| {
+        let (n, grid, spec) = (16usize, ProcGrid::new_2d(2, 2), DistSpec::block2());
+        let pde = Pde::poisson();
+        let f = apply2(&pde, &Grid2::random_interior(n, n, 7));
+        let ext = [n + 1, n + 1];
+        let mut u = DistArray2::<f64>::new(proc.rank(), &grid, &spec, ext, [1, 1]);
+        let farr = DistArray2::from_fn(proc.rank(), &grid, &spec, ext, [0, 0], |[i, j]| f.at(i, j));
+        let mut ctx = Ctx::new(proc, grid);
+        adi_run(
+            &mut ctx,
+            &pde,
+            suggested_rho(&pde, n, n),
+            &mut u,
+            &farr,
+            1,
+            true,
+        );
+        u.gather_to_root(ctx.proc())
+    });
+    let threads = BackendKind::from_env() == BackendKind::Threads;
+    golden("exact.tsv", &out, threads.then_some(10));
 }
