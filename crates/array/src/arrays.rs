@@ -942,7 +942,7 @@ mod tests {
     #[test]
     fn cyclic_dim_access() {
         let g = ProcGrid::new_1d(3);
-        let spec = DistSpec::parse("(cyclic)").unwrap();
+        let spec = DistSpec::new(vec![DimMap::Dist(DimDist::Cyclic)]);
         let a: DistArray1<f64> = DistArrayN::from_fn(1, &g, &spec, [10], [0], |[i]| i as f64);
         assert_eq!(a.owned_indices(0), vec![1, 4, 7]);
         assert_eq!(a.at(4), 4.0);
@@ -987,7 +987,7 @@ mod tests {
     #[test]
     fn owned_slices_match_at_and_put_element_for_element() {
         let n = 11;
-        let cyclic = DistSpec::parse("(cyclic)").unwrap();
+        let cyclic = DistSpec::new(vec![DimMap::Dist(DimDist::Cyclic)]);
         for p in [1, 3, 4] {
             let g = ProcGrid::new_1d(p);
             for (spec, ghost) in [
@@ -1193,7 +1193,7 @@ mod tests {
     #[should_panic(expected = "what it owns is not a box")]
     fn owned_box_rejects_a_cyclic_dimension() {
         let g = ProcGrid::new_1d(3);
-        let spec = DistSpec::parse("(cyclic)").unwrap();
+        let spec = DistSpec::new(vec![DimMap::Dist(DimDist::Cyclic)]);
         let a: DistArray1<f64> = DistArrayN::new(1, &g, &spec, [10], [0]);
         let _ = a.owned_box([0], [10]);
     }
@@ -1349,7 +1349,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not one storage box")]
     fn rows_across_a_cyclic_dimension_panic() {
-        let spec = DistSpec::parse("(cyclic, *)").unwrap();
+        let spec = DistSpec::new(vec![DimMap::Dist(DimDist::Cyclic), DimMap::Local]);
         let a: DistArray2<f64> = DistArrayN::new(0, &ProcGrid::new_1d(2), &spec, [8, 4], [0, 0]);
         let _ = a.rows(0..3, 0..4); // owns rows 0 and 2, not 1
     }
@@ -1358,7 +1358,7 @@ mod tests {
     #[should_panic(expected = "ghost layers require")]
     fn ghosts_on_cyclic_rejected() {
         let g = ProcGrid::new_1d(2);
-        let spec = DistSpec::parse("(cyclic)").unwrap();
+        let spec = DistSpec::new(vec![DimMap::Dist(DimDist::Cyclic)]);
         let _: DistArray1<f64> = DistArrayN::new(0, &g, &spec, [8], [1]);
     }
 

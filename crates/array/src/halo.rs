@@ -465,7 +465,7 @@ impl<T: Elem, const N: usize> DistArrayN<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kali_grid::{DistSpec, ProcGrid};
+    use kali_grid::{DimDist, DimMap, DistSpec, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
 
@@ -854,7 +854,10 @@ mod tests {
         // indices there — and both sides must agree on the order.
         let run = Machine::run(cfg(4), |proc| {
             let g = ProcGrid::new_2d(2, 2);
-            let spec = DistSpec::parse("(cyclic, block)").unwrap();
+            let spec = DistSpec::new(vec![
+                DimMap::Dist(DimDist::Cyclic),
+                DimMap::Dist(DimDist::Block),
+            ]);
             let mut a =
                 crate::DistArray2::from_fn(proc.rank(), &g, &spec, [6, 8], [0, 1], |[i, j]| {
                     (10 * i + j) as f64

@@ -118,7 +118,7 @@ impl<T: Elem + Wire, const N: usize> DistArrayN<T, N> {
 mod tests {
     use super::*;
     use crate::{DistArray1, DistArray2};
-    use kali_grid::ProcGrid;
+    use kali_grid::{DimDist, DimMap, ProcGrid};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
 
@@ -126,6 +126,10 @@ mod tests {
         MachineConfig::new(p)
             .with_cost(CostModel::unit())
             .with_watchdog(Duration::from_secs(10))
+    }
+
+    fn cyclic1() -> DistSpec {
+        DistSpec::new(vec![DimMap::Dist(DimDist::Cyclic)])
     }
 
     #[test]
@@ -155,7 +159,7 @@ mod tests {
     fn gather_handles_cyclic() {
         let run = Machine::run(cfg(3), |proc| {
             let g = ProcGrid::new_1d(3);
-            let spec = kali_grid::DistSpec::parse("(cyclic)").unwrap();
+            let spec = cyclic1();
             let a = DistArray1::from_fn(proc.rank(), &g, &spec, [10], [0], |[i]| i as f64);
             a.gather_to_root(proc)
         });
@@ -198,7 +202,7 @@ mod tests {
                 [0],
                 |[i]| (i * i) as f64,
             );
-            let b = a.redistribute(proc, &kali_grid::DistSpec::parse("(cyclic)").unwrap(), [0]);
+            let b = a.redistribute(proc, &cyclic1(), [0]);
             b.gather_to_root(proc)
         });
         let global = run.results[0].as_ref().unwrap();
@@ -217,7 +221,7 @@ mod tests {
                 [0],
                 |[i]| i as f64,
             );
-            let b = a.redistribute(proc, &kali_grid::DistSpec::parse("(cyclic)").unwrap(), [0]);
+            let b = a.redistribute(proc, &cyclic1(), [0]);
             let c = b.redistribute(proc, &kali_grid::DistSpec::block1(), [0]);
             (a.generation(), b.generation(), c.generation())
         });

@@ -33,42 +33,6 @@ impl DistSpec {
         DistSpec { maps }
     }
 
-    /// Parse the paper's surface syntax, e.g. `"(block, *, cyclic)"` or
-    /// `"block, block"`. Patterns: `block`, `cyclic`, `cyclic(b)`, `*`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let trimmed = text.trim();
-        // Strip at most one outer paren pair so `(cyclic(4))` keeps the
-        // pattern's own parentheses intact.
-        let inner = match (trimmed.strip_prefix('('), trimmed.strip_suffix(')')) {
-            _ if !trimmed.starts_with('(') => trimmed,
-            (Some(_), Some(_)) => &trimmed[1..trimmed.len() - 1],
-            _ => return Err(format!("unbalanced parentheses in {trimmed:?}")),
-        };
-        let mut maps = Vec::new();
-        for part in inner.split(',') {
-            let p = part.trim().to_ascii_lowercase();
-            let map = if p == "*" {
-                DimMap::Local
-            } else if p == "block" {
-                DimMap::Dist(DimDist::Block)
-            } else if p == "cyclic" {
-                DimMap::Dist(DimDist::Cyclic)
-            } else if let Some(args) = p.strip_prefix("cyclic(").and_then(|s| s.strip_suffix(')')) {
-                let b: usize = (args.trim().parse().ok())
-                    .filter(|&b| b > 0)
-                    .ok_or_else(|| format!("bad cyclic block size: {args:?}"))?;
-                DimMap::Dist(DimDist::BlockCyclic(b))
-            } else {
-                return Err(format!("unknown distribution pattern: {p:?}"));
-            };
-            maps.push(map);
-        }
-        if maps.is_empty() {
-            return Err("empty distribution clause".into());
-        }
-        Ok(DistSpec::new(maps))
-    }
-
     /// `dist (block)` for 1-D arrays.
     pub fn block1() -> Self {
         DistSpec::new(vec![DimMap::Dist(DimDist::Block)])
@@ -370,38 +334,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_paper_clauses() {
-        let s = DistSpec::parse("(block, block)").unwrap();
-        assert_eq!(s, DistSpec::block2());
-        let s = DistSpec::parse("(*, block, block)").unwrap();
-        assert_eq!(s, DistSpec::local_block_block());
-        let s = DistSpec::parse("block").unwrap();
-        assert_eq!(s, DistSpec::block1());
-        let s = DistSpec::parse("(cyclic, *)").unwrap();
-        assert_eq!(s.map(0), DimMap::Dist(DimDist::Cyclic));
-        assert_eq!(s.map(1), DimMap::Local);
-        let s = DistSpec::parse("(cyclic(4))").unwrap();
-        assert_eq!(s.map(0), DimMap::Dist(DimDist::BlockCyclic(4)));
-    }
-
-    #[test]
-    fn parse_rejects_junk() {
-        assert!(DistSpec::parse("(blok)").is_err());
-        assert!(DistSpec::parse("(cyclic(x))").is_err());
-        assert!(DistSpec::parse("(cyclic(0))").is_err());
-    }
-
-    #[test]
     fn a_block_size_of_zero_is_no_layout() {
         let spec = DistSpec::new(vec![DimMap::Dist(DimDist::BlockCyclic(0))]);
         assert!(Layout::new(&spec, &[8], &ProcGrid::new_1d(2)).is_err());
     }
 
     #[test]
-    fn display_roundtrips() {
-        for text in ["(block, block)", "(*, block)", "(cyclic, *)", "(cyclic(3))"] {
-            let s = DistSpec::parse(text).unwrap();
-            assert_eq!(format!("{s}"), text);
+    fn display_spells_the_clause() {
+        let cyclic = |b| DimMap::Dist(DimDist::BlockCyclic(b));
+        let cases = [
+            (DistSpec::block2(), "(block, block)"),
+            (DistSpec::local_block(), "(*, block)"),
+            (
+                DistSpec::new(vec![DimMap::Dist(DimDist::Cyclic), DimMap::Local]),
+                "(cyclic, *)",
+            ),
+            (DistSpec::new(vec![cyclic(3)]), "(cyclic(3))"),
+        ];
+        for (spec, text) in cases {
+            assert_eq!(format!("{spec}"), text);
         }
     }
 

@@ -51,10 +51,9 @@ use std::slice;
 
 use kali_grid::DimMap;
 
-use crate::ast::{BinOp, Program, UnOp};
+use crate::ast::Program;
 use crate::diag::{Diagnostic, Span};
 use crate::resolve::*;
-use crate::value::Value;
 
 /// One array-element read of an analyzable `doall` body, in body
 /// evaluation order.
@@ -828,81 +827,6 @@ fn contains_collective(body: &[RStmt]) -> bool {
             )
         )
     })
-}
-
-/// Constant value of an integer literal, possibly negated.
-pub(crate) fn const_of(e: &RExpr) -> Option<i64> {
-    match e {
-        RExpr::Const(Value::Int(v), _) => Some(*v),
-        RExpr::Un(UnOp::Neg, e, _) => const_of(e)?.checked_neg(),
-        _ => None,
-    }
-}
-
-/// A subscript as an affine function of one `doall` variable:
-/// `coeff * var + offset`, or a loop-invariant constant (`var == None`).
-struct Affine {
-    var: Option<usize>,
-    coeff: i64,
-    offset: i64,
-}
-
-/// Recognize `c`, `v`, `v ± c`, `c*v ± d` over the doall variables.
-/// Anything else — including other scalars, and arithmetic that
-/// overflows — is opaque.
-fn affine_of(e: &RExpr, vars: &[Slot]) -> Option<Affine> {
-    match e {
-        RExpr::Const(Value::Int(v), _) => Some(Affine {
-            var: None,
-            coeff: 0,
-            offset: *v,
-        }),
-        RExpr::Var(slot, _) => vars.iter().position(|v| v == slot).map(|i| Affine {
-            var: Some(i),
-            coeff: 1,
-            offset: 0,
-        }),
-        RExpr::Un(UnOp::Neg, e, _) => {
-            let a = affine_of(e, vars)?;
-            Some(Affine {
-                var: a.var,
-                coeff: a.coeff.checked_neg()?,
-                offset: a.offset.checked_neg()?,
-            })
-        }
-        RExpr::Bin(op, l, r, _) => {
-            let (la, ra) = (affine_of(l, vars)?, affine_of(r, vars)?);
-            match op {
-                BinOp::Add | BinOp::Sub => {
-                    let sign = if *op == BinOp::Sub { -1 } else { 1 };
-                    let var = match (la.var, ra.var) {
-                        (Some(a), Some(b)) if a != b => return None,
-                        (a, b) => a.or(b),
-                    };
-                    Some(Affine {
-                        var,
-                        coeff: la.coeff.checked_add(ra.coeff.checked_mul(sign)?)?,
-                        offset: la.offset.checked_add(ra.offset.checked_mul(sign)?)?,
-                    })
-                }
-                BinOp::Mul => {
-                    // One factor is a constant `c`: c·(k·v + d).
-                    let (c, a) = match (la.var, ra.var) {
-                        (None, _) => (la.offset, ra),
-                        (_, None) => (ra.offset, la),
-                        _ => return None,
-                    };
-                    Some(Affine {
-                        var: a.var,
-                        coeff: c.checked_mul(a.coeff)?,
-                        offset: c.checked_mul(a.offset)?,
-                    })
-                }
-                _ => None,
-            }
-        }
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -2,21 +2,22 @@
 //! box of iterations whose rows run a chunk at a time.
 //!
 //! A `doall` whose body is one element assignment `x(i, j) = rhs` on
-//! `owner(x(i, j))`, every element read in `rhs` a whole array subscripted
-//! `a(i ± c, j ± c)`, needs no tree walk. [`compile`] turns `rhs`, once
-//! per site, into a flat register program whose every instruction
-//! processes a chunk ([`CHUNK`] iterations) of a row at a time: an operand
-//! is an element read's values along the chunk or a register — an earlier
-//! instruction's result, or a loop-invariant subtree (no element read, no
-//! loop variable) that the interpreter's own `eval` computes, broadcast
-//! along the chunk, so Int/Real typing is exactly the walker's. The same
-//! compiler takes a sequential `do v = lo, hi` loop ([`compile_loop`])
-//! whose step is 1 and whose body is element assignments only, every
-//! reference that mentions `v` of any rank with one subscript `v ± c` and
-//! scalars — no element read, call or `v` — in the others (`wb(k, ip) =
-//! rb(k)`); there a maximal subtree without `v` is an invariant even when
-//! it reads an element (`wy(2*ip - 1, ip)`). In a batch of lines run as one
-//! activation, a run of element assignments whose every subscript is a
+//! `owner(x(i, j))`, every element read in `rhs` a whole array subscripted `a(i
+//! ± c, j ± c)`, needs no tree walk. Here and below, `v ± c` is every subscript
+//! that [`affine_of`](crate::resolve::affine_of) reads with coefficient 1 in
+//! `v` (`i - 1`, `1 + i`, `i + 2 - 1`). [`compile`] turns `rhs`, once per site,
+//! into a flat register program whose every instruction processes a chunk
+//! ([`CHUNK`] iterations) of a row at a time: an operand is an element read's
+//! values along the chunk or a register — an earlier instruction's result, or a
+//! loop-invariant subtree (no element read, no loop variable) that the
+//! interpreter's own `eval` computes, broadcast along the chunk, so Int/Real
+//! typing is exactly the walker's. The same compiler takes a sequential `do v =
+//! lo, hi` loop ([`compile_loop`]) whose step is 1 and whose body is element
+//! assignments only, every reference that mentions `v` of any rank with one
+//! subscript `v ± c` and scalars — no element read, call or `v` — in the others
+//! (`wb(k, ip) = rb(k)`); there a maximal subtree without `v` is an invariant
+//! even when it reads an element (`wy(2*ip - 1, ip)`). In a batch of lines run
+//! as one activation, a run of element assignments whose every subscript is a
 //! scalar ([`compile_runs`]) is a kernel whose iterations are the lines.
 //!
 //! A [`Placed`] body is a kernel or a CSR product. A kernel's references
@@ -58,9 +59,9 @@ use std::rc::Rc;
 use kali_grid::{DimDist, DimMap};
 use kali_machine::Proc;
 
-use crate::analysis::const_of;
 use crate::ast::{BinOp, UnOp};
-use crate::resolve::{any_expr, Node, RDoall, RExpr, RProcExpr, RStmt, Slot};
+use crate::resolve::{any_expr, const_of, names_var, reads_element, shift_of};
+use crate::resolve::{Node, RDoall, RExpr, RProcExpr, RStmt, Slot};
 use crate::value::{ArrObj, ArrRef, View, ViewDim, MAX_RANK};
 
 /// Inclusive bounds per loop variable, the last one along a row; a
@@ -138,7 +139,7 @@ pub(crate) struct Kernel {
 
 /// The kernel of a site in the lowerable class as far as its text alone
 /// decides: one element assignment subscripted by the loop variables in
-/// order, on `owner` of an array subscripted the same way, reads
+/// order (`v ± 0`), on `owner` of an array subscripted the same way, reads
 /// `a(v ± c, …)` combined by `+ − * /` and unary `−`, and a static plan.
 /// The bindings are checked per trip ([`Placed::stencil`]).
 pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
@@ -149,11 +150,11 @@ pub(crate) fn compile(d: &RDoall) -> Option<Kernel> {
         return None;
     };
     let (vars, n) = (&d.vars, d.vars.len());
-    let var = |k: usize, e: Option<&RExpr>| matches!(e, Some(RExpr::Var(v, _)) if *v == vars[k]);
-    let by_vars = subs.len() == n
-        && on_subs.len() == n
-        && (0..n).all(|k| var(k, Some(&subs[k])) && var(k, on_subs[k].as_ref()));
-    if d.plan.is_none() || !by_vars || !(n == 1 || n == 2 && vars[0] != vars[1]) {
+    if d.plan.is_none()
+        || !(n == 1 || n == 2 && vars[0] != vars[1])
+        || offsets(subs.iter().map(Some), vars) != Some([0; 2])
+        || offsets(on_subs.iter().map(Option::as_ref), vars) != Some([0; 2])
+    {
         return None;
     }
     let mut k = Kernel::default();
@@ -228,11 +229,7 @@ impl Kernel {
     }
 
     fn operand(&mut self, e: &RExpr, vars: &[Slot], hoist: bool) -> Option<Src> {
-        let varies = any_expr(e, &mut |n| match n {
-            Node::Expr(e) => !hoist && matches!(e, RExpr::Ref(..)),
-            Node::Name(s) => vars.contains(&s),
-            Node::Stmt(_) => false,
-        });
+        let varies = !hoist && reads_element(e) || names_var(e, vars);
         let (op, a, b) = match e {
             _ if !varies => {
                 self.invariants.push((self.regs, e.clone()));
@@ -308,18 +305,17 @@ fn access<'e>(
         return Some(a);
     }
     (a.slot, a.subs) = (slot, subs.map(|e| e.cloned()).collect::<Option<_>>()?);
-    let names = |e: &RExpr| any_expr(e, &mut |n| matches!(n, Node::Name(s) if vars.contains(&s)));
-    let element = |e: &RExpr| any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))));
-    a.along = a.subs.iter().position(names);
-    let scalar = |(d, e): (usize, &RExpr)| Some(d) == a.along || !names(e) && !element(e);
+    a.along = a.subs.iter().position(|e| names_var(e, vars));
+    let scalar =
+        |(d, e): (usize, &RExpr)| Some(d) == a.along || !names_var(e, vars) && !reads_element(e);
     let var = a
         .along
-        .map_or(!hoist, |d| offset(&a.subs[d], vars[0]).is_some());
+        .map_or(!hoist, |d| shift_of(&a.subs[d], vars[0]).is_some());
     (var && a.subs.iter().enumerate().all(scalar)).then_some(a)
 }
 
-/// The offsets `c` of subscripts `var ± c`, one per loop variable, placed
-/// as in [`Bx`].
+/// The offsets `c` of subscripts `var ± c` ([`shift_of`]), one per loop
+/// variable, placed as in [`Bx`].
 fn offsets<'e>(
     subs: impl ExactSizeIterator<Item = Option<&'e RExpr>>,
     vars: &[Slot],
@@ -327,20 +323,9 @@ fn offsets<'e>(
     (subs.len() == vars.len()).then_some(())?;
     let mut off = [0; 2];
     for ((o, e), &v) in off[2 - vars.len()..].iter_mut().zip(subs).zip(vars) {
-        *o = offset(e?, v)?;
+        *o = shift_of(e?, v)?;
     }
     Some(off)
-}
-
-/// `c` of a subscript `var ± c`.
-fn offset(e: &RExpr, var: Slot) -> Option<i64> {
-    let is_var = |e: &RExpr| matches!(e, RExpr::Var(v, _) if *v == var);
-    match e {
-        _ if is_var(e) => Some(0),
-        RExpr::Bin(BinOp::Add, v, c, _) if is_var(v) => const_of(c),
-        RExpr::Bin(BinOp::Sub, v, c, _) if is_var(v) => const_of(c)?.checked_neg(),
-        _ => None,
-    }
 }
 
 /// The `len` values of `src` along the current run.
@@ -989,10 +974,10 @@ mod tests {
 
     /// A real array of `bounds` on `grid`, distributed by `dist` or
     /// replicated, its elements small varied reals.
-    fn array(bounds: Vec<(i64, i64)>, dist: Option<&str>, grid: &ProcGrid) -> ArrRef {
+    fn array(bounds: Vec<(i64, i64)>, dist: Option<&DistSpec>, grid: &ProcGrid) -> ArrRef {
         let extents: Vec<usize> = bounds.iter().map(|&(l, h)| (h - l + 1) as usize).collect();
         let layout = match dist {
-            Some(d) => Layout::new(&DistSpec::parse(d).unwrap(), &extents, grid).unwrap(),
+            Some(d) => Layout::new(d, &extents, grid).unwrap(),
             None => Layout::replicated(&extents, grid),
         };
         let len = extents.iter().product();
@@ -1110,6 +1095,52 @@ mod tests {
         }
     }
 
+    /// The class is every `v ± c` that `affine_of` reads, however it is
+    /// spelled: `b(1 + i)` is placed as `b(i + 1)` is, and so is a CSR row
+    /// bounded by `rp(1 + i)`; a coefficient other than 1 is walked.
+    #[test]
+    fn an_offset_spelled_c_plus_v_compiles() {
+        let kind = |src: &str| {
+            let prog = crate::parse(src).unwrap();
+            let mut kind = "no doall";
+            crate::resolve::any_stmt(&prog.code[0].body, &mut |n| match n {
+                Node::Stmt(RStmt::Doall(d)) => {
+                    kind = match d.kind {
+                        Kind::Stencil(_) => "stencil",
+                        Kind::Csr(_) => "csr",
+                        _ => "walk",
+                    };
+                    true
+                }
+                _ => false,
+            });
+            kind
+        };
+        let stencil = |read: &str| {
+            kind(&format!(
+                "parsub t(x, b; procs)\n  processors procs(p)\n  real x(8), b(8) dist (block)\n  \
+                 k = 1\n  doall 100 i = 2, 7 on owner(x(i))\n    x(i) = {read}\n100 continue\nend\n"
+            ))
+        };
+        for read in [
+            "b(i + 1)",
+            "b(1 + i)",
+            "b(i + 2 - 1)",
+            "-b(-1 + i) * b(i)",
+            "b(2*i - i)",
+        ] {
+            assert_eq!(stencil(read), "stencil", "{read}");
+        }
+        for read in ["b(2*i - 7)", "b(i + k)", "b(8 - i)"] {
+            assert_eq!(stencil(read), "walk", "{read}");
+        }
+        let spmv = crate::listing("spmv")
+            .unwrap()
+            .replace("rp(i + 1)", "rp(1 + i)");
+        assert!(spmv.contains("rp(1 + i)"));
+        assert_eq!(kind(&spmv), "csr");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1173,9 +1204,10 @@ mod tests {
                 let crate::resolve::RStmt::Doall(d) = &sub.body[0] else { panic!("{src}") };
                 let Kind::Stencil(k) = &d.kind else { panic!("{src}") };
                 let grid = ProcGrid::with_ranks(shape, (0..p).collect());
-                let x = array(bounds.clone(), Some(&dist), &grid);
-                let b = array(bounds, Some(&dist), &grid);
                 let slot = |name: &str| sub.names.iter().position(|n| n == name).unwrap();
+                let spec = sub.array(slot("x")).and_then(|(_, spec)| spec);
+                let x = array(bounds.clone(), spec, &grid);
+                let b = array(bounds, spec, &grid);
                 let whole = |s: Slot| Some(if s == slot("x") { x.clone() } else { b.clone() });
                 for me in 0..p {
                     let mut s = Scratch::default();
@@ -1201,31 +1233,32 @@ mod tests {
                 .map(|(lb, n)| (lb, lb + n - 1))
                 .collect();
             let extent = |d: usize| bounds[d].1 - bounds[d].0 + 1;
-            let patterns: Vec<String> = (0..dims)
+            let patterns: Vec<DimMap> = (0..dims)
                 .map(|d| match below(3) {
-                    0 => "block".into(),
-                    1 => "cyclic".into(),
-                    _ => format!("cyclic({})", 1 + below(2 * extent(d))),
+                    0 => DimDist::Block,
+                    1 => DimDist::Cyclic,
+                    _ => DimDist::BlockCyclic(1 + below(2 * extent(d)) as usize),
                 })
+                .map(DimMap::Dist)
                 .collect();
             // Replicated, or one dimension distributed on a line of `p`, or
             // both on a `p × 1`, `1 × p` or `2 × 2` grid.
             let (shape, dist) = match (dims, below(4)) {
                 (_, 0) => (vec![p], None),
-                (1, _) => (vec![p], Some(patterns[0].clone())),
-                (_, 1) => (vec![p], Some(format!("{}, *", patterns[0]))),
-                (_, 2) => (vec![p], Some(format!("*, {}", patterns[1]))),
+                (1, _) => (vec![p], Some(DistSpec::new(vec![patterns[0]]))),
+                (_, 1) => (vec![p], Some(DistSpec::new(vec![patterns[0], DimMap::Local]))),
+                (_, 2) => (vec![p], Some(DistSpec::new(vec![DimMap::Local, patterns[1]]))),
                 _ => {
                     let shape = match (p, below(2)) {
                         (4, 0) => vec![2, 2],
                         (_, 0) => vec![p, 1],
                         _ => vec![1, p],
                     };
-                    (shape, Some(patterns.join(", ")))
+                    (shape, Some(DistSpec::new(patterns)))
                 }
             };
             let grid = ProcGrid::with_ranks(shape, (0..p).collect());
-            let base = array(bounds.clone(), dist.as_deref(), &grid);
+            let base = array(bounds.clone(), dist.as_ref(), &grid);
             for _ in 0..16 {
                 // A row or column through a random fixed index, over a random
                 // stretch of its dimension, its callee bounds counted from c.
@@ -1281,8 +1314,8 @@ mod tests {
                     arr.borrow_mut().data[..data.len()].copy_from_slice(&data);
                     arr
                 };
-                let y = array(vec![(1, n)], Some("block"), &grid);
-                let xb = array(vec![(1, nx)], Some("block"), &grid);
+                let y = array(vec![(1, n)], Some(&DistSpec::block1()), &grid);
+                let xb = array(vec![(1, nx)], Some(&DistSpec::block1()), &grid);
                 let av = array(vec![(1, nz.max(1))], None, &grid);
                 let structure = [replicated(rp), replicated(ci), av];
                 let x = View { base: xb, map: vec![ViewDim::Range(a, b)], callee_lo: vec![1] };

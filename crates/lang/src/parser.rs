@@ -1104,7 +1104,10 @@ end
         match first_stmt(src) {
             (RStmt::Distribute { slot, dist, .. }, names) => {
                 assert_eq!(names[slot], "a");
-                assert_eq!(dist, DistSpec::parse("(*, cyclic)").unwrap());
+                assert_eq!(
+                    dist,
+                    DistSpec::new(vec![DimMap::Local, DimMap::Dist(DimDist::Cyclic)])
+                );
             }
             other => panic!("expected distribute, got {other:?}"),
         }
@@ -1123,12 +1126,21 @@ end
                 _ => None,
             })
             .collect();
-        assert_eq!(dists[0], DistSpec::parse("(cyclic(3))").unwrap());
-        assert_eq!(dists[1], DistSpec::parse("(cyclic(2), *)").unwrap());
+        assert_eq!(
+            dists[0],
+            DistSpec::new(vec![DimMap::Dist(DimDist::BlockCyclic(3))])
+        );
+        assert_eq!(
+            dists[1],
+            DistSpec::new(vec![DimMap::Dist(DimDist::BlockCyclic(2)), DimMap::Local])
+        );
         match &prog.code[0].body[0] {
             RStmt::Distribute { slot, dist, .. } => {
                 assert_eq!(prog.code[0].names[*slot], "a");
-                assert_eq!(dist, &DistSpec::parse("(cyclic(4))").unwrap());
+                assert_eq!(
+                    dist,
+                    &DistSpec::new(vec![DimMap::Dist(DimDist::BlockCyclic(4))])
+                );
             }
             other => panic!("expected distribute, got {other:?}"),
         }

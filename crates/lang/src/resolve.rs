@@ -460,7 +460,7 @@ fn batchable(d: &RDoall) -> bool {
     let [RStmt::Call {
         callee: Callee::Sub(_),
         args,
-        on: Some(RProcExpr::Owner(..)),
+        on: Some(RProcExpr::Owner(_, on)),
         parallel: true,
         ..
     }] = &d.body[..]
@@ -468,12 +468,7 @@ fn batchable(d: &RDoall) -> bool {
         return false;
     };
     let var = |e: &RExpr| matches!(e, RExpr::Var(s, _) if d.vars.contains(s));
-    let free = |e: &RExpr| {
-        !any_expr(
-            e,
-            &mut |n| matches!(n, Node::Name(s) if d.vars.contains(&s)),
-        )
-    };
+    let free = |e: &RExpr| !names_var(e, &d.vars) && !reads_element(e);
     let pins = |secs: &[RSection], v: &Slot| {
         secs.iter()
             .any(|s| matches!(s, RSection::Index(RExpr::Var(x, _)) if x == v))
@@ -486,8 +481,7 @@ fn batchable(d: &RDoall) -> bool {
                 RSection::All => true,
             })
     };
-    let mut element = |n: Node| matches!(n, Node::Expr(RExpr::Ref(..)));
-    !any_stmt(&d.body, &mut element)
+    !on.iter().flatten().any(reads_element)
         && args.iter().all(|a| match a {
             RArg::Expr(e) => free(e),
             RArg::Section(_, secs, _) => section(secs),
@@ -738,16 +732,17 @@ impl RDoall {
 
 /// Is `d` one CSR row product per iteration ([`Kind::Csr`])? It runs
 /// `doall i = … on owner(y(i))` over exactly `call spmv(y(i:i),
-/// ci(r(i):r(i + 1) - 1), av(r(i):r(i + 1) - 1), x(…))`, whose one section
-/// of `x` mentions neither `i` nor an array element. The bindings are
-/// checked per trip ([`crate::lower::Placed::csr`]).
+/// ci(r(i):r(i + 1) - 1), av(r(i):r(i + 1) - 1), x(…))` (`i` and `i + 1`
+/// as [`shift_of`] reads them), whose one section of `x` mentions neither
+/// `i` nor an array element. The bindings are checked per trip
+/// ([`crate::lower::Placed::csr`]).
 fn csr(d: &RDoall) -> Option<Box<Csr>> {
     let ([i], RProcExpr::Owner(y, on), [RStmt::Call { callee, args, .. }]) =
         (&d.vars[..], &d.on, &d.body[..])
     else {
         return None;
     };
-    let var = |e: &RExpr| matches!(e, RExpr::Var(v, _) if v == i);
+    let var = |e: &RExpr| shift_of(e, *i) == Some(0);
     let one = |e: &RExpr| matches!(e, RExpr::Const(Value::Int(1), _));
     let [RArg::Section(ys, ysec, _), RArg::Section(ci, csec, _), RArg::Section(av, asec, _), RArg::Section(x, xsec, _)] =
         &args[..]
@@ -766,12 +761,11 @@ fn csr(d: &RDoall) -> Option<Box<Csr>> {
         return None;
     };
     let by_i = matches!(&first[..], [Some(e)] if var(e))
-        && matches!(&next[..], [Some(RExpr::Bin(BinOp::Add, v, c, _))] if var(v) && one(c));
+        && matches!(&next[..], [Some(e)] if shift_of(e, *i) == Some(1));
     let same = matches!(&asec[..], [RSection::Range(l, h)] if l == lo && h == hi);
-    let mut varies =
-        |n: Node| matches!(n, Node::Expr(RExpr::Ref(..))) || matches!(n, Node::Name(s) if s == *i);
+    let varies = |e: &RExpr| reads_element(e) || names_var(e, &d.vars);
     let x_free = match &xsec[..] {
-        [RSection::Range(a, b)] => !any_expr(a, &mut varies) && !any_expr(b, &mut varies),
+        [RSection::Range(a, b)] => !varies(a) && !varies(b),
         secs => matches!(secs, [RSection::All]),
     };
     let fits = matches!(callee, Callee::Builtin(Builtin::Spmv))
@@ -791,7 +785,7 @@ fn csr(d: &RDoall) -> Option<Box<Csr>> {
 /// are required free of array reads: the right-hand sides' element
 /// references, in order, are every read.
 fn plan(body: &[RStmt], is_array: impl Fn(Slot) -> bool) -> Option<Vec<Slot>> {
-    let scalar_pure = |e: &RExpr| !any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))));
+    let scalar_pure = |e: &RExpr| !reads_element(e);
     let mut reads = Vec::new();
     for s in body {
         let RStmt::AssignElement {
@@ -899,6 +893,97 @@ pub(crate) fn any_expr<F: FnMut(Node) -> bool>(e: &RExpr, f: &mut F) -> bool {
                 f(Node::Name(*slot)) || args.iter().flatten().any(|a| any_expr(a, f))
             }
         }
+}
+
+/// Constant value of an integer literal, possibly negated.
+pub(crate) fn const_of(e: &RExpr) -> Option<i64> {
+    match e {
+        RExpr::Const(Value::Int(v), _) => Some(*v),
+        RExpr::Un(UnOp::Neg, e, _) => const_of(e)?.checked_neg(),
+        _ => None,
+    }
+}
+
+/// A subscript as an affine function of one loop variable, `vars[var]`:
+/// `coeff * var + offset`, or a loop-invariant constant (`var == None`).
+pub(crate) struct Affine {
+    pub var: Option<usize>,
+    pub coeff: i64,
+    pub offset: i64,
+}
+
+/// Recognize `c`, `v`, `v ± c`, `c*v ± d` over the loop variables `vars`.
+/// Anything else — including other scalars, and arithmetic that
+/// overflows — is opaque.
+pub(crate) fn affine_of(e: &RExpr, vars: &[Slot]) -> Option<Affine> {
+    match e {
+        RExpr::Const(Value::Int(v), _) => Some(Affine {
+            var: None,
+            coeff: 0,
+            offset: *v,
+        }),
+        RExpr::Var(slot, _) => vars.iter().position(|v| v == slot).map(|i| Affine {
+            var: Some(i),
+            coeff: 1,
+            offset: 0,
+        }),
+        RExpr::Un(UnOp::Neg, e, _) => {
+            let a = affine_of(e, vars)?;
+            Some(Affine {
+                var: a.var,
+                coeff: a.coeff.checked_neg()?,
+                offset: a.offset.checked_neg()?,
+            })
+        }
+        RExpr::Bin(op, l, r, _) => {
+            let (la, ra) = (affine_of(l, vars)?, affine_of(r, vars)?);
+            match op {
+                BinOp::Add | BinOp::Sub => {
+                    let sign = if *op == BinOp::Sub { -1 } else { 1 };
+                    let var = match (la.var, ra.var) {
+                        (Some(a), Some(b)) if a != b => return None,
+                        (a, b) => a.or(b),
+                    };
+                    Some(Affine {
+                        var,
+                        coeff: la.coeff.checked_add(ra.coeff.checked_mul(sign)?)?,
+                        offset: la.offset.checked_add(ra.offset.checked_mul(sign)?)?,
+                    })
+                }
+                BinOp::Mul => {
+                    // One factor is a constant `c`: c·(k·v + d).
+                    let (c, a) = match (la.var, ra.var) {
+                        (None, _) => (la.offset, ra),
+                        (_, None) => (ra.offset, la),
+                        _ => return None,
+                    };
+                    Some(Affine {
+                        var: a.var,
+                        coeff: c.checked_mul(a.coeff)?,
+                        offset: c.checked_mul(a.offset)?,
+                    })
+                }
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+/// `c`, where [`affine_of`] reads subscript `e` as `var + c`.
+pub(crate) fn shift_of(e: &RExpr, var: Slot) -> Option<i64> {
+    let a = affine_of(e, &[var])?;
+    (a.coeff == 1).then_some(a.offset)
+}
+
+/// Does `e` read an array element (or call an intrinsic, spelled alike)?
+pub(crate) fn reads_element(e: &RExpr) -> bool {
+    any_expr(e, &mut |n| matches!(n, Node::Expr(RExpr::Ref(..))))
+}
+
+/// Does `e` name one of `vars`?
+pub(crate) fn names_var(e: &RExpr, vars: &[Slot]) -> bool {
+    any_expr(e, &mut |n| matches!(n, Node::Name(s) if vars.contains(&s)))
 }
 
 /// The names of a doall body in schedule-relevant positions —

@@ -279,7 +279,7 @@ pub fn global_max_abs<T: Elem, const N: usize>(ctx: &mut Ctx, a: &DistArrayN<T, 
 mod tests {
     use super::*;
     use kali_array::DistArray2;
-    use kali_grid::DistSpec;
+    use kali_grid::{DimDist, DimMap, DistSpec};
     use kali_machine::{CostModel, Machine, MachineConfig};
     use std::time::Duration;
 
@@ -433,7 +433,7 @@ mod tests {
     fn plan_update_rejects_a_cyclic_dimension() {
         let _ = Machine::run(cfg(2), |proc| {
             let grid = ProcGrid::new_1d(2);
-            let spec = DistSpec::parse("(*, cyclic)").unwrap();
+            let spec = DistSpec::new(vec![DimMap::Local, DimMap::Dist(DimDist::Cyclic)]);
             let mut u = DistArray2::from_fn(proc.rank(), &grid, &spec, [2, 6], [0, 0], |[i, j]| {
                 (i * 6 + j) as f64
             });

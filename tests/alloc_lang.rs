@@ -5,7 +5,12 @@
 //!
 //! A test binary of its own because it installs a counting
 //! `#[global_allocator]`. `run_source_with` owns its `Machine::run`, so
-//! the counters are process-wide. The gates count *allocations*:
+//! the counters cannot be per thread; they count what the test's thread
+//! and the threads started after it allocate — the calls and their
+//! processors — and not the harness's main thread, which books the
+//! running test (a map entry, a timeout queue, the context of its first
+//! blocking receive: four allocations) whenever it is next scheduled,
+//! on a busy host inside a counted call. The gates count *allocations*:
 //! buffers whose bytes scale with the problem (iteration sets, write
 //! logs, array storage) are presized from the loop bounds, so their
 //! count does not. The peak of live *bytes* is read on one rank.
@@ -13,6 +18,7 @@
 //! process allocates meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -23,24 +29,56 @@ static COUNT: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 
+/// Threads are numbered in the order they first allocate; the harness's
+/// main thread allocates before it starts the test's. Counted: the
+/// threads from `FIRST` on (all of them until the test sets it).
+static NEXT: AtomicU64 = AtomicU64::new(1);
+static FIRST: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static ID: Cell<u64> = const { Cell::new(0) };
+}
+
+/// This thread's number. `ID` needs no destructor, so reading it
+/// allocates nothing.
+fn id() -> Option<u64> {
+    let id = ID.try_with(|id| {
+        if id.get() == 0 {
+            id.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        id.get()
+    });
+    id.ok()
+}
+
+/// Is this thread's allocation counted? A thread tearing its locals
+/// down is.
+fn counted() -> bool {
+    id().is_none_or(|id| id >= FIRST.load(Ordering::Relaxed))
+}
+
 struct Counting;
 
 // SAFETY: every request is forwarded unchanged to `System`; the only
 // addition is relaxed bumps of statistics that publish nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        COUNT.fetch_add(1, Ordering::Relaxed);
-        let size = layout.size() as i64;
-        PEAK.fetch_max(
-            LIVE.fetch_add(size, Ordering::Relaxed) + size,
-            Ordering::Relaxed,
-        );
+        if counted() {
+            COUNT.fetch_add(1, Ordering::Relaxed);
+            let size = layout.size() as i64;
+            PEAK.fetch_max(
+                LIVE.fetch_add(size, Ordering::Relaxed) + size,
+                Ordering::Relaxed,
+            );
+        }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        if counted() {
+            LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        }
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -82,10 +120,7 @@ fn field_args(name: &str, np: usize, niter: i64) -> Vec<HostValue> {
 /// Allocations of one whole run of `name` on `p` simulated processors
 /// (`(0:np)²` fields, `niter` sweeps),
 /// and the run's peak of live bytes above what was live before it.
-/// The count is not quite a function of the program. The counter is
-/// process-wide, and the test harness's own thread sets itself up lazily
-/// (four allocations, once per process) whenever it is next scheduled —
-/// on a busy host, inside a counted run. With two ranks, moreover, the
+/// The count is not quite a function of the program. With two ranks the
 /// rank threads race on their channels, and an early message parks in a
 /// queue that a late one never touches. Such extras only ever add, so the
 /// least of a few runs is taken, on one rank as on two — and the
@@ -163,7 +198,9 @@ fn extra_sweep(name: &str, p: usize, np: usize) -> u64 {
 
 #[test]
 fn a_warm_sweep_allocates_per_trip_not_per_element() {
-    // Once for the process's own lazy set-up (thread-locals, stdio).
+    // From this thread on; once for the process's own lazy set-up
+    // (thread-locals, stdio).
+    FIRST.store(id().expect("a live thread"), Ordering::Relaxed);
     run("jacobi", 1, 4, 1);
     for (p, slack) in [(1, 0), (2, 8)] {
         // Jacobi: one doall trip per sweep, whatever the grid. A single

@@ -218,21 +218,33 @@ impl Gen {
     }
 
     /// An element read of `x` or `b`, every subscript `var ± c` with
-    /// `c` in −2..=2; its offsets are appended to `offs`.
+    /// `c` in −2..=2 ([`Gen::shifted`]); its offsets are appended to `offs`.
     fn read(&mut self, vars: &[&str], offs: &mut Vec<Vec<i64>>) -> String {
         let array = ["x", "b"][self.below(2) as usize];
         let off: Vec<i64> = vars.iter().map(|_| self.below(5) as i64 - 2).collect();
         let subs: Vec<String> = vars
             .iter()
             .zip(&off)
-            .map(|(v, &c)| match c {
-                0 => v.to_string(),
-                c if c > 0 => format!("{v} + {c}"),
-                c => format!("{v} - {}", -c),
-            })
+            .map(|(v, &c)| self.shifted(v, c))
             .collect();
         offs.push(off);
         format!("{array}({})", subs.join(", "))
+    }
+
+    /// Subscript `v + c`, spelled `v`, `v + c` or `v - |c|`, and one time
+    /// in four `c + v` or `v + c1 - c2` (`c1 - c2 = c`, both ≥ 0): every
+    /// spelling reads as the same `v ± c`.
+    fn shifted(&mut self, v: &str, c: i64) -> String {
+        match (self.below(8), c) {
+            (0, c) => format!("{c} + {v}"),
+            (1, c) => {
+                let c2 = (-c).max(0) + self.below(3) as i64;
+                format!("{v} + {} - {c2}", c + c2)
+            }
+            (_, 0) => v.to_string(),
+            (_, c) if c > 0 => format!("{v} + {c}"),
+            (_, c) => format!("{v} - {}", -c),
+        }
     }
 
     /// A right-hand side of depth at most `depth` — the one generator of
@@ -453,9 +465,9 @@ proptest! {
 
 /// One random statement list for a compiled `do k` loop: targets first —
 /// `x`, `y` or the distributed section `r`, each written at one offset —
-/// then right-hand sides over reads `a(k ± c)` of every line array (a
-/// written one at its target's offset, the others at any offset in
-/// −2..=2), Int and Real invariants (`kk`, `sc`, `kk*ip - 1`, `g(2*ip -
+/// then right-hand sides over reads `a(k ± c)` ([`Gen::shifted`]) of every
+/// line array (a written one at its target's offset, the others at any
+/// offset in −2..=2), Int and Real invariants (`kk`, `sc`, `kk*ip - 1`, `g(2*ip -
 /// 1)`, constants, and `g(1)` and `g(2*q)`, which another processor owns
 /// unless `ip` is 1 or `q`) and `+ − *`, unary `−`, and `/` by a constant
 /// or by a read of `d` (never written, every value ≥ 1). Returns the
@@ -471,11 +483,6 @@ fn loop_body(g: &mut Gen) -> (Vec<(&'static str, i64)>, Vec<String>) {
         };
         targets.push((slot, off));
     }
-    let sub = |off: i64| match off {
-        0 => "k".to_string(),
-        c if c > 0 => format!("k + {c}"),
-        c => format!("k - {}", -c),
-    };
     let mut read = |g: &mut Gen, divisor: bool| {
         let slot = match divisor {
             true => "d",
@@ -485,7 +492,7 @@ fn loop_body(g: &mut Gen) -> (Vec<(&'static str, i64)>, Vec<String>) {
             Some(&(_, off)) => off,
             None => g.below(5) as i64 - 2,
         };
-        format!("{slot}({})", sub(off))
+        format!("{slot}({})", g.shifted("k", off))
     };
     let leaves = [
         "0.5",
