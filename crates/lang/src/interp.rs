@@ -3277,26 +3277,36 @@ mod tests {
     }
 
     /// A trip of `spmv.kf1`'s CSR rows reads each row of mine twice, cold
-    /// or warm: to place it, which also inspects it, and to run it.
+    /// or warm, counted in `rp` entries: placing, which also inspects,
+    /// reads my rows' entries once each and the one after the last;
+    /// executing reads each row's two.
     #[test]
     fn a_csr_trip_reads_each_row_twice() {
         let src = crate::listing("spmv").unwrap();
         for p in 1..=4 {
             for iters in [1, 2] {
-                let visits = on_entry(src, "spmvit", &[p], &spmv_args(iters), |me, sub| {
-                    let visited = || crate::lower::CSR_ROWS_VISITED.with(|n| n.get());
-                    let before = visited();
+                let reads = on_entry(src, "spmvit", &[p], &spmv_args(iters), |me, sub| {
+                    let read = || crate::lower::RP_READ.with(|n| n.each_ref().map(|n| n.get()));
+                    let before = read();
                     me.exec_stmts(&sub.body).unwrap();
                     let y = sub.names.iter().position(|s| s == "y").unwrap();
                     let y = me.whole(y).unwrap();
                     let layout = &y.borrow().layout;
-                    let mine = (0..11).filter(|&i| layout.owner(&[i]) == Some(me.me()));
+                    let mine = (0..11)
+                        .filter(|&i| layout.owner(&[i]) == Some(me.me()))
+                        .count();
                     let stats = me.proc.stats();
                     let trips = (stats.inspector_runs, stats.schedule_replays);
-                    (visited() - before, 2 * iters as usize * mine.count(), trips)
+                    let [placed, executed] = [0, 1].map(|k| read()[k] - before[k]);
+                    let iters = iters as usize;
+                    (
+                        [placed, executed],
+                        [iters * (mine + 1), iters * 2 * mine],
+                        trips,
+                    )
                 });
-                for (rank, (visited, twice, trips)) in visits.into_iter().enumerate() {
-                    assert_eq!(visited, twice, "p = {p}, rank {rank}, {iters} trips");
+                for (rank, (read, expected, trips)) in reads.into_iter().enumerate() {
+                    assert_eq!(read, expected, "p = {p}, rank {rank}, {iters} trips");
                     // Each sweep is a trip of both sites: cold, then warm.
                     assert_eq!(trips, (2, 2 * (iters as u64 - 1)), "p = {p}, rank {rank}");
                 }

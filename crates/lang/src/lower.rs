@@ -47,13 +47,16 @@
 //! runs.
 //!
 //! The CSR body is `spmv.kf1`'s rows ([`Placed::csr`]), each a multiply-add
-//! over its slices of the replicated structure arrays. The placing pass
-//! reads every row of mine to check it, and notes on the way the columns
-//! the inspector would find remote, so a cold trip reads the rows twice
-//! (place, execute), not three times.
+//! over its slices of the replicated structure arrays. My rows are one
+//! slice of `rp` entries and one of columns, and the placing pass reads
+//! each once: the entries to check that they are exact integers that never
+//! decrease, the columns to check them and note on the way those the
+//! inspector would find remote. Executing reads each row's two entries and
+//! slices its columns and values, so a cold trip reads the structure twice
+//! (place, execute), not three times, and no row is rebuilt to be checked.
 
 use std::cell::Ref;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use std::rc::Rc;
 
 use kali_grid::{DimDist, DimMap};
@@ -583,8 +586,12 @@ impl<'k> Placed<'k> {
     /// real, block-distributed and holding the loop range, `rp`, `ci`, `av`
     /// replicated, `x` real, not `y`, with contiguous blocks, and every row
     /// of mine names sections of `ci` and `av` by exact integers in `rp`,
-    /// their columns inside `x`'s section. The same pass notes in `s` what
-    /// the inspector would find remote ([`Placed::inspect`]).
+    /// their columns inside `x`'s section. My rows are read as the slices
+    /// they are: one pass over their `rp` entries, which must never
+    /// decrease, so that the first and the last decide every row's
+    /// sections; one over their columns, which notes in `s` what the
+    /// inspector would find remote ([`Placed::inspect`]), each remote
+    /// column's row found by bisecting the entries.
     pub(crate) fn csr(
         me: usize,
         (lo, hi): (i64, i64),
@@ -605,37 +612,52 @@ impl<'k> Placed<'k> {
         };
         let ([_, (x0, x1)], x_lo) = (xa.owned(me, true)?, xa.bounds[1].0);
         let bx = meet(&[(0, 0), (lo, hi)], &target.owned(me, false)?);
-        let structure = [rp, ci, av];
         let x_at = a.checked_sub(x.callee_lo[0])?.checked_sub(x_lo)?;
         let x_owned = x0.saturating_sub(x_lo)..=x1.saturating_sub(x_lo);
-        // The walker translates column `c` to `c − callee_lo + a`.
-        let inside = |c: &f64| {
-            let t = (*c as i64).checked_sub(x.callee_lo[0]);
-            t.is_some_and(|t| (0..=b - a).contains(&t))
-        };
-        let mut fits = true;
         s.remote.clear();
         s.boundary.clear();
-        let rows = 0..(bx[1].1 - bx[1].0 + 1) as usize;
-        csr_rows(&structure, bx[1].0, rows, |pos, row| {
-            match row.filter(|[c, _]| c.iter().all(inside)) {
-                None => fits = false,
-                Some([cols, _]) => {
-                    let before = s.remote.len();
-                    let flats = cols.iter().map(|&c| (c as i64).wrapping_add(x_at));
-                    let remote = flats.filter(|f| !x_owned.contains(f));
-                    s.remote.extend(remote.map(|f| f as usize));
-                    if s.remote.len() > before {
-                        s.boundary.push(pos);
-                    }
+        if !is_empty(&bx) {
+            let [rp, ci, av] = [&rp, &ci, &av].map(|a| a.borrow());
+            let ends = (index(&rp, bx[1].0)?, index(&rp, bx[1].1.checked_add(1)?)?);
+            let entries = rp.data.get(ends.0..=ends.1)?;
+            #[cfg(test)]
+            RP_READ.with(|n| n[0].set(n[0].get() + entries.len()));
+            let mut last = i64::MIN;
+            let mut rising = |e: &f64| exact_int(*e).filter(|&k| k >= last).map(|k| last = k);
+            entries.iter().all(|e| rising(e).is_some()).then_some(())?;
+            let k0 = entries[0] as i64;
+            av.data.get(index(&av, k0)?..index(&av, last)?)?;
+            let cols = ci.data.get(index(&ci, k0)?..index(&ci, last)?)?;
+            // The walker translates column `c` to `c − callee_lo + a`. A
+            // column inside `section`'s reals is inside the section, one
+            // inside `owned`'s is mine; only the others are truncated here.
+            let c0 = x.callee_lo[0];
+            let section = reals(Some(c0), c0.checked_add(b - a));
+            let owned = reals(
+                x_owned.start().checked_sub(x_at),
+                x_owned.end().checked_sub(x_at),
+            );
+            let mut row_end = f64::NEG_INFINITY;
+            for (k, c) in (k0..).zip(cols) {
+                let t = || (*c as i64).checked_sub(c0);
+                (section.contains(c) || t().is_some_and(|t| (0..=b - a).contains(&t)))
+                    .then_some(())?;
+                let flat = (!owned.contains(c)).then(|| (*c as i64).wrapping_add(x_at));
+                let Some(f) = flat.filter(|f| !x_owned.contains(f)) else {
+                    continue;
+                };
+                s.remote.push(f as usize);
+                if k as f64 >= row_end {
+                    let row = entries.partition_point(|&e| e <= k as f64) - 1;
+                    s.boundary.push(row);
+                    row_end = entries[row + 1];
                 }
             }
-        });
+        }
         s.refs.clear();
         s.refs.push(target.at(&bx, [0; 2]));
-        let x = x.base.clone();
-        let body = Body::Csr { structure, x, x_at };
-        fits.then(|| Self::sized(s, bx, false, body))
+        let (structure, x) = ([rp, ci, av], x.base.clone());
+        Some(Self::sized(s, bx, false, Body::Csr { structure, x, x_at }))
     }
 
     /// Placed over `bx`, with `s` sized for it: a doall's result, and
@@ -787,15 +809,21 @@ impl<'k> Placed<'k> {
                 });
                 proc.compute_each(&k.flops, count);
             }
-            Body::Csr {
-                structure, x, x_at, ..
-            } => {
-                let x = x.borrow();
+            Body::Csr { structure, x, x_at } => {
+                let ([rp, ci, av], x) = (structure.each_ref().map(|a| a.borrow()), x.borrow());
                 let product =
                     |(&c, &a): (&f64, &f64)| a * x.data[(c as i64).wrapping_add(*x_at) as usize];
-                let rows = at.into_iter().flatten();
-                csr_rows(structure, a1, rows, |pos, row| {
-                    let [cols, vals] = row.expect("placed rows name sections of ci and av");
+                // Placing checked my rows' entries: exact integers, each
+                // pair naming a section of `ci` and one of `av`.
+                let first = (a1 - rp.bounds[0].0) as usize;
+                let span = |a: &ArrObj, k: f64, end: f64| {
+                    (k as i64 - a.bounds[0].0) as usize..(end as i64 - a.bounds[0].0) as usize
+                };
+                for pos in at.into_iter().flatten() {
+                    #[cfg(test)]
+                    RP_READ.with(|n| n[1].set(n[1].get() + 2));
+                    let (k, end) = (rp.data[first + pos], rp.data[first + pos + 1]);
+                    let (cols, vals) = (&ci.data[span(&ci, k, end)], &av.data[span(&av, k, end)]);
                     // The walker's sum, and +0.0 for an empty row, as it stores.
                     out[pos] = match cols.len() {
                         0 => 0.0,
@@ -803,7 +831,7 @@ impl<'k> Placed<'k> {
                     };
                     proc.compute(2.0 * cols.len() as f64);
                     proc.memop(1.0);
-                });
+                }
             }
         }
     }
@@ -823,28 +851,18 @@ impl<'k> Placed<'k> {
     }
 }
 
-/// Run `f(position, row)` over the CSR rows at `positions`, counted from
-/// row `first`: each row its column indices and values, if its `rp`
-/// entries are exact integers naming a section of `ci` and of `av`.
-fn csr_rows(
-    [rp, ci, av]: &[ArrRef; 3],
-    first: i64,
-    positions: impl IntoIterator<Item = usize>,
-    mut f: impl FnMut(usize, Option<[&[f64]; 2]>),
-) {
-    let [rp, ci, av] = [rp, ci, av].map(|a| a.borrow());
-    let at = |a: &ArrObj, i: i64| usize::try_from(i.checked_sub(a.bounds[0].0)?).ok();
-    let row = |i: i64| {
-        let k = exact_int(*rp.data.get(at(&rp, i)?)?)?;
-        let end = exact_int(*rp.data.get(at(&rp, i.checked_add(1)?)?)?)?;
-        let span = |a: &ArrObj| Some(at(a, k)?..at(a, end)?);
-        Some([ci.data.get(span(&ci)?)?, av.data.get(span(&av)?)?])
-    };
-    for pos in positions {
-        #[cfg(test)]
-        CSR_ROWS_VISITED.with(|n| n.set(n.get() + 1));
-        f(pos, row(first + pos as i64));
-    }
+/// Where element `i` of the 1-D array `a` is stored, if not below it.
+fn index(a: &ArrObj, i: i64) -> Option<usize> {
+    usize::try_from(i.checked_sub(a.bounds[0].0)?).ok()
+}
+
+/// The reals whose truncation is certainly in `lo..=hi`: those between
+/// the two, if both are exact doubles; none otherwise.
+fn reals(lo: Option<i64>, hi: Option<i64>) -> RangeInclusive<f64> {
+    let exact = |v: Option<i64>| v.filter(|v| v.unsigned_abs() <= 1 << 53).map(|v| v as f64);
+    exact(lo)
+        .zip(exact(hi))
+        .map_or(1.0..=0.0, |(lo, hi)| lo..=hi)
 }
 
 /// `v` as an integer, if it is one of magnitude at most 2⁵³.
@@ -955,8 +973,10 @@ impl Scratch {
 
 #[cfg(test)]
 thread_local! {
-    /// The CSR rows [`csr_rows`] visited on this thread (a processor's).
-    pub(crate) static CSR_ROWS_VISITED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// The `rp` entries [`Placed::csr`] read on this thread (a
+    /// processor's), placing and executing.
+    pub(crate) static RP_READ: [std::cell::Cell<usize>; 2] =
+        const { [std::cell::Cell::new(0), std::cell::Cell::new(0)] };
     /// The element assignments the interpreter walked on this thread.
     pub(crate) static WALKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
@@ -1139,6 +1159,171 @@ mod tests {
             .replace("rp(i + 1)", "rp(1 + i)");
         assert!(spmv.contains("rp(1 + i)"));
         assert_eq!(kind(&spmv), "csr");
+    }
+
+    /// The remote flats of `x`, the positions of the rows that read them,
+    /// and each row's product's bits: what a placed CSR product inspects
+    /// and computes.
+    type Rows = (Vec<usize>, Vec<usize>, Vec<u64>);
+
+    /// The CSR placement's oracle, the check it replaced: with the same
+    /// bindings, each row of mine rebuilt from its own two `rp` entries,
+    /// each converted by `exact_int` and both checked against `ci` and
+    /// `av`, each column truncated and checked against the section, then
+    /// the row's remote columns noted and its product summed.
+    fn row_by_row(me: usize, (lo, hi): (i64, i64), arrays: &[ArrRef; 4], x: &View) -> Option<Rows> {
+        let [y, rp, ci, av] = arrays.each_ref().map(|a| a.borrow());
+        let (target, xa) = (Addr::of(&arrays[0], 1)?, Addr::of(&x.base, 1)?);
+        let [_, (y_lo, y_hi)] = target.bounds;
+        let fits = y.layout.spec().maps() == [DimMap::Dist(DimDist::Block)]
+            && (lo > hi || lo >= y_lo && hi <= y_hi)
+            && [&rp, &ci, &av]
+                .iter()
+                .all(|a| a.ndims() == 1 && a.replicated());
+        let (true, &[ViewDim::Range(a, b)]) = (fits, &x.map[..]) else {
+            return None;
+        };
+        let ([_, (x0, x1)], x_lo) = (xa.owned(me, true)?, xa.bounds[1].0);
+        let bx = meet(&[(0, 0), (lo, hi)], &target.owned(me, false)?);
+        let x_at = a.checked_sub(x.callee_lo[0])?.checked_sub(x_lo)?;
+        let x_owned = x0.saturating_sub(x_lo)..=x1.saturating_sub(x_lo);
+        let inside = |c: &f64| {
+            let t = (*c as i64).checked_sub(x.callee_lo[0]);
+            t.is_some_and(|t| (0..=b - a).contains(&t))
+        };
+        let at = |a: &ArrObj, i: i64| usize::try_from(i.checked_sub(a.bounds[0].0)?).ok();
+        let row = |i: i64| {
+            let k = exact_int(*rp.data.get(at(&rp, i)?)?)?;
+            let end = exact_int(*rp.data.get(at(&rp, i.checked_add(1)?)?)?)?;
+            let span = |a: &ArrObj| Some(at(a, k)?..at(a, end)?);
+            Some([ci.data.get(span(&ci)?)?, av.data.get(span(&av)?)?])
+        };
+        let xb = x.base.borrow();
+        let (mut remote, mut boundary, mut sums) = (Vec::new(), Vec::new(), Vec::new());
+        let rows = if is_empty(&bx) {
+            0
+        } else {
+            bx[1].1 - bx[1].0 + 1
+        };
+        for pos in 0..rows as usize {
+            let [cols, vals] = row(bx[1].0 + pos as i64).filter(|[c, _]| c.iter().all(inside))?;
+            let flats: Vec<i64> = cols
+                .iter()
+                .map(|&c| (c as i64).wrapping_add(x_at))
+                .collect();
+            let before = remote.len();
+            remote.extend(
+                flats
+                    .iter()
+                    .filter(|f| !x_owned.contains(f))
+                    .map(|&f| f as usize),
+            );
+            if remote.len() > before {
+                boundary.push(pos);
+            }
+            let terms = flats
+                .iter()
+                .zip(vals)
+                .map(|(&f, &a)| a * xb.data[f as usize]);
+            sums.push(
+                if cols.is_empty() {
+                    0.0
+                } else {
+                    terms.sum::<f64>()
+                }
+                .to_bits(),
+            );
+        }
+        Some((remote, boundary, sums))
+    }
+
+    /// Random CSR structures over `x(a:b)` with rows `lo..=hi` of `y`,
+    /// placed on each of `p` ranks (1..4, uneven blocks), accept exactly
+    /// where [`row_by_row`] does, note the same remote columns and rows
+    /// in the same order, and compute the same bits. Now and then an `rp`
+    /// entry is fractional, falls below the last, runs past `nz` or below
+    /// `ci`'s first element, `rp` or `av` is one element short, and a
+    /// column is NaN, infinite, negative, fractional, or just inside or
+    /// outside the section (`c0 ± 0.5`, `hi + 0.9`, `hi + 1`); many rows
+    /// are empty, at the edges of the blocks too.
+    #[test]
+    fn csr_slices_decide_as_rows_do() {
+        on_one(|proc| {
+            let mut seen = [0; 2];
+            for seed in 0..3000u64 {
+                let mut g = TestRng::deterministic(&format!("csr oracle {seed}"));
+                let mut below = |n: i64| (g.next_u64() % n as u64) as i64;
+                let (p, n, nx) = (1 + below(4) as usize, 1 + below(14), 2 + below(12));
+                let (a, c0) = (1 + below(3).min(nx - 1), below(3));
+                let b = a + below(nx - a + 1);
+                let hi_col = c0 + b - a;
+                let odd = |below: &mut dyn FnMut(i64) -> i64| {
+                    let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.5, 0.5];
+                    let near = [c0 as f64 - 0.5, c0 as f64 + 0.5, hi_col as f64 + 0.9];
+                    let near = near
+                        .into_iter()
+                        .chain([hi_col as f64 + 1.0, c0 as f64 - 1.0]);
+                    let all: Vec<f64> = odd.into_iter().chain(near).collect();
+                    all[below(all.len() as i64) as usize]
+                };
+                let (mut rp, mut ci) = (vec![1.0], Vec::new());
+                for _ in 0..n {
+                    if below(3) > 0 {
+                        for _ in 0..1 + below(4) {
+                            let c = match below(16) {
+                                0 => odd(&mut below),
+                                _ => (c0 + below(hi_col - c0 + 1)) as f64,
+                            };
+                            ci.push(c);
+                        }
+                    }
+                    rp.push(ci.len() as f64 + 1.0);
+                }
+                let nz = ci.len() as i64;
+                let k = 1 + below(n) as usize;
+                match below(16) {
+                    0 => rp[k] += 0.5,
+                    1 => rp[k] = rp[k - 1] - 1.0,
+                    2 => rp[k] = (nz + 2) as f64,
+                    3 => rp[0] = 0.0,
+                    4 => drop(rp.pop()),
+                    _ => (),
+                }
+                let grid = ProcGrid::with_ranks(vec![p], (0..p).collect());
+                let replicated = |data: Vec<f64>, short: bool| {
+                    let len = data.len() as i64 - short as i64;
+                    let arr = array(vec![(1, len.max(1))], None, &grid);
+                    let n = (len.max(0) as usize).min(data.len());
+                    arr.borrow_mut().data[..n].copy_from_slice(&data[..n]);
+                    arr
+                };
+                let y = array(vec![(1, n)], Some(&DistSpec::block1()), &grid);
+                let xb = array(vec![(1, nx)], Some(&DistSpec::block1()), &grid);
+                let vals = (0..nz).map(|k| 0.75 - (k % 5) as f64 * 0.5).collect();
+                let av = replicated(vals, below(24) == 0);
+                let arrays = [y, replicated(rp, false), replicated(ci, false), av];
+                let x = View {
+                    base: xb,
+                    map: vec![ViewDim::Range(a, b)],
+                    callee_lo: vec![c0],
+                };
+                let (lo, hi) = (1 + below(2).min(n - 1), n - below(2));
+                for me in 0..p {
+                    let oracle = row_by_row(me, (lo, hi), &arrays, &x);
+                    let mut s = Scratch::default();
+                    let placed = Placed::csr(me, (lo, hi), arrays.clone(), &x, &mut s);
+                    let ours = placed.map(|placed| {
+                        placed.exec(std::iter::once(0..placed.len()), &mut s, proc);
+                        let bits = s.out.iter().map(|v| v.to_bits()).collect();
+                        (s.remote.clone(), s.boundary.clone(), bits)
+                    });
+                    assert_eq!(ours, oracle, "seed {seed}, rank {me} of {p}");
+                }
+                seen[row_by_row(0, (lo, hi), &arrays, &x).is_some() as usize] += 1;
+            }
+            // Both answers are drawn often.
+            assert!(seen.iter().all(|&k| k > 600), "{seen:?}");
+        });
     }
 
     proptest! {

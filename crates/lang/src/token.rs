@@ -83,7 +83,9 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
         tok,
         span: Span::new(lo as u32, hi as u32),
     };
-    let mut out = Vec::new();
+    // The listings hold a token per 3 to 6 bytes; room for one per 2 is
+    // reserved once, so the vector does not grow by doubling as it fills.
+    let mut out = Vec::with_capacity(src.len() / 2);
     // The statement being read: whether an `&` carries it on, whether its
     // first token (a label, if a number) is still to come, and where its
     // `Eol` goes — one past its last byte of code, or 0 if it has none.

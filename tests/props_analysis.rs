@@ -870,7 +870,8 @@ proptest! {
     /// the results, on every message, word and protocol counter, and on
     /// the simulator's clocks, under every policy square. An `x` that is
     /// `y` itself, or cyclic, is outside the bindings the rows accept, so
-    /// both twins walk it.
+    /// both twins walk it; so do the rows of a structure whose `rp`
+    /// decreases, while fractional columns run as CSR rows.
     #[test]
     fn spmv_rows_match_the_walker_bitwise(
         seed in 0u64..1_000_000,
@@ -895,6 +896,21 @@ proptest! {
         if ci.is_empty() {
             ci.push(1.0);
             *rp.last_mut().unwrap() += 1.0;
+        }
+        // Now and then a structure the rows refuse or accept only through
+        // their exact fallback: an `rp` entry above the next by a half,
+        // which the walker truncates to an empty section `ci(k:k - 1)` (a
+        // whole one above is its runtime error, section `k + 1:k - 1` out
+        // of range), or columns with fractions, which truncate inside the
+        // section — `n + 0.9` is outside its reals, so only the exact test
+        // accepts it.
+        match g.below(6) {
+            0 => {
+                let k = g.below(n as u64) as usize;
+                rp[k] = rp[k + 1] + 0.5;
+            }
+            1 => ci.iter_mut().for_each(|c| *c += [0.0, 0.5, 0.9][g.below(3) as usize]),
+            _ => (),
         }
         let nz = ci.len();
         let av: Vec<f64> = (0..nz).map(|k| 0.25 + (k % 7) as f64 * 0.5 - (k % 3) as f64).collect();
